@@ -71,11 +71,7 @@ func getBench(b *testing.B) *benchWork {
 		}
 		w := &benchWork{dir: dir, exact: map[int][][]series.Result{}}
 		w.ds = dataset.RandomWalk(dataset.RandomWalkLength, benchSize, 11)
-		w.cl, err = cluster.New(cluster.Config{NumNodes: 2, WorkersPerNode: 2, BaseDir: dir})
-		if err != nil {
-			benchErr = err
-			return
-		}
+		w.cl = cluster.New(dir, 4)
 		if w.bs, err = w.cl.IngestBlocks(w.ds, 1000, "bench"); err != nil {
 			benchErr = err
 			return
@@ -213,10 +209,7 @@ func BenchmarkFig7Scale(b *testing.B) {
 	for _, n := range []int{2500, 5000, 10000} {
 		b.Run(fmt.Sprintf("size=%d", n), func(b *testing.B) {
 			dir := b.TempDir()
-			cl, err := cluster.New(cluster.Config{NumNodes: 2, WorkersPerNode: 2, BaseDir: dir})
-			if err != nil {
-				b.Fatal(err)
-			}
+			cl := cluster.New(dir, 4)
 			ds := dataset.RandomWalk(dataset.RandomWalkLength, n, 3)
 			bs, err := cl.IngestBlocks(ds, n/10, "scale")
 			if err != nil {
@@ -246,10 +239,7 @@ func BenchmarkFig8Build(b *testing.B) {
 	const n = 5000
 	newEnv := func(b *testing.B) (*cluster.Cluster, *cluster.BlockSet) {
 		b.Helper()
-		cl, err := cluster.New(cluster.Config{NumNodes: 2, WorkersPerNode: 2, BaseDir: b.TempDir()})
-		if err != nil {
-			b.Fatal(err)
-		}
+		cl := cluster.New(b.TempDir(), 4)
 		ds := dataset.RandomWalk(dataset.RandomWalkLength, n, 5)
 		bs, err := cl.IngestBlocks(ds, 500, "build")
 		if err != nil {
@@ -332,10 +322,7 @@ func BenchmarkFig10Pivots(b *testing.B) {
 	const n = 5000
 	for _, r := range []int{50, 100, 200} {
 		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
-			cl, err := cluster.New(cluster.Config{NumNodes: 2, WorkersPerNode: 2, BaseDir: b.TempDir()})
-			if err != nil {
-				b.Fatal(err)
-			}
+			cl := cluster.New(b.TempDir(), 4)
 			ds := dataset.RandomWalk(dataset.RandomWalkLength, n, 5)
 			bs, err := cl.IngestBlocks(ds, 500, "piv")
 			if err != nil {
@@ -410,10 +397,7 @@ func BenchmarkFig12PrefixLen(b *testing.B) {
 	const n = 5000
 	for _, m := range []int{6, 10, 20} {
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
-			cl, err := cluster.New(cluster.Config{NumNodes: 2, WorkersPerNode: 2, BaseDir: b.TempDir()})
-			if err != nil {
-				b.Fatal(err)
-			}
+			cl := cluster.New(b.TempDir(), 4)
 			ds := dataset.RandomWalk(dataset.RandomWalkLength, n, 5)
 			bs, err := cl.IngestBlocks(ds, 500, "pfx")
 			if err != nil {
@@ -444,10 +428,7 @@ func BenchmarkAblationDecay(b *testing.B) {
 		decay metric.DecayKind
 	}{{"exponential", metric.ExponentialDecay}, {"linear", metric.LinearDecay}} {
 		b.Run(kind.name, func(b *testing.B) {
-			cl, err := cluster.New(cluster.Config{NumNodes: 2, WorkersPerNode: 2, BaseDir: b.TempDir()})
-			if err != nil {
-				b.Fatal(err)
-			}
+			cl := cluster.New(b.TempDir(), 4)
 			ds := dataset.RandomWalk(dataset.RandomWalkLength, n, 5)
 			bs, err := cl.IngestBlocks(ds, 500, "dk")
 			if err != nil {

@@ -234,8 +234,6 @@ type Option func(*options)
 
 type options struct {
 	cfg        core.Config
-	nodes      int
-	workers    int
 	cacheBytes int64
 	mmap       bool
 	ingest     ingest.Config
@@ -274,18 +272,11 @@ func WithLinearDecay() Option {
 // WithDecayRate sets the decay rate lambda in (0, 1].
 func WithDecayRate(l float64) Option { return func(o *options) { o.cfg.Lambda = l } }
 
-// WithNodes sets the number of simulated storage nodes (default 2).
-func WithNodes(n int) Option { return func(o *options) { o.nodes = n } }
-
-// WithWorkers sets the per-node worker parallelism (default 2).
-func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
-
-// WithBuildWorkers sets the goroutine parallelism of the CPU-bound skeleton-
-// construction phases (PAA transforms, signature aggregation, group
-// assignment); 0 (the default) uses every available core, 1 forces the
-// sequential build. The built index is bit-identical at any worker count —
-// this knob trades build wall-clock only, never layout. The scan-heavy
-// conversion and shuffle phases follow WithNodes x WithWorkers instead.
+// WithBuildWorkers sets the goroutine parallelism of every build phase —
+// skeleton construction, the conversion scan, and the shuffle into partition
+// files; 0 (the default) uses every available core, 1 forces the sequential
+// build. The built index is bit-identical at any worker count — this knob
+// trades build wall-clock only, never layout.
 func WithBuildWorkers(n int) Option { return func(o *options) { o.cfg.Workers = n } }
 
 // WithPartitionCacheBytes installs a shared partition cache budgeted at n
@@ -422,10 +413,6 @@ type DB struct {
 	ing    *ingest.Ingester
 	closed atomic.Bool
 
-	// nodes is the simulated-cluster width; Reindex lays the new
-	// generation's partition files out over the same number of node
-	// directories the build used.
-	nodes int
 	// genNum is the active generation number (0 = the build-time layout at
 	// dir itself, N = dir/gen-NNNN). Written only under the ingestion
 	// semaphore (the swap is part of CommitRebuild's publish step); read
@@ -441,27 +428,20 @@ type DB struct {
 }
 
 func buildOptions(opts []Option) options {
-	o := options{cfg: core.DefaultConfig(), nodes: 2, workers: 2}
+	o := options{cfg: core.DefaultConfig()}
 	for _, fn := range opts {
 		fn(&o)
 	}
 	return o
 }
 
-func newCluster(dir string, o options) (*cluster.Cluster, error) {
-	cl, err := cluster.New(cluster.Config{
-		NumNodes:       o.nodes,
-		WorkersPerNode: o.workers,
-		BaseDir:        filepath.Join(dir, "cluster"),
-	})
-	if err != nil {
-		return nil, err
-	}
+func newCluster(dir string, o options) *cluster.Cluster {
+	cl := cluster.New(core.StoreDir(dir), o.cfg.Workers)
 	if o.cacheBytes > 0 {
 		cl.EnablePartitionCache(o.cacheBytes)
 		cl.EnableMmap(o.mmap)
 	}
-	return cl, nil
+	return cl
 }
 
 // indexPath is the generation-0 skeleton/manifest location; later
@@ -517,43 +497,42 @@ func Build(dir string, data [][]float64, opts ...Option) (*DB, error) {
 // BuildDataset is Build over an already-materialised internal dataset; it
 // is the entry point used by the command-line tools and experiment
 // harnesses, which stream datasets without [][]float64 overhead.
-func BuildDataset(dir string, ds *series.Dataset, opts ...Option) (*DB, error) {
+func BuildDataset(dir string, ds *series.Dataset, opts ...Option) (_ *DB, err error) {
 	o := buildOptions(opts)
 	if err := o.cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cl, err := newCluster(dir, o)
-	if err != nil {
-		return nil, err
-	}
+	cl := newCluster(dir, o)
+	defer func() {
+		if err != nil {
+			cl.Close()
+		}
+	}()
+	// The block files are the build's input, staged so the skeleton is built
+	// from the float32 values the partitions will store; they are scratch,
+	// gone when BuildDataset returns.
 	bs, err := cl.IngestBlocks(ds, o.cfg.BlockSize, "data")
 	if err != nil {
-		cl.Close()
 		return nil, err
 	}
+	defer bs.Remove()
 	ix, err := core.Build(cl, bs, o.cfg, "climber")
 	if err != nil {
-		cl.Close()
 		return nil, err
 	}
 	if err := core.SaveIndex(ix, indexPath(dir)); err != nil {
-		cl.Close()
 		return nil, err
 	}
 	// A build defines a brand-new database; a WAL left in dir by a previous
 	// one must not replay its (differently-IDed, possibly differently-
 	// shaped) entries into the fresh index.
 	if err := os.Remove(walPath(dir)); err != nil && !os.IsNotExist(err) {
-		cl.Close()
 		return nil, fmt.Errorf("climber: remove stale WAL: %w", err)
 	}
-	db := &DB{dir: dir, ix: ix, cl: cl, nodes: o.nodes}
-	ing, err := db.attachIngest(o)
-	if err != nil {
-		cl.Close()
+	db := &DB{dir: dir, ix: ix, cl: cl}
+	if db.ing, err = db.attachIngest(o); err != nil {
 		return nil, err
 	}
-	db.ing = ing
 	return db, nil
 }
 
@@ -569,16 +548,13 @@ func Open(dir string, opts ...Option) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl, err := newCluster(dir, o)
-	if err != nil {
-		return nil, err
-	}
+	cl := newCluster(dir, o)
 	ix, err := core.OpenIndex(cl, core.IndexPathIn(root))
 	if err != nil {
 		cl.Close()
 		return nil, err
 	}
-	db := &DB{dir: dir, ix: ix, cl: cl, nodes: o.nodes}
+	db := &DB{dir: dir, ix: ix, cl: cl}
 	db.genNum.Store(int64(genNum))
 	if o.readOnly {
 		return db, nil
@@ -1097,7 +1073,7 @@ func (db *DB) Reindex(ctx context.Context) error {
 
 	next := int(db.genNum.Load()) + 1
 	genRoot := core.GenDir(db.dir, next)
-	newGen, err := db.ix.RebuildGeneration(ctx, genRoot, db.nodes, "climber")
+	newGen, err := db.ix.RebuildGeneration(ctx, genRoot, "climber")
 	if err != nil {
 		db.ing.AbortRebuild()
 		os.RemoveAll(genRoot)
@@ -1140,11 +1116,11 @@ func (db *DB) cleanupGeneration(old *core.Generation, oldRoot string) {
 	sep := string(filepath.Separator)
 	if oldRoot == db.dir {
 		// Generation 0 lives interleaved with the database root: its
-		// skeleton at dir/index.clms and its partition and block files under
+		// skeleton at dir/index.clms and its partition files under
 		// dir/cluster/.
-		db.cl.InvalidatePartitionPrefix(filepath.Join(db.dir, "cluster") + sep)
+		db.cl.InvalidatePartitionPrefix(core.StoreDir(db.dir) + sep)
 		os.Remove(indexPath(db.dir))
-		os.RemoveAll(filepath.Join(db.dir, "cluster"))
+		os.RemoveAll(core.StoreDir(db.dir))
 		return
 	}
 	db.cl.InvalidatePartitionPrefix(oldRoot + sep)
@@ -1198,20 +1174,15 @@ func (db *DB) backupTo(destDir string) error {
 	g := db.ix.AcquireGeneration()
 	defer g.Release()
 
+	// The backup is laid out like a freshly built database — index.clms
+	// beside one flat partition directory — whatever generation it came from.
+	partDir := core.StoreDir(destDir)
+	if err := os.Mkdir(partDir, 0o755); err != nil {
+		return fmt.Errorf("climber: backup mkdir: %w", err)
+	}
 	destPaths := make([]string, len(g.Parts.Paths))
-	madeDirs := map[string]bool{}
 	for pid, src := range g.Parts.Paths {
-		// Preserve the node-directory layout so the backup mirrors a
-		// build-time database directory.
-		node := filepath.Base(filepath.Dir(src))
-		nodeDir := filepath.Join(destDir, node)
-		if !madeDirs[nodeDir] {
-			if err := os.MkdirAll(nodeDir, 0o755); err != nil {
-				return fmt.Errorf("climber: backup mkdir: %w", err)
-			}
-			madeDirs[nodeDir] = true
-		}
-		dst := filepath.Join(nodeDir, filepath.Base(src))
+		dst := filepath.Join(partDir, filepath.Base(src))
 		if err := linkOrCopy(src, dst); err != nil {
 			return fmt.Errorf("climber: backup partition %d: %w", pid, err)
 		}
@@ -1227,10 +1198,8 @@ func (db *DB) backupTo(destDir string) error {
 	if err := core.SaveSnapshot(g.Skel, parts, core.IndexPathIn(destDir)); err != nil {
 		return err
 	}
-	for d := range madeDirs {
-		if err := fsyncPath(d); err != nil {
-			return err
-		}
+	if err := fsyncPath(partDir); err != nil {
+		return err
 	}
 	return fsyncPath(destDir)
 }

@@ -28,20 +28,9 @@
 //	climber-bench -experiment budget -scale small
 //	climber-bench -experiment budget -max-partitions 2
 //
-// "buildscale" measures the parallel index build (construction wall-time per
-// phase as -workers-style parallelism sweeps 1..8 — the output is
-// bit-identical at every point) and the scalar-vs-blocked scan kernels;
-// -bench-json additionally writes the measurements as JSON (the checked-in
-// BENCH_buildscale.json baseline):
-//
-//	climber-bench -experiment buildscale -scale small -bench-json BENCH_buildscale.json
-//
-// "tracing" measures the query-path cost of the internal/obs tracing layer
-// with tracing off, sampled (1 in 16), and always on; -bench-json writes
-// the measurements as JSON (the checked-in BENCH_tracing.json baseline —
-// the "off" row guards the tracing-off overhead acceptance):
-//
-//	climber-bench -experiment tracing -scale small -bench-json BENCH_tracing.json
+// The serving stack's performance benchmark — end-to-end and per-layer,
+// including build phases, storage backings, kernels and tracing overhead —
+// is the separate harness under bench/ (see bench/README.md).
 package main
 
 import (
@@ -68,14 +57,12 @@ func main() {
 		mmap       = flag.Bool("mmap", false, "memory-map cached partition files in every experiment cluster (requires -cache-bytes)")
 		maxParts   = flag.Int("max-partitions", 0, "budget experiment: evaluate this single partition budget instead of the default sweep")
 		timeBudget = flag.Duration("time-budget", 0, "budget experiment: evaluate this single per-query time budget instead of the default sweep")
-		benchJSON  = flag.String("bench-json", "", "buildscale/tracing experiments: also write the measurements as JSON to this file")
 	)
 	flag.Parse()
 	experiments.PartitionCacheBytes = *cache
 	experiments.PartitionCacheMmap = *mmap
 	experiments.BudgetMaxPartitions = *maxParts
 	experiments.BudgetTimeLimit = *timeBudget
-	experiments.BenchJSONPath = *benchJSON
 
 	scale, ok := experiments.Scales()[*scaleName]
 	if !ok {

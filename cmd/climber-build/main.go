@@ -6,9 +6,10 @@
 //	climber-build -data rw.clmb -dir ./db -pivots 200 -prefix 10 -capacity 2000
 //
 // The resulting database directory is queried with climber-query and
-// inspected with climber-inspect. -workers fans the CPU-bound skeleton
-// phases across that many goroutines (0 = all cores); the built index is
-// bit-identical at any worker count, so the flag only trades build time.
+// inspected with climber-inspect. -workers fans every build phase — skeleton
+// construction, block scans, the shuffle flush — across that many goroutines
+// (0 = all cores); the built index is bit-identical at any worker count, so
+// the flag only trades build time.
 //
 // With -restore the command rebuilds a live database directory from a
 // backup taken by POST /backup (or climber.DB.Backup):
@@ -54,7 +55,7 @@ func main() {
 		capacity = flag.Int("capacity", 2000, "partition capacity in records")
 		sample   = flag.Float64("sample", 0.1, "skeleton sampling rate alpha")
 		seed     = flag.Uint64("seed", 42, "build seed")
-		workers  = flag.Int("workers", 0, "skeleton-build parallelism (0 = all cores, 1 = sequential; output is bit-identical at any count)")
+		workers  = flag.Int("workers", 0, "build parallelism (0 = all cores, 1 = sequential; output is bit-identical at any count)")
 		decay    = flag.String("decay", "exponential", "pivot weight decay: exponential or linear")
 		shards   = flag.Int("shards", 0, "split the dataset into this many shard databases under -dir (0 = one unsharded database)")
 		port     = flag.Int("shard-port", 9001, "first localhost port in the generated shards.json template")

@@ -1,9 +1,9 @@
-// Package docs holds the repository's documentation gates, folded into the
-// climber-vet multichecker from the former bespoke runner in
-// internal/docscheck (whose tests remain and now delegate here): every
-// exported identifier of the packages listed in DocumentedPackages must
-// carry a doc comment, and every relative link in the repository's
-// markdown must resolve. Both gates are offline by design.
+// Package docs holds the repository's documentation gates: every exported
+// identifier of the packages listed in DocumentedPackages must carry a doc
+// comment, and every relative link in the repository's markdown must
+// resolve. The climber-vet multichecker runs both; this package's tests run
+// them over the repository too, so a plain `go test ./...` fails on the same
+// findings. Both gates are offline by design.
 package docs
 
 import (

@@ -85,3 +85,39 @@ func writeFile(t *testing.T, path, content string) {
 		t.Fatal(err)
 	}
 }
+
+// moduleDir is the repository root relative to this package.
+const moduleDir = "../../.."
+
+// TestRepoExportedDocComments keeps the doccomment gate inside a plain
+// `go test ./...`: any exported top-level identifier — type, function,
+// method, or var/const group member — without a doc comment in the packages
+// docs.DocumentedPackages lists fails here, even when CI's lint job is
+// skipped.
+func TestRepoExportedDocComments(t *testing.T) {
+	pkgs, err := vet.Load(moduleDir, docs.DocumentedPackages)
+	if err != nil {
+		t.Fatalf("loading documented packages: %v", err)
+	}
+	diags, err := vet.RunAnalyzers(pkgs, []*vet.Analyzer{docs.Analyzer})
+	if err != nil {
+		t.Fatalf("running doccomment: %v", err)
+	}
+	for _, d := range diags {
+		t.Errorf("%s", d)
+	}
+}
+
+// TestRepoMarkdownLinks checks every relative link in the repository's
+// markdown files points at a file or directory that exists. External
+// (http/https/mailto) links and pure anchors are skipped — the gate is
+// offline by design.
+func TestRepoMarkdownLinks(t *testing.T) {
+	findings, err := docs.CheckMarkdownLinks(moduleDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range findings {
+		t.Errorf("%s", f)
+	}
+}

@@ -2,8 +2,8 @@
 // depends on: every file that belongs to a generation — the skeleton
 // (.clms), partition and block files (.clmp/.clmb), the WAL (.clmw), the
 // MANIFEST pointer, and gen-NNNN directories — must get its path from one
-// of the blessed helpers in internal/core (IndexPathIn, GenDir,
-// genPartitionPath, manifestPath, …), never from an ad-hoc
+// of the blessed helpers (internal/core's IndexPathIn, GenDir,
+// manifestPath, …; internal/cluster's PartitionPath), never from an ad-hoc
 // filepath.Join/fmt.Sprintf at a call site.
 //
 // The invariant exists because the swap protocol and backup/restore both

@@ -1,7 +1,8 @@
 // Package api is the HTTP wire contract of the CLIMBER serving stack: the
 // request/response types, their decode-and-validate functions, and the small
-// serving primitives (admission limiter, latency histogram, JSON response
-// helpers) shared by the single-node query server (internal/server, mounted
+// serving primitives (admission limiter, latency histogram, the request
+// Observer that arms traces and feeds histograms and the slow log, JSON
+// response helpers) shared by the single-node query server (internal/server, mounted
 // by cmd/climber-serve) and the shard router (internal/shard, mounted by
 // cmd/climber-router).
 //

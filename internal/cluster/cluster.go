@@ -1,22 +1,26 @@
-// Package cluster simulates the distributed execution environment CLIMBER's
-// prototype runs on (paper Section VII-A: Apache Spark over a 2-node HDFS
-// cluster). It provides exactly the primitives the index-construction and
-// query algorithms assume:
+// Package cluster is the partition store of one CLIMBER process: a single
+// directory of partition files, the shared partition cache in front of it,
+// and the build-time primitives that fill it. Distribution across machines
+// is internal/shard's job; this package never sees more than one directory.
 //
-//   - block-structured storage of the raw dataset across node directories,
-//     with a capacity-bounded block size (the HDFS 64/128 MB blocks);
-//   - partition-level sampling — selecting whole random blocks so that
-//     skeleton construction avoids a full scan (paper Section V);
-//   - parallel scans executed by a pool of workers (one pool per "node");
-//   - a shuffle/re-distribution operation that routes every record to a
-//     target (partition, cluster) and writes the final partition files
-//     (paper Figure 6, Step 4);
-//   - broadcast bookkeeping for the index skeleton and pivot set.
+// The build side keeps the shape of the paper's pipeline (Section V,
+// Figure 6) because the construction algorithms are written against it:
 //
-// The substitution preserves behaviour because CLIMBER's algorithms only
-// interact with the environment through these operations; the statistics
-// the simulator records (bytes moved, records shuffled) drive the
-// construction-cost experiments.
+//   - IngestBlocks stages the raw dataset as capacity-bounded block files —
+//     the input format of core.Build and of the tardis/dpisax/dss baselines.
+//     Reading records back from blocks is what makes the stored float32
+//     values, not the caller's float64s, the ones an index is built from.
+//   - SampleBlocks selects whole random blocks, so skeleton construction
+//     avoids a full scan (partition-level sampling).
+//   - ScanBlocks streams blocks through a callback on a pool of workers.
+//   - Shuffle routes every record to a (partition, cluster) and writes the
+//     final partition files (Figure 6, Step 4).
+//
+// The query side is OpenPartition: a refcounted handle on one partition,
+// served from the cache (decoded or memory-mapped) when one is enabled.
+//
+// The store creates its directory only when a writer is about to put a file
+// in it; opening and reading never touch the filesystem's metadata.
 package cluster
 
 import (
@@ -25,6 +29,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -33,40 +38,11 @@ import (
 	"climber/internal/storage"
 )
 
-// Config sizes the simulated cluster.
-type Config struct {
-	// NumNodes is the number of simulated storage/compute nodes.
-	NumNodes int
-	// WorkersPerNode is the number of concurrent workers per node; total
-	// parallelism is NumNodes * WorkersPerNode.
-	WorkersPerNode int
-	// BaseDir is the root directory holding per-node storage directories.
-	BaseDir string
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	if c.NumNodes <= 0 {
-		return fmt.Errorf("cluster: NumNodes must be positive, got %d", c.NumNodes)
-	}
-	if c.WorkersPerNode <= 0 {
-		return fmt.Errorf("cluster: WorkersPerNode must be positive, got %d", c.WorkersPerNode)
-	}
-	if c.BaseDir == "" {
-		return fmt.Errorf("cluster: BaseDir is required")
-	}
-	return nil
-}
-
-// Stats aggregates the I/O and shuffle accounting of a cluster. All fields
-// are updated atomically and safe to read concurrently.
+// Stats is the store's read-side accounting. All fields are updated
+// atomically and safe to read concurrently.
 type Stats struct {
-	BlocksWritten    atomic.Int64
-	BlocksRead       atomic.Int64
-	RecordsShuffled  atomic.Int64
-	BytesWritten     atomic.Int64
-	BytesRead        atomic.Int64
-	BroadcastBytes   atomic.Int64
+	// PartitionsLoaded counts real partition disk loads — the paper's
+	// dominant query-time cost.
 	PartitionsLoaded atomic.Int64
 
 	// Partition-cache accounting (all zero while the cache is disabled).
@@ -78,12 +54,11 @@ type Stats struct {
 	PartitionCacheBytesSaved atomic.Int64
 }
 
-// Cluster is a simulated multi-node environment. It is safe for concurrent
-// use.
+// Cluster is one partition store. It is safe for concurrent use.
 type Cluster struct {
-	cfg      Config
-	nodeDirs []string
-	Stats    Stats
+	dir     string
+	workers int
+	Stats   Stats
 
 	// pcache, when set, serves OpenPartition from shared in-memory
 	// partitions instead of per-query file opens.
@@ -95,29 +70,38 @@ type Cluster struct {
 	mmap atomic.Bool
 }
 
-// New creates the cluster and its per-node directories.
-func New(cfg Config) (*Cluster, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// New returns the store rooted at dir. workers bounds the goroutines of
+// ScanBlocks and of Shuffle's flush; 0 or less uses every available core.
+// Nothing is created on disk until IngestBlocks or Shuffle writes a file.
+func New(dir string, workers int) *Cluster {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	c := &Cluster{cfg: cfg}
-	for i := 0; i < cfg.NumNodes; i++ {
-		dir := filepath.Join(cfg.BaseDir, fmt.Sprintf("node%02d", i))
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("cluster: create node dir: %w", err)
-		}
-		c.nodeDirs = append(c.nodeDirs, dir)
-	}
-	return c, nil
+	return &Cluster{dir: dir, workers: workers}
+}
+
+// PartitionPath returns the file of partition pid under root: the store's
+// own directory for the build-time shuffle, a gen-NNNN root for reindex.
+//
+//climber:genpath
+func PartitionPath(root, name string, pid int) string {
+	return filepath.Join(root, fmt.Sprintf("%s-part%05d.clmp", name, pid))
+}
+
+// blockPath returns the file of raw-dataset block idx under dir.
+//
+//climber:genpath
+func blockPath(dir, name string, idx int) string {
+	return filepath.Join(dir, fmt.Sprintf("%s-block%05d.clmb", name, idx))
 }
 
 // EnablePartitionCache installs a shared partition cache of at most budget
 // bytes under OpenPartition; budget <= 0 disables caching again. Queries
 // already holding partition handles are unaffected either way. With the
 // cache enabled, OpenPartition hands out shared in-memory partitions:
-// Stats.PartitionsLoaded and Stats.BytesRead then charge only real disk
-// loads, while hits/misses/evictions/bytes-saved are tracked in the
-// PartitionCache* counters.
+// Stats.PartitionsLoaded then charges only real disk loads, while
+// hits/misses/evictions/bytes-saved are tracked in the PartitionCache*
+// counters.
 func (c *Cluster) EnablePartitionCache(budget int64) {
 	if budget <= 0 {
 		c.pcache.Store(nil)
@@ -153,12 +137,12 @@ func (c *Cluster) CacheResidentBytes() (resident, mapped int64) {
 	return pc.Bytes(), pc.MappedBytes()
 }
 
-// Close releases the cluster's resources: the partition cache (if enabled)
-// is purged and uninstalled, dropping every resident partition. The cluster
+// Close releases the store's resources: the partition cache (if enabled)
+// is purged and uninstalled, dropping every resident partition. The store
 // holds no other live resources — partition and block files are opened per
 // operation — so Close is cheap, idempotent, and safe to call while
 // stragglers finish (they fall back to uncached file opens). The on-disk
-// layout is untouched and the cluster can keep serving afterwards, so
+// layout is untouched and the store can keep serving afterwards, so
 // callers that want "closed" semantics enforce them a level up (DB.Close).
 func (c *Cluster) Close() error {
 	if pc := c.pcache.Swap(nil); pc != nil {
@@ -186,49 +170,44 @@ func (c *Cluster) InvalidatePartitionPrefix(prefix string) {
 	}
 }
 
-// Workers returns the total worker parallelism.
-func (c *Cluster) Workers() int { return c.cfg.NumNodes * c.cfg.WorkersPerNode }
-
-// NodeDir returns the storage directory of node i.
-func (c *Cluster) NodeDir(i int) string { return c.nodeDirs[i] }
-
-// NumNodes returns the configured node count.
-func (c *Cluster) NumNodes() int { return c.cfg.NumNodes }
-
-// Broadcast records the dissemination of sideband state (pivots, index
-// skeleton) to every node, mirroring the paper's Step 4 broadcast. The
-// simulated cost is size bytes per receiving node.
-func (c *Cluster) Broadcast(sizeBytes int) {
-	c.Stats.BroadcastBytes.Add(int64(sizeBytes) * int64(c.cfg.NumNodes))
-}
-
-// BlockSet references the raw dataset stored as block files spread across
-// the cluster's nodes.
+// BlockSet references the raw dataset staged as block files in the store's
+// directory.
 type BlockSet struct {
 	Paths     []string
 	SeriesLen int
 	Total     int // total records across all blocks
 }
 
+// Remove deletes the block files. Blocks are build input, not part of an
+// index: a caller that staged them only to build removes them afterwards.
+func (bs *BlockSet) Remove() {
+	for _, p := range bs.Paths {
+		_ = os.Remove(p) // best-effort: a leftover block costs disk, never correctness
+	}
+}
+
 // IngestBlocks writes the dataset into block files of at most blockSize
-// records, distributed round-robin across node directories — the layout the
-// paper assumes for its partition-level sampling ("the original dataset in
-// most applications gets stored across partitions without any special or
-// custom organization").
-func (c *Cluster) IngestBlocks(ds *series.Dataset, blockSize int, name string) (*BlockSet, error) {
+// records — the layout the paper assumes for its partition-level sampling
+// ("the original dataset in most applications gets stored across partitions
+// without any special or custom organization"). A failed ingest removes the
+// blocks it already wrote.
+func (c *Cluster) IngestBlocks(ds *series.Dataset, blockSize int, name string) (_ *BlockSet, err error) {
 	if blockSize <= 0 {
 		return nil, fmt.Errorf("cluster: block size must be positive, got %d", blockSize)
 	}
+	if err := os.MkdirAll(c.dir, 0o755); err != nil {
+		return nil, fmt.Errorf("cluster: create store dir: %w", err)
+	}
 	bs := &BlockSet{SeriesLen: ds.Length(), Total: ds.Len()}
-	blockIdx := 0
-	for lo := 0; lo < ds.Len(); lo += blockSize {
-		hi := lo + blockSize
-		if hi > ds.Len() {
-			hi = ds.Len()
+	defer func() {
+		if err != nil {
+			bs.Remove()
 		}
-		node := blockIdx % c.cfg.NumNodes
-		//lint:ignore genswap build-time block files live in the generation-0 layout the cluster owns; reindex reads them only through the manifest
-		path := filepath.Join(c.nodeDirs[node], fmt.Sprintf("%s-block%05d.clmb", name, blockIdx))
+	}()
+	for lo := 0; lo < ds.Len(); lo += blockSize {
+		hi := min(lo+blockSize, ds.Len())
+		path := blockPath(c.dir, name, len(bs.Paths))
+		bs.Paths = append(bs.Paths, path)
 		bw, err := storage.NewBlockWriter(path, ds.Length())
 		if err != nil {
 			return nil, err
@@ -242,10 +221,6 @@ func (c *Cluster) IngestBlocks(ds *series.Dataset, blockSize int, name string) (
 		if err := bw.Close(); err != nil {
 			return nil, err
 		}
-		c.Stats.BlocksWritten.Add(1)
-		c.Stats.BytesWritten.Add(int64((hi - lo) * storage.RecordBytes(ds.Length())))
-		bs.Paths = append(bs.Paths, path)
-		blockIdx++
 	}
 	return bs, nil
 }
@@ -277,7 +252,7 @@ func (c *Cluster) SampleBlocks(bs *BlockSet, rate float64, rng *rand.Rand) []str
 var errScanAborted = errors.New("cluster: scan aborted after peer failure")
 
 // ScanBlocks streams every record of the listed blocks through fn using the
-// cluster's worker pool. fn is invoked concurrently from multiple workers
+// store's worker pool. fn is invoked concurrently from multiple workers
 // and must be safe for that; the values slice is only valid during the
 // call. The scan fails fast: the first error raises a stop flag, and every
 // other worker abandons its current block at the next record instead of
@@ -313,17 +288,12 @@ func (c *Cluster) ScanBlocks(paths []string, fn func(id int, values []float64) e
 	}
 
 	var wg sync.WaitGroup
-	for w := 0; w < c.Workers(); w++ {
+	for w := 0; w < c.workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for path := range work {
 				if stop.Load() {
-					return
-				}
-				info, err := storage.StatBlock(path)
-				if err != nil {
-					fail(err)
 					return
 				}
 				if err := storage.ScanBlock(path, scan); err != nil {
@@ -332,8 +302,6 @@ func (c *Cluster) ScanBlocks(paths []string, fn func(id int, values []float64) e
 					}
 					return
 				}
-				c.Stats.BlocksRead.Add(1)
-				c.Stats.BytesRead.Add(int64(info.Count * storage.RecordBytes(info.SeriesLen)))
 			}
 		}()
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,24 +18,7 @@ import (
 
 func testCluster(t *testing.T) *Cluster {
 	t.Helper()
-	c, err := New(Config{NumNodes: 2, WorkersPerNode: 2, BaseDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-func TestConfigValidate(t *testing.T) {
-	bad := []Config{
-		{NumNodes: 0, WorkersPerNode: 1, BaseDir: "x"},
-		{NumNodes: 1, WorkersPerNode: 0, BaseDir: "x"},
-		{NumNodes: 1, WorkersPerNode: 1, BaseDir: ""},
-	}
-	for i, cfg := range bad {
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("config %d should fail validation", i)
-		}
-	}
+	return New(t.TempDir(), 4)
 }
 
 func TestIngestAndScanBlocks(t *testing.T) {
@@ -70,8 +54,29 @@ func TestIngestAndScanBlocks(t *testing.T) {
 			t.Fatalf("record %d scanned %d times", id, n)
 		}
 	}
-	if got := c.Stats.BlocksRead.Load(); got != 4 {
-		t.Fatalf("BlocksRead = %d, want 4", got)
+
+	// Blocks are build input: removing the set leaves the store empty.
+	bs.Remove()
+	if ents, err := os.ReadDir(c.dir); err != nil || len(ents) != 0 {
+		t.Fatalf("store dir after BlockSet.Remove: %v, %v", ents, err)
+	}
+}
+
+// The store touches the filesystem only when a writer is about to put a file
+// in it: constructing one over a directory that does not exist — and opening
+// partitions elsewhere through it — must not create that directory.
+func TestNewCreatesNothing(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	c := New(dir, 1)
+	c.EnablePartitionCache(1 << 20)
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("New created %s (stat err = %v)", dir, err)
+	}
+	if _, err := c.IngestBlocks(dataset.RandomWalk(8, 10, 1), 5, "rw"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(dir); err != nil {
+		t.Fatalf("IngestBlocks did not create the store dir: %v", err)
 	}
 }
 
@@ -156,9 +161,6 @@ func TestShuffle(t *testing.T) {
 	if total != 90 {
 		t.Fatalf("shuffle moved %d records, want 90", total)
 	}
-	if got := c.Stats.RecordsShuffled.Load(); got != 90 {
-		t.Fatalf("RecordsShuffled = %d, want 90", got)
-	}
 
 	// Verify partition contents: every record in the right partition and
 	// cluster.
@@ -183,7 +185,7 @@ func TestShuffle(t *testing.T) {
 	}
 }
 
-// breakFlushTarget arranges for partition flushes into dir to fail: the node
+// breakFlushTarget arranges for partition flushes into dir to fail: the
 // directory is made read-only. Root bypasses permission bits, so when a probe
 // write still succeeds the helper falls back to squatting a directory on the
 // partition path itself, which makes the writer's os.Create fail regardless
@@ -209,27 +211,27 @@ func breakFlushTarget(t *testing.T, dir, partPath string) {
 // flushed successfully behind — callers retry the whole shuffle, and stale
 // part-files would either collide with the retry or leak disk forever.
 func TestShuffleCleansUpOnFlushFailure(t *testing.T) {
-	c := testCluster(t) // 2 nodes: partitions 0, 2 -> node0; partition 1 -> node1
+	c := testCluster(t)
 	ds := dataset.RandomWalk(16, 90, 2)
 	bs, err := c.IngestBlocks(ds, 25, "rw")
 	if err != nil {
 		t.Fatal(err)
 	}
-	breakFlushTarget(t, c.NodeDir(1), filepath.Join(c.NodeDir(1), "shuf-part00001.clmp"))
+	breakFlushTarget(t, c.dir, PartitionPath(c.dir, "shuf", 1))
 
 	_, err = c.Shuffle(bs, 3, "shuf", func(id int, values []float64) (Route, error) {
 		return Route{Partition: id % 3, Cluster: storage.ClusterID(id % 2)}, nil
 	})
 	if err == nil {
-		t.Fatal("shuffle into an unwritable node dir succeeded")
+		t.Fatal("shuffle into an unwritable store dir succeeded")
 	}
-	for node := 0; node < c.NumNodes(); node++ {
-		matches, globErr := filepath.Glob(filepath.Join(c.NodeDir(node), "shuf-part*.clmp"))
-		if globErr != nil {
-			t.Fatal(globErr)
-		}
-		if len(matches) != 0 {
-			t.Fatalf("failed shuffle leaked partition files on node %d: %v", node, matches)
+	ents, err := os.ReadDir(c.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		if !e.IsDir() && filepath.Ext(e.Name()) == ".clmp" {
+			t.Fatalf("failed shuffle leaked partition file %s", e.Name())
 		}
 	}
 }
@@ -295,20 +297,11 @@ func TestIngestBlocksValidation(t *testing.T) {
 	}
 }
 
-func TestBroadcastAccounting(t *testing.T) {
-	c := testCluster(t)
-	c.Broadcast(1000)
-	if got := c.Stats.BroadcastBytes.Load(); got != 2000 { // 2 nodes
-		t.Fatalf("BroadcastBytes = %d, want 2000", got)
-	}
-}
-
 func TestWorkers(t *testing.T) {
-	c := testCluster(t)
-	if c.Workers() != 4 {
-		t.Fatalf("Workers = %d, want 4", c.Workers())
+	if c := testCluster(t); c.workers != 4 {
+		t.Fatalf("workers = %d, want 4", c.workers)
 	}
-	if c.NumNodes() != 2 {
-		t.Fatalf("NumNodes = %d, want 2", c.NumNodes())
+	if c := New(t.TempDir(), 0); c.workers != runtime.GOMAXPROCS(0) {
+		t.Fatalf("workers = %d for New(dir, 0), want every core (%d)", c.workers, runtime.GOMAXPROCS(0))
 	}
 }

@@ -72,7 +72,7 @@ func TestRetireUnmapsOnlyAfterLastHandleDrains(t *testing.T) {
 
 	// Retire the generation: drop every cached partition under its root,
 	// exactly what the reindex swap does before deleting the directory.
-	c.InvalidatePartitionPrefix(c.cfg.BaseDir)
+	c.InvalidatePartitionPrefix(c.dir)
 	if got, mapped := c.CacheResidentBytes(); got != 0 || mapped != 0 {
 		t.Fatalf("cache still charges %d resident / %d mapped bytes after retire", got, mapped)
 	}
@@ -158,7 +158,7 @@ func TestRetireDuringConcurrentScans(t *testing.T) {
 		case err := <-errs:
 			t.Fatal(err)
 		default:
-			c.InvalidatePartitionPrefix(c.cfg.BaseDir)
+			c.InvalidatePartitionPrefix(c.dir)
 		}
 	}
 }

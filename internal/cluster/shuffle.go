@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 
 	"climber/internal/storage"
@@ -28,8 +27,7 @@ type PartitionSet struct {
 // (paper Figure 6, Step 4): workers scan the raw blocks in parallel, route
 // every record via the provided function (which encapsulates signature
 // generation plus group/trie navigation), and the records are regrouped
-// into per-partition, per-cluster files. Partition files land on nodes
-// round-robin, mirroring HDFS placement.
+// into per-partition, per-cluster files in the store's directory.
 //
 // route is invoked concurrently and must be safe for that.
 func (c *Cluster) Shuffle(bs *BlockSet, numPartitions int, name string,
@@ -54,28 +52,25 @@ func (c *Cluster) Shuffle(bs *BlockSet, numPartitions int, name string,
 		locks[r.Partition].Lock()
 		err = writers[r.Partition].Append(r.Cluster, id, values)
 		locks[r.Partition].Unlock()
-		if err != nil {
-			return err
-		}
-		c.Stats.RecordsShuffled.Add(1)
-		return nil
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
+	if err := os.MkdirAll(c.dir, 0o755); err != nil {
+		return nil, fmt.Errorf("cluster: create store dir: %w", err)
+	}
 
-	// Flush the partition writers concurrently, bounded by the cluster's
+	// Flush the partition writers concurrently, bounded by the store's
 	// worker pool. Each writer sorts its clusters and records before
 	// writing, so the bytes of every partition file are identical to a
 	// sequential flush — only the wall-clock changes.
 	ps := &PartitionSet{SeriesLen: bs.SeriesLen, Paths: make([]string, numPartitions), Counts: make([]int, numPartitions)}
 	errs := make([]error, numPartitions)
-	sem := make(chan struct{}, c.Workers())
+	sem := make(chan struct{}, c.workers)
 	var wg sync.WaitGroup
 	for i, w := range writers {
-		node := i % c.cfg.NumNodes
-		//lint:ignore genswap build-time shuffle writes the generation-0 partitions; later generations mint theirs via core.genPartitionPath
-		path := filepath.Join(c.nodeDirs[node], fmt.Sprintf("%s-part%05d.clmp", name, i))
+		path := PartitionPath(c.dir, name, i)
 		ps.Paths[i] = path
 		ps.Counts[i] = w.Count()
 		wg.Add(1)
@@ -83,11 +78,7 @@ func (c *Cluster) Shuffle(bs *BlockSet, numPartitions int, name string,
 		go func(i int, w *storage.PartitionWriter, path string) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			if err := w.Flush(path); err != nil {
-				errs[i] = err
-				return
-			}
-			c.Stats.BytesWritten.Add(int64(w.Count() * storage.RecordBytes(bs.SeriesLen)))
+			errs[i] = w.Flush(path)
 		}(i, w, path)
 	}
 	wg.Wait()
@@ -137,11 +128,11 @@ func (h *PartitionHandle) Cached() bool { return h.cached }
 func (h *PartitionHandle) CacheHit() bool { return h.hit }
 
 // OpenPartition opens one physical partition for reading and accounts for
-// the load in the cluster statistics (the dominant query-time cost in the
+// the load in the store's statistics (the dominant query-time cost in the
 // paper is "the number of partitions touched"). When a partition cache is
 // enabled, the load is served from — and retained in — the shared cache:
 // concurrent opens of the same partition trigger exactly one disk read, and
-// only real disk loads are charged to PartitionsLoaded/BytesRead.
+// only real disk loads are charged to PartitionsLoaded.
 func (c *Cluster) OpenPartition(ps *PartitionSet, id int) (*PartitionHandle, error) {
 	path := ps.Paths[id]
 	pc := c.pcache.Load()
@@ -150,7 +141,7 @@ func (c *Cluster) OpenPartition(ps *PartitionSet, id int) (*PartitionHandle, err
 		if err != nil {
 			return nil, err
 		}
-		c.accountPartitionLoad(p)
+		c.Stats.PartitionsLoaded.Add(1)
 		return &PartitionHandle{Partition: p}, nil
 	}
 	p, hit, err := pc.Get(path, func() (*storage.Partition, error) {
@@ -158,7 +149,7 @@ func (c *Cluster) OpenPartition(ps *PartitionSet, id int) (*PartitionHandle, err
 		if err != nil {
 			return nil, err
 		}
-		c.accountPartitionLoad(p)
+		c.Stats.PartitionsLoaded.Add(1)
 		return p, nil
 	})
 	if err != nil {
@@ -180,11 +171,4 @@ func (c *Cluster) loadResident(path string) (*storage.Partition, error) {
 		}
 	}
 	return storage.LoadPartition(path)
-}
-
-// accountPartitionLoad charges one partition load to the statistics, in the
-// record-byte unit the paper's query-time model uses.
-func (c *Cluster) accountPartitionLoad(p *storage.Partition) {
-	c.Stats.PartitionsLoaded.Add(1)
-	c.Stats.BytesRead.Add(int64(p.Count() * storage.RecordBytes(p.SeriesLen())))
 }

@@ -25,8 +25,8 @@ type BuildStats struct {
 	Total          time.Duration
 }
 
-// Index is a built CLIMBER index: the cluster it lives on plus the current
-// generation — the broadcastable skeleton, the physical partition files, and
+// Index is a built CLIMBER index: the partition store it lives on plus the
+// current generation — the skeleton, the physical partition files, and
 // the in-memory delta of uncompacted appends. The generation is held behind
 // an atomic pointer so an online reindex can swap in a freshly built one
 // while in-flight queries keep reading the old (see gen.go); code that needs
@@ -64,8 +64,8 @@ func NewIndex(cl *cluster.Cluster, skel *Skeleton, parts *cluster.PartitionSet) 
 // workflow of paper Figure 6:
 //
 //	1-3. sample blocks at rate α, build the index skeleton in memory;
-//	4.   broadcast pivots + skeleton, convert every record to its dual
-//	     signature, and re-distribute the dataset into partition files.
+//	4.   convert every record to its dual signature and re-distribute the
+//	     dataset into partition files.
 //
 // The conversion and re-distribution phases are deliberately separate scans
 // so their costs can be reported independently, exactly as the paper's
@@ -122,8 +122,7 @@ func Build(cl *cluster.Cluster, bs *cluster.BlockSet, cfg Config, name string) (
 	}
 	skeletonTime := time.Since(start)
 
-	// --- Step 4a: broadcast + entire-data conversion ----------------------
-	cl.Broadcast(skel.EncodedSize())
+	// --- Step 4a: entire-data conversion ----------------------------------
 	convStart := time.Now()
 	routes := make([]cluster.Route, bs.Total)
 	err = cl.ScanBlocks(bs.Paths, func(id int, values []float64) error {

@@ -37,18 +37,19 @@ type Config struct {
 	// Seed drives every random choice (pivot selection, tie-breaks) for
 	// reproducible builds.
 	Seed uint64
-	// Workers is the goroutine parallelism of the CPU-bound skeleton-
+	// Workers is the goroutine parallelism of the build: the skeleton-
 	// construction loops (PAA transforms, signature aggregation, group
-	// assignment); 0 uses every available core, 1 forces the sequential
-	// build. The result is bit-identical at any worker count — every random
-	// tie-break derives from per-record/per-signature seeded generators, so
-	// scheduling can never leak into the layout — and Workers is therefore
-	// deliberately not serialised into the skeleton file. The conversion and
-	// re-distribution phases follow the cluster's worker pool instead
-	// (cluster.Config WorkersPerNode x NumNodes).
+	// assignment) read it here, and climber.BuildDataset sizes the partition
+	// store's pool — block scans and the shuffle flush — from the same value.
+	// 0 uses every available core, 1 forces the sequential build. The result
+	// is bit-identical at any worker count — every random tie-break derives
+	// from per-record/per-signature seeded generators, so scheduling can
+	// never leak into the layout — and Workers is therefore deliberately not
+	// serialised into the skeleton file.
 	Workers int
-	// BlockSize is the raw-dataset block size in records used when
-	// ingesting data into the simulated cluster.
+	// BlockSize is the size, in records, of the block files a dataset is
+	// staged into before a build; partition-level sampling picks whole
+	// blocks, so it also sets the sampling granularity.
 	BlockSize int
 	// DisableWDTieBreak turns off the Weight Distance stage of Algorithm 1,
 	// resolving Overlap Distance ties randomly. It exists only for the

@@ -140,10 +140,7 @@ func TestRouteRecordDeterministic(t *testing.T) {
 func buildTestIndex(t *testing.T, n int, cfg Config) (*Index, *series.Dataset, *cluster.Cluster, *cluster.BlockSet) {
 	t.Helper()
 	ds := dataset.RandomWalk(64, n, 11)
-	cl, err := cluster.New(cluster.Config{NumNodes: 2, WorkersPerNode: 1, BaseDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := cluster.New(t.TempDir(), 2)
 	bs, err := cl.IngestBlocks(ds, cfg.BlockSize, "test")
 	if err != nil {
 		t.Fatal(err)

@@ -25,16 +25,18 @@ import (
 //
 //	dir/MANIFEST          names the active generation ("gen-0007"); absent
 //	                      for a database still on its build-time layout
-//	                      (generation 0: index.clms + cluster/node*/ files)
+//	                      (generation 0: index.clms + cluster/ files)
 //	dir/index.clms        generation 0 skeleton + partition manifest
-//	dir/cluster/node*/    generation 0 partition and block files
+//	dir/cluster/          generation 0 partition files
 //	dir/gen-NNNN/         generation N root: its own index.clms and
-//	dir/gen-NNNN/node*/   partition files
+//	                      partition files, side by side
 //	dir/wal.clmw          the write-ahead log, shared across generations
 //
 // The partition manifest inside index.clms stores paths relative to the
 // generation root (see SaveSnapshot), so a generation directory — and a
-// backup hard-linked from one — is relocatable as a unit.
+// backup hard-linked from one — is relocatable as a unit. Readers take
+// partition paths only from that manifest, which is why directories written
+// by earlier layouts (partitions under node00/, node01/, ...) keep opening.
 
 // IndexPathIn returns the skeleton/manifest file path of the generation
 // rooted at genRoot. Generation 0's root is the database directory itself.
@@ -48,6 +50,11 @@ func IndexPathIn(genRoot string) string { return filepath.Join(genRoot, "index.c
 //climber:genpath
 func GenDir(dir string, n int) string { return filepath.Join(dir, genName(n)) }
 
+// StoreDir returns the directory holding generation 0's partition files: one
+// flat directory beside dir/index.clms, so a retired generation 0 is removed
+// as a unit without touching the WAL, the MANIFEST or its gen-NNNN siblings.
+func StoreDir(dir string) string { return filepath.Join(dir, "cluster") }
+
 // genName formats a generation directory name.
 //
 //climber:genpath
@@ -57,19 +64,6 @@ func genName(n int) string { return fmt.Sprintf("gen-%04d", n) }
 //
 //climber:genpath
 func manifestPath(dir string) string { return filepath.Join(dir, "MANIFEST") }
-
-// genNodeDir returns the node subdirectory of a generation root.
-func genNodeDir(genRoot string, node int) string {
-	return filepath.Join(genRoot, fmt.Sprintf("node%02d", node))
-}
-
-// genPartitionPath returns the partition file path of partition pid inside a
-// generation root, mirroring the build-time shuffle's round-robin layout.
-//
-//climber:genpath
-func genPartitionPath(genRoot string, node, pid int, name string) string {
-	return filepath.Join(genNodeDir(genRoot, node), fmt.Sprintf("%s-part%05d.clmp", name, pid))
-}
 
 // Generation is one immutable snapshot of the index: the skeleton, the
 // partition files it references, and the delta of appends routed under that
@@ -288,7 +282,7 @@ func ActiveGeneration(dir string) (root string, num int, err error) {
 // does not reference: gen-NNNN directories other than the active one (debris
 // of a reindex that crashed mid-build or mid-cleanup) and, when a gen-NNNN
 // generation is active, the superseded generation-0 files (index.clms and
-// the cluster/ tree). It is best-effort — the first removal error is
+// the StoreDir tree). It is best-effort — the first removal error is
 // returned, but a failure leaves only unreferenced files behind.
 func CleanStaleGenerations(dir string, activeNum int) error {
 	entries, err := os.ReadDir(dir)
@@ -318,7 +312,7 @@ func CleanStaleGenerations(dir string, activeNum int) error {
 		if err := os.Remove(IndexPathIn(dir)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			keep(err)
 		}
-		keep(os.RemoveAll(filepath.Join(dir, "cluster")))
+		keep(os.RemoveAll(StoreDir(dir)))
 	}
 	return firstErr
 }

@@ -23,24 +23,14 @@ func hashFile(t *testing.T, path string) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// buildArtifacts runs one full Build at the given worker count and returns a
-// name -> SHA-256 map of every artefact: the in-memory skeleton encoding,
-// the saved index manifest, and each partition file. The build always lands
-// in the same baseDir (wiped first) because the manifest embeds absolute
-// partition paths — building in per-run temp dirs would differ trivially.
+// buildArtifacts runs one full Build at the given worker count — the store's
+// pool and the skeleton loops both — and returns a name -> SHA-256 map of the
+// artefacts: the skeleton encoding, each partition file, and the saved index
+// manifest (whose partition paths are relative to baseDir, so it too is
+// comparable across directories).
 func buildArtifacts(t *testing.T, baseDir string, capacity, workers int) map[string]string {
 	t.Helper()
-	if err := os.RemoveAll(baseDir); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.MkdirAll(baseDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-
-	cl, err := cluster.New(cluster.Config{NumNodes: 2, WorkersPerNode: 2, BaseDir: baseDir})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := cluster.New(baseDir, workers)
 	cfg := DefaultConfig()
 	cfg.NumPivots = 50
 	cfg.PrefixLen = 8
@@ -78,15 +68,51 @@ func buildArtifacts(t *testing.T, baseDir string, capacity, workers int) map[str
 	return out
 }
 
+// goldenArtifacts are the stored-data hashes of the build in buildArtifacts
+// (the manifest lists partition paths, which are layout, so it is pinned
+// across worker counts only), recorded at commit c462d5c — the last one whose store spread blocks and
+// partitions over node directories and ran its scans on a fixed 2x2 pool.
+// They are the proof that collapsing the store changed no stored byte.
+var goldenArtifacts = map[string]map[string]string{
+	"default-capacity": {
+		"partition/det-part00000.clmp": "dca37eaa17cf1b90cfb2b58aebc51e6ef74134fe849faac8ab5aba585f29f64c",
+		"partition/det-part00001.clmp": "03aa6ee1032962dce0e71e5c88b7dd2caf6ac86a04aa9a38d6612b4a24c97a95",
+		"skeleton":                     "a65dc898bc1024d30899f474934be0f1c9fe60ad287520395c75009ad76969fa",
+	},
+	"fine-capacity": {
+		"partition/det-part00000.clmp": "e950447dfa366cee1158fa4e9ed63ad57b3f43c3a49b701a09f71b0d8f5fc664",
+		"partition/det-part00001.clmp": "410ea3c6beda7197b5b9a09933d7c0ea207f83ad18361ebe7394687d953c47f6",
+		"partition/det-part00002.clmp": "9ea4b13c9b02f1e6c8b7c2ea300f957c5102d18931f0d14af6d61dfd653d2630",
+		"partition/det-part00003.clmp": "028c277a528b0ee402cb44bbde878a6f1e89a74f97415055936ca1e7d558ff4b",
+		"partition/det-part00004.clmp": "abab054b318f941bc4e2d124f897bb4c438253e64d59357fa62507fde48dc069",
+		"partition/det-part00005.clmp": "f8622462dca36a03123805a1491cbaa4d9abe5a6bc6299ac656d23701aa005b0",
+		"partition/det-part00006.clmp": "3fcd3d74e7bc85b968910270a681bfc94cc28e1f044f24e869037650a803beb2",
+		"partition/det-part00007.clmp": "24c1350167e18583f3ee70b8dc0071e3982371b0d6b2310a9cbd4afcd433dff4",
+		"partition/det-part00008.clmp": "09bd0ad82efbd9c5ce17d0985c5a28fd10bdb20ceb0523bc9c019ba6c8854a38",
+		"partition/det-part00009.clmp": "c958199c000fe9c6d38f13ae512115b5ec7358ecd2198b112c8cc07af890f1c5",
+		"partition/det-part00010.clmp": "fb4550426f895762ec7fd3dd596d3e89b52d6a4ccbda9ef24a898ec811129221",
+		"partition/det-part00011.clmp": "2249d28180e59e5c3a764515e8627eb922862f1c6e311cc982f4b09870560254",
+		"partition/det-part00012.clmp": "30919ad210b8d260f78a023ee530c7d826a8b6f1affa88b6d1ea23d6661183fb",
+		"partition/det-part00013.clmp": "df01ae6cc3b700b1679ac57124eb47f4459eb795ccb3945326e6872e3942684b",
+		"partition/det-part00014.clmp": "5c2d2473539ed33a5567803a0ceca535a94938acdae626469c8479d4959b3a81",
+		"partition/det-part00015.clmp": "ce48cf5e114bdf059f102efe4a36b390b50d33db25a9ad5034a92a29e8b10bf1",
+		"partition/det-part00016.clmp": "1e86f3afd1f35a588c76241e7d8019e829274c65e1db02eef1a2abd364d18d69",
+		"partition/det-part00017.clmp": "9f2f01b1aba57a3eceb0d8398bd2da075e36c9c13400acabbc76a851f472f606",
+		"partition/det-part00018.clmp": "9557fd52d4ba4abf3ec923c712665dd8f65ffe1f9a54b609f07e7200f9552263",
+		"skeleton":                     "0e40f8af8f9cd4e48cff3f244a61634aa7a9eabfb90adbb778dfb16d47972122",
+	},
+}
+
 // TestParallelBuildBitIdentical pins the central guarantee of the parallel
-// build: at ANY worker count the skeleton bytes, the index manifest, and
-// every partition file are byte-identical to the sequential (Workers=1)
-// build. Every random tie-break derives from per-record/per-signature seeded
-// generators and every merge happens in sorted-key order, so goroutine
-// scheduling must never leak into the artefacts. Two granularities are
-// covered: the coarse default capacity (few partitions, shallow tries) and a
-// fine capacity that forces many trie splits and partitions. CI runs this
-// under -race, which also makes it the data-race probe for the build path.
+// build as an absolute: at ANY worker count the skeleton bytes and every
+// partition file hash to the checked-in goldens, and the index manifest is
+// the same file. Every random tie-break
+// derives from per-record/per-signature seeded generators and every merge
+// happens in sorted-key order, so goroutine scheduling must never leak into
+// the artefacts. Two granularities are covered: the coarse default capacity
+// (few partitions, shallow tries) and a fine capacity that forces many trie
+// splits and partitions. CI runs this under -race, which also makes it the
+// data-race probe for the build path.
 func TestParallelBuildBitIdentical(t *testing.T) {
 	granularities := []struct {
 		name     string
@@ -97,16 +123,22 @@ func TestParallelBuildBitIdentical(t *testing.T) {
 	}
 	for _, g := range granularities {
 		t.Run(g.name, func(t *testing.T) {
-			dir := filepath.Join(t.TempDir(), "build")
-			want := buildArtifacts(t, dir, g.capacity, 1)
-			for _, workers := range []int{4, 8} {
-				got := buildArtifacts(t, dir, g.capacity, workers)
+			want := goldenArtifacts[g.name]
+			manifest := ""
+			for _, workers := range []int{1, 4, 8} {
+				got := buildArtifacts(t, t.TempDir(), g.capacity, workers)
+				if manifest == "" {
+					manifest = got["index.clms"]
+				} else if got["index.clms"] != manifest {
+					t.Errorf("workers=%d: index.clms differs from the sequential build", workers)
+				}
+				delete(got, "index.clms")
 				if len(got) != len(want) {
-					t.Fatalf("workers=%d produced %d artefacts, sequential build produced %d", workers, len(got), len(want))
+					t.Fatalf("workers=%d produced %d artefacts, golden build has %d", workers, len(got), len(want))
 				}
 				for name, h := range want {
 					if got[name] != h {
-						t.Errorf("workers=%d: artefact %s differs from sequential build", workers, name)
+						t.Errorf("workers=%d: artefact %s = %s, golden %s", workers, name, got[name], h)
 					}
 				}
 			}

@@ -85,10 +85,7 @@ func buildDegenerateIndex(t *testing.T) (*Index, *testDataset) {
 	}
 
 	ds := dataset.RandomWalk(seriesLen, 30, 5)
-	cl, err := cluster.New(cluster.Config{NumNodes: 1, WorkersPerNode: 1, BaseDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := cluster.New(t.TempDir(), 1)
 	bs, err := cl.IngestBlocks(ds, cfg.BlockSize, "degenerate")
 	if err != nil {
 		t.Fatal(err)

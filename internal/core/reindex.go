@@ -43,10 +43,7 @@ import (
 // The new generation starts with no delta; the caller re-routes any
 // uncompacted records into one before the swap. Records land in the new
 // files exactly as persisted, preserving IDs.
-func (ix *Index) RebuildGeneration(ctx context.Context, genRoot string, nodes int, name string) (*Generation, error) {
-	if nodes <= 0 {
-		nodes = 1
-	}
+func (ix *Index) RebuildGeneration(ctx context.Context, genRoot, name string) (*Generation, error) {
 	old := ix.AcquireGeneration()
 	defer old.Release()
 	cfg := old.Skel.Cfg
@@ -127,7 +124,6 @@ func (ix *Index) RebuildGeneration(ctx context.Context, genRoot string, nodes in
 		return nil, fmt.Errorf("core: reindex skeleton: %w", err)
 	}
 	skeletonTime := time.Since(start)
-	ix.Cl.Broadcast(skel.EncodedSize())
 
 	// --- pass 2: route everything, write the new partition files ----------
 	if err := ctx.Err(); err != nil {
@@ -159,10 +155,8 @@ func (ix *Index) RebuildGeneration(ctx context.Context, genRoot string, nodes in
 
 	redistStart := time.Now()
 	crashStep("gen-dirs")
-	for node := 0; node < nodes; node++ {
-		if err := os.MkdirAll(genNodeDir(genRoot, node), 0o755); err != nil {
-			return nil, fmt.Errorf("core: reindex mkdir: %w", err)
-		}
+	if err := os.MkdirAll(genRoot, 0o755); err != nil {
+		return nil, fmt.Errorf("core: reindex mkdir: %w", err)
 	}
 	parts := &cluster.PartitionSet{
 		SeriesLen: seriesLen,
@@ -173,7 +167,7 @@ func (ix *Index) RebuildGeneration(ctx context.Context, genRoot string, nodes in
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		path := genPartitionPath(genRoot, pid%nodes, pid, name)
+		path := cluster.PartitionPath(genRoot, name, pid)
 		crashStep(fmt.Sprintf("partition-%05d", pid))
 		if err := w.Flush(path); err != nil {
 			return nil, fmt.Errorf("core: reindex flush partition %d: %w", pid, err)
@@ -188,11 +182,6 @@ func (ix *Index) RebuildGeneration(ctx context.Context, genRoot string, nodes in
 	// that references them; then the skeleton before the MANIFEST that
 	// references it (the caller's rename).
 	crashStep("gen-dir-sync")
-	for node := 0; node < nodes; node++ {
-		if err := syncDir(genNodeDir(genRoot, node)); err != nil {
-			return nil, err
-		}
-	}
 	if err := syncDir(genRoot); err != nil {
 		return nil, err
 	}

@@ -14,10 +14,7 @@ func benchIndex(b *testing.B) (*Index, []float64) {
 	b.Helper()
 	cfg := testConfig()
 	ds := dataset.RandomWalk(64, 1500, 11)
-	cl, err := cluster.New(cluster.Config{NumNodes: 2, WorkersPerNode: 1, BaseDir: b.TempDir()})
-	if err != nil {
-		b.Fatal(err)
-	}
+	cl := cluster.New(b.TempDir(), 2)
 	bs, err := cl.IngestBlocks(ds, cfg.BlockSize, "bench")
 	if err != nil {
 		b.Fatal(err)

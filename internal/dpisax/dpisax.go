@@ -159,7 +159,6 @@ func Build(cl *cluster.Cluster, bs *cluster.BlockSet, cfg Config, name string) (
 
 	ix := &Index{Cfg: cfg, SeriesLen: bs.SeriesLen, root: root, tr: tr,
 		Cl: cl, NumPartitions: numParts}
-	cl.Broadcast(ix.TreeSize())
 
 	// Re-distribute every record to its leaf partition. Within a partition,
 	// records cluster by the leaves of the *local* iSAX index — DPiSAX

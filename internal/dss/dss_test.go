@@ -29,10 +29,7 @@ func TestSearchDatasetExact(t *testing.T) {
 // storage precision affecting distance values, not identities).
 func TestSearchMatchesOracle(t *testing.T) {
 	ds := dataset.RandomWalk(32, 1000, 3)
-	cl, err := cluster.New(cluster.Config{NumNodes: 2, WorkersPerNode: 2, BaseDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := cluster.New(t.TempDir(), 4)
 	bs, err := cl.IngestBlocks(ds, 200, "dss")
 	if err != nil {
 		t.Fatal(err)
@@ -52,10 +49,7 @@ func TestSearchMatchesOracle(t *testing.T) {
 
 func TestSearchValidation(t *testing.T) {
 	ds := dataset.RandomWalk(32, 100, 3)
-	cl, err := cluster.New(cluster.Config{NumNodes: 1, WorkersPerNode: 1, BaseDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := cluster.New(t.TempDir(), 1)
 	bs, err := cl.IngestBlocks(ds, 50, "dss")
 	if err != nil {
 		t.Fatal(err)

@@ -4,8 +4,8 @@
 // query workload, and prints rows mirroring the paper's plots.
 //
 // Absolute numbers differ from the paper (their testbed is a 112-core
-// Spark/HDFS cluster over terabytes; ours is a simulated multi-worker
-// runtime over megabytes) — the reproduced artefacts are the *shapes*: who
+// Spark/HDFS cluster over terabytes; ours is one multi-core process over
+// megabytes) — the reproduced artefacts are the *shapes*: who
 // wins, by what rough factor, and where the crossovers fall. The CLI
 // harness (cmd/climber-bench) regenerates every artefact on demand.
 package experiments
@@ -111,9 +111,6 @@ func Registry() map[string]Runner {
 		"mixed":        MixedWorkload,
 		"sharded":      ShardedWorkload,
 		"budget":       BudgetExperiment,
-		"buildscale":   BuildScale,
-		"memres":       MemRes,
-		"tracing":      TracingOverhead,
 	}
 }
 
@@ -134,14 +131,14 @@ func DatasetNames() []string { return dataset.Names() }
 // Shared build/evaluate helpers
 // ---------------------------------------------------------------------------
 
-// env bundles one dataset materialised on a simulated cluster.
+// env bundles one dataset staged as block files in a partition store.
 type env struct {
 	ds *series.Dataset
 	cl *cluster.Cluster
 	bs *cluster.BlockSet
 }
 
-// newEnv generates a dataset and ingests it into a fresh cluster under
+// newEnv generates a dataset and ingests it into a fresh store under
 // workDir.
 func newEnv(workDir, name string, n int, seed uint64) (*env, error) {
 	ds, err := dataset.ByName(name, n, seed)
@@ -152,10 +149,7 @@ func newEnv(workDir, name string, n int, seed uint64) (*env, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl, err := cluster.New(cluster.Config{NumNodes: 2, WorkersPerNode: 2, BaseDir: dir})
-	if err != nil {
-		return nil, err
-	}
+	cl := cluster.New(dir, 0)
 	if PartitionCacheBytes > 0 {
 		cl.EnablePartitionCache(PartitionCacheBytes)
 		cl.EnableMmap(PartitionCacheMmap)

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -26,7 +23,7 @@ func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig7a", "fig7b", "fig7cd", "fig8ab", "fig8cd",
 		"fig9", "fig10", "fig11a", "fig11b", "fig12", "table1",
 		"abl-decay", "abl-dual", "abl-sampling", "landscape", "mixed", "sharded",
-		"budget", "buildscale", "memres", "tracing"}
+		"budget"}
 	reg := Registry()
 	for _, id := range want {
 		if reg[id] == nil {
@@ -200,126 +197,6 @@ func TestBudgetSmoke(t *testing.T) {
 		"Progressive convergence"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("budget output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestBuildScaleSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runner smoke tests are slow")
-	}
-	jsonPath := filepath.Join(t.TempDir(), "bench.json")
-	BenchJSONPath = jsonPath
-	defer func() { BenchJSONPath = "" }()
-	out := runnerSmoke(t, "buildscale")
-	for _, want := range []string{"workers", "speedup", "SqDistBlocked", "SqDistEarlyAbandonBlocked/loose"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("buildscale output missing %q:\n%s", want, out)
-		}
-	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("bench JSON not written: %v", err)
-	}
-	var report struct {
-		Builds  []struct{ Workers int }
-		Kernels []struct{ Name string }
-	}
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("bench JSON malformed: %v", err)
-	}
-	if len(report.Builds) != 4 || len(report.Kernels) != 6 {
-		t.Fatalf("bench JSON has %d builds, %d kernels; want 4 and 6", len(report.Builds), len(report.Kernels))
-	}
-}
-
-func TestMemResSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runner smoke tests are slow")
-	}
-	jsonPath := filepath.Join(t.TempDir(), "bench.json")
-	BenchJSONPath = jsonPath
-	defer func() { BenchJSONPath = "" }()
-	out := runnerSmoke(t, "memres")
-	for _, want := range []string{"readerat", "decoded", "cold", "warm"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("memres output missing %q:\n%s", want, out)
-		}
-	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("bench JSON not written: %v", err)
-	}
-	var report struct {
-		MmapSupported bool `json:"mmap_supported"`
-		Runs          []struct {
-			Backend     string
-			Phase       string
-			NsPerRecord float64 `json:"ns_per_record"`
-		}
-		ColdBytesReductionPct float64 `json:"cold_bytes_reduction_pct"`
-	}
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("bench JSON malformed: %v", err)
-	}
-	wantRuns := 4
-	if report.MmapSupported {
-		wantRuns = 6
-	}
-	if len(report.Runs) != wantRuns {
-		t.Fatalf("bench JSON has %d runs, want %d", len(report.Runs), wantRuns)
-	}
-	// The acceptance pins: mapping (or, without mmap, the streaming file
-	// path) must cut cold scan heap allocation by >=30%, and the mapped
-	// warm scan must not run slower than the decoded copy (generous noise
-	// slack — both scan plain memory through the same kernel).
-	if report.ColdBytesReductionPct < 30 {
-		t.Errorf("cold bytes/record reduction %.1f%%, want >= 30%%", report.ColdBytesReductionPct)
-	}
-	warm := map[string]float64{}
-	for _, r := range report.Runs {
-		if r.Phase == "warm" {
-			warm[r.Backend] = r.NsPerRecord
-		}
-	}
-	if report.MmapSupported && warm["mmap"] > warm["decoded"]*1.25 {
-		t.Errorf("mapped warm scan %.1f ns/record vs decoded %.1f — mapping must not slow warm scans",
-			warm["mmap"], warm["decoded"])
-	}
-}
-
-func TestTracingSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runner smoke tests are slow")
-	}
-	jsonPath := filepath.Join(t.TempDir(), "bench.json")
-	BenchJSONPath = jsonPath
-	defer func() { BenchJSONPath = "" }()
-	out := runnerSmoke(t, "tracing")
-	for _, want := range []string{"off", "sampled", "always", "overhead"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("tracing output missing %q:\n%s", want, out)
-		}
-	}
-	raw, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatalf("bench JSON not written: %v", err)
-	}
-	var report struct {
-		Runs []struct {
-			Mode    string
-			NsPerOp float64 `json:"ns_per_op"`
-		}
-	}
-	if err := json.Unmarshal(raw, &report); err != nil {
-		t.Fatalf("bench JSON malformed: %v", err)
-	}
-	if len(report.Runs) != 3 {
-		t.Fatalf("bench JSON has %d runs, want 3", len(report.Runs))
-	}
-	for _, r := range report.Runs {
-		if r.NsPerOp <= 0 {
-			t.Errorf("mode %s measured %f ns/op", r.Mode, r.NsPerOp)
 		}
 	}
 }

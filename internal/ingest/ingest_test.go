@@ -29,10 +29,7 @@ func buildIndex(t *testing.T, n int) (*core.Index, string) {
 	t.Helper()
 	dir := t.TempDir()
 	ds := dataset.RandomWalk(64, n, 11)
-	cl, err := cluster.New(cluster.Config{NumNodes: 2, WorkersPerNode: 1, BaseDir: filepath.Join(dir, "cluster")})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := cluster.New(filepath.Join(dir, "cluster"), 2)
 	bs, err := cl.IngestBlocks(ds, testConfig().BlockSize, "test")
 	if err != nil {
 		t.Fatal(err)

@@ -18,8 +18,9 @@
 //	GET  /metrics       Prometheus text exposition
 //
 // The request/response types and the serving primitives (admission limiter,
-// latency histogram) live in internal/api, shared with the shard router
-// (internal/shard) that scatter-gathers over several of these servers.
+// latency histogram, request Observer) live in internal/api, shared with the
+// shard router (internal/shard) that scatter-gathers over several of these
+// servers.
 //
 // Admission control bounds the number of in-flight queries AND writes: a
 // request beyond MaxInFlight waits for a slot up to QueueTimeout and is
@@ -50,7 +51,6 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"climber"
@@ -157,8 +157,8 @@ type Server struct {
 	lim       *api.Limiter
 	m         metrics
 	started   time.Time
-	slow      *obs.SlowLog
-	buildInfo string // rendered label set of the climber_build_info gauge
+	observe   api.Observer // shared request-observation pipeline (trace arming, histograms, slow log)
+	buildInfo string       // rendered label set of the climber_build_info gauge
 
 	// Test seams: hookAdmitted runs after a query request is admitted
 	// (holding its slot) and before the search starts; hookSearchDone
@@ -189,7 +189,11 @@ func New(db *climber.DB, cfg Config) *Server {
 	for _, st := range stageNames {
 		s.m.stageLat[st] = api.NewHistogram()
 	}
-	s.slow = obs.NewSlowLog(s.cfg.SlowLogSize, s.cfg.SlowThreshold, s.cfg.SlowSample, s.cfg.Logger)
+	s.observe = api.Observer{
+		Slow:     obs.NewSlowLog(s.cfg.SlowLogSize, s.cfg.SlowThreshold, s.cfg.SlowSample, s.cfg.Logger),
+		StageLat: s.m.stageLat,
+		Traced:   &s.m.traced,
+	}
 	cfg0 := db.Index().Skeleton().Cfg
 	s.buildInfo = fmt.Sprintf("version=%q,series_len=\"%d\",segments=\"%d\",prefix_len=\"%d\"",
 		climber.Version, s.seriesLen, cfg0.Segments, cfg0.PrefixLen)
@@ -198,15 +202,15 @@ func New(db *climber.DB, cfg Config) *Server {
 
 // SlowLog exposes the server's slow-query ring so cmd/climber-serve can
 // mount it on the -debug-addr diagnostics listener too.
-func (s *Server) SlowLog() *obs.SlowLog { return s.slow }
+func (s *Server) SlowLog() *obs.SlowLog { return s.observe.Slow }
 
 // Handler returns the service's routing handler.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("POST /search", s.instrument("/search", &s.m.searches, s.m.latency, s.handleSearch))
-	mux.Handle("POST /search/batch", s.instrument("/search/batch", &s.m.batches, s.m.latency, s.handleBatch))
-	mux.Handle("POST /search/prefix", s.instrument("/search/prefix", &s.m.prefixes, s.m.latency, s.handlePrefix))
-	mux.Handle("POST /append", s.instrument("/append", &s.m.appends, s.m.appendLat, s.handleAppend))
+	mux.Handle("POST /search", s.observe.Instrument("/search", &s.m.searches, s.m.latency, s.handleSearch))
+	mux.Handle("POST /search/batch", s.observe.Instrument("/search/batch", &s.m.batches, s.m.latency, s.handleBatch))
+	mux.Handle("POST /search/prefix", s.observe.Instrument("/search/prefix", &s.m.prefixes, s.m.latency, s.handlePrefix))
+	mux.Handle("POST /append", s.observe.Instrument("/append", &s.m.appends, s.m.appendLat, s.handleAppend))
 	mux.HandleFunc("POST /flush", s.handleFlush)
 	mux.HandleFunc("POST /reindex", s.handleReindex)
 	mux.HandleFunc("POST /backup", s.handleBackup)
@@ -214,126 +218,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.Handle("GET /debug/slow", s.slow.Handler())
+	mux.Handle("GET /debug/slow", s.observe.Slow.Handler())
 	return mux
-}
-
-// queryObs carries one request's observability state between the
-// instrument wrapper and its handler: the wrapper decides sampling and
-// parses the propagated traceparent header before the handler runs, the
-// handler fills in what the query produced, and the wrapper turns the
-// result into histogram observations and a slow-log entry.
-type queryObs struct {
-	// sampled arms tracing without an explain flag: set by an upstream
-	// traceparent sampled bit or by the slow log's head-sampling.
-	sampled bool
-	// traceID is the propagated trace id ("" = generate fresh).
-	traceID string
-	// stats, trace, stages are filled by the handler after the query.
-	stats  any
-	trace  *obs.SpanData
-	stages map[string]int64
-}
-
-// qobsKey is the context key carrying the request's *queryObs.
-type qobsKey struct{}
-
-// qobsFrom returns the request's observability state, or nil outside an
-// instrumented handler.
-func qobsFrom(ctx context.Context) *queryObs {
-	qo, _ := ctx.Value(qobsKey{}).(*queryObs)
-	return qo
-}
-
-// statusWriter captures the response status code for the slow-query log.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	if sw.status == 0 {
-		sw.status = code
-	}
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-func (sw *statusWriter) Write(b []byte) (int, error) {
-	if sw.status == 0 {
-		sw.status = http.StatusOK
-	}
-	return sw.ResponseWriter.Write(b)
-}
-
-// instrument wraps one query-path handler with the unified observation
-// pipeline: the latency histogram sees every outcome — 400s and 429s
-// included, where previously the error paths skipped the histogram and
-// bad-request storms were invisible in the percentiles — the endpoint
-// counter increments exactly once per request, traced queries feed the
-// per-stage histograms, and every finished request is offered to the
-// slow-query log.
-func (s *Server) instrument(endpoint string, count *atomic.Int64, lat *api.Histogram, h func(http.ResponseWriter, *http.Request)) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		qo := &queryObs{}
-		if id, sampled, ok := obs.ParseTraceparent(r.Header.Get(obs.TraceHeader)); ok {
-			qo.traceID, qo.sampled = id, sampled
-		}
-		if !qo.sampled {
-			qo.sampled = s.slow.Sample()
-		}
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		h(sw, r.WithContext(context.WithValue(r.Context(), qobsKey{}, qo)))
-		d := time.Since(start)
-		lat.Observe(d)
-		count.Add(1)
-		for stage, ns := range qo.stages {
-			if hist := s.m.stageLat[stage]; hist != nil {
-				hist.Observe(time.Duration(ns))
-			}
-		}
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		s.slow.Note(endpoint, d, qo.sampled, qo.traceID, status, qo.stats, qo.trace)
-	})
-}
-
-// traceFor starts a trace for the request when it asked for explain or
-// the sampling decision armed one, adopting a propagated trace id so
-// the router's logs and this server's agree on identity. Returns the
-// (possibly traced) context and the trace — nil when tracing is off,
-// which every downstream span call tolerates.
-func (s *Server) traceFor(ctx context.Context, name string, explain bool) (context.Context, *obs.Trace) {
-	qo := qobsFrom(ctx)
-	if qo == nil || (!explain && !qo.sampled) {
-		return ctx, nil
-	}
-	tr := obs.NewTrace(name, qo.traceID)
-	qo.traceID = tr.ID()
-	s.m.traced.Add(1)
-	return obs.ContextWithSpan(ctx, tr.Root()), tr
-}
-
-// finishTrace ends the trace, stores the query's wire stats and span
-// tree into the request's observation state, and returns the span tree
-// for the explain response (nil when untraced).
-func finishTrace(ctx context.Context, tr *obs.Trace, stats any) *obs.SpanData {
-	qo := qobsFrom(ctx)
-	if qo != nil {
-		qo.stats = stats
-	}
-	if tr == nil {
-		return nil
-	}
-	tr.Root().End()
-	data := tr.Root().Data()
-	if qo != nil {
-		qo.trace = data
-		qo.stages = tr.Root().StageNanos()
-	}
-	return data
 }
 
 // admit acquires an in-flight slot, waiting up to QueueTimeout. It returns
@@ -380,6 +266,27 @@ func (s *Server) finishQuery(w http.ResponseWriter, err error) bool {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
+	s.handleSearchLike(w, r, "search", func(body []byte) (*api.SearchRequest, error) {
+		return api.DecodeSearchRequest(body, s.seriesLen, s.cfg.MaxK)
+	}, s.db.SearchWithStatsContext, s.db.SearchExplainContext)
+}
+
+// handlePrefix answers a query shorter than the indexed series length —
+// candidates are ranked over the first len(query) readings of each record
+// (see climber.DB.SearchPrefix).
+func (s *Server) handlePrefix(w http.ResponseWriter, r *http.Request) {
+	s.handleSearchLike(w, r, "prefix", func(body []byte) (*api.SearchRequest, error) {
+		return api.DecodePrefixRequest(body, s.minPrefix, s.seriesLen, s.cfg.MaxK)
+	}, s.db.SearchPrefixWithStatsContext, s.db.SearchPrefixExplainContext)
+}
+
+// handleSearchLike is the shared admit-decode-search-respond path of
+// /search and /search/prefix, which differ only in how the body is
+// validated, the trace name, and the DB methods that answer.
+func (s *Server) handleSearchLike(w http.ResponseWriter, r *http.Request, name string,
+	decode func(body []byte) (*api.SearchRequest, error),
+	search func(context.Context, []float64, int, ...climber.SearchOption) ([]climber.Result, climber.Stats, error),
+	explain func(context.Context, []float64, int, ...climber.SearchOption) ([]climber.Result, climber.Stats, *climber.Explanation, error)) {
 	// Admission comes first: reading and decoding a body is itself heap-
 	// and CPU-expensive work an overloaded server must not do unbounded.
 	release, status, err := s.admit(r.Context())
@@ -392,7 +299,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, err := api.DecodeSearchRequest(body, s.seriesLen, s.cfg.MaxK)
+	req, err := decode(body)
 	if err != nil {
 		s.m.badRequests.Add(1)
 		api.WriteError(w, http.StatusBadRequest, err)
@@ -401,7 +308,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	if s.hookAdmitted != nil {
 		s.hookAdmitted(r.Context())
 	}
-	tctx, tr := s.traceFor(r.Context(), "search", req.Explain)
+	tctx, tr := s.observe.TraceFor(r.Context(), name, req.Explain)
 	ctx, cancel := s.budgetContext(tctx, req.TimeBudgetMS)
 	defer cancel()
 
@@ -412,11 +319,11 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		expl  *climber.Explanation
 	)
 	if req.Explain {
-		res, stats, expl, err = s.db.SearchExplainContext(ctx, req.Query, req.K, opts...)
+		res, stats, expl, err = explain(ctx, req.Query, req.K, opts...)
 	} else {
-		res, stats, err = s.db.SearchWithStatsContext(ctx, req.Query, req.K, opts...)
+		res, stats, err = search(ctx, req.Query, req.K, opts...)
 	}
-	trace := finishTrace(r.Context(), tr, stats)
+	trace := api.FinishTrace(r.Context(), tr, stats)
 	if !s.finishQuery(w, err) {
 		return
 	}
@@ -447,62 +354,6 @@ func (s *Server) budgetContext(ctx context.Context, budgetMS int) (context.Conte
 	return context.WithTimeout(ctx, hard)
 }
 
-// handlePrefix answers a query shorter than the indexed series length —
-// candidates are ranked over the first len(query) readings of each record
-// (see climber.DB.SearchPrefix).
-func (s *Server) handlePrefix(w http.ResponseWriter, r *http.Request) {
-	release, status, err := s.admit(r.Context())
-	if err != nil {
-		api.WriteError(w, status, err)
-		return
-	}
-	defer release()
-	body, ok := s.readBody(w, r)
-	if !ok {
-		return
-	}
-	req, err := api.DecodePrefixRequest(body, s.minPrefix, s.seriesLen, s.cfg.MaxK)
-	if err != nil {
-		s.m.badRequests.Add(1)
-		api.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-	if s.hookAdmitted != nil {
-		s.hookAdmitted(r.Context())
-	}
-	tctx, tr := s.traceFor(r.Context(), "prefix", req.Explain)
-	ctx, cancel := s.budgetContext(tctx, req.TimeBudgetMS)
-	defer cancel()
-
-	opts := api.SearchOptions(req.Variant, req.MaxPartitions, req.TimeBudgetMS)
-	var (
-		res   []climber.Result
-		stats climber.Stats
-		expl  *climber.Explanation
-	)
-	if req.Explain {
-		res, stats, expl, err = s.db.SearchPrefixExplainContext(ctx, req.Query, req.K, opts...)
-	} else {
-		res, stats, err = s.db.SearchPrefixWithStatsContext(ctx, req.Query, req.K, opts...)
-	}
-	trace := finishTrace(r.Context(), tr, stats)
-	if !s.finishQuery(w, err) {
-		return
-	}
-	if stats.Partial {
-		s.m.budgetExh.Add(1)
-	}
-	resp := SearchResponse{
-		Results: toWire(res), Stats: stats,
-		Partial: stats.Partial, StepsExecuted: stats.StepsExecuted,
-	}
-	if req.Explain {
-		resp.Explain = map[string]*api.ExplainData{"": api.ExplainFromCore(expl)}
-		resp.Trace = trace
-	}
-	api.WriteJSON(w, http.StatusOK, resp)
-}
-
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	release, status, err := s.admit(r.Context())
 	if err != nil {
@@ -529,7 +380,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// queries than MaxInFlight allows across the whole server.
 	extra, releaseExtra := s.lim.AcquireExtra(min(len(req.Queries), s.cfg.MaxInFlight) - 1)
 	defer releaseExtra()
-	tctx, tr := s.traceFor(r.Context(), "batch", req.Explain)
+	tctx, tr := s.observe.TraceFor(r.Context(), "batch", req.Explain)
 	ctx, cancel := s.budgetContext(tctx, req.TimeBudgetMS)
 	defer cancel()
 
@@ -542,7 +393,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			sum.Truncated++
 		}
 	}
-	trace := finishTrace(r.Context(), tr, sum)
+	trace := api.FinishTrace(r.Context(), tr, sum)
 	if !s.finishQuery(w, err) {
 		return
 	}
@@ -727,7 +578,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var b strings.Builder
-	s.m.renderProm(&b, s.buildInfo, s.slow.Total(), s.db.CacheStats(), s.db.IngestStats())
+	s.m.renderProm(&b, s.buildInfo, s.observe.Slow.Total(), s.db.CacheStats(), s.db.IngestStats())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_, _ = io.WriteString(w, b.String())
 }

@@ -132,7 +132,7 @@ type Router struct {
 	lim     *api.Limiter
 	m       rmetrics
 	started time.Time
-	slow    *obs.SlowLog
+	observe api.Observer // shared request-observation pipeline (trace arming, histograms, slow log)
 
 	// seriesLen is the indexed series length, learned from the first shard
 	// /info that answers; 0 until then. Request validation needs it, so a
@@ -223,7 +223,11 @@ func NewRouter(t *Topology, cfg Config) *Router {
 	for _, st := range rstageNames {
 		r.m.stageLat[st] = api.NewHistogram()
 	}
-	r.slow = obs.NewSlowLog(r.cfg.SlowLogSize, r.cfg.SlowThreshold, r.cfg.SlowSample, r.cfg.Logger)
+	r.observe = api.Observer{
+		Slow:     obs.NewSlowLog(r.cfg.SlowLogSize, r.cfg.SlowThreshold, r.cfg.SlowSample, r.cfg.Logger),
+		StageLat: r.m.stageLat,
+		Traced:   &r.m.traced,
+	}
 	for i := range r.up {
 		r.up[i].Store(true)
 	}
@@ -247,10 +251,10 @@ func (r *Router) Close() {
 // sharded deployment.
 func (r *Router) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("POST /search", r.instrument("/search", &r.m.searches, r.m.latency, r.handleSearch))
-	mux.Handle("POST /search/batch", r.instrument("/search/batch", &r.m.batches, r.m.latency, r.handleBatch))
-	mux.Handle("POST /search/prefix", r.instrument("/search/prefix", &r.m.prefixes, r.m.latency, r.handlePrefix))
-	mux.Handle("POST /append", r.instrument("/append", &r.m.appends, r.m.appendLat, r.handleAppend))
+	mux.Handle("POST /search", r.observe.Instrument("/search", &r.m.searches, r.m.latency, r.handleSearch))
+	mux.Handle("POST /search/batch", r.observe.Instrument("/search/batch", &r.m.batches, r.m.latency, r.handleBatch))
+	mux.Handle("POST /search/prefix", r.observe.Instrument("/search/prefix", &r.m.prefixes, r.m.latency, r.handlePrefix))
+	mux.Handle("POST /append", r.observe.Instrument("/append", &r.m.appends, r.m.appendLat, r.handleAppend))
 	mux.HandleFunc("POST /flush", r.handleFlush)
 	mux.HandleFunc("POST /reindex", r.handleReindex)
 	mux.HandleFunc("POST /backup", r.handleBackup)
@@ -258,123 +262,13 @@ func (r *Router) Handler() http.Handler {
 	mux.HandleFunc("GET /stats", r.handleStats)
 	mux.HandleFunc("GET /healthz", r.handleHealthz)
 	mux.HandleFunc("GET /metrics", r.handleMetrics)
-	mux.Handle("GET /debug/slow", r.slow.Handler())
+	mux.Handle("GET /debug/slow", r.observe.Slow.Handler())
 	return mux
 }
 
 // SlowLog exposes the router's slow-query ring so cmd/climber-router can
 // mount it on the -debug-addr diagnostics listener too.
-func (r *Router) SlowLog() *obs.SlowLog { return r.slow }
-
-// queryObs carries one routed request's observability state between the
-// instrument wrapper and its handler — same contract as the server's
-// (internal/server): the wrapper decides sampling before the handler
-// runs, the handler fills in what the query produced.
-type queryObs struct {
-	sampled bool
-	traceID string // propagated trace id ("" = generate fresh)
-	stats   any
-	trace   *obs.SpanData
-	stages  map[string]int64
-}
-
-// qobsKey is the context key carrying the request's *queryObs.
-type qobsKey struct{}
-
-// qobsFrom returns the request's observability state, or nil outside an
-// instrumented handler.
-func qobsFrom(ctx context.Context) *queryObs {
-	qo, _ := ctx.Value(qobsKey{}).(*queryObs)
-	return qo
-}
-
-// statusWriter captures the response status code for the slow-query log.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (sw *statusWriter) WriteHeader(code int) {
-	if sw.status == 0 {
-		sw.status = code
-	}
-	sw.ResponseWriter.WriteHeader(code)
-}
-
-func (sw *statusWriter) Write(b []byte) (int, error) {
-	if sw.status == 0 {
-		sw.status = http.StatusOK
-	}
-	return sw.ResponseWriter.Write(b)
-}
-
-// instrument wraps one routed query handler with the unified observation
-// pipeline: the latency histogram sees every outcome (400s and 429s
-// included), the endpoint counter increments exactly once per request,
-// traced queries feed the per-stage histograms, and every finished
-// request is offered to the slow-query log.
-func (r *Router) instrument(endpoint string, count *atomic.Int64, lat *api.Histogram, h func(http.ResponseWriter, *http.Request)) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		qo := &queryObs{}
-		if id, sampled, ok := obs.ParseTraceparent(req.Header.Get(obs.TraceHeader)); ok {
-			qo.traceID, qo.sampled = id, sampled
-		}
-		if !qo.sampled {
-			qo.sampled = r.slow.Sample()
-		}
-		sw := &statusWriter{ResponseWriter: w}
-		start := time.Now()
-		h(sw, req.WithContext(context.WithValue(req.Context(), qobsKey{}, qo)))
-		d := time.Since(start)
-		lat.Observe(d)
-		count.Add(1)
-		for stage, ns := range qo.stages {
-			if hist := r.m.stageLat[stage]; hist != nil {
-				hist.Observe(time.Duration(ns))
-			}
-		}
-		status := sw.status
-		if status == 0 {
-			status = http.StatusOK
-		}
-		r.slow.Note(endpoint, d, qo.sampled, qo.traceID, status, qo.stats, qo.trace)
-	})
-}
-
-// traceFor starts a router trace when the request asked for explain or
-// the sampling decision armed one. The trace's sampled state propagates
-// to every forwarded sub-request via the traceparent header (see
-// forward), so the shards trace the same query under the same id.
-func (r *Router) traceFor(ctx context.Context, name string, explain bool) (context.Context, *obs.Trace) {
-	qo := qobsFrom(ctx)
-	if qo == nil || (!explain && !qo.sampled) {
-		return ctx, nil
-	}
-	tr := obs.NewTrace(name, qo.traceID)
-	qo.traceID = tr.ID()
-	r.m.traced.Add(1)
-	return obs.ContextWithSpan(ctx, tr.Root()), tr
-}
-
-// finishTrace ends the trace and stores the routed query's stats and
-// span tree into the request's observation state, returning the span
-// tree for the explain response (nil when untraced).
-func finishTrace(ctx context.Context, tr *obs.Trace, stats any) *obs.SpanData {
-	qo := qobsFrom(ctx)
-	if qo != nil {
-		qo.stats = stats
-	}
-	if tr == nil {
-		return nil
-	}
-	tr.Root().End()
-	data := tr.Root().Data()
-	if qo != nil {
-		qo.trace = data
-		qo.stages = tr.Root().StageNanos()
-	}
-	return data
-}
+func (r *Router) SlowLog() *obs.SlowLog { return r.observe.Slow }
 
 // healthLoop probes every shard's /healthz each HealthInterval and flips
 // the per-shard up flags the scatter and append paths consult.
@@ -828,12 +722,12 @@ func (r *Router) handleSearchLike(w http.ResponseWriter, req *http.Request, path
 		return
 	}
 
-	ctx, tr := r.traceFor(req.Context(), strings.TrimPrefix(path, "/"), explain)
+	ctx, tr := r.observe.TraceFor(req.Context(), strings.TrimPrefix(path, "/"), explain)
 	ssp := tr.Root().StartChild("scatter")
 	oks, asked, err := r.scatter(obs.ContextWithSpan(ctx, ssp), path, body)
 	ssp.End()
 	if err != nil {
-		finishTrace(req.Context(), tr, nil)
+		api.FinishTrace(req.Context(), tr, nil)
 		r.finish(w, err)
 		return
 	}
@@ -841,12 +735,12 @@ func (r *Router) handleSearchLike(w http.ResponseWriter, req *http.Request, path
 	resp, err := r.gatherSearch(oks, k, explain)
 	msp.End()
 	if resp != nil {
-		resp.Trace = finishTrace(req.Context(), tr, resp.Stats)
+		resp.Trace = api.FinishTrace(req.Context(), tr, resp.Stats)
 		if !explain {
 			resp.Trace = nil
 		}
 	} else {
-		finishTrace(req.Context(), tr, nil)
+		api.FinishTrace(req.Context(), tr, nil)
 	}
 	if !r.finish(w, err) {
 		return
@@ -880,12 +774,12 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 
-	ctx, tr := r.traceFor(req.Context(), "batch", breq.Explain)
+	ctx, tr := r.observe.TraceFor(req.Context(), "batch", breq.Explain)
 	ssp := tr.Root().StartChild("scatter")
 	oks, asked, err := r.scatter(obs.ContextWithSpan(ctx, ssp), "/search/batch", body)
 	ssp.End()
 	if err != nil {
-		finishTrace(req.Context(), tr, nil)
+		api.FinishTrace(req.Context(), tr, nil)
 		r.finish(w, err)
 		return
 	}
@@ -898,7 +792,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		var br api.BatchResponse
 		if err := api.DecodeJSON(rep.body, &br); err != nil || len(br.Results) != len(breq.Queries) {
 			msp.End()
-			finishTrace(req.Context(), tr, nil)
+			api.FinishTrace(req.Context(), tr, nil)
 			r.finish(w, fmt.Errorf("shard %s: malformed batch response", r.topo.Shards[rep.shard].ID))
 			return
 		}
@@ -931,7 +825,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		out.Results[q] = merged
 	}
 	msp.End()
-	trace := finishTrace(req.Context(), tr, batchSummary{Queries: len(breq.Queries), StepsExecuted: steps})
+	trace := api.FinishTrace(req.Context(), tr, batchSummary{Queries: len(breq.Queries), StepsExecuted: steps})
 	if breq.Explain {
 		out.Trace = trace
 	}
@@ -1240,7 +1134,7 @@ func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
 	gauge("climber_router_inflight_requests", "Requests currently holding an admission slot.", m.inflight.Load())
 	gauge("climber_router_queued_requests", "Requests currently waiting for an admission slot.", m.queued.Load())
 	counter("climber_router_traced_queries_total", "Routed queries that ran with tracing attached (explain, sampled, or propagated).", m.traced.Load())
-	counter("climber_router_slow_log_entries_total", "Routed requests recorded in the slow-query log (threshold or sampled).", r.slow.Total())
+	counter("climber_router_slow_log_entries_total", "Routed requests recorded in the slow-query log (threshold or sampled).", r.observe.Slow.Total())
 	counter("climber_router_partitions_scanned_total", "Partitions the shards scanned for routed answers.", m.partScanned.Load())
 	counter("climber_router_partition_cache_hits_total", "Shard partition-cache hits inside routed answers.", m.cacheHits.Load())
 	counter("climber_router_partition_cache_misses_total", "Shard partition-cache misses inside routed answers.", m.cacheMisses.Load())

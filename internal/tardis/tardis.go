@@ -183,7 +183,6 @@ func Build(cl *cluster.Cluster, bs *cluster.BlockSet, cfg Config, name string) (
 		ix.root.partitions = []int{smallest}
 	}
 	treeTime := time.Since(start)
-	cl.Broadcast(ix.TreeSize())
 
 	// Re-distribute the full dataset.
 	redistStart := time.Now()

@@ -15,10 +15,7 @@ func testConfig() Config {
 func buildIndex(t *testing.T, n int, cfg Config) (*Index, *series.Dataset) {
 	t.Helper()
 	ds := dataset.RandomWalk(64, n, 21)
-	cl, err := cluster.New(cluster.Config{NumNodes: 2, WorkersPerNode: 1, BaseDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cl := cluster.New(t.TempDir(), 2)
 	bs, err := cl.IngestBlocks(ds, 500, "td")
 	if err != nil {
 		t.Fatal(err)

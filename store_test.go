@@ -1,0 +1,276 @@
+package climber
+
+import (
+	"context"
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+
+	"climber/internal/cluster"
+	"climber/internal/core"
+)
+
+// listTree returns the sorted recursive listing of dir: one line per entry,
+// relative path plus a trailing slash for directories.
+func listTree(t *testing.T, dir string) string {
+	t.Helper()
+	var lines []string
+	err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, p)
+		if d.IsDir() {
+			rel += "/"
+		}
+		lines = append(lines, rel)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
+// searchFingerprint renders the results of every variant for every query, so
+// two databases can be compared for identical answers.
+func searchFingerprint(t *testing.T, db *DB, queries [][]float64) string {
+	t.Helper()
+	var sb strings.Builder
+	for qi, q := range queries {
+		for _, v := range reindexVariants {
+			res, err := db.Search(q, 10, WithVariant(v))
+			if err != nil {
+				t.Fatalf("search (query %d, variant %v): %v", qi, v, err)
+			}
+			fmt.Fprintf(&sb, "q%d %v %v\n", qi, v, res)
+		}
+	}
+	return sb.String()
+}
+
+// A successful build leaves exactly the index file, the WAL and one flat
+// directory of partition files: the block files the build staged its input
+// in are scratch.
+func TestBuildLeavesOnlyIndexWALAndPartitions(t *testing.T) {
+	dir := t.TempDir()
+	buildAndClose(t, dir, smallData(1500), smallOpts()...)
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	if got := strings.Join(names, " "); got != "cluster index.clms wal.clmw" {
+		t.Fatalf("built directory holds %q, want cluster, index.clms and wal.clmw only", got)
+	}
+	parts, err := os.ReadDir(core.StoreDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(parts) < 2 {
+		t.Fatalf("store holds %d files; the test needs a multi-partition build", len(parts))
+	}
+	for _, e := range parts {
+		if e.IsDir() || filepath.Ext(e.Name()) != ".clmp" {
+			t.Fatalf("store directory holds %q; want partition files only", e.Name())
+		}
+	}
+}
+
+// A build whose shuffle fails must leave neither the staged blocks nor any
+// partition file behind. The flush of partition 1 is broken by squatting a
+// directory on its path, which fails os.Create whatever the privilege.
+func TestBuildFailureLeavesNoFiles(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.MkdirAll(cluster.PartitionPath(core.StoreDir(dir), "climber", 1), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if db, err := Build(dir, smallData(1500), smallOpts()...); err == nil {
+		db.Close()
+		t.Fatal("build over a broken flush target succeeded")
+	}
+	err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if ext := filepath.Ext(p); !d.IsDir() && (ext == ".clmb" || ext == ".clmp") {
+			t.Errorf("failed build left %s behind", p)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Opening read-only must not write: not on a built directory, not on a
+// reindexed one (whose generation-0 tree reindex deleted), not on a restored
+// backup — the recursive listing is unchanged, and the open works with every
+// write permission bit cleared.
+func TestOpenReadOnlyWritesNothing(t *testing.T) {
+	data := smallData(1200)
+
+	built := filepath.Join(t.TempDir(), "built")
+	buildAndClose(t, built, data, ingestOpts()...)
+
+	reindexed := filepath.Join(t.TempDir(), "reindexed")
+	db, err := Build(reindexed, data, ingestOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Reindex(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	db.waitCleanupForTest()
+	backup := filepath.Join(t.TempDir(), "backup")
+	if err := db.Backup(context.Background(), backup); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	restored := filepath.Join(t.TempDir(), "restored")
+	copyTreeForTest(t, backup, restored)
+
+	for name, dir := range map[string]string{"built": built, "reindexed": reindexed, "restored": restored} {
+		t.Run(name, func(t *testing.T) {
+			before := listTree(t, dir)
+			check := func() {
+				t.Helper()
+				ro, err := Open(dir, append(ingestOpts(), WithReadOnly(), WithPartitionCacheBytes(1<<20))...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := ro.Search(data[17], 3)
+				if err != nil || len(res) == 0 || res[0].ID != 17 {
+					t.Fatalf("read-only search: %+v, %v", res, err)
+				}
+				if err := ro.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if after := listTree(t, dir); after != before {
+					t.Fatalf("read-only open changed the directory:\nbefore:\n%s\nafter:\n%s", before, after)
+				}
+			}
+			check()
+
+			// chmod -R a-w, restored afterwards so TempDir cleanup works.
+			modes := map[string]fs.FileMode{}
+			err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+				if err != nil {
+					return err
+				}
+				info, err := d.Info()
+				if err != nil {
+					return err
+				}
+				modes[p] = info.Mode().Perm()
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() {
+				for p, m := range modes {
+					os.Chmod(p, m)
+				}
+			})
+			for p, m := range modes {
+				if err := os.Chmod(p, m&^0o222); err != nil {
+					t.Fatal(err)
+				}
+			}
+			check()
+		})
+	}
+}
+
+// Directories written before the store became one flat directory keep
+// working: Open reads partition paths only from the manifest, so partitions
+// spread over node00/ and node01/ open, search, reindex and back up with
+// results identical to the flat layout's.
+func TestOldNodeLayoutStillWorks(t *testing.T) {
+	data := smallData(1200)
+	queries := [][]float64{data[3], data[512], data[1100]}
+	flat := filepath.Join(t.TempDir(), "flat")
+	buildAndClose(t, flat, data, ingestOpts()...)
+
+	// Re-create the old layout from a copy: move partition pid into
+	// cluster/node<pid%2>/ and re-save the manifest over the moved paths.
+	old := filepath.Join(t.TempDir(), "old")
+	copyTreeForTest(t, flat, old)
+	ro, err := Open(old, WithReadOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	skel, parts := ro.Index().Skeleton(), *ro.Index().Partitions()
+	ro.Close()
+	parts.Paths = append([]string(nil), parts.Paths...)
+	for pid, p := range parts.Paths {
+		nodeDir := filepath.Join(filepath.Dir(p), fmt.Sprintf("node%02d", pid%2))
+		if err := os.MkdirAll(nodeDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		parts.Paths[pid] = filepath.Join(nodeDir, filepath.Base(p))
+		if err := os.Rename(p, parts.Paths[pid]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := core.SaveSnapshot(skel, &parts, core.IndexPathIn(old)); err != nil {
+		t.Fatal(err)
+	}
+
+	flatDB, err := Open(flat, ingestOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer flatDB.Close()
+	oldDB, err := Open(old, ingestOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oldDB.Close()
+	if p := oldDB.Index().Partitions().Paths[1]; !strings.Contains(p, "node01") {
+		t.Fatalf("test premise broken: old-layout partition 1 opened from %s", p)
+	}
+	want := searchFingerprint(t, flatDB, queries)
+	if got := searchFingerprint(t, oldDB, queries); got != want {
+		t.Fatalf("old layout answers differ from flat layout:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+
+	backup := filepath.Join(t.TempDir(), "backup")
+	if err := oldDB.Backup(context.Background(), backup); err != nil {
+		t.Fatal(err)
+	}
+	bk, err := Open(backup, WithReadOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := searchFingerprint(t, bk, queries)
+	bk.Close()
+	if got != want {
+		t.Fatalf("backup of old layout answers differ from flat layout:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+
+	for _, db := range []*DB{flatDB, oldDB} {
+		if err := db.Reindex(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		db.waitCleanupForTest()
+	}
+	if _, err := os.Stat(core.StoreDir(old)); !os.IsNotExist(err) {
+		t.Fatalf("old-layout generation-0 tree still present after reindex: %v", err)
+	}
+	want = searchFingerprint(t, flatDB, queries)
+	if got := searchFingerprint(t, oldDB, queries); got != want {
+		t.Fatalf("reindexed old layout answers differ from reindexed flat layout:\ngot:\n%s\nwant:\n%s", got, want)
+	}
+}
