@@ -22,6 +22,7 @@ import (
 	"strings"
 
 	"climber"
+	"climber/internal/series"
 	"climber/internal/storage"
 )
 
@@ -57,6 +58,7 @@ func main() {
 	fmt.Printf("  groups:         %d (incl. fall-back G0)\n", info.NumGroups)
 	fmt.Printf("  partitions:     %d\n", info.NumPartitions)
 	fmt.Printf("  skeleton size:  %d bytes\n", info.SkeletonBytes)
+	fmt.Printf("  scan kernel:    %s (this machine)\n", series.KernelName())
 	fmt.Printf("  config:         w=%d r=%d m=%d capacity=%d alpha=%.3f decay=%v seed=%d\n",
 		cfg.Segments, cfg.NumPivots, cfg.PrefixLen, cfg.Capacity, cfg.SampleRate, cfg.Decay, cfg.Seed)
 

@@ -50,6 +50,7 @@ import (
 
 	"climber"
 	"climber/internal/obs"
+	"climber/internal/series"
 	"climber/internal/server"
 )
 
@@ -95,6 +96,7 @@ func main() {
 	info := db.Info()
 	log.Printf("opened %s: %d records, series length %d, %d groups, %d partitions",
 		*dir, info.NumRecords, info.SeriesLen, info.NumGroups, info.NumPartitions)
+	log.Printf("scan kernel: %s", series.KernelName())
 	if ing := db.IngestStats(); ing.ReplayedSeries > 0 {
 		log.Printf("replayed %d acked series from the write-ahead log", ing.ReplayedSeries)
 	}

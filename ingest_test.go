@@ -2,6 +2,8 @@ package climber
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -239,5 +241,60 @@ func TestRebuildInPlaceDiscardsStaleWAL(t *testing.T) {
 	}
 	if got := re.Info().NumRecords; got != 800 {
 		t.Fatalf("NumRecords = %d after rebuild, want 800", got)
+	}
+}
+
+// A reading beyond ±MaxFloat32 is finite to the caller but +Inf at the
+// precision the index stores. Every library entry point rejects it — a
+// query used to come back empty without an error, and an appended series
+// turned later answers' distances into NaN — and a rejected Append stores
+// nothing.
+func TestFloat32OverflowRejected(t *testing.T) {
+	data := smallData(1000)
+	db, err := Build(t.TempDir(), data, ingestOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	big := append([]float64(nil), data[0]...)
+	big[5] = 1e39
+	entry := map[string]func() error{
+		"Search":       func() error { _, err := db.Search(big, 5); return err },
+		"SearchPrefix": func() error { _, err := db.SearchPrefix(big[:32], 5); return err },
+		"SearchBatch":  func() error { _, err := db.SearchBatch([][]float64{data[1], big}, 5); return err },
+		"SearchProgressive": func() error {
+			_, _, err := db.SearchProgressive(big, 5, func(SearchUpdate) bool { return true })
+			return err
+		},
+		"Append": func() error { _, err := db.Append([][]float64{data[1], big}); return err },
+	}
+	for name, call := range entry {
+		if err := call(); err == nil || !strings.Contains(err.Error(), "float32") {
+			t.Errorf("%s with a 1e39 reading: error %v, want one naming float32", name, err)
+		}
+	}
+	if n := db.Info().NumRecords; n != 1000 {
+		t.Errorf("rejected Append stored records: NumRecords = %d, want 1000", n)
+	}
+	if n := db.IngestStats().DeltaRecords; n != 0 {
+		t.Errorf("rejected Append reached the delta: %d records", n)
+	}
+	// The largest float32 is storable, and its answers stay finite.
+	edge := append([]float64(nil), data[0]...)
+	edge[5] = math.MaxFloat32
+	if _, err := db.Append([][]float64{edge}); err != nil {
+		t.Fatalf("Append of MaxFloat32: %v", err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Search(edge, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range res {
+		if math.IsNaN(r.Dist) || math.IsInf(r.Dist, 0) {
+			t.Fatalf("answer carries distance %v: %+v", r.Dist, res)
+		}
 	}
 }

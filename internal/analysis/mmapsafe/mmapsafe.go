@@ -17,6 +17,14 @@
 // passing rec to a kernel that consumes it in place) is the supported
 // idiom.
 //
+// The same callbacks may not reinterpret rec through package unsafe
+// (unsafe.Pointer(&rec[0]), unsafe.SliceData(rec), unsafe.Slice(...)): a
+// typed view — a []float32 over the record bytes, say — aliases the mapping
+// just as rec does, but none of the escape rules above can follow it. Only
+// internal/series, whose scan kernel builds such a view and drops it before
+// returning, is allowed to; every other package hands rec to a series
+// kernel.
+//
 // Helpers that legitimately need to look like they retain — none exist
 // today; the blessing is for future scan infrastructure — carry
 //
@@ -30,6 +38,7 @@ package mmapsafe
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 
 	"climber/internal/analysis/vet"
 )
@@ -37,7 +46,7 @@ import (
 // Analyzer is the mmapsafe check.
 var Analyzer = &vet.Analyzer{
 	Name: "mmapsafe",
-	Doc:  "raw scan-callback record slices (func(id int, rec []byte) error) must not outlive the callback: no stores to fields/globals/captured variables, no aliasing append — mapped partition bytes die with the partition reference",
+	Doc:  "raw scan-callback record slices (func(id int, rec []byte) error) must not outlive the callback: no stores to fields/globals/captured variables, no aliasing append, no unsafe reinterpretation outside internal/series — mapped partition bytes die with the partition reference",
 	Run:  run,
 }
 
@@ -140,6 +149,19 @@ func checkConsumer(pass *vet.Pass, ft *ast.FuncType, body *ast.BlockStmt) {
 	local := func(obj types.Object) bool {
 		return obj != nil && obj.Pos() >= body.Pos() && obj.Pos() < body.End()
 	}
+	// pointsInto reports whether e is rec, an alias, or the address of one
+	// of its bytes — the operands an unsafe reinterpretation starts from.
+	pointsInto := func(e ast.Expr) bool {
+		e = ast.Unparen(e)
+		if u, ok := e.(*ast.UnaryExpr); ok {
+			e = ast.Unparen(u.X)
+		}
+		if ix, ok := e.(*ast.IndexExpr); ok {
+			e = ix.X
+		}
+		return aliases(e)
+	}
+	mayReinterpret := strings.HasSuffix(pass.Pkg.Path(), "internal/series")
 
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch st := n.(type) {
@@ -177,6 +199,16 @@ func checkConsumer(pass *vet.Pass, ft *ast.FuncType, body *ast.BlockStmt) {
 				}
 			}
 		case *ast.CallExpr:
+			if sel, ok := ast.Unparen(st.Fun).(*ast.SelectorExpr); ok && !mayReinterpret {
+				if obj := pass.Info.Uses[sel.Sel]; obj != nil && obj.Pkg() == types.Unsafe {
+					for _, arg := range st.Args {
+						if pointsInto(arg) {
+							pass.Reportf(arg.Pos(),
+								"raw scan record slice reinterpreted through unsafe.%s: a typed view of mapped bytes can outlive the mapping unseen — only internal/series may do this, pass rec to one of its kernels instead", sel.Sel.Name)
+						}
+					}
+				}
+			}
 			id, ok := ast.Unparen(st.Fun).(*ast.Ident)
 			if !ok || id.Name != "append" {
 				break

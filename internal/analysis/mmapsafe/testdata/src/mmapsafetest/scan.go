@@ -3,8 +3,11 @@
 // callback — field stores, globals, captured variables, aliasing appends,
 // composite literals — plus every safe consumption shape the analyzer must
 // leave alone (kernels, byte copies, local aliases, the //climber:mmapscan
-// blessing, the lint:ignore escape hatch).
+// blessing, the lint:ignore escape hatch) — and the unsafe reinterpretation
+// only internal/series may perform.
 package mmapsafetest
+
+import "unsafe"
 
 // partition mimics the storage.Partition raw scan surface: the analyzer
 // matches callbacks by shape, so the fixture needs no real import.
@@ -148,4 +151,34 @@ func ignoredSite(p *partition) error {
 // notACallback has a different shape; stores of its slice are out of scope.
 func notACallback(vals []byte) {
 	sink = vals
+}
+
+// unsafeView reinterprets the record bytes as float32s: the typed view
+// aliases the mapping but no escape rule can see it leave.
+func unsafeView(p *partition) (float32, error) {
+	var first float32
+	err := p.ScanClusterRaw(0, func(id int, rec []byte) error {
+		vals := unsafe.Slice((*float32)(unsafe.Pointer(&rec[0])), len(rec)/4) // want "reinterpreted through unsafe.Pointer"
+		first = vals[0]
+		tail := rec[8:]
+		_ = unsafe.SliceData(tail) // want "reinterpreted through unsafe.SliceData"
+		return nil
+	})
+	return first, err
+}
+
+// kernel stands in for a series scan kernel: it takes the bytes and
+// returns a number.
+func kernel(rec []byte) float64 { return float64(len(rec)) }
+
+// kernelCall hands rec to a kernel, the supported way to read its readings;
+// unsafe applied to anything else in the callback is not the analyzer's
+// business.
+func kernelCall(p *partition) (float64, error) {
+	total := 0.0
+	err := p.ScanClusterRaw(0, func(id int, rec []byte) error {
+		total += kernel(rec) + float64(unsafe.Sizeof(id))
+		return nil
+	})
+	return total, err
 }

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"math"
 	"time"
 
 	"climber"
+	"climber/internal/series"
 )
 
 // ParseVariant maps the wire name of a query algorithm to its Variant.
@@ -27,8 +27,8 @@ func ParseVariant(s string) (climber.Variant, error) {
 }
 
 // DecodeJSON unmarshals one JSON value from data, rejecting trailing
-// garbage. encoding/json rejects NaN and infinite numbers on its own, so a
-// decoded query is always finite.
+// garbage. encoding/json rejects NaN and infinite numbers on its own;
+// CheckQuery additionally rejects finite values float32 cannot hold.
 func DecodeJSON(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	if err := dec.Decode(v); err != nil {
@@ -40,8 +40,9 @@ func DecodeJSON(data []byte, v any) error {
 	return nil
 }
 
-// CheckQuery validates one query series against the index shape: non-empty,
-// exactly seriesLen values, all finite.
+// CheckQuery validates one query or appended series against the index
+// shape: non-empty, exactly seriesLen values, all finite at the float32
+// precision the index stores.
 func CheckQuery(q []float64, seriesLen int) error {
 	if len(q) == 0 {
 		return fmt.Errorf("query is empty")
@@ -49,17 +50,7 @@ func CheckQuery(q []float64, seriesLen int) error {
 	if len(q) != seriesLen {
 		return fmt.Errorf("query length %d, index expects %d", len(q), seriesLen)
 	}
-	return checkFinite(q)
-}
-
-// checkFinite rejects NaN and infinite readings.
-func checkFinite(q []float64) error {
-	for _, v := range q {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("query contains a non-finite value")
-		}
-	}
-	return nil
+	return series.CheckFloat32(q)
 }
 
 // checkOptions validates and normalises the shared request options in
@@ -122,7 +113,7 @@ func DecodePrefixRequest(data []byte, minLen, seriesLen, maxK int) (*SearchReque
 	if len(req.Query) < minLen || len(req.Query) > seriesLen {
 		return nil, fmt.Errorf("prefix query length %d outside [%d, %d]", len(req.Query), minLen, seriesLen)
 	}
-	if err := checkFinite(req.Query); err != nil {
+	if err := series.CheckFloat32(req.Query); err != nil {
 		return nil, err
 	}
 	return &req, nil

@@ -23,6 +23,7 @@ func FuzzSearchRequest(f *testing.F) {
 	f.Add([]byte(`[]`))
 	f.Add([]byte(``))
 	f.Add([]byte(`{"query": [1e999]}`))
+	f.Add([]byte(`{"query": [1,2,1e39,4]}`))
 	f.Add([]byte("\x00\xff\xfe"))
 
 	const seriesLen, maxK, maxBatch = 4, 100, 8
@@ -33,8 +34,8 @@ func FuzzSearchRequest(f *testing.F) {
 				t.Fatalf("accepted query of length %d, want %d", len(req.Query), seriesLen)
 			}
 			for _, v := range req.Query {
-				if math.IsNaN(v) || math.IsInf(v, 0) {
-					t.Fatalf("accepted non-finite query value %v", v)
+				if f := float64(float32(v)); math.IsNaN(f) || math.IsInf(f, 0) {
+					t.Fatalf("accepted query value %v, not finite in float32", v)
 				}
 			}
 			if req.K < 1 || req.K > maxK {
@@ -57,8 +58,8 @@ func FuzzSearchRequest(f *testing.F) {
 					t.Fatalf("accepted batch query of length %d, want %d", len(q), seriesLen)
 				}
 				for _, v := range q {
-					if math.IsNaN(v) || math.IsInf(v, 0) {
-						t.Fatalf("accepted non-finite batch value %v", v)
+					if f := float64(float32(v)); math.IsNaN(f) || math.IsInf(f, 0) {
+						t.Fatalf("accepted batch value %v, not finite in float32", v)
 					}
 				}
 			}

@@ -368,34 +368,41 @@ func (e *executor) scanSteps(ctx context.Context, steps []PlanStep, done planMap
 	} else {
 		boundBits.Store(math.Float64bits(math.Inf(1)))
 	}
-	var recordsScanned atomic.Int64
-
-	// scan ranks one record in its encoded form, straight out of partition
-	// memory: rec is only read inside rawDist and never retained, which is
-	// what lets the raw scan hand out zero-copy subslices of a mapped file.
-	scan := func(id int, rec []byte) error {
-		if n := recordsScanned.Add(1); n%cancelCheckStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		bound := math.Float64frombits(boundBits.Load())
-		d := rawDist(rec, bound)
-		if d >= bound {
-			return nil
-		}
-		mu.Lock()
-		top.Push(id, d)
-		if b, ok := top.Bound(); ok {
-			boundBits.Store(math.Float64bits(b))
-		}
-		mu.Unlock()
-		return nil
-	}
-
 	scanStep := func(st PlanStep) error {
 		if err := ctx.Err(); err != nil {
 			return err
+		}
+		// Records compared by this step, counted without synchronisation —
+		// each step runs on one goroutine — and charged once when the step
+		// ends, cancelled or not.
+		scanned := 0
+		defer func() {
+			mu.Lock()
+			stats.RecordsScanned += scanned
+			mu.Unlock()
+		}()
+		// scan ranks one record in its encoded form, straight out of
+		// partition memory: rec is only read inside rawDist and never
+		// retained, which is what lets the raw scan hand out zero-copy
+		// subslices of a mapped file.
+		scan := func(id int, rec []byte) error {
+			if scanned++; scanned%cancelCheckStride == 0 {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			bound := math.Float64frombits(boundBits.Load())
+			d := rawDist(rec, bound)
+			if d >= bound {
+				return nil
+			}
+			mu.Lock()
+			top.Push(id, d)
+			if b, ok := top.Bound(); ok {
+				boundBits.Store(math.Float64bits(b))
+			}
+			mu.Unlock()
+			return nil
 		}
 		ssp := stage.StartChild("partition")
 		defer ssp.End()
@@ -493,6 +500,5 @@ func (e *executor) scanSteps(ctx context.Context, steps []PlanStep, done planMap
 			}
 		}
 	}
-	stats.RecordsScanned += int(recordsScanned.Load())
 	return err
 }

@@ -54,6 +54,9 @@ func (ix *Index) searchPrefix(ctx context.Context, q []float64, opts SearchOptio
 	if len(q) < skel.Cfg.Segments {
 		return nil, fmt.Errorf("core: prefix query length %d is below the segment count %d", len(q), skel.Cfg.Segments)
 	}
+	if err := series.CheckFloat32(q); err != nil {
+		return nil, fmt.Errorf("core: prefix query: %w", err)
+	}
 
 	// Segment the short query into the same w segments the pivots live in.
 	tr, err := paa.NewTransformer(len(q), skel.Cfg.Segments)

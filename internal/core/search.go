@@ -221,6 +221,9 @@ func (ix *Index) search(ctx context.Context, q []float64, opts SearchOptions, si
 	if len(q) != g.Skel.SeriesLen {
 		return nil, fmt.Errorf("core: query length %d, index expects %d", len(q), g.Skel.SeriesLen)
 	}
+	if err := series.CheckFloat32(q); err != nil {
+		return nil, fmt.Errorf("core: query: %w", err)
+	}
 	// Lines 2-4 of Algorithm 3: transform the query exactly as records were
 	// transformed during Step 4. The scan loop (exec.go) runs on the blocked
 	// early-abandon kernels: multi-lane accumulation with the top-k limit

@@ -10,6 +10,7 @@ import (
 
 	"climber/internal/cluster"
 	"climber/internal/core"
+	"climber/internal/series"
 )
 
 // ErrClosed is returned by Append and Flush after Close.
@@ -181,6 +182,9 @@ func (g *Ingester) Append(ctx context.Context, data [][]float64) ([]int, error) 
 	for i, r := range data {
 		if len(r) != seriesLen {
 			return nil, fmt.Errorf("ingest: series %d has length %d, index stores %d", i, len(r), seriesLen)
+		}
+		if err := series.CheckFloat32(r); err != nil {
+			return nil, fmt.Errorf("ingest: series %d: %w", i, err)
 		}
 	}
 	if err := g.lock(ctx); err != nil {

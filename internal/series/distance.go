@@ -47,16 +47,25 @@ func SqDistEarlyAbandon(x, y []float64, limit float64) float64 {
 
 // Blocked-kernel geometry. The lane count breaks the floating-point
 // dependency chain of the scalar loop into independent accumulators the
-// compiler can keep in separate registers (and auto-vectorise); the abandon
-// block is how many readings SqDistEarlyAbandonBlocked compares between
-// limit checks, amortising the branch that the scalar kernel pays per
-// element.
+// compiler keeps in separate registers — gc does not vectorise the loop; the
+// lanes buy instruction-level parallelism, nothing more. The float32 scan
+// kernel (distance32.go) has its own, wider lane count.
+//
+// abandonBlock is how many readings an early-abandoning kernel accumulates
+// between limit checks, amortising the branch (and, in the float32 kernel,
+// the lane fold) that a scalar kernel pays per element. The float64 and
+// float32 kernels share it. Measured with the float32 assembly kernel on
+// the benchmark's warm-knn and cold-od data (two --trace 1 runs each): block
+// 32 read series.sqdist32_ea_ns_per_elem 0.20-0.21 / 0.15-0.19 and
+// core.scan_us 214-235 / 3082-3576; block 64 read 0.18-0.19 / 0.15 and
+// 230-243 / 2873-2918 — no difference the runs can resolve, so the finer
+// abandon granularity stays.
 const (
 	distLanes    = 4
 	abandonBlock = 32
 )
 
-// SqDistBlocked is SqDist restructured for vectorisation: the accumulation
+// SqDistBlocked is SqDist with its dependency chain broken: the accumulation
 // runs in distLanes independent lanes folded once at the end. It panics when
 // the lengths differ. The result is the same sum in a different association
 // order, so it can differ from SqDist in the last few ULPs — callers that

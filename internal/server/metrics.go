@@ -8,6 +8,7 @@ import (
 
 	"climber"
 	"climber/internal/api"
+	"climber/internal/series"
 )
 
 // metrics aggregates the server's operational counters. The admission
@@ -103,6 +104,9 @@ func (m *metrics) renderProm(w *strings.Builder, buildInfo string, slowTotal int
 		fmt.Fprintf(w, "# TYPE climber_build_info gauge\n")
 		fmt.Fprintf(w, "climber_build_info{%s} 1\n", buildInfo)
 	}
+	fmt.Fprintf(w, "# HELP climber_scan_kernel_info Float32 scan kernel implementation this process selected at start-up; constant 1.\n")
+	fmt.Fprintf(w, "# TYPE climber_scan_kernel_info gauge\n")
+	fmt.Fprintf(w, "climber_scan_kernel_info{impl=%q} 1\n", series.KernelName())
 	counter("climber_search_requests_total", "Answered /search requests.", m.searches.Load())
 	counter("climber_batch_requests_total", "Answered /search/batch requests.", m.batches.Load())
 	counter("climber_batch_queries_total", "Queries inside answered batches.", m.batchQueries.Load())

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"climber/internal/obs"
+	"climber/internal/series"
 )
 
 // findChild returns d's first direct child named name, or nil.
@@ -201,6 +202,7 @@ func TestMetricsObservability(t *testing.T) {
 	for _, want := range []string{
 		`climber_build_info{version="`,
 		`series_len="64"`,
+		`climber_scan_kernel_info{impl="` + series.KernelName() + `"} 1`,
 		`climber_stage_latency_seconds_bucket{stage="plan"`,
 		`climber_stage_latency_seconds_bucket{stage="scan"`,
 		"climber_traced_queries_total 1",

@@ -703,4 +703,20 @@ func TestAppendValidationErrors(t *testing.T) {
 			t.Errorf("case %d: status %d, want 400", i, rec.Code)
 		}
 	}
+
+	// A reading finite in float64 but not in float32 (the storage
+	// precision) would be stored as +Inf and turn later distances into
+	// NaN: a 400 naming the precision, and nothing stored.
+	big := make([]float64, 64)
+	big[7] = 1e39
+	rec := postJSON(t, h, "/append", AppendRequest{Series: [][]float64{big}})
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "float32") {
+		t.Errorf("append of 1e39: status %d body %s, want 400 naming float32", rec.Code, rec.Body)
+	}
+	if n := db.Info().NumRecords; n != 1000 {
+		t.Errorf("rejected append stored records: %d, want 1000", n)
+	}
+	if rec := postJSON(t, h, "/search", SearchRequest{Query: big, K: 3}); rec.Code != http.StatusBadRequest {
+		t.Errorf("search for 1e39: status %d, want 400", rec.Code)
+	}
 }
