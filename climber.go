@@ -87,6 +87,7 @@ import (
 	"climber/internal/ingest"
 	"climber/internal/metric"
 	"climber/internal/series"
+	"climber/internal/storage"
 )
 
 // Version identifies this build of the library on the wire: the
@@ -178,7 +179,19 @@ type IngestStats struct {
 	// CompactErrors counts failed background compaction attempts; each is
 	// retried on the next trigger.
 	CompactErrors int64
+	// CompactBytesWritten is the partition-file volume completed
+	// compactions rewrote; CompactSeconds is their total duration and
+	// CompactDurations its histogram — completed compactions per
+	// CompactionBuckets bound, not cumulated, the last entry counting those
+	// beyond the largest bound.
+	CompactBytesWritten int64
+	CompactSeconds      float64
+	CompactDurations    [len(CompactionBuckets) + 1]int64
 }
+
+// CompactionBuckets are the upper bounds (seconds) of
+// IngestStats.CompactDurations.
+var CompactionBuckets = ingest.CompactionBuckets
 
 // CacheStats reports the cumulative effect of the shared partition cache
 // across every query answered by this DB. The cache counters (Hits,
@@ -202,6 +215,13 @@ type CacheStats struct {
 	// WithMmap); for those the kernel can reclaim pages under pressure, so
 	// MappedBytes bounds page-cache footprint rather than heap.
 	ResidentBytes, MappedBytes int64
+	// LoadBuffersReused and LoadBuffersFresh count the partition-sized
+	// buffers heap loads and compaction merges took from the recycled pool
+	// and the ones they had to allocate; BufferIdleBytes is the capacity
+	// the pool holds idle right now. The pool is shared by every DB in the
+	// process, and so are these three.
+	LoadBuffersReused, LoadBuffersFresh int64
+	BufferIdleBytes                     int64
 }
 
 // Explanation is the engine's record of how one query navigated the
@@ -670,14 +690,18 @@ func (db *DB) SearchExplainContext(ctx context.Context, q []float64, k int, opts
 func (db *DB) CacheStats() CacheStats {
 	s := &db.cl.Stats
 	resident, mapped := db.cl.CacheResidentBytes()
+	pool := storage.BufferPoolStats()
 	return CacheStats{
-		Hits:             s.PartitionCacheHits.Load(),
-		Misses:           s.PartitionCacheMisses.Load(),
-		Evictions:        s.PartitionCacheEvictions.Load(),
-		BytesSaved:       s.PartitionCacheBytesSaved.Load(),
-		PartitionsLoaded: s.PartitionsLoaded.Load(),
-		ResidentBytes:    resident,
-		MappedBytes:      mapped,
+		Hits:              s.PartitionCacheHits.Load(),
+		Misses:            s.PartitionCacheMisses.Load(),
+		Evictions:         s.PartitionCacheEvictions.Load(),
+		BytesSaved:        s.PartitionCacheBytesSaved.Load(),
+		PartitionsLoaded:  s.PartitionsLoaded.Load(),
+		ResidentBytes:     resident,
+		MappedBytes:       mapped,
+		LoadBuffersReused: pool.Reused,
+		LoadBuffersFresh:  pool.Fresh,
+		BufferIdleBytes:   pool.IdleBytes,
 	}
 }
 
@@ -744,17 +768,7 @@ func (db *DB) IngestStats() IngestStats {
 		return IngestStats{}
 	}
 	s := db.ing.Stats()
-	return IngestStats{
-		AppendCalls:     s.AppendCalls,
-		AppendedSeries:  s.AppendedSeries,
-		ReplayedSeries:  s.ReplayedSeries,
-		WALBytes:        s.WALBytes,
-		Compactions:     s.Compactions,
-		CompactedSeries: s.CompactedSeries,
-		DeltaRecords:    s.DeltaRecords,
-		DeltaBytes:      s.DeltaBytes,
-		CompactErrors:   s.CompactErrors,
-	}
+	return IngestStats(s)
 }
 
 // SearchPrefix answers a query shorter than the indexed series length —

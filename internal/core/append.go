@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math/rand/v2"
-	"os"
 	"sort"
 
 	"climber/internal/cluster"
@@ -127,7 +126,7 @@ func (ix *Index) Append(records [][]float64) ([]int, error) {
 		ids[i] = id
 		routed[i] = Routed{ID: id, Route: ix.RouteNew(id, r), Values: r}
 	}
-	if err := ix.WriteRouted(routed); err != nil {
+	if _, err := ix.WriteRouted(routed); err != nil {
 		// Hand the reservation back so the ID sequence stays dense. Any
 		// partitions already rewritten hold orphans under these IDs; a
 		// retry reissues the same IDs and the replace-by-ID merge lands
@@ -139,18 +138,19 @@ func (ix *Index) Append(records [][]float64) ([]int, error) {
 }
 
 // WriteRouted lands already-routed records in their partition files,
-// grouping by destination so each affected partition is rewritten once.
-// Callers must serialise WriteRouted calls (see Append) — which also keeps
-// them serialised against generation swaps, so the whole batch lands in one
-// generation's files. Queries running concurrently are safe — partition
-// files are replaced atomically, so they see either the old or the new
-// consistent snapshot.
-func (ix *Index) WriteRouted(recs []Routed) error {
+// grouping by destination so each affected partition is rewritten once, and
+// returns the partition-file bytes it wrote. Callers must serialise
+// WriteRouted calls (see Append) — which also keeps them serialised against
+// generation swaps, so the whole batch lands in one generation's files.
+// Queries running concurrently are safe — partition files are replaced
+// atomically, so they see either the old or the new consistent snapshot.
+func (ix *Index) WriteRouted(recs []Routed) (written int64, err error) {
 	g := ix.AcquireGeneration()
 	defer g.Release()
-	byPartition := make(map[int][]Routed)
+	byPartition := make(map[int][]storage.Incoming)
 	for _, r := range recs {
-		byPartition[r.Route.Partition] = append(byPartition[r.Route.Partition], r)
+		byPartition[r.Route.Partition] = append(byPartition[r.Route.Partition],
+			storage.Incoming{Cluster: r.Route.Cluster, ID: r.ID, Values: r.Values})
 	}
 	pids := make([]int, 0, len(byPartition))
 	for pid := range byPartition {
@@ -158,69 +158,36 @@ func (ix *Index) WriteRouted(recs []Routed) error {
 	}
 	sort.Ints(pids)
 	for _, pid := range pids {
-		if err := ix.appendToPartition(g, pid, byPartition[pid]); err != nil {
-			return err
+		n, err := ix.appendToPartition(g, pid, byPartition[pid])
+		written += n
+		if err != nil {
+			return written, err
 		}
 	}
-	return nil
+	return written, nil
 }
 
 // appendToPartition merges recs into one partition file. Partition files are
 // immutable cluster-contiguous layouts, so append is read-modify-replace —
-// cheap because partitions are capacity bounded.
+// storage.MergePartition's byte-level merge, cheap because partitions are
+// capacity bounded.
 //
 // The merge is idempotent: an existing record whose ID reappears in recs is
 // replaced rather than duplicated. This is what makes WAL replay after a
 // crash between partition writes and the manifest save safe — recompacting
 // a replayed record lands it exactly once.
-func (ix *Index) appendToPartition(g *Generation, pid int, recs []Routed) error {
+func (ix *Index) appendToPartition(g *Generation, pid int, recs []storage.Incoming) (written int64, err error) {
 	path := g.Parts.Paths[pid]
-	w := storage.NewPartitionWriter(g.Parts.SeriesLen)
-	incoming := make(map[int]struct{}, len(recs))
-	for _, r := range recs {
-		incoming[r.ID] = struct{}{}
-	}
-
-	existing, err := storage.OpenPartition(path)
+	count, written, err := storage.MergePartition(path, recs)
 	if err != nil {
-		return err
-	}
-	for _, ci := range existing.Clusters() {
-		cid := ci.ID
-		err := existing.ScanCluster(cid, func(id int, values []float64) error {
-			if _, replaced := incoming[id]; replaced {
-				return nil
-			}
-			return w.Append(cid, id, values)
-		})
-		if err != nil {
-			existing.Close()
-			return err
-		}
-	}
-	existing.Close()
-
-	for _, r := range recs {
-		// Routed delta records are immutable once drained, so the writer can
-		// take ownership of the slice instead of copying it.
-		if err := w.AppendOwned(r.Route.Cluster, r.ID, r.Values); err != nil {
-			return err
-		}
-	}
-
-	tmp := path + ".tmp"
-	if err := w.Flush(tmp); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("core: replace partition %d: %w", pid, err)
+		return 0, fmt.Errorf("core: rewrite partition %d: %w", pid, err)
 	}
 	// The partition cache, when enabled, may hold the replaced file; drop
 	// it so the next query loads the merged contents. In-flight queries
 	// keep scanning their immutable snapshot.
 	ix.Cl.InvalidatePartition(path)
 	ix.countsMu.Lock()
-	g.Parts.Counts[pid] = w.Count()
+	g.Parts.Counts[pid] = count
 	ix.countsMu.Unlock()
-	return nil
+	return written, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,7 +65,20 @@ type Stats struct {
 	// CompactErrors counts failed compaction attempts (each is retried on
 	// the next trigger).
 	CompactErrors int64
+	// CompactBytesWritten is the partition-file volume completed
+	// compactions rewrote. CompactSeconds is their total duration and
+	// CompactDurations its histogram: completed compactions per
+	// CompactionBuckets bound, not cumulated, the last entry counting those
+	// beyond the largest bound.
+	CompactBytesWritten int64
+	CompactSeconds      float64
+	CompactDurations    [len(CompactionBuckets) + 1]int64
 }
+
+// CompactionBuckets are the upper bounds (seconds) of the
+// compaction-duration histogram: from one small partition rewritten to a
+// drain that touches every partition of a large index.
+var CompactionBuckets = [...]float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}
 
 // Ingester is the streaming write path of one index: WAL + delta + background
 // compactor. Create it with Open; it serialises every mutation internally,
@@ -110,6 +124,9 @@ type Ingester struct {
 	compactions     atomic.Int64
 	compactedSeries atomic.Int64
 	compactErrors   atomic.Int64
+	compactBytes    atomic.Int64
+	compactNanos    atomic.Int64
+	compactDur      [len(CompactionBuckets) + 1]atomic.Int64
 }
 
 // Open attaches a streaming ingestion pipeline to ix: it opens (creating if
@@ -389,17 +406,23 @@ func (g *Ingester) unlock()       { <-g.sem }
 
 // Stats snapshots the pipeline's counters.
 func (g *Ingester) Stats() Stats {
-	return Stats{
-		AppendCalls:     g.appendCalls.Load(),
-		AppendedSeries:  g.appendedSeries.Load(),
-		ReplayedSeries:  g.replayedSeries.Load(),
-		WALBytes:        g.walBytes.Load(),
-		Compactions:     g.compactions.Load(),
-		CompactedSeries: g.compactedSeries.Load(),
-		DeltaRecords:    g.delta.Load().Len(),
-		DeltaBytes:      g.delta.Load().Bytes(),
-		CompactErrors:   g.compactErrors.Load(),
+	s := Stats{
+		AppendCalls:         g.appendCalls.Load(),
+		AppendedSeries:      g.appendedSeries.Load(),
+		ReplayedSeries:      g.replayedSeries.Load(),
+		WALBytes:            g.walBytes.Load(),
+		Compactions:         g.compactions.Load(),
+		CompactedSeries:     g.compactedSeries.Load(),
+		DeltaRecords:        g.delta.Load().Len(),
+		DeltaBytes:          g.delta.Load().Bytes(),
+		CompactErrors:       g.compactErrors.Load(),
+		CompactBytesWritten: g.compactBytes.Load(),
+		CompactSeconds:      float64(g.compactNanos.Load()) / 1e9,
 	}
+	for i := range g.compactDur {
+		s.CompactDurations[i] = g.compactDur[i].Load()
+	}
+	return s
 }
 
 // DeltaLen returns the number of acked records not yet compacted.
@@ -477,7 +500,9 @@ func (g *Ingester) compactLocked() error {
 	if len(recs) == 0 {
 		return nil
 	}
-	if err := g.ix.WriteRouted(recs); err != nil {
+	begin := time.Now()
+	written, err := g.ix.WriteRouted(recs)
+	if err != nil {
 		return fmt.Errorf("ingest: compact: %w", err)
 	}
 	if err := g.save(); err != nil {
@@ -490,6 +515,12 @@ func (g *Ingester) compactLocked() error {
 	g.walBytes.Store(g.wal.Size())
 	g.compactions.Add(1)
 	g.compactedSeries.Add(int64(len(recs)))
+	g.compactBytes.Add(written)
+	took := time.Since(begin)
+	g.compactNanos.Add(took.Nanoseconds())
+	// The first bound at or above the duration; len(CompactionBuckets), the
+	// overflow entry, when there is none.
+	g.compactDur[sort.SearchFloat64s(CompactionBuckets[:], took.Seconds())].Add(1)
 	return nil
 }
 

@@ -226,7 +226,7 @@ func TestCrashBetweenCompactAndTruncateIsIdempotent(t *testing.T) {
 	}
 	// Land the records in partitions + manifest, but "crash" before the
 	// WAL truncation by compacting through the index directly.
-	if err := ix.WriteRouted(snapshotOf(g)); err != nil {
+	if _, err := ix.WriteRouted(snapshotOf(g)); err != nil {
 		t.Fatal(err)
 	}
 	if err := core.SaveIndex(ix, filepath.Join(dir, "index.clms")); err != nil {

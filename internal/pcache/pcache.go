@@ -23,9 +23,10 @@
 // must Release it when the scan finishes. Eviction, invalidation, and Purge
 // only drop the cache's reference — a memory-mapped partition is therefore
 // unmapped exactly when the last in-flight scan over it drains, never under
-// one. The byte budget charges MemBytes (mapped pages at file size, heap
-// copies at file size plus directory), so it bounds the cache's resident-set
-// contribution, not a decoded-copy proxy.
+// one, and a heap copy's buffer is recycled for another partition's load
+// only then. The byte budget charges MemBytes (mapped pages at file size,
+// heap copies at the capacity of their pooled buffer, plus directory), so it
+// bounds the cache's resident-set contribution, not a decoded-copy proxy.
 package pcache
 
 import (
@@ -227,8 +228,9 @@ func (c *Cache) insertLocked(key string, p *storage.Partition) {
 // removeLocked detaches an entry and returns the cache's reference. For a
 // mapped partition with no other outstanding references that final Release
 // unmaps it — an eviction is an unmap exactly when no scan still needs the
-// pages. Release runs under c.mu; teardown is a munmap or file close, cheap
-// enough not to be worth the unlock/relock dance.
+// pages. Release runs under c.mu; teardown is a munmap, a file close or a
+// heap buffer parked on the storage pool's idle list (a short mutex, no
+// I/O), cheap enough not to be worth the unlock/relock dance.
 func (c *Cache) removeLocked(e *entry) {
 	c.ll.Remove(e.elem)
 	delete(c.entries, e.key)

@@ -1,7 +1,10 @@
 package pcache
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -9,11 +12,12 @@ import (
 )
 
 // The satellite fix this pins: the budget charges what a partition actually
-// keeps resident (MemBytes — file bytes plus decoded directory), for both
-// kinds of resident partition, and MappedBytes reports the mapped share.
+// keeps resident (MemBytes — a heap copy's whole pooled buffer or a
+// mapping's file bytes, plus decoded directory), for both kinds of resident
+// partition, and MappedBytes reports the mapped share.
 func TestBytesChargesDecodedAndMappedKinds(t *testing.T) {
 	dir := t.TempDir()
-	decPath, _ := writePartition(t, dir, "dec.clmp", 20)
+	decPath, decSize := writePartition(t, dir, "dec.clmp", 20)
 	mapPath, mapSize := writePartition(t, dir, "map.clmp", 30)
 	c := New(1<<20, Counters{})
 
@@ -25,6 +29,9 @@ func TestBytesChargesDecodedAndMappedKinds(t *testing.T) {
 	want := dec.MemBytes()
 	if got := c.Bytes(); got != want {
 		t.Fatalf("decoded-only Bytes() = %d, want %d", got, want)
+	}
+	if want < decSize || want > 2*decSize+1024 {
+		t.Fatalf("heap partition of %d file bytes charged %d; want its buffer's capacity, within [size, 2*size] plus directory", decSize, want)
 	}
 	if got := c.MappedBytes(); got != 0 {
 		t.Fatalf("decoded-only MappedBytes() = %d, want 0", got)
@@ -165,5 +172,86 @@ func TestConcurrentRawScanDuringInvalidate(t *testing.T) {
 		default:
 			c.Invalidate(path)
 		}
+	}
+}
+
+// The -race recycling-safety test, the heap twin of the unmap test above:
+// every partition is filled with its own marker value and the budget holds
+// one of them, so every Get evicts and every evicted buffer goes back to the
+// storage pool for the next load to overwrite. A scan holds its reference
+// for its whole duration, so it must see its own partition's marker in every
+// reading — another marker means a buffer was re-issued before its last
+// Release.
+func TestConcurrentRawScanDuringEvictionHeap(t *testing.T) {
+	const parts, records, seriesLen = 6, 40, 8
+	dir := t.TempDir()
+	paths := make([]string, parts)
+	for i := range paths {
+		w := storage.NewPartitionWriter(seriesLen)
+		vals := make([]float64, seriesLen)
+		for j := range vals {
+			vals[j] = float64(i + 1)
+		}
+		for id := 0; id < records; id++ {
+			if err := w.Append(0, id, vals); err != nil {
+				t.Fatal(err)
+			}
+		}
+		paths[i] = filepath.Join(dir, fmt.Sprintf("p%d.clmp", i))
+		if err := w.Flush(paths[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := New(memBytesOf(t, paths[0])+1, Counters{})
+
+	const goroutines = 8
+	const scansPer = 200
+	var wg sync.WaitGroup
+	errs := make(chan error, goroutines)
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < scansPer; i++ {
+				part := (g + i) % parts
+				path := paths[part]
+				p, _, err := c.Get(path, func() (*storage.Partition, error) { return storage.LoadPartition(path) })
+				if err != nil {
+					errs <- err
+					return
+				}
+				marker := math.Float32bits(float32(part + 1))
+				n := 0
+				err = p.ScanClusterRaw(0, func(id int, rec []byte) error {
+					for off := 0; off < len(rec); off += 4 {
+						if got := binary.LittleEndian.Uint32(rec[off:]); got != marker {
+							return fmt.Errorf("partition %d record %d reads %v, want its marker %d",
+								part, id, math.Float32frombits(got), part+1)
+						}
+					}
+					n++
+					return nil
+				})
+				if err == nil && n != records {
+					err = fmt.Errorf("partition %d scanned %d records, want %d", part, n, records)
+				}
+				p.Release()
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if c.counters.Evictions.Load() == 0 {
+		t.Fatal("the budget never evicted; the test exercised no recycling")
+	}
+	if reused := storage.BufferPoolStats().Reused; reused == 0 {
+		t.Fatal("no load reused a buffer; the test exercised no recycling")
 	}
 }

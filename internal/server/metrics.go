@@ -138,6 +138,11 @@ func (m *metrics) renderProm(w *strings.Builder, buildInfo string, slowTotal int
 	counter("climber_partitions_loaded_total", "Real partition disk loads.", cache.PartitionsLoaded)
 	gauge("climber_partition_cache_resident_bytes", "Partition-cache charge against its byte budget (metadata plus decoded or mapped bytes).", cache.ResidentBytes)
 	gauge("climber_partition_cache_mapped_bytes", "Subset of resident bytes served by read-only memory mappings.", cache.MappedBytes)
+	fmt.Fprintf(w, "# HELP climber_partition_load_buffers_total Partition-sized buffers issued to heap loads and compaction merges, by whether the recycled pool had one.\n")
+	fmt.Fprintf(w, "# TYPE climber_partition_load_buffers_total counter\n")
+	fmt.Fprintf(w, "climber_partition_load_buffers_total{source=\"reused\"} %d\n", cache.LoadBuffersReused)
+	fmt.Fprintf(w, "climber_partition_load_buffers_total{source=\"fresh\"} %d\n", cache.LoadBuffersFresh)
+	gauge("climber_partition_buffer_idle_bytes", "Capacity the recycled partition-buffer pool holds idle.", cache.BufferIdleBytes)
 
 	counter("climber_append_requests_total", "Answered /append requests.", m.appends.Load())
 	counter("climber_append_series_total", "Series inside successful appends.", m.appendSeries.Load())
@@ -149,6 +154,18 @@ func (m *metrics) renderProm(w *strings.Builder, buildInfo string, slowTotal int
 	counter("climber_compactions_total", "Completed delta-to-partition compactions.", ing.Compactions)
 	counter("climber_compacted_series_total", "Series moved from the delta into partition files.", ing.CompactedSeries)
 	counter("climber_compact_errors_total", "Failed background compaction attempts.", ing.CompactErrors)
+	counter("climber_compaction_bytes_written_total", "Partition-file bytes completed compactions rewrote.", ing.CompactBytesWritten)
+	fmt.Fprintf(w, "# HELP climber_compaction_duration_seconds Duration of completed delta-to-partition compactions.\n")
+	fmt.Fprintf(w, "# TYPE climber_compaction_duration_seconds histogram\n")
+	var cum int64
+	for i, le := range climber.CompactionBuckets {
+		cum += ing.CompactDurations[i]
+		fmt.Fprintf(w, "climber_compaction_duration_seconds_bucket{le=\"%g\"} %d\n", le, cum)
+	}
+	cum += ing.CompactDurations[len(climber.CompactionBuckets)]
+	fmt.Fprintf(w, "climber_compaction_duration_seconds_bucket{le=\"+Inf\"} %d\n", cum)
+	fmt.Fprintf(w, "climber_compaction_duration_seconds_sum %g\n", ing.CompactSeconds)
+	fmt.Fprintf(w, "climber_compaction_duration_seconds_count %d\n", cum)
 	gauge("climber_wal_bytes", "Current write-ahead-log size in bytes.", ing.WALBytes)
 	gauge("climber_delta_records", "Acked records resident in the in-memory delta index.", int64(ing.DeltaRecords))
 	gauge("climber_delta_bytes", "Storage-equivalent bytes resident in the delta index.", ing.DeltaBytes)

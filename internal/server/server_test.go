@@ -665,6 +665,18 @@ func TestAppendEndpoint(t *testing.T) {
 	if stats.Ingest.DeltaRecords != 0 || stats.Ingest.Compactions != 1 {
 		t.Fatalf("ingest stats after flush: %+v", stats.Ingest)
 	}
+	// The one compaction was timed and its rewritten bytes counted, and the
+	// merge took its two partition buffers from the pool.
+	var timed int64
+	for _, n := range stats.Ingest.CompactDurations {
+		timed += n
+	}
+	if timed != 1 || stats.Ingest.CompactSeconds <= 0 || stats.Ingest.CompactBytesWritten <= 0 {
+		t.Fatalf("compaction duration/bytes after flush: %+v", stats.Ingest)
+	}
+	if stats.Cache.LoadBuffersReused+stats.Cache.LoadBuffersFresh < 2 {
+		t.Fatalf("partition-buffer counters after a compaction: %+v", stats.Cache)
+	}
 	rec = postJSON(t, h, "/search", SearchRequest{Query: series[3], K: 3})
 	var sr SearchResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil {
@@ -680,6 +692,12 @@ func TestAppendEndpoint(t *testing.T) {
 		"climber_append_requests_total 1",
 		"climber_append_series_total 10",
 		"climber_compactions_total 1",
+		"climber_compaction_duration_seconds_count 1",
+		"climber_compaction_duration_seconds_bucket{le=\"+Inf\"} 1",
+		fmt.Sprintf("climber_compaction_bytes_written_total %d", stats.Ingest.CompactBytesWritten),
+		"climber_partition_load_buffers_total{source=\"reused\"}",
+		"climber_partition_load_buffers_total{source=\"fresh\"}",
+		"climber_partition_buffer_idle_bytes",
 		"climber_delta_records 0",
 		"climber_wal_bytes 12",
 	} {

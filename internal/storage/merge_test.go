@@ -1,0 +1,387 @@
+package storage
+
+import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
+	"io/fs"
+	"math/rand/v2"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+)
+
+// writerFile flushes recs through a PartitionWriter — the reference every
+// merge is compared against — and returns the file's bytes.
+func writerFile(t testing.TB, path string, seriesLen int, recs []Incoming) []byte {
+	t.Helper()
+	pw := NewPartitionWriter(seriesLen)
+	for _, r := range recs {
+		if err := pw.Append(r.Cluster, r.ID, r.Values); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := pw.Flush(path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// checkMerge merges incoming into the file holding old and requires the
+// result to be, byte for byte, the PartitionWriter file of the surviving old
+// records plus incoming, with a valid checksum and the reported count.
+func checkMerge(t *testing.T, seriesLen int, old, incoming []Incoming) {
+	t.Helper()
+	dir := t.TempDir()
+	path := filepath.Join(dir, "p.clmp")
+	writerFile(t, path, seriesLen, old)
+
+	replaced := make(map[int]bool)
+	for _, r := range incoming {
+		replaced[r.ID] = true
+	}
+	var union []Incoming
+	for _, r := range old {
+		if !replaced[r.ID] {
+			union = append(union, r)
+		}
+	}
+	union = append(union, incoming...)
+	want := writerFile(t, filepath.Join(dir, "want.clmp"), seriesLen, union)
+
+	count, written, err := MergePartition(path, incoming)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("merged file differs from the PartitionWriter file (%d vs %d bytes)", len(got), len(want))
+	}
+	if count != len(union) || written != int64(len(want)) {
+		t.Fatalf("MergePartition reported %d records, %d bytes; want %d, %d", count, written, len(union), len(want))
+	}
+	p, err := OpenPartition(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if err := p.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if p.Count() != len(union) {
+		t.Fatalf("merged partition holds %d records, want %d", p.Count(), len(union))
+	}
+}
+
+// The merge's contract over random inputs: new clusters, replaced IDs (in
+// place and moved to another cluster), incoming IDs below every existing one,
+// an empty old partition, an empty incoming set.
+func TestMergeMatchesWriter(t *testing.T) {
+	rng := rand.New(rand.NewPCG(15, 1))
+	for round := 0; round < 200; round++ {
+		seriesLen := 1 + rng.IntN(12)
+		clusters := 1 + rng.IntN(6)
+		record := func(id int) Incoming {
+			vals := make([]float64, seriesLen)
+			for j := range vals {
+				vals[j] = rng.NormFloat64()
+			}
+			return Incoming{Cluster: ClusterID(rng.IntN(clusters) - 2), ID: id, Values: vals}
+		}
+		// Old IDs start at 100 so incoming ones can land below them.
+		var old []Incoming
+		if round%7 != 0 {
+			for i, n := 0, rng.IntN(60); i < n; i++ {
+				old = append(old, record(100+2*i))
+			}
+		}
+		var incoming []Incoming
+		if round%5 != 0 {
+			for _, id := range rng.Perm(250)[:rng.IntN(40)] {
+				r := record(id)
+				if rng.IntN(3) == 0 {
+					r.Cluster += ClusterID(clusters) // a cluster the old file never saw
+				}
+				incoming = append(incoming, r)
+			}
+		}
+		checkMerge(t, seriesLen, old, incoming)
+	}
+}
+
+// A file whose records are not in the canonical order (nothing but
+// PartitionWriter's sort guarantees it) still merges to the canonical file.
+func TestMergeCanonicalisesUnsortedFile(t *testing.T) {
+	const seriesLen = 3
+	recs := []Incoming{
+		{Cluster: 1, ID: 5, Values: []float64{1, 2, 3}},
+		{Cluster: 1, ID: 9, Values: []float64{4, 5, 6}},
+		{Cluster: 2, ID: 7, Values: []float64{7, 8, 9}},
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "p.clmp")
+	raw := writerFile(t, path, seriesLen, recs)
+	// Swap cluster 1's two records and re-seal the checksum.
+	rb := RecordBytes(seriesLen)
+	first := 16 + 12*2
+	a := append([]byte(nil), raw[first:first+rb]...)
+	copy(raw[first:], raw[first+rb:first+2*rb])
+	copy(raw[first+rb:], a)
+	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[:len(raw)-4]))
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	incoming := []Incoming{{Cluster: 1, ID: 6, Values: []float64{0, 0, 0}}}
+	want := writerFile(t, filepath.Join(dir, "want.clmp"), seriesLen, append(recs, incoming...))
+	if _, _, err := MergePartition(path, incoming); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("merge of an unsorted file is not the canonical file")
+	}
+}
+
+func TestMergeRejectsWrongLength(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "p.clmp")
+	before := writerFile(t, path, 4, []Incoming{{Cluster: 0, ID: 1, Values: make([]float64, 4)}})
+	if _, _, err := MergePartition(path, []Incoming{{Cluster: 0, ID: 2, Values: make([]float64, 3)}}); err == nil {
+		t.Fatal("merge accepted a record of the wrong length")
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("rejected merge changed the partition file")
+	}
+}
+
+func listDir(t *testing.T, dir string) []string {
+	t.Helper()
+	var out []string
+	err := filepath.WalkDir(dir, func(p string, _ fs.DirEntry, err error) error {
+		out = append(out, p)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// A failed replace leaves nothing behind: the rename target is squatted by a
+// non-empty directory, so the temporary file is written and the rename fails.
+func TestReplaceFileRemovesTempOnRenameFailure(t *testing.T) {
+	dir := t.TempDir()
+	target := filepath.Join(dir, "p.clmp")
+	if err := os.MkdirAll(filepath.Join(target, "squatter"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	before := listDir(t, dir)
+	if err := replaceFile(target, []byte("partition bytes")); err == nil {
+		t.Fatal("replace over a non-empty directory succeeded")
+	}
+	if after := listDir(t, dir); !reflect.DeepEqual(before, after) {
+		t.Fatalf("failed replace changed the directory:\nbefore %v\nafter  %v", before, after)
+	}
+	if err := os.RemoveAll(target); err != nil {
+		t.Fatal(err)
+	}
+	if err := replaceFile(target, []byte("partition bytes")); err != nil {
+		t.Fatalf("replace after the squatter left: %v", err)
+	}
+	if got := listDir(t, dir); len(got) != 2 {
+		t.Fatalf("successful replace left %v, want the directory and the file", got)
+	}
+}
+
+// The pool's contract as LoadPartition sees it: the buffer of a released
+// partition serves the next load of a similar size, a partition still
+// referenced keeps its buffer to itself, and the bytes read are the file's
+// either way.
+func TestLoadPartitionRecyclesBuffers(t *testing.T) {
+	pathA, wantA := buildPartition(t, 8, 40)
+	pathB, wantB := buildPartition(t, 8, 40)
+	// Start from an empty idle list so the buffer released below is the only
+	// candidate for the load that follows it.
+	bufPool.mu.Lock()
+	bufPool.idle, bufPool.idleBytes = nil, 0
+	bufPool.mu.Unlock()
+
+	a, err := LoadPartition(pathA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := &a.data[0]
+	b, err := LoadPartition(pathB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &b.data[0] == held {
+		t.Fatal("a buffer was issued twice while its first partition is still referenced")
+	}
+	if err := a.Release(); err != nil {
+		t.Fatal(err)
+	}
+	before := BufferPoolStats()
+	a2, err := LoadPartition(pathA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a2.Release()
+	defer b.Release()
+	if &a2.data[0] != held {
+		t.Fatal("the released buffer was not reused by the next load of the same size")
+	}
+	if after := BufferPoolStats(); after.Reused != before.Reused+1 || after.Fresh != before.Fresh {
+		t.Fatalf("pool counters went %+v -> %+v, want one more reuse", before, after)
+	}
+	for p, want := range map[*Partition]map[int][]float64{a2: wantA, b: wantB} {
+		if err := p.Verify(); err != nil {
+			t.Fatal(err)
+		}
+		decoded, _ := collectScans(t, p)
+		if !reflect.DeepEqual(decoded, want) {
+			t.Fatal("a partition loaded into a pooled buffer scans different records")
+		}
+	}
+}
+
+// rewriteDecoded is the rewrite MergePartition replaced — decode every old
+// record into a PartitionWriter, add the incoming ones, flush — kept only as
+// the benchmark's baseline.
+func rewriteDecoded(path string, incoming []Incoming) error {
+	replaced := make(map[int]struct{}, len(incoming))
+	for _, r := range incoming {
+		replaced[r.ID] = struct{}{}
+	}
+	old, err := OpenPartition(path)
+	if err != nil {
+		return err
+	}
+	pw := NewPartitionWriter(old.SeriesLen())
+	for _, ci := range old.Clusters() {
+		err := old.ScanCluster(ci.ID, func(id int, values []float64) error {
+			if _, ok := replaced[id]; ok {
+				return nil
+			}
+			return pw.Append(ci.ID, id, values)
+		})
+		if err != nil {
+			old.Close()
+			return err
+		}
+	}
+	old.Close()
+	for _, r := range incoming {
+		if err := pw.AppendOwned(r.Cluster, r.ID, r.Values); err != nil {
+			return err
+		}
+	}
+	if err := pw.Flush(path + ".tmp"); err != nil {
+		return err
+	}
+	return os.Rename(path+".tmp", path)
+}
+
+// benchPartition writes a partition shaped like a serving one — 256-reading
+// series, 8 000 records over 40 clusters, ~8 MB — and returns its path and
+// record count.
+func benchPartition(b *testing.B) (string, int) {
+	b.Helper()
+	const seriesLen, records, clusters = 256, 8000, 40
+	rng := rand.New(rand.NewPCG(15, 2))
+	recs := make([]Incoming, records)
+	for i := range recs {
+		vals := make([]float64, seriesLen)
+		for j := range vals {
+			vals[j] = rng.NormFloat64()
+		}
+		recs[i] = Incoming{Cluster: ClusterID(i % clusters), ID: i, Values: vals}
+	}
+	path := filepath.Join(b.TempDir(), "bench.clmp")
+	writerFile(b, path, seriesLen, recs)
+	return path, records
+}
+
+// BenchmarkLoadPartition: one heap load of an ~8 MB partition, into a fresh
+// allocation (os.ReadFile, what LoadPartition did before the pool) and into
+// a recycled buffer (LoadPartition + Release).
+func BenchmarkLoadPartition(b *testing.B) {
+	path, records := benchPartition(b)
+	perRecord := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records), "ns/record")
+	}
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			data, err := os.ReadFile(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := newPartition(bytes.NewReader(data), int64(len(data)), path); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perRecord(b)
+	})
+	b.Run("recycled", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p, err := LoadPartition(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := p.Release(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perRecord(b)
+	})
+}
+
+// BenchmarkMergePartition: 64 new records merged into an ~8 MB partition —
+// what one compaction does to each partition it touches — by the byte-level
+// merge and by the decode/re-encode rewrite it replaced.
+func BenchmarkMergePartition(b *testing.B) {
+	for _, impl := range []struct {
+		name string
+		fn   func(string, []Incoming) error
+	}{
+		{"bytes", func(path string, in []Incoming) error { _, _, err := MergePartition(path, in); return err }},
+		{"decoded", rewriteDecoded},
+	} {
+		b.Run(impl.name, func(b *testing.B) {
+			path, records := benchPartition(b)
+			const batch = 64
+			vals := make([]float64, 256)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// The same IDs every round: after the first, each merge
+				// replaces the last one's records and the file stops growing.
+				in := make([]Incoming, batch)
+				for j := range in {
+					in[j] = Incoming{Cluster: ClusterID(j % 40), ID: records + j, Values: vals}
+				}
+				if err := impl.fn(path, in); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(records+batch), "ns/record")
+		})
+	}
+}

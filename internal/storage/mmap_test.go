@@ -114,8 +114,9 @@ func TestScanEquivalenceAcrossBackends(t *testing.T) {
 }
 
 // MapPartition must report the resident/mapped flavour and charge MemBytes
-// at file size plus directory, LoadPartition the same without the mapped
-// flag, OpenPartition directory-only.
+// at file size plus directory; LoadPartition charges the capacity of its
+// pooled buffer (at least the file, at most twice it) plus directory,
+// without the mapped flag; OpenPartition directory-only.
 func TestMemBytesPerBackend(t *testing.T) {
 	path, _ := buildPartition(t, 8, 50)
 	open, err := OpenPartition(path)
@@ -136,8 +137,11 @@ func TestMemBytesPerBackend(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer load.Close()
-	if got, want := load.MemBytes(), load.SizeBytes()+dirBytes; got != want {
-		t.Fatalf("loaded MemBytes = %d, want %d", got, want)
+	if got, want := load.MemBytes(), int64(cap(load.data))+dirBytes; got != want {
+		t.Fatalf("loaded MemBytes = %d, want buffer capacity + directory = %d", got, want)
+	}
+	if c := int64(cap(load.data)); c < load.SizeBytes() || c > 2*load.SizeBytes() {
+		t.Fatalf("buffer capacity %d for a %d-byte file: want within [size, 2*size]", c, load.SizeBytes())
 	}
 	if !load.InMemory() || load.Mapped() {
 		t.Fatal("loaded partition flags wrong")
@@ -159,16 +163,20 @@ func TestMemBytesPerBackend(t *testing.T) {
 	}
 }
 
-// The reference-count lifecycle: Retain defers teardown past Release-of-the-
-// original, the final Release frees the backing, and protocol violations
-// (retain-after-teardown, double release) panic instead of handing out dead
-// memory.
+// The reference-count lifecycle, on both resident backings: Retain defers
+// teardown past Release-of-the-original, the final Release frees the backing
+// (unmaps it, or hands the heap buffer back to the pool), and protocol
+// violations (retain-after-teardown, double release) panic instead of handing
+// out dead — or, for a recycled buffer, somebody else's — memory.
 func TestPartitionRetainRelease(t *testing.T) {
-	path, _ := buildPartition(t, 8, 20)
-	open := LoadPartition
+	t.Run("load", func(t *testing.T) { testRetainRelease(t, LoadPartition) })
 	if MapSupported() {
-		open = MapPartition
+		t.Run("map", func(t *testing.T) { testRetainRelease(t, MapPartition) })
 	}
+}
+
+func testRetainRelease(t *testing.T, open func(string) (*Partition, error)) {
+	path, _ := buildPartition(t, 8, 20)
 	p, err := open(path)
 	if err != nil {
 		t.Fatal(err)

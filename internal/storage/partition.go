@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"sync/atomic"
@@ -133,19 +134,20 @@ type ClusterInfo struct {
 
 // Partition provides random access to one partition's clusters. It can be
 // backed three ways: an open file read through an io.ReaderAt
-// (OpenPartition), a heap copy of the file bytes (LoadPartition), or a
-// read-only memory mapping of the file (MapPartition) — the resident forms
-// are what the query-path partition cache shares between concurrent queries.
-// All read methods are safe for concurrent use.
+// (OpenPartition), a heap copy of the file bytes in a pooled buffer
+// (LoadPartition), or a read-only memory mapping of the file (MapPartition)
+// — the resident forms are what the query-path partition cache shares
+// between concurrent queries. All read methods are safe for concurrent use.
 //
 // A Partition is reference counted: it is born with one reference, sharers
 // take more with Retain, and every reference is returned with Release (Close
 // is an alias for the common single-owner case). The backing resources —
-// file handle or memory mapping — are torn down when the last reference
-// drains, which is what makes unmapping safe while scans may still be in
+// file handle, memory mapping or pooled heap buffer — are torn down when the
+// last reference drains, which is what makes unmapping, and recycling the
+// buffer for another partition's load, safe while scans may still be in
 // flight elsewhere: an eviction or invalidation only drops the cache's
-// reference, and the pages stay mapped until the last scanning reader
-// finishes and releases its own.
+// reference, and the bytes stay put until the last scanning reader finishes
+// and releases its own.
 type Partition struct {
 	r         io.ReaderAt
 	closer    io.Closer // non-nil only for file-backed partitions
@@ -184,17 +186,47 @@ func OpenPartition(path string) (*Partition, error) {
 // handle and is safe to share across goroutines — the partition layout is
 // immutable after construction, which is what makes the shared query-path
 // cache sound.
+//
+// The copy lives in a buffer from the partition-buffer pool (bufpool.go) and
+// goes back to it on the final Release, from where the next load may take it:
+// bytes seen through the partition after that Release belong to some other
+// partition.
 func LoadPartition(path string) (*Partition, error) {
-	data, err := os.ReadFile(path)
+	data, err := readPooled(path)
 	if err != nil {
 		return nil, fmt.Errorf("storage: load partition: %w", err)
 	}
 	p, err := newPartition(bytes.NewReader(data), int64(len(data)), path)
 	if err != nil {
+		putBuf(data)
 		return nil, err
 	}
 	p.data = data
 	return p, nil
+}
+
+// readPooled reads the whole file at path into a pooled buffer: one fstat
+// for the size, one read sized to it. Partition files are immutable once
+// published, so the size cannot change under the read.
+func readPooled(path string) ([]byte, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	info, err := f.Stat()
+	if err != nil {
+		return nil, err
+	}
+	if info.Size() > math.MaxInt {
+		return nil, fmt.Errorf("%s: size %d exceeds the address space", path, info.Size())
+	}
+	data := getBuf(int(info.Size()))
+	if _, err := io.ReadFull(f, data); err != nil {
+		putBuf(data)
+		return nil, fmt.Errorf("read %s: %w", path, err)
+	}
+	return data, nil
 }
 
 // MapPartition memory-maps a partition file read-only and returns a
@@ -269,9 +301,10 @@ func (p *Partition) Retain() {
 }
 
 // Release returns one reference. The last Release tears the partition down:
-// a memory mapping is unmapped, a file handle is closed, a heap copy becomes
-// collectable. Releasing more references than were taken panics — that is a
-// lifecycle bug that would otherwise surface as a scan over unmapped memory.
+// a memory mapping is unmapped, a file handle is closed, a heap copy's buffer
+// returns to the pool for the next load. Releasing more references than were
+// taken panics — that is a lifecycle bug that would otherwise surface as a
+// scan over unmapped memory.
 func (p *Partition) Release() error {
 	n := p.refs.Add(-1)
 	if n > 0 {
@@ -281,8 +314,11 @@ func (p *Partition) Release() error {
 		panic("storage: partition released more often than retained")
 	}
 	var err error
-	if p.mapped {
+	switch {
+	case p.mapped:
 		err = unmapFile(p.data)
+	case p.data != nil:
+		putBuf(p.data)
 	}
 	// Poison the read state so a use-after-release fails loudly (nil deref /
 	// nil-slice bounds panic) instead of silently reading freed memory.
@@ -317,14 +353,18 @@ func (p *Partition) SizeBytes() int64 { return p.size }
 const clusterInfoBytes = 24
 
 // MemBytes returns the partition's resident memory footprint, the unit the
-// partition cache budgets: the retained file bytes — a heap copy for
-// LoadPartition, mapped pages for MapPartition (resident pages are what the
-// budget is bounding, so both count at file size) — plus the decoded cluster
-// directory. A file-backed partition charges only its directory.
+// partition cache budgets: the retained file bytes plus the decoded cluster
+// directory. Mapped pages count at file size; a heap copy counts at the
+// capacity of its pooled buffer, which may exceed the file it holds, so the
+// budget stays an upper bound on resident heap. A file-backed partition
+// charges only its directory.
 func (p *Partition) MemBytes() int64 {
 	mem := int64(clusterInfoBytes * len(p.dir))
-	if p.data != nil {
+	switch {
+	case p.mapped:
 		mem += p.size
+	case p.data != nil:
+		mem += int64(cap(p.data))
 	}
 	return mem
 }
@@ -439,7 +479,8 @@ func (p *Partition) ScanAll(fn func(id int, values []float64) error) error {
 // partition's bytes directly (zero copy, zero allocation per record); on a
 // file-backed partition it aliases a scratch buffer reused between records.
 // Either way rec is valid only during the callback and only while the caller
-// holds its partition reference: it must not be stored, appended, or
+// holds its partition reference — afterwards the bytes may be unmapped, or
+// hold another partition's records: it must not be stored, appended, or
 // otherwise retained (the mmapsafe vet analyzer enforces this — scan helpers
 // that consume rec in place are marked //climber:mmapscan).
 func (p *Partition) ScanClusterRaw(id ClusterID, fn func(id int, rec []byte) error) error {

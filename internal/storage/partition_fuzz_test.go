@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -12,7 +14,10 @@ import (
 // a PartitionWriter must come back — bit-for-bit at the format's declared
 // float32 precision — from both the file-backed (OpenPartition) and the
 // in-memory (LoadPartition) readers, with the directory sorted, the counts
-// right, and the trailing checksum valid.
+// right, and the trailing checksum valid. The file that is read back went
+// through MergePartition — the even records flushed by a writer, the odd
+// ones merged in — and must equal the one-shot PartitionWriter file of all
+// of them byte for byte.
 func FuzzPartitionRoundTrip(f *testing.F) {
 	f.Add(uint8(4), []byte{})
 	f.Add(uint8(1), []byte{0x00, 1, 2, 3, 4, 5, 6, 7, 8})
@@ -25,6 +30,8 @@ func FuzzPartitionRoundTrip(f *testing.F) {
 	f.Fuzz(func(t *testing.T, lenByte uint8, data []byte) {
 		seriesLen := int(lenByte%16) + 1
 		pw := NewPartitionWriter(seriesLen)
+		base := NewPartitionWriter(seriesLen)
+		var merged []Incoming
 
 		// Consume the fuzz payload as records: one cluster-selector byte
 		// (signed, so overflow clusters with negative IDs are exercised
@@ -52,14 +59,40 @@ func FuzzPartitionRoundTrip(f *testing.F) {
 			if err := pw.Append(cl, id, in); err != nil {
 				t.Fatalf("append: %v", err)
 			}
+			if id%2 == 0 {
+				if err := base.Append(cl, id, in); err != nil {
+					t.Fatalf("append: %v", err)
+				}
+			} else {
+				merged = append(merged, Incoming{Cluster: cl, ID: id, Values: in})
+			}
 			want[cl] = append(want[cl], rec{id: id, vals: vals})
 			data = data[recBytes:]
 			id++
 		}
 
-		path := filepath.Join(t.TempDir(), "fuzz.clmp")
-		if err := pw.Flush(path); err != nil {
+		dir := t.TempDir()
+		oneShot := filepath.Join(dir, "oneshot.clmp")
+		if err := pw.Flush(oneShot); err != nil {
 			t.Fatalf("flush: %v", err)
+		}
+		path := filepath.Join(dir, "fuzz.clmp")
+		if err := base.Flush(path); err != nil {
+			t.Fatalf("flush: %v", err)
+		}
+		if n, _, err := MergePartition(path, merged); err != nil || n != id {
+			t.Fatalf("merge: %d records, %v; want %d", n, err, id)
+		}
+		oneShotBytes, err := os.ReadFile(oneShot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mergedBytes, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(mergedBytes, oneShotBytes) {
+			t.Fatal("merged file differs from the one-shot PartitionWriter file")
 		}
 
 		for _, open := range []struct {

@@ -111,6 +111,54 @@ func TestBuildFailureLeavesNoFiles(t *testing.T) {
 	}
 }
 
+// A compaction whose partition rewrite fails must not leave its temporary
+// file behind: a leftover would sit in the generation directory forever and,
+// where it is the thing that failed, fail every later compaction too. The
+// write is broken by planting the first destination's temporary path as a
+// link to /dev/full, which accepts the open and refuses every byte.
+func TestFailedCompactionLeavesNoTempFile(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to fail a write with")
+	}
+	dir := t.TempDir()
+	db, err := Build(dir, smallData(1500), ingestOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	fresh := smallData(1520)[1500:]
+	ids, err := db.Append(fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix := db.Index()
+	first := -1
+	for i, id := range ids {
+		if pid := ix.RouteNew(id, fresh[i]).Partition; first < 0 || pid < first {
+			first = pid
+		}
+	}
+	before := listTree(t, dir)
+	if err := os.Symlink("/dev/full", ix.Partitions().Paths[first]+".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err == nil {
+		t.Fatal("compaction into a full device succeeded")
+	}
+	if after := listTree(t, dir); after != before {
+		t.Fatalf("failed compaction changed the directory:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatalf("compaction after the failure: %v", err)
+	}
+	if after := listTree(t, dir); after != before {
+		t.Fatalf("compaction changed the directory listing:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+	if st := db.IngestStats(); st.DeltaRecords != 0 || st.CompactedSeries != int64(len(fresh)) {
+		t.Fatalf("after the retry: %d delta records, %d compacted; want 0, %d", st.DeltaRecords, st.CompactedSeries, len(fresh))
+	}
+}
+
 // Opening read-only must not write: not on a built directory, not on a
 // reindexed one (whose generation-0 tree reindex deleted), not on a restored
 // backup — the recursive listing is unchanged, and the open works with every
