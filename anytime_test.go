@@ -34,12 +34,12 @@ func anytimeDB(t *testing.T) (*DB, [][]float64) {
 func TestSearchProgressiveMatchesSearch(t *testing.T) {
 	db, qs := anytimeDB(t)
 	for _, q := range qs {
-		want, _, err := db.SearchWithStats(q, 50)
+		want, _, err := searchStats(db, q, 50)
 		if err != nil {
 			t.Fatal(err)
 		}
 		var updates []SearchUpdate
-		got, stats, err := db.SearchProgressive(q, 50, func(u SearchUpdate) bool {
+		got, stats, err := searchProgressive(db, q, 50, func(u SearchUpdate) bool {
 			updates = append(updates, u)
 			return true
 		})
@@ -75,12 +75,12 @@ func TestMaxPartitionsBudget(t *testing.T) {
 	sawPartial := false
 	for _, q := range qs {
 		for _, v := range []Variant{KNN, Adaptive4X, ODSmallest} {
-			full, fullStats, err := db.SearchWithStats(q, 200, WithVariant(v))
+			full, fullStats, err := searchStats(db, q, 200, WithVariant(v))
 			if err != nil {
 				t.Fatal(err)
 			}
 			_ = full
-			res, stats, err := db.SearchWithStats(q, 200, WithVariant(v), WithMaxPartitions(1))
+			res, stats, err := searchStats(db, q, 200, WithVariant(v), WithMaxPartitions(1))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +111,7 @@ func TestTimeBudget(t *testing.T) {
 	db, qs := anytimeDB(t)
 	q := qs[0]
 	// Generous budget: complete answer.
-	_, stats, err := db.SearchWithStats(q, 50, WithTimeBudget(time.Hour))
+	_, stats, err := searchStats(db, q, 50, WithTimeBudget(time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestTimeBudget(t *testing.T) {
 	// multi-step plan reports partial.
 	sawPartial := false
 	for _, q := range qs {
-		res, stats, err := db.SearchWithStats(q, 200, WithVariant(ODSmallest), WithTimeBudget(time.Nanosecond))
+		res, stats, err := searchStats(db, q, 200, WithVariant(ODSmallest), WithTimeBudget(time.Nanosecond))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +149,7 @@ func TestTimeBudget(t *testing.T) {
 func TestSearchProgressiveStop(t *testing.T) {
 	db, qs := anytimeDB(t)
 	for _, q := range qs {
-		res, stats, err := db.SearchProgressive(q, 200, func(u SearchUpdate) bool { return false },
+		res, stats, err := searchProgressive(db, q, 200, func(u SearchUpdate) bool { return false },
 			WithVariant(ODSmallest))
 		if err != nil {
 			t.Fatal(err)

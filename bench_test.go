@@ -565,13 +565,13 @@ func BenchmarkPartitionCacheBatch(b *testing.B) {
 			}
 			b.Cleanup(func() { db.Close() })
 			// One untimed batch so "warm" measures the steady state.
-			if _, err := db.SearchBatch(queries, benchK); err != nil {
+			if _, err := searchBatch(db, queries, benchK); err != nil {
 				b.Fatal(err)
 			}
 			start := db.CacheStats().PartitionsLoaded
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := db.SearchBatch(queries, benchK); err != nil {
+				if _, err := searchBatch(db, queries, benchK); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -589,7 +589,7 @@ func BenchmarkPrefixQuery(b *testing.B) {
 	copy(q, w.queries[0][:64])
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := w.climber.SearchPrefix(q, core.SearchOptions{K: benchK, Variant: core.VariantAdaptive4X}); err != nil {
+		if _, err := w.climber.Search(q, core.SearchOptions{K: benchK, Variant: core.VariantAdaptive4X, Prefix: true}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -52,7 +52,7 @@ func TestPartitionCacheReducesPartitionLoads(t *testing.T) {
 		t.Fatalf("cache counters not surfaced: %+v", cs)
 	}
 	// Per-query stats surface the hits too: a repeated query is all hits.
-	_, stats, err := warm.SearchWithStats(queries[0], 20)
+	_, stats, err := searchStats(warm, queries[0], 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,11 +81,11 @@ func TestPartitionCacheEquivalence(t *testing.T) {
 	defer on.Close()
 	for _, qid := range []int{1, 250, 700, 1100, 1499} {
 		for _, v := range []Variant{KNN, Adaptive2X, Adaptive4X, ODSmallest} {
-			a, sa, err := off.SearchWithStats(data[qid], 25, WithVariant(v))
+			a, sa, err := searchStats(off, data[qid], 25, WithVariant(v))
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, sb, err := on.SearchWithStats(data[qid], 25, WithVariant(v))
+			b, sb, err := searchStats(on, data[qid], 25, WithVariant(v))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -123,7 +123,7 @@ func TestPartitionCacheConcurrentSearchBatch(t *testing.T) {
 	for i := range queries {
 		queries[i] = data[(i*61)%len(data)]
 	}
-	want, err := db.SearchBatch(queries, 10)
+	want, err := searchBatch(db, queries, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestPartitionCacheConcurrentSearchBatch(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[c], errs[c] = db.SearchBatch(queries, 10)
+			got[c], errs[c] = searchBatch(db, queries, 10)
 		}()
 	}
 	wg.Wait()

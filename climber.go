@@ -21,6 +21,20 @@
 // A built database persists under its directory and reopens with
 // climber.Open(dir).
 //
+// # One way to ask
+//
+// Query is the query entry point; a Request says everything about the
+// question and the Response carries results, effort statistics and (on
+// request) the planner's explanation:
+//
+//	req := climber.NewRequest(q, 100, climber.WithVariant(climber.ODSmallest))
+//	req.Prefix = true                              // q may be shorter than the indexed length
+//	req.Progress = func(u climber.SearchUpdate) bool { return true } // a snapshot per plan step
+//	resp, err := db.Query(ctx, req)                // resp.Results, resp.Stats, resp.Explain
+//
+// QueryBatch answers many queries under one Request's options, and Search
+// is Query for callers that want neither a context nor statistics.
+//
 // # Partition cache
 //
 // By default every query pays the paper's partition-load cost: each
@@ -30,7 +44,7 @@
 // accesses from memory:
 //
 //	db, err := climber.Open(dir, climber.WithPartitionCacheBytes(256<<20))
-//	// ... Search / SearchBatch as usual; db.CacheStats() reports the effect.
+//	// ... Search / Query / QueryBatch as usual; db.CacheStats() reports the effect.
 //
 // # Anytime queries
 //
@@ -39,21 +53,20 @@
 // by step. Budgets bound a query's effort — it stops at a step boundary
 // and returns its best partial answer (Stats.Partial):
 //
-//	res, stats, err := db.SearchWithStats(q, 100, climber.WithTimeBudget(5*time.Millisecond))
-//	res, stats, err := db.SearchWithStats(q, 100, climber.WithMaxPartitions(2))
+//	resp, err := db.Query(ctx, climber.NewRequest(q, 100, climber.WithTimeBudget(5*time.Millisecond)))
+//	resp, err := db.Query(ctx, climber.NewRequest(q, 100, climber.WithMaxPartitions(2)))
 //
-// SearchProgressive streams a monotonically improving snapshot after every
+// Request.Progress streams a monotonically improving snapshot after every
 // executed step, so consumers can render early answers or stop when
 // satisfied.
 //
 // # Serving, cancellation, and Close
 //
-// Every query method has a ...Context variant (SearchContext,
-// SearchBatchContext, SearchPrefixContext, and the WithStats forms) that
-// honours cancellation on the partition-scan path: a cancelled context
-// stops the query's scanning goroutines between cluster scans and returns
-// ctx.Err(). Long-lived processes should Close the DB when done — Close
-// purges the partition cache and makes subsequent calls return ErrClosed.
+// Query and QueryBatch honour cancellation on the partition-scan path: a
+// cancelled context stops the query's scanning goroutines between cluster
+// scans and returns ctx.Err(). Long-lived processes should Close the DB
+// when done — Close purges the partition cache and makes subsequent calls
+// return ErrClosed.
 // cmd/climber-serve exposes an opened DB as a concurrent HTTP JSON service
 // (see internal/server) built on exactly these APIs.
 //
@@ -110,52 +123,16 @@ var ErrReadOnly = errors.New("climber: database opened read-only")
 var ErrReindexInProgress = errors.New("climber: reindex in progress")
 
 // Result is one approximate nearest neighbour: the ID (the position of the
-// series in the build input) and its Euclidean distance to the query.
-type Result struct {
-	ID   int
-	Dist float64
-}
+// series in the build input) and its Euclidean distance to the query. It is
+// the engine's own result type, carried unconverted from the partition scan
+// to the wire.
+type Result = series.Result
 
-// Stats describes the effort behind one query.
-type Stats struct {
-	// GroupsConsidered is the number of candidate groups after signature
-	// matching.
-	GroupsConsidered int
-	// TargetNodeSize is the estimated record count of the best-matching
-	// trie node; TargetPathLen is the matched root-to-node path length.
-	// On a sharded query both report the deepest/widest shard (max), since
-	// a per-shard trie descent has no meaningful sum.
-	TargetNodeSize, TargetPathLen int
-	// PartitionsScanned is the number of physical partitions loaded.
-	PartitionsScanned int
-	// RecordsScanned is the number of raw series compared with the query.
-	RecordsScanned int
-	// BytesLoaded approximates the I/O volume of the query.
-	BytesLoaded int64
-	// DeltaScanned is the subset of RecordsScanned served by the in-memory
-	// delta index — appended series not yet compacted into partition files.
-	DeltaScanned int
-	// PartitionCacheHits and PartitionCacheMisses count the query's
-	// partition opens served from / missing the shared partition cache
-	// (see WithPartitionCacheBytes); both are zero when the cache is off.
-	PartitionCacheHits, PartitionCacheMisses int
-	// StepsPlanned is the number of executable steps (distinct partitions)
-	// the query planner emitted; StepsExecuted counts how many actually
-	// ran. They differ when a budget stopped the plan early; an answer can
-	// also be Partial with all steps executed (the budget expired during
-	// the within-partition widening pass), so test Partial, not the
-	// counters, to detect truncation.
-	StepsPlanned, StepsExecuted int
-	// Partial marks an answer whose execution stopped before the full plan
-	// — a budget (WithTimeBudget, WithMaxPartitions) ran out or a
-	// progressive consumer stopped the query. The results are still the
-	// best answer for the effort spent.
-	Partial bool
-	// BudgetExhausted names the budget dimension that stopped a Partial
-	// query ("max-partitions", "deadline", "min-records", "callback");
-	// empty when the plan ran to completion.
-	BudgetExhausted string
-}
+// Stats describes the effort behind one query; see core.QueryStats for the
+// fields. Partial and BudgetExhausted report a budget (WithTimeBudget,
+// WithMaxPartitions, WithMinRecords) or a progressive consumer stopping
+// the query early.
+type Stats = core.QueryStats
 
 // IngestStats reports the cumulative state of the DB's streaming write
 // path: the write-ahead log, the in-memory delta index, and the background
@@ -301,7 +278,7 @@ func WithBuildWorkers(n int) Option { return func(o *options) { o.cfg.Workers = 
 
 // WithPartitionCacheBytes installs a shared partition cache budgeted at n
 // bytes under the query path: a byte-budgeted LRU of decoded partitions
-// with singleflight loading, shared by Search, SearchPrefix, SearchBatch
+// with singleflight loading, shared by every query (Search, Query, QueryBatch)
 // and the within-partition widening pass. Partitions are immutable after
 // build, so caching them is safe under any query concurrency; Append
 // invalidates the partitions it rewrites.
@@ -360,13 +337,76 @@ func WithReadOnly() Option {
 	return func(o *options) { o.readOnly = true }
 }
 
-// SearchOption customises a single Search call.
-type SearchOption func(*core.SearchOptions)
+// Request is one kNN question: the query series and everything that shapes
+// how it is answered. Build one with NewRequest to start from the library
+// defaults, or write the literal — a literal is taken as written, so its
+// zero Variant is KNN, not the Adaptive4X default.
+type Request struct {
+	// Query is the query series. It must have the indexed length unless
+	// Prefix is set.
+	Query []float64
+	// K is the answer-set size.
+	K int
+	// Variant selects the query algorithm.
+	Variant Variant
+	// Prefix admits a Query shorter than the indexed series length — the
+	// PAA-family flexibility the paper highlights over DFT/wavelet indexes.
+	// Candidates are ranked by Euclidean distance over the first len(Query)
+	// readings of each record. Requires Segments <= len(Query) <= series
+	// length; a short Query without Prefix is an error.
+	Prefix bool
+	// MaxPartitions, TimeBudget and MinRecords are the anytime budgets; see
+	// WithMaxPartitions, WithTimeBudget and WithMinRecords. Zero is no bound.
+	MaxPartitions int
+	TimeBudget    time.Duration
+	MinRecords    int
+	// Explain attaches the planner's navigation record to the Response.
+	// Tracing is orthogonal: span timings come from an obs.Trace carried in
+	// the context, explanations from this flag; an explain response on the
+	// wire carries both.
+	Explain bool
+	// Progress, when non-nil, makes the query progressive (the ProS serving
+	// mode: first answers after one partition, refined step by step): it
+	// receives a monotonically improving SearchUpdate after every executed
+	// plan step and a final one when the answer is complete. Returning
+	// false stops the query early — the Response is the best answer so far,
+	// marked partial. Progress runs synchronously on the query's goroutine
+	// and must not block for long. Progressive execution scans partitions
+	// sequentially in plan-rank order, trading the run-to-completion path's
+	// partition parallelism for step-boundary control.
+	Progress func(SearchUpdate) bool
+}
+
+// NewRequest folds opts over the library defaults (Adaptive4X, the paper's
+// default variation) into the Request for the k nearest neighbours of q.
+func NewRequest(q []float64, k int, opts ...SearchOption) Request {
+	r := Request{Query: q, K: k, Variant: Adaptive4X}
+	for _, fn := range opts {
+		fn(&r)
+	}
+	return r
+}
+
+// Response is the answer to a Request: the approximate nearest neighbours
+// ascending by Euclidean distance, the effort behind them, and — when the
+// Request set Explain — the planner's navigation record (nil otherwise).
+type Response = core.SearchResult
+
+// SearchUpdate is one progressive answer snapshot delivered to
+// Request.Progress: the best top-k assembled after a plan step, with Step
+// of StepsPlanned executed and the Stats accumulated so far. Snapshots are
+// monotonically non-worsening — each one's result set is at least as
+// large, and its k-th distance at least as small, as the previous one's —
+// and the one marked Final holds exactly the query's returned answer.
+type SearchUpdate = core.Snapshot
+
+// SearchOption customises the Request NewRequest (and so Search) builds.
+type SearchOption func(*Request)
 
 // WithVariant selects the query algorithm (default Adaptive4X, the paper's
 // default variation).
 func WithVariant(v Variant) SearchOption {
-	return func(s *core.SearchOptions) { s.Variant = v }
+	return func(r *Request) { r.Variant = v }
 }
 
 // WithMaxPartitions bounds a query to at most n partition loads. For the
@@ -376,10 +416,7 @@ func WithVariant(v Variant) SearchOption {
 // node spanning several, OD-Smallest's whole-group scans) stops after n
 // loads and returns its best answer marked partial (Stats.Partial).
 func WithMaxPartitions(n int) SearchOption {
-	return func(s *core.SearchOptions) {
-		s.MaxPartitions = n
-		s.Budget.MaxPartitions = n
-	}
+	return func(r *Request) { r.MaxPartitions = n }
 }
 
 // WithTimeBudget turns the query into an anytime query: the engine stops
@@ -395,9 +432,9 @@ func WithMaxPartitions(n int) SearchOption {
 // unbudgeted one. Use WithMaxPartitions (which keeps the concurrent scan)
 // when the goal is an I/O cap rather than a wall-clock contract.
 func WithTimeBudget(d time.Duration) SearchOption {
-	return func(s *core.SearchOptions) {
+	return func(r *Request) {
 		if d > 0 {
-			s.Budget.Deadline = time.Now().Add(d)
+			r.TimeBudget = d
 		}
 	}
 }
@@ -409,16 +446,13 @@ func WithTimeBudget(d time.Duration) SearchOption {
 // about partitions or wall-clock time. Like WithTimeBudget, it trades the
 // plan's partition parallelism for step-boundary control.
 func WithMinRecords(n int) SearchOption {
-	return func(s *core.SearchOptions) { s.Budget.MinRecords = n }
+	return func(r *Request) { r.MinRecords = n }
 }
 
-// WithExplain attaches the planner's navigation record to the query;
-// retrieve it with SearchExplainContext (the plain Search methods
-// compute and discard it). Tracing is orthogonal: span timings come
-// from an obs.Trace carried in the context, explanations from this
-// flag; an explain response on the wire carries both.
+// WithExplain sets Request.Explain: the Response carries the planner's
+// navigation record.
 func WithExplain() SearchOption {
-	return func(s *core.SearchOptions) { s.Explain = true }
+	return func(r *Request) { r.Explain = true }
 }
 
 // DB is a built CLIMBER database. A DB is safe for concurrent use; the
@@ -593,96 +627,96 @@ func Open(dir string, opts ...Option) (*DB, error) {
 	return db, nil
 }
 
-// searchOptions folds per-call options over the library defaults.
-func searchOptions(k int, opts []SearchOption) core.SearchOptions {
-	so := core.SearchOptions{K: k, Variant: core.VariantAdaptive4X}
-	for _, fn := range opts {
-		fn(&so)
+// engineOptions is the gate every query passes once: the closed check, and
+// the Request's options in the engine's terms. The time budget's deadline
+// starts counting here, when the query is about to run.
+func (db *DB) engineOptions(req Request) (core.SearchOptions, error) {
+	if db.closed.Load() {
+		return core.SearchOptions{}, ErrClosed
 	}
-	return so
+	so := core.SearchOptions{
+		K: req.K, Variant: req.Variant, Prefix: req.Prefix, Explain: req.Explain,
+		MaxPartitions: req.MaxPartitions,
+		Budget:        core.Budget{MaxPartitions: req.MaxPartitions, MinRecords: req.MinRecords},
+	}
+	if req.TimeBudget > 0 {
+		so.Budget.Deadline = time.Now().Add(req.TimeBudget)
+	}
+	return so, nil
 }
 
-// statsOf converts core query statistics to the public Stats. Every
-// exported field of core.QueryStats must be carried over — the statsmerge
-// analyzer holds this function to that rule.
-//
-//climber:statsmerge
-func statsOf(qs core.QueryStats) Stats {
-	return Stats{
-		GroupsConsidered:     qs.GroupsConsidered,
-		TargetNodeSize:       qs.TargetNodeSize,
-		TargetPathLen:        qs.TargetPathLen,
-		PartitionsScanned:    qs.PartitionsScanned,
-		RecordsScanned:       qs.RecordsScanned,
-		DeltaScanned:         qs.DeltaScanned,
-		BytesLoaded:          qs.BytesLoaded,
-		PartitionCacheHits:   qs.CacheHits,
-		PartitionCacheMisses: qs.CacheMisses,
-		StepsPlanned:         qs.StepsPlanned,
-		StepsExecuted:        qs.StepsExecuted,
-		Partial:              qs.Partial,
-		BudgetExhausted:      qs.BudgetExhausted,
+// Query answers one Request. Cancelling ctx stops the query's partition
+// scans mid-plan (each scanning goroutine checks the context between
+// cluster scans) and returns ctx.Err(); a query issued on behalf of a
+// network client should pass the request context so a disconnect stops the
+// disk and CPU work immediately. After Close the error is ErrClosed.
+func (db *DB) Query(ctx context.Context, req Request) (Response, error) {
+	so, err := db.engineOptions(req)
+	if err != nil {
+		return Response{}, err
 	}
+	sr, err := db.ix.Query(ctx, req.Query, so, req.Progress)
+	if err != nil {
+		return Response{}, err
+	}
+	return *sr, nil
 }
 
-// resultsOf converts core results to the public Result slice.
-func resultsOf(rs []series.Result) []Result {
-	out := make([]Result, len(rs))
-	for i, r := range rs {
-		out[i] = Result{ID: r.ID, Dist: r.Dist}
+// QueryBatch answers many queries concurrently under the options of one
+// Request (its Query and Progress are not used); the responses align
+// positionally with the queries. workers <= 0 uses GOMAXPROCS; serving
+// layers pass their admission budget instead of letting every batch fan out
+// to full machine width. Cancelling ctx aborts the whole batch: queued
+// queries never start and in-flight queries stop on their partition-scan
+// path; the returned error wraps ctx.Err(). A TimeBudget deadline is fixed
+// once for the whole batch, bounding it end to end rather than each query
+// separately.
+func (db *DB) QueryBatch(ctx context.Context, queries [][]float64, req Request, workers int) ([]Response, error) {
+	so, err := db.engineOptions(req)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	return db.ix.QueryBatch(ctx, queries, so, workers)
 }
 
 // Search returns the approximate k nearest neighbours of q, ascending by
-// Euclidean distance. The default algorithm is Adaptive4X.
+// Euclidean distance: Query(NewRequest(q, k, opts...)) without a context,
+// keeping only the results. The default algorithm is Adaptive4X.
 func (db *DB) Search(q []float64, k int, opts ...SearchOption) ([]Result, error) {
-	res, _, err := db.SearchWithStatsContext(context.Background(), q, k, opts...)
-	return res, err
+	resp, err := db.Query(context.Background(), NewRequest(q, k, opts...))
+	return resp.Results, err
 }
 
-// SearchContext is Search under a context: cancelling ctx stops the query's
-// partition scans mid-plan (each scanning goroutine checks the context
-// between cluster scans) and returns ctx.Err(). A query issued on behalf of
-// a network client should pass the request context so a disconnect stops
-// the disk and CPU work immediately.
-func (db *DB) SearchContext(ctx context.Context, q []float64, k int, opts ...SearchOption) ([]Result, error) {
-	res, _, err := db.SearchWithStatsContext(ctx, q, k, opts...)
-	return res, err
-}
-
-// SearchWithStats is Search plus the query's effort statistics.
-func (db *DB) SearchWithStats(q []float64, k int, opts ...SearchOption) ([]Result, Stats, error) {
-	return db.SearchWithStatsContext(context.Background(), q, k, opts...)
-}
-
-// SearchWithStatsContext is SearchContext plus the query's effort
-// statistics.
+// SearchWithStatsContext is Query(ctx, NewRequest(q, k, opts...)) returning
+// results and stats separately. Pinned by bench/, remove in a [benchmark] PR.
 func (db *DB) SearchWithStatsContext(ctx context.Context, q []float64, k int, opts ...SearchOption) ([]Result, Stats, error) {
-	if db.closed.Load() {
-		return nil, Stats{}, ErrClosed
-	}
-	sr, err := db.ix.SearchContext(ctx, q, searchOptions(k, opts))
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return resultsOf(sr.Results), statsOf(sr.Stats), nil
+	resp, err := db.Query(ctx, NewRequest(q, k, opts...))
+	return resp.Results, resp.Stats, err
 }
 
-// SearchExplainContext is SearchWithStatsContext plus the planner's
-// navigation record (WithExplain is implied). The returned Explanation
-// is never nil on success.
-func (db *DB) SearchExplainContext(ctx context.Context, q []float64, k int, opts ...SearchOption) ([]Result, Stats, *Explanation, error) {
-	if db.closed.Load() {
-		return nil, Stats{}, nil, ErrClosed
-	}
-	so := searchOptions(k, opts)
-	so.Explain = true
-	sr, err := db.ix.SearchContext(ctx, q, so)
+// SearchPrefixWithStatsContext is SearchWithStatsContext with
+// Request.Prefix set. Pinned by bench/, remove in a [benchmark] PR.
+func (db *DB) SearchPrefixWithStatsContext(ctx context.Context, q []float64, k int, opts ...SearchOption) ([]Result, Stats, error) {
+	req := NewRequest(q, k, opts...)
+	req.Prefix = true
+	resp, err := db.Query(ctx, req)
+	return resp.Results, resp.Stats, err
+}
+
+// SearchBatchWithStatsContextWorkers is QueryBatch(ctx, queries,
+// NewRequest(nil, k, opts...), workers) returning results and stats as two
+// slices. Pinned by bench/, remove in a [benchmark] PR.
+func (db *DB) SearchBatchWithStatsContextWorkers(ctx context.Context, queries [][]float64, k, workers int, opts ...SearchOption) ([][]Result, []Stats, error) {
+	batch, err := db.QueryBatch(ctx, queries, NewRequest(nil, k, opts...), workers)
 	if err != nil {
-		return nil, Stats{}, nil, err
+		return nil, nil, err
 	}
-	return resultsOf(sr.Results), statsOf(sr.Stats), sr.Explain, nil
+	out := make([][]Result, len(batch))
+	stats := make([]Stats, len(batch))
+	for i, resp := range batch {
+		out[i], stats[i] = resp.Results, resp.Stats
+	}
+	return out, stats, nil
 }
 
 // CacheStats reports the cumulative partition-cache counters of this DB,
@@ -769,162 +803,6 @@ func (db *DB) IngestStats() IngestStats {
 	}
 	s := db.ing.Stats()
 	return IngestStats(s)
-}
-
-// SearchPrefix answers a query shorter than the indexed series length —
-// the PAA-family flexibility the paper highlights over DFT/wavelet indexes.
-// Candidates are ranked by Euclidean distance over the first len(q)
-// readings of each record. Requires Segments <= len(q) <= series length.
-func (db *DB) SearchPrefix(q []float64, k int, opts ...SearchOption) ([]Result, error) {
-	res, _, err := db.SearchPrefixWithStatsContext(context.Background(), q, k, opts...)
-	return res, err
-}
-
-// SearchPrefixContext is SearchPrefix under a context, with the same
-// cancellation semantics as SearchContext.
-func (db *DB) SearchPrefixContext(ctx context.Context, q []float64, k int, opts ...SearchOption) ([]Result, error) {
-	res, _, err := db.SearchPrefixWithStatsContext(ctx, q, k, opts...)
-	return res, err
-}
-
-// SearchPrefixWithStats is SearchPrefix plus the query's effort statistics
-// — the same counters SearchWithStats reports, so prefix workloads are no
-// longer blind to their partition-load and cache behaviour.
-func (db *DB) SearchPrefixWithStats(q []float64, k int, opts ...SearchOption) ([]Result, Stats, error) {
-	return db.SearchPrefixWithStatsContext(context.Background(), q, k, opts...)
-}
-
-// SearchPrefixWithStatsContext is SearchPrefixContext plus the query's
-// effort statistics.
-func (db *DB) SearchPrefixWithStatsContext(ctx context.Context, q []float64, k int, opts ...SearchOption) ([]Result, Stats, error) {
-	if db.closed.Load() {
-		return nil, Stats{}, ErrClosed
-	}
-	sr, err := db.ix.SearchPrefixContext(ctx, q, searchOptions(k, opts))
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return resultsOf(sr.Results), statsOf(sr.Stats), nil
-}
-
-// SearchPrefixExplainContext is SearchPrefixWithStatsContext plus the
-// planner's navigation record (WithExplain is implied). The returned
-// Explanation is never nil on success.
-func (db *DB) SearchPrefixExplainContext(ctx context.Context, q []float64, k int, opts ...SearchOption) ([]Result, Stats, *Explanation, error) {
-	if db.closed.Load() {
-		return nil, Stats{}, nil, ErrClosed
-	}
-	so := searchOptions(k, opts)
-	so.Explain = true
-	sr, err := db.ix.SearchPrefixContext(ctx, q, so)
-	if err != nil {
-		return nil, Stats{}, nil, err
-	}
-	return resultsOf(sr.Results), statsOf(sr.Stats), sr.Explain, nil
-}
-
-// SearchUpdate is one progressive answer snapshot delivered during
-// SearchProgressiveContext: the best top-k assembled after a plan step.
-// Snapshots are monotonically non-worsening — each one's result set is at
-// least as large, and its k-th distance at least as small, as the previous
-// one's.
-type SearchUpdate struct {
-	// Results are the current approximate nearest neighbours, ascending by
-	// Euclidean distance.
-	Results []Result
-	// Step counts the plan steps executed so far; StepsPlanned is the
-	// plan's total, so Step/StepsPlanned is the coverage fraction.
-	Step, StepsPlanned int
-	// Final marks the last snapshot: its Results are exactly the query's
-	// returned answer.
-	Final bool
-	// Stats is the effort accumulated so far.
-	Stats Stats
-}
-
-// SearchProgressive answers a kNN query progressively: fn receives a
-// monotonically improving SearchUpdate after every executed plan step and
-// a final one when the answer is complete. Returning false from fn stops
-// the query early — the returned results are the best answer so far,
-// marked partial. Combine with WithTimeBudget / WithMaxPartitions for
-// budget-bounded anytime queries (the ProS serving mode: first answers
-// after one partition, refined step by step).
-//
-// fn runs synchronously on the query's goroutine and must not block for
-// long. Progressive execution scans partitions sequentially in plan-rank
-// order, trading the run-to-completion path's partition parallelism for
-// step-boundary control.
-func (db *DB) SearchProgressive(q []float64, k int, fn func(SearchUpdate) bool, opts ...SearchOption) ([]Result, Stats, error) {
-	return db.SearchProgressiveContext(context.Background(), q, k, fn, opts...)
-}
-
-// SearchProgressiveContext is SearchProgressive under a context, with the
-// same cancellation semantics as SearchContext.
-func (db *DB) SearchProgressiveContext(ctx context.Context, q []float64, k int, fn func(SearchUpdate) bool, opts ...SearchOption) ([]Result, Stats, error) {
-	if db.closed.Load() {
-		return nil, Stats{}, ErrClosed
-	}
-	var sink func(core.Snapshot) bool
-	if fn != nil {
-		sink = func(s core.Snapshot) bool {
-			return fn(SearchUpdate{
-				Results:      resultsOf(s.Results),
-				Step:         s.Step,
-				StepsPlanned: s.StepsPlanned,
-				Final:        s.Final,
-				Stats:        statsOf(s.Stats),
-			})
-		}
-	}
-	sr, err := db.ix.SearchProgressive(ctx, q, searchOptions(k, opts), sink)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return resultsOf(sr.Results), statsOf(sr.Stats), nil
-}
-
-// SearchBatch answers many queries concurrently with the default Adaptive4X
-// algorithm; results align positionally with the queries.
-func (db *DB) SearchBatch(queries [][]float64, k int, opts ...SearchOption) ([][]Result, error) {
-	return db.SearchBatchContext(context.Background(), queries, k, opts...)
-}
-
-// SearchBatchContext is SearchBatch under a context. Cancelling ctx aborts
-// the whole batch: queued queries never start and in-flight queries stop on
-// their partition-scan path; the returned error wraps ctx.Err().
-func (db *DB) SearchBatchContext(ctx context.Context, queries [][]float64, k int, opts ...SearchOption) ([][]Result, error) {
-	return db.SearchBatchContextWorkers(ctx, queries, k, 0, opts...)
-}
-
-// SearchBatchContextWorkers is SearchBatchContext with an explicit worker
-// count; workers <= 0 uses GOMAXPROCS. Serving layers use it to keep a
-// batch's internal parallelism within their admission budget instead of
-// letting every batch fan out to full machine width.
-func (db *DB) SearchBatchContextWorkers(ctx context.Context, queries [][]float64, k, workers int, opts ...SearchOption) ([][]Result, error) {
-	out, _, err := db.SearchBatchWithStatsContextWorkers(ctx, queries, k, workers, opts...)
-	return out, err
-}
-
-// SearchBatchWithStatsContextWorkers is SearchBatchContextWorkers plus each
-// query's effort statistics, positionally aligned with the queries. Serving
-// layers use the per-query stats to mark budget-truncated batch answers
-// partial. Note that a WithTimeBudget deadline is fixed once for the whole
-// batch, bounding the batch end to end rather than each query separately.
-func (db *DB) SearchBatchWithStatsContextWorkers(ctx context.Context, queries [][]float64, k, workers int, opts ...SearchOption) ([][]Result, []Stats, error) {
-	if db.closed.Load() {
-		return nil, nil, ErrClosed
-	}
-	batch, err := db.ix.SearchBatchContext(ctx, queries, searchOptions(k, opts), workers)
-	if err != nil {
-		return nil, nil, err
-	}
-	out := make([][]Result, len(batch))
-	stats := make([]Stats, len(batch))
-	for i, sr := range batch {
-		out[i] = resultsOf(sr.Results)
-		stats[i] = statsOf(sr.Stats)
-	}
-	return out, stats, nil
 }
 
 // Close releases the database's resources: the ingestion pipeline stops

@@ -107,7 +107,7 @@ func TestSearchOptions(t *testing.T) {
 	}
 	defer db.Close()
 	for _, v := range []Variant{KNN, Adaptive2X, Adaptive4X, ODSmallest} {
-		res, stats, err := db.SearchWithStats(data[3], 10, WithVariant(v))
+		res, stats, err := searchStats(db, data[3], 10, WithVariant(v))
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
@@ -230,7 +230,7 @@ func TestSearchBatchPublicAPI(t *testing.T) {
 	}
 	defer db.Close()
 	queries := [][]float64{data[1], data[500], data[999]}
-	batch, err := db.SearchBatch(queries, 5)
+	batch, err := searchBatch(db, queries, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestSearchPrefixPublicAPI(t *testing.T) {
 	defer db.Close()
 	short := make([]float64, 32)
 	copy(short, data[9][:32])
-	res, err := db.SearchPrefix(short, 10)
+	res, err := searchPrefix(db, short, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +269,7 @@ func TestSearchPrefixPublicAPI(t *testing.T) {
 			t.Fatal("results not ascending")
 		}
 	}
-	if _, err := db.SearchPrefix(make([]float64, 200), 10); err == nil {
+	if _, err := searchPrefix(db, make([]float64, 200), 10); err == nil {
 		t.Error("over-length prefix accepted")
 	}
 }

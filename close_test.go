@@ -24,13 +24,13 @@ func TestCloseIdempotentAndSentinels(t *testing.T) {
 	if _, err := db.Search(data[0], 5); !errors.Is(err, ErrClosed) {
 		t.Fatalf("search after close returned %v, want ErrClosed", err)
 	}
-	if _, _, err := db.SearchWithStats(data[0], 5); !errors.Is(err, ErrClosed) {
+	if _, _, err := searchStats(db, data[0], 5); !errors.Is(err, ErrClosed) {
 		t.Fatalf("search-with-stats after close returned %v, want ErrClosed", err)
 	}
-	if _, err := db.SearchPrefix(data[0][:32], 5); !errors.Is(err, ErrClosed) {
+	if _, err := searchPrefix(db, data[0][:32], 5); !errors.Is(err, ErrClosed) {
 		t.Fatalf("prefix search after close returned %v, want ErrClosed", err)
 	}
-	if _, err := db.SearchBatch([][]float64{data[0]}, 5); !errors.Is(err, ErrClosed) {
+	if _, err := searchBatch(db, [][]float64{data[0]}, 5); !errors.Is(err, ErrClosed) {
 		t.Fatalf("batch after close returned %v, want ErrClosed", err)
 	}
 	if _, err := db.Append(data[:1]); !errors.Is(err, ErrClosed) {
@@ -104,7 +104,7 @@ func TestSearchPrefixWithStatsReportsEffort(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	res, stats, err := db.SearchPrefixWithStats(data[3][:32], 10)
+	res, stats, err := db.SearchPrefixWithStatsContext(context.Background(), data[3][:32], 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,13 +114,13 @@ func TestSearchPrefixWithStatsReportsEffort(t *testing.T) {
 	if stats.PartitionsScanned == 0 || stats.RecordsScanned == 0 || stats.BytesLoaded == 0 {
 		t.Fatalf("prefix stats empty: %+v", stats)
 	}
-	plain, err := db.SearchPrefix(data[3][:32], 10)
+	plain, err := searchPrefix(db, data[3][:32], 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range res {
 		if res[i] != plain[i] {
-			t.Fatalf("result %d differs between SearchPrefix and SearchPrefixWithStats", i)
+			t.Fatalf("result %d differs between Query and SearchPrefixWithStatsContext", i)
 		}
 	}
 }
@@ -134,14 +134,14 @@ func TestSearchContextPublicAPI(t *testing.T) {
 	defer db.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := db.SearchContext(ctx, data[0], 5); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled SearchContext returned %v", err)
+	if _, err := db.Query(ctx, NewRequest(data[0], 5)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled Query returned %v", err)
 	}
-	if _, err := db.SearchBatchContext(ctx, [][]float64{data[0]}, 5); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled SearchBatchContext returned %v", err)
+	if _, err := db.QueryBatch(ctx, [][]float64{data[0]}, NewRequest(nil, 5), 0); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled QueryBatch returned %v", err)
 	}
-	res, err := db.SearchContext(context.Background(), data[0], 5)
-	if err != nil || len(res) == 0 {
-		t.Fatalf("SearchContext: %v (%d results)", err, len(res))
+	resp, err := db.Query(context.Background(), NewRequest(data[0], 5))
+	if err != nil || len(resp.Results) == 0 {
+		t.Fatalf("Query: %v (%d results)", err, len(resp.Results))
 	}
 }

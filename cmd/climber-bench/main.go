@@ -11,26 +11,20 @@
 // experiment index lives in internal/experiments (each runner's doc
 // comment names the paper artefact it reproduces).
 //
-// Beyond the paper artefacts, "mixed" runs a concurrent read/write workload
-// against the streaming ingestion pipeline (internal/ingest) and reports
-// append and search latency side by side, and "sharded" compares an
-// unsharded DB with the same dataset split over four shard servers behind
-// the scatter-gather router (internal/shard):
-//
-//	climber-bench -experiment mixed -scale small
-//	climber-bench -experiment sharded -scale small
-//
-// "budget" measures the anytime-query contract: recall as a function of
-// per-query partition and time budgets against the run-to-completion
-// answer, plus a progressive-convergence trace. -max-partitions and
-// -time-budget narrow the sweep to one budget value:
+// Beyond the paper artefacts, "budget" measures the anytime-query
+// contract: recall as a function of per-query partition and time budgets
+// against the run-to-completion answer, plus a progressive-convergence
+// trace. -max-partitions and -time-budget narrow the sweep to one budget
+// value:
 //
 //	climber-bench -experiment budget -scale small
 //	climber-bench -experiment budget -max-partitions 2
 //
 // The serving stack's performance benchmark — end-to-end and per-layer,
 // including build phases, storage backings, kernels and tracing overhead —
-// is the separate harness under bench/ (see bench/README.md).
+// is the separate harness under bench/ (see bench/README.md); its
+// ingest-mixed and sharded-mix workloads are the read/write and
+// router-over-shards measurements.
 package main
 
 import (

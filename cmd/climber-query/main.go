@@ -110,23 +110,39 @@ func main() {
 	}
 	q := ds.Get(*id)
 
+	// Every mode is the same Request through the same entry point, so what
+	// -explain or -progressive prints can never describe a different plan or
+	// budget than the query the user actually measures.
+	req := climber.NewRequest(q, *k, append(budgetOpts(), climber.WithVariant(v))...)
+	req.Explain = *explain
+	ctx := context.Background()
+	var tr *obs.Trace
+	if *explain {
+		tr = obs.NewTrace("search", "")
+		ctx = obs.ContextWithSpan(ctx, tr.Root())
+	}
 	start := time.Now()
-	var res []climber.Result
-	var stats climber.Stats
-	switch {
-	case *explain:
-		// The explain path runs the exact same query (same option fold,
-		// same engine entry point) under a local trace, so what it prints
-		// can never describe a different plan or budget than the query the
-		// user actually measures.
-		tr := obs.NewTrace("search", "")
-		ctx := obs.ContextWithSpan(context.Background(), tr.Root())
-		var ex *climber.Explanation
-		res, stats, ex, err = db.SearchExplainContext(ctx, q, *k,
-			append(budgetOpts(), climber.WithVariant(v))...)
-		if err != nil {
-			log.Fatal(err)
+	if *progressive {
+		req.Progress = func(u climber.SearchUpdate) bool {
+			kth := 0.0
+			if len(u.Results) > 0 {
+				kth = u.Results[len(u.Results)-1].Dist
+			}
+			marker := ""
+			if u.Final {
+				marker = " (final)"
+			}
+			fmt.Printf("  step %d/%d: %d results, k-th dist %.6f, %v elapsed%s\n",
+				u.Step, u.StepsPlanned, len(u.Results), kth, time.Since(start).Round(time.Microsecond), marker)
+			return true
 		}
+	}
+	resp, err := db.Query(ctx, req)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res, stats := resp.Results, resp.Stats
+	if ex := resp.Explain; ex != nil {
 		tr.Root().End()
 		fmt.Printf("explain (variant %s):\n", ex.Variant)
 		fmt.Printf("  P4->  = %v\n", ex.RankSensitive)
@@ -150,30 +166,6 @@ func main() {
 		}
 		fmt.Printf("  trace:\n")
 		printSpan(tr.Root().Data(), "    ")
-	case *progressive:
-		var err error
-		res, stats, err = db.SearchProgressive(q, *k, func(u climber.SearchUpdate) bool {
-			kth := 0.0
-			if len(u.Results) > 0 {
-				kth = u.Results[len(u.Results)-1].Dist
-			}
-			marker := ""
-			if u.Final {
-				marker = " (final)"
-			}
-			fmt.Printf("  step %d/%d: %d results, k-th dist %.6f, %v elapsed%s\n",
-				u.Step, u.StepsPlanned, len(u.Results), kth, time.Since(start).Round(time.Microsecond), marker)
-			return true
-		}, append(budgetOpts(), climber.WithVariant(v))...)
-		if err != nil {
-			log.Fatal(err)
-		}
-	default:
-		var err error
-		res, stats, err = db.SearchWithStats(q, *k, append(budgetOpts(), climber.WithVariant(v))...)
-		if err != nil {
-			log.Fatal(err)
-		}
 	}
 	elapsed := time.Since(start)
 
@@ -196,12 +188,8 @@ func main() {
 		exStart := time.Now()
 		exactRes := dss.SearchDataset(ds, q, *k)
 		exElapsed := time.Since(exStart)
-		approx := make([]series.Result, len(res))
-		for i, r := range res {
-			approx[i] = series.Result{ID: r.ID, Dist: r.Dist}
-		}
 		fmt.Printf("exact scan: %v, recall = %.3f\n",
-			exElapsed.Round(time.Microsecond), series.Recall(approx, exactRes))
+			exElapsed.Round(time.Microsecond), series.Recall(res, exactRes))
 	}
 	printCacheStats(db, *cache)
 }
@@ -285,19 +273,15 @@ func evaluateWorkload(db *climber.DB, ds *series.Dataset, n, k int, seed uint64,
 		var total time.Duration
 		for i, q := range qs {
 			start := time.Now()
-			res, stats, err := db.SearchWithStats(q, k, append(append([]climber.SearchOption(nil), budgetOpts...), climber.WithVariant(vc.v))...)
+			resp, err := db.Query(context.Background(), climber.NewRequest(q, k, append(append([]climber.SearchOption(nil), budgetOpts...), climber.WithVariant(vc.v))...))
 			if err != nil {
 				log.Fatal(err)
 			}
 			total += time.Since(start)
-			approx := make([]series.Result, len(res))
-			for j, r := range res {
-				approx[j] = series.Result{ID: r.ID, Dist: r.Dist}
-			}
-			recall += series.Recall(approx, exact[i])
-			records += stats.RecordsScanned
-			parts += stats.PartitionsScanned
-			if stats.Partial {
+			recall += series.Recall(resp.Results, exact[i])
+			records += resp.Stats.RecordsScanned
+			parts += resp.Stats.PartitionsScanned
+			if resp.Stats.Partial {
 				partials++
 			}
 		}

@@ -56,6 +56,7 @@ import (
 	"syscall"
 	"time"
 
+	"climber/internal/api"
 	"climber/internal/obs"
 	"climber/internal/shard"
 )
@@ -98,18 +99,20 @@ func main() {
 	}
 
 	r := shard.NewRouter(topo, shard.Config{
-		MaxInFlight:     *maxInflight,
-		QueueTimeout:    *queueTimeout,
-		MaxK:            *maxK,
-		MaxBatch:        *maxBatch,
-		MaxAppend:       *maxAppend,
-		BodyReadTimeout: *bodyTimeout,
-		Quorum:          *quorum,
-		HealthInterval:  *healthEvery,
-		ShardTimeout:    *shardTimeout,
-		SlowLogSize:     *slowLogSize,
-		SlowThreshold:   *slowThresh,
-		SlowSample:      *slowSample,
+		ServeConfig: api.ServeConfig{
+			MaxInFlight:     *maxInflight,
+			QueueTimeout:    *queueTimeout,
+			MaxK:            *maxK,
+			MaxBatch:        *maxBatch,
+			MaxAppend:       *maxAppend,
+			BodyReadTimeout: *bodyTimeout,
+			SlowLogSize:     *slowLogSize,
+			SlowThreshold:   *slowThresh,
+			SlowSample:      *slowSample,
+		},
+		Quorum:         *quorum,
+		HealthInterval: *healthEvery,
+		ShardTimeout:   *shardTimeout,
 	})
 	defer r.Close()
 

@@ -49,6 +49,7 @@ import (
 	"time"
 
 	"climber"
+	"climber/internal/api"
 	"climber/internal/obs"
 	"climber/internal/series"
 	"climber/internal/server"
@@ -102,16 +103,18 @@ func main() {
 	}
 
 	srv := server.New(db, server.Config{
-		MaxInFlight:     *maxInflight,
-		QueueTimeout:    *queueTimeout,
-		MaxK:            *maxK,
-		MaxBatch:        *maxBatch,
-		MaxAppend:       *maxAppend,
-		BodyReadTimeout: *bodyTimeout,
-		SlowLogSize:     *slowLogSize,
-		SlowThreshold:   *slowThresh,
-		SlowSample:      *slowSample,
-		BackupRoot:      *backupRoot,
+		ServeConfig: api.ServeConfig{
+			MaxInFlight:     *maxInflight,
+			QueueTimeout:    *queueTimeout,
+			MaxK:            *maxK,
+			MaxBatch:        *maxBatch,
+			MaxAppend:       *maxAppend,
+			BodyReadTimeout: *bodyTimeout,
+			SlowLogSize:     *slowLogSize,
+			SlowThreshold:   *slowThresh,
+			SlowSample:      *slowSample,
+		},
+		BackupRoot: *backupRoot,
 	})
 	httpSrv := &http.Server{
 		Addr:              *addr,

@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"os"
@@ -66,17 +67,13 @@ func main() {
 		sumRecall, sumRecords, sumParts := 0.0, 0, 0
 		for _, q := range probes {
 			exact := dss.SearchDataset(genome, q, k)
-			res, stats, err := db.SearchWithStats(q, k, climber.WithVariant(vc.v))
+			resp, err := db.Query(context.Background(), climber.NewRequest(q, k, climber.WithVariant(vc.v)))
 			if err != nil {
 				log.Fatal(err)
 			}
-			approx := make([]series.Result, len(res))
-			for i, r := range res {
-				approx[i] = series.Result{ID: r.ID, Dist: r.Dist}
-			}
-			sumRecall += series.Recall(approx, exact)
-			sumRecords += stats.RecordsScanned
-			sumParts += stats.PartitionsScanned
+			sumRecall += series.Recall(resp.Results, exact)
+			sumRecords += resp.Stats.RecordsScanned
+			sumParts += resp.Stats.PartitionsScanned
 		}
 		n := float64(len(probes))
 		fmt.Printf("%-14s %-8.3f %-12.0f %-10.1f\n",
@@ -89,10 +86,13 @@ func main() {
 	// the paper credits PAA-family representations with (Section II).
 	shortProbe := make([]float64, 64)
 	copy(shortProbe, genome.Get(4242)[:64])
-	short, err := db.SearchPrefix(shortProbe, 10)
+	shortReq := climber.NewRequest(shortProbe, 10)
+	shortReq.Prefix = true
+	shortResp, err := db.Query(context.Background(), shortReq)
 	if err != nil {
 		log.Fatal(err)
 	}
+	short := shortResp.Results
 	fmt.Printf("\nshort-probe search (64 of %d points): top hits ", genome.Length())
 	for i := 0; i < 3 && i < len(short); i++ {
 		fmt.Printf("#%d(%.2f) ", short[i].ID, short[i].Dist)

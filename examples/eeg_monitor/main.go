@@ -14,6 +14,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math"
@@ -91,10 +92,11 @@ func main() {
 		id    int
 	}{{"seizure-like", seizureID}, {"normal", normalID}} {
 		q := archive.Get(qc.id)
-		res, stats, err := db.SearchWithStats(q, k)
+		resp, err := db.Query(context.Background(), climber.NewRequest(q, k))
 		if err != nil {
 			log.Fatal(err)
 		}
+		res, stats := resp.Results, resp.Stats
 		// How many retrieved episodes share the query's burstiness class?
 		classThreshold := (maxB + minB) / 2
 		qIsBursty := burstiness(q) > classThreshold
@@ -105,14 +107,10 @@ func main() {
 			}
 		}
 		exact := dss.SearchDataset(archive, q, k)
-		approx := make([]series.Result, len(res))
-		for i, r := range res {
-			approx[i] = series.Result{ID: r.ID, Dist: r.Dist}
-		}
 		fmt.Printf("\n%s query (window #%d):\n", qc.label, qc.id)
 		fmt.Printf("  scanned %d records across %d partitions\n", stats.RecordsScanned, stats.PartitionsScanned)
 		fmt.Printf("  %d/%d retrieved windows share the query's class\n", same, len(res))
-		fmt.Printf("  recall vs exact scan: %.2f\n", series.Recall(approx, exact))
+		fmt.Printf("  recall vs exact scan: %.2f\n", series.Recall(res, exact))
 		fmt.Printf("  closest episodes: ")
 		for i := 0; i < 5 && i < len(res); i++ {
 			fmt.Printf("#%d(%.2f) ", res[i].ID, res[i].Dist)

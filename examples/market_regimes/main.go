@@ -6,13 +6,14 @@
 //
 // The example exercises two production features of this implementation that
 // go beyond one-shot benchmarks: Append (ingesting each new day into the
-// existing index without a rebuild) and SearchBatch (the concurrent
+// existing index without a rebuild) and QueryBatch (the concurrent
 // batch-query path).
 //
 //	go run ./examples/market_regimes
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand/v2"
@@ -108,14 +109,14 @@ func main() {
 			queryRegimes[i] = rng.IntN(3)
 			queries[i] = priceWindow(rng, queryRegimes[i])
 		}
-		batch, err := db.SearchBatch(queries, 20)
+		batch, err := db.QueryBatch(context.Background(), queries, climber.NewRequest(nil, 20), 0)
 		if err != nil {
 			log.Fatal(err)
 		}
 		// For each instrument: does retrieved history share the regime?
 		agree, total := 0, 0
-		for i, res := range batch {
-			for _, r := range res {
+		for i, resp := range batch {
+			for _, r := range resp.Results {
 				if regimes[r.ID] == queryRegimes[i] {
 					agree++
 				}
@@ -128,10 +129,11 @@ func main() {
 
 	// Show one retrieval in detail.
 	q := priceWindow(rng, 0)
-	res, stats, err := db.SearchWithStats(q, 5)
+	resp, err := db.Query(context.Background(), climber.NewRequest(q, 5))
 	if err != nil {
 		log.Fatal(err)
 	}
+	res, stats := resp.Results, resp.Stats
 	fmt.Printf("\nsample %s query: scanned %d records in %d partitions\n",
 		regimeName[0], stats.RecordsScanned, stats.PartitionsScanned)
 	for i, r := range res {

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand/v2"
@@ -58,10 +59,11 @@ func main() {
 
 	// Query with series #42 itself: its nearest neighbour is... itself,
 	// followed by genuinely similar walks.
-	res, stats, err := db.SearchWithStats(data[42], 10)
+	resp, err := db.Query(context.Background(), climber.NewRequest(data[42], 10))
 	if err != nil {
 		log.Fatal(err)
 	}
+	res, stats := resp.Results, resp.Stats
 	fmt.Printf("query touched %d of %d partitions (%d records compared)\n",
 		stats.PartitionsScanned, info.NumPartitions, stats.RecordsScanned)
 	for i, r := range res {

@@ -199,7 +199,7 @@ func TestDeltaScannedStat(t *testing.T) {
 	if _, err := db.Append(extra); err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := db.SearchWithStats(extra[0], 3)
+	_, st, err := searchStats(db, extra[0], 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestDeltaScannedStat(t *testing.T) {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	_, st, err = db.SearchWithStats(extra[0], 3)
+	_, st, err = searchStats(db, extra[0], 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,10 +260,10 @@ func TestFloat32OverflowRejected(t *testing.T) {
 	big[5] = 1e39
 	entry := map[string]func() error{
 		"Search":       func() error { _, err := db.Search(big, 5); return err },
-		"SearchPrefix": func() error { _, err := db.SearchPrefix(big[:32], 5); return err },
-		"SearchBatch":  func() error { _, err := db.SearchBatch([][]float64{data[1], big}, 5); return err },
+		"SearchPrefix": func() error { _, err := searchPrefix(db, big[:32], 5); return err },
+		"SearchBatch":  func() error { _, err := searchBatch(db, [][]float64{data[1], big}, 5); return err },
 		"SearchProgressive": func() error {
-			_, _, err := db.SearchProgressive(big, 5, func(SearchUpdate) bool { return true })
+			_, _, err := searchProgressive(db, big, 5, func(SearchUpdate) bool { return true })
 			return err
 		},
 		"Append": func() error { _, err := db.Append([][]float64{data[1], big}); return err },

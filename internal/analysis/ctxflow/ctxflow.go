@@ -11,10 +11,10 @@
 //     variant of a callee when a <Name>Context sibling exists — that is
 //     how a threaded context silently drops to Background.
 //  3. Outside package main, context.Background()/context.TODO() may appear
-//     only in a recognised convenience wrapper — a function Name whose
-//     Background call feeds a sibling named Name…Context (the public
-//     no-context form of a context API, e.g. Search → SearchContext) — or
-//     under an explicit //lint:ignore ctxflow allowlist comment stating
+//     only in a recognised convenience wrapper — a context-free method
+//     whose Background call feeds a context-taking method of its own
+//     receiver (the public no-context form of a context API, e.g.
+//     Search → Query, Append → AppendContext) — or under an explicit //lint:ignore ctxflow allowlist comment stating
 //     why the site is a legitimate root.
 package ctxflow
 
@@ -92,7 +92,7 @@ func checkFreshContext(pass *vet.Pass, decl *ast.FuncDecl, call *ast.CallExpr, i
 		return // binaries and examples are legitimate context roots
 	}
 	if isConvenienceWrapper(pass, decl, call) {
-		return // Search() → SearchContext(context.Background(), …) root
+		return // db.Search() → db.Query(context.Background(), …) root
 	}
 	// Rule 3: a fresh root in library code needs an explicit allowlist.
 	pass.Reportf(call.Pos(), "context.%s() in library code: thread a caller context, or allowlist this root with //lint:ignore ctxflow <reason>", name)
@@ -132,11 +132,19 @@ func contextSibling(pass *vet.Pass, fn *types.Func) *types.Func {
 }
 
 // isConvenienceWrapper reports whether the Background/TODO call is the
-// context argument of a call to the enclosing function's own Context
-// variant: inside func (t T) Name(…), a call t.Name…Context(context
-// .Background(), …) is the documented public no-context form, not a
-// threading break.
+// context argument of a method call on the enclosing method's own
+// receiver: inside func (t T) Name(…), a call t.Other(context.Background(),
+// …) is the documented public no-context form of T's context API, not a
+// threading break. A call on any other value — a parameter, a field — is
+// a fresh root like any other.
 func isConvenienceWrapper(pass *vet.Pass, decl *ast.FuncDecl, fresh *ast.CallExpr) bool {
+	if decl.Recv == nil || len(decl.Recv.List) != 1 || len(decl.Recv.List[0].Names) != 1 {
+		return false
+	}
+	recv := pass.Info.Defs[decl.Recv.List[0].Names[0]]
+	if recv == nil {
+		return false // blank receiver: nothing can be called on it
+	}
 	found := false
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		outer, ok := n.(*ast.CallExpr)
@@ -147,12 +155,10 @@ func isConvenienceWrapper(pass *vet.Pass, decl *ast.FuncDecl, fresh *ast.CallExp
 			if ast.Unparen(arg) != fresh {
 				continue
 			}
-			name := calleeIdent(outer)
-			if len(name) > len(decl.Name.Name) &&
-				len(name) > len("Context") &&
-				name[:len(decl.Name.Name)] == decl.Name.Name &&
-				name[len(name)-len("Context"):] == "Context" {
-				found = true
+			if sel, ok := outer.Fun.(*ast.SelectorExpr); ok {
+				if x, ok := sel.X.(*ast.Ident); ok && pass.Info.Uses[x] == recv {
+					found = true
+				}
 			}
 		}
 		return !found
@@ -192,15 +198,4 @@ func calleeName(call *ast.CallExpr) string {
 		return sel.Sel.Name
 	}
 	return "Background"
-}
-
-// calleeIdent returns the syntactic name of the called function or method.
-func calleeIdent(call *ast.CallExpr) string {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		return fun.Sel.Name
-	}
-	return ""
 }

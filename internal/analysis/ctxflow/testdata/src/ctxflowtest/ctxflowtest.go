@@ -12,10 +12,22 @@ func (s *Store) SearchContext(ctx context.Context, q string) error {
 	return ctx.Err()
 }
 
-// Search is the documented convenience wrapper: Background feeding the
-// function's own Context sibling is allowed.
+// Search is the documented convenience wrapper: Background feeding a
+// context-taking method of the wrapper's own receiver is allowed.
 func (s *Store) Search(q string) error {
 	return s.SearchContext(context.Background(), q)
+}
+
+// Find is the same wrapper under an unrelated name: the receiver, not the
+// spelling, makes it one.
+func (s *Store) Find(q string) error {
+	return s.SearchContext(context.Background(), q)
+}
+
+// viaOther roots a Background into another value's method: not a wrapper
+// of s's own API (rule 3).
+func (s *Store) viaOther(o *Store) error {
+	return o.SearchContext(context.Background(), "q") // want "context.Background\\(\\) in library code"
 }
 
 // freshInsideCtx severs the caller's cancellation chain (rule 1).

@@ -27,11 +27,10 @@ import (
 )
 
 // RequiredSites maps package import paths to the minimum number of
-// //climber:statsmerge fold sites each must register: the public Stats
-// conversion in the root package and the scatter-gather fold in the shard
-// router.
+// //climber:statsmerge fold sites each must register: the scatter-gather
+// fold in the shard router. (The public climber.Stats is an alias of
+// core.QueryStats, so no conversion exists to drop a field.)
 var RequiredSites = map[string]int{
-	"climber":                1, // statsOf: core.QueryStats → climber.Stats
 	"climber/internal/shard": 1, // sumStats: per-shard climber.Stats → merged
 }
 

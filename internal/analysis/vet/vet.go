@@ -202,12 +202,13 @@ func HasContextParam(sig *types.Signature) bool {
 	return sig.Params().Len() > 0 && IsContextType(sig.Params().At(0).Type())
 }
 
-// NamedType unwraps pointers and returns the named type behind t, or nil.
+// NamedType unwraps pointers and aliases and returns the named type behind
+// t, or nil.
 func NamedType(t types.Type) *types.Named {
-	if ptr, ok := t.(*types.Pointer); ok {
+	if ptr, ok := types.Unalias(t).(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	named, _ := t.(*types.Named)
+	named, _ := types.Unalias(t).(*types.Named)
 	return named
 }
 

@@ -98,11 +98,9 @@ type AppendResponse struct {
 }
 
 // Result is one neighbour in a response: the record ID and its Euclidean
-// distance to the query.
-type Result struct {
-	ID   int     `json:"id"`
-	Dist float64 `json:"dist"`
-}
+// distance to the query, under the keys "id" and "dist" — the engine's own
+// result type, encoded as the scan produced it.
+type Result = climber.Result
 
 // SearchResponse is the body of a successful POST /search or POST
 // /search/prefix.

@@ -85,17 +85,7 @@ func checkOptions(k *int, variant string, maxPartitions, timeBudgetMS, maxK int)
 // the request is well-formed: the query is finite with the indexed length,
 // 1 <= k <= maxK, and the variant parses.
 func DecodeSearchRequest(data []byte, seriesLen, maxK int) (*SearchRequest, error) {
-	var req SearchRequest
-	if err := DecodeJSON(data, &req); err != nil {
-		return nil, err
-	}
-	if err := checkOptions(&req.K, req.Variant, req.MaxPartitions, req.TimeBudgetMS, maxK); err != nil {
-		return nil, err
-	}
-	if err := CheckQuery(req.Query, seriesLen); err != nil {
-		return nil, err
-	}
-	return &req, nil
+	return decodeSearch(data, seriesLen, seriesLen, maxK, false)
 }
 
 // DecodePrefixRequest parses and validates a POST /search/prefix body. The
@@ -103,6 +93,12 @@ func DecodeSearchRequest(data []byte, seriesLen, maxK int) (*SearchRequest, erro
 // minLen (the index's PAA segment count — shorter prefixes cannot be
 // transformed); every other guarantee matches DecodeSearchRequest.
 func DecodePrefixRequest(data []byte, minLen, seriesLen, maxK int) (*SearchRequest, error) {
+	return decodeSearch(data, minLen, seriesLen, maxK, true)
+}
+
+// decodeSearch is the one body of the two decoders above, which differ
+// only in the query lengths they admit and how they word a refusal.
+func decodeSearch(data []byte, minLen, seriesLen, maxK int, prefix bool) (*SearchRequest, error) {
 	var req SearchRequest
 	if err := DecodeJSON(data, &req); err != nil {
 		return nil, err
@@ -110,10 +106,16 @@ func DecodePrefixRequest(data []byte, minLen, seriesLen, maxK int) (*SearchReque
 	if err := checkOptions(&req.K, req.Variant, req.MaxPartitions, req.TimeBudgetMS, maxK); err != nil {
 		return nil, err
 	}
-	if len(req.Query) < minLen || len(req.Query) > seriesLen {
-		return nil, fmt.Errorf("prefix query length %d outside [%d, %d]", len(req.Query), minLen, seriesLen)
+	var err error
+	switch {
+	case !prefix:
+		err = CheckQuery(req.Query, seriesLen)
+	case len(req.Query) < minLen || len(req.Query) > seriesLen:
+		err = fmt.Errorf("prefix query length %d outside [%d, %d]", len(req.Query), minLen, seriesLen)
+	default:
+		err = series.CheckFloat32(req.Query)
 	}
-	if err := series.CheckFloat32(req.Query); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return &req, nil
@@ -166,18 +168,15 @@ func DecodeAppendRequest(data []byte, seriesLen, maxAppend int) (*AppendRequest,
 	return &req, nil
 }
 
-// SearchOptions converts validated request options to climber search
-// options. The variant must have been validated during decode. A positive
-// timeBudgetMS arms the anytime deadline budget (the deadline starts
-// counting when the search call folds its options).
-func SearchOptions(variant string, maxPartitions, timeBudgetMS int) []climber.SearchOption {
+// EngineRequest converts validated request options to the climber.Request
+// they ask for; the caller adds the query and the endpoint's flags. The
+// variant must have been validated during decode. A positive timeBudgetMS
+// arms the anytime deadline budget (the deadline starts counting when the
+// query starts).
+func EngineRequest(k int, variant string, maxPartitions, timeBudgetMS int) climber.Request {
 	v, _ := ParseVariant(variant) // validated during decode
-	opts := []climber.SearchOption{climber.WithVariant(v)}
-	if maxPartitions > 0 {
-		opts = append(opts, climber.WithMaxPartitions(maxPartitions))
+	return climber.Request{
+		K: k, Variant: v, MaxPartitions: maxPartitions,
+		TimeBudget: time.Duration(timeBudgetMS) * time.Millisecond,
 	}
-	if timeBudgetMS > 0 {
-		opts = append(opts, climber.WithTimeBudget(time.Duration(timeBudgetMS)*time.Millisecond))
-	}
-	return opts
 }

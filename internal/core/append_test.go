@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"climber/internal/dataset"
@@ -107,7 +108,7 @@ func TestSearchBatchMatchesSequential(t *testing.T) {
 	ix, ds, _, _ := buildTestIndex(t, 1500, cfg)
 	_, qs := dataset.Queries(ds, 12, 13)
 	opts := SearchOptions{K: 10, Variant: VariantAdaptive4X}
-	batch, err := ix.SearchBatch(qs, opts, 3)
+	batch, err := ix.QueryBatch(context.Background(), qs, opts, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestSearchBatchPropagatesErrors(t *testing.T) {
 	cfg := testConfig()
 	ix, ds, _, _ := buildTestIndex(t, 800, cfg)
 	bad := [][]float64{ds.Get(0), make([]float64, 3)}
-	if _, err := ix.SearchBatch(bad, SearchOptions{K: 5}, 2); err == nil {
+	if _, err := ix.QueryBatch(context.Background(), bad, SearchOptions{K: 5}, 2); err == nil {
 		t.Fatal("batch with a bad query should fail")
 	}
 }

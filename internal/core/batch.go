@@ -9,26 +9,20 @@ import (
 	"climber/internal/obs"
 )
 
-// SearchBatch answers many kNN queries concurrently, mirroring the paper's
+// QueryBatch answers many kNN queries concurrently, mirroring the paper's
 // distributed query evaluation (Section VI): the skeleton is shared
 // read-only across workers and each query independently loads the
 // partitions it needs. workers <= 0 uses GOMAXPROCS.
 //
 // Results are positionally aligned with the queries. The first error
-// aborts the batch.
-func (ix *Index) SearchBatch(queries [][]float64, opts SearchOptions, workers int) ([]*SearchResult, error) {
-	return ix.SearchBatchContext(context.Background(), queries, opts, workers)
-}
-
-// SearchBatchContext is SearchBatch under a context. Cancellation stops the
-// batch promptly: queries not yet started are abandoned, and in-flight
-// queries observe the cancellation on their partition-scan path (see
-// SearchContext). The returned error wraps ctx.Err().
-func (ix *Index) SearchBatchContext(ctx context.Context, queries [][]float64, opts SearchOptions, workers int) ([]*SearchResult, error) {
+// aborts the batch. Cancellation stops the batch promptly: queries not yet
+// started are abandoned, and in-flight queries observe the cancellation on
+// their partition-scan path (see Query). The returned error wraps ctx.Err().
+func (ix *Index) QueryBatch(ctx context.Context, queries [][]float64, opts SearchOptions, workers int) ([]SearchResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	out := make([]*SearchResult, len(queries))
+	out := make([]SearchResult, len(queries))
 	errs := make([]error, len(queries))
 	work := make(chan int, len(queries))
 	for i := range queries {
@@ -54,7 +48,10 @@ func (ix *Index) SearchBatchContext(ctx context.Context, queries [][]float64, op
 					qsp.SetAttr("query", int64(i))
 					qctx = obs.ContextWithSpan(ctx, qsp)
 				}
-				out[i], errs[i] = ix.SearchContext(qctx, queries[i], opts)
+				var res *SearchResult
+				if res, errs[i] = ix.Query(qctx, queries[i], opts, nil); errs[i] == nil {
+					out[i] = *res
+				}
 				qsp.End()
 			}
 		}()

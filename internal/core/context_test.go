@@ -12,10 +12,10 @@ func TestSearchContextPreCancelled(t *testing.T) {
 	ix, ds, _, _ := buildTestIndex(t, 1000, cfg)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ix.SearchContext(ctx, ds.Get(0), SearchOptions{K: 10}); !errors.Is(err, context.Canceled) {
+	if _, err := ix.Query(ctx, ds.Get(0), SearchOptions{K: 10}, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled search returned %v, want context.Canceled", err)
 	}
-	if _, err := ix.SearchPrefixContext(ctx, ds.Get(0)[:32], SearchOptions{K: 10}); !errors.Is(err, context.Canceled) {
+	if _, err := ix.Query(ctx, ds.Get(0)[:32], SearchOptions{K: 10, Prefix: true}, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-cancelled prefix search returned %v, want context.Canceled", err)
 	}
 }
@@ -28,7 +28,7 @@ func TestSearchContextBackgroundMatchesSearch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := ix.SearchContext(context.Background(), ds.Get(qid), SearchOptions{K: 20, Variant: VariantAdaptive4X})
+		b, err := ix.Query(context.Background(), ds.Get(qid), SearchOptions{K: 20, Variant: VariantAdaptive4X}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestSearchBatchContextCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ix.SearchBatchContext(ctx, queries, SearchOptions{K: 10}, 4); !errors.Is(err, context.Canceled) {
+	if _, err := ix.QueryBatch(ctx, queries, SearchOptions{K: 10}, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled batch returned %v, want an error wrapping context.Canceled", err)
 	}
 }

@@ -16,8 +16,9 @@
 //
 //   - Build (build.go): sample → pivots → groups → tries → route every
 //     record → pack partition files; the phase timings land in BuildStats.
-//   - Search / SearchPrefix / SearchBatch / SearchProgressive (search.go,
-//     prefix.go, batch.go, progressive.go): the planner (plan.go)
+//   - Query / QueryBatch (search.go, batch.go) — full-length, prefix and
+//     progressive queries are one entry point, told apart by
+//     SearchOptions.Prefix and the sink argument: the planner (plan.go)
 //     navigates the skeleton into a ranked ScanPlan of per-partition
 //     steps; the executor (exec.go) runs the steps — concurrently when
 //     run to completion, sequentially under a Budget or progressive

@@ -80,7 +80,7 @@ func TestEngineMatchesLegacyBitForBit(t *testing.T) {
 						assertSameEffort(t, label, got.Stats, want.Stats)
 
 						// Progressive run-to-completion: same answer again.
-						prog, err := ix.SearchProgressive(context.Background(), q, opts, func(Snapshot) bool { return true })
+						prog, err := ix.Query(context.Background(), q, opts, func(Snapshot) bool { return true })
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -95,7 +95,7 @@ func TestEngineMatchesLegacyBitForBit(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got, err := ix.SearchPrefix(q[:plen], opts)
+					got, err := searchPrefix(ix, q[:plen], opts)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -422,9 +422,9 @@ func (e *executor) scanSteps(ctx context.Context, steps []PlanStep, done planMap
 		mu.Lock()
 		if p.Cached() {
 			if p.CacheHit() {
-				stats.CacheHits++
+				stats.PartitionCacheHits++
 			} else {
-				stats.CacheMisses++
+				stats.PartitionCacheMisses++
 			}
 		}
 		if countLoads {

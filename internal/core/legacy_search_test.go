@@ -419,9 +419,9 @@ func legacyExecutePlanDist(ctx context.Context, ix *Index, plan, done legacyPlan
 		mu.Lock()
 		if p.Cached() {
 			if p.CacheHit() {
-				stats.CacheHits++
+				stats.PartitionCacheHits++
 			} else {
-				stats.CacheMisses++
+				stats.PartitionCacheMisses++
 			}
 		}
 		if countLoads {

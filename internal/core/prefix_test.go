@@ -8,6 +8,12 @@ import (
 	"climber/internal/series"
 )
 
+// searchPrefix is Search with SearchOptions.Prefix set.
+func searchPrefix(ix *Index, q []float64, opts SearchOptions) (*SearchResult, error) {
+	opts.Prefix = true
+	return ix.Search(q, opts)
+}
+
 func TestSearchPrefixBasics(t *testing.T) {
 	cfg := testConfig()
 	ix, ds, _, _ := buildTestIndex(t, 2000, cfg)
@@ -16,7 +22,7 @@ func TestSearchPrefixBasics(t *testing.T) {
 	// distance ~0 over the compared prefix.
 	q := make([]float64, 32)
 	copy(q, ds.Get(55)[:32])
-	res, err := ix.SearchPrefix(q, SearchOptions{K: 10, Variant: VariantAdaptive4X})
+	res, err := searchPrefix(ix, q, SearchOptions{K: 10, Variant: VariantAdaptive4X})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +61,7 @@ func TestSearchPrefixRecall(t *testing.T) {
 		q := make([]float64, prefixLen)
 		copy(q, ds.Get(qid)[:prefixLen])
 		exact := dss.SearchDatasetPrefix(ds, q, k)
-		res, err := ix.SearchPrefix(q, SearchOptions{K: k, Variant: VariantAdaptive4X})
+		res, err := searchPrefix(ix, q, SearchOptions{K: k, Variant: VariantAdaptive4X})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,17 +81,20 @@ func TestSearchPrefixRecall(t *testing.T) {
 func TestSearchPrefixValidation(t *testing.T) {
 	cfg := testConfig()
 	ix, ds, _, _ := buildTestIndex(t, 800, cfg)
-	if _, err := ix.SearchPrefix(make([]float64, 100), SearchOptions{K: 5}); err == nil {
+	if _, err := searchPrefix(ix, make([]float64, 100), SearchOptions{K: 5}); err == nil {
 		t.Error("over-length prefix query accepted")
 	}
-	if _, err := ix.SearchPrefix(make([]float64, 3), SearchOptions{K: 5}); err == nil {
+	if _, err := searchPrefix(ix, make([]float64, 3), SearchOptions{K: 5}); err == nil {
 		t.Error("query shorter than segment count accepted")
 	}
-	if _, err := ix.SearchPrefix(ds.Get(0)[:32], SearchOptions{K: 0}); err == nil {
+	if _, err := searchPrefix(ix, ds.Get(0)[:32], SearchOptions{K: 0}); err == nil {
 		t.Error("K = 0 accepted")
 	}
+	if _, err := ix.Search(ds.Get(0)[:32], SearchOptions{K: 5}); err == nil {
+		t.Error("short query accepted without SearchOptions.Prefix")
+	}
 	// Full-length input must behave exactly like Search.
-	full, err := ix.SearchPrefix(ds.Get(0), SearchOptions{K: 5})
+	full, err := searchPrefix(ix, ds.Get(0), SearchOptions{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +104,7 @@ func TestSearchPrefixValidation(t *testing.T) {
 	}
 	for i := range direct.Results {
 		if full.Results[i].ID != direct.Results[i].ID {
-			t.Fatal("full-length SearchPrefix diverges from Search")
+			t.Fatal("full-length prefix query diverges from Search")
 		}
 	}
 }
@@ -105,7 +114,7 @@ func TestSearchPrefixAllVariants(t *testing.T) {
 	ix, ds, _, _ := buildTestIndex(t, 1500, cfg)
 	q := ds.Get(77)[:32]
 	for _, v := range []Variant{VariantKNN, VariantAdaptive2X, VariantAdaptive4X, VariantODSmallest} {
-		res, err := ix.SearchPrefix(q, SearchOptions{K: 10, Variant: v})
+		res, err := searchPrefix(ix, q, SearchOptions{K: 10, Variant: v})
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}

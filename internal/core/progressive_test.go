@@ -26,7 +26,7 @@ func TestProgressiveSnapshotsMonotonic(t *testing.T) {
 	ix, qs := progressiveFixture(t)
 	for _, q := range qs {
 		var snaps []Snapshot
-		res, err := ix.SearchProgressive(context.Background(), q, SearchOptions{K: 50, Variant: VariantAdaptive4X},
+		res, err := ix.Query(context.Background(), q, SearchOptions{K: 50, Variant: VariantAdaptive4X},
 			func(s Snapshot) bool {
 				snaps = append(snaps, s)
 				return true
@@ -192,7 +192,7 @@ func TestProgressiveCallbackStops(t *testing.T) {
 	ix, qs := progressiveFixture(t)
 	for _, q := range qs {
 		calls, stopped := 0, false
-		res, err := ix.SearchProgressive(context.Background(), q,
+		res, err := ix.Query(context.Background(), q,
 			SearchOptions{K: 200, Variant: VariantODSmallest},
 			func(s Snapshot) bool {
 				if stopped {
@@ -258,12 +258,12 @@ func TestBudgetMinRecordsBoundsWidening(t *testing.T) {
 func TestProgressivePrefixMatchesPlain(t *testing.T) {
 	ix, qs := progressiveFixture(t)
 	for _, q := range qs[:3] {
-		opts := SearchOptions{K: 20, Variant: VariantAdaptive4X}
-		want, err := ix.SearchPrefix(q[:32], opts)
+		opts := SearchOptions{K: 20, Variant: VariantAdaptive4X, Prefix: true}
+		want, err := ix.Search(q[:32], opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ix.SearchPrefixProgressive(context.Background(), q[:32], opts, func(Snapshot) bool { return true })
+		got, err := ix.Query(context.Background(), q[:32], opts, func(Snapshot) bool { return true })
 		if err != nil {
 			t.Fatal(err)
 		}

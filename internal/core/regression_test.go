@@ -129,8 +129,8 @@ func TestSearchDegenerateFallbackOnlyIndex(t *testing.T) {
 			t.Fatalf("%v: BestOD = %d, want m=%d", v, res.Explain.BestOD, ix.Skeleton().Cfg.PrefixLen)
 		}
 	}
-	// SearchPrefix navigates the same skeleton path.
-	if _, err := ix.SearchPrefix(td.query[:8], SearchOptions{K: 3}); err != nil {
+	// A prefix query navigates the same skeleton path.
+	if _, err := searchPrefix(ix, td.query[:8], SearchOptions{K: 3}); err != nil {
 		t.Fatalf("prefix query on degenerate index: %v", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"climber/internal/obs"
+	"climber/internal/paa"
 	"climber/internal/pivot"
 	"climber/internal/series"
 	"climber/internal/trie"
@@ -78,6 +79,9 @@ type SearchOptions struct {
 	Budget Budget
 	// Explain attaches the index-navigation trace to the result.
 	Explain bool
+	// Prefix declares that a query shorter than the indexed series length
+	// is intended (see Query); without it a short query is an error.
+	Prefix bool
 }
 
 // Explanation traces how Algorithm 3 navigated the index for one query —
@@ -130,15 +134,35 @@ type PlanStepInfo struct {
 }
 
 // QueryStats reports where a query's effort went — the metrics behind
-// Figures 7, 9, 11 and 12.
+// Figures 7, 9, 11 and 12. It is the one stats type of every layer: the
+// public climber.Stats is an alias, and its untagged field names, in this
+// order, are the JSON keys of the "stats" object on the wire.
 type QueryStats struct {
 	// GroupsConsidered is |GList| after the OD/WD filtering.
 	GroupsConsidered int
 	// TargetNodeSize is the (estimated) record count of the best-matching
-	// trie node (the capacity "m" stressed by Figure 11(a)).
-	TargetNodeSize int
-	// TargetPathLen is the matched root-to-node path length.
-	TargetPathLen int
+	// trie node (the capacity "m" stressed by Figure 11(a)); TargetPathLen
+	// is the matched root-to-node path length. On a sharded query both
+	// report the deepest/widest shard (max), since a per-shard trie descent
+	// has no meaningful sum.
+	TargetNodeSize, TargetPathLen int
+	// PartitionsScanned counts distinct partitions loaded.
+	PartitionsScanned int
+	// RecordsScanned counts raw series compared with ED, including delta
+	// records merged from the in-memory ingestion index.
+	RecordsScanned int
+	// BytesLoaded approximates I/O as full-partition loads, the unit the
+	// paper's query-time model charges for.
+	BytesLoaded int64
+	// DeltaScanned counts the subset of RecordsScanned served by the
+	// in-memory delta index (appended, not yet compacted); always zero
+	// without a live ingestion pipeline.
+	DeltaScanned int
+	// PartitionCacheHits and PartitionCacheMisses count this query's
+	// partition opens served from / missing the shared partition cache,
+	// across both the planned scan and the within-partition widening pass.
+	// Both stay zero when the cache is disabled.
+	PartitionCacheHits, PartitionCacheMisses int
 	// StepsPlanned is the number of executable steps the planner emitted
 	// (one per distinct partition); StepsExecuted counts how many actually
 	// ran. They differ when a budget stopped the plan early; an answer can
@@ -154,23 +178,6 @@ type QueryStats struct {
 	// (BudgetMaxPartitions, BudgetDeadline, BudgetMinRecords,
 	// BudgetCallback); empty when the plan ran to completion.
 	BudgetExhausted string
-	// PartitionsScanned counts distinct partitions loaded.
-	PartitionsScanned int
-	// RecordsScanned counts raw series compared with ED, including delta
-	// records merged from the in-memory ingestion index.
-	RecordsScanned int
-	// DeltaScanned counts the subset of RecordsScanned served by the
-	// in-memory delta index (appended, not yet compacted); always zero
-	// without a live ingestion pipeline.
-	DeltaScanned int
-	// BytesLoaded approximates I/O as full-partition loads, the unit the
-	// paper's query-time model charges for.
-	BytesLoaded int64
-	// CacheHits and CacheMisses count this query's partition opens served
-	// from / missing the shared partition cache, across both the planned
-	// scan and the within-partition widening pass. Both stay zero when the
-	// cache is disabled.
-	CacheHits, CacheMisses int
 }
 
 // SearchResult is the approximate answer set with its statistics. Distances
@@ -182,6 +189,26 @@ type SearchResult struct {
 	Explain *Explanation
 }
 
+// Snapshot is one progressive answer emitted to a Query sink: the best
+// top-k assembled after a plan step. Snapshots are monotonically
+// non-worsening — each one's result set is at least as large and its k-th
+// distance at least as small as the previous one's, because the underlying
+// accumulator only ever improves (the ProS observation: progressive kNN
+// answers converge toward the final result as more data is touched).
+type Snapshot struct {
+	// Results are the current approximate nearest neighbours, true
+	// (non-squared) Euclidean distances, ascending.
+	Results []series.Result
+	// Step counts the plan steps executed so far; StepsPlanned is the
+	// plan's total, so Step/StepsPlanned is the coverage fraction.
+	Step, StepsPlanned int
+	// Final marks the last snapshot: its Results are exactly the query's
+	// result set, including any delta-merged in-memory records.
+	Final bool
+	// Stats is the effort accumulated so far.
+	Stats QueryStats
+}
+
 // target is one (group, trie node) candidate selected for scanning.
 type target struct {
 	group   *Group
@@ -190,23 +217,44 @@ type target struct {
 	pathLen int
 }
 
-// Search answers an approximate kNN query (paper Definition 4) using the
-// configured variant.
+// Search is Query without a context or a sink: the run-to-completion
+// convenience for callers with nothing to cancel.
 func (ix *Index) Search(q []float64, opts SearchOptions) (*SearchResult, error) {
-	return ix.SearchContext(context.Background(), q, opts)
+	return ix.Query(context.Background(), q, opts, nil)
 }
 
-// SearchContext is Search under a context. Cancellation is honoured on the
-// partition-scan path: every scanning goroutine checks ctx between cluster
-// scans (and periodically within large clusters), so a cancelled query stops
-// loading and comparing records mid-plan and returns ctx.Err().
-func (ix *Index) SearchContext(ctx context.Context, q []float64, opts SearchOptions) (*SearchResult, error) {
-	return ix.search(ctx, q, opts, nil)
-}
-
-// search is the full-length entry point: validate, transform, then run the
-// planner/executor engine, optionally progressively.
-func (ix *Index) search(ctx context.Context, q []float64, opts SearchOptions, sink func(Snapshot) bool) (*SearchResult, error) {
+// Query answers an approximate kNN query (paper Definition 4) using the
+// configured variant — the one entry point of the engine: validate,
+// transform, then run the planner/executor.
+//
+// Cancellation is honoured on the partition-scan path: every scanning
+// goroutine checks ctx between cluster scans (and periodically within large
+// clusters), so a cancelled query stops loading and comparing records
+// mid-plan and returns ctx.Err().
+//
+// opts.Prefix admits a query *shorter* than the indexed length — the
+// flexibility the paper credits the PAA/SAX-family representations with
+// ("they allow for queries shorter than the length on which the index is
+// built", Section II), which DFT- and wavelet-based indexes cannot offer.
+// The short query is PAA-segmented into the same w segments as the index
+// (so the pivot space lines up), routed through groups and tries as usual,
+// and candidates are ranked by the Euclidean distance over the first len(q)
+// readings of each record; it must satisfy w <= len(q) <= n. Prefix answers
+// see uncompacted writes too: delta records store the full indexed length,
+// so the prefix distance applies unchanged.
+//
+// A non-nil sink makes the query progressive: it receives a Snapshot after
+// every executed plan step (and a final one when the answer is complete),
+// and returning false stops the query early — the returned result is the
+// best answer so far, marked partial with BudgetCallback. Combined with
+// SearchOptions.Budget this is the anytime serving mode: first answers
+// arrive after one partition, refine step by step, and stop exactly when
+// the consumer or the budget says so. Progressive execution runs plan steps
+// sequentially in rank order (so each snapshot reflects the most promising
+// unscanned partition), trading the run-to-completion path's partition
+// parallelism for step-boundary control. sink is called synchronously on
+// the query's goroutine and must not block for long.
+func (ix *Index) Query(ctx context.Context, q []float64, opts SearchOptions, sink func(Snapshot) bool) (*SearchResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -218,8 +266,22 @@ func (ix *Index) search(ctx context.Context, q []float64, opts SearchOptions, si
 	// online reindex swaps the index mid-query.
 	g := ix.AcquireGeneration()
 	defer g.Release()
-	if len(q) != g.Skel.SeriesLen {
-		return nil, fmt.Errorf("core: query length %d, index expects %d", len(q), g.Skel.SeriesLen)
+	skel := g.Skel
+	n, tr := len(q), skel.Transformer
+	switch {
+	case n == skel.SeriesLen:
+	case !opts.Prefix:
+		return nil, fmt.Errorf("core: query length %d, index expects %d", n, skel.SeriesLen)
+	case n > skel.SeriesLen:
+		return nil, fmt.Errorf("core: prefix query length %d exceeds indexed length %d", n, skel.SeriesLen)
+	case n < skel.Cfg.Segments:
+		return nil, fmt.Errorf("core: prefix query length %d is below the segment count %d", n, skel.Cfg.Segments)
+	default:
+		// Segment the short query into the same w segments the pivots live in.
+		var err error
+		if tr, err = paa.NewTransformer(n, skel.Cfg.Segments); err != nil {
+			return nil, err
+		}
 	}
 	if err := series.CheckFloat32(q); err != nil {
 		return nil, fmt.Errorf("core: query: %w", err)
@@ -232,14 +294,17 @@ func (ix *Index) search(ctx context.Context, q []float64, opts SearchOptions, si
 	// float32 form by the raw kernel — the query is rounded to the storage
 	// precision once, here — while delta records (held as float64, never
 	// round-tripped through a partition file) keep the float64 kernel.
-	paaQ := g.Skel.Transformer.Transform(q)
+	// Records carry the full indexed length; both kernels read their first
+	// n readings (4 bytes each in the raw form), which is all of them unless
+	// this is a prefix query.
+	paaQ := tr.Transform(q)
 	q32 := series.ToFloat32(q)
 	return ix.runQuery(ctx, g, paaQ, opts, sink,
 		func(values []float64, bound float64) float64 {
-			return series.SqDistEarlyAbandonBlocked(q, values, bound)
+			return series.SqDistEarlyAbandonBlocked(q, values[:n], bound)
 		},
 		func(rec []byte, bound float64) float64 {
-			return series.SqDistEarlyAbandon32Blocked(q32, rec, bound)
+			return series.SqDistEarlyAbandon32Blocked(q32, rec[:4*n], bound)
 		})
 }
 

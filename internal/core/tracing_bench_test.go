@@ -39,7 +39,7 @@ func BenchmarkTracingOverhead(b *testing.B) {
 		ctx := context.Background()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := ix.SearchContext(ctx, q, opts); err != nil {
+			if _, err := ix.Query(ctx, q, opts, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -49,7 +49,7 @@ func BenchmarkTracingOverhead(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			tr := obs.NewTrace("bench", "")
 			ctx := obs.ContextWithSpan(context.Background(), tr.Root())
-			if _, err := ix.SearchContext(ctx, q, opts); err != nil {
+			if _, err := ix.Query(ctx, q, opts, nil); err != nil {
 				b.Fatal(err)
 			}
 			tr.Root().End()

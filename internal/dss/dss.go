@@ -75,7 +75,7 @@ func SearchDataset(ds *series.Dataset, q []float64, k int) []series.Result {
 
 // SearchDatasetPrefix is the exact oracle for queries shorter than the
 // stored series: distances are evaluated over the first len(q) readings of
-// every record (the prefix-query semantics of core.SearchPrefix).
+// every record (the prefix-query semantics of core.SearchOptions.Prefix).
 func SearchDatasetPrefix(ds *series.Dataset, q []float64, k int) []series.Result {
 	top := series.NewTopK(k)
 	for id := 0; id < ds.Len(); id++ {

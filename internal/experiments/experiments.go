@@ -108,8 +108,6 @@ func Registry() map[string]Runner {
 		"abl-dual":     AblationDual,
 		"abl-sampling": AblationSampling,
 		"landscape":    Landscape,
-		"mixed":        MixedWorkload,
-		"sharded":      ShardedWorkload,
 		"budget":       BudgetExperiment,
 	}
 }

@@ -22,8 +22,7 @@ func TestRegistryComplete(t *testing.T) {
 	// ablations the package calls out.
 	want := []string{"fig7a", "fig7b", "fig7cd", "fig8ab", "fig8cd",
 		"fig9", "fig10", "fig11a", "fig11b", "fig12", "table1",
-		"abl-decay", "abl-dual", "abl-sampling", "landscape", "mixed", "sharded",
-		"budget"}
+		"abl-decay", "abl-dual", "abl-sampling", "landscape", "budget"}
 	reg := Registry()
 	for _, id := range want {
 		if reg[id] == nil {
@@ -158,32 +157,6 @@ func TestAblationSmoke(t *testing.T) {
 		out := runnerSmoke(t, id)
 		if !strings.Contains(out, "Ablation") {
 			t.Errorf("%s output missing caption:\n%s", id, out)
-		}
-	}
-}
-
-func TestMixedSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runner smoke tests are slow")
-	}
-	out := runnerSmoke(t, "mixed")
-	if !strings.Contains(out, "append-batch") || !strings.Contains(out, "search") {
-		t.Errorf("mixed output missing latency rows:\n%s", out)
-	}
-	if !strings.Contains(out, "visibility:") {
-		t.Errorf("mixed output missing visibility check:\n%s", out)
-	}
-}
-
-func TestShardedSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runner smoke tests are slow")
-	}
-	out := runnerSmoke(t, "sharded")
-	for _, want := range []string{"unsharded (in-proc)", "router (HTTP, merged)",
-		"answer agreement", "rendezvous-routed"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("sharded output missing %q:\n%s", want, out)
 		}
 	}
 }

@@ -3,10 +3,12 @@ package series
 import "sort"
 
 // Result is one kNN answer: the ID of a data series and its (squared or
-// plain, per the producer's contract) Euclidean distance to the query.
+// plain, per the producer's contract) Euclidean distance to the query. It
+// is the one result type of every layer — climber.Result and the wire's
+// api.Result are aliases — so the JSON tags are the wire contract's keys.
 type Result struct {
-	ID   int
-	Dist float64
+	ID   int     `json:"id"`
+	Dist float64 `json:"dist"`
 }
 
 // TopK is a bounded max-heap that keeps the k smallest-distance results seen

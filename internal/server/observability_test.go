@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"climber/internal/api"
 	"climber/internal/obs"
 	"climber/internal/series"
 )
@@ -151,7 +152,7 @@ func TestExplainBatchByteStable(t *testing.T) {
 // /debug/slow with their trace id, and that the ring is capped.
 func TestSlowLogEndpoint(t *testing.T) {
 	db, data := buildTestDB(t, 1200)
-	h := New(db, Config{SlowThreshold: time.Nanosecond, SlowLogSize: 4}).Handler()
+	h := New(db, Config{ServeConfig: api.ServeConfig{SlowThreshold: time.Nanosecond, SlowLogSize: 4}}).Handler()
 
 	for i := 0; i < 6; i++ {
 		rec := postJSON(t, h, "/search", map[string]any{"query": data[i], "k": 5})

@@ -46,10 +46,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
@@ -66,85 +64,13 @@ const StatusClientClosedRequest = api.StatusClientClosedRequest
 // Config tunes the service. The zero value is usable: every field falls
 // back to the documented default.
 type Config struct {
-	// MaxInFlight bounds concurrently executing queries; further requests
-	// queue. A batch request holds one slot per internal query worker (at
-	// least one, opportunistically more when slots are idle), so the bound
-	// covers batch fan-out too. Default: 4 x GOMAXPROCS.
-	MaxInFlight int
-	// QueueTimeout is how long an over-limit request may wait for a slot
-	// before it is answered 429. Default: 2s.
-	QueueTimeout time.Duration
-	// MaxK caps the per-request answer size. Default: 10000.
-	MaxK int
-	// MaxBatch caps the query count of one batch request. Default: 256.
-	MaxBatch int
-	// MaxAppend caps the series count of one append request. Default: 1024.
-	MaxAppend int
-	// MaxBodyBytes caps a request body. Default: 32 MB.
-	MaxBodyBytes int64
-	// BodyReadTimeout bounds how long reading one request body may take.
-	// The body is read while holding an admission slot (parsing a body is
-	// itself work an overloaded server must bound), so without a deadline
-	// a slow-trickling client could pin slots indefinitely. Default: 15s.
-	BodyReadTimeout time.Duration
-	// SlowLogSize bounds the slow-query ring buffer (GET /debug/slow);
-	// when full, the oldest entry is evicted. Default: 128.
-	SlowLogSize int
-	// SlowThreshold is the duration at or above which a finished request
-	// is recorded in the slow-query log and emitted as a structured log
-	// line. Default: 500ms; negative disables threshold capture.
-	SlowThreshold time.Duration
-	// SlowSample in [0, 1] is the probability an arbitrary query is
-	// head-sampled: traced end to end and recorded in the slow-query log
-	// even when fast, so the log also shows what normal looks like and the
-	// per-stage histograms fill without explain traffic. Default: 0.
-	SlowSample float64
-	// Logger receives the slow-query lines. Default: slog.Default().
-	Logger *slog.Logger
+	// ServeConfig holds the admission, request-limit and slow-log settings
+	// shared with the shard router.
+	api.ServeConfig
 	// BackupRoot is the directory under which POST /backup creates its
 	// snapshots. Empty disables the endpoint (403): backups write to the
 	// server's filesystem, so the operator must opt in to a location.
 	BackupRoot string
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 4 * runtime.GOMAXPROCS(0)
-	}
-	if c.QueueTimeout <= 0 {
-		c.QueueTimeout = 2 * time.Second
-	}
-	if c.MaxK <= 0 {
-		c.MaxK = 10000
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
-	if c.MaxAppend <= 0 {
-		c.MaxAppend = 1024
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 32 << 20
-	}
-	if c.BodyReadTimeout <= 0 {
-		c.BodyReadTimeout = 15 * time.Second
-	}
-	if c.SlowLogSize <= 0 {
-		c.SlowLogSize = 128
-	}
-	if c.SlowThreshold == 0 {
-		c.SlowThreshold = 500 * time.Millisecond
-	}
-	if c.SlowThreshold < 0 {
-		c.SlowThreshold = 0 // disabled
-	}
-	if c.SlowSample < 0 {
-		c.SlowSample = 0
-	}
-	if c.SlowSample > 1 {
-		c.SlowSample = 1
-	}
-	return c
 }
 
 // Server answers CLIMBER queries over HTTP on behalf of one DB. Create it
@@ -170,9 +96,10 @@ type Server struct {
 // New wraps db in a Server. The db must stay open for the server's
 // lifetime; the caller closes it after shutting the HTTP server down.
 func New(db *climber.DB, cfg Config) *Server {
+	cfg.ServeConfig = cfg.ServeConfig.WithDefaults()
 	s := &Server{
 		db:        db,
-		cfg:       cfg.withDefaults(),
+		cfg:       cfg,
 		seriesLen: db.Info().SeriesLen,
 		minPrefix: db.Index().Skeleton().Cfg.Segments,
 		started:   time.Now(),
@@ -266,27 +193,20 @@ func (s *Server) finishQuery(w http.ResponseWriter, err error) bool {
 }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
-	s.handleSearchLike(w, r, "search", func(body []byte) (*api.SearchRequest, error) {
-		return api.DecodeSearchRequest(body, s.seriesLen, s.cfg.MaxK)
-	}, s.db.SearchWithStatsContext, s.db.SearchExplainContext)
+	s.handleQuery(w, r, false)
 }
 
 // handlePrefix answers a query shorter than the indexed series length —
 // candidates are ranked over the first len(query) readings of each record
-// (see climber.DB.SearchPrefix).
+// (see climber.Request.Prefix).
 func (s *Server) handlePrefix(w http.ResponseWriter, r *http.Request) {
-	s.handleSearchLike(w, r, "prefix", func(body []byte) (*api.SearchRequest, error) {
-		return api.DecodePrefixRequest(body, s.minPrefix, s.seriesLen, s.cfg.MaxK)
-	}, s.db.SearchPrefixWithStatsContext, s.db.SearchPrefixExplainContext)
+	s.handleQuery(w, r, true)
 }
 
-// handleSearchLike is the shared admit-decode-search-respond path of
-// /search and /search/prefix, which differ only in how the body is
-// validated, the trace name, and the DB methods that answer.
-func (s *Server) handleSearchLike(w http.ResponseWriter, r *http.Request, name string,
-	decode func(body []byte) (*api.SearchRequest, error),
-	search func(context.Context, []float64, int, ...climber.SearchOption) ([]climber.Result, climber.Stats, error),
-	explain func(context.Context, []float64, int, ...climber.SearchOption) ([]climber.Result, climber.Stats, *climber.Explanation, error)) {
+// handleQuery is the admit-decode-query-respond path of /search and
+// /search/prefix, which differ only in the query lengths the body may
+// carry and the trace name.
+func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, prefix bool) {
 	// Admission comes first: reading and decoding a body is itself heap-
 	// and CPU-expensive work an overloaded server must not do unbounded.
 	release, status, err := s.admit(r.Context())
@@ -299,7 +219,14 @@ func (s *Server) handleSearchLike(w http.ResponseWriter, r *http.Request, name s
 	if !ok {
 		return
 	}
-	req, err := decode(body)
+	var req *api.SearchRequest
+	name := "search"
+	if prefix {
+		name = "prefix"
+		req, err = api.DecodePrefixRequest(body, s.minPrefix, s.seriesLen, s.cfg.MaxK)
+	} else {
+		req, err = api.DecodeSearchRequest(body, s.seriesLen, s.cfg.MaxK)
+	}
 	if err != nil {
 		s.m.badRequests.Add(1)
 		api.WriteError(w, http.StatusBadRequest, err)
@@ -312,30 +239,22 @@ func (s *Server) handleSearchLike(w http.ResponseWriter, r *http.Request, name s
 	ctx, cancel := s.budgetContext(tctx, req.TimeBudgetMS)
 	defer cancel()
 
-	opts := api.SearchOptions(req.Variant, req.MaxPartitions, req.TimeBudgetMS)
-	var (
-		res   []climber.Result
-		stats climber.Stats
-		expl  *climber.Explanation
-	)
-	if req.Explain {
-		res, stats, expl, err = explain(ctx, req.Query, req.K, opts...)
-	} else {
-		res, stats, err = search(ctx, req.Query, req.K, opts...)
-	}
-	trace := api.FinishTrace(r.Context(), tr, stats)
+	q := api.EngineRequest(req.K, req.Variant, req.MaxPartitions, req.TimeBudgetMS)
+	q.Query, q.Prefix, q.Explain = req.Query, prefix, req.Explain
+	ans, err := s.db.Query(ctx, q)
+	trace := api.FinishTrace(r.Context(), tr, ans.Stats)
 	if !s.finishQuery(w, err) {
 		return
 	}
-	if stats.Partial {
+	if ans.Stats.Partial {
 		s.m.budgetExh.Add(1)
 	}
 	resp := SearchResponse{
-		Results: toWire(res), Stats: stats,
-		Partial: stats.Partial, StepsExecuted: stats.StepsExecuted,
+		Results: ans.Results, Stats: ans.Stats,
+		Partial: ans.Stats.Partial, StepsExecuted: ans.Stats.StepsExecuted,
 	}
 	if req.Explain {
-		resp.Explain = map[string]*api.ExplainData{"": api.ExplainFromCore(expl)}
+		resp.Explain = map[string]*api.ExplainData{"": api.ExplainFromCore(ans.Explain)}
 		resp.Trace = trace
 	}
 	api.WriteJSON(w, http.StatusOK, resp)
@@ -384,12 +303,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := s.budgetContext(tctx, req.TimeBudgetMS)
 	defer cancel()
 
-	batch, stats, err := s.db.SearchBatchWithStatsContextWorkers(ctx, req.Queries, req.K, 1+extra,
-		api.SearchOptions(req.Variant, req.MaxPartitions, req.TimeBudgetMS)...)
+	batch, err := s.db.QueryBatch(ctx, req.Queries,
+		api.EngineRequest(req.K, req.Variant, req.MaxPartitions, req.TimeBudgetMS), 1+extra)
 	sum := batchSummary{Queries: len(req.Queries)}
-	for _, st := range stats {
-		sum.StepsExecuted += st.StepsExecuted
-		if st.Partial {
+	out := make([][]Result, len(batch))
+	for i, ans := range batch {
+		out[i] = ans.Results
+		sum.StepsExecuted += ans.Stats.StepsExecuted
+		if ans.Stats.Partial {
 			sum.Truncated++
 		}
 	}
@@ -398,10 +319,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.m.batchQueries.Add(int64(len(req.Queries)))
-	out := make([][]Result, len(batch))
-	for i, res := range batch {
-		out[i] = toWire(res)
-	}
 	resp := BatchResponse{
 		Results:       out,
 		StepsExecuted: sum.StepsExecuted,
@@ -535,14 +452,6 @@ func (s *Server) handleBackup(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	api.WriteJSON(w, http.StatusOK, map[string]string{"status": "backed_up", "dir": dest})
-}
-
-func toWire(res []climber.Result) []Result {
-	out := make([]Result, len(res))
-	for i, r := range res {
-		out[i] = Result{ID: r.ID, Dist: r.Dist}
-	}
-	return out
 }
 
 func (s *Server) handleInfo(w http.ResponseWriter, r *http.Request) {

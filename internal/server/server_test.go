@@ -112,27 +112,28 @@ func TestBatchMatchesDB(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	want, err := db.SearchBatch(queries, 9)
+	batch, err := db.QueryBatch(context.Background(), queries, climber.NewRequest(nil, 9), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Results) != len(want) {
-		t.Fatalf("%d result sets, want %d", len(resp.Results), len(want))
+	if len(resp.Results) != len(batch) {
+		t.Fatalf("%d result sets, want %d", len(resp.Results), len(batch))
 	}
-	for i := range want {
-		if len(resp.Results[i]) != len(want[i]) {
-			t.Fatalf("batch %d: %d results, want %d", i, len(resp.Results[i]), len(want[i]))
+	for i := range batch {
+		want := batch[i].Results
+		if len(resp.Results[i]) != len(want) {
+			t.Fatalf("batch %d: %d results, want %d", i, len(resp.Results[i]), len(want))
 		}
 		for j, r := range resp.Results[i] {
-			if r.ID != want[i][j].ID || r.Dist != want[i][j].Dist {
-				t.Fatalf("batch %d result %d: got %+v want %+v", i, j, r, want[i][j])
+			if r != want[j] {
+				t.Fatalf("batch %d result %d: got %+v want %+v", i, j, r, want[j])
 			}
 		}
 	}
 }
 
 // TestPrefixMatchesDB checks that /search/prefix answers match
-// DB.SearchPrefix on the same database, and that out-of-range prefix
+// DB.Query with Request.Prefix on the same database, and that out-of-range prefix
 // lengths are clean 400s.
 func TestPrefixMatchesDB(t *testing.T) {
 	db, data := buildTestDB(t, 1200)
@@ -147,10 +148,13 @@ func TestPrefixMatchesDB(t *testing.T) {
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
-		want, err := db.SearchPrefix(q, 11)
+		preq := climber.NewRequest(q, 11)
+		preq.Prefix = true
+		ans, err := db.Query(context.Background(), preq)
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := ans.Results
 		if len(resp.Results) != len(want) {
 			t.Fatalf("prefix query %d: %d results, want %d", qid, len(resp.Results), len(want))
 		}
@@ -172,7 +176,7 @@ func TestPrefixMatchesDB(t *testing.T) {
 
 func TestBadRequests(t *testing.T) {
 	db, data := buildTestDB(t, 600)
-	h := New(db, Config{MaxK: 100, MaxBatch: 4}).Handler()
+	h := New(db, Config{ServeConfig: api.ServeConfig{MaxK: 100, MaxBatch: 4}}).Handler()
 	cases := []struct {
 		name string
 		body string
@@ -273,7 +277,7 @@ func TestInfoStatsHealthzMetrics(t *testing.T) {
 // answered correctly — no request lost below the limit.
 func TestConcurrentClientsUnderLimit(t *testing.T) {
 	db, data := buildTestDB(t, 1500, climber.WithPartitionCacheBytes(64<<20))
-	srv := New(db, Config{MaxInFlight: 32, QueueTimeout: 30 * time.Second})
+	srv := New(db, Config{ServeConfig: api.ServeConfig{MaxInFlight: 32, QueueTimeout: 30 * time.Second}})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -330,7 +334,7 @@ func TestConcurrentClientsUnderLimit(t *testing.T) {
 func TestAdmissionControlRejectsOverLimit(t *testing.T) {
 	db, data := buildTestDB(t, 600)
 	const limit = 2
-	srv := New(db, Config{MaxInFlight: limit, QueueTimeout: 50 * time.Millisecond})
+	srv := New(db, Config{ServeConfig: api.ServeConfig{MaxInFlight: limit, QueueTimeout: 50 * time.Millisecond}})
 	admitted := make(chan struct{}, limit)
 	gate := make(chan struct{})
 	srv.hookAdmitted = func(ctx context.Context) {
@@ -396,7 +400,7 @@ func TestAdmissionControlRejectsOverLimit(t *testing.T) {
 // return context.Canceled, observed via the search-done hook.
 func TestClientDisconnectCancelsQuery(t *testing.T) {
 	db, data := buildTestDB(t, 600)
-	srv := New(db, Config{MaxInFlight: 4})
+	srv := New(db, Config{ServeConfig: api.ServeConfig{MaxInFlight: 4}})
 	started := make(chan struct{})
 	srv.hookAdmitted = func(ctx context.Context) {
 		close(started)
@@ -498,7 +502,7 @@ func TestBatchCancellation(t *testing.T) {
 // lands in the canceled counter, not silently dropped from the accounting.
 func TestQueuedDisconnectCountsCanceled(t *testing.T) {
 	db, _ := buildTestDB(t, 600)
-	srv := New(db, Config{MaxInFlight: 1, QueueTimeout: 10 * time.Second})
+	srv := New(db, Config{ServeConfig: api.ServeConfig{MaxInFlight: 1, QueueTimeout: 10 * time.Second}})
 	releaseSlot, _, err := srv.admit(context.Background()) // occupy the only slot
 	if err != nil {
 		t.Fatal(err)
@@ -526,7 +530,7 @@ func TestQueuedDisconnectCountsCanceled(t *testing.T) {
 // must never hold more than 2 slots, and must release them all afterwards.
 func TestBatchRespectsAdmissionBudget(t *testing.T) {
 	db, data := buildTestDB(t, 1200)
-	srv := New(db, Config{MaxInFlight: 2})
+	srv := New(db, Config{ServeConfig: api.ServeConfig{MaxInFlight: 2}})
 	h := srv.Handler()
 
 	stop := make(chan struct{})
@@ -564,7 +568,7 @@ func TestBatchRespectsAdmissionBudget(t *testing.T) {
 // queries completes, no admission slot leaks.
 func TestInflightGaugeReturnsToZero(t *testing.T) {
 	db, data := buildTestDB(t, 600)
-	srv := New(db, Config{MaxInFlight: 4})
+	srv := New(db, Config{ServeConfig: api.ServeConfig{MaxInFlight: 4}})
 	h := srv.Handler()
 	var wg sync.WaitGroup
 	var failures atomic.Int64
@@ -710,7 +714,7 @@ func TestAppendEndpoint(t *testing.T) {
 // TestAppendValidationErrors: malformed append bodies are clean 400s.
 func TestAppendValidationErrors(t *testing.T) {
 	db, _ := buildTestDB(t, 1000)
-	h := New(db, Config{MaxAppend: 4}).Handler()
+	h := New(db, Config{ServeConfig: api.ServeConfig{MaxAppend: 4}}).Handler()
 	cases := []any{
 		AppendRequest{}, // empty
 		AppendRequest{Series: [][]float64{{1, 2, 3}}}, // wrong length

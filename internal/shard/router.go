@@ -7,9 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log/slog"
 	"net/http"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -23,23 +21,9 @@ import (
 // Config tunes the router. The zero value is usable: every field falls
 // back to the documented default.
 type Config struct {
-	// MaxInFlight bounds concurrently executing routed requests; further
-	// requests queue. Default: 4 x GOMAXPROCS.
-	MaxInFlight int
-	// QueueTimeout is how long an over-limit request may wait for a slot
-	// before it is answered 429. Default: 2s.
-	QueueTimeout time.Duration
-	// MaxK caps the per-request answer size. Default: 10000.
-	MaxK int
-	// MaxBatch caps the query count of one batch request. Default: 256.
-	MaxBatch int
-	// MaxAppend caps the series count of one append request. Default: 1024.
-	MaxAppend int
-	// MaxBodyBytes caps a request body. Default: 32 MB.
-	MaxBodyBytes int64
-	// BodyReadTimeout bounds how long reading one request body may take.
-	// Default: 15s.
-	BodyReadTimeout time.Duration
+	// ServeConfig holds the admission, request-limit and slow-log settings
+	// shared with the single-node server.
+	api.ServeConfig
 	// Quorum selects the scatter-gather failure policy. 0 (the default)
 	// demands every shard: the first shard error cancels the remaining
 	// sub-queries and fails the request fast with 502 — no silently
@@ -57,44 +41,10 @@ type Config struct {
 	// Client overrides the HTTP client used for shard traffic (tests,
 	// custom transports). Default: a client with a widened idle pool.
 	Client *http.Client
-	// SlowLogSize bounds the slow-query ring buffer (GET /debug/slow).
-	// Default: 128.
-	SlowLogSize int
-	// SlowThreshold is the duration at or above which a finished routed
-	// request is recorded in the slow-query log. Default: 500ms; negative
-	// disables threshold capture.
-	SlowThreshold time.Duration
-	// SlowSample in [0, 1] is the probability an arbitrary routed query is
-	// head-sampled: traced across the router AND the shards (the sampled
-	// bit propagates in the traceparent header) and recorded in the slow
-	// log even when fast. Default: 0.
-	SlowSample float64
-	// Logger receives the slow-query lines. Default: slog.Default().
-	Logger *slog.Logger
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxInFlight <= 0 {
-		c.MaxInFlight = 4 * runtime.GOMAXPROCS(0)
-	}
-	if c.QueueTimeout <= 0 {
-		c.QueueTimeout = 2 * time.Second
-	}
-	if c.MaxK <= 0 {
-		c.MaxK = 10000
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 256
-	}
-	if c.MaxAppend <= 0 {
-		c.MaxAppend = 1024
-	}
-	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 32 << 20
-	}
-	if c.BodyReadTimeout <= 0 {
-		c.BodyReadTimeout = 15 * time.Second
-	}
+	c.ServeConfig = c.ServeConfig.WithDefaults()
 	if c.HealthInterval <= 0 {
 		c.HealthInterval = 2 * time.Second
 	}
@@ -102,21 +52,6 @@ func (c Config) withDefaults() Config {
 		tr := http.DefaultTransport.(*http.Transport).Clone()
 		tr.MaxIdleConnsPerHost = 64
 		c.Client = &http.Client{Transport: tr}
-	}
-	if c.SlowLogSize <= 0 {
-		c.SlowLogSize = 128
-	}
-	if c.SlowThreshold == 0 {
-		c.SlowThreshold = 500 * time.Millisecond
-	}
-	if c.SlowThreshold < 0 {
-		c.SlowThreshold = 0 // disabled
-	}
-	if c.SlowSample < 0 {
-		c.SlowSample = 0
-	}
-	if c.SlowSample > 1 {
-		c.SlowSample = 1
 	}
 	return c
 }
@@ -529,6 +464,11 @@ func (r *Router) finish(w http.ResponseWriter, err error) bool {
 	case errors.Is(err, context.DeadlineExceeded):
 		r.m.errors.Add(1)
 		api.WriteError(w, http.StatusGatewayTimeout, err)
+	case errors.As(err, &se) && se.status == http.StatusTooManyRequests:
+		// A shard's admission control shed the sub-request: the fleet is
+		// overloaded, not the client wrong. Relayed as the 429 it is.
+		r.m.rejected.Add(1)
+		api.WriteError(w, se.status, err)
 	case errors.As(err, &se) && se.status >= 400 && se.status < 500:
 		// The shards rejected the request itself (e.g. a prefix shorter
 		// than their PAA segment count, which the router cannot
@@ -676,34 +616,21 @@ func (r *Router) noteEffort(sum climber.Stats) {
 }
 
 func (r *Router) handleSearch(w http.ResponseWriter, req *http.Request) {
-	r.handleSearchLike(w, req, "/search", func(body []byte, seriesLen int) (int, bool, error) {
-		sreq, err := api.DecodeSearchRequest(body, seriesLen, r.cfg.MaxK)
-		if err != nil {
-			return 0, false, err
-		}
-		return sreq.K, sreq.Explain, nil
-	})
+	r.handleQuery(w, req, false)
 }
 
-// handlePrefix validates a prefix query as loosely as the router can — it
-// does not know the shards' PAA segment count, so the lower length bound
-// is 1 and a too-short prefix comes back as the shard's 400.
 func (r *Router) handlePrefix(w http.ResponseWriter, req *http.Request) {
-	r.handleSearchLike(w, req, "/search/prefix", func(body []byte, seriesLen int) (int, bool, error) {
-		sreq, err := api.DecodePrefixRequest(body, 1, seriesLen, r.cfg.MaxK)
-		if err != nil {
-			return 0, false, err
-		}
-		return sreq.K, sreq.Explain, nil
-	})
+	r.handleQuery(w, req, true)
 }
 
-// handleSearchLike is the shared scatter-merge-respond path of /search and
-// /search/prefix; decode returns the validated request's k and explain
-// flag. An explain request needs no body rewriting: the explain flag
-// forwards verbatim, so each shard already answers with its own span tree
-// and planner explanation for the router to nest.
-func (r *Router) handleSearchLike(w http.ResponseWriter, req *http.Request, path string, decode func(body []byte, seriesLen int) (int, bool, error)) {
+// handleQuery is the scatter-merge-respond path of /search and
+// /search/prefix. A prefix query is validated as loosely as the router can
+// — it does not know the shards' PAA segment count, so the lower length
+// bound is 1 and a too-short prefix comes back as the shard's 400. An
+// explain request needs no body rewriting: the explain flag forwards
+// verbatim, so each shard already answers with its own span tree and
+// planner explanation for the router to nest.
+func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request, prefix bool) {
 	body, release, ok := r.admitAndRead(w, req)
 	if !ok {
 		return
@@ -715,14 +642,21 @@ func (r *Router) handleSearchLike(w http.ResponseWriter, req *http.Request, path
 		api.WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	k, explain, err := decode(body, seriesLen)
+	var sreq *api.SearchRequest
+	path := "/search"
+	if prefix {
+		path = "/search/prefix"
+		sreq, err = api.DecodePrefixRequest(body, 1, seriesLen, r.cfg.MaxK)
+	} else {
+		sreq, err = api.DecodeSearchRequest(body, seriesLen, r.cfg.MaxK)
+	}
 	if err != nil {
 		r.m.badRequests.Add(1)
 		api.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 
-	ctx, tr := r.observe.TraceFor(req.Context(), strings.TrimPrefix(path, "/"), explain)
+	ctx, tr := r.observe.TraceFor(req.Context(), strings.TrimPrefix(path, "/"), sreq.Explain)
 	ssp := tr.Root().StartChild("scatter")
 	oks, asked, err := r.scatter(obs.ContextWithSpan(ctx, ssp), path, body)
 	ssp.End()
@@ -732,11 +666,11 @@ func (r *Router) handleSearchLike(w http.ResponseWriter, req *http.Request, path
 		return
 	}
 	msp := tr.Root().StartChild("merge")
-	resp, err := r.gatherSearch(oks, k, explain)
+	resp, err := r.gatherSearch(oks, sreq.K, sreq.Explain)
 	msp.End()
 	if resp != nil {
 		resp.Trace = api.FinishTrace(req.Context(), tr, resp.Stats)
-		if !explain {
+		if !sreq.Explain {
 			resp.Trace = nil
 		}
 	} else {

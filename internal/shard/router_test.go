@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -184,16 +185,17 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	if err := json.Unmarshal(body, &br); err != nil {
 		t.Fatal(err)
 	}
-	wantBatch, err := f.full.SearchBatch(queries, k)
+	wantBatch, err := f.full.QueryBatch(context.Background(), queries, climber.NewRequest(nil, k), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for qi := range queries {
-		if len(br.Results[qi]) != len(wantBatch[qi]) {
-			t.Fatalf("batch %d: %d results, want %d", qi, len(br.Results[qi]), len(wantBatch[qi]))
+		want := wantBatch[qi].Results
+		if len(br.Results[qi]) != len(want) {
+			t.Fatalf("batch %d: %d results, want %d", qi, len(br.Results[qi]), len(want))
 		}
-		for i := range wantBatch[qi] {
-			if br.Results[qi][i].ID != wantBatch[qi][i].ID || br.Results[qi][i].Dist != wantBatch[qi][i].Dist {
+		for i := range want {
+			if br.Results[qi][i] != want[i] {
 				t.Fatalf("batch %d rank %d mismatch", qi, i)
 			}
 		}
@@ -201,10 +203,13 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 
 	// Prefix: the query covers only the first 32 readings.
 	q := f.data[42][:32]
-	wantPre, err := f.full.SearchPrefix(q, k)
+	preq := climber.NewRequest(q, k)
+	preq.Prefix = true
+	ans, err := f.full.Query(context.Background(), preq)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantPre := ans.Results
 	resp, body = postJSON(t, ts.URL+"/search/prefix", api.SearchRequest{Query: q, K: k})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("prefix: status %d: %s", resp.StatusCode, body)
@@ -547,7 +552,7 @@ func TestRouterMetricsAndFlush(t *testing.T) {
 // never forwarded.
 func TestRouterBadRequests(t *testing.T) {
 	f := newFixture(t, 120, 2)
-	_, ts := f.startRouter(t, Config{MaxK: 50})
+	_, ts := f.startRouter(t, Config{ServeConfig: api.ServeConfig{MaxK: 50}})
 	for name, body := range map[string]string{
 		"invalid json": `{"query": [1,2`,
 		"wrong length": `{"query": [1,2,3], "k": 5}`,
@@ -570,5 +575,42 @@ func TestRouterBadRequests(t *testing.T) {
 	resp, body := postJSON(t, ts.URL+"/search/prefix", api.SearchRequest{Query: []float64{1, 2, 3, 4}, K: 3})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("too-short prefix via router: status %d, want 400: %s", resp.StatusCode, body)
+	}
+}
+
+// TestRouterRelaysShardOverloadAsRejected: a shard whose admission control
+// sheds the sub-request (429) is an overloaded fleet, not a malformed client
+// request — the router relays the 429 and counts it under rejected, never
+// under bad_requests.
+func TestRouterRelaysShardOverloadAsRejected(t *testing.T) {
+	stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/info":
+			api.WriteJSON(w, http.StatusOK, api.InfoResponse{SeriesLen: 64})
+		case "/healthz":
+			api.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+		default:
+			api.WriteJSON(w, http.StatusTooManyRequests, api.ErrorResponse{Error: "server overloaded"})
+		}
+	}))
+	defer stub.Close()
+	topo := &Topology{Shards: []Info{{ID: "busy", URL: stub.URL}}}
+	if err := topo.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewRouter(topo, Config{HealthInterval: 50 * time.Millisecond})
+	ts := httptest.NewServer(r.Handler())
+	defer func() { ts.Close(); r.Close() }()
+
+	resp, body := postJSON(t, ts.URL+"/search", api.SearchRequest{Query: make([]float64, 64), K: 3})
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("status %d, want 429: %s", resp.StatusCode, body)
+	}
+	var st StatsResponse
+	if code := getJSON(t, ts.URL+"/stats", &st); code != http.StatusOK {
+		t.Fatalf("/stats status %d", code)
+	}
+	if st.Router.Rejected != 1 || st.Router.BadRequests != 0 {
+		t.Errorf("rejected=%d bad_requests=%d after one relayed 429, want 1 and 0", st.Router.Rejected, st.Router.BadRequests)
 	}
 }

@@ -223,7 +223,7 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 			}
 			golden[key{qi, vi}] = res
 		}
-		res, err := db.SearchPrefix(q[:32], 10)
+		res, err := searchPrefix(db, q[:32], 10)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +267,7 @@ func TestBackupRestoreRoundTrip(t *testing.T) {
 			}
 			assertSameResults(t, golden[key{qi, vi}], res, "variant", vi, qi)
 		}
-		res, err := re.SearchPrefix(q[:32], 10)
+		res, err := searchPrefix(re, q[:32], 10)
 		if err != nil {
 			t.Fatal(err)
 		}
