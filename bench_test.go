@@ -72,10 +72,7 @@ func getBench(b *testing.B) *benchWork {
 		w := &benchWork{dir: dir, exact: map[int][][]series.Result{}}
 		w.ds = dataset.RandomWalk(dataset.RandomWalkLength, benchSize, 11)
 		w.cl = cluster.New(dir, 4)
-		if w.bs, err = w.cl.IngestBlocks(w.ds, 1000, "bench"); err != nil {
-			benchErr = err
-			return
-		}
+		w.bs = cluster.Blocks(w.ds, 1000)
 		if w.climber, err = core.Build(w.cl, w.bs, benchConfig(), "bench-climber"); err != nil {
 			benchErr = err
 			return
@@ -211,10 +208,7 @@ func BenchmarkFig7Scale(b *testing.B) {
 			dir := b.TempDir()
 			cl := cluster.New(dir, 4)
 			ds := dataset.RandomWalk(dataset.RandomWalkLength, n, 3)
-			bs, err := cl.IngestBlocks(ds, n/10, "scale")
-			if err != nil {
-				b.Fatal(err)
-			}
+			bs := cluster.Blocks(ds, n/10)
 			cfg := benchConfig()
 			cfg.Capacity = n / 10
 			cfg.BlockSize = n / 10
@@ -241,10 +235,7 @@ func BenchmarkFig8Build(b *testing.B) {
 		b.Helper()
 		cl := cluster.New(b.TempDir(), 4)
 		ds := dataset.RandomWalk(dataset.RandomWalkLength, n, 5)
-		bs, err := cl.IngestBlocks(ds, 500, "build")
-		if err != nil {
-			b.Fatal(err)
-		}
+		bs := cluster.Blocks(ds, 500)
 		return cl, bs
 	}
 	b.Run("CLIMBER", func(b *testing.B) {
@@ -324,10 +315,7 @@ func BenchmarkFig10Pivots(b *testing.B) {
 		b.Run(fmt.Sprintf("r=%d", r), func(b *testing.B) {
 			cl := cluster.New(b.TempDir(), 4)
 			ds := dataset.RandomWalk(dataset.RandomWalkLength, n, 5)
-			bs, err := cl.IngestBlocks(ds, 500, "piv")
-			if err != nil {
-				b.Fatal(err)
-			}
+			bs := cluster.Blocks(ds, 500)
 			cfg := benchConfig()
 			cfg.Capacity = 500
 			cfg.BlockSize = 500
@@ -399,10 +387,7 @@ func BenchmarkFig12PrefixLen(b *testing.B) {
 		b.Run(fmt.Sprintf("m=%d", m), func(b *testing.B) {
 			cl := cluster.New(b.TempDir(), 4)
 			ds := dataset.RandomWalk(dataset.RandomWalkLength, n, 5)
-			bs, err := cl.IngestBlocks(ds, 500, "pfx")
-			if err != nil {
-				b.Fatal(err)
-			}
+			bs := cluster.Blocks(ds, 500)
 			cfg := benchConfig()
 			cfg.Capacity = 500
 			cfg.BlockSize = 500
@@ -430,10 +415,7 @@ func BenchmarkAblationDecay(b *testing.B) {
 		b.Run(kind.name, func(b *testing.B) {
 			cl := cluster.New(b.TempDir(), 4)
 			ds := dataset.RandomWalk(dataset.RandomWalkLength, n, 5)
-			bs, err := cl.IngestBlocks(ds, 500, "dk")
-			if err != nil {
-				b.Fatal(err)
-			}
+			bs := cluster.Blocks(ds, 500)
 			cfg := benchConfig()
 			cfg.Capacity = 500
 			cfg.BlockSize = 500

@@ -91,6 +91,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -255,7 +256,8 @@ func WithSampleRate(a float64) Option { return func(o *options) { o.cfg.SampleRa
 // WithSeed fixes the random seed for reproducible builds.
 func WithSeed(s uint64) Option { return func(o *options) { o.cfg.Seed = s } }
 
-// WithBlockSize sets the raw-storage block size in records.
+// WithBlockSize sets the block size in records: the granularity at which a
+// build samples its dataset.
 func WithBlockSize(b int) Option { return func(o *options) { o.cfg.BlockSize = b } }
 
 // WithMaxCentroids caps the number of data-series groups.
@@ -557,26 +559,26 @@ func BuildDataset(dir string, ds *series.Dataset, opts ...Option) (_ *DB, err er
 		return nil, err
 	}
 	cl := newCluster(dir, o)
+	ix, err := core.Build(cl, cluster.Blocks(ds, o.cfg.BlockSize), o.cfg, "climber")
+	if err != nil {
+		cl.Close()
+		return nil, err
+	}
+	// No partial output survives an error: from here on a failure takes the
+	// files this build wrote along.
+	written := slices.Clone(ix.Partitions().Paths)
 	defer func() {
 		if err != nil {
 			cl.Close()
+			for _, p := range written {
+				_ = os.Remove(p) // best effort; err already says what went wrong
+			}
 		}
 	}()
-	// The block files are the build's input, staged so the skeleton is built
-	// from the float32 values the partitions will store; they are scratch,
-	// gone when BuildDataset returns.
-	bs, err := cl.IngestBlocks(ds, o.cfg.BlockSize, "data")
-	if err != nil {
-		return nil, err
-	}
-	defer bs.Remove()
-	ix, err := core.Build(cl, bs, o.cfg, "climber")
-	if err != nil {
-		return nil, err
-	}
 	if err := core.SaveIndex(ix, indexPath(dir)); err != nil {
 		return nil, err
 	}
+	written = append(written, indexPath(dir))
 	// A build defines a brand-new database; a WAL left in dir by a previous
 	// one must not replay its (differently-IDed, possibly differently-
 	// shaped) entries into the fresh index.

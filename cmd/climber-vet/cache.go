@@ -16,7 +16,7 @@ import (
 
 // suiteVersion invalidates every cached result when the analyzers change
 // behaviour. Bump it alongside analyzer logic changes.
-const suiteVersion = "climber-vet-2"
+const suiteVersion = "climber-vet-3"
 
 // resultCache memoises per-package findings across runs — the "analysis
 // facts" cache the CI lint job restores so repeated runs only re-analyse

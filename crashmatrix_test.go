@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"syscall"
 	"testing"
 
@@ -57,11 +58,18 @@ func TestReindexCrashMatrix(t *testing.T) {
 	queries := [][]float64{data[7], data[433], data[910]}
 
 	// Recording run: reindex an in-process copy with a recording hook to
-	// enumerate the protocol steps in order; its end state is golden-new.
+	// enumerate the protocol steps; its end state is golden-new. The
+	// partition flush is pooled, so its steps arrive concurrently and in any
+	// order among themselves.
 	recDir := filepath.Join(t.TempDir(), "rec")
 	copyTreeForTest(t, baseDir, recDir)
+	var stepsMu sync.Mutex
 	var steps []string
-	core.SetCrashStepHook(func(step string) { steps = append(steps, step) })
+	core.SetCrashStepHook(func(step string) {
+		stepsMu.Lock()
+		steps = append(steps, step)
+		stepsMu.Unlock()
+	})
 	rec, err := Open(recDir, ingestOpts()...)
 	if err != nil {
 		core.SetCrashStepHook(nil)

@@ -1,19 +1,20 @@
 // Package genswap checks the path discipline the online-reindex subsystem
 // depends on: every file that belongs to a generation — the skeleton
-// (.clms), partition and block files (.clmp/.clmb), the WAL (.clmw), the
-// MANIFEST pointer, and gen-NNNN directories — must get its path from one
-// of the blessed helpers (internal/core's IndexPathIn, GenDir,
-// manifestPath, …; internal/cluster's PartitionPath), never from an ad-hoc
-// filepath.Join/fmt.Sprintf at a call site.
+// (.clms), partition files (.clmp), the WAL (.clmw), the MANIFEST pointer,
+// and gen-NNNN directories — must get its path from one of the blessed
+// helpers (internal/core's IndexPathIn, GenDir, manifestPath, …;
+// internal/cluster's PartitionPath), never from an ad-hoc
+// filepath.Join/fmt.Sprintf at a call site. (A dataset interchange file,
+// .clmb, is not one: no database directory ever holds it.)
 //
 // The invariant exists because the swap protocol and backup/restore both
 // treat a generation directory as a relocatable unit: a path assembled
 // outside the helpers is a path the reindex swap will not retarget and the
 // backup hard-linker will not copy — a silent split-brain between
 // generations. The analyzer flags any string literal containing a
-// generation file marker (".clms", ".clmw", ".clmp", ".clmb", "MANIFEST",
-// "gen-") passed to filepath.Join or used as a fmt.Sprintf format, unless
-// the enclosing function is itself a blessed helper, marked
+// generation file marker (".clms", ".clmw", ".clmp", "MANIFEST", "gen-")
+// passed to filepath.Join or used as a fmt.Sprintf format, unless the
+// enclosing function is itself a blessed helper, marked
 //
 //	//climber:genpath
 //
@@ -34,12 +35,12 @@ import (
 // Analyzer is the genswap check.
 var Analyzer = &vet.Analyzer{
 	Name: "genswap",
-	Doc:  "generation file paths (.clms/.clmw/.clmp/.clmb, MANIFEST, gen-*) are minted only by //climber:genpath helpers, so reindex swap and backup relocate every file",
+	Doc:  "generation file paths (.clms/.clmw/.clmp, MANIFEST, gen-*) are minted only by //climber:genpath helpers, so reindex swap and backup relocate every file",
 	Run:  run,
 }
 
 // markers are the substrings that identify a generation-scoped file name.
-var markers = []string{".clms", ".clmw", ".clmp", ".clmb", "MANIFEST", "gen-"}
+var markers = []string{".clms", ".clmw", ".clmp", "MANIFEST", "gen-"}
 
 func run(pass *vet.Pass) error {
 	for _, file := range pass.Files {

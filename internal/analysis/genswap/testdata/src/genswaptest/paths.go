@@ -65,9 +65,10 @@ func parseGen(name string) (int, bool) {
 	return n, true
 }
 
-// clean has nothing generation-scoped: unrelated literals and non-literal
-// arguments stay silent.
+// clean has nothing generation-scoped: unrelated literals, the dataset
+// interchange file (no database directory ever holds a .clmb) and
+// non-literal arguments stay silent.
 func clean(dir, name string) string {
-	tmp := filepath.Join(dir, "scratch.tmp")
+	tmp := filepath.Join(dir, "scratch.tmp", "rw.clmb")
 	return filepath.Join(tmp, fmt.Sprintf("node%02d", 3), name)
 }

@@ -4,38 +4,41 @@
 // is internal/shard's job; this package never sees more than one directory.
 //
 // The build side keeps the shape of the paper's pipeline (Section V,
-// Figure 6) because the construction algorithms are written against it:
+// Figure 6) because the construction algorithms are written against it. It
+// reads a Source — records cut into blocks — of which there are two: Blocks
+// views a dataset in memory as blocks of consecutive IDs (the input of
+// core.Build and of the tardis/dpisax/dss baselines; readings come out
+// rounded to float32, the values an index stores), and a PartitionSet reads
+// the partition files of a built index back (the input of a reindex).
 //
-//   - IngestBlocks stages the raw dataset as capacity-bounded block files —
-//     the input format of core.Build and of the tardis/dpisax/dss baselines.
-//     Reading records back from blocks is what makes the stored float32
-//     values, not the caller's float64s, the ones an index is built from.
 //   - SampleBlocks selects whole random blocks, so skeleton construction
 //     avoids a full scan (partition-level sampling).
-//   - ScanBlocks streams blocks through a callback on a pool of workers.
+//   - ScanBlocks streams blocks through a callback on a pool of workers, and
+//     SampleDataset collects what such a scan keeps, in ID order.
 //   - Shuffle routes every record to a (partition, cluster) and writes the
-//     final partition files (Figure 6, Step 4).
+//     final partition files (Figure 6, Step 4) under a Dest.
 //
 // The query side is OpenPartition: a refcounted handle on one partition,
 // served from the cache (decoded or memory-mapped) when one is enabled.
 //
-// The store creates its directory only when a writer is about to put a file
-// in it; opening and reading never touch the filesystem's metadata.
+// The store creates a directory only when Shuffle is about to put a file in
+// it; cutting blocks, opening and reading never touch the filesystem's
+// metadata.
 package cluster
 
 import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
-	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
 	"climber/internal/pcache"
 	"climber/internal/series"
-	"climber/internal/storage"
 )
 
 // Stats is the store's read-side accounting. All fields are updated
@@ -72,7 +75,7 @@ type Cluster struct {
 
 // New returns the store rooted at dir. workers bounds the goroutines of
 // ScanBlocks and of Shuffle's flush; 0 or less uses every available core.
-// Nothing is created on disk until IngestBlocks or Shuffle writes a file.
+// Nothing is created on disk until Shuffle writes a file.
 func New(dir string, workers int) *Cluster {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -80,19 +83,16 @@ func New(dir string, workers int) *Cluster {
 	return &Cluster{dir: dir, workers: workers}
 }
 
+// Dir returns the store's directory: where a build's Shuffle puts its
+// partition files.
+func (c *Cluster) Dir() string { return c.dir }
+
 // PartitionPath returns the file of partition pid under root: the store's
 // own directory for the build-time shuffle, a gen-NNNN root for reindex.
 //
 //climber:genpath
 func PartitionPath(root, name string, pid int) string {
 	return filepath.Join(root, fmt.Sprintf("%s-part%05d.clmp", name, pid))
-}
-
-// blockPath returns the file of raw-dataset block idx under dir.
-//
-//climber:genpath
-func blockPath(dir, name string, idx int) string {
-	return filepath.Join(dir, fmt.Sprintf("%s-block%05d.clmb", name, idx))
 }
 
 // EnablePartitionCache installs a shared partition cache of at most budget
@@ -139,7 +139,7 @@ func (c *Cluster) CacheResidentBytes() (resident, mapped int64) {
 
 // Close releases the store's resources: the partition cache (if enabled)
 // is purged and uninstalled, dropping every resident partition. The store
-// holds no other live resources — partition and block files are opened per
+// holds no other live resources — partition files are opened per
 // operation — so Close is cheap, idempotent, and safe to call while
 // stragglers finish (they fall back to uncached file opens). The on-disk
 // layout is untouched and the store can keep serving afterwards, so
@@ -170,98 +170,131 @@ func (c *Cluster) InvalidatePartitionPrefix(prefix string) {
 	}
 }
 
-// BlockSet references the raw dataset staged as block files in the store's
-// directory.
+// Source is a set of records a build reads, cut into blocks — the unit of
+// work of ScanBlocks and of SampleBlocks. *BlockSet (a dataset in memory) and
+// *PartitionSet (the partition files of a built index) are the two sources.
+type Source interface {
+	// Len is the number of records and Length the length of each series.
+	Len() int
+	Length() int
+	// NumBlocks is the number of blocks, and ScanBlock streams the records
+	// of block i through fn. The values slice is only valid during the call.
+	NumBlocks() int
+	ScanBlock(i int, fn func(id int, values []float64) error) error
+}
+
+// BlockSet is a dataset cut into blocks of consecutive record IDs — the
+// layout the paper assumes for its partition-level sampling ("the original
+// dataset in most applications gets stored across partitions without any
+// special or custom organization"). It is a view: the dataset stays where it
+// is and nothing is written.
 type BlockSet struct {
-	Paths     []string
-	SeriesLen int
-	Total     int // total records across all blocks
+	ds        *series.Dataset
+	blockSize int
 }
 
-// Remove deletes the block files. Blocks are build input, not part of an
-// index: a caller that staged them only to build removes them afterwards.
-func (bs *BlockSet) Remove() {
-	for _, p := range bs.Paths {
-		_ = os.Remove(p) // best-effort: a leftover block costs disk, never correctness
-	}
-}
-
-// IngestBlocks writes the dataset into block files of at most blockSize
-// records — the layout the paper assumes for its partition-level sampling
-// ("the original dataset in most applications gets stored across partitions
-// without any special or custom organization"). A failed ingest removes the
-// blocks it already wrote.
-func (c *Cluster) IngestBlocks(ds *series.Dataset, blockSize int, name string) (_ *BlockSet, err error) {
+// Blocks cuts ds into blocks of blockSize records, which must be positive
+// (core.Config.Validate checks the configured one).
+func Blocks(ds *series.Dataset, blockSize int) *BlockSet {
 	if blockSize <= 0 {
-		return nil, fmt.Errorf("cluster: block size must be positive, got %d", blockSize)
+		panic(fmt.Sprintf("cluster: block size must be positive, got %d", blockSize))
 	}
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return nil, fmt.Errorf("cluster: create store dir: %w", err)
+	return &BlockSet{ds: ds, blockSize: blockSize}
+}
+
+// Len returns the number of records in the dataset.
+func (bs *BlockSet) Len() int { return bs.ds.Len() }
+
+// Length returns the length of every series.
+func (bs *BlockSet) Length() int { return bs.ds.Length() }
+
+// NumBlocks returns the number of blocks: the last one may be short.
+func (bs *BlockSet) NumBlocks() int {
+	return (bs.ds.Len() + bs.blockSize - 1) / bs.blockSize
+}
+
+// ScanBlock streams block i with every reading rounded to float32: an index
+// is built from the values its partition files will store, not from the
+// caller's float64s.
+func (bs *BlockSet) ScanBlock(i int, fn func(id int, values []float64) error) error {
+	lo := i * bs.blockSize
+	hi := min(lo+bs.blockSize, bs.ds.Len())
+	vals := make([]float64, bs.ds.Length())
+	for id := lo; id < hi; id++ {
+		for j, v := range bs.ds.Get(id) {
+			vals[j] = float64(float32(v))
+		}
+		if err := fn(id, vals); err != nil {
+			return err
+		}
 	}
-	bs := &BlockSet{SeriesLen: ds.Length(), Total: ds.Len()}
-	defer func() {
-		if err != nil {
-			bs.Remove()
-		}
-	}()
-	for lo := 0; lo < ds.Len(); lo += blockSize {
-		hi := min(lo+blockSize, ds.Len())
-		path := blockPath(c.dir, name, len(bs.Paths))
-		bs.Paths = append(bs.Paths, path)
-		bw, err := storage.NewBlockWriter(path, ds.Length())
-		if err != nil {
-			return nil, err
-		}
-		for id := lo; id < hi; id++ {
-			if err := bw.Append(id, ds.Get(id)); err != nil {
-				bw.Close()
-				return nil, err
-			}
-		}
-		if err := bw.Close(); err != nil {
-			return nil, err
-		}
-	}
-	return bs, nil
+	return nil
 }
 
 // SampleBlocks selects whole blocks uniformly at random so that roughly
-// rate × Total records are covered, never fewer than one block. This is the
+// rate × Len records are covered, never fewer than one block. This is the
 // paper's partition-level sampling (Section V): a subset of data partitions
 // is read in full, avoiding a scatter-read of individual records.
-func (c *Cluster) SampleBlocks(bs *BlockSet, rate float64, rng *rand.Rand) []string {
+func (c *Cluster) SampleBlocks(src Source, rate float64, rng *rand.Rand) []int {
 	if rate >= 1 {
-		out := make([]string, len(bs.Paths))
-		copy(out, bs.Paths)
-		return out
+		return nil
 	}
-	n := int(float64(len(bs.Paths))*rate + 0.5)
-	if n < 1 {
-		n = 1
+	nb := src.NumBlocks()
+	return rng.Perm(nb)[:min(max(int(float64(nb)*rate+0.5), 1), nb)]
+}
+
+// SampleDataset scans the listed blocks of src (nil: all of them) and returns
+// the records keep admits (nil: all of them) as a dataset in ID order: worker
+// scheduling must not influence what is built from a sample.
+func (c *Cluster) SampleDataset(src Source, blocks []int, keep func(id int) bool) (*series.Dataset, error) {
+	type rec struct {
+		id   int
+		vals []float64
 	}
-	perm := rng.Perm(len(bs.Paths))
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
-		out[i] = bs.Paths[perm[i]]
+	var mu sync.Mutex
+	var recs []rec
+	err := c.ScanBlocks(src, blocks, func(id int, values []float64) error {
+		if keep != nil && !keep(id) {
+			return nil
+		}
+		r := rec{id, slices.Clone(values)}
+		mu.Lock()
+		recs = append(recs, r)
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out
+	sort.Slice(recs, func(i, j int) bool { return recs[i].id < recs[j].id })
+	sample := series.NewDatasetCap(src.Length(), len(recs))
+	for _, r := range recs {
+		sample.Append(r.vals)
+	}
+	return sample, nil
 }
 
 // errScanAborted marks a worker that stopped because a peer already failed.
 // It is internal to ScanBlocks and never escapes it.
 var errScanAborted = errors.New("cluster: scan aborted after peer failure")
 
-// ScanBlocks streams every record of the listed blocks through fn using the
-// store's worker pool. fn is invoked concurrently from multiple workers
-// and must be safe for that; the values slice is only valid during the
-// call. The scan fails fast: the first error raises a stop flag, and every
-// other worker abandons its current block at the next record instead of
-// scanning the remaining dataset for an answer that will be thrown away.
-// The error returned is the first one raised.
-func (c *Cluster) ScanBlocks(paths []string, fn func(id int, values []float64) error) error {
-	work := make(chan string, len(paths))
-	for _, p := range paths {
-		work <- p
+// ScanBlocks streams every record of the listed blocks of src (nil: all of
+// them) through fn using the store's worker pool. fn is invoked concurrently
+// from multiple workers and must be safe for that; the values slice is only
+// valid during the call. The scan fails fast: the first error raises a stop
+// flag, and every other worker abandons its current block at the next record
+// instead of scanning the remaining dataset for an answer that will be thrown
+// away. The error returned is the first one raised.
+func (c *Cluster) ScanBlocks(src Source, blocks []int, fn func(id int, values []float64) error) error {
+	if blocks == nil {
+		blocks = make([]int, src.NumBlocks())
+		for i := range blocks {
+			blocks[i] = i
+		}
+	}
+	work := make(chan int, len(blocks))
+	for _, b := range blocks {
+		work <- b
 	}
 	close(work)
 
@@ -292,11 +325,11 @@ func (c *Cluster) ScanBlocks(paths []string, fn func(id int, values []float64) e
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for path := range work {
+			for b := range work {
 				if stop.Load() {
 					return
 				}
-				if err := storage.ScanBlock(path, scan); err != nil {
+				if err := src.ScanBlock(b, scan); err != nil {
 					if err != errScanAborted {
 						fail(err)
 					}

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -24,20 +25,17 @@ func testCluster(t *testing.T) *Cluster {
 func TestIngestAndScanBlocks(t *testing.T) {
 	c := testCluster(t)
 	ds := dataset.RandomWalk(32, 100, 7)
-	bs, err := c.IngestBlocks(ds, 30, "rw")
-	if err != nil {
-		t.Fatal(err)
+	bs := Blocks(ds, 30)
+	if bs.NumBlocks() != 4 { // ceil(100/30)
+		t.Fatalf("got %d blocks, want 4", bs.NumBlocks())
 	}
-	if len(bs.Paths) != 4 { // ceil(100/30)
-		t.Fatalf("got %d blocks, want 4", len(bs.Paths))
-	}
-	if bs.Total != 100 {
-		t.Fatalf("Total = %d, want 100", bs.Total)
+	if bs.Len() != 100 || bs.Length() != 32 {
+		t.Fatalf("Len, Length = %d, %d, want 100, 32", bs.Len(), bs.Length())
 	}
 
 	var mu sync.Mutex
 	seen := make(map[int]int)
-	err = c.ScanBlocks(bs.Paths, func(id int, values []float64) error {
+	err := c.ScanBlocks(bs, nil, func(id int, values []float64) error {
 		mu.Lock()
 		seen[id]++
 		mu.Unlock()
@@ -55,46 +53,61 @@ func TestIngestAndScanBlocks(t *testing.T) {
 		}
 	}
 
-	// Blocks are build input: removing the set leaves the store empty.
-	bs.Remove()
-	if ents, err := os.ReadDir(c.dir); err != nil || len(ents) != 0 {
-		t.Fatalf("store dir after BlockSet.Remove: %v, %v", ents, err)
+	// A listed subset scans those blocks only: block 3 is IDs 90..99.
+	clear(seen)
+	err = c.ScanBlocks(bs, []int{3}, func(id int, values []float64) error {
+		mu.Lock()
+		seen[id]++
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != 10 || seen[90] != 1 || seen[99] != 1 {
+		t.Fatalf("scan of the short last block saw %v, want IDs 90..99 once each", seen)
 	}
 }
 
-// The store touches the filesystem only when a writer is about to put a file
-// in it: constructing one over a directory that does not exist — and opening
-// partitions elsewhere through it — must not create that directory.
+// The store touches the filesystem only when Shuffle is about to put a file in
+// it: constructing one over a directory that does not exist, and cutting a
+// dataset into blocks and scanning them through it, must not create that
+// directory — nor anything else.
 func TestNewCreatesNothing(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "store")
+	parent := t.TempDir()
+	dir := filepath.Join(parent, "store")
 	c := New(dir, 1)
 	c.EnablePartitionCache(1 << 20)
-	if _, err := os.Stat(dir); !os.IsNotExist(err) {
-		t.Fatalf("New created %s (stat err = %v)", dir, err)
-	}
-	if _, err := c.IngestBlocks(dataset.RandomWalk(8, 10, 1), 5, "rw"); err != nil {
+	bs := Blocks(dataset.RandomWalk(8, 10, 1), 5)
+	if err := c.ScanBlocks(bs, nil, func(int, []float64) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(dir); err != nil {
-		t.Fatalf("IngestBlocks did not create the store dir: %v", err)
+	if ents, err := os.ReadDir(parent); err != nil || len(ents) != 0 {
+		t.Fatalf("New, Blocks and ScanBlocks left %v on disk (err = %v)", ents, err)
+	}
+	_, err := c.Shuffle(bs, 1, Dest{Root: dir, Name: "rw"}, func(int, []float64) (Route, error) { return Route{}, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(PartitionPath(dir, "rw", 0)); err != nil {
+		t.Fatalf("Shuffle did not create the store dir and its partition file: %v", err)
 	}
 }
 
 func TestScanBlocksValuesMatchDataset(t *testing.T) {
 	c := testCluster(t)
 	ds := dataset.RandomWalk(16, 20, 3)
-	bs, err := c.IngestBlocks(ds, 7, "rw")
-	if err != nil {
-		t.Fatal(err)
-	}
+	bs := Blocks(ds, 7)
 	var mu sync.Mutex
-	err = c.ScanBlocks(bs.Paths, func(id int, values []float64) error {
+	err := c.ScanBlocks(bs, nil, func(id int, values []float64) error {
 		mu.Lock()
 		defer mu.Unlock()
 		want := ds.Get(id)
 		for j := range values {
-			if float32(want[j]) != float32(values[j]) {
-				t.Errorf("record %d value %d = %g, want %g", id, j, values[j], want[j])
+			// Exactly the float32 rounding a partition file applies: an
+			// index is built from the values it will store.
+			if values[j] != float64(float32(want[j])) {
+				t.Errorf("record %d value %d = %g, want %g rounded to float32", id, j, values[j], want[j])
 			}
 		}
 		return nil
@@ -107,42 +120,69 @@ func TestScanBlocksValuesMatchDataset(t *testing.T) {
 func TestSampleBlocks(t *testing.T) {
 	c := testCluster(t)
 	ds := dataset.RandomWalk(16, 200, 9)
-	bs, err := c.IngestBlocks(ds, 10, "rw") // 20 blocks
-	if err != nil {
-		t.Fatal(err)
-	}
+	bs := Blocks(ds, 10) // 20 blocks
 	rng := rand.New(rand.NewPCG(5, 5))
 	sample := c.SampleBlocks(bs, 0.25, rng)
 	if len(sample) != 5 {
 		t.Fatalf("sampled %d blocks, want 5", len(sample))
 	}
-	// Distinct paths.
-	seen := map[string]bool{}
-	for _, p := range sample {
-		if seen[p] {
-			t.Fatalf("block %s sampled twice", p)
+	// Distinct blocks of the set.
+	seen := map[int]bool{}
+	for _, b := range sample {
+		if seen[b] || b < 0 || b >= 20 {
+			t.Fatalf("block %d sampled twice or out of range", b)
 		}
-		seen[p] = true
+		seen[b] = true
 	}
 	// A tiny rate still samples at least one block.
 	if got := c.SampleBlocks(bs, 0.0001, rng); len(got) != 1 {
 		t.Fatalf("minimum sample = %d blocks, want 1", len(got))
 	}
-	// Rate 1 returns everything.
-	if got := c.SampleBlocks(bs, 1.0, rng); len(got) != 20 {
-		t.Fatalf("full sample = %d blocks, want 20", len(got))
+	// Rate 1 returns nil, which ScanBlocks and SampleDataset read as every
+	// block.
+	if got := c.SampleBlocks(bs, 1.0, rng); got != nil {
+		t.Fatalf("full sample = %v, want nil", got)
+	}
+}
+
+// A sample comes back in ID order whatever the order the workers scanned it
+// in, holds the float32-rounded readings, and honours the keep filter.
+func TestSampleDataset(t *testing.T) {
+	c := testCluster(t)
+	ds := dataset.RandomWalk(16, 200, 9)
+	bs := Blocks(ds, 10)
+	sample, err := c.SampleDataset(bs, []int{17, 2, 9}, func(id int) bool { return id%2 == 1 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int
+	for _, b := range []int{2, 9, 17} {
+		for id := b*10 + 1; id < (b+1)*10; id += 2 {
+			want = append(want, id)
+		}
+	}
+	if sample.Len() != len(want) {
+		t.Fatalf("sample holds %d records, want %d", sample.Len(), len(want))
+	}
+	for i, id := range want {
+		for j, v := range sample.Get(i) {
+			if v != float64(float32(ds.Get(id)[j])) {
+				t.Fatalf("sample record %d is not dataset record %d rounded to float32", i, id)
+			}
+		}
+	}
+	all, err := c.SampleDataset(bs, nil, nil)
+	if err != nil || all.Len() != 200 {
+		t.Fatalf("unfiltered sample of every block: %d records, %v; want 200", all.Len(), err)
 	}
 }
 
 func TestShuffle(t *testing.T) {
 	c := testCluster(t)
 	ds := dataset.RandomWalk(16, 90, 2)
-	bs, err := c.IngestBlocks(ds, 25, "rw")
-	if err != nil {
-		t.Fatal(err)
-	}
+	bs := Blocks(ds, 25)
 	// Route by id modulo 3 partitions, cluster = id modulo 2.
-	ps, err := c.Shuffle(bs, 3, "rw", func(id int, values []float64) (Route, error) {
+	ps, err := c.Shuffle(bs, 3, Dest{Root: c.dir, Name: "rw"}, func(id int, values []float64) (Route, error) {
 		return Route{Partition: id % 3, Cluster: storage.ClusterID(id % 2)}, nil
 	})
 	if err != nil {
@@ -185,6 +225,60 @@ func TestShuffle(t *testing.T) {
 	}
 }
 
+// A PartitionSet is a Source too — how a reindex reads an index back: a
+// shuffle of the partition files into a second root moves every record with
+// its float32 readings intact, and with Dest.Sync it announces each
+// durability step (the flush is pooled, so partition steps come in any order).
+func TestShuffleFromPartitionsDurable(t *testing.T) {
+	c := testCluster(t)
+	ds := dataset.RandomWalk(16, 90, 2)
+	first, err := c.Shuffle(Blocks(ds, 25), 3, Dest{Root: c.dir, Name: "rw"}, func(id int, values []float64) (Route, error) {
+		return Route{Partition: id % 3, Cluster: storage.ClusterID(id % 2)}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Len() != 90 || first.Length() != 16 || first.NumBlocks() != 3 {
+		t.Fatalf("partition source: Len, Length, NumBlocks = %d, %d, %d", first.Len(), first.Length(), first.NumBlocks())
+	}
+
+	var mu sync.Mutex
+	var steps []string
+	root := filepath.Join(t.TempDir(), "gen")
+	second, err := c.Shuffle(first, 2, Dest{Root: root, Name: "rw", Sync: true, Step: func(step string) {
+		mu.Lock()
+		steps = append(steps, step)
+		mu.Unlock()
+	}}, func(id int, values []float64) (Route, error) {
+		return Route{Partition: id % 2}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(steps); n != 4 || steps[0] != "gen-dirs" || steps[n-1] != "gen-dir-sync" {
+		t.Fatalf("durability steps = %v", steps)
+	}
+	sort.Strings(steps[1:3])
+	if steps[1] != "partition-00000" || steps[2] != "partition-00001" {
+		t.Fatalf("durability steps = %v", steps)
+	}
+	seen := 0
+	err = c.ScanBlocks(second, nil, func(id int, values []float64) error {
+		mu.Lock()
+		defer mu.Unlock()
+		seen++
+		for j, v := range values {
+			if v != float64(float32(ds.Get(id)[j])) {
+				t.Errorf("record %d value %d changed on its way through two shuffles", id, j)
+			}
+		}
+		return nil
+	})
+	if err != nil || seen != 90 {
+		t.Fatalf("second shuffle holds %d records, %v; want 90", seen, err)
+	}
+}
+
 // breakFlushTarget arranges for partition flushes into dir to fail: the
 // directory is made read-only. Root bypasses permission bits, so when a probe
 // write still succeeds the helper falls back to squatting a directory on the
@@ -213,13 +307,10 @@ func breakFlushTarget(t *testing.T, dir, partPath string) {
 func TestShuffleCleansUpOnFlushFailure(t *testing.T) {
 	c := testCluster(t)
 	ds := dataset.RandomWalk(16, 90, 2)
-	bs, err := c.IngestBlocks(ds, 25, "rw")
-	if err != nil {
-		t.Fatal(err)
-	}
+	bs := Blocks(ds, 25)
 	breakFlushTarget(t, c.dir, PartitionPath(c.dir, "shuf", 1))
 
-	_, err = c.Shuffle(bs, 3, "shuf", func(id int, values []float64) (Route, error) {
+	_, err := c.Shuffle(bs, 3, Dest{Root: c.dir, Name: "shuf"}, func(id int, values []float64) (Route, error) {
 		return Route{Partition: id % 3, Cluster: storage.ClusterID(id % 2)}, nil
 	})
 	if err == nil {
@@ -242,15 +333,12 @@ func TestShuffleCleansUpOnFlushFailure(t *testing.T) {
 func TestScanBlocksStopsOnFirstError(t *testing.T) {
 	c := testCluster(t) // 4 workers
 	ds := dataset.RandomWalk(8, 200, 4)
-	bs, err := c.IngestBlocks(ds, 10, "rw") // 20 blocks
-	if err != nil {
-		t.Fatal(err)
-	}
+	bs := Blocks(ds, 10) // 20 blocks
 
 	errBoom := errors.New("boom")
 	var after atomic.Int64
 	var failed atomic.Bool
-	err = c.ScanBlocks(bs.Paths, func(id int, values []float64) error {
+	err := c.ScanBlocks(bs, nil, func(id int, values []float64) error {
 		if failed.Load() {
 			after.Add(1)
 			return nil
@@ -277,11 +365,8 @@ func TestScanBlocksStopsOnFirstError(t *testing.T) {
 func TestShuffleRejectsBadPartition(t *testing.T) {
 	c := testCluster(t)
 	ds := dataset.RandomWalk(16, 10, 2)
-	bs, err := c.IngestBlocks(ds, 5, "rw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = c.Shuffle(bs, 2, "rw", func(id int, values []float64) (Route, error) {
+	bs := Blocks(ds, 5)
+	_, err := c.Shuffle(bs, 2, Dest{Root: c.dir, Name: "rw"}, func(id int, values []float64) (Route, error) {
 		return Route{Partition: 7}, nil
 	})
 	if err == nil {
@@ -289,12 +374,15 @@ func TestShuffleRejectsBadPartition(t *testing.T) {
 	}
 }
 
-func TestIngestBlocksValidation(t *testing.T) {
-	c := testCluster(t)
-	ds := series.NewDataset(4)
-	if _, err := c.IngestBlocks(ds, 0, "x"); err == nil {
-		t.Fatal("zero block size accepted")
-	}
+// Cutting blocks cannot fail, so a block size that is not positive — which
+// core.Config.Validate never lets through — is a programming error.
+func TestBlocksPanicsOnBadBlockSize(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("zero block size accepted")
+		}
+	}()
+	Blocks(series.NewDataset(4), 0)
 }
 
 func TestWorkers(t *testing.T) {

@@ -17,11 +17,8 @@ func buildMappedPartitions(t *testing.T, n int) (*Cluster, *PartitionSet) {
 	c.EnablePartitionCache(1 << 30)
 	c.EnableMmap(true)
 	ds := dataset.RandomWalk(32, n, 11)
-	bs, err := c.IngestBlocks(ds, n/3+1, "rw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps, err := c.Shuffle(bs, 2, "rw", func(id int, values []float64) (Route, error) {
+	bs := Blocks(ds, n/3+1)
+	ps, err := c.Shuffle(bs, 2, Dest{Root: c.Dir(), Name: "rw"}, func(id int, values []float64) (Route, error) {
 		return Route{Partition: id % 2, Cluster: storage.ClusterID(id % 3)}, nil
 	})
 	if err != nil {

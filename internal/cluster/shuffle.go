@@ -16,21 +16,67 @@ type Route struct {
 }
 
 // PartitionSet references the physical partition files produced by a
-// shuffle, indexed by partition ID.
+// shuffle, indexed by partition ID. It is also a Source whose blocks are the
+// partition files, which is how a reindex reads a built index back.
 type PartitionSet struct {
 	Paths     []string
 	SeriesLen int
 	Counts    []int // records per partition
 }
 
-// Shuffle re-distributes the entire dataset into physical partitions
-// (paper Figure 6, Step 4): workers scan the raw blocks in parallel, route
-// every record via the provided function (which encapsulates signature
-// generation plus group/trie navigation), and the records are regrouped
-// into per-partition, per-cluster files in the store's directory.
+// Len returns the number of records across all partitions, per Counts.
+func (ps *PartitionSet) Len() int {
+	total := 0
+	for _, c := range ps.Counts {
+		total += c
+	}
+	return total
+}
+
+// Length returns the length of every series.
+func (ps *PartitionSet) Length() int { return ps.SeriesLen }
+
+// NumBlocks returns the number of partition files.
+func (ps *PartitionSet) NumBlocks() int { return len(ps.Paths) }
+
+// ScanBlock streams every record of partition i through fn.
+func (ps *PartitionSet) ScanBlock(i int, fn func(id int, values []float64) error) error {
+	p, err := storage.OpenPartition(ps.Paths[i])
+	if err != nil {
+		return err
+	}
+	defer p.Close()
+	return p.ScanAll(fn)
+}
+
+// Dest is where a shuffle puts its partition files: Name-partNNNNN.clmp under
+// Root, which is created when missing.
+type Dest struct {
+	Root string
+	Name string
+	// Sync makes the output durable before Shuffle returns: every partition
+	// file is fsynced, then Root. Step, when set, is told the name of each
+	// durability step (the directory creation, each partition file, the
+	// directory fsync) just before it runs — the reindex crash matrix. The
+	// flush is pooled, so Step is called from several goroutines at once.
+	Sync bool
+	Step func(step string)
+}
+
+func (d Dest) step(name string) {
+	if d.Step != nil {
+		d.Step(name)
+	}
+}
+
+// Shuffle re-distributes all of src into physical partitions (paper Figure 6,
+// Step 4): workers scan the blocks in parallel, route every record via the
+// provided function (which encapsulates signature generation plus group/trie
+// navigation), and the records are regrouped into per-partition, per-cluster
+// files under dst.
 //
 // route is invoked concurrently and must be safe for that.
-func (c *Cluster) Shuffle(bs *BlockSet, numPartitions int, name string,
+func (c *Cluster) Shuffle(src Source, numPartitions int, dst Dest,
 	route func(id int, values []float64) (Route, error)) (*PartitionSet, error) {
 	if numPartitions <= 0 {
 		return nil, fmt.Errorf("cluster: shuffle needs at least one partition, got %d", numPartitions)
@@ -38,10 +84,10 @@ func (c *Cluster) Shuffle(bs *BlockSet, numPartitions int, name string,
 	writers := make([]*storage.PartitionWriter, numPartitions)
 	locks := make([]sync.Mutex, numPartitions)
 	for i := range writers {
-		writers[i] = storage.NewPartitionWriter(bs.SeriesLen)
+		writers[i] = storage.NewPartitionWriter(src.Length())
 	}
 
-	err := c.ScanBlocks(bs.Paths, func(id int, values []float64) error {
+	err := c.ScanBlocks(src, nil, func(id int, values []float64) error {
 		r, err := route(id, values)
 		if err != nil {
 			return err
@@ -57,44 +103,58 @@ func (c *Cluster) Shuffle(bs *BlockSet, numPartitions int, name string,
 	if err != nil {
 		return nil, err
 	}
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return nil, fmt.Errorf("cluster: create store dir: %w", err)
+	dst.step("gen-dirs")
+	if err := os.MkdirAll(dst.Root, 0o755); err != nil {
+		return nil, fmt.Errorf("cluster: create partition dir: %w", err)
 	}
 
 	// Flush the partition writers concurrently, bounded by the store's
 	// worker pool. Each writer sorts its clusters and records before
 	// writing, so the bytes of every partition file are identical to a
 	// sequential flush — only the wall-clock changes.
-	ps := &PartitionSet{SeriesLen: bs.SeriesLen, Paths: make([]string, numPartitions), Counts: make([]int, numPartitions)}
+	ps := &PartitionSet{SeriesLen: src.Length(), Paths: make([]string, numPartitions), Counts: make([]int, numPartitions)}
 	errs := make([]error, numPartitions)
 	sem := make(chan struct{}, c.workers)
 	var wg sync.WaitGroup
 	for i, w := range writers {
-		path := PartitionPath(c.dir, name, i)
+		path := PartitionPath(dst.Root, dst.Name, i)
 		ps.Paths[i] = path
 		ps.Counts[i] = w.Count()
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(i int, w *storage.PartitionWriter, path string) {
+		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			errs[i] = w.Flush(path)
-		}(i, w, path)
+			dst.step(fmt.Sprintf("partition-%05d", i))
+			if errs[i] = w.Flush(path); errs[i] == nil && dst.Sync {
+				errs[i] = storage.SyncPath(path)
+			}
+		}()
 	}
 	wg.Wait()
+	// The first error by partition order is the one returned, which keeps
+	// the failure deterministic regardless of flush scheduling.
 	for _, e := range errs {
-		if e == nil {
-			continue
+		if e != nil {
+			err = e
+			break
 		}
+	}
+	if err == nil && dst.Sync {
+		// The partition files must be findable, not only durable, before
+		// anything that references them is written.
+		dst.step("gen-dir-sync")
+		err = storage.SyncPath(dst.Root)
+	}
+	if err != nil {
 		// A failed shuffle must not leave partial output behind: remove
 		// every partition file this shuffle wrote, the successfully
 		// flushed ones included (paths that never materialised are fine
-		// to miss). The first error by partition order is returned, which
-		// keeps the failure deterministic regardless of flush scheduling.
+		// to miss).
 		for _, p := range ps.Paths {
 			_ = os.Remove(p)
 		}
-		return nil, e
+		return nil, err
 	}
 	return ps, nil
 }

@@ -24,11 +24,7 @@ type Routed struct {
 // ReserveIDs so concurrent writers can never mint duplicates by re-reading
 // mutable state.
 func (ix *Index) initNextID() {
-	total := 0
-	for _, c := range ix.Partitions().Counts {
-		total += c
-	}
-	ix.nextID.Store(int64(total))
+	ix.nextID.Store(int64(ix.Partitions().Len()))
 }
 
 // ReserveIDs atomically reserves n consecutive record IDs and returns the
@@ -66,20 +62,16 @@ func (ix *Index) UnreserveIDs(first, n int) {
 func (ix *Index) PersistedRecords() int {
 	ix.countsMu.Lock()
 	defer ix.countsMu.Unlock()
-	total := 0
-	for _, c := range ix.Partitions().Counts {
-		total += c
-	}
-	return total
+	return ix.Partitions().Len()
 }
 
-// RouteNewRecord routes one new record through the skeleton's pivots,
-// groups, and tries (exactly like Step 4 of construction). The tie-break
-// generator is derived from the record ID with the same formula the build
-// uses, so a record's destination is a pure function of
-// (skeleton, seed, id, values) — WAL replay after a crash recomputes
-// identical routes, and an online reindex re-routes the surviving delta
-// against the new skeleton with the same determinism.
+// RouteNewRecord routes one record through the skeleton's pivots, groups, and
+// tries: it is Step 4 of construction, and the route of every later append.
+// Algorithm 1's final tie-break must not depend on worker scheduling, so its
+// generator is derived from the record ID: a record's destination is a pure
+// function of (skeleton, seed, id, values) — WAL replay after a crash
+// recomputes identical routes, and an online reindex re-routes the surviving
+// delta against the new skeleton with the same determinism.
 func (s *Skeleton) RouteNewRecord(id int, values []float64) cluster.Route {
 	rng := rand.New(rand.NewPCG(s.Cfg.Seed, uint64(id)+0x9e3779b97f4a7c15))
 	return s.RouteRecord(values, rng)

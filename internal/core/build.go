@@ -1,15 +1,14 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"climber/internal/cluster"
-	"climber/internal/series"
 )
 
 // BuildStats records the wall-clock cost of each index-construction phase,
@@ -60,104 +59,120 @@ func NewIndex(cl *cluster.Cluster, skel *Skeleton, parts *cluster.PartitionSet) 
 	return ix
 }
 
-// Build constructs a CLIMBER index over a raw block set using the four-step
-// workflow of paper Figure 6:
-//
-//	1-3. sample blocks at rate α, build the index skeleton in memory;
-//	4.   convert every record to its dual signature and re-distribute the
-//	     dataset into partition files.
-//
-// The conversion and re-distribution phases are deliberately separate scans
-// so their costs can be reported independently, exactly as the paper's
-// construction-time breakdown does.
+// Build constructs a CLIMBER index over a dataset cut into blocks, writing the
+// partition files into the store's directory. The sample is block-granular
+// (partition-level sampling, paper Section V): whole random blocks are read,
+// so skeleton construction avoids a full scan.
 func Build(cl *cluster.Cluster, bs *cluster.BlockSet, cfg Config, name string) (*Index, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	start := time.Now()
-
-	// --- Steps 1-3: partition-level sample -> skeleton --------------------
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x2545f4914f6cdd1d))
-	samplePaths := cl.SampleBlocks(bs, cfg.SampleRate, rng)
-	// Collect the sample keyed by record ID and materialise it in ID order:
-	// worker scheduling must not influence pivot selection.
-	type sampleRec struct {
-		id   int
-		vals []float64
-	}
-	var mu sync.Mutex
-	var recs []sampleRec
-	err := cl.ScanBlocks(samplePaths, func(id int, values []float64) error {
-		cp := make([]float64, len(values))
-		copy(cp, values)
-		mu.Lock()
-		recs = append(recs, sampleRec{id, cp})
-		mu.Unlock()
-		return nil
-	})
+	in := buildInput{src: bs, idBound: bs.Len(), sampleBlocks: cl.SampleBlocks(bs, cfg.SampleRate, rng)}
+	//lint:ignore ctxflow a build is an offline root: it runs to completion, there is no caller deadline to thread
+	g, stats, err := construct(context.Background(), cl, in, cfg, cluster.Dest{Root: cl.Dir(), Name: name})
 	if err != nil {
-		return nil, fmt.Errorf("core: sampling: %w", err)
+		return nil, err
 	}
-	sort.Slice(recs, func(i, j int) bool { return recs[i].id < recs[j].id })
-	sample := series.NewDatasetCap(bs.SeriesLen, len(recs))
-	for _, r := range recs {
-		sample.Append(r.vals)
+	ix := &Index{Cl: cl, Stats: stats}
+	ix.gen.Store(g)
+	ix.initNextID()
+	return ix, nil
+}
+
+// buildInput is what one run of the construction workflow reads and how it
+// draws its sample.
+type buildInput struct {
+	src cluster.Source
+	// idBound is above every record ID of src.
+	idBound int
+	// sampleBlocks are the blocks scanned for the sample (nil: all of them)
+	// and keepSample picks the scanned records that join it (nil: all).
+	sampleBlocks []int
+	keepSample   func(id int) bool
+}
+
+// ctxSource makes a scan of its Source stop at the next block once ctx is
+// cancelled.
+type ctxSource struct {
+	cluster.Source
+	ctx context.Context
+}
+
+func (s ctxSource) ScanBlock(i int, fn func(id int, values []float64) error) error {
+	if err := s.ctx.Err(); err != nil {
+		return err
 	}
-	// The effective sample rate can deviate from α because sampling is at
-	// block granularity; feed the realised rate into the skeleton so the
-	// scale-up estimates stay honest.
+	return s.Source.ScanBlock(i, fn)
+}
+
+// construct is index construction — the four-step workflow of paper Figure 6,
+// the one implementation behind Build and RebuildGeneration:
+//
+//	1-3. draw the sample, build the index skeleton from it in memory;
+//	4.   convert every record to its dual signature and re-distribute the
+//	     records into partition files under dst.
+//
+// The conversion and re-distribution phases are deliberately separate scans
+// so their costs can be reported independently, exactly as the paper's
+// construction-time breakdown does. A record's route is a pure function of
+// (skeleton, seed, id, values) and every merge happens in ID order, so the
+// bytes written do not depend on worker scheduling or on how src is cut into
+// blocks.
+func construct(ctx context.Context, cl *cluster.Cluster, in buildInput, cfg Config, dst cluster.Dest) (*Generation, BuildStats, error) {
+	start := time.Now()
+	src := ctxSource{in.src, ctx}
+
+	// --- Steps 1-3: sample -> skeleton -------------------------------------
+	sample, err := cl.SampleDataset(src, in.sampleBlocks, in.keepSample)
+	if err == nil && sample.Len() == 0 {
+		// A tiny dataset can dodge a per-record sampler entirely; sample
+		// everything rather than fail the build.
+		sample, err = cl.SampleDataset(src, in.sampleBlocks, nil)
+	}
+	if err != nil {
+		return nil, BuildStats{}, fmt.Errorf("core: sampling: %w", err)
+	}
+	// The realised sample rate deviates from α (block granularity, sampler
+	// luck); feed it into the skeleton so the scale-up estimates stay honest.
 	effCfg := cfg
-	if bs.Total > 0 {
-		eff := float64(sample.Len()) / float64(bs.Total)
-		if eff > 1 {
-			eff = 1
-		}
-		if eff > 0 {
-			effCfg.SampleRate = eff
-		}
+	if sample.Len() > 0 {
+		effCfg.SampleRate = min(float64(sample.Len())/float64(src.Len()), 1)
 	}
-	skel, err := BuildSkeleton(sample, bs.SeriesLen, effCfg)
+	skel, err := BuildSkeleton(sample, src.Length(), effCfg)
 	if err != nil {
-		return nil, fmt.Errorf("core: skeleton: %w", err)
+		return nil, BuildStats{}, fmt.Errorf("core: skeleton: %w", err)
 	}
 	skeletonTime := time.Since(start)
 
 	// --- Step 4a: entire-data conversion ----------------------------------
 	convStart := time.Now()
-	routes := make([]cluster.Route, bs.Total)
-	err = cl.ScanBlocks(bs.Paths, func(id int, values []float64) error {
-		// Algorithm 1's final tie-break must not depend on worker
-		// scheduling: derive the generator from the record ID.
-		recRNG := rand.New(rand.NewPCG(cfg.Seed, uint64(id)+0x9e3779b97f4a7c15))
-		routes[id] = skel.RouteRecord(values, recRNG)
+	routes := make([]cluster.Route, in.idBound)
+	err = cl.ScanBlocks(src, nil, func(id int, values []float64) error {
+		if id >= len(routes) {
+			return fmt.Errorf("record ID %d is not below the ID bound %d", id, len(routes))
+		}
+		routes[id] = skel.RouteNewRecord(id, values)
 		return nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("core: conversion: %w", err)
+		return nil, BuildStats{}, fmt.Errorf("core: conversion: %w", err)
 	}
 	convTime := time.Since(convStart)
 
 	// --- Step 4b: re-distribution into partition files --------------------
 	redistStart := time.Now()
-	parts, err := cl.Shuffle(bs, skel.NumPartitions, name, func(id int, values []float64) (cluster.Route, error) {
+	parts, err := cl.Shuffle(src, skel.NumPartitions, dst, func(id int, values []float64) (cluster.Route, error) {
 		return routes[id], nil
 	})
 	if err != nil {
-		return nil, fmt.Errorf("core: re-distribution: %w", err)
+		return nil, BuildStats{}, fmt.Errorf("core: re-distribution: %w", err)
 	}
-	redistTime := time.Since(redistStart)
-
-	ix := &Index{
-		Cl: cl,
-		Stats: BuildStats{
-			SampleRecords:  sample.Len(),
-			Skeleton:       skeletonTime,
-			Conversion:     convTime,
-			Redistribution: redistTime,
-			Total:          time.Since(start),
-		},
-	}
-	ix.gen.Store(NewGeneration(skel, parts))
-	ix.initNextID()
-	return ix, nil
+	return NewGeneration(skel, parts), BuildStats{
+		SampleRecords:  sample.Len(),
+		Skeleton:       skeletonTime,
+		Conversion:     convTime,
+		Redistribution: time.Since(redistStart),
+		Total:          time.Since(start),
+	}, nil
 }

@@ -47,9 +47,9 @@ type Config struct {
 	// never leak into the layout — and Workers is therefore deliberately not
 	// serialised into the skeleton file.
 	Workers int
-	// BlockSize is the size, in records, of the block files a dataset is
-	// staged into before a build; partition-level sampling picks whole
-	// blocks, so it also sets the sampling granularity.
+	// BlockSize is the size, in records, of the blocks a build cuts its
+	// dataset into: partition-level sampling picks whole blocks, so it is
+	// the sampling granularity, and a block is a scan worker's unit of work.
 	BlockSize int
 	// DisableWDTieBreak turns off the Weight Distance stage of Algorithm 1,
 	// resolving Overlap Distance ties randomly. It exists only for the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"os"
 	"testing"
 )
 
@@ -115,5 +116,20 @@ func TestSearchBatchContextCancel(t *testing.T) {
 	cancel()
 	if _, err := ix.QueryBatch(ctx, queries, SearchOptions{K: 10}, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled batch returned %v, want an error wrapping context.Canceled", err)
+	}
+}
+
+// A rebuild whose context is cancelled stops at the next block of its scan
+// and writes nothing: the generation directory is not even created.
+func TestRebuildGenerationCancelled(t *testing.T) {
+	ix, _, _, _ := buildTestIndex(t, 1500, testConfig())
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	genRoot := GenDir(t.TempDir(), 1)
+	if _, err := ix.RebuildGeneration(ctx, genRoot, "test"); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled rebuild returned %v, want context.Canceled", err)
+	}
+	if _, err := os.Stat(genRoot); !os.IsNotExist(err) {
+		t.Fatalf("cancelled rebuild left %s behind (stat err = %v)", genRoot, err)
 	}
 }

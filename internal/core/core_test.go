@@ -141,10 +141,7 @@ func buildTestIndex(t *testing.T, n int, cfg Config) (*Index, *series.Dataset, *
 	t.Helper()
 	ds := dataset.RandomWalk(64, n, 11)
 	cl := cluster.New(t.TempDir(), 2)
-	bs, err := cl.IngestBlocks(ds, cfg.BlockSize, "test")
-	if err != nil {
-		t.Fatal(err)
-	}
+	bs := cluster.Blocks(ds, cfg.BlockSize)
 	ix, err := Build(cl, bs, cfg, "test")
 	if err != nil {
 		t.Fatal(err)

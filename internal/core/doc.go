@@ -16,6 +16,10 @@
 //
 //   - Build (build.go): sample → pivots → groups → tries → route every
 //     record → pack partition files; the phase timings land in BuildStats.
+//     construct is the one implementation, reading a cluster.Source: Build
+//     runs it over a dataset in memory cut into blocks, and
+//     RebuildGeneration (reindex.go) over the partition files of the
+//     generation it replaces, into a fsynced gen-NNNN directory.
 //   - Query / QueryBatch (search.go, batch.go) — full-length, prefix and
 //     progressive queries are one entry point, told apart by
 //     SearchOptions.Prefix and the sink argument: the planner (plan.go)

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 
 	"climber/internal/cluster"
+	"climber/internal/storage"
 )
 
 // This file is the generation subsystem behind online reindex: a database
@@ -193,33 +194,6 @@ func crashStep(step string) {
 	}
 }
 
-// syncDir fsyncs a directory so a preceding create/rename of one of its
-// entries is durable.
-func syncDir(dir string) error {
-	f, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("core: open dir for sync: %w", err)
-	}
-	defer f.Close()
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("core: sync dir %s: %w", dir, err)
-	}
-	return nil
-}
-
-// syncFile fsyncs an already-written file by path.
-func syncFile(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return fmt.Errorf("core: open for sync: %w", err)
-	}
-	defer f.Close()
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("core: sync %s: %w", path, err)
-	}
-	return nil
-}
-
 // WriteManifestPointer atomically points dir's MANIFEST at the named
 // generation directory — the commit point of a reindex. The write is
 // tmp + fsync + rename + parent-dir fsync: a crash strictly before the
@@ -251,7 +225,7 @@ func WriteManifestPointer(dir string, num int) error {
 		return fmt.Errorf("core: commit manifest: %w", err)
 	}
 	crashStep("root-dir-sync")
-	if err := syncDir(dir); err != nil {
+	if err := storage.SyncPath(dir); err != nil {
 		return err
 	}
 	crashStep("commit-done")

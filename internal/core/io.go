@@ -338,7 +338,7 @@ func SaveIndex(ix *Index, path string) error {
 // WAL-replay baseline and the streaming compactor rewrites it on every
 // compaction, so a kill mid-save must leave either the old or the new
 // manifest, never a truncated one that would make the database unopenable.
-func SaveSnapshot(skel *Skeleton, parts *cluster.PartitionSet, path string) error {
+func SaveSnapshot(skel *Skeleton, parts *cluster.PartitionSet, path string) (err error) {
 	root := filepath.Dir(path)
 	tmp := path + ".tmp"
 	crashStep("index-write")
@@ -346,9 +346,15 @@ func SaveSnapshot(skel *Skeleton, parts *cluster.PartitionSet, path string) erro
 	if err != nil {
 		return fmt.Errorf("core: create index file: %w", err)
 	}
+	// A temporary file this call created never outlives a failure.
+	defer func() {
+		if err != nil {
+			f.Close()
+			_ = os.Remove(tmp) // best effort; err already says what went wrong
+		}
+	}()
 	w := bufio.NewWriter(f)
 	if err := skel.Encode(w); err != nil {
-		f.Close()
 		return fmt.Errorf("core: encode skeleton: %w", err)
 	}
 	bw := &binWriter{w: w}
@@ -363,16 +369,13 @@ func SaveSnapshot(skel *Skeleton, parts *cluster.PartitionSet, path string) erro
 		bw.i(parts.Counts[i])
 	}
 	if bw.err != nil {
-		f.Close()
 		return fmt.Errorf("core: encode manifest: %w", bw.err)
 	}
 	if err := w.Flush(); err != nil {
-		f.Close()
 		return fmt.Errorf("core: flush index file: %w", err)
 	}
 	crashStep("index-fsync")
 	if err := f.Sync(); err != nil {
-		f.Close()
 		return fmt.Errorf("core: sync index file: %w", err)
 	}
 	if err := f.Close(); err != nil {

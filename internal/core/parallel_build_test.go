@@ -40,10 +40,7 @@ func buildArtifacts(t *testing.T, baseDir string, capacity, workers int) map[str
 		cfg.Capacity = capacity
 	}
 	ds := dataset.RandomWalk(64, 600, 11)
-	bs, err := cl.IngestBlocks(ds, cfg.BlockSize, "det")
-	if err != nil {
-		t.Fatal(err)
-	}
+	bs := cluster.Blocks(ds, cfg.BlockSize)
 	ix, err := Build(cl, bs, cfg, "det")
 	if err != nil {
 		t.Fatal(err)

@@ -86,11 +86,8 @@ func buildDegenerateIndex(t *testing.T) (*Index, *testDataset) {
 
 	ds := dataset.RandomWalk(seriesLen, 30, 5)
 	cl := cluster.New(t.TempDir(), 1)
-	bs, err := cl.IngestBlocks(ds, cfg.BlockSize, "degenerate")
-	if err != nil {
-		t.Fatal(err)
-	}
-	parts, err := cl.Shuffle(bs, skel.NumPartitions, "degenerate", func(id int, values []float64) (cluster.Route, error) {
+	bs := cluster.Blocks(ds, cfg.BlockSize)
+	parts, err := cl.Shuffle(bs, skel.NumPartitions, cluster.Dest{Root: cl.Dir(), Name: "degenerate"}, func(id int, values []float64) (cluster.Route, error) {
 		rng := rand.New(rand.NewPCG(cfg.Seed, uint64(id)))
 		return skel.RouteRecord(values, rng), nil
 	})

@@ -15,10 +15,7 @@ func benchIndex(b *testing.B) (*Index, []float64) {
 	cfg := testConfig()
 	ds := dataset.RandomWalk(64, 1500, 11)
 	cl := cluster.New(b.TempDir(), 2)
-	bs, err := cl.IngestBlocks(ds, cfg.BlockSize, "bench")
-	if err != nil {
-		b.Fatal(err)
-	}
+	bs := cluster.Blocks(ds, cfg.BlockSize)
 	ix, err := Build(cl, bs, cfg, "bench")
 	if err != nil {
 		b.Fatal(err)

@@ -18,8 +18,6 @@ import (
 	"hash/fnv"
 	"math"
 	"math/rand/v2"
-	"sort"
-	"sync"
 	"time"
 
 	"climber/internal/cluster"
@@ -105,38 +103,24 @@ func Build(cl *cluster.Cluster, bs *cluster.BlockSet, cfg Config, name string) (
 		return nil, err
 	}
 	start := time.Now()
-	tr, err := paa.NewTransformer(bs.SeriesLen, cfg.Segments)
+	tr, err := paa.NewTransformer(bs.Length(), cfg.Segments)
 	if err != nil {
 		return nil, err
 	}
 
 	// Sample and convert to PAA signatures.
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x6a09e667f3bcc909))
-	samplePaths := cl.SampleBlocks(bs, cfg.SampleRate, rng)
-	var mu sync.Mutex
-	type rec struct {
-		id  int
-		sig []float64
-	}
-	var sample []rec
-	err = cl.ScanBlocks(samplePaths, func(id int, values []float64) error {
-		sig := tr.Transform(values)
-		mu.Lock()
-		sample = append(sample, rec{id, sig})
-		mu.Unlock()
-		return nil
-	})
+	sample, err := cl.SampleDataset(bs, cl.SampleBlocks(bs, cfg.SampleRate, rng), nil)
 	if err != nil {
 		return nil, fmt.Errorf("dpisax: sampling: %w", err)
 	}
-	sort.Slice(sample, func(i, j int) bool { return sample[i].id < sample[j].id })
 
 	// Grow the binary partitioning tree. Counts are scaled to full-dataset
 	// estimates so the capacity constraint refers to real partition sizes.
-	scale := float64(bs.Total) / math.Max(1, float64(len(sample)))
-	sigs := make([][]float64, len(sample))
-	for i, r := range sample {
-		sigs[i] = r.sig
+	scale := float64(bs.Len()) / math.Max(1, float64(sample.Len()))
+	sigs := make([][]float64, sample.Len())
+	for i := range sigs {
+		sigs[i] = tr.Transform(sample.Get(i))
 	}
 	root := &node{bits: make([]uint8, cfg.Segments), splitSeg: -1, count: int(float64(len(sigs))*scale + 0.5)}
 	root.word = sax.Word{Symbols: make([]uint16, cfg.Segments), Bits: make([]uint8, cfg.Segments)}
@@ -157,7 +141,7 @@ func Build(cl *cluster.Cluster, bs *cluster.BlockSet, cfg Config, name string) (
 	number(root)
 	treeTime := time.Since(start)
 
-	ix := &Index{Cfg: cfg, SeriesLen: bs.SeriesLen, root: root, tr: tr,
+	ix := &Index{Cfg: cfg, SeriesLen: bs.Length(), root: root, tr: tr,
 		Cl: cl, NumPartitions: numParts}
 
 	// Re-distribute every record to its leaf partition. Within a partition,
@@ -167,7 +151,7 @@ func Build(cl *cluster.Cluster, bs *cluster.BlockSet, cfg Config, name string) (
 	// query exactly. This strict bit matching is the root of DPiSAX's low
 	// recall in the paper's evaluation.
 	redistStart := time.Now()
-	parts, err := cl.Shuffle(bs, numParts, name, func(id int, values []float64) (cluster.Route, error) {
+	parts, err := cl.Shuffle(bs, numParts, cluster.Dest{Root: cl.Dir(), Name: name}, func(id int, values []float64) (cluster.Route, error) {
 		sig := tr.Transform(values)
 		leaf := ix.route(sig)
 		return cluster.Route{Partition: leaf.partition, Cluster: localCluster(leaf, sig, cfg)}, nil
@@ -177,7 +161,7 @@ func Build(cl *cluster.Cluster, bs *cluster.BlockSet, cfg Config, name string) (
 	}
 	ix.Parts = parts
 	ix.Stats = BuildStats{
-		SampleRecords: len(sample),
+		SampleRecords: sample.Len(),
 		Tree:          treeTime,
 		Redistribute:  time.Since(redistStart),
 		Total:         time.Since(start),

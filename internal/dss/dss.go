@@ -17,14 +17,14 @@ import (
 	"climber/internal/series"
 )
 
-// Search scans every block of the raw dataset in parallel and returns the
+// Search scans every block of the dataset in parallel and returns the
 // exact k nearest neighbours of q by Euclidean distance, ascending.
 func Search(cl *cluster.Cluster, bs *cluster.BlockSet, q []float64, k int) ([]series.Result, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("dss: k must be positive, got %d", k)
 	}
-	if len(q) != bs.SeriesLen {
-		return nil, fmt.Errorf("dss: query length %d, dataset stores %d", len(q), bs.SeriesLen)
+	if len(q) != bs.Length() {
+		return nil, fmt.Errorf("dss: query length %d, dataset stores %d", len(q), bs.Length())
 	}
 
 	top := series.NewTopK(k)
@@ -35,7 +35,7 @@ func Search(cl *cluster.Cluster, bs *cluster.BlockSet, q []float64, k int) ([]se
 	var boundBits atomic.Uint64
 	boundBits.Store(math.Float64bits(math.Inf(1)))
 
-	err := cl.ScanBlocks(bs.Paths, func(id int, values []float64) error {
+	err := cl.ScanBlocks(bs, nil, func(id int, values []float64) error {
 		bound := math.Float64frombits(boundBits.Load())
 		d := series.SqDistEarlyAbandon(q, values, bound)
 		if d >= bound {

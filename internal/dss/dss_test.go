@@ -30,10 +30,7 @@ func TestSearchDatasetExact(t *testing.T) {
 func TestSearchMatchesOracle(t *testing.T) {
 	ds := dataset.RandomWalk(32, 1000, 3)
 	cl := cluster.New(t.TempDir(), 4)
-	bs, err := cl.IngestBlocks(ds, 200, "dss")
-	if err != nil {
-		t.Fatal(err)
-	}
+	bs := cluster.Blocks(ds, 200)
 	_, qs := dataset.Queries(ds, 5, 7)
 	for qi, q := range qs {
 		got, err := Search(cl, bs, q, 20)
@@ -50,10 +47,7 @@ func TestSearchMatchesOracle(t *testing.T) {
 func TestSearchValidation(t *testing.T) {
 	ds := dataset.RandomWalk(32, 100, 3)
 	cl := cluster.New(t.TempDir(), 1)
-	bs, err := cl.IngestBlocks(ds, 50, "dss")
-	if err != nil {
-		t.Fatal(err)
-	}
+	bs := cluster.Blocks(ds, 50)
 	if _, err := Search(cl, bs, ds.Get(0), 0); err == nil {
 		t.Error("k = 0 should fail")
 	}

@@ -129,15 +129,14 @@ func DatasetNames() []string { return dataset.Names() }
 // Shared build/evaluate helpers
 // ---------------------------------------------------------------------------
 
-// env bundles one dataset staged as block files in a partition store.
+// env bundles one dataset, cut into blocks, with a partition store.
 type env struct {
 	ds *series.Dataset
 	cl *cluster.Cluster
 	bs *cluster.BlockSet
 }
 
-// newEnv generates a dataset and ingests it into a fresh store under
-// workDir.
+// newEnv generates a dataset and a fresh store under workDir.
 func newEnv(workDir, name string, n int, seed uint64) (*env, error) {
 	ds, err := dataset.ByName(name, n, seed)
 	if err != nil {
@@ -156,11 +155,7 @@ func newEnv(workDir, name string, n int, seed uint64) (*env, error) {
 	if blockSize < 100 {
 		blockSize = 100
 	}
-	bs, err := cl.IngestBlocks(ds, blockSize, name)
-	if err != nil {
-		return nil, err
-	}
-	return &env{ds: ds, cl: cl, bs: bs}, nil
+	return &env{ds: ds, cl: cl, bs: cluster.Blocks(ds, blockSize)}, nil
 }
 
 // climberConfig returns the paper-default CLIMBER configuration scaled to a
@@ -293,7 +288,7 @@ func dssSearch(e *env) searchFunc {
 		if err != nil {
 			return nil, 0, 0, err
 		}
-		return res, len(e.bs.Paths), e.bs.Total, nil
+		return res, e.bs.NumBlocks(), e.bs.Len(), nil
 	}
 }
 

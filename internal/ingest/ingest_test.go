@@ -30,10 +30,7 @@ func buildIndex(t *testing.T, n int) (*core.Index, string) {
 	dir := t.TempDir()
 	ds := dataset.RandomWalk(64, n, 11)
 	cl := cluster.New(filepath.Join(dir, "cluster"), 2)
-	bs, err := cl.IngestBlocks(ds, testConfig().BlockSize, "test")
-	if err != nil {
-		t.Fatal(err)
-	}
+	bs := cluster.Blocks(ds, testConfig().BlockSize)
 	ix, err := core.Build(cl, bs, testConfig(), "test")
 	if err != nil {
 		t.Fatal(err)

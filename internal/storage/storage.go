@@ -1,5 +1,7 @@
-// Package storage implements CLIMBER's disk formats: raw dataset blocks and
-// physical partition files.
+// Package storage implements CLIMBER's disk formats: physical partition files,
+// and the block file, which is the dataset interchange file of the
+// command-line tools (internal/dataset's SaveFile and LoadFile are its only
+// users; no index reads or writes one).
 //
 // The paper stores partitions on HDFS with a capacity of 64/128 MB and
 // organises each partition so that "all data series objects belonging to a
@@ -46,7 +48,7 @@ type Record struct {
 }
 
 // ---------------------------------------------------------------------------
-// Block files (raw dataset storage)
+// Block files (the dataset interchange file)
 // ---------------------------------------------------------------------------
 
 // BlockWriter streams records into a raw block file.
@@ -203,4 +205,18 @@ func decodeRecord(src []byte, vals []float64) (id int) {
 		off += 4
 	}
 	return id
+}
+
+// SyncPath fsyncs an already-written file, or a directory so that a preceding
+// create or rename of one of its entries is durable.
+func SyncPath(path string) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("storage: open for sync: %w", err)
+	}
+	defer f.Close()
+	if err := f.Sync(); err != nil {
+		return fmt.Errorf("storage: sync %s: %w", path, err)
+	}
+	return nil
 }

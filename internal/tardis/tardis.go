@@ -19,7 +19,6 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
-	"sync"
 	"time"
 
 	"climber/internal/cluster"
@@ -109,38 +108,24 @@ func Build(cl *cluster.Cluster, bs *cluster.BlockSet, cfg Config, name string) (
 		return nil, err
 	}
 	start := time.Now()
-	tr, err := paa.NewTransformer(bs.SeriesLen, cfg.Segments)
+	tr, err := paa.NewTransformer(bs.Length(), cfg.Segments)
 	if err != nil {
 		return nil, err
 	}
 
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0xbb67ae8584caa73b))
-	samplePaths := cl.SampleBlocks(bs, cfg.SampleRate, rng)
-	var mu sync.Mutex
-	type rec struct {
-		id  int
-		sig []float64
-	}
-	var sample []rec
-	err = cl.ScanBlocks(samplePaths, func(id int, values []float64) error {
-		sig := tr.Transform(values)
-		mu.Lock()
-		sample = append(sample, rec{id, sig})
-		mu.Unlock()
-		return nil
-	})
+	sample, err := cl.SampleDataset(bs, cl.SampleBlocks(bs, cfg.SampleRate, rng), nil)
 	if err != nil {
 		return nil, fmt.Errorf("tardis: sampling: %w", err)
 	}
-	sort.Slice(sample, func(i, j int) bool { return sample[i].id < sample[j].id })
 
-	scale := float64(bs.Total) / math.Max(1, float64(len(sample)))
-	sigs := make([][]float64, len(sample))
-	for i, r := range sample {
-		sigs[i] = r.sig
+	scale := float64(bs.Len()) / math.Max(1, float64(sample.Len()))
+	sigs := make([][]float64, sample.Len())
+	for i := range sigs {
+		sigs[i] = tr.Transform(sample.Get(i))
 	}
 
-	ix := &Index{Cfg: cfg, SeriesLen: bs.SeriesLen, tr: tr, Cl: cl}
+	ix := &Index{Cfg: cfg, SeriesLen: bs.Length(), tr: tr, Cl: cl}
 	ix.root = &node{
 		word:     sax.Word{Symbols: make([]uint16, cfg.Segments), Bits: make([]uint8, cfg.Segments)},
 		children: nil,
@@ -186,7 +171,7 @@ func Build(cl *cluster.Cluster, bs *cluster.BlockSet, cfg Config, name string) (
 
 	// Re-distribute the full dataset.
 	redistStart := time.Now()
-	parts, err := cl.Shuffle(bs, ix.NumPartitions, name, func(id int, values []float64) (cluster.Route, error) {
+	parts, err := cl.Shuffle(bs, ix.NumPartitions, cluster.Dest{Root: cl.Dir(), Name: name}, func(id int, values []float64) (cluster.Route, error) {
 		n, complete := ix.descendPAA(tr.Transform(values))
 		if complete && n.isLeaf() {
 			return cluster.Route{Partition: n.partitions[0], Cluster: storage.ClusterID(n.id)}, nil
@@ -198,7 +183,7 @@ func Build(cl *cluster.Cluster, bs *cluster.BlockSet, cfg Config, name string) (
 	}
 	ix.Parts = parts
 	ix.Stats = BuildStats{
-		SampleRecords: len(sample),
+		SampleRecords: sample.Len(),
 		Tree:          treeTime,
 		Redistribute:  time.Since(redistStart),
 		Total:         time.Since(start),

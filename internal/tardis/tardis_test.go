@@ -16,10 +16,7 @@ func buildIndex(t *testing.T, n int, cfg Config) (*Index, *series.Dataset) {
 	t.Helper()
 	ds := dataset.RandomWalk(64, n, 21)
 	cl := cluster.New(t.TempDir(), 2)
-	bs, err := cl.IngestBlocks(ds, 500, "td")
-	if err != nil {
-		t.Fatal(err)
-	}
+	bs := cluster.Blocks(ds, 500)
 	ix, err := Build(cl, bs, cfg, "td")
 	if err != nil {
 		t.Fatal(err)

@@ -1,7 +1,10 @@
 package climber
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -387,5 +390,93 @@ func TestRepeatedReindex(t *testing.T) {
 	}
 	if num != 3 || root != filepath.Join(dir, "gen-0003") {
 		t.Fatalf("MANIFEST resolves to (%s, %d), want gen-0003", root, num)
+	}
+}
+
+// reindexArtifacts builds a fixed database at the given worker count (the
+// store's pool and the skeleton loops both), appends a batch, flushes it into
+// the partition files, reindexes, and returns a name -> SHA-256 map of what
+// the reindex wrote: the skeleton encoding, the generation's index file
+// (partition paths in it are relative, so it is comparable across
+// directories) and every partition file.
+func reindexArtifacts(t *testing.T, workers int) map[string]string {
+	t.Helper()
+	data := smallData(1240)
+	db, err := Build(t.TempDir(), data[:1200], ingestOpts(WithBuildWorkers(workers))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.Append(data[1200:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Reindex(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	hash := func(b []byte) string {
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:])
+	}
+	hashFile := func(path string) string {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return hash(raw)
+	}
+	out := make(map[string]string)
+	var buf bytes.Buffer
+	if err := db.Index().Skeleton().Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out["skeleton"] = hash(buf.Bytes())
+	out["index.clms"] = hashFile(core.IndexPathIn(db.activeRoot()))
+	for _, p := range db.Index().Partitions().Paths {
+		out["partition/"+filepath.Base(p)] = hashFile(p)
+	}
+	return out
+}
+
+// goldenReindexArtifacts are the hashes of reindexArtifacts recorded at commit
+// 1877861 — the last one whose reindex was a serial re-implementation of the
+// construction pipeline. They are the proof that making reindex a caller of
+// the one pipeline changed no stored byte.
+var goldenReindexArtifacts = map[string]string{
+	"index.clms":                       "081f2aca3efdbb805a397848a428b4de55acfca171529136a397f43e609cb995",
+	"partition/climber-part00000.clmp": "e950447dfa366cee1158fa4e9ed63ad57b3f43c3a49b701a09f71b0d8f5fc664",
+	"partition/climber-part00001.clmp": "0f2ea4dfd3672807ea707b99c39bffeaffb636b72d51f859202735573306eb65",
+	"partition/climber-part00002.clmp": "3207a2dd379acf94368c20d10f9d670982cfccd34b4af4442f1dbb0101ca1f8b",
+	"partition/climber-part00003.clmp": "a5a43cae340ade53006248eb2415637bc2837b1d10c4140f13ea8bce89adcdab",
+	"partition/climber-part00004.clmp": "0f4965d7ac3c22fd5d972d83a5201411fe52a054118bd213a4514ce851815ba3",
+	"partition/climber-part00005.clmp": "1c4994795e969e68d04189840ae67fab17a6e154ee474195d133bed5e2fdbeed",
+	"partition/climber-part00006.clmp": "5b3fb22366ee5a3428ee5afc5bf294bf878d5d739b7aa5f4d4a46c99f9bf379f",
+	"partition/climber-part00007.clmp": "253f89db6aaf54bd0105dc5370f8b9f7c5301fcba3d5704cff577ea39d488942",
+	"partition/climber-part00008.clmp": "9f54596d1e64ce318f098502dae43771cad91a654017f225ffce1128c63cd11a",
+	"partition/climber-part00009.clmp": "ab386ee6453d9e4c17992a331f2d909c6c331d3426b8874e7a8344be2ebf096d",
+	"skeleton":                         "5907d1a2295b2d123662adf3ca23dabca78185101b780529ff9284a2e7692914",
+}
+
+// TestReindexBitIdentical pins a reindex as an absolute, like
+// TestParallelBuildBitIdentical pins a build: at any worker count the new
+// generation's skeleton, index file and every partition file hash to the
+// checked-in goldens. The per-record sample, the per-record tie-break and the
+// sorted flush are all pure functions of (seed, id, values), so neither the
+// layout of the old partitions nor goroutine scheduling may leak into the
+// bytes. CI runs this under -race, which makes it the data-race probe for the
+// reindex path.
+func TestReindexBitIdentical(t *testing.T) {
+	for _, workers := range []int{1, 4, 8} {
+		got := reindexArtifacts(t, workers)
+		if len(got) != len(goldenReindexArtifacts) {
+			t.Fatalf("workers=%d produced %d artefacts, golden reindex has %d", workers, len(got), len(goldenReindexArtifacts))
+		}
+		for name, h := range goldenReindexArtifacts {
+			if got[name] != h {
+				t.Errorf("workers=%d: artefact %s = %s, golden %s", workers, name, got[name], h)
+			}
+		}
 	}
 }

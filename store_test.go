@@ -55,11 +55,35 @@ func searchFingerprint(t *testing.T, db *DB, queries [][]float64) string {
 }
 
 // A successful build leaves exactly the index file, the WAL and one flat
-// directory of partition files: the block files the build staged its input
-// in are scratch.
+// directory of partition files, and never writes anything else on the way:
+// the dataset is read where it is, so no block file (.clmb) exists even
+// while the build runs. A watcher lists the tree for the whole build.
 func TestBuildLeavesOnlyIndexWALAndPartitions(t *testing.T) {
 	dir := t.TempDir()
-	buildAndClose(t, dir, smallData(1500), smallOpts()...)
+	allowed := map[string]bool{".clmp": true, ".clms": true, ".clmw": true, ".tmp": true}
+	stop, watched := make(chan struct{}), make(chan string, 1)
+	go func() {
+		bad := ""
+		for {
+			filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+				if err == nil && !d.IsDir() && !allowed[filepath.Ext(p)] {
+					bad = p
+				}
+				return nil // files come and go under a running build
+			})
+			select {
+			case <-stop:
+				watched <- bad
+				return
+			default:
+			}
+		}
+	}()
+	buildAndClose(t, dir, smallData(6000), smallOpts()...)
+	close(stop)
+	if bad := <-watched; bad != "" {
+		t.Fatalf("the build wrote %s; want partition, index and WAL files only", bad)
+	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -85,29 +109,82 @@ func TestBuildLeavesOnlyIndexWALAndPartitions(t *testing.T) {
 	}
 }
 
-// A build whose shuffle fails must leave neither the staged blocks nor any
-// partition file behind. The flush of partition 1 is broken by squatting a
-// directory on its path, which fails os.Create whatever the privilege.
+// A build that fails must leave no file behind, wherever it fails: in the
+// shuffle (the flush of partition 1 is broken by squatting a directory on its
+// path, which fails os.Create whatever the privilege) or after it (a
+// directory squatted on the index file fails SaveIndex's rename once every
+// partition file is written).
 func TestBuildFailureLeavesNoFiles(t *testing.T) {
+	for name, squat := range map[string]func(dir string) string{
+		"shuffle":    func(dir string) string { return cluster.PartitionPath(core.StoreDir(dir), "climber", 1) },
+		"save-index": indexPath,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.MkdirAll(squat(dir), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if db, err := Build(dir, smallData(1500), smallOpts()...); err == nil {
+				db.Close()
+				t.Fatal("build over a squatted path succeeded")
+			}
+			err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+				if err != nil {
+					return err
+				}
+				if !d.IsDir() {
+					t.Errorf("failed build left %s behind", p)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// A failed index save must not leave its temporary file behind: the compactor
+// saves the index on every compaction, so a full disk would leave one per
+// attempt. The rename is broken by squatting a directory on the index path;
+// the write, by planting the temporary path as a link to /dev/full, which
+// accepts the open and refuses every byte.
+func TestFailedIndexSaveLeavesNoTempFile(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.MkdirAll(cluster.PartitionPath(core.StoreDir(dir), "climber", 1), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if db, err := Build(dir, smallData(1500), smallOpts()...); err == nil {
-		db.Close()
-		t.Fatal("build over a broken flush target succeeded")
-	}
-	err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if ext := filepath.Ext(p); !d.IsDir() && (ext == ".clmb" || ext == ".clmp") {
-			t.Errorf("failed build left %s behind", p)
-		}
-		return nil
-	})
+	db, err := Build(dir, smallData(1500), ingestOpts()...)
 	if err != nil {
 		t.Fatal(err)
+	}
+	defer db.Close()
+	skel, parts := db.Index().Skeleton(), db.Index().Partitions()
+
+	squatted := filepath.Join(t.TempDir(), "index.clms")
+	if err := os.Mkdir(squatted, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	before := listTree(t, filepath.Dir(squatted))
+	if err := core.SaveSnapshot(skel, parts, squatted); err == nil {
+		t.Fatal("index save over a directory succeeded")
+	}
+	if after := listTree(t, filepath.Dir(squatted)); after != before {
+		t.Fatalf("failed index save changed the directory:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full to fail a write with")
+	}
+	before = listTree(t, dir)
+	if err := os.Symlink("/dev/full", indexPath(dir)+".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	if err := core.SaveSnapshot(skel, parts, indexPath(dir)); err == nil {
+		t.Fatal("index save into a full device succeeded")
+	}
+	if after := listTree(t, dir); after != before {
+		t.Fatalf("failed index save changed the directory:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+	if err := core.SaveSnapshot(skel, parts, indexPath(dir)); err != nil {
+		t.Fatalf("index save after the failure: %v", err)
 	}
 }
 
