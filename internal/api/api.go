@@ -9,9 +9,23 @@
 // Both layers speak exactly the same dialect: a router can front any set of
 // climber-serve processes, and a client cannot tell a single node from a
 // sharded deployment by the shapes on the wire. Keeping the contract in one
-// package is what enforces that — the router forwards request bodies it
-// validated with the same decoders the shard will re-apply, and merges
-// response bodies it can decode with the very types the shard encoded.
+// package is what enforces that — the router validates a request with the
+// same decoders the shard will re-apply, and merges responses it decodes
+// into the very types the shard encoded.
+//
+// The query and append bodies have two spellings (Spelling) that decode to
+// identical requests and are held to identical limits: JSON, which clients
+// write and the router answers them with, and a little-endian binary frame
+// (frame.go, Content-Type FrameContentType), which the router sends its
+// shards on the same endpoints and they answer in kind — so a routed query's
+// numbers are parsed from text once, at the router, and cross the hop as the
+// float64s they became. JSON itself is read by a single-pass decoder
+// (fastdecode.go) that handles the canonical spelling and declines
+// everything else to encoding/json (DecodeJSON), which stays the
+// specification of the dialect and the source of every error text. Bodies
+// are read into buffers recycled through one pool (Buffer, ReadBody,
+// ReadAll). ARCHITECTURE.md, "Wire contract", has the frame layout and the
+// upgrade order (shards before routers).
 package api
 
 import (

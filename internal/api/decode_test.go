@@ -51,3 +51,32 @@ func TestDecodersRejectFloat32Overflow(t *testing.T) {
 		}
 	}
 }
+
+// A body is exactly one JSON value plus whitespace. A stray closer after it
+// used to pass: the trailing-data check asked Decoder.More(), which is false
+// at ']' and '}'. Both the single-pass decoder and the encoding/json
+// fallback (reached here through the unknown key) hold the rule.
+func TestTrailingDataRejected(t *testing.T) {
+	const seriesLen = 4
+	for _, tail := range []string{"}", "]", " }}}", "x", " 1", "{}", "\n\t \r"} {
+		wantErr := strings.TrimSpace(tail) != ""
+		for _, head := range []string{`{"query":[1,2,3,4]}`, `{"query":[1,2,3,4],"unknown":null}`} {
+			body := []byte(head + tail)
+			_, err := DecodeSearchRequest(body, seriesLen, 100)
+			switch {
+			case wantErr && err == nil:
+				t.Errorf("%q: accepted", body)
+			case wantErr && err.Error() != "trailing data after JSON body":
+				t.Errorf("%q: error %q, want the trailing-data refusal", body, err)
+			case !wantErr && err != nil:
+				t.Errorf("%q: rejected: %v", body, err)
+			}
+		}
+		if _, err := DecodeBatchRequest([]byte(`{"queries":[[1,2,3,4]]}`+tail), seriesLen, 100, 8); wantErr != (err != nil) {
+			t.Errorf("batch with tail %q: err = %v", tail, err)
+		}
+		if _, err := DecodeAppendRequest([]byte(`{"series":[[1,2,3,4]]}`+tail), seriesLen, 8); wantErr != (err != nil) {
+			t.Errorf("append with tail %q: err = %v", tail, err)
+		}
+	}
+}

@@ -25,6 +25,10 @@ func FuzzSearchRequest(f *testing.F) {
 	f.Add([]byte(`{"query": [1e999]}`))
 	f.Add([]byte(`{"query": [1,2,1e39,4]}`))
 	f.Add([]byte("\x00\xff\xfe"))
+	// One value, then a stray closer: Decoder.More() is false at ']' and '}'.
+	f.Add([]byte(`{"query":[1,2,3,4]}}`))
+	f.Add([]byte(`{"query":[1,2,3,4]}]`))
+	f.Add([]byte(`{"query":[1,2,3,4]} }}}`))
 
 	const seriesLen, maxK, maxBatch = 4, 100, 8
 	f.Fuzz(func(t *testing.T, data []byte) {

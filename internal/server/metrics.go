@@ -26,6 +26,7 @@ type metrics struct {
 	reindexes    atomic.Int64   // /reindex requests answered (incl. errors)
 	backups      atomic.Int64   // /backup requests answered (incl. errors)
 	badRequests  atomic.Int64   // 400s from decode/validation
+	framed       atomic.Int64   // query/append requests that arrived as binary frames
 	rejected     atomic.Int64   // 429s from admission control
 	canceled     atomic.Int64   // queries aborted by client disconnect
 	errors       atomic.Int64   // internal query failures
@@ -56,6 +57,7 @@ type ServerStats struct {
 	Reindexes       int64   `json:"reindexes"`
 	Backups         int64   `json:"backups"`
 	BadRequests     int64   `json:"bad_requests"`
+	FramedRequests  int64   `json:"framed_requests"`
 	Rejected        int64   `json:"rejected"`
 	Canceled        int64   `json:"canceled"`
 	Errors          int64   `json:"errors"`
@@ -77,6 +79,7 @@ func (m *metrics) snapshot(uptime time.Duration) ServerStats {
 		Reindexes:       m.reindexes.Load(),
 		Backups:         m.backups.Load(),
 		BadRequests:     m.badRequests.Load(),
+		FramedRequests:  m.framed.Load(),
 		Rejected:        m.rejected.Load(),
 		Canceled:        m.canceled.Load(),
 		Errors:          m.errors.Load(),
@@ -112,6 +115,7 @@ func (m *metrics) renderProm(w *strings.Builder, buildInfo string, slowTotal int
 	counter("climber_batch_queries_total", "Queries inside answered batches.", m.batchQueries.Load())
 	counter("climber_prefix_requests_total", "Answered /search/prefix requests.", m.prefixes.Load())
 	counter("climber_bad_requests_total", "Requests rejected with 400.", m.badRequests.Load())
+	counter("climber_framed_requests_total", "Query and append requests that arrived as binary frames (the router hop) rather than JSON.", m.framed.Load())
 	counter("climber_rejected_total", "Requests rejected with 429 by admission control.", m.rejected.Load())
 	counter("climber_canceled_total", "Queries aborted by client disconnect.", m.canceled.Load())
 	counter("climber_query_errors_total", "Queries that failed internally.", m.errors.Load())

@@ -157,7 +157,8 @@ func (s *Server) admit(ctx context.Context) (release func(), status int, err err
 
 // readBody slurps the request body under the configured size cap and read
 // deadline via the shared api.ReadBody, counting failures as bad requests.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+// The caller releases the buffer once the body is decoded.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) (*api.Buffer, bool) {
 	body, status, err := api.ReadBody(w, r, s.cfg.MaxBodyBytes, s.cfg.BodyReadTimeout)
 	if err != nil {
 		s.m.badRequests.Add(1)
@@ -165,6 +166,17 @@ func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool)
 		return nil, false
 	}
 	return body, true
+}
+
+// spellingOf reads the request's spelling off its Content-Type, counting
+// framed requests. A frame passes the same admission, body cap, deadline
+// and limits as JSON and is answered in kind; errors stay JSON.
+func (s *Server) spellingOf(r *http.Request) api.Spelling {
+	sp := api.SpellingOf(r.Header)
+	if sp == api.Frame {
+		s.m.framed.Add(1)
+	}
+	return sp
 }
 
 // finishQuery maps a search error to its response status, maintaining the
@@ -219,14 +231,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, prefix bool
 	if !ok {
 		return
 	}
+	sp := s.spellingOf(r)
 	var req *api.SearchRequest
 	name := "search"
 	if prefix {
 		name = "prefix"
-		req, err = api.DecodePrefixRequest(body, s.minPrefix, s.seriesLen, s.cfg.MaxK)
+		req, err = sp.DecodePrefix(body.B, s.minPrefix, s.seriesLen, s.cfg.MaxK)
 	} else {
-		req, err = api.DecodeSearchRequest(body, s.seriesLen, s.cfg.MaxK)
+		req, err = sp.DecodeSearch(body.B, s.seriesLen, s.cfg.MaxK)
 	}
+	body.Release()
 	if err != nil {
 		s.m.badRequests.Add(1)
 		api.WriteError(w, http.StatusBadRequest, err)
@@ -257,7 +271,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, prefix bool
 		resp.Explain = map[string]*api.ExplainData{"": api.ExplainFromCore(ans.Explain)}
 		resp.Trace = trace
 	}
-	api.WriteJSON(w, http.StatusOK, resp)
+	sp.Write(w, http.StatusOK, &resp)
 }
 
 // budgetContext derives the per-request deadline a time budget implies: the
@@ -284,7 +298,9 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, err := api.DecodeBatchRequest(body, s.seriesLen, s.cfg.MaxK, s.cfg.MaxBatch)
+	sp := s.spellingOf(r)
+	req, err := sp.DecodeBatch(body.B, s.seriesLen, s.cfg.MaxK, s.cfg.MaxBatch)
+	body.Release()
 	if err != nil {
 		s.m.badRequests.Add(1)
 		api.WriteError(w, http.StatusBadRequest, err)
@@ -330,7 +346,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	if req.Explain {
 		resp.Trace = trace
 	}
-	api.WriteJSON(w, http.StatusOK, resp)
+	sp.Write(w, http.StatusOK, &resp)
 }
 
 // batchSummary is the slow-query-log stats shape for a batch request: a
@@ -356,7 +372,9 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, err := api.DecodeAppendRequest(body, s.seriesLen, s.cfg.MaxAppend)
+	sp := s.spellingOf(r)
+	req, err := sp.DecodeAppend(body.B, s.seriesLen, s.cfg.MaxAppend)
+	body.Release()
 	if err != nil {
 		s.m.badRequests.Add(1)
 		api.WriteError(w, http.StatusBadRequest, err)
@@ -371,7 +389,7 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.m.appendSeries.Add(int64(len(req.Series)))
-	api.WriteJSON(w, http.StatusOK, AppendResponse{IDs: ids})
+	sp.Write(w, http.StatusOK, &AppendResponse{IDs: ids})
 }
 
 // handleFlush forces a synchronous compaction: every previously acked
@@ -431,7 +449,8 @@ func (s *Server) handleBackup(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		Dir string `json:"dir"`
 	}
-	if err := json.Unmarshal(body, &req); err != nil {
+	defer body.Release()
+	if err := json.Unmarshal(body.B, &req); err != nil {
 		s.m.badRequests.Add(1)
 		api.WriteError(w, http.StatusBadRequest, fmt.Errorf("invalid backup request: %w", err))
 		return

@@ -28,11 +28,16 @@
 // configurable: the all-shards policy (Quorum 0) fails fast, cancelling the
 // surviving sub-queries on the first shard error; a positive Quorum serves
 // degraded answers marked partial while at least that many shards answer.
+// The client's JSON is decoded once, at the router; the decoded request
+// crosses the hop as one binary frame (api.Frame) and the shards answer in
+// frames, so neither side parses the numbers as text again. The router's
+// own answers are JSON, unchanged. Shards accept both spellings and routers
+// send only frames: a fleet upgrades shards first.
 //
 // Appends route each series by rendezvous (highest-random-weight) hashing
 // over its global append sequence number (Topology.Rank), walking the rank
 // order to the first healthy shard; each shard's WAL acks its own
-// sub-batch, so crash recovery stays per-shard.
+// sub-batch (sent as a frame too), so crash recovery stays per-shard.
 //
 // A background prober keeps per-shard health flags that /healthz reports
 // and the quorum and append paths consult.

@@ -61,13 +61,17 @@ func (c Config) withDefaults() Config {
 // it fronts. Create it with NewRouter, mount Handler, and Close it on
 // shutdown to stop the health prober.
 type Router struct {
-	topo    *Topology
-	cfg     Config
-	client  *http.Client
-	lim     *api.Limiter
-	m       rmetrics
-	started time.Time
-	observe api.Observer // shared request-observation pipeline (trace arming, histograms, slow log)
+	topo   *Topology
+	cfg    Config
+	client *http.Client
+	// maxReply bounds one shard reply (api.MaxReplyBytes over the router's
+	// own MaxK, MaxBatch and MaxBodyBytes): a shard that streams past it is
+	// a failed shard, not a reason to run out of memory.
+	maxReply int64
+	lim      *api.Limiter
+	m        rmetrics
+	started  time.Time
+	observe  api.Observer // shared request-observation pipeline (trace arming, histograms, slow log)
 
 	// seriesLen is the indexed series length, learned from the first shard
 	// /info that answers; 0 until then. Request validation needs it, so a
@@ -145,6 +149,7 @@ func NewRouter(t *Topology, cfg Config) *Router {
 	//lint:ignore ctxflow the health prober is a background root owned by the Router; Close cancels it
 	r.probeCtx, r.probeCancel = context.WithCancel(context.Background())
 	r.client = r.cfg.Client
+	r.maxReply = api.MaxReplyBytes(r.cfg.MaxK, r.cfg.MaxBatch, r.cfg.MaxBodyBytes)
 	r.lim = api.NewLimiter(r.cfg.MaxInFlight, r.cfg.QueueTimeout, api.LimiterCounters{
 		Queued:   &r.m.queued,
 		Rejected: &r.m.rejected,
@@ -278,21 +283,28 @@ func (e errShardStatus) Error() string {
 	return fmt.Sprintf("status %d", e.status)
 }
 
-// do runs one shard request and returns the 200 body; a non-2xx answer
-// becomes an errShardStatus carrying the shard's own message.
-func (r *Router) do(req *http.Request) ([]byte, error) {
+// do runs one shard request and returns the 200 body in a recycled buffer,
+// sized from the reply's Content-Length and never past maxReply; a non-2xx
+// answer (always JSON) becomes an errShardStatus carrying the shard's own
+// message.
+func (r *Router) do(req *http.Request) (*api.Buffer, error) {
 	resp, err := r.client.Do(req)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
+	raw, err := api.ReadAll(io.LimitReader(resp.Body, r.maxReply+1), resp.ContentLength)
 	if err != nil {
 		return nil, err
 	}
+	if int64(len(raw.B)) > r.maxReply {
+		raw.Release()
+		return nil, fmt.Errorf("reply exceeds the router's %d-byte limit", r.maxReply)
+	}
 	if resp.StatusCode != http.StatusOK {
+		defer raw.Release()
 		var er api.ErrorResponse
-		if jerr := api.DecodeJSON(raw, &er); jerr == nil && er.Error != "" {
+		if jerr := api.DecodeJSON(raw.B, &er); jerr == nil && er.Error != "" {
 			return nil, errShardStatus{status: resp.StatusCode, msg: er.Error}
 		}
 		return nil, errShardStatus{status: resp.StatusCode}
@@ -300,11 +312,15 @@ func (r *Router) do(req *http.Request) ([]byte, error) {
 	return raw, nil
 }
 
-// forward POSTs body to one shard and returns the response body. When ctx
-// carries an active span, the sub-request gets a traceparent header with
-// the sampled bit set, so the shard traces the same query under the same
-// id and its trace nests under the router's.
-func (r *Router) forward(ctx context.Context, shard int, path string, body []byte) ([]byte, error) {
+// forward POSTs body, in the given spelling, to one shard and returns the
+// response body. Queries and appends cross the hop as frames, always — the
+// shards accept both spellings, so a fleet upgrades shards first — and the
+// administrative posts stay JSON. When ctx carries an active span, the
+// sub-request gets a traceparent header with the sampled bit set, so the
+// shard traces the same query under the same id and its trace nests under
+// the router's. body is not recycled: after a failed round trip the
+// transport may still be reading it.
+func (r *Router) forward(ctx context.Context, shard int, path string, sp api.Spelling, body []byte) (*api.Buffer, error) {
 	if r.cfg.ShardTimeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, r.cfg.ShardTimeout)
@@ -314,14 +330,16 @@ func (r *Router) forward(ctx context.Context, shard int, path string, body []byt
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if sp := obs.SpanFromContext(ctx); sp != nil {
-		req.Header.Set(obs.TraceHeader, obs.FormatTraceparent(sp.Trace().ID(), true))
+	req.Header.Set("Content-Type", sp.ContentType())
+	if span := obs.SpanFromContext(ctx); span != nil {
+		req.Header.Set(obs.TraceHeader, obs.FormatTraceparent(span.Trace().ID(), true))
 	}
 	return r.do(req)
 }
 
-// getShard GETs path on one shard, bounded by timeout when positive.
+// getShard GETs path on one shard, bounded by timeout when positive. These
+// are the cold paths (probes, /info, /stats): the reply buffer is left to
+// the collector rather than threaded back to the pool.
 func (r *Router) getShard(ctx context.Context, shard int, path string, timeout time.Duration) ([]byte, error) {
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -332,15 +350,20 @@ func (r *Router) getShard(ctx context.Context, shard int, path string, timeout t
 	if err != nil {
 		return nil, err
 	}
-	return r.do(req)
+	raw, err := r.do(req)
+	if err != nil {
+		return nil, err
+	}
+	return raw.B, nil
 }
 
-// reply is one shard's scatter outcome. span is the per-shard child of
-// the scatter span (nil when untraced); the gather step grafts the
-// shard's own span tree under it.
+// reply is one shard's scatter outcome: the answering frame, released by
+// the gather step once decoded. span is the per-shard child of the scatter
+// span (nil when untraced); the gather step grafts the shard's own span
+// tree under it.
 type reply struct {
 	shard int
-	body  []byte
+	body  *api.Buffer
 	err   error
 	span  *obs.Span
 }
@@ -353,8 +376,8 @@ func (e errQuorum) Error() string {
 	return fmt.Sprintf("only %d of the %d required shards answered", e.got, e.want)
 }
 
-// scatter fans body out to the shards and gathers replies under the
-// configured policy.
+// scatter fans one request frame out to the shards and gathers replies
+// under the configured policy.
 //
 // All-shards policy (Quorum 0): every shard is asked, even ones the prober
 // marked down — a query must not fail on stale health state — and the
@@ -364,7 +387,7 @@ func (e errQuorum) Error() string {
 // Quorum policy: shards marked down are skipped (their slot is a recorded
 // failure), the rest are asked, and the scatter succeeds once at least
 // quorumNeed answers arrived — even if others failed mid-query.
-func (r *Router) scatter(ctx context.Context, path string, body []byte) (oks []reply, asked int, err error) {
+func (r *Router) scatter(ctx context.Context, path string, frame []byte) (oks []reply, asked int, err error) {
 	need := r.quorumNeed()
 	all := r.cfg.Quorum <= 0
 	targets := make([]int, 0, len(r.topo.Shards))
@@ -390,7 +413,7 @@ func (r *Router) scatter(ctx context.Context, path string, body []byte) (oks []r
 			ssp := scatterSpan.StartChild("shard")
 			ssp.SetLabel("shard", r.topo.Shards[i].ID)
 			ssp.SetAttr("shard", int64(i))
-			raw, err := r.forward(obs.ContextWithSpan(sctx, ssp), i, path, body)
+			raw, err := r.forward(obs.ContextWithSpan(sctx, ssp), i, path, api.Frame, frame)
 			ssp.End()
 			replies <- reply{shard: i, body: raw, err: err, span: ssp}
 		}(i)
@@ -433,8 +456,9 @@ func (r *Router) scatter(ctx context.Context, path string, body []byte) (oks []r
 }
 
 // admitAndRead is the shared front half of every routed POST handler:
-// admission, then the body read under cap and deadline (api.ReadBody).
-func (r *Router) admitAndRead(w http.ResponseWriter, req *http.Request) (body []byte, release func(), ok bool) {
+// admission, then the body read under cap and deadline (api.ReadBody). The
+// caller releases the body once it is decoded.
+func (r *Router) admitAndRead(w http.ResponseWriter, req *http.Request) (body *api.Buffer, release func(), ok bool) {
 	release, status, err := r.lim.Admit(req.Context())
 	if err != nil {
 		api.WriteError(w, status, err)
@@ -554,13 +578,13 @@ func (r *Router) aggregateInfo(ctx context.Context) (*InfoResponse, error) {
 	return out, nil
 }
 
-// gatherSearch decodes scatter replies for /search-shaped endpoints and
-// merges them into the global top-k. A shard that answered partially (its
-// local budget stopped the query) marks the merged answer partial too —
-// the global top-k can only be as complete as its inputs. When the
-// request asked for explain, each shard's planner explanation is keyed by
-// its shard ID and its span tree is grafted under the scatter span that
-// fetched it.
+// gatherSearch decodes the shards' answering frames for /search-shaped
+// endpoints and merges them into the global top-k. A shard that answered
+// partially (its local budget stopped the query) marks the merged answer
+// partial too — the global top-k can only be as complete as its inputs.
+// When the request asked for explain, each shard's planner explanation is
+// keyed by its shard ID and its span tree is grafted under the scatter
+// span that fetched it.
 func (r *Router) gatherSearch(oks []reply, k int, explain bool) (*SearchResponse, error) {
 	answers := make([]answer, 0, len(oks))
 	stats := make([]climber.Stats, 0, len(oks))
@@ -569,7 +593,9 @@ func (r *Router) gatherSearch(oks []reply, k int, explain bool) (*SearchResponse
 	var explains map[string]*api.ExplainData
 	for _, rep := range oks {
 		var sr api.SearchResponse
-		if err := api.DecodeJSON(rep.body, &sr); err != nil {
+		err := api.DecodeFrame(rep.body.B, &sr)
+		rep.body.Release()
+		if err != nil {
 			return nil, fmt.Errorf("shard %s: malformed response: %w", r.topo.Shards[rep.shard].ID, err)
 		}
 		answers = append(answers, answer{shard: rep.shard, results: sr.Results})
@@ -624,12 +650,13 @@ func (r *Router) handlePrefix(w http.ResponseWriter, req *http.Request) {
 }
 
 // handleQuery is the scatter-merge-respond path of /search and
-// /search/prefix. A prefix query is validated as loosely as the router can
-// — it does not know the shards' PAA segment count, so the lower length
-// bound is 1 and a too-short prefix comes back as the shard's 400. An
-// explain request needs no body rewriting: the explain flag forwards
-// verbatim, so each shard already answers with its own span tree and
-// planner explanation for the router to nest.
+// /search/prefix: the client's JSON is decoded once, here, and crosses the
+// hop as one frame built from the decoded request — the shards never see
+// the text. A prefix query is validated as loosely as the router can — it
+// does not know the shards' PAA segment count, so the lower length bound
+// is 1 and a too-short prefix comes back as the shard's 400. The explain
+// flag rides in the frame, so each shard answers with its own span tree
+// and planner explanation for the router to nest.
 func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request, prefix bool) {
 	body, release, ok := r.admitAndRead(w, req)
 	if !ok {
@@ -646,10 +673,11 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request, prefix bo
 	path := "/search"
 	if prefix {
 		path = "/search/prefix"
-		sreq, err = api.DecodePrefixRequest(body, 1, seriesLen, r.cfg.MaxK)
+		sreq, err = api.DecodePrefixRequest(body.B, 1, seriesLen, r.cfg.MaxK)
 	} else {
-		sreq, err = api.DecodeSearchRequest(body, seriesLen, r.cfg.MaxK)
+		sreq, err = api.DecodeSearchRequest(body.B, seriesLen, r.cfg.MaxK)
 	}
+	body.Release()
 	if err != nil {
 		r.m.badRequests.Add(1)
 		api.WriteError(w, http.StatusBadRequest, err)
@@ -658,7 +686,7 @@ func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request, prefix bo
 
 	ctx, tr := r.observe.TraceFor(req.Context(), strings.TrimPrefix(path, "/"), sreq.Explain)
 	ssp := tr.Root().StartChild("scatter")
-	oks, asked, err := r.scatter(obs.ContextWithSpan(ctx, ssp), path, body)
+	oks, asked, err := r.scatter(obs.ContextWithSpan(ctx, ssp), path, api.AppendFrame(nil, sreq))
 	ssp.End()
 	if err != nil {
 		api.FinishTrace(req.Context(), tr, nil)
@@ -701,7 +729,8 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 		api.WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	breq, err := api.DecodeBatchRequest(body, seriesLen, r.cfg.MaxK, r.cfg.MaxBatch)
+	breq, err := api.DecodeBatchRequest(body.B, seriesLen, r.cfg.MaxK, r.cfg.MaxBatch)
+	body.Release()
 	if err != nil {
 		r.m.badRequests.Add(1)
 		api.WriteError(w, http.StatusBadRequest, err)
@@ -710,7 +739,7 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 
 	ctx, tr := r.observe.TraceFor(req.Context(), "batch", breq.Explain)
 	ssp := tr.Root().StartChild("scatter")
-	oks, asked, err := r.scatter(obs.ContextWithSpan(ctx, ssp), "/search/batch", body)
+	oks, asked, err := r.scatter(obs.ContextWithSpan(ctx, ssp), "/search/batch", api.AppendFrame(nil, breq))
 	ssp.End()
 	if err != nil {
 		api.FinishTrace(req.Context(), tr, nil)
@@ -724,7 +753,9 @@ func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
 	steps := 0
 	for i, rep := range oks {
 		var br api.BatchResponse
-		if err := api.DecodeJSON(rep.body, &br); err != nil || len(br.Results) != len(breq.Queries) {
+		err := api.DecodeFrame(rep.body.B, &br)
+		rep.body.Release()
+		if err != nil || len(br.Results) != len(breq.Queries) {
 			msp.End()
 			api.FinishTrace(req.Context(), tr, nil)
 			r.finish(w, fmt.Errorf("shard %s: malformed batch response", r.topo.Shards[rep.shard].ID))
@@ -798,7 +829,8 @@ func (r *Router) handleAppend(w http.ResponseWriter, req *http.Request) {
 		api.WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	}
-	areq, err := api.DecodeAppendRequest(body, seriesLen, r.cfg.MaxAppend)
+	areq, err := api.DecodeAppendRequest(body.B, seriesLen, r.cfg.MaxAppend)
+	body.Release()
 	if err != nil {
 		r.m.badRequests.Add(1)
 		api.WriteError(w, http.StatusBadRequest, err)
@@ -840,13 +872,12 @@ func (r *Router) handleAppend(w http.ResponseWriter, req *http.Request) {
 	replies := make(chan appendReply, len(subs))
 	for shard, sb := range subs {
 		go func(shard int, sb *subBatch) {
-			raw, err := encodeJSON(api.AppendRequest{Series: sb.series})
-			if err == nil {
-				raw, err = r.forward(req.Context(), shard, "/append", raw)
-			}
+			frame := api.AppendFrame(nil, &api.AppendRequest{Series: sb.series})
+			raw, err := r.forward(req.Context(), shard, "/append", api.Frame, frame)
 			var ar api.AppendResponse
 			if err == nil {
-				err = api.DecodeJSON(raw, &ar)
+				err = api.DecodeFrame(raw.B, &ar)
+				raw.Release()
 			}
 			if err == nil && len(ar.IDs) != len(sb.series) {
 				err = fmt.Errorf("acked %d of %d series", len(ar.IDs), len(sb.series))
@@ -886,7 +917,7 @@ func (r *Router) fanoutPost(req *http.Request, path string, body []byte) error {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = r.forward(req.Context(), i, path, body)
+			_, errs[i] = r.forward(req.Context(), i, path, api.JSON, body)
 		}(i)
 	}
 	wg.Wait()
@@ -938,7 +969,8 @@ func (r *Router) handleBackup(w http.ResponseWriter, req *http.Request) {
 		api.WriteError(w, status, err)
 		return
 	}
-	if !r.finish(w, r.fanoutPost(req, "/backup", body)) {
+	// body is not released: fanoutPost hands it to the transport (see forward).
+	if !r.finish(w, r.fanoutPost(req, "/backup", body.B)) {
 		return
 	}
 	api.WriteJSON(w, http.StatusOK, map[string]string{"status": "backed_up"})
@@ -1149,6 +1181,3 @@ func (r *Router) renderShardCacheGauges(ctx context.Context, b *strings.Builder)
 	fmt.Fprintf(b, "# HELP climber_router_cache_resident_bytes Partition-cache resident bytes summed over reachable shards.\n# TYPE climber_router_cache_resident_bytes gauge\nclimber_router_cache_resident_bytes %d\n", resident)
 	fmt.Fprintf(b, "# HELP climber_router_cache_mapped_bytes Partition-cache mapped bytes summed over reachable shards.\n# TYPE climber_router_cache_mapped_bytes gauge\nclimber_router_cache_mapped_bytes %d\n", mapped)
 }
-
-// encodeJSON marshals v for a forwarded sub-request body.
-func encodeJSON(v any) ([]byte, error) { return json.Marshal(v) }
