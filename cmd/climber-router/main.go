@@ -15,7 +15,8 @@
 //	  {"id": "shard-1", "url": "http://localhost:9002"}
 //	]}
 //
-// Endpoints (see internal/shard for the merged response shapes):
+// Endpoints (the same front as climber-serve; see internal/api for the
+// request/response shapes):
 //
 //	POST /search        scatter to every shard, merge global top-k
 //	POST /search/batch  ditto, query by query
@@ -46,18 +47,13 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log"
-	"net/http"
 	"os"
-	"os/signal"
 	"strconv"
-	"syscall"
 	"time"
 
 	"climber/internal/api"
-	"climber/internal/obs"
 	"climber/internal/shard"
 )
 
@@ -66,23 +62,16 @@ func main() {
 	log.SetPrefix("climber-router: ")
 
 	var (
+		shared       = api.RegisterFlags(flag.CommandLine)
 		topoPath     = flag.String("topology", "", "shards.json topology file (required)")
-		addr         = flag.String("addr", ":8080", "listen address")
 		quorum       = flag.Int("quorum", 0, "min shards that must answer a read (0 = all shards, fail fast)")
-		maxInflight  = flag.Int("max-inflight", 0, "admission limit on concurrently routed requests (0 = 4 x GOMAXPROCS)")
-		queueTimeout = flag.Duration("queue-timeout", 2*time.Second, "how long an over-limit request may wait for a slot before 429")
-		maxK         = flag.Int("max-k", 10000, "largest accepted per-query answer size k")
-		maxBatch     = flag.Int("max-batch", 256, "largest accepted batch query count")
-		maxAppend    = flag.Int("max-append", 1024, "largest accepted append series count")
-		bodyTimeout  = flag.Duration("body-timeout", 15*time.Second, "deadline for reading one request body")
 		healthEvery  = flag.Duration("health-interval", 2*time.Second, "shard health probe period")
 		shardTimeout = flag.Duration("shard-timeout", 0, "per-shard sub-request deadline (0 = client deadline only)")
-		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown deadline for in-flight requests")
-		debugAddr    = flag.String("debug-addr", "", "optional second listener for net/http/pprof and /debug/slow (e.g. localhost:6060)")
-		slowThresh   = flag.Duration("slow-threshold", 500*time.Millisecond, "routed requests at least this slow enter the slow-query log (negative disables)")
-		slowSample   = flag.Float64("slow-sample", 0, "probability in [0,1] that an arbitrary routed query is traced across the shards and slow-logged")
-		slowLogSize  = flag.Int("slow-log-size", 128, "slow-query ring buffer capacity")
 	)
+	// The shared flags, said of routed traffic.
+	flag.Lookup("max-inflight").Usage = "admission limit on concurrently routed requests (0 = 4 x GOMAXPROCS)"
+	flag.Lookup("slow-threshold").Usage = "routed requests at least this slow enter the slow-query log (negative disables)"
+	flag.Lookup("slow-sample").Usage = "probability in [0,1] that an arbitrary routed query is traced across the shards and slow-logged"
 	flag.Parse()
 	if *topoPath == "" {
 		flag.Usage()
@@ -99,65 +88,18 @@ func main() {
 	}
 
 	r := shard.NewRouter(topo, shard.Config{
-		ServeConfig: api.ServeConfig{
-			MaxInFlight:     *maxInflight,
-			QueueTimeout:    *queueTimeout,
-			MaxK:            *maxK,
-			MaxBatch:        *maxBatch,
-			MaxAppend:       *maxAppend,
-			BodyReadTimeout: *bodyTimeout,
-			SlowLogSize:     *slowLogSize,
-			SlowThreshold:   *slowThresh,
-			SlowSample:      *slowSample,
-		},
+		ServeConfig:    shared.ServeConfig,
 		Quorum:         *quorum,
 		HealthInterval: *healthEvery,
 		ShardTimeout:   *shardTimeout,
 	})
-	defer r.Close()
-
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           r.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-		IdleTimeout:       2 * time.Minute,
+	policy := "all shards"
+	if *quorum > 0 {
+		policy = "quorum " + strconv.Itoa(*quorum)
 	}
-	if *debugAddr != "" {
-		// Diagnostics stay off the routed service port and its admission
-		// control.
-		go func() {
-			log.Printf("debug listener (pprof, /debug/slow) on %s", *debugAddr)
-			if err := http.ListenAndServe(*debugAddr, obs.DebugMux(r.SlowLog())); err != nil {
-				log.Printf("debug listener: %v", err)
-			}
-		}()
+	err = shared.Run(context.Background(), r.Service(), "routing on "+shared.Addr+" (quorum policy: "+policy+")")
+	r.Close()
+	if err != nil {
+		log.Fatal(err)
 	}
-	errCh := make(chan error, 1)
-	go func() {
-		log.Printf("routing on %s (quorum policy: %s)", *addr, quorumName(*quorum))
-		errCh <- httpSrv.ListenAndServe()
-	}()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatal(err)
-		}
-	case s := <-sig:
-		log.Printf("received %v, draining in-flight requests", s)
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			log.Printf("shutdown: %v", err)
-		}
-	}
-}
-
-func quorumName(q int) string {
-	if q <= 0 {
-		return "all shards"
-	}
-	return "quorum " + strconv.Itoa(q)
 }

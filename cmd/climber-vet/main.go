@@ -11,11 +11,7 @@
 // the "Invariants" section of ARCHITECTURE.md for the catalogue. Findings
 // print as file:line:col: analyzer: message. A deliberate exception is
 // annotated in the source with //lint:ignore <analyzer> <reason>.
-//
-// Per-package results are cached under os.UserCacheDir()/climber-vet keyed
-// by the package's file contents, its dependencies' export data, the
-// toolchain, and the suite version — repeated runs re-analyse only what
-// changed. -nocache disables the cache, -nomd skips the markdown gate.
+// -nomd skips the markdown gate.
 package main
 
 import (
@@ -52,7 +48,6 @@ func analyzers() []*vet.Analyzer {
 }
 
 func main() {
-	noCache := flag.Bool("nocache", false, "disable the per-package result cache")
 	noMd := flag.Bool("nomd", false, "skip the repository markdown link gate")
 	flag.Usage = func() {
 		fmt.Fprintf(flag.CommandLine.Output(), "usage: climber-vet [flags] [packages]\n\nAnalyzers:\n")
@@ -67,7 +62,7 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	findings, err := runSuite(patterns, *noCache, *noMd)
+	findings, err := runSuite(patterns, *noMd)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "climber-vet:", err)
 		os.Exit(2)
@@ -81,7 +76,7 @@ func main() {
 	}
 }
 
-func runSuite(patterns []string, noCache, noMd bool) ([]string, error) {
+func runSuite(patterns []string, noMd bool) ([]string, error) {
 	cwd, err := os.Getwd()
 	if err != nil {
 		return nil, err
@@ -91,43 +86,13 @@ func runSuite(patterns []string, noCache, noMd bool) ([]string, error) {
 		return nil, err
 	}
 
-	var cache *resultCache
-	if !noCache {
-		cache, err = openCache()
-		if err != nil {
-			// A broken cache must never block the lint: run uncached.
-			fmt.Fprintln(os.Stderr, "climber-vet: cache disabled:", err)
-		}
+	diags, err := vet.RunAnalyzers(pkgs, analyzers())
+	if err != nil {
+		return nil, err
 	}
-
-	suite := analyzers()
-	var findings []string
-	for _, pkg := range pkgs {
-		key := ""
-		if cache != nil {
-			key = cache.key(pkg, suite)
-			if cached, ok := cache.get(pkg.Path, key); ok {
-				findings = append(findings, cached...)
-				continue
-			}
-		}
-		diags, err := vet.RunAnalyzers([]*vet.Package{pkg}, suite)
-		if err != nil {
-			return nil, err
-		}
-		lines := make([]string, 0, len(diags))
-		for _, d := range diags {
-			lines = append(lines, d.String())
-		}
-		findings = append(findings, lines...)
-		if cache != nil {
-			cache.put(pkg.Path, key, lines)
-		}
-	}
-	if cache != nil {
-		if err := cache.save(); err != nil {
-			fmt.Fprintln(os.Stderr, "climber-vet: saving cache:", err)
-		}
+	findings := make([]string, 0, len(diags))
+	for _, d := range diags {
+		findings = append(findings, d.String())
 	}
 
 	if !noMd {
@@ -147,7 +112,7 @@ func runSuite(patterns []string, noCache, noMd bool) ([]string, error) {
 }
 
 // moduleRoot resolves the main module's directory, the base for the
-// markdown gate and the cache key.
+// markdown gate.
 func moduleRoot(dir string) (string, error) {
 	cmd := exec.Command("go", "list", "-m", "-f", "{{.Dir}}")
 	cmd.Dir = dir

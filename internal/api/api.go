@@ -1,25 +1,26 @@
-// Package api is the HTTP wire contract of the CLIMBER serving stack: the
-// request/response types, their decode-and-validate functions, and the small
-// serving primitives (admission limiter, latency histogram, the request
-// Observer that arms traces and feeds histograms and the slow log, JSON
-// response helpers) shared by the single-node query server (internal/server, mounted
-// by cmd/climber-serve) and the shard router (internal/shard, mounted by
-// cmd/climber-router).
+// Package api is the HTTP dialect of the CLIMBER serving stack, written
+// once: the request/response types, their decode-and-validate functions, and
+// Service, the front that owns every route, limit, status and counter a
+// client can observe. A Service calls a Backend for the answers;
+// cmd/climber-serve mounts one over an open database (internal/server) and
+// cmd/climber-router one over a scatter-gather of such services
+// (internal/shard), and the two can differ in nothing but what stands behind
+// that interface. A client cannot tell a single node from a sharded
+// deployment by the shapes on the wire, and the router merges responses it
+// decodes into the very types the shard encoded.
 //
-// Both layers speak exactly the same dialect: a router can front any set of
-// climber-serve processes, and a client cannot tell a single node from a
-// sharded deployment by the shapes on the wire. Keeping the contract in one
-// package is what enforces that — the router validates a request with the
-// same decoders the shard will re-apply, and merges responses it decodes
-// into the very types the shard encoded.
+// The front's numbers are declared by the backend as Rows — stats key,
+// metric name, help, kind, once each — and both GET /stats and GET /metrics
+// are rendered from them (Counters, Meters). RegisterFlags and Flags.Run are
+// the flag set and the listen/drain runner the two commands share.
 //
 // The query and append bodies have two spellings (Spelling) that decode to
 // identical requests and are held to identical limits: JSON, which clients
-// write and the router answers them with, and a little-endian binary frame
-// (frame.go, Content-Type FrameContentType), which the router sends its
-// shards on the same endpoints and they answer in kind — so a routed query's
-// numbers are parsed from text once, at the router, and cross the hop as the
-// float64s they became. JSON itself is read by a single-pass decoder
+// write, and a little-endian binary frame (frame.go, Content-Type
+// FrameContentType), which the router sends its shards on the same
+// endpoints; either is answered in kind — so a routed query's numbers are
+// parsed from text once, at the router, and cross the hop as the float64s
+// they became. JSON itself is read by a single-pass decoder
 // (fastdecode.go) that handles the canonical spelling and declines
 // everything else to encoding/json (DecodeJSON), which stays the
 // specification of the dialect and the source of every error text. Bodies
@@ -43,7 +44,7 @@ const MaxTimeBudgetMS = 3_600_000
 
 // SearchRequest is the body of POST /search and POST /search/prefix. For
 // /search the query must have the indexed series length; for /search/prefix
-// it may be shorter (see DecodePrefixRequest).
+// it may be shorter (see Spelling.DecodePrefix).
 type SearchRequest struct {
 	// Query is the query series.
 	Query []float64 `json:"query"`
@@ -122,15 +123,23 @@ type SearchResponse struct {
 	// Results are the approximate nearest neighbours, ascending by distance.
 	Results []Result `json:"results"`
 	// Stats is the effort behind the query (partitions scanned, records
-	// compared, cache traffic).
+	// compared, cache traffic), summed over the shards of a routed answer.
 	Stats climber.Stats `json:"stats"`
-	// Partial marks an answer whose budget (time_budget_ms or
-	// max_partitions) stopped the query before its full plan: the results
-	// are the best answer for the effort spent, not the complete one.
+	// ShardsAsked and ShardsAnswered report the scatter fan-out of a routed
+	// answer — at least 1 each — and are absent from a single node's; under
+	// a quorum policy ShardsAnswered is the smaller when a shard is down.
+	// Frames do not carry them.
+	ShardsAsked    int `json:"shards_asked,omitempty"`
+	ShardsAnswered int `json:"shards_answered,omitempty"`
+	// Partial marks an answer that is not the complete one: a budget
+	// (time_budget_ms or max_partitions) stopped the query, on this node or
+	// on any shard, before its full plan, or a router merged it from fewer
+	// shards than the topology holds. The results are the best answer for
+	// the effort spent.
 	Partial bool `json:"partial,omitempty"`
-	// StepsExecuted counts the plan steps that ran; together with
-	// Stats.StepsPlanned it tells how much of the plan a partial answer
-	// covered.
+	// StepsExecuted counts the plan steps that ran, summed over shards;
+	// together with Stats.StepsPlanned it tells how much of the plan a
+	// partial answer covered.
 	StepsExecuted int `json:"steps_executed,omitempty"`
 	// Explain is the planner's navigation and ranked-plan record; present
 	// only when the request set explain. On a routed response the map is
@@ -192,11 +201,18 @@ func ExplainFromCore(e *climber.Explanation) *ExplainData {
 // aligns positionally with the request's Queries.
 type BatchResponse struct {
 	Results [][]Result `json:"results"`
+	// ShardsAsked and ShardsAnswered are those of SearchResponse.
+	ShardsAsked    int `json:"shards_asked,omitempty"`
+	ShardsAnswered int `json:"shards_answered,omitempty"`
 	// Partial marks a batch in which at least one query's budget stopped
-	// it before its full plan.
+	// it before its full plan, or that a router merged from a shard subset.
 	Partial bool `json:"partial,omitempty"`
-	// StepsExecuted sums the executed plan steps across the batch.
+	// StepsExecuted sums the executed plan steps across the batch (and
+	// across shards).
 	StepsExecuted int `json:"steps_executed,omitempty"`
+	// Truncated counts the queries a budget stopped, where the answering
+	// node knows it; it feeds the slow-query log and never crosses the wire.
+	Truncated int `json:"-"`
 	// Trace is the batch's span tree (one child per query); present only
 	// when the request set explain.
 	Trace *obs.SpanData `json:"trace,omitempty"`

@@ -54,12 +54,12 @@ func FuzzDecodeDifferential(f *testing.F) {
 		got, gotErr := DecodeSearchRequest(data, seriesLen, maxK)
 		want, wantErr := slowSearch(data, seriesLen, seriesLen, maxK, false)
 		sameOutcome(t, "DecodeSearchRequest", got, gotErr, want, wantErr)
-		got, gotErr = DecodePrefixRequest(data, 2, seriesLen, maxK)
+		got, gotErr = JSON.DecodePrefix(data, 2, seriesLen, maxK)
 		want, wantErr = slowSearch(data, 2, seriesLen, maxK, true)
-		sameOutcome(t, "DecodePrefixRequest", got, gotErr, want, wantErr)
-		gotB, gotErr := DecodeBatchRequest(data, seriesLen, maxK, maxBatch)
+		sameOutcome(t, "DecodePrefix", got, gotErr, want, wantErr)
+		gotB, gotErr := JSON.DecodeBatch(data, seriesLen, maxK, maxBatch)
 		wantB, wantErr := slowBatch(data, seriesLen, maxK, maxBatch)
-		sameOutcome(t, "DecodeBatchRequest", gotB, gotErr, wantB, wantErr)
+		sameOutcome(t, "DecodeBatch", gotB, gotErr, wantB, wantErr)
 		gotA, gotErr := DecodeAppendRequest(data, seriesLen, maxAppend)
 		wantA, wantErr := slowAppend(data, seriesLen, maxAppend)
 		sameOutcome(t, "DecodeAppendRequest", gotA, gotErr, wantA, wantErr)
@@ -152,14 +152,14 @@ func FuzzFrame(f *testing.F) {
 			want, wantErr := DecodeSearchRequest(body, seriesLen, maxK)
 			sameOutcome(t, "search frame vs JSON", got, gotErr, want, wantErr)
 			got, gotErr = Frame.DecodePrefix(AppendFrame(nil, &sreq), 2, seriesLen, maxK)
-			want, wantErr = DecodePrefixRequest(body, 2, seriesLen, maxK)
+			want, wantErr = JSON.DecodePrefix(body, 2, seriesLen, maxK)
 			sameOutcome(t, "prefix frame vs JSON", got, gotErr, want, wantErr)
 		} else if _, err := Frame.DecodeSearch(AppendFrame(nil, &sreq), seriesLen, maxK); err == nil {
 			t.Fatalf("frame accepted a request JSON cannot spell: %+v", sreq)
 		}
 		if body, err := json.Marshal(breq); err == nil {
 			got, gotErr := Frame.DecodeBatch(AppendFrame(nil, &breq), seriesLen, maxK, maxBatch)
-			want, wantErr := DecodeBatchRequest(body, seriesLen, maxK, maxBatch)
+			want, wantErr := JSON.DecodeBatch(body, seriesLen, maxK, maxBatch)
 			sameOutcome(t, "batch frame vs JSON", got, gotErr, want, wantErr)
 		}
 		if body, err := json.Marshal(areq); err == nil {

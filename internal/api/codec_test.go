@@ -380,7 +380,7 @@ func TestFrameSameLimitsAsJSON(t *testing.T) {
 		var b both
 		if prefix {
 			_, b.frame = Frame.DecodePrefix(AppendFrame(nil, &req), 2, seriesLen, maxK)
-			_, b.json = DecodePrefixRequest(body, 2, seriesLen, maxK)
+			_, b.json = JSON.DecodePrefix(body, 2, seriesLen, maxK)
 		} else {
 			_, b.frame = Frame.DecodeSearch(AppendFrame(nil, &req), seriesLen, maxK)
 			_, b.json = DecodeSearchRequest(body, seriesLen, maxK)
@@ -391,7 +391,7 @@ func TestFrameSameLimitsAsJSON(t *testing.T) {
 		body, _ := json.Marshal(req)
 		var b both
 		_, b.frame = Frame.DecodeBatch(AppendFrame(nil, &req), seriesLen, maxK, maxBatch)
-		_, b.json = DecodeBatchRequest(body, seriesLen, maxK, maxBatch)
+		_, b.json = JSON.DecodeBatch(body, seriesLen, maxK, maxBatch)
 		return b
 	}
 	appendTo := func(req AppendRequest) both {

@@ -1,9 +1,19 @@
 package api
 
 import (
+	"context"
+	"errors"
+	"flag"
+	"log"
 	"log/slog"
+	"net/http"
+	"os"
+	"os/signal"
 	"runtime"
+	"syscall"
 	"time"
+
+	"climber/internal/obs"
 )
 
 // ServeConfig holds the settings the single-node server and the shard
@@ -90,4 +100,76 @@ func (c ServeConfig) WithDefaults() ServeConfig {
 		c.SlowSample = 1
 	}
 	return c
+}
+
+// Flags are the command-line settings climber-serve and climber-router
+// share: the ServeConfig fields plus where and how to listen.
+type Flags struct {
+	ServeConfig
+	// Addr is the service listen address; DebugAddr, when set, a second
+	// listener for net/http/pprof and /debug/slow.
+	Addr, DebugAddr string
+	// DrainTimeout bounds graceful shutdown.
+	DrainTimeout time.Duration
+}
+
+// RegisterFlags declares the shared flags on fs.
+func RegisterFlags(fs *flag.FlagSet) *Flags {
+	f := &Flags{}
+	fs.StringVar(&f.Addr, "addr", ":8080", "listen address")
+	fs.IntVar(&f.MaxInFlight, "max-inflight", 0, "admission limit on concurrently executing queries (0 = 4 x GOMAXPROCS)")
+	fs.DurationVar(&f.QueueTimeout, "queue-timeout", 2*time.Second, "how long an over-limit request may wait for a slot before 429")
+	fs.IntVar(&f.MaxK, "max-k", 10000, "largest accepted per-query answer size k")
+	fs.IntVar(&f.MaxBatch, "max-batch", 256, "largest accepted batch query count")
+	fs.IntVar(&f.MaxAppend, "max-append", 1024, "largest accepted append series count")
+	fs.DurationVar(&f.BodyReadTimeout, "body-timeout", 15*time.Second, "deadline for reading one request body")
+	fs.DurationVar(&f.DrainTimeout, "drain-timeout", 15*time.Second, "graceful-shutdown deadline for in-flight requests")
+	fs.StringVar(&f.DebugAddr, "debug-addr", "", "optional second listener for net/http/pprof and /debug/slow (e.g. localhost:6060)")
+	fs.DurationVar(&f.SlowThreshold, "slow-threshold", 500*time.Millisecond, "requests at least this slow enter the slow-query log (negative disables)")
+	fs.Float64Var(&f.SlowSample, "slow-sample", 0, "probability in [0,1] that an arbitrary query is traced and slow-logged")
+	fs.IntVar(&f.SlowLogSize, "slow-log-size", 128, "slow-query ring buffer capacity")
+	return f
+}
+
+// Run serves svc on f.Addr — and pprof plus the slow-query log on
+// f.DebugAddr, kept off the service port and its admission control — until
+// the listener fails or ctx ends, which SIGINT and SIGTERM make it do; it
+// then drains in-flight requests for up to f.DrainTimeout. banner is logged
+// once listening starts.
+func (f *Flags) Run(ctx context.Context, svc *Service, banner string) error {
+	ctx, stop := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	httpSrv := &http.Server{
+		Addr:              f.Addr,
+		Handler:           svc.Handler(),
+		ReadHeaderTimeout: 10 * time.Second,
+		IdleTimeout:       2 * time.Minute,
+	}
+	if f.DebugAddr != "" {
+		debug := &http.Server{Addr: f.DebugAddr, Handler: obs.DebugMux(svc.SlowLog())}
+		defer debug.Close()
+		go func() {
+			log.Printf("debug listener (pprof, /debug/slow) on %s", f.DebugAddr)
+			if err := debug.ListenAndServe(); ctx.Err() == nil {
+				log.Printf("debug listener: %v", err)
+			}
+		}()
+	}
+	drained := make(chan struct{})
+	unhook := context.AfterFunc(ctx, func() {
+		defer close(drained)
+		log.Print("received a shutdown signal, draining in-flight requests")
+		ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), f.DrainTimeout)
+		defer cancel()
+		if err := httpSrv.Shutdown(ctx); err != nil {
+			log.Printf("shutdown: %v", err)
+		}
+	})
+	log.Print(banner)
+	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+		unhook() // nothing to drain
+		return err
+	}
+	<-drained
+	return nil
 }

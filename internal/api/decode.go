@@ -131,27 +131,22 @@ func checkOptions(k *int, variant string, maxPartitions, timeBudgetMS, maxK int)
 	return nil
 }
 
-// DecodeSearchRequest parses and validates a POST /search body. On success
-// the request is well-formed: the query is finite with the indexed length,
-// 1 <= k <= maxK, and the variant parses.
+// DecodeSearchRequest is JSON.DecodeSearch. Pinned by bench/.
 func DecodeSearchRequest(data []byte, seriesLen, maxK int) (*SearchRequest, error) {
 	return JSON.DecodeSearch(data, seriesLen, maxK)
 }
 
-// DecodeSearch is DecodeSearchRequest for a body in sp's spelling.
+// DecodeSearch parses and validates a POST /search body in sp's spelling. On
+// success the request is well-formed: the query is finite with the indexed
+// length, 1 <= k <= maxK, and the variant parses.
 func (sp Spelling) DecodeSearch(data []byte, seriesLen, maxK int) (*SearchRequest, error) {
 	return sp.decodeSearch(data, seriesLen, seriesLen, maxK, false)
 }
 
-// DecodePrefixRequest parses and validates a POST /search/prefix body. The
-// query may be shorter than the indexed series length but no shorter than
-// minLen (the index's PAA segment count — shorter prefixes cannot be
-// transformed); every other guarantee matches DecodeSearchRequest.
-func DecodePrefixRequest(data []byte, minLen, seriesLen, maxK int) (*SearchRequest, error) {
-	return JSON.DecodePrefix(data, minLen, seriesLen, maxK)
-}
-
-// DecodePrefix is DecodePrefixRequest for a body in sp's spelling.
+// DecodePrefix parses and validates a POST /search/prefix body. The query
+// may be shorter than the indexed series length but no shorter than minLen
+// (the index's PAA segment count — shorter prefixes cannot be transformed);
+// every other guarantee matches DecodeSearch.
 func (sp Spelling) DecodePrefix(data []byte, minLen, seriesLen, maxK int) (*SearchRequest, error) {
 	return sp.decodeSearch(data, minLen, seriesLen, maxK, true)
 }
@@ -185,14 +180,9 @@ func (req *SearchRequest) validate(minLen, seriesLen, maxK int, prefix bool) err
 	return series.CheckFloat32(req.Query)
 }
 
-// DecodeBatchRequest parses and validates a POST /search/batch body with
-// the same guarantees as DecodeSearchRequest for every query, plus
-// 1 <= len(queries) <= maxBatch.
-func DecodeBatchRequest(data []byte, seriesLen, maxK, maxBatch int) (*BatchRequest, error) {
-	return JSON.DecodeBatch(data, seriesLen, maxK, maxBatch)
-}
-
-// DecodeBatch is DecodeBatchRequest for a body in sp's spelling.
+// DecodeBatch parses and validates a POST /search/batch body with the same
+// guarantees as DecodeSearch for every query, plus 1 <= len(queries) <=
+// maxBatch.
 func (sp Spelling) DecodeBatch(data []byte, seriesLen, maxK, maxBatch int) (*BatchRequest, error) {
 	req, err := decodeBody(sp, data, batchFields, seriesLen, maxBatch)
 	if err != nil {
@@ -222,14 +212,13 @@ func (req *BatchRequest) validate(seriesLen, maxK, maxBatch int) error {
 	return nil
 }
 
-// DecodeAppendRequest parses and validates a POST /append body: every
-// series is finite with the indexed length, and 1 <= len(series) <=
-// maxAppend.
+// DecodeAppendRequest is JSON.DecodeAppend. Pinned by bench/.
 func DecodeAppendRequest(data []byte, seriesLen, maxAppend int) (*AppendRequest, error) {
 	return JSON.DecodeAppend(data, seriesLen, maxAppend)
 }
 
-// DecodeAppend is DecodeAppendRequest for a body in sp's spelling.
+// DecodeAppend parses and validates a POST /append body: every series is
+// finite with the indexed length, and 1 <= len(series) <= maxAppend.
 func (sp Spelling) DecodeAppend(data []byte, seriesLen, maxAppend int) (*AppendRequest, error) {
 	req, err := decodeBody(sp, data, appendFields, seriesLen, maxAppend)
 	if err != nil {

@@ -36,8 +36,8 @@ func TestDecodersRejectFloat32Overflow(t *testing.T) {
 	for _, c := range cases {
 		decoders := map[string]error{}
 		_, decoders["search"] = DecodeSearchRequest(body(SearchRequest{Query: series(c.x)}), seriesLen, 100)
-		_, decoders["prefix"] = DecodePrefixRequest(body(SearchRequest{Query: series(c.x)[:2]}), 2, seriesLen, 100)
-		_, decoders["batch"] = DecodeBatchRequest(body(BatchRequest{Queries: [][]float64{series(0), series(c.x)}}), seriesLen, 100, 8)
+		_, decoders["prefix"] = JSON.DecodePrefix(body(SearchRequest{Query: series(c.x)[:2]}), 2, seriesLen, 100)
+		_, decoders["batch"] = JSON.DecodeBatch(body(BatchRequest{Queries: [][]float64{series(0), series(c.x)}}), seriesLen, 100, 8)
 		_, decoders["append"] = DecodeAppendRequest(body(AppendRequest{Series: [][]float64{series(c.x)}}), seriesLen, 8)
 		for name, err := range decoders {
 			switch {
@@ -72,7 +72,7 @@ func TestTrailingDataRejected(t *testing.T) {
 				t.Errorf("%q: rejected: %v", body, err)
 			}
 		}
-		if _, err := DecodeBatchRequest([]byte(`{"queries":[[1,2,3,4]]}`+tail), seriesLen, 100, 8); wantErr != (err != nil) {
+		if _, err := JSON.DecodeBatch([]byte(`{"queries":[[1,2,3,4]]}`+tail), seriesLen, 100, 8); wantErr != (err != nil) {
 			t.Errorf("batch with tail %q: err = %v", tail, err)
 		}
 		if _, err := DecodeAppendRequest([]byte(`{"series":[[1,2,3,4]]}`+tail), seriesLen, 8); wantErr != (err != nil) {

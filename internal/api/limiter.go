@@ -4,39 +4,8 @@ import (
 	"context"
 	"errors"
 	"net/http"
-	"sync/atomic"
 	"time"
 )
-
-// LimiterCounters receives the limiter's event counts. Any nil field is
-// replaced with a private counter, so a zero LimiterCounters is valid; the
-// serving layers pass pointers into their own metrics blocks so the numbers
-// surface through /stats and /metrics without a second source of truth.
-type LimiterCounters struct {
-	// Queued gauges requests currently waiting for a slot.
-	Queued *atomic.Int64
-	// Rejected counts requests denied 429 after the queue deadline.
-	Rejected *atomic.Int64
-	// Canceled counts requests whose client hung up while queued.
-	Canceled *atomic.Int64
-	// InFlight gauges requests currently holding a slot.
-	InFlight *atomic.Int64
-}
-
-func (c *LimiterCounters) fill() {
-	if c.Queued == nil {
-		c.Queued = new(atomic.Int64)
-	}
-	if c.Rejected == nil {
-		c.Rejected = new(atomic.Int64)
-	}
-	if c.Canceled == nil {
-		c.Canceled = new(atomic.Int64)
-	}
-	if c.InFlight == nil {
-		c.InFlight = new(atomic.Int64)
-	}
-}
 
 // Limiter is the admission-control semaphore every serving layer puts in
 // front of its work: at most maxInFlight requests hold a slot at once, a
@@ -47,13 +16,13 @@ func (c *LimiterCounters) fill() {
 type Limiter struct {
 	sem          chan struct{}
 	queueTimeout time.Duration
-	c            LimiterCounters
+	c            *Counters
 }
 
 // NewLimiter builds a limiter with maxInFlight slots and the given queue
-// deadline. Counters with nil fields fall back to private ones.
-func NewLimiter(maxInFlight int, queueTimeout time.Duration, counters LimiterCounters) *Limiter {
-	counters.fill()
+// deadline. It moves four rows of counters: the queued and in_flight gauges
+// and the rejected and canceled counts.
+func NewLimiter(maxInFlight int, queueTimeout time.Duration, counters *Counters) *Limiter {
 	return &Limiter{
 		sem:          make(chan struct{}, maxInFlight),
 		queueTimeout: queueTimeout,
@@ -68,26 +37,23 @@ func (l *Limiter) Admit(ctx context.Context) (release func(), status int, err er
 	select {
 	case l.sem <- struct{}{}: // fast path: a slot is free
 	default:
-		l.c.Queued.Add(1)
+		l.c.Add("queued", 1)
+		defer l.c.Add("queued", -1)
 		timer := time.NewTimer(l.queueTimeout)
+		defer timer.Stop()
 		select {
 		case l.sem <- struct{}{}:
-			timer.Stop()
-			l.c.Queued.Add(-1)
 		case <-timer.C:
-			l.c.Queued.Add(-1)
-			l.c.Rejected.Add(1)
+			l.c.Add("rejected", 1)
 			return nil, http.StatusTooManyRequests, errors.New("server at capacity; retry later")
 		case <-ctx.Done():
-			timer.Stop()
-			l.c.Queued.Add(-1)
-			l.c.Canceled.Add(1) // the client hung up while waiting in line
+			l.c.Add("canceled", 1) // the client hung up while waiting in line
 			return nil, StatusClientClosedRequest, ctx.Err()
 		}
 	}
-	l.c.InFlight.Add(1)
+	l.c.Add("in_flight", 1)
 	return func() {
-		l.c.InFlight.Add(-1)
+		l.c.Add("in_flight", -1)
 		<-l.sem
 	}, 0, nil
 }
@@ -106,17 +72,14 @@ func (l *Limiter) AcquireExtra(n int) (got int, release func()) {
 			n = got
 		}
 	}
-	l.c.InFlight.Add(int64(got))
+	l.c.Add("in_flight", int64(got))
 	return got, func() {
-		l.c.InFlight.Add(int64(-got))
+		l.c.Add("in_flight", int64(-got))
 		for i := 0; i < got; i++ {
 			<-l.sem
 		}
 	}
 }
-
-// Cap returns the limiter's slot count.
-func (l *Limiter) Cap() int { return cap(l.sem) }
 
 // Held returns the number of slots currently held — for tests asserting no
 // slot leaks after a burst.

@@ -52,7 +52,7 @@ func FuzzSearchRequest(f *testing.F) {
 				t.Fatalf("accepted negative max_partitions %d", req.MaxPartitions)
 			}
 		}
-		breq, err := DecodeBatchRequest(data, seriesLen, maxK, maxBatch)
+		breq, err := JSON.DecodeBatch(data, seriesLen, maxK, maxBatch)
 		if err == nil {
 			if len(breq.Queries) < 1 || len(breq.Queries) > maxBatch {
 				t.Fatalf("accepted batch of %d queries outside [1, %d]", len(breq.Queries), maxBatch)

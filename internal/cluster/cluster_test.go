@@ -339,16 +339,22 @@ func TestScanBlocksStopsOnFirstError(t *testing.T) {
 	var after atomic.Int64
 	var failed atomic.Bool
 	err := c.ScanBlocks(bs, nil, func(id int, values []float64) error {
-		if failed.Load() {
-			after.Add(1)
-			return nil
-		}
 		if id == 0 { // first record of the first block: fail immediately
 			failed.Store(true)
 			return errBoom
 		}
 		// Slow the healthy workers down so the stop flag demonstrably wins
-		// the race against them finishing their blocks.
+		// the race against them finishing their blocks — and slow them
+		// further once the failure is in: the failing worker still has to
+		// get from here to ScanBlocks' stop flag, and if it loses its CPU on
+		// the way, three workers that no longer sleep finish all 19 blocks
+		// in microseconds. At 1 ms a record it would have to stay off the
+		// CPU for 17 ms to let 50 through.
+		if failed.Load() {
+			after.Add(1)
+			time.Sleep(time.Millisecond)
+			return nil
+		}
 		time.Sleep(100 * time.Microsecond)
 		return nil
 	})

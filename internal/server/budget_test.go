@@ -1,6 +1,7 @@
 package server
 
 import (
+	"climber/internal/api"
 	"encoding/json"
 	"net/http"
 	"strings"
@@ -28,11 +29,11 @@ func TestSearchBudgetPartialMarker(t *testing.T) {
 	sawPartial := false
 	for _, qid := range []int{0, 200, 400, 600, 800, 1000} {
 		// Unbudgeted probe: how many partitions does the full plan load?
-		rec := postJSON(t, h, "/search", SearchRequest{Query: data[qid], K: 300, Variant: "od-smallest"})
+		rec := postJSON(t, h, "/search", api.SearchRequest{Query: data[qid], K: 300, Variant: "od-smallest"})
 		if rec.Code != http.StatusOK {
 			t.Fatalf("probe: status %d: %s", rec.Code, rec.Body)
 		}
-		var full SearchResponse
+		var full api.SearchResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &full); err != nil {
 			t.Fatal(err)
 		}
@@ -40,13 +41,13 @@ func TestSearchBudgetPartialMarker(t *testing.T) {
 			t.Fatalf("unbudgeted query marked partial: %+v", full.Stats)
 		}
 
-		rec = postJSON(t, h, "/search", SearchRequest{
+		rec = postJSON(t, h, "/search", api.SearchRequest{
 			Query: data[qid], K: 300, Variant: "od-smallest", MaxPartitions: 1,
 		})
 		if rec.Code != http.StatusOK {
 			t.Fatalf("budgeted: status %d: %s", rec.Code, rec.Body)
 		}
-		var resp SearchResponse
+		var resp api.SearchResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
@@ -69,11 +70,11 @@ func TestSearchBudgetPartialMarker(t *testing.T) {
 	}
 
 	// The budget-exhausted counter must have moved, on /stats and /metrics.
-	var stats StatsResponse
+	var stats statsBody
 	if err := json.Unmarshal(getPath(t, h, "/stats").Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Server.BudgetExhausted == 0 {
+	if stats.Server["budget_exhausted"] == 0 {
 		t.Fatal("budget_exhausted counter still zero after partial answers")
 	}
 	body := getPath(t, h, "/metrics").Body.String()
@@ -93,11 +94,11 @@ func TestTimeBudgetAccepted(t *testing.T) {
 	db, data := buildTestDB(t, 800)
 	h := New(db, Config{}).Handler()
 
-	rec := postJSON(t, h, "/search", SearchRequest{Query: data[1], K: 5, TimeBudgetMS: 60_000})
+	rec := postJSON(t, h, "/search", api.SearchRequest{Query: data[1], K: 5, TimeBudgetMS: 60_000})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("search with time budget: status %d: %s", rec.Code, rec.Body)
 	}
-	var resp SearchResponse
+	var resp api.SearchResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -105,22 +106,22 @@ func TestTimeBudgetAccepted(t *testing.T) {
 		t.Fatalf("generous time budget produced a partial answer: %+v", resp.Stats)
 	}
 
-	rec = postJSON(t, h, "/search/prefix", SearchRequest{Query: data[1][:32], K: 5, TimeBudgetMS: 60_000})
+	rec = postJSON(t, h, "/search/prefix", api.SearchRequest{Query: data[1][:32], K: 5, TimeBudgetMS: 60_000})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("prefix with time budget: status %d: %s", rec.Code, rec.Body)
 	}
-	rec = postJSON(t, h, "/search/batch", BatchRequest{Queries: [][]float64{data[1], data[2]}, K: 5, TimeBudgetMS: 60_000})
+	rec = postJSON(t, h, "/search/batch", api.BatchRequest{Queries: [][]float64{data[1], data[2]}, K: 5, TimeBudgetMS: 60_000})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("batch with time budget: status %d: %s", rec.Code, rec.Body)
 	}
 
 	// Negative and absurdly large budgets are rejected at decode time (the
 	// cap keeps derived-deadline arithmetic away from duration overflow).
-	rec = postJSON(t, h, "/search", SearchRequest{Query: data[1], K: 5, TimeBudgetMS: -1})
+	rec = postJSON(t, h, "/search", api.SearchRequest{Query: data[1], K: 5, TimeBudgetMS: -1})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("negative time budget: status %d, want 400", rec.Code)
 	}
-	rec = postJSON(t, h, "/search", SearchRequest{Query: data[1], K: 5, TimeBudgetMS: 2_305_843_009_213})
+	rec = postJSON(t, h, "/search", api.SearchRequest{Query: data[1], K: 5, TimeBudgetMS: 2_305_843_009_213})
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("overflow-sized time budget: status %d, want 400", rec.Code)
 	}
@@ -133,11 +134,11 @@ func TestBatchBudgetPartialMarker(t *testing.T) {
 	h := New(db, Config{}).Handler()
 	queries := [][]float64{data[0], data[200], data[400], data[600]}
 
-	rec := postJSON(t, h, "/search/batch", BatchRequest{Queries: queries, K: 300, Variant: "od-smallest"})
+	rec := postJSON(t, h, "/search/batch", api.BatchRequest{Queries: queries, K: 300, Variant: "od-smallest"})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("probe: status %d: %s", rec.Code, rec.Body)
 	}
-	var probe BatchResponse
+	var probe api.BatchResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &probe); err != nil {
 		t.Fatal(err)
 	}
@@ -146,13 +147,13 @@ func TestBatchBudgetPartialMarker(t *testing.T) {
 			probe.StepsExecuted, len(queries))
 	}
 
-	rec = postJSON(t, h, "/search/batch", BatchRequest{
+	rec = postJSON(t, h, "/search/batch", api.BatchRequest{
 		Queries: queries, K: 300, Variant: "od-smallest", MaxPartitions: 1,
 	})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("budgeted batch: status %d: %s", rec.Code, rec.Body)
 	}
-	var resp BatchResponse
+	var resp api.BatchResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}

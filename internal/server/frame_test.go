@@ -44,16 +44,16 @@ func TestFramedEndpointsAnswerLikeJSON(t *testing.T) {
 
 	searches := []struct {
 		path string
-		req  SearchRequest
+		req  api.SearchRequest
 	}{
-		{"/search", SearchRequest{Query: data[311], K: 17}},
-		{"/search", SearchRequest{Query: data[40], K: 300, Variant: "od-smallest", MaxPartitions: 1}},
-		{"/search", SearchRequest{Query: data[7], K: 5, Variant: "knn", TimeBudgetMS: 60000}},
-		{"/search/prefix", SearchRequest{Query: data[3][:32], K: 11, Variant: "knn"}},
-		{"/search", SearchRequest{Query: data[9], K: 4, Explain: true}},
+		{"/search", api.SearchRequest{Query: data[311], K: 17}},
+		{"/search", api.SearchRequest{Query: data[40], K: 300, Variant: "od-smallest", MaxPartitions: 1}},
+		{"/search", api.SearchRequest{Query: data[7], K: 5, Variant: "knn", TimeBudgetMS: 60000}},
+		{"/search/prefix", api.SearchRequest{Query: data[3][:32], K: 11, Variant: "knn"}},
+		{"/search", api.SearchRequest{Query: data[9], K: 4, Explain: true}},
 	}
 	for _, c := range searches {
-		var want, got SearchResponse
+		var want, got api.SearchResponse
 		rec := postJSON(t, h, c.path, c.req)
 		if err := json.Unmarshal(rec.Body.Bytes(), &want); rec.Code != http.StatusOK || err != nil {
 			t.Fatalf("%s as JSON: status %d, %v", c.path, rec.Code, err)
@@ -86,8 +86,8 @@ func TestFramedEndpointsAnswerLikeJSON(t *testing.T) {
 		}
 	}
 
-	breq := BatchRequest{Queries: [][]float64{data[5], data[600], data[900]}, K: 9}
-	var wantB, gotB BatchResponse
+	breq := api.BatchRequest{Queries: [][]float64{data[5], data[600], data[900]}, K: 9}
+	var wantB, gotB api.BatchResponse
 	if err := json.Unmarshal(postJSON(t, h, "/search/batch", breq).Body.Bytes(), &wantB); err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +104,8 @@ func TestFramedEndpointsAnswerLikeJSON(t *testing.T) {
 		t.Errorf("framed explain batch: err %v, trace %+v", err, gotB.Trace)
 	}
 
-	var ids AppendResponse
-	rec = postFrame(h, "/append", &AppendRequest{Series: [][]float64{data[1], data[2]}})
+	var ids api.AppendResponse
+	rec = postFrame(h, "/append", &api.AppendRequest{Series: [][]float64{data[1], data[2]}})
 	if err := api.DecodeFrame(rec.Body.Bytes(), &ids); rec.Code != http.StatusOK || err != nil {
 		t.Fatalf("framed append: status %d, %v: %s", rec.Code, err, rec.Body)
 	}
@@ -114,12 +114,12 @@ func TestFramedEndpointsAnswerLikeJSON(t *testing.T) {
 	}
 
 	// The operator's view from the shard side: 5 + 2 + 1 frames so far.
-	var stats StatsResponse
+	var stats statsBody
 	if err := json.Unmarshal(getPath(t, h, "/stats").Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Server.FramedRequests != 8 {
-		t.Errorf("/stats framed_requests = %d, want 8", stats.Server.FramedRequests)
+	if stats.Server["framed_requests"] != 8 {
+		t.Errorf("/stats framed_requests = %v, want 8", stats.Server["framed_requests"])
 	}
 	if m := getPath(t, h, "/metrics").Body.String(); !strings.Contains(m, "climber_framed_requests_total 8\n") {
 		t.Errorf("/metrics lacks climber_framed_requests_total 8:\n%s", grepLines(m, "framed"))
@@ -160,23 +160,23 @@ func TestFrameHeldToEveryLimit(t *testing.T) {
 			t.Errorf("%s: error answered with Content-Type %q", name, ct)
 		}
 	}
-	check("k over MaxK", "/search", &SearchRequest{Query: q, K: 101})
-	check("negative k", "/search", &SearchRequest{Query: q, K: -1})
-	check("bad variant", "/search", &SearchRequest{Query: q, Variant: "bogus"})
-	check("negative max_partitions", "/search", &SearchRequest{Query: q, MaxPartitions: -2})
-	check("time budget over an hour", "/search", &SearchRequest{Query: q, TimeBudgetMS: api.MaxTimeBudgetMS + 1})
-	check("wrong series length", "/search", &SearchRequest{Query: q[:10]})
-	check("float32 overflow", "/search", &SearchRequest{Query: append([]float64{1e39}, q[1:]...)})
-	check("prefix below the PAA segment count", "/search/prefix", &SearchRequest{Query: q[:4]})
-	check("batch over MaxBatch", "/search/batch", &BatchRequest{Queries: [][]float64{q, q, q}})
-	check("append over MaxAppend", "/append", &AppendRequest{Series: [][]float64{q, q, q}})
-	check("append of the wrong length", "/append", &AppendRequest{Series: [][]float64{q[:63]}})
+	check("k over MaxK", "/search", &api.SearchRequest{Query: q, K: 101})
+	check("negative k", "/search", &api.SearchRequest{Query: q, K: -1})
+	check("bad variant", "/search", &api.SearchRequest{Query: q, Variant: "bogus"})
+	check("negative max_partitions", "/search", &api.SearchRequest{Query: q, MaxPartitions: -2})
+	check("time budget over an hour", "/search", &api.SearchRequest{Query: q, TimeBudgetMS: api.MaxTimeBudgetMS + 1})
+	check("wrong series length", "/search", &api.SearchRequest{Query: q[:10]})
+	check("float32 overflow", "/search", &api.SearchRequest{Query: append([]float64{1e39}, q[1:]...)})
+	check("prefix below the PAA segment count", "/search/prefix", &api.SearchRequest{Query: q[:4]})
+	check("batch over MaxBatch", "/search/batch", &api.BatchRequest{Queries: [][]float64{q, q, q}})
+	check("append over MaxAppend", "/append", &api.AppendRequest{Series: [][]float64{q, q, q}})
+	check("append of the wrong length", "/append", &api.AppendRequest{Series: [][]float64{q[:63]}})
 
-	good := api.AppendFrame(nil, &SearchRequest{Query: q, K: 3})
+	good := api.AppendFrame(nil, &api.SearchRequest{Query: q, K: 3})
 	malformed := map[string][]byte{
 		"unknown version":      append(append(bytes.Clone(good[:4]), good[4]+1), good[5:]...),
 		"length disagrees":     good[:len(good)-8],
-		"wrong kind for /path": api.AppendFrame(nil, &AppendRequest{Series: [][]float64{q}}),
+		"wrong kind for /path": api.AppendFrame(nil, &api.AppendRequest{Series: [][]float64{q}}),
 		"JSON labelled frame":  []byte(`{"query":[1,2,3]}`),
 		"empty":                nil,
 	}
@@ -195,17 +195,17 @@ func TestFrameHeldToEveryLimit(t *testing.T) {
 	refused++
 
 	// The body cap applies before anything is decoded.
-	big := api.AppendFrame(nil, &AppendRequest{Series: [][]float64{q, q, q, q, q, q, q, q, q}}) // 9 x 64 x 8 > 4096
+	big := api.AppendFrame(nil, &api.AppendRequest{Series: [][]float64{q, q, q, q, q, q, q, q, q}}) // 9 x 64 x 8 > 4096
 	if rec := postRaw(h, "/append", api.FrameContentType, big); rec.Code != http.StatusRequestEntityTooLarge {
 		t.Errorf("frame over MaxBodyBytes: status %d, want 413", rec.Code)
 	}
 	refused++
 
-	var stats StatsResponse
+	var stats statsBody
 	if err := json.Unmarshal(getPath(t, h, "/stats").Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Server.BadRequests != int64(refused) {
-		t.Errorf("bad_requests = %d after %d refusals", stats.Server.BadRequests, refused)
+	if stats.Server["bad_requests"] != float64(refused) {
+		t.Errorf("bad_requests = %v after %d refusals", stats.Server["bad_requests"], refused)
 	}
 }

@@ -36,7 +36,7 @@ func TestExplainSearch(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
-	var resp SearchResponse
+	var resp api.SearchResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestExplainSearch(t *testing.T) {
 
 	// Without the flag, neither the explanation nor the trace is attached.
 	rec = postJSON(t, h, "/search", map[string]any{"query": data[42], "k": 10})
-	var plain SearchResponse
+	var plain api.SearchResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &plain); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestExplainBatchByteStable(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Fatalf("run %d: status %d: %s", run, rec.Code, rec.Body)
 		}
-		var resp BatchResponse
+		var resp api.BatchResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}

@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -43,6 +45,14 @@ func buildTestDB(t *testing.T, n int, opts ...climber.Option) (*climber.DB, [][]
 	return db, data
 }
 
+// statsBody is GET /stats as the tests read it: the server section's
+// counters by key.
+type statsBody struct {
+	Server map[string]float64  `json:"server"`
+	Cache  climber.CacheStats  `json:"cache"`
+	Ingest climber.IngestStats `json:"ingest"`
+}
+
 func postJSON(t *testing.T, h http.Handler, path string, body any) *httptest.ResponseRecorder {
 	t.Helper()
 	raw, err := json.Marshal(body)
@@ -69,11 +79,11 @@ func TestSearchMatchesDB(t *testing.T) {
 	h := New(db, Config{}).Handler()
 	for _, qid := range []int{0, 311, 1100} {
 		for _, variant := range []string{"", "knn", "adaptive-2x", "adaptive-4x", "od-smallest"} {
-			rec := postJSON(t, h, "/search", SearchRequest{Query: data[qid], K: 17, Variant: variant})
+			rec := postJSON(t, h, "/search", api.SearchRequest{Query: data[qid], K: 17, Variant: variant})
 			if rec.Code != http.StatusOK {
 				t.Fatalf("query %d variant %q: status %d: %s", qid, variant, rec.Code, rec.Body)
 			}
-			var resp SearchResponse
+			var resp api.SearchResponse
 			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 				t.Fatal(err)
 			}
@@ -104,11 +114,11 @@ func TestBatchMatchesDB(t *testing.T) {
 	db, data := buildTestDB(t, 1200)
 	h := New(db, Config{}).Handler()
 	queries := [][]float64{data[5], data[600], data[900]}
-	rec := postJSON(t, h, "/search/batch", BatchRequest{Queries: queries, K: 9})
+	rec := postJSON(t, h, "/search/batch", api.BatchRequest{Queries: queries, K: 9})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
-	var resp BatchResponse
+	var resp api.BatchResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -140,11 +150,11 @@ func TestPrefixMatchesDB(t *testing.T) {
 	h := New(db, Config{}).Handler()
 	for _, qid := range []int{3, 700} {
 		q := data[qid][:32]
-		rec := postJSON(t, h, "/search/prefix", SearchRequest{Query: q, K: 11})
+		rec := postJSON(t, h, "/search/prefix", api.SearchRequest{Query: q, K: 11})
 		if rec.Code != http.StatusOK {
 			t.Fatalf("prefix query %d: status %d: %s", qid, rec.Code, rec.Body)
 		}
-		var resp SearchResponse
+		var resp api.SearchResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
@@ -168,7 +178,7 @@ func TestPrefixMatchesDB(t *testing.T) {
 	// the indexed length: rejected at decode, not deep in the core.
 	for _, n := range []int{4, 65} {
 		q := make([]float64, n)
-		if rec := postJSON(t, h, "/search/prefix", SearchRequest{Query: q, K: 3}); rec.Code != http.StatusBadRequest {
+		if rec := postJSON(t, h, "/search/prefix", api.SearchRequest{Query: q, K: 3}); rec.Code != http.StatusBadRequest {
 			t.Errorf("prefix length %d: status %d, want 400", n, rec.Code)
 		}
 	}
@@ -203,7 +213,7 @@ func TestBadRequests(t *testing.T) {
 		}
 	}
 	// Over-limit batch.
-	rec := postJSON(t, h, "/search/batch", BatchRequest{Queries: [][]float64{data[0], data[1], data[2], data[3], data[4]}})
+	rec := postJSON(t, h, "/search/batch", api.BatchRequest{Queries: [][]float64{data[0], data[1], data[2], data[3], data[4]}})
 	if rec.Code != http.StatusBadRequest {
 		t.Errorf("oversized batch: status %d, want 400", rec.Code)
 	}
@@ -224,7 +234,7 @@ func mustJSON(v any) string {
 func TestInfoStatsHealthzMetrics(t *testing.T) {
 	db, data := buildTestDB(t, 600, climber.WithPartitionCacheBytes(64<<20))
 	h := New(db, Config{}).Handler()
-	if rec := postJSON(t, h, "/search", SearchRequest{Query: data[0], K: 5}); rec.Code != http.StatusOK {
+	if rec := postJSON(t, h, "/search", api.SearchRequest{Query: data[0], K: 5}); rec.Code != http.StatusOK {
 		t.Fatalf("warmup query: %d", rec.Code)
 	}
 
@@ -232,7 +242,7 @@ func TestInfoStatsHealthzMetrics(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("/info: %d", rec.Code)
 	}
-	var info InfoResponse
+	var info api.InfoResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &info); err != nil {
 		t.Fatal(err)
 	}
@@ -241,12 +251,12 @@ func TestInfoStatsHealthzMetrics(t *testing.T) {
 	}
 
 	rec = getPath(t, h, "/stats")
-	var stats StatsResponse
+	var stats statsBody
 	if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Server.Searches != 1 {
-		t.Fatalf("/stats reports %d searches, want 1", stats.Server.Searches)
+	if stats.Server["searches"] != 1 {
+		t.Fatalf("/stats reports %v searches, want 1", stats.Server["searches"])
 	}
 	if stats.Cache.PartitionsLoaded == 0 {
 		t.Fatalf("/stats cache counters empty: %+v", stats.Cache)
@@ -289,7 +299,7 @@ func TestConcurrentClientsUnderLimit(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			qid := (c * 41) % len(data)
-			body, _ := json.Marshal(SearchRequest{Query: data[qid], K: 10})
+			body, _ := json.Marshal(api.SearchRequest{Query: data[qid], K: 10})
 			resp, err := http.Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
 			if err != nil {
 				errs[c] = err
@@ -301,7 +311,7 @@ func TestConcurrentClientsUnderLimit(t *testing.T) {
 				errs[c] = fmt.Errorf("status %d: %s", resp.StatusCode, raw)
 				return
 			}
-			var sr SearchResponse
+			var sr api.SearchResponse
 			if err := json.Unmarshal(raw, &sr); err != nil {
 				errs[c] = err
 				return
@@ -327,72 +337,43 @@ func TestConcurrentClientsUnderLimit(t *testing.T) {
 	}
 }
 
-// TestAdmissionControlRejectsOverLimit saturates a 2-slot server with
-// queries blocked on a test hook, then checks that further requests are
-// rejected 429 after the queue deadline while the in-flight ones complete
-// once released.
-func TestAdmissionControlRejectsOverLimit(t *testing.T) {
-	db, data := buildTestDB(t, 600)
-	const limit = 2
-	srv := New(db, Config{ServeConfig: api.ServeConfig{MaxInFlight: limit, QueueTimeout: 50 * time.Millisecond}})
-	admitted := make(chan struct{}, limit)
-	gate := make(chan struct{})
-	srv.hookAdmitted = func(ctx context.Context) {
-		admitted <- struct{}{}
-		<-gate
-	}
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+// gated is the backend with the two seams the cancellation tests need:
+// admitted runs once a query holds its admission slot, before the search
+// starts, and done receives the search error verbatim, before the front maps
+// it to a status. Admission itself is tested against the front, with a stub
+// backend, in internal/api.
+type gated struct {
+	*backend
+	admitted func(ctx context.Context)
+	done     chan error
+}
 
-	body, _ := json.Marshal(SearchRequest{Query: data[0], K: 5})
-	statuses := make([]int, limit+4)
-	post := func(i int) {
-		resp, err := http.Post(ts.URL+"/search", "application/json", bytes.NewReader(body))
-		if err != nil {
-			statuses[i] = -1
-			return
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		statuses[i] = resp.StatusCode
+func (g *gated) Search(ctx context.Context, req *api.SearchRequest, prefix bool) (*api.SearchResponse, error) {
+	g.admitted(ctx)
+	resp, err := g.backend.Search(ctx, req, prefix)
+	g.done <- err
+	return resp, err
+}
+
+func (g *gated) Batch(ctx context.Context, req *api.BatchRequest, grant func(int) int) (*api.BatchResponse, error) {
+	g.admitted(ctx)
+	resp, err := g.backend.Batch(ctx, req, grant)
+	g.done <- err
+	return resp, err
+}
+
+// newGated serves db behind a gated backend whose queries block until their
+// client is gone.
+func newGated(t *testing.T, db *climber.DB) (g *gated, started chan struct{}, ts *httptest.Server) {
+	started = make(chan struct{})
+	g = &gated{backend: newBackend(db, Config{}), done: make(chan error, 1)}
+	g.admitted = func(ctx context.Context) {
+		close(started)
+		<-ctx.Done() // hold the query until the disconnect propagates
 	}
-	// Fill every slot; wait until both queries hold theirs.
-	var wg sync.WaitGroup
-	for i := 0; i < limit; i++ {
-		wg.Add(1)
-		go func(i int) { defer wg.Done(); post(i) }(i)
-	}
-	for i := 0; i < limit; i++ {
-		select {
-		case <-admitted:
-		case <-time.After(5 * time.Second):
-			t.Fatal("slots never filled")
-		}
-	}
-	// Every further request must be turned away with 429.
-	var over sync.WaitGroup
-	for i := limit; i < len(statuses); i++ {
-		over.Add(1)
-		go func(i int) { defer over.Done(); post(i) }(i)
-	}
-	over.Wait()
-	for i := limit; i < len(statuses); i++ {
-		if statuses[i] != http.StatusTooManyRequests {
-			t.Errorf("over-limit request %d: status %d, want 429", i, statuses[i])
-		}
-	}
-	// Release the gate: the two admitted queries must finish cleanly.
-	close(gate)
-	wg.Wait()
-	for i := 0; i < limit; i++ {
-		if statuses[i] != http.StatusOK {
-			t.Errorf("admitted request %d: status %d, want 200", i, statuses[i])
-		}
-	}
-	rec := getPath(t, srv.Handler(), "/metrics")
-	if !strings.Contains(rec.Body.String(), "climber_rejected_total 4") {
-		t.Errorf("rejected counter not at 4:\n%s", rec.Body.String())
-	}
+	ts = httptest.NewServer(api.NewService(g, api.ServeConfig{}).Handler())
+	t.Cleanup(ts.Close)
+	return g, started, ts
 }
 
 // TestClientDisconnectCancelsQuery checks the acceptance criterion that a
@@ -400,18 +381,9 @@ func TestAdmissionControlRejectsOverLimit(t *testing.T) {
 // return context.Canceled, observed via the search-done hook.
 func TestClientDisconnectCancelsQuery(t *testing.T) {
 	db, data := buildTestDB(t, 600)
-	srv := New(db, Config{ServeConfig: api.ServeConfig{MaxInFlight: 4}})
-	started := make(chan struct{})
-	srv.hookAdmitted = func(ctx context.Context) {
-		close(started)
-		<-ctx.Done() // hold the query until the disconnect propagates
-	}
-	searchErr := make(chan error, 1)
-	srv.hookSearchDone = func(err error) { searchErr <- err }
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	g, started, ts := newGated(t, db)
 
-	body, _ := json.Marshal(SearchRequest{Query: data[0], K: 5})
+	body, _ := json.Marshal(api.SearchRequest{Query: data[0], K: 5})
 	ctx, cancel := context.WithCancel(context.Background())
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/search", bytes.NewReader(body))
 	if err != nil {
@@ -434,7 +406,7 @@ func TestClientDisconnectCancelsQuery(t *testing.T) {
 	cancel() // the client hangs up mid-query
 
 	select {
-	case err := <-searchErr:
+	case err := <-g.done:
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("query returned %v, want context.Canceled", err)
 		}
@@ -446,12 +418,7 @@ func TestClientDisconnectCancelsQuery(t *testing.T) {
 	}
 	var canceled int64
 	for i := 0; i < 100; i++ { // the 499 is recorded just after the hook fires
-		var stats StatsResponse
-		rec := getPath(t, srv.Handler(), "/stats")
-		if err := json.Unmarshal(rec.Body.Bytes(), &stats); err != nil {
-			t.Fatal(err)
-		}
-		if canceled = stats.Server.Canceled; canceled == 1 {
+		if canceled = g.c.Load("canceled"); canceled == 1 {
 			break
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -465,18 +432,9 @@ func TestClientDisconnectCancelsQuery(t *testing.T) {
 // whole batch aborts with context.Canceled.
 func TestBatchCancellation(t *testing.T) {
 	db, data := buildTestDB(t, 600)
-	srv := New(db, Config{})
-	started := make(chan struct{})
-	srv.hookAdmitted = func(ctx context.Context) {
-		close(started)
-		<-ctx.Done()
-	}
-	searchErr := make(chan error, 1)
-	srv.hookSearchDone = func(err error) { searchErr <- err }
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
+	g, started, ts := newGated(t, db)
 
-	body, _ := json.Marshal(BatchRequest{Queries: [][]float64{data[0], data[1]}, K: 5})
+	body, _ := json.Marshal(api.BatchRequest{Queries: [][]float64{data[0], data[1]}, K: 5})
 	ctx, cancel := context.WithCancel(context.Background())
 	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/search/batch", bytes.NewReader(body))
 	go func() {
@@ -488,7 +446,7 @@ func TestBatchCancellation(t *testing.T) {
 	<-started
 	cancel()
 	select {
-	case err := <-searchErr:
+	case err := <-g.done:
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("batch returned %v, want context.Canceled", err)
 		}
@@ -497,41 +455,13 @@ func TestBatchCancellation(t *testing.T) {
 	}
 }
 
-// TestQueuedDisconnectCountsCanceled checks that a client hanging up while
-// waiting for an admission slot is denied with the client-closed status and
-// lands in the canceled counter, not silently dropped from the accounting.
-func TestQueuedDisconnectCountsCanceled(t *testing.T) {
-	db, _ := buildTestDB(t, 600)
-	srv := New(db, Config{ServeConfig: api.ServeConfig{MaxInFlight: 1, QueueTimeout: 10 * time.Second}})
-	releaseSlot, _, err := srv.admit(context.Background()) // occupy the only slot
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer releaseSlot()
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	release, status, err := srv.admit(ctx)
-	if release != nil || err == nil || status != StatusClientClosedRequest {
-		t.Fatalf("admit of a disconnected queued client: release=%v status=%d err=%v", release != nil, status, err)
-	}
-	if got := srv.m.canceled.Load(); got != 1 {
-		t.Fatalf("canceled counter %d, want 1", got)
-	}
-	if got := srv.m.queued.Load(); got != 0 {
-		t.Fatalf("queued gauge %d after abort, want 0", got)
-	}
-}
-
 // TestBatchRespectsAdmissionBudget checks that a batch widens its worker
 // pool only into idle admission slots: with MaxInFlight=2, a 64-query batch
 // must never hold more than 2 slots, and must release them all afterwards.
 func TestBatchRespectsAdmissionBudget(t *testing.T) {
 	db, data := buildTestDB(t, 1200)
-	srv := New(db, Config{ServeConfig: api.ServeConfig{MaxInFlight: 2}})
-	h := srv.Handler()
+	b := newBackend(db, Config{})
+	h := api.NewService(b, api.ServeConfig{MaxInFlight: 2}).Handler()
 
 	stop := make(chan struct{})
 	var maxSeen atomic.Int64
@@ -541,7 +471,7 @@ func TestBatchRespectsAdmissionBudget(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if n := srv.m.inflight.Load(); n > maxSeen.Load() {
+				if n := b.c.Load("in_flight"); n > maxSeen.Load() {
 					maxSeen.Store(n)
 				}
 			}
@@ -551,7 +481,7 @@ func TestBatchRespectsAdmissionBudget(t *testing.T) {
 	for i := range queries {
 		queries[i] = data[(i*17)%len(data)]
 	}
-	rec := postJSON(t, h, "/search/batch", BatchRequest{Queries: queries, K: 5})
+	rec := postJSON(t, h, "/search/batch", api.BatchRequest{Queries: queries, K: 5})
 	close(stop)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("batch status %d: %s", rec.Code, rec.Body)
@@ -559,8 +489,8 @@ func TestBatchRespectsAdmissionBudget(t *testing.T) {
 	if got := maxSeen.Load(); got > 2 {
 		t.Fatalf("batch held %d admission slots, limit is 2", got)
 	}
-	if srv.m.inflight.Load() != 0 || srv.lim.Held() != 0 {
-		t.Fatalf("slots leaked after batch: inflight=%d sem=%d", srv.m.inflight.Load(), srv.lim.Held())
+	if n := b.c.Load("in_flight"); n != 0 {
+		t.Fatalf("slots leaked after batch: inflight=%d", n)
 	}
 }
 
@@ -568,15 +498,15 @@ func TestBatchRespectsAdmissionBudget(t *testing.T) {
 // queries completes, no admission slot leaks.
 func TestInflightGaugeReturnsToZero(t *testing.T) {
 	db, data := buildTestDB(t, 600)
-	srv := New(db, Config{ServeConfig: api.ServeConfig{MaxInFlight: 4}})
-	h := srv.Handler()
+	b := newBackend(db, Config{})
+	h := api.NewService(b, api.ServeConfig{MaxInFlight: 4}).Handler()
 	var wg sync.WaitGroup
 	var failures atomic.Int64
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			rec := postJSON(t, h, "/search", SearchRequest{Query: data[i%len(data)], K: 3})
+			rec := postJSON(t, h, "/search", api.SearchRequest{Query: data[i%len(data)], K: 3})
 			if rec.Code != http.StatusOK {
 				failures.Add(1)
 			}
@@ -586,11 +516,8 @@ func TestInflightGaugeReturnsToZero(t *testing.T) {
 	if n := failures.Load(); n > 0 {
 		t.Fatalf("%d queries failed", n)
 	}
-	if got := srv.m.inflight.Load(); got != 0 {
+	if got := b.c.Load("in_flight"); got != 0 {
 		t.Fatalf("inflight gauge %d after drain, want 0", got)
-	}
-	if srv.lim.Held() != 0 {
-		t.Fatalf("%d admission slots leaked", srv.lim.Held())
 	}
 }
 
@@ -609,11 +536,11 @@ func TestAppendEndpoint(t *testing.T) {
 		copy(x, fresh.Get(i))
 		series[i] = x
 	}
-	rec := postJSON(t, h, "/append", AppendRequest{Series: series})
+	rec := postJSON(t, h, "/append", api.AppendRequest{Series: series})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("append status %d: %s", rec.Code, rec.Body)
 	}
-	var ar AppendResponse
+	var ar api.AppendResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &ar); err != nil {
 		t.Fatal(err)
 	}
@@ -624,11 +551,11 @@ func TestAppendEndpoint(t *testing.T) {
 	// Immediately visible to /search, before any compaction.
 	found := 0
 	for i, q := range series {
-		rec := postJSON(t, h, "/search", SearchRequest{Query: q, K: 3})
+		rec := postJSON(t, h, "/search", api.SearchRequest{Query: q, K: 3})
 		if rec.Code != http.StatusOK {
 			t.Fatalf("search status %d: %s", rec.Code, rec.Body)
 		}
-		var sr SearchResponse
+		var sr api.SearchResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil {
 			t.Fatal(err)
 		}
@@ -641,18 +568,18 @@ func TestAppendEndpoint(t *testing.T) {
 	}
 
 	// /info counts them; /stats reports the pipeline.
-	var info InfoResponse
+	var info api.InfoResponse
 	if err := json.Unmarshal(getPath(t, h, "/info").Body.Bytes(), &info); err != nil {
 		t.Fatal(err)
 	}
 	if info.NumRecords != 1210 {
 		t.Fatalf("/info num_records = %d, want 1210", info.NumRecords)
 	}
-	var stats StatsResponse
+	var stats statsBody
 	if err := json.Unmarshal(getPath(t, h, "/stats").Body.Bytes(), &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.Server.Appends != 1 || stats.Server.AppendSeries != 10 {
+	if stats.Server["appends"] != 1 || stats.Server["append_series"] != 10 {
 		t.Fatalf("server append counters: %+v", stats.Server)
 	}
 	if stats.Ingest.DeltaRecords != 10 || stats.Ingest.WALBytes <= 12 {
@@ -681,8 +608,8 @@ func TestAppendEndpoint(t *testing.T) {
 	if stats.Cache.LoadBuffersReused+stats.Cache.LoadBuffersFresh < 2 {
 		t.Fatalf("partition-buffer counters after a compaction: %+v", stats.Cache)
 	}
-	rec = postJSON(t, h, "/search", SearchRequest{Query: series[3], K: 3})
-	var sr SearchResponse
+	rec = postJSON(t, h, "/search", api.SearchRequest{Query: series[3], K: 3})
+	var sr api.SearchResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -716,9 +643,9 @@ func TestAppendValidationErrors(t *testing.T) {
 	db, _ := buildTestDB(t, 1000)
 	h := New(db, Config{ServeConfig: api.ServeConfig{MaxAppend: 4}}).Handler()
 	cases := []any{
-		AppendRequest{}, // empty
-		AppendRequest{Series: [][]float64{{1, 2, 3}}}, // wrong length
-		AppendRequest{Series: make([][]float64, 5)},   // over MaxAppend
+		api.AppendRequest{}, // empty
+		api.AppendRequest{Series: [][]float64{{1, 2, 3}}}, // wrong length
+		api.AppendRequest{Series: make([][]float64, 5)},   // over MaxAppend
 	}
 	for i, body := range cases {
 		if rec := postJSON(t, h, "/append", body); rec.Code != http.StatusBadRequest {
@@ -731,14 +658,44 @@ func TestAppendValidationErrors(t *testing.T) {
 	// NaN: a 400 naming the precision, and nothing stored.
 	big := make([]float64, 64)
 	big[7] = 1e39
-	rec := postJSON(t, h, "/append", AppendRequest{Series: [][]float64{big}})
+	rec := postJSON(t, h, "/append", api.AppendRequest{Series: [][]float64{big}})
 	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "float32") {
 		t.Errorf("append of 1e39: status %d body %s, want 400 naming float32", rec.Code, rec.Body)
 	}
 	if n := db.Info().NumRecords; n != 1000 {
 		t.Errorf("rejected append stored records: %d, want 1000", n)
 	}
-	if rec := postJSON(t, h, "/search", SearchRequest{Query: big, K: 3}); rec.Code != http.StatusBadRequest {
+	if rec := postJSON(t, h, "/search", api.SearchRequest{Query: big, K: 3}); rec.Code != http.StatusBadRequest {
 		t.Errorf("search for 1e39: status %d, want 400", rec.Code)
+	}
+}
+
+// TestAdminPosts drives the three administrative posts through the front: a
+// backup is refused without a backup root (403) and for a name that is not a
+// bare directory (400), lands under the root otherwise, a reindex reports the
+// generation it made, and an operation the backend does not know is an error
+// rather than a backup.
+func TestAdminPosts(t *testing.T) {
+	db, _ := buildTestDB(t, 600)
+	if rec := postJSON(t, New(db, Config{}).Handler(), "/backup", map[string]string{"dir": "snap"}); rec.Code != http.StatusForbidden {
+		t.Fatalf("backup without a root: status %d: %s", rec.Code, rec.Body)
+	}
+	root := t.TempDir()
+	h := New(db, Config{BackupRoot: root}).Handler()
+	if rec := postJSON(t, h, "/backup", map[string]string{"dir": "../snap"}); rec.Code != http.StatusBadRequest {
+		t.Fatalf("backup outside the root: status %d: %s", rec.Code, rec.Body)
+	}
+	want := fmt.Sprintf(`{"dir":%q,"status":"backed_up"}`, filepath.Join(root, "snap"))
+	if rec := postJSON(t, h, "/backup", map[string]string{"dir": "snap"}); rec.Code != http.StatusOK || strings.TrimSpace(rec.Body.String()) != want {
+		t.Fatalf("backup: status %d: %s, want %s", rec.Code, rec.Body, want)
+	}
+	if _, err := os.Stat(filepath.Join(root, "snap", "index.clms")); err != nil {
+		t.Fatalf("backup wrote no index: %v", err)
+	}
+	if rec := postJSON(t, h, "/reindex", struct{}{}); rec.Code != http.StatusOK || strings.TrimSpace(rec.Body.String()) != `{"generation":1,"status":"reindexed"}` {
+		t.Fatalf("reindex: status %d: %s", rec.Code, rec.Body)
+	}
+	if _, err := newBackend(db, Config{BackupRoot: root}).Admin(context.Background(), "snapshot", []byte(`{"dir":"other"}`)); err == nil {
+		t.Fatal("an unknown admin operation succeeded")
 	}
 }

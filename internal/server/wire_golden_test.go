@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"climber/internal/api"
 	"flag"
 	"net/http"
 	"os"
@@ -26,10 +27,10 @@ func TestWireGoldens(t *testing.T) {
 		name, path string
 		body       any
 	}{
-		{"search", "/search", SearchRequest{Query: data[311], K: 17}},
-		{"search_budget", "/search", SearchRequest{Query: data[40], K: 300, Variant: "od-smallest", MaxPartitions: 1}},
-		{"prefix", "/search/prefix", SearchRequest{Query: data[3][:32], K: 11, Variant: "knn"}},
-		{"batch", "/search/batch", BatchRequest{Queries: [][]float64{data[5], data[600], data[900]}, K: 9}},
+		{"search", "/search", api.SearchRequest{Query: data[311], K: 17}},
+		{"search_budget", "/search", api.SearchRequest{Query: data[40], K: 300, Variant: "od-smallest", MaxPartitions: 1}},
+		{"prefix", "/search/prefix", api.SearchRequest{Query: data[3][:32], K: 11, Variant: "knn"}},
+		{"batch", "/search/batch", api.BatchRequest{Queries: [][]float64{data[5], data[600], data[900]}, K: 9}},
 	}
 	for _, c := range cases {
 		rec := postJSON(t, h, c.path, c.body)

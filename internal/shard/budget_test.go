@@ -48,7 +48,7 @@ func TestRouterForwardsBudgets(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRouter(topo, Config{HealthInterval: 50 * time.Millisecond})
-	rs := httptest.NewServer(r.Handler())
+	rs := httptest.NewServer(r.Service().Handler())
 	t.Cleanup(func() { rs.Close(); r.Close() })
 
 	q := make([]float64, 64)
@@ -62,7 +62,7 @@ func TestRouterForwardsBudgets(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("probe: status %d: %s", resp.StatusCode, body)
 		}
-		var full SearchResponse
+		var full api.SearchResponse
 		if err := json.Unmarshal(body, &full); err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func TestRouterForwardsBudgets(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("budgeted: status %d: %s", resp.StatusCode, body)
 		}
-		var got SearchResponse
+		var got api.SearchResponse
 		if err := json.Unmarshal(body, &got); err != nil {
 			t.Fatal(err)
 		}
@@ -102,18 +102,10 @@ func TestRouterForwardsBudgets(t *testing.T) {
 	}
 
 	// The router's budget-exhausted counter must have moved.
-	resp, body := getBody(t, rs.URL+"/stats")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/stats: %d", resp.StatusCode)
-	}
-	var stats StatsResponse
-	if err := json.Unmarshal(body, &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.Router.BudgetExhausted == 0 {
+	if counters(t, rs.URL, "router")["budget_exhausted"] == 0 {
 		t.Fatal("router budget_exhausted counter still zero after partial answers")
 	}
-	_, body = getBody(t, rs.URL+"/metrics")
+	_, body := getBody(t, rs.URL+"/metrics")
 	if !strings.Contains(string(body), "climber_router_budget_exhausted_total") {
 		t.Fatal("climber_router_budget_exhausted_total missing from router /metrics")
 	}

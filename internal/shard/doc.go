@@ -2,8 +2,14 @@
 // keyspace across N independent climber.DB instances — each a full database
 // directory with its own skeleton, partition files, WAL, delta index, and
 // compactor, served by an ordinary climber-serve process — and fronts them
-// with a scatter-gather HTTP router (cmd/climber-router) that speaks the
-// exact single-node dialect of internal/api.
+// with a scatter-gather router (cmd/climber-router). The router is an
+// api.Backend: the HTTP dialect — routes, admission, body limits, decoding,
+// statuses, counters — is the one api.Service front a single-node server
+// mounts too, so a client cannot tell the two apart, and this package holds
+// no function that takes an http.ResponseWriter. What is here is what only a
+// router does: scatter, the one eachShard fan-out everything else uses,
+// forward, the health prober, mergeTopK, rendezvous append, and the rows of
+// the counters it shows (rows.go).
 //
 // # Topology and global IDs
 //
@@ -28,11 +34,11 @@
 // configurable: the all-shards policy (Quorum 0) fails fast, cancelling the
 // surviving sub-queries on the first shard error; a positive Quorum serves
 // degraded answers marked partial while at least that many shards answer.
-// The client's JSON is decoded once, at the router; the decoded request
+// The client's request is decoded once, by the front; the decoded request
 // crosses the hop as one binary frame (api.Frame) and the shards answer in
-// frames, so neither side parses the numbers as text again. The router's
-// own answers are JSON, unchanged. Shards accept both spellings and routers
-// send only frames: a fleet upgrades shards first.
+// frames, so neither side parses the numbers as text again. The client is
+// answered in the spelling it asked in. Shards accept both spellings and
+// routers send only frames: a fleet upgrades shards first.
 //
 // Appends route each series by rendezvous (highest-random-weight) hashing
 // over its global append sequence number (Topology.Rank), walking the rank
@@ -40,5 +46,7 @@
 // sub-batch (sent as a frame too), so crash recovery stays per-shard.
 //
 // A background prober keeps per-shard health flags that /healthz reports
-// and the quorum and append paths consult.
+// and the quorum and append paths consult. GET /info folds the shards'
+// shapes: sums per ID namespace, the lowest generation any shard serves, and
+// a refusal (503, for queries too) when shards disagree on the series length.
 package shard

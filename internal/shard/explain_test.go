@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"climber/internal/api"
 	"encoding/json"
 	"net/http"
 	"testing"
@@ -37,7 +38,7 @@ func TestRouterExplainNestedSpans(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
-	var sr SearchResponse
+	var sr api.SearchResponse
 	if err := json.Unmarshal(raw, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestRouterExplainNestedSpans(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
-	var plain SearchResponse
+	var plain api.SearchResponse
 	if err := json.Unmarshal(raw, &plain); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func TestRouterExplainBatch(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
-	var br BatchResponse
+	var br api.BatchResponse
 	if err := json.Unmarshal(raw, &br); err != nil {
 		t.Fatal(err)
 	}

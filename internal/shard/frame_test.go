@@ -77,7 +77,7 @@ func TestHopIsBinary(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRouter(topo, Config{HealthInterval: 50 * time.Millisecond})
-	ts := httptest.NewServer(r.Handler())
+	ts := httptest.NewServer(r.Service().Handler())
 	t.Cleanup(func() { ts.Close(); r.Close() })
 
 	q := append([]float64(nil), ds.Get(57)...)
@@ -157,19 +157,16 @@ func TestHopIsBinary(t *testing.T) {
 	}
 
 	// The shard side of the story: 6 framed queries each, plus the appends.
-	var framed int64
+	var framed float64
 	for _, sh := range topo.Shards {
-		var st server.StatsResponse
-		if code := getJSON(t, sh.URL+"/stats", &st); code != http.StatusOK {
-			t.Fatalf("%s /stats: %d", sh.ID, code)
+		st := counters(t, sh.URL, "server")
+		if st["framed_requests"] < 6 || st["bad_requests"] != 0 {
+			t.Errorf("%s: framed_requests %v, bad_requests %v", sh.ID, st["framed_requests"], st["bad_requests"])
 		}
-		if st.Server.FramedRequests < 6 || st.Server.BadRequests != 0 {
-			t.Errorf("%s: framed_requests %d, bad_requests %d", sh.ID, st.Server.FramedRequests, st.Server.BadRequests)
-		}
-		framed += st.Server.FramedRequests
+		framed += st["framed_requests"]
 	}
 	if framed < 13 || framed > 14 { // 3 series land on one shard or on both
-		t.Errorf("shards count %d framed requests, want 13 or 14", framed)
+		t.Errorf("shards count %v framed requests, want 13 or 14", framed)
 	}
 
 	// A malformed frame is the shard's 400 and its bad_requests.
@@ -184,10 +181,8 @@ func TestHopIsBinary(t *testing.T) {
 	if hresp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "unsupported version") {
 		t.Errorf("malformed frame: status %d: %s", hresp.StatusCode, msg)
 	}
-	var st server.StatsResponse
-	getJSON(t, topo.Shards[0].URL+"/stats", &st)
-	if st.Server.BadRequests != 1 {
-		t.Errorf("bad_requests = %d after one malformed frame", st.Server.BadRequests)
+	if bad := counters(t, topo.Shards[0].URL, "server")["bad_requests"]; bad != 1 {
+		t.Errorf("bad_requests = %v after one malformed frame", bad)
 	}
 }
 
@@ -229,7 +224,7 @@ func TestShardReplyIsBounded(t *testing.T) {
 	}
 	cfg := Config{HealthInterval: 50 * time.Millisecond, ServeConfig: api.ServeConfig{MaxK: 100, MaxBatch: 4, MaxBodyBytes: 64 << 10}}
 	r := NewRouter(topo, cfg)
-	ts := httptest.NewServer(r.Handler())
+	ts := httptest.NewServer(r.Service().Handler())
 	defer func() { ts.Close(); r.Close() }()
 	if want := api.MaxReplyBytes(100, 4, 64<<10); r.maxReply != want || want > 128<<10 {
 		t.Fatalf("reply bound %d, want %d", r.maxReply, want)
@@ -246,11 +241,7 @@ func TestShardReplyIsBounded(t *testing.T) {
 	if resp.StatusCode != http.StatusBadGateway || !strings.Contains(string(body), "shard firehose") || !strings.Contains(string(body), "limit") {
 		t.Fatalf("status %d, want 502 naming the shard and the limit: %s", resp.StatusCode, body)
 	}
-	var st StatsResponse
-	if code := getJSON(t, ts.URL+"/stats", &st); code != http.StatusOK {
-		t.Fatalf("/stats status %d", code)
-	}
-	if st.Router.ShardErrors != 1 || st.Router.Errors != 1 {
-		t.Errorf("shard_errors=%d errors=%d after one unbounded reply, want 1 and 1", st.Router.ShardErrors, st.Router.Errors)
+	if st := counters(t, ts.URL, "router"); st["shard_errors"] != 1 || st["errors"] != 1 {
+		t.Errorf("shard_errors=%v errors=%v after one unbounded reply, want 1 and 1", st["shard_errors"], st["errors"])
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,22 +55,24 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Router scatter-gathers CLIMBER queries over the shards of a Topology,
-// speaking the same HTTP dialect (internal/api) as the single-node server
-// it fronts. Create it with NewRouter, mount Handler, and Close it on
-// shutdown to stop the health prober.
+// Router scatter-gathers CLIMBER queries over the shards of a Topology. It
+// is the api.Backend behind the same api.Service front a single-node server
+// mounts, so the dialect it speaks is not its own to get wrong. Create it
+// with NewRouter, mount its Service's Handler, and Close it on shutdown to
+// stop the health prober.
 type Router struct {
-	topo   *Topology
-	cfg    Config
-	client *http.Client
+	topo *Topology
+	cfg  Config
 	// maxReply bounds one shard reply (api.MaxReplyBytes over the router's
 	// own MaxK, MaxBatch and MaxBodyBytes): a shard that streams past it is
 	// a failed shard, not a reason to run out of memory.
 	maxReply int64
-	lim      *api.Limiter
-	m        rmetrics
-	started  time.Time
-	observe  api.Observer // shared request-observation pipeline (trace arming, histograms, slow log)
+	// front is the api.Service this router is the Backend of; c the counter
+	// table of rows.go both move.
+	front *api.Service
+	c     *api.Counters
+	// shardErrs counts failed sub-requests, indexed like topo.Shards.
+	shardErrs []atomic.Int64
 
 	// seriesLen is the indexed series length, learned from the first shard
 	// /info that answers; 0 until then. Request validation needs it, so a
@@ -85,52 +86,15 @@ type Router struct {
 	appendSeq atomic.Int64
 
 	up         []atomic.Bool // per-shard health, indexed like topo.Shards
-	healthStop chan struct{}
 	healthDone chan struct{}
 	closeOnce  sync.Once
 
 	// probeCtx is the health prober's root context; Close cancels it so
-	// in-flight /healthz probes abort instead of running out their
-	// timeout while Close waits on healthDone.
+	// the loop ends and in-flight /healthz probes abort instead of running
+	// out their timeout while Close waits on healthDone.
 	probeCtx    context.Context
 	probeCancel context.CancelFunc
 }
-
-// rmetrics aggregates the router's operational counters; the admission
-// ones are written by the shared api.Limiter.
-type rmetrics struct {
-	searches    atomic.Int64              // /search requests answered (incl. errors)
-	batches     atomic.Int64              // /search/batch requests answered
-	prefixes    atomic.Int64              // /search/prefix requests answered
-	appends     atomic.Int64              // /append requests answered
-	appendSer   atomic.Int64              // series inside successful appends
-	flushes     atomic.Int64              // /flush requests answered
-	reindexes   atomic.Int64              // /reindex requests answered
-	backups     atomic.Int64              // /backup requests answered
-	badRequests atomic.Int64              // 400s from decode/validation
-	rejected    atomic.Int64              // 429s from admission control
-	canceled    atomic.Int64              // requests aborted by client disconnect
-	errors      atomic.Int64              // requests failed (shard loss, quorum, internal)
-	partials    atomic.Int64              // successful answers merged from a strict subset
-	budgetExh   atomic.Int64              // answers partial because a shard's budget ran out
-	dups        atomic.Int64              // duplicate global IDs dropped by the merge
-	inflight    atomic.Int64              // requests currently holding an admission slot
-	queued      atomic.Int64              // requests currently waiting for a slot
-	traced      atomic.Int64              // routed queries that ran with a trace attached
-	partScanned atomic.Int64              // partitions scanned by the shards for routed answers
-	cacheHits   atomic.Int64              // shard partition-cache hits inside routed answers
-	cacheMisses atomic.Int64              // shard partition-cache misses inside routed answers
-	deltaRecs   atomic.Int64              // delta records the shards scanned for routed answers
-	shardErrs   []atomic.Int64            // failed sub-requests, indexed like topo.Shards
-	latency     *api.Histogram            // read path (search + batch + prefix)
-	appendLat   *api.Histogram            // write path
-	stageLat    map[string]*api.Histogram // per-router-stage latency, traced queries only
-}
-
-// rstageNames are the router's pipeline stages — the direct children of
-// a routed query's root span and the label values of
-// climber_router_stage_latency_seconds.
-var rstageNames = []string{"scatter", "merge"}
 
 // NewRouter builds a router over a validated topology and starts its
 // background health prober. Every shard starts optimistically marked up;
@@ -139,35 +103,17 @@ func NewRouter(t *Topology, cfg Config) *Router {
 	r := &Router{
 		topo:       t,
 		cfg:        cfg.withDefaults(),
-		started:    time.Now(),
 		up:         make([]atomic.Bool, len(t.Shards)),
-		healthStop: make(chan struct{}),
 		healthDone: make(chan struct{}),
 	}
 	// The prober outlives any request, so its root cannot come from a
 	// caller.
 	//lint:ignore ctxflow the health prober is a background root owned by the Router; Close cancels it
 	r.probeCtx, r.probeCancel = context.WithCancel(context.Background())
-	r.client = r.cfg.Client
 	r.maxReply = api.MaxReplyBytes(r.cfg.MaxK, r.cfg.MaxBatch, r.cfg.MaxBodyBytes)
-	r.lim = api.NewLimiter(r.cfg.MaxInFlight, r.cfg.QueueTimeout, api.LimiterCounters{
-		Queued:   &r.m.queued,
-		Rejected: &r.m.rejected,
-		Canceled: &r.m.canceled,
-		InFlight: &r.m.inflight,
-	})
-	r.m.shardErrs = make([]atomic.Int64, len(t.Shards))
-	r.m.latency = api.NewHistogram()
-	r.m.appendLat = api.NewHistogram()
-	r.m.stageLat = make(map[string]*api.Histogram, len(rstageNames))
-	for _, st := range rstageNames {
-		r.m.stageLat[st] = api.NewHistogram()
-	}
-	r.observe = api.Observer{
-		Slow:     obs.NewSlowLog(r.cfg.SlowLogSize, r.cfg.SlowThreshold, r.cfg.SlowSample, r.cfg.Logger),
-		StageLat: r.m.stageLat,
-		Traced:   &r.m.traced,
-	}
+	r.shardErrs = make([]atomic.Int64, len(t.Shards))
+	r.c = api.NewCounters(r.rows())
+	r.front = api.NewService(r, r.cfg.ServeConfig)
 	for i := range r.up {
 		r.up[i].Store(true)
 	}
@@ -180,35 +126,15 @@ func NewRouter(t *Topology, cfg Config) *Router {
 func (r *Router) Close() {
 	r.closeOnce.Do(func() {
 		r.probeCancel()
-		close(r.healthStop)
 		<-r.healthDone
-		r.client.CloseIdleConnections()
+		r.cfg.Client.CloseIdleConnections()
 	})
 }
 
-// Handler returns the router's routing handler — the same endpoint set a
-// single climber-serve exposes, so clients need not know they talk to a
-// sharded deployment.
-func (r *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("POST /search", r.observe.Instrument("/search", &r.m.searches, r.m.latency, r.handleSearch))
-	mux.Handle("POST /search/batch", r.observe.Instrument("/search/batch", &r.m.batches, r.m.latency, r.handleBatch))
-	mux.Handle("POST /search/prefix", r.observe.Instrument("/search/prefix", &r.m.prefixes, r.m.latency, r.handlePrefix))
-	mux.Handle("POST /append", r.observe.Instrument("/append", &r.m.appends, r.m.appendLat, r.handleAppend))
-	mux.HandleFunc("POST /flush", r.handleFlush)
-	mux.HandleFunc("POST /reindex", r.handleReindex)
-	mux.HandleFunc("POST /backup", r.handleBackup)
-	mux.HandleFunc("GET /info", r.handleInfo)
-	mux.HandleFunc("GET /stats", r.handleStats)
-	mux.HandleFunc("GET /healthz", r.handleHealthz)
-	mux.HandleFunc("GET /metrics", r.handleMetrics)
-	mux.Handle("GET /debug/slow", r.observe.Slow.Handler())
-	return mux
-}
-
-// SlowLog exposes the router's slow-query ring so cmd/climber-router can
-// mount it on the -debug-addr diagnostics listener too.
-func (r *Router) SlowLog() *obs.SlowLog { return r.observe.Slow }
+// Service is the front the router stands behind: its Handler is the same
+// endpoint set a single climber-serve exposes, so clients need not know they
+// talk to a sharded deployment.
+func (r *Router) Service() *api.Service { return r.front }
 
 // healthLoop probes every shard's /healthz each HealthInterval and flips
 // the per-shard up flags the scatter and append paths consult.
@@ -219,7 +145,7 @@ func (r *Router) healthLoop() {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-r.healthStop:
+		case <-r.probeCtx.Done():
 			return
 		case <-ticker.C:
 			r.probeAll()
@@ -227,21 +153,51 @@ func (r *Router) healthLoop() {
 	}
 }
 
-func (r *Router) probeAll() {
-	timeout := r.cfg.HealthInterval
-	if timeout > 2*time.Second {
-		timeout = 2 * time.Second
-	}
+// eachShard runs fn for every shard of the topology concurrently and
+// returns once all have finished. fn keeps what it learned in a slot of its
+// own; its error comes back in the slot indexed like topo.Shards. Every
+// fan-out but the query scatter, which stops early, is this one.
+func (r *Router) eachShard(fn func(shard int) error) []error {
+	errs := make([]error, len(r.topo.Shards))
 	var wg sync.WaitGroup
 	for i := range r.topo.Shards {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := r.getShard(r.probeCtx, i, "/healthz", timeout)
-			r.up[i].Store(err == nil)
+			errs[i] = fn(i)
 		}(i)
 	}
 	wg.Wait()
+	return errs
+}
+
+// shardErr names the shard an error came from.
+func (r *Router) shardErr(shard int, err error) error {
+	return fmt.Errorf("shard %s: %w", r.topo.Shards[shard].ID, err)
+}
+
+// firstFailure counts every failed slot of an eachShard round against its
+// shard and returns the first, nil when all succeeded.
+func (r *Router) firstFailure(errs []error) error {
+	var first error
+	for i, err := range errs {
+		if err != nil {
+			r.shardErrs[i].Add(1)
+			if first == nil {
+				first = r.shardErr(i, err)
+			}
+		}
+	}
+	return first
+}
+
+func (r *Router) probeAll() {
+	timeout := min(r.cfg.HealthInterval, 2*time.Second)
+	r.eachShard(func(i int) error {
+		_, err := r.getShard(r.probeCtx, i, "/healthz", timeout)
+		r.up[i].Store(err == nil)
+		return nil
+	})
 }
 
 // Healthy reports how many shards the last probe round saw up.
@@ -261,10 +217,7 @@ func (r *Router) quorumNeed() int {
 	if r.cfg.Quorum <= 0 {
 		return len(r.topo.Shards)
 	}
-	if r.cfg.Quorum > len(r.topo.Shards) {
-		return len(r.topo.Shards)
-	}
-	return r.cfg.Quorum
+	return min(r.cfg.Quorum, len(r.topo.Shards))
 }
 
 // errShardStatus is a shard's non-200 answer, carrying the status so the
@@ -288,7 +241,7 @@ func (e errShardStatus) Error() string {
 // answer (always JSON) becomes an errShardStatus carrying the shard's own
 // message.
 func (r *Router) do(req *http.Request) (*api.Buffer, error) {
-	resp, err := r.client.Do(req)
+	resp, err := r.cfg.Client.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -391,13 +344,11 @@ func (r *Router) scatter(ctx context.Context, path string, frame []byte) (oks []
 	need := r.quorumNeed()
 	all := r.cfg.Quorum <= 0
 	targets := make([]int, 0, len(r.topo.Shards))
-	failed := 0
 	for i := range r.topo.Shards {
 		if all || r.up[i].Load() {
 			targets = append(targets, i)
 		} else {
-			failed++
-			r.m.shardErrs[i].Add(1)
+			r.shardErrs[i].Add(1)
 		}
 	}
 	if len(targets) < need {
@@ -422,8 +373,8 @@ func (r *Router) scatter(ctx context.Context, path string, frame []byte) (oks []
 	for range targets {
 		rep := <-replies
 		if rep.err != nil {
-			r.m.shardErrs[rep.shard].Add(1)
-			werr := fmt.Errorf("shard %s: %w", r.topo.Shards[rep.shard].ID, rep.err)
+			r.shardErrs[rep.shard].Add(1)
+			werr := r.shardErr(rep.shard, rep.err)
 			if all {
 				// Fail fast: stop the survivors, drain nothing more.
 				cancel()
@@ -432,7 +383,6 @@ func (r *Router) scatter(ctx context.Context, path string, frame []byte) (oks []
 			if firstErr == nil {
 				firstErr = werr
 			}
-			failed++
 			continue
 		}
 		oks = append(oks, rep)
@@ -455,122 +405,94 @@ func (r *Router) scatter(ctx context.Context, path string, frame []byte) (oks []
 	return oks, len(targets), nil
 }
 
-// admitAndRead is the shared front half of every routed POST handler:
-// admission, then the body read under cap and deadline (api.ReadBody). The
-// caller releases the body once it is decoded.
-func (r *Router) admitAndRead(w http.ResponseWriter, req *http.Request) (body *api.Buffer, release func(), ok bool) {
-	release, status, err := r.lim.Admit(req.Context())
-	if err != nil {
-		api.WriteError(w, status, err)
-		return nil, nil, false
-	}
-	body, status, err = api.ReadBody(w, req, r.cfg.MaxBodyBytes, r.cfg.BodyReadTimeout)
-	if err != nil {
-		r.m.badRequests.Add(1)
-		api.WriteError(w, status, err)
-		release()
-		return nil, nil, false
-	}
-	return body, release, true
-}
-
-// finish maps a scatter error to its response status, maintaining the
-// outcome counters. It reports whether the request succeeded.
-func (r *Router) finish(w http.ResponseWriter, err error) bool {
+// Classify maps the scatter's own error classes to statuses: a shard's 4xx
+// is the client's error relayed with the shard's status (its 429 is the
+// fleet shedding load, not the client being wrong), a lost quorum is 503,
+// and any other shard failure 502.
+func (r *Router) Classify(err error) (status int, counter string) {
 	var q errQuorum
 	var se errShardStatus
 	switch {
-	case err == nil:
-		return true
-	case errors.Is(err, context.Canceled):
-		r.m.canceled.Add(1)
-		api.WriteError(w, api.StatusClientClosedRequest, err)
-	case errors.Is(err, context.DeadlineExceeded):
-		r.m.errors.Add(1)
-		api.WriteError(w, http.StatusGatewayTimeout, err)
 	case errors.As(err, &se) && se.status == http.StatusTooManyRequests:
-		// A shard's admission control shed the sub-request: the fleet is
-		// overloaded, not the client wrong. Relayed as the 429 it is.
-		r.m.rejected.Add(1)
-		api.WriteError(w, se.status, err)
+		return se.status, "rejected"
 	case errors.As(err, &se) && se.status >= 400 && se.status < 500:
-		// The shards rejected the request itself (e.g. a prefix shorter
-		// than their PAA segment count, which the router cannot
-		// pre-validate): a client error, relayed with the shard's status.
-		r.m.badRequests.Add(1)
-		api.WriteError(w, se.status, err)
+		// E.g. a prefix shorter than the shards' PAA segment count, which
+		// the router cannot pre-validate; a shard already reindexing (409);
+		// a shard without a backup root (403).
+		return se.status, "bad_requests"
 	case errors.As(err, &q):
-		r.m.errors.Add(1)
-		api.WriteError(w, http.StatusServiceUnavailable, err)
-	default:
-		r.m.errors.Add(1)
-		api.WriteError(w, http.StatusBadGateway, err)
+		return http.StatusServiceUnavailable, "errors"
 	}
-	return false
+	return http.StatusBadGateway, "errors"
 }
 
-// requireSeriesLen returns the indexed series length, learning it from the
-// shards' /info on first need. A router that has never reached any shard
-// cannot validate queries and reports 503.
-func (r *Router) requireSeriesLen(ctx context.Context) (int, error) {
-	if n := r.seriesLen.Load(); n > 0 {
-		return int(n), nil
+// Shape returns the indexed series length, learning it from the shards'
+// /info on first need. A router that has never reached any shard cannot
+// validate queries and the front answers 503. It does not know the shards'
+// PAA segment count, so the lower prefix bound is 1 and a too-short prefix
+// comes back as the shard's 400.
+func (r *Router) Shape(ctx context.Context) (api.Shape, error) {
+	if r.seriesLen.Load() == 0 {
+		if _, err := r.aggregateInfo(ctx, "no shard reachable to learn the index shape"); err != nil {
+			return api.Shape{}, err
+		}
 	}
-	if _, err := r.aggregateInfo(ctx); err != nil {
-		return 0, fmt.Errorf("no shard reachable to learn the index shape: %w", err)
-	}
-	if n := r.seriesLen.Load(); n > 0 {
-		return int(n), nil
-	}
-	return 0, errors.New("no shard reachable to learn the index shape")
+	return api.Shape{SeriesLen: int(r.seriesLen.Load()), MinPrefix: 1}, nil
+}
+
+// Info is the router's GET /info.
+func (r *Router) Info(ctx context.Context) (any, error) {
+	return r.aggregateInfo(ctx, "no shard reachable")
 }
 
 // aggregateInfo fans GET /info out to every shard and folds the answers:
 // counts are summed once per ID namespace (read replicas share one), the
-// series length is learned and cached, and the append sequence is seeded
-// from the aggregate record count.
-func (r *Router) aggregateInfo(ctx context.Context) (*InfoResponse, error) {
-	type infoReply struct {
-		shard int
-		info  api.InfoResponse
-		err   error
-	}
-	replies := make(chan infoReply, len(r.topo.Shards))
-	for i := range r.topo.Shards {
-		go func(i int) {
-			raw, err := r.getShard(ctx, i, "/info", r.cfg.ShardTimeout)
-			var info api.InfoResponse
-			if err == nil {
-				err = api.DecodeJSON(raw, &info)
-			}
-			replies <- infoReply{shard: i, info: info, err: err}
-		}(i)
-	}
+// generation is the lowest any shard reports — the fleet has finished
+// reindex N when every shard has — the series length is learned and cached,
+// and the append sequence is seeded from the aggregate record count. Shards
+// that disagree on the series length are refused: every query would be
+// validated against an arbitrary one of them. unreachable words the error of
+// a fleet in which no shard answered: a query endpoint adds what it needed
+// the shards for.
+func (r *Router) aggregateInfo(ctx context.Context, unreachable string) (*InfoResponse, error) {
+	infos := make([]api.InfoResponse, len(r.topo.Shards))
+	errs := r.eachShard(func(i int) error {
+		raw, err := r.getShard(ctx, i, "/info", r.cfg.ShardTimeout)
+		if err != nil {
+			return err
+		}
+		return api.DecodeJSON(raw, &infos[i])
+	})
 	out := &InfoResponse{NumShards: len(r.topo.Shards)}
 	seenBase := make(map[int]struct{})
-	var firstErr error
-	for range r.topo.Shards {
-		rep := <-replies
-		if rep.err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("shard %s: %w", r.topo.Shards[rep.shard].ID, rep.err)
-			}
+	first := -1 // the first shard that answered
+	for i, info := range infos {
+		if errs[i] != nil {
 			continue
 		}
 		out.ShardsAnswered++
-		out.SeriesLen = rep.info.SeriesLen
-		base := *r.topo.Shards[rep.shard].IDBase
+		if first < 0 {
+			first = i
+			out.SeriesLen, out.Generation = info.SeriesLen, info.Generation
+		}
+		if info.SeriesLen != out.SeriesLen {
+			r.seriesLen.Store(0)
+			return nil, fmt.Errorf("shards disagree on the series length: %s indexes %d, %s indexes %d",
+				r.topo.Shards[first].ID, out.SeriesLen, r.topo.Shards[i].ID, info.SeriesLen)
+		}
+		out.Generation = min(out.Generation, info.Generation)
+		base := *r.topo.Shards[i].IDBase
 		if _, dup := seenBase[base]; dup {
 			continue // a read replica of a namespace already counted
 		}
 		seenBase[base] = struct{}{}
-		out.NumRecords += rep.info.NumRecords
-		out.NumGroups += rep.info.NumGroups
-		out.NumPartitions += rep.info.NumPartitions
-		out.SkeletonBytes += rep.info.SkeletonBytes
+		out.NumRecords += info.NumRecords
+		out.NumGroups += info.NumGroups
+		out.NumPartitions += info.NumPartitions
+		out.SkeletonBytes += info.SkeletonBytes
 	}
-	if out.ShardsAnswered == 0 {
-		return nil, firstErr
+	if first < 0 {
+		return nil, fmt.Errorf("%s: %w", unreachable, r.shardErr(0, errs[0]))
 	}
 	r.seriesLen.CompareAndSwap(0, int64(out.SeriesLen))
 	// Seed the append routing sequence past the existing records once.
@@ -585,258 +507,144 @@ func (r *Router) aggregateInfo(ctx context.Context) (*InfoResponse, error) {
 // When the request asked for explain, each shard's planner explanation is
 // keyed by its shard ID and its span tree is grafted under the scatter
 // span that fetched it.
-func (r *Router) gatherSearch(oks []reply, k int, explain bool) (*SearchResponse, error) {
+func (r *Router) gatherSearch(oks []reply, k int, explain bool) (*api.SearchResponse, error) {
 	answers := make([]answer, 0, len(oks))
 	stats := make([]climber.Stats, 0, len(oks))
-	budgetPartial := false
-	steps := 0
-	var explains map[string]*api.ExplainData
+	out := &api.SearchResponse{ShardsAnswered: len(oks)}
 	for _, rep := range oks {
 		var sr api.SearchResponse
 		err := api.DecodeFrame(rep.body.B, &sr)
 		rep.body.Release()
 		if err != nil {
-			return nil, fmt.Errorf("shard %s: malformed response: %w", r.topo.Shards[rep.shard].ID, err)
+			return nil, r.shardErr(rep.shard, fmt.Errorf("malformed response: %w", err))
 		}
 		answers = append(answers, answer{shard: rep.shard, results: sr.Results})
 		stats = append(stats, sr.Stats)
-		steps += sr.StepsExecuted
-		if sr.Partial {
-			budgetPartial = true
-		}
+		out.StepsExecuted += sr.StepsExecuted
+		out.Partial = out.Partial || sr.Partial
 		if explain {
 			rep.span.AddChildData(sr.Trace)
 			if ed := sr.Explain[""]; ed != nil {
-				if explains == nil {
-					explains = make(map[string]*api.ExplainData, len(oks))
+				if out.Explain == nil {
+					out.Explain = make(map[string]*api.ExplainData, len(oks))
 				}
-				explains[r.topo.Shards[rep.shard].ID] = ed
+				out.Explain[r.topo.Shards[rep.shard].ID] = ed
 			}
 		}
 	}
-	merged, dups := r.topo.mergeTopK(answers, k)
-	r.m.dups.Add(int64(dups))
-	if budgetPartial {
-		r.m.budgetExh.Add(1)
-	}
-	sum := sumStats(stats)
-	r.noteEffort(sum)
-	return &SearchResponse{
-		Results:        merged,
-		Stats:          sum,
-		ShardsAnswered: len(oks),
-		Partial:        budgetPartial,
-		StepsExecuted:  steps,
-		Explain:        explains,
-	}, nil
+	var dups int
+	out.Results, dups = r.topo.mergeTopK(answers, k)
+	r.c.Add("duplicates_dropped", int64(dups))
+	out.Stats = sumStats(stats)
+	// The effort counters show the scan volume the routed traffic is costing
+	// the fleet.
+	r.c.Add("partitions_scanned", int64(out.Stats.PartitionsScanned))
+	r.c.Add("cache_hits", int64(out.Stats.PartitionCacheHits))
+	r.c.Add("cache_misses", int64(out.Stats.PartitionCacheMisses))
+	r.c.Add("delta_scanned", int64(out.Stats.DeltaScanned))
+	return out, nil
 }
 
-// noteEffort feeds the router's query-effort counters from one merged
-// answer's summed shard stats, so /metrics shows the scan volume the
-// routed traffic is costing the fleet.
-func (r *Router) noteEffort(sum climber.Stats) {
-	r.m.partScanned.Add(int64(sum.PartitionsScanned))
-	r.m.cacheHits.Add(int64(sum.PartitionCacheHits))
-	r.m.cacheMisses.Add(int64(sum.PartitionCacheMisses))
-	r.m.deltaRecs.Add(int64(sum.DeltaScanned))
-}
-
-func (r *Router) handleSearch(w http.ResponseWriter, req *http.Request) {
-	r.handleQuery(w, req, false)
-}
-
-func (r *Router) handlePrefix(w http.ResponseWriter, req *http.Request) {
-	r.handleQuery(w, req, true)
-}
-
-// handleQuery is the scatter-merge-respond path of /search and
-// /search/prefix: the client's JSON is decoded once, here, and crosses the
-// hop as one frame built from the decoded request — the shards never see
-// the text. A prefix query is validated as loosely as the router can — it
-// does not know the shards' PAA segment count, so the lower length bound
-// is 1 and a too-short prefix comes back as the shard's 400. The explain
-// flag rides in the frame, so each shard answers with its own span tree
-// and planner explanation for the router to nest.
-func (r *Router) handleQuery(w http.ResponseWriter, req *http.Request, prefix bool) {
-	body, release, ok := r.admitAndRead(w, req)
-	if !ok {
-		return
-	}
-	defer release()
-	seriesLen, err := r.requireSeriesLen(req.Context())
+// scatterMerge is the shape of every routed read: the decoded request
+// crosses the hop as one frame built from it — the shards never see the
+// client's text, and the explain flag rides in the frame, so each shard
+// answers with its own span tree for the router to nest — under a "scatter"
+// span, and merge folds the answers under a "merge" span. It reports how
+// many shards were asked.
+func (r *Router) scatterMerge(ctx context.Context, path string, req any, merge func(oks []reply) error) (asked int, err error) {
+	root := obs.SpanFromContext(ctx)
+	ssp := root.StartChild("scatter")
+	oks, asked, err := r.scatter(obs.ContextWithSpan(ctx, ssp), path, api.AppendFrame(nil, req))
+	ssp.End()
 	if err != nil {
-		r.m.errors.Add(1)
-		api.WriteError(w, http.StatusServiceUnavailable, err)
-		return
+		return asked, err
 	}
-	var sreq *api.SearchRequest
+	msp := root.StartChild("merge")
+	defer msp.End()
+	return asked, merge(oks)
+}
+
+// notePartial settles an answer's partial marker: a budget stopped a shard
+// (budgetPartial), or fewer shards answered than the topology holds.
+func (r *Router) notePartial(budgetPartial bool, answered int) (partial bool) {
+	if budgetPartial {
+		r.c.Add("budget_exhausted", 1)
+	}
+	partial = budgetPartial || answered < len(r.topo.Shards)
+	if partial {
+		r.c.Add("partial_answers", 1)
+	}
+	return partial
+}
+
+// Search answers /search and /search/prefix by scatter and merge.
+func (r *Router) Search(ctx context.Context, req *api.SearchRequest, prefix bool) (resp *api.SearchResponse, err error) {
 	path := "/search"
 	if prefix {
 		path = "/search/prefix"
-		sreq, err = api.DecodePrefixRequest(body.B, 1, seriesLen, r.cfg.MaxK)
-	} else {
-		sreq, err = api.DecodeSearchRequest(body.B, seriesLen, r.cfg.MaxK)
 	}
-	body.Release()
+	asked, err := r.scatterMerge(ctx, path, req, func(oks []reply) (err error) {
+		resp, err = r.gatherSearch(oks, req.K, req.Explain)
+		return err
+	})
 	if err != nil {
-		r.m.badRequests.Add(1)
-		api.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-
-	ctx, tr := r.observe.TraceFor(req.Context(), strings.TrimPrefix(path, "/"), sreq.Explain)
-	ssp := tr.Root().StartChild("scatter")
-	oks, asked, err := r.scatter(obs.ContextWithSpan(ctx, ssp), path, api.AppendFrame(nil, sreq))
-	ssp.End()
-	if err != nil {
-		api.FinishTrace(req.Context(), tr, nil)
-		r.finish(w, err)
-		return
-	}
-	msp := tr.Root().StartChild("merge")
-	resp, err := r.gatherSearch(oks, sreq.K, sreq.Explain)
-	msp.End()
-	if resp != nil {
-		resp.Trace = api.FinishTrace(req.Context(), tr, resp.Stats)
-		if !sreq.Explain {
-			resp.Trace = nil
-		}
-	} else {
-		api.FinishTrace(req.Context(), tr, nil)
-	}
-	if !r.finish(w, err) {
-		return
+		return nil, err
 	}
 	resp.ShardsAsked = asked
-	if resp.ShardsAnswered < len(r.topo.Shards) {
-		resp.Partial = true
-	}
-	if resp.Partial {
-		r.m.partials.Add(1)
-	}
-	api.WriteJSON(w, http.StatusOK, resp)
+	resp.Partial = r.notePartial(resp.Partial, resp.ShardsAnswered)
+	return resp, nil
 }
 
-func (r *Router) handleBatch(w http.ResponseWriter, req *http.Request) {
-	body, release, ok := r.admitAndRead(w, req)
-	if !ok {
-		return
-	}
-	defer release()
-	seriesLen, err := r.requireSeriesLen(req.Context())
-	if err != nil {
-		r.m.errors.Add(1)
-		api.WriteError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	breq, err := api.DecodeBatchRequest(body.B, seriesLen, r.cfg.MaxK, r.cfg.MaxBatch)
-	body.Release()
-	if err != nil {
-		r.m.badRequests.Add(1)
-		api.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-
-	ctx, tr := r.observe.TraceFor(req.Context(), "batch", breq.Explain)
-	ssp := tr.Root().StartChild("scatter")
-	oks, asked, err := r.scatter(obs.ContextWithSpan(ctx, ssp), "/search/batch", api.AppendFrame(nil, breq))
-	ssp.End()
-	if err != nil {
-		api.FinishTrace(req.Context(), tr, nil)
-		r.finish(w, err)
-		return
-	}
-	msp := tr.Root().StartChild("merge")
-	// Decode every shard's batch and merge query-by-query.
-	perShard := make([]*api.BatchResponse, len(oks))
+// Batch scatters the whole batch and merges it query by query. It asks for
+// no extra admission slots: its concurrency is the shards'.
+func (r *Router) Batch(ctx context.Context, req *api.BatchRequest, _ func(int) int) (*api.BatchResponse, error) {
+	out := &api.BatchResponse{Results: make([][]api.Result, len(req.Queries))}
 	budgetPartial := false
-	steps := 0
-	for i, rep := range oks {
-		var br api.BatchResponse
-		err := api.DecodeFrame(rep.body.B, &br)
-		rep.body.Release()
-		if err != nil || len(br.Results) != len(breq.Queries) {
-			msp.End()
-			api.FinishTrace(req.Context(), tr, nil)
-			r.finish(w, fmt.Errorf("shard %s: malformed batch response", r.topo.Shards[rep.shard].ID))
-			return
-		}
-		perShard[i] = &br
-		steps += br.StepsExecuted
-		if br.Partial {
-			budgetPartial = true
-		}
-		if breq.Explain {
-			rep.span.AddChildData(br.Trace)
-		}
-	}
-	if budgetPartial {
-		r.m.budgetExh.Add(1)
-	}
-	out := &BatchResponse{
-		Results:        make([][]api.Result, len(breq.Queries)),
-		ShardsAsked:    asked,
-		ShardsAnswered: len(oks),
-		Partial:        budgetPartial || len(oks) < len(r.topo.Shards),
-		StepsExecuted:  steps,
-	}
-	for q := range breq.Queries {
-		answers := make([]answer, 0, len(oks))
+	asked, err := r.scatterMerge(ctx, "/search/batch", req, func(oks []reply) error {
+		perShard := make([]api.BatchResponse, len(oks))
 		for i, rep := range oks {
-			answers = append(answers, answer{shard: rep.shard, results: perShard[i].Results[q]})
+			err := api.DecodeFrame(rep.body.B, &perShard[i])
+			rep.body.Release()
+			if err != nil || len(perShard[i].Results) != len(req.Queries) {
+				return r.shardErr(rep.shard, errors.New("malformed batch response"))
+			}
+			out.StepsExecuted += perShard[i].StepsExecuted
+			budgetPartial = budgetPartial || perShard[i].Partial
+			if req.Explain {
+				rep.span.AddChildData(perShard[i].Trace)
+			}
 		}
-		merged, dups := r.topo.mergeTopK(answers, breq.K)
-		r.m.dups.Add(int64(dups))
-		out.Results[q] = merged
+		for q := range req.Queries {
+			answers := make([]answer, 0, len(oks))
+			for i, rep := range oks {
+				answers = append(answers, answer{shard: rep.shard, results: perShard[i].Results[q]})
+			}
+			var dups int
+			out.Results[q], dups = r.topo.mergeTopK(answers, req.K)
+			r.c.Add("duplicates_dropped", int64(dups))
+		}
+		out.ShardsAnswered = len(oks)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	msp.End()
-	trace := api.FinishTrace(req.Context(), tr, batchSummary{Queries: len(breq.Queries), StepsExecuted: steps})
-	if breq.Explain {
-		out.Trace = trace
-	}
-	if out.Partial {
-		r.m.partials.Add(1)
-	}
-	api.WriteJSON(w, http.StatusOK, out)
+	out.ShardsAsked = asked
+	out.Partial = r.notePartial(budgetPartial, out.ShardsAnswered)
+	return out, nil
 }
 
-// batchSummary is the slow-query-log stats shape for a routed batch: a
-// compact roll-up; per-shard detail lives under the trace's scatter span.
-type batchSummary struct {
-	Queries       int `json:"queries"`
-	StepsExecuted int `json:"steps_executed"`
-}
-
-// handleAppend places each incoming series on a shard by rendezvous
-// hashing over the record's global append sequence number, forwards the
-// per-shard sub-batches concurrently, and maps the shards' local ID acks
-// into global IDs, in input order.
+// Append places each incoming series on a shard by rendezvous hashing over
+// the record's global append sequence number, forwards the per-shard
+// sub-batches concurrently, and maps the shards' local ID acks into global
+// IDs, in input order.
 //
 // Durability is per shard: a sub-batch acked by its shard is durable even
 // if another shard's sub-batch fails and the whole request reports 502. A
 // retry after a partial failure may therefore duplicate the series that
 // did land (under fresh IDs); exactly-once routed appends need a dedupe
 // key and are a documented follow-up.
-func (r *Router) handleAppend(w http.ResponseWriter, req *http.Request) {
-	body, release, ok := r.admitAndRead(w, req)
-	if !ok {
-		return
-	}
-	defer release()
-	seriesLen, err := r.requireSeriesLen(req.Context())
-	if err != nil {
-		r.m.errors.Add(1)
-		api.WriteError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	areq, err := api.DecodeAppendRequest(body.B, seriesLen, r.cfg.MaxAppend)
-	body.Release()
-	if err != nil {
-		r.m.badRequests.Add(1)
-		api.WriteError(w, http.StatusBadRequest, err)
-		return
-	}
-
+func (r *Router) Append(ctx context.Context, req *api.AppendRequest) (*api.AppendResponse, error) {
 	// Route every series: rendezvous order, first healthy shard wins. A
 	// topology where nothing is up falls back to the rendezvous owner so
 	// the failure surfaces as that shard's connection error.
@@ -844,8 +652,8 @@ func (r *Router) handleAppend(w http.ResponseWriter, req *http.Request) {
 		series [][]float64
 		pos    []int // positions in the request, to restore input order
 	}
-	subs := make(map[int]*subBatch)
-	for pos, s := range areq.Series {
+	subs := make([]subBatch, len(r.topo.Shards))
+	for pos, s := range req.Series {
 		key := uint64(r.appendSeq.Add(1) - 1)
 		rank := r.topo.Rank(key)
 		target := rank[0]
@@ -855,329 +663,99 @@ func (r *Router) handleAppend(w http.ResponseWriter, req *http.Request) {
 				break
 			}
 		}
-		sb := subs[target]
-		if sb == nil {
-			sb = &subBatch{}
-			subs[target] = sb
-		}
-		sb.series = append(sb.series, s)
-		sb.pos = append(sb.pos, pos)
+		subs[target].series = append(subs[target].series, s)
+		subs[target].pos = append(subs[target].pos, pos)
 	}
 
-	type appendReply struct {
-		shard int
-		ids   []int
-		err   error
-	}
-	replies := make(chan appendReply, len(subs))
-	for shard, sb := range subs {
-		go func(shard int, sb *subBatch) {
-			frame := api.AppendFrame(nil, &api.AppendRequest{Series: sb.series})
-			raw, err := r.forward(req.Context(), shard, "/append", api.Frame, frame)
-			var ar api.AppendResponse
-			if err == nil {
-				err = api.DecodeFrame(raw.B, &ar)
-				raw.Release()
-			}
-			if err == nil && len(ar.IDs) != len(sb.series) {
-				err = fmt.Errorf("acked %d of %d series", len(ar.IDs), len(sb.series))
-			}
-			replies <- appendReply{shard: shard, ids: ar.IDs, err: err}
-		}(shard, sb)
-	}
-	ids := make([]int, len(areq.Series))
-	var firstErr error
-	for range subs {
-		rep := <-replies
-		if rep.err != nil {
-			r.m.shardErrs[rep.shard].Add(1)
-			if firstErr == nil {
-				firstErr = fmt.Errorf("shard %s: %w", r.topo.Shards[rep.shard].ID, rep.err)
-			}
-			continue
+	ids := make([]int, len(req.Series))
+	err := r.firstFailure(r.eachShard(func(shard int) error {
+		sb := subs[shard]
+		if len(sb.series) == 0 {
+			return nil
 		}
-		for i, local := range rep.ids {
-			ids[subs[rep.shard].pos[i]] = r.topo.GlobalID(rep.shard, local)
-		}
-	}
-	if !r.finish(w, firstErr) {
-		return
-	}
-	r.m.appendSer.Add(int64(len(areq.Series)))
-	api.WriteJSON(w, http.StatusOK, api.AppendResponse{IDs: ids})
-}
-
-// fanoutPost is the shared shape of the administrative endpoints (/flush,
-// /reindex, /backup): POST body to every shard concurrently; all must
-// succeed. It returns the first shard error, nil when every shard answered.
-func (r *Router) fanoutPost(req *http.Request, path string, body []byte) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(r.topo.Shards))
-	for i := range r.topo.Shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			_, errs[i] = r.forward(req.Context(), i, path, api.JSON, body)
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
+		frame := api.AppendFrame(nil, &api.AppendRequest{Series: sb.series})
+		raw, err := r.forward(ctx, shard, "/append", api.Frame, frame)
 		if err != nil {
-			r.m.shardErrs[i].Add(1)
-			return fmt.Errorf("shard %s: %w", r.topo.Shards[i].ID, err)
+			return err
 		}
-	}
-	return nil
-}
-
-// handleFlush fans the flush out to every shard; all must succeed.
-func (r *Router) handleFlush(w http.ResponseWriter, req *http.Request) {
-	release, status, err := r.lim.Admit(req.Context())
+		var ar api.AppendResponse
+		err = api.DecodeFrame(raw.B, &ar)
+		raw.Release()
+		if err != nil {
+			return err
+		}
+		if len(ar.IDs) != len(sb.series) {
+			return fmt.Errorf("acked %d of %d series", len(ar.IDs), len(sb.series))
+		}
+		for i, local := range ar.IDs {
+			ids[sb.pos[i]] = r.topo.GlobalID(shard, local)
+		}
+		return nil
+	}))
 	if err != nil {
-		api.WriteError(w, status, err)
-		return
+		return nil, err
 	}
-	defer release()
-	r.m.flushes.Add(1)
-	if !r.finish(w, r.fanoutPost(req, "/flush", []byte("{}"))) {
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, map[string]string{"status": "flushed"})
+	return &api.AppendResponse{IDs: ids}, nil
 }
 
-// handleReindex fans an online reindex out to every shard; all must
-// succeed. A shard already reindexing answers 409, which relays to the
-// client as a 4xx via finish's shard-status mapping. No admission slot is
-// held: a reindex runs for minutes and must not starve the query budget.
-func (r *Router) handleReindex(w http.ResponseWriter, req *http.Request) {
-	r.m.reindexes.Add(1)
-	if !r.finish(w, r.fanoutPost(req, "/reindex", []byte("{}"))) {
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, map[string]string{"status": "reindexed"})
+// Admin fans /flush, /reindex and /backup out to every shard, a backup's
+// body verbatim (each shard writes a snapshot of that name under its own
+// backup root); all must succeed. It returns the first shard error: a shard
+// already reindexing answers 409 and one without a backup root 403, which
+// Classify relays.
+func (r *Router) Admin(ctx context.Context, op string, body []byte) (map[string]any, error) {
+	return nil, r.firstFailure(r.eachShard(func(shard int) error {
+		_, err := r.forward(ctx, shard, "/"+op, api.JSON, body)
+		return err
+	}))
 }
 
-// handleBackup forwards the backup request verbatim to every shard: each
-// writes a snapshot named by the request under its own configured backup
-// root. All must succeed; a shard without a backup root answers 403, which
-// relays as a 4xx.
-func (r *Router) handleBackup(w http.ResponseWriter, req *http.Request) {
-	r.m.backups.Add(1)
-	body, status, err := api.ReadBody(w, req, r.cfg.MaxBodyBytes, r.cfg.BodyReadTimeout)
-	if err != nil {
-		r.m.badRequests.Add(1)
-		api.WriteError(w, status, err)
-		return
-	}
-	// body is not released: fanoutPost hands it to the transport (see forward).
-	if !r.finish(w, r.fanoutPost(req, "/backup", body.B)) {
-		return
-	}
-	api.WriteJSON(w, http.StatusOK, map[string]string{"status": "backed_up"})
+// shardStats fetches every shard's GET /stats body; unreachable shards
+// leave an error in their slot.
+func (r *Router) shardStats(ctx context.Context) ([][]byte, []error) {
+	raws := make([][]byte, len(r.topo.Shards))
+	return raws, r.eachShard(func(i int) (err error) {
+		raws[i], err = r.getShard(ctx, i, "/stats", 2*time.Second)
+		if err == nil && !json.Valid(raws[i]) {
+			err = errors.New("malformed /stats body")
+		}
+		return err
+	})
 }
 
-func (r *Router) handleInfo(w http.ResponseWriter, req *http.Request) {
-	info, err := r.aggregateInfo(req.Context())
-	if err != nil {
-		r.m.errors.Add(1)
-		api.WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("no shard reachable: %w", err))
-		return
+// Stats reports every reachable shard's /stats body verbatim under its
+// shard ID; unreachable shards map to an error object instead.
+func (r *Router) Stats(ctx context.Context) api.Object {
+	raws, errs := r.shardStats(ctx)
+	shards := make(map[string]json.RawMessage, len(raws))
+	for i, raw := range raws {
+		if errs[i] != nil {
+			raw, _ = json.Marshal(api.ErrorResponse{Error: fmt.Sprintf("unreachable: %v", errs[i])})
+		}
+		shards[r.topo.Shards[i].ID] = json.RawMessage(raw)
 	}
-	api.WriteJSON(w, http.StatusOK, info)
+	return api.Object{{Key: "shards", Value: shards}}
 }
 
-// handleStats reports the router's own counters plus every reachable
-// shard's /stats body verbatim under its shard ID; unreachable shards map
-// to an error object instead.
-func (r *Router) handleStats(w http.ResponseWriter, req *http.Request) {
-	resp := StatsResponse{
-		Router: r.m.snapshot(time.Since(r.started)),
-		Shards: make(map[string]json.RawMessage, len(r.topo.Shards)),
-	}
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for i := range r.topo.Shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			raw, err := r.getShard(req.Context(), i, "/stats", 2*time.Second)
-			if err != nil || !json.Valid(raw) {
-				raw, _ = json.Marshal(api.ErrorResponse{Error: fmt.Sprintf("unreachable: %v", err)})
-			}
-			mu.Lock()
-			resp.Shards[r.topo.Shards[i].ID] = json.RawMessage(raw)
-			mu.Unlock()
-		}(i)
-	}
-	wg.Wait()
-	api.WriteJSON(w, http.StatusOK, resp)
-}
-
-// handleHealthz aggregates the shard health picture: 200 with "ok" when
-// every shard is up, 200 with "degraded" while the read policy can still
-// be served, 503 otherwise.
-func (r *Router) handleHealthz(w http.ResponseWriter, req *http.Request) {
-	resp := HealthzResponse{Shards: make(map[string]string, len(r.topo.Shards))}
-	healthy := 0
+// Health aggregates the shard health picture: "ok" when every shard is up,
+// "degraded" while the read policy can still be served, and "unavailable"
+// with a 503 otherwise.
+func (r *Router) Health() (int, any) {
+	resp := HealthzResponse{Status: "ok", Shards: make(map[string]string, len(r.topo.Shards))}
 	for i := range r.topo.Shards {
 		state := "down"
 		if r.up[i].Load() {
 			state = "up"
-			healthy++
 		}
 		resp.Shards[r.topo.Shards[i].ID] = state
 	}
-	switch {
+	switch healthy := r.Healthy(); {
 	case healthy == len(r.topo.Shards):
-		resp.Status = "ok"
-		api.WriteJSON(w, http.StatusOK, resp)
 	case healthy >= r.quorumNeed():
 		resp.Status = "degraded"
-		api.WriteJSON(w, http.StatusOK, resp)
 	default:
 		resp.Status = "unavailable"
-		api.WriteJSON(w, http.StatusServiceUnavailable, resp)
+		return http.StatusServiceUnavailable, resp
 	}
-}
-
-func (m *rmetrics) snapshot(uptime time.Duration) RouterStats {
-	var shardErrs int64
-	for i := range m.shardErrs {
-		shardErrs += m.shardErrs[i].Load()
-	}
-	return RouterStats{
-		Searches:          m.searches.Load(),
-		Batches:           m.batches.Load(),
-		PrefixSearches:    m.prefixes.Load(),
-		Appends:           m.appends.Load(),
-		AppendSeries:      m.appendSer.Load(),
-		Flushes:           m.flushes.Load(),
-		Reindexes:         m.reindexes.Load(),
-		Backups:           m.backups.Load(),
-		BadRequests:       m.badRequests.Load(),
-		Rejected:          m.rejected.Load(),
-		Canceled:          m.canceled.Load(),
-		Errors:            m.errors.Load(),
-		PartialAnswers:    m.partials.Load(),
-		BudgetExhausted:   m.budgetExh.Load(),
-		DuplicatesDropped: m.dups.Load(),
-		ShardErrors:       shardErrs,
-		InFlight:          m.inflight.Load(),
-		Queued:            m.queued.Load(),
-		UptimeSeconds:     uptime.Seconds(),
-	}
-}
-
-// handleMetrics renders the router's Prometheus exposition: request and
-// outcome counters, scatter health gauges per shard, and the read/write
-// latency histograms.
-func (r *Router) handleMetrics(w http.ResponseWriter, req *http.Request) {
-	var b strings.Builder
-	m := &r.m
-	metric := func(name, help, kind string, v int64) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, kind)
-		fmt.Fprintf(&b, "%s %d\n", name, v)
-	}
-	counter := func(name, help string, v int64) { metric(name, help, "counter", v) }
-	gauge := func(name, help string, v int64) { metric(name, help, "gauge", v) }
-	fmt.Fprintf(&b, "# HELP climber_build_info Build identity of this router; constant 1.\n# TYPE climber_build_info gauge\n")
-	fmt.Fprintf(&b, "climber_build_info{version=%q,role=\"router\",shards=\"%d\"} 1\n", climber.Version, len(r.topo.Shards))
-	counter("climber_router_search_requests_total", "Answered /search requests.", m.searches.Load())
-	counter("climber_router_batch_requests_total", "Answered /search/batch requests.", m.batches.Load())
-	counter("climber_router_prefix_requests_total", "Answered /search/prefix requests.", m.prefixes.Load())
-	counter("climber_router_append_requests_total", "Answered /append requests.", m.appends.Load())
-	counter("climber_router_append_series_total", "Series inside successful appends.", m.appendSer.Load())
-	counter("climber_router_flush_requests_total", "Answered /flush requests.", m.flushes.Load())
-	counter("climber_router_reindex_requests_total", "Answered /reindex requests.", m.reindexes.Load())
-	counter("climber_router_backup_requests_total", "Answered /backup requests.", m.backups.Load())
-	counter("climber_router_bad_requests_total", "Requests rejected with 400.", m.badRequests.Load())
-	counter("climber_router_rejected_total", "Requests rejected with 429 by admission control.", m.rejected.Load())
-	counter("climber_router_canceled_total", "Requests aborted by client disconnect.", m.canceled.Load())
-	counter("climber_router_errors_total", "Requests failed by shard loss or quorum.", m.errors.Load())
-	counter("climber_router_partial_answers_total", "Partial answers: shard-subset merges or budget-truncated shard answers.", m.partials.Load())
-	counter("climber_router_budget_exhausted_total", "Answers partial because at least one shard's query budget ran out.", m.budgetExh.Load())
-	counter("climber_router_duplicates_dropped_total", "Duplicate global IDs dropped by the top-k merge.", m.dups.Load())
-	gauge("climber_router_inflight_requests", "Requests currently holding an admission slot.", m.inflight.Load())
-	gauge("climber_router_queued_requests", "Requests currently waiting for an admission slot.", m.queued.Load())
-	counter("climber_router_traced_queries_total", "Routed queries that ran with tracing attached (explain, sampled, or propagated).", m.traced.Load())
-	counter("climber_router_slow_log_entries_total", "Routed requests recorded in the slow-query log (threshold or sampled).", r.observe.Slow.Total())
-	counter("climber_router_partitions_scanned_total", "Partitions the shards scanned for routed answers.", m.partScanned.Load())
-	counter("climber_router_partition_cache_hits_total", "Shard partition-cache hits inside routed answers.", m.cacheHits.Load())
-	counter("climber_router_partition_cache_misses_total", "Shard partition-cache misses inside routed answers.", m.cacheMisses.Load())
-	counter("climber_router_delta_scanned_total", "Delta records the shards scanned for routed answers.", m.deltaRecs.Load())
-
-	fmt.Fprintf(&b, "# HELP climber_router_shard_up Shard health per the last probe (1 up, 0 down).\n# TYPE climber_router_shard_up gauge\n")
-	for i := range r.topo.Shards {
-		v := 0
-		if r.up[i].Load() {
-			v = 1
-		}
-		fmt.Fprintf(&b, "climber_router_shard_up{shard=%q} %d\n", r.topo.Shards[i].ID, v)
-	}
-	fmt.Fprintf(&b, "# HELP climber_router_shard_errors_total Failed sub-requests per shard.\n# TYPE climber_router_shard_errors_total counter\n")
-	for i := range r.topo.Shards {
-		fmt.Fprintf(&b, "climber_router_shard_errors_total{shard=%q} %d\n", r.topo.Shards[i].ID, m.shardErrs[i].Load())
-	}
-	r.renderShardCacheGauges(req.Context(), &b)
-
-	m.latency.Render(&b, "climber_router_query_latency_seconds",
-		"End-to-end routed query latency, every outcome included (200s, 400s, 429s).")
-	m.appendLat.Render(&b, "climber_router_append_latency_seconds",
-		"End-to-end routed append latency (admission to global ack).")
-	for i, st := range rstageNames {
-		m.stageLat[st].RenderLabeled(&b, "climber_router_stage_latency_seconds",
-			fmt.Sprintf("stage=%q", st),
-			"Per-router-stage latency of traced routed queries.", i == 0)
-	}
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = io.WriteString(w, b.String())
-}
-
-// renderShardCacheGauges polls every reachable shard's /stats and emits
-// per-shard partition-cache residency gauges plus fleet totals — the
-// router-level view of how much memory the shards' zero-copy read paths
-// hold resident (and how much of it is reclaimable mapped pages).
-// Unreachable shards are skipped; their absence is visible through
-// climber_router_shard_up.
-func (r *Router) renderShardCacheGauges(ctx context.Context, b *strings.Builder) {
-	type cacheBytes struct {
-		Cache struct {
-			ResidentBytes int64
-			MappedBytes   int64
-		} `json:"cache"`
-	}
-	byShard := make([]cacheBytes, len(r.topo.Shards))
-	ok := make([]bool, len(r.topo.Shards))
-	var wg sync.WaitGroup
-	for i := range r.topo.Shards {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			raw, err := r.getShard(ctx, i, "/stats", 2*time.Second)
-			if err != nil {
-				return
-			}
-			ok[i] = json.Unmarshal(raw, &byShard[i]) == nil
-		}(i)
-	}
-	wg.Wait()
-	var resident, mapped int64
-	fmt.Fprintf(b, "# HELP climber_router_shard_cache_resident_bytes Per-shard partition-cache resident bytes.\n# TYPE climber_router_shard_cache_resident_bytes gauge\n")
-	for i := range r.topo.Shards {
-		if !ok[i] {
-			continue
-		}
-		fmt.Fprintf(b, "climber_router_shard_cache_resident_bytes{shard=%q} %d\n", r.topo.Shards[i].ID, byShard[i].Cache.ResidentBytes)
-		resident += byShard[i].Cache.ResidentBytes
-		mapped += byShard[i].Cache.MappedBytes
-	}
-	fmt.Fprintf(b, "# HELP climber_router_shard_cache_mapped_bytes Per-shard partition-cache memory-mapped bytes.\n# TYPE climber_router_shard_cache_mapped_bytes gauge\n")
-	for i := range r.topo.Shards {
-		if ok[i] {
-			fmt.Fprintf(b, "climber_router_shard_cache_mapped_bytes{shard=%q} %d\n", r.topo.Shards[i].ID, byShard[i].Cache.MappedBytes)
-		}
-	}
-	fmt.Fprintf(b, "# HELP climber_router_cache_resident_bytes Partition-cache resident bytes summed over reachable shards.\n# TYPE climber_router_cache_resident_bytes gauge\nclimber_router_cache_resident_bytes %d\n", resident)
-	fmt.Fprintf(b, "# HELP climber_router_cache_mapped_bytes Partition-cache mapped bytes summed over reachable shards.\n# TYPE climber_router_cache_mapped_bytes gauge\nclimber_router_cache_mapped_bytes %d\n", mapped)
+	return http.StatusOK, resp
 }

@@ -96,7 +96,7 @@ func (f *fixture) startRouter(t *testing.T, cfg Config) (*Router, *httptest.Serv
 		cfg.HealthInterval = 50 * time.Millisecond
 	}
 	r := NewRouter(f.topo, cfg)
-	ts := httptest.NewServer(r.Handler())
+	ts := httptest.NewServer(r.Service().Handler())
 	t.Cleanup(func() { ts.Close(); r.Close() })
 	return r, ts
 }
@@ -117,6 +117,21 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, buf.Bytes()
+}
+
+// counters reads one section of a service's GET /stats — "router" for a
+// router, "server" for a shard — as its counter rows by key.
+func counters(t *testing.T, base, section string) map[string]float64 {
+	t.Helper()
+	var stats map[string]json.RawMessage
+	if code := getJSON(t, base+"/stats", &stats); code != http.StatusOK {
+		t.Fatalf("%s/stats: %d", base, code)
+	}
+	var rows map[string]float64
+	if err := json.Unmarshal(stats[section], &rows); err != nil {
+		t.Fatal(err)
+	}
+	return rows
 }
 
 func getJSON(t *testing.T, url string, v any) int {
@@ -154,7 +169,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("query %d: status %d: %s", qid, resp.StatusCode, body)
 		}
-		var sr SearchResponse
+		var sr api.SearchResponse
 		if err := json.Unmarshal(body, &sr); err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +196,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch: status %d: %s", resp.StatusCode, body)
 	}
-	var br BatchResponse
+	var br api.BatchResponse
 	if err := json.Unmarshal(body, &br); err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +229,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("prefix: status %d: %s", resp.StatusCode, body)
 	}
-	var pr SearchResponse
+	var pr api.SearchResponse
 	if err := json.Unmarshal(body, &pr); err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +254,7 @@ func TestRealisticKSelfQueries(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("query %d: status %d: %s", qid, resp.StatusCode, body)
 		}
-		var sr SearchResponse
+		var sr api.SearchResponse
 		if err := json.Unmarshal(body, &sr); err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +322,7 @@ func TestShardDownQuorum(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("quorum query with a dead shard: status %d: %s", resp.StatusCode, body)
 	}
-	var sr SearchResponse
+	var sr api.SearchResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -386,7 +401,7 @@ func TestReplicaDedupe(t *testing.T) {
 	}
 	r := NewRouter(topo, Config{HealthInterval: 50 * time.Millisecond})
 	defer r.Close()
-	ts := httptest.NewServer(r.Handler())
+	ts := httptest.NewServer(r.Service().Handler())
 	defer ts.Close()
 
 	q := make([]float64, 64)
@@ -396,7 +411,7 @@ func TestReplicaDedupe(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
 	}
-	var sr SearchResponse
+	var sr api.SearchResponse
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatal(err)
 	}
@@ -422,12 +437,8 @@ func TestReplicaDedupe(t *testing.T) {
 				i, sr.Results[i].ID, sr.Results[i].Dist, want[i].ID, want[i].Dist)
 		}
 	}
-	var stats StatsResponse
-	if code := getJSON(t, ts.URL+"/stats", &stats); code != http.StatusOK {
-		t.Fatalf("/stats: %d", code)
-	}
-	if stats.Router.DuplicatesDropped < int64(k) {
-		t.Fatalf("duplicates_dropped = %d, want >= %d", stats.Router.DuplicatesDropped, k)
+	if dropped := counters(t, ts.URL, "router")["duplicates_dropped"]; dropped < float64(k) {
+		t.Fatalf("duplicates_dropped = %v, want >= %d", dropped, k)
 	}
 }
 
@@ -471,7 +482,7 @@ func TestAppendThroughRouter(t *testing.T) {
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("search %d: status %d: %s", i, resp.StatusCode, body)
 		}
-		var sr SearchResponse
+		var sr api.SearchResponse
 		if err := json.Unmarshal(body, &sr); err != nil {
 			t.Fatal(err)
 		}
@@ -599,18 +610,109 @@ func TestRouterRelaysShardOverloadAsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRouter(topo, Config{HealthInterval: 50 * time.Millisecond})
-	ts := httptest.NewServer(r.Handler())
+	ts := httptest.NewServer(r.Service().Handler())
 	defer func() { ts.Close(); r.Close() }()
 
 	resp, body := postJSON(t, ts.URL+"/search", api.SearchRequest{Query: make([]float64, 64), K: 3})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429: %s", resp.StatusCode, body)
 	}
-	var st StatsResponse
-	if code := getJSON(t, ts.URL+"/stats", &st); code != http.StatusOK {
-		t.Fatalf("/stats status %d", code)
+	if st := counters(t, ts.URL, "router"); st["rejected"] != 1 || st["bad_requests"] != 0 {
+		t.Errorf("rejected=%v bad_requests=%v after one relayed 429, want 1 and 0", st["rejected"], st["bad_requests"])
 	}
-	if st.Router.Rejected != 1 || st.Router.BadRequests != 0 {
-		t.Errorf("rejected=%d bad_requests=%d after one relayed 429, want 1 and 0", st.Router.Rejected, st.Router.BadRequests)
+}
+
+// TestRouterRefusesMismatchedSeriesLen: shards built with different series
+// lengths are a broken topology, not something to pick a winner from. /info
+// and every query endpoint answer 503, naming both shards and both lengths.
+func TestRouterRefusesMismatchedSeriesLen(t *testing.T) {
+	topo := &Topology{}
+	for i, n := range []int{64, 128} {
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {})
+		mux.HandleFunc("GET /info", func(w http.ResponseWriter, _ *http.Request) {
+			api.WriteJSON(w, http.StatusOK, api.InfoResponse{SeriesLen: n, NumRecords: 10})
+		})
+		ts := httptest.NewServer(mux)
+		t.Cleanup(ts.Close)
+		topo.Shards = append(topo.Shards, Info{ID: fmt.Sprintf("shard-%d", i), URL: ts.URL})
+	}
+	if err := topo.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewRouter(topo, Config{HealthInterval: 50 * time.Millisecond})
+	ts := httptest.NewServer(r.Service().Handler())
+	t.Cleanup(func() { ts.Close(); r.Close() })
+
+	var e api.ErrorResponse
+	if code := getJSON(t, ts.URL+"/info", &e); code != http.StatusServiceUnavailable {
+		t.Fatalf("/info over mismatched shards: status %d, want 503", code)
+	}
+	for _, want := range []string{"shard-0", "64", "shard-1", "128"} {
+		if !strings.Contains(e.Error, want) {
+			t.Errorf("/info error %q does not name %q", e.Error, want)
+		}
+	}
+	q := make([]float64, 64)
+	for path, body := range map[string]any{
+		"/search":        api.SearchRequest{Query: q},
+		"/search/prefix": api.SearchRequest{Query: q[:16]},
+		"/search/batch":  api.BatchRequest{Queries: [][]float64{q}},
+		"/append":        api.AppendRequest{Series: [][]float64{q}},
+	} {
+		if resp, raw := postJSON(t, ts.URL+path, body); resp.StatusCode != http.StatusServiceUnavailable {
+			t.Errorf("%s over mismatched shards: status %d (%s), want 503", path, resp.StatusCode, raw)
+		}
+	}
+}
+
+// TestRouterWithNoShardReachable: a router that has never reached a shard
+// answers 503 in the words clients have always seen — /info that no shard is
+// reachable, a query endpoint that the index shape cannot be learned — each
+// naming a shard and what went wrong reaching it.
+func TestRouterWithNoShardReachable(t *testing.T) {
+	dead := httptest.NewServer(http.NotFoundHandler())
+	dead.Close() // its port now refuses connections
+	topo := &Topology{Shards: []Info{{ID: "shard-0", URL: dead.URL}}}
+	if err := topo.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	r := NewRouter(topo, Config{HealthInterval: time.Hour})
+	ts := httptest.NewServer(r.Service().Handler())
+	t.Cleanup(func() { ts.Close(); r.Close() })
+
+	var e api.ErrorResponse
+	if code := getJSON(t, ts.URL+"/info", &e); code != http.StatusServiceUnavailable || !strings.HasPrefix(e.Error, "no shard reachable: shard shard-0: ") {
+		t.Errorf("/info: status %d, error %q", code, e.Error)
+	}
+	resp, raw := postJSON(t, ts.URL+"/search", api.SearchRequest{Query: make([]float64, 64)})
+	if want := `{"error":"no shard reachable to learn the index shape: shard shard-0: `; resp.StatusCode != http.StatusServiceUnavailable || !strings.HasPrefix(string(raw), want) {
+		t.Errorf("/search: status %d, body %s", resp.StatusCode, raw)
+	}
+}
+
+// TestRouterInfoGeneration: the router's /info reports the lowest generation
+// any shard serves — the fleet has finished reindex N when every shard has.
+func TestRouterInfoGeneration(t *testing.T) {
+	f := newFixture(t, 240, 2)
+	_, ts := f.startRouter(t, Config{})
+	generation := func() int {
+		var info InfoResponse
+		if code := getJSON(t, ts.URL+"/info", &info); code != http.StatusOK {
+			t.Fatalf("/info: %d", code)
+		}
+		return info.Generation
+	}
+	if resp, raw := postJSON(t, f.servers[0].URL+"/reindex", struct{}{}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("reindex of shard-0: %d: %s", resp.StatusCode, raw)
+	}
+	if g := generation(); g != 0 {
+		t.Errorf("generation %d with shard-1 still at 0, want 0", g)
+	}
+	if resp, raw := postJSON(t, ts.URL+"/reindex", struct{}{}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("routed reindex: %d: %s", resp.StatusCode, raw)
+	}
+	if g := generation(); g != 1 {
+		t.Errorf("generation %d with the shards at 2 and 1, want 1", g)
 	}
 }

@@ -1,70 +1,15 @@
 package shard
 
-import (
-	"encoding/json"
-
-	"climber"
-	"climber/internal/api"
-	"climber/internal/obs"
-)
-
-// SearchResponse is the router's body for POST /search and POST
-// /search/prefix: the globally merged top-k plus the scatter-gather shape
-// of the answer. Results carry global IDs (Topology.GlobalID); Stats is
-// the summed effort of every shard that answered.
-type SearchResponse struct {
-	Results []api.Result  `json:"results"`
-	Stats   climber.Stats `json:"stats"`
-	// ShardsAsked and ShardsAnswered report the scatter fan-out; with a
-	// quorum policy ShardsAnswered may be smaller when a shard is down.
-	ShardsAsked    int `json:"shards_asked"`
-	ShardsAnswered int `json:"shards_answered"`
-	// Partial marks an answer that is not the complete one: merged from
-	// fewer shards than the topology holds (quorum policy under shard
-	// loss), or at least one shard's budget (time_budget_ms /
-	// max_partitions) stopped its local query before the full plan.
-	Partial bool `json:"partial,omitempty"`
-	// StepsExecuted sums the plan steps the shards executed — with a
-	// budget, how much of the distributed plan the answer covers.
-	StepsExecuted int `json:"steps_executed,omitempty"`
-	// Explain, present when the request carried "explain": true, maps
-	// shard ID to that shard's planner explanation; Trace is the router's
-	// span tree with each shard's own span tree grafted under its scatter
-	// span.
-	Explain map[string]*api.ExplainData `json:"explain,omitempty"`
-	Trace   *obs.SpanData               `json:"trace,omitempty"`
-}
-
-// BatchResponse is the router's body for POST /search/batch; Results
-// aligns positionally with the request's Queries, each merged like a
-// single /search answer.
-type BatchResponse struct {
-	Results        [][]api.Result `json:"results"`
-	ShardsAsked    int            `json:"shards_asked"`
-	ShardsAnswered int            `json:"shards_answered"`
-	// Partial marks a batch merged from a shard subset or containing at
-	// least one budget-truncated per-shard answer; StepsExecuted sums the
-	// executed plan steps across shards and queries.
-	Partial       bool `json:"partial,omitempty"`
-	StepsExecuted int  `json:"steps_executed,omitempty"`
-	// Trace is the router's span tree when the batch asked for explain.
-	Trace *obs.SpanData `json:"trace,omitempty"`
-}
+import "climber/internal/api"
 
 // InfoResponse is the router's body for GET /info: the aggregate shape of
 // the sharded database. Sums count each ID namespace once, so read
-// replicas do not double-count records.
+// replicas do not double-count records; Generation is the lowest any shard
+// that answered serves.
 type InfoResponse struct {
 	api.InfoResponse
 	NumShards      int `json:"num_shards"`
 	ShardsAnswered int `json:"shards_answered"`
-}
-
-// StatsResponse is the router's body for GET /stats: its own counters plus
-// every reachable shard's /stats body verbatim, keyed by shard ID.
-type StatsResponse struct {
-	Router RouterStats                `json:"router"`
-	Shards map[string]json.RawMessage `json:"shards"`
 }
 
 // HealthzResponse is the router's body for GET /healthz. Status is "ok"
@@ -74,27 +19,4 @@ type HealthzResponse struct {
 	Status string `json:"status"`
 	// Shards maps shard ID to "up" or "down" per the last health probe.
 	Shards map[string]string `json:"shards"`
-}
-
-// RouterStats is the JSON shape of the router section of GET /stats.
-type RouterStats struct {
-	Searches          int64   `json:"searches"`
-	Batches           int64   `json:"batches"`
-	PrefixSearches    int64   `json:"prefix_searches"`
-	Appends           int64   `json:"appends"`
-	AppendSeries      int64   `json:"append_series"`
-	Flushes           int64   `json:"flushes"`
-	Reindexes         int64   `json:"reindexes"`
-	Backups           int64   `json:"backups"`
-	BadRequests       int64   `json:"bad_requests"`
-	Rejected          int64   `json:"rejected"`
-	Canceled          int64   `json:"canceled"`
-	Errors            int64   `json:"errors"`
-	PartialAnswers    int64   `json:"partial_answers"`
-	BudgetExhausted   int64   `json:"budget_exhausted"`
-	DuplicatesDropped int64   `json:"duplicates_dropped"`
-	ShardErrors       int64   `json:"shard_errors"`
-	InFlight          int64   `json:"in_flight"`
-	Queued            int64   `json:"queued"`
-	UptimeSeconds     float64 `json:"uptime_seconds"`
 }
