@@ -165,6 +165,19 @@ type IngestStats struct {
 	CompactBytesWritten int64
 	CompactSeconds      float64
 	CompactDurations    [len(CompactionBuckets) + 1]int64
+	// TailFiles, TailRecords and TailBytes describe the partition tails on
+	// disk now: a compaction rewrites a partition's small tail file and only
+	// folds it into the partition's base once it holds an eighth of the
+	// base's records.
+	TailFiles   int
+	TailRecords int
+	TailBytes   int64
+	// Folds counts partition bases rewritten to take in their tail;
+	// TailBytesWritten and FoldBytesWritten split the partition-file volume
+	// written, failed and admin folds included, into tail rewrites and folds.
+	Folds            int64
+	TailBytesWritten int64
+	FoldBytesWritten int64
 }
 
 // CompactionBuckets are the upper bounds (seconds) of
@@ -620,6 +633,9 @@ func Open(dir string, opts ...Option) (*DB, error) {
 	// deletion never ran. Best-effort — stale files are unreferenced, so a
 	// failed sweep costs only disk space.
 	_ = core.CleanStaleGenerations(dir, genNum)
+	// Likewise what a killed compaction left beside the partition files: a
+	// half-written rewrite, a tail the manifest never came to list.
+	_ = core.SweepPartitionFiles(ix.Partitions())
 	ing, err := db.attachIngest(o)
 	if err != nil {
 		cl.Close()

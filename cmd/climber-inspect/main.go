@@ -4,13 +4,16 @@
 //
 // Usage:
 //
-//	climber-inspect -dir ./db [-stats] [-groups] [-partitions]
+//	climber-inspect -dir ./db [-stats] [-groups] [-partitions] [-verify]
 //
 // -stats prints the skeleton's shape statistics: trie node counts, the
 // leaf-depth histogram, and the distribution of actual partition sizes —
 // the numbers that explain a database's query behaviour (deep tries mean
 // long signature prefixes; a skewed partition distribution means uneven
-// scan costs).
+// scan costs). -partitions lists each partition's record count and, where
+// appended records sit in a tail file beside the base, the tail's records,
+// bytes and share of the base; -verify checks every base's and tail's
+// checksum and that no record is in both files of a partition.
 package main
 
 import (
@@ -22,6 +25,7 @@ import (
 	"strings"
 
 	"climber"
+	"climber/internal/cluster"
 	"climber/internal/series"
 	"climber/internal/storage"
 )
@@ -35,7 +39,7 @@ func main() {
 		stats      = flag.Bool("stats", false, "print skeleton shape statistics: node counts, depth histogram, partition size distribution")
 		groups     = flag.Bool("groups", false, "list every group with its centroid and trie shape")
 		partitions = flag.Bool("partitions", false, "list per-partition record counts")
-		verify     = flag.Bool("verify", false, "checksum every partition file")
+		verify     = flag.Bool("verify", false, "checksum every partition file, base and tail, and check that no record is in both")
 	)
 	flag.Parse()
 	if *dir == "" {
@@ -95,39 +99,79 @@ func main() {
 		}
 	}
 
+	parts := db.Index().Partitions()
+	if files, records, bytes := db.Index().TailStats(); files > 0 {
+		fmt.Printf("  tails:          %d partitions, %d records, %d bytes (appended records not yet folded into their partition's base)\n",
+			files, records, bytes)
+	}
+
 	if *partitions {
 		fmt.Println("partitions:")
-		for pid, cnt := range db.Index().Partitions().Counts {
+		for pid, path := range parts.Paths {
 			est := 0
 			if pid < len(skel.PartitionEst) {
 				est = skel.PartitionEst[pid]
 			}
-			fmt.Printf("  beta%-4d records=%-8d estimated=%-8d path=%s\n",
-				pid, cnt, est, db.Index().Partitions().Paths[pid])
+			base, tail := parts.Layout(pid)
+			fmt.Printf("  beta%-4d records=%-8d estimated=%-8d path=%s\n", pid, base+tail, est, path)
+			if tail > 0 {
+				var bytes int64
+				if info, err := os.Stat(cluster.TailPath(path)); err == nil {
+					bytes = info.Size()
+				}
+				fmt.Printf("           tail: records=%d bytes=%d, %.1f%% of the base's %d records\n",
+					tail, bytes, 100*float64(tail)/float64(max(base, 1)), base)
+			}
 		}
 	}
 
 	if *verify {
 		bad := 0
-		for pid, path := range db.Index().Partitions().Paths {
-			p, err := storage.OpenPartition(path)
-			if err != nil {
-				fmt.Printf("  beta%-4d OPEN FAILED: %v\n", pid, err)
-				bad++
-				continue
-			}
-			if err := p.Verify(); err != nil {
+		for pid, path := range parts.Paths {
+			_, tail := parts.Layout(pid)
+			if err := verifyPartition(path, tail > 0); err != nil {
 				fmt.Printf("  beta%-4d CORRUPT: %v\n", pid, err)
 				bad++
 			}
-			p.Close()
 		}
 		if bad == 0 {
-			fmt.Printf("verify: all %d partitions intact\n", len(db.Index().Partitions().Paths))
+			fmt.Printf("verify: all %d partitions intact\n", len(parts.Paths))
 		} else {
-			log.Fatalf("verify: %d of %d partitions corrupt", bad, len(db.Index().Partitions().Paths))
+			log.Fatalf("verify: %d of %d partitions corrupt", bad, len(parts.Paths))
 		}
 	}
+}
+
+// verifyPartition checks the checksum of a partition's base file and, when it
+// has a tail, of the tail too, and that no record ID is in both: a base is
+// only ever read beside a tail whose records it does not hold.
+func verifyPartition(base string, tailed bool) error {
+	p, err := storage.OpenPartition(base)
+	if err != nil {
+		return err
+	}
+	defer p.Close()
+	if err := p.Verify(); err != nil || !tailed {
+		return err
+	}
+	tail, err := storage.OpenPartition(cluster.TailPath(base))
+	if err != nil {
+		return err
+	}
+	defer tail.Close()
+	if err := tail.Verify(); err != nil {
+		return fmt.Errorf("tail: %w", err)
+	}
+	inTail := make(map[int]bool, tail.Count())
+	if err := tail.ScanAll(func(id int, _ []float64) error { inTail[id] = true; return nil }); err != nil {
+		return fmt.Errorf("tail: %w", err)
+	}
+	return p.ScanAll(func(id int, _ []float64) error {
+		if inTail[id] {
+			return fmt.Errorf("record %d is in the base and in the tail", id)
+		}
+		return nil
+	})
 }
 
 // printStats renders the skeleton's shape: per-trie node counts, the full

@@ -14,6 +14,7 @@ import (
 	"syscall"
 	"testing"
 
+	"climber/internal/cluster"
 	"climber/internal/core"
 )
 
@@ -38,8 +39,10 @@ func TestReindexCrashMatrix(t *testing.T) {
 	}
 
 	// The base database every scenario starts from: built records plus a
-	// flushed append batch, WAL empty, compactor parked (deterministic
-	// bytes; the rebuild is a pure function of the record set).
+	// flushed append batch folded into the partition bases (a reindex begins
+	// by folding, and that has its own matrix: TestDrainCrashMatrix), WAL
+	// empty, compactor parked (deterministic bytes; the rebuild is a pure
+	// function of the record set).
 	data := smallData(920)
 	baseDir := filepath.Join(t.TempDir(), "base")
 	db, err := Build(baseDir, data[:900], ingestOpts()...)
@@ -49,7 +52,7 @@ func TestReindexCrashMatrix(t *testing.T) {
 	if _, err := db.Append(data[900:920]); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Flush(); err != nil {
+	if err := db.foldTailsForTest(); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Close(); err != nil {
@@ -243,5 +246,216 @@ func recoverFingerprint(t *testing.T, dir string, queries [][]float64) string {
 		addFile(rel, filepath.Join(dir, rel))
 	}
 	fmt.Fprintf(&sb, "sha256=%s\n", hex.EncodeToString(h.Sum(nil)))
+	return sb.String()
+}
+
+// drainCrashAppend is the batch whose drain the matrix kills; records
+// 940..1019 of smallData(1040), appended to a base of 900 built and 40
+// drained into tails.
+const drainCrashBuilt, drainCrashDrained, drainCrashAcked, drainCrashTotal = 900, 940, 1020, 1040
+
+// TestDrainCrashMatrix kills a drain at every durability step — each tail
+// write and rename, each fold's write and rename, each folded tail's
+// removal, the manifest's write, fsync and rename, the WAL reset (the
+// core.CrashStep points) — and requires of the reopened database:
+//
+//   - every acked record is found exactly once by an exact scan (the
+//     partition files, base and tail, hold no record twice; a record is in
+//     the files or in the replayed delta, and in both only where the search
+//     path's merge by ID covers it: replayed after the kill);
+//   - NumRecords is the base plus everything acked;
+//   - no interrupted rewrite and no tail the manifest does not list is left
+//     on disk;
+//   - one more drain and a fold of every tail leave the directory byte for
+//     byte what the same sequence leaves without the kill.
+func TestDrainCrashMatrix(t *testing.T) {
+	if os.Getenv("CLIMBER_CRASH_DIR") != "" {
+		t.Skip("crash child process")
+	}
+	if testing.Short() {
+		t.Skip("spawns one child process per drain step")
+	}
+	data := smallData(drainCrashTotal)
+	baseDir := filepath.Join(t.TempDir(), "base")
+	db, err := Build(baseDir, data[:drainCrashBuilt], ingestOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Append(data[drainCrashBuilt:drainCrashDrained]); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if db.IngestStats().TailFiles == 0 {
+		t.Fatal("test premise broken: the base state has no tail")
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// finish is the rest of the sequence after the drain under test: one more
+	// batch, drained and folded, and a clean close. It returns the
+	// directory's fingerprint.
+	finish := func(t *testing.T, db *DB, dir string) string {
+		t.Helper()
+		if _, err := db.Append(data[drainCrashAcked:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.foldTailsForTest(); err != nil {
+			t.Fatal(err)
+		}
+		if n := db.Info().NumRecords; n != drainCrashTotal {
+			t.Fatalf("NumRecords = %d at the end, want %d", n, drainCrashTotal)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return treeFingerprint(t, dir)
+	}
+
+	// Recording run: the uncrashed sequence, its drain's steps enumerated.
+	recDir := filepath.Join(t.TempDir(), "rec")
+	copyTreeForTest(t, baseDir, recDir)
+	rec, err := Open(recDir, ingestOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rec.Append(data[drainCrashDrained:drainCrashAcked]); err != nil {
+		t.Fatal(err)
+	}
+	var steps []string
+	core.SetCrashStepHook(func(step string) { steps = append(steps, step) })
+	err = rec.Flush()
+	core.SetCrashStepHook(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	golden := finish(t, rec, recDir)
+	seen := map[string]bool{}
+	kinds := map[string]bool{}
+	for _, s := range steps {
+		if seen[s] {
+			t.Fatalf("drain step %q fired twice; the kill matrix needs unique steps", s)
+		}
+		seen[s] = true
+		kinds[strings.TrimRight(s, "-0123456789")] = true
+	}
+	for _, required := range []string{"tail-write", "tail-rename", "fold-write", "fold-rename", "tail-remove",
+		"index-write", "index-fsync", "index-rename", "wal-reset"} {
+		if !kinds[required] {
+			t.Fatalf("the recorded drain has no %q step: %v", required, steps)
+		}
+	}
+
+	for _, step := range steps {
+		t.Run(step, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "crash")
+			copyTreeForTest(t, baseDir, dir)
+			cmd := exec.Command(os.Args[0], "-test.run", "TestDrainCrashChild$", "-test.v")
+			cmd.Env = append(os.Environ(), "CLIMBER_CRASH_DIR="+dir, "CLIMBER_CRASH_STEP="+step)
+			out, err := cmd.CombinedOutput()
+			ee, ok := err.(*exec.ExitError)
+			if !ok {
+				t.Fatalf("child did not die (err %v); step %q was never reached:\n%s", err, step, out)
+			}
+			if ws, ok := ee.Sys().(syscall.WaitStatus); !ok || !ws.Signaled() || ws.Signal() != syscall.SIGKILL {
+				t.Fatalf("child died of %v, want SIGKILL (it must not clean up):\n%s", err, out)
+			}
+
+			db, err := Open(dir, ingestOpts()...)
+			if err != nil {
+				t.Fatalf("recovery open: %v", err)
+			}
+			defer db.Close()
+			if tree := listTree(t, dir); strings.Contains(tree, ".clmp.tmp") || strings.Contains(tree, ".tail.tmp") {
+				t.Fatalf("an interrupted rewrite survived the reopen:\n%s", tree)
+			}
+			parts := db.Index().Partitions()
+			for pid, p := range parts.Paths {
+				_, tail := parts.Layout(pid)
+				if _, err := os.Stat(cluster.TailPath(p)); (err == nil) != (tail > 0) {
+					t.Fatalf("partition %d: layout says %d tail records, tail file present: %v", pid, tail, err == nil)
+				}
+			}
+			if n := db.Info().NumRecords; n != drainCrashAcked {
+				t.Fatalf("NumRecords = %d after the kill, want %d", n, drainCrashAcked)
+			}
+			disk, delta := whereRecords(t, db) // fails on a record twice on disk
+			for id := 0; id < drainCrashAcked; id++ {
+				_, onDisk := disk[id]
+				if !onDisk && !delta[id] {
+					t.Fatalf("acked record %d is gone", id)
+				}
+				if onDisk && delta[id] && id < drainCrashDrained {
+					t.Fatalf("record %d, drained long before the kill, came back in the delta", id)
+				}
+			}
+			if len(disk) > drainCrashAcked || len(delta) > drainCrashAcked-drainCrashDrained {
+				t.Fatalf("%d records on disk, %d in the delta: more than were ever acked", len(disk), len(delta))
+			}
+			// Through the query path a record replayed beside its landed copy
+			// still answers once.
+			for _, id := range []int{3, drainCrashBuilt + 5, drainCrashDrained + 7, drainCrashAcked - 1} {
+				res, err := db.Search(data[id], 10, WithVariant(ODSmallest))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids := map[int]bool{}
+				for _, r := range res {
+					if ids[r.ID] {
+						t.Fatalf("query for record %d answers record %d twice: %+v", id, r.ID, res)
+					}
+					ids[r.ID] = true
+				}
+			}
+			if got := finish(t, db, dir); got != golden {
+				t.Fatalf("after one more drain and a fold the directory differs from the uncrashed run's:\ngot:\n%s\nwant:\n%s", got, golden)
+			}
+		})
+	}
+}
+
+// TestDrainCrashChild is TestDrainCrashMatrix's victim: it opens the
+// database named by CLIMBER_CRASH_DIR, acks the batch, and drains it with a
+// hook that SIGKILLs the process immediately before CLIMBER_CRASH_STEP.
+func TestDrainCrashChild(t *testing.T) {
+	dir := os.Getenv("CLIMBER_CRASH_DIR")
+	step := os.Getenv("CLIMBER_CRASH_STEP")
+	if dir == "" || step == "" {
+		t.Skip("not a crash child")
+	}
+	db, err := Open(dir, ingestOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Append(smallData(drainCrashTotal)[drainCrashDrained:drainCrashAcked]); err != nil {
+		t.Fatal(err)
+	}
+	core.SetCrashStepHook(func(s string) {
+		if s == step {
+			_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
+			select {}
+		}
+	})
+	err = db.Flush()
+	t.Logf("drain finished without hitting step %q: err=%v", step, err)
+}
+
+// treeFingerprint is the listing of dir with a SHA-256 of every file.
+func treeFingerprint(t *testing.T, dir string) string {
+	t.Helper()
+	var sb strings.Builder
+	for _, rel := range strings.Split(listTree(t, dir), "\n") {
+		if strings.HasSuffix(rel, "/") {
+			fmt.Fprintf(&sb, "%s\n", rel)
+			continue
+		}
+		b, err := os.ReadFile(filepath.Join(dir, rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&sb, "%s %d %x\n", rel, len(b), sha256.Sum256(b))
+	}
 	return sb.String()
 }

@@ -13,6 +13,13 @@ func (db *DB) abandonForTest() { db.ing.Abandon() }
 // gone without racing the drain.
 func (db *DB) waitCleanupForTest() { db.cleanupWG.Wait() }
 
+// foldTailsForTest drains the delta and folds every partition tail into its
+// base — what Backup and Reindex do first — so a test can start from, or
+// compare, base files that hold every record.
+func (db *DB) foldTailsForTest() error {
+	return db.ing.Barrier(context.Background(), func() error { return nil })
+}
+
 // The helpers below are Query / QueryBatch in the shapes this package's
 // tests compare: results (and stats) as separate values, no context.
 

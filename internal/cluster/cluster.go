@@ -19,7 +19,14 @@
 //     final partition files (Figure 6, Step 4) under a Dest.
 //
 // The query side is OpenPartition: a refcounted handle on one partition,
-// served from the cache (decoded or memory-mapped) when one is enabled.
+// served from the cache (decoded or memory-mapped) when one is enabled. A
+// partition that took appends is two files — the base the build wrote and a
+// tail (TailPath) that drains rewrite until it is folded into the base — and
+// the handle reads them as one: Count, Clusters and every scan cover the
+// base's records, then the tail's, through the same kernels, and a base is
+// only ever paired with its own tail however a concurrent drain replaces
+// them (see OpenPartition). Which records are where is the PartitionSet's
+// Layout; nothing above this package knows tails exist.
 //
 // The store creates a directory only when Shuffle is about to put a file in
 // it; cutting blocks, opening and reading never touch the filesystem's
@@ -94,6 +101,14 @@ func (c *Cluster) Dir() string { return c.dir }
 func PartitionPath(root, name string, pid int) string {
 	return filepath.Join(root, fmt.Sprintf("%s-part%05d.clmp", name, pid))
 }
+
+// TailPath returns the file of the tail of the partition whose base file is
+// base: the small second file, in the partition format, that takes a
+// partition's appended records between folds into the base (see
+// PartitionSet.Tails).
+//
+//climber:genpath
+func TailPath(base string) string { return base + ".tail" }
 
 // EnablePartitionCache installs a shared partition cache of at most budget
 // bytes under OpenPartition; budget <= 0 disables caching again. Queries

@@ -1,9 +1,13 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
+	"runtime"
 	"sync"
+	"time"
 
 	"climber/internal/storage"
 )
@@ -18,19 +22,60 @@ type Route struct {
 // PartitionSet references the physical partition files produced by a
 // shuffle, indexed by partition ID. It is also a Source whose blocks are the
 // partition files, which is how a reindex reads a built index back.
+//
+// A partition is a base file (Paths) and, once records were appended to it,
+// at most one tail (TailPath of the base): a drain rewrites the small tail
+// and only now and then folds it into the base. Counts and Tails change
+// under a drain while queries read them, so a shared set is read through
+// Layout and Len and written through SetLayout; the fields themselves are
+// for the set's builder and for readers that exclude writers.
 type PartitionSet struct {
 	Paths     []string
 	SeriesLen int
-	Counts    []int // records per partition
+	// Counts holds the records per partition, base and tail together.
+	Counts []int
+	// Tails holds how many of Counts sit in each partition's tail file; nil
+	// until some partition has one.
+	Tails []int
+
+	mu sync.Mutex // guards Counts and Tails; no I/O under it
 }
 
 // Len returns the number of records across all partitions, per Counts.
 func (ps *PartitionSet) Len() int {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
 	total := 0
 	for _, c := range ps.Counts {
 		total += c
 	}
 	return total
+}
+
+// Layout returns how partition pid's records are split between its base
+// file and its tail (0: no tail).
+func (ps *PartitionSet) Layout(pid int) (base, tail int) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if ps.Tails != nil {
+		tail = ps.Tails[pid]
+	}
+	return ps.Counts[pid] - tail, tail
+}
+
+// SetLayout records partition pid's split after its files changed. The
+// writer calls it once the new file is in place and its cache entry dropped:
+// OpenPartition trusts a layout to name files that exist.
+func (ps *PartitionSet) SetLayout(pid, base, tail int) {
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if ps.Tails == nil && tail > 0 {
+		ps.Tails = make([]int, len(ps.Paths))
+	}
+	if ps.Tails != nil {
+		ps.Tails[pid] = tail
+	}
+	ps.Counts[pid] = base + tail
 }
 
 // Length returns the length of every series.
@@ -39,8 +84,13 @@ func (ps *PartitionSet) Length() int { return ps.SeriesLen }
 // NumBlocks returns the number of partition files.
 func (ps *PartitionSet) NumBlocks() int { return len(ps.Paths) }
 
-// ScanBlock streams every record of partition i through fn.
+// ScanBlock streams every record of partition i's base file through fn. A
+// set read as a build source has had its tails folded (core.FoldTails); one
+// that has not is refused rather than read short.
 func (ps *PartitionSet) ScanBlock(i int, fn func(id int, values []float64) error) error {
+	if _, tail := ps.Layout(i); tail > 0 {
+		return fmt.Errorf("cluster: partition %d still has %d records in a tail", i, tail)
+	}
 	p, err := storage.OpenPartition(ps.Paths[i])
 	if err != nil {
 		return err
@@ -159,25 +209,41 @@ func (c *Cluster) Shuffle(src Source, numPartitions int, dst Dest,
 	return ps, nil
 }
 
-// PartitionHandle is a reader's reference to one open partition. Without a
-// partition cache it owns a file-backed partition and Close releases the
-// file, exactly as before; with the cache enabled it holds one reference to
-// a shared resident partition — Close returns that reference, and the
-// partition normally stays resident for the next query. If the cache
-// dropped the partition (eviction, invalidation) while this handle was
-// scanning, the handle's reference is what kept the bytes — including a
-// memory mapping — alive, and Close is where they are finally freed.
+// PartitionHandle is a reader's reference to one open partition: its base
+// file and, when it has one, its tail, read as one — Count, Clusters and every
+// scan cover the base's records and then the tail's. Without a partition
+// cache it owns file-backed partitions and Close releases the files; with the
+// cache enabled it holds one reference to each shared resident partition —
+// Close returns them, and the partitions normally stay resident for the next
+// query. If the cache dropped a partition (eviction, invalidation) while this
+// handle was scanning, the handle's reference is what kept the bytes —
+// including a memory mapping — alive, and Close is where they are finally
+// freed.
+//
+// The embedded Partition is the base file; its promoted methods other than
+// the ones redefined here (SeriesLen, Mapped, SizeBytes, Verify, …) speak of
+// that file alone.
 type PartitionHandle struct {
 	*storage.Partition
+	tail   *storage.Partition // nil when the partition has no tail
 	cached bool
 	hit    bool
+
+	dirOnce sync.Once
+	dir     []storage.ClusterInfo // Clusters() of a handle with a tail
 }
 
-// Close releases the handle's partition reference. For cached handles the
-// shared partition usually stays resident (the cache holds its own
-// reference); uncached handles tear down their private partition.
+// Close releases the handle's partition references. For cached handles the
+// shared partitions usually stay resident (the cache holds its own
+// references); uncached handles tear down their private partitions.
 func (h *PartitionHandle) Close() error {
-	return h.Partition.Release()
+	err := h.Partition.Release()
+	if h.tail != nil {
+		if terr := h.tail.Release(); err == nil {
+			err = terr
+		}
+	}
+	return err
 }
 
 // Cached reports whether the handle aliases the shared partition cache.
@@ -187,14 +253,144 @@ func (h *PartitionHandle) Cached() bool { return h.cached }
 // load (false whenever the cache is disabled).
 func (h *PartitionHandle) CacheHit() bool { return h.hit }
 
+// Count returns the number of records in the partition, tail included.
+func (h *PartitionHandle) Count() int {
+	if h.tail == nil {
+		return h.Partition.Count()
+	}
+	return h.Partition.Count() + h.tail.Count()
+}
+
+// Clusters returns the partition's directory, sorted by cluster ID: a
+// cluster present in both files is listed once with the two counts added.
+// The slice is owned by the handle; callers must not modify it.
+func (h *PartitionHandle) Clusters() []storage.ClusterInfo {
+	if h.tail == nil {
+		return h.Partition.Clusters()
+	}
+	h.dirOnce.Do(func() {
+		a, b := h.Partition.Clusters(), h.tail.Clusters()
+		h.dir = make([]storage.ClusterInfo, 0, len(a)+len(b))
+		for len(a) > 0 || len(b) > 0 {
+			switch {
+			case len(b) == 0 || (len(a) > 0 && a[0].ID < b[0].ID):
+				h.dir = append(h.dir, storage.ClusterInfo{ID: a[0].ID, Count: a[0].Count})
+				a = a[1:]
+			case len(a) == 0 || b[0].ID < a[0].ID:
+				h.dir = append(h.dir, storage.ClusterInfo{ID: b[0].ID, Count: b[0].Count})
+				b = b[1:]
+			default:
+				h.dir = append(h.dir, storage.ClusterInfo{ID: a[0].ID, Count: a[0].Count + b[0].Count})
+				a, b = a[1:], b[1:]
+			}
+		}
+	})
+	return h.dir
+}
+
+// ScanCluster streams the records of one cluster through fn; see
+// storage.Partition.ScanCluster.
+func (h *PartitionHandle) ScanCluster(id storage.ClusterID, fn func(id int, values []float64) error) error {
+	if err := h.Partition.ScanCluster(id, fn); err != nil || h.tail == nil {
+		return err
+	}
+	return h.tail.ScanCluster(id, fn)
+}
+
+// ScanClusters streams the records of each listed cluster through fn.
+func (h *PartitionHandle) ScanClusters(ids []storage.ClusterID, fn func(id int, values []float64) error) error {
+	if err := h.Partition.ScanClusters(ids, fn); err != nil || h.tail == nil {
+		return err
+	}
+	return h.tail.ScanClusters(ids, fn)
+}
+
+// ScanAll streams every record of the partition through fn.
+func (h *PartitionHandle) ScanAll(fn func(id int, values []float64) error) error {
+	if err := h.Partition.ScanAll(fn); err != nil || h.tail == nil {
+		return err
+	}
+	return h.tail.ScanAll(fn)
+}
+
+// ScanClusterRaw streams one cluster's records through fn in their encoded
+// form, under the lifetime rules of storage.Partition.ScanClusterRaw.
+func (h *PartitionHandle) ScanClusterRaw(id storage.ClusterID, fn func(id int, rec []byte) error) error {
+	if err := h.Partition.ScanClusterRaw(id, fn); err != nil || h.tail == nil {
+		return err
+	}
+	return h.tail.ScanClusterRaw(id, fn)
+}
+
+// ScanClustersRaw streams each listed cluster through fn in encoded form.
+func (h *PartitionHandle) ScanClustersRaw(ids []storage.ClusterID, fn func(id int, rec []byte) error) error {
+	if err := h.Partition.ScanClustersRaw(ids, fn); err != nil || h.tail == nil {
+		return err
+	}
+	return h.tail.ScanClustersRaw(ids, fn)
+}
+
+// openPatience bounds OpenPartition's retries. A retry waits out the few
+// instructions between a fold putting its base in place and recording the new
+// layout — longer when the machine is busy and the writer is not scheduled,
+// hence a time and not a count — so running out means the files and the
+// layout disagree for good.
+const openPatience = 5 * time.Second
+
 // OpenPartition opens one physical partition for reading and accounts for
 // the load in the store's statistics (the dominant query-time cost in the
 // paper is "the number of partitions touched"). When a partition cache is
 // enabled, the load is served from — and retained in — the shared cache:
-// concurrent opens of the same partition trigger exactly one disk read, and
-// only real disk loads are charged to PartitionsLoaded.
+// concurrent opens of the same file trigger exactly one disk read, and only
+// real disk loads are charged to PartitionsLoaded.
+//
+// A partition with a tail is two files that a drain replaces one at a time,
+// and the handle must show a pair that belonged together: the base with the
+// tail it had, never a folded base beside the tail it already absorbed, nor
+// an old base beside the tail of its successor. No lock spans the opens.
+// Instead the layout is read, both files are opened, and the pair is kept
+// only if the base holds the records the layout said and the layout still
+// says so — a fold is the one thing that changes a base, and it always
+// changes its record total. A tail that is gone was folded meanwhile.
+// Anything else is retried against the new layout.
 func (c *Cluster) OpenPartition(ps *PartitionSet, id int) (*PartitionHandle, error) {
-	path := ps.Paths[id]
+	var deadline time.Time
+	for attempt := 0; ; attempt++ {
+		want, tailed := ps.Layout(id)
+		h := &PartitionHandle{hit: true}
+		var err error
+		if h.Partition, err = c.openFile(ps.Paths[id], h); err != nil {
+			return nil, err
+		}
+		if tailed == 0 {
+			return h, nil
+		}
+		if h.tail, err = c.openFile(TailPath(ps.Paths[id]), h); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			h.Close()
+			return nil, err
+		}
+		if now, _ := ps.Layout(id); err == nil && h.Partition.Count() == want && now == want {
+			return h, nil
+		}
+		h.Close()
+		switch {
+		case attempt == 0:
+			deadline = time.Now().Add(openPatience)
+		case time.Now().After(deadline):
+			return nil, fmt.Errorf("cluster: partition %d: base and tail did not agree with the recorded layout for %v", id, openPatience)
+		}
+		// Let the writer run: a yield at first, then the processor.
+		if attempt < 8 {
+			runtime.Gosched()
+		} else {
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+}
+
+// openFile opens one partition file for h, through the cache when there is
+// one, and folds the outcome into h's cache flags.
+func (c *Cluster) openFile(path string, h *PartitionHandle) (*storage.Partition, error) {
 	pc := c.pcache.Load()
 	if pc == nil {
 		p, err := storage.OpenPartition(path)
@@ -202,7 +398,8 @@ func (c *Cluster) OpenPartition(ps *PartitionSet, id int) (*PartitionHandle, err
 			return nil, err
 		}
 		c.Stats.PartitionsLoaded.Add(1)
-		return &PartitionHandle{Partition: p}, nil
+		h.hit = false
+		return p, nil
 	}
 	p, hit, err := pc.Get(path, func() (*storage.Partition, error) {
 		p, err := c.loadResident(path)
@@ -215,7 +412,9 @@ func (c *Cluster) OpenPartition(ps *PartitionSet, id int) (*PartitionHandle, err
 	if err != nil {
 		return nil, err
 	}
-	return &PartitionHandle{Partition: p, cached: true, hit: hit}, nil
+	h.cached = true
+	h.hit = h.hit && hit
+	return p, nil
 }
 
 // loadResident brings one partition file into memory for the cache: a

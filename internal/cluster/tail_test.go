@@ -1,0 +1,292 @@
+package cluster
+
+import (
+	"fmt"
+	"os"
+	"reflect"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"climber/internal/storage"
+)
+
+// tailRecord is record id of the tail tests: cluster id%5 - 1 (so the
+// overflow cluster -1 takes part), readings derived from the ID.
+func tailRecord(id int) storage.Incoming {
+	return storage.Incoming{Cluster: storage.ClusterID(id%5 - 1), ID: id, Values: []float64{float64(id), 0.5, -float64(id)}}
+}
+
+func tailRecords(lo, hi int) []storage.Incoming {
+	out := make([]storage.Incoming, 0, hi-lo)
+	for id := lo; id < hi; id++ {
+		out = append(out, tailRecord(id))
+	}
+	return out
+}
+
+// dump reads a whole partition through every read method of the handle and
+// returns what each saw, in one comparable value.
+func dump(t *testing.T, h *PartitionHandle) map[string]any {
+	t.Helper()
+	type rec struct {
+		ID   int
+		Vals string
+	}
+	out := map[string]any{"count": h.Count()}
+	var ids []storage.ClusterID
+	counts := map[storage.ClusterID]int{}
+	for _, ci := range h.Clusters() {
+		ids = append(ids, ci.ID)
+		counts[ci.ID] = ci.Count
+	}
+	out["clusters"], out["counts"] = ids, counts
+
+	decoded := func(into *[]rec) func(int, []float64) error {
+		return func(id int, values []float64) error {
+			*into = append(*into, rec{id, fmt.Sprint(values)})
+			return nil
+		}
+	}
+	raw := func(into *[]rec) func(int, []byte) error {
+		return func(id int, b []byte) error {
+			*into = append(*into, rec{id, fmt.Sprint(b)})
+			return nil
+		}
+	}
+	var all, byCluster, listed, rawByCluster, rawListed []rec
+	if err := h.ScanAll(decoded(&all)); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range ids {
+		before := len(byCluster)
+		if err := h.ScanCluster(id, decoded(&byCluster)); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(byCluster) - before; got != counts[id] {
+			t.Fatalf("cluster %d streams %d records, its directory entry says %d", id, got, counts[id])
+		}
+		if err := h.ScanClusterRaw(id, raw(&rawByCluster)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := h.ScanClusters(ids, decoded(&listed)); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.ScanClustersRaw(ids, raw(&rawListed)); err != nil {
+		t.Fatal(err)
+	}
+	// Cluster by cluster the base's records come before the tail's; over a
+	// list of clusters every base cluster comes first. The same records
+	// either way.
+	for _, rs := range [][]rec{all, byCluster, listed, rawByCluster, rawListed} {
+		sort.Slice(rs, func(i, j int) bool { return rs[i].ID < rs[j].ID })
+	}
+	if !reflect.DeepEqual(all, byCluster) || !reflect.DeepEqual(all, listed) || !reflect.DeepEqual(rawByCluster, rawListed) || len(all) != len(rawListed) {
+		t.Fatal("the handle's scans disagree about the partition's records")
+	}
+	out["decoded"], out["raw"] = all, rawListed
+	return out
+}
+
+// A partition read through its handle is the same partition whether its
+// records sit in one file or in a base and a tail, on every backing: a file
+// read on demand (no cache), a heap copy, a memory mapping.
+func TestHandleReadsBaseAndTailAsOne(t *testing.T) {
+	for _, backing := range []string{"readerat", "heap", "mmap"} {
+		t.Run(backing, func(t *testing.T) {
+			if backing == "mmap" && !storage.MapSupported() {
+				t.Skip("mmap unsupported on this platform")
+			}
+			c := testCluster(t)
+			if backing != "readerat" {
+				c.EnablePartitionCache(1 << 30)
+				c.EnableMmap(backing == "mmap")
+			}
+			whole := PartitionPath(c.Dir(), "whole", 0)
+			split := PartitionPath(c.Dir(), "split", 0)
+			// The tail holds records of clusters the base has, of one it
+			// lacks (IDs 4 mod 5 exist only above 40), and misses others.
+			base := baseRecords()
+			tail := append(tailRecords(40, 47), tailRecord(49))
+			for path, recs := range map[string][]storage.Incoming{
+				whole: append(append([]storage.Incoming{}, base...), tail...), split: base, TailPath(split): tail,
+			} {
+				if _, _, err := storage.MergePartitions(path, nil, recs, nil); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ps := &PartitionSet{Paths: []string{whole, split}, SeriesLen: 3, Counts: []int{len(base) + len(tail), len(base)}}
+			ps.SetLayout(1, len(base), len(tail))
+			if ps.Len() != 2*(len(base)+len(tail)) {
+				t.Fatalf("Len() = %d with a tail recorded", ps.Len())
+			}
+
+			var dumps [2]map[string]any
+			for pid := range dumps {
+				for round := 0; round < 2; round++ { // cold, then from the cache
+					h, err := c.OpenPartition(ps, pid)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := backing != "readerat"; h.Cached() != want || h.CacheHit() != (want && round == 1) {
+						t.Fatalf("partition %d, open %d: cached %v, hit %v", pid, round, h.Cached(), h.CacheHit())
+					}
+					if backing == "mmap" != h.Mapped() {
+						t.Fatalf("partition %d: mapped = %v", pid, h.Mapped())
+					}
+					dumps[pid] = dump(t, h)
+					if err := h.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			if !reflect.DeepEqual(dumps[0], dumps[1]) {
+				t.Fatalf("base + tail reads differently from one file of the same records:\none file: %v\nsplit:    %v", dumps[0], dumps[1])
+			}
+			// Each file is one load: 1 + 2 of them, whatever the backing.
+			if got, want := c.Stats.PartitionsLoaded.Load(), int64(3); backing != "readerat" && got != want {
+				t.Fatalf("PartitionsLoaded = %d, want %d", got, want)
+			}
+		})
+	}
+}
+
+// baseRecords is the base file of TestHandleReadsBaseAndTailAsOne: IDs 0..39 without
+// the ones of cluster 3 (IDs 4 mod 5).
+func baseRecords() []storage.Incoming {
+	var out []storage.Incoming
+	for _, r := range tailRecords(0, 40) {
+		if r.Cluster != 3 {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// A handle must pair a base with its own tail while a writer replaces both:
+// tail rewrites between folds, each a rename of one file, the cache entry
+// dropped, the layout recorded — the order core's drain keeps. Every record
+// the writer had landed before an open began must be in the handle exactly
+// once: never an old base without its tail, never a folded base beside the
+// tail it absorbed. Run under -race.
+func TestOpenPartitionPairsBaseWithItsTail(t *testing.T) {
+	for _, cached := range []bool{false, true} {
+		t.Run(fmt.Sprintf("cache=%v", cached), func(t *testing.T) {
+			c := testCluster(t)
+			if cached {
+				c.EnablePartitionCache(1 << 30)
+				c.EnableMmap(storage.MapSupported())
+			}
+			base := PartitionPath(c.Dir(), "hammer", 0)
+			tail := TailPath(base)
+			const built, perDrain, drains, foldEvery = 64, 3, 400, 7
+			if _, _, err := storage.MergePartitions(base, nil, tailRecords(0, built), nil); err != nil {
+				t.Fatal(err)
+			}
+			ps := &PartitionSet{Paths: []string{base}, SeriesLen: 3, Counts: []int{built}}
+
+			// landed is the number of records (IDs 0..landed-1) the layout
+			// has been told about.
+			var landed atomic.Int64
+			landed.Store(built)
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			for r := 0; r < 4; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for !stop.Load() {
+						want := int(landed.Load())
+						h, err := c.OpenPartition(ps, 0)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						seen := make(map[int]int, h.Count())
+						for _, ci := range h.Clusters() {
+							err := h.ScanClusterRaw(ci.ID, func(id int, _ []byte) error {
+								seen[id]++
+								return nil
+							})
+							if err != nil {
+								t.Error(err)
+							}
+						}
+						n := h.Count()
+						h.Close()
+						if len(seen) != n {
+							t.Errorf("handle of %d records streams %d distinct IDs: a base beside a tail it already holds", n, len(seen))
+							return
+						}
+						for id := 0; id < want; id++ {
+							if seen[id] != 1 {
+								t.Errorf("record %d, landed before the open, was seen %d times among %d", id, seen[id], n)
+								return
+							}
+						}
+					}
+				}()
+			}
+
+			next, inTail := built, 0
+			for d := 1; d <= drains && !t.Failed(); d++ {
+				in := tailRecords(next, next+perDrain)
+				next += perDrain
+				if d%foldEvery != 0 {
+					var srcs []string
+					if inTail > 0 {
+						srcs = []string{tail}
+					}
+					if _, _, err := storage.MergePartitions(tail, srcs, in, nil); err != nil {
+						t.Fatal(err)
+					}
+					inTail += perDrain
+					c.InvalidatePartition(tail)
+					ps.SetLayout(0, next-inTail, inTail)
+				} else {
+					srcs := []string{base}
+					if inTail > 0 {
+						srcs = append(srcs, tail)
+					}
+					if _, _, err := storage.MergePartitions(base, srcs, in, nil); err != nil {
+						t.Fatal(err)
+					}
+					c.InvalidatePartition(base)
+					ps.SetLayout(0, next, 0)
+					if inTail > 0 {
+						if err := os.Remove(tail); err != nil {
+							t.Fatal(err)
+						}
+						c.InvalidatePartition(tail)
+					}
+					inTail = 0
+				}
+				landed.Store(int64(next))
+			}
+			stop.Store(true)
+			wg.Wait()
+		})
+	}
+}
+
+// A reindex reads partition files as a source, bases only, and is refused a
+// set whose tails were not folded first rather than handed a short read.
+func TestPartitionSourceRefusesTails(t *testing.T) {
+	c := testCluster(t)
+	base := PartitionPath(c.Dir(), "src", 0)
+	if _, _, err := storage.MergePartitions(base, nil, tailRecords(0, 8), nil); err != nil {
+		t.Fatal(err)
+	}
+	ps := &PartitionSet{Paths: []string{base}, SeriesLen: 3, Counts: []int{8}}
+	n := 0
+	count := func(int, []float64) error { n++; return nil }
+	if err := ps.ScanBlock(0, count); err != nil || n != 8 {
+		t.Fatalf("scan of a partition without a tail: %d records, %v", n, err)
+	}
+	ps.SetLayout(0, 8, 2)
+	if err := ps.ScanBlock(0, count); err == nil {
+		t.Fatal("a partition with an unfolded tail was read as a build source")
+	}
+}

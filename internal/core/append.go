@@ -3,7 +3,9 @@ package core
 import (
 	"fmt"
 	"math/rand/v2"
+	"os"
 	"sort"
+	"sync/atomic"
 
 	"climber/internal/cluster"
 	"climber/internal/storage"
@@ -34,11 +36,20 @@ func (ix *Index) ReserveIDs(n int) int {
 }
 
 // EnsureNextID raises the ID counter to at least min. WAL replay uses it so
-// IDs acked before a crash are never reissued after reopen.
+// IDs acked before a crash are never reissued after reopen. The replayed IDs
+// below min may already sit in partition files — a drain that was killed
+// before its manifest save — so the drain that carries them again folds
+// (see redrainBelow).
 func (ix *Index) EnsureNextID(min int) {
+	raise(&ix.redrainBelow, int64(min))
+	raise(&ix.nextID, int64(min))
+}
+
+// raise lifts a to at least v.
+func raise(a *atomic.Int64, v int64) {
 	for {
-		cur := ix.nextID.Load()
-		if cur >= int64(min) || ix.nextID.CompareAndSwap(cur, int64(min)) {
+		cur := a.Load()
+		if cur >= v || a.CompareAndSwap(cur, v) {
 			return
 		}
 	}
@@ -60,9 +71,27 @@ func (ix *Index) UnreserveIDs(first, n int) {
 // files, per the manifest. With a live delta index the database's total
 // record count is this plus the delta's length.
 func (ix *Index) PersistedRecords() int {
-	ix.countsMu.Lock()
-	defer ix.countsMu.Unlock()
 	return ix.Partitions().Len()
+}
+
+// TailStats reports the tails the current generation has on disk: how many
+// partitions have one, the records in them, and the files' sizes.
+func (ix *Index) TailStats() (files, records int, bytes int64) {
+	g := ix.AcquireGeneration()
+	defer g.Release()
+	for pid, base := range g.Parts.Paths {
+		_, tail := g.Parts.Layout(pid)
+		if tail == 0 {
+			continue
+		}
+		files++
+		records += tail
+		// A tail folded since the layout was read is no longer there to size.
+		if info, err := os.Stat(cluster.TailPath(base)); err == nil {
+			bytes += info.Size()
+		}
+	}
+	return files, records, bytes
 }
 
 // RouteNewRecord routes one record through the skeleton's pivots, groups, and
@@ -121,7 +150,7 @@ func (ix *Index) Append(records [][]float64) ([]int, error) {
 	if _, err := ix.WriteRouted(routed); err != nil {
 		// Hand the reservation back so the ID sequence stays dense. Any
 		// partitions already rewritten hold orphans under these IDs; a
-		// retry reissues the same IDs and the replace-by-ID merge lands
+		// retry reissues the same IDs and the replace-by-ID fold lands
 		// the new records exactly once in the orphans' place.
 		ix.UnreserveIDs(first, len(records))
 		return nil, err
@@ -129,57 +158,148 @@ func (ix *Index) Append(records [][]float64) ([]int, error) {
 	return ids, nil
 }
 
-// WriteRouted lands already-routed records in their partition files,
-// grouping by destination so each affected partition is rewritten once, and
-// returns the partition-file bytes it wrote. Callers must serialise
+// foldFraction sets when a drain folds a partition's tail into its base
+// instead of rewriting the tail: when the tail, incoming records included,
+// would hold more than 1/foldFraction of the base's records. A tail rewrite
+// costs the tail's size on every drain and a fold the base's size once per
+// tail filled, so with drains of d records into a base of B the tail bytes
+// written per drain average B/(2·foldFraction) records' worth and the fold
+// bytes foldFraction·d; one-eighth is about where the two meet for the
+// drains this serves (tens of records into partitions of thousands), an
+// order of magnitude under rewriting B on every drain.
+const foldFraction = 8
+
+// DrainStats is what one WriteRouted or FoldTails call wrote: the bytes of
+// the tail files it rewrote, the bytes of the base files it folded into, and
+// the number of those folds.
+type DrainStats struct {
+	TailBytes int64
+	FoldBytes int64
+	Folds     int
+}
+
+// WriteRouted lands already-routed records in partition files, grouping by
+// destination so each affected partition sees one file written — its tail,
+// or on a fold its base — and reports what it wrote. Callers must serialise
 // WriteRouted calls (see Append) — which also keeps them serialised against
 // generation swaps, so the whole batch lands in one generation's files.
 // Queries running concurrently are safe — partition files are replaced
-// atomically, so they see either the old or the new consistent snapshot.
-func (ix *Index) WriteRouted(recs []Routed) (written int64, err error) {
+// atomically and cluster.OpenPartition pairs a base only with its own tail.
+//
+// A failed call may have landed some of the records already, and a caller may
+// fail after a call that succeeded (the manifest save, the WAL reset) and keep
+// the records; either way it retries with the same IDs and the retry replaces
+// them where they lie, because every ID that has been through here folds.
+func (ix *Index) WriteRouted(recs []Routed) (st DrainStats, err error) {
 	g := ix.AcquireGeneration()
 	defer g.Release()
 	byPartition := make(map[int][]storage.Incoming)
+	maxID := -1
 	for _, r := range recs {
 		byPartition[r.Route.Partition] = append(byPartition[r.Route.Partition],
 			storage.Incoming{Cluster: r.Route.Cluster, ID: r.ID, Values: r.Values})
+		maxID = max(maxID, r.ID)
 	}
+	defer raise(&ix.redrainBelow, int64(maxID+1))
 	pids := make([]int, 0, len(byPartition))
 	for pid := range byPartition {
 		pids = append(pids, pid)
 	}
 	sort.Ints(pids)
 	for _, pid := range pids {
-		n, err := ix.appendToPartition(g, pid, byPartition[pid])
-		written += n
-		if err != nil {
-			return written, err
+		if err := ix.appendToPartition(g, pid, byPartition[pid], false, &st); err != nil {
+			return st, err
 		}
 	}
-	return written, nil
+	return st, nil
 }
 
-// appendToPartition merges recs into one partition file. Partition files are
-// immutable cluster-contiguous layouts, so append is read-modify-replace —
-// storage.MergePartition's byte-level merge, cheap because partitions are
-// capacity bounded.
+// FoldTails folds every tail of the current generation into its base, so the
+// base files alone hold every persisted record: what a backup links and a
+// reindex reads. Callers serialise it with WriteRouted and save the manifest
+// afterwards (also after an error: the folds that did happen are recorded).
+func (ix *Index) FoldTails() (st DrainStats, err error) {
+	g := ix.AcquireGeneration()
+	defer g.Release()
+	for pid := range g.Parts.Paths {
+		if _, tail := g.Parts.Layout(pid); tail == 0 {
+			continue
+		}
+		if err := ix.appendToPartition(g, pid, nil, true, &st); err != nil {
+			return st, err
+		}
+	}
+	return st, nil
+}
+
+// appendToPartition lands recs in partition pid. Partition files are
+// immutable cluster-contiguous layouts, so an append is read-modify-replace
+// (storage.MergePartitions' byte-level merge) — of the partition's tail, a
+// small file in the partition format beside the base that is created on the
+// first drain, while the base stays as it is. Only when the tail would
+// outgrow 1/foldFraction of the base (or fold is set) is the base rewritten
+// instead: one merge of base, tail and recs into the base, after which the
+// tail is removed. The base after a fold is byte for byte the file that
+// merging every drain into it would have left. This is the one place a
+// partition file is rewritten.
 //
-// The merge is idempotent: an existing record whose ID reappears in recs is
-// replaced rather than duplicated. This is what makes WAL replay after a
-// crash between partition writes and the manifest save safe — recompacting
-// a replayed record lands it exactly once.
-func (ix *Index) appendToPartition(g *Generation, pid int, recs []storage.Incoming) (written int64, err error) {
-	path := g.Parts.Paths[pid]
-	count, written, err := storage.MergePartition(path, recs)
+// Each file is replaced whole by rename, its cache entry dropped, and only
+// then is the new layout recorded, which is the order cluster.OpenPartition
+// relies on. A fold records the layout before removing the tail: from the
+// rename on the tail's records are in the base, and a reader must not pair
+// the two.
+//
+// Merging is idempotent — a record whose ID reappears is replaced rather than
+// duplicated — but only within the files merged, so records that may already
+// be in the base (IDs below redrainBelow: replayed after a crash, or drained
+// before) go through a fold, never into the tail beside it.
+func (ix *Index) appendToPartition(g *Generation, pid int, recs []storage.Incoming, fold bool, st *DrainStats) error {
+	base := g.Parts.Paths[pid]
+	tail := cluster.TailPath(base)
+	nBase, nTail := g.Parts.Layout(pid)
+	redrain := ix.redrainBelow.Load()
+	for _, r := range recs {
+		fold = fold || int64(r.ID) < redrain
+	}
+	step := func(name string) { CrashStep(fmt.Sprintf("%s-%05d", name, pid)) }
+	if !fold && nTail+len(recs) <= nBase/foldFraction {
+		var srcs []string
+		if nTail > 0 {
+			srcs = []string{tail}
+		}
+		step("tail-write")
+		count, written, err := storage.MergePartitions(tail, srcs, recs, func() { step("tail-rename") })
+		if err != nil {
+			return fmt.Errorf("core: rewrite tail of partition %d: %w", pid, err)
+		}
+		ix.Cl.InvalidatePartition(tail)
+		g.Parts.SetLayout(pid, nBase, count)
+		st.TailBytes += written
+		return nil
+	}
+	srcs := []string{base}
+	if nTail > 0 {
+		srcs = append(srcs, tail)
+	}
+	step("fold-write")
+	count, written, err := storage.MergePartitions(base, srcs, recs, func() { step("fold-rename") })
 	if err != nil {
-		return 0, fmt.Errorf("core: rewrite partition %d: %w", pid, err)
+		return fmt.Errorf("core: rewrite partition %d: %w", pid, err)
 	}
 	// The partition cache, when enabled, may hold the replaced file; drop
 	// it so the next query loads the merged contents. In-flight queries
 	// keep scanning their immutable snapshot.
-	ix.Cl.InvalidatePartition(path)
-	ix.countsMu.Lock()
-	g.Parts.Counts[pid] = count
-	ix.countsMu.Unlock()
-	return written, nil
+	ix.Cl.InvalidatePartition(base)
+	g.Parts.SetLayout(pid, count, 0)
+	st.FoldBytes += written
+	st.Folds++
+	if nTail > 0 {
+		step("tail-remove")
+		err := os.Remove(tail)
+		ix.Cl.InvalidatePartition(tail)
+		if err != nil {
+			return fmt.Errorf("core: remove folded tail of partition %d: %w", pid, err)
+		}
+	}
+	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -43,9 +42,14 @@ type Index struct {
 	// seeded from the partition counts at build/open time, so concurrent
 	// writers can never assign duplicate IDs.
 	nextID atomic.Int64
-	// countsMu guards the current generation's Parts.Counts, which writers
-	// update as partitions grow while Info-style readers sum it.
-	countsMu sync.Mutex
+	// redrainBelow is above every record ID that may already sit in a
+	// partition file without the file's layout saying so: IDs replayed from
+	// the WAL after a crash, IDs WriteRouted has been given before (the
+	// drain failed part-way, or its caller failed after it and kept the
+	// records). A drain carrying such an ID folds the partition it goes
+	// to, because only a merge with the base replaces the copy that may be
+	// in it.
+	redrainBelow atomic.Int64
 }
 
 // NewIndex wraps an already-built skeleton and partition set as an Index

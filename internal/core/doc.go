@@ -31,8 +31,11 @@
 //     covers fewer than K records and ranks by true Euclidean distance.
 //   - Append / WriteRouted (append.go): route new records through the
 //     existing skeleton and merge them into partition files by atomic
-//     replace; record IDs come from a single atomic counter (ReserveIDs)
-//     so concurrent writers never collide.
+//     replace — into each partition's small tail file, which is folded
+//     into the base when it reaches 1/foldFraction of it (appendToPartition
+//     is the one place a partition file is rewritten; FoldTails folds them
+//     all for backup and reindex); record IDs come from a single atomic
+//     counter (ReserveIDs) so concurrent writers never collide.
 //   - DeltaSource (delta.go): the seam through which the streaming
 //     ingestion layer (internal/ingest) makes acked-but-uncompacted
 //     records visible to every search with plan-identical pruning.

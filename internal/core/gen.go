@@ -184,8 +184,8 @@ func SetCrashStepHook(fn func(step string)) {
 	crashHookMu.Unlock()
 }
 
-// crashStep announces a named durability step to the installed hook.
-func crashStep(step string) {
+// CrashStep announces a named durability step to the installed hook.
+func CrashStep(step string) {
 	crashHookMu.RLock()
 	fn := crashHook
 	crashHookMu.RUnlock()
@@ -203,7 +203,7 @@ func WriteManifestPointer(dir string, num int) error {
 	name := genName(num)
 	mp := manifestPath(dir)
 	tmp := mp + ".tmp"
-	crashStep("manifest-write")
+	CrashStep("manifest-write")
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("core: create manifest: %w", err)
@@ -212,7 +212,7 @@ func WriteManifestPointer(dir string, num int) error {
 		f.Close()
 		return fmt.Errorf("core: write manifest: %w", err)
 	}
-	crashStep("manifest-fsync")
+	CrashStep("manifest-fsync")
 	if err := f.Sync(); err != nil {
 		f.Close()
 		return fmt.Errorf("core: sync manifest: %w", err)
@@ -220,15 +220,15 @@ func WriteManifestPointer(dir string, num int) error {
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("core: close manifest: %w", err)
 	}
-	crashStep("manifest-rename")
+	CrashStep("manifest-rename")
 	if err := os.Rename(tmp, mp); err != nil {
 		return fmt.Errorf("core: commit manifest: %w", err)
 	}
-	crashStep("root-dir-sync")
+	CrashStep("root-dir-sync")
 	if err := storage.SyncPath(dir); err != nil {
 		return err
 	}
-	crashStep("commit-done")
+	CrashStep("commit-done")
 	return nil
 }
 
@@ -287,6 +287,45 @@ func CleanStaleGenerations(dir string, activeNum int) error {
 			keep(err)
 		}
 		keep(os.RemoveAll(StoreDir(dir)))
+	}
+	return firstErr
+}
+
+// SweepPartitionFiles removes from the directories of parts' partition files
+// what a killed drain can leave there and nothing references: the temporary
+// file of an interrupted rewrite (*.tmp) and any tail parts does not hold
+// live — written before a manifest save that never happened (its records are
+// still in the WAL), or already folded into its base. Like
+// CleanStaleGenerations it is best-effort: the first removal error is
+// returned, and a failure leaves only unreferenced files behind.
+func SweepPartitionFiles(parts *cluster.PartitionSet) error {
+	live := make(map[string]bool)
+	dirs := make(map[string]bool)
+	for pid, p := range parts.Paths {
+		dirs[filepath.Dir(p)] = true
+		if _, tail := parts.Layout(pid); tail > 0 {
+			live[cluster.TailPath(p)] = true
+		}
+	}
+	tailSuffix := cluster.TailPath("")
+	var firstErr error
+	for dir := range dirs {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			if firstErr == nil {
+				firstErr = fmt.Errorf("core: scan for stale partition files: %w", err)
+			}
+			continue
+		}
+		for _, ent := range entries {
+			path := filepath.Join(dir, ent.Name())
+			if ent.IsDir() || !(strings.HasSuffix(path, ".tmp") || strings.HasSuffix(path, tailSuffix) && !live[path]) {
+				continue
+			}
+			if err := os.Remove(path); err != nil && firstErr == nil {
+				firstErr = err
+			}
+		}
 	}
 	return firstErr
 }

@@ -8,12 +8,14 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"climber/internal/cluster"
 	"climber/internal/grouping"
 	"climber/internal/metric"
 	"climber/internal/paa"
 	"climber/internal/pivot"
+	"climber/internal/storage"
 	"climber/internal/trie"
 )
 
@@ -334,6 +336,10 @@ func SaveIndex(ix *Index, path string) error {
 // backup assembled from one) can be relocated or copied wholesale and still
 // open; paths elsewhere are stored as given.
 //
+// Per-partition tail counts follow the manifest only when some partition has
+// a tail, so an index that never drained into one — a fresh build, a reindex,
+// a backup — has the bytes it always had.
+//
 // The write is atomic (temp file + fsync + rename): the manifest is the
 // WAL-replay baseline and the streaming compactor rewrites it on every
 // compaction, so a kill mid-save must leave either the old or the new
@@ -341,7 +347,7 @@ func SaveIndex(ix *Index, path string) error {
 func SaveSnapshot(skel *Skeleton, parts *cluster.PartitionSet, path string) (err error) {
 	root := filepath.Dir(path)
 	tmp := path + ".tmp"
-	crashStep("index-write")
+	CrashStep("index-write")
 	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("core: create index file: %w", err)
@@ -368,22 +374,69 @@ func SaveSnapshot(skel *Skeleton, parts *cluster.PartitionSet, path string) (err
 		bw.raw([]byte(p))
 		bw.i(parts.Counts[i])
 	}
+	if slices.ContainsFunc(parts.Tails, func(t int) bool { return t > 0 }) {
+		bw.raw([]byte(tailsMagic))
+		for _, t := range parts.Tails {
+			bw.i(t)
+		}
+	}
 	if bw.err != nil {
 		return fmt.Errorf("core: encode manifest: %w", bw.err)
 	}
 	if err := w.Flush(); err != nil {
 		return fmt.Errorf("core: flush index file: %w", err)
 	}
-	crashStep("index-fsync")
+	CrashStep("index-fsync")
 	if err := f.Sync(); err != nil {
 		return fmt.Errorf("core: sync index file: %w", err)
 	}
 	if err := f.Close(); err != nil {
 		return fmt.Errorf("core: close index file: %w", err)
 	}
-	crashStep("index-rename")
+	CrashStep("index-rename")
 	if err := os.Rename(tmp, path); err != nil {
 		return fmt.Errorf("core: replace index file: %w", err)
+	}
+	return nil
+}
+
+// tailsMagic opens the optional tail-count section of the manifest.
+const tailsMagic = "TAIL"
+
+// readTails reads the manifest's tail-count section, if r holds one, and
+// keeps the tails that are live. A tail is live only while its base file
+// holds exactly the records the manifest gives the base: a fold renames the
+// new base in before it removes the tail and before the manifest is saved, so
+// after a kill in that window the base's own record total has moved on and
+// the tail — whose records the base now holds — must not be read beside it.
+// The partition is then served from its base alone; its Counts entry stays
+// the manifest's (the baseline WAL replay skips below), and the replayed
+// records of the killed drain fold into the base on the next one.
+func readTails(r *bufio.Reader, parts *cluster.PartitionSet) error {
+	magic := make([]byte, len(tailsMagic))
+	if _, err := io.ReadFull(r, magic); err == io.EOF {
+		return nil
+	} else if err != nil || string(magic) != tailsMagic {
+		return fmt.Errorf("core: corrupt manifest trailer")
+	}
+	br := &binReader{r: r}
+	parts.Tails = make([]int, len(parts.Paths))
+	for pid := range parts.Tails {
+		t := br.i()
+		if br.err != nil || t < 0 || t > parts.Counts[pid] {
+			return fmt.Errorf("core: corrupt tail count of partition %d", pid)
+		}
+		if t == 0 {
+			continue
+		}
+		base, err := storage.OpenPartition(parts.Paths[pid])
+		if err != nil {
+			return err
+		}
+		if base.Count() == parts.Counts[pid]-t {
+			parts.Tails[pid] = t
+		}
+		base.Close()
 	}
 	return nil
 }
@@ -428,6 +481,9 @@ func OpenIndex(cl *cluster.Cluster, path string) (*Index, error) {
 	}
 	if br.err != nil {
 		return nil, fmt.Errorf("core: read manifest: %w", br.err)
+	}
+	if err := readTails(r, parts); err != nil {
+		return nil, err
 	}
 	ix := &Index{Cl: cl}
 	ix.gen.Store(NewGeneration(skel, parts))

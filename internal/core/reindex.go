@@ -29,7 +29,7 @@ import (
 //     bit-identical files);
 //   - every written file is fsynced (and the directories containing them), so
 //     when the caller's MANIFEST rename commits, the generation it names is
-//     durable. The enumerated crashStep hooks mark each durability boundary.
+//     durable. The enumerated CrashStep hooks mark each durability boundary.
 //
 // The new generation starts with no delta; the caller re-routes any
 // uncompacted records into one before the swap. Records land in the new
@@ -50,7 +50,7 @@ func (ix *Index) RebuildGeneration(ctx context.Context, genRoot, name string) (*
 		},
 	}
 	g, stats, err := construct(ctx, ix.Cl, in, cfg,
-		cluster.Dest{Root: genRoot, Name: name, Sync: true, Step: crashStep})
+		cluster.Dest{Root: genRoot, Name: name, Sync: true, Step: CrashStep})
 	if err != nil {
 		return nil, err
 	}

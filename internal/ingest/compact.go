@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -73,6 +74,17 @@ type Stats struct {
 	CompactBytesWritten int64
 	CompactSeconds      float64
 	CompactDurations    [len(CompactionBuckets) + 1]int64
+	// TailFiles, TailRecords and TailBytes describe the tails on disk now:
+	// the small files drains rewrite between folds into the partition bases.
+	TailFiles   int
+	TailRecords int
+	TailBytes   int64
+	// Folds counts partition bases rewritten to take in their tail.
+	// TailBytesWritten and FoldBytesWritten split the partition-file volume
+	// written, failed and admin folds included, into tail rewrites and folds.
+	Folds            int64
+	TailBytesWritten int64
+	FoldBytesWritten int64
 }
 
 // CompactionBuckets are the upper bounds (seconds) of the
@@ -127,6 +139,13 @@ type Ingester struct {
 	compactBytes    atomic.Int64
 	compactNanos    atomic.Int64
 	compactDur      [len(CompactionBuckets) + 1]atomic.Int64
+	folds           atomic.Int64
+	tailBytes       atomic.Int64
+	foldBytes       atomic.Int64
+
+	// lastLogged is when the compactor last logged each error text it has
+	// seen; only run touches it.
+	lastLogged map[string]time.Time
 }
 
 // Open attaches a streaming ingestion pipeline to ix: it opens (creating if
@@ -266,10 +285,11 @@ func (g *Ingester) Flush(ctx context.Context) error {
 	return g.compactLocked()
 }
 
-// Barrier synchronously compacts the delta and then runs fn while the write
-// semaphore is still held: no append, compaction, or generation swap can
-// interleave with fn. Backup uses it to copy partition files at a moment
-// when they hold every acked record and nothing is rewriting them.
+// Barrier synchronously compacts the delta, folds every tail into its base,
+// and then runs fn while the write semaphore is still held: no append,
+// compaction, or generation swap can interleave with fn. Backup uses it to
+// copy partition files at a moment when the base files hold every acked
+// record and nothing is rewriting them.
 func (g *Ingester) Barrier(ctx context.Context, fn func() error) error {
 	if err := g.lock(ctx); err != nil {
 		return err
@@ -284,14 +304,18 @@ func (g *Ingester) Barrier(ctx context.Context, fn func() error) error {
 	if err := g.compactLocked(); err != nil {
 		return err
 	}
+	if err := g.foldLocked(); err != nil {
+		return err
+	}
 	return fn()
 }
 
 // BeginRebuild starts the write-side protocol of an online reindex: it runs
-// one final compaction — so the partition files hold every record acked so
-// far and the rebuild can source solely from them — and then pauses further
-// compactions. Appends stay live; until CommitRebuild or AbortRebuild they
-// accumulate in the WAL and the current generation's delta.
+// one final compaction and folds every tail — so the base partition files
+// hold every record acked so far and the rebuild can source solely from
+// them — and then pauses further compactions. Appends stay live; until
+// CommitRebuild or AbortRebuild they accumulate in the WAL and the current
+// generation's delta.
 func (g *Ingester) BeginRebuild(ctx context.Context) error {
 	if err := g.lock(ctx); err != nil {
 		return err
@@ -304,6 +328,9 @@ func (g *Ingester) BeginRebuild(ctx context.Context) error {
 		return ErrRebuildInProgress
 	}
 	if err := g.compactLocked(); err != nil {
+		return err
+	}
+	if err := g.foldLocked(); err != nil {
 		return err
 	}
 	g.paused = true
@@ -418,7 +445,11 @@ func (g *Ingester) Stats() Stats {
 		CompactErrors:       g.compactErrors.Load(),
 		CompactBytesWritten: g.compactBytes.Load(),
 		CompactSeconds:      float64(g.compactNanos.Load()) / 1e9,
+		Folds:               g.folds.Load(),
+		TailBytesWritten:    g.tailBytes.Load(),
+		FoldBytesWritten:    g.foldBytes.Load(),
 	}
+	s.TailFiles, s.TailRecords, s.TailBytes = g.ix.TailStats()
 	for i := range g.compactDur {
 		s.CompactDurations[i] = g.compactDur[i].Load()
 	}
@@ -464,10 +495,55 @@ func (g *Ingester) run() {
 		if !g.closed {
 			if err := g.compactLocked(); err != nil {
 				g.compactErrors.Add(1)
+				g.logFailure(err)
 			}
 		}
 		g.unlock()
 	}
+}
+
+// logFailure reports a failed background compaction, which is otherwise only
+// a counter: the compactor retries on every trigger, so a standing fault
+// (disk full, a file gone) is logged once a minute per distinct text, not
+// once per attempt.
+func (g *Ingester) logFailure(err error) {
+	msg, now := err.Error(), time.Now()
+	if last, ok := g.lastLogged[msg]; ok && now.Sub(last) < time.Minute {
+		return
+	}
+	if g.lastLogged == nil {
+		g.lastLogged = make(map[string]time.Time)
+	}
+	g.lastLogged[msg] = now
+	slog.Error("background compaction failed; will retry", "err", msg)
+}
+
+// written adds what a drain or a fold wrote to the pipeline's counters.
+func (g *Ingester) written(st core.DrainStats) {
+	g.folds.Add(int64(st.Folds))
+	g.tailBytes.Add(st.TailBytes)
+	g.foldBytes.Add(st.FoldBytes)
+}
+
+// foldLocked folds every tail into its base and persists the manifest that
+// says so. Caller holds the write semaphore and has just drained the delta,
+// so the WAL is empty: a kill anywhere in here loses nothing, and the next
+// open sees, per partition, either the tail the old manifest lists or a base
+// whose record total shows the tail is already in it.
+func (g *Ingester) foldLocked() error {
+	st, err := g.ix.FoldTails()
+	g.written(st)
+	if st.Folds > 0 {
+		// Also after a fold that failed part-way: the ones that happened
+		// are on disk.
+		if serr := g.save(); err == nil {
+			err = serr
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("ingest: fold tails: %w", err)
+	}
+	return nil
 }
 
 // compactLocked drains the delta into partition files. Caller holds the
@@ -475,12 +551,14 @@ func (g *Ingester) run() {
 //
 // Ordering is what makes a crash at any point safe:
 //
-//  1. write the records into partition files (atomic per-partition replace,
-//     partition cache invalidated) — a crash here leaves some records both
-//     on disk and in the WAL, but the manifest still carries the old counts,
-//     so replay's baseline skip cannot lose them and the next compaction's
-//     partition rewrite folds the re-replayed records in place of the
-//     orphaned copies (same IDs, same destinations, same values);
+//  1. write the records into partition files — per partition its tail, or
+//     on a fold its base (atomic replace, that file's cache entry dropped) —
+//     a crash here leaves some records both on disk and in the WAL, but the
+//     manifest still carries the old counts, so replay's baseline skip
+//     cannot lose them, open keeps a tail only beside the base the manifest
+//     describes, and the next compaction folds the re-replayed records in
+//     place of the orphaned copies (same IDs, same destinations, same
+//     values);
 //  2. persist the manifest — from here the counts (and the ID counter they
 //     seed) include the compacted records;
 //  3. truncate the WAL — replay now has nothing to re-apply;
@@ -501,13 +579,15 @@ func (g *Ingester) compactLocked() error {
 		return nil
 	}
 	begin := time.Now()
-	written, err := g.ix.WriteRouted(recs)
+	st, err := g.ix.WriteRouted(recs)
+	g.written(st)
 	if err != nil {
 		return fmt.Errorf("ingest: compact: %w", err)
 	}
 	if err := g.save(); err != nil {
 		return fmt.Errorf("ingest: persist manifest: %w", err)
 	}
+	core.CrashStep("wal-reset")
 	if err := g.wal.Reset(); err != nil {
 		return err
 	}
@@ -515,7 +595,7 @@ func (g *Ingester) compactLocked() error {
 	g.walBytes.Store(g.wal.Size())
 	g.compactions.Add(1)
 	g.compactedSeries.Add(int64(len(recs)))
-	g.compactBytes.Add(written)
+	g.compactBytes.Add(st.TailBytes + st.FoldBytes)
 	took := time.Since(begin)
 	g.compactNanos.Add(took.Nanoseconds())
 	// The first bound at or above the duration; len(CompactionBuckets), the

@@ -1,8 +1,14 @@
 package ingest
 
 import (
+	"bytes"
 	"context"
+	"errors"
+	"log/slog"
 	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -245,10 +251,17 @@ func TestCrashBetweenCompactAndTruncateIsIdempotent(t *testing.T) {
 	if got := ix2.PersistedRecords(); got != 1010 {
 		t.Fatalf("partitions hold %d records, want 1010", got)
 	}
-	// No record is stored twice.
+	requireStoredOnce(t, ix2, 1010)
+}
+
+// requireStoredOnce scans every partition, base and tail, and fails unless the
+// files hold exactly the IDs 0..want-1, each once, and the manifest counts
+// the same.
+func requireStoredOnce(t *testing.T, ix *core.Index, want int) {
+	t.Helper()
 	seen := map[int]int{}
-	for pid := range ix2.Partitions().Paths {
-		p, err := ix2.Cl.OpenPartition(ix2.Partitions(), pid)
+	for pid := range ix.Partitions().Paths {
+		p, err := ix.Cl.OpenPartition(ix.Partitions(), pid)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,10 +274,16 @@ func TestCrashBetweenCompactAndTruncateIsIdempotent(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for id, n := range seen {
-		if n != 1 {
-			t.Fatalf("record %d stored %d times", id, n)
+	for id := 0; id < want; id++ {
+		if seen[id] != 1 {
+			t.Fatalf("record %d stored %d times, want once", id, seen[id])
 		}
+	}
+	if len(seen) != want {
+		t.Fatalf("partition files hold %d distinct IDs, want %d", len(seen), want)
+	}
+	if got := ix.PersistedRecords(); got != want {
+		t.Fatalf("the manifest counts %d records, want %d", got, want)
 	}
 }
 
@@ -313,4 +332,144 @@ func TestClosedIngesterRejectsWrites(t *testing.T) {
 	if got := ix.PersistedRecords(); got != 1002 {
 		t.Fatalf("partitions hold %d records after Close, want 1002", got)
 	}
+}
+
+// A background compaction that fails is retried on every trigger; the
+// failure is logged, once per distinct text per minute, not only counted.
+func TestBackgroundCompactionFailureIsLogged(t *testing.T) {
+	var logged lockedBuffer
+	old := slog.Default()
+	slog.SetDefault(slog.New(slog.NewTextHandler(&logged, nil)))
+	defer slog.SetDefault(old)
+
+	ix, dir := buildIndex(t, 1200)
+	var failure atomic.Pointer[error]
+	g, err := Open(ix, filepath.Join(dir, "wal.clmw"), func() error {
+		if e := failure.Load(); e != nil {
+			return *e
+		}
+		return core.SaveIndex(ix, filepath.Join(dir, "index.clms"))
+	}, Config{CompactRecords: 2, CompactAge: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+
+	// appendUntilErrors keeps the size trigger firing until the compactor has
+	// failed n more times.
+	appendUntilErrors := func(n int64) {
+		t.Helper()
+		want := g.Stats().CompactErrors + n
+		for deadline := time.Now().Add(20 * time.Second); g.Stats().CompactErrors < want; {
+			if time.Now().After(deadline) {
+				t.Fatalf("the compactor failed %d times, want %d", g.Stats().CompactErrors, want)
+			}
+			if _, err := g.Append(context.Background(), freshSeries(2)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	disk := errors.New("no space left on device")
+	failure.Store(&disk)
+	appendUntilErrors(3)
+	if n := strings.Count(logged.String(), "background compaction failed"); n != 1 {
+		t.Fatalf("three failures with one text logged %d lines:\n%s", n, logged.String())
+	}
+	if !strings.Contains(logged.String(), "no space left on device") {
+		t.Fatalf("the log line does not carry the error:\n%s", logged.String())
+	}
+	quota := errors.New("disk quota exceeded")
+	failure.Store(&quota)
+	appendUntilErrors(2)
+	if n := strings.Count(logged.String(), "background compaction failed"); n != 2 {
+		t.Fatalf("a second distinct failure brought the log to %d lines:\n%s", n, logged.String())
+	}
+	failure.Store(nil)
+	if err := g.Flush(context.Background()); err != nil {
+		t.Fatalf("flush once the fault cleared: %v", err)
+	}
+	if g.DeltaLen() != 0 {
+		t.Fatalf("%d records still in the delta after the flush", g.DeltaLen())
+	}
+	// Every failed attempt had already written the partition files.
+	requireStoredOnce(t, ix, g.TotalRecords())
+}
+
+// A drain that wrote its partition files and then failed — the manifest save,
+// here — is retried with the same records while the files already hold them:
+// folded into a base, or in a tail. The retry must replace them where they
+// lie, not store a second copy in a fresh tail beside the base.
+func TestRetriedDrainAfterFailedSaveStoresOnce(t *testing.T) {
+	ix, dir := buildIndex(t, 1200)
+	var failure atomic.Pointer[error]
+	g, err := Open(ix, filepath.Join(dir, "wal.clmw"), func() error {
+		if e := failure.Load(); e != nil {
+			return *e
+		}
+		return core.SaveIndex(ix, filepath.Join(dir, "index.clms"))
+	}, Config{CompactRecords: 1 << 20, CompactAge: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	ctx := context.Background()
+	series := freshSeries(160)
+
+	// Tails close to the fold threshold...
+	if _, err := g.Append(ctx, series[:100]); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := g.Stats(); st.TailFiles == 0 {
+		t.Fatalf("the first drain left no tail: %+v", st)
+	}
+	// ...so the next drain folds some and only grows others, and then fails.
+	if _, err := g.Append(ctx, series[100:]); err != nil {
+		t.Fatal(err)
+	}
+	disk := errors.New("no space left on device")
+	failure.Store(&disk)
+	if err := g.Flush(ctx); !errors.Is(err, disk) {
+		t.Fatalf("flush with a failing manifest save: %v", err)
+	}
+	st := g.Stats()
+	if st.Folds == 0 || st.TailFiles == 0 || st.DeltaRecords != 60 {
+		t.Fatalf("the failed drain should have folded some tails, kept others and the delta: %+v", st)
+	}
+	failure.Store(nil)
+	if err := g.Flush(ctx); err != nil {
+		t.Fatalf("flush once the fault cleared: %v", err)
+	}
+	requireStoredOnce(t, ix, 1360)
+
+	// The same after a restart, and after the fold of everything.
+	if err := g.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ix2, err := core.OpenIndex(ix.Cl, filepath.Join(dir, "index.clms"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireStoredOnce(t, ix2, 1360)
+}
+
+// lockedBuffer is a bytes.Buffer the compactor goroutine may write while the
+// test reads.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }

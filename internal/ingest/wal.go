@@ -11,8 +11,21 @@
 // navigation used at build time, searches merge delta hits with the same
 // partition/cluster pruning the on-disk plan used, and once size or age
 // thresholds trip the compactor lands the delta in partition files through
-// the same read-modify-replace path as core.Index.Append, invalidates the
-// partition cache, and truncates the WAL.
+// the same path as core.Index.Append (core.WriteRouted), persists the
+// manifest, and truncates the WAL.
+//
+// A drain does not rewrite the index. Each partition it touches gets its
+// incoming records merged into the partition's tail — a small second file
+// beside the base — and only a tail that has reached an eighth of its base
+// is folded into it, so a drain's cost follows what was appended, not what
+// is stored, and the bases stay in the partition cache. The two rare admin
+// paths that need every record in the base files, Barrier (backup) and
+// BeginRebuild (reindex), fold every tail first. What a kill inside a drain
+// leaves is put right by the next open: core keeps a tail only beside the
+// base the manifest describes and sweeps the rest, and the replayed records
+// fold into whichever files already hold them (ARCHITECTURE.md, "Compact").
+// A background drain that fails is retried on the next trigger, counted,
+// and logged.
 package ingest
 
 import (

@@ -94,6 +94,9 @@ func (b *backend) ingestMetrics(_ context.Context, w *strings.Builder) {
 	api.WriteSample(w, "climber_compacted_series_total", "Series moved from the delta into partition files.", "counter", ing.CompactedSeries)
 	api.WriteSample(w, "climber_compact_errors_total", "Failed background compaction attempts.", "counter", ing.CompactErrors)
 	api.WriteSample(w, "climber_compaction_bytes_written_total", "Partition-file bytes completed compactions rewrote.", "counter", ing.CompactBytesWritten)
+	api.WriteSample(w, "climber_compaction_tail_bytes_written_total", "Bytes of partition tail files written: a compaction rewrites the small tail beside each partition base it touches.", "counter", ing.TailBytesWritten)
+	api.WriteSample(w, "climber_compaction_fold_bytes_written_total", "Bytes of partition base files written by folds.", "counter", ing.FoldBytesWritten)
+	api.WriteSample(w, "climber_folds_total", "Partition bases rewritten to take in their tail (the tail reached an eighth of the base, or a backup or reindex began).", "counter", ing.Folds)
 	fmt.Fprintf(w, "# HELP climber_compaction_duration_seconds Duration of completed delta-to-partition compactions.\n")
 	fmt.Fprintf(w, "# TYPE climber_compaction_duration_seconds histogram\n")
 	var cum int64
@@ -108,4 +111,7 @@ func (b *backend) ingestMetrics(_ context.Context, w *strings.Builder) {
 	api.WriteSample(w, "climber_wal_bytes", "Current write-ahead-log size in bytes.", "gauge", ing.WALBytes)
 	api.WriteSample(w, "climber_delta_records", "Acked records resident in the in-memory delta index.", "gauge", int64(ing.DeltaRecords))
 	api.WriteSample(w, "climber_delta_bytes", "Storage-equivalent bytes resident in the delta index.", "gauge", ing.DeltaBytes)
+	api.WriteSample(w, "climber_tail_files", "Partitions that currently have a tail file.", "gauge", int64(ing.TailFiles))
+	api.WriteSample(w, "climber_tail_records", "Records held in partition tail files.", "gauge", int64(ing.TailRecords))
+	api.WriteSample(w, "climber_tail_bytes", "Size of the partition tail files on disk.", "gauge", ing.TailBytes)
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // The partition-buffer pool: whole partition files move through the process
-// as byte slices — LoadPartition reads one into a buffer, MergePartition
+// as byte slices — LoadPartition reads one into a buffer, MergePartitions
 // builds its output in one — and a buffer whose partition has drained its
 // last reference is handed to the next load instead of the garbage
 // collector. On the cache-miss path that replaces allocating, zero-filling

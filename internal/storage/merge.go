@@ -9,8 +9,8 @@ import (
 	"slices"
 )
 
-// Incoming is one record bound for a cluster of the partition MergePartition
-// rewrites.
+// Incoming is one record bound for a cluster of the partition MergePartitions
+// writes.
 type Incoming struct {
 	Cluster ClusterID
 	ID      int
@@ -18,64 +18,94 @@ type Incoming struct {
 }
 
 // mergeRef names one record of a merged partition by where its bytes come
-// from: src >= 0 is the record's offset in the old file, src < 0 is ^index
-// into the incoming records.
+// from: from >= 0 is the source file holding the record and src its offset
+// there; from < 0 is an incoming record and src its index.
 type mergeRef struct {
 	cluster ClusterID
 	id      int
+	from    int
 	src     int
 }
 
-// MergePartition rewrites the partition file at path to hold its current
-// records plus incoming, and returns the merged record count and the bytes
-// written. It is the byte-level form of decoding every record into a
-// PartitionWriter and flushing it: surviving records are copied verbatim
-// from the old file, each incoming record is encoded once into place, and the
-// result is byte-identical to what PartitionWriter produces for the same
-// record set — clusters ascending, records ascending by ID within a cluster,
-// trailing CRC32. Both the old file and the output live in pooled buffers.
+// MergePartitions writes to dst the records of the partition files srcs plus
+// incoming, and returns the merged record count and the bytes written. dst
+// may be one of srcs (a partition merged in place, or a base that takes in
+// its tail) or a new file (no srcs: incoming alone, at least one record). It
+// is the byte-level form of decoding every record into a PartitionWriter and
+// flushing it: surviving records are copied verbatim from their file, each
+// incoming record is encoded once into place, and the result is
+// byte-identical to what PartitionWriter produces for the same record set —
+// clusters ascending, records ascending by ID within a cluster, trailing
+// CRC32. The source files and the output live in pooled buffers.
 //
 // The merge is idempotent: an existing record whose ID reappears in incoming
-// is replaced, whichever cluster held it, rather than duplicated.
+// is replaced, whichever file and cluster held it, rather than duplicated.
+// The source files must not share an ID among themselves.
 //
-// The new file is written beside the old one and renamed over it, so readers
-// see either file whole; on any failure the temporary file is removed and
-// the old file is untouched. The caller invalidates cached copies of path.
-func MergePartition(path string, incoming []Incoming) (count int, written int64, err error) {
-	old, err := LoadPartition(path)
-	if err != nil {
-		return 0, 0, err
+// The new file is written beside dst and renamed over it, so readers see
+// either file whole; beforeRename, when set, is called between the two (the
+// drain crash matrix kills there). On any failure the temporary file is
+// removed and dst is untouched. The caller invalidates cached copies of dst.
+func MergePartitions(dst string, srcs []string, incoming []Incoming, beforeRename func()) (count int, written int64, err error) {
+	olds := make([]*Partition, 0, len(srcs))
+	defer func() {
+		for _, old := range olds {
+			old.Release()
+		}
+	}()
+	seriesLen, total := 0, len(incoming)
+	for _, src := range srcs {
+		old, err := LoadPartition(src)
+		if err != nil {
+			return 0, 0, err
+		}
+		olds = append(olds, old)
+		if len(olds) > 1 && old.seriesLen != seriesLen {
+			return 0, 0, fmt.Errorf("storage: merge of series lengths %d and %d", seriesLen, old.seriesLen)
+		}
+		seriesLen = old.seriesLen
+		total += old.total
 	}
-	defer old.Release()
+	if len(olds) == 0 {
+		if len(incoming) == 0 {
+			return 0, 0, fmt.Errorf("storage: merge into %s has nothing to write", dst)
+		}
+		seriesLen = len(incoming[0].Values)
+	}
 	replaced := make(map[int]struct{}, len(incoming))
 	for _, r := range incoming {
-		if len(r.Values) != old.seriesLen {
-			return 0, 0, fmt.Errorf("storage: record length %d, partition expects %d", len(r.Values), old.seriesLen)
+		if len(r.Values) != seriesLen {
+			return 0, 0, fmt.Errorf("storage: record length %d, partition expects %d", len(r.Values), seriesLen)
 		}
 		replaced[r.ID] = struct{}{}
 	}
 
-	recBytes := RecordBytes(old.seriesLen)
-	refs := make([]mergeRef, 0, old.total+len(incoming))
-	for _, ci := range old.dir {
-		off := int(ci.offset)
-		for end := off + ci.Count*recBytes; off < end; off += recBytes {
-			id := int(binary.LittleEndian.Uint64(old.data[off:]))
-			if _, ok := replaced[id]; !ok {
-				refs = append(refs, mergeRef{ci.ID, id, off})
+	recBytes := RecordBytes(seriesLen)
+	refs := make([]mergeRef, 0, total)
+	for from, old := range olds {
+		for _, ci := range old.dir {
+			off := int(ci.offset)
+			for end := off + ci.Count*recBytes; off < end; off += recBytes {
+				id := int(binary.LittleEndian.Uint64(old.data[off:]))
+				if _, ok := replaced[id]; !ok {
+					refs = append(refs, mergeRef{ci.ID, id, from, off})
+				}
 			}
 		}
 	}
 	for i, r := range incoming {
-		refs = append(refs, mergeRef{r.Cluster, r.ID, ^i})
+		refs = append(refs, mergeRef{r.Cluster, r.ID, -1, i})
 	}
-	// PartitionWriter's canonical order. The old file is already in it, so
-	// only the incoming tail is out of place.
+	// PartitionWriter's canonical order. A lone source file is already in it,
+	// so only the incoming tail is out of place.
 	order := func(a, b mergeRef) int {
 		if c := cmp.Compare(a.cluster, b.cluster); c != 0 {
 			return c
 		}
 		if c := cmp.Compare(a.id, b.id); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.from, b.from); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.src, b.src)
@@ -94,7 +124,7 @@ func MergePartition(path string, incoming []Incoming) (count int, written int64,
 	defer putBuf(out)
 	copy(out[0:4], partitionMagic)
 	binary.LittleEndian.PutUint32(out[4:8], partitionVersion)
-	binary.LittleEndian.PutUint32(out[8:12], uint32(old.seriesLen))
+	binary.LittleEndian.PutUint32(out[8:12], uint32(seriesLen))
 	binary.LittleEndian.PutUint32(out[12:16], uint32(nClusters))
 	dir, rec := 16, 16+12*nClusters
 	for i := 0; i < len(refs); {
@@ -108,27 +138,27 @@ func MergePartition(path string, incoming []Incoming) (count int, written int64,
 		i = j
 	}
 	for _, ref := range refs {
-		dst := out[rec : rec+recBytes]
-		if ref.src >= 0 {
-			copy(dst, old.data[ref.src:])
+		slot := out[rec : rec+recBytes]
+		if ref.from >= 0 {
+			copy(slot, olds[ref.from].data[ref.src:])
 		} else {
-			r := incoming[^ref.src]
-			encodeRecord(dst, r.ID, r.Values)
+			r := incoming[ref.src]
+			encodeRecord(slot, r.ID, r.Values)
 		}
 		rec += recBytes
 	}
 	binary.LittleEndian.PutUint32(out[rec:], crc32.ChecksumIEEE(out[:rec]))
 
-	if err := replaceFile(path, out); err != nil {
+	if err := replaceFile(dst, out, beforeRename); err != nil {
 		return 0, 0, err
 	}
 	return len(refs), int64(len(out)), nil
 }
 
 // replaceFile atomically replaces the file at path with data: one write into
-// path.tmp, then a rename over path. A temporary file this call created
-// never outlives a failure.
-func replaceFile(path string, data []byte) error {
+// path.tmp, then — after beforeRename, when set — a rename over path. A
+// temporary file this call created never outlives a failure.
+func replaceFile(path string, data []byte, beforeRename func()) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
 	if err != nil {
@@ -139,6 +169,9 @@ func replaceFile(path string, data []byte) error {
 		err = cerr
 	}
 	if err == nil {
+		if beforeRename != nil {
+			beforeRename()
+		}
 		err = os.Rename(tmp, path)
 	}
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -54,7 +55,7 @@ func checkMerge(t *testing.T, seriesLen int, old, incoming []Incoming) {
 	union = append(union, incoming...)
 	want := writerFile(t, filepath.Join(dir, "want.clmp"), seriesLen, union)
 
-	count, written, err := MergePartition(path, incoming)
+	count, written, err := mergeInPlace(path, incoming)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func checkMerge(t *testing.T, seriesLen int, old, incoming []Incoming) {
 		t.Fatalf("merged file differs from the PartitionWriter file (%d vs %d bytes)", len(got), len(want))
 	}
 	if count != len(union) || written != int64(len(want)) {
-		t.Fatalf("MergePartition reported %d records, %d bytes; want %d, %d", count, written, len(union), len(want))
+		t.Fatalf("MergePartitions reported %d records, %d bytes; want %d, %d", count, written, len(union), len(want))
 	}
 	p, err := OpenPartition(path)
 	if err != nil {
@@ -117,6 +118,106 @@ func TestMergeMatchesWriter(t *testing.T) {
 	}
 }
 
+// What a partition's drains leave must not depend on whether they went
+// through a tail: rounds of records merged into a tail beside the base and
+// then folded — one MergePartitions of base, tail and a last round — give,
+// byte for byte, the base that merging every round straight into it gives,
+// which is the PartitionWriter file of all the records.
+func TestFoldMatchesWholeRewrite(t *testing.T) {
+	rng := rand.New(rand.NewPCG(23, 1))
+	for round := 0; round < 60; round++ {
+		seriesLen := 1 + rng.IntN(12)
+		clusters := 1 + rng.IntN(6)
+		next := 0
+		batch := func(n int) []Incoming {
+			out := make([]Incoming, n)
+			for i := range out {
+				vals := make([]float64, seriesLen)
+				for j := range vals {
+					vals[j] = rng.NormFloat64()
+				}
+				out[i] = Incoming{Cluster: ClusterID(rng.IntN(clusters) - 2), ID: next, Values: vals}
+				next++
+			}
+			return out
+		}
+		dir := t.TempDir()
+		built := batch(rng.IntN(80))
+		tailed, whole := filepath.Join(dir, "tailed.clmp"), filepath.Join(dir, "whole.clmp")
+		writerFile(t, tailed, seriesLen, built)
+		writerFile(t, whole, seriesLen, built)
+		all := slices.Clone(built)
+
+		tail := tailed + ".tail"
+		var tailSrcs []string
+		inTail := 0
+		for drains := 1 + rng.IntN(4); drains > 0; drains-- {
+			in := batch(1 + rng.IntN(10))
+			all = append(all, in...)
+			count, _, err := MergePartitions(tail, tailSrcs, in, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if inTail += len(in); count != inTail {
+				t.Fatalf("tail holds %d records after %d went in", count, inTail)
+			}
+			tailSrcs = []string{tail}
+			if _, _, err := mergeInPlace(whole, in); err != nil {
+				t.Fatal(err)
+			}
+		}
+		last := batch(rng.IntN(10))
+		all = append(all, last...)
+		count, written, err := MergePartitions(tailed, []string{tailed, tail}, last, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := mergeInPlace(whole, last); err != nil {
+			t.Fatal(err)
+		}
+
+		want := writerFile(t, filepath.Join(dir, "want.clmp"), seriesLen, all)
+		for name, path := range map[string]string{"folded": tailed, "merged drain by drain": whole} {
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("round %d: the %s base differs from the PartitionWriter file (%d vs %d bytes)", round, name, len(got), len(want))
+			}
+		}
+		if count != len(all) || written != int64(len(want)) {
+			t.Fatalf("fold reported %d records, %d bytes; want %d, %d", count, written, len(all), len(want))
+		}
+	}
+}
+
+// A merge with no source writes a new file, and refuses to write an empty one.
+func TestMergeIntoNewFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "p.clmp.tail")
+	if _, _, err := MergePartitions(path, nil, nil, nil); err == nil {
+		t.Fatal("a merge of nothing into a new file succeeded")
+	}
+	in := []Incoming{{Cluster: 3, ID: 9, Values: []float64{1, 2}}, {Cluster: -1, ID: 4, Values: []float64{3, 4}}}
+	renamed := false
+	count, _, err := MergePartitions(path, nil, in, func() {
+		renamed = true
+		if _, err := os.Stat(path); err == nil {
+			t.Error("the file was in place before the rename was announced")
+		}
+	})
+	if err != nil || count != 2 || !renamed {
+		t.Fatalf("merge into a new file: count %d, announced %v, err %v", count, renamed, err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := writerFile(t, path+".want", 2, in); !bytes.Equal(got, want) {
+		t.Fatal("a new file of incoming records is not their PartitionWriter file")
+	}
+}
+
 // A file whose records are not in the canonical order (nothing but
 // PartitionWriter's sort guarantees it) still merges to the canonical file.
 func TestMergeCanonicalisesUnsortedFile(t *testing.T) {
@@ -142,7 +243,7 @@ func TestMergeCanonicalisesUnsortedFile(t *testing.T) {
 
 	incoming := []Incoming{{Cluster: 1, ID: 6, Values: []float64{0, 0, 0}}}
 	want := writerFile(t, filepath.Join(dir, "want.clmp"), seriesLen, append(recs, incoming...))
-	if _, _, err := MergePartition(path, incoming); err != nil {
+	if _, _, err := mergeInPlace(path, incoming); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)
@@ -157,7 +258,7 @@ func TestMergeCanonicalisesUnsortedFile(t *testing.T) {
 func TestMergeRejectsWrongLength(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "p.clmp")
 	before := writerFile(t, path, 4, []Incoming{{Cluster: 0, ID: 1, Values: make([]float64, 4)}})
-	if _, _, err := MergePartition(path, []Incoming{{Cluster: 0, ID: 2, Values: make([]float64, 3)}}); err == nil {
+	if _, _, err := mergeInPlace(path, []Incoming{{Cluster: 0, ID: 2, Values: make([]float64, 3)}}); err == nil {
 		t.Fatal("merge accepted a record of the wrong length")
 	}
 	after, err := os.ReadFile(path)
@@ -191,7 +292,7 @@ func TestReplaceFileRemovesTempOnRenameFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := listDir(t, dir)
-	if err := replaceFile(target, []byte("partition bytes")); err == nil {
+	if err := replaceFile(target, []byte("partition bytes"), nil); err == nil {
 		t.Fatal("replace over a non-empty directory succeeded")
 	}
 	if after := listDir(t, dir); !reflect.DeepEqual(before, after) {
@@ -200,7 +301,7 @@ func TestReplaceFileRemovesTempOnRenameFailure(t *testing.T) {
 	if err := os.RemoveAll(target); err != nil {
 		t.Fatal(err)
 	}
-	if err := replaceFile(target, []byte("partition bytes")); err != nil {
+	if err := replaceFile(target, []byte("partition bytes"), nil); err != nil {
 		t.Fatalf("replace after the squatter left: %v", err)
 	}
 	if got := listDir(t, dir); len(got) != 2 {
@@ -260,7 +361,13 @@ func TestLoadPartitionRecyclesBuffers(t *testing.T) {
 	}
 }
 
-// rewriteDecoded is the rewrite MergePartition replaced — decode every old
+// mergeInPlace merges incoming into the partition file at path: a merge with
+// the file as its own only source.
+func mergeInPlace(path string, incoming []Incoming) (count int, written int64, err error) {
+	return MergePartitions(path, []string{path}, incoming, nil)
+}
+
+// rewriteDecoded is the rewrite MergePartitions replaced — decode every old
 // record into a PartitionWriter, add the incoming ones, flush — kept only as
 // the benchmark's baseline.
 func rewriteDecoded(path string, incoming []Incoming) error {
@@ -353,31 +460,53 @@ func BenchmarkLoadPartition(b *testing.B) {
 	})
 }
 
-// BenchmarkMergePartition: 64 new records merged into an ~8 MB partition —
-// what one compaction does to each partition it touches — by the byte-level
-// merge and by the decode/re-encode rewrite it replaced.
+// BenchmarkMergePartition: 64 new records landing in an ~8 MB partition —
+// what one compaction does to each partition it touches. "tail" is what it
+// does now on all drains but one in a dozen: the merge into a tail of 500
+// records beside the base; "fold" is that one: base, tail and the records
+// into the base. "bytes" merges straight into the base, what every drain did
+// before tails, and "decoded" is the decode/re-encode rewrite before that.
+// ns/record is per record of the base throughout.
 func BenchmarkMergePartition(b *testing.B) {
+	const batch, tailRecords = 64, 500
+	vals := make([]float64, 256)
+	incoming := func(first int) []Incoming {
+		in := make([]Incoming, batch)
+		for j := range in {
+			in[j] = Incoming{Cluster: ClusterID(j % 40), ID: first + j, Values: vals}
+		}
+		return in
+	}
 	for _, impl := range []struct {
 		name string
-		fn   func(string, []Incoming) error
+		fn   func(base, tail string, in []Incoming) error
 	}{
-		{"bytes", func(path string, in []Incoming) error { _, _, err := MergePartition(path, in); return err }},
-		{"decoded", rewriteDecoded},
+		{"tail", func(_, tail string, in []Incoming) error { _, _, err := mergeInPlace(tail, in); return err }},
+		{"fold", func(base, tail string, in []Incoming) error {
+			// Into a second file, so the base never holds the tail's records
+			// when the next round folds them in.
+			_, _, err := MergePartitions(base+".folded", []string{base, tail}, in, nil)
+			return err
+		}},
+		{"bytes", func(base, _ string, in []Incoming) error { _, _, err := mergeInPlace(base, in); return err }},
+		{"decoded", func(base, _ string, in []Incoming) error { return rewriteDecoded(base, in) }},
 	} {
 		b.Run(impl.name, func(b *testing.B) {
-			path, records := benchPartition(b)
-			const batch = 64
-			vals := make([]float64, 256)
+			base, records := benchPartition(b)
+			tail := base + ".tail"
+			var seed []Incoming
+			for first := records; len(seed) < tailRecords; first += batch {
+				seed = append(seed, incoming(first)...)
+			}
+			if _, _, err := MergePartitions(tail, nil, seed[:tailRecords], nil); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// The same IDs every round: after the first, each merge
-				// replaces the last one's records and the file stops growing.
-				in := make([]Incoming, batch)
-				for j := range in {
-					in[j] = Incoming{Cluster: ClusterID(j % 40), ID: records + j, Values: vals}
-				}
-				if err := impl.fn(path, in); err != nil {
+				// replaces the last one's records and the files stop growing.
+				if err := impl.fn(base, tail, incoming(records+tailRecords)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -15,7 +15,7 @@ import (
 // float32 precision — from both the file-backed (OpenPartition) and the
 // in-memory (LoadPartition) readers, with the directory sorted, the counts
 // right, and the trailing checksum valid. The file that is read back went
-// through MergePartition — the even records flushed by a writer, the odd
+// through MergePartitions — the even records flushed by a writer, the odd
 // ones merged in — and must equal the one-shot PartitionWriter file of all
 // of them byte for byte.
 func FuzzPartitionRoundTrip(f *testing.F) {
@@ -26,6 +26,16 @@ func FuzzPartitionRoundTrip(f *testing.F) {
 		0x02, 9, 9, 9, 9, 9, 9, 9, 9, 8, 8, 8, 8, 8, 8, 8, 8, 7, 7, 7, 7, 7, 7, 7, 7,
 	})
 	f.Add(uint8(16), make([]byte, 400))
+	// The size of a partition's tail: the few dozen records one drain routes
+	// to a partition, over a handful of its clusters.
+	tail := make([]byte, 0, 55*(1+8*8))
+	for i := 0; i < 55; i++ {
+		tail = append(tail, byte(i%5))
+		for j := 0; j < 8; j++ {
+			tail = binary.LittleEndian.AppendUint64(tail, math.Float64bits(float64(i)+float64(j)/8))
+		}
+	}
+	f.Add(uint8(7), tail)
 
 	f.Fuzz(func(t *testing.T, lenByte uint8, data []byte) {
 		seriesLen := int(lenByte%16) + 1
@@ -80,7 +90,7 @@ func FuzzPartitionRoundTrip(f *testing.F) {
 		if err := base.Flush(path); err != nil {
 			t.Fatalf("flush: %v", err)
 		}
-		if n, _, err := MergePartition(path, merged); err != nil || n != id {
+		if n, _, err := mergeInPlace(path, merged); err != nil || n != id {
 			t.Fatalf("merge: %d records, %v; want %d", n, err, id)
 		}
 		oneShotBytes, err := os.ReadFile(oneShot)

@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -191,8 +192,9 @@ func TestFailedIndexSaveLeavesNoTempFile(t *testing.T) {
 // A compaction whose partition rewrite fails must not leave its temporary
 // file behind: a leftover would sit in the generation directory forever and,
 // where it is the thing that failed, fail every later compaction too. The
-// write is broken by planting the first destination's temporary path as a
-// link to /dev/full, which accepts the open and refuses every byte.
+// write is broken by planting the destination's temporary path as a link to
+// /dev/full, which accepts the open and refuses every byte — first under the
+// tail a drain writes, then under the base a fold writes.
 func TestFailedCompactionLeavesNoTempFile(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full to fail a write with")
@@ -203,20 +205,27 @@ func TestFailedCompactionLeavesNoTempFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db.Close()
-	fresh := smallData(1520)[1500:]
-	ids, err := db.Append(fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
 	ix := db.Index()
-	first := -1
-	for i, id := range ids {
-		if pid := ix.RouteNew(id, fresh[i]).Partition; first < 0 || pid < first {
-			first = pid
+	// firstDest appends series and returns the lowest partition they go to:
+	// the first file the drain writes.
+	firstDest := func(fresh [][]float64) int {
+		ids, err := db.Append(fresh)
+		if err != nil {
+			t.Fatal(err)
 		}
+		first := -1
+		for i, id := range ids {
+			if pid := ix.RouteNew(id, fresh[i]).Partition; first < 0 || pid < first {
+				first = pid
+			}
+		}
+		return first
 	}
+
+	fresh := smallData(1540)[1500:]
+	base := ix.Partitions().Paths[firstDest(fresh[:20])]
 	before := listTree(t, dir)
-	if err := os.Symlink("/dev/full", ix.Partitions().Paths[first]+".tmp"); err != nil {
+	if err := os.Symlink("/dev/full", cluster.TailPath(base)+".tmp"); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Flush(); err == nil {
@@ -225,14 +234,42 @@ func TestFailedCompactionLeavesNoTempFile(t *testing.T) {
 	if after := listTree(t, dir); after != before {
 		t.Fatalf("failed compaction changed the directory:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
+	// The retry carries IDs the failed drain may have landed, so it folds
+	// them into the bases: still no new file.
 	if err := db.Flush(); err != nil {
 		t.Fatalf("compaction after the failure: %v", err)
 	}
 	if after := listTree(t, dir); after != before {
 		t.Fatalf("compaction changed the directory listing:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
-	if st := db.IngestStats(); st.DeltaRecords != 0 || st.CompactedSeries != int64(len(fresh)) {
-		t.Fatalf("after the retry: %d delta records, %d compacted; want 0, %d", st.DeltaRecords, st.CompactedSeries, len(fresh))
+	if st := db.IngestStats(); st.DeltaRecords != 0 || st.CompactedSeries != 20 || st.TailFiles != 0 {
+		t.Fatalf("after the retry: %d delta records, %d compacted, %d tails; want 0, 20, 0", st.DeltaRecords, st.CompactedSeries, st.TailFiles)
+	}
+
+	// A clean drain leaves tails; the fold that takes them in fails.
+	firstDest(fresh[20:])
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	tailed := listTree(t, dir)
+	pid := slices.IndexFunc(ix.Partitions().Tails, func(n int) bool { return n > 0 })
+	if pid < 0 || !strings.Contains(tailed, ".tail") {
+		t.Fatalf("a drain of 20 records left no tail:\n%s", tailed)
+	}
+	if err := os.Symlink("/dev/full", ix.Partitions().Paths[pid]+".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.foldTailsForTest(); err == nil {
+		t.Fatal("fold into a full device succeeded")
+	}
+	if after := listTree(t, dir); after != tailed {
+		t.Fatalf("failed fold changed the directory:\nbefore:\n%s\nafter:\n%s", tailed, after)
+	}
+	if err := db.foldTailsForTest(); err != nil {
+		t.Fatalf("fold after the failure: %v", err)
+	}
+	if after := listTree(t, dir); after != before {
+		t.Fatalf("a fold of every tail left more than the bases:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
 }
 

@@ -1,0 +1,332 @@
+package climber
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"math/rand/v2"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"climber/internal/cluster"
+)
+
+// whereRecords reads the whole database by exact scan: every record of every
+// partition (base and tail, through the partition handle) with the route it
+// lies at, and every record of the delta. A record is in both only while a
+// drain is landing it, or after a kill inside one.
+func whereRecords(t *testing.T, db *DB) (disk map[int]cluster.Route, delta map[int]bool) {
+	t.Helper()
+	disk, delta = map[int]cluster.Route{}, map[int]bool{}
+	ix := db.Index()
+	parts := ix.Partitions()
+	for pid := range parts.Paths {
+		h, err := ix.Cl.OpenPartition(parts, pid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ci := range h.Clusters() {
+			err := h.ScanCluster(ci.ID, func(id int, _ []float64) error {
+				if at, dup := disk[id]; dup {
+					t.Fatalf("record %d is in the partition files twice: at %+v and in partition %d cluster %d", id, at, pid, ci.ID)
+				}
+				disk[id] = cluster.Route{Partition: pid, Cluster: ci.ID}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		h.Close()
+		if d := ix.Delta(); d != nil {
+			err := d.ScanPartition(pid, nil, func(id int, _ []float64) error {
+				delta[id] = true
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return disk, delta
+}
+
+// A random walk over everything that moves records between the delta, the
+// tails and the bases — append, drain, the fold of every tail, a clean close
+// and reopen, a kill and reopen — checked after every step against a model:
+// each record acked so far is present exactly once, where its route says,
+// and the persisted count is the number of records in the files.
+func TestTailLifecycleProperty(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		opts []Option
+	}{
+		{"files", nil},
+		{"mmap", []Option{WithPartitionCacheBytes(1 << 28), WithMmap(true)}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := ingestOpts(mode.opts...)
+			pool := smallData(3000)
+			db, err := Build(dir, pool[:900], opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() { db.Close() }()
+			model := 900 // IDs 0..model-1 are acked; pool[id] is record id
+			rng := rand.New(rand.NewPCG(23, uint64(len(mode.name))))
+			var folds, tailsSeen int64
+			for step := 0; step < 70; step++ {
+				op := rng.IntN(10)
+				what := ""
+				switch {
+				case op < 4 && model < len(pool)-40:
+					n := 1 + rng.IntN(40)
+					ids, err := db.Append(pool[model : model+n])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if ids[0] != model || ids[n-1] != model+n-1 {
+						t.Fatalf("step %d: append of %d got IDs %d..%d, want from %d", step, n, ids[0], ids[n-1], model)
+					}
+					model += n
+					what = fmt.Sprintf("append %d", n)
+				case op < 7:
+					if err := db.Flush(); err != nil {
+						t.Fatal(err)
+					}
+					what = "drain"
+				case op == 7:
+					if err := db.foldTailsForTest(); err != nil {
+						t.Fatal(err)
+					}
+					if n := db.IngestStats().TailFiles; n != 0 {
+						t.Fatalf("step %d: %d tails after the fold of every tail", step, n)
+					}
+					what = "fold"
+				default:
+					folds += db.IngestStats().Folds
+					what = "close + reopen"
+					if op == 9 {
+						what = "kill + reopen"
+						db.abandonForTest()
+					}
+					if err := db.Close(); err != nil {
+						t.Fatal(err)
+					}
+					if db, err = Open(dir, opts...); err != nil {
+						t.Fatal(err)
+					}
+				}
+				tailsSeen += int64(db.IngestStats().TailFiles)
+
+				disk, delta := whereRecords(t, db)
+				ix := db.Index()
+				for id := 0; id < model; id++ {
+					at, onDisk := disk[id]
+					if onDisk == delta[id] {
+						t.Fatalf("step %d (%s): record %d on disk %v, in the delta %v; want exactly one", step, what, id, onDisk, delta[id])
+					}
+					if want := ix.RouteNew(id, roundedF32(pool[id])); onDisk && at != want {
+						t.Fatalf("step %d (%s): record %d lies at %+v, its route is %+v", step, what, id, at, want)
+					}
+				}
+				if len(disk)+len(delta) != model {
+					t.Fatalf("step %d (%s): %d records on disk + %d in the delta, %d acked", step, what, len(disk), len(delta), model)
+				}
+				if got := ix.PersistedRecords(); got != len(disk) {
+					t.Fatalf("step %d (%s): PersistedRecords = %d, the files hold %d", step, what, got, len(disk))
+				}
+				if n := db.Info().NumRecords; n != model {
+					t.Fatalf("step %d (%s): NumRecords = %d, want %d", step, what, n, model)
+				}
+			}
+			if folds += db.IngestStats().Folds; folds == 0 || tailsSeen == 0 {
+				t.Fatalf("the walk never met both a tail and a fold: %d tail sightings, %d folds", tailsSeen, folds)
+			}
+		})
+	}
+}
+
+// roundedF32 is a series as the index stores it.
+func roundedF32(s []float64) []float64 {
+	out := make([]float64, len(s))
+	for i, v := range s {
+		out[i] = float64(float32(v))
+	}
+	return out
+}
+
+// Where a record is served from must not change an answer: the same appended
+// records drained into tails in one database and left in the delta of its
+// twin give the same neighbours, for all four variants and for prefix
+// queries, with the partitions read from files on demand, from heap copies
+// and from memory mappings. (A drained record is ranked by the float32
+// kernel, a delta record by the float64 one, so distances agree to rounding.)
+func TestTailAnswersMatchDelta(t *testing.T) {
+	data := smallData(1300)
+	for _, mode := range []struct {
+		name string
+		opts []Option
+	}{
+		{"readerat", nil},
+		{"heap", []Option{WithPartitionCacheBytes(1 << 28)}},
+		{"mmap", []Option{WithPartitionCacheBytes(1 << 28), WithMmap(true)}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			var dbs [2]*DB
+			for i := range dbs {
+				db, err := Build(t.TempDir(), data[:1200], ingestOpts(mode.opts...)...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer db.Close()
+				if _, err := db.Append(data[1200:]); err != nil {
+					t.Fatal(err)
+				}
+				dbs[i] = db
+			}
+			tailed, pending := dbs[0], dbs[1]
+			if err := tailed.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			if st := tailed.IngestStats(); st.TailFiles == 0 || st.DeltaRecords != 0 {
+				t.Fatalf("drained twin: %d tails, %d delta records", st.TailFiles, st.DeltaRecords)
+			}
+			if st := pending.IngestStats(); st.TailFiles != 0 || st.DeltaRecords != 100 {
+				t.Fatalf("undrained twin: %d tails, %d delta records", st.TailFiles, st.DeltaRecords)
+			}
+			same := func(kind string, a, b []Result) {
+				t.Helper()
+				if len(a) != len(b) {
+					t.Fatalf("%s: %d results through tails, %d through the delta", kind, len(a), len(b))
+				}
+				for i := range a {
+					if a[i].ID != b[i].ID || math.Abs(a[i].Dist-b[i].Dist) > 1e-5 {
+						t.Fatalf("%s result %d: %+v through tails, %+v through the delta", kind, i, a[i], b[i])
+					}
+				}
+			}
+			appendedHits := 0
+			for _, qi := range []int{5, 333, 901, 1204, 1250, 1299} {
+				for _, v := range reindexVariants {
+					a, err := tailed.Search(data[qi], 10, WithVariant(v))
+					if err != nil {
+						t.Fatal(err)
+					}
+					b, err := pending.Search(data[qi], 10, WithVariant(v))
+					if err != nil {
+						t.Fatal(err)
+					}
+					same(fmt.Sprintf("query %d variant %v", qi, v), a, b)
+					for _, r := range a {
+						if r.ID >= 1200 {
+							appendedHits++
+						}
+					}
+				}
+				a, err := searchPrefix(tailed, data[qi][:32], 10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := searchPrefix(pending, data[qi][:32], 10)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same(fmt.Sprintf("query %d prefix", qi), a, b)
+			}
+			if appendedHits == 0 {
+				t.Fatal("no answer held an appended record: the tails were never what was compared")
+			}
+		})
+	}
+}
+
+// A backup begins by folding: taken from a database whose appended records
+// sit in tails, it holds base files only, complete, and the source is left
+// with none either.
+func TestBackupFoldsTailsFirst(t *testing.T) {
+	data := smallData(1100)
+	db, err := Build(t.TempDir(), data[:1000], ingestOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.Append(data[1000:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if db.IngestStats().TailFiles == 0 {
+		t.Fatal("test premise broken: the drain left no tail")
+	}
+	backup := filepath.Join(t.TempDir(), "backup")
+	if err := db.Backup(context.Background(), backup); err != nil {
+		t.Fatal(err)
+	}
+	if st := db.IngestStats(); st.TailFiles != 0 || st.Folds == 0 {
+		t.Fatalf("after the backup the source has %d tails, %d folds", st.TailFiles, st.Folds)
+	}
+	if tree := listTree(t, backup); strings.Contains(tree, ".tail") || strings.Contains(tree, ".tmp") {
+		t.Fatalf("backup holds more than bases:\n%s", tree)
+	}
+	re, err := Open(backup, WithReadOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	disk, _ := whereRecords(t, re)
+	if len(disk) != 1100 || re.Info().NumRecords != 1100 {
+		t.Fatalf("backup holds %d records, counts %d; want 1100", len(disk), re.Info().NumRecords)
+	}
+}
+
+// A read-only open of a directory a kill left mid-drain serves what the
+// manifest describes and touches nothing: the stray files stay for the next
+// writer's open to sweep.
+func TestReadOnlyOpenLeavesDrainDebris(t *testing.T) {
+	dir := t.TempDir()
+	data := smallData(1000)
+	db, err := Build(dir, data[:900], ingestOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Append(data[900:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	parts := db.Index().Partitions()
+	tmp := parts.Paths[0] + ".tmp"
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(tmp, []byte("half a partition"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := listTree(t, dir)
+	ro, err := Open(dir, WithReadOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	disk, _ := whereRecords(t, ro)
+	ro.Close()
+	if len(disk) != 1000 {
+		t.Fatalf("read-only open sees %d records, want 1000", len(disk))
+	}
+	if after := listTree(t, dir); after != before {
+		t.Fatalf("read-only open changed the directory:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+	rw, err := Open(dir, ingestOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rw.Close()
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("a writer's open left the interrupted rewrite behind: %v", err)
+	}
+}
