@@ -38,10 +38,10 @@
 // # Partition cache
 //
 // By default every query pays the paper's partition-load cost: each
-// partition it touches is opened and read from disk. Query-heavy workloads
-// should enable the shared partition cache, a byte-budgeted LRU of decoded
-// partitions with singleflight loading that serves repeated and concurrent
-// accesses from memory:
+// partition it touches is mapped from disk for that query alone.
+// Query-heavy workloads should enable the shared partition cache, a
+// byte-budgeted LRU of mapped partitions with singleflight loading that
+// serves repeated and concurrent accesses from memory:
 //
 //	db, err := climber.Open(dir, climber.WithPartitionCacheBytes(256<<20))
 //	// ... Search / Query / QueryBatch as usual; db.CacheStats() reports the effect.
@@ -201,11 +201,15 @@ type CacheStats struct {
 	// than the number of partition opens.
 	PartitionsLoaded int64
 	// ResidentBytes is the cache's current charge against its byte budget:
-	// directory metadata plus decoded or mapped partition bytes.
-	// MappedBytes is the subset served by read-only memory mappings (see
-	// WithMmap); for those the kernel can reclaim pages under pressure, so
+	// directory metadata plus mapped (or, after a fallback, heap-copied)
+	// partition bytes. MappedBytes is the subset served by read-only memory
+	// mappings; the kernel can reclaim their pages under pressure, so
 	// MappedBytes bounds page-cache footprint rather than heap.
 	ResidentBytes, MappedBytes int64
+	// MapFallbacks counts partition loads, cached or not, that could not
+	// memory-map the file and read it onto the heap instead: 0 where
+	// mapping works, every load on a platform without it.
+	MapFallbacks int64
 	// LoadBuffersReused and LoadBuffersFresh count the partition-sized
 	// buffers heap loads and compaction merges took from the recycled pool
 	// and the ones they had to allocate; BufferIdleBytes is the capacity
@@ -246,7 +250,6 @@ type Option func(*options)
 type options struct {
 	cfg        core.Config
 	cacheBytes int64
-	mmap       bool
 	ingest     ingest.Config
 	readOnly   bool
 }
@@ -292,11 +295,11 @@ func WithDecayRate(l float64) Option { return func(o *options) { o.cfg.Lambda = 
 func WithBuildWorkers(n int) Option { return func(o *options) { o.cfg.Workers = n } }
 
 // WithPartitionCacheBytes installs a shared partition cache budgeted at n
-// bytes under the query path: a byte-budgeted LRU of decoded partitions
-// with singleflight loading, shared by every query (Search, Query, QueryBatch)
-// and the within-partition widening pass. Partitions are immutable after
-// build, so caching them is safe under any query concurrency; Append
-// invalidates the partitions it rewrites.
+// bytes under the query path: a byte-budgeted LRU of memory-mapped
+// partitions with singleflight loading, shared by every query (Search,
+// Query, QueryBatch) and the within-partition widening pass. Partitions are
+// immutable after build, so caching them is safe under any query
+// concurrency; Append invalidates the partitions it rewrites.
 //
 // The budget bounds the *resident cache entries*, not total process
 // memory: loads in flight and partitions still referenced by running
@@ -313,18 +316,15 @@ func WithPartitionCacheBytes(n int64) Option {
 	return func(o *options) { o.cacheBytes = n }
 }
 
-// WithMmap makes cached partition loads memory-map the immutable partition
-// files read-only instead of decoding them onto the heap. Scans then rank
-// records straight from the mapped bytes — zero per-record allocation, and
-// the resident set is file-backed pages the kernel can drop under memory
-// pressure. Results are bit-identical to the heap-decoded and file-backed
-// paths (all three rank through the same raw float32 kernel). On platforms
-// without mmap support — or if an individual mapping fails — loads silently
-// degrade to the heap copy. The option only affects cached loads, so it is
-// a no-op unless WithPartitionCacheBytes enables the cache.
-func WithMmap(on bool) Option {
-	return func(o *options) { o.mmap = on }
-}
+// WithMmap is accepted and ignored. Every partition the query engine opens
+// is a read-only memory mapping of its immutable file — held in the cache
+// with WithPartitionCacheBytes, mapped per query without it — and a heap
+// copy only where the platform cannot map or a mapping fails
+// (CacheStats.MapFallbacks counts those), so there is nothing left to
+// switch.
+//
+// Deprecated: mapping is the only resident form; drop the option.
+func WithMmap(on bool) Option { return func(*options) {} }
 
 // WithCompactionRecords sets how many acked-but-uncompacted records the
 // in-memory delta index may hold before the background compactor drains it
@@ -508,7 +508,6 @@ func newCluster(dir string, o options) *cluster.Cluster {
 	cl := cluster.New(core.StoreDir(dir), o.cfg.Workers)
 	if o.cacheBytes > 0 {
 		cl.EnablePartitionCache(o.cacheBytes)
-		cl.EnableMmap(o.mmap)
 	}
 	return cl
 }
@@ -751,6 +750,7 @@ func (db *DB) CacheStats() CacheStats {
 		PartitionsLoaded:  s.PartitionsLoaded.Load(),
 		ResidentBytes:     resident,
 		MappedBytes:       mapped,
+		MapFallbacks:      s.MapFallbacks.Load(),
 		LoadBuffersReused: pool.Reused,
 		LoadBuffersFresh:  pool.Fresh,
 		BufferIdleBytes:   pool.IdleBytes,

@@ -48,13 +48,11 @@ func main() {
 		outPath    = flag.String("out", "", "also append output to this file")
 		workDir    = flag.String("work", "", "working directory for build artefacts (default: temp)")
 		cache      = flag.Int64("cache-bytes", 0, "partition cache budget in bytes for every experiment cluster (0 = off, the paper-faithful cost accounting)")
-		mmap       = flag.Bool("mmap", false, "memory-map cached partition files in every experiment cluster (requires -cache-bytes)")
 		maxParts   = flag.Int("max-partitions", 0, "budget experiment: evaluate this single partition budget instead of the default sweep")
 		timeBudget = flag.Duration("time-budget", 0, "budget experiment: evaluate this single per-query time budget instead of the default sweep")
 	)
 	flag.Parse()
 	experiments.PartitionCacheBytes = *cache
-	experiments.PartitionCacheMmap = *mmap
 	experiments.BudgetMaxPartitions = *maxParts
 	experiments.BudgetTimeLimit = *timeBudget
 

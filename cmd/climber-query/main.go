@@ -63,7 +63,6 @@ func main() {
 		seed        = flag.Uint64("seed", 7, "workload sampling seed (with -sample)")
 		explain     = flag.Bool("explain", false, "print the index-navigation trace")
 		cache       = flag.Int64("cache-bytes", 0, "partition cache budget in bytes (0 disables the cache)")
-		mmap        = flag.Bool("mmap", false, "memory-map cached partition files instead of decoding them onto the heap (requires -cache-bytes)")
 		maxParts    = flag.Int("max-partitions", 0, "bound the query to at most this many partition loads (0 = unbounded); truncated answers are reported partial")
 		timeBudget  = flag.Duration("time-budget", 0, "anytime-query time budget (e.g. 5ms); the engine answers with its best partial result at the deadline")
 		progressive = flag.Bool("progressive", false, "stream progressive answer snapshots while the query runs")
@@ -78,7 +77,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	db, err := climber.Open(*dir, climber.WithPartitionCacheBytes(*cache), climber.WithMmap(*mmap), climber.WithReadOnly())
+	db, err := climber.Open(*dir, climber.WithPartitionCacheBytes(*cache), climber.WithReadOnly())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -58,11 +58,12 @@ func main() {
 		shared      = api.RegisterFlags(flag.CommandLine)
 		dir         = flag.String("dir", "", "database directory (required)")
 		cacheBytes  = flag.Int64("cache-bytes", 256<<20, "partition cache budget in bytes (0 disables the cache)")
-		mmap        = flag.Bool("mmap", false, "memory-map cached partition files instead of decoding them onto the heap (requires -cache-bytes)")
 		compactRecs = flag.Int("compact-records", 4096, "delta records that trigger a background compaction")
 		compactAge  = flag.Duration("compact-age", 5*time.Second, "oldest uncompacted record age that forces a compaction")
 		backupRoot  = flag.String("backup-dir", "", "directory for POST /backup snapshots (empty disables the endpoint)")
 	)
+	// Command lines written when mapping was a choice keep starting.
+	flag.Bool("mmap", false, "accepted and ignored: partitions are always memory-mapped where the platform supports it")
 	flag.Parse()
 	if *dir == "" {
 		flag.Usage()
@@ -71,7 +72,6 @@ func main() {
 
 	db, err := climber.Open(*dir,
 		climber.WithPartitionCacheBytes(*cacheBytes),
-		climber.WithMmap(*mmap),
 		climber.WithCompactionRecords(*compactRecs),
 		climber.WithCompactionAge(*compactAge))
 	if err != nil {

@@ -8,8 +8,8 @@
 // (several quoted regexps if several diagnostics land on the line), and a
 // clean fixture carries none. Fixtures live in the analyzer package's
 // testdata/src/<path>/ directory, GOPATH-style, so fixture packages can
-// import one another (the statsmerge fixtures model the real core/shard
-// split that way).
+// import one another (the tracespan fixtures import a stand-in of
+// internal/obs that way).
 package analysistest
 
 import (

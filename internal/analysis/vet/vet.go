@@ -5,11 +5,11 @@
 // `go list -export` materialises in the build cache.
 //
 // The framework exists because the repository's invariants — fsync before
-// ack, no I/O under a mutex, contexts threaded end to end, every stats
-// field folded at every merge site — were each enforced only by review
-// until a PR broke one. The analyzers under internal/analysis/... encode
-// them as machine-checked properties; cmd/climber-vet is the multichecker
-// that runs the whole suite, and CI fails on any finding.
+// ack, no I/O under a mutex, contexts threaded end to end — were each
+// enforced only by review until a PR broke one. The analyzers under
+// internal/analysis/... encode them as machine-checked properties;
+// cmd/climber-vet is the multichecker that runs the whole suite, and CI
+// fails on any finding.
 //
 // Two comment directives tie the source to the analyzers:
 //
@@ -19,8 +19,7 @@
 //	//climber:<marker>
 //	    in a function's doc comment, marks the function for an analyzer:
 //	    //climber:ack (syncack: every successful return must be dominated
-//	    by a Sync) and //climber:statsmerge (statsmerge: every exported
-//	    field of the folded stats struct must be referenced).
+//	    by a Sync), for instance.
 package vet
 
 import (

@@ -18,8 +18,9 @@
 //   - Shuffle routes every record to a (partition, cluster) and writes the
 //     final partition files (Figure 6, Step 4) under a Dest.
 //
-// The query side is OpenPartition: a refcounted handle on one partition,
-// served from the cache (decoded or memory-mapped) when one is enabled. A
+// The query side is OpenPartition: a refcounted handle on one partition, a
+// read-only memory mapping of its files (a heap copy where mapping fails),
+// served from the cache when one is enabled. A
 // partition that took appends is two files — the base the build wrote and a
 // tail (TailPath) that drains rewrite until it is folded into the base — and
 // the handle reads them as one: Count, Clusters and every scan cover the
@@ -54,6 +55,10 @@ type Stats struct {
 	// PartitionsLoaded counts real partition disk loads — the paper's
 	// dominant query-time cost.
 	PartitionsLoaded atomic.Int64
+	// MapFallbacks counts the loads among them that could not map the file
+	// and copied it onto the heap instead: zero where mapping works, every
+	// load on a platform without it.
+	MapFallbacks atomic.Int64
 
 	// Partition-cache accounting (all zero while the cache is disabled).
 	// PartitionsLoaded counts only real disk loads, so the hit counters
@@ -70,14 +75,9 @@ type Cluster struct {
 	workers int
 	Stats   Stats
 
-	// pcache, when set, serves OpenPartition from shared in-memory
-	// partitions instead of per-query file opens.
+	// pcache, when set, serves OpenPartition from shared resident
+	// partitions instead of per-open mappings.
 	pcache atomic.Pointer[pcache.Cache]
-
-	// mmap, when set, makes cached partition loads memory-map the file
-	// instead of copying it onto the heap (falling back to the copy when
-	// the platform or filesystem cannot map).
-	mmap atomic.Bool
 }
 
 // New returns the store rooted at dir. workers bounds the goroutines of
@@ -133,15 +133,6 @@ func (c *Cluster) EnablePartitionCache(budget int64) {
 // PartitionCache returns the installed cache, or nil when caching is off.
 func (c *Cluster) PartitionCache() *pcache.Cache { return c.pcache.Load() }
 
-// EnableMmap switches cached partition loads between memory mapping (the
-// zero-copy read path) and heap copies. It affects future loads only;
-// already-resident partitions keep their current backing until evicted or
-// invalidated.
-func (c *Cluster) EnableMmap(on bool) { c.mmap.Store(on) }
-
-// MmapEnabled reports whether cached partition loads memory-map.
-func (c *Cluster) MmapEnabled() bool { return c.mmap.Load() }
-
 // CacheResidentBytes returns the partition cache's resident byte volume and
 // the memory-mapped share of it; both are zero while the cache is disabled.
 func (c *Cluster) CacheResidentBytes() (resident, mapped int64) {
@@ -156,7 +147,7 @@ func (c *Cluster) CacheResidentBytes() (resident, mapped int64) {
 // is purged and uninstalled, dropping every resident partition. The store
 // holds no other live resources — partition files are opened per
 // operation — so Close is cheap, idempotent, and safe to call while
-// stragglers finish (they fall back to uncached file opens). The on-disk
+// stragglers finish (they fall back to uncached opens). The on-disk
 // layout is untouched and the store can keep serving afterwards, so
 // callers that want "closed" semantics enforce them a level up (DB.Close).
 func (c *Cluster) Close() error {

@@ -8,14 +8,13 @@ import (
 	"climber/internal/storage"
 )
 
-// buildMappedPartitions shuffles a small dataset into partitions on a
-// cluster with the cache and mmap enabled, so cached opens serve
-// memory-mapped partitions.
-func buildMappedPartitions(t *testing.T, n int) (*Cluster, *PartitionSet) {
+// buildCachedPartitions shuffles a small dataset into partitions on a
+// cluster with the cache enabled, so opens serve shared memory-mapped
+// partitions (heap copies while storage.FailMappings is in force).
+func buildCachedPartitions(t *testing.T, n int) (*Cluster, *PartitionSet) {
 	t.Helper()
 	c := testCluster(t)
 	c.EnablePartitionCache(1 << 30)
-	c.EnableMmap(true)
 	ds := dataset.RandomWalk(32, n, 11)
 	bs := Blocks(ds, n/3+1)
 	ps, err := c.Shuffle(bs, 2, Dest{Root: c.Dir(), Name: "rw"}, func(id int, values []float64) (Route, error) {
@@ -47,7 +46,7 @@ func TestRetireUnmapsOnlyAfterLastHandleDrains(t *testing.T) {
 	if !storage.MapSupported() {
 		t.Skip("mmap unsupported on this platform")
 	}
-	c, ps := buildMappedPartitions(t, 120)
+	c, ps := buildCachedPartitions(t, 120)
 
 	h, err := c.OpenPartition(ps, 0)
 	if err != nil {
@@ -107,12 +106,24 @@ func TestRetireUnmapsOnlyAfterLastHandleDrains(t *testing.T) {
 }
 
 // TestRetireDuringConcurrentScans runs the same ordering under -race with
-// scans in flight while the invalidation lands.
+// scans in flight while the invalidation lands, over mappings and over the
+// recycled heap buffers a failed mapping falls back to.
 func TestRetireDuringConcurrentScans(t *testing.T) {
-	if !storage.MapSupported() {
-		t.Skip("mmap unsupported on this platform")
+	for _, backing := range []string{"mmap", "heap"} {
+		t.Run(backing, func(t *testing.T) {
+			if backing == "mmap" && !storage.MapSupported() {
+				t.Skip("mmap unsupported on this platform")
+			}
+			if backing == "heap" {
+				defer storage.FailMappings()()
+			}
+			retireDuringScans(t)
+		})
 	}
-	c, ps := buildMappedPartitions(t, 200)
+}
+
+func retireDuringScans(t *testing.T) {
+	c, ps := buildCachedPartitions(t, 200)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)

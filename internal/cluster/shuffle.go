@@ -212,7 +212,7 @@ func (c *Cluster) Shuffle(src Source, numPartitions int, dst Dest,
 // PartitionHandle is a reader's reference to one open partition: its base
 // file and, when it has one, its tail, read as one — Count, Clusters and every
 // scan cover the base's records and then the tail's. Without a partition
-// cache it owns file-backed partitions and Close releases the files; with the
+// cache it owns partitions mapped for it alone and Close unmaps them; with the
 // cache enabled it holds one reference to each shared resident partition —
 // Close returns them, and the partitions normally stay resident for the next
 // query. If the cache dropped a partition (eviction, invalidation) while this
@@ -235,7 +235,7 @@ type PartitionHandle struct {
 
 // Close releases the handle's partition references. For cached handles the
 // shared partitions usually stay resident (the cache holds its own
-// references); uncached handles tear down their private partitions.
+// references); uncached handles unmap their private partitions.
 func (h *PartitionHandle) Close() error {
 	err := h.Partition.Release()
 	if h.tail != nil {
@@ -339,10 +339,10 @@ const openPatience = 5 * time.Second
 
 // OpenPartition opens one physical partition for reading and accounts for
 // the load in the store's statistics (the dominant query-time cost in the
-// paper is "the number of partitions touched"). When a partition cache is
-// enabled, the load is served from — and retained in — the shared cache:
-// concurrent opens of the same file trigger exactly one disk read, and only
-// real disk loads are charged to PartitionsLoaded.
+// paper is "the number of partitions touched"). Every file is mapped (see
+// load). When a partition cache is enabled, the load is served from — and
+// retained in — the shared cache: concurrent opens of the same file trigger
+// exactly one load, and only real loads are charged to PartitionsLoaded.
 //
 // A partition with a tail is two files that a drain replaces one at a time,
 // and the handle must show a pair that belonged together: the base with the
@@ -393,22 +393,10 @@ func (c *Cluster) OpenPartition(ps *PartitionSet, id int) (*PartitionHandle, err
 func (c *Cluster) openFile(path string, h *PartitionHandle) (*storage.Partition, error) {
 	pc := c.pcache.Load()
 	if pc == nil {
-		p, err := storage.OpenPartition(path)
-		if err != nil {
-			return nil, err
-		}
-		c.Stats.PartitionsLoaded.Add(1)
 		h.hit = false
-		return p, nil
+		return c.load(path)
 	}
-	p, hit, err := pc.Get(path, func() (*storage.Partition, error) {
-		p, err := c.loadResident(path)
-		if err != nil {
-			return nil, err
-		}
-		c.Stats.PartitionsLoaded.Add(1)
-		return p, nil
-	})
+	p, hit, err := pc.Get(path, func() (*storage.Partition, error) { return c.load(path) })
 	if err != nil {
 		return nil, err
 	}
@@ -417,17 +405,21 @@ func (c *Cluster) openFile(path string, h *PartitionHandle) (*storage.Partition,
 	return p, nil
 }
 
-// loadResident brings one partition file into memory for the cache: a
-// read-only memory mapping when mmap is enabled and the platform supports
-// it, a heap copy otherwise. A mapping failure (filesystem without mmap
-// support, exhausted vm.max_map_count, …) degrades to the heap copy rather
-// than failing the query — the two are interchangeable behind the Partition
-// API.
-func (c *Cluster) loadResident(path string) (*storage.Partition, error) {
-	if c.mmap.Load() && storage.MapSupported() {
-		if p, err := storage.MapPartition(path); err == nil {
-			return p, nil
+// load brings one partition file into memory, the one way the store holds a
+// partition: a read-only memory mapping — mapped for the cache, or per open
+// and unmapped at Close without one. Where the platform cannot map or the
+// mapping fails (a filesystem without mmap support, an exhausted
+// vm.max_map_count, …) the file is copied onto the heap instead, counted in
+// Stats.MapFallbacks: the two are interchangeable behind the Partition API,
+// so the fallback changes what a load costs, never an answer.
+func (c *Cluster) load(path string) (*storage.Partition, error) {
+	p, err := storage.MapPartition(path)
+	if err != nil {
+		if p, err = storage.LoadPartition(path); err != nil {
+			return nil, err
 		}
+		c.Stats.MapFallbacks.Add(1)
 	}
-	return storage.LoadPartition(path)
+	c.Stats.PartitionsLoaded.Add(1)
+	return p, nil
 }

@@ -91,18 +91,21 @@ func dump(t *testing.T, h *PartitionHandle) map[string]any {
 }
 
 // A partition read through its handle is the same partition whether its
-// records sit in one file or in a base and a tail, on every backing: a file
-// read on demand (no cache), a heap copy, a memory mapping.
+// records sit in one file or in a base and a tail, on every backing: a
+// mapping per open (no cache), a mapping in the cache, and the heap copy the
+// cache holds when mapping fails.
 func TestHandleReadsBaseAndTailAsOne(t *testing.T) {
-	for _, backing := range []string{"readerat", "heap", "mmap"} {
+	for _, backing := range []string{"uncached", "heap", "mmap"} {
 		t.Run(backing, func(t *testing.T) {
-			if backing == "mmap" && !storage.MapSupported() {
+			if backing != "heap" && !storage.MapSupported() {
 				t.Skip("mmap unsupported on this platform")
 			}
 			c := testCluster(t)
-			if backing != "readerat" {
+			if backing != "uncached" {
 				c.EnablePartitionCache(1 << 30)
-				c.EnableMmap(backing == "mmap")
+			}
+			if backing == "heap" {
+				defer storage.FailMappings()()
 			}
 			whole := PartitionPath(c.Dir(), "whole", 0)
 			split := PartitionPath(c.Dir(), "split", 0)
@@ -130,10 +133,10 @@ func TestHandleReadsBaseAndTailAsOne(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if want := backing != "readerat"; h.Cached() != want || h.CacheHit() != (want && round == 1) {
+					if want := backing != "uncached"; h.Cached() != want || h.CacheHit() != (want && round == 1) {
 						t.Fatalf("partition %d, open %d: cached %v, hit %v", pid, round, h.Cached(), h.CacheHit())
 					}
-					if backing == "mmap" != h.Mapped() {
+					if backing == "heap" == h.Mapped() {
 						t.Fatalf("partition %d: mapped = %v", pid, h.Mapped())
 					}
 					dumps[pid] = dump(t, h)
@@ -145,9 +148,21 @@ func TestHandleReadsBaseAndTailAsOne(t *testing.T) {
 			if !reflect.DeepEqual(dumps[0], dumps[1]) {
 				t.Fatalf("base + tail reads differently from one file of the same records:\none file: %v\nsplit:    %v", dumps[0], dumps[1])
 			}
-			// Each file is one load: 1 + 2 of them, whatever the backing.
-			if got, want := c.Stats.PartitionsLoaded.Load(), int64(3); backing != "readerat" && got != want {
-				t.Fatalf("PartitionsLoaded = %d, want %d", got, want)
+			// Each file is one load: 1 + 2 of them, whatever the backing, each
+			// twice without the cache; only the heap's were fallbacks.
+			loads := int64(3)
+			if backing == "uncached" {
+				loads = 6
+			}
+			if got := c.Stats.PartitionsLoaded.Load(); got != loads {
+				t.Fatalf("PartitionsLoaded = %d, want %d", got, loads)
+			}
+			fallbacks := int64(0)
+			if backing == "heap" {
+				fallbacks = loads
+			}
+			if got := c.Stats.MapFallbacks.Load(); got != fallbacks {
+				t.Fatalf("MapFallbacks = %d, want %d", got, fallbacks)
 			}
 		})
 	}
@@ -177,7 +192,6 @@ func TestOpenPartitionPairsBaseWithItsTail(t *testing.T) {
 			c := testCluster(t)
 			if cached {
 				c.EnablePartitionCache(1 << 30)
-				c.EnableMmap(storage.MapSupported())
 			}
 			base := PartitionPath(c.Dir(), "hammer", 0)
 			tail := TailPath(base)

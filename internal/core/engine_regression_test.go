@@ -110,10 +110,11 @@ func TestEngineMatchesLegacyBitForBit(t *testing.T) {
 
 // TestEngineBitIdenticalAcrossBackends pins the zero-copy read path: the
 // same query must return bit-for-bit identical answers and charge identical
-// record-comparison effort whether partitions are scanned file-backed
-// (ReaderAt), cached decoded, or cached memory-mapped. The raw kernel runs
-// over the same encoded bytes in all three, so any divergence means a
-// backend leaked into the ranking math.
+// record-comparison effort whether partitions are mapped per open (no
+// cache), cached memory-mapped, or copied onto the heap because mapping
+// failed (storage.FailMappings), cached or not. The raw kernel runs over the
+// same encoded bytes in all of them, so any divergence means a backing
+// leaked into the ranking math.
 func TestEngineBitIdenticalAcrossBackends(t *testing.T) {
 	cfg := testConfig()
 	cfg.Capacity = 50 // many partitions so plans span several backends' loads
@@ -142,34 +143,37 @@ func TestEngineBitIdenticalAcrossBackends(t *testing.T) {
 		return out
 	}
 
-	want := run(t) // file-backed ReaderAt scans, no cache
+	want := run(t) // a mapping per open, no cache
 
 	backends := []struct {
-		name string
-		mmap bool
-	}{{"cached-decoded", false}, {"cached-mmap", true}}
+		name        string
+		cache, heap bool
+	}{{"cached-decoded", true, true}, {"cached-mmap", true, false}, {"uncached-heap", false, true}}
 	for _, b := range backends {
 		t.Run(b.name, func(t *testing.T) {
-			if b.mmap && !storage.MapSupported() {
+			if !b.heap && !storage.MapSupported() {
 				t.Skip("mmap unsupported on this platform")
 			}
-			ix.Cl.EnablePartitionCache(1 << 30)
-			ix.Cl.EnableMmap(b.mmap)
-			defer func() {
-				ix.Cl.EnableMmap(false)
-				if c := ix.Cl.PartitionCache(); c != nil {
-					c.Purge()
-				}
-			}()
+			if b.heap {
+				defer storage.FailMappings()()
+			}
+			if b.cache {
+				ix.Cl.EnablePartitionCache(1 << 30)
+				defer ix.Cl.Close()
+			}
+			fallbacks := ix.Cl.Stats.MapFallbacks.Load()
 			for pass := 0; pass < 2; pass++ { // cold (load) then warm (hit)
 				got := run(t)
 				for i := range got {
 					assertSameResults(t, b.name, got[i].results, want[i].results)
 					if got[i].scanned != want[i].scanned {
-						t.Fatalf("%s pass %d: scanned %d records, file-backed scanned %d",
+						t.Fatalf("%s pass %d: scanned %d records, mapped per open scanned %d",
 							b.name, pass, got[i].scanned, want[i].scanned)
 					}
 				}
+			}
+			if moved := ix.Cl.Stats.MapFallbacks.Load() > fallbacks; moved != (b.heap || !storage.MapSupported()) {
+				t.Fatalf("%s: map fallbacks moved = %v", b.name, moved)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -68,8 +69,10 @@ func (b *binWriter) raw(p []byte) {
 	_, b.err = b.w.Write(p)
 }
 
+// binReader decodes from bytes held in memory, so every count it reads can
+// be held to the bytes that remain (count) before anything is sized by it.
 type binReader struct {
-	r   io.Reader
+	r   *bytes.Reader
 	err error
 	buf [8]byte
 }
@@ -95,6 +98,28 @@ func (b *binReader) raw(p []byte) {
 		b.err = err
 	}
 }
+
+// count reads the number of items that follow, each at least unit bytes
+// long, and fails the read (returning 0) when it is negative or more than the
+// remaining bytes can hold: a corrupted count must not size an allocation.
+func (b *binReader) count(what string, unit int) int {
+	n := b.i()
+	if b.err == nil && (n < 0 || n > b.r.Len()/unit) {
+		b.err = fmt.Errorf("core: corrupt %s count %d with %d bytes left", what, n, b.r.Len())
+	}
+	if b.err != nil {
+		return 0
+	}
+	return n
+}
+
+// minTrieNodeBytes is the encoded size of a trie node without partitions or
+// children (encodeTrie: six integers), minGroupBytes that of a group with an
+// empty centroid and such a trie.
+const (
+	minTrieNodeBytes = 6 * 8
+	minGroupBytes    = 3*8 + minTrieNodeBytes
+)
 
 // Encode serialises the skeleton.
 func (s *Skeleton) Encode(w io.Writer) error {
@@ -170,20 +195,11 @@ func decodeTrie(br *binReader) *trie.Node {
 	n.Pivot = br.i()
 	n.Depth = br.i()
 	n.Count = br.i()
-	nParts := br.i()
-	if br.err != nil || nParts < 0 || nParts > 1<<24 {
-		br.err = fmt.Errorf("core: corrupt trie partition count")
-		return n
-	}
-	n.Partitions = make([]int, nParts)
+	n.Partitions = make([]int, br.count("trie partition", 8))
 	for i := range n.Partitions {
 		n.Partitions[i] = br.i()
 	}
-	nChildren := br.i()
-	if br.err != nil || nChildren < 0 || nChildren > 1<<24 {
-		br.err = fmt.Errorf("core: corrupt trie fanout")
-		return n
-	}
+	nChildren := br.count("trie child", minTrieNodeBytes)
 	for i := 0; i < nChildren; i++ {
 		n.Children = append(n.Children, decodeTrie(br))
 	}
@@ -191,9 +207,22 @@ func decodeTrie(br *binReader) *trie.Node {
 }
 
 // DecodeSkeleton reads a skeleton serialised by Encode and reconstructs the
-// derived components (transformer, weigher, assigner).
+// derived components (transformer, weigher, assigner). Every count is held to
+// the bytes that follow it, so the input is read into memory first unless it
+// is a *bytes.Reader, which is left just past the skeleton.
 func DecodeSkeleton(r io.Reader) (*Skeleton, error) {
-	br := &binReader{r: r}
+	rd, ok := r.(*bytes.Reader)
+	if !ok {
+		data, err := io.ReadAll(r)
+		if err != nil {
+			return nil, fmt.Errorf("core: read skeleton: %w", err)
+		}
+		rd = bytes.NewReader(data)
+	}
+	return decodeSkeleton(&binReader{r: rd})
+}
+
+func decodeSkeleton(br *binReader) (*Skeleton, error) {
 	magic := make([]byte, 4)
 	br.raw(magic)
 	if br.err == nil && string(magic) != skeletonMagic {
@@ -224,8 +253,10 @@ func DecodeSkeleton(r io.Reader) (*Skeleton, error) {
 		return nil, fmt.Errorf("core: skeleton config: %w", err)
 	}
 
-	nFlat := br.i()
-	if br.err != nil || nFlat < 0 || nFlat != c.NumPivots*c.Segments {
+	// Validate made both factors positive; dividing keeps the check from
+	// overflowing.
+	nFlat := br.count("pivot value", 8)
+	if br.err != nil || nFlat%c.Segments != 0 || nFlat/c.Segments != c.NumPivots {
 		return nil, fmt.Errorf("core: corrupt pivot payload (%d values for %d x %d)", nFlat, c.NumPivots, c.Segments)
 	}
 	pivots := make([][]float64, c.NumPivots)
@@ -241,17 +272,20 @@ func DecodeSkeleton(r io.Reader) (*Skeleton, error) {
 		return nil, err
 	}
 
-	nGroups := br.i()
-	if br.err != nil || nGroups <= 0 || nGroups > 1<<24 {
-		return nil, fmt.Errorf("core: corrupt group count %d", nGroups)
+	nGroups := br.count("group", minGroupBytes)
+	if br.err != nil {
+		return nil, br.err
+	}
+	if nGroups == 0 {
+		return nil, fmt.Errorf("core: skeleton has no groups")
 	}
 	groups := make([]*Group, nGroups)
 	var centroids []pivot.Signature
 	for gid := 0; gid < nGroups; gid++ {
 		g := &Group{ID: gid}
-		cLen := br.i()
-		if br.err != nil || cLen < 0 || cLen > 1<<20 {
-			return nil, fmt.Errorf("core: corrupt centroid length")
+		cLen := br.count("centroid", 8)
+		if br.err != nil {
+			return nil, br.err
 		}
 		if cLen > 0 {
 			g.Centroid = make(pivot.Signature, cLen)
@@ -283,11 +317,7 @@ func DecodeSkeleton(r io.Reader) (*Skeleton, error) {
 	}
 
 	numPartitions := br.i()
-	nEst := br.i()
-	if br.err != nil || nEst < 0 || nEst > 1<<24 {
-		return nil, fmt.Errorf("core: corrupt partition estimates")
-	}
-	est := make([]int, nEst)
+	est := make([]int, br.count("partition estimate", 8))
 	for i := range est {
 		est[i] = br.i()
 	}
@@ -412,14 +442,14 @@ const tailsMagic = "TAIL"
 // The partition is then served from its base alone; its Counts entry stays
 // the manifest's (the baseline WAL replay skips below), and the replayed
 // records of the killed drain fold into the base on the next one.
-func readTails(r *bufio.Reader, parts *cluster.PartitionSet) error {
-	magic := make([]byte, len(tailsMagic))
-	if _, err := io.ReadFull(r, magic); err == io.EOF {
+func readTails(br *binReader, parts *cluster.PartitionSet) error {
+	if br.r.Len() == 0 {
 		return nil
-	} else if err != nil || string(magic) != tailsMagic {
+	}
+	magic := make([]byte, len(tailsMagic))
+	if br.raw(magic); br.err != nil || string(magic) != tailsMagic {
 		return fmt.Errorf("core: corrupt manifest trailer")
 	}
-	br := &binReader{r: r}
 	parts.Tails = make([]int, len(parts.Paths))
 	for pid := range parts.Tails {
 		t := br.i()
@@ -442,32 +472,29 @@ func readTails(r *bufio.Reader, parts *cluster.PartitionSet) error {
 }
 
 // OpenIndex loads index metadata saved by SaveIndex and attaches it to the
-// given cluster for partition I/O accounting.
+// given cluster for partition I/O accounting. The file is small (the
+// skeleton is tens of kilobytes) and read whole, so that every count in it is
+// held to the bytes that follow: a corrupted file is an error, never an
+// allocation sized by garbage.
 func OpenIndex(cl *cluster.Cluster, path string) (*Index, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("core: open index file: %w", err)
 	}
-	defer f.Close()
-	r := bufio.NewReader(f)
-	skel, err := DecodeSkeleton(r)
+	br := &binReader{r: bytes.NewReader(data)}
+	skel, err := decodeSkeleton(br)
 	if err != nil {
 		return nil, err
 	}
-	br := &binReader{r: r}
 	parts := &cluster.PartitionSet{}
 	parts.SeriesLen = br.i()
-	n := br.i()
-	if br.err != nil || n < 0 || n > 1<<24 {
-		return nil, fmt.Errorf("core: corrupt partition manifest")
+	if br.err == nil && parts.SeriesLen != skel.SeriesLen {
+		return nil, fmt.Errorf("core: manifest series length %d, skeleton %d", parts.SeriesLen, skel.SeriesLen)
 	}
+	n := br.count("partition", 16) // a path length and a record count each
 	root := filepath.Dir(path)
 	for i := 0; i < n; i++ {
-		pl := br.i()
-		if br.err != nil || pl < 0 || pl > 1<<16 {
-			return nil, fmt.Errorf("core: corrupt partition path length")
-		}
-		p := make([]byte, pl)
+		p := make([]byte, br.count("partition path byte", 1))
 		br.raw(p)
 		pp := string(p)
 		// Manifests written by SaveSnapshot carry generation-relative
@@ -478,11 +505,14 @@ func OpenIndex(cl *cluster.Cluster, path string) (*Index, error) {
 		}
 		parts.Paths = append(parts.Paths, pp)
 		parts.Counts = append(parts.Counts, br.i())
+		if br.err == nil && parts.Counts[i] < 0 {
+			return nil, fmt.Errorf("core: partition %d has %d records in the manifest", i, parts.Counts[i])
+		}
 	}
 	if br.err != nil {
 		return nil, fmt.Errorf("core: read manifest: %w", br.err)
 	}
-	if err := readTails(r, parts); err != nil {
+	if err := readTails(br, parts); err != nil {
 		return nil, err
 	}
 	ix := &Index{Cl: cl}

@@ -43,11 +43,6 @@ type Scale struct {
 // the reproduced partition-load costs stay paper-faithful.
 var PartitionCacheBytes int64
 
-// PartitionCacheMmap, when set together with PartitionCacheBytes, makes
-// those caches memory-map partition files instead of decoding them onto
-// the heap (cmd/climber-bench -mmap).
-var PartitionCacheMmap bool
-
 // Capacity returns the partition capacity for a dataset of n records:
 // n/25 bounded below, yielding a ~25-30 partition layout. This granularity
 // is where the paper's shapes reproduce at laptop scale: fine enough that
@@ -149,7 +144,6 @@ func newEnv(workDir, name string, n int, seed uint64) (*env, error) {
 	cl := cluster.New(dir, 0)
 	if PartitionCacheBytes > 0 {
 		cl.EnablePartitionCache(PartitionCacheBytes)
-		cl.EnableMmap(PartitionCacheMmap)
 	}
 	blockSize := n / 20
 	if blockSize < 100 {

@@ -4,8 +4,9 @@
 //
 // The Lernaean Hydra evaluations of data-series indexes show approximate
 // query answering dominated by partition I/O, and CLIMBER's partition
-// layout (paper Figure 6, Step 4) is immutable once built — so the decoded
-// partitions can safely be shared read-only between every concurrent query.
+// layout (paper Figure 6, Step 4) is immutable once built — so loaded
+// partitions (memory mappings, or heap copies where mapping fails) can
+// safely be shared read-only between every concurrent query.
 // The cache exploits both facts: the first query to touch a partition loads
 // it from disk exactly once (concurrent requests for the same partition
 // coalesce onto that one read), and subsequent queries — including the

@@ -78,6 +78,7 @@ func (b *backend) cacheMetrics(_ context.Context, w *strings.Builder) {
 	api.WriteSample(w, "climber_partitions_loaded_total", "Real partition disk loads.", "counter", cache.PartitionsLoaded)
 	api.WriteSample(w, "climber_partition_cache_resident_bytes", "Partition-cache charge against its byte budget (metadata plus decoded or mapped bytes).", "gauge", cache.ResidentBytes)
 	api.WriteSample(w, "climber_partition_cache_mapped_bytes", "Subset of resident bytes served by read-only memory mappings.", "gauge", cache.MappedBytes)
+	api.WriteSample(w, "climber_partition_map_fallbacks_total", "Partition loads that could not memory-map the file and copied it onto the heap instead.", "counter", cache.MapFallbacks)
 	fmt.Fprintf(w, "# HELP climber_partition_load_buffers_total Partition-sized buffers issued to heap loads and compaction merges, by whether the recycled pool had one.\n")
 	fmt.Fprintf(w, "# TYPE climber_partition_load_buffers_total counter\n")
 	fmt.Fprintf(w, "climber_partition_load_buffers_total{source=\"reused\"} %d\n", cache.LoadBuffersReused)

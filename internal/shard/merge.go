@@ -61,11 +61,9 @@ func (t *Topology) mergeTopK(answers []answer, k int) (merged []api.Result, dups
 // maximum, Partial is true when any shard's answer was budget-truncated
 // (matching the top-level response marker), and BudgetExhausted carries
 // the first shard-reported reason. Every exported field of climber.Stats
-// must be folded here — the statsmerge analyzer holds this function to
-// that rule, because PR 5 shipped with StepsPlanned/StepsExecuted silently
+// must be folded here — TestSumStatsFoldsEveryField holds this function to
+// that rule, because StepsPlanned/StepsExecuted once shipped silently
 // dropped by this very fold.
-//
-//climber:statsmerge
 func sumStats(stats []climber.Stats) climber.Stats {
 	var out climber.Stats
 	for _, s := range stats {

@@ -135,9 +135,11 @@ type ClusterInfo struct {
 // Partition provides random access to one partition's clusters. It can be
 // backed three ways: an open file read through an io.ReaderAt
 // (OpenPartition), a heap copy of the file bytes in a pooled buffer
-// (LoadPartition), or a read-only memory mapping of the file (MapPartition)
-// — the resident forms are what the query-path partition cache shares
-// between concurrent queries. All read methods are safe for concurrent use.
+// (LoadPartition), or a read-only memory mapping of the file (MapPartition).
+// The query engine holds every partition it opens as a mapping, and a heap
+// copy only where mapping is unsupported or fails (internal/cluster); the
+// ReaderAt form serves one-pass readers (reindex, inspection). All read
+// methods are safe for concurrent use.
 //
 // A Partition is reference counted: it is born with one reference, sharers
 // take more with Retain, and every reference is returned with Release (Close
@@ -239,6 +241,9 @@ func readPooled(path string) ([]byte, error) {
 // platforms without mapping support (MapSupported reports false) an error is
 // returned and callers fall back to LoadPartition.
 func MapPartition(path string) (*Partition, error) {
+	if mapFailures.Load() > 0 {
+		return nil, fmt.Errorf("storage: map partition %s: mappings are failing (FailMappings)", path)
+	}
 	data, err := mapFile(path)
 	if err != nil {
 		return nil, err
@@ -251,6 +256,19 @@ func MapPartition(path string) (*Partition, error) {
 	p.data = data
 	p.mapped = true
 	return p, nil
+}
+
+// mapFailures, while positive, makes every MapPartition call fail the way a
+// refused mapping would (see FailMappings).
+var mapFailures atomic.Int32
+
+// FailMappings makes MapPartition fail until the returned function is called
+// (once) — the seam that drives the heap fallback of callers that map, as a
+// filesystem without mmap support or an exhausted vm.max_map_count would.
+// Calls nest. Meant for tests: it changes every caller in the process.
+func FailMappings() (restore func()) {
+	mapFailures.Add(1)
+	return func() { mapFailures.Add(-1) }
 }
 
 // newPartition parses the header and cluster directory from r.
@@ -271,7 +289,12 @@ func newPartition(r io.ReaderAt, size int64, path string) (*Partition, error) {
 		seriesLen: int(binary.LittleEndian.Uint32(hdr[8:12])),
 	}
 	p.refs.Store(1)
+	// A corrupted header must not size an allocation: the directory has to
+	// fit in the file, and (below) so do the records it lists.
 	nClusters := int(binary.LittleEndian.Uint32(hdr[12:16]))
+	if int64(nClusters) > (size-16)/12 {
+		return nil, fmt.Errorf("storage: partition directory of %d clusters overruns %s (%d bytes)", nClusters, path, size)
+	}
 	dirBytes := make([]byte, 12*nClusters)
 	if _, err := r.ReadAt(dirBytes, 16); err != nil {
 		return nil, fmt.Errorf("storage: read partition directory: %w", err)
@@ -282,6 +305,9 @@ func newPartition(r io.ReaderAt, size int64, path string) (*Partition, error) {
 	for i := 0; i < nClusters; i++ {
 		id := ClusterID(binary.LittleEndian.Uint64(dirBytes[i*12 : i*12+8]))
 		cnt := int(binary.LittleEndian.Uint32(dirBytes[i*12+8 : i*12+12]))
+		if int64(cnt) > (size-offset)/recBytes {
+			return nil, fmt.Errorf("storage: cluster %d of %d records overruns %s (%d bytes)", id, cnt, path, size)
+		}
 		p.dir[i] = ClusterInfo{ID: id, Count: cnt, offset: offset}
 		offset += int64(cnt) * recBytes
 		p.total += cnt

@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand/v2"
 	"os"
@@ -257,6 +259,44 @@ func TestOpenPartitionBadMagic(t *testing.T) {
 	}
 	if _, err := OpenPartition(path); err == nil {
 		t.Fatal("bad magic accepted")
+	}
+}
+
+// A header whose directory or cluster counts claim more than the file holds
+// is refused by every backing when it is opened: sized from the header alone,
+// the directory of the first would be a 48 GB allocation, and the second
+// would pass the open and slice past the end of a resident file on its first
+// scan.
+func TestOpenRejectsOverrunningHeader(t *testing.T) {
+	path, _ := buildPartition(t, 4, 10)
+	valid, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patched := func(off int, v uint32) []byte {
+		out := bytes.Clone(valid)
+		binary.LittleEndian.PutUint32(out[off:], v)
+		return out
+	}
+	for name, data := range map[string][]byte{
+		"directory": patched(12, math.MaxUint32),
+		"cluster":   patched(16+8, 1<<20), // the first cluster's record count
+	} {
+		bad := tempPath(t, name+".clmp")
+		if err := os.WriteFile(bad, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for backing, open := range map[string]func(string) (*Partition, error){
+			"open": OpenPartition, "load": LoadPartition, "map": MapPartition,
+		} {
+			if backing == "map" && !MapSupported() {
+				continue
+			}
+			if p, err := open(bad); err == nil {
+				p.Close()
+				t.Errorf("%s: an overrunning %s count opened", backing, name)
+			}
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"climber/internal/cluster"
+	"climber/internal/storage"
 )
 
 // whereRecords reads the whole database by exact scan: every record of every
@@ -64,7 +65,7 @@ func TestTailLifecycleProperty(t *testing.T) {
 		opts []Option
 	}{
 		{"files", nil},
-		{"mmap", []Option{WithPartitionCacheBytes(1 << 28), WithMmap(true)}},
+		{"mmap", []Option{WithPartitionCacheBytes(1 << 28)}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -162,20 +163,25 @@ func roundedF32(s []float64) []float64 {
 // Where a record is served from must not change an answer: the same appended
 // records drained into tails in one database and left in the delta of its
 // twin give the same neighbours, for all four variants and for prefix
-// queries, with the partitions read from files on demand, from heap copies
-// and from memory mappings. (A drained record is ranked by the float32
-// kernel, a delta record by the float64 one, so distances agree to rounding.)
+// queries, with the partitions mapped per query, mapped in the cache, and
+// copied into the cache because mapping failed. (A drained record is ranked
+// by the float32 kernel, a delta record by the float64 one, so distances
+// agree to rounding.)
 func TestTailAnswersMatchDelta(t *testing.T) {
 	data := smallData(1300)
 	for _, mode := range []struct {
 		name string
 		opts []Option
+		heap bool
 	}{
-		{"readerat", nil},
-		{"heap", []Option{WithPartitionCacheBytes(1 << 28)}},
-		{"mmap", []Option{WithPartitionCacheBytes(1 << 28), WithMmap(true)}},
+		{"uncached", nil, false},
+		{"heap", []Option{WithPartitionCacheBytes(1 << 28)}, true},
+		{"mmap", []Option{WithPartitionCacheBytes(1 << 28)}, false},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
+			if mode.heap {
+				defer storage.FailMappings()()
+			}
 			var dbs [2]*DB
 			for i := range dbs {
 				db, err := Build(t.TempDir(), data[:1200], ingestOpts(mode.opts...)...)
