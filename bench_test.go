@@ -436,7 +436,7 @@ func BenchmarkAblationDualRepresentation(b *testing.B) {
 	for _, c := range []struct {
 		name    string
 		disable bool
-	}{{"OD+WD", false}, {"OD+random", true}} {
+	}{{"OD+WD", false}, {"OD-only", true}} {
 		b.Run(c.name, func(b *testing.B) {
 			cfg := benchConfig()
 			cfg.DisableWDTieBreak = c.disable

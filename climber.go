@@ -995,7 +995,7 @@ func (db *DB) Reindex(ctx context.Context) error {
 	// at the new generation (the durable commit), and swap it in. A failure
 	// before the pointer rename resumes the old generation untouched.
 	oldRoot := db.activeRoot()
-	err = db.ing.CommitRebuild(newGen.Skel.RouteNewRecord, func(nd *ingest.MemDelta) error {
+	err = db.ing.CommitRebuild(newGen.Skel.RouteRecord, func(nd *ingest.MemDelta) error {
 		newGen.SetDelta(nd)
 		if err := core.WriteManifestPointer(db.dir, next); err != nil {
 			return err

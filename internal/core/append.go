@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand/v2"
 	"os"
 	"sort"
 	"sync/atomic"
@@ -94,22 +93,10 @@ func (ix *Index) TailStats() (files, records int, bytes int64) {
 	return files, records, bytes
 }
 
-// RouteNewRecord routes one record through the skeleton's pivots, groups, and
-// tries: it is Step 4 of construction, and the route of every later append.
-// Algorithm 1's final tie-break must not depend on worker scheduling, so its
-// generator is derived from the record ID: a record's destination is a pure
-// function of (skeleton, seed, id, values) — WAL replay after a crash
-// recomputes identical routes, and an online reindex re-routes the surviving
-// delta against the new skeleton with the same determinism.
-func (s *Skeleton) RouteNewRecord(id int, values []float64) cluster.Route {
-	rng := rand.New(rand.NewPCG(s.Cfg.Seed, uint64(id)+0x9e3779b97f4a7c15))
-	return s.RouteRecord(values, rng)
-}
-
 // RouteNew routes one new record through the current generation's skeleton;
-// see Skeleton.RouteNewRecord.
+// see Skeleton.RouteRecord. The route does not depend on id.
 func (ix *Index) RouteNew(id int, values []float64) cluster.Route {
-	return ix.Skeleton().RouteNewRecord(id, values)
+	return ix.Skeleton().RouteRecord(values)
 }
 
 // Append inserts new data series into a built index without rebuilding the

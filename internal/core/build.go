@@ -120,7 +120,7 @@ func (s ctxSource) ScanBlock(i int, fn func(id int, values []float64) error) err
 // The conversion and re-distribution phases are deliberately separate scans
 // so their costs can be reported independently, exactly as the paper's
 // construction-time breakdown does. A record's route is a pure function of
-// (skeleton, seed, id, values) and every merge happens in ID order, so the
+// (skeleton, values) and every merge happens in ID order, so the
 // bytes written do not depend on worker scheduling or on how src is cut into
 // blocks.
 func construct(ctx context.Context, cl *cluster.Cluster, in buildInput, cfg Config, dst cluster.Dest) (*Generation, BuildStats, error) {
@@ -156,7 +156,7 @@ func construct(ctx context.Context, cl *cluster.Cluster, in buildInput, cfg Conf
 		if id >= len(routes) {
 			return fmt.Errorf("record ID %d is not below the ID bound %d", id, len(routes))
 		}
-		routes[id] = skel.RouteNewRecord(id, values)
+		routes[id] = skel.RouteRecord(values)
 		return nil
 	})
 	if err != nil {

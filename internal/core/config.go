@@ -34,7 +34,7 @@ type Config struct {
 	// Lambda is the decay rate; <= 0 selects the per-kind default
 	// (1/2 exponential, 1/m linear).
 	Lambda float64
-	// Seed drives every random choice (pivot selection, tie-breaks) for
+	// Seed drives every random choice (block sampling, pivot selection) for
 	// reproducible builds.
 	Seed uint64
 	// Workers is the goroutine parallelism of the build: the skeleton-
@@ -42,17 +42,18 @@ type Config struct {
 	// assignment) read it here, and climber.BuildDataset sizes the partition
 	// store's pool — block scans and the shuffle flush — from the same value.
 	// 0 uses every available core, 1 forces the sequential build. The result
-	// is bit-identical at any worker count — every random tie-break derives
-	// from per-record/per-signature seeded generators, so scheduling can
-	// never leak into the layout — and Workers is therefore deliberately not
-	// serialised into the skeleton file.
+	// is bit-identical at any worker count — a group assignment and a
+	// record's route are pure functions of the signature and the values, so
+	// scheduling can never leak into the layout — and Workers is therefore
+	// deliberately not serialised into the skeleton file.
 	Workers int
 	// BlockSize is the size, in records, of the blocks a build cuts its
 	// dataset into: partition-level sampling picks whole blocks, so it is
 	// the sampling granularity, and a block is a scan worker's unit of work.
 	BlockSize int
 	// DisableWDTieBreak turns off the Weight Distance stage of Algorithm 1,
-	// resolving Overlap Distance ties randomly. It exists only for the
+	// leaving Overlap Distance ties to the target choice (deepest trie path,
+	// largest node, lowest group ID). It exists only for the
 	// dual-representation ablation (cmd/climber-bench -experiment abl-dual); production indexes keep it
 	// false.
 	DisableWDTieBreak bool

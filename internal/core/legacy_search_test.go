@@ -214,11 +214,14 @@ func legacySelectTarget(ix *Index, cands []int, rs pivot.Signature, bestOD int) 
 	return best
 }
 
+// legacyClustersUnder tracks the engine's one deliberate change to the
+// cluster set: records stop at internal trie nodes too, so every node of the
+// subtree is listed, not only its leaves.
 func legacyClustersUnder(g *Group, n *trie.Node) []storage.ClusterID {
-	leafIDs := n.LeafIDsUnder()
-	out := make([]storage.ClusterID, 0, len(leafIDs)+1)
-	for _, id := range leafIDs {
-		out = append(out, g.ClusterOf(g.node(id)))
+	nodes := n.Nodes()
+	out := make([]storage.ClusterID, 0, len(nodes)+1)
+	for _, nd := range nodes {
+		out = append(out, g.ClusterOf(nd))
 	}
 	if n == g.Trie {
 		out = append(out, g.OverflowCluster())

@@ -171,11 +171,7 @@ func (s *Skeleton) planODSmallest(pb *planBuilder, ri pivot.Signature, bestOD in
 	}
 	for _, gid := range gids {
 		for _, pid := range s.GroupPartitions(gid) {
-			est := 0
-			if pid < len(s.PartitionEst) {
-				est = s.PartitionEst[pid]
-			}
-			pb.addWholePartition(pid, bestOD, est)
+			pb.addWholePartition(pid, bestOD, s.partitionEst(pid))
 		}
 	}
 }
@@ -212,16 +208,7 @@ func (s *Skeleton) planAdaptive(pb *planBuilder, base target, rs, ri pivot.Signa
 			pathLen--
 		}
 	}
-	// Rank: deeper matches first, then larger nodes, then group ID.
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].pathLen != cands[j].pathLen {
-			return cands[i].pathLen > cands[j].pathLen
-		}
-		if cands[i].node.Count != cands[j].node.Count {
-			return cands[i].node.Count > cands[j].node.Count
-		}
-		return cands[i].group.ID < cands[j].group.ID
-	})
+	sort.Slice(cands, func(i, j int) bool { return cands[i].outranks(cands[j]) })
 
 	covered := base.node.Count
 	for _, c := range cands {
@@ -239,15 +226,15 @@ func (s *Skeleton) planAdaptive(pb *planBuilder, base target, rs, ri pivot.Signa
 	}
 }
 
-// clustersUnder returns the global record-cluster IDs of the subtree rooted
-// at a node, including the group's overflow cluster when the node is the
-// group root (overflow records belong to the group but to no complete
-// root-to-leaf path).
+// clustersUnder returns the global record-cluster IDs of every node of the
+// subtree rooted at a node — records stop at internal nodes as well as at
+// leaves (see RouteRecord) — including the group's overflow cluster when the
+// node is the group root (records matching no child of the root).
 func clustersUnder(g *Group, n *trie.Node) []storage.ClusterID {
-	leafIDs := n.LeafIDsUnder()
-	out := make([]storage.ClusterID, 0, len(leafIDs)+1)
-	for _, id := range leafIDs {
-		out = append(out, g.ClusterOf(g.node(id)))
+	nodes := n.Nodes()
+	out := make([]storage.ClusterID, 0, len(nodes)+1)
+	for _, nd := range nodes {
+		out = append(out, g.ClusterOf(nd))
 	}
 	if n == g.Trie {
 		out = append(out, g.OverflowCluster())

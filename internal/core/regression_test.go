@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math/rand/v2"
 	"testing"
 
 	"climber/internal/cluster"
@@ -88,8 +87,7 @@ func buildDegenerateIndex(t *testing.T) (*Index, *testDataset) {
 	cl := cluster.New(t.TempDir(), 1)
 	bs := cluster.Blocks(ds, cfg.BlockSize)
 	parts, err := cl.Shuffle(bs, skel.NumPartitions, cluster.Dest{Root: cl.Dir(), Name: "degenerate"}, func(id int, values []float64) (cluster.Route, error) {
-		rng := rand.New(rand.NewPCG(cfg.Seed, uint64(id)))
-		return skel.RouteRecord(values, rng), nil
+		return skel.RouteRecord(values), nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -377,22 +377,32 @@ func (ix *Index) runQuery(ctx context.Context, g *Generation, paaQ []float64, op
 }
 
 // selectTarget applies the tie-breaking of Algorithm 3 Lines 10-19 over the
-// candidate groups: deepest matched path first, then largest node, then the
-// lowest group ID (a deterministic stand-in for the paper's random pick
-// among equally well-matching groups, chosen so repeated runs are
-// comparable).
+// candidate groups: the target that outranks every other.
+// The paper picks at random among equally well-matching groups; the lowest
+// group ID stands in for the draw so that RouteRecord, which stores a record
+// where this choice lands, and the query agree.
 func (s *Skeleton) selectTarget(cands []int, rs pivot.Signature, bestOD int) target {
-	best := target{pathLen: -1}
+	var best target
 	for _, gid := range cands {
 		g := s.Groups[gid]
 		node, pathLen := g.Trie.Descend(rs)
 		cand := target{group: g, node: node, od: bestOD, pathLen: pathLen}
-		switch {
-		case best.group == nil,
-			cand.pathLen > best.pathLen,
-			cand.pathLen == best.pathLen && cand.node.Count > best.node.Count:
+		if best.group == nil || cand.outranks(best) {
 			best = cand
 		}
 	}
 	return best
+}
+
+// outranks is the one order over targets, shared by selectTarget and the
+// adaptive plan's candidate list: deepest matched path first, then largest
+// node, then lowest group ID.
+func (t target) outranks(o target) bool {
+	if t.pathLen != o.pathLen {
+		return t.pathLen > o.pathLen
+	}
+	if t.node.Count != o.node.Count {
+		return t.node.Count > o.node.Count
+	}
+	return t.group.ID < o.group.ID
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math/rand/v2"
 	"sort"
 	"sync"
@@ -31,9 +30,8 @@ type Group struct {
 	// Trie is the group's Voronoi-splitting trie; its root count is the
 	// (sample-scaled) estimated membership.
 	Trie *trie.Node
-	// DefaultPartition receives members that cannot navigate a complete
-	// root-to-leaf path — the group's least-occupied partition (Section V,
-	// Step 3).
+	// DefaultPartition receives members whose trie path matches no child of
+	// the root — the group's least-occupied partition (Section V, Step 3).
 	DefaultPartition int
 	// ClusterBase offsets this group's trie-node IDs into the global
 	// record-cluster ID space of the partition files.
@@ -55,7 +53,8 @@ func (g *Group) indexNodes() {
 }
 
 // OverflowCluster returns the record-cluster ID that holds the group's
-// overflow records (incomplete trie paths) inside its default partition.
+// overflow records (trie paths matching no child of the root) inside its
+// default partition.
 func (g *Group) OverflowCluster() storage.ClusterID {
 	return storage.ClusterID(-(int64(g.ID) + 1))
 }
@@ -207,14 +206,12 @@ func BuildSkeleton(sample *series.Dataset, seriesLen int, cfg Config) (*Skeleton
 
 	// --- Step 3: group formation, trie splitting, partition packing -------
 	// Assign each distinct rank-sensitive signature (with its frequency) to
-	// a group, scaling counts by 1/α to estimate full-dataset sizes.
-	// Iterate in sorted key order and derive the tie-break generator from
-	// each signature so the build is deterministic: map iteration order and
-	// worker scheduling must never influence the index layout. Assignment
-	// (Algorithm 1 against every centroid) is order-independent thanks to
-	// the per-key seeded generator, so the loop fans across the build
-	// workers; the per-group entry lists are then materialised sequentially
-	// in sorted-key order, exactly as the sequential build appends them.
+	// a group, scaling counts by 1/α to estimate full-dataset sizes. No trie
+	// exists yet, so a tie left after the OD and WD stages goes to the lowest
+	// group ID. Assignment is a pure function of the signature, so the loop
+	// fans across the build workers; the per-group entry lists are then
+	// materialised sequentially in sorted-key order, so neither map iteration
+	// order nor worker scheduling influences the index layout.
 	numGroups := assigner.NumGroups()
 	groupEntries := make([][]trie.Entry, numGroups)
 	scale := 1.0 / cfg.SampleRate
@@ -226,9 +223,9 @@ func BuildSkeleton(sample *series.Dataset, seriesLen int, cfg Config) (*Skeleton
 	assigned := make([]int, len(rsKeys))
 	parallelChunks(len(rsKeys), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			e := rsAgg[rsKeys[i]]
-			sigRNG := rand.New(rand.NewPCG(cfg.Seed, hashKey(rsKeys[i])))
-			assigned[i] = assigner.Assign(e.sig, e.sig.RankInsensitive(), sigRNG)
+			sig := rsAgg[rsKeys[i]].sig
+			cands, _ := assigner.Candidates(sig, sig.RankInsensitive())
+			assigned[i] = cands[0]
 		}
 	})
 	for i, k := range rsKeys {
@@ -306,14 +303,6 @@ func BuildSkeleton(sample *series.Dataset, seriesLen int, cfg Config) (*Skeleton
 	return skel, nil
 }
 
-// hashKey derives a stable 64-bit stream for per-signature tie-break
-// generators.
-func hashKey(k string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(k))
-	return h.Sum64()
-}
-
 // chunkCount returns how many contiguous chunks parallelChunks splits n
 // items into for the given worker count.
 func chunkCount(n, workers int) int {
@@ -368,22 +357,41 @@ func parallelChunksIndexed(n, workers int, fn func(chunk, lo, hi int)) {
 }
 
 // RouteRecord computes the partition and record cluster of one data series
-// (Step 4 of Figure 6): PAA conversion, P4 dual-signature generation, group
-// assignment (Algorithm 1), and trie navigation. Records that stop at an
-// internal trie node are routed to the group's default partition under its
-// overflow cluster.
-//
-// rng supplies Algorithm 1's random tie-break; pass a per-record
-// deterministic generator for reproducible layouts.
-func (s *Skeleton) RouteRecord(values []float64, rng *rand.Rand) cluster.Route {
-	paaSig := s.Transformer.Transform(values)
-	rs, ri := s.Pivots.Dual(paaSig)
-	gid := s.Assigner.Assign(rs, ri, rng)
-	g := s.Groups[gid]
-	if leaf := g.Trie.DescendToLeaf(rs); leaf != nil {
-		return cluster.Route{Partition: leaf.Partitions[0], Cluster: g.ClusterOf(leaf)}
+// (Step 4 of Figure 6) by the navigation its own query takes: PAA
+// conversion, P4 dual signature, the OD/WD candidate groups (Algorithm 1),
+// and Algorithm 3's target choice among them (selectTarget). The record is
+// stored in the chosen trie node's cluster: a leaf's in its partition, an
+// internal node's in the least-estimated partition under it, and the root's
+// (a path matching no child) in the group's default partition under its
+// overflow cluster. The route is a pure function of the skeleton and the
+// values, so WAL replay and the reindex of a live delta recompute it exactly.
+func (s *Skeleton) RouteRecord(values []float64) cluster.Route {
+	rs, ri := s.Pivots.Dual(s.Transformer.Transform(values))
+	cands, bestOD := s.Assigner.Candidates(rs, ri)
+	t := s.selectTarget(cands, rs, bestOD)
+	g, n := t.group, t.node
+	switch {
+	case n.IsLeaf():
+		return cluster.Route{Partition: n.Partitions[0], Cluster: g.ClusterOf(n)}
+	case n == g.Trie:
+		return cluster.Route{Partition: g.DefaultPartition, Cluster: g.OverflowCluster()}
 	}
-	return cluster.Route{Partition: g.DefaultPartition, Cluster: g.OverflowCluster()}
+	pid := n.Partitions[0]
+	for _, p := range n.Partitions[1:] {
+		if s.partitionEst(p) < s.partitionEst(pid) {
+			pid = p
+		}
+	}
+	return cluster.Route{Partition: pid, Cluster: g.ClusterOf(n)}
+}
+
+// partitionEst returns the skeleton's record-count estimate of a partition,
+// 0 when it has none.
+func (s *Skeleton) partitionEst(pid int) int {
+	if pid < len(s.PartitionEst) {
+		return s.PartitionEst[pid]
+	}
+	return 0
 }
 
 // GroupPartitions returns the sorted set of partition IDs owned by a group.

@@ -47,8 +47,9 @@ func AblationDecay(s Scale, workDir string, out io.Writer) error {
 }
 
 // AblationDual isolates the dual representation: Algorithm 1 with the
-// rank-sensitive WD tie-break (the paper's design) versus OD-only grouping
-// with random tie resolution. The paper motivates the WD stage with
+// rank-sensitive WD tie-break (the paper's design) versus OD-only grouping,
+// whose ties fall to the target choice (deepest trie path, largest node,
+// lowest group ID). The paper motivates the WD stage with
 // Example 1; this ablation quantifies it.
 func AblationDual(s Scale, workDir string, out io.Writer) error {
 	n := s.BaseSize
@@ -66,7 +67,7 @@ func AblationDual(s Scale, workDir string, out io.Writer) error {
 	for _, c := range []struct {
 		label   string
 		disable bool
-	}{{"OD+WD (paper)", false}, {"OD+random", true}} {
+	}{{"OD+WD (paper)", false}, {"OD only", true}} {
 		cfg := climberConfig(s, n)
 		cfg.DisableWDTieBreak = c.disable
 		ix, err := core.Build(e.cl, e.bs, cfg, fmt.Sprintf("abl-dual-%v", c.disable))

@@ -11,12 +11,16 @@
 //  2. On an OD tie, the Weight Distance (Definition 11) against the tied
 //     centroids, computed from the object's rank-sensitive signature via
 //     the decay weights of Definition 9. A unique minimum wins.
-//  3. On a second tie, a uniformly random choice among the tied groups.
+//  3. On a second tie, the paper draws at random among the tied groups
+//     (Algorithm 1, Line 14). This package stops at the tied list,
+//     Candidates, and leaves the choice to its caller: the index stores a
+//     record in the target its own query would select (Algorithm 3's rule:
+//     deepest trie path, then largest node, then lowest group ID), so a
+//     stored series is always reachable by its own vector.
 package grouping
 
 import (
 	"fmt"
-	"math/rand/v2"
 
 	"climber/internal/metric"
 	"climber/internal/pivot"
@@ -29,17 +33,15 @@ const FallbackGroup = 0
 
 // Assigner evaluates the assignment rules against a fixed centroid list.
 // Group IDs are 1-based: group i has centroid Centroid(i); group 0 is the
-// fall-back. An Assigner is immutable and safe for concurrent use; the
-// random tie-break takes the caller's RNG so parallel workers can assign
-// without contention.
+// fall-back. An Assigner is immutable and safe for concurrent use.
 type Assigner struct {
 	centroids []pivot.Signature // index 0 unused (fall-back)
 	weigher   *metric.Weigher
 	m         int
 
 	// UseWeightTieBreak enables the WD stage (stage 2). It defaults to
-	// true — Algorithm 1 as published. Setting it false resolves OD ties
-	// randomly, ablating the rank-sensitive half of the dual
+	// true — Algorithm 1 as published. Setting it false leaves OD ties
+	// unresolved, ablating the rank-sensitive half of the dual
 	// representation (the "single representation" ablation, cmd/climber-bench -experiment abl-dual).
 	UseWeightTieBreak bool
 }
@@ -73,25 +75,11 @@ func (a *Assigner) Centroid(id int) pivot.Signature { return a.centroids[id] }
 // Weigher exposes the decay weigher, shared with query processing.
 func (a *Assigner) Weigher() *metric.Weigher { return a.weigher }
 
-// Assign runs Algorithm 1 and returns the group ID for an object with the
-// given dual signature. rng supplies the final random tie-break; it must be
-// non-nil.
-func (a *Assigner) Assign(rankSensitive, rankInsensitive pivot.Signature, rng *rand.Rand) int {
-	cands, bestOD := a.Candidates(rankSensitive, rankInsensitive)
-	if bestOD == a.m {
-		return FallbackGroup // Lines 3-5: zero overlap with every centroid
-	}
-	if len(cands) == 1 {
-		return cands[0]
-	}
-	return cands[rng.IntN(len(cands))] // Line 14: second tie
-}
-
-// Candidates returns the group IDs that survive the OD stage and, when
-// needed, the WD tie-break — i.e. the GList of query Algorithm 3 (Lines
-// 5-9) — along with the smallest OD observed. When bestOD == m the object
-// overlaps no centroid and the only sensible target is the fall-back group;
-// the returned slice is then [FallbackGroup].
+// Candidates returns the group IDs, ascending, that survive the OD stage
+// and, when needed, the WD tie-break — i.e. the GList of query Algorithm 3
+// (Lines 5-9) — along with the smallest OD observed. When bestOD == m the
+// object overlaps no centroid and the only target is the fall-back group
+// (Algorithm 1, Lines 3-5); the returned slice is then [FallbackGroup].
 func (a *Assigner) Candidates(rankSensitive, rankInsensitive pivot.Signature) (ids []int, bestOD int) {
 	ids, bestOD = a.BestByOverlap(rankInsensitive)
 	if len(ids) == 0 || bestOD == a.m {

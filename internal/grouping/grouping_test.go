@@ -1,7 +1,6 @@
 package grouping
 
 import (
-	"math/rand/v2"
 	"testing"
 
 	"climber/internal/metric"
@@ -25,10 +24,8 @@ func exampleAssigner(t *testing.T) *Assigner {
 // OD(X, o1) = 1 < OD(X, o2) = 2 — unique smallest, assign to G1.
 func TestAssignExample1X(t *testing.T) {
 	a := exampleAssigner(t)
-	rng := rand.New(rand.NewPCG(1, 1))
-	got := a.Assign(pivot.Signature{3, 4, 1}, pivot.Signature{1, 3, 4}, rng)
-	if got != 1 {
-		t.Fatalf("X assigned to group %d, want 1", got)
+	if got, _ := a.Candidates(pivot.Signature{3, 4, 1}, pivot.Signature{1, 3, 4}); !equalIDs(got, 1) {
+		t.Fatalf("X candidates = %v, want [1]", got)
 	}
 }
 
@@ -36,29 +33,8 @@ func TestAssignExample1X(t *testing.T) {
 // OD tie (1, 1); WD(Y, o1) = 1 > WD(Y, o2) = 0.25 — assign to G2.
 func TestAssignExample1Y(t *testing.T) {
 	a := exampleAssigner(t)
-	rng := rand.New(rand.NewPCG(1, 1))
-	got := a.Assign(pivot.Signature{4, 2, 1}, pivot.Signature{1, 2, 4}, rng)
-	if got != 2 {
-		t.Fatalf("Y assigned to group %d, want 2", got)
-	}
-}
-
-// Example 1, object Z: P4→ = <6,2,7>, P4↛ = <2,6,7>.
-// OD tie (2, 2); WD tie (1.25, 1.25) — random assignment to G1 or G2,
-// and both outcomes must occur over many seeds.
-func TestAssignExample1ZRandomTieBreak(t *testing.T) {
-	a := exampleAssigner(t)
-	seen := map[int]int{}
-	for seed := uint64(0); seed < 64; seed++ {
-		rng := rand.New(rand.NewPCG(seed, seed+1))
-		got := a.Assign(pivot.Signature{6, 2, 7}, pivot.Signature{2, 6, 7}, rng)
-		if got != 1 && got != 2 {
-			t.Fatalf("Z assigned to group %d, want 1 or 2", got)
-		}
-		seen[got]++
-	}
-	if seen[1] == 0 || seen[2] == 0 {
-		t.Fatalf("random tie-break never chose one side: %v", seen)
+	if got, _ := a.Candidates(pivot.Signature{4, 2, 1}, pivot.Signature{1, 2, 4}); !equalIDs(got, 2) {
+		t.Fatalf("Y candidates = %v, want [2]", got)
 	}
 }
 
@@ -66,11 +42,22 @@ func TestAssignExample1ZRandomTieBreak(t *testing.T) {
 // G0 (Algorithm 1, Lines 3-5).
 func TestAssignFallback(t *testing.T) {
 	a := exampleAssigner(t)
-	rng := rand.New(rand.NewPCG(1, 1))
-	got := a.Assign(pivot.Signature{7, 8, 9}, pivot.Signature{7, 8, 9}, rng)
-	if got != FallbackGroup {
-		t.Fatalf("disjoint object assigned to group %d, want fall-back %d", got, FallbackGroup)
+	if got, _ := a.Candidates(pivot.Signature{7, 8, 9}, pivot.Signature{7, 8, 9}); !equalIDs(got, FallbackGroup) {
+		t.Fatalf("disjoint object candidates = %v, want [%d]", got, FallbackGroup)
 	}
+}
+
+// equalIDs reports whether got is exactly want, in order.
+func equalIDs(got []int, want ...int) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func TestCandidatesExposesTies(t *testing.T) {
@@ -143,10 +130,6 @@ func TestCandidatesEmptyRoutesToFallback(t *testing.T) {
 	if bestOD != 3 {
 		t.Fatalf("bestOD = %d, want m=3 (no-overlap distance)", bestOD)
 	}
-	rng := rand.New(rand.NewPCG(1, 2))
-	if gid := a.Assign(rs, rs.RankInsensitive(), rng); gid != FallbackGroup {
-		t.Fatalf("Assign = %d, want FallbackGroup", gid)
-	}
 }
 
 func TestAssignerAccessors(t *testing.T) {
@@ -165,37 +148,30 @@ func TestAssignerAccessors(t *testing.T) {
 	}
 }
 
-// Assignment must be a pure function of the signatures except for the
-// documented random final tie-break.
+// Assignment is a pure function of the signatures: a tie-free object always
+// yields the same single group, and a tied object always the same list in
+// ascending group order, which the caller's lowest-ID rule relies on.
 func TestAssignDeterministicWithoutTies(t *testing.T) {
 	a := exampleAssigner(t)
-	for seed := uint64(0); seed < 20; seed++ {
-		rng := rand.New(rand.NewPCG(seed, 99))
-		if got := a.Assign(pivot.Signature{3, 4, 1}, pivot.Signature{1, 3, 4}, rng); got != 1 {
-			t.Fatalf("seed %d changed a tie-free assignment to %d", seed, got)
+	for i := 0; i < 20; i++ {
+		if got, _ := a.Candidates(pivot.Signature{3, 4, 1}, pivot.Signature{1, 3, 4}); !equalIDs(got, 1) {
+			t.Fatalf("call %d changed a tie-free assignment to %v", i, got)
+		}
+		if got, _ := a.Candidates(pivot.Signature{6, 2, 7}, pivot.Signature{2, 6, 7}); !equalIDs(got, 1, 2) {
+			t.Fatalf("call %d changed a tied candidate list to %v", i, got)
 		}
 	}
 }
 
 // With the WD tie-break disabled (the dual-representation ablation), OD
-// ties must pass through unresolved so the caller's random stage decides.
+// ties must pass through unresolved, leaving the choice to the caller.
 func TestDisabledWeightTieBreak(t *testing.T) {
 	a := exampleAssigner(t)
 	a.UseWeightTieBreak = false
 	// Y from Example 1 ties on OD; with WD disabled both groups survive.
 	ids, _ := a.Candidates(pivot.Signature{4, 2, 1}, pivot.Signature{1, 2, 4})
-	if len(ids) != 2 {
-		t.Fatalf("candidates with WD disabled = %v, want both tied groups", ids)
-	}
-	// Assign distributes Y randomly across the tie instead of always
-	// choosing G2.
-	seen := map[int]bool{}
-	for seed := uint64(0); seed < 64; seed++ {
-		rng := rand.New(rand.NewPCG(seed, 3))
-		seen[a.Assign(pivot.Signature{4, 2, 1}, pivot.Signature{1, 2, 4}, rng)] = true
-	}
-	if !seen[1] || !seen[2] {
-		t.Fatalf("random-only tie-break never chose one side: %v", seen)
+	if !equalIDs(ids, 1, 2) {
+		t.Fatalf("candidates with WD disabled = %v, want both tied groups [1 2]", ids)
 	}
 }
 

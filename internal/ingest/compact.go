@@ -340,14 +340,14 @@ func (g *Ingester) BeginRebuild(ctx context.Context) error {
 // CommitRebuild finishes an online reindex begun with BeginRebuild. Under
 // the write semaphore — so no append can slip between the delta snapshot and
 // the swap — it re-routes every record acked during the rebuild through the
-// new generation's skeleton (route, a pure function of (id, values)) into a
+// new generation's skeleton (route, a pure function of the values) into a
 // fresh delta, then calls publish, which must install that delta on the new
 // generation, commit the MANIFEST pointer, and swap the generation in. On
 // success the pipeline's live delta becomes the re-routed one and
 // compactions resume against the new generation; on error the old
 // generation stays current and compactions resume against it, with the WAL
 // and old delta untouched — the failed rebuild is simply discarded.
-func (g *Ingester) CommitRebuild(route func(id int, values []float64) cluster.Route, publish func(nd *MemDelta) error) error {
+func (g *Ingester) CommitRebuild(route func(values []float64) cluster.Route, publish func(nd *MemDelta) error) error {
 	g.lockBlocking()
 	defer g.unlock()
 	defer func() { g.paused = false }()
@@ -357,7 +357,7 @@ func (g *Ingester) CommitRebuild(route func(id int, values []float64) cluster.Ro
 	recs := g.delta.Load().Snapshot()
 	rerouted := make([]core.Routed, len(recs))
 	for i, r := range recs {
-		rerouted[i] = core.Routed{ID: r.ID, Route: route(r.ID, r.Values), Values: r.Values}
+		rerouted[i] = core.Routed{ID: r.ID, Route: route(r.Values), Values: r.Values}
 	}
 	nd := NewMemDelta()
 	nd.Add(rerouted)

@@ -16,7 +16,7 @@ import (
 // ClusterID identifies a contiguous record cluster inside a partition file.
 // CLIMBER uses the global trie-node ID of the leaf owning the records;
 // negative IDs are reserved by the index layer for per-group overflow
-// clusters (records that could not navigate a complete root-to-leaf path).
+// clusters (records whose trie path matches no child of the group's root).
 type ClusterID int64
 
 // PartitionWriter accumulates records per cluster in memory and writes the

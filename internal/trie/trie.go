@@ -155,18 +155,6 @@ func (n *Node) Descend(sig pivot.Signature) (node *Node, pathLen int) {
 	return cur, len(sig)
 }
 
-// DescendToLeaf follows the signature and returns the leaf reached, or nil
-// if the walk stops at an internal node (the "cannot navigate a complete
-// root-to-leaf path" case of Section V Step 3, which routes the record to
-// the group's default partition).
-func (n *Node) DescendToLeaf(sig pivot.Signature) *Node {
-	node, _ := n.Descend(sig)
-	if node.IsLeaf() {
-		return node
-	}
-	return nil
-}
-
 // Leaves returns the leaf nodes in DFS preorder.
 func (n *Node) Leaves() []*Node {
 	var out []*Node
@@ -222,16 +210,4 @@ func (n *Node) PropagatePartitions() {
 		return union
 	}
 	walk(n)
-}
-
-// LeafIDsUnder returns the IDs of all leaf nodes in the subtree rooted at n,
-// in DFS preorder. At query time these identify the record clusters to scan
-// inside the selected partitions.
-func (n *Node) LeafIDsUnder() []int {
-	leaves := n.Leaves()
-	ids := make([]int, len(leaves))
-	for i, l := range leaves {
-		ids[i] = l.ID
-	}
-	return ids
 }

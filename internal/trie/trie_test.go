@@ -113,8 +113,7 @@ func TestBuildCoverageInvariant(t *testing.T) {
 		// Every entry routes to exactly one leaf, and that leaf's depth
 		// prefix matches the signature.
 		for _, e := range entries {
-			leaf := root.DescendToLeaf(e.Sig)
-			if leaf == nil {
+			if node, _ := root.Descend(e.Sig); !node.IsLeaf() {
 				t.Fatalf("entry %v does not reach a leaf in its own trie", e.Sig)
 			}
 		}
@@ -170,9 +169,9 @@ func TestDescend(t *testing.T) {
 	if depth != 0 || node != root {
 		t.Fatalf("unmatched Descend should return the root at depth 0")
 	}
-	// DescendToLeaf on a partial path must return nil.
-	if leaf := root.DescendToLeaf(pivot.Signature{6, 9, 9}); leaf != nil {
-		t.Fatalf("DescendToLeaf on partial path = %+v, want nil", leaf)
+	// A partial path stops at an internal node.
+	if node, _ := root.Descend(pivot.Signature{6, 9, 9}); node.IsLeaf() {
+		t.Fatalf("Descend on partial path stopped at leaf %+v, want an internal node", node)
 	}
 }
 
@@ -218,27 +217,6 @@ func TestPropagatePartitions(t *testing.T) {
 	n1 := root.Child(1)
 	if got := n1.Partitions; len(got) != 1 || got[0] != 7 {
 		t.Fatalf("internal node partitions = %v, want [7]", got)
-	}
-}
-
-func TestLeafIDsUnder(t *testing.T) {
-	entries := []Entry{
-		{Sig: pivot.Signature{1, 2}, Count: 50},
-		{Sig: pivot.Signature{1, 3}, Count: 50},
-		{Sig: pivot.Signature{2, 4}, Count: 50},
-	}
-	root, err := Build(entries, 60)
-	if err != nil {
-		t.Fatal(err)
-	}
-	all := root.LeafIDsUnder()
-	if len(all) != 3 {
-		t.Fatalf("root covers %d leaves, want 3", len(all))
-	}
-	n1 := root.Child(1)
-	under := n1.LeafIDsUnder()
-	if len(under) != 2 {
-		t.Fatalf("subtree covers %d leaves, want 2", len(under))
 	}
 }
 
