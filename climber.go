@@ -1050,8 +1050,9 @@ func (db *DB) cleanupGeneration(old *core.Generation, oldRoot string) {
 // Backup runs under the write barrier: appends wait out the copy (partition
 // files must not be rewritten mid-link), searches are unaffected. During a
 // reindex, Backup returns ErrReindexInProgress. On a read-only DB the
-// barrier is skipped — nothing mutates — and the WAL, if one was left by a
-// writer, is not part of the snapshot.
+// barrier is skipped — nothing mutates — so partition tails, which only a
+// writer folds, are linked beside their bases, and the WAL, if one was left
+// by a writer, is not part of the snapshot.
 func (db *DB) Backup(ctx context.Context, destDir string) error {
 	if db.closed.Load() {
 		return ErrClosed
@@ -1090,28 +1091,36 @@ func (db *DB) backupTo(destDir string) error {
 	if err := os.Mkdir(partDir, 0o755); err != nil {
 		return fmt.Errorf("climber: backup mkdir: %w", err)
 	}
-	destPaths := make([]string, len(g.Parts.Paths))
+	parts := &cluster.PartitionSet{
+		SeriesLen: g.Parts.SeriesLen,
+		Paths:     make([]string, len(g.Parts.Paths)),
+		Counts:    make([]int, len(g.Parts.Paths)),
+	}
 	for pid, src := range g.Parts.Paths {
 		dst := filepath.Join(partDir, filepath.Base(src))
 		if err := linkOrCopy(src, dst); err != nil {
 			return fmt.Errorf("climber: backup partition %d: %w", pid, err)
 		}
-		destPaths[pid] = dst
-	}
-	parts := &cluster.PartitionSet{
-		SeriesLen: g.Parts.SeriesLen,
-		Paths:     destPaths,
-		Counts:    append([]int(nil), g.Parts.Counts...),
+		parts.Paths[pid] = dst
+		// The barrier folds every tail first; a read-only DB skips it, and
+		// its tails go along beside their bases.
+		base, tail := g.Parts.Layout(pid)
+		if tail > 0 {
+			if err := linkOrCopy(cluster.TailPath(src), cluster.TailPath(dst)); err != nil {
+				return fmt.Errorf("climber: backup tail of partition %d: %w", pid, err)
+			}
+		}
+		parts.SetLayout(pid, base, tail)
 	}
 	// SaveSnapshot relativises the partition paths against destDir, so the
 	// backup opens wherever it is later moved or restored to.
 	if err := core.SaveSnapshot(g.Skel, parts, core.IndexPathIn(destDir)); err != nil {
 		return err
 	}
-	if err := fsyncPath(partDir); err != nil {
+	if err := storage.SyncPath(partDir); err != nil {
 		return err
 	}
-	return fsyncPath(destDir)
+	return storage.SyncPath(destDir)
 }
 
 // linkOrCopy hard-links src to dst, degrading to a full copy when the link
@@ -1141,19 +1150,6 @@ func linkOrCopy(src, dst string) error {
 		return err
 	}
 	return out.Close()
-}
-
-// fsyncPath fsyncs a file or directory by path.
-func fsyncPath(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("climber: sync %s: %w", path, err)
-	}
-	return nil
 }
 
 // Dir returns the database's directory.

@@ -1,5 +1,6 @@
 // Command climber-gen generates the paper's evaluation datasets as seeded
-// synthetic block files consumable by climber-build and climber-query.
+// synthetic dataset files — one-cluster partition files — consumable by
+// climber-build and climber-query. The same seed gives the same data.
 //
 // Usage:
 //

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -225,10 +226,43 @@ func TestShuffle(t *testing.T) {
 	}
 }
 
+// A partition no record routes to is still written: an empty file that
+// opens, verifies and scans nothing.
+func TestShuffleWritesEmptyPartitions(t *testing.T) {
+	c := testCluster(t)
+	ps, err := c.Shuffle(Blocks(dataset.RandomWalk(16, 40, 2), 25), 3, Dest{Root: c.dir, Name: "rw"}, func(id int, values []float64) (Route, error) {
+		return Route{Partition: 2 * (id % 2)}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ps.Counts[1] != 0 || ps.Len() != 40 {
+		t.Fatalf("partition counts %v, want nothing in partition 1", ps.Counts)
+	}
+	p, err := storage.OpenPartition(ps.Paths[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if err := p.Verify(); err != nil || p.Count() != 0 || p.SeriesLen() != 16 {
+		t.Fatalf("empty partition: %d records of length %d, verify %v", p.Count(), p.SeriesLen(), err)
+	}
+	h, err := c.OpenPartition(ps, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Close()
+	if err := h.ScanAll(func(id int, _ []float64) error { return fmt.Errorf("record %d in an empty partition", id) }); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // A PartitionSet is a Source too — how a reindex reads an index back: a
 // shuffle of the partition files into a second root moves every record with
-// its float32 readings intact, and with Dest.Sync it announces each
-// durability step (the flush is pooled, so partition steps come in any order).
+// its float32 readings intact (the scan of a partition file reuses its values
+// slice, so this is also the shuffle keeping a copy), and with Dest.Sync it
+// announces each durability step (the writes are pooled, so partition steps
+// come in any order).
 func TestShuffleFromPartitionsDurable(t *testing.T) {
 	c := testCluster(t)
 	ds := dataset.RandomWalk(16, 90, 2)
@@ -279,11 +313,11 @@ func TestShuffleFromPartitionsDurable(t *testing.T) {
 	}
 }
 
-// breakFlushTarget arranges for partition flushes into dir to fail: the
+// breakFlushTarget arranges for partition writes into dir to fail: the
 // directory is made read-only. Root bypasses permission bits, so when a probe
 // write still succeeds the helper falls back to squatting a directory on the
-// partition path itself, which makes the writer's os.Create fail regardless
-// of privilege.
+// partition path itself, which makes the writer's rename over it fail
+// regardless of privilege.
 func breakFlushTarget(t *testing.T, dir, partPath string) {
 	t.Helper()
 	if err := os.Chmod(dir, 0o555); err != nil {

@@ -6,6 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -131,11 +132,9 @@ func (c *Cluster) Shuffle(src Source, numPartitions int, dst Dest,
 	if numPartitions <= 0 {
 		return nil, fmt.Errorf("cluster: shuffle needs at least one partition, got %d", numPartitions)
 	}
-	writers := make([]*storage.PartitionWriter, numPartitions)
+	seriesLen := src.Length()
+	recs := make([][]storage.Incoming, numPartitions)
 	locks := make([]sync.Mutex, numPartitions)
-	for i := range writers {
-		writers[i] = storage.NewPartitionWriter(src.Length())
-	}
 
 	err := c.ScanBlocks(src, nil, func(id int, values []float64) error {
 		r, err := route(id, values)
@@ -145,10 +144,13 @@ func (c *Cluster) Shuffle(src Source, numPartitions int, dst Dest,
 		if r.Partition < 0 || r.Partition >= numPartitions {
 			return fmt.Errorf("cluster: record %d routed to invalid partition %d of %d", id, r.Partition, numPartitions)
 		}
+		// A source may reuse values for its next record (a partition file's
+		// scan buffer does), so the record keeps a copy.
+		in := storage.Incoming{Cluster: r.Cluster, ID: id, Values: slices.Clone(values)}
 		locks[r.Partition].Lock()
-		err = writers[r.Partition].Append(r.Cluster, id, values)
+		recs[r.Partition] = append(recs[r.Partition], in)
 		locks[r.Partition].Unlock()
-		return err
+		return nil
 	})
 	if err != nil {
 		return nil, err
@@ -158,25 +160,26 @@ func (c *Cluster) Shuffle(src Source, numPartitions int, dst Dest,
 		return nil, fmt.Errorf("cluster: create partition dir: %w", err)
 	}
 
-	// Flush the partition writers concurrently, bounded by the store's
-	// worker pool. Each writer sorts its clusters and records before
-	// writing, so the bytes of every partition file are identical to a
-	// sequential flush — only the wall-clock changes.
-	ps := &PartitionSet{SeriesLen: src.Length(), Paths: make([]string, numPartitions), Counts: make([]int, numPartitions)}
+	// Write the partitions concurrently, bounded by the store's worker pool.
+	// MergePartitions puts every file's records in canonical order, so the
+	// bytes of every partition file are those of a sequential write — only
+	// the wall-clock changes — and a partition no record routed to is an
+	// empty file.
+	ps := &PartitionSet{SeriesLen: seriesLen, Paths: make([]string, numPartitions), Counts: make([]int, numPartitions)}
 	errs := make([]error, numPartitions)
 	sem := make(chan struct{}, c.workers)
 	var wg sync.WaitGroup
-	for i, w := range writers {
+	for i, in := range recs {
 		path := PartitionPath(dst.Root, dst.Name, i)
 		ps.Paths[i] = path
-		ps.Counts[i] = w.Count()
+		ps.Counts[i] = len(in)
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
 			dst.step(fmt.Sprintf("partition-%05d", i))
-			if errs[i] = w.Flush(path); errs[i] == nil && dst.Sync {
+			if _, _, errs[i] = storage.MergePartitions(path, seriesLen, nil, in, nil); errs[i] == nil && dst.Sync {
 				errs[i] = storage.SyncPath(path)
 			}
 		}()

@@ -116,7 +116,7 @@ func TestHandleReadsBaseAndTailAsOne(t *testing.T) {
 			for path, recs := range map[string][]storage.Incoming{
 				whole: append(append([]storage.Incoming{}, base...), tail...), split: base, TailPath(split): tail,
 			} {
-				if _, _, err := storage.MergePartitions(path, nil, recs, nil); err != nil {
+				if _, _, err := storage.MergePartitions(path, 3, nil, recs, nil); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -196,7 +196,7 @@ func TestOpenPartitionPairsBaseWithItsTail(t *testing.T) {
 			base := PartitionPath(c.Dir(), "hammer", 0)
 			tail := TailPath(base)
 			const built, perDrain, drains, foldEvery = 64, 3, 400, 7
-			if _, _, err := storage.MergePartitions(base, nil, tailRecords(0, built), nil); err != nil {
+			if _, _, err := storage.MergePartitions(base, 3, nil, tailRecords(0, built), nil); err != nil {
 				t.Fatal(err)
 			}
 			ps := &PartitionSet{Paths: []string{base}, SeriesLen: 3, Counts: []int{built}}
@@ -253,7 +253,7 @@ func TestOpenPartitionPairsBaseWithItsTail(t *testing.T) {
 					if inTail > 0 {
 						srcs = []string{tail}
 					}
-					if _, _, err := storage.MergePartitions(tail, srcs, in, nil); err != nil {
+					if _, _, err := storage.MergePartitions(tail, 3, srcs, in, nil); err != nil {
 						t.Fatal(err)
 					}
 					inTail += perDrain
@@ -264,7 +264,7 @@ func TestOpenPartitionPairsBaseWithItsTail(t *testing.T) {
 					if inTail > 0 {
 						srcs = append(srcs, tail)
 					}
-					if _, _, err := storage.MergePartitions(base, srcs, in, nil); err != nil {
+					if _, _, err := storage.MergePartitions(base, 3, srcs, in, nil); err != nil {
 						t.Fatal(err)
 					}
 					c.InvalidatePartition(base)
@@ -290,7 +290,7 @@ func TestOpenPartitionPairsBaseWithItsTail(t *testing.T) {
 func TestPartitionSourceRefusesTails(t *testing.T) {
 	c := testCluster(t)
 	base := PartitionPath(c.Dir(), "src", 0)
-	if _, _, err := storage.MergePartitions(base, nil, tailRecords(0, 8), nil); err != nil {
+	if _, _, err := storage.MergePartitions(base, 3, nil, tailRecords(0, 8), nil); err != nil {
 		t.Fatal(err)
 	}
 	ps := &PartitionSet{Paths: []string{base}, SeriesLen: 3, Counts: []int{8}}

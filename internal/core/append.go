@@ -11,9 +11,8 @@ import (
 )
 
 // Routed is one new data series with its assigned ID and the destination the
-// skeleton routed it to. It is the unit of work shared by the synchronous
-// Append path and the streaming ingestion compactor (internal/ingest), both
-// of which ultimately land records in partition files via WriteRouted.
+// skeleton routed it to: the unit of work of the ingestion drain
+// (internal/ingest), which lands records in partition files via WriteRouted.
 type Routed struct {
 	ID     int
 	Route  cluster.Route
@@ -99,52 +98,6 @@ func (ix *Index) RouteNew(id int, values []float64) cluster.Route {
 	return ix.Skeleton().RouteRecord(values)
 }
 
-// Append inserts new data series into a built index without rebuilding the
-// skeleton: each record is routed through the existing pivots, groups, and
-// tries and appended to its partition file. Appended records receive IDs
-// continuing the build sequence; the assigned IDs are returned in input
-// order.
-//
-// The skeleton's partitioning was derived from the original sample, so a
-// heavily appended index drifts from its capacity targets — like the
-// paper's prototype, rebuilding is the answer once partitions grow far past
-// the capacity constraint (the soft-constraint discussion of Section V).
-//
-// Concurrency: ID assignment is atomic, but the partition rewrites are not
-// — concurrent Append calls may interleave read-modify-replace cycles on
-// the same partition file and lose records, so callers must serialise them.
-// climber.DB does this internally by funnelling every write through its
-// ingestion pipeline; direct users of core.Index remain responsible for it.
-func (ix *Index) Append(records [][]float64) ([]int, error) {
-	if len(records) == 0 {
-		return nil, nil
-	}
-	seriesLen := ix.Skeleton().SeriesLen
-	for i, r := range records {
-		if len(r) != seriesLen {
-			return nil, fmt.Errorf("core: appended record %d has length %d, index stores %d",
-				i, len(r), seriesLen)
-		}
-	}
-	first := ix.ReserveIDs(len(records))
-	routed := make([]Routed, len(records))
-	ids := make([]int, len(records))
-	for i, r := range records {
-		id := first + i
-		ids[i] = id
-		routed[i] = Routed{ID: id, Route: ix.RouteNew(id, r), Values: r}
-	}
-	if _, err := ix.WriteRouted(routed); err != nil {
-		// Hand the reservation back so the ID sequence stays dense. Any
-		// partitions already rewritten hold orphans under these IDs; a
-		// retry reissues the same IDs and the replace-by-ID fold lands
-		// the new records exactly once in the orphans' place.
-		ix.UnreserveIDs(first, len(records))
-		return nil, err
-	}
-	return ids, nil
-}
-
 // foldFraction sets when a drain folds a partition's tail into its base
 // instead of rewriting the tail: when the tail, incoming records included,
 // would hold more than 1/foldFraction of the base's records. A tail rewrite
@@ -168,7 +121,9 @@ type DrainStats struct {
 // WriteRouted lands already-routed records in partition files, grouping by
 // destination so each affected partition sees one file written — its tail,
 // or on a fold its base — and reports what it wrote. Callers must serialise
-// WriteRouted calls (see Append) — which also keeps them serialised against
+// WriteRouted calls: each is a read-modify-replace of partition files, and
+// two interleaved on one file lose records (climber.DB funnels every write
+// through its ingestion pipeline). That also keeps them serialised against
 // generation swaps, so the whole batch lands in one generation's files.
 // Queries running concurrently are safe — partition files are replaced
 // atomically and cluster.OpenPartition pairs a base only with its own tail.
@@ -255,7 +210,7 @@ func (ix *Index) appendToPartition(g *Generation, pid int, recs []storage.Incomi
 			srcs = []string{tail}
 		}
 		step("tail-write")
-		count, written, err := storage.MergePartitions(tail, srcs, recs, func() { step("tail-rename") })
+		count, written, err := storage.MergePartitions(tail, g.Parts.SeriesLen, srcs, recs, func() { step("tail-rename") })
 		if err != nil {
 			return fmt.Errorf("core: rewrite tail of partition %d: %w", pid, err)
 		}
@@ -269,7 +224,7 @@ func (ix *Index) appendToPartition(g *Generation, pid int, recs []storage.Incomi
 		srcs = append(srcs, tail)
 	}
 	step("fold-write")
-	count, written, err := storage.MergePartitions(base, srcs, recs, func() { step("fold-rename") })
+	count, written, err := storage.MergePartitions(base, g.Parts.SeriesLen, srcs, recs, func() { step("fold-rename") })
 	if err != nil {
 		return fmt.Errorf("core: rewrite partition %d: %w", pid, err)
 	}

@@ -29,7 +29,7 @@
 //     snapshot sink, stopping at step boundaries when the budget is
 //     exhausted — then widens within loaded partitions when the plan
 //     covers fewer than K records and ranks by true Euclidean distance.
-//   - Append / WriteRouted (append.go): route new records through the
+//   - RouteNew / WriteRouted (append.go): route new records through the
 //     existing skeleton and merge them into partition files by atomic
 //     replace — into each partition's small tail file, which is folded
 //     into the base when it reaches 1/foldFraction of it (appendToPartition

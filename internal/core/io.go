@@ -368,7 +368,7 @@ func SaveIndex(ix *Index, path string) error {
 //
 // Per-partition tail counts follow the manifest only when some partition has
 // a tail, so an index that never drained into one — a fresh build, a reindex,
-// a backup — has the bytes it always had.
+// a backup taken by a writer, which folds first — has the bytes it always had.
 //
 // The write is atomic (temp file + fsync + rename): the manifest is the
 // WAL-replay baseline and the streaming compactor rewrites it on every

@@ -219,13 +219,13 @@ func TestOpenKeepsOnlyLiveTails(t *testing.T) {
 	// manifest save: the base holds the tail's records, the tail is still
 	// there, the manifest still lists it.
 	base := parts.Paths[folded]
-	if _, _, err := storage.MergePartitions(base, []string{base, cluster.TailPath(base)}, nil, nil); err != nil {
+	if _, _, err := storage.MergePartitions(base, parts.SeriesLen, []string{base, cluster.TailPath(base)}, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Killed after a first tail write, before the manifest save; and inside a
 	// rewrite.
 	unlisted := cluster.TailPath(parts.Paths[untailed])
-	if _, _, err := storage.MergePartitions(unlisted, nil, []storage.Incoming{{ID: 1 << 30, Values: make([]float64, 64)}}, nil); err != nil {
+	if _, _, err := storage.MergePartitions(unlisted, parts.SeriesLen, nil, []storage.Incoming{{ID: 1 << 30, Values: make([]float64, parts.SeriesLen)}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	tmp := parts.Paths[live] + ".tmp"

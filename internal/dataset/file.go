@@ -7,33 +7,29 @@ import (
 	"climber/internal/storage"
 )
 
-// SaveFile writes a dataset to a single block-format file, the interchange
-// format of the command-line tools.
+// SaveFile writes a dataset to one partition file, the interchange format of
+// the command-line tools: records 0..n-1, all in cluster 0.
 func SaveFile(path string, ds *series.Dataset) error {
-	bw, err := storage.NewBlockWriter(path, ds.Length())
-	if err != nil {
-		return err
+	recs := make([]storage.Incoming, ds.Len())
+	for id := range recs {
+		recs[id] = storage.Incoming{ID: id, Values: ds.Get(id)}
 	}
-	for id := 0; id < ds.Len(); id++ {
-		if err := bw.Append(id, ds.Get(id)); err != nil {
-			bw.Close()
-			return err
-		}
-	}
-	return bw.Close()
+	_, _, err := storage.MergePartitions(path, ds.Length(), nil, recs, nil)
+	return err
 }
 
 // LoadFile reads a dataset saved by SaveFile. Record IDs must be the dense
-// sequence 0..n-1 (the format SaveFile produces); any other layout is
-// rejected so positional IDs stay meaningful.
+// sequence 0..n-1 (the file SaveFile produces); any other layout is rejected
+// so positional IDs stay meaningful.
 func LoadFile(path string) (*series.Dataset, error) {
-	info, err := storage.StatBlock(path)
+	p, err := storage.OpenPartition(path)
 	if err != nil {
 		return nil, err
 	}
-	ds := series.NewDatasetCap(info.SeriesLen, info.Count)
+	defer p.Close()
+	ds := series.NewDatasetCap(p.SeriesLen(), p.Count())
 	next := 0
-	err = storage.ScanBlock(path, func(id int, values []float64) error {
+	err = p.ScanAll(func(id int, values []float64) error {
 		if id != next {
 			return fmt.Errorf("dataset: non-sequential record id %d at position %d", id, next)
 		}

@@ -11,8 +11,7 @@
 // navigation used at build time, searches merge delta hits with the same
 // partition/cluster pruning the on-disk plan used, and once size or age
 // thresholds trip the compactor lands the delta in partition files through
-// the same path as core.Index.Append (core.WriteRouted), persists the
-// manifest, and truncates the WAL.
+// core.Index.WriteRouted, persists the manifest, and truncates the WAL.
 //
 // A drain does not rewrite the index. Each partition it touches gets its
 // incoming records merged into the partition's tail — a small second file

@@ -14,9 +14,9 @@
 // just scanned — are served from memory until the byte budget evicts the
 // least recently used partition.
 //
-// The only mutation of a built index, core.Index.Append, rewrites partition
-// files in place; callers must Invalidate the rewritten path so the next
-// query reloads the fresh file.
+// The only mutation of a built index, a drain (core.Index.WriteRouted),
+// replaces partition files; callers must Invalidate the replaced path so the
+// next query reloads the fresh file.
 //
 // Resident partitions are reference counted (storage.Partition.Retain /
 // Release): the cache holds one reference per resident entry and every

@@ -187,18 +187,16 @@ func TestConcurrentRawScanDuringEvictionHeap(t *testing.T) {
 	dir := t.TempDir()
 	paths := make([]string, parts)
 	for i := range paths {
-		w := storage.NewPartitionWriter(seriesLen)
 		vals := make([]float64, seriesLen)
 		for j := range vals {
 			vals[j] = float64(i + 1)
 		}
-		for id := 0; id < records; id++ {
-			if err := w.Append(0, id, vals); err != nil {
-				t.Fatal(err)
-			}
+		recs := make([]storage.Incoming, records)
+		for id := range recs {
+			recs[id] = storage.Incoming{ID: id, Values: vals}
 		}
 		paths[i] = filepath.Join(dir, fmt.Sprintf("p%d.clmp", i))
-		if err := w.Flush(paths[i]); err != nil {
+		if _, _, err := storage.MergePartitions(paths[i], seriesLen, nil, recs, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -11,23 +11,21 @@ import (
 	"climber/internal/storage"
 )
 
-// writePartition flushes a small partition file with n records and returns
+// writePartition writes a small partition file with n records and returns
 // its path and on-disk size.
 func writePartition(t *testing.T, dir, name string, n int) (string, int64) {
 	t.Helper()
 	const seriesLen = 8
-	w := storage.NewPartitionWriter(seriesLen)
-	vals := make([]float64, seriesLen)
-	for i := 0; i < n; i++ {
+	recs := make([]storage.Incoming, n)
+	for i := range recs {
+		vals := make([]float64, seriesLen)
 		for j := range vals {
 			vals[j] = float64(i + j)
 		}
-		if err := w.Append(storage.ClusterID(i%3), i, vals); err != nil {
-			t.Fatal(err)
-		}
+		recs[i] = storage.Incoming{Cluster: storage.ClusterID(i % 3), ID: i, Values: vals}
 	}
 	path := filepath.Join(dir, name)
-	if err := w.Flush(path); err != nil {
+	if _, _, err := storage.MergePartitions(path, seriesLen, nil, recs, nil); err != nil {
 		t.Fatal(err)
 	}
 	info, err := os.Stat(path)

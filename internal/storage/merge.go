@@ -27,57 +27,64 @@ type mergeRef struct {
 	src     int
 }
 
-// MergePartitions writes to dst the records of the partition files srcs plus
-// incoming, and returns the merged record count and the bytes written. dst
-// may be one of srcs (a partition merged in place, or a base that takes in
-// its tail) or a new file (no srcs: incoming alone, at least one record). It
-// is the byte-level form of decoding every record into a PartitionWriter and
-// flushing it: surviving records are copied verbatim from their file, each
-// incoming record is encoded once into place, and the result is
-// byte-identical to what PartitionWriter produces for the same record set —
-// clusters ascending, records ascending by ID within a cluster, trailing
-// CRC32. The source files and the output live in pooled buffers.
+// MergePartitions writes to dst the partition file of the records of the
+// partition files srcs plus incoming, and returns its record count and the
+// bytes written. It is the one writer of the partition format: a shuffle
+// writes each partition from incoming records alone, a drain merges into a
+// partition's tail, a fold merges base and tail into the base, and the
+// dataset interchange file is one cluster of incoming records. dst may be one
+// of srcs. Surviving records are copied verbatim from their file and each
+// incoming record is encoded once into place, in canonical order — clusters
+// ascending, records ascending by ID within a cluster — with a trailing
+// CRC32, so the bytes depend on the record set alone, not on arrival order
+// nor on how the records were split between files. No records at all make an
+// empty partition file, which opens like any other. The source files and the
+// output live in pooled buffers.
 //
-// The merge is idempotent: an existing record whose ID reappears in incoming
-// is replaced, whichever file and cluster held it, rather than duplicated.
-// The source files must not share an ID among themselves.
+// Every record, old or incoming, has seriesLen readings. The merge is
+// idempotent: an existing record whose ID reappears in incoming is replaced,
+// whichever file and cluster held it, rather than duplicated. The source
+// files must not share an ID among themselves.
 //
 // The new file is written beside dst and renamed over it, so readers see
 // either file whole; beforeRename, when set, is called between the two (the
 // drain crash matrix kills there). On any failure the temporary file is
 // removed and dst is untouched. The caller invalidates cached copies of dst.
-func MergePartitions(dst string, srcs []string, incoming []Incoming, beforeRename func()) (count int, written int64, err error) {
+func MergePartitions(dst string, seriesLen int, srcs []string, incoming []Incoming, beforeRename func()) (count int, written int64, err error) {
+	if seriesLen <= 0 {
+		return 0, 0, fmt.Errorf("storage: series length must be positive, got %d", seriesLen)
+	}
 	olds := make([]*Partition, 0, len(srcs))
 	defer func() {
 		for _, old := range olds {
 			old.Release()
 		}
 	}()
-	seriesLen, total := 0, len(incoming)
+	total := len(incoming)
 	for _, src := range srcs {
 		old, err := LoadPartition(src)
 		if err != nil {
 			return 0, 0, err
 		}
 		olds = append(olds, old)
-		if len(olds) > 1 && old.seriesLen != seriesLen {
-			return 0, 0, fmt.Errorf("storage: merge of series lengths %d and %d", seriesLen, old.seriesLen)
+		if old.seriesLen != seriesLen {
+			return 0, 0, fmt.Errorf("storage: merge of series length %d into a partition of %d", old.seriesLen, seriesLen)
 		}
-		seriesLen = old.seriesLen
 		total += old.total
 	}
-	if len(olds) == 0 {
-		if len(incoming) == 0 {
-			return 0, 0, fmt.Errorf("storage: merge into %s has nothing to write", dst)
-		}
-		seriesLen = len(incoming[0].Values)
-	}
-	replaced := make(map[int]struct{}, len(incoming))
 	for _, r := range incoming {
 		if len(r.Values) != seriesLen {
 			return 0, 0, fmt.Errorf("storage: record length %d, partition expects %d", len(r.Values), seriesLen)
 		}
-		replaced[r.ID] = struct{}{}
+	}
+	// Only records already in a file can be replaced; a write of incoming
+	// records alone (a shuffle's) skips the set.
+	var replaced map[int]struct{}
+	if len(olds) > 0 {
+		replaced = make(map[int]struct{}, len(incoming))
+		for _, r := range incoming {
+			replaced[r.ID] = struct{}{}
+		}
 	}
 
 	recBytes := RecordBytes(seriesLen)
@@ -96,8 +103,8 @@ func MergePartitions(dst string, srcs []string, incoming []Incoming, beforeRenam
 	for i, r := range incoming {
 		refs = append(refs, mergeRef{r.Cluster, r.ID, -1, i})
 	}
-	// PartitionWriter's canonical order. A lone source file is already in it,
-	// so only the incoming tail is out of place.
+	// The canonical order. A lone source file is already in it, so then only
+	// the incoming records are out of place.
 	order := func(a, b mergeRef) int {
 		if c := cmp.Compare(a.cluster, b.cluster); c != 0 {
 			return c

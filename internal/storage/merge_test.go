@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"io/fs"
+	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -13,17 +14,12 @@ import (
 	"testing"
 )
 
-// writerFile flushes recs through a PartitionWriter — the reference every
-// merge is compared against — and returns the file's bytes.
-func writerFile(t testing.TB, path string, seriesLen int, recs []Incoming) []byte {
+// writeFile writes recs as a new partition file — one MergePartitions with
+// no source, the one-shot write every merge is compared against — and
+// returns the file's bytes.
+func writeFile(t testing.TB, path string, seriesLen int, recs []Incoming) []byte {
 	t.Helper()
-	pw := NewPartitionWriter(seriesLen)
-	for _, r := range recs {
-		if err := pw.Append(r.Cluster, r.ID, r.Values); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := pw.Flush(path); err != nil {
+	if _, _, err := MergePartitions(path, seriesLen, nil, recs, nil); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -33,14 +29,70 @@ func writerFile(t testing.TB, path string, seriesLen int, recs []Incoming) []byt
 	return raw
 }
 
+// checkDecoded reads p back against the records written into it: every
+// record comes back once, in its cluster, with its readings at float32
+// precision bit for bit; the directory ascends, IDs ascend within each
+// cluster, a cluster the records never named scans empty, and the checksum
+// holds.
+func checkDecoded(t testing.TB, p *Partition, seriesLen int, recs []Incoming) {
+	t.Helper()
+	want := make(map[int]Incoming, len(recs))
+	for _, r := range recs {
+		want[r.ID] = r
+	}
+	if err := p.Verify(); err != nil {
+		t.Error(err)
+	}
+	if p.SeriesLen() != seriesLen || p.Count() != len(want) {
+		t.Errorf("partition of series length %d with %d records, want %d and %d", p.SeriesLen(), p.Count(), seriesLen, len(want))
+	}
+	dir := p.Clusters()
+	seen := 0
+	for i, ci := range dir {
+		if i > 0 && dir[i-1].ID >= ci.ID {
+			t.Errorf("directory not ascending at entry %d: %d after %d", i, ci.ID, dir[i-1].ID)
+		}
+		last := -1
+		err := p.ScanCluster(ci.ID, func(id int, vals []float64) error {
+			r, ok := want[id]
+			switch {
+			case !ok || r.Cluster != ci.ID:
+				t.Errorf("record %d read back in cluster %d, written to %+v", id, ci.ID, r.Cluster)
+			case id <= last:
+				t.Errorf("cluster %d: record %d after %d", ci.ID, id, last)
+			}
+			for j, v := range vals {
+				if ok && math.Float64bits(v) != math.Float64bits(float64(float32(r.Values[j]))) {
+					t.Errorf("record %d reading %d: %g, written %g", id, j, v, r.Values[j])
+				}
+			}
+			last = id
+			seen++
+			return nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	if seen != len(want) {
+		t.Errorf("read back %d records, wrote %d", seen, len(want))
+	}
+	if err := p.ScanCluster(ClusterID(1<<40), func(int, []float64) error {
+		t.Error("scan of an absent cluster produced a record")
+		return nil
+	}); err != nil {
+		t.Error(err)
+	}
+}
+
 // checkMerge merges incoming into the file holding old and requires the
-// result to be, byte for byte, the PartitionWriter file of the surviving old
-// records plus incoming, with a valid checksum and the reported count.
+// result to be, byte for byte, the one-shot file of the surviving old records
+// plus incoming, to read back as those records, and to be the reported size.
 func checkMerge(t *testing.T, seriesLen int, old, incoming []Incoming) {
 	t.Helper()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "p.clmp")
-	writerFile(t, path, seriesLen, old)
+	writeFile(t, path, seriesLen, old)
 
 	replaced := make(map[int]bool)
 	for _, r := range incoming {
@@ -53,9 +105,9 @@ func checkMerge(t *testing.T, seriesLen int, old, incoming []Incoming) {
 		}
 	}
 	union = append(union, incoming...)
-	want := writerFile(t, filepath.Join(dir, "want.clmp"), seriesLen, union)
+	want := writeFile(t, filepath.Join(dir, "want.clmp"), seriesLen, union)
 
-	count, written, err := mergeInPlace(path, incoming)
+	count, written, err := mergeInPlace(path, seriesLen, incoming)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +116,7 @@ func checkMerge(t *testing.T, seriesLen int, old, incoming []Incoming) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want) {
-		t.Fatalf("merged file differs from the PartitionWriter file (%d vs %d bytes)", len(got), len(want))
+		t.Fatalf("merged file differs from the one-shot file (%d vs %d bytes)", len(got), len(want))
 	}
 	if count != len(union) || written != int64(len(want)) {
 		t.Fatalf("MergePartitions reported %d records, %d bytes; want %d, %d", count, written, len(union), len(want))
@@ -74,12 +126,7 @@ func checkMerge(t *testing.T, seriesLen int, old, incoming []Incoming) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if err := p.Verify(); err != nil {
-		t.Fatal(err)
-	}
-	if p.Count() != len(union) {
-		t.Fatalf("merged partition holds %d records, want %d", p.Count(), len(union))
-	}
+	checkDecoded(t, p, seriesLen, union)
 }
 
 // The merge's contract over random inputs: new clusters, replaced IDs (in
@@ -122,7 +169,7 @@ func TestMergeMatchesWriter(t *testing.T) {
 // through a tail: rounds of records merged into a tail beside the base and
 // then folded — one MergePartitions of base, tail and a last round — give,
 // byte for byte, the base that merging every round straight into it gives,
-// which is the PartitionWriter file of all the records.
+// which is the one-shot file of all the records.
 func TestFoldMatchesWholeRewrite(t *testing.T) {
 	rng := rand.New(rand.NewPCG(23, 1))
 	for round := 0; round < 60; round++ {
@@ -144,8 +191,8 @@ func TestFoldMatchesWholeRewrite(t *testing.T) {
 		dir := t.TempDir()
 		built := batch(rng.IntN(80))
 		tailed, whole := filepath.Join(dir, "tailed.clmp"), filepath.Join(dir, "whole.clmp")
-		writerFile(t, tailed, seriesLen, built)
-		writerFile(t, whole, seriesLen, built)
+		writeFile(t, tailed, seriesLen, built)
+		writeFile(t, whole, seriesLen, built)
 		all := slices.Clone(built)
 
 		tail := tailed + ".tail"
@@ -154,7 +201,7 @@ func TestFoldMatchesWholeRewrite(t *testing.T) {
 		for drains := 1 + rng.IntN(4); drains > 0; drains-- {
 			in := batch(1 + rng.IntN(10))
 			all = append(all, in...)
-			count, _, err := MergePartitions(tail, tailSrcs, in, nil)
+			count, _, err := MergePartitions(tail, seriesLen, tailSrcs, in, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -162,28 +209,28 @@ func TestFoldMatchesWholeRewrite(t *testing.T) {
 				t.Fatalf("tail holds %d records after %d went in", count, inTail)
 			}
 			tailSrcs = []string{tail}
-			if _, _, err := mergeInPlace(whole, in); err != nil {
+			if _, _, err := mergeInPlace(whole, seriesLen, in); err != nil {
 				t.Fatal(err)
 			}
 		}
 		last := batch(rng.IntN(10))
 		all = append(all, last...)
-		count, written, err := MergePartitions(tailed, []string{tailed, tail}, last, nil)
+		count, written, err := MergePartitions(tailed, seriesLen, []string{tailed, tail}, last, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := mergeInPlace(whole, last); err != nil {
+		if _, _, err := mergeInPlace(whole, seriesLen, last); err != nil {
 			t.Fatal(err)
 		}
 
-		want := writerFile(t, filepath.Join(dir, "want.clmp"), seriesLen, all)
+		want := writeFile(t, filepath.Join(dir, "want.clmp"), seriesLen, all)
 		for name, path := range map[string]string{"folded": tailed, "merged drain by drain": whole} {
 			got, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
-				t.Fatalf("round %d: the %s base differs from the PartitionWriter file (%d vs %d bytes)", round, name, len(got), len(want))
+				t.Fatalf("round %d: the %s base differs from the one-shot file (%d vs %d bytes)", round, name, len(got), len(want))
 			}
 		}
 		if count != len(all) || written != int64(len(want)) {
@@ -192,15 +239,18 @@ func TestFoldMatchesWholeRewrite(t *testing.T) {
 	}
 }
 
-// A merge with no source writes a new file, and refuses to write an empty one.
+// A merge with no source writes a new file: of the incoming records, or of
+// none, an empty partition that opens like any other.
 func TestMergeIntoNewFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "p.clmp.tail")
-	if _, _, err := MergePartitions(path, nil, nil, nil); err == nil {
-		t.Fatal("a merge of nothing into a new file succeeded")
+	dir := t.TempDir()
+	empty := filepath.Join(dir, "empty.clmp")
+	if count, _, err := MergePartitions(empty, 2, nil, nil, nil); err != nil || count != 0 {
+		t.Fatalf("merge of nothing into a new file: count %d, err %v", count, err)
 	}
+	path := filepath.Join(dir, "p.clmp.tail")
 	in := []Incoming{{Cluster: 3, ID: 9, Values: []float64{1, 2}}, {Cluster: -1, ID: 4, Values: []float64{3, 4}}}
 	renamed := false
-	count, _, err := MergePartitions(path, nil, in, func() {
+	count, _, err := MergePartitions(path, 2, nil, in, func() {
 		renamed = true
 		if _, err := os.Stat(path); err == nil {
 			t.Error("the file was in place before the rename was announced")
@@ -209,17 +259,18 @@ func TestMergeIntoNewFile(t *testing.T) {
 	if err != nil || count != 2 || !renamed {
 		t.Fatalf("merge into a new file: count %d, announced %v, err %v", count, renamed, err)
 	}
-	got, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := writerFile(t, path+".want", 2, in); !bytes.Equal(got, want) {
-		t.Fatal("a new file of incoming records is not their PartitionWriter file")
+	for file, recs := range map[string][]Incoming{empty: nil, path: in} {
+		p, err := OpenPartition(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkDecoded(t, p, 2, recs)
+		p.Close()
 	}
 }
 
-// A file whose records are not in the canonical order (nothing but
-// PartitionWriter's sort guarantees it) still merges to the canonical file.
+// A file whose records are not in the canonical order (nothing but the
+// writer's sort guarantees it) still merges to the canonical file.
 func TestMergeCanonicalisesUnsortedFile(t *testing.T) {
 	const seriesLen = 3
 	recs := []Incoming{
@@ -229,7 +280,7 @@ func TestMergeCanonicalisesUnsortedFile(t *testing.T) {
 	}
 	dir := t.TempDir()
 	path := filepath.Join(dir, "p.clmp")
-	raw := writerFile(t, path, seriesLen, recs)
+	raw := writeFile(t, path, seriesLen, recs)
 	// Swap cluster 1's two records and re-seal the checksum.
 	rb := RecordBytes(seriesLen)
 	first := 16 + 12*2
@@ -242,8 +293,8 @@ func TestMergeCanonicalisesUnsortedFile(t *testing.T) {
 	}
 
 	incoming := []Incoming{{Cluster: 1, ID: 6, Values: []float64{0, 0, 0}}}
-	want := writerFile(t, filepath.Join(dir, "want.clmp"), seriesLen, append(recs, incoming...))
-	if _, _, err := mergeInPlace(path, incoming); err != nil {
+	want := writeFile(t, filepath.Join(dir, "want.clmp"), seriesLen, append(recs, incoming...))
+	if _, _, err := mergeInPlace(path, seriesLen, incoming); err != nil {
 		t.Fatal(err)
 	}
 	got, err := os.ReadFile(path)
@@ -255,11 +306,20 @@ func TestMergeCanonicalisesUnsortedFile(t *testing.T) {
 	}
 }
 
+// A record of another length, a source file of another length and a length
+// that is no length at all are refused, and the partition file is untouched.
 func TestMergeRejectsWrongLength(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "p.clmp")
-	before := writerFile(t, path, 4, []Incoming{{Cluster: 0, ID: 1, Values: make([]float64, 4)}})
-	if _, _, err := mergeInPlace(path, []Incoming{{Cluster: 0, ID: 2, Values: make([]float64, 3)}}); err == nil {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "p.clmp")
+	before := writeFile(t, path, 4, []Incoming{{Cluster: 0, ID: 1, Values: make([]float64, 4)}})
+	if _, _, err := mergeInPlace(path, 4, []Incoming{{Cluster: 0, ID: 2, Values: make([]float64, 3)}}); err == nil {
 		t.Fatal("merge accepted a record of the wrong length")
+	}
+	if _, _, err := mergeInPlace(path, 3, []Incoming{{Cluster: 0, ID: 2, Values: make([]float64, 3)}}); err == nil {
+		t.Fatal("merge accepted a source file of another series length")
+	}
+	if _, _, err := MergePartitions(filepath.Join(dir, "zero.clmp"), 0, nil, nil, nil); err == nil {
+		t.Fatal("merge accepted a series length of zero")
 	}
 	after, err := os.ReadFile(path)
 	if err != nil {
@@ -267,6 +327,9 @@ func TestMergeRejectsWrongLength(t *testing.T) {
 	}
 	if !bytes.Equal(before, after) {
 		t.Fatal("rejected merge changed the partition file")
+	}
+	if _, err := os.Stat(filepath.Join(dir, "zero.clmp")); !os.IsNotExist(err) {
+		t.Fatalf("a refused merge left a file: %v", err)
 	}
 }
 
@@ -363,45 +426,8 @@ func TestLoadPartitionRecyclesBuffers(t *testing.T) {
 
 // mergeInPlace merges incoming into the partition file at path: a merge with
 // the file as its own only source.
-func mergeInPlace(path string, incoming []Incoming) (count int, written int64, err error) {
-	return MergePartitions(path, []string{path}, incoming, nil)
-}
-
-// rewriteDecoded is the rewrite MergePartitions replaced — decode every old
-// record into a PartitionWriter, add the incoming ones, flush — kept only as
-// the benchmark's baseline.
-func rewriteDecoded(path string, incoming []Incoming) error {
-	replaced := make(map[int]struct{}, len(incoming))
-	for _, r := range incoming {
-		replaced[r.ID] = struct{}{}
-	}
-	old, err := OpenPartition(path)
-	if err != nil {
-		return err
-	}
-	pw := NewPartitionWriter(old.SeriesLen())
-	for _, ci := range old.Clusters() {
-		err := old.ScanCluster(ci.ID, func(id int, values []float64) error {
-			if _, ok := replaced[id]; ok {
-				return nil
-			}
-			return pw.Append(ci.ID, id, values)
-		})
-		if err != nil {
-			old.Close()
-			return err
-		}
-	}
-	old.Close()
-	for _, r := range incoming {
-		if err := pw.AppendOwned(r.Cluster, r.ID, r.Values); err != nil {
-			return err
-		}
-	}
-	if err := pw.Flush(path + ".tmp"); err != nil {
-		return err
-	}
-	return os.Rename(path+".tmp", path)
+func mergeInPlace(path string, seriesLen int, incoming []Incoming) (count int, written int64, err error) {
+	return MergePartitions(path, seriesLen, []string{path}, incoming, nil)
 }
 
 // benchPartition writes a partition shaped like a serving one — 256-reading
@@ -420,7 +446,7 @@ func benchPartition(b *testing.B) (string, int) {
 		recs[i] = Incoming{Cluster: ClusterID(i % clusters), ID: i, Values: vals}
 	}
 	path := filepath.Join(b.TempDir(), "bench.clmp")
-	writerFile(b, path, seriesLen, recs)
+	writeFile(b, path, seriesLen, recs)
 	return path, records
 }
 
@@ -465,11 +491,10 @@ func BenchmarkLoadPartition(b *testing.B) {
 // does now on all drains but one in a dozen: the merge into a tail of 500
 // records beside the base; "fold" is that one: base, tail and the records
 // into the base. "bytes" merges straight into the base, what every drain did
-// before tails, and "decoded" is the decode/re-encode rewrite before that.
-// ns/record is per record of the base throughout.
+// before tails. ns/record is per record of the base throughout.
 func BenchmarkMergePartition(b *testing.B) {
-	const batch, tailRecords = 64, 500
-	vals := make([]float64, 256)
+	const batch, tailRecords, seriesLen = 64, 500, 256
+	vals := make([]float64, seriesLen)
 	incoming := func(first int) []Incoming {
 		in := make([]Incoming, batch)
 		for j := range in {
@@ -481,15 +506,14 @@ func BenchmarkMergePartition(b *testing.B) {
 		name string
 		fn   func(base, tail string, in []Incoming) error
 	}{
-		{"tail", func(_, tail string, in []Incoming) error { _, _, err := mergeInPlace(tail, in); return err }},
+		{"tail", func(_, tail string, in []Incoming) error { _, _, err := mergeInPlace(tail, seriesLen, in); return err }},
 		{"fold", func(base, tail string, in []Incoming) error {
 			// Into a second file, so the base never holds the tail's records
 			// when the next round folds them in.
-			_, _, err := MergePartitions(base+".folded", []string{base, tail}, in, nil)
+			_, _, err := MergePartitions(base+".folded", seriesLen, []string{base, tail}, in, nil)
 			return err
 		}},
-		{"bytes", func(base, _ string, in []Incoming) error { _, _, err := mergeInPlace(base, in); return err }},
-		{"decoded", func(base, _ string, in []Incoming) error { return rewriteDecoded(base, in) }},
+		{"bytes", func(base, _ string, in []Incoming) error { _, _, err := mergeInPlace(base, seriesLen, in); return err }},
 	} {
 		b.Run(impl.name, func(b *testing.B) {
 			base, records := benchPartition(b)
@@ -498,7 +522,7 @@ func BenchmarkMergePartition(b *testing.B) {
 			for first := records; len(seed) < tailRecords; first += batch {
 				seed = append(seed, incoming(first)...)
 			}
-			if _, _, err := MergePartitions(tail, nil, seed[:tailRecords], nil); err != nil {
+			if _, _, err := MergePartitions(tail, seriesLen, nil, seed[:tailRecords], nil); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()

@@ -8,29 +8,25 @@ import (
 	"testing"
 )
 
-// buildPartition flushes a deterministic multi-cluster partition and returns
+// buildPartition writes a deterministic multi-cluster partition and returns
 // its path plus the expected records keyed by (cluster, id).
 func buildPartition(t *testing.T, seriesLen, nRecords int) (string, map[int][]float64) {
 	t.Helper()
 	rng := rand.New(rand.NewPCG(17, 23))
-	pw := NewPartitionWriter(seriesLen)
 	want := make(map[int][]float64, nRecords)
-	for i := 0; i < nRecords; i++ {
+	recs := make([]Incoming, nRecords)
+	for i := range recs {
 		vals := make([]float64, seriesLen)
 		for j := range vals {
 			// Store float32-representable values so decoded comparisons are
 			// exact.
 			vals[j] = float64(float32(rng.NormFloat64() * 10))
 		}
-		if err := pw.Append(ClusterID(i%5-1), i, vals); err != nil {
-			t.Fatal(err)
-		}
+		recs[i] = Incoming{Cluster: ClusterID(i%5 - 1), ID: i, Values: vals}
 		want[i] = vals
 	}
 	path := tempPath(t, "p.clmp")
-	if err := pw.Flush(path); err != nil {
-		t.Fatal(err)
-	}
+	writeFile(t, path, seriesLen, recs)
 	return path, want
 }
 

@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"os"
-	"sort"
 	"sync/atomic"
 )
 
@@ -18,112 +17,6 @@ import (
 // negative IDs are reserved by the index layer for per-group overflow
 // clusters (records whose trie path matches no child of the group's root).
 type ClusterID int64
-
-// PartitionWriter accumulates records per cluster in memory and writes the
-// partition file on Flush. Partitions are bounded by the capacity c (64 MB
-// in the paper, far smaller here), so buffering a partition is cheap.
-type PartitionWriter struct {
-	seriesLen int
-	clusters  map[ClusterID][]Record
-	count     int
-}
-
-// NewPartitionWriter returns an empty writer for series of the given length.
-func NewPartitionWriter(seriesLen int) *PartitionWriter {
-	return &PartitionWriter{seriesLen: seriesLen, clusters: make(map[ClusterID][]Record)}
-}
-
-// Append adds one record to a cluster. The values are copied, so the caller
-// may reuse its slice — the right call when appending out of a scan loop
-// whose decode buffer is recycled between records. Callers that hand over an
-// immutable or never-reused slice should use AppendOwned and skip the copy.
-func (pw *PartitionWriter) Append(cluster ClusterID, id int, values []float64) error {
-	v := make([]float64, len(values))
-	copy(v, values)
-	return pw.AppendOwned(cluster, id, v)
-}
-
-// AppendOwned adds one record to a cluster, taking ownership of the values
-// slice instead of copying it. The caller must not modify or reuse values
-// after the call.
-func (pw *PartitionWriter) AppendOwned(cluster ClusterID, id int, values []float64) error {
-	if len(values) != pw.seriesLen {
-		return fmt.Errorf("storage: record length %d, partition expects %d", len(values), pw.seriesLen)
-	}
-	pw.clusters[cluster] = append(pw.clusters[cluster], Record{ID: id, Values: values})
-	pw.count++
-	return nil
-}
-
-// Count returns the number of buffered records.
-func (pw *PartitionWriter) Count() int { return pw.count }
-
-// Flush writes the partition file: header, cluster directory (sorted by
-// cluster ID for determinism), the record clusters contiguously, and a
-// trailing CRC32 (IEEE) of everything before it for integrity checking via
-// Partition.Verify.
-func (pw *PartitionWriter) Flush(path string) error {
-	ids := make([]ClusterID, 0, len(pw.clusters))
-	for id := range pw.clusters {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("storage: create partition: %w", err)
-	}
-	crc := crc32.NewIEEE()
-	w := bufio.NewWriterSize(io.MultiWriter(f, crc), 1<<16)
-
-	var hdr [16]byte
-	copy(hdr[0:4], partitionMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], partitionVersion)
-	binary.LittleEndian.PutUint32(hdr[8:12], uint32(pw.seriesLen))
-	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(ids)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		f.Close()
-		return fmt.Errorf("storage: write partition header: %w", err)
-	}
-	var dir [12]byte
-	for _, id := range ids {
-		binary.LittleEndian.PutUint64(dir[0:8], uint64(id))
-		binary.LittleEndian.PutUint32(dir[8:12], uint32(len(pw.clusters[id])))
-		if _, err := w.Write(dir[:]); err != nil {
-			f.Close()
-			return fmt.Errorf("storage: write partition directory: %w", err)
-		}
-	}
-	scratch := make([]byte, RecordBytes(pw.seriesLen))
-	for _, id := range ids {
-		// Canonical record order within a cluster: ascending ID. Shuffle
-		// arrival order depends on worker scheduling and must not leak into
-		// the on-disk layout.
-		recs := pw.clusters[id]
-		sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
-		for _, rec := range recs {
-			encodeRecord(scratch, rec.ID, rec.Values)
-			if _, err := w.Write(scratch); err != nil {
-				f.Close()
-				return fmt.Errorf("storage: write partition record: %w", err)
-			}
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return fmt.Errorf("storage: flush partition: %w", err)
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], crc.Sum32())
-	if _, err := f.Write(sum[:]); err != nil {
-		f.Close()
-		return fmt.Errorf("storage: write partition checksum: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("storage: close partition: %w", err)
-	}
-	return nil
-}
 
 // ClusterInfo is one directory entry of a partition file.
 type ClusterInfo struct {
@@ -287,6 +180,9 @@ func newPartition(r io.ReaderAt, size int64, path string) (*Partition, error) {
 		r:         r,
 		size:      size,
 		seriesLen: int(binary.LittleEndian.Uint32(hdr[8:12])),
+	}
+	if p.seriesLen <= 0 {
+		return nil, fmt.Errorf("storage: partition series length %d in %s", p.seriesLen, path)
 	}
 	p.refs.Store(1)
 	// A corrupted header must not size an allocation: the directory has to

@@ -7,6 +7,8 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -15,118 +17,17 @@ func tempPath(t *testing.T, name string) string {
 	return filepath.Join(t.TempDir(), name)
 }
 
-func TestBlockRoundTrip(t *testing.T) {
-	path := tempPath(t, "b.clmb")
-	bw, err := NewBlockWriter(path, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := [][]float64{
-		{1, 2, 3, 4},
-		{-1.5, 0.25, 1e6, -1e-6},
-		{0, 0, 0, 0},
-	}
-	for i, v := range want {
-		if err := bw.Append(100+i, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if bw.Count() != 3 {
-		t.Fatalf("Count = %d, want 3", bw.Count())
-	}
-	if err := bw.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	info, err := StatBlock(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.SeriesLen != 4 || info.Count != 3 {
-		t.Fatalf("StatBlock = %+v, want len 4 count 3", info)
-	}
-
-	var gotIDs []int
-	var gotVals [][]float64
-	err = ScanBlock(path, func(id int, values []float64) error {
-		gotIDs = append(gotIDs, id)
-		cp := make([]float64, len(values))
-		copy(cp, values)
-		gotVals = append(gotVals, cp)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotIDs) != 3 {
-		t.Fatalf("scanned %d records, want 3", len(gotIDs))
-	}
-	for i := range want {
-		if gotIDs[i] != 100+i {
-			t.Fatalf("record %d id = %d, want %d", i, gotIDs[i], 100+i)
-		}
-		for j := range want[i] {
-			// float32 storage: compare at float32 precision.
-			if math.Abs(gotVals[i][j]-float64(float32(want[i][j]))) > 1e-12 {
-				t.Fatalf("record %d value %d = %g, want %g", i, j, gotVals[i][j], want[i][j])
-			}
-		}
-	}
-}
-
-func TestBlockWriterRejectsWrongLength(t *testing.T) {
-	bw, err := NewBlockWriter(tempPath(t, "b.clmb"), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer bw.Close()
-	if err := bw.Append(1, []float64{1, 2}); err == nil {
-		t.Fatal("wrong-length record accepted")
-	}
-}
-
-func TestNewBlockWriterInvalidLength(t *testing.T) {
-	if _, err := NewBlockWriter(tempPath(t, "b.clmb"), 0); err == nil {
-		t.Fatal("zero series length accepted")
-	}
-}
-
-func TestStatBlockBadMagic(t *testing.T) {
-	path := tempPath(t, "bad.clmb")
-	if err := os.WriteFile(path, []byte("NOPExxxxxxxxxxxxxxxx"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := StatBlock(path); err == nil {
-		t.Fatal("bad magic accepted")
-	}
-}
-
 func TestPartitionRoundTrip(t *testing.T) {
 	path := tempPath(t, "p.clmp")
-	pw := NewPartitionWriter(2)
-	// Three clusters, including a negative (overflow) ID.
-	type rec struct {
-		cluster ClusterID
-		id      int
-		vals    []float64
+	// Three clusters, including a negative (overflow) ID, and readings the
+	// format cuts to float32.
+	recs := []Incoming{
+		{Cluster: 5, ID: 2, Values: []float64{3, 4}},
+		{Cluster: 5, ID: 1, Values: []float64{1, 2}},
+		{Cluster: 9, ID: 3, Values: []float64{1e6, -1e-6}},
+		{Cluster: -1, ID: 4, Values: []float64{-1.5, 0.1}},
 	}
-	recs := []rec{
-		{5, 1, []float64{1, 2}},
-		{5, 2, []float64{3, 4}},
-		{9, 3, []float64{5, 6}},
-		{-1, 4, []float64{7, 8}},
-	}
-	for _, r := range recs {
-		if err := pw.Append(r.cluster, r.id, r.vals); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if pw.Count() != 4 {
-		t.Fatalf("writer Count = %d, want 4", pw.Count())
-	}
-	if err := pw.Flush(path); err != nil {
-		t.Fatal(err)
-	}
+	writeFile(t, path, 2, recs)
 
 	p, err := OpenPartition(path)
 	if err != nil {
@@ -169,10 +70,16 @@ func TestPartitionRoundTrip(t *testing.T) {
 		t.Fatal("missing cluster produced records")
 	}
 
-	// ScanAll covers every record exactly once.
+	// ScanAll covers every record exactly once, at float32 precision.
 	seen := map[int]int{}
 	err = p.ScanAll(func(id int, values []float64) error {
 		seen[id]++
+		want := recs[slices.IndexFunc(recs, func(r Incoming) bool { return r.ID == id })].Values
+		for j, v := range values {
+			if v != float64(float32(want[j])) {
+				t.Errorf("record %d reading %d = %g, want %g at float32", id, j, v, want[j])
+			}
+		}
 		return nil
 	})
 	if err != nil {
@@ -190,15 +97,11 @@ func TestPartitionRoundTrip(t *testing.T) {
 
 func TestPartitionScanClusters(t *testing.T) {
 	path := tempPath(t, "p.clmp")
-	pw := NewPartitionWriter(1)
+	var recs []Incoming
 	for i := 0; i < 10; i++ {
-		if err := pw.Append(ClusterID(i%3), i, []float64{float64(i)}); err != nil {
-			t.Fatal(err)
-		}
+		recs = append(recs, Incoming{Cluster: ClusterID(i % 3), ID: i, Values: []float64{float64(i)}})
 	}
-	if err := pw.Flush(path); err != nil {
-		t.Fatal(err)
-	}
+	writeFile(t, path, 1, recs)
 	p, err := OpenPartition(path)
 	if err != nil {
 		t.Fatal(err)
@@ -218,37 +121,157 @@ func TestPartitionScanClusters(t *testing.T) {
 	}
 }
 
-func TestPartitionWriterRejectsWrongLength(t *testing.T) {
-	pw := NewPartitionWriter(3)
-	if err := pw.Append(1, 1, []float64{1}); err == nil {
-		t.Fatal("wrong-length record accepted")
+// A block of series — records 100.. in one cluster, what the dataset file
+// holds — reads back in ID order at float32 precision, with its length and
+// count in the header.
+func TestBlockRoundTrip(t *testing.T) {
+	path := tempPath(t, "b.clmp")
+	want := [][]float64{
+		{1, 2, 3, 4},
+		{-1.5, 0.25, 1e6, -1e-6},
+		{0, 0, 0, 0},
 	}
-}
+	recs := make([]Incoming, len(want))
+	for i, v := range want {
+		recs[i] = Incoming{Cluster: 0, ID: 100 + i, Values: v}
+	}
+	writeFile(t, path, 4, recs)
 
-func TestPartitionValuesCopied(t *testing.T) {
-	pw := NewPartitionWriter(2)
-	v := []float64{1, 2}
-	if err := pw.Append(0, 1, v); err != nil {
-		t.Fatal(err)
-	}
-	v[0] = 99
-	path := tempPath(t, "p.clmp")
-	if err := pw.Flush(path); err != nil {
-		t.Fatal(err)
-	}
 	p, err := OpenPartition(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	if p.SeriesLen() != 4 || p.Count() != 3 || len(p.Clusters()) != 1 {
+		t.Fatalf("block of len %d, %d records in %d clusters; want 4, 3, 1", p.SeriesLen(), p.Count(), len(p.Clusters()))
+	}
+	var gotIDs []int
+	var gotVals [][]float64
 	err = p.ScanAll(func(id int, values []float64) error {
-		if values[0] != 1 {
-			t.Fatalf("writer aliased caller storage: %v", values)
-		}
+		gotIDs = append(gotIDs, id)
+		gotVals = append(gotVals, slices.Clone(values))
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(gotIDs) != 3 {
+		t.Fatalf("scanned %d records, want 3", len(gotIDs))
+	}
+	for i := range want {
+		if gotIDs[i] != 100+i {
+			t.Fatalf("record %d id = %d, want %d", i, gotIDs[i], 100+i)
+		}
+		for j := range want[i] {
+			// float32 storage: compare at float32 precision.
+			if math.Abs(gotVals[i][j]-float64(float32(want[i][j]))) > 1e-12 {
+				t.Fatalf("record %d value %d = %g, want %g", i, j, gotVals[i][j], want[i][j])
+			}
+		}
+	}
+}
+
+// A write of a one-cluster block refuses a record of the wrong length and
+// leaves no file behind.
+func TestBlockWriterRejectsWrongLength(t *testing.T) {
+	path := tempPath(t, "b.clmp")
+	in := []Incoming{{Cluster: 0, ID: 0, Values: []float64{1, 2, 3}}, {Cluster: 0, ID: 1, Values: []float64{1, 2}}}
+	if _, _, err := MergePartitions(path, 3, nil, in, nil); err == nil {
+		t.Fatal("wrong-length record accepted")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("a refused write left a file: %v", err)
+	}
+}
+
+// A series length that is no length at all is refused, whatever the records.
+func TestNewBlockWriterInvalidLength(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		if _, _, err := MergePartitions(tempPath(t, "b.clmp"), n, nil, nil, nil); err == nil {
+			t.Fatalf("series length %d accepted", n)
+		}
+	}
+}
+
+// A file in the retired CLMB block format is refused by every backing with an
+// error naming its magic.
+func TestStatBlockBadMagic(t *testing.T) {
+	path := tempPath(t, "old.clmb")
+	hdr := make([]byte, 24)
+	copy(hdr, "CLMB")
+	binary.LittleEndian.PutUint32(hdr[4:], 1)
+	binary.LittleEndian.PutUint32(hdr[8:], 4)
+	if err := os.WriteFile(path, hdr, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for backing, open := range map[string]func(string) (*Partition, error){
+		"open": OpenPartition, "load": LoadPartition, "map": MapPartition,
+	} {
+		if backing == "map" && !MapSupported() {
+			continue
+		}
+		p, err := open(path)
+		if err == nil {
+			p.Close()
+			t.Fatalf("%s: a CLMB file opened as a partition", backing)
+		}
+		if !strings.Contains(err.Error(), "CLMB") {
+			t.Errorf("%s: error %q does not name the magic", backing, err)
+		}
+	}
+}
+
+// A record of the wrong length among good ones in several clusters is refused,
+// and nothing is written.
+func TestPartitionWriterRejectsWrongLength(t *testing.T) {
+	path := tempPath(t, "p.clmp")
+	in := []Incoming{
+		{Cluster: 1, ID: 1, Values: []float64{1, 2, 3}},
+		{Cluster: 2, ID: 2, Values: []float64{4, 5, 6}},
+		{Cluster: 1, ID: 3, Values: []float64{1}},
+	}
+	if _, _, err := MergePartitions(path, 3, nil, in, nil); err == nil {
+		t.Fatal("wrong-length record accepted")
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("a refused write left a file: %v", err)
+	}
+}
+
+// Values cross the file boundary as copies both ways: the caller's slice may
+// change once the write returns, and a scan's slice may be scribbled on,
+// without either reaching the file or the next scan, on every backing.
+func TestPartitionValuesCopied(t *testing.T) {
+	path := tempPath(t, "p.clmp")
+	v := []float64{1, 2}
+	writeFile(t, path, 2, []Incoming{{Cluster: 0, ID: 1, Values: v}})
+	v[0] = 99
+	for backing, open := range map[string]func(string) (*Partition, error){
+		"open": OpenPartition, "load": LoadPartition, "map": MapPartition,
+	} {
+		if backing == "map" && !MapSupported() {
+			continue
+		}
+		p, err := open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			err = p.ScanAll(func(id int, values []float64) error {
+				if values[0] != 1 || values[1] != 2 {
+					t.Fatalf("%s pass %d: record reads %v, want [1 2]", backing, pass, values)
+				}
+				values[0], values[1] = -7, -7
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := p.Verify(); err != nil {
+			t.Fatalf("%s: %v", backing, err)
+		}
+		p.Close()
 	}
 }
 
@@ -266,7 +289,8 @@ func TestOpenPartitionBadMagic(t *testing.T) {
 // is refused by every backing when it is opened: sized from the header alone,
 // the directory of the first would be a 48 GB allocation, and the second
 // would pass the open and slice past the end of a resident file on its first
-// scan.
+// scan. So is a series length of zero, which no writer produces and a
+// dataset of series cannot hold.
 func TestOpenRejectsOverrunningHeader(t *testing.T) {
 	path, _ := buildPartition(t, 4, 10)
 	valid, err := os.ReadFile(path)
@@ -281,6 +305,7 @@ func TestOpenRejectsOverrunningHeader(t *testing.T) {
 	for name, data := range map[string][]byte{
 		"directory": patched(12, math.MaxUint32),
 		"cluster":   patched(16+8, 1<<20), // the first cluster's record count
+		"length":    patched(8, 0),
 	} {
 		bad := tempPath(t, name+".clmp")
 		if err := os.WriteFile(bad, data, 0o644); err != nil {
@@ -294,7 +319,7 @@ func TestOpenRejectsOverrunningHeader(t *testing.T) {
 			}
 			if p, err := open(bad); err == nil {
 				p.Close()
-				t.Errorf("%s: an overrunning %s count opened", backing, name)
+				t.Errorf("%s: a header with a bad %s field opened", backing, name)
 			}
 		}
 	}
@@ -302,10 +327,7 @@ func TestOpenRejectsOverrunningHeader(t *testing.T) {
 
 func TestEmptyPartition(t *testing.T) {
 	path := tempPath(t, "empty.clmp")
-	pw := NewPartitionWriter(4)
-	if err := pw.Flush(path); err != nil {
-		t.Fatal(err)
-	}
+	writeFile(t, path, 4, nil)
 	p, err := OpenPartition(path)
 	if err != nil {
 		t.Fatal(err)
@@ -321,23 +343,19 @@ func TestEmptyPartition(t *testing.T) {
 func TestPartitionRandomisedRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(44, 55))
 	const n, seriesLen = 2000, 8
-	pw := NewPartitionWriter(seriesLen)
 	want := make(map[int]ClusterID, n)
-	for i := 0; i < n; i++ {
+	recs := make([]Incoming, n)
+	for i := range recs {
 		c := ClusterID(rng.IntN(20) - 5)
 		v := make([]float64, seriesLen)
 		for j := range v {
 			v[j] = rng.NormFloat64()
 		}
-		if err := pw.Append(c, i, v); err != nil {
-			t.Fatal(err)
-		}
+		recs[i] = Incoming{Cluster: c, ID: i, Values: v}
 		want[i] = c
 	}
 	path := tempPath(t, "big.clmp")
-	if err := pw.Flush(path); err != nil {
-		t.Fatal(err)
-	}
+	writeFile(t, path, seriesLen, recs)
 	p, err := OpenPartition(path)
 	if err != nil {
 		t.Fatal(err)
@@ -366,15 +384,11 @@ func TestPartitionRandomisedRoundTrip(t *testing.T) {
 
 func TestPartitionVerify(t *testing.T) {
 	path := tempPath(t, "v.clmp")
-	pw := NewPartitionWriter(4)
+	var recs []Incoming
 	for i := 0; i < 20; i++ {
-		if err := pw.Append(ClusterID(i%3), i, []float64{1, 2, 3, float64(i)}); err != nil {
-			t.Fatal(err)
-		}
+		recs = append(recs, Incoming{Cluster: ClusterID(i % 3), ID: i, Values: []float64{1, 2, 3, float64(i)}})
 	}
-	if err := pw.Flush(path); err != nil {
-		t.Fatal(err)
-	}
+	writeFile(t, path, 4, recs)
 	p, err := OpenPartition(path)
 	if err != nil {
 		t.Fatal(err)
@@ -406,10 +420,7 @@ func TestPartitionVerify(t *testing.T) {
 
 func TestPartitionVerifyEmptyFile(t *testing.T) {
 	path := tempPath(t, "empty.clmp")
-	pw := NewPartitionWriter(2)
-	if err := pw.Flush(path); err != nil {
-		t.Fatal(err)
-	}
+	writeFile(t, path, 2, nil)
 	p, err := OpenPartition(path)
 	if err != nil {
 		t.Fatal(err)

@@ -57,7 +57,7 @@ func searchFingerprint(t *testing.T, db *DB, queries [][]float64) string {
 
 // A successful build leaves exactly the index file, the WAL and one flat
 // directory of partition files, and never writes anything else on the way:
-// the dataset is read where it is, so no block file (.clmb) exists even
+// the dataset is read where it is, so no staged dataset file (.clmb) exists even
 // while the build runs. A watcher lists the tree for the whole build.
 func TestBuildLeavesOnlyIndexWALAndPartitions(t *testing.T) {
 	dir := t.TempDir()

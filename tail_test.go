@@ -290,6 +290,55 @@ func TestBackupFoldsTailsFirst(t *testing.T) {
 	}
 }
 
+// A backup through a read-only open, which folds nothing, takes the tails
+// along: it holds every record its manifest counts, and an appended record
+// that lives in a tail still finds itself there.
+func TestReadOnlyBackupKeepsTails(t *testing.T) {
+	dir := t.TempDir()
+	data := smallData(1100)
+	db, err := Build(dir, data[:1000], ingestOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Append(data[1000:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ro, err := Open(dir, WithReadOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	if files, _, _ := ro.Index().TailStats(); files == 0 {
+		t.Fatal("test premise broken: the drain left no tail")
+	}
+	backup := filepath.Join(t.TempDir(), "backup")
+	if err := ro.Backup(context.Background(), backup); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(backup, WithReadOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	disk, _ := whereRecords(t, re)
+	if len(disk) != 1100 || re.Info().NumRecords != 1100 {
+		t.Fatalf("backup holds %d records, counts %d; want 1100", len(disk), re.Info().NumRecords)
+	}
+	res, err := re.Search(data[1050], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) == 0 || res[0].ID != 1050 || res[0].Dist > 1e-4 {
+		t.Fatalf("appended record 1050 searched in the backup: %+v", res)
+	}
+}
+
 // A read-only open of a directory a kill left mid-drain serves what the
 // manifest describes and touches nothing: the stray files stay for the next
 // writer's open to sweep.
