@@ -136,49 +136,10 @@ type Result = series.Result
 type Stats = core.QueryStats
 
 // IngestStats reports the cumulative state of the DB's streaming write
-// path: the write-ahead log, the in-memory delta index, and the background
-// compactor.
-type IngestStats struct {
-	// AppendCalls and AppendedSeries count acked Append/AppendContext
-	// invocations and the series they carried.
-	AppendCalls, AppendedSeries int64
-	// ReplayedSeries counts WAL entries restored into the delta when the
-	// database was opened (non-zero only after recovering from a kill).
-	ReplayedSeries int64
-	// WALBytes is the write-ahead log's current size.
-	WALBytes int64
-	// Compactions and CompactedSeries count completed compactions and the
-	// records they moved from the delta into partition files.
-	Compactions, CompactedSeries int64
-	// DeltaRecords and DeltaBytes describe the resident delta index: acked
-	// writes awaiting compaction.
-	DeltaRecords int
-	DeltaBytes   int64
-	// CompactErrors counts failed background compaction attempts; each is
-	// retried on the next trigger.
-	CompactErrors int64
-	// CompactBytesWritten is the partition-file volume completed
-	// compactions rewrote; CompactSeconds is their total duration and
-	// CompactDurations its histogram — completed compactions per
-	// CompactionBuckets bound, not cumulated, the last entry counting those
-	// beyond the largest bound.
-	CompactBytesWritten int64
-	CompactSeconds      float64
-	CompactDurations    [len(CompactionBuckets) + 1]int64
-	// TailFiles, TailRecords and TailBytes describe the partition tails on
-	// disk now: a compaction rewrites a partition's small tail file and only
-	// folds it into the partition's base once it holds an eighth of the
-	// base's records.
-	TailFiles   int
-	TailRecords int
-	TailBytes   int64
-	// Folds counts partition bases rewritten to take in their tail;
-	// TailBytesWritten and FoldBytesWritten split the partition-file volume
-	// written, failed and admin folds included, into tail rewrites and folds.
-	Folds            int64
-	TailBytesWritten int64
-	FoldBytesWritten int64
-}
+// path: the write-ahead log, the in-memory delta index, the background
+// compactor and the partition tails it writes. It is the pipeline's own
+// counter snapshot; see ingest.Stats for the fields.
+type IngestStats = ingest.Stats
 
 // CompactionBuckets are the upper bounds (seconds) of
 // IngestStats.CompactDurations.
@@ -819,8 +780,7 @@ func (db *DB) IngestStats() IngestStats {
 	if db.ing == nil {
 		return IngestStats{}
 	}
-	s := db.ing.Stats()
-	return IngestStats(s)
+	return db.ing.Stats()
 }
 
 // Close releases the database's resources: the ingestion pipeline stops

@@ -26,26 +26,12 @@ import (
 	"time"
 
 	"climber"
+	"climber/internal/api"
 	"climber/internal/dataset"
 	"climber/internal/dss"
 	"climber/internal/obs"
 	"climber/internal/series"
 )
-
-func parseVariant(s string) (climber.Variant, error) {
-	switch s {
-	case "knn":
-		return climber.KNN, nil
-	case "adaptive-2x":
-		return climber.Adaptive2X, nil
-	case "adaptive-4x":
-		return climber.Adaptive4X, nil
-	case "od-smallest":
-		return climber.ODSmallest, nil
-	default:
-		return 0, fmt.Errorf("unknown variant %q (knn, adaptive-2x, adaptive-4x, od-smallest)", s)
-	}
-}
 
 func main() {
 	log.SetFlags(0)
@@ -73,7 +59,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	v, err := parseVariant(*variant)
+	v, err := api.ParseVariant(*variant)
 	if err != nil {
 		log.Fatal(err)
 	}

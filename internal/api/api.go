@@ -152,50 +152,11 @@ type SearchResponse struct {
 	Trace *obs.SpanData `json:"trace,omitempty"`
 }
 
-// ExplainData is the wire form of the engine's query explanation: how
-// the skeleton was navigated and what the ranked plan looked like, step
-// scores included (see climber.Explanation for field semantics).
-type ExplainData struct {
-	// RankSensitive and RankInsensitive are the query's P4 dual signature.
-	RankSensitive   []int `json:"rank_sensitive"`
-	RankInsensitive []int `json:"rank_insensitive"`
-	// BestOD is the smallest Overlap Distance to any group centroid.
-	BestOD int `json:"best_od"`
-	// CandidateGroups are the group IDs surviving OD/WD filtering.
-	CandidateGroups []int `json:"candidate_groups"`
-	// SelectedGroup is the group whose trie was chosen.
-	SelectedGroup int `json:"selected_group"`
-	// MatchedPath is the pivot-ID prefix matched in the group's trie.
-	MatchedPath []int `json:"matched_path"`
-	// TargetNodeSize is the estimated membership of the matched node.
-	TargetNodeSize int `json:"target_node_size"`
-	// Partitions are the partitions the plan selected, ascending.
-	Partitions []int `json:"partitions"`
-	// Variant names the plan policy that produced the plan.
-	Variant string `json:"variant"`
-	// Plan is the ranked step list with scores and executed flags.
-	Plan []climber.PlanStepInfo `json:"plan"`
-}
-
-// ExplainFromCore converts the engine's explanation to its wire form.
-// Returns nil on nil, so unexplained responses stay absent.
-func ExplainFromCore(e *climber.Explanation) *ExplainData {
-	if e == nil {
-		return nil
-	}
-	return &ExplainData{
-		RankSensitive:   e.RankSensitive,
-		RankInsensitive: e.RankInsensitive,
-		BestOD:          e.BestOD,
-		CandidateGroups: e.CandidateGroups,
-		SelectedGroup:   e.SelectedGroup,
-		MatchedPath:     e.MatchedPath,
-		TargetNodeSize:  e.TargetNodeSize,
-		Partitions:      e.Partitions,
-		Variant:         e.Variant,
-		Plan:            e.Plan,
-	}
-}
+// ExplainData is the engine's query explanation, carried unconverted to
+// the wire: how the skeleton was navigated and what the ranked plan looked
+// like, step scores included (see climber.Explanation for the fields; its
+// JSON tags are the wire keys).
+type ExplainData = climber.Explanation
 
 // BatchResponse is the body of a successful POST /search/batch; Results
 // aligns positionally with the request's Queries.

@@ -44,8 +44,8 @@ func TestSearchContextBackgroundMatchesSearch(t *testing.T) {
 	}
 }
 
-// TestCancelMidScanStopsPlan drives executePlanDist directly with a distance
-// function that cancels the context at the first compared record. The scan
+// TestCancelMidScanStopsPlan drives the executor's scan directly with a rank
+// kernel that cancels the context at the first compared record. The scan
 // must stop at the next cluster boundary — well before the partition's
 // record count — and return context.Canceled, with the effort statistics
 // still accounting the work actually done.
@@ -81,15 +81,16 @@ func TestCancelMidScanStopsPlan(t *testing.T) {
 	compared := 0
 	g := ix.AcquireGeneration()
 	defer g.Release()
-	// The partition scan ranks records through the raw kernel, so the
-	// cancelling distance function is the rawDist; the decoded dist only
-	// serves the delta merge, which this plan never reaches.
-	ex := newExecutor(ix, g, plan, SearchOptions{K: 10}, nil, func(rec []byte, bound float64) float64 {
+	// The partition scan ranks records through the executor's rank kernel,
+	// so the cancelling distance function replaces it; the delta merge,
+	// which this plan never reaches, keeps its own kernel.
+	ex := newExecutor(ix, g, plan, nil, SearchOptions{K: 10}, &stats)
+	ex.rank = func(rec []byte, bound float64) float64 {
 		compared++
 		cancel()
-		return math.Inf(1) // abandoned; keep the accumulator empty
-	}, &stats)
-	err := ex.scanSteps(ctx, plan.Steps, nil, true, nil)
+		return math.Inf(1) // the distance does not matter, only the cancel
+	}
+	err := ex.scanSteps(ctx, plan.Steps, false, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled plan returned %v, want context.Canceled", err)
 	}

@@ -58,8 +58,12 @@ func (ix *Index) Delta() DeltaSource {
 //
 // Delta comparisons are charged to RecordsScanned (and DeltaScanned) but to
 // no partition load — the records are resident by definition.
-func (g *Generation) scanDelta(ctx context.Context, executed planMap, k int, stats *QueryStats,
-	dist func(values []float64, bound float64) float64) (*series.TopK, error) {
+//
+// Delta records are held as float64, so they are ranked by the float64
+// kernel over the first len(q) readings (all of them unless q is a prefix
+// query). A record equal to the bound is offered to the accumulator, which
+// breaks the tie by ID, as the partition scan does.
+func (g *Generation) scanDelta(ctx context.Context, executed planMap, q []float64, k int, stats *QueryStats) (*series.TopK, error) {
 	d := g.Delta()
 	if d == nil || d.Len() == 0 {
 		return nil, nil
@@ -75,7 +79,7 @@ func (g *Generation) scanDelta(ctx context.Context, executed planMap, k int, sta
 		if b, ok := top.Bound(); ok {
 			bound = b
 		}
-		if dd := dist(values, bound); dd < bound {
+		if dd := series.SqDistEarlyAbandonBlocked(q, values[:len(q)], bound); dd <= bound {
 			top.Push(id, dd)
 		}
 		return nil
@@ -95,18 +99,15 @@ func (g *Generation) scanDelta(ctx context.Context, executed planMap, k int, sta
 // not yet compacted) may carry two slightly different distances: the disk
 // copy is ranked by the raw float32 kernel (query rounded to storage
 // precision), the delta copy by the float64 kernel over its decoded values.
-// The sort below orders by (Dist, ID), so dedup deterministically keeps the
-// copy with the smaller distance.
+// The sort below orders by (Dist, ID) — series.Result.Before, the order
+// both top-k accumulators kept — so dedup deterministically keeps the copy
+// with the smaller distance, and a tie at the k-th distance goes to the
+// lower ID, as it does inside each population.
 func mergeResults(disk, delta []series.Result, k int) []series.Result {
 	all := make([]series.Result, 0, len(disk)+len(delta))
 	all = append(all, disk...)
 	all = append(all, delta...)
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Dist != all[j].Dist {
-			return all[i].Dist < all[j].Dist
-		}
-		return all[i].ID < all[j].ID
-	})
+	sort.Slice(all, func(i, j int) bool { return all[i].Before(all[j]) })
 	seen := make(map[int]struct{}, len(all))
 	out := all[:0]
 	for _, r := range all {

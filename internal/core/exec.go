@@ -38,11 +38,6 @@ type Budget struct {
 	MinRecords int
 }
 
-// IsZero reports whether no budget dimension is set.
-func (b Budget) IsZero() bool {
-	return b.MaxPartitions <= 0 && b.Deadline.IsZero() && b.MinRecords <= 0
-}
-
 // Budget-exhaustion reasons reported in QueryStats.BudgetExhausted.
 const (
 	// BudgetMaxPartitions marks a query stopped by Budget.MaxPartitions.
@@ -70,18 +65,6 @@ func (b Budget) exhausted(partitions, records int) (string, bool) {
 	return "", false
 }
 
-// distFunc computes a candidate's squared distance to the query, early
-// abandoning against bound (the current top-k admission threshold). It is
-// the decoded form, used where records exist as []float64 — today that is
-// the delta merge, whose records never touch disk.
-type distFunc func(values []float64, bound float64) float64
-
-// rawDistFunc is distFunc over a record's encoded value bytes (4 bytes of
-// little-endian float32 per reading) — the zero-copy form the partition
-// scans use, fed directly from mapped or resident partition memory by
-// storage.Partition.ScanClusterRaw.
-type rawDistFunc func(rec []byte, bound float64) float64
-
 // executor runs one ScanPlan through its stages — planned steps, the
 // within-partition widening pass, and the delta merge — accumulating the
 // top-k and the query statistics. It is the pull-based half of the engine:
@@ -95,13 +78,17 @@ type executor struct {
 	gen  *Generation
 	plan *ScanPlan
 	opts SearchOptions
-	// dist ranks decoded (delta) records; rawDist ranks on-disk records in
-	// their encoded form. Both must order candidates identically for the
-	// merged answer to be coherent — see search.go for how the pair is built.
-	dist    distFunc
-	rawDist rawDistFunc
-	top     *series.TopK
-	stats   *QueryStats
+	// q is the query as the caller gave it (float64, len(q) readings); the
+	// delta merge ranks its decoded records against it.
+	q []float64
+	// rank is the partition scan's kernel: a record's squared distance to
+	// q, read straight from its encoded bytes and early abandoning against
+	// bound (the current top-k admission threshold). It only reads rec and
+	// never retains it, which is what lets the scan hand it zero-copy
+	// subslices of a mapped file.
+	rank  func(rec []byte, bound float64) float64
+	top   *series.TopK
+	stats *QueryStats
 
 	// executed records what was actually scanned, partition → clusters
 	// (nil = every cluster): the coverage the widening and delta stages
@@ -120,9 +107,23 @@ type executor struct {
 	span *obs.Span
 }
 
-func newExecutor(ix *Index, g *Generation, plan *ScanPlan, opts SearchOptions, dist distFunc, rawDist rawDistFunc, stats *QueryStats) *executor {
+// newExecutor prepares the execution of plan for query q. The scan loop
+// runs on the blocked early-abandon kernels: multi-lane accumulation with
+// the top-k limit checked once per block, the vectorisation-friendly shape
+// of the MESSI/ParIS scan kernels. Disk records are ranked in their encoded
+// float32 form by the raw kernel — the query is rounded to the storage
+// precision once, here — while delta records (held as float64, never
+// round-tripped through a partition file) keep the float64 kernel. Records
+// carry the full indexed length; both kernels read their first len(q)
+// readings (4 bytes each in the raw form), which is all of them unless this
+// is a prefix query.
+func newExecutor(ix *Index, g *Generation, plan *ScanPlan, q []float64, opts SearchOptions, stats *QueryStats) *executor {
+	q32, n := series.ToFloat32(q), 4*len(q)
 	return &executor{
-		ix: ix, gen: g, plan: plan, opts: opts, dist: dist, rawDist: rawDist,
+		ix: ix, gen: g, plan: plan, opts: opts, q: q,
+		rank: func(rec []byte, bound float64) float64 {
+			return series.SqDistEarlyAbandon32Blocked(q32, rec[:n], bound)
+		},
 		top:      series.NewTopK(opts.K),
 		stats:    stats,
 		executed: make(planMap, len(plan.Steps)),
@@ -157,57 +158,25 @@ func (e *executor) run(ctx context.Context, sink func(Snapshot) bool) error {
 	return nil
 }
 
-// scanPlanned executes the ranked plan steps. When no step boundaries are
-// needed — no progressive sink, and no budget dimension that depends on
-// runtime state (Deadline, MinRecords) — every step runs concurrently:
-// the paper's distributed execution, where the selected partitions live
-// on different workers. A MaxPartitions-only budget is resolved by
-// truncating the ranked plan up front, keeping that parallelism. Only a
-// deadline/min-records budget or a progressive sink switches to one step
-// at a time in rank order, so the budget can be checked (and a snapshot
-// emitted) at every step boundary.
+// scanPlanned executes the ranked plan steps. A MaxPartitions budget is
+// resolved up front: every planned step loads exactly one partition, so
+// truncating the ranked plan to the cap is exactly the prefix a
+// step-by-step run would execute, and the truncated plan keeps its
+// partition parallelism. The answer is marked partial after the run, so a
+// deadline, min-records or callback stop that came first keeps its reason.
 func (e *executor) scanPlanned(ctx context.Context, sink func(Snapshot) bool) error {
 	sp := e.span.StartChild("scan")
 	defer sp.End()
 	steps := e.plan.Steps
-	budget := e.opts.Budget
-	if sink == nil && budget.Deadline.IsZero() && budget.MinRecords <= 0 {
-		// No step boundaries needed. A MaxPartitions-only budget is
-		// resolved up front — every step loads exactly one partition, so
-		// truncating the ranked plan to the cap is exactly the prefix the
-		// stepwise loop would execute — and the truncated plan still scans
-		// its partitions concurrently, the run-to-completion path's
-		// parallelism.
-		if budget.MaxPartitions > 0 && len(steps) > budget.MaxPartitions {
-			steps = steps[:budget.MaxPartitions]
-			e.markPartial(BudgetMaxPartitions)
-		}
-		if err := e.scanSteps(ctx, steps, nil, true, sp); err != nil {
-			return err
-		}
-		e.stats.StepsExecuted = len(steps)
-		for _, st := range steps {
-			e.executed[st.Partition] = st.Clusters
-		}
-		return nil
+	capped := e.opts.Budget.MaxPartitions > 0 && len(steps) > e.opts.Budget.MaxPartitions
+	if capped {
+		steps = steps[:e.opts.Budget.MaxPartitions]
 	}
-	for i := range steps {
-		if i > 0 {
-			if reason, stop := budget.exhausted(e.stats.PartitionsScanned, e.stats.RecordsScanned); stop {
-				e.markPartial(reason)
-				return nil
-			}
-		}
-		if err := e.scanSteps(ctx, steps[i:i+1], nil, true, sp); err != nil {
-			return err
-		}
-		e.stats.StepsExecuted++
-		e.executed[steps[i].Partition] = steps[i].Clusters
-		if sink != nil && !sink(e.snapshot(false)) {
-			e.sinkStopped = true
-			e.markPartial(BudgetCallback)
-			return nil
-		}
+	if err := e.runSteps(ctx, steps, e.opts.Budget, false, sink, sp); err != nil {
+		return err
+	}
+	if capped {
+		e.markPartial(BudgetMaxPartitions)
 	}
 	return nil
 }
@@ -231,48 +200,57 @@ func (e *executor) widen(ctx context.Context, sink func(Snapshot) bool) error {
 	}
 	sp := e.span.StartChild("widen")
 	defer sp.End()
-	pids := make([]int, 0, len(e.executed))
+	steps := make([]PlanStep, 0, len(e.executed))
 	for pid, clusters := range e.executed {
-		if clusters == nil {
-			continue // already fully scanned
+		if clusters != nil { // a fully scanned partition has nothing left
+			steps = append(steps, PlanStep{Partition: pid})
 		}
-		pids = append(pids, pid)
 	}
-	if len(pids) == 0 {
-		return nil
-	}
-	sort.Ints(pids)
-
+	sort.Slice(steps, func(i, j int) bool { return steps[i].Partition < steps[j].Partition })
 	// Widening charges no partition loads, so MaxPartitions never bounds
 	// it; the runtime-dependent dimensions (Deadline, MinRecords) keep
 	// applying at every partition boundary.
-	wbudget := e.opts.Budget
-	wbudget.MaxPartitions = 0
-	if sink == nil && wbudget.IsZero() {
-		wsteps := make([]PlanStep, len(pids))
-		for i, pid := range pids {
-			wsteps[i] = PlanStep{Partition: pid}
-		}
-		if err := e.scanSteps(ctx, wsteps, e.executed, false, sp); err != nil {
-			return err
-		}
-		for _, pid := range pids {
-			e.executed[pid] = nil
-		}
-		return nil
+	budget := e.opts.Budget
+	budget.MaxPartitions = 0
+	return e.runSteps(ctx, steps, budget, true, sink, sp)
+}
+
+// runSteps is the one step loop of the executor: it scans steps in waves,
+// in rank order, under budget. When nothing needs a step boundary — no
+// progressive sink, no Deadline, no MinRecords — a wave is every step, and
+// scanSteps runs them concurrently: the paper's distributed execution,
+// where the selected partitions live on different workers. Otherwise a
+// wave is one step, so the budget can be checked (and a snapshot emitted)
+// between steps.
+//
+// The budget is checked before every wave but the first planned one: an
+// anytime answer always carries the most promising partition's candidates.
+// A widening run checks before its first step too, since the planned scan
+// already produced an answer. After each wave the executed coverage, the
+// planned-step count and the sink's snapshot are brought up to date; a
+// widened step records its partition as fully scanned.
+func (e *executor) runSteps(ctx context.Context, steps []PlanStep, budget Budget, widening bool, sink func(Snapshot) bool, span *obs.Span) error {
+	wave := len(steps)
+	if sink != nil || !budget.Deadline.IsZero() || budget.MinRecords > 0 {
+		wave = 1
 	}
-	for _, pid := range pids {
-		if reason, stop := wbudget.exhausted(0, e.stats.RecordsScanned); stop {
-			e.markPartial(reason)
-			return nil
+	for i := 0; i < len(steps); i += wave {
+		if i > 0 || widening {
+			if reason, stop := budget.exhausted(e.stats.PartitionsScanned, e.stats.RecordsScanned); stop {
+				e.markPartial(reason)
+				return nil
+			}
 		}
-		// The widening scan of one partition must skip the clusters its
-		// planned step already compared; the done set is consulted before
-		// executed[pid] is overwritten below.
-		if err := e.scanSteps(ctx, []PlanStep{{Partition: pid}}, e.executed, false, sp); err != nil {
+		w := steps[i:min(i+wave, len(steps))]
+		if err := e.scanSteps(ctx, w, widening, span); err != nil {
 			return err
 		}
-		e.executed[pid] = nil
+		for _, st := range w {
+			e.executed[st.Partition] = st.Clusters
+		}
+		if !widening {
+			e.stats.StepsExecuted += len(w)
+		}
 		if sink != nil && !sink(e.snapshot(false)) {
 			e.sinkStopped = true
 			e.markPartial(BudgetCallback)
@@ -288,7 +266,7 @@ func (e *executor) widen(ctx context.Context, sink func(Snapshot) bool) error {
 // no I/O and only improves the snapshot.
 func (e *executor) mergeDelta(ctx context.Context) error {
 	dsp := e.span.StartChild("delta")
-	deltaTop, err := e.gen.scanDelta(ctx, e.executed, e.opts.K, e.stats, e.dist)
+	deltaTop, err := e.gen.scanDelta(ctx, e.executed, e.q, e.opts.K, e.stats)
 	dsp.SetAttr("records", int64(e.stats.DeltaScanned))
 	dsp.End()
 	if err != nil {
@@ -336,16 +314,20 @@ func (e *executor) snapshot(final bool) Snapshot {
 // a single large cluster to a few hundred distance computations.
 const cancelCheckStride = 256
 
-// scanSteps scans the given steps, folding candidates into the shared
-// top-k with early-abandoning distances. Clusters already covered by the
-// done map are skipped (widening must not compare a record twice).
-// countLoads charges partition loads to the statistics; the widening pass
-// passes false because its partitions are already resident.
+// scanSteps scans one wave of steps, folding candidates into the shared
+// top-k with early-abandoning distances. A planned step scans its listed
+// clusters (nil = every cluster) and charges its partition load to the
+// statistics. A widening step scans every cluster its planned step did not
+// compare (widening must not compare a record twice) and charges no load,
+// because its partition is already resident.
 //
-// Multi-step calls scan their partitions concurrently — the distributed
+// A multi-step wave scans its partitions concurrently — the distributed
 // execution of the paper, where the selected partitions live on different
 // workers. The top-k accumulator is shared under a mutex with a lock-free
-// bound cache so early abandoning stays effective across workers.
+// bound cache so early abandoning stays effective across workers. Which
+// record wins a tie at the k-th distance does not depend on that
+// concurrency: the accumulator orders by (distance, ID), and the scan
+// offers it every record not above the bound.
 //
 // The traversal is cancellable: each partition-scan goroutine checks ctx
 // before opening its partition, between cluster scans, and every
@@ -358,8 +340,8 @@ const cancelCheckStride = 256
 // carrying the partition ID, whether the open hit the shared partition
 // cache, and the bytes charged — the per-trace attribution of effort
 // that aggregate QueryStats cannot give.
-func (e *executor) scanSteps(ctx context.Context, steps []PlanStep, done planMap, countLoads bool, stage *obs.Span) error {
-	ix, top, stats, rawDist := e.ix, e.top, e.stats, e.rawDist
+func (e *executor) scanSteps(ctx context.Context, steps []PlanStep, widening bool, stage *obs.Span) error {
+	ix, top, stats, rank := e.ix, e.top, e.stats, e.rank
 
 	var mu sync.Mutex
 	var boundBits atomic.Uint64
@@ -381,10 +363,6 @@ func (e *executor) scanSteps(ctx context.Context, steps []PlanStep, done planMap
 			stats.RecordsScanned += scanned
 			mu.Unlock()
 		}()
-		// scan ranks one record in its encoded form, straight out of
-		// partition memory: rec is only read inside rawDist and never
-		// retained, which is what lets the raw scan hand out zero-copy
-		// subslices of a mapped file.
 		scan := func(id int, rec []byte) error {
 			if scanned++; scanned%cancelCheckStride == 0 {
 				if err := ctx.Err(); err != nil {
@@ -392,8 +370,10 @@ func (e *executor) scanSteps(ctx context.Context, steps []PlanStep, done planMap
 				}
 			}
 			bound := math.Float64frombits(boundBits.Load())
-			d := rawDist(rec, bound)
-			if d >= bound {
+			// An abandoned distance is above bound, so one equal to it is
+			// exact: a tie the accumulator decides by ID.
+			d := rank(rec, bound)
+			if d > bound {
 				return nil
 			}
 			mu.Lock()
@@ -412,93 +392,65 @@ func (e *executor) scanSteps(ctx context.Context, steps []PlanStep, done planMap
 			return err
 		}
 		defer p.Close()
-		if p.Cached() {
-			if p.CacheHit() {
-				ssp.SetAttr("cache_hit", 1)
-			} else {
-				ssp.SetAttr("cache_hit", 0)
-			}
-		}
 		mu.Lock()
 		if p.Cached() {
+			hit := int64(0)
 			if p.CacheHit() {
 				stats.PartitionCacheHits++
+				hit = 1
 			} else {
 				stats.PartitionCacheMisses++
 			}
+			ssp.SetAttr("cache_hit", hit)
 		}
-		if countLoads {
+		if !widening {
 			stats.PartitionsScanned++
 			bytes := int64(p.Count() * storage.RecordBytes(p.SeriesLen()))
 			stats.BytesLoaded += bytes
 			ssp.SetAttr("bytes", bytes)
 		}
 		mu.Unlock()
-		var doneSet map[storage.ClusterID]struct{}
-		if done != nil {
-			doneSet = done[st.Partition]
+		// The directory lists clusters by ascending ID. A planned step keeps
+		// its own clusters; a widening step skips the ones its planned step
+		// compared, which executed still records until this wave ends.
+		var done map[storage.ClusterID]struct{}
+		if widening {
+			done = e.executed[st.Partition]
 		}
-		if st.Clusters == nil { // whole partition
-			for _, ci := range p.Clusters() {
-				if doneSet != nil {
-					if _, ok := doneSet[ci.ID]; ok {
-						continue
-					}
-				}
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				if err := p.ScanClusterRaw(ci.ID, scan); err != nil {
-					return err
-				}
+		for _, ci := range p.Clusters() {
+			if _, ok := done[ci.ID]; ok {
+				continue
 			}
-			return nil
-		}
-		ids := make([]storage.ClusterID, 0, len(st.Clusters))
-		for c := range st.Clusters {
-			if doneSet != nil {
-				if _, ok := doneSet[c]; ok {
-					continue
-				}
+			if _, ok := st.Clusters[ci.ID]; st.Clusters != nil && !ok {
+				continue
 			}
-			ids = append(ids, c)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := p.ScanClusterRaw(id, scan); err != nil {
+			if err := p.ScanClusterRaw(ci.ID, scan); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 
-	var err error
-	if len(steps) <= 1 {
-		for _, st := range steps {
-			if e := scanStep(st); e != nil {
-				err = e
-			}
-		}
-	} else {
-		errs := make([]error, len(steps))
-		var wg sync.WaitGroup
-		for i, st := range steps {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				errs[i] = scanStep(st)
-			}()
-		}
-		wg.Wait()
-		for _, e := range errs {
-			if e != nil {
-				err = e
-				break
-			}
+	if len(steps) == 1 {
+		return scanStep(steps[0])
+	}
+	errs := make([]error, len(steps))
+	var wg sync.WaitGroup
+	for i, st := range steps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = scanStep(st)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	return err
+	return nil
 }

@@ -85,31 +85,34 @@ type SearchOptions struct {
 }
 
 // Explanation traces how Algorithm 3 navigated the index for one query —
-// the operator-facing counterpart of the paper's Example 2 walkthrough.
+// the operator-facing counterpart of the paper's Example 2 walkthrough. It
+// crosses the wire unconverted (api.ExplainData is an alias), so the JSON
+// tags are the wire contract's keys.
 type Explanation struct {
 	// RankSensitive and RankInsensitive are the query's P4 dual signature.
-	RankSensitive, RankInsensitive pivot.Signature
+	RankSensitive   pivot.Signature `json:"rank_sensitive"`
+	RankInsensitive pivot.Signature `json:"rank_insensitive"`
 	// BestOD is the smallest Overlap Distance to any group centroid; equal
 	// to the prefix length when the query fell back to G0.
-	BestOD int
+	BestOD int `json:"best_od"`
 	// CandidateGroups are the group IDs surviving the OD/WD filtering.
-	CandidateGroups []int
+	CandidateGroups []int `json:"candidate_groups"`
 	// SelectedGroup is the group whose trie was chosen.
-	SelectedGroup int
+	SelectedGroup int `json:"selected_group"`
 	// MatchedPath is the pivot-ID prefix matched inside the group's trie
 	// (the root-to-GN path of Example 2).
-	MatchedPath pivot.Signature
+	MatchedPath pivot.Signature `json:"matched_path"`
 	// TargetNodeSize is the estimated membership of the matched node.
-	TargetNodeSize int
+	TargetNodeSize int `json:"target_node_size"`
 	// Partitions are the physical partitions the plan selected, ascending.
-	Partitions []int
+	Partitions []int `json:"partitions"`
 	// Variant names the plan policy that produced the plan.
-	Variant string
+	Variant string `json:"variant"`
 	// Plan is the planner's ranked step list with its scores, in execution
 	// order, each marked with whether the executor actually ran it — steps
 	// with Executed false were skipped by a budget (see
 	// QueryStats.BudgetExhausted for which dimension ran out).
-	Plan []PlanStepInfo
+	Plan []PlanStepInfo `json:"plan"`
 }
 
 // PlanStepInfo is the explain-facing view of one ranked plan step: the
@@ -287,33 +290,8 @@ func (ix *Index) Query(ctx context.Context, q []float64, opts SearchOptions, sin
 		return nil, fmt.Errorf("core: query: %w", err)
 	}
 	// Lines 2-4 of Algorithm 3: transform the query exactly as records were
-	// transformed during Step 4. The scan loop (exec.go) runs on the blocked
-	// early-abandon kernels: multi-lane accumulation with the top-k limit
-	// checked once per block, the vectorisation-friendly shape of the
-	// MESSI/ParIS scan kernels. Disk records are ranked in their encoded
-	// float32 form by the raw kernel — the query is rounded to the storage
-	// precision once, here — while delta records (held as float64, never
-	// round-tripped through a partition file) keep the float64 kernel.
-	// Records carry the full indexed length; both kernels read their first
-	// n readings (4 bytes each in the raw form), which is all of them unless
-	// this is a prefix query.
+	// transformed during Step 4.
 	paaQ := tr.Transform(q)
-	q32 := series.ToFloat32(q)
-	return ix.runQuery(ctx, g, paaQ, opts, sink,
-		func(values []float64, bound float64) float64 {
-			return series.SqDistEarlyAbandonBlocked(q, values[:n], bound)
-		},
-		func(rec []byte, bound float64) float64 {
-			return series.SqDistEarlyAbandon32Blocked(q32, rec[:4*n], bound)
-		})
-}
-
-// runQuery is the engine shared by full-length and prefix queries: navigate
-// the skeleton (planner), execute the ranked plan stage by stage under the
-// budget (executor), and assemble the result. The caller passes the
-// generation it acquired; every read below goes through it.
-func (ix *Index) runQuery(ctx context.Context, g *Generation, paaQ []float64, opts SearchOptions, sink func(Snapshot) bool, dist distFunc, rawDist rawDistFunc) (*SearchResult, error) {
-	skel := g.Skel
 
 	// The "plan" span covers the pure in-memory half of the query: dual
 	// signature, group selection, trie descent, and plan ranking.
@@ -338,7 +316,7 @@ func (ix *Index) runQuery(ctx context.Context, g *Generation, paaQ []float64, op
 		TargetPathLen:    base.pathLen,
 		StepsPlanned:     len(plan.Steps),
 	}
-	ex := newExecutor(ix, g, plan, opts, dist, rawDist, &stats)
+	ex := newExecutor(ix, g, plan, q, opts, &stats)
 	if err := ex.run(ctx, sink); err != nil {
 		return nil, err
 	}

@@ -38,7 +38,10 @@ func Search(cl *cluster.Cluster, bs *cluster.BlockSet, q []float64, k int) ([]se
 	err := cl.ScanBlocks(bs, nil, func(id int, values []float64) error {
 		bound := math.Float64frombits(boundBits.Load())
 		d := series.SqDistEarlyAbandon(q, values, bound)
-		if d >= bound {
+		// An abandoned distance is above bound; one equal to it is exact and
+		// the accumulator decides the tie by ID, whichever worker gets there
+		// first.
+		if d > bound {
 			return nil
 		}
 		mu.Lock()

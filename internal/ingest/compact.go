@@ -46,13 +46,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Stats is a snapshot of the pipeline's counters.
+// Stats is a snapshot of the pipeline's counters: the write-ahead log, the
+// delta index, the compactor and the partition tails. It is the public
+// climber.IngestStats too (an alias), so its field names, in this order, are
+// the keys of the "ingest" object of a server's /stats.
 type Stats struct {
 	// AppendCalls and AppendedSeries count acked Append invocations and the
 	// series they carried (cumulative, including compacted ones).
 	AppendCalls    int64
 	AppendedSeries int64
-	// ReplayedSeries counts WAL entries restored into the delta at open.
+	// ReplayedSeries counts WAL entries restored into the delta at open
+	// (non-zero only after recovering from a kill).
 	ReplayedSeries int64
 	// WALBytes is the log's current size.
 	WALBytes int64
@@ -60,7 +64,8 @@ type Stats struct {
 	// records they landed in partition files.
 	Compactions     int64
 	CompactedSeries int64
-	// DeltaRecords and DeltaBytes describe the resident delta index.
+	// DeltaRecords and DeltaBytes describe the resident delta index: acked
+	// writes awaiting compaction.
 	DeltaRecords int
 	DeltaBytes   int64
 	// CompactErrors counts failed compaction attempts (each is retried on
@@ -76,6 +81,8 @@ type Stats struct {
 	CompactDurations    [len(CompactionBuckets) + 1]int64
 	// TailFiles, TailRecords and TailBytes describe the tails on disk now:
 	// the small files drains rewrite between folds into the partition bases.
+	// A partition's tail folds into its base once it holds an eighth of the
+	// base's records.
 	TailFiles   int
 	TailRecords int
 	TailBytes   int64

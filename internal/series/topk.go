@@ -11,13 +11,16 @@ type Result struct {
 	Dist float64 `json:"dist"`
 }
 
-// TopK is a bounded max-heap that keeps the k smallest-distance results seen
-// so far. It is the accumulator behind every kNN scan in the repository:
-// exact scans (Dss), partition-local scans (CLIMBER), and baseline searches.
-// The zero value is not usable; construct with NewTopK.
+// TopK is a bounded max-heap that keeps the k smallest results seen so far
+// in the order (Dist, ID): of two equally distant results the lower ID ranks
+// first. The order is total, so the kept set does not depend on the order
+// results are pushed in — a concurrent scan keeps the same records at a tie
+// as a sequential one. It is the accumulator behind every kNN scan in the
+// repository: exact scans (Dss), partition-local scans (CLIMBER), and
+// baseline searches. The zero value is not usable; construct with NewTopK.
 type TopK struct {
 	k    int
-	heap []Result // max-heap ordered by Dist
+	heap []Result // max-heap ordered by (Dist, ID)
 }
 
 // NewTopK returns an accumulator for the k nearest results. k must be
@@ -39,9 +42,10 @@ func (t *TopK) Len() int { return len(t.heap) }
 func (t *TopK) Full() bool { return len(t.heap) == t.k }
 
 // Bound returns the current k-th smallest distance, i.e. the admission
-// threshold for new candidates. If fewer than k results are held, it returns
-// +Inf semantics via the ok flag: ok is false and the caller must admit the
-// candidate unconditionally.
+// threshold for new candidates: a candidate above it cannot enter, one equal
+// to it enters only with an ID below the current k-th result's. If fewer
+// than k results are held, it returns +Inf semantics via the ok flag: ok is
+// false and the caller must admit the candidate unconditionally.
 func (t *TopK) Bound() (bound float64, ok bool) {
 	if len(t.heap) < t.k {
 		return 0, false
@@ -50,33 +54,29 @@ func (t *TopK) Bound() (bound float64, ok bool) {
 }
 
 // Push offers a candidate. It returns true if the candidate was admitted
-// (it was among the k smallest seen so far).
+// (it was among the k first seen so far in the Before order).
 func (t *TopK) Push(id int, dist float64) bool {
+	r := Result{ID: id, Dist: dist}
 	if len(t.heap) < t.k {
-		t.heap = append(t.heap, Result{ID: id, Dist: dist})
+		t.heap = append(t.heap, r)
 		t.siftUp(len(t.heap) - 1)
 		return true
 	}
-	if dist >= t.heap[0].Dist {
+	if !r.Before(t.heap[0]) {
 		return false
 	}
-	t.heap[0] = Result{ID: id, Dist: dist}
+	t.heap[0] = r
 	t.siftDown(0)
 	return true
 }
 
-// Results returns the accumulated results sorted by ascending distance,
-// ties broken by ascending ID for determinism. The accumulator remains
+// Results returns the accumulated results in the Before order: ascending
+// distance, ties broken by ascending ID. The accumulator remains
 // usable after the call.
 func (t *TopK) Results() []Result {
 	out := make([]Result, len(t.heap))
 	copy(out, t.heap)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Dist != out[j].Dist {
-			return out[i].Dist < out[j].Dist
-		}
-		return out[i].ID < out[j].ID
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
 	return out
 }
 
@@ -88,10 +88,21 @@ func (t *TopK) Merge(other *TopK) {
 	}
 }
 
+// Before is the one total order over results: by distance, then by ID. The
+// top-k accumulator keeps its k first results in it, and every merge of
+// answers (the delta merge, the router's shard merge) sorts by it, so a tie
+// at the k-th distance is decided the same way at every layer.
+func (r Result) Before(o Result) bool {
+	if r.Dist != o.Dist {
+		return r.Dist < o.Dist
+	}
+	return r.ID < o.ID
+}
+
 func (t *TopK) siftUp(i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if t.heap[parent].Dist >= t.heap[i].Dist {
+		if !t.heap[parent].Before(t.heap[i]) {
 			return
 		}
 		t.heap[parent], t.heap[i] = t.heap[i], t.heap[parent]
@@ -104,10 +115,10 @@ func (t *TopK) siftDown(i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		largest := i
-		if l < n && t.heap[l].Dist > t.heap[largest].Dist {
+		if l < n && t.heap[largest].Before(t.heap[l]) {
 			largest = l
 		}
-		if r < n && t.heap[r].Dist > t.heap[largest].Dist {
+		if r < n && t.heap[largest].Before(t.heap[r]) {
 			largest = r
 		}
 		if largest == i {

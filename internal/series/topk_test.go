@@ -106,6 +106,50 @@ func TestTopKMatchesSort(t *testing.T) {
 	}
 }
 
+// Property: the kept set does not depend on push order. A multiset of
+// candidates drawn from a handful of distances (so most of them tie, at the
+// k-th distance too) must give the same Results — the k first in (Dist, ID)
+// order — whichever order it is pushed in, as the candidates of a
+// concurrent scan arrive in whatever order the workers reach them.
+func TestTopKTiesIndependentOfPushOrder(t *testing.T) {
+	rng := rand.New(rand.NewPCG(17, 5))
+	for trial := 0; trial < 50; trial++ {
+		n := 2 + rng.IntN(100)
+		k := 1 + rng.IntN(n)
+		cands := make([]Result, n)
+		for i := range cands {
+			cands[i] = Result{ID: i, Dist: float64(rng.IntN(4))}
+		}
+		want := append([]Result(nil), cands...)
+		sort.Slice(want, func(i, j int) bool { return want[i].Before(want[j]) })
+		want = want[:k]
+		for order := 0; order < 20; order++ {
+			rng.Shuffle(n, func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
+			top := NewTopK(k)
+			for _, c := range cands {
+				top.Push(c.ID, c.Dist)
+			}
+			got := top.Results()
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d (n=%d, k=%d), order %d: result %d = %+v, want %+v",
+						trial, n, k, order, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	// The two-push case: an equally distant candidate displaces the k-th
+	// result only with a lower ID, in either order.
+	for _, order := range [][2]int{{5, 3}, {3, 5}} {
+		top := NewTopK(1)
+		top.Push(order[0], 1)
+		top.Push(order[1], 1)
+		if got := top.Results(); got[0].ID != 3 {
+			t.Fatalf("push order %v kept %+v, want id 3", order, got)
+		}
+	}
+}
+
 func TestTopKMerge(t *testing.T) {
 	a, b := NewTopK(3), NewTopK(3)
 	a.Push(0, 1)

@@ -132,7 +132,7 @@ func (b *backend) Search(ctx context.Context, req *api.SearchRequest, prefix boo
 		b.c.Add("budget_exhausted", 1)
 	}
 	if req.Explain {
-		resp.Explain = map[string]*api.ExplainData{"": api.ExplainFromCore(ans.Explain)}
+		resp.Explain = map[string]*api.ExplainData{"": ans.Explain}
 	}
 	return resp, nil
 }

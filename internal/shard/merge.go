@@ -16,13 +16,14 @@ type answer struct {
 
 // mergeTopK folds per-shard top-k answers into the global top-k: every
 // shard-local ID is mapped into the global ID space (Topology.GlobalID),
-// the union is ordered by ascending (distance, ID) — the same total order
-// the unsharded engine uses — and duplicates of one global ID are
-// collapsed keeping the closest copy. Duplicates arise from read-replica
-// topology entries (two shards sharing an IDBase hold the same records)
-// and from a record transiently present on two shards during a topology
-// migration; dedupe is what keeps the merged answer a set. dups reports
-// how many copies were dropped.
+// the union is ordered by ascending (distance, ID) — series.Result.Before,
+// the same total order the unsharded engine's accumulator keeps, so a tie
+// at the k-th distance goes to the lower ID here too — and duplicates of
+// one global ID are collapsed keeping the closest copy. Duplicates arise
+// from read-replica topology entries (two shards sharing an IDBase hold the
+// same records) and from a record transiently present on two shards during
+// a topology migration; dedupe is what keeps the merged answer a set. dups
+// reports how many copies were dropped.
 func (t *Topology) mergeTopK(answers []answer, k int) (merged []api.Result, dups int) {
 	total := 0
 	for _, a := range answers {
@@ -34,12 +35,7 @@ func (t *Topology) mergeTopK(answers []answer, k int) (merged []api.Result, dups
 			all = append(all, api.Result{ID: t.GlobalID(a.shard, r.ID), Dist: r.Dist})
 		}
 	}
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Dist != all[j].Dist {
-			return all[i].Dist < all[j].Dist
-		}
-		return all[i].ID < all[j].ID
-	})
+	sort.Slice(all, func(i, j int) bool { return all[i].Before(all[j]) })
 	seen := make(map[int]struct{}, len(all))
 	merged = all[:0]
 	for _, r := range all {
