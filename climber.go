@@ -146,9 +146,10 @@ type IngestStats = ingest.Stats
 var CompactionBuckets = ingest.CompactionBuckets
 
 // CacheStats reports the cumulative effect of the shared partition cache
-// across every query answered by this DB. The cache counters (Hits,
-// Misses, Evictions, BytesSaved) are all zero when the cache is off;
-// PartitionsLoaded is maintained either way.
+// across every query answered by this DB, beside the read path's other
+// counters (map fallbacks, the partition-buffer pool, summary pruning). The
+// cache counters (Hits, Misses, Evictions, BytesSaved) are all zero when the
+// cache is off; PartitionsLoaded is maintained either way.
 type CacheStats struct {
 	// Hits counts partition opens served from memory; Misses counts opens
 	// that had to load the partition file from disk.
@@ -178,6 +179,11 @@ type CacheStats struct {
 	// process, and so are these three.
 	LoadBuffersReused, LoadBuffersFresh int64
 	BufferIdleBytes                     int64
+	// ScanPrunedRecords counts the records query scans skipped by their
+	// summary lower bound alone: each was counted in RecordsScanned, but
+	// its bound already exceeded the top-k bound, so no distance was
+	// computed.
+	ScanPrunedRecords int64
 }
 
 // Explanation is the engine's record of how one query navigated the
@@ -697,8 +703,9 @@ func (db *DB) SearchBatchWithStatsContextWorkers(ctx context.Context, queries []
 	return out, stats, nil
 }
 
-// CacheStats reports the cumulative partition-cache counters of this DB,
-// plus the cache's current resident and memory-mapped byte volumes.
+// CacheStats reports the cumulative partition-cache and read-path counters
+// of this DB, plus the cache's current resident and memory-mapped byte
+// volumes.
 func (db *DB) CacheStats() CacheStats {
 	s := &db.cl.Stats
 	resident, mapped := db.cl.CacheResidentBytes()
@@ -715,6 +722,7 @@ func (db *DB) CacheStats() CacheStats {
 		LoadBuffersReused: pool.Reused,
 		LoadBuffersFresh:  pool.Fresh,
 		BufferIdleBytes:   pool.IdleBytes,
+		ScanPrunedRecords: s.ScanPrunedRecords.Load(),
 	}
 }
 

@@ -9,8 +9,11 @@
 // race detector cannot see.
 //
 // The analyzer inspects every function whose shape is a raw scan callback —
-// func(id int, rec []byte) error — and flags any statement that lets rec
-// (or a sub-slice of it) escape the callback: assignment to a field, index,
+// func(id int, rec []byte) error, or the run callback
+// func(recs, sums []byte) error of storage.Partition.ScanClusterRuns, whose
+// record and summary bytes alias the mapping alike — and flags any statement
+// that lets rec (or a sub-slice of it; in a run callback, either slice)
+// escape the callback: assignment to a field, index,
 // dereference, or a variable declared outside the callback; aliasing append
 // (append(list, rec) — append(buf, rec...) copies bytes and is fine); and
 // rec inside a composite literal. Copying bytes out (copy, append ...,
@@ -87,51 +90,51 @@ func isRawCallbackType(obj types.Object) bool {
 	return isRawCallbackSig(obj.Type())
 }
 
-// isRawCallbackSig matches the raw scan callback shape func(int, []byte)
-// error — the contract of ScanClusterRaw/ScanClustersRaw.
+// isRawCallbackSig matches the raw scan callback shapes: func(int, []byte)
+// error — the contract of ScanClusterRaw/ScanClustersRaw — and
+// func([]byte, []byte) error, the run callback of ScanClusterRuns.
 func isRawCallbackSig(t types.Type) bool {
 	sig, ok := t.Underlying().(*types.Signature)
 	if !ok || sig.Params().Len() != 2 || sig.Results().Len() != 1 {
 		return false
 	}
-	p0, ok := sig.Params().At(0).Type().Underlying().(*types.Basic)
-	if !ok || p0.Kind() != types.Int {
+	p0 := sig.Params().At(0).Type()
+	if b, ok := p0.Underlying().(*types.Basic); !(ok && b.Kind() == types.Int) && !isByteSlice(p0) {
 		return false
 	}
-	p1, ok := sig.Params().At(1).Type().Underlying().(*types.Slice)
-	if !ok {
-		return false
-	}
-	b, ok := p1.Elem().Underlying().(*types.Basic)
-	if !ok || b.Kind() != types.Byte {
+	if !isByteSlice(sig.Params().At(1).Type()) {
 		return false
 	}
 	named, ok := sig.Results().At(0).Type().(*types.Named)
 	return ok && named.Obj().Pkg() == nil && named.Obj().Name() == "error"
 }
 
+// isByteSlice reports whether t is a []byte.
+func isByteSlice(t types.Type) bool {
+	s, ok := t.Underlying().(*types.Slice)
+	if !ok {
+		return false
+	}
+	b, ok := s.Elem().Underlying().(*types.Basic)
+	return ok && b.Kind() == types.Byte
+}
+
 // checkConsumer walks one raw-callback body looking for statements that let
 // the rec parameter escape.
 func checkConsumer(pass *vet.Pass, ft *ast.FuncType, body *ast.BlockStmt) {
-	// Resolve the []byte parameter's object; unnamed or blank means the
-	// callback cannot retain it.
-	params := ft.Params.List
-	var recIdent *ast.Ident
-	for _, f := range params {
+	// Taint every named []byte parameter; an unnamed or blank one cannot be
+	// retained.
+	tainted := map[types.Object]bool{}
+	for _, f := range ft.Params.List {
 		for _, name := range f.Names {
-			if obj := pass.Info.Defs[name]; obj != nil {
-				if s, ok := obj.Type().Underlying().(*types.Slice); ok {
-					if b, ok := s.Elem().Underlying().(*types.Basic); ok && b.Kind() == types.Byte {
-						recIdent = name
-					}
-				}
+			if obj := pass.Info.Defs[name]; obj != nil && name.Name != "_" && isByteSlice(obj.Type()) {
+				tainted[obj] = true
 			}
 		}
 	}
-	if recIdent == nil || recIdent.Name == "_" {
+	if len(tainted) == 0 {
 		return
 	}
-	tainted := map[types.Object]bool{pass.Info.Defs[recIdent]: true}
 
 	aliases := func(e ast.Expr) bool {
 		for {

@@ -17,6 +17,10 @@ func (p *partition) ScanClusterRaw(id int, fn func(id int, rec []byte) error) er
 	return fn(0, make([]byte, 16))
 }
 
+func (p *partition) ScanClusterRuns(id int, fn func(recs, sums []byte) error) error {
+	return fn(make([]byte, 16), make([]byte, 1))
+}
+
 // sink is a global a bad callback leaks mapped bytes into.
 var sink []byte
 
@@ -178,6 +182,38 @@ func kernelCall(p *partition) (float64, error) {
 	total := 0.0
 	err := p.ScanClusterRaw(0, func(id int, rec []byte) error {
 		total += kernel(rec) + float64(unsafe.Sizeof(id))
+		return nil
+	})
+	return total, err
+}
+
+// runLeaksSummaries retains a run's summary bytes, which alias the mapping
+// as its records do.
+func runLeaksSummaries(p *partition, c *collector) error {
+	return p.ScanClusterRuns(0, func(recs, sums []byte) error {
+		c.last = sums[2:] // want "stored outside the callback frame"
+		return nil
+	})
+}
+
+// runLeaksRecord retains one record of a run through a local alias.
+func runLeaksRecord(p *partition) error {
+	return p.ScanClusterRuns(0, func(recs, sums []byte) error {
+		rec := recs[8:16]
+		sink = rec // want "stored in variable \"sink\" declared outside the callback"
+		return nil
+	})
+}
+
+// runConsumesInPlace is the supported idiom for runs: records and summaries
+// handed to kernels, nothing kept.
+func runConsumesInPlace(p *partition) (float64, error) {
+	total := 0.0
+	err := p.ScanClusterRuns(0, func(recs, sums []byte) error {
+		for off := 0; off+8 <= len(recs); off += 8 {
+			total += kernel(recs[off : off+8])
+		}
+		total += kernel(sums)
 		return nil
 	})
 	return total, err

@@ -59,6 +59,10 @@ type Stats struct {
 	// and copied it onto the heap instead: zero where mapping works, every
 	// load on a platform without it.
 	MapFallbacks atomic.Int64
+	// ScanPrunedRecords counts the records query scans ranked by their
+	// summary lower bound alone, skipping the distance: each exceeded the
+	// top-k bound already.
+	ScanPrunedRecords atomic.Int64
 
 	// Partition-cache accounting (all zero while the cache is disabled).
 	// PartitionsLoaded counts only real disk loads, so the hit counters

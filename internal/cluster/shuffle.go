@@ -333,6 +333,15 @@ func (h *PartitionHandle) ScanClustersRaw(ids []storage.ClusterID, fn func(id in
 	return h.tail.ScanClustersRaw(ids, fn)
 }
 
+// ScanClusterRuns streams one cluster's records and their summaries through
+// fn in runs, under the lifetime rules of storage.Partition.ScanClusterRuns.
+func (h *PartitionHandle) ScanClusterRuns(id storage.ClusterID, fn func(recs, sums []byte) error) error {
+	if err := h.Partition.ScanClusterRuns(id, fn); err != nil || h.tail == nil {
+		return err
+	}
+	return h.tail.ScanClusterRuns(id, fn)
+}
+
 // openPatience bounds OpenPartition's retries. A retry waits out the few
 // instructions between a fold putting its base in place and recording the new
 // layout — longer when the machine is busy and the writer is not scheduled,

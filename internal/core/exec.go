@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"sort"
 	"sync"
@@ -86,7 +87,11 @@ type executor struct {
 	// bound (the current top-k admission threshold). It only reads rec and
 	// never retains it, which is what lets the scan hand it zero-copy
 	// subslices of a mapped file.
-	rank  func(rec []byte, bound float64) float64
+	rank func(rec []byte, bound float64) float64
+	// lb is the query's summary lower bound (nil when the query covers no
+	// whole summary segment): a record whose bound exceeds the top-k
+	// threshold is skipped without a distance (stepScan.run).
+	lb    *storage.LowerBound
 	top   *series.TopK
 	stats *QueryStats
 
@@ -116,7 +121,8 @@ type executor struct {
 // round-tripped through a partition file) keep the float64 kernel. Records
 // carry the full indexed length; both kernels read their first len(q)
 // readings (4 bytes each in the raw form), which is all of them unless this
-// is a prefix query.
+// is a prefix query. The summary lower bound is built from the same
+// float32-rounded query, because that is what the kernel subtracts.
 func newExecutor(ix *Index, g *Generation, plan *ScanPlan, q []float64, opts SearchOptions, stats *QueryStats) *executor {
 	q32, n := series.ToFloat32(q), 4*len(q)
 	return &executor{
@@ -124,6 +130,7 @@ func newExecutor(ix *Index, g *Generation, plan *ScanPlan, q []float64, opts Sea
 		rank: func(rec []byte, bound float64) float64 {
 			return series.SqDistEarlyAbandon32Blocked(q32, rec[:n], bound)
 		},
+		lb:       storage.NewLowerBound(q32, g.Parts.SeriesLen),
 		top:      series.NewTopK(opts.K),
 		stats:    stats,
 		executed: make(planMap, len(plan.Steps)),
@@ -142,6 +149,7 @@ func (e *executor) markPartial(reason string) {
 // non-worsening snapshot after each executed step (and a final one);
 // returning false from it stops the query early with a partial answer.
 func (e *executor) run(ctx context.Context, sink func(Snapshot) bool) error {
+	defer e.lb.Release() // every scan has returned by then
 	e.span = obs.SpanFromContext(ctx)
 	if err := e.scanPlanned(ctx, sink); err != nil {
 		return err
@@ -315,7 +323,8 @@ func (e *executor) snapshot(final bool) Snapshot {
 const cancelCheckStride = 256
 
 // scanSteps scans one wave of steps, folding candidates into the shared
-// top-k with early-abandoning distances. A planned step scans its listed
+// top-k with early-abandoning distances, each record checked first against
+// its summary lower bound (stepScan.run). A planned step scans its listed
 // clusters (nil = every cluster) and charges its partition load to the
 // statistics. A widening step scans every cluster its planned step did not
 // compare (widening must not compare a record twice) and charges no load,
@@ -324,10 +333,10 @@ const cancelCheckStride = 256
 // A multi-step wave scans its partitions concurrently — the distributed
 // execution of the paper, where the selected partitions live on different
 // workers. The top-k accumulator is shared under a mutex with a lock-free
-// bound cache so early abandoning stays effective across workers. Which
-// record wins a tie at the k-th distance does not depend on that
-// concurrency: the accumulator orders by (distance, ID), and the scan
-// offers it every record not above the bound.
+// bound cache (sharedTop) so early abandoning and summary pruning stay
+// effective across workers. Which record wins a tie at the k-th distance
+// does not depend on that concurrency: the accumulator orders by
+// (distance, ID), and the scan offers it every record not above the bound.
 //
 // The traversal is cancellable: each partition-scan goroutine checks ctx
 // before opening its partition, between cluster scans, and every
@@ -338,51 +347,13 @@ const cancelCheckStride = 256
 //
 // stage, when traced, receives one "partition" child span per step,
 // carrying the partition ID, whether the open hit the shared partition
-// cache, and the bytes charged — the per-trace attribution of effort
-// that aggregate QueryStats cannot give.
+// cache, the bytes charged and the records pruned by summary — the
+// per-trace attribution of effort that aggregate QueryStats cannot give.
 func (e *executor) scanSteps(ctx context.Context, steps []PlanStep, widening bool, stage *obs.Span) error {
-	ix, top, stats, rank := e.ix, e.top, e.stats, e.rank
-
-	var mu sync.Mutex
-	var boundBits atomic.Uint64
-	if b, ok := top.Bound(); ok {
-		boundBits.Store(math.Float64bits(b))
-	} else {
-		boundBits.Store(math.Float64bits(math.Inf(1)))
-	}
+	ix, stats, sh := e.ix, e.stats, newSharedTop(e.top)
 	scanStep := func(st PlanStep) error {
 		if err := ctx.Err(); err != nil {
 			return err
-		}
-		// Records compared by this step, counted without synchronisation —
-		// each step runs on one goroutine — and charged once when the step
-		// ends, cancelled or not.
-		scanned := 0
-		defer func() {
-			mu.Lock()
-			stats.RecordsScanned += scanned
-			mu.Unlock()
-		}()
-		scan := func(id int, rec []byte) error {
-			if scanned++; scanned%cancelCheckStride == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			bound := math.Float64frombits(boundBits.Load())
-			// An abandoned distance is above bound, so one equal to it is
-			// exact: a tie the accumulator decides by ID.
-			d := rank(rec, bound)
-			if d > bound {
-				return nil
-			}
-			mu.Lock()
-			top.Push(id, d)
-			if b, ok := top.Bound(); ok {
-				boundBits.Store(math.Float64bits(b))
-			}
-			mu.Unlock()
-			return nil
 		}
 		ssp := stage.StartChild("partition")
 		defer ssp.End()
@@ -392,7 +363,18 @@ func (e *executor) scanSteps(ctx context.Context, steps []PlanStep, widening boo
 			return err
 		}
 		defer p.Close()
-		mu.Lock()
+		// The step's records ranked and pruned are counted without
+		// synchronisation — each step runs on one goroutine — and charged
+		// once when the step ends, cancelled or not.
+		sc := &stepScan{e: e, sh: sh, recBytes: storage.RecordBytes(p.SeriesLen()), sumBytes: storage.SummaryBytes(p.SeriesLen())}
+		defer func() {
+			sh.mu.Lock()
+			stats.RecordsScanned += sc.scanned
+			sh.mu.Unlock()
+			ix.Cl.Stats.ScanPrunedRecords.Add(int64(sc.pruned))
+			ssp.SetAttr("pruned", int64(sc.pruned))
+		}()
+		sh.mu.Lock()
 		if p.Cached() {
 			hit := int64(0)
 			if p.CacheHit() {
@@ -409,7 +391,8 @@ func (e *executor) scanSteps(ctx context.Context, steps []PlanStep, widening boo
 			stats.BytesLoaded += bytes
 			ssp.SetAttr("bytes", bytes)
 		}
-		mu.Unlock()
+		sh.mu.Unlock()
+		run := func(recs, sums []byte) error { return sc.run(ctx, recs, sums) }
 		// The directory lists clusters by ascending ID. A planned step keeps
 		// its own clusters; a widening step skips the ones its planned step
 		// compared, which executed still records until this wave ends.
@@ -427,7 +410,7 @@ func (e *executor) scanSteps(ctx context.Context, steps []PlanStep, widening boo
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := p.ScanClusterRaw(ci.ID, scan); err != nil {
+			if err := p.ScanClusterRuns(ci.ID, run); err != nil {
 				return err
 			}
 		}
@@ -454,3 +437,123 @@ func (e *executor) scanSteps(ctx context.Context, steps []PlanStep, widening boo
 	}
 	return nil
 }
+
+// sharedTop is the top-k one wave of scans folds into: the accumulator under
+// a mutex, with a lock-free copy of its admission bound so every scan
+// abandons distances, and prunes by summary, against the best bound any of
+// them has reached.
+type sharedTop struct {
+	mu        sync.Mutex
+	top       *series.TopK
+	boundBits atomic.Uint64
+}
+
+func newSharedTop(top *series.TopK) *sharedTop {
+	sh := &sharedTop{top: top}
+	b, ok := top.Bound()
+	if !ok {
+		b = math.Inf(1)
+	}
+	sh.boundBits.Store(math.Float64bits(b))
+	return sh
+}
+
+func (sh *sharedTop) bound() float64 { return math.Float64frombits(sh.boundBits.Load()) }
+
+// push offers a record whose distance is not above the bound.
+func (sh *sharedTop) push(id int, d float64) {
+	sh.mu.Lock()
+	sh.top.Push(id, d)
+	if b, ok := sh.top.Bound(); ok {
+		sh.boundBits.Store(math.Float64bits(b))
+	}
+	sh.mu.Unlock()
+}
+
+// stepScan is one plan step's scan: the shared top-k it ranks into, what it
+// charges when it ends — the records it ranked, and the subset it ranked by
+// summary alone — and the scratch of its summary pass, allocated once per
+// step rather than once per cluster.
+type stepScan struct {
+	e                  *executor
+	sh                 *sharedTop
+	scanned, pruned    int
+	recBytes, sumBytes int
+	lbs                [cancelCheckStride]float64
+	kept               [cancelCheckStride]int32
+}
+
+// summaryFilter turns the summary check of stepScan.run off when false —
+// the seam that lets tests compare filtered with unfiltered scans.
+var summaryFilter = true
+
+// run ranks one run of records — recs holds them as the partition file
+// does, sums their summaries (nil in a version-2 file) — into the shared
+// top-k, cancelCheckStride records at a time, checking ctx between them.
+//
+// While the bound is finite, each stretch starts with a pass over its
+// summaries that computes every record's lower bound and keeps the records
+// whose bound is not above the top-k bound; the table stays in cache for it,
+// where a check per record interleaved with the distances would have it
+// evicted by the records' bytes. A record whose lower bound is above the
+// bound is skipped: its kernel distance is above the bound too
+// (storage.LowerBound), so the scan would have discarded it, and skipping it
+// changes neither the answer nor the tie outcomes. The bound only tightens,
+// so a kept record is checked again right before its distance. A skipped
+// record still counts as scanned — it was ranked, by its bound — so
+// statistics and budgets do not depend on the filter.
+func (sc *stepScan) run(ctx context.Context, recs, sums []byte) error {
+	e, sh, recBytes, w := sc.e, sc.sh, sc.recBytes, sc.sumBytes
+	n := len(recs) / recBytes
+	for lo := 0; lo < n; lo += cancelCheckStride {
+		if lo > 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		m := min(cancelCheckStride, n-lo)
+		sc.scanned += m
+		stretch := stretchIndexes[:m]
+		filter := e.lb != nil && sums != nil && summaryFilter && !math.IsInf(sh.bound(), 1)
+		if filter {
+			lbs := sc.lbs[:m]
+			e.lb.Bounds(lbs, sums[lo*w:(lo+m)*w])
+			bound, k := sh.bound(), 0
+			for j, lb := range lbs {
+				// Branch free: whether a record is kept is data, not a
+				// pattern a predictor learns.
+				sc.kept[k] = int32(j)
+				inc := 0
+				if lb <= bound {
+					inc = 1
+				}
+				k += inc
+			}
+			sc.pruned += m - k
+			stretch = sc.kept[:k]
+		}
+		for _, j := range stretch {
+			bound := sh.bound()
+			if filter && sc.lbs[j] > bound {
+				sc.pruned++
+				continue
+			}
+			rec := recs[(lo+int(j))*recBytes:][:recBytes]
+			// An abandoned distance is above bound, so one equal to it is
+			// exact: a tie the accumulator decides by ID.
+			if d := e.rank(rec[8:], bound); !(d > bound) {
+				sh.push(int(binary.LittleEndian.Uint64(rec)), d)
+			}
+		}
+	}
+	return nil
+}
+
+// stretchIndexes lists 0..cancelCheckStride-1: the records of a stretch
+// stepScan.run ranks without a summary check.
+var stretchIndexes = func() (idx [cancelCheckStride]int32) {
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	return idx
+}()

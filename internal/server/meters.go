@@ -84,6 +84,7 @@ func (b *backend) cacheMetrics(_ context.Context, w *strings.Builder) {
 	fmt.Fprintf(w, "climber_partition_load_buffers_total{source=\"reused\"} %d\n", cache.LoadBuffersReused)
 	fmt.Fprintf(w, "climber_partition_load_buffers_total{source=\"fresh\"} %d\n", cache.LoadBuffersFresh)
 	api.WriteSample(w, "climber_partition_buffer_idle_bytes", "Capacity the recycled partition-buffer pool holds idle.", "gauge", cache.BufferIdleBytes)
+	api.WriteSample(w, "climber_scan_pruned_records_total", "Records partition scans skipped by their summary lower bound alone, without computing a distance.", "counter", cache.ScanPrunedRecords)
 }
 
 // ingestMetrics renders the DB's ingestion-pipeline counters.

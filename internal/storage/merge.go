@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -35,13 +36,15 @@ type mergeRef struct {
 // dataset interchange file is one cluster of incoming records. dst may be one
 // of srcs. Surviving records are copied verbatim from their file and each
 // incoming record is encoded once into place, in canonical order — clusters
-// ascending, records ascending by ID within a cluster — with a trailing
-// CRC32, so the bytes depend on the record set alone, not on arrival order
-// nor on how the records were split between files. No records at all make an
-// empty partition file, which opens like any other. The source files and the
-// output live in pooled buffers.
+// ascending, records ascending by ID within a cluster — followed by every
+// record's summary and a trailing CRC32, so the bytes depend on the record
+// set alone, not on arrival order nor on how the records were split between
+// files. No records at all make an empty partition file, which opens like
+// any other. The source files and the output live in pooled buffers.
 //
-// Every record, old or incoming, has seriesLen readings. The merge is
+// Every record, old or incoming, has seriesLen readings, and every incoming
+// reading must be finite in float32: a record with one that is not is
+// refused, naming its ID, and nothing is written. The merge is
 // idempotent: an existing record whose ID reappears in incoming is replaced,
 // whichever file and cluster held it, rather than duplicated. The source
 // files must not share an ID among themselves.
@@ -127,7 +130,8 @@ func MergePartitions(dst string, seriesLen int, srcs []string, incoming []Incomi
 		}
 	}
 
-	out := getBuf(16 + 12*nClusters + recBytes*len(refs) + 4)
+	w := SummaryBytes(seriesLen)
+	out := getBuf(16 + 12*nClusters + (recBytes+w)*len(refs) + 4)
 	defer putBuf(out)
 	copy(out[0:4], partitionMagic)
 	binary.LittleEndian.PutUint32(out[4:8], partitionVersion)
@@ -144,17 +148,24 @@ func MergePartitions(dst string, seriesLen int, srcs []string, incoming []Incomi
 		dir += 12
 		i = j
 	}
+	// The summary section follows the records; each record's summary is
+	// computed from the bytes just placed, whatever file they came from.
+	sum := rec + recBytes*len(refs)
 	for _, ref := range refs {
 		slot := out[rec : rec+recBytes]
 		if ref.from >= 0 {
 			copy(slot, olds[ref.from].data[ref.src:])
 		} else {
 			r := incoming[ref.src]
-			encodeRecord(slot, r.ID, r.Values)
+			if err := encodeRecord(slot, r.ID, r.Values); err != nil {
+				return 0, 0, err
+			}
 		}
+		summarize(out[sum:sum+w], slot[8:], seriesLen)
 		rec += recBytes
+		sum += w
 	}
-	binary.LittleEndian.PutUint32(out[rec:], crc32.ChecksumIEEE(out[:rec]))
+	binary.LittleEndian.PutUint32(out[sum:], crc32.ChecksumIEEE(out[:sum]))
 
 	if err := replaceFile(dst, out, beforeRename); err != nil {
 		return 0, 0, err
@@ -186,4 +197,23 @@ func replaceFile(path string, data []byte, beforeRename func()) error {
 		return fmt.Errorf("storage: replace partition: %w", err)
 	}
 	return nil
+}
+
+// WithoutSummaries returns the version-2 form of the bytes of a version-3
+// partition file: the same header, directory and records, version 2, no
+// summary section, the CRC32 recomputed. It makes the version-2 files that
+// tests open, and shows that a change of the summaries moved no record byte.
+func WithoutSummaries(file []byte) ([]byte, error) {
+	p, err := newPartition(bytes.NewReader(file), int64(len(file)), "partition bytes")
+	if err != nil {
+		return nil, err
+	}
+	if p.sumOff == 0 {
+		return nil, fmt.Errorf("storage: partition has no summaries")
+	}
+	out := make([]byte, p.sumOff+4)
+	copy(out, file[:p.sumOff])
+	binary.LittleEndian.PutUint32(out[4:8], partitionVersionNoSummaries)
+	binary.LittleEndian.PutUint32(out[p.sumOff:], crc32.ChecksumIEEE(out[:p.sumOff]))
+	return out, nil
 }

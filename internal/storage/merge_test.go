@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -320,6 +321,14 @@ func TestMergeRejectsWrongLength(t *testing.T) {
 	}
 	if _, _, err := MergePartitions(filepath.Join(dir, "zero.clmp"), 0, nil, nil, nil); err == nil {
 		t.Fatal("merge accepted a series length of zero")
+	}
+	// A reading that is not finite in float32 — a NaN, an infinity, a
+	// float64 beyond ±MaxFloat32 — is refused too, naming its record.
+	for _, bad := range []float64{math.NaN(), math.Inf(-1), 1e39} {
+		_, _, err := mergeInPlace(path, 4, []Incoming{{Cluster: 0, ID: 2, Values: []float64{1, bad, 3, 4}}})
+		if err == nil || !strings.Contains(err.Error(), "record 2") || !strings.Contains(err.Error(), "float32") {
+			t.Fatalf("merge of a reading %v: error %v, want one naming record 2 and float32", bad, err)
+		}
 	}
 	after, err := os.ReadFile(path)
 	if err != nil {

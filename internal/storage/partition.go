@@ -23,6 +23,7 @@ type ClusterInfo struct {
 	ID     ClusterID
 	Count  int
 	offset int64 // byte offset of the cluster's first record
+	first  int   // file-order index of the cluster's first record
 }
 
 // Partition provides random access to one partition's clusters. It can be
@@ -52,7 +53,12 @@ type Partition struct {
 	seriesLen int
 	total     int
 	dir       []ClusterInfo // sorted by ID
-	refs      atomic.Int64  // outstanding references; resources freed at zero
+	// sumOff is the byte offset of the summary section, 0 in a version-2
+	// file, which has none; sums is that section inside data when the
+	// partition is resident.
+	sumOff int64
+	sums   []byte
+	refs   atomic.Int64 // outstanding references; resources freed at zero
 }
 
 // OpenPartition opens a partition file and reads its directory; record data
@@ -96,7 +102,7 @@ func LoadPartition(path string) (*Partition, error) {
 		putBuf(data)
 		return nil, err
 	}
-	p.data = data
+	p.setResident(data, false)
 	return p, nil
 }
 
@@ -146,9 +152,17 @@ func MapPartition(path string) (*Partition, error) {
 		_ = unmapFile(data)
 		return nil, err
 	}
-	p.data = data
-	p.mapped = true
+	p.setResident(data, true)
 	return p, nil
+}
+
+// setResident makes data, the whole file, the partition's backing, and its
+// summary section a zero-copy view into it.
+func (p *Partition) setResident(data []byte, mapped bool) {
+	p.data, p.mapped = data, mapped
+	if p.sumOff > 0 {
+		p.sums = data[p.sumOff : p.sumOff+int64(p.total*SummaryBytes(p.seriesLen))]
+	}
 }
 
 // mapFailures, while positive, makes every MapPartition call fail the way a
@@ -173,8 +187,9 @@ func newPartition(r io.ReaderAt, size int64, path string) (*Partition, error) {
 	if string(hdr[0:4]) != partitionMagic {
 		return nil, fmt.Errorf("storage: bad partition magic %q in %s", hdr[0:4], path)
 	}
-	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != partitionVersion {
-		return nil, fmt.Errorf("storage: unsupported partition version %d", v)
+	version := binary.LittleEndian.Uint32(hdr[4:8])
+	if version != partitionVersion && version != partitionVersionNoSummaries {
+		return nil, fmt.Errorf("storage: unsupported partition version %d", version)
 	}
 	p := &Partition{
 		r:         r,
@@ -204,9 +219,17 @@ func newPartition(r io.ReaderAt, size int64, path string) (*Partition, error) {
 		if int64(cnt) > (size-offset)/recBytes {
 			return nil, fmt.Errorf("storage: cluster %d of %d records overruns %s (%d bytes)", id, cnt, path, size)
 		}
-		p.dir[i] = ClusterInfo{ID: id, Count: cnt, offset: offset}
+		p.dir[i] = ClusterInfo{ID: id, Count: cnt, offset: offset, first: p.total}
 		offset += int64(cnt) * recBytes
 		p.total += cnt
+	}
+	if version == partitionVersion {
+		// The summary section must fit before the checksum, as the
+		// records must fit in the file.
+		if n := int64(p.total) * int64(SummaryBytes(p.seriesLen)); n > size-4-offset {
+			return nil, fmt.Errorf("storage: summary section of %d bytes overruns %s (%d bytes)", n, path, size)
+		}
+		p.sumOff = offset
 	}
 	return p, nil
 }
@@ -244,7 +267,7 @@ func (p *Partition) Release() error {
 	}
 	// Poison the read state so a use-after-release fails loudly (nil deref /
 	// nil-slice bounds panic) instead of silently reading freed memory.
-	p.data = nil
+	p.data, p.sums = nil, nil
 	p.r = nil
 	if p.closer != nil {
 		if cerr := p.closer.Close(); err == nil {
@@ -318,13 +341,18 @@ func (p *Partition) findCluster(id ClusterID) (ClusterInfo, bool) {
 	return ClusterInfo{}, false
 }
 
-// scanBuf is the reusable decode scratch one scan threads across clusters,
-// so a multi-cluster scan allocates its record buffer and values slice once
-// instead of once per cluster.
+// scanBuf is the reusable scratch one scan threads across clusters, so a
+// multi-cluster scan allocates its buffers once instead of once per cluster:
+// the decoded values and, on a file-backed partition, one run's record and
+// summary bytes.
 type scanBuf struct {
-	rec  []byte
-	vals []float64
+	recs, sums []byte
+	vals       []float64
 }
+
+// runRecords bounds the records one run of a file-backed partition reads at
+// once.
+const runRecords = 256
 
 // ScanCluster streams the records of one cluster through fn. A missing
 // cluster ID is not an error — the partition simply holds no records for
@@ -335,40 +363,19 @@ func (p *Partition) ScanCluster(id ClusterID, fn func(id int, values []float64) 
 }
 
 func (p *Partition) scanCluster(id ClusterID, sb *scanBuf, fn func(id int, values []float64) error) error {
-	ci, ok := p.findCluster(id)
-	if !ok {
-		return nil
-	}
 	if sb.vals == nil {
 		sb.vals = make([]float64, p.seriesLen)
 	}
-	recBytes := int64(RecordBytes(p.seriesLen))
-	if p.data != nil {
-		// Resident partition: decode straight out of the retained bytes —
-		// no reader, no per-record copy of the encoded form.
-		for off, end := ci.offset, ci.offset+int64(ci.Count)*recBytes; off < end; off += recBytes {
-			rid := decodeRecord(p.data[off:off+recBytes], sb.vals)
+	recBytes := RecordBytes(p.seriesLen)
+	return p.scanClusterRuns(id, sb, func(recs, _ []byte) error {
+		for off := 0; off < len(recs); off += recBytes {
+			rid := decodeRecord(recs[off:off+recBytes], sb.vals)
 			if err := fn(rid, sb.vals); err != nil {
 				return err
 			}
 		}
 		return nil
-	}
-	if sb.rec == nil {
-		sb.rec = make([]byte, recBytes)
-	}
-	// Buffering batches syscalls for file-backed partitions.
-	r := bufio.NewReaderSize(io.NewSectionReader(p.r, ci.offset, int64(ci.Count)*recBytes), 1<<16)
-	for i := 0; i < ci.Count; i++ {
-		if _, err := io.ReadFull(r, sb.rec); err != nil {
-			return fmt.Errorf("storage: read record %d/%d: %w", i, ci.Count, err)
-		}
-		rid := decodeRecord(sb.rec, sb.vals)
-		if err := fn(rid, sb.vals); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // ScanClusters streams the records of each listed cluster, skipping IDs not
@@ -410,35 +417,16 @@ func (p *Partition) ScanClusterRaw(id ClusterID, fn func(id int, rec []byte) err
 }
 
 func (p *Partition) scanClusterRaw(id ClusterID, sb *scanBuf, fn func(id int, rec []byte) error) error {
-	ci, ok := p.findCluster(id)
-	if !ok {
-		return nil
-	}
-	recBytes := int64(RecordBytes(p.seriesLen))
-	if p.data != nil {
-		for off, end := ci.offset, ci.offset+int64(ci.Count)*recBytes; off < end; off += recBytes {
-			rec := p.data[off : off+recBytes]
-			rid := int(binary.LittleEndian.Uint64(rec[0:8]))
-			if err := fn(rid, rec[8:]); err != nil {
+	recBytes := RecordBytes(p.seriesLen)
+	return p.scanClusterRuns(id, sb, func(recs, _ []byte) error {
+		for off := 0; off < len(recs); off += recBytes {
+			rec := recs[off : off+recBytes]
+			if err := fn(int(binary.LittleEndian.Uint64(rec)), rec[8:]); err != nil {
 				return err
 			}
 		}
 		return nil
-	}
-	if sb.rec == nil {
-		sb.rec = make([]byte, recBytes)
-	}
-	r := bufio.NewReaderSize(io.NewSectionReader(p.r, ci.offset, int64(ci.Count)*recBytes), 1<<16)
-	for i := 0; i < ci.Count; i++ {
-		if _, err := io.ReadFull(r, sb.rec); err != nil {
-			return fmt.Errorf("storage: read record %d/%d: %w", i, ci.Count, err)
-		}
-		rid := int(binary.LittleEndian.Uint64(sb.rec[0:8]))
-		if err := fn(rid, sb.rec[8:]); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // ScanClustersRaw streams each listed cluster through fn in encoded form,
@@ -454,9 +442,66 @@ func (p *Partition) ScanClustersRaw(ids []ClusterID, fn func(id int, rec []byte)
 	return nil
 }
 
-// Verify recomputes the file's CRC32 and compares it with the stored
-// trailing checksum, detecting on-disk corruption. It reads the whole file;
-// partitions are capacity bounded, so the cost is one partition load.
+// ScanClusterRuns streams one cluster's records through fn in runs of
+// consecutive records, with their summaries: recs holds whole records as the
+// file stores them (RecordBytes each — the uint64 ID, then the float32
+// readings the series.SqDist32* kernels take) and sums their summary bytes
+// (SummaryBytes each, same order), or is nil in a version-2 file. A resident
+// partition passes the whole cluster as one run of its own bytes; a
+// file-backed one reads runs of up to 256 records into scratch reused between
+// runs. Both slices obey the lifetime rules of ScanClusterRaw: valid only
+// during the callback, never to be retained.
+func (p *Partition) ScanClusterRuns(id ClusterID, fn func(recs, sums []byte) error) error {
+	return p.scanClusterRuns(id, &scanBuf{}, fn)
+}
+
+func (p *Partition) scanClusterRuns(id ClusterID, sb *scanBuf, fn func(recs, sums []byte) error) error {
+	ci, ok := p.findCluster(id)
+	if !ok || ci.Count == 0 {
+		return nil
+	}
+	recBytes, w := RecordBytes(p.seriesLen), SummaryBytes(p.seriesLen)
+	if p.data != nil {
+		var sums []byte
+		if p.sums != nil {
+			sums = p.sums[ci.first*w : (ci.first+ci.Count)*w]
+		}
+		return fn(p.data[ci.offset:ci.offset+int64(ci.Count*recBytes)], sums)
+	}
+	for i := 0; i < ci.Count; i += runRecords {
+		n := min(runRecords, ci.Count-i)
+		if len(sb.recs) < n*recBytes {
+			sb.recs = make([]byte, n*recBytes)
+		}
+		recs := sb.recs[:n*recBytes]
+		if _, err := p.r.ReadAt(recs, ci.offset+int64(i*recBytes)); err != nil {
+			return fmt.Errorf("storage: read records %d-%d/%d: %w", i, i+n, ci.Count, err)
+		}
+		var sums []byte
+		if p.sumOff > 0 {
+			if len(sb.sums) < n*w {
+				sb.sums = make([]byte, n*w)
+			}
+			sums = sb.sums[:n*w]
+			if _, err := p.r.ReadAt(sums, p.sumOff+int64((ci.first+i)*w)); err != nil {
+				return fmt.Errorf("storage: read summaries %d-%d/%d: %w", i, i+n, ci.Count, err)
+			}
+		}
+		if err := fn(recs, sums); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Verify checks the partition for corruption. It recomputes the file's CRC32
+// and compares it with the stored trailing checksum; then, in a file with
+// summaries, it recomputes every record's summary from its readings and
+// reports the first record, by ID, whose stored summary differs or whose
+// readings are not finite. A wrong summary would make queries skip the
+// record silently, and a checksum recomputed over it would not tell. It
+// reads the whole file; partitions are capacity bounded, so the cost is one
+// partition load.
 func (p *Partition) Verify() error {
 	if p.size < 4 {
 		return fmt.Errorf("storage: partition too small to carry a checksum")
@@ -472,6 +517,30 @@ func (p *Partition) Verify() error {
 	}
 	if got, want := crc.Sum32(), binary.LittleEndian.Uint32(stored[:]); got != want {
 		return fmt.Errorf("storage: partition checksum mismatch: computed %08x, stored %08x", got, want)
+	}
+	if p.sumOff == 0 {
+		return nil
+	}
+	recBytes, w := RecordBytes(p.seriesLen), SummaryBytes(p.seriesLen)
+	want := make([]byte, w)
+	sb := &scanBuf{}
+	for _, ci := range p.dir {
+		err := p.scanClusterRuns(ci.ID, sb, func(recs, sums []byte) error {
+			for i := 0; i < len(recs)/recBytes; i++ {
+				rec, got := recs[i*recBytes:(i+1)*recBytes], sums[i*w:(i+1)*w]
+				id := binary.LittleEndian.Uint64(rec)
+				if err := checkFinite(rec[8:]); err != nil {
+					return fmt.Errorf("storage: record %d: %w", id, err)
+				}
+				if summarize(want, rec[8:], p.seriesLen); !bytes.Equal(got, want) {
+					return fmt.Errorf("storage: record %d: stored summary %x, its readings give %x", id, got, want)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -41,12 +41,16 @@ func FuzzPartitionRoundTrip(f *testing.F) {
 
 		// Consume the fuzz payload as records: one cluster-selector byte
 		// (signed, so overflow clusters with negative IDs are exercised
-		// too) followed by seriesLen raw float64 values.
+		// too) followed by seriesLen raw float64 values, each finite in
+		// float32.
 		var all, even, odd []Incoming
 		for recBytes := 1 + 8*seriesLen; len(data) >= recBytes && len(all) < 512; data = data[recBytes:] {
 			vals := make([]float64, seriesLen)
 			for j := range vals {
 				vals[j] = math.Float64frombits(binary.LittleEndian.Uint64(data[1+8*j : 9+8*j]))
+				if f := float32(vals[j]); f-f != 0 {
+					vals[j] = 0 // the writer refuses it (TestWriterRefusesNonFiniteReadings)
+				}
 			}
 			r := Incoming{Cluster: ClusterID(int8(data[0]) % 8), ID: len(all), Values: vals}
 			all = append(all, r)

@@ -9,11 +9,19 @@
 //
 //	partition file:  magic | version | seriesLen | #clusters |
 //	                 directory (clusterID, count)… | records grouped by cluster… |
-//	                 CRC32
+//	                 summaries, one per record in file order… | CRC32
 //
 // Records are fixed size — uint64 ID + seriesLen float32 readings — so the
 // cluster directory needs only counts; byte offsets are derived. Reading a
 // single trie-node cluster is a seek plus one sequential read.
+//
+// Version 3 added the summary section: one byte per 16 readings of every
+// record, the 8-bit iSAX symbol of the segment's mean (summary.go), 1/64 of
+// the value bytes. A query checks a record's summaries before computing its
+// distance (LowerBound). Version-2 files, which end their records with the
+// CRC32, still open; they have no summaries, so their scans rank every
+// record, and the next rewrite (a fold or a reindex) writes version 3. Every
+// reading a file stores is finite in float32: the writer refuses any other.
 //
 // Every file of series is a partition file written by MergePartitions: the
 // partitions of a build or reindex, the tails and folds of a drain, and the
@@ -30,21 +38,42 @@ import (
 
 const (
 	partitionMagic = "CLMP"
-	// partitionVersion 2 introduced the trailing CRC32 checksum.
-	partitionVersion = 2
+	// partitionVersion 3 added the record summaries; version 2 introduced
+	// the trailing CRC32 checksum and is still read.
+	partitionVersion            = 3
+	partitionVersionNoSummaries = 2
 )
 
 // RecordBytes returns the on-disk size of one record for the given series
 // length.
 func RecordBytes(seriesLen int) int { return 8 + 4*seriesLen }
 
-func encodeRecord(dst []byte, id int, values []float64) {
+// encodeRecord writes one record — its ID, then its readings rounded to
+// float32 — and refuses a reading that is not finite there: it would rank
+// as NaN or +Inf, and break the summary lower bound.
+func encodeRecord(dst []byte, id int, values []float64) error {
 	binary.LittleEndian.PutUint64(dst[0:8], uint64(id))
 	off := 8
-	for _, v := range values {
-		binary.LittleEndian.PutUint32(dst[off:off+4], math.Float32bits(float32(v)))
+	for i, v := range values {
+		f := float32(v)
+		if f-f != 0 {
+			return fmt.Errorf("storage: record %d: reading %d (%v) is not finite in float32, the storage precision", id, i, v)
+		}
+		binary.LittleEndian.PutUint32(dst[off:off+4], math.Float32bits(f))
 		off += 4
 	}
+	return nil
+}
+
+// checkFinite reports the first reading of vals, little-endian float32s,
+// that is a NaN or an infinity.
+func checkFinite(vals []byte) error {
+	for off := 0; off < len(vals); off += 4 {
+		if f := math.Float32frombits(binary.LittleEndian.Uint32(vals[off:])); f-f != 0 {
+			return fmt.Errorf("reading %d (%v) is not finite", off/4, f)
+		}
+	}
+	return nil
 }
 
 func decodeRecord(src []byte, vals []float64) (id int) {

@@ -1,0 +1,356 @@
+package storage
+
+import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"math"
+	"math/rand/v2"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+
+	"climber/internal/sax"
+	"climber/internal/series"
+)
+
+// float32Bytes encodes readings as a record's value bytes.
+func float32Bytes(vals []float32) []byte {
+	out := make([]byte, 4*len(vals))
+	for i, v := range vals {
+		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(v))
+	}
+	return out
+}
+
+// onBreakpoint returns 16 float32 readings whose exact mean is breakpoint k
+// of the summary quantiser: 16·b split into float32 parts.
+func onBreakpoint(t testing.TB, k int) []float32 {
+	t.Helper()
+	target := 16 * breakpoints8[k]
+	out := make([]float32, 16)
+	rest := target
+	for i := 0; i < 3; i++ {
+		out[i] = float32(rest)
+		rest -= float64(out[i])
+	}
+	if rest != 0 {
+		t.Fatalf("breakpoint %d: 16·%v does not split into three float32 parts", k, breakpoints8[k])
+	}
+	return out
+}
+
+// TestSymbol8MatchesSax holds the writer's grid lookup to sax.Symbol where
+// it matters: on every breakpoint and every grid edge, one float64 step
+// either side of each, and far beyond the outermost breakpoints.
+func TestSymbol8MatchesSax(t *testing.T) {
+	var vs []float64
+	for _, b := range breakpoints8 {
+		vs = append(vs, b)
+	}
+	for i := range symbolGrid {
+		vs = append(vs, gridLo+float64(i)/gridScale)
+	}
+	for _, v := range slices.Clone(vs) {
+		vs = append(vs, math.Nextafter(v, math.Inf(-1)), math.Nextafter(v, math.Inf(1)))
+	}
+	vs = append(vs, -math.MaxFloat32*31, -1e30, -3.5, 0, 3.5, 1e30, math.MaxFloat32*31)
+	for _, v := range vs {
+		if got, want := symbol8(v), sax.Symbol(v, summaryBits); uint16(got) != want {
+			t.Fatalf("symbol8(%v) = %d, sax.Symbol = %d", v, got, want)
+		}
+	}
+}
+
+// TestSummaryIsExactMeanSymbol checks summarize against the exact symbol of
+// each segment's mean, on means exactly on a breakpoint (which belong to the
+// stripe above it) and on the readings with the widest cancellation, where
+// a float64 sum loses the small ones.
+func TestSummaryIsExactMeanSymbol(t *testing.T) {
+	for _, k := range []int{0, 1, 127, 128, 200, 254} {
+		vals := float32Bytes(onBreakpoint(t, k))
+		var sum [1]byte
+		summarize(sum[:], vals, 16)
+		if int(sum[0]) != k+1 {
+			t.Errorf("mean on breakpoint %d: symbol %d, want %d", k, sum[0], k+1)
+		}
+	}
+	wide := make([]float32, 16)
+	wide[0], wide[1], wide[2] = 1e30, 3, -1e30 // exact mean 3/16, float64 sum 0
+	var sum [1]byte
+	summarize(sum[:], float32Bytes(wide), 16)
+	if want := uint8(sax.Symbol(3.0/16, summaryBits)); sum[0] != want {
+		t.Fatalf("cancelling readings: symbol %d, want %d (the exact mean's)", sum[0], want)
+	}
+}
+
+// FuzzSummaryLowerBound drives the summary bound with arbitrary finite
+// float32 readings: the query's bound of a record, from the record's
+// summary, must never exceed the float32 kernel's distance between them —
+// for whole queries and prefixes, readings far beyond the outermost
+// breakpoints, and means exactly on a breakpoint. A record's summary must
+// also be the symbol of each segment's exact mean.
+func FuzzSummaryLowerBound(f *testing.F) {
+	seg := func(v float32) []float32 {
+		out := make([]float32, 16)
+		for i := range out {
+			out[i] = v
+		}
+		return out
+	}
+	f.Add(float32Bytes(seg(0.5)), float32Bytes(seg(-0.5)), uint8(255))
+	f.Add(float32Bytes(seg(40)), float32Bytes(seg(-1e30)), uint8(255))
+	f.Add(float32Bytes(seg(math.MaxFloat32)), float32Bytes(seg(-math.MaxFloat32)), uint8(255))
+	bp := onBreakpoint(f, 100)
+	f.Add(float32Bytes(bp), float32Bytes(onBreakpoint(f, 101)), uint8(255))
+	f.Add(float32Bytes(onBreakpoint(f, 101)), float32Bytes(bp), uint8(255))
+	f.Add(float32Bytes(append(seg(1), bp...)), float32Bytes(append(bp, seg(-2)...)), uint8(20))
+	// Readings whose float64 sums round apart although they differ by one
+	// float32 step: the bound must use the exact means.
+	q, x := make([]float32, 16), make([]float32, 16)
+	q[0], q[1], q[2] = 1e30, 1<<46+1<<23, -1e30
+	x[0], x[1], x[2] = 1e30, 1<<46-1<<23, -1e30
+	f.Add(float32Bytes(q), float32Bytes(x), uint8(255))
+	f.Add(float32Bytes(make([]float32, 40)), float32Bytes(make([]float32, 40)), uint8(255))
+
+	f.Fuzz(func(t *testing.T, qb, xb []byte, prefix uint8) {
+		n := min(len(qb), len(xb)) / 4
+		if n == 0 {
+			return
+		}
+		finite := func(b []byte) float32 {
+			if v := math.Float32frombits(binary.LittleEndian.Uint32(b)); v-v == 0 {
+				return v
+			}
+			return 0
+		}
+		q := make([]float32, n)
+		x := make([]float32, n)
+		for i := range q {
+			q[i], x[i] = finite(qb[4*i:]), finite(xb[4*i:])
+		}
+		vals := float32Bytes(x)
+		sums := make([]byte, SummaryBytes(n))
+		summarize(sums, vals, n)
+		for s := range sums {
+			lo, hi := segment(s, len(sums), n)
+			if want := exactSymbol(vals[4*lo : 4*hi]); sums[s] != want {
+				t.Fatalf("segment %d: summary %d, exact mean's symbol %d", s, sums[s], want)
+			}
+		}
+		m := n
+		if int(prefix) < n {
+			m = int(prefix) + 1
+		}
+		lb := NewLowerBound(q[:m], n)
+		if lb == nil {
+			return
+		}
+		var got [1]float64
+		lb.Bounds(got[:], sums)
+		if d := series.SqDist32Blocked(q[:m], vals[:4*m]); !(got[0] <= d) {
+			t.Fatalf("lower bound %v above the kernel distance %v (n=%d, prefix %d)", got[0], d, n, m)
+		}
+	})
+}
+
+// TestLowerBoundPrefixSegments checks which segments a prefix query uses:
+// only those wholly inside it.
+func TestLowerBoundPrefixSegments(t *testing.T) {
+	q := make([]float32, 100)
+	for _, c := range []struct{ prefix, segs int }{{100, 6}, {99, 5}, {33, 2}, {32, 1}, {16, 1}, {15, 0}} {
+		lb := NewLowerBound(q[:c.prefix], 100) // segments start at 0, 16, 33, 50, 66, 83
+		got := 0
+		if lb != nil {
+			got = len(lb.table)
+		}
+		if got != c.segs {
+			t.Errorf("prefix %d of 100: %d segments, want %d", c.prefix, got, c.segs)
+		}
+	}
+}
+
+// rewriteCRC recomputes a partition file's trailing checksum in place.
+func rewriteCRC(raw []byte) {
+	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[:len(raw)-4]))
+}
+
+// TestVerifyRecomputesSummaries flips one summary byte and fixes the
+// checksum, so only the summary check can tell: Verify must name the record.
+func TestVerifyRecomputesSummaries(t *testing.T) {
+	path, _ := buildPartition(t, 48, 30)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := OpenPartition(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The summary of the 7th record in file order, segment 2.
+	off := p.sumOff + int64(7*SummaryBytes(48)+2)
+	var id int
+	for _, ci := range p.Clusters() {
+		if ci.first <= 7 && 7 < ci.first+ci.Count {
+			id = int(binary.LittleEndian.Uint64(raw[ci.offset+int64((7-ci.first)*RecordBytes(48)):]))
+		}
+	}
+	p.Close()
+	raw[off] ^= 0x40
+	rewriteCRC(raw)
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for backing, open := range map[string]func(string) (*Partition, error){"open": OpenPartition, "load": LoadPartition} {
+		p, err := open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = p.Verify()
+		p.Close()
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("record %d:", id)) {
+			t.Fatalf("%s: Verify = %v, want a summary mismatch naming record %d", backing, err, id)
+		}
+	}
+}
+
+// TestSummaryOverrunFailsOpen shortens the summary section under a valid
+// directory: every backing must refuse the file rather than expose a
+// section that runs past its end.
+func TestSummaryOverrunFailsOpen(t *testing.T) {
+	path, _ := buildPartition(t, 32, 20)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Drop the last summary byte and keep a checksum after it.
+	short := append(bytes.Clone(raw[:len(raw)-5]), 0, 0, 0, 0)
+	rewriteCRC(short)
+	bad := tempPath(t, "short.clmp")
+	if err := os.WriteFile(bad, short, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for backing, open := range map[string]func(string) (*Partition, error){
+		"open": OpenPartition, "load": LoadPartition, "map": MapPartition,
+	} {
+		if backing == "map" && !MapSupported() {
+			continue
+		}
+		if p, err := open(bad); err == nil {
+			p.Close()
+			t.Errorf("%s: a summary section overrunning the file opened", backing)
+		} else if !strings.Contains(err.Error(), "summary section") {
+			t.Errorf("%s: error %v, want the summary overrun", backing, err)
+		}
+	}
+}
+
+// TestVersion2FileReadsWithoutSummaries opens the version-2 form of a file:
+// the same records through every scan, no summaries in its runs, and a
+// clean Verify.
+func TestVersion2FileReadsWithoutSummaries(t *testing.T) {
+	path, want := buildPartition(t, 40, 50)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := WithoutSummaries(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := len(raw) - len(v2); got != 50*SummaryBytes(40) {
+		t.Fatalf("version-2 form is %d bytes shorter, want the %d summary bytes", got, 50*SummaryBytes(40))
+	}
+	old := tempPath(t, "v2.clmp")
+	if err := os.WriteFile(old, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for backing, open := range map[string]func(string) (*Partition, error){"open": OpenPartition, "load": LoadPartition} {
+		p, err := open(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Verify(); err != nil {
+			t.Fatalf("%s: %v", backing, err)
+		}
+		decoded, raw := collectScans(t, p)
+		for id, vals := range want {
+			if !slices.Equal(decoded[id], vals) || !slices.Equal(raw[id], vals) {
+				t.Fatalf("%s: record %d reads differently from version 2", backing, id)
+			}
+		}
+		for _, ci := range p.Clusters() {
+			if err := p.ScanClusterRuns(ci.ID, func(recs, sums []byte) error {
+				if sums != nil {
+					t.Fatalf("%s: a version-2 run carries %d summary bytes", backing, len(sums))
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.Close()
+	}
+	if _, err := WithoutSummaries(v2); err == nil {
+		t.Fatal("a version-2 file was stripped again")
+	}
+}
+
+// BenchmarkSummaryBounds times the filter's own work over a real partition:
+// the lower-bound pass over every record's summary, per record considered,
+// for a 256-reading random-walk query against 256-reading records.
+func BenchmarkSummaryBounds(b *testing.B) {
+	const seriesLen, n = 256, 4096
+	rng := rand.New(rand.NewPCG(3, 5))
+	walk := func() []float64 {
+		v, x := make([]float64, seriesLen), 0.0
+		for i := range v {
+			x += rng.NormFloat64()
+			v[i] = x
+		}
+		var mean, sq float64
+		for _, x := range v {
+			mean += x
+		}
+		mean /= seriesLen
+		for _, x := range v {
+			sq += (x - mean) * (x - mean)
+		}
+		sd := math.Sqrt(sq / seriesLen)
+		for i := range v {
+			v[i] = (v[i] - mean) / sd
+		}
+		return v
+	}
+	recs := make([]Incoming, n)
+	for i := range recs {
+		recs[i] = Incoming{Cluster: 1, ID: i, Values: walk()}
+	}
+	path := filepath.Join(b.TempDir(), "bench.clmp")
+	if _, _, err := MergePartitions(path, seriesLen, nil, recs, nil); err != nil {
+		b.Fatal(err)
+	}
+	p, err := LoadPartition(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer p.Close()
+	lb := NewLowerBound(series.ToFloat32(walk()), seriesLen)
+	dst := make([]float64, 256)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.ScanClusterRuns(1, func(_, sums []byte) error {
+			w := SummaryBytes(seriesLen)
+			for lo := 0; lo < n; lo += len(dst) {
+				lb.Bounds(dst, sums[lo*w:(lo+len(dst))*w])
+			}
+			return nil
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/record")
+}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"climber/internal/core"
+	"climber/internal/storage"
 )
 
 // reindexVariants are the search algorithms the reindex and backup tests
@@ -435,7 +436,16 @@ func reindexArtifacts(t *testing.T, workers int) map[string]string {
 	out["skeleton"] = hash(buf.Bytes())
 	out["index.clms"] = hashFile(core.IndexPathIn(db.activeRoot()))
 	for _, p := range db.Index().Partitions().Paths {
-		out["partition/"+filepath.Base(p)] = hashFile(p)
+		raw, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v2, err := storage.WithoutSummaries(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out["partition/"+filepath.Base(p)] = hash(v2)
+		out["summarized/"+filepath.Base(p)] = hash(raw)
 	}
 	return out
 }
@@ -443,20 +453,34 @@ func reindexArtifacts(t *testing.T, workers int) map[string]string {
 // goldenReindexArtifacts are the hashes of reindexArtifacts recorded at commit
 // 1877861 — the last one whose reindex was a serial re-implementation of the
 // construction pipeline. They are the proof that making reindex a caller of
-// the one pipeline changed no stored byte.
+// the one pipeline changed no stored byte. Since partition format version 3
+// the "partition/" hashes are of each file's version-2 form
+// (storage.WithoutSummaries) — unchanged, so the summary section moved no
+// record byte — and the "summarized/" ones, recorded when the section was
+// added, are of the whole files.
 var goldenReindexArtifacts = map[string]string{
-	"index.clms":                       "081f2aca3efdbb805a397848a428b4de55acfca171529136a397f43e609cb995",
-	"partition/climber-part00000.clmp": "e950447dfa366cee1158fa4e9ed63ad57b3f43c3a49b701a09f71b0d8f5fc664",
-	"partition/climber-part00001.clmp": "0f2ea4dfd3672807ea707b99c39bffeaffb636b72d51f859202735573306eb65",
-	"partition/climber-part00002.clmp": "3207a2dd379acf94368c20d10f9d670982cfccd34b4af4442f1dbb0101ca1f8b",
-	"partition/climber-part00003.clmp": "a5a43cae340ade53006248eb2415637bc2837b1d10c4140f13ea8bce89adcdab",
-	"partition/climber-part00004.clmp": "0f4965d7ac3c22fd5d972d83a5201411fe52a054118bd213a4514ce851815ba3",
-	"partition/climber-part00005.clmp": "1c4994795e969e68d04189840ae67fab17a6e154ee474195d133bed5e2fdbeed",
-	"partition/climber-part00006.clmp": "5b3fb22366ee5a3428ee5afc5bf294bf878d5d739b7aa5f4d4a46c99f9bf379f",
-	"partition/climber-part00007.clmp": "253f89db6aaf54bd0105dc5370f8b9f7c5301fcba3d5704cff577ea39d488942",
-	"partition/climber-part00008.clmp": "9f54596d1e64ce318f098502dae43771cad91a654017f225ffce1128c63cd11a",
-	"partition/climber-part00009.clmp": "ab386ee6453d9e4c17992a331f2d909c6c331d3426b8874e7a8344be2ebf096d",
-	"skeleton":                         "5907d1a2295b2d123662adf3ca23dabca78185101b780529ff9284a2e7692914",
+	"index.clms":                        "081f2aca3efdbb805a397848a428b4de55acfca171529136a397f43e609cb995",
+	"partition/climber-part00000.clmp":  "e950447dfa366cee1158fa4e9ed63ad57b3f43c3a49b701a09f71b0d8f5fc664",
+	"partition/climber-part00001.clmp":  "0f2ea4dfd3672807ea707b99c39bffeaffb636b72d51f859202735573306eb65",
+	"partition/climber-part00002.clmp":  "3207a2dd379acf94368c20d10f9d670982cfccd34b4af4442f1dbb0101ca1f8b",
+	"partition/climber-part00003.clmp":  "a5a43cae340ade53006248eb2415637bc2837b1d10c4140f13ea8bce89adcdab",
+	"partition/climber-part00004.clmp":  "0f4965d7ac3c22fd5d972d83a5201411fe52a054118bd213a4514ce851815ba3",
+	"partition/climber-part00005.clmp":  "1c4994795e969e68d04189840ae67fab17a6e154ee474195d133bed5e2fdbeed",
+	"partition/climber-part00006.clmp":  "5b3fb22366ee5a3428ee5afc5bf294bf878d5d739b7aa5f4d4a46c99f9bf379f",
+	"partition/climber-part00007.clmp":  "253f89db6aaf54bd0105dc5370f8b9f7c5301fcba3d5704cff577ea39d488942",
+	"partition/climber-part00008.clmp":  "9f54596d1e64ce318f098502dae43771cad91a654017f225ffce1128c63cd11a",
+	"partition/climber-part00009.clmp":  "ab386ee6453d9e4c17992a331f2d909c6c331d3426b8874e7a8344be2ebf096d",
+	"summarized/climber-part00000.clmp": "c06af83b97abfd77c6062024047943f2a67371c86f3b0329567780458d3387bb",
+	"summarized/climber-part00001.clmp": "d32aa4363a06b52b56ce03627c89f6a77c53abb9e8863f35ea9b6f6b42a72d85",
+	"summarized/climber-part00002.clmp": "7dea5cef7926e5333366fa09b6320a2e249e6b139377f3f6a5c69e4042f7d177",
+	"summarized/climber-part00003.clmp": "0333a91480a4be67e45ef0e40e1f5502637363a0f6dd7ddbb4386d8f953c93ad",
+	"summarized/climber-part00004.clmp": "fca4cacfdf5d989b3bb56749e65f748dfda06461157d8c3350daec110bc123e1",
+	"summarized/climber-part00005.clmp": "41009981b07c2ba10a99563892f1863191e77455132720ceacd77924012b3ed5",
+	"summarized/climber-part00006.clmp": "1d9fd8184442ec4d5925523c15e49d09d9de982ab160a90fc3203fab7497afee",
+	"summarized/climber-part00007.clmp": "36b3b99a2ad38e99d6ba16c9b3c4c0b0f4827a86eaa6bb5f9fe537f6a4ec3fcb",
+	"summarized/climber-part00008.clmp": "043cfb66b88b394c7f791279a735d2ade5b3613be395a1e9b5ab4e24ed411941",
+	"summarized/climber-part00009.clmp": "6e92f1a20b83fb536e5c6e3f8fbbfde60a60843e8aa3aca9749b1a07d3aa7dec",
+	"skeleton":                          "5907d1a2295b2d123662adf3ca23dabca78185101b780529ff9284a2e7692914",
 }
 
 // TestReindexBitIdentical pins a reindex as an absolute, like

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io/fs"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -13,6 +14,7 @@ import (
 
 	"climber/internal/cluster"
 	"climber/internal/core"
+	"climber/internal/dataset"
 )
 
 // listTree returns the sorted recursive listing of dir: one line per entry,
@@ -135,6 +137,45 @@ func TestBuildFailureLeavesNoFiles(t *testing.T) {
 				}
 				if !d.IsDir() {
 					t.Errorf("failed build left %s behind", p)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// A build refuses a reading that is not finite in float32 — a NaN, an
+// infinity, or a float64 beyond ±math.MaxFloat32, which float32 storage
+// rounds to an infinity — naming the record, and leaves no file. Before the
+// partition writer checked, such records were built and queries ranked them
+// as NaN and +Inf distances, out of order.
+func TestBuildRefusesNonFiniteReadings(t *testing.T) {
+	for name, bad := range map[string]float64{"nan": math.NaN(), "inf": math.Inf(1), "1e39": 1e39, "-1e39": -1e39} {
+		t.Run(name, func(t *testing.T) {
+			data := dataset.RandomWalk(64, 2000, 3)
+			rows := make([][]float64, data.Len())
+			for i := range rows {
+				rows[i] = slices.Clone(data.Get(i))
+			}
+			rows[5][3] = bad
+			dir := t.TempDir()
+			db, err := Build(dir, rows, WithCapacity(500))
+			if err == nil {
+				db.Close()
+				t.Fatal("a build with a reading not finite in float32 succeeded")
+			}
+			if !strings.Contains(err.Error(), "record 5") || !strings.Contains(err.Error(), "float32") {
+				t.Fatalf("build error %q, want one naming record 5 and float32", err)
+			}
+			err = filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+				if err != nil {
+					return err
+				}
+				if !d.IsDir() {
+					t.Errorf("refused build left %s behind", p)
 				}
 				return nil
 			})
