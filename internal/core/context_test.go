@@ -82,8 +82,7 @@ func TestCancelMidScanStopsPlan(t *testing.T) {
 	g := ix.AcquireGeneration()
 	defer g.Release()
 	// The partition scan ranks records through the executor's rank kernel,
-	// so the cancelling distance function replaces it; the delta merge,
-	// which this plan never reaches, keeps its own kernel.
+	// so the cancelling distance function replaces it.
 	ex := newExecutor(ix, g, plan, nil, SearchOptions{K: 10}, &stats)
 	ex.rank = func(rec []byte, bound float64) float64 {
 		compared++

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"math"
 	"sort"
 
 	"climber/internal/series"
@@ -15,11 +14,11 @@ import (
 // inserts: every search merges delta hits into its answer while writers add
 // records.
 type DeltaSource interface {
-	// ScanPartition streams the delta records routed to partition pid.
-	// clusters narrows the scan to the listed record clusters; nil means
-	// every cluster of the partition. The values slice passed to fn must
-	// stay valid after fn returns (delta records are immutable once added).
-	ScanPartition(pid int, clusters map[storage.ClusterID]struct{}, fn func(id int, values []float64) error) error
+	// ScanRuns streams the delta records routed to partition pid, one run
+	// per cluster in the layout of storage.Partition.ScanClusterRuns, whose
+	// lifetime rules both slices obey. clusters narrows the scan to the
+	// listed record clusters; nil means every cluster of the partition.
+	ScanRuns(pid int, clusters map[storage.ClusterID]struct{}, fn func(recs, sums []byte) error) error
 	// Len returns the number of records currently held.
 	Len() int
 }
@@ -39,70 +38,56 @@ func (ix *Index) Delta() DeltaSource {
 	return ix.gen.Load().Delta()
 }
 
-// scanDelta collects the delta records covered by the executed scan plan
-// into a top-k of their own, so acked-but-uncompacted writes are immediately
-// visible with exactly the pruning the on-disk plan used: records routed to
-// unplanned partitions or clusters are skipped, mirroring how the disk scan
-// would miss them after compaction. executed maps each scanned partition to
-// the clusters actually compared (nil = every cluster, i.e. the partition
-// was widened), so a budget-truncated query merges delta hits for exactly
-// the coverage it achieved. The result is nil when no delta is installed or
-// it is empty.
+// scanDelta ranks the delta records the executed plan covers into a top-k
+// of their own, so acked-but-uncompacted writes are visible at once with
+// exactly the pruning the disk scan used: executed maps each scanned
+// partition to the clusters actually compared (nil = every cluster, a
+// widened partition), so a budget-truncated query merges delta hits for
+// exactly the coverage it achieved. The runs are in the partition file's
+// layout and the partition scan itself ranks them (stepScan.run), so a
+// record has the same distance in the delta as in the file a drain moves
+// it to. The top-k is nil when there is no delta record.
 //
 // The delta candidates deliberately do NOT share the disk scan's top-k
 // accumulator: a record can transiently exist both in the delta and in a
 // partition file while a compaction is landing, and pushing the duplicate
-// into one k-bounded heap would evict a genuine k-th neighbour. Keeping the
-// populations separate and merging with mergeResults dedupes without
-// shrinking the answer.
+// into one k-bounded heap would evict a genuine k-th neighbour; mergeResults
+// dedupes the two without shrinking the answer.
 //
-// Delta comparisons are charged to RecordsScanned (and DeltaScanned) but to
-// no partition load — the records are resident by definition.
-//
-// Delta records are held as float64, so they are ranked by the float64
-// kernel over the first len(q) readings (all of them unless q is a prefix
-// query). A record equal to the bound is offered to the accumulator, which
-// breaks the tie by ID, as the partition scan does.
-func (g *Generation) scanDelta(ctx context.Context, executed planMap, q []float64, k int, stats *QueryStats) (*series.TopK, error) {
-	d := g.Delta()
+// The records are charged to RecordsScanned and DeltaScanned but to no
+// partition load; those skipped by their lower bound count as scanned, as
+// on disk, and in the pruned-records counter. pruned is their number.
+func (e *executor) scanDelta(ctx context.Context) (top *series.TopK, pruned int, err error) {
+	d := e.gen.Delta()
 	if d == nil || d.Len() == 0 {
-		return nil, nil
+		return nil, 0, nil
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	top := series.NewTopK(k)
-	scan := func(id int, values []float64) error {
-		stats.RecordsScanned++
-		stats.DeltaScanned++
-		bound := math.Inf(1)
-		if b, ok := top.Bound(); ok {
-			bound = b
-		}
-		if dd := series.SqDistEarlyAbandonBlocked(q, values[:len(q)], bound); dd <= bound {
-			top.Push(id, dd)
-		}
-		return nil
-	}
-	for pid, clusters := range executed {
-		if err := d.ScanPartition(pid, clusters, scan); err != nil {
-			return nil, err
+	top = series.NewTopK(e.opts.K)
+	seriesLen := e.gen.Parts.SeriesLen
+	sc := &stepScan{e: e, sh: newSharedTop(top), recBytes: storage.RecordBytes(seriesLen), sumBytes: storage.SummaryBytes(seriesLen)}
+	run := func(recs, sums []byte) error { return sc.run(ctx, recs, sums) }
+	for pid, clusters := range e.executed {
+		if err = d.ScanRuns(pid, clusters, run); err != nil {
+			break
 		}
 	}
-	return top, nil
+	e.stats.RecordsScanned += sc.scanned
+	e.stats.DeltaScanned += sc.scanned
+	e.ix.Cl.Stats.ScanPrunedRecords.Add(int64(sc.pruned))
+	return top, sc.pruned, err
 }
 
 // mergeResults combines the disk scan's top-k with the delta's top-k,
 // deduplicating by ID and keeping the k closest. Any record in the true
 // top-k of the union is in the top-k of whichever population holds it, so
 // the merge is exact. A record transiently in both populations (appended,
-// not yet compacted) may carry two slightly different distances: the disk
-// copy is ranked by the raw float32 kernel (query rounded to storage
-// precision), the delta copy by the float64 kernel over its decoded values.
-// The sort below orders by (Dist, ID) — series.Result.Before, the order
-// both top-k accumulators kept — so dedup deterministically keeps the copy
-// with the smaller distance, and a tie at the k-th distance goes to the
-// lower ID, as it does inside each population.
+// not yet compacted) carries the same distance in both, so either copy may
+// stand for it. The sort below orders by (Dist, ID) — series.Result.Before,
+// the order both top-k accumulators kept — so a tie at the k-th distance
+// goes to the lower ID, as it does inside each population.
 func mergeResults(disk, delta []series.Result, k int) []series.Result {
 	all := make([]series.Result, 0, len(disk)+len(delta))
 	all = append(all, disk...)

@@ -38,7 +38,8 @@
 //     counter (ReserveIDs) so concurrent writers never collide.
 //   - DeltaSource (delta.go): the seam through which the streaming
 //     ingestion layer (internal/ingest) makes acked-but-uncompacted
-//     records visible to every search with plan-identical pruning.
+//     records visible to every search: runs in the partition record
+//     layout, ranked by the partition scan with plan-identical pruning.
 //
 // Layers above: the public climber.DB wraps an Index with the ingestion
 // pipeline and the partition cache; internal/server serves one DB over

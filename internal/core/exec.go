@@ -79,9 +79,6 @@ type executor struct {
 	gen  *Generation
 	plan *ScanPlan
 	opts SearchOptions
-	// q is the query as the caller gave it (float64, len(q) readings); the
-	// delta merge ranks its decoded records against it.
-	q []float64
 	// rank is the partition scan's kernel: a record's squared distance to
 	// q, read straight from its encoded bytes and early abandoning against
 	// bound (the current top-k admission threshold). It only reads rec and
@@ -113,20 +110,19 @@ type executor struct {
 }
 
 // newExecutor prepares the execution of plan for query q. The scan loop
-// runs on the blocked early-abandon kernels: multi-lane accumulation with
+// runs on the blocked early-abandon kernel: multi-lane accumulation with
 // the top-k limit checked once per block, the vectorisation-friendly shape
-// of the MESSI/ParIS scan kernels. Disk records are ranked in their encoded
-// float32 form by the raw kernel — the query is rounded to the storage
-// precision once, here — while delta records (held as float64, never
-// round-tripped through a partition file) keep the float64 kernel. Records
-// carry the full indexed length; both kernels read their first len(q)
-// readings (4 bytes each in the raw form), which is all of them unless this
-// is a prefix query. The summary lower bound is built from the same
+// of the MESSI/ParIS scan kernels. Every record — in a partition file or in
+// the delta, which holds the same layout — is ranked in its encoded float32
+// form by the raw kernel; the query is rounded to the storage precision
+// once, here. Records carry the full indexed length; the kernel reads their
+// first len(q) readings (4 bytes each), which is all of them unless this is
+// a prefix query. The summary lower bound is built from the same
 // float32-rounded query, because that is what the kernel subtracts.
 func newExecutor(ix *Index, g *Generation, plan *ScanPlan, q []float64, opts SearchOptions, stats *QueryStats) *executor {
 	q32, n := series.ToFloat32(q), 4*len(q)
 	return &executor{
-		ix: ix, gen: g, plan: plan, opts: opts, q: q,
+		ix: ix, gen: g, plan: plan, opts: opts,
 		rank: func(rec []byte, bound float64) float64 {
 			return series.SqDistEarlyAbandon32Blocked(q32, rec[:n], bound)
 		},
@@ -274,8 +270,9 @@ func (e *executor) runSteps(ctx context.Context, steps []PlanStep, budget Budget
 // no I/O and only improves the snapshot.
 func (e *executor) mergeDelta(ctx context.Context) error {
 	dsp := e.span.StartChild("delta")
-	deltaTop, err := e.gen.scanDelta(ctx, e.executed, e.q, e.opts.K, e.stats)
+	deltaTop, pruned, err := e.scanDelta(ctx)
 	dsp.SetAttr("records", int64(e.stats.DeltaScanned))
+	dsp.SetAttr("pruned", int64(pruned))
 	dsp.End()
 	if err != nil {
 		return err

@@ -155,11 +155,6 @@ func (ix *Index) SwapGeneration(ng *Generation) *Generation {
 	return old
 }
 
-// Gen returns the current generation without acquiring a reference — for
-// metadata reads only (the Go objects outlive any swap; only files are
-// reclaimed, and file access requires AcquireGeneration).
-func (ix *Index) Gen() *Generation { return ix.gen.Load() }
-
 // Skeleton returns the current generation's skeleton.
 func (ix *Index) Skeleton() *Skeleton { return ix.gen.Load().Skel }
 

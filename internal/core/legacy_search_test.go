@@ -529,7 +529,9 @@ func legacyScanDelta(ctx context.Context, ix *Index, plan legacyPlan, widened bo
 		if widened {
 			clusters = nil
 		}
-		if err := d.ScanPartition(pid, clusters, scan); err != nil {
+		if err := d.(interface {
+			ScanPartition(int, map[storage.ClusterID]struct{}, func(int, []float64) error) error
+		}).ScanPartition(pid, clusters, scan); err != nil {
 			return nil, err
 		}
 	}

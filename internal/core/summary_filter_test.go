@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"reflect"
@@ -8,16 +9,18 @@ import (
 
 	"climber/internal/cluster"
 	"climber/internal/dataset"
+	"climber/internal/obs"
 	"climber/internal/storage"
 )
 
 // summaryIndex builds a 3 000-record index of one generator's data and lands
 // 60 more records of the same generator in partition tails, so scans cover
-// bases and tails both. It returns the index and queries: indexed records
-// and series the index never saw.
-func summaryIndex(t *testing.T, name string) (*Index, [][]float64) {
+// bases and tails both; with delta, 60 more sit in an installed delta
+// (summaryDelta). It returns the index and queries: indexed records, series
+// the index never saw and, with delta, delta records.
+func summaryIndex(t *testing.T, name string, delta bool) (*Index, [][]float64) {
 	t.Helper()
-	all, err := dataset.ByName(name, 3070, 7)
+	all, err := dataset.ByName(name, 3130, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,16 +30,19 @@ func summaryIndex(t *testing.T, name string) (*Index, [][]float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := ix.ReserveIDs(60)
-	recs := make([]Routed, 60)
-	for i := range recs {
-		vals := make([]float64, all.Length())
-		for j, v := range all.Get(3000 + i) {
-			vals[j] = float64(float32(v))
+	routed := func(from int) []Routed {
+		first := ix.ReserveIDs(60)
+		recs := make([]Routed, 60)
+		for i := range recs {
+			vals := make([]float64, all.Length())
+			for j, v := range all.Get(from + i) {
+				vals[j] = float64(float32(v))
+			}
+			recs[i] = Routed{ID: first + i, Route: ix.RouteNew(first+i, vals), Values: vals}
 		}
-		recs[i] = Routed{ID: first + i, Route: ix.RouteNew(first+i, vals), Values: vals}
+		return recs
 	}
-	if _, err := ix.WriteRouted(recs); err != nil {
+	if _, err := ix.WriteRouted(routed(3000)); err != nil {
 		t.Fatal(err)
 	}
 	tailed := 0
@@ -52,8 +58,52 @@ func summaryIndex(t *testing.T, name string) (*Index, [][]float64) {
 	for i := 3060; i < 3070; i += 3 {
 		qs = append(qs, all.Get(i))
 	}
+	if delta {
+		ix.SetDelta(summaryDelta(t, routed(3070)))
+		for i := 3070; i < 3130; i += 20 {
+			qs = append(qs, all.Get(i))
+		}
+	}
 	return ix, qs
 }
+
+// testDelta is a DeltaSource holding one run per route, encoded by
+// storage.AppendRecord as the ingestion delta encodes its runs.
+type testDelta struct {
+	runs    map[cluster.Route]*[2][]byte // records, summaries
+	records int
+}
+
+func summaryDelta(t *testing.T, recs []Routed) *testDelta {
+	t.Helper()
+	d := &testDelta{runs: map[cluster.Route]*[2][]byte{}, records: len(recs)}
+	for _, r := range recs {
+		run := d.runs[r.Route]
+		if run == nil {
+			run = new([2][]byte)
+			d.runs[r.Route] = run
+		}
+		var err error
+		if run[0], run[1], err = storage.AppendRecord(run[0], run[1], r.ID, r.Values); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return d
+}
+
+func (d *testDelta) ScanRuns(pid int, clusters map[storage.ClusterID]struct{}, fn func(recs, sums []byte) error) error {
+	for route, run := range d.runs {
+		if _, ok := clusters[route.Cluster]; route.Partition != pid || clusters != nil && !ok {
+			continue
+		}
+		if err := fn(run[0], run[1]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (d *testDelta) Len() int { return d.records }
 
 // answer is what one query returned: results and statistics.
 type answer struct {
@@ -62,10 +112,10 @@ type answer struct {
 }
 
 // runSummaryQueries answers every query under every variant, K ∈ {1, 50,
-// 200}, whole and as a prefix.
-func runSummaryQueries(t *testing.T, ix *Index, qs [][]float64) []answer {
+// 200}, whole and as a prefix. It also returns the records the delta stage
+// skipped by their summaries, read from each query's "delta" span.
+func runSummaryQueries(t *testing.T, ix *Index, qs [][]float64) (out []answer, deltaPruned int64) {
 	t.Helper()
-	var out []answer
 	for qi, q := range qs {
 		for _, v := range []Variant{VariantKNN, VariantAdaptive2X, VariantAdaptive4X, VariantODSmallest} {
 			for _, k := range []int{1, 50, 200} {
@@ -74,16 +124,22 @@ func runSummaryQueries(t *testing.T, ix *Index, qs [][]float64) []answer {
 					if prefix {
 						query = q[:len(q)*3/4]
 					}
-					res, err := ix.Search(query, SearchOptions{K: k, Variant: v, Prefix: prefix})
+					tr := obs.NewTrace("search", "")
+					res, err := ix.Query(obs.ContextWithSpan(context.Background(), tr.Root()), query, SearchOptions{K: k, Variant: v, Prefix: prefix}, nil)
 					if err != nil {
 						t.Fatal(err)
+					}
+					for _, stage := range tr.Root().Data().Children {
+						if stage.Name == "delta" {
+							deltaPruned += stage.Attrs["pruned"]
+						}
 					}
 					out = append(out, answer{res, fmt.Sprintf("query %d %v K=%d prefix=%v", qi, v, k, prefix)})
 				}
 			}
 		}
 	}
-	return out
+	return out, deltaPruned
 }
 
 // assertSameAnswers requires bit-identical results and identical
@@ -103,21 +159,28 @@ func assertSameAnswers(t *testing.T, what string, got, want []answer) {
 // for bit and in the same (distance, ID) tie order, with the same
 // statistics — on random-walk, EEG, SIFT-like and DNA data, under all four
 // variants, for K of 1, 50 and 200, whole and prefix queries, over partitions
-// with live tails. The filter must also have skipped records on each
-// dataset, or the comparison proves nothing.
+// with live tails and a live delta, whose runs the delta stage ranks with the
+// same scan. The filter must also have skipped records on each dataset, in
+// the partitions and in the delta, or the comparison proves nothing.
 func TestSummaryFilterBitIdentical(t *testing.T) {
 	for _, name := range dataset.Names() {
 		t.Run(name, func(t *testing.T) {
-			ix, qs := summaryIndex(t, name)
+			ix, qs := summaryIndex(t, name, true)
 			defer func() { summaryFilter = true }()
 			summaryFilter = false
-			want := runSummaryQueries(t, ix, qs)
+			want, unfiltered := runSummaryQueries(t, ix, qs)
 			summaryFilter = true
 			pruned := ix.Cl.Stats.ScanPrunedRecords.Load()
-			got := runSummaryQueries(t, ix, qs)
+			got, deltaPruned := runSummaryQueries(t, ix, qs)
 			assertSameAnswers(t, name, got, want)
-			if ix.Cl.Stats.ScanPrunedRecords.Load() == pruned {
-				t.Fatalf("%s: the filter skipped no record", name)
+			if unfiltered != 0 {
+				t.Fatalf("%s: the delta stage skipped %d records with the filter off", name, unfiltered)
+			}
+			if deltaPruned == 0 {
+				t.Fatalf("%s: the filter skipped no delta record", name)
+			}
+			if ix.Cl.Stats.ScanPrunedRecords.Load()-pruned == deltaPruned {
+				t.Fatalf("%s: the filter skipped no partition record", name)
 			}
 		})
 	}
@@ -128,8 +191,8 @@ func TestSummaryFilterBitIdentical(t *testing.T) {
 // open, answer exactly as the version-3 files did, and skip nothing. A fold
 // then writes its base back in version 3.
 func TestVersion2PartitionsAnswerUnfiltered(t *testing.T) {
-	ix, qs := summaryIndex(t, "randomwalk")
-	want := runSummaryQueries(t, ix, qs)
+	ix, qs := summaryIndex(t, "randomwalk", false)
+	want, _ := runSummaryQueries(t, ix, qs)
 
 	parts := ix.Partitions()
 	var tailed string
@@ -154,7 +217,7 @@ func TestVersion2PartitionsAnswerUnfiltered(t *testing.T) {
 		}
 	}
 	pruned := ix.Cl.Stats.ScanPrunedRecords.Load()
-	got := runSummaryQueries(t, ix, qs)
+	got, _ := runSummaryQueries(t, ix, qs)
 	assertSameAnswers(t, "version 2", got, want)
 	if n := ix.Cl.Stats.ScanPrunedRecords.Load() - pruned; n != 0 {
 		t.Fatalf("version-2 files skipped %d records: they have no summaries", n)

@@ -65,7 +65,7 @@ type Stats struct {
 	Compactions     int64
 	CompactedSeries int64
 	// DeltaRecords and DeltaBytes describe the resident delta index: acked
-	// writes awaiting compaction.
+	// writes awaiting compaction, and the record and summary bytes they hold.
 	DeltaRecords int
 	DeltaBytes   int64
 	// CompactErrors counts failed compaction attempts (each is retried on
@@ -187,7 +187,9 @@ func Open(ix *core.Index, walPath string, save func() error, cfg Config) (*Inges
 		}
 		routed = append(routed, core.Routed{ID: e.ID, Route: ix.RouteNew(e.ID, e.Values), Values: e.Values})
 	}
-	delta.Add(routed)
+	if err := delta.Add(routed); err != nil {
+		return nil, errors.Join(err, wal.Close())
+	}
 	if maxID >= 0 {
 		ix.EnsureNextID(maxID + 1)
 	}
@@ -261,7 +263,9 @@ func (g *Ingester) Append(ctx context.Context, data [][]float64) ([]int, error) 
 		g.ix.UnreserveIDs(first, len(data))
 		return nil, err
 	}
-	g.delta.Load().Add(routed)
+	if err := g.delta.Load().Add(routed); err != nil {
+		return nil, err // cannot happen: every series passed the checks above
+	}
 	g.walBytes.Store(g.wal.Size())
 	g.appendCalls.Add(1)
 	g.appendedSeries.Add(int64(len(data)))
@@ -367,7 +371,9 @@ func (g *Ingester) CommitRebuild(route func(values []float64) cluster.Route, pub
 		rerouted[i] = core.Routed{ID: r.ID, Route: route(r.Values), Values: r.Values}
 	}
 	nd := NewMemDelta()
-	nd.Add(rerouted)
+	if err := nd.Add(rerouted); err != nil {
+		return err
+	}
 	if err := publish(nd); err != nil {
 		return err
 	}
@@ -462,9 +468,6 @@ func (g *Ingester) Stats() Stats {
 	}
 	return s
 }
-
-// DeltaLen returns the number of acked records not yet compacted.
-func (g *Ingester) DeltaLen() int { return g.delta.Load().Len() }
 
 // TotalRecords returns the database's acked record count: the partition
 // records present at open plus every series acked since (replayed or
@@ -573,7 +576,8 @@ func (g *Ingester) foldLocked() error {
 //
 // Searches running concurrently may transiently see a record in both the
 // delta and a partition file between steps 1 and 4; the search path
-// deduplicates results by ID, and the copies carry identical values.
+// deduplicates results by ID, and the copies carry identical bytes (one
+// encoder wrote both), so they rank at identical distances.
 func (g *Ingester) compactLocked() error {
 	if g.paused {
 		// An online reindex owns the compaction baseline right now; the

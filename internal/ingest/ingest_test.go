@@ -84,7 +84,7 @@ func TestAppendVisibleBeforeCompaction(t *testing.T) {
 	if len(ids) != 20 || ids[0] != 1500 {
 		t.Fatalf("ids = %v, want 1500..1519", ids[:1])
 	}
-	if got := g.DeltaLen(); got != 20 {
+	if got := g.Stats().DeltaRecords; got != 20 {
 		t.Fatalf("delta holds %d records, want 20", got)
 	}
 	found := 0
@@ -159,7 +159,7 @@ func TestBackgroundCompactionBySize(t *testing.T) {
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		if g.Stats().Compactions > 0 && g.DeltaLen() == 0 {
+		if g.Stats().Compactions > 0 && g.Stats().DeltaRecords == 0 {
 			return
 		}
 		time.Sleep(10 * time.Millisecond)
@@ -388,8 +388,8 @@ func TestBackgroundCompactionFailureIsLogged(t *testing.T) {
 	if err := g.Flush(context.Background()); err != nil {
 		t.Fatalf("flush once the fault cleared: %v", err)
 	}
-	if g.DeltaLen() != 0 {
-		t.Fatalf("%d records still in the delta after the flush", g.DeltaLen())
+	if g.Stats().DeltaRecords != 0 {
+		t.Fatalf("%d records still in the delta after the flush", g.Stats().DeltaRecords)
 	}
 	// Every failed attempt had already written the partition files.
 	requireStoredOnce(t, ix, g.TotalRecords())

@@ -1,6 +1,9 @@
 package ingest
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -14,36 +17,41 @@ import (
 // records. Records are stored under the (partition, cluster) destination
 // the skeleton routed them to, so a search prunes the delta exactly as it
 // prunes the on-disk index: only records whose destination the query plan
-// covers are compared. It implements core.DeltaSource.
+// covers are compared. Each destination is one run of the partition file's
+// record layout, encoded by storage.AppendRecord as a drain encodes the same
+// records, so the executor ranks it with the partition scan. It implements
+// core.DeltaSource.
 //
 // MemDelta is safe for concurrent use: searches scan it (read lock) while
 // the ingester adds records and the compactor drains it (write lock).
 type MemDelta struct {
 	mu sync.RWMutex
-	// byPartition groups records by destination partition, then cluster.
-	byPartition map[int]map[storage.ClusterID][]deltaRec
+	// byPartition holds each destination partition's runs, one per
+	// cluster, in ascending cluster order — the partition file's order.
+	byPartition map[int][]deltaRun
+	seriesLen   int // of every record; set by the first Add
 	records     int
-	bytes       int64
 	oldest      time.Time // arrival of the oldest resident record
 }
 
-type deltaRec struct {
-	id     int
-	values []float64
+// deltaRun is the records routed to one cluster of a partition, in arrival
+// (ascending ID) order: recs holds them as a partition file does and sums
+// their summaries.
+type deltaRun struct {
+	cluster    storage.ClusterID
+	recs, sums []byte
 }
 
 // NewMemDelta returns an empty delta index.
 func NewMemDelta() *MemDelta {
-	return &MemDelta{byPartition: make(map[int]map[storage.ClusterID][]deltaRec)}
+	return &MemDelta{byPartition: make(map[int][]deltaRun)}
 }
 
-// Add inserts routed records. The values slices are retained — callers must
-// not mutate them afterwards (the ingester hands over freshly decoded
-// copies).
-func (d *MemDelta) Add(recs []core.Routed) {
-	if len(recs) == 0 {
-		return
-	}
+// Add encodes routed records into their runs. Every record must have the
+// length of the first the delta held and readings finite in float32, as
+// Append checks before it logs a series; the first record that fails stops
+// the Add with an error, the records before it added.
+func (d *MemDelta) Add(recs []core.Routed) error {
 	now := time.Now()
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -51,39 +59,61 @@ func (d *MemDelta) Add(recs []core.Routed) {
 		d.oldest = now
 	}
 	for _, r := range recs {
-		clusters, ok := d.byPartition[r.Route.Partition]
-		if !ok {
-			clusters = make(map[storage.ClusterID][]deltaRec)
-			d.byPartition[r.Route.Partition] = clusters
+		if d.seriesLen == 0 {
+			d.seriesLen = len(r.Values)
 		}
-		clusters[r.Route.Cluster] = append(clusters[r.Route.Cluster], deltaRec{id: r.ID, values: r.Values})
+		if len(r.Values) != d.seriesLen {
+			return fmt.Errorf("ingest: record %d has length %d, the delta holds %d", r.ID, len(r.Values), d.seriesLen)
+		}
+		runs := d.byPartition[r.Route.Partition]
+		i, ok := slices.BinarySearchFunc(runs, r.Route.Cluster, func(run deltaRun, c storage.ClusterID) int {
+			return cmp.Compare(run.cluster, c)
+		})
+		if !ok {
+			runs = slices.Insert(runs, i, deltaRun{cluster: r.Route.Cluster})
+			d.byPartition[r.Route.Partition] = runs
+		}
+		var err error
+		if runs[i].recs, runs[i].sums, err = storage.AppendRecord(runs[i].recs, runs[i].sums, r.ID, r.Values); err != nil {
+			return err
+		}
 		d.records++
-		d.bytes += int64(storage.RecordBytes(len(r.Values)))
 	}
+	return nil
 }
 
-// ScanPartition implements core.DeltaSource: it streams the records routed
-// to partition pid, narrowed to the listed clusters (nil means all).
-func (d *MemDelta) ScanPartition(pid int, clusters map[storage.ClusterID]struct{}, fn func(id int, values []float64) error) error {
+// ScanRuns implements core.DeltaSource: it passes fn the run of every
+// cluster of partition pid in ascending cluster order, narrowed to the
+// listed clusters (nil means all). Both slices are valid only during the
+// callback: the next Add may move them.
+func (d *MemDelta) ScanRuns(pid int, clusters map[storage.ClusterID]struct{}, fn func(recs, sums []byte) error) error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	byCluster, ok := d.byPartition[pid]
-	if !ok {
-		return nil
-	}
-	for cid, recs := range byCluster {
-		if clusters != nil {
-			if _, want := clusters[cid]; !want {
-				continue
-			}
+	for _, run := range d.byPartition[pid] {
+		if _, want := clusters[run.cluster]; clusters != nil && !want {
+			continue
 		}
-		for _, r := range recs {
-			if err := fn(r.id, r.values); err != nil {
-				return err
-			}
+		if err := fn(run.recs, run.sums); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+// ScanPartition streams the records routed to partition pid, narrowed to
+// the listed clusters (nil means all), decoded into a fresh values slice per
+// record. The engine no longer calls it — a search ranks the runs
+// themselves (ScanRuns); it is the decoded view the benchmark harness times.
+func (d *MemDelta) ScanPartition(pid int, clusters map[storage.ClusterID]struct{}, fn func(id int, values []float64) error) error {
+	return d.ScanRuns(pid, clusters, func(recs, _ []byte) error {
+		for off := 0; off < len(recs); off += storage.RecordBytes(d.seriesLen) {
+			vals := make([]float64, d.seriesLen)
+			if err := fn(storage.DecodeRecord(recs[off:], vals), vals); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
 // Len returns the number of resident records.
@@ -93,11 +123,12 @@ func (d *MemDelta) Len() int {
 	return d.records
 }
 
-// Bytes returns the resident records' storage-equivalent volume.
+// Bytes returns the bytes the resident records occupy: their record bytes
+// and summaries, what a partition file spends on them.
 func (d *MemDelta) Bytes() int64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.bytes
+	return int64(d.records * (storage.RecordBytes(d.seriesLen) + storage.SummaryBytes(d.seriesLen)))
 }
 
 // OldestAge returns how long the oldest resident record has been waiting
@@ -112,19 +143,23 @@ func (d *MemDelta) OldestAge() time.Duration {
 }
 
 // Snapshot returns every resident record in ascending ID order, ready for
-// the compactor to land in partition files. The delta keeps serving reads
-// unchanged; pair with Reset once the snapshot is durable on disk.
+// the compactor to land in partition files. The values are decoded from the
+// runs: the float32-rounded readings Append handed over, exactly. The delta
+// keeps serving reads unchanged; pair with Reset once the snapshot is
+// durable on disk.
 func (d *MemDelta) Snapshot() []core.Routed {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	out := make([]core.Routed, 0, d.records)
-	for pid, byCluster := range d.byPartition {
-		for cid, recs := range byCluster {
-			for _, r := range recs {
+	recBytes := storage.RecordBytes(d.seriesLen)
+	for pid, runs := range d.byPartition {
+		for _, run := range runs {
+			for off := 0; off < len(run.recs); off += recBytes {
+				vals := make([]float64, d.seriesLen)
 				out = append(out, core.Routed{
-					ID:     r.id,
-					Route:  cluster.Route{Partition: pid, Cluster: cid},
-					Values: r.values,
+					ID:     storage.DecodeRecord(run.recs[off:], vals),
+					Route:  cluster.Route{Partition: pid, Cluster: run.cluster},
+					Values: vals,
 				})
 			}
 		}
@@ -139,7 +174,6 @@ func (d *MemDelta) Snapshot() []core.Routed {
 func (d *MemDelta) Reset() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.byPartition = make(map[int]map[storage.ClusterID][]deltaRec)
+	d.byPartition = make(map[int][]deltaRun)
 	d.records = 0
-	d.bytes = 0
 }

@@ -101,15 +101,6 @@ func (t *Trace) Root() *Span {
 	return t.root
 }
 
-// Started returns the wall-clock instant the trace began. The zero
-// time on a nil trace.
-func (t *Trace) Started() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.started
-}
-
 // now returns the monotonic offset since the trace started.
 func (t *Trace) now() time.Duration { return time.Since(t.started) }
 

@@ -80,14 +80,6 @@ func (t *TopK) Results() []Result {
 	return out
 }
 
-// Merge folds every result held by other into t. It is used to combine
-// per-worker accumulators after a parallel scan.
-func (t *TopK) Merge(other *TopK) {
-	for _, r := range other.heap {
-		t.Push(r.ID, r.Dist)
-	}
-}
-
 // Before is the one total order over results: by distance, then by ID. The
 // top-k accumulator keeps its k first results in it, and every merge of
 // answers (the delta merge, the router's shard merge) sorts by it, so a tie

@@ -150,22 +150,6 @@ func TestTopKTiesIndependentOfPushOrder(t *testing.T) {
 	}
 }
 
-func TestTopKMerge(t *testing.T) {
-	a, b := NewTopK(3), NewTopK(3)
-	a.Push(0, 1)
-	a.Push(1, 9)
-	b.Push(2, 2)
-	b.Push(3, 3)
-	a.Merge(b)
-	got := a.Results()
-	wantIDs := []int{0, 2, 3}
-	for i, id := range wantIDs {
-		if got[i].ID != id {
-			t.Fatalf("merged results = %+v, want ids %v", got, wantIDs)
-		}
-	}
-}
-
 func TestRecall(t *testing.T) {
 	exact := []Result{{1, 0}, {2, 0}, {3, 0}, {4, 0}}
 	approx := []Result{{2, 0}, {4, 0}, {9, 0}, {10, 0}}

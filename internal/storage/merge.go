@@ -150,18 +150,18 @@ func MergePartitions(dst string, seriesLen int, srcs []string, incoming []Incomi
 	}
 	// The summary section follows the records; each record's summary is
 	// computed from the bytes just placed, whatever file they came from.
+	// AppendRecord encodes an incoming record in place, at its empty slots.
 	sum := rec + recBytes*len(refs)
 	for _, ref := range refs {
-		slot := out[rec : rec+recBytes]
 		if ref.from >= 0 {
-			copy(slot, olds[ref.from].data[ref.src:])
+			copy(out[rec:rec+recBytes], olds[ref.from].data[ref.src:])
+			summarize(out[sum:sum+w], out[rec+8:rec+recBytes], seriesLen)
 		} else {
 			r := incoming[ref.src]
-			if err := encodeRecord(slot, r.ID, r.Values); err != nil {
+			if _, _, err := AppendRecord(out[rec:rec], out[sum:sum], r.ID, r.Values); err != nil {
 				return 0, 0, err
 			}
 		}
-		summarize(out[sum:sum+w], slot[8:], seriesLen)
 		rec += recBytes
 		sum += w
 	}

@@ -369,7 +369,7 @@ func (p *Partition) scanCluster(id ClusterID, sb *scanBuf, fn func(id int, value
 	recBytes := RecordBytes(p.seriesLen)
 	return p.scanClusterRuns(id, sb, func(recs, _ []byte) error {
 		for off := 0; off < len(recs); off += recBytes {
-			rid := decodeRecord(recs[off:off+recBytes], sb.vals)
+			rid := DecodeRecord(recs[off:off+recBytes], sb.vals)
 			if err := fn(rid, sb.vals); err != nil {
 				return err
 			}

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 )
 
 const (
@@ -48,21 +49,26 @@ const (
 // length.
 func RecordBytes(seriesLen int) int { return 8 + 4*seriesLen }
 
-// encodeRecord writes one record — its ID, then its readings rounded to
-// float32 — and refuses a reading that is not finite there: it would rank
-// as NaN or +Inf, and break the summary lower bound.
-func encodeRecord(dst []byte, id int, values []float64) error {
-	binary.LittleEndian.PutUint64(dst[0:8], uint64(id))
-	off := 8
+// AppendRecord appends one record to recs as a partition file stores it —
+// its ID, then its readings rounded to float32 — and its summary to sums.
+// It is the one encoder of the record layout, for partition files
+// (MergePartitions) and the in-memory delta (internal/ingest) alike. A
+// reading not finite in float32 is refused, recs and sums returned as they
+// came: it would rank as NaN or +Inf, and break the summary lower bound.
+func AppendRecord(recs, sums []byte, id int, values []float64) ([]byte, []byte, error) {
+	n, m := len(recs), len(sums)
+	recs = slices.Grow(recs, RecordBytes(len(values)))[:n+RecordBytes(len(values))]
+	binary.LittleEndian.PutUint64(recs[n:], uint64(id))
 	for i, v := range values {
 		f := float32(v)
 		if f-f != 0 {
-			return fmt.Errorf("storage: record %d: reading %d (%v) is not finite in float32, the storage precision", id, i, v)
+			return recs[:n], sums, fmt.Errorf("storage: record %d: reading %d (%v) is not finite in float32, the storage precision", id, i, v)
 		}
-		binary.LittleEndian.PutUint32(dst[off:off+4], math.Float32bits(f))
-		off += 4
+		binary.LittleEndian.PutUint32(recs[n+8+4*i:], math.Float32bits(f))
 	}
-	return nil
+	sums = slices.Grow(sums, SummaryBytes(len(values)))[:m+SummaryBytes(len(values))]
+	summarize(sums[m:], recs[n+8:], len(values))
+	return recs, sums, nil
 }
 
 // checkFinite reports the first reading of vals, little-endian float32s,
@@ -76,7 +82,9 @@ func checkFinite(vals []byte) error {
 	return nil
 }
 
-func decodeRecord(src []byte, vals []float64) (id int) {
+// DecodeRecord reads one record of the layout AppendRecord writes: it fills
+// vals, len(vals) readings, and returns the ID.
+func DecodeRecord(src []byte, vals []float64) (id int) {
 	id = int(binary.LittleEndian.Uint64(src[0:8]))
 	off := 8
 	for i := range vals {

@@ -1,9 +1,10 @@
 package climber
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
-	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -42,8 +43,11 @@ func whereRecords(t *testing.T, db *DB) (disk map[int]cluster.Route, delta map[i
 		}
 		h.Close()
 		if d := ix.Delta(); d != nil {
-			err := d.ScanPartition(pid, nil, func(id int, _ []float64) error {
-				delta[id] = true
+			recBytes := storage.RecordBytes(parts.SeriesLen)
+			err := d.ScanRuns(pid, nil, func(recs, _ []byte) error {
+				for off := 0; off < len(recs); off += recBytes {
+					delta[int(binary.LittleEndian.Uint64(recs[off:]))] = true
+				}
 				return nil
 			})
 			if err != nil {
@@ -162,11 +166,12 @@ func roundedF32(s []float64) []float64 {
 
 // Where a record is served from must not change an answer: the same appended
 // records drained into tails in one database and left in the delta of its
-// twin give the same neighbours, for all four variants and for prefix
-// queries, with the partitions mapped per query, mapped in the cache, and
-// copied into the cache because mapping failed. (A drained record is ranked
-// by the float32 kernel, a delta record by the float64 one, so distances
-// agree to rounding.)
+// twin give the same neighbours at the same distances, bit for bit, for all
+// four variants and for prefix queries, with the partitions mapped per
+// query, mapped in the cache, and copied into the cache because mapping
+// failed. Tail and delta hold the same record bytes and the one partition
+// scan ranks both, so an appended record's own query finds it first at
+// exactly 0 through either twin.
 func TestTailAnswersMatchDelta(t *testing.T) {
 	data := smallData(1300)
 	for _, mode := range []struct {
@@ -210,9 +215,17 @@ func TestTailAnswersMatchDelta(t *testing.T) {
 					t.Fatalf("%s: %d results through tails, %d through the delta", kind, len(a), len(b))
 				}
 				for i := range a {
-					if a[i].ID != b[i].ID || math.Abs(a[i].Dist-b[i].Dist) > 1e-5 {
+					if a[i] != b[i] {
 						t.Fatalf("%s result %d: %+v through tails, %+v through the delta", kind, i, a[i], b[i])
 					}
+				}
+			}
+			// selfFirst requires an appended record's own query to rank it
+			// first, at distance 0.
+			selfFirst := func(kind string, qi int, res []Result) {
+				t.Helper()
+				if qi >= 1200 && (len(res) == 0 || res[0].ID != qi || res[0].Dist != 0) {
+					t.Fatalf("%s: appended record %d is not its own nearest at 0: %+v", kind, qi, res)
 				}
 			}
 			appendedHits := 0
@@ -226,7 +239,10 @@ func TestTailAnswersMatchDelta(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					same(fmt.Sprintf("query %d variant %v", qi, v), a, b)
+					kind := fmt.Sprintf("query %d variant %v", qi, v)
+					same(kind, a, b)
+					selfFirst(kind+" through tails", qi, a)
+					selfFirst(kind+" through the delta", qi, b)
 					for _, r := range a {
 						if r.ID >= 1200 {
 							appendedHits++
@@ -247,6 +263,68 @@ func TestTailAnswersMatchDelta(t *testing.T) {
 				t.Fatal("no answer held an appended record: the tails were never what was compared")
 			}
 		})
+	}
+}
+
+// One encoder writes a record wherever it is held: after the first drain of
+// a fresh database, every cluster of every tail holds exactly the bytes of
+// the delta run its records sat in before the drain — record bytes and
+// summary bytes alike, in the same order (storage.AppendRecord encoded
+// both).
+func TestDrainedTailsHoldTheDeltaRuns(t *testing.T) {
+	data := smallData(1300)
+	db, err := Build(t.TempDir(), data[:1200], ingestOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if _, err := db.Append(data[1200:]); err != nil {
+		t.Fatal(err)
+	}
+	type run struct{ recs, sums []byte }
+	ix := db.Index()
+	parts := ix.Partitions()
+	runs := map[int][]run{}
+	for pid := range parts.Paths {
+		err := ix.Delta().ScanRuns(pid, nil, func(recs, sums []byte) error {
+			runs[pid] = append(runs[pid], run{bytes.Clone(recs), bytes.Clone(sums)})
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := db.IngestStats(); st.Folds != 0 || st.TailFiles != len(runs) {
+		t.Fatalf("the drain left %d tails and %d folds; want a tail for each of the %d partitions the delta held, no fold", st.TailFiles, st.Folds, len(runs))
+	}
+	records := 0
+	for pid, want := range runs {
+		tail, err := storage.LoadPartition(cluster.TailPath(parts.Paths[pid]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tail.Close()
+		if got := len(tail.Clusters()); got != len(want) {
+			t.Fatalf("partition %d: the tail has %d clusters, the delta had %d runs", pid, got, len(want))
+		}
+		for i, ci := range tail.Clusters() {
+			err := tail.ScanClusterRuns(ci.ID, func(recs, sums []byte) error {
+				if !bytes.Equal(recs, want[i].recs) || !bytes.Equal(sums, want[i].sums) {
+					return fmt.Errorf("partition %d cluster %d: the tail's bytes differ from the delta run's", pid, ci.ID)
+				}
+				records += len(recs) / storage.RecordBytes(parts.SeriesLen)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if records != 100 {
+		t.Fatalf("the tails hold %d of the 100 drained records", records)
 	}
 }
 
