@@ -76,15 +76,13 @@ func TestRetireUnmapsOnlyAfterLastHandleDrains(t *testing.T) {
 	// Both readers must still be able to scan the full mapping.
 	for _, rd := range []*PartitionHandle{h, h2} {
 		seen := 0
-		for _, id := range clusterIDsOf(rd.Partition) {
-			err := rd.ScanClusterRaw(id, func(id int, rec []byte) error {
-				seen++
-				_ = rec[len(rec)-1] // touch the far end of the mapped record
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+		err := rd.ScanClustersRaw(clusterIDsOf(rd.Partition), func(id int, rec []byte) error {
+			seen++
+			_ = rec[len(rec)-1] // touch the far end of the mapped record
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 		if seen != rd.Count() {
 			t.Fatalf("scanned %d of %d records after retire", seen, rd.Count())
@@ -141,14 +139,10 @@ func retireDuringScans(t *testing.T) {
 					errs <- err
 					return
 				}
-				for _, id := range clusterIDsOf(h.Partition) {
-					if err = h.ScanClusterRaw(id, func(id int, rec []byte) error {
-						_ = rec[len(rec)-1]
-						return nil
-					}); err != nil {
-						break
-					}
-				}
+				err = h.ScanClustersRaw(clusterIDsOf(h.Partition), func(id int, rec []byte) error {
+					_ = rec[len(rec)-1]
+					return nil
+				})
 				if cerr := h.Close(); err == nil {
 					err = cerr
 				}

@@ -300,6 +300,14 @@ func (h *PartitionHandle) ScanCluster(id storage.ClusterID, fn func(id int, valu
 	return h.tail.ScanCluster(id, fn)
 }
 
+// ScanClusters streams the records of each listed cluster through fn.
+func (h *PartitionHandle) ScanClusters(ids []storage.ClusterID, fn func(id int, values []float64) error) error {
+	if err := h.Partition.ScanClusters(ids, fn); err != nil || h.tail == nil {
+		return err
+	}
+	return h.tail.ScanClusters(ids, fn)
+}
+
 // ScanAll streams every record of the partition through fn.
 func (h *PartitionHandle) ScanAll(fn func(id int, values []float64) error) error {
 	if err := h.Partition.ScanAll(fn); err != nil || h.tail == nil {
@@ -315,6 +323,14 @@ func (h *PartitionHandle) ScanClusterRaw(id storage.ClusterID, fn func(id int, r
 		return err
 	}
 	return h.tail.ScanClusterRaw(id, fn)
+}
+
+// ScanClustersRaw streams each listed cluster through fn in encoded form.
+func (h *PartitionHandle) ScanClustersRaw(ids []storage.ClusterID, fn func(id int, rec []byte) error) error {
+	if err := h.Partition.ScanClustersRaw(ids, fn); err != nil || h.tail == nil {
+		return err
+	}
+	return h.tail.ScanClustersRaw(ids, fn)
 }
 
 // ScanClusterRuns streams one cluster's records and their summaries through

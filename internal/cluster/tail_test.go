@@ -55,7 +55,7 @@ func dump(t *testing.T, h *PartitionHandle) map[string]any {
 			return nil
 		}
 	}
-	var all, byCluster, rawByCluster []rec
+	var all, byCluster, listed, rawByCluster, rawListed []rec
 	if err := h.ScanAll(decoded(&all)); err != nil {
 		t.Fatal(err)
 	}
@@ -71,16 +71,22 @@ func dump(t *testing.T, h *PartitionHandle) map[string]any {
 			t.Fatal(err)
 		}
 	}
-	// Cluster by cluster the base's records come before the tail's; over the
-	// whole partition every base cluster comes first. The same records
+	if err := h.ScanClusters(ids, decoded(&listed)); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.ScanClustersRaw(ids, raw(&rawListed)); err != nil {
+		t.Fatal(err)
+	}
+	// Cluster by cluster the base's records come before the tail's; over a
+	// list of clusters every base cluster comes first. The same records
 	// either way.
-	for _, rs := range [][]rec{all, byCluster, rawByCluster} {
+	for _, rs := range [][]rec{all, byCluster, listed, rawByCluster, rawListed} {
 		sort.Slice(rs, func(i, j int) bool { return rs[i].ID < rs[j].ID })
 	}
-	if !reflect.DeepEqual(all, byCluster) || len(all) != len(rawByCluster) {
+	if !reflect.DeepEqual(all, byCluster) || !reflect.DeepEqual(all, listed) || !reflect.DeepEqual(rawByCluster, rawListed) || len(all) != len(rawListed) {
 		t.Fatal("the handle's scans disagree about the partition's records")
 	}
-	out["decoded"], out["raw"] = all, rawByCluster
+	out["decoded"], out["raw"] = all, rawListed
 	return out
 }
 

@@ -62,9 +62,6 @@ func (e *executor) scanDelta(ctx context.Context) (top *series.TopK, pruned int,
 	if d == nil || d.Len() == 0 {
 		return nil, 0, nil
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, 0, err
-	}
 	top = series.NewTopK(e.opts.K)
 	seriesLen := e.gen.Parts.SeriesLen
 	sc := &stepScan{e: e, sh: newSharedTop(top), recBytes: storage.RecordBytes(seriesLen), sumBytes: storage.SummaryBytes(seriesLen)}

@@ -314,9 +314,10 @@ func (e *executor) snapshot(final bool) Snapshot {
 }
 
 // cancelCheckStride is how many records a scanning goroutine compares
-// between context checks inside one cluster. Cluster boundaries always
-// check; the stride bounds the extra latency a cancelled query pays inside
-// a single large cluster to a few hundred distance computations.
+// between context checks inside one run of records (stepScan.run), which
+// also checks before the first; the stride bounds the extra latency a
+// cancelled query pays inside a single large cluster to a few hundred
+// distance computations.
 const cancelCheckStride = 256
 
 // scanSteps scans one wave of steps, folding candidates into the shared
@@ -336,11 +337,11 @@ const cancelCheckStride = 256
 // (distance, ID), and the scan offers it every record not above the bound.
 //
 // The traversal is cancellable: each partition-scan goroutine checks ctx
-// before opening its partition, between cluster scans, and every
-// cancelCheckStride records within a cluster, returning ctx.Err() as soon
-// as it observes cancellation. Statistics stay consistent on a cancelled
-// query — every record compared and partition loaded before the
-// cancellation is still charged.
+// before opening its partition, and stepScan.run before every
+// cancelCheckStride records of a cluster, the first included; either
+// returns ctx.Err() as soon as it observes cancellation. Statistics stay
+// consistent on a cancelled query — every record compared and partition
+// loaded before the cancellation is still charged.
 //
 // stage, when traced, receives one "partition" child span per step,
 // carrying the partition ID, whether the open hit the shared partition
@@ -403,9 +404,6 @@ func (e *executor) scanSteps(ctx context.Context, steps []PlanStep, widening boo
 			}
 			if _, ok := st.Clusters[ci.ID]; st.Clusters != nil && !ok {
 				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return err
 			}
 			if err := p.ScanClusterRuns(ci.ID, run); err != nil {
 				return err
@@ -486,7 +484,8 @@ var summaryFilter = true
 
 // run ranks one run of records — recs holds them as the partition file
 // does, sums their summaries (nil in a version-2 file) — into the shared
-// top-k, cancelCheckStride records at a time, checking ctx between them.
+// top-k, cancelCheckStride records at a time, checking ctx before each
+// stretch — the partition steps' and the delta's one cancellation stride.
 //
 // While the bound is finite, each stretch starts with a pass over its
 // summaries that computes every record's lower bound and keeps the records
@@ -503,10 +502,8 @@ func (sc *stepScan) run(ctx context.Context, recs, sums []byte) error {
 	e, sh, recBytes, w := sc.e, sc.sh, sc.recBytes, sc.sumBytes
 	n := len(recs) / recBytes
 	for lo := 0; lo < n; lo += cancelCheckStride {
-		if lo > 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		m := min(cancelCheckStride, n-lo)
 		sc.scanned += m

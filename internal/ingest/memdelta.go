@@ -1,9 +1,7 @@
 package ingest
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -26,9 +24,8 @@ import (
 // the ingester adds records and the compactor drains it (write lock).
 type MemDelta struct {
 	mu sync.RWMutex
-	// byPartition holds each destination partition's runs, one per
-	// cluster, in ascending cluster order — the partition file's order.
-	byPartition map[int][]deltaRun
+	// byPartition holds each destination partition's runs by cluster.
+	byPartition map[int]map[storage.ClusterID]deltaRun
 	seriesLen   int // of every record; set by the first Add
 	records     int
 	oldest      time.Time // arrival of the oldest resident record
@@ -37,14 +34,11 @@ type MemDelta struct {
 // deltaRun is the records routed to one cluster of a partition, in arrival
 // (ascending ID) order: recs holds them as a partition file does and sums
 // their summaries.
-type deltaRun struct {
-	cluster    storage.ClusterID
-	recs, sums []byte
-}
+type deltaRun struct{ recs, sums []byte }
 
 // NewMemDelta returns an empty delta index.
 func NewMemDelta() *MemDelta {
-	return &MemDelta{byPartition: make(map[int][]deltaRun)}
+	return &MemDelta{byPartition: make(map[int]map[storage.ClusterID]deltaRun)}
 }
 
 // Add encodes routed records into their runs. Every record must have the
@@ -66,31 +60,30 @@ func (d *MemDelta) Add(recs []core.Routed) error {
 			return fmt.Errorf("ingest: record %d has length %d, the delta holds %d", r.ID, len(r.Values), d.seriesLen)
 		}
 		runs := d.byPartition[r.Route.Partition]
-		i, ok := slices.BinarySearchFunc(runs, r.Route.Cluster, func(run deltaRun, c storage.ClusterID) int {
-			return cmp.Compare(run.cluster, c)
-		})
-		if !ok {
-			runs = slices.Insert(runs, i, deltaRun{cluster: r.Route.Cluster})
+		if runs == nil {
+			runs = make(map[storage.ClusterID]deltaRun)
 			d.byPartition[r.Route.Partition] = runs
 		}
+		run := runs[r.Route.Cluster]
 		var err error
-		if runs[i].recs, runs[i].sums, err = storage.AppendRecord(runs[i].recs, runs[i].sums, r.ID, r.Values); err != nil {
+		if run.recs, run.sums, err = storage.AppendRecord(run.recs, run.sums, r.ID, r.Values); err != nil {
 			return err
 		}
+		runs[r.Route.Cluster] = run
 		d.records++
 	}
 	return nil
 }
 
 // ScanRuns implements core.DeltaSource: it passes fn the run of every
-// cluster of partition pid in ascending cluster order, narrowed to the
-// listed clusters (nil means all). Both slices are valid only during the
-// callback: the next Add may move them.
+// cluster of partition pid, in no set order, narrowed to the listed
+// clusters (nil means all). Both slices are valid only during the callback:
+// the next Add may move them.
 func (d *MemDelta) ScanRuns(pid int, clusters map[storage.ClusterID]struct{}, fn func(recs, sums []byte) error) error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	for _, run := range d.byPartition[pid] {
-		if _, want := clusters[run.cluster]; clusters != nil && !want {
+	for cid, run := range d.byPartition[pid] {
+		if _, want := clusters[cid]; clusters != nil && !want {
 			continue
 		}
 		if err := fn(run.recs, run.sums); err != nil {
@@ -153,12 +146,12 @@ func (d *MemDelta) Snapshot() []core.Routed {
 	out := make([]core.Routed, 0, d.records)
 	recBytes := storage.RecordBytes(d.seriesLen)
 	for pid, runs := range d.byPartition {
-		for _, run := range runs {
+		for cid, run := range runs {
 			for off := 0; off < len(run.recs); off += recBytes {
 				vals := make([]float64, d.seriesLen)
 				out = append(out, core.Routed{
 					ID:     storage.DecodeRecord(run.recs[off:], vals),
-					Route:  cluster.Route{Partition: pid, Cluster: run.cluster},
+					Route:  cluster.Route{Partition: pid, Cluster: cid},
 					Values: vals,
 				})
 			}
@@ -174,6 +167,6 @@ func (d *MemDelta) Snapshot() []core.Routed {
 func (d *MemDelta) Reset() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.byPartition = make(map[int][]deltaRun)
+	d.byPartition = make(map[int]map[storage.ClusterID]deltaRun)
 	d.records = 0
 }
