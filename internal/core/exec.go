@@ -498,6 +498,12 @@ var summaryFilter = true
 // so a kept record is checked again right before its distance. A skipped
 // record still counts as scanned — it was ranked, by its bound — so
 // statistics and budgets do not depend on the filter.
+//
+// Before each record, the scan prefetches the whole of the next one in the
+// stretch — the next kept record when the filter ran — so that record's
+// cache misses overlap this one's arithmetic: once the filter skips records,
+// the hardware prefetcher sees no stream to follow. A prefetch is a hint
+// that reads nothing, so it changes no distance, order or answer.
 func (sc *stepScan) run(ctx context.Context, recs, sums []byte) error {
 	e, sh, recBytes, w := sc.e, sc.sh, sc.recBytes, sc.sumBytes
 	n := len(recs) / recBytes
@@ -526,7 +532,10 @@ func (sc *stepScan) run(ctx context.Context, recs, sums []byte) error {
 			sc.pruned += m - k
 			stretch = sc.kept[:k]
 		}
-		for _, j := range stretch {
+		for i, j := range stretch {
+			if i+1 < len(stretch) {
+				series.Prefetch(recs[(lo+int(stretch[i+1]))*recBytes:][:recBytes])
+			}
 			bound := sh.bound()
 			if filter && sc.lbs[j] > bound {
 				sc.pruned++

@@ -12,6 +12,14 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func sqDist32AVX2(q []float32, rec []byte, limit float64) float64
 
+// Prefetch hints that rec's bytes will be read soon: one PREFETCHT0 per
+// 64-byte line it spans (distance32_amd64.s), so the lines travel towards L1
+// while the caller computes on something else. A prefetch is a hint, not a
+// load: it never faults, whatever rec points at, and changes no value.
+//
+//go:noescape
+func Prefetch(rec []byte)
+
 func detectAVX2FMA() bool {
 	maxLeaf, _, _, _ := cpuid(0, 0)
 	if maxLeaf < 7 {

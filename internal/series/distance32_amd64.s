@@ -20,6 +20,25 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
+// func Prefetch(rec []byte)
+//
+// One PREFETCHT0 per 64-byte line rec spans, from the line holding its first
+// byte to the line holding its last; an empty rec issues none.
+TEXT ·Prefetch(SB), NOSPLIT, $0-24
+	MOVQ  rec_base+0(FP), SI
+	MOVQ  rec_len+8(FP), CX
+	TESTQ CX, CX
+	JZ    done
+	ADDQ  SI, CX                       // one past the last byte
+	ANDQ  $-64, SI                     // the first byte's line
+line:
+	PREFETCHT0 (SI)
+	ADDQ  $64, SI
+	CMPQ  SI, CX
+	JB    line
+done:
+	RET
+
 // tailmask holds eight all-ones words followed by eight zero words: the
 // 32 bytes starting 4*(8-k) bytes in select the first k float32 lanes of a
 // VMASKMOVPS load, k = 0..8.

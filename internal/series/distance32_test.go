@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand/v2"
+	"sync"
 	"testing"
 	"unsafe"
 )
@@ -194,12 +195,30 @@ func FuzzSqDist32(f *testing.F) {
 	})
 }
 
+// sparseRecords is the 64 MiB block of 256-reading records the sparse
+// kernel benchmarks rank every third record of, built once per process so a
+// one-iteration smoke run stays fast.
+var sparseRecords = sync.OnceValue(func() []byte {
+	rng := rand.New(rand.NewPCG(79, 83))
+	buf := make([]byte, 64<<20)
+	for i := 0; i < len(buf); i += 4 {
+		binary.LittleEndian.PutUint32(buf[i:], math.Float32bits(float32(rng.NormFloat64())))
+	}
+	return buf
+})
+
 // BenchmarkSqDist32Kernels times every implementation side by side over
 // the same 8 000 × 256 block of records (8 MB, so records stream from
 // memory the way a partition scan reads them), reporting ns per reading:
 // the selected assembly routine where there is one, the portable kernel
 // through its []float32 view, and the portable kernel decoding bytes
 // (records one byte off alignment).
+//
+// The sparse cases rank every third record of sparseRecords instead, the
+// way a scan ranks what the summary filter keeps: with a gap between the
+// records the hardware prefetcher has no stream to follow, so each record
+// waits on its cache misses. "sparse-prefetch" calls Prefetch on the next
+// record before ranking the current one, as stepScan.run does.
 func BenchmarkSqDist32Kernels(b *testing.B) {
 	const records, length = 8000, 256
 	rng := rand.New(rand.NewPCG(71, 73))
@@ -231,6 +250,31 @@ func BenchmarkSqDist32Kernels(b *testing.B) {
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*records*length), "ns/elem")
+			})
+		}
+	}
+	sparse := sparseRecords()
+	const stride = 3 * 4 * length
+	ranked := len(sparse) / stride
+	for _, name := range []string{"avx2", "go"} {
+		kernel, ok := scanKernels[name]
+		if !ok {
+			continue
+		}
+		for _, mode := range []struct {
+			name     string
+			prefetch bool
+		}{{"sparse", false}, {"sparse-prefetch", true}} {
+			b.Run(name+"/"+mode.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for off := 0; off < ranked*stride; off += stride {
+						if mode.prefetch && off+stride < ranked*stride {
+							Prefetch(sparse[off+stride:][:4*length])
+						}
+						benchSink += kernel(q, sparse[off:][:4*length], math.Inf(1))
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ranked*length), "ns/elem")
 			})
 		}
 	}
