@@ -76,7 +76,7 @@ func TestCancelMidScanStopsPlan(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	plan := &ScanPlan{Steps: []PlanStep{{Partition: pid}}} // whole partition
+	plan := []PlanStep{{Partition: pid}} // whole partition
 	var stats QueryStats
 	compared := 0
 	g := ix.AcquireGeneration()
@@ -89,7 +89,7 @@ func TestCancelMidScanStopsPlan(t *testing.T) {
 		cancel()
 		return math.Inf(1) // the distance does not matter, only the cancel
 	}
-	err := ex.scanSteps(ctx, plan.Steps, false, nil)
+	err := ex.scanSteps(ctx, plan, false, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled plan returned %v, want context.Canceled", err)
 	}

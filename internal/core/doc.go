@@ -23,8 +23,8 @@
 //   - Query / QueryBatch (search.go, batch.go) — full-length, prefix and
 //     progressive queries are one entry point, told apart by
 //     SearchOptions.Prefix and the sink argument: the planner (plan.go)
-//     navigates the skeleton into a ranked ScanPlan of per-partition
-//     steps; the executor (exec.go) runs the steps — concurrently when
+//     navigates the skeleton into a ranked list of per-partition
+//     PlanSteps; the executor (exec.go) runs the steps — concurrently when
 //     run to completion, sequentially under a Budget or progressive
 //     snapshot sink, stopping at step boundaries when the budget is
 //     exhausted — then widens within loaded partitions when the plan

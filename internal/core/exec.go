@@ -66,7 +66,7 @@ func (b Budget) exhausted(partitions, records int) (string, bool) {
 	return "", false
 }
 
-// executor runs one ScanPlan through its stages — planned steps, the
+// executor runs one ranked plan through its stages — planned steps, the
 // within-partition widening pass, and the delta merge — accumulating the
 // top-k and the query statistics. It is the pull-based half of the engine:
 // the planner decides *what* could be scanned; the executor decides, step
@@ -77,7 +77,7 @@ type executor struct {
 	// opens and the delta merge go through it so a concurrent reindex swap
 	// cannot change what this query observes mid-plan.
 	gen  *Generation
-	plan *ScanPlan
+	plan []PlanStep
 	opts SearchOptions
 	// rank is the partition scan's kernel: a record's squared distance to
 	// q, read straight from its encoded bytes and early abandoning against
@@ -96,7 +96,7 @@ type executor struct {
 	// (nil = every cluster): the coverage the widening and delta stages
 	// must respect so no record is ever compared twice and the delta merge
 	// prunes exactly like the disk scan did.
-	executed planMap
+	executed map[int]map[storage.ClusterID]struct{}
 	// sinkStopped is set the moment a progressive sink returns false; no
 	// further sink invocation may happen after it (the consumer may have
 	// torn down its receiving state).
@@ -119,7 +119,7 @@ type executor struct {
 // first len(q) readings (4 bytes each), which is all of them unless this is
 // a prefix query. The summary lower bound is built from the same
 // float32-rounded query, because that is what the kernel subtracts.
-func newExecutor(ix *Index, g *Generation, plan *ScanPlan, q []float64, opts SearchOptions, stats *QueryStats) *executor {
+func newExecutor(ix *Index, g *Generation, plan []PlanStep, q []float64, opts SearchOptions, stats *QueryStats) *executor {
 	q32, n := series.ToFloat32(q), 4*len(q)
 	return &executor{
 		ix: ix, gen: g, plan: plan, opts: opts,
@@ -129,7 +129,7 @@ func newExecutor(ix *Index, g *Generation, plan *ScanPlan, q []float64, opts Sea
 		lb:       storage.NewLowerBound(q32, g.Parts.SeriesLen),
 		top:      series.NewTopK(opts.K),
 		stats:    stats,
-		executed: make(planMap, len(plan.Steps)),
+		executed: make(map[int]map[storage.ClusterID]struct{}, len(plan)),
 	}
 }
 
@@ -171,7 +171,7 @@ func (e *executor) run(ctx context.Context, sink func(Snapshot) bool) error {
 func (e *executor) scanPlanned(ctx context.Context, sink func(Snapshot) bool) error {
 	sp := e.span.StartChild("scan")
 	defer sp.End()
-	steps := e.plan.Steps
+	steps := e.plan
 	capped := e.opts.Budget.MaxPartitions > 0 && len(steps) > e.opts.Budget.MaxPartitions
 	if capped {
 		steps = steps[:e.opts.Budget.MaxPartitions]
@@ -193,26 +193,30 @@ func (e *executor) scanPlanned(ctx context.Context, sink func(Snapshot) bool) er
 // Figure 9). The partitions are in memory already, so widening charges no
 // additional loads — which is why a MaxPartitions-truncated query still
 // widens, while deadline/min-records/callback stops (whose point is to cap
-// work, not I/O) skip it.
+// work, not I/O) skip it. A fully scanned partition has nothing left, so a
+// plan of whole partitions (OD-Smallest) never widens.
 func (e *executor) widen(ctx context.Context, sink func(Snapshot) bool) error {
-	if !e.plan.Widen || e.top.Len() >= e.opts.K || e.sinkStopped {
+	if e.top.Len() >= e.opts.K || e.sinkStopped {
 		return nil
 	}
 	switch e.stats.BudgetExhausted {
 	case BudgetDeadline, BudgetMinRecords, BudgetCallback:
 		return nil
 	}
-	sp := e.span.StartChild("widen")
-	defer sp.End()
 	steps := make([]PlanStep, 0, len(e.executed))
 	for pid, clusters := range e.executed {
-		if clusters != nil { // a fully scanned partition has nothing left
+		if clusters != nil {
 			steps = append(steps, PlanStep{Partition: pid})
 		}
 	}
+	if len(steps) == 0 {
+		return nil
+	}
 	sort.Slice(steps, func(i, j int) bool { return steps[i].Partition < steps[j].Partition })
-	// Widening charges no partition loads, so MaxPartitions never bounds
-	// it; the runtime-dependent dimensions (Deadline, MinRecords) keep
+	sp := e.span.StartChild("widen")
+	defer sp.End()
+	// A widening pass charges no partition loads, so MaxPartitions never
+	// bounds it; the runtime-dependent dimensions (Deadline, MinRecords) keep
 	// applying at every partition boundary.
 	budget := e.opts.Budget
 	budget.MaxPartitions = 0

@@ -32,103 +32,68 @@ type PlanStep struct {
 	Est int
 }
 
-// ScanPlan is the planner's product: the ranked, executable decomposition
-// of one query. Steps are ordered most-promising first (deepest trie match,
-// then largest estimated membership, then partition ID), so an executor
-// that stops early — because a Budget ran out or a progressive consumer is
-// satisfied — has always spent its effort on the best candidates the
-// skeleton could identify.
-type ScanPlan struct {
-	// Steps are the executable units, ranked most-promising first. At most
-	// one step exists per partition.
-	Steps []PlanStep
-	// Widen marks plans that run the within-partition widening stage when
-	// the planned clusters yield fewer than K results (every variant except
-	// OD-Smallest, whose steps already cover whole partitions).
-	Widen bool
-}
+// planBuilder accumulates the plan under construction: one step per
+// partition, unranked.
+type planBuilder map[int]*PlanStep
 
-// planMap maps a partition ID to the record clusters to scan inside it; a
-// nil cluster set means "scan the whole partition". It is the builder-side
-// representation of a plan, before ranking flattens it into steps.
-type planMap map[int]map[storage.ClusterID]struct{}
-
-// stepMeta carries one planned partition's ranking annotations while the
-// plan is under construction.
-type stepMeta struct {
-	od      int
-	pathLen int
-	est     int
-}
-
-// planBuilder accumulates the (partition → clusters) plan with its ranking
-// annotations.
-type planBuilder struct {
-	parts planMap
-	meta  map[int]*stepMeta
-}
-
-func newPlanBuilder() *planBuilder {
-	return &planBuilder{parts: make(planMap), meta: make(map[int]*stepMeta)}
-}
-
-// metaFor returns (creating if needed) the annotations of one partition.
-func (pb *planBuilder) metaFor(pid, od, pathLen int) *stepMeta {
-	m, ok := pb.meta[pid]
+// step returns partition pid's step, creating it with an empty cluster set,
+// or folds the smaller OD and the deeper path into the existing one.
+func (pb planBuilder) step(pid, od, pathLen int) *PlanStep {
+	st, ok := pb[pid]
 	if !ok {
-		m = &stepMeta{od: od, pathLen: pathLen}
-		pb.meta[pid] = m
-		return m
+		st = &PlanStep{Partition: pid, Clusters: make(map[storage.ClusterID]struct{}), OD: od, PathLen: pathLen}
+		pb[pid] = st
 	}
-	if od < m.od {
-		m.od = od
-	}
-	if pathLen > m.pathLen {
-		m.pathLen = pathLen
-	}
-	return m
+	st.OD = min(st.OD, od)
+	st.PathLen = max(st.PathLen, pathLen)
+	return st
 }
 
-// addTarget folds one (group, node) target into the plan.
-func (pb *planBuilder) addTarget(c target) {
-	g, n := c.group, c.node
-	parts := partitionsOf(g, n)
-	clusters := clustersUnder(g, n)
-	for _, pid := range parts {
-		m := pb.metaFor(pid, c.od, c.pathLen)
-		set, ok := pb.parts[pid]
-		if !ok {
-			set = make(map[storage.ClusterID]struct{})
-			pb.parts[pid] = set
-		}
-		if set == nil {
-			continue // whole partition already planned
-		}
-		before := len(set)
+// addTarget folds one (group, node) target into the plan and reports
+// whether it added a cluster. Targets always list their clusters:
+// whole-partition steps come only from OD-Smallest, which plans none.
+func (pb planBuilder) addTarget(c target) bool {
+	clusters := clustersUnder(c.group, c.node)
+	added := false
+	for _, pid := range partitionsOf(c.group, c.node) {
+		st := pb.step(pid, c.od, c.pathLen)
+		before := len(st.Clusters)
 		for _, cl := range clusters {
-			set[cl] = struct{}{}
+			st.Clusters[cl] = struct{}{}
 		}
-		if len(set) > before {
-			m.est += n.Count
+		if len(st.Clusters) > before {
+			st.Est += c.node.Count
+			added = true
 		}
 	}
+	return added
 }
 
-// addWholePartition plans a full scan of one partition.
-func (pb *planBuilder) addWholePartition(pid, od, est int) {
-	m := pb.metaFor(pid, od, -1)
-	pb.parts[pid] = nil
-	m.est = est
+// wouldExceedPartitionCap reports whether adding the target would grow the
+// plan's distinct-partition count beyond maxParts. The target's partition
+// list can repeat IDs (an internal node covering several leaves packed into
+// the same bin), so new partitions are counted as a set — counting
+// duplicates would refuse targets that actually fit the cap.
+func (pb planBuilder) wouldExceedPartitionCap(c target, maxParts int) bool {
+	extra := make(map[int]struct{})
+	for _, pid := range partitionsOf(c.group, c.node) {
+		if _, ok := pb[pid]; !ok {
+			extra[pid] = struct{}{}
+		}
+	}
+	return len(pb)+len(extra) > maxParts
 }
 
-// build ranks the accumulated partitions into an ordered step list:
-// smallest OD first, then deepest matched path, then largest estimated
-// membership, then partition ID — a total, deterministic order.
-func (pb *planBuilder) build(widen bool) *ScanPlan {
-	steps := make([]PlanStep, 0, len(pb.parts))
-	for pid, set := range pb.parts {
-		m := pb.meta[pid]
-		steps = append(steps, PlanStep{Partition: pid, Clusters: set, OD: m.od, PathLen: m.pathLen, Est: m.est})
+// ranked flattens the plan into its executable steps, most promising
+// first: smallest OD, then deepest matched path, then largest estimated
+// membership, then partition ID. The order is total and deterministic, and
+// an executor that stops early (a Budget ran out, a progressive consumer is
+// satisfied) has always spent its effort on the best candidates the
+// skeleton could identify.
+func (pb planBuilder) ranked() []PlanStep {
+	steps := make([]PlanStep, 0, len(pb))
+	for _, st := range pb {
+		steps = append(steps, *st)
 	}
 	sort.Slice(steps, func(i, j int) bool {
 		if steps[i].OD != steps[j].OD {
@@ -142,46 +107,43 @@ func (pb *planBuilder) build(widen bool) *ScanPlan {
 		}
 		return steps[i].Partition < steps[j].Partition
 	})
-	return &ScanPlan{Steps: steps, Widen: widen}
+	return steps
 }
 
-// plan turns the navigated skeleton state into the ranked ScanPlan of the
+// plan turns the navigated skeleton state into the ranked steps of the
 // requested variant — the pure "plan construction" half of Algorithm 3,
 // with the adaptive expansion of Section VI and the OD-Smallest ablation as
-// alternative policies. It performs no I/O.
-func (s *Skeleton) plan(base target, rs, ri pivot.Signature, bestOD int, opts SearchOptions) *ScanPlan {
-	pb := newPlanBuilder()
+// alternative policies. At most one step exists per partition. It performs
+// no I/O.
+func (s *Skeleton) plan(base target, rs, ri pivot.Signature, bestOD int, opts SearchOptions) []PlanStep {
+	pb := make(planBuilder)
 	switch opts.Variant {
 	case VariantODSmallest:
-		s.planODSmallest(pb, ri, bestOD)
-		return pb.build(false)
+		// Every partition of every group at the smallest OD, whole.
+		gids, _ := s.Assigner.BestByOverlap(ri)
+		if bestOD == s.Cfg.PrefixLen {
+			gids = []int{0}
+		}
+		for _, gid := range gids {
+			for _, pid := range s.GroupPartitions(gid) {
+				pb[pid] = &PlanStep{Partition: pid, OD: bestOD, PathLen: -1, Est: s.partitionEst(pid)}
+			}
+		}
 	case VariantAdaptive2X, VariantAdaptive4X:
 		s.planAdaptive(pb, base, rs, ri, bestOD, opts)
 	default:
 		pb.addTarget(base) // plain CLIMBER-kNN: the base target only
 	}
-	return pb.build(true)
-}
-
-// planODSmallest plans every partition of every group at the smallest OD.
-func (s *Skeleton) planODSmallest(pb *planBuilder, ri pivot.Signature, bestOD int) {
-	gids, _ := s.Assigner.BestByOverlap(ri)
-	if bestOD == s.Cfg.PrefixLen {
-		gids = []int{0}
-	}
-	for _, gid := range gids {
-		for _, pid := range s.GroupPartitions(gid) {
-			pb.addWholePartition(pid, bestOD, s.partitionEst(pid))
-		}
-	}
+	return pb.ranked()
 }
 
 // planAdaptive implements CLIMBER-kNN-Adaptive (Section VI): when the base
 // trie node holds fewer than K records, the search expands to further
 // best-matching trie nodes — the deepest match of every group within the
-// smallest OD, then their parents (the 2nd-longest matches) — until the
-// selected nodes' sizes sum past K, bounded by the variant's partition cap.
-func (s *Skeleton) planAdaptive(pb *planBuilder, base target, rs, ri pivot.Signature, bestOD int, opts SearchOptions) {
+// smallest OD, then their ancestors (the 2nd-longest matches and shorter) —
+// until the selected nodes' sizes sum past K, bounded by the variant's
+// partition cap.
+func (s *Skeleton) planAdaptive(pb planBuilder, base target, rs, ri pivot.Signature, bestOD int, opts SearchOptions) {
 	pb.addTarget(base)
 	if base.node.Count >= opts.K {
 		return // behaves exactly like CLIMBER-kNN (Figure 9 observation 2)
@@ -193,19 +155,18 @@ func (s *Skeleton) planAdaptive(pb *planBuilder, base target, rs, ri pivot.Signa
 	}
 
 	// Memorised candidates: deepest node per group within the smallest OD,
-	// plus each node's ancestors as progressively coarser fallbacks.
+	// plus each node's ancestors — the same path cut shorter — as
+	// progressively coarser fallbacks.
 	var cands []target
 	for _, gid := range s.Assigner.GroupsWithinOD(ri, bestOD) {
 		g := s.Groups[gid]
-		node, pathLen := g.Trie.Descend(rs)
-		if g == base.group && node == base.node {
-			node = parentOf(g.Trie, node) // base already planned; offer its parent
-			pathLen--
+		_, pathLen := g.Trie.Descend(rs)
+		if g == base.group {
+			pathLen = base.pathLen - 1 // base already planned; offer its ancestors
 		}
-		for node != nil && pathLen >= 0 {
-			cands = append(cands, target{group: g, node: node, od: bestOD, pathLen: pathLen})
-			node = parentOf(g.Trie, node)
-			pathLen--
+		for d := pathLen; d >= 0; d-- {
+			node, _ := g.Trie.Descend(rs[:d])
+			cands = append(cands, target{group: g, node: node, od: bestOD, pathLen: d})
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool { return cands[i].outranks(cands[j]) })
@@ -215,12 +176,7 @@ func (s *Skeleton) planAdaptive(pb *planBuilder, base target, rs, ri pivot.Signa
 		if covered >= opts.K {
 			break
 		}
-		if wouldExceedPartitionCap(pb.parts, c, maxParts) {
-			continue
-		}
-		before := planSize(pb.parts)
-		pb.addTarget(c)
-		if planSize(pb.parts) > before { // the target added new clusters
+		if !pb.wouldExceedPartitionCap(c, maxParts) && pb.addTarget(c) {
 			covered += c.node.Count
 		}
 	}
@@ -249,56 +205,4 @@ func partitionsOf(g *Group, n *trie.Node) []int {
 		return n.Partitions
 	}
 	return []int{g.DefaultPartition}
-}
-
-// parentOf finds the parent of a node within a trie (tries are small; a
-// DFS walk is cheap and avoids storing parent pointers in every node).
-func parentOf(root, child *trie.Node) *trie.Node {
-	if root == child {
-		return nil
-	}
-	var found *trie.Node
-	var walk func(*trie.Node) bool
-	walk = func(n *trie.Node) bool {
-		for _, c := range n.Children {
-			if c == child {
-				found = n
-				return true
-			}
-			if walk(c) {
-				return true
-			}
-		}
-		return false
-	}
-	walk(root)
-	return found
-}
-
-// wouldExceedPartitionCap reports whether adding the target would grow the
-// plan's distinct-partition count beyond maxParts. The target's partition
-// list can repeat IDs (an internal node covering several leaves packed into
-// the same bin), so new partitions are counted as a set — counting
-// duplicates would refuse targets that actually fit the cap.
-func wouldExceedPartitionCap(plan planMap, c target, maxParts int) bool {
-	extra := make(map[int]struct{})
-	for _, pid := range partitionsOf(c.group, c.node) {
-		if _, ok := plan[pid]; !ok {
-			extra[pid] = struct{}{}
-		}
-	}
-	return len(plan)+len(extra) > maxParts
-}
-
-// planSize counts the clusters planned (whole-partition entries count as 1).
-func planSize(plan planMap) int {
-	n := 0
-	for _, set := range plan {
-		if set == nil {
-			n++
-			continue
-		}
-		n += len(set)
-	}
-	return n
 }

@@ -136,20 +136,20 @@ func TestSearchDegenerateFallbackOnlyIndex(t *testing.T) {
 func TestWouldExceedPartitionCapDedupes(t *testing.T) {
 	g := &Group{ID: 1, DefaultPartition: 0}
 	node := &trie.Node{Partitions: []int{7, 7, 7, 8}} // 2 distinct new partitions
-	plan := planMap{3: nil}
+	plan := planBuilder{3: nil}
 	c := target{group: g, node: node}
 
 	// 1 planned + 2 distinct new = 3 <= 3: must fit.
-	if wouldExceedPartitionCap(plan, c, 3) {
+	if plan.wouldExceedPartitionCap(c, 3) {
 		t.Fatal("target refused although its distinct partitions fit the cap")
 	}
 	// Cap 2 genuinely exceeded.
-	if !wouldExceedPartitionCap(plan, c, 2) {
+	if !plan.wouldExceedPartitionCap(c, 2) {
 		t.Fatal("target accepted although distinct partitions exceed the cap")
 	}
 	// Partitions already in the plan never count as new.
 	plan[7] = nil
-	if wouldExceedPartitionCap(plan, c, 3) {
+	if plan.wouldExceedPartitionCap(c, 3) {
 		t.Fatal("already-planned partition counted as new")
 	}
 }

@@ -307,14 +307,14 @@ func (ix *Index) Query(ctx context.Context, q []float64, opts SearchOptions, sin
 	plan := skel.plan(base, rs, ri, bestOD, opts)
 	planSpan.SetAttr("groups", int64(len(cands)))
 	planSpan.SetAttr("best_od", int64(bestOD))
-	planSpan.SetAttr("steps", int64(len(plan.Steps)))
+	planSpan.SetAttr("steps", int64(len(plan)))
 	planSpan.End()
 
 	stats := QueryStats{
 		GroupsConsidered: len(cands),
 		TargetNodeSize:   base.node.Count,
 		TargetPathLen:    base.pathLen,
-		StepsPlanned:     len(plan.Steps),
+		StepsPlanned:     len(plan),
 	}
 	ex := newExecutor(ix, g, plan, q, opts, &stats)
 	if err := ex.run(ctx, sink); err != nil {
@@ -323,9 +323,9 @@ func (ix *Index) Query(ctx context.Context, q []float64, opts SearchOptions, sin
 
 	out := &SearchResult{Results: ex.results, Stats: stats}
 	if opts.Explain {
-		pids := make([]int, 0, len(plan.Steps))
-		stepInfos := make([]PlanStepInfo, 0, len(plan.Steps))
-		for _, st := range plan.Steps {
+		pids := make([]int, 0, len(plan))
+		stepInfos := make([]PlanStepInfo, 0, len(plan))
+		for _, st := range plan {
 			pids = append(pids, st.Partition)
 			_, executed := ex.executed[st.Partition]
 			stepInfos = append(stepInfos, PlanStepInfo{
