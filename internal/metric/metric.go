@@ -1,7 +1,5 @@
 // Package metric implements the similarity metrics CLIMBER tailors to its
-// P4 dual representation (paper Section IV-C, Definitions 7-11), plus the
-// classic rank-correlation distances (Spearman footrule, Kendall tau) that
-// prior pivot-permutation work uses on rank-sensitive signatures.
+// P4 dual representation (paper Section IV-C, Definitions 7-11).
 //
 // The paper's key observation is that existing permutation distances assume
 // a single ordered representation per object. CLIMBER compares objects at
@@ -48,89 +46,4 @@ func IntersectSize(a, b pivot.Signature) int {
 		}
 	}
 	return n
-}
-
-// SpearmanFootrule computes the Spearman footrule distance between two
-// rank-sensitive signatures viewed as partial rankings: the sum over all
-// pivot IDs present in either signature of |pos_a - pos_b|, where a missing
-// ID is assigned the penalty position m (the "location parameter" variant
-// of Fagin et al. used by the pivot-permutation literature [37]).
-func SpearmanFootrule(a, b pivot.Signature) int {
-	m := len(a)
-	posA := positions(a)
-	posB := positions(b)
-	var d int
-	for id, pa := range posA {
-		pb, ok := posB[id]
-		if !ok {
-			pb = m
-		}
-		d += abs(pa - pb)
-	}
-	for id, pb := range posB {
-		if _, ok := posA[id]; !ok {
-			d += abs(m - pb)
-		}
-	}
-	return d
-}
-
-// KendallTau computes the Kendall tau distance between two rank-sensitive
-// signatures viewed as partial rankings: the number of pivot pairs (i, j)
-// ordered differently by the two signatures. Pairs involving an ID absent
-// from one signature count as discordant when the present signature orders
-// them, following the optimistic variant of [37].
-func KendallTau(a, b pivot.Signature) int {
-	posA := positions(a)
-	posB := positions(b)
-	ids := make([]int, 0, len(posA)+len(posB))
-	seen := make(map[int]struct{}, len(posA)+len(posB))
-	for _, id := range a {
-		if _, ok := seen[id]; !ok {
-			seen[id] = struct{}{}
-			ids = append(ids, id)
-		}
-	}
-	for _, id := range b {
-		if _, ok := seen[id]; !ok {
-			seen[id] = struct{}{}
-			ids = append(ids, id)
-		}
-	}
-	m := len(a)
-	rank := func(pos map[int]int, id int) int {
-		if p, ok := pos[id]; ok {
-			return p
-		}
-		return m // absent IDs rank past the end
-	}
-	var d int
-	for i := 0; i < len(ids); i++ {
-		for j := i + 1; j < len(ids); j++ {
-			ai, aj := rank(posA, ids[i]), rank(posA, ids[j])
-			bi, bj := rank(posB, ids[i]), rank(posB, ids[j])
-			if ai == aj || bi == bj {
-				continue // both absent from one side: order unknown, not discordant
-			}
-			if (ai < aj) != (bi < bj) {
-				d++
-			}
-		}
-	}
-	return d
-}
-
-func positions(sig pivot.Signature) map[int]int {
-	pos := make(map[int]int, len(sig))
-	for i, id := range sig {
-		pos[id] = i
-	}
-	return pos
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

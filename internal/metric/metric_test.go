@@ -4,7 +4,6 @@ import (
 	"math/rand/v2"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"climber/internal/pivot"
 )
@@ -86,62 +85,5 @@ func TestIntersectSize(t *testing.T) {
 		if got := IntersectSize(c.a, c.b); got != c.want {
 			t.Errorf("IntersectSize(%v, %v) = %d, want %d", c.a, c.b, got, c.want)
 		}
-	}
-}
-
-func TestSpearmanFootrule(t *testing.T) {
-	a := pivot.Signature{1, 2, 3}
-	if got := SpearmanFootrule(a, a); got != 0 {
-		t.Fatalf("footrule(a, a) = %d, want 0", got)
-	}
-	// Swap of adjacent elements: |0-1| + |1-0| = 2.
-	b := pivot.Signature{2, 1, 3}
-	if got := SpearmanFootrule(a, b); got != 2 {
-		t.Fatalf("footrule = %d, want 2", got)
-	}
-	// Disjoint signatures of length m: every ID pays |pos - m|.
-	c := pivot.Signature{7, 8, 9}
-	want := (3 + 2 + 1) * 2 // both directions
-	if got := SpearmanFootrule(a, c); got != want {
-		t.Fatalf("footrule disjoint = %d, want %d", got, want)
-	}
-}
-
-func TestSpearmanFootruleSymmetric(t *testing.T) {
-	f := func(pa, pb [4]uint8) bool {
-		a := pivot.Signature{int(pa[0]), int(pa[1]), int(pa[2]), int(pa[3])}
-		b := pivot.Signature{int(pb[0]), int(pb[1]), int(pb[2]), int(pb[3])}
-		return SpearmanFootrule(a, b) == SpearmanFootrule(b, a)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestKendallTau(t *testing.T) {
-	a := pivot.Signature{1, 2, 3}
-	if got := KendallTau(a, a); got != 0 {
-		t.Fatalf("tau(a, a) = %d, want 0", got)
-	}
-	// One adjacent transposition = 1 discordant pair.
-	b := pivot.Signature{2, 1, 3}
-	if got := KendallTau(a, b); got != 1 {
-		t.Fatalf("tau = %d, want 1", got)
-	}
-	// Full reversal of 3 elements = C(3,2) = 3 discordant pairs.
-	c := pivot.Signature{3, 2, 1}
-	if got := KendallTau(a, c); got != 3 {
-		t.Fatalf("tau reversal = %d, want 3", got)
-	}
-}
-
-func TestKendallTauSymmetric(t *testing.T) {
-	f := func(pa, pb [4]uint8) bool {
-		a := pivot.Signature{int(pa[0]), int(pa[1]), int(pa[2]), int(pa[3])}
-		b := pivot.Signature{int(pb[0]), int(pb[1]), int(pb[2]), int(pb[3])}
-		return KendallTau(a, b) == KendallTau(b, a)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -10,10 +10,7 @@
 // similarity far better at the same w.
 package paa
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Transformer converts raw data series of a fixed length n into PAA
 // signatures of w segments. A Transformer is immutable and safe for
@@ -89,20 +86,16 @@ func (t *Transformer) TransformInto(dst, x []float64) {
 	}
 }
 
-// LowerBoundDist returns the classic PAA lower bound on the Euclidean
-// distance between the two raw series whose PAA signatures are a and b:
+// LowerBoundSqDist returns the classic PAA lower bound on the squared
+// Euclidean distance between the two raw series whose PAA signatures are a
+// and b:
 //
-//	sqrt(n/w) * ED(a, b) <= ED(X, Y)
+//	(n/w) * ED(a, b)^2 <= ED(X, Y)^2
 //
 // The bound holds exactly when w divides n; for fractional segmentations it
-// uses the per-segment lengths and remains a valid lower bound. It is used
-// by the Odyssey-style exact engine to prune candidates.
-func (t *Transformer) LowerBoundDist(a, b []float64) float64 {
-	return math.Sqrt(t.LowerBoundSqDist(a, b))
-}
-
-// LowerBoundSqDist is LowerBoundDist without the final square root, for use
-// against squared-distance thresholds.
+// uses the per-segment lengths and remains a valid lower bound. The
+// Odyssey-style exact engine prunes with it against squared-distance
+// thresholds.
 func (t *Transformer) LowerBoundSqDist(a, b []float64) float64 {
 	var s float64
 	for i := 0; i < t.w; i++ {

@@ -148,7 +148,7 @@ func TestLowerBoundProperty(t *testing.T) {
 				x[i] = rng.NormFloat64()
 				y[i] = rng.NormFloat64()
 			}
-			lb := tr.LowerBoundDist(tr.Transform(x), tr.Transform(y))
+			lb := math.Sqrt(tr.LowerBoundSqDist(tr.Transform(x), tr.Transform(y)))
 			ed := series.Dist(x, y)
 			if lb > ed+1e-9 {
 				t.Fatalf("n=%d w=%d: PAA lower bound %g exceeds true distance %g", shape.n, shape.w, lb, ed)
@@ -168,7 +168,7 @@ func TestLowerBoundTightWhenIdentity(t *testing.T) {
 			x[i] = rng.NormFloat64()
 			y[i] = rng.NormFloat64()
 		}
-		lb := tr.LowerBoundDist(tr.Transform(x), tr.Transform(y))
+		lb := math.Sqrt(tr.LowerBoundSqDist(tr.Transform(x), tr.Transform(y)))
 		ed := series.Dist(x, y)
 		if math.Abs(lb-ed) > 1e-9 {
 			t.Fatalf("identity PAA bound %g != distance %g", lb, ed)
