@@ -50,8 +50,9 @@ func (pb planBuilder) step(pid, od, pathLen int) *PlanStep {
 }
 
 // addTarget folds one (group, node) target into the plan and reports
-// whether it added a cluster. Targets always list their clusters:
-// whole-partition steps come only from OD-Smallest, which plans none.
+// whether it added a cluster. Every step it touches holds a cluster set:
+// whole-partition (nil) steps come only from OD-Smallest, which adds no
+// targets.
 func (pb planBuilder) addTarget(c target) bool {
 	clusters := clustersUnder(c.group, c.node)
 	added := false
