@@ -63,8 +63,8 @@
 // # Serving, cancellation, and Close
 //
 // Query and QueryBatch honour cancellation on the partition-scan path: a
-// cancelled context stops the query's scanning goroutines between cluster
-// scans and returns ctx.Err(). Long-lived processes should Close the DB
+// cancelled context stops the query's partition scan within a few hundred
+// records and returns ctx.Err(). Long-lived processes should Close the DB
 // when done — Close purges the partition cache and makes subsequent calls
 // return ErrClosed.
 // cmd/climber-serve exposes an opened DB as a concurrent HTTP JSON service
@@ -353,9 +353,9 @@ type Request struct {
 	// plan step and a final one when the answer is complete. Returning
 	// false stops the query early — the Response is the best answer so far,
 	// marked partial. Progress runs synchronously on the query's goroutine
-	// and must not block for long. Progressive execution scans partitions
-	// sequentially in plan-rank order, trading the run-to-completion path's
-	// partition parallelism for step-boundary control.
+	// and must not block for long. Every query scans its partitions one at
+	// a time in plan-rank order, so Progress changes neither the answer nor
+	// the work done.
 	Progress func(SearchUpdate) bool
 }
 
@@ -406,13 +406,9 @@ func WithMaxPartitions(n int) SearchOption {
 // answer assembled so far, marked partial (Stats.Partial with
 // Stats.BudgetExhausted = "deadline"). Scans are never interrupted
 // mid-partition, so the overshoot is bounded by one step; combine with a
-// request context deadline for a hard stop. d <= 0 is ignored.
-//
-// Cost: enforcing step boundaries means the plan's partitions scan one at
-// a time in rank order instead of concurrently, so a multi-partition
-// query under a generous time budget runs somewhat longer than an
-// unbudgeted one. Use WithMaxPartitions (which keeps the concurrent scan)
-// when the goal is an I/O cap rather than a wall-clock contract.
+// request context deadline for a hard stop. d <= 0 is ignored. Use
+// WithMaxPartitions when the goal is an I/O cap rather than a wall-clock
+// contract.
 func WithTimeBudget(d time.Duration) SearchOption {
 	return func(r *Request) {
 		if d > 0 {
@@ -425,8 +421,7 @@ func WithTimeBudget(d time.Duration) SearchOption {
 // candidate records have been compared, returning a partial answer when
 // the plan held more. More candidates compared means higher expected
 // recall, so callers can trade accuracy for latency without reasoning
-// about partitions or wall-clock time. Like WithTimeBudget, it trades the
-// plan's partition parallelism for step-boundary control.
+// about partitions or wall-clock time.
 func WithMinRecords(n int) SearchOption {
 	return func(r *Request) { r.MinRecords = n }
 }
@@ -630,8 +625,8 @@ func (db *DB) engineOptions(req Request) (core.SearchOptions, error) {
 }
 
 // Query answers one Request. Cancelling ctx stops the query's partition
-// scans mid-plan (each scanning goroutine checks the context between
-// cluster scans) and returns ctx.Err(); a query issued on behalf of a
+// scan mid-plan (the scan checks the context before each partition and
+// every few hundred records) and returns ctx.Err(); a query issued on behalf of a
 // network client should pass the request context so a disconnect stops the
 // disk and CPU work immediately. After Close the error is ErrClosed.
 func (db *DB) Query(ctx context.Context, req Request) (Response, error) {

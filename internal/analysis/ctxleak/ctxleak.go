@@ -14,9 +14,10 @@
 // receive (a select statement, a <-ch unary receive, or a range over a
 // channel). Sends do not count — a send blocks forever once the receiver
 // has returned. Calls to closures bound to local variables are followed
-// one level deep: `go func(){ errs[i] = scanStep(st) }()` is cancellable
-// when scanStep is a local closure that checks ctx between cluster scans
-// (the executor's concurrent scan shape). `go method()` statements without
+// one level deep: `go func(){ errs[i] = work(item) }()` is cancellable
+// when work is a local closure whose own body checks ctx or receives from
+// a channel — a fan-out whose per-item body is kept in a variable. A
+// closure's closures are not followed. `go method()` statements without
 // a literal body are out of scope. The escape hatch is
 // //lint:ignore ctxleak <reason> on the go statement.
 package ctxleak

@@ -63,10 +63,8 @@ type SearchRequest struct {
 	// it and answers with the best partial result (marked by the partial
 	// and steps_executed response fields). The server additionally bounds
 	// the whole request at a small multiple of the budget, so a budgeted
-	// query can never hang past its promise. Step-boundary enforcement
-	// scans the plan's partitions sequentially, so a generous budget costs
-	// some latency versus no budget; prefer max_partitions (which keeps
-	// the concurrent scan) for pure I/O caps.
+	// query can never hang past its promise. Prefer max_partitions for
+	// pure I/O caps.
 	TimeBudgetMS int `json:"time_budget_ms,omitempty"`
 	// Explain, when true, traces the query and returns the span tree and
 	// the planner's decisions in the response (the explain and trace

@@ -89,7 +89,7 @@ func TestCancelMidScanStopsPlan(t *testing.T) {
 		cancel()
 		return math.Inf(1) // the distance does not matter, only the cancel
 	}
-	err := ex.scanSteps(ctx, plan, false, nil)
+	err := ex.scanStep(ctx, plan[0], false, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled plan returned %v, want context.Canceled", err)
 	}

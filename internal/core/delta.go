@@ -64,7 +64,7 @@ func (e *executor) scanDelta(ctx context.Context) (top *series.TopK, pruned int,
 	}
 	top = series.NewTopK(e.opts.K)
 	seriesLen := e.gen.Parts.SeriesLen
-	sc := &stepScan{e: e, sh: newSharedTop(top), recBytes: storage.RecordBytes(seriesLen), sumBytes: storage.SummaryBytes(seriesLen)}
+	sc := &stepScan{e: e, top: top, recBytes: storage.RecordBytes(seriesLen), sumBytes: storage.SummaryBytes(seriesLen)}
 	run := func(recs, sums []byte) error { return sc.run(ctx, recs, sums) }
 	for pid, clusters := range e.executed {
 		if err = d.ScanRuns(pid, clusters, run); err != nil {

@@ -24,11 +24,11 @@
 //     progressive queries are one entry point, told apart by
 //     SearchOptions.Prefix and the sink argument: the planner (plan.go)
 //     navigates the skeleton into a ranked list of per-partition
-//     PlanSteps; the executor (exec.go) runs the steps — concurrently when
-//     run to completion, sequentially under a Budget or progressive
-//     snapshot sink, stopping at step boundaries when the budget is
-//     exhausted — then widens within loaded partitions when the plan
-//     covers fewer than K records and ranks by true Euclidean distance.
+//     PlanSteps; the executor (exec.go) runs the steps one at a time, in
+//     rank order, on the query's goroutine — stopping at a step boundary
+//     when a Budget is exhausted or a progressive snapshot sink says so —
+//     then widens within loaded partitions when the plan covers fewer
+//     than K records and ranks by true Euclidean distance.
 //   - RouteNew / WriteRouted (append.go): route new records through the
 //     existing skeleton and merge them into partition files by atomic
 //     replace — into each partition's small tail file, which is folded

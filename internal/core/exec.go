@@ -5,8 +5,6 @@ import (
 	"encoding/binary"
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"climber/internal/obs"
@@ -164,10 +162,9 @@ func (e *executor) run(ctx context.Context, sink func(Snapshot) bool) error {
 
 // scanPlanned executes the ranked plan steps. A MaxPartitions budget is
 // resolved up front: every planned step loads exactly one partition, so
-// truncating the ranked plan to the cap is exactly the prefix a
-// step-by-step run would execute, and the truncated plan keeps its
-// partition parallelism. The answer is marked partial after the run, so a
-// deadline, min-records or callback stop that came first keeps its reason.
+// truncating the ranked plan to the cap is exactly the prefix the step loop
+// would execute. The answer is marked partial after the run, so a deadline,
+// min-records or callback stop that came first keeps its reason.
 func (e *executor) scanPlanned(ctx context.Context, sink func(Snapshot) bool) error {
 	sp := e.span.StartChild("scan")
 	defer sp.End()
@@ -223,41 +220,32 @@ func (e *executor) widen(ctx context.Context, sink func(Snapshot) bool) error {
 	return e.runSteps(ctx, steps, budget, true, sink, sp)
 }
 
-// runSteps is the one step loop of the executor: it scans steps in waves,
-// in rank order, under budget. When nothing needs a step boundary — no
-// progressive sink, no Deadline, no MinRecords — a wave is every step, and
-// scanSteps runs them concurrently: the paper's distributed execution,
-// where the selected partitions live on different workers. Otherwise a
-// wave is one step, so the budget can be checked (and a snapshot emitted)
-// between steps.
+// runSteps is the one step loop of the executor: it scans steps one at a
+// time, in rank order, under budget, on the query's own goroutine, so each
+// step ranks against the bound the steps before it reached. A query's
+// parallelism comes from the queries running beside it (QueryBatch, the
+// server's concurrent requests), not from fanning out its partitions.
 //
-// The budget is checked before every wave but the first planned one: an
+// The budget is checked before every step but the first planned one: an
 // anytime answer always carries the most promising partition's candidates.
 // A widening run checks before its first step too, since the planned scan
-// already produced an answer. After each wave the executed coverage, the
+// already produced an answer. After each step the executed coverage, the
 // planned-step count and the sink's snapshot are brought up to date; a
 // widened step records its partition as fully scanned.
 func (e *executor) runSteps(ctx context.Context, steps []PlanStep, budget Budget, widening bool, sink func(Snapshot) bool, span *obs.Span) error {
-	wave := len(steps)
-	if sink != nil || !budget.Deadline.IsZero() || budget.MinRecords > 0 {
-		wave = 1
-	}
-	for i := 0; i < len(steps); i += wave {
+	for i, st := range steps {
 		if i > 0 || widening {
 			if reason, stop := budget.exhausted(e.stats.PartitionsScanned, e.stats.RecordsScanned); stop {
 				e.markPartial(reason)
 				return nil
 			}
 		}
-		w := steps[i:min(i+wave, len(steps))]
-		if err := e.scanSteps(ctx, w, widening, span); err != nil {
+		if err := e.scanStep(ctx, st, widening, span); err != nil {
 			return err
 		}
-		for _, st := range w {
-			e.executed[st.Partition] = st.Clusters
-		}
+		e.executed[st.Partition] = st.Clusters
 		if !widening {
-			e.stats.StepsExecuted += len(w)
+			e.stats.StepsExecuted++
 		}
 		if sink != nil && !sink(e.snapshot(false)) {
 			e.sinkStopped = true
@@ -317,169 +305,110 @@ func (e *executor) snapshot(final bool) Snapshot {
 	}
 }
 
-// cancelCheckStride is how many records a scanning goroutine compares
-// between context checks inside one run of records (stepScan.run), which
-// also checks before the first; the stride bounds the extra latency a
-// cancelled query pays inside a single large cluster to a few hundred
-// distance computations.
+// cancelCheckStride is how many records a scan compares between context
+// checks inside one run of records (stepScan.run), which also checks before
+// the first; the stride bounds the extra latency a cancelled query pays
+// inside a single large cluster to a few hundred distance computations.
 const cancelCheckStride = 256
 
-// scanSteps scans one wave of steps, folding candidates into the shared
-// top-k with early-abandoning distances, each record checked first against
-// its summary lower bound (stepScan.run). A planned step scans its listed
-// clusters (nil = every cluster) and charges its partition load to the
-// statistics. A widening step scans every cluster its planned step did not
-// compare (widening must not compare a record twice) and charges no load,
-// because its partition is already resident.
-//
-// A multi-step wave scans its partitions concurrently — the distributed
-// execution of the paper, where the selected partitions live on different
-// workers. The top-k accumulator is shared under a mutex with a lock-free
-// bound cache (sharedTop) so early abandoning and summary pruning stay
-// effective across workers. Which record wins a tie at the k-th distance
-// does not depend on that concurrency: the accumulator orders by
+// scanStep scans one step, folding candidates into the query's top-k with
+// early-abandoning distances, each record checked first against its summary
+// lower bound (stepScan.run). A planned step scans its listed clusters
+// (nil = every cluster) and charges its partition load to the statistics. A
+// widening step scans every cluster its planned step did not compare
+// (widening must not compare a record twice) and charges no load, because
+// its partition is already resident. Which record wins a tie at the k-th
+// distance does not depend on the scan order: the accumulator orders by
 // (distance, ID), and the scan offers it every record not above the bound.
 //
-// The traversal is cancellable: each partition-scan goroutine checks ctx
-// before opening its partition, and stepScan.run before every
-// cancelCheckStride records of a cluster, the first included; either
-// returns ctx.Err() as soon as it observes cancellation. Statistics stay
-// consistent on a cancelled query — every record compared and partition
-// loaded before the cancellation is still charged.
+// The scan is cancellable: it checks ctx before opening the partition, and
+// stepScan.run before every cancelCheckStride records of a cluster, the
+// first included; either returns ctx.Err() as soon as it observes
+// cancellation. Statistics stay consistent on a cancelled query — every
+// record compared and partition loaded before the cancellation is still
+// charged.
 //
-// stage, when traced, receives one "partition" child span per step,
+// stage, when traced, receives one "partition" child span for the step,
 // carrying the partition ID, whether the open hit the shared partition
 // cache, the bytes charged and the records pruned by summary — the
 // per-trace attribution of effort that aggregate QueryStats cannot give.
-func (e *executor) scanSteps(ctx context.Context, steps []PlanStep, widening bool, stage *obs.Span) error {
-	ix, stats, sh := e.ix, e.stats, newSharedTop(e.top)
-	scanStep := func(st PlanStep) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		ssp := stage.StartChild("partition")
-		defer ssp.End()
-		ssp.SetAttr("partition", int64(st.Partition))
-		p, err := ix.Cl.OpenPartition(e.gen.Parts, st.Partition)
-		if err != nil {
-			return err
-		}
-		defer p.Close()
-		// The step's records ranked and pruned are counted without
-		// synchronisation — each step runs on one goroutine — and charged
-		// once when the step ends, cancelled or not.
-		sc := &stepScan{e: e, sh: sh, recBytes: storage.RecordBytes(p.SeriesLen()), sumBytes: storage.SummaryBytes(p.SeriesLen())}
-		defer func() {
-			sh.mu.Lock()
-			stats.RecordsScanned += sc.scanned
-			sh.mu.Unlock()
-			ix.Cl.Stats.ScanPrunedRecords.Add(int64(sc.pruned))
-			ssp.SetAttr("pruned", int64(sc.pruned))
-		}()
-		sh.mu.Lock()
-		if p.Cached() {
-			hit := int64(0)
-			if p.CacheHit() {
-				stats.PartitionCacheHits++
-				hit = 1
-			} else {
-				stats.PartitionCacheMisses++
-			}
-			ssp.SetAttr("cache_hit", hit)
-		}
-		if !widening {
-			stats.PartitionsScanned++
-			bytes := int64(p.Count() * storage.RecordBytes(p.SeriesLen()))
-			stats.BytesLoaded += bytes
-			ssp.SetAttr("bytes", bytes)
-		}
-		sh.mu.Unlock()
-		run := func(recs, sums []byte) error { return sc.run(ctx, recs, sums) }
-		// The directory lists clusters by ascending ID. A planned step keeps
-		// its own clusters; a widening step skips the ones its planned step
-		// compared, which executed still records until this wave ends.
-		var done map[storage.ClusterID]struct{}
-		if widening {
-			done = e.executed[st.Partition]
-		}
-		for _, ci := range p.Clusters() {
-			if _, ok := done[ci.ID]; ok {
-				continue
-			}
-			if _, ok := st.Clusters[ci.ID]; st.Clusters != nil && !ok {
-				continue
-			}
-			if err := p.ScanClusterRuns(ci.ID, run); err != nil {
-				return err
-			}
-		}
-		return nil
+func (e *executor) scanStep(ctx context.Context, st PlanStep, widening bool, stage *obs.Span) error {
+	if err := ctx.Err(); err != nil {
+		return err
 	}
-
-	if len(steps) == 1 {
-		return scanStep(steps[0])
+	ssp := stage.StartChild("partition")
+	defer ssp.End()
+	ssp.SetAttr("partition", int64(st.Partition))
+	p, err := e.ix.Cl.OpenPartition(e.gen.Parts, st.Partition)
+	if err != nil {
+		return err
 	}
-	errs := make([]error, len(steps))
-	var wg sync.WaitGroup
-	for i, st := range steps {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = scanStep(st)
-		}()
+	defer p.Close()
+	// The step's records ranked and pruned are charged once when the step
+	// ends, cancelled or not.
+	sc := &stepScan{e: e, top: e.top, recBytes: storage.RecordBytes(p.SeriesLen()), sumBytes: storage.SummaryBytes(p.SeriesLen())}
+	defer func() {
+		e.stats.RecordsScanned += sc.scanned
+		e.ix.Cl.Stats.ScanPrunedRecords.Add(int64(sc.pruned))
+		ssp.SetAttr("pruned", int64(sc.pruned))
+	}()
+	if p.Cached() {
+		hit := int64(0)
+		if p.CacheHit() {
+			e.stats.PartitionCacheHits++
+			hit = 1
+		} else {
+			e.stats.PartitionCacheMisses++
+		}
+		ssp.SetAttr("cache_hit", hit)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
+	if !widening {
+		e.stats.PartitionsScanned++
+		bytes := int64(p.Count() * storage.RecordBytes(p.SeriesLen()))
+		e.stats.BytesLoaded += bytes
+		ssp.SetAttr("bytes", bytes)
+	}
+	run := func(recs, sums []byte) error { return sc.run(ctx, recs, sums) }
+	// The directory lists clusters by ascending ID. A planned step keeps its
+	// own clusters; a widening step skips the ones its planned step
+	// compared, which executed still records until this step ends.
+	var done map[storage.ClusterID]struct{}
+	if widening {
+		done = e.executed[st.Partition]
+	}
+	for _, ci := range p.Clusters() {
+		if _, ok := done[ci.ID]; ok {
+			continue
+		}
+		if _, ok := st.Clusters[ci.ID]; st.Clusters != nil && !ok {
+			continue
+		}
+		if err := p.ScanClusterRuns(ci.ID, run); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// sharedTop is the top-k one wave of scans folds into: the accumulator under
-// a mutex, with a lock-free copy of its admission bound so every scan
-// abandons distances, and prunes by summary, against the best bound any of
-// them has reached.
-type sharedTop struct {
-	mu        sync.Mutex
-	top       *series.TopK
-	boundBits atomic.Uint64
-}
-
-func newSharedTop(top *series.TopK) *sharedTop {
-	sh := &sharedTop{top: top}
-	b, ok := top.Bound()
-	if !ok {
-		b = math.Inf(1)
-	}
-	sh.boundBits.Store(math.Float64bits(b))
-	return sh
-}
-
-func (sh *sharedTop) bound() float64 { return math.Float64frombits(sh.boundBits.Load()) }
-
-// push offers a record whose distance is not above the bound.
-func (sh *sharedTop) push(id int, d float64) {
-	sh.mu.Lock()
-	sh.top.Push(id, d)
-	if b, ok := sh.top.Bound(); ok {
-		sh.boundBits.Store(math.Float64bits(b))
-	}
-	sh.mu.Unlock()
-}
-
-// stepScan is one plan step's scan: the shared top-k it ranks into, what it
-// charges when it ends — the records it ranked, and the subset it ranked by
-// summary alone — and the scratch of its summary pass, allocated once per
-// step rather than once per cluster.
+// stepScan is one step's scan: the top-k it ranks into, what it charges
+// when it ends — the records it ranked, and the subset it ranked by summary
+// alone — and the scratch of its summary pass, allocated once per step
+// rather than once per cluster.
 type stepScan struct {
 	e                  *executor
-	sh                 *sharedTop
+	top                *series.TopK
 	scanned, pruned    int
 	recBytes, sumBytes int
 	lbs                [cancelCheckStride]float64
 	kept               [cancelCheckStride]int32
+}
+
+// bound is the top-k's admission threshold: +Inf until it holds k records.
+func (sc *stepScan) bound() float64 {
+	if b, ok := sc.top.Bound(); ok {
+		return b
+	}
+	return math.Inf(1)
 }
 
 // summaryFilter turns the summary check of stepScan.run off when false —
@@ -487,8 +416,7 @@ type stepScan struct {
 var summaryFilter = true
 
 // run ranks one run of records — recs holds them as the partition file
-// does, sums their summaries (nil in a version-2 file) — into the shared
-// top-k, cancelCheckStride records at a time, checking ctx before each
+// does, sums their summaries (nil in a version-2 file) — into the top-k, cancelCheckStride records at a time, checking ctx before each
 // stretch — the partition steps' and the delta's one cancellation stride.
 //
 // While the bound is finite, each stretch starts with a pass over its
@@ -509,7 +437,7 @@ var summaryFilter = true
 // the hardware prefetcher sees no stream to follow. A prefetch is a hint
 // that reads nothing, so it changes no distance, order or answer.
 func (sc *stepScan) run(ctx context.Context, recs, sums []byte) error {
-	e, sh, recBytes, w := sc.e, sc.sh, sc.recBytes, sc.sumBytes
+	e, recBytes, w := sc.e, sc.recBytes, sc.sumBytes
 	n := len(recs) / recBytes
 	for lo := 0; lo < n; lo += cancelCheckStride {
 		if err := ctx.Err(); err != nil {
@@ -518,11 +446,11 @@ func (sc *stepScan) run(ctx context.Context, recs, sums []byte) error {
 		m := min(cancelCheckStride, n-lo)
 		sc.scanned += m
 		stretch := stretchIndexes[:m]
-		filter := e.lb != nil && sums != nil && summaryFilter && !math.IsInf(sh.bound(), 1)
+		filter := e.lb != nil && sums != nil && summaryFilter && !math.IsInf(sc.bound(), 1)
 		if filter {
 			lbs := sc.lbs[:m]
 			e.lb.Bounds(lbs, sums[lo*w:(lo+m)*w])
-			bound, k := sh.bound(), 0
+			bound, k := sc.bound(), 0
 			for j, lb := range lbs {
 				// Branch free: whether a record is kept is data, not a
 				// pattern a predictor learns.
@@ -540,7 +468,7 @@ func (sc *stepScan) run(ctx context.Context, recs, sums []byte) error {
 			if i+1 < len(stretch) {
 				series.Prefetch(recs[(lo+int(stretch[i+1]))*recBytes:][:recBytes])
 			}
-			bound := sh.bound()
+			bound := sc.bound()
 			if filter && sc.lbs[j] > bound {
 				sc.pruned++
 				continue
@@ -549,7 +477,7 @@ func (sc *stepScan) run(ctx context.Context, recs, sums []byte) error {
 			// An abandoned distance is above bound, so one equal to it is
 			// exact: a tie the accumulator decides by ID.
 			if d := e.rank(rec[8:], bound); !(d > bound) {
-				sh.push(int(binary.LittleEndian.Uint64(rec)), d)
+				sc.top.Push(int(binary.LittleEndian.Uint64(rec)), d)
 			}
 		}
 	}

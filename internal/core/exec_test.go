@@ -13,14 +13,14 @@ import (
 )
 
 // alwaysOn is a progressive sink that never stops the query: it only makes
-// the executor run one step per wave.
+// the executor emit a snapshot after every step.
 func alwaysOn(Snapshot) bool { return true }
 
-// The executor runs a plan either concurrently (every step in one wave) or
-// step by step (a sink, a Deadline or MinRecords asks for boundaries). The
-// two must be one execution: with a sink that never stops, every budget,
-// variant and K gives the sinkless answer bit for bit, with the same effort
-// and the same partial marking.
+// The executor runs a plan with and without a sink — a snapshot after every
+// step, or none. The two must be one execution: with a sink that never
+// stops, every budget, variant and K gives the sinkless answer bit for bit,
+// with the same effort, the same records pruned by summary and the same
+// partial marking.
 func TestStepwiseAndConcurrentModesAgree(t *testing.T) {
 	ix, qs := progressiveFixture(t)
 	budgets := []struct {
@@ -40,20 +40,27 @@ func TestStepwiseAndConcurrentModesAgree(t *testing.T) {
 				for qi, q := range qs {
 					label := fmt.Sprintf("%s/%v/K=%d/q%d", bc.name, v, k, qi)
 					opts := SearchOptions{K: k, Variant: v, Budget: bc.b}
+					pruned := ix.Cl.Stats.ScanPrunedRecords.Load()
 					want, err := ix.Query(context.Background(), q, opts, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
+					wantPruned := ix.Cl.Stats.ScanPrunedRecords.Load() - pruned
+					pruned = ix.Cl.Stats.ScanPrunedRecords.Load()
 					got, err := ix.Query(context.Background(), q, opts, alwaysOn)
 					if err != nil {
 						t.Fatal(err)
 					}
+					gotPruned := ix.Cl.Stats.ScanPrunedRecords.Load() - pruned
 					assertSameResults(t, label, got.Results, want.Results)
 					g, w := got.Stats, want.Stats
 					if g.PartitionsScanned != w.PartitionsScanned || g.RecordsScanned != w.RecordsScanned ||
 						g.BytesLoaded != w.BytesLoaded || g.StepsExecuted != w.StepsExecuted ||
 						g.Partial != w.Partial || g.BudgetExhausted != w.BudgetExhausted {
-						t.Fatalf("%s: stepwise stats diverged from concurrent:\n got %+v\nwant %+v", label, g, w)
+						t.Fatalf("%s: stats with a sink diverged from sinkless:\n got %+v\nwant %+v", label, g, w)
+					}
+					if gotPruned != wantPruned {
+						t.Fatalf("%s: stepwise pruned %d records, sinkless %d", label, gotPruned, wantPruned)
 					}
 				}
 			}

@@ -230,10 +230,10 @@ func (ix *Index) Search(q []float64, opts SearchOptions) (*SearchResult, error) 
 // configured variant — the one entry point of the engine: validate,
 // transform, then run the planner/executor.
 //
-// Cancellation is honoured on the partition-scan path: every scanning
-// goroutine checks ctx between cluster scans (and periodically within large
-// clusters), so a cancelled query stops loading and comparing records
-// mid-plan and returns ctx.Err().
+// Cancellation is honoured on the partition-scan path: the scan checks ctx
+// before opening each partition and every few hundred records, so a
+// cancelled query stops loading and comparing records mid-plan and returns
+// ctx.Err().
 //
 // opts.Prefix admits a query *shorter* than the indexed length — the
 // flexibility the paper credits the PAA/SAX-family representations with
@@ -252,11 +252,11 @@ func (ix *Index) Search(q []float64, opts SearchOptions) (*SearchResult, error) 
 // best answer so far, marked partial with BudgetCallback. Combined with
 // SearchOptions.Budget this is the anytime serving mode: first answers
 // arrive after one partition, refine step by step, and stop exactly when
-// the consumer or the budget says so. Progressive execution runs plan steps
-// sequentially in rank order (so each snapshot reflects the most promising
-// unscanned partition), trading the run-to-completion path's partition
-// parallelism for step-boundary control. sink is called synchronously on
-// the query's goroutine and must not block for long.
+// the consumer or the budget says so. Every query runs its plan steps one at
+// a time in rank order, so each snapshot adds the most promising partition
+// not yet scanned, and a sink changes neither the answer nor the effort.
+// sink is called synchronously on the query's goroutine and must not block
+// for long.
 func (ix *Index) Query(ctx context.Context, q []float64, opts SearchOptions, sink func(Snapshot) bool) (*SearchResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -14,8 +14,8 @@ type Result struct {
 // TopK is a bounded max-heap that keeps the k smallest results seen so far
 // in the order (Dist, ID): of two equally distant results the lower ID ranks
 // first. The order is total, so the kept set does not depend on the order
-// results are pushed in — a concurrent scan keeps the same records at a tie
-// as a sequential one. It is the accumulator behind every kNN scan in the
+// results are pushed in — partitions scanned in any order keep the same
+// records at a tie. It is the accumulator behind every kNN scan in the
 // repository: exact scans (Dss), partition-local scans (CLIMBER), and
 // baseline searches. The zero value is not usable; construct with NewTopK.
 type TopK struct {
