@@ -818,39 +818,6 @@ func ShardDirs(base string, n int) []string {
 	return dirs
 }
 
-// OpenShards opens every directory as an independent DB, applying the same
-// options to each — the multi-open companion of a sharded deployment,
-// where every climber-serve process owns one of the directories behind a
-// cmd/climber-router. On any failure the already-opened DBs are closed and
-// the returned error names the directory that refused.
-func OpenShards(dirs []string, opts ...Option) ([]*DB, error) {
-	dbs := make([]*DB, 0, len(dirs))
-	for _, dir := range dirs {
-		db, err := Open(dir, opts...)
-		if err != nil {
-			CloseShards(dbs)
-			return nil, fmt.Errorf("climber: open shard %s: %w", dir, err)
-		}
-		dbs = append(dbs, db)
-	}
-	return dbs, nil
-}
-
-// CloseShards closes every non-nil DB in dbs, returning the first error.
-// Close is idempotent, so CloseShards may run after individual Closes.
-func CloseShards(dbs []*DB) error {
-	var err error
-	for _, db := range dbs {
-		if db == nil {
-			continue
-		}
-		if cerr := db.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
-
 // Info summarises the database's shape.
 type Info struct {
 	SeriesLen     int

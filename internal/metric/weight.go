@@ -34,18 +34,6 @@ func (k DecayKind) String() string {
 	}
 }
 
-// ParseDecayKind parses "exponential" or "linear".
-func ParseDecayKind(s string) (DecayKind, error) {
-	switch s {
-	case "exponential", "exp":
-		return ExponentialDecay, nil
-	case "linear", "lin":
-		return LinearDecay, nil
-	default:
-		return 0, fmt.Errorf("metric: unknown decay kind %q (want exponential or linear)", s)
-	}
-}
-
 // Weigher precomputes the pivot weight sequence W(1) > W(2) > ... > W(m) of
 // Definition 9 and the constant Total Weight of Definition 10, and evaluates
 // the Weight Distance of Definition 11. A Weigher is immutable and safe for

@@ -131,21 +131,6 @@ func TestWeightDistWrongLengthPanics(t *testing.T) {
 	w.WeightDist(pivot.Signature{1, 2}, pivot.Signature{1, 2, 3})
 }
 
-func TestParseDecayKind(t *testing.T) {
-	for _, c := range []struct {
-		in   string
-		want DecayKind
-	}{{"exponential", ExponentialDecay}, {"exp", ExponentialDecay}, {"linear", LinearDecay}, {"lin", LinearDecay}} {
-		got, err := ParseDecayKind(c.in)
-		if err != nil || got != c.want {
-			t.Errorf("ParseDecayKind(%q) = %v, %v", c.in, got, err)
-		}
-	}
-	if _, err := ParseDecayKind("bogus"); err == nil {
-		t.Error("ParseDecayKind accepted garbage")
-	}
-}
-
 func TestDecayKindString(t *testing.T) {
 	if ExponentialDecay.String() != "exponential" || LinearDecay.String() != "linear" {
 		t.Fatal("DecayKind.String mismatch")

@@ -77,9 +77,6 @@ func SelectRandom(candidates [][]float64, r, prefixLen int, rng *rand.Rand) (*Se
 // R returns the number of pivots.
 func (s *Set) R() int { return len(s.flat) / s.dim }
 
-// Dim returns the dimensionality of the pivot space.
-func (s *Set) Dim() int { return s.dim }
-
 // PrefixLen returns the configured prefix length m.
 func (s *Set) PrefixLen() int { return s.prefix }
 

@@ -60,25 +60,6 @@ func (w Word) SymbolAt(i int, bits uint8) uint16 {
 	return w.Symbols[i] >> (w.Bits[i] - bits)
 }
 
-// Covers reports whether w (a coarser or equal word) covers candidate: for
-// every segment, w's symbol must equal the candidate's symbol truncated to
-// w's bit width. This is the containment test used when routing a series or
-// query down an iSAX tree.
-func (w Word) Covers(candidate Word) bool {
-	if len(w.Symbols) != len(candidate.Symbols) {
-		return false
-	}
-	for i := range w.Symbols {
-		if w.Bits[i] > candidate.Bits[i] {
-			return false
-		}
-		if w.Symbols[i] != candidate.SymbolAt(i, w.Bits[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Key returns a canonical string form usable as a map key, e.g.
 // "00^2.010^3.1^1" encodes symbols with their bit widths.
 func (w Word) Key() string {

@@ -63,16 +63,6 @@ func TestSymbolAtAndCovers(t *testing.T) {
 			t.Fatalf("SymbolAt(%d, 1) = %d, want %d", i, fine.SymbolAt(i, 1), coarse.Symbols[i])
 		}
 	}
-	if !coarse.Covers(fine) {
-		t.Fatal("coarse word should cover its own refinement")
-	}
-	if fine.Covers(coarse) {
-		t.Fatal("fine word cannot cover a coarser word")
-	}
-	other := NewWordUniform([]float64{1.5, -0.4, 0.45, 1.5}, 3)
-	if coarse.Covers(other) {
-		t.Fatal("coarse word covers a word from a different region")
-	}
 }
 
 func TestSymbolAtPromotePanics(t *testing.T) {

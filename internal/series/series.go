@@ -66,15 +66,6 @@ func (d *Dataset) Get(id int) []float64 {
 // by the storage layer to serialise datasets without copying.
 func (d *Dataset) Values() []float64 { return d.vals }
 
-// AppendFlat bulk-appends pre-flattened series values. len(vals) must be a
-// multiple of the series length.
-func (d *Dataset) AppendFlat(vals []float64) {
-	if len(vals)%d.length != 0 {
-		panic(fmt.Sprintf("series: flat append of %d values is not a multiple of series length %d", len(vals), d.length))
-	}
-	d.vals = append(d.vals, vals...)
-}
-
 // Slice returns a view dataset containing series [lo, hi). The view shares
 // backing storage with d.
 func (d *Dataset) Slice(lo, hi int) *Dataset {
@@ -122,12 +113,4 @@ func ZNormalize(x []float64) {
 	for i := range x {
 		x[i] = (x[i] - mu) / sd
 	}
-}
-
-// ZNormalized returns a z-normalised copy of x, leaving x untouched.
-func ZNormalized(x []float64) []float64 {
-	out := make([]float64, len(x))
-	copy(out, x)
-	ZNormalize(out)
-	return out
 }

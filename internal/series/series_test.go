@@ -46,26 +46,6 @@ func TestNewDatasetInvalidLengthPanics(t *testing.T) {
 	NewDataset(0)
 }
 
-func TestDatasetAppendFlat(t *testing.T) {
-	d := NewDataset(2)
-	d.AppendFlat([]float64{1, 2, 3, 4, 5, 6})
-	if d.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", d.Len())
-	}
-	if got := d.Get(2); got[0] != 5 || got[1] != 6 {
-		t.Fatalf("Get(2) = %v, want [5 6]", got)
-	}
-}
-
-func TestDatasetAppendFlatMisaligned(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("misaligned AppendFlat did not panic")
-		}
-	}()
-	NewDataset(2).AppendFlat([]float64{1, 2, 3})
-}
-
 func TestDatasetSlice(t *testing.T) {
 	d := NewDataset(2)
 	for i := 0; i < 5; i++ {
@@ -191,14 +171,6 @@ func TestZNormalizeConstantSeries(t *testing.T) {
 		if v != 0 {
 			t.Fatalf("constant series z-norm = %v, want all zeros", x)
 		}
-	}
-}
-
-func TestZNormalizedDoesNotMutate(t *testing.T) {
-	x := []float64{1, 2, 3}
-	_ = ZNormalized(x)
-	if x[0] != 1 || x[1] != 2 || x[2] != 3 {
-		t.Fatalf("ZNormalized mutated its input: %v", x)
 	}
 }
 

@@ -1,86 +1,18 @@
 package climber_test
 
 import (
-	"math/rand/v2"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"climber"
 )
 
-// TestOpenShardsRoundTrip covers the multi-open helpers behind sharded
-// deployments: ShardDirs names the conventional layout, OpenShards opens
-// every directory (failing atomically when one is missing), and
-// CloseShards releases them all idempotently.
+// TestOpenShardsRoundTrip covers ShardDirs, the conventional layout of a
+// sharded deployment: base/shard-0 .. base/shard-n-1.
 func TestOpenShardsRoundTrip(t *testing.T) {
 	base := t.TempDir()
 	dirs := climber.ShardDirs(base, 2)
 	if filepath.Base(dirs[0]) != "shard-0" || filepath.Base(dirs[1]) != "shard-1" {
 		t.Fatalf("unexpected layout: %v", dirs)
-	}
-
-	rng := rand.New(rand.NewPCG(11, 0))
-	opts := []climber.Option{
-		climber.WithSegments(8), climber.WithPivots(16), climber.WithPrefixLen(4),
-		climber.WithCapacity(200), climber.WithSampleRate(0.3), climber.WithBlockSize(100),
-		climber.WithSeed(5),
-	}
-	queries := make([][][]float64, len(dirs))
-	for s, dir := range dirs {
-		data := make([][]float64, 400)
-		for i := range data {
-			x := make([]float64, 32)
-			for j := range x {
-				x[j] = rng.NormFloat64()
-			}
-			data[i] = x
-		}
-		db, err := climber.Build(dir, data, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
-		queries[s] = data[:2]
-	}
-
-	dbs, err := climber.OpenShards(dirs, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s, db := range dbs {
-		res, err := db.Search(queries[s][0], 3)
-		if err != nil {
-			t.Fatalf("shard %d: %v", s, err)
-		}
-		if len(res) == 0 || res[0].ID != 0 || res[0].Dist > 1e-4 {
-			t.Fatalf("shard %d: self-query answered %+v", s, res)
-		}
-	}
-	if err := climber.CloseShards(dbs); err != nil {
-		t.Fatal(err)
-	}
-	if err := climber.CloseShards(dbs); err != nil { // idempotent
-		t.Fatal(err)
-	}
-	if _, err := dbs[0].Search(queries[0][0], 1); err == nil {
-		t.Fatal("search on a closed shard succeeded")
-	}
-
-	// A missing directory fails the whole open and leaves nothing locked:
-	// the good shard must be reopenable immediately (its WAL lock was
-	// released by the cleanup path).
-	bad := append([]string{dirs[0]}, filepath.Join(base, "shard-9"))
-	if _, err := climber.OpenShards(bad, opts...); err == nil || !strings.Contains(err.Error(), "shard-9") {
-		t.Fatalf("OpenShards over a missing dir: %v", err)
-	}
-	again, err := climber.OpenShards(dirs[:1], opts...)
-	if err != nil {
-		t.Fatalf("shard left locked after failed OpenShards: %v", err)
-	}
-	if err := climber.CloseShards(again); err != nil {
-		t.Fatal(err)
 	}
 }
