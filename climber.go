@@ -626,9 +626,10 @@ func (db *DB) engineOptions(req Request) (core.SearchOptions, error) {
 
 // Query answers one Request. Cancelling ctx stops the query's partition
 // scan mid-plan (the scan checks the context before each partition and
-// every few hundred records) and returns ctx.Err(); a query issued on behalf of a
-// network client should pass the request context so a disconnect stops the
-// disk and CPU work immediately. After Close the error is ErrClosed.
+// every few hundred records) and returns ctx.Err(); a query issued on
+// behalf of a network client should pass the request context so a
+// disconnect stops the disk and CPU work immediately. After Close the error
+// is ErrClosed.
 func (db *DB) Query(ctx context.Context, req Request) (Response, error) {
 	so, err := db.engineOptions(req)
 	if err != nil {

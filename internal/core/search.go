@@ -238,7 +238,7 @@ func (ix *Index) Search(q []float64, opts SearchOptions) (*SearchResult, error) 
 // opts.Prefix admits a query *shorter* than the indexed length — the
 // flexibility the paper credits the PAA/SAX-family representations with
 // ("they allow for queries shorter than the length on which the index is
-// built", Section II), which DFT- and wavelet-based indexes cannot offer.
+// built", Section II), which DFT- and DWT-based indexes cannot offer.
 // The short query is PAA-segmented into the same w segments as the index
 // (so the pivot space lines up), routed through groups and tries as usual,
 // and candidates are ranked by the Euclidean distance over the first len(q)
