@@ -461,108 +461,6 @@ func BenchmarkAblationDualRepresentation(b *testing.B) {
 	}
 }
 
-// --- Partition cache: warm vs cold query path --------------------------------------
-
-// BenchmarkPartitionCache compares the repeated-query hot path with the
-// shared partition cache off ("cold": every partition open is a disk load,
-// the paper's cost model) and on ("warm": repeats served from the
-// byte-budgeted LRU). partition-loads/op counts real disk loads per query —
-// with a warm cache it collapses towards zero while recall and answers are
-// identical (see TestPartitionCacheEquivalence).
-func BenchmarkPartitionCache(b *testing.B) {
-	dir := b.TempDir()
-	ds := dataset.RandomWalk(dataset.RandomWalkLength, benchSize, 11)
-	sds := series.NewDatasetCap(ds.Length(), ds.Len())
-	data := make([][]float64, ds.Len())
-	for i := range data {
-		data[i] = ds.Get(i)
-		sds.Append(ds.Get(i))
-	}
-	buildDir := dir + "/db"
-	buildAndClose(b, buildDir, data,
-		WithCapacity(benchCapacity), WithBlockSize(1000), WithSeed(11))
-	_, queries := dataset.Queries(sds, benchQueries, 77)
-
-	for _, c := range []struct {
-		name  string
-		bytes int64
-	}{{"cold", 0}, {"warm", 256 << 20}} {
-		b.Run(c.name, func(b *testing.B) {
-			db, err := Open(buildDir, WithPartitionCacheBytes(c.bytes))
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Close before the next subcase opens the directory: the WAL
-			// carries a single-writer lock.
-			b.Cleanup(func() { db.Close() })
-			// One pass outside the timer so "warm" measures the steady
-			// state, not the first-touch loads.
-			for _, q := range queries {
-				if _, err := db.Search(q, benchK); err != nil {
-					b.Fatal(err)
-				}
-			}
-			start := db.CacheStats()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := db.Search(queries[i%len(queries)], benchK); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			cs := db.CacheStats()
-			b.ReportMetric(float64(cs.PartitionsLoaded-start.PartitionsLoaded)/float64(b.N), "partition-loads/op")
-			if c.bytes > 0 {
-				b.ReportMetric(float64(cs.BytesSaved-start.BytesSaved)/float64(b.N), "bytes-saved/op")
-			}
-		})
-	}
-}
-
-// BenchmarkPartitionCacheBatch measures the concurrent batch path, where
-// the singleflight cache additionally coalesces simultaneous loads of the
-// same partition across queries.
-func BenchmarkPartitionCacheBatch(b *testing.B) {
-	dir := b.TempDir()
-	ds := dataset.RandomWalk(dataset.RandomWalkLength, benchSize, 11)
-	sds := series.NewDatasetCap(ds.Length(), ds.Len())
-	data := make([][]float64, ds.Len())
-	for i := range data {
-		data[i] = ds.Get(i)
-		sds.Append(ds.Get(i))
-	}
-	buildDir := dir + "/db"
-	buildAndClose(b, buildDir, data,
-		WithCapacity(benchCapacity), WithBlockSize(1000), WithSeed(11))
-	_, queries := dataset.Queries(sds, 32, 77)
-
-	for _, c := range []struct {
-		name  string
-		bytes int64
-	}{{"cold", 0}, {"warm", 256 << 20}} {
-		b.Run(c.name, func(b *testing.B) {
-			db, err := Open(buildDir, WithPartitionCacheBytes(c.bytes))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Cleanup(func() { db.Close() })
-			// One untimed batch so "warm" measures the steady state.
-			if _, err := searchBatch(db, queries, benchK); err != nil {
-				b.Fatal(err)
-			}
-			start := db.CacheStats().PartitionsLoaded
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := searchBatch(db, queries, benchK); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(db.CacheStats().PartitionsLoaded-start)/float64(b.N), "partition-loads/op")
-		})
-	}
-}
-
 // --- Prefix queries: the PAA-flexibility feature -----------------------------------
 
 func BenchmarkPrefixQuery(b *testing.B) {

@@ -1,70 +1,86 @@
 package climber
 
 import (
+	"context"
+	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
+	"time"
+
+	"climber/internal/cluster"
 )
 
-// The acceptance workload: with the cache enabled, a repeated-query
-// workload must perform at least 5x fewer partition loads (cluster stats)
-// than the same workload against the same index with the cache off.
-func TestPartitionCacheReducesPartitionLoads(t *testing.T) {
+// Every partition file a query touches is mapped once, at its first open,
+// and every later open of it is a hit: over ten rounds of the same queries
+// the loads equal the distinct files touched, whatever the deprecated
+// WithPartitionCacheBytes says — none, a budget smaller than those files, or
+// one that holds them all.
+func TestPartitionFileMappedOnce(t *testing.T) {
 	dir := t.TempDir()
-	data := smallData(1500)
+	data := smallData(6000)
 	buildAndClose(t, dir, data, smallOpts()...)
-	queries := [][]float64{data[3], data[400], data[800], data[1200], data[1499]}
+	var queries [][]float64
+	for i := 0; i < len(data); i += 150 {
+		queries = append(queries, data[i])
+	}
 	const rounds = 10
-
-	run := func(db *DB) int64 {
-		for r := 0; r < rounds; r++ {
-			for _, q := range queries {
-				if _, err := db.Search(q, 20); err != nil {
-					t.Fatal(err)
+	for _, budget := range []int64{0, 1 << 20, 256 << 20} {
+		t.Run(fmt.Sprint(budget), func(t *testing.T) {
+			db, err := Open(dir, WithPartitionCacheBytes(budget), WithReadOnly())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			touched := make(map[int]bool)
+			var steps int64 // partition opens the plans ran, widening aside
+			for r := 0; r < rounds; r++ {
+				for i, q := range queries {
+					v := []Variant{ODSmallest, Adaptive4X}[i%2]
+					resp, err := db.Query(context.Background(), NewRequest(q, 20, WithVariant(v), WithExplain()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, st := range resp.Explain.Plan {
+						if st.Executed {
+							touched[st.Partition] = true
+							steps++
+						}
+					}
 				}
 			}
-		}
-		return db.CacheStats().PartitionsLoaded
-	}
-
-	cold, err := Open(dir, WithReadOnly())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cold.Close()
-	warm, err := Open(dir, WithPartitionCacheBytes(256<<20), WithReadOnly())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer warm.Close()
-	loadsOff := run(cold)
-	loadsOn := run(warm)
-	t.Logf("partition loads: cache-off %d, cache-on %d (%.1fx fewer)",
-		loadsOff, loadsOn, float64(loadsOff)/float64(loadsOn))
-	if loadsOn == 0 {
-		t.Fatal("cache-on workload reported zero loads")
-	}
-	if loadsOff < 5*loadsOn {
-		t.Fatalf("cache saved only %.1fx partition loads (off=%d on=%d), want >= 5x",
-			float64(loadsOff)/float64(loadsOn), loadsOff, loadsOn)
-	}
-	cs := warm.CacheStats()
-	if cs.Hits == 0 || cs.Misses == 0 || cs.BytesSaved == 0 {
-		t.Fatalf("cache counters not surfaced: %+v", cs)
-	}
-	// Per-query stats surface the hits too: a repeated query is all hits.
-	_, stats, err := searchStats(warm, queries[0], 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.PartitionCacheHits == 0 || stats.PartitionCacheMisses != 0 {
-		t.Fatalf("repeat query stats = %+v, want all cache hits", stats)
+			var bytes int64
+			for pid := range touched {
+				info, err := os.Stat(db.ix.Partitions().Paths[pid])
+				if err != nil {
+					t.Fatal(err)
+				}
+				bytes += info.Size()
+			}
+			if bytes <= 1<<20 {
+				t.Fatalf("test premise broken: the queries touch %d bytes, within the 1 MiB budget", bytes)
+			}
+			cs := db.CacheStats()
+			files := int64(len(touched))
+			if cs.PartitionsLoaded != files || cs.Misses != files {
+				t.Fatalf("%d loads and %d misses for %d distinct files touched", cs.PartitionsLoaded, cs.Misses, files)
+			}
+			// Every other open hit: at least every step after the first
+			// open of its file.
+			if cs.Hits < steps-files {
+				t.Fatalf("%d hits in %d steps over %d files", cs.Hits, steps, files)
+			}
+			if cs.Evictions != 0 || cs.BytesSaved == 0 || cs.MappedBytes != bytes || cs.ResidentBytes != bytes {
+				t.Fatalf("counters %+v, want no evictions and the %d bytes touched mapped", cs, bytes)
+			}
+		})
 	}
 }
 
-// WithPartitionCacheBytes(0) — the default — must preserve today's
-// behaviour exactly: identical answers, identical per-query cost
-// accounting, and zeroed cache counters. And the cache, when on, must not
-// change any answer or any per-query cost either.
+// WithPartitionCacheBytes is ignored: a DB opened with no budget and one
+// opened with a budget give identical answers, identical per-query cost
+// accounting and identical counters.
 func TestPartitionCacheEquivalence(t *testing.T) {
 	dir := t.TempDir()
 	data := smallData(1500)
@@ -103,13 +119,13 @@ func TestPartitionCacheEquivalence(t *testing.T) {
 				sa.GroupsConsidered != sb.GroupsConsidered {
 				t.Fatalf("q%d %v: cost accounting diverged: %+v vs %+v", qid, v, sa, sb)
 			}
-			if sa.PartitionCacheHits != 0 || sa.PartitionCacheMisses != 0 {
-				t.Fatalf("q%d %v: cache-off query reports cache traffic: %+v", qid, v, sa)
+			if sa != sb {
+				t.Fatalf("q%d %v: stats diverged: %+v vs %+v", qid, v, sa, sb)
 			}
 		}
 	}
-	if cs := off.CacheStats(); cs.Hits != 0 || cs.Misses != 0 || cs.Evictions != 0 || cs.BytesSaved != 0 {
-		t.Fatalf("cache-off DB reports cache counters: %+v", cs)
+	if a, b := off.CacheStats(), on.CacheStats(); a != b || a.Hits == 0 {
+		t.Fatalf("counters diverged or no open hit:\n%+v\n%+v", a, b)
 	}
 }
 
@@ -168,30 +184,116 @@ func buildAndReopenFrom(t *testing.T, data [][]float64, extra ...Option) *DB {
 	return db
 }
 
-// Append rewrites partition files; the cache must drop its stale copies so
-// queries observe the appended records.
+// A drain replaces partition files: queries must observe the appended
+// records, and only the files the drain wrote — the tails it created or
+// rewrote, the bases it folded — are mapped again.
 func TestPartitionCacheInvalidatedByAppend(t *testing.T) {
 	data := smallData(1200)
-	db := buildAndReopenFrom(t, data, WithPartitionCacheBytes(128<<20))
+	db := buildAndReopenFrom(t, data, WithCompactionRecords(1<<20), WithCompactionAge(time.Hour))
 
-	// Warm the cache over the whole index.
-	for _, qid := range []int{0, 200, 400, 600, 800, 1000} {
-		if _, err := db.Search(data[qid], 10, WithVariant(ODSmallest)); err != nil {
+	// touch runs the queries and returns the partitions they opened.
+	touch := func(qs [][]float64) map[int]bool {
+		t.Helper()
+		touched := make(map[int]bool)
+		for _, q := range qs {
+			resp, err := db.Query(context.Background(), NewRequest(q, 10, WithVariant(ODSmallest), WithExplain()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, st := range resp.Explain.Plan {
+				if st.Executed {
+					touched[st.Partition] = true
+				}
+			}
+		}
+		return touched
+	}
+	// files lists the store's partition files, bases and tails.
+	files := func() map[string]os.FileInfo {
+		t.Helper()
+		ents, err := os.ReadDir(db.cl.Dir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]os.FileInfo, len(ents))
+		for _, e := range ents {
+			info, err := e.Info()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[filepath.Join(db.cl.Dir(), e.Name())] = info
+		}
+		return out
+	}
+
+	appended := smallData(1230)[1200:] // 30 fresh series
+	var ids []int
+	drain := func(batch [][]float64) {
+		t.Helper()
+		got, err := db.Append(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, got...)
+		if err := db.Flush(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	extra := smallData(1230)[1200:] // 30 fresh series
-	ids, err := db.Append(extra)
-	if err != nil {
-		t.Fatal(err)
+	queries := [][]float64{data[0], data[200], data[400], data[600], data[800], data[1000]}
+	queries = append(queries, appended...)
+
+	// The first drain writes tails; the queries map them. The second
+	// rewrites some of those tails.
+	drain(appended[:15])
+	warmed := touch(queries)
+	before := files()
+	drain(appended[15:])
+	after := files()
+	wrote := func(path string) bool {
+		old, ok := before[path]
+		now, exists := after[path]
+		return exists && (!ok || !os.SameFile(old, now))
 	}
-	for i, q := range extra {
+
+	loads := db.CacheStats().PartitionsLoaded
+	touched := touch(queries)
+	// The files the queries open: those the second drain wrote and those
+	// of partitions never opened before are loaded, the rest stay mapped.
+	var want int64
+	rewritten, kept := 0, 0
+	parts := db.ix.Partitions()
+	for pid := range touched {
+		fs := []string{parts.Paths[pid]}
+		if _, tail := parts.Layout(pid); tail > 0 {
+			fs = append(fs, cluster.TailPath(fs[0]))
+		}
+		for _, f := range fs {
+			switch {
+			case wrote(f):
+				want++
+				if _, ok := before[f]; ok && warmed[pid] {
+					rewritten++
+				}
+			case !warmed[pid]:
+				want++
+			default:
+				kept++
+			}
+		}
+	}
+	if rewritten == 0 || kept == 0 {
+		t.Fatalf("test premise broken: of the files the queries open, the drain rewrote %d mapped ones and left %d", rewritten, kept)
+	}
+	if got := db.CacheStats().PartitionsLoaded - loads; got != want {
+		t.Fatalf("after the drain the queries loaded %d files, want the %d it wrote or never mapped", got, want)
+	}
+	for i, q := range appended {
 		res, err := db.Search(q, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(res) == 0 || res[0].ID != ids[i] || res[0].Dist > 1e-3 {
-			t.Fatalf("appended record %d invisible through the cache: %+v", ids[i], res)
+			t.Fatalf("appended record %d invisible after the drains: %+v", ids[i], res)
 		}
 	}
 }

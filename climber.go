@@ -35,16 +35,16 @@
 // QueryBatch answers many queries under one Request's options, and Search
 // is Query for callers that want neither a context nor statistics.
 //
-// # Partition cache
+// # Partition mappings
 //
-// By default every query pays the paper's partition-load cost: each
-// partition it touches is mapped from disk for that query alone.
-// Query-heavy workloads should enable the shared partition cache, a
-// byte-budgeted LRU of mapped partitions with singleflight loading that
-// serves repeated and concurrent accesses from memory:
-//
-//	db, err := climber.Open(dir, climber.WithPartitionCacheBytes(256<<20))
-//	// ... Search / Query / QueryBatch as usual; db.CacheStats() reports the effect.
+// A partition file is mapped read-only at the first query that touches it
+// and stays mapped, shared by every later query, until a compaction replaces
+// it, a reindex retires its generation, or the DB closes. There is no budget
+// to size: the mapped pages are the kernel's page cache, so the process's
+// RSS grows toward the partition bytes queries touch and the kernel reclaims
+// those pages under memory pressure. db.CacheStats() reports the opens that
+// found a file mapped (Hits), the loads (PartitionsLoaded) and the bytes
+// mapped (MappedBytes).
 //
 // # Anytime queries
 //
@@ -65,8 +65,8 @@
 // Query and QueryBatch honour cancellation on the partition-scan path: a
 // cancelled context stops the query's partition scan within a few hundred
 // records and returns ctx.Err(). Long-lived processes should Close the DB
-// when done — Close purges the partition cache and makes subsequent calls
-// return ErrClosed.
+// when done — Close unmaps the partition files no query still holds and
+// makes subsequent calls return ErrClosed.
 // cmd/climber-serve exposes an opened DB as a concurrent HTTP JSON service
 // (see internal/server) built on exactly these APIs.
 //
@@ -145,32 +145,32 @@ type IngestStats = ingest.Stats
 // IngestStats.CompactDurations.
 var CompactionBuckets = ingest.CompactionBuckets
 
-// CacheStats reports the cumulative effect of the shared partition cache
-// across every query answered by this DB, beside the read path's other
-// counters (map fallbacks, the partition-buffer pool, summary pruning). The
-// cache counters (Hits, Misses, Evictions, BytesSaved) are all zero when the
-// cache is off; PartitionsLoaded is maintained either way.
+// CacheStats reports the cumulative partition-file counters of every query
+// answered by this DB — opens, loads, the mapped bytes — beside the read
+// path's other counters (map fallbacks, the partition-buffer pool, summary
+// pruning). Each partition file is mapped once and kept mapped (see
+// "Partition mappings" above).
 type CacheStats struct {
-	// Hits counts partition opens served from memory; Misses counts opens
-	// that had to load the partition file from disk.
+	// Hits counts partition-file opens that found the file mapped; Misses
+	// counts opens that loaded it: the first open of each file, the first
+	// after a compaction replaced it, and every open of a heap copy.
 	Hits, Misses int64
-	// Evictions counts partitions dropped to stay within the byte budget.
+	// Evictions is always 0: nothing is unmapped to make room. The field
+	// keeps its place in /stats.
 	Evictions int64
-	// BytesSaved is the partition-file volume hits avoided re-reading.
+	// BytesSaved is the partition-file volume hits avoided loading again.
 	BytesSaved int64
-	// PartitionsLoaded counts real disk loads (the cost the paper's
-	// query-time model charges); with a warm cache it grows far slower
-	// than the number of partition opens.
+	// PartitionsLoaded counts real loads, mappings made and heap copies
+	// read (the cost the paper's query-time model charges); it grows with
+	// the files touched, not with the opens.
 	PartitionsLoaded int64
-	// ResidentBytes is the cache's current charge against its byte budget:
-	// directory metadata plus mapped (or, after a fallback, heap-copied)
-	// partition bytes. MappedBytes is the subset served by read-only memory
-	// mappings; the kernel can reclaim their pages under pressure, so
-	// MappedBytes bounds page-cache footprint rather than heap.
+	// ResidentBytes and MappedBytes both report the file bytes of the
+	// partitions held mapped. The kernel can reclaim their pages under
+	// pressure, so they measure page-cache footprint rather than heap.
 	ResidentBytes, MappedBytes int64
-	// MapFallbacks counts partition loads, cached or not, that could not
-	// memory-map the file and read it onto the heap instead: 0 where
-	// mapping works, every load on a platform without it.
+	// MapFallbacks counts partition loads that could not memory-map the
+	// file and read it onto the heap instead: 0 where mapping works, every
+	// load on a platform without it.
 	MapFallbacks int64
 	// LoadBuffersReused and LoadBuffersFresh count the partition-sized
 	// buffers heap loads and compaction merges took from the recycled pool
@@ -215,10 +215,9 @@ const (
 type Option func(*options)
 
 type options struct {
-	cfg        core.Config
-	cacheBytes int64
-	ingest     ingest.Config
-	readOnly   bool
+	cfg      core.Config
+	ingest   ingest.Config
+	readOnly bool
 }
 
 // WithSegments sets the PAA segment count w (default 16).
@@ -261,34 +260,18 @@ func WithDecayRate(l float64) Option { return func(o *options) { o.cfg.Lambda = 
 // trades build wall-clock only, never layout.
 func WithBuildWorkers(n int) Option { return func(o *options) { o.cfg.Workers = n } }
 
-// WithPartitionCacheBytes installs a shared partition cache budgeted at n
-// bytes under the query path: a byte-budgeted LRU of memory-mapped
-// partitions with singleflight loading, shared by every query (Search,
-// Query, QueryBatch) and the within-partition widening pass. Partitions are
-// immutable after build, so caching them is safe under any query
-// concurrency; Append invalidates the partitions it rewrites.
+// WithPartitionCacheBytes is accepted and ignored. Every partition file a
+// query opens is mapped once and stays mapped, shared by every later query,
+// until a compaction replaces it, a reindex retires it or the DB closes, so
+// there is no cache left to size (see "Partition mappings" above).
 //
-// The budget bounds the *resident cache entries*, not total process
-// memory: loads in flight and partitions still referenced by running
-// queries after eviction live outside it, so peak usage can transiently
-// exceed n by roughly one partition per concurrent cold query. Leave
-// headroom when sizing for a memory-constrained deployment.
-//
-// n = 0 (the default) disables the cache, preserving the original
-// per-query partition-load cost accounting that the paper-faithful
-// experiment harnesses measure. Repeated or concurrent query workloads
-// should enable it — a budget of a few hundred megabytes typically keeps
-// the whole working set resident.
-func WithPartitionCacheBytes(n int64) Option {
-	return func(o *options) { o.cacheBytes = n }
-}
+// Deprecated: partition files are mapped once per process; drop the option.
+func WithPartitionCacheBytes(n int64) Option { return func(*options) {} }
 
 // WithMmap is accepted and ignored. Every partition the query engine opens
-// is a read-only memory mapping of its immutable file — held in the cache
-// with WithPartitionCacheBytes, mapped per query without it — and a heap
-// copy only where the platform cannot map or a mapping fails
-// (CacheStats.MapFallbacks counts those), so there is nothing left to
-// switch.
+// is a read-only memory mapping of its immutable file, and a heap copy only
+// where the platform cannot map or a mapping fails (CacheStats.MapFallbacks
+// counts those), so there is nothing left to switch.
 //
 // Deprecated: mapping is the only resident form; drop the option.
 func WithMmap(on bool) Option { return func(*options) {} }
@@ -466,14 +449,6 @@ func buildOptions(opts []Option) options {
 	return o
 }
 
-func newCluster(dir string, o options) *cluster.Cluster {
-	cl := cluster.New(core.StoreDir(dir), o.cfg.Workers)
-	if o.cacheBytes > 0 {
-		cl.EnablePartitionCache(o.cacheBytes)
-	}
-	return cl
-}
-
 // indexPath is the generation-0 skeleton/manifest location; later
 // generations live under gen-NNNN directories (see internal/core's
 // generation helpers and DB.activeRoot).
@@ -532,7 +507,7 @@ func BuildDataset(dir string, ds *series.Dataset, opts ...Option) (_ *DB, err er
 	if err := o.cfg.Validate(); err != nil {
 		return nil, err
 	}
-	cl := newCluster(dir, o)
+	cl := cluster.New(core.StoreDir(dir), o.cfg.Workers)
 	ix, err := core.Build(cl, cluster.Blocks(ds, o.cfg.BlockSize), o.cfg, "climber")
 	if err != nil {
 		cl.Close()
@@ -578,7 +553,7 @@ func Open(dir string, opts ...Option) (*DB, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl := newCluster(dir, o)
+	cl := cluster.New(core.StoreDir(dir), o.cfg.Workers)
 	ix, err := core.OpenIndex(cl, core.IndexPathIn(root))
 	if err != nil {
 		cl.Close()
@@ -699,20 +674,18 @@ func (db *DB) SearchBatchWithStatsContextWorkers(ctx context.Context, queries []
 	return out, stats, nil
 }
 
-// CacheStats reports the cumulative partition-cache and read-path counters
-// of this DB, plus the cache's current resident and memory-mapped byte
-// volumes.
+// CacheStats reports the cumulative partition-file and read-path counters
+// of this DB, plus the bytes it holds mapped.
 func (db *DB) CacheStats() CacheStats {
 	s := &db.cl.Stats
-	resident, mapped := db.cl.CacheResidentBytes()
+	mapped := db.cl.MappedBytes()
 	pool := storage.BufferPoolStats()
 	return CacheStats{
 		Hits:              s.PartitionCacheHits.Load(),
 		Misses:            s.PartitionCacheMisses.Load(),
-		Evictions:         s.PartitionCacheEvictions.Load(),
 		BytesSaved:        s.PartitionCacheBytesSaved.Load(),
 		PartitionsLoaded:  s.PartitionsLoaded.Load(),
-		ResidentBytes:     resident,
+		ResidentBytes:     mapped,
 		MappedBytes:       mapped,
 		MapFallbacks:      s.MapFallbacks.Load(),
 		LoadBuffersReused: pool.Reused,
@@ -788,12 +761,13 @@ func (db *DB) IngestStats() IngestStats {
 }
 
 // Close releases the database's resources: the ingestion pipeline stops
-// (running one final compaction so nothing is left in the WAL), the shared
-// partition cache is purged, and further queries, appends and batch calls
-// return ErrClosed. Close is idempotent and safe to call concurrently with
-// running queries — in-flight queries finish normally on uncached file
-// reads; they are not interrupted (cancel their contexts for that). The
-// on-disk database is untouched and can be reopened with Open.
+// (running one final compaction so nothing is left in the WAL), the
+// partition files held mapped are dropped, and further queries, appends and
+// batch calls return ErrClosed. Close is idempotent and safe to call
+// concurrently with running queries — in-flight queries finish normally, on
+// the mappings they hold or on files mapped for them alone; they are not
+// interrupted (cancel their contexts for that). The on-disk database is
+// untouched and can be reopened with Open.
 func (db *DB) Close() error {
 	if db.closed.Swap(true) {
 		return nil
@@ -948,7 +922,7 @@ func (db *DB) Reindex(ctx context.Context) error {
 }
 
 // cleanupGeneration deletes a swapped-out generation's files once its last
-// in-flight reader drains, and drops its partitions from the shared cache.
+// in-flight reader drains, and drops the mappings of its partition files.
 // Only the retired generation's own files are touched — a concurrent later
 // reindex may already be building the next generation alongside.
 func (db *DB) cleanupGeneration(old *core.Generation, oldRoot string) {

@@ -38,29 +38,26 @@ func TestCloseIdempotentAndSentinels(t *testing.T) {
 	}
 }
 
+// Close drops every partition mapping the DB holds.
 func TestClosePurgesPartitionCache(t *testing.T) {
 	dir := t.TempDir()
 	data := smallData(600)
 	buildAndClose(t, dir, data, smallOpts()...)
-	db, err := Open(dir, WithPartitionCacheBytes(256<<20))
+	db, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Search(data[0], 10); err != nil {
 		t.Fatal(err)
 	}
-	pc := db.cl.PartitionCache()
-	if pc == nil || pc.Len() == 0 {
-		t.Fatal("expected resident cache entries before close")
+	if db.cl.MappedBytes() == 0 {
+		t.Fatal("expected mapped partitions before close")
 	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if pc.Len() != 0 || pc.Bytes() != 0 {
-		t.Fatalf("close left %d entries / %d bytes resident", pc.Len(), pc.Bytes())
-	}
-	if db.cl.PartitionCache() != nil {
-		t.Fatal("close must uninstall the cache")
+	if got := db.cl.MappedBytes(); got != 0 {
+		t.Fatalf("close left %d bytes mapped", got)
 	}
 }
 

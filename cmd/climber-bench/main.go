@@ -47,12 +47,10 @@ func main() {
 		scaleName  = flag.String("scale", "small", "scale preset: small, medium, large")
 		outPath    = flag.String("out", "", "also append output to this file")
 		workDir    = flag.String("work", "", "working directory for build artefacts (default: temp)")
-		cache      = flag.Int64("cache-bytes", 0, "partition cache budget in bytes for every experiment cluster (0 = off, the paper-faithful cost accounting)")
 		maxParts   = flag.Int("max-partitions", 0, "budget experiment: evaluate this single partition budget instead of the default sweep")
 		timeBudget = flag.Duration("time-budget", 0, "budget experiment: evaluate this single per-query time budget instead of the default sweep")
 	)
 	flag.Parse()
-	experiments.PartitionCacheBytes = *cache
 	experiments.BudgetMaxPartitions = *maxParts
 	experiments.BudgetTimeLimit = *timeBudget
 

@@ -48,7 +48,6 @@ func main() {
 		sample      = flag.Int("sample", 0, "evaluate a workload of this many random queries instead of one -id query")
 		seed        = flag.Uint64("seed", 7, "workload sampling seed (with -sample)")
 		explain     = flag.Bool("explain", false, "print the index-navigation trace")
-		cache       = flag.Int64("cache-bytes", 0, "partition cache budget in bytes (0 disables the cache)")
 		maxParts    = flag.Int("max-partitions", 0, "bound the query to at most this many partition loads (0 = unbounded); truncated answers are reported partial")
 		timeBudget  = flag.Duration("time-budget", 0, "anytime-query time budget (e.g. 5ms); the engine answers with its best partial result at the deadline")
 		progressive = flag.Bool("progressive", false, "stream progressive answer snapshots while the query runs")
@@ -63,7 +62,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	db, err := climber.Open(*dir, climber.WithPartitionCacheBytes(*cache), climber.WithReadOnly())
+	db, err := climber.Open(*dir, climber.WithReadOnly())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -86,8 +85,8 @@ func main() {
 	if *sample > 0 {
 		// The workload evaluator compares every variant; -variant applies
 		// to single-query mode only.
-		evaluateWorkload(db, ds, *sample, *k, *seed, *cache > 0, budgetOpts())
-		printCacheStats(db, *cache)
+		evaluateWorkload(db, ds, *sample, *k, *seed, budgetOpts())
+		printCacheStats(db)
 		return
 	}
 	if *id < 0 || *id >= ds.Len() {
@@ -176,7 +175,7 @@ func main() {
 		fmt.Printf("exact scan: %v, recall = %.3f\n",
 			exElapsed.Round(time.Microsecond), series.Recall(res, exactRes))
 	}
-	printCacheStats(db, *cache)
+	printCacheStats(db)
 }
 
 // printSpan renders a span tree as an indented outline, one line per
@@ -209,30 +208,26 @@ func printSpan(d *obs.SpanData, indent string) {
 	}
 }
 
-// printCacheStats summarises the partition cache's effect when enabled.
-func printCacheStats(db *climber.DB, budget int64) {
-	if budget <= 0 {
-		return
-	}
+// printCacheStats summarises the partition files the run mapped: each is
+// mapped at its first open, and every later open of it is a hit.
+func printCacheStats(db *climber.DB) {
 	cs := db.CacheStats()
-	fmt.Printf("partition cache: budget=%d hits=%d misses=%d evictions=%d bytes-saved=%d disk-loads=%d\n",
-		budget, cs.Hits, cs.Misses, cs.Evictions, cs.BytesSaved, cs.PartitionsLoaded)
+	fmt.Printf("partition files: maps=%d heap-loads=%d hits=%d misses=%d bytes-saved=%d mapped-bytes=%d\n",
+		cs.PartitionsLoaded-cs.MapFallbacks, cs.MapFallbacks, cs.Hits, cs.Misses, cs.BytesSaved, cs.MappedBytes)
 }
 
 // evaluateWorkload runs the paper's evaluation protocol against a built
 // database: sample queries uniformly from the dataset, compare every
-// variant's answers to the exact scan, report averages. With the partition
-// cache enabled the whole workload is pre-run once so every variant is
-// timed against a warm cache — otherwise the first variant would pay all
-// the cold misses and the timing comparison would be biased.
-func evaluateWorkload(db *climber.DB, ds *series.Dataset, n, k int, seed uint64, warmCache bool, budgetOpts []climber.SearchOption) {
+// variant's answers to the exact scan, report averages. The whole workload
+// is pre-run once so that every variant is timed over partition files
+// already mapped — otherwise the first variant would pay every first map
+// and the timing comparison would be biased.
+func evaluateWorkload(db *climber.DB, ds *series.Dataset, n, k int, seed uint64, budgetOpts []climber.SearchOption) {
 	_, qs := dataset.Queries(ds, n, seed)
 	fmt.Printf("workload: %d queries, K=%d\n", len(qs), k)
-	if warmCache {
-		for _, q := range qs {
-			if _, err := db.Search(q, k, climber.WithVariant(climber.ODSmallest)); err != nil {
-				log.Fatal(err)
-			}
+	for _, q := range qs {
+		if _, err := db.Search(q, k, climber.WithVariant(climber.ODSmallest)); err != nil {
+			log.Fatal(err)
 		}
 	}
 	exact := make([][]series.Result, len(qs))

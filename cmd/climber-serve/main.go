@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	climber-serve -dir ./db -addr :8080 -cache-bytes 268435456
+//	climber-serve -dir ./db -addr :8080
 //
 // Endpoints (see internal/api for the request/response shapes):
 //
@@ -57,13 +57,14 @@ func main() {
 	var (
 		shared      = api.RegisterFlags(flag.CommandLine)
 		dir         = flag.String("dir", "", "database directory (required)")
-		cacheBytes  = flag.Int64("cache-bytes", 256<<20, "partition cache budget in bytes (0 disables the cache)")
 		compactRecs = flag.Int("compact-records", 4096, "delta records that trigger a background compaction")
 		compactAge  = flag.Duration("compact-age", 5*time.Second, "oldest uncompacted record age that forces a compaction")
 		backupRoot  = flag.String("backup-dir", "", "directory for POST /backup snapshots (empty disables the endpoint)")
 	)
-	// Command lines written when mapping was a choice keep starting.
+	// Command lines written when mapping was a choice, or the mappings had
+	// a budget, keep starting.
 	flag.Bool("mmap", false, "accepted and ignored: partitions are always memory-mapped where the platform supports it")
+	flag.Int64("cache-bytes", 256<<20, "accepted and ignored: each partition file is mapped once and stays mapped")
 	flag.Parse()
 	if *dir == "" {
 		flag.Usage()
@@ -71,7 +72,6 @@ func main() {
 	}
 
 	db, err := climber.Open(*dir,
-		climber.WithPartitionCacheBytes(*cacheBytes),
 		climber.WithCompactionRecords(*compactRecs),
 		climber.WithCompactionAge(*compactAge))
 	if err != nil {

@@ -53,7 +53,7 @@ func scatterErrCheck(ctx context.Context, parts []int) {
 }
 
 // scatterClosure delegates to a local closure that checks ctx between
-// steps — the executor's concurrent scan shape, credited one level deep.
+// steps — a scatter over workers, credited one level deep.
 func scatterClosure(ctx context.Context, parts []int) {
 	scan := func(i int) {
 		if ctx.Err() != nil {

@@ -1,6 +1,6 @@
 // Package cluster is the partition store of one CLIMBER process: a single
-// directory of partition files, the shared partition cache in front of it,
-// and the build-time primitives that fill it. Distribution across machines
+// directory of partition files, the registry of their mappings, and the
+// build-time primitives that fill it. Distribution across machines
 // is internal/shard's job; this package never sees more than one directory.
 //
 // The build side keeps the shape of the paper's pipeline (Section V,
@@ -19,8 +19,10 @@
 //     final partition files (Figure 6, Step 4) under a Dest.
 //
 // The query side is OpenPartition: a refcounted handle on one partition, a
-// read-only memory mapping of its files (a heap copy where mapping fails),
-// served from the cache when one is enabled. A
+// read-only memory mapping of its files (a heap copy where mapping fails).
+// Each file is mapped once, at its first open, and stays mapped in the
+// store's registry until a writer replaces it (InvalidatePartition), its
+// generation retires (InvalidatePartitionPrefix) or the store closes. A
 // partition that took appends is two files — the base the build wrote and a
 // tail (TailPath) that drains rewrite until it is folded into the base — and
 // the handle reads them as one: Count, Clusters and every scan cover the
@@ -42,18 +44,20 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
-	"climber/internal/pcache"
 	"climber/internal/series"
+	"climber/internal/storage"
 )
 
 // Stats is the store's read-side accounting. All fields are updated
 // atomically and safe to read concurrently.
 type Stats struct {
-	// PartitionsLoaded counts real partition disk loads — the paper's
-	// dominant query-time cost.
+	// PartitionsLoaded counts real partition loads — mappings made and heap
+	// copies read, the paper's dominant query-time cost. With every file
+	// mapped once it grows with the files touched, not with the opens.
 	PartitionsLoaded atomic.Int64
 	// MapFallbacks counts the loads among them that could not map the file
 	// and copied it onto the heap instead: zero where mapping works, every
@@ -64,12 +68,12 @@ type Stats struct {
 	// top-k bound already.
 	ScanPrunedRecords atomic.Int64
 
-	// Partition-cache accounting (all zero while the cache is disabled).
-	// PartitionsLoaded counts only real disk loads, so the hit counters
-	// here explain the gap between partition opens and partition loads.
+	// PartitionCacheHits counts file opens served by a registered mapping
+	// and PartitionCacheMisses the ones that loaded the file: the first open
+	// of a file, the first after a writer replaced it, and every open of a
+	// heap copy. PartitionCacheBytesSaved sums the file sizes of the hits.
 	PartitionCacheHits       atomic.Int64
 	PartitionCacheMisses     atomic.Int64
-	PartitionCacheEvictions  atomic.Int64
 	PartitionCacheBytesSaved atomic.Int64
 }
 
@@ -79,9 +83,18 @@ type Cluster struct {
 	workers int
 	Stats   Stats
 
-	// pcache, when set, serves OpenPartition from shared resident
-	// partitions instead of per-open mappings.
-	pcache atomic.Pointer[pcache.Cache]
+	// mu guards the registry: the mapping of every partition file opened so
+	// far, by path, each holding one reference of its own. Nothing is
+	// mapped or unmapped under mu.
+	mu     sync.Mutex
+	mapped map[string]*storage.Partition // nil once the store is closed
+	// epoch counts invalidations. An open that missed maps its file without
+	// the lock and registers the mapping only if no invalidation landed
+	// since its lookup: the file it mapped may be the one a writer replaced.
+	epoch uint64
+	// beforeRegister, when set, runs between a miss's mapping and its
+	// registration: the seam that lets a test land an invalidation there.
+	beforeRegister func(path string)
 }
 
 // New returns the store rooted at dir. workers bounds the goroutines of
@@ -91,7 +104,7 @@ func New(dir string, workers int) *Cluster {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	return &Cluster{dir: dir, workers: workers}
+	return &Cluster{dir: dir, workers: workers, mapped: make(map[string]*storage.Partition)}
 }
 
 // Dir returns the store's directory: where a build's Shuffle puts its
@@ -114,69 +127,66 @@ func PartitionPath(root, name string, pid int) string {
 //climber:genpath
 func TailPath(base string) string { return base + ".tail" }
 
-// EnablePartitionCache installs a shared partition cache of at most budget
-// bytes under OpenPartition; budget <= 0 disables caching again. Queries
-// already holding partition handles are unaffected either way. With the
-// cache enabled, OpenPartition hands out shared in-memory partitions:
-// Stats.PartitionsLoaded then charges only real disk loads, while
-// hits/misses/evictions/bytes-saved are tracked in the PartitionCache*
-// counters.
-func (c *Cluster) EnablePartitionCache(budget int64) {
-	if budget <= 0 {
-		c.pcache.Store(nil)
-		return
+// MappedBytes returns the file bytes of the partition mappings the registry
+// holds. Their pages are the kernel's page cache: they count toward the
+// process's RSS as they are touched, and the kernel can reclaim them.
+func (c *Cluster) MappedBytes() (n int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, p := range c.mapped {
+		n += p.SizeBytes()
 	}
-	c.pcache.Store(pcache.New(budget, pcache.Counters{
-		Hits:       &c.Stats.PartitionCacheHits,
-		Misses:     &c.Stats.PartitionCacheMisses,
-		Evictions:  &c.Stats.PartitionCacheEvictions,
-		BytesSaved: &c.Stats.PartitionCacheBytesSaved,
-	}))
+	return n
 }
 
-// PartitionCache returns the installed cache, or nil when caching is off.
-func (c *Cluster) PartitionCache() *pcache.Cache { return c.pcache.Load() }
-
-// CacheResidentBytes returns the partition cache's resident byte volume and
-// the memory-mapped share of it; both are zero while the cache is disabled.
-func (c *Cluster) CacheResidentBytes() (resident, mapped int64) {
-	pc := c.pcache.Load()
-	if pc == nil {
-		return 0, 0
-	}
-	return pc.Bytes(), pc.MappedBytes()
-}
-
-// Close releases the store's resources: the partition cache (if enabled)
-// is purged and uninstalled, dropping every resident partition. The store
-// holds no other live resources — partition files are opened per
-// operation — so Close is cheap, idempotent, and safe to call while
-// stragglers finish (they fall back to uncached opens). The on-disk
-// layout is untouched and the store can keep serving afterwards, so
-// callers that want "closed" semantics enforce them a level up (DB.Close).
+// Close drops the registry's reference to every mapping and stops
+// registering new ones: an open after Close maps its files for itself, and
+// its handle unmaps them. A mapping a reader still holds is unmapped at that
+// reader's last Release. The on-disk layout is untouched, Close is
+// idempotent, and the store keeps serving afterwards, so callers that want
+// "closed" semantics enforce them a level up (DB.Close).
 func (c *Cluster) Close() error {
-	if pc := c.pcache.Swap(nil); pc != nil {
-		pc.Purge()
+	c.mu.Lock()
+	dropped := c.mapped
+	c.mapped = nil
+	c.mu.Unlock()
+	for _, p := range dropped {
+		_ = p.Release()
 	}
 	return nil
 }
 
-// InvalidatePartition drops a partition file's cache entry, if the cache is
-// enabled and holds one. Writers that replace a partition file must call
-// this so subsequent queries observe the new contents.
+// InvalidatePartition drops the registry's mapping of a partition file, if
+// it holds one. A writer that replaces a partition file must call it, after
+// the new file is in place, so later opens map the new contents; readers
+// holding the old mapping keep scanning it until they release it.
 func (c *Cluster) InvalidatePartition(path string) {
-	if pc := c.pcache.Load(); pc != nil {
-		pc.Invalidate(path)
+	c.mu.Lock()
+	c.epoch++
+	p := c.mapped[path]
+	delete(c.mapped, path)
+	c.mu.Unlock()
+	if p != nil {
+		_ = p.Release()
 	}
 }
 
-// InvalidatePartitionPrefix drops every cached partition whose file path
-// starts with prefix — the whole-directory form of InvalidatePartition,
-// used when a retired index generation's files are deleted after its last
-// reader drains.
+// InvalidatePartitionPrefix drops every mapping whose file path starts with
+// prefix — the whole-directory form of InvalidatePartition, used when a
+// retired index generation's files are deleted after its last reader drains.
 func (c *Cluster) InvalidatePartitionPrefix(prefix string) {
-	if pc := c.pcache.Load(); pc != nil {
-		pc.InvalidatePrefix(prefix)
+	var dropped []*storage.Partition
+	c.mu.Lock()
+	c.epoch++
+	for path, p := range c.mapped {
+		if strings.HasPrefix(path, prefix) {
+			delete(c.mapped, path)
+			dropped = append(dropped, p)
+		}
+	}
+	c.mu.Unlock()
+	for _, p := range dropped {
+		_ = p.Release()
 	}
 }
 

@@ -78,7 +78,6 @@ func TestNewCreatesNothing(t *testing.T) {
 	parent := t.TempDir()
 	dir := filepath.Join(parent, "store")
 	c := New(dir, 1)
-	c.EnablePartitionCache(1 << 20)
 	bs := Blocks(dataset.RandomWalk(8, 10, 1), 5)
 	if err := c.ScanBlocks(bs, nil, func(int, []float64) error { return nil }); err != nil {
 		t.Fatal(err)

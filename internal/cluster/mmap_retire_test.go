@@ -8,13 +8,12 @@ import (
 	"climber/internal/storage"
 )
 
-// buildCachedPartitions shuffles a small dataset into partitions on a
-// cluster with the cache enabled, so opens serve shared memory-mapped
-// partitions (heap copies while storage.FailMappings is in force).
-func buildCachedPartitions(t *testing.T, n int) (*Cluster, *PartitionSet) {
+// buildPartitions shuffles a small dataset into partitions on a fresh
+// cluster, whose opens share one registered mapping per file (or load heap
+// copies of their own while storage.FailMappings is in force).
+func buildPartitions(t *testing.T, n int) (*Cluster, *PartitionSet) {
 	t.Helper()
 	c := testCluster(t)
-	c.EnablePartitionCache(1 << 30)
 	ds := dataset.RandomWalk(32, n, 11)
 	bs := Blocks(ds, n/3+1)
 	ps, err := c.Shuffle(bs, 2, Dest{Root: c.Dir(), Name: "rw"}, func(id int, values []float64) (Route, error) {
@@ -38,7 +37,7 @@ func clusterIDsOf(p *storage.Partition) []storage.ClusterID {
 
 // TestRetireUnmapsOnlyAfterLastHandleDrains is the reindex-shaped unmap
 // ordering check: when a generation is retired, the swap path invalidates
-// every cached partition under the old generation's directory while queries
+// every mapping under the old generation's directory while queries
 // pinned to that generation may still hold open handles. The invalidation
 // must not unmap under those readers — the mapping may only go away when the
 // last handle closes.
@@ -46,14 +45,14 @@ func TestRetireUnmapsOnlyAfterLastHandleDrains(t *testing.T) {
 	if !storage.MapSupported() {
 		t.Skip("mmap unsupported on this platform")
 	}
-	c, ps := buildCachedPartitions(t, 120)
+	c, ps := buildPartitions(t, 120)
 
 	h, err := c.OpenPartition(ps, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !h.Mapped() {
-		t.Fatal("cached open did not memory-map the partition")
+		t.Fatal("open did not memory-map the partition")
 	}
 
 	// Second concurrent reader of the same mapping, as a second in-flight
@@ -63,14 +62,14 @@ func TestRetireUnmapsOnlyAfterLastHandleDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	if h2.Partition != h.Partition {
-		t.Fatal("cache returned distinct partitions for one path")
+		t.Fatal("the registry returned distinct partitions for one path")
 	}
 
-	// Retire the generation: drop every cached partition under its root,
-	// exactly what the reindex swap does before deleting the directory.
+	// Retire the generation: drop every mapping under its root, exactly
+	// what the reindex swap does before deleting the directory.
 	c.InvalidatePartitionPrefix(c.dir)
-	if got, mapped := c.CacheResidentBytes(); got != 0 || mapped != 0 {
-		t.Fatalf("cache still charges %d resident / %d mapped bytes after retire", got, mapped)
+	if got := c.MappedBytes(); got != 0 {
+		t.Fatalf("the registry still holds %d mapped bytes after retire", got)
 	}
 
 	// Both readers must still be able to scan the full mapping.
@@ -123,7 +122,7 @@ func TestRetireDuringConcurrentScans(t *testing.T) {
 }
 
 func retireDuringScans(t *testing.T) {
-	c, ps := buildCachedPartitions(t, 200)
+	c, ps := buildPartitions(t, 200)
 
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
@@ -169,4 +168,153 @@ func retireDuringScans(t *testing.T) {
 			c.InvalidatePartitionPrefix(c.dir)
 		}
 	}
+}
+
+// An invalidation that lands between a miss's mapping and its registration
+// may be a writer's, and the file mapped the one it replaced: the mapping
+// serves that open alone and is never registered, so the next open maps the
+// file again and sees the new contents. After Close nothing is registered.
+func TestStaleMappingNotRegistered(t *testing.T) {
+	if !storage.MapSupported() {
+		t.Skip("mmap unsupported on this platform")
+	}
+	c := testCluster(t)
+	path := PartitionPath(c.Dir(), "stale", 0)
+	write := func(n int) {
+		t.Helper()
+		if _, _, err := storage.MergePartitions(path, 3, nil, tailRecords(0, n), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(8)
+	ps := &PartitionSet{Paths: []string{path}, SeriesLen: 3, Counts: []int{8}}
+	c.beforeRegister = func(string) {
+		c.beforeRegister = nil
+		write(12)
+		c.InvalidatePartition(path)
+		ps.SetLayout(0, 12, 0)
+	}
+	old, err := c.OpenPartition(ps, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if old.Count() != 8 || !old.Mapped() {
+		t.Fatalf("first open: %d records, mapped %v; want the old 8, mapped", old.Count(), old.Mapped())
+	}
+	if got := c.MappedBytes(); got != 0 {
+		t.Fatalf("a mapping overtaken by an invalidation was registered: %d bytes", got)
+	}
+
+	fresh, err := c.OpenPartition(ps, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Count() != 12 || c.Stats.PartitionsLoaded.Load() != 2 {
+		t.Fatalf("second open: %d records after %d loads; want the new 12, mapped again", fresh.Count(), c.Stats.PartitionsLoaded.Load())
+	}
+	if got, want := c.MappedBytes(), fresh.SizeBytes(); got != want {
+		t.Fatalf("registry holds %d bytes, want the new file's %d", got, want)
+	}
+	again, err := c.OpenPartition(ps, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Partition != fresh.Partition || c.Stats.PartitionCacheHits.Load() != 1 {
+		t.Fatal("third open did not hit the registered mapping")
+	}
+	if got := c.Stats.PartitionsLoaded.Load(); got != 2 {
+		t.Fatalf("PartitionsLoaded = %d, want 2", got)
+	}
+
+	// The unregistered mapping is this handle's alone: it still reads, and
+	// its Close unmaps it.
+	if seen := countRecords(t, old); seen != 8 {
+		t.Fatalf("the old mapping streams %d records", seen)
+	}
+	if err := old.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if old.Partition.InMemory() {
+		t.Fatal("closing the only handle on an unregistered mapping left it mapped")
+	}
+
+	// Close drops the registry's reference; the handles keep theirs, and an
+	// open after Close maps for itself.
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.MappedBytes(); got != 0 {
+		t.Fatalf("Close left %d bytes registered", got)
+	}
+	if seen := countRecords(t, fresh); seen != 12 {
+		t.Fatalf("a handle open across Close streams %d records", seen)
+	}
+	late, err := c.OpenPartition(ps, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if late.Partition == fresh.Partition || c.Stats.PartitionsLoaded.Load() != 3 || c.MappedBytes() != 0 {
+		t.Fatalf("open after Close: shared %v after %d loads, %d bytes registered",
+			late.Partition == fresh.Partition, c.Stats.PartitionsLoaded.Load(), c.MappedBytes())
+	}
+	for _, h := range []*PartitionHandle{fresh, again, late} {
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fresh.Partition.InMemory() || late.Partition.InMemory() {
+		t.Fatal("a mapping outlived its last handle after Close")
+	}
+}
+
+// Two first opens of one file both map it; the one that registers second
+// shares the first's mapping and unmaps its own.
+func TestRacingFirstOpensShareOneMapping(t *testing.T) {
+	if !storage.MapSupported() {
+		t.Skip("mmap unsupported on this platform")
+	}
+	c, ps := buildPartitions(t, 60)
+	var first *PartitionHandle
+	c.beforeRegister = func(string) {
+		c.beforeRegister = nil
+		var err error
+		if first, err = c.OpenPartition(ps, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	second, err := c.OpenPartition(ps, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if second.Partition != first.Partition || c.Stats.PartitionCacheMisses.Load() != 2 {
+		t.Fatalf("shared %v after %d misses; want one mapping, two misses", second.Partition == first.Partition, c.Stats.PartitionCacheMisses.Load())
+	}
+	if got := c.Stats.PartitionsLoaded.Load(); got != 2 {
+		t.Fatalf("PartitionsLoaded = %d, want both maps counted", got)
+	}
+	if got, want := c.MappedBytes(), first.SizeBytes(); got != want {
+		t.Fatalf("registry holds %d bytes, want one file's %d", got, want)
+	}
+	if seen := countRecords(t, second); seen != second.Count() {
+		t.Fatalf("the shared mapping streams %d of %d records", seen, second.Count())
+	}
+	first.Close()
+	second.Close()
+	if !second.Partition.InMemory() {
+		t.Fatal("closing the handles unmapped the registered mapping")
+	}
+}
+
+// countRecords streams every record of h and returns how many it saw.
+func countRecords(t *testing.T, h *PartitionHandle) int {
+	t.Helper()
+	seen := 0
+	err := h.ScanAll(func(int, []float64) error {
+		seen++
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seen
 }

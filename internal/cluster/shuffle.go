@@ -214,31 +214,28 @@ func (c *Cluster) Shuffle(src Source, numPartitions int, dst Dest,
 
 // PartitionHandle is a reader's reference to one open partition: its base
 // file and, when it has one, its tail, read as one — Count, Clusters and every
-// scan cover the base's records and then the tail's. Without a partition
-// cache it owns partitions mapped for it alone and Close unmaps them; with the
-// cache enabled it holds one reference to each shared resident partition —
-// Close returns them, and the partitions normally stay resident for the next
-// query. If the cache dropped a partition (eviction, invalidation) while this
-// handle was scanning, the handle's reference is what kept the bytes —
-// including a memory mapping — alive, and Close is where they are finally
-// freed.
+// scan cover the base's records and then the tail's. It holds one reference to
+// each file's partition, which is usually the store's registered mapping, and
+// Close returns them; the mappings stay registered for the next open. If a
+// writer replaced a file (or its generation retired) while the handle was
+// scanning, the handle's reference is what kept the old mapping alive, and
+// Close is where it is finally unmapped. A heap copy, where mapping failed,
+// belongs to the handle alone.
 //
 // The embedded Partition is the base file; its promoted methods other than
 // the ones redefined here (SeriesLen, Mapped, SizeBytes, Verify, …) speak of
 // that file alone.
 type PartitionHandle struct {
 	*storage.Partition
-	tail   *storage.Partition // nil when the partition has no tail
-	cached bool
-	hit    bool
+	tail *storage.Partition // nil when the partition has no tail
 
 	dirOnce sync.Once
 	dir     []storage.ClusterInfo // Clusters() of a handle with a tail
 }
 
-// Close releases the handle's partition references. For cached handles the
-// shared partitions usually stay resident (the cache holds its own
-// references); uncached handles unmap their private partitions.
+// Close releases the handle's partition references. A registered mapping
+// stays mapped for the next open; one the registry dropped meanwhile, and a
+// heap copy, is torn down by the last Release.
 func (h *PartitionHandle) Close() error {
 	err := h.Partition.Release()
 	if h.tail != nil {
@@ -248,13 +245,6 @@ func (h *PartitionHandle) Close() error {
 	}
 	return err
 }
-
-// Cached reports whether the handle aliases the shared partition cache.
-func (h *PartitionHandle) Cached() bool { return h.cached }
-
-// CacheHit reports whether opening this handle was served without a disk
-// load (false whenever the cache is disabled).
-func (h *PartitionHandle) CacheHit() bool { return h.hit }
 
 // Count returns the number of records in the partition, tail included.
 func (h *PartitionHandle) Count() int {
@@ -351,10 +341,9 @@ const openPatience = 5 * time.Second
 
 // OpenPartition opens one physical partition for reading and accounts for
 // the load in the store's statistics (the dominant query-time cost in the
-// paper is "the number of partitions touched"). Every file is mapped (see
-// load). When a partition cache is enabled, the load is served from — and
-// retained in — the shared cache: concurrent opens of the same file trigger
-// exactly one load, and only real loads are charged to PartitionsLoaded.
+// paper is "the number of partitions touched"). Each file is mapped at its
+// first open and served from the store's registry after that (see openFile),
+// so PartitionsLoaded grows with the files touched, not with the opens.
 //
 // A partition with a tail is two files that a drain replaces one at a time,
 // and the handle must show a pair that belonged together: the base with the
@@ -369,15 +358,15 @@ func (c *Cluster) OpenPartition(ps *PartitionSet, id int) (*PartitionHandle, err
 	var deadline time.Time
 	for attempt := 0; ; attempt++ {
 		want, tailed := ps.Layout(id)
-		h := &PartitionHandle{hit: true}
+		h := &PartitionHandle{}
 		var err error
-		if h.Partition, err = c.openFile(ps.Paths[id], h); err != nil {
+		if h.Partition, err = c.openFile(ps.Paths[id]); err != nil {
 			return nil, err
 		}
 		if tailed == 0 {
 			return h, nil
 		}
-		if h.tail, err = c.openFile(TailPath(ps.Paths[id]), h); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		if h.tail, err = c.openFile(TailPath(ps.Paths[id])); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			h.Close()
 			return nil, err
 		}
@@ -400,26 +389,59 @@ func (c *Cluster) OpenPartition(ps *PartitionSet, id int) (*PartitionHandle, err
 	}
 }
 
-// openFile opens one partition file for h, through the cache when there is
-// one, and folds the outcome into h's cache flags.
-func (c *Cluster) openFile(path string, h *PartitionHandle) (*storage.Partition, error) {
-	pc := c.pcache.Load()
-	if pc == nil {
-		h.hit = false
-		return c.load(path)
+// openFile opens one partition file: the registered mapping of path
+// when there is one (a hit), else a fresh load (a miss) that is registered
+// when it is a mapping. The mapping is made without the registry lock, so two
+// first opens of a file may both map it; the second to register releases its
+// own and shares the first's. A mapping is not registered when an
+// invalidation landed after the lookup — it may show the file a writer just
+// replaced — nor after Close; it then serves this open alone. A heap copy
+// never is: unlike clean file pages, heap memory is not the kernel's to
+// reclaim.
+func (c *Cluster) openFile(path string) (*storage.Partition, error) {
+	c.mu.Lock()
+	p := c.mapped[path]
+	if p != nil {
+		// The registry's reference keeps p alive until the lock drops.
+		p.Retain()
 	}
-	p, hit, err := pc.Get(path, func() (*storage.Partition, error) { return c.load(path) })
+	epoch := c.epoch
+	c.mu.Unlock()
+	if p != nil {
+		c.Stats.PartitionCacheHits.Add(1)
+		c.Stats.PartitionCacheBytesSaved.Add(p.SizeBytes())
+		return p, nil
+	}
+	p, err := c.load(path)
 	if err != nil {
 		return nil, err
 	}
-	h.cached = true
-	h.hit = h.hit && hit
+	c.Stats.PartitionCacheMisses.Add(1)
+	if !p.Mapped() {
+		return p, nil
+	}
+	if c.beforeRegister != nil {
+		c.beforeRegister(path)
+	}
+	c.mu.Lock()
+	if c.mapped == nil || c.epoch != epoch {
+		c.mu.Unlock()
+		return p, nil
+	}
+	if first := c.mapped[path]; first != nil {
+		first.Retain()
+		c.mu.Unlock()
+		_ = p.Release()
+		return first, nil
+	}
+	p.Retain()
+	c.mapped[path] = p
+	c.mu.Unlock()
 	return p, nil
 }
 
 // load brings one partition file into memory, the one way the store holds a
-// partition: a read-only memory mapping — mapped for the cache, or per open
-// and unmapped at Close without one. Where the platform cannot map or the
+// partition: a read-only memory mapping. Where the platform cannot map or the
 // mapping fails (a filesystem without mmap support, an exhausted
 // vm.max_map_count, …) the file is copied onto the heap instead, counted in
 // Stats.MapFallbacks: the two are interchangeable behind the Partition API,

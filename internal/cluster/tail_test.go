@@ -91,19 +91,16 @@ func dump(t *testing.T, h *PartitionHandle) map[string]any {
 }
 
 // A partition read through its handle is the same partition whether its
-// records sit in one file or in a base and a tail, on every backing: a
-// mapping per open (no cache), a mapping in the cache, and the heap copy the
-// cache holds when mapping fails.
+// records sit in one file or in a base and a tail, on both backings: a
+// mapping held in the store's registry from the first open on, and the heap
+// copy each open loads for itself when mapping fails.
 func TestHandleReadsBaseAndTailAsOne(t *testing.T) {
-	for _, backing := range []string{"uncached", "heap", "mmap"} {
+	for _, backing := range []string{"heap", "mmap"} {
 		t.Run(backing, func(t *testing.T) {
-			if backing != "heap" && !storage.MapSupported() {
+			if backing == "mmap" && !storage.MapSupported() {
 				t.Skip("mmap unsupported on this platform")
 			}
 			c := testCluster(t)
-			if backing != "uncached" {
-				c.EnablePartitionCache(1 << 30)
-			}
 			if backing == "heap" {
 				defer storage.FailMappings()()
 			}
@@ -128,13 +125,10 @@ func TestHandleReadsBaseAndTailAsOne(t *testing.T) {
 
 			var dumps [2]map[string]any
 			for pid := range dumps {
-				for round := 0; round < 2; round++ { // cold, then from the cache
+				for round := 0; round < 2; round++ { // first open, then the held mapping
 					h, err := c.OpenPartition(ps, pid)
 					if err != nil {
 						t.Fatal(err)
-					}
-					if want := backing != "uncached"; h.Cached() != want || h.CacheHit() != (want && round == 1) {
-						t.Fatalf("partition %d, open %d: cached %v, hit %v", pid, round, h.Cached(), h.CacheHit())
 					}
 					if backing == "heap" == h.Mapped() {
 						t.Fatalf("partition %d: mapped = %v", pid, h.Mapped())
@@ -148,14 +142,19 @@ func TestHandleReadsBaseAndTailAsOne(t *testing.T) {
 			if !reflect.DeepEqual(dumps[0], dumps[1]) {
 				t.Fatalf("base + tail reads differently from one file of the same records:\none file: %v\nsplit:    %v", dumps[0], dumps[1])
 			}
-			// Each file is one load: 1 + 2 of them, whatever the backing, each
-			// twice without the cache; only the heap's were fallbacks.
+			// Each of the 1 + 2 files is mapped once; a heap copy is loaded
+			// at each of its two opens, every one of them a fallback.
 			loads := int64(3)
-			if backing == "uncached" {
+			if backing == "heap" {
 				loads = 6
 			}
 			if got := c.Stats.PartitionsLoaded.Load(); got != loads {
 				t.Fatalf("PartitionsLoaded = %d, want %d", got, loads)
+			}
+			// Every load was a miss; the other opens, of held mappings, hit.
+			hits, misses := c.Stats.PartitionCacheHits.Load(), c.Stats.PartitionCacheMisses.Load()
+			if misses != loads || hits != 6-loads {
+				t.Fatalf("%d hits and %d misses in 6 opens of %d loads", hits, misses, loads)
 			}
 			fallbacks := int64(0)
 			if backing == "heap" {
@@ -181,18 +180,22 @@ func baseRecords() []storage.Incoming {
 }
 
 // A handle must pair a base with its own tail while a writer replaces both:
-// tail rewrites between folds, each a rename of one file, the cache entry
+// tail rewrites between folds, each a rename of one file, the mapping
 // dropped, the layout recorded — the order core's drain keeps. Every record
 // the writer had landed before an open began must be in the handle exactly
 // once: never an old base without its tail, never a folded base beside the
-// tail it absorbed. Run under -race.
+// tail it absorbed — over held mappings and over heap copies loaded per
+// open. Run under -race.
 func TestOpenPartitionPairsBaseWithItsTail(t *testing.T) {
-	for _, cached := range []bool{false, true} {
-		t.Run(fmt.Sprintf("cache=%v", cached), func(t *testing.T) {
-			c := testCluster(t)
-			if cached {
-				c.EnablePartitionCache(1 << 30)
+	for _, backing := range []string{"mmap", "heap"} {
+		t.Run(backing, func(t *testing.T) {
+			if backing == "mmap" && !storage.MapSupported() {
+				t.Skip("mmap unsupported on this platform")
 			}
+			if backing == "heap" {
+				defer storage.FailMappings()()
+			}
+			c := testCluster(t)
 			base := PartitionPath(c.Dir(), "hammer", 0)
 			tail := TailPath(base)
 			const built, perDrain, drains, foldEvery = 64, 3, 400, 7

@@ -185,8 +185,8 @@ func (ix *Index) FoldTails() (st DrainStats, err error) {
 // merging every drain into it would have left. This is the one place a
 // partition file is rewritten.
 //
-// Each file is replaced whole by rename, its cache entry dropped, and only
-// then is the new layout recorded, which is the order cluster.OpenPartition
+// Each file is replaced whole by rename, its mapping dropped from the store's
+// registry, and only then is the new layout recorded, which is the order cluster.OpenPartition
 // relies on. A fold records the layout before removing the tail: from the
 // rename on the tail's records are in the base, and a reader must not pair
 // the two.
@@ -228,9 +228,9 @@ func (ix *Index) appendToPartition(g *Generation, pid int, recs []storage.Incomi
 	if err != nil {
 		return fmt.Errorf("core: rewrite partition %d: %w", pid, err)
 	}
-	// The partition cache, when enabled, may hold the replaced file; drop
-	// it so the next query loads the merged contents. In-flight queries
-	// keep scanning their immutable snapshot.
+	// The store holds the replaced file mapped; drop the mapping so the
+	// next query maps the merged contents. In-flight queries keep scanning
+	// their immutable snapshot.
 	ix.Cl.InvalidatePartition(base)
 	g.Parts.SetLayout(pid, count, 0)
 	st.FoldBytes += written

@@ -42,6 +42,6 @@
 //     layout, ranked by the partition scan with plan-identical pruning.
 //
 // Layers above: the public climber.DB wraps an Index with the ingestion
-// pipeline and the partition cache; internal/server serves one DB over
+// pipeline; internal/server serves one DB over
 // HTTP; internal/shard scatter-gathers over many such servers.
 package core

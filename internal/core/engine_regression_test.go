@@ -110,11 +110,11 @@ func TestEngineMatchesLegacyBitForBit(t *testing.T) {
 
 // TestEngineBitIdenticalAcrossBackends pins the zero-copy read path: the
 // same query must return bit-for-bit identical answers and charge identical
-// record-comparison effort whether partitions are mapped per open (no
-// cache), cached memory-mapped, or copied onto the heap because mapping
-// failed (storage.FailMappings), cached or not. The raw kernel runs over the
-// same encoded bytes in all of them, so any divergence means a backing
-// leaked into the ranking math.
+// record-comparison effort whether partitions are memory-mapped — at the
+// first open, then held — or copied onto the heap at every open because
+// mapping failed (storage.FailMappings). The raw kernel runs over the same
+// encoded bytes in both, so any divergence means a backing leaked into the
+// ranking math.
 func TestEngineBitIdenticalAcrossBackends(t *testing.T) {
 	cfg := testConfig()
 	cfg.Capacity = 50 // many partitions so plans span several backends' loads
@@ -143,37 +143,38 @@ func TestEngineBitIdenticalAcrossBackends(t *testing.T) {
 		return out
 	}
 
-	want := run(t) // a mapping per open, no cache
+	want := run(t)
 
-	backends := []struct {
-		name        string
-		cache, heap bool
-	}{{"cached-decoded", true, true}, {"cached-mmap", true, false}, {"uncached-heap", false, true}}
-	for _, b := range backends {
-		t.Run(b.name, func(t *testing.T) {
-			if !b.heap && !storage.MapSupported() {
+	for _, backing := range []string{"mmap", "heap"} {
+		t.Run(backing, func(t *testing.T) {
+			heap := backing == "heap"
+			if !heap && !storage.MapSupported() {
 				t.Skip("mmap unsupported on this platform")
 			}
-			if b.heap {
+			if heap {
 				defer storage.FailMappings()()
 			}
-			if b.cache {
-				ix.Cl.EnablePartitionCache(1 << 30)
-				defer ix.Cl.Close()
-			}
+			ix.Cl.InvalidatePartitionPrefix("") // start with nothing mapped
 			fallbacks := ix.Cl.Stats.MapFallbacks.Load()
-			for pass := 0; pass < 2; pass++ { // cold (load) then warm (hit)
+			var loads [2]int64
+			for pass := 0; pass < 2; pass++ { // first opens, then again
 				got := run(t)
 				for i := range got {
-					assertSameResults(t, b.name, got[i].results, want[i].results)
+					assertSameResults(t, backing, got[i].results, want[i].results)
 					if got[i].scanned != want[i].scanned {
-						t.Fatalf("%s pass %d: scanned %d records, mapped per open scanned %d",
-							b.name, pass, got[i].scanned, want[i].scanned)
+						t.Fatalf("%s pass %d: scanned %d records, the first run scanned %d",
+							backing, pass, got[i].scanned, want[i].scanned)
 					}
 				}
+				loads[pass] = ix.Cl.Stats.PartitionsLoaded.Load()
 			}
-			if moved := ix.Cl.Stats.MapFallbacks.Load() > fallbacks; moved != (b.heap || !storage.MapSupported()) {
-				t.Fatalf("%s: map fallbacks moved = %v", b.name, moved)
+			// Held mappings load nothing the second time; heap copies are
+			// loaded at every open.
+			if again := loads[1] > loads[0]; again != heap {
+				t.Fatalf("%s: second pass loaded partitions = %v", backing, again)
+			}
+			if moved := ix.Cl.Stats.MapFallbacks.Load() > fallbacks; moved != heap {
+				t.Fatalf("%s: map fallbacks moved = %v", backing, moved)
 			}
 		})
 	}

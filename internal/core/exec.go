@@ -329,9 +329,9 @@ const cancelCheckStride = 256
 // charged.
 //
 // stage, when traced, receives one "partition" child span for the step,
-// carrying the partition ID, whether the open hit the shared partition
-// cache, the bytes charged and the records pruned by summary — the
-// per-trace attribution of effort that aggregate QueryStats cannot give.
+// carrying the partition ID, the bytes charged and the records pruned by
+// summary — the per-trace attribution of effort that aggregate QueryStats
+// cannot give.
 func (e *executor) scanStep(ctx context.Context, st PlanStep, widening bool, stage *obs.Span) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -352,16 +352,6 @@ func (e *executor) scanStep(ctx context.Context, st PlanStep, widening bool, sta
 		e.ix.Cl.Stats.ScanPrunedRecords.Add(int64(sc.pruned))
 		ssp.SetAttr("pruned", int64(sc.pruned))
 	}()
-	if p.Cached() {
-		hit := int64(0)
-		if p.CacheHit() {
-			e.stats.PartitionCacheHits++
-			hit = 1
-		} else {
-			e.stats.PartitionCacheMisses++
-		}
-		ssp.SetAttr("cache_hit", hit)
-	}
 	if !widening {
 		e.stats.PartitionsScanned++
 		bytes := int64(p.Count() * storage.RecordBytes(p.SeriesLen()))

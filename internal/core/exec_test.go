@@ -139,8 +139,8 @@ func tieIndex(t *testing.T) (*Index, [][]float64) {
 }
 
 // A tie at the k-th distance is decided by ID, not by which partition scan
-// got there first: the concurrent answer equals the step-by-step one on
-// every repetition, however the scan goroutines are scheduled.
+// got there first: a plain query's answer equals the one with a progress
+// sink on every repetition, whichever step reached the tie first.
 func TestTiesIndependentOfScanMode(t *testing.T) {
 	ix, qs := tieIndex(t)
 	const k = 20

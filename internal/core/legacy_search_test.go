@@ -420,13 +420,6 @@ func legacyExecutePlanDist(ctx context.Context, ix *Index, plan, done legacyPlan
 		}
 		defer p.Close()
 		mu.Lock()
-		if p.Cached() {
-			if p.CacheHit() {
-				stats.PartitionCacheHits++
-			} else {
-				stats.PartitionCacheMisses++
-			}
-		}
 		if countLoads {
 			stats.PartitionsScanned++
 			stats.BytesLoaded += int64(p.Count() * storage.RecordBytes(p.SeriesLen()))

@@ -161,10 +161,11 @@ type QueryStats struct {
 	// in-memory delta index (appended, not yet compacted); always zero
 	// without a live ingestion pipeline.
 	DeltaScanned int
-	// PartitionCacheHits and PartitionCacheMisses count this query's
-	// partition opens served from / missing the shared partition cache,
-	// across both the planned scan and the within-partition widening pass.
-	// Both stay zero when the cache is disabled.
+	// PartitionCacheHits and PartitionCacheMisses keep their place on the
+	// wire and stay zero. A partition file is mapped once per process, so
+	// whether a query's open found it mapped tells where the process has
+	// been, not what the query cost; the store counts opens instead
+	// (cluster.Stats).
 	PartitionCacheHits, PartitionCacheMisses int
 	// StepsPlanned is the number of executable steps the planner emitted
 	// (one per distinct partition); StepsExecuted counts how many actually

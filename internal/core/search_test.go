@@ -132,9 +132,9 @@ func TestMaxPartitionsOverride(t *testing.T) {
 	}
 }
 
-// Parallel plan execution must leave distances exact: compare a
-// multi-partition OD-Smallest scan against a sequential brute-force over
-// the same partitions' records.
+// A multi-step plan must leave distances exact: compare a multi-partition
+// OD-Smallest scan against a brute-force pass over the same partitions'
+// records.
 func TestParallelScanDistancesExact(t *testing.T) {
 	cfg := testConfig()
 	ix, ds, _, _ := buildTestIndex(t, 2000, cfg)

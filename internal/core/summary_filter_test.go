@@ -214,6 +214,7 @@ func TestVersion2PartitionsAnswerUnfiltered(t *testing.T) {
 			if err := os.WriteFile(f, v2, 0o644); err != nil {
 				t.Fatal(err)
 			}
+			ix.Cl.InvalidatePartition(f) // a writer drops the old mapping
 		}
 	}
 	pruned := ix.Cl.Stats.ScanPrunedRecords.Load()

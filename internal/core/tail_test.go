@@ -61,19 +61,16 @@ func lookupAll(t testing.TB, ix *Index) (seen map[int]int, routes map[int]cluste
 // whenever a tail reaches an eighth of its base. A record whose drain had
 // returned before the lookup began must be found exactly once, and no record
 // twice: a partition is never its old base alone, never its folded base
-// beside the old tail — with partitions mapped per open, mapped in the cache,
-// and copied into the cache's recycled heap buffers. Run under -race.
+// beside the old tail — with partitions mapped once and held, and copied
+// into recycled heap buffers at every open. Run under -race.
 func TestDrainFoldHammer(t *testing.T) {
-	for _, mode := range []struct {
-		name        string
-		cache, heap bool
-	}{{"files", false, false}, {"cached", true, false}, {"cached-heap", true, true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			ix, ds, cl, _ := buildTestIndex(t, 1500, testConfig())
-			if mode.cache {
-				cl.EnablePartitionCache(1 << 30)
+	for _, backing := range []string{"mmap", "heap"} {
+		t.Run(backing, func(t *testing.T) {
+			if backing == "mmap" && !storage.MapSupported() {
+				t.Skip("mmap unsupported on this platform")
 			}
-			if mode.heap {
+			ix, ds, _, _ := buildTestIndex(t, 1500, testConfig())
+			if backing == "heap" {
 				defer storage.FailMappings()()
 			}
 			var landed atomic.Int64

@@ -37,12 +37,6 @@ type Scale struct {
 	Queries  int   // queries averaged per measurement (paper: 50)
 }
 
-// PartitionCacheBytes, when positive, enables the shared partition cache
-// with that byte budget on every cluster the experiment runners create
-// (cmd/climber-bench -cache-bytes). The default 0 keeps the cache off so
-// the reproduced partition-load costs stay paper-faithful.
-var PartitionCacheBytes int64
-
 // Capacity returns the partition capacity for a dataset of n records:
 // n/25 bounded below, yielding a ~25-30 partition layout. This granularity
 // is where the paper's shapes reproduce at laptop scale: fine enough that
@@ -142,9 +136,6 @@ func newEnv(workDir, name string, n int, seed uint64) (*env, error) {
 		return nil, err
 	}
 	cl := cluster.New(dir, 0)
-	if PartitionCacheBytes > 0 {
-		cl.EnablePartitionCache(PartitionCacheBytes)
-	}
 	blockSize := n / 20
 	if blockSize < 100 {
 		blockSize = 100

@@ -17,7 +17,7 @@
 // incoming records merged into the partition's tail — a small second file
 // beside the base — and only a tail that has reached an eighth of its base
 // is folded into it, so a drain's cost follows what was appended, not what
-// is stored, and the bases stay in the partition cache. The two rare admin
+// is stored, and the bases stay mapped. The two rare admin
 // paths that need every record in the base files, Barrier (backup) and
 // BeginRebuild (reindex), fold every tail first. What a kill inside a drain
 // leaves is put right by the next open: core keeps a tail only beside the

@@ -11,7 +11,7 @@
 // when tracing is off. When tracing is on, spans record a name, a
 // monotonic start/end offset relative to the trace root, and a small
 // set of integer attributes and string labels; children append under a
-// trace-wide mutex so concurrent partition-scan goroutines can open
+// trace-wide mutex so the router's concurrent scatter goroutines can open
 // sibling spans safely.
 //
 // Serialization (Span.Data) orders children deterministically by name

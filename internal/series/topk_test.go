@@ -109,8 +109,8 @@ func TestTopKMatchesSort(t *testing.T) {
 // Property: the kept set does not depend on push order. A multiset of
 // candidates drawn from a handful of distances (so most of them tie, at the
 // k-th distance too) must give the same Results — the k first in (Dist, ID)
-// order — whichever order it is pushed in, as the candidates of a
-// concurrent scan arrive in whatever order the workers reach them.
+// order — whichever order it is pushed in, as the candidates of a plan
+// arrive in whatever order its steps reach them.
 func TestTopKTiesIndependentOfPushOrder(t *testing.T) {
 	rng := rand.New(rand.NewPCG(17, 5))
 	for trial := 0; trial < 50; trial++ {

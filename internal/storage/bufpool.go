@@ -11,18 +11,18 @@ import (
 // as byte slices — LoadPartition reads one into a buffer, MergePartitions
 // builds its output in one — and a buffer whose partition has drained its
 // last reference is handed to the next load instead of the garbage
-// collector. On the cache-miss path that replaces allocating, zero-filling
+// collector. On the fallback load path that replaces allocating, zero-filling
 // and page-faulting a partition-sized slice per load with one read into
 // memory that is already resident.
 //
 // Policy, chosen by measurement on the cold-od workload (CHANGES.md, PR 15):
 // a new buffer is allocated at its size class (four per doubling, so under a
 // quarter larger than the file), and an idle buffer serves any request of at
-// least half its capacity, smallest fitting buffer first. A cached heap
-// partition is therefore charged at most twice its file size, whatever else
-// the process has loaded — one high-water class for every buffer reused as
-// often but charged every partition the size of the largest, and matching
-// classes exactly reused barely half the time.
+// least half its capacity, smallest fitting buffer first. A heap partition
+// therefore holds at most twice its file size, whatever else the process has
+// loaded — one high-water class for every buffer reused as often but charged
+// every partition the size of the largest, and matching classes exactly
+// reused barely half the time.
 
 // maxIdleBuffers bounds the idle list, and with it the memory the pool holds
 // beyond what partitions are using: a miss takes one buffer and the eviction

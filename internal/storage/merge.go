@@ -52,7 +52,7 @@ type mergeRef struct {
 // The new file is written beside dst and renamed over it, so readers see
 // either file whole; beforeRename, when set, is called between the two (the
 // drain crash matrix kills there). On any failure the temporary file is
-// removed and dst is untouched. The caller invalidates cached copies of dst.
+// removed and dst is untouched. The caller invalidates mappings of dst.
 func MergePartitions(dst string, seriesLen int, srcs []string, incoming []Incoming, beforeRename func()) (count int, written int64, err error) {
 	if seriesLen <= 0 {
 		return 0, 0, fmt.Errorf("storage: series length must be positive, got %d", seriesLen)

@@ -41,9 +41,9 @@ type ClusterInfo struct {
 // file handle, memory mapping or pooled heap buffer — are torn down when the
 // last reference drains, which is what makes unmapping, and recycling the
 // buffer for another partition's load, safe while scans may still be in
-// flight elsewhere: an eviction or invalidation only drops the cache's
-// reference, and the bytes stay put until the last scanning reader finishes
-// and releases its own.
+// flight elsewhere: an invalidation only drops the holder's reference (the
+// store's registry of mappings), and the bytes stay put until the last
+// scanning reader finishes and releases its own.
 type Partition struct {
 	r         io.ReaderAt
 	closer    io.Closer // non-nil only for file-backed partitions
@@ -132,11 +132,10 @@ func readPooled(path string) ([]byte, error) {
 
 // MapPartition memory-maps a partition file read-only and returns a
 // Partition scanning straight over the mapped bytes — the zero-copy resident
-// form: pages are backed by the kernel page cache and shared across
-// processes, and the cache byte budget charges them at file size, making it
-// a true RSS bound. Partition files are immutable once published (writers
-// replace whole files and invalidate), which is what makes a shared mapping
-// sound. The mapping is released when the last reference drains; on
+// form: pages are backed by the kernel page cache, shared across processes
+// and reclaimable by the kernel. Partition files are immutable once
+// published (writers replace whole files and invalidate), which is what
+// makes a shared mapping sound. The mapping is released when the last reference drains; on
 // platforms without mapping support (MapSupported reports false) an error is
 // returned and callers fall back to LoadPartition.
 func MapPartition(path string) (*Partition, error) {
@@ -297,8 +296,8 @@ func (p *Partition) SizeBytes() int64 { return p.size }
 // charged by MemBytes on top of the file bytes.
 const clusterInfoBytes = 24
 
-// MemBytes returns the partition's resident memory footprint, the unit the
-// partition cache budgets: the retained file bytes plus the decoded cluster
+// MemBytes returns the partition's resident memory footprint, the unit
+// internal/pcache budgets: the retained file bytes plus the decoded cluster
 // directory. Mapped pages count at file size; a heap copy counts at the
 // capacity of its pooled buffer, which may exceed the file it holds, so the
 // budget stays an upper bound on resident heap. A file-backed partition
