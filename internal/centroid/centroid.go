@@ -12,8 +12,10 @@
 package centroid
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"climber/internal/metric"
 	"climber/internal/pivot"
@@ -83,14 +85,17 @@ func Compute(list []SigFreq, p Params) ([]pivot.Signature, error) {
 	}
 
 	// Line 2: sort L descending by frequency. Ties break by signature key
-	// so the selection is deterministic.
-	l := make([]SigFreq, len(list))
-	copy(l, list)
-	sort.Slice(l, func(i, j int) bool {
-		if l[i].Freq != l[j].Freq {
-			return l[i].Freq > l[j].Freq
-		}
-		return l[i].Sig.Key() < l[j].Sig.Key()
+	// so the selection is deterministic; each key is spelled once.
+	type keyed struct {
+		SigFreq
+		key string
+	}
+	l := make([]keyed, len(list))
+	for i, sf := range list {
+		l[i] = keyed{sf, sf.Sig.Key()}
+	}
+	slices.SortFunc(l, func(a, b keyed) int {
+		return cmp.Or(cmp.Compare(b.Freq, a.Freq), strings.Compare(a.key, b.key))
 	})
 
 	var total int

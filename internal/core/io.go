@@ -333,9 +333,9 @@ func decodeSkeleton(br *binReader) (*Skeleton, error) {
 	if err != nil {
 		return nil, err
 	}
-	assigner, err := grouping.NewAssigner(centroids, weigher)
+	assigner, err := grouping.NewAssigner(centroids, weigher, c.NumPivots)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("core: skeleton centroids: %w", err)
 	}
 	assigner.UseWeightTieBreak = !c.DisableWDTieBreak
 	return &Skeleton{

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand/v2"
 	"testing"
 
@@ -51,6 +52,37 @@ func TestDecodeSkeletonCorruptionRobustness(t *testing.T) {
 	for cut := 0; cut < len(valid); cut += 64 {
 		if _, err := DecodeSkeleton(bytes.NewReader(valid[:cut])); err == nil {
 			t.Fatalf("truncation at %d bytes decoded without error", cut)
+		}
+	}
+
+	// Centroid pivot IDs index the assigner's bitsets, so a centroid whose
+	// IDs leave [0, NumPivots) or stop ascending strictly must be an error.
+	c := skel.Groups[1].Centroid
+	var enc []byte
+	for _, v := range append([]int{len(c)}, c...) {
+		enc = binary.LittleEndian.AppendUint64(enc, uint64(v))
+	}
+	at := bytes.Index(valid, enc)
+	if at < 0 || len(c) < 2 {
+		t.Fatalf("centroid %v of group 1 not found in the encoding", c)
+	}
+	mutations := []struct {
+		name string
+		pos  int // index into the centroid
+		id   int
+	}{
+		{"ID = NumPivots", 0, cfg.NumPivots},
+		{"negative ID", 0, -1},
+		{"huge negative ID", len(c) - 1, -77687093572141046},
+		{"huge ID", len(c) - 1, 1 << 62},
+		{"duplicate ID", 1, c[0]},
+		{"descending IDs", 0, c[1] + 1},
+	}
+	for _, mu := range mutations {
+		corrupted := bytes.Clone(valid)
+		binary.LittleEndian.PutUint64(corrupted[at+8*(1+mu.pos):], uint64(mu.id))
+		if _, err := DecodeSkeleton(bytes.NewReader(corrupted)); err == nil {
+			t.Errorf("%s: centroid[%d] = %d decoded without error", mu.name, mu.pos, mu.id)
 		}
 	}
 }

@@ -48,7 +48,7 @@ func buildDegenerateIndex(t *testing.T) (*Index, *testDataset) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assigner, err := grouping.NewAssigner(nil, weigher)
+	assigner, err := grouping.NewAssigner(nil, weigher, numPivots)
 	if err != nil {
 		t.Fatalf("zero-centroid assigner: %v", err)
 	}

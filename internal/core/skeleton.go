@@ -198,7 +198,7 @@ func BuildSkeleton(sample *series.Dataset, seriesLen int, cfg Config) (*Skeleton
 	if err != nil {
 		return nil, err
 	}
-	assigner, err := grouping.NewAssigner(centroids, weigher)
+	assigner, err := grouping.NewAssigner(centroids, weigher, cfg.NumPivots)
 	if err != nil {
 		return nil, err
 	}

@@ -21,6 +21,7 @@ package grouping
 
 import (
 	"fmt"
+	"math/bits"
 
 	"climber/internal/metric"
 	"climber/internal/pivot"
@@ -39,6 +40,13 @@ type Assigner struct {
 	weigher   *metric.Weigher
 	m         int
 
+	// words is the length in uint64s of a pivot bitset, one bit per pivot
+	// ID in [0, r). Group id's centroid holds bits[id*words : (id+1)*words],
+	// so its Overlap Distance to a signature with bitset sig is
+	// m - popcount(sig & centroid); row 0 (the fall-back) is empty.
+	words int
+	bits  []uint64
+
 	// UseWeightTieBreak enables the WD stage (stage 2). It defaults to
 	// true — Algorithm 1 as published. Setting it false leaves OD ties
 	// unresolved, ablating the rank-sensitive half of the dual
@@ -47,20 +55,28 @@ type Assigner struct {
 }
 
 // NewAssigner builds an Assigner over the given (real, non-fall-back)
-// centroids, all of prefix length m matching the weigher. An empty centroid
-// list is allowed and yields a degenerate single-group assigner that routes
+// centroids of a space of numPivots pivots. Each centroid must be a
+// rank-insensitive signature of the weigher's prefix length m: pivot IDs
+// strictly ascending within [0, numPivots). An empty centroid list is
+// allowed and yields a degenerate single-group assigner that routes
 // everything to the fall-back group G0.
-func NewAssigner(centroids []pivot.Signature, weigher *metric.Weigher) (*Assigner, error) {
+func NewAssigner(centroids []pivot.Signature, weigher *metric.Weigher, numPivots int) (*Assigner, error) {
 	m := weigher.PrefixLen()
-	for i, c := range centroids {
-		if len(c) != m {
-			return nil, fmt.Errorf("grouping: centroid %d has length %d, want %d", i+1, len(c), m)
-		}
-	}
+	words := (numPivots + 63) / 64
 	a := &Assigner{centroids: make([]pivot.Signature, len(centroids)+1), weigher: weigher, m: m,
-		UseWeightTieBreak: true}
+		words: words, bits: make([]uint64, (len(centroids)+1)*words), UseWeightTieBreak: true}
 	for i, c := range centroids {
-		a.centroids[i+1] = c.Clone()
+		id := i + 1
+		if len(c) != m {
+			return nil, fmt.Errorf("grouping: centroid %d has length %d, want %d", id, len(c), m)
+		}
+		for j, p := range c {
+			if p < 0 || p >= numPivots || (j > 0 && p <= c[j-1]) {
+				return nil, fmt.Errorf("grouping: centroid %d %v is not ascending pivot IDs in [0, %d)", id, c, numPivots)
+			}
+			a.bits[id*words+p/64] |= 1 << (p % 64)
+		}
+		a.centroids[id] = c.Clone()
 	}
 	return a, nil
 }
@@ -100,9 +116,11 @@ func (a *Assigner) Candidates(rankSensitive, rankInsensitive pivot.Signature) (i
 // to the rank-insensitive signature (Lines 2 & 6 of Algorithm 1), together
 // with that distance. The fall-back group is not considered.
 func (a *Assigner) BestByOverlap(rankInsensitive pivot.Signature) (ids []int, bestOD int) {
+	var buf [4]uint64 // r <= 256 pivots: no allocation
+	sig := a.bitset(rankInsensitive, buf[:0])
 	bestOD = a.m + 1
 	for id := 1; id < len(a.centroids); id++ {
-		od := metric.OverlapDist(rankInsensitive, a.centroids[id])
+		od := a.overlapDist(sig, id)
 		switch {
 		case od < bestOD:
 			bestOD = od
@@ -119,13 +137,41 @@ func (a *Assigner) BestByOverlap(rankInsensitive pivot.Signature) (ids []int, be
 // rank-insensitive signature is at most maxOD, used by the adaptive query
 // algorithm to memorise additional candidate groups.
 func (a *Assigner) GroupsWithinOD(rankInsensitive pivot.Signature, maxOD int) []int {
+	var buf [4]uint64
+	sig := a.bitset(rankInsensitive, buf[:0])
 	var ids []int
 	for id := 1; id < len(a.centroids); id++ {
-		if metric.OverlapDist(rankInsensitive, a.centroids[id]) <= maxOD {
+		if a.overlapDist(sig, id) <= maxOD {
 			ids = append(ids, id)
 		}
 	}
 	return ids
+}
+
+// bitset appends the pivot bitset of a signature of length m to dst. An ID
+// outside the bitset sets no bit: no centroid holds it.
+func (a *Assigner) bitset(sig pivot.Signature, dst []uint64) []uint64 {
+	if len(sig) != a.m {
+		panic(fmt.Sprintf("grouping: overlap distance of signature length %d with prefix length %d", len(sig), a.m))
+	}
+	dst = append(dst, make([]uint64, a.words)...)
+	for _, p := range sig {
+		if uint(p) < uint(a.words*64) {
+			dst[p/64] |= 1 << (p % 64)
+		}
+	}
+	return dst
+}
+
+// overlapDist is metric.OverlapDist between the signature whose bitset is
+// sig and the centroid of group id, each pivot set given as a bitset.
+func (a *Assigner) overlapDist(sig []uint64, id int) int {
+	row := a.bits[id*a.words : (id+1)*a.words]
+	shared := 0
+	for w, b := range row {
+		shared += bits.OnesCount64(b & sig[w])
+	}
+	return a.m - shared
 }
 
 // filterByWeight keeps the groups with the smallest Weight Distance (Lines

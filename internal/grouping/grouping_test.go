@@ -1,6 +1,8 @@
 package grouping
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"climber/internal/metric"
@@ -13,7 +15,7 @@ func exampleAssigner(t *testing.T) *Assigner {
 	a, err := NewAssigner([]pivot.Signature{
 		{1, 2, 3}, // group 1 (the paper's G1, centroid o1)
 		{2, 4, 5}, // group 2 (the paper's G2, centroid o2)
-	}, w)
+	}, w, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +107,19 @@ func TestGroupsWithinOD(t *testing.T) {
 
 func TestNewAssignerValidation(t *testing.T) {
 	w := metric.MustWeigher(3, metric.ExponentialDecay, 0.5)
-	if _, err := NewAssigner([]pivot.Signature{{1, 2}}, w); err == nil {
-		t.Error("centroid length mismatch should fail")
+	for _, c := range []struct {
+		name string
+		sig  pivot.Signature
+	}{
+		{"length mismatch", pivot.Signature{1, 2}},
+		{"descending", pivot.Signature{3, 2, 1}},
+		{"duplicate ID", pivot.Signature{1, 1, 2}},
+		{"negative ID", pivot.Signature{-1, 2, 3}},
+		{"ID beyond the pivot count", pivot.Signature{1, 2, 10}},
+	} {
+		if _, err := NewAssigner([]pivot.Signature{c.sig}, w, 10); err == nil {
+			t.Errorf("%s: centroid %v accepted", c.name, c.sig)
+		}
 	}
 }
 
@@ -115,7 +128,7 @@ func TestNewAssignerValidation(t *testing.T) {
 // GList would leave the query algorithm with no target and crash it.
 func TestCandidatesEmptyRoutesToFallback(t *testing.T) {
 	w := metric.MustWeigher(3, metric.ExponentialDecay, 0.5)
-	a, err := NewAssigner(nil, w)
+	a, err := NewAssigner(nil, w, 10)
 	if err != nil {
 		t.Fatalf("NewAssigner(nil): %v", err)
 	}
@@ -179,12 +192,79 @@ func TestDisabledWeightTieBreak(t *testing.T) {
 func TestNewAssignerCopiesCentroids(t *testing.T) {
 	w := metric.MustWeigher(3, metric.ExponentialDecay, 0.5)
 	c := pivot.Signature{1, 2, 3}
-	a, err := NewAssigner([]pivot.Signature{c}, w)
+	a, err := NewAssigner([]pivot.Signature{c}, w, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c[0] = 99
 	if !a.Centroid(1).Equal(pivot.Signature{1, 2, 3}) {
 		t.Fatal("assigner shares storage with caller's centroid")
+	}
+}
+
+// randomSorted draws m distinct pivot IDs from [0, r), ascending: a
+// rank-insensitive signature.
+func randomSorted(rng *rand.Rand, r, m int) pivot.Signature {
+	sig := pivot.Signature(rng.Perm(r)[:m])
+	slices.Sort(sig)
+	return sig
+}
+
+// The bitset Overlap Distance must equal metric.OverlapDist, the merge over
+// sorted signatures it replaces: BestByOverlap's minimum and tied groups,
+// and GroupsWithinOD at every threshold, against a brute-force pass over
+// the centroids. Pivot counts straddle the 64-bit word boundaries, and
+// queries are sometimes a centroid itself (OD 0).
+func TestOverlapBitsetGroundTruth(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 9))
+	for _, c := range []struct{ r, m, groups int }{
+		{3, 3, 1},
+		{12, 3, 6},
+		{64, 10, 40},
+		{65, 10, 40},
+		{200, 10, 120},
+		{300, 25, 30},
+	} {
+		w := metric.MustWeigher(c.m, metric.ExponentialDecay, 0.5)
+		centroids := make([]pivot.Signature, c.groups)
+		for i := range centroids {
+			centroids[i] = randomSorted(rng, c.r, c.m)
+		}
+		a, err := NewAssigner(centroids, w, c.r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 100; trial++ {
+			ri := randomSorted(rng, c.r, c.m)
+			if trial%5 == 0 {
+				ri = centroids[rng.IntN(c.groups)].Clone()
+			}
+			var wantIDs []int
+			wantOD := c.m + 1
+			for id := 1; id <= c.groups; id++ {
+				od := metric.OverlapDist(ri, centroids[id-1])
+				switch {
+				case od < wantOD:
+					wantOD, wantIDs = od, []int{id}
+				case od == wantOD:
+					wantIDs = append(wantIDs, id)
+				}
+			}
+			ids, bestOD := a.BestByOverlap(ri)
+			if bestOD != wantOD || !slices.Equal(ids, wantIDs) {
+				t.Fatalf("r=%d m=%d %v: BestByOverlap = %v, %d; brute force %v, %d", c.r, c.m, ri, ids, bestOD, wantIDs, wantOD)
+			}
+			for maxOD := 0; maxOD <= c.m; maxOD++ {
+				var want []int
+				for id := 1; id <= c.groups; id++ {
+					if metric.OverlapDist(ri, centroids[id-1]) <= maxOD {
+						want = append(want, id)
+					}
+				}
+				if got := a.GroupsWithinOD(ri, maxOD); !slices.Equal(got, want) {
+					t.Fatalf("r=%d m=%d %v: GroupsWithinOD(%d) = %v, brute force %v", c.r, c.m, ri, maxOD, got, want)
+				}
+			}
+		}
 	}
 }

@@ -112,32 +112,82 @@ func (s *Set) Permutation(x []float64) []int {
 	return ids
 }
 
+// rankLanes is how many pivots RankSensitive measures at once. Each pivot
+// keeps its own accumulator, summed in series.SqDist's order with its
+// statement shape, so every distance rounds exactly as SqDist rounds it on
+// every architecture; the lanes only break the dependency chain between
+// one pivot's sum and the next.
+const rankLanes = 4
+
 // RankSensitive computes the Pivot Permutation Prefix P4→(x) of Definition 5:
-// the IDs of the m nearest pivots to x, ordered by ascending distance.
-// It runs in O(r·dim + r·log m) using a bounded max-heap rather than sorting
-// the full permutation.
+// the IDs of the m nearest pivots to x, ordered by ascending distance, ties
+// by ascending pivot ID — Permutation(x)[:m]. It runs in O(r·dim + r·m)
+// with no heap: pivots are visited in ID order and the m nearest so far are
+// kept sorted in a small array, so a pivot equal in distance to a kept one
+// ranks after it. Every distance is computed in full, which admits the same
+// pivots an early-abandoning scan would: a partial sum never exceeds its
+// full sum.
 func (s *Set) RankSensitive(x []float64) Signature {
 	if len(x) != s.dim {
 		panic(fmt.Sprintf("pivot: signature of %d-dim point in %d-dim pivot space", len(x), s.dim))
 	}
-	top := series.NewTopK(s.prefix)
-	r := s.R()
-	for i := 0; i < r; i++ {
-		if bound, ok := top.Bound(); ok {
-			d := series.SqDistEarlyAbandon(x, s.Pivot(i), bound)
-			if d < bound {
-				top.Push(i, d)
-			}
-			continue
+	ids := make(Signature, s.prefix)
+	var distBuf [16]float64 // m = 10 by default: no allocation
+	dists := distBuf[:]
+	if s.prefix > len(dists) {
+		dists = make([]float64, s.prefix)
+	}
+	n := 0
+	r, dim := s.R(), s.dim
+	i := 0
+	for ; i+rankLanes <= r; i += rankLanes {
+		off := i * dim
+		p0 := s.flat[off : off+dim][:len(x)]
+		p1 := s.flat[off+dim : off+2*dim][:len(x)]
+		p2 := s.flat[off+2*dim : off+3*dim][:len(x)]
+		p3 := s.flat[off+3*dim : off+4*dim][:len(x)]
+		var s0, s1, s2, s3 float64
+		for j, v := range x {
+			d0 := v - p0[j]
+			s0 += d0 * d0
+			d1 := v - p1[j]
+			s1 += d1 * d1
+			d2 := v - p2[j]
+			s2 += d2 * d2
+			d3 := v - p3[j]
+			s3 += d3 * d3
 		}
-		top.Push(i, series.SqDist(x, s.Pivot(i)))
+		n = admit(ids, dists, n, i, s0)
+		n = admit(ids, dists, n, i+1, s1)
+		n = admit(ids, dists, n, i+2, s2)
+		n = admit(ids, dists, n, i+3, s3)
 	}
-	res := top.Results()
-	sig := make(Signature, len(res))
-	for i, rr := range res {
-		sig[i] = rr.ID
+	for ; i < r; i++ {
+		n = admit(ids, dists, n, i, series.SqDist(x, s.Pivot(i)))
 	}
-	return sig
+	return ids[:n]
+}
+
+// admit offers pivot id at distance d to the m nearest pivots so far, held
+// sorted by (distance, ID) in ids[:n] and dists[:n] (len(ids) = m), and
+// returns the new count. Pivots are offered in ascending ID order, so one
+// ranks after every kept pivot of equal distance: only a strictly smaller
+// distance displaces the m-th.
+func admit(ids Signature, dists []float64, n, id int, d float64) int {
+	i := n
+	if n == len(ids) {
+		if !(d < dists[n-1]) {
+			return n
+		}
+		i-- // the m-th falls out
+	} else {
+		n++
+	}
+	for ; i > 0 && d < dists[i-1]; i-- {
+		ids[i], dists[i] = ids[i-1], dists[i-1]
+	}
+	ids[i], dists[i] = id, d
+	return n
 }
 
 // Dual computes both halves of the P4 dual signature of Definition 6 in one

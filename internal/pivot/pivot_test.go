@@ -198,3 +198,65 @@ func TestDistanceTiesBreakByPivotID(t *testing.T) {
 		t.Fatalf("tie-broken signature = %v, want <0,1>", sig)
 	}
 }
+
+// RankSensitive must equal the brute-force definition, Permutation(x)[:m]:
+// sort every pivot by (distance, ID) and keep the first m. The cases cover
+// pivot counts that are not a multiple of rankLanes (so some pivots take
+// the scalar tail), prefixes from 1 to r, and duplicated pivots, whose
+// distances tie exactly.
+func TestRankSensitiveGroundTruth(t *testing.T) {
+	rng := rand.New(rand.NewPCG(41, 43))
+	for _, c := range []struct{ r, m, dim int }{
+		{1, 1, 3},
+		{3, 2, 5},
+		{rankLanes, rankLanes, 4},
+		{rankLanes + 1, 3, 16},
+		{2*rankLanes + 3, 2*rankLanes + 3, 7},
+		{50, 8, 16},
+		{203, 10, 16},
+		{203, 40, 9},
+	} {
+		pts := make([][]float64, c.r)
+		for i := range pts {
+			if i > 0 && rng.IntN(4) == 0 {
+				pts[i] = pts[rng.IntN(i)] // an exact duplicate: tied distances
+				continue
+			}
+			grid := rng.IntN(2) == 0 // integer coordinates tie with grid points
+			p := make([]float64, c.dim)
+			for j := range p {
+				if grid {
+					p[j] = float64(rng.IntN(3))
+				} else {
+					p[j] = rng.NormFloat64()
+				}
+			}
+			pts[i] = p
+		}
+		s, err := NewSet(pts, c.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 200; trial++ {
+			x := make([]float64, c.dim)
+			switch trial % 3 {
+			case 0: // a pivot itself: distance 0, tied with its duplicates
+				copy(x, pts[rng.IntN(c.r)])
+			case 1: // the integer grid: many distances equal across pivots
+				for j := range x {
+					x[j] = float64(rng.IntN(3))
+				}
+			default:
+				for j := range x {
+					x[j] = rng.NormFloat64() * 2
+				}
+			}
+			got := s.RankSensitive(x)
+			want := s.Permutation(x)[:c.m]
+			if !got.Equal(want) {
+				t.Fatalf("r=%d m=%d dim=%d trial %d: RankSensitive = %v, Permutation prefix = %v",
+					c.r, c.m, c.dim, trial, got, want)
+			}
+		}
+	}
+}

@@ -1,9 +1,8 @@
 package pivot
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 )
 
 // Signature is a pivot-ID vector. Depending on context it is either a
@@ -57,34 +56,19 @@ func (sig Signature) Contains(id int) bool {
 
 // Key returns a compact string key for use as a map key when aggregating
 // signatures by exact match during index construction (paper Figure 6,
-// "grouping & aggregation").
+// "grouping & aggregation"): the IDs in decimal, comma-separated, e.g.
+// "6,4,1". Centroid selection breaks frequency ties by comparing keys, so
+// the spelling is part of the index layout.
 func (sig Signature) Key() string {
-	var b strings.Builder
-	b.Grow(len(sig) * 4)
+	var buf [64]byte
+	b := buf[:0]
 	for i, v := range sig {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		fmt.Fprintf(&b, "%d", v)
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return b.String()
-}
-
-// ParseKey reverses Key, reconstructing the signature from its string form.
-func ParseKey(key string) (Signature, error) {
-	if key == "" {
-		return Signature{}, nil
-	}
-	parts := strings.Split(key, ",")
-	sig := make(Signature, len(parts))
-	for i, p := range parts {
-		var v int
-		if _, err := fmt.Sscanf(p, "%d", &v); err != nil {
-			return nil, fmt.Errorf("pivot: bad signature key %q: %w", key, err)
-		}
-		sig[i] = v
-	}
-	return sig, nil
+	return string(b)
 }
 
 // String renders the signature in the paper's angle-bracket notation,

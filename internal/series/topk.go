@@ -1,6 +1,6 @@
 package series
 
-import "sort"
+import "slices"
 
 // Result is one kNN answer: the ID of a data series and its (squared or
 // plain, per the producer's contract) Euclidean distance to the query. It
@@ -76,7 +76,15 @@ func (t *TopK) Push(id int, dist float64) bool {
 func (t *TopK) Results() []Result {
 	out := make([]Result, len(t.heap))
 	copy(out, t.heap)
-	sort.Slice(out, func(i, j int) bool { return out[i].Before(out[j]) })
+	slices.SortFunc(out, func(a, b Result) int {
+		switch {
+		case a.Before(b):
+			return -1
+		case b.Before(a):
+			return 1
+		}
+		return 0
+	})
 	return out
 }
 

@@ -71,12 +71,12 @@ func (b *backend) identityMetrics(_ context.Context, w *strings.Builder) {
 // cacheMetrics renders the DB's partition-cache counters.
 func (b *backend) cacheMetrics(_ context.Context, w *strings.Builder) {
 	cache := b.db.CacheStats()
-	api.WriteSample(w, "climber_partition_cache_hits_total", "Partition opens served from the shared cache.", "counter", cache.Hits)
+	api.WriteSample(w, "climber_partition_cache_hits_total", "Partition opens served by the file's existing mapping: every open of a file after its first.", "counter", cache.Hits)
 	api.WriteSample(w, "climber_partition_cache_misses_total", "Partition opens that loaded from disk.", "counter", cache.Misses)
-	api.WriteSample(w, "climber_partition_cache_evictions_total", "Partitions evicted to hold the byte budget.", "counter", cache.Evictions)
+	api.WriteSample(w, "climber_partition_cache_evictions_total", "Always 0: a mapped partition file stays mapped until a writer replaces it or the DB closes.", "counter", cache.Evictions)
 	api.WriteSample(w, "climber_partition_cache_bytes_saved_total", "Partition-file bytes the cache avoided re-reading.", "counter", cache.BytesSaved)
 	api.WriteSample(w, "climber_partitions_loaded_total", "Real partition disk loads.", "counter", cache.PartitionsLoaded)
-	api.WriteSample(w, "climber_partition_cache_resident_bytes", "Partition-cache charge against its byte budget (metadata plus decoded or mapped bytes).", "gauge", cache.ResidentBytes)
+	api.WriteSample(w, "climber_partition_cache_resident_bytes", "Bytes of partition files currently memory-mapped; equal to climber_partition_cache_mapped_bytes.", "gauge", cache.ResidentBytes)
 	api.WriteSample(w, "climber_partition_cache_mapped_bytes", "Subset of resident bytes served by read-only memory mappings.", "gauge", cache.MappedBytes)
 	api.WriteSample(w, "climber_partition_map_fallbacks_total", "Partition loads that could not memory-map the file and copied it onto the heap instead.", "counter", cache.MapFallbacks)
 	fmt.Fprintf(w, "# HELP climber_partition_load_buffers_total Partition-sized buffers issued to heap loads and compaction merges, by whether the recycled pool had one.\n")
