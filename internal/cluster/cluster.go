@@ -15,8 +15,9 @@
 //     avoids a full scan (partition-level sampling).
 //   - ScanBlocks streams blocks through a callback on a pool of workers, and
 //     SampleDataset collects what such a scan keeps, in ID order.
-//   - Shuffle routes every record to a (partition, cluster) and writes the
-//     final partition files (Figure 6, Step 4) under a Dest.
+//   - Convert routes every record to a (partition, cluster), and Shuffle
+//     writes the final partition files from those routes (Figure 6, Step 4)
+//     under a Dest.
 //
 // The query side is OpenPartition: a refcounted handle on one partition, a
 // read-only memory mapping of its files (a heap copy where mapping fails).

@@ -85,7 +85,7 @@ func TestNewCreatesNothing(t *testing.T) {
 	if ents, err := os.ReadDir(parent); err != nil || len(ents) != 0 {
 		t.Fatalf("New, Blocks and ScanBlocks left %v on disk (err = %v)", ents, err)
 	}
-	_, err := c.Shuffle(bs, 1, Dest{Root: dir, Name: "rw"}, func(int, []float64) (Route, error) { return Route{}, nil })
+	_, err := c.Shuffle(bs, 1, Dest{Root: dir, Name: "rw"}, make([]Route, bs.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,14 +177,24 @@ func TestSampleDataset(t *testing.T) {
 	}
 }
 
+// routesOf routes every ID of src, 0 to src.Len()-1, with route: the
+// conversion a shuffle takes.
+func routesOf(src Source, route func(id int) Route) []Route {
+	routes := make([]Route, src.Len())
+	for id := range routes {
+		routes[id] = route(id)
+	}
+	return routes
+}
+
 func TestShuffle(t *testing.T) {
 	c := testCluster(t)
 	ds := dataset.RandomWalk(16, 90, 2)
 	bs := Blocks(ds, 25)
 	// Route by id modulo 3 partitions, cluster = id modulo 2.
-	ps, err := c.Shuffle(bs, 3, Dest{Root: c.dir, Name: "rw"}, func(id int, values []float64) (Route, error) {
-		return Route{Partition: id % 3, Cluster: storage.ClusterID(id % 2)}, nil
-	})
+	ps, err := c.Shuffle(bs, 3, Dest{Root: c.dir, Name: "rw"}, routesOf(bs, func(id int) Route {
+		return Route{Partition: id % 3, Cluster: storage.ClusterID(id % 2)}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,9 +239,10 @@ func TestShuffle(t *testing.T) {
 // opens, verifies and scans nothing.
 func TestShuffleWritesEmptyPartitions(t *testing.T) {
 	c := testCluster(t)
-	ps, err := c.Shuffle(Blocks(dataset.RandomWalk(16, 40, 2), 25), 3, Dest{Root: c.dir, Name: "rw"}, func(id int, values []float64) (Route, error) {
-		return Route{Partition: 2 * (id % 2)}, nil
-	})
+	bs := Blocks(dataset.RandomWalk(16, 40, 2), 25)
+	ps, err := c.Shuffle(bs, 3, Dest{Root: c.dir, Name: "rw"}, routesOf(bs, func(id int) Route {
+		return Route{Partition: 2 * (id % 2)}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,9 +276,10 @@ func TestShuffleWritesEmptyPartitions(t *testing.T) {
 func TestShuffleFromPartitionsDurable(t *testing.T) {
 	c := testCluster(t)
 	ds := dataset.RandomWalk(16, 90, 2)
-	first, err := c.Shuffle(Blocks(ds, 25), 3, Dest{Root: c.dir, Name: "rw"}, func(id int, values []float64) (Route, error) {
-		return Route{Partition: id % 3, Cluster: storage.ClusterID(id % 2)}, nil
-	})
+	bs := Blocks(ds, 25)
+	first, err := c.Shuffle(bs, 3, Dest{Root: c.dir, Name: "rw"}, routesOf(bs, func(id int) Route {
+		return Route{Partition: id % 3, Cluster: storage.ClusterID(id % 2)}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,9 +294,9 @@ func TestShuffleFromPartitionsDurable(t *testing.T) {
 		mu.Lock()
 		steps = append(steps, step)
 		mu.Unlock()
-	}}, func(id int, values []float64) (Route, error) {
-		return Route{Partition: id % 2}, nil
-	})
+	}}, routesOf(first, func(id int) Route {
+		return Route{Partition: id % 2}
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,9 +355,9 @@ func TestShuffleCleansUpOnFlushFailure(t *testing.T) {
 	bs := Blocks(ds, 25)
 	breakFlushTarget(t, c.dir, PartitionPath(c.dir, "shuf", 1))
 
-	_, err := c.Shuffle(bs, 3, Dest{Root: c.dir, Name: "shuf"}, func(id int, values []float64) (Route, error) {
-		return Route{Partition: id % 3, Cluster: storage.ClusterID(id % 2)}, nil
-	})
+	_, err := c.Shuffle(bs, 3, Dest{Root: c.dir, Name: "shuf"}, routesOf(bs, func(id int) Route {
+		return Route{Partition: id % 3, Cluster: storage.ClusterID(id % 2)}
+	}))
 	if err == nil {
 		t.Fatal("shuffle into an unwritable store dir succeeded")
 	}
@@ -405,9 +417,9 @@ func TestShuffleRejectsBadPartition(t *testing.T) {
 	c := testCluster(t)
 	ds := dataset.RandomWalk(16, 10, 2)
 	bs := Blocks(ds, 5)
-	_, err := c.Shuffle(bs, 2, Dest{Root: c.dir, Name: "rw"}, func(id int, values []float64) (Route, error) {
-		return Route{Partition: 7}, nil
-	})
+	_, err := c.Shuffle(bs, 2, Dest{Root: c.dir, Name: "rw"}, routesOf(bs, func(id int) Route {
+		return Route{Partition: 7}
+	}))
 	if err == nil {
 		t.Fatal("out-of-range partition route accepted")
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -120,38 +121,95 @@ func (d Dest) step(name string) {
 	}
 }
 
+// Unrouted is the route of an ID below the ID bound that a shuffle's source
+// does not hold — a reindex's source lacks the appended records its delta
+// still holds, for one.
+var Unrouted = Route{Partition: -1}
+
+// Convert routes every record of src (paper Figure 6, Step 4, the
+// conversion): route is called on the store's workers, concurrently, and its
+// result for record id lands in routes[id] — Shuffle's input. idBound must be
+// above every ID of src; an ID below it that src does not hold keeps the
+// route Unrouted.
+func (c *Cluster) Convert(src Source, idBound int, route func(values []float64) Route) ([]Route, error) {
+	routes := make([]Route, idBound)
+	for i := range routes {
+		routes[i] = Unrouted
+	}
+	err := c.ScanBlocks(src, nil, func(id int, values []float64) error {
+		if id < 0 || id >= len(routes) {
+			return fmt.Errorf("record ID %d is not below the ID bound %d", id, len(routes))
+		}
+		routes[id] = route(values)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return routes, nil
+}
+
 // Shuffle re-distributes all of src into physical partitions (paper Figure 6,
-// Step 4): workers scan the blocks in parallel, route every record via the
-// provided function (which encapsulates signature generation plus group/trie
-// navigation), and the records are regrouped into per-partition, per-cluster
-// files under dst.
+// Step 4) under dst, record id to routes[id] — the conversion's output: the
+// signature and group/trie navigation of every record. An ID src does not
+// hold has the route Unrouted.
 //
-// route is invoked concurrently and must be safe for that.
-func (c *Cluster) Shuffle(src Source, numPartitions int, dst Dest,
-	route func(id int, values []float64) (Route, error)) (*PartitionSet, error) {
+// It is a counting sort, and it writes each record once. The routes give
+// every partition's directory — how many records each of its clusters holds
+// — and every ID its final slot in its partition's file, in canonical order
+// (clusters ascending, IDs ascending within a cluster). Workers then scan
+// src in parallel and encode each record straight into its slot of its
+// partition's storage.Layout (no copy, no lock, no sort), and the layouts
+// are written, bounded by the store's worker pool. So every file holds the
+// bytes storage.MergePartitions writes of its records — whatever the
+// scheduling or the cut of src into blocks — and a partition no record
+// routes to is an empty file. The index is held in memory once, encoded,
+// until its files are written.
+//
+// A record that is not finite in float32 fails the shuffle: the error
+// returned names the first such record in partition order, then file order,
+// and nothing is written. On any failure no partition file is left behind.
+func (c *Cluster) Shuffle(src Source, numPartitions int, dst Dest, routes []Route) (*PartitionSet, error) {
 	if numPartitions <= 0 {
 		return nil, fmt.Errorf("cluster: shuffle needs at least one partition, got %d", numPartitions)
 	}
 	seriesLen := src.Length()
-	recs := make([][]storage.Incoming, numPartitions)
-	locks := make([]sync.Mutex, numPartitions)
+	layouts, slots, err := layOut(seriesLen, numPartitions, routes)
+	if err != nil {
+		return nil, err
+	}
+	defer func() {
+		for _, l := range layouts {
+			l.Release()
+		}
+	}()
 
-	err := c.ScanBlocks(src, nil, func(id int, values []float64) error {
-		r, err := route(id, values)
-		if err != nil {
-			return err
+	// A record refused by the encoder does not stop the scan: of all the
+	// refusals, the one returned is the first by partition, then by slot,
+	// whatever the workers' order.
+	var (
+		mu      sync.Mutex
+		bad     = -1
+		badSlot int32
+		refusal error
+	)
+	err = c.ScanBlocks(src, nil, func(id int, values []float64) error {
+		if id < 0 || id >= len(routes) || routes[id].Partition < 0 {
+			return fmt.Errorf("cluster: record %d has no route", id)
 		}
-		if r.Partition < 0 || r.Partition >= numPartitions {
-			return fmt.Errorf("cluster: record %d routed to invalid partition %d of %d", id, r.Partition, numPartitions)
+		pid, slot := routes[id].Partition, slots[id]
+		if err := layouts[pid].Put(int(slot), id, values); err != nil {
+			mu.Lock()
+			if bad < 0 || pid < bad || (pid == bad && slot < badSlot) {
+				bad, badSlot, refusal = pid, slot, err
+			}
+			mu.Unlock()
 		}
-		// A source may reuse values for its next record (a partition file's
-		// scan buffer does), so the record keeps a copy.
-		in := storage.Incoming{Cluster: r.Cluster, ID: id, Values: slices.Clone(values)}
-		locks[r.Partition].Lock()
-		recs[r.Partition] = append(recs[r.Partition], in)
-		locks[r.Partition].Unlock()
 		return nil
 	})
+	if err == nil {
+		err = refusal
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -160,28 +218,24 @@ func (c *Cluster) Shuffle(src Source, numPartitions int, dst Dest,
 		return nil, fmt.Errorf("cluster: create partition dir: %w", err)
 	}
 
-	// Write the partitions concurrently, bounded by the store's worker pool.
-	// MergePartitions puts every file's records in canonical order, so the
-	// bytes of every partition file are those of a sequential write — only
-	// the wall-clock changes — and a partition no record routed to is an
-	// empty file.
 	ps := &PartitionSet{SeriesLen: seriesLen, Paths: make([]string, numPartitions), Counts: make([]int, numPartitions)}
 	errs := make([]error, numPartitions)
 	sem := make(chan struct{}, c.workers)
 	var wg sync.WaitGroup
-	for i, in := range recs {
+	for i, l := range layouts {
 		path := PartitionPath(dst.Root, dst.Name, i)
 		ps.Paths[i] = path
-		ps.Counts[i] = len(in)
+		ps.Counts[i] = l.Len()
 		wg.Add(1)
 		sem <- struct{}{}
 		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
 			dst.step(fmt.Sprintf("partition-%05d", i))
-			if _, _, errs[i] = storage.MergePartitions(path, seriesLen, nil, in, nil); errs[i] == nil && dst.Sync {
+			if _, errs[i] = l.Commit(path, nil); errs[i] == nil && dst.Sync {
 				errs[i] = storage.SyncPath(path)
 			}
+			l.Release()
 		}()
 	}
 	wg.Wait()
@@ -210,6 +264,64 @@ func (c *Cluster) Shuffle(src Source, numPartitions int, dst Dest,
 		return nil, err
 	}
 	return ps, nil
+}
+
+// layOut is the counting half of Shuffle: from the routes it builds every
+// partition's Layout and gives every routed ID its slot in it — the clusters
+// of a partition ascending, the IDs of a cluster ascending.
+func layOut(seriesLen, numPartitions int, routes []Route) ([]*storage.Layout, []int32, error) {
+	// A destination is one (partition, cluster) pair; dest[id] names
+	// record id's until it is replaced by the record's slot.
+	type destination struct {
+		Route
+		count, next int
+	}
+	var dests []destination
+	index := make(map[Route]int32)
+	dest := make([]int32, len(routes))
+	for id, r := range routes {
+		if r.Partition < 0 {
+			continue
+		}
+		if r.Partition >= numPartitions {
+			return nil, nil, fmt.Errorf("cluster: record %d routed to invalid partition %d of %d", id, r.Partition, numPartitions)
+		}
+		d, ok := index[r]
+		if !ok {
+			d = int32(len(dests))
+			index[r] = d
+			dests = append(dests, destination{Route: r})
+		}
+		dests[d].count++
+		dest[id] = d
+	}
+
+	byPartition := make([][]int32, numPartitions)
+	for d, dd := range dests {
+		byPartition[dd.Partition] = append(byPartition[dd.Partition], int32(d))
+	}
+	layouts := make([]*storage.Layout, numPartitions)
+	for pid, ds := range byPartition {
+		slices.SortFunc(ds, func(a, b int32) int { return cmp.Compare(dests[a].Cluster, dests[b].Cluster) })
+		dir := make([]storage.ClusterInfo, len(ds))
+		next := 0
+		for i, d := range ds {
+			dir[i] = storage.ClusterInfo{ID: dests[d].Cluster, Count: dests[d].count}
+			dests[d].next = next
+			next += dests[d].count
+		}
+		layouts[pid] = storage.NewLayout(seriesLen, dir)
+	}
+	// IDs ascending: each takes the next slot of its destination.
+	for id, r := range routes {
+		if r.Partition < 0 {
+			continue
+		}
+		d := &dests[dest[id]]
+		dest[id] = int32(d.next)
+		d.next++
+	}
+	return layouts, dest, nil
 }
 
 // PartitionHandle is a reader's reference to one open partition: its base

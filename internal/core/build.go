@@ -119,10 +119,13 @@ func (s ctxSource) ScanBlock(i int, fn func(id int, values []float64) error) err
 //
 // The conversion and re-distribution phases are deliberately separate scans
 // so their costs can be reported independently, exactly as the paper's
-// construction-time breakdown does. A record's route is a pure function of
-// (skeleton, values) and every merge happens in ID order, so the
-// bytes written do not depend on worker scheduling or on how src is cut into
-// blocks.
+// construction-time breakdown does. The conversion scan routes every record
+// (Skeleton.RouteRecord) into routes, indexed by ID; the re-distribution
+// (cluster.Shuffle) counts the routes into each record's final slot, then
+// scans src again and encodes each record straight into it. A record's
+// route is a pure function of (skeleton, values) and the slots are in
+// canonical order, so the bytes written do not depend on worker scheduling
+// or on how src is cut into blocks.
 func construct(ctx context.Context, cl *cluster.Cluster, in buildInput, cfg Config, dst cluster.Dest) (*Generation, BuildStats, error) {
 	start := time.Now()
 	src := ctxSource{in.src, ctx}
@@ -151,14 +154,7 @@ func construct(ctx context.Context, cl *cluster.Cluster, in buildInput, cfg Conf
 
 	// --- Step 4a: entire-data conversion ----------------------------------
 	convStart := time.Now()
-	routes := make([]cluster.Route, in.idBound)
-	err = cl.ScanBlocks(src, nil, func(id int, values []float64) error {
-		if id >= len(routes) {
-			return fmt.Errorf("record ID %d is not below the ID bound %d", id, len(routes))
-		}
-		routes[id] = skel.RouteRecord(values)
-		return nil
-	})
+	routes, err := cl.Convert(src, in.idBound, skel.RouteRecord)
 	if err != nil {
 		return nil, BuildStats{}, fmt.Errorf("core: conversion: %w", err)
 	}
@@ -166,9 +162,7 @@ func construct(ctx context.Context, cl *cluster.Cluster, in buildInput, cfg Conf
 
 	// --- Step 4b: re-distribution into partition files --------------------
 	redistStart := time.Now()
-	parts, err := cl.Shuffle(src, skel.NumPartitions, dst, func(id int, values []float64) (cluster.Route, error) {
-		return routes[id], nil
-	})
+	parts, err := cl.Shuffle(src, skel.NumPartitions, dst, routes)
 	if err != nil {
 		return nil, BuildStats{}, fmt.Errorf("core: re-distribution: %w", err)
 	}

@@ -86,9 +86,11 @@ func buildDegenerateIndex(t *testing.T) (*Index, *testDataset) {
 	ds := dataset.RandomWalk(seriesLen, 30, 5)
 	cl := cluster.New(t.TempDir(), 1)
 	bs := cluster.Blocks(ds, cfg.BlockSize)
-	parts, err := cl.Shuffle(bs, skel.NumPartitions, cluster.Dest{Root: cl.Dir(), Name: "degenerate"}, func(id int, values []float64) (cluster.Route, error) {
-		return skel.RouteRecord(values), nil
-	})
+	routes, err := cl.Convert(bs, bs.Len(), skel.RouteRecord)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parts, err := cl.Shuffle(bs, skel.NumPartitions, cluster.Dest{Root: cl.Dir(), Name: "degenerate"}, routes)
 	if err != nil {
 		t.Fatal(err)
 	}

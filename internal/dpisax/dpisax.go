@@ -151,11 +151,15 @@ func Build(cl *cluster.Cluster, bs *cluster.BlockSet, cfg Config, name string) (
 	// query exactly. This strict bit matching is the root of DPiSAX's low
 	// recall in the paper's evaluation.
 	redistStart := time.Now()
-	parts, err := cl.Shuffle(bs, numParts, cluster.Dest{Root: cl.Dir(), Name: name}, func(id int, values []float64) (cluster.Route, error) {
+	routes, err := cl.Convert(bs, bs.Len(), func(values []float64) cluster.Route {
 		sig := tr.Transform(values)
 		leaf := ix.route(sig)
-		return cluster.Route{Partition: leaf.partition, Cluster: localCluster(leaf, sig, cfg)}, nil
+		return cluster.Route{Partition: leaf.partition, Cluster: localCluster(leaf, sig, cfg)}
 	})
+	if err != nil {
+		return nil, fmt.Errorf("dpisax: conversion: %w", err)
+	}
+	parts, err := cl.Shuffle(bs, numParts, cluster.Dest{Root: cl.Dir(), Name: name}, routes)
 	if err != nil {
 		return nil, fmt.Errorf("dpisax: re-distribution: %w", err)
 	}

@@ -30,6 +30,9 @@ type Set struct {
 	dim    int       // dimensionality of the pivot space (PAA segments w)
 	prefix int       // prefix length m
 	flat   []float64 // r × dim pivot coordinates
+	// lanes is the series.LaneLayout of the pivots' full groups of
+	// sixteen, nil where the machine has no lane kernel.
+	lanes []float64
 }
 
 // NewSet builds a pivot set from r pivot vectors, each of dimension dim,
@@ -51,6 +54,9 @@ func NewSet(pivots [][]float64, prefixLen int) (*Set, error) {
 			return nil, fmt.Errorf("pivot: pivot %d has dimension %d, want %d", i, len(p), dim)
 		}
 		s.flat = append(s.flat, p...)
+	}
+	if series.HasLaneKernel {
+		s.lanes = series.LaneLayout(s.flat, dim)
 	}
 	return s, nil
 }
@@ -112,25 +118,44 @@ func (s *Set) Permutation(x []float64) []int {
 	return ids
 }
 
-// rankLanes is how many pivots RankSensitive measures at once. Each pivot
-// keeps its own accumulator, summed in series.SqDist's order with its
-// statement shape, so every distance rounds exactly as SqDist rounds it on
-// every architecture; the lanes only break the dependency chain between
-// one pivot's sum and the next.
+// rankLanes is how many pivots the portable loop of distances measures at
+// once. Each pivot keeps its own accumulator, summed in series.SqDist's
+// order with its statement shape, so every distance rounds exactly as SqDist
+// rounds it on every architecture; the lanes only break the dependency
+// chain between one pivot's sum and the next.
 const rankLanes = 4
+
+// maxStackPivots is the pivot count up to which RankSensitive keeps its
+// distances on the stack (r = 200 by default).
+const maxStackPivots = 256
 
 // RankSensitive computes the Pivot Permutation Prefix P4→(x) of Definition 5:
 // the IDs of the m nearest pivots to x, ordered by ascending distance, ties
 // by ascending pivot ID — Permutation(x)[:m]. It runs in O(r·dim + r·m)
-// with no heap: pivots are visited in ID order and the m nearest so far are
-// kept sorted in a small array, so a pivot equal in distance to a kept one
-// ranks after it. Every distance is computed in full, which admits the same
-// pivots an early-abandoning scan would: a partial sum never exceeds its
-// full sum.
+// with no heap: every distance is computed (distances), then the pivots are
+// offered in ID order to the m nearest so far, kept sorted in a small array,
+// so a pivot equal in distance to a kept one ranks after it. Every distance
+// is computed in full, which admits the same pivots an early-abandoning scan
+// would: a partial sum never exceeds its full sum.
 func (s *Set) RankSensitive(x []float64) Signature {
+	return s.rankSensitive(x, s.lanes != nil)
+}
+
+// rankSensitive is RankSensitive with the choice of distance kernel made by
+// the caller: lanes needs s.lanes.
+func (s *Set) rankSensitive(x []float64, lanes bool) Signature {
 	if len(x) != s.dim {
 		panic(fmt.Sprintf("pivot: signature of %d-dim point in %d-dim pivot space", len(x), s.dim))
 	}
+	var stack [maxStackPivots]float64
+	var d []float64
+	if r := s.R(); r <= len(stack) {
+		d = stack[:r]
+	} else {
+		d = make([]float64, r)
+	}
+	s.distances(x, d, lanes)
+
 	ids := make(Signature, s.prefix)
 	var distBuf [16]float64 // m = 10 by default: no allocation
 	dists := distBuf[:]
@@ -138,8 +163,24 @@ func (s *Set) RankSensitive(x []float64) Signature {
 		dists = make([]float64, s.prefix)
 	}
 	n := 0
-	r, dim := s.R(), s.dim
+	for id, v := range d {
+		n = admit(ids, dists, n, id, v)
+	}
+	return ids[:n]
+}
+
+// distances writes the squared distance from x to pivot i into d[i]
+// (len(d) = r), each bit-equal to series.SqDist(x, s.Pivot(i)). With lanes
+// the full groups of sixteen pivots go through the lane kernel
+// (series.SqDistLanes); the rest, and every pivot without it, through the
+// portable loop, rankLanes pivots at a time.
+func (s *Set) distances(x, d []float64, lanes bool) {
 	i := 0
+	if lanes {
+		i = len(s.lanes) / s.dim
+		series.SqDistLanes(x, s.lanes, d[:i])
+	}
+	r, dim := len(d), s.dim
 	for ; i+rankLanes <= r; i += rankLanes {
 		off := i * dim
 		p0 := s.flat[off : off+dim][:len(x)]
@@ -157,15 +198,11 @@ func (s *Set) RankSensitive(x []float64) Signature {
 			d3 := v - p3[j]
 			s3 += d3 * d3
 		}
-		n = admit(ids, dists, n, i, s0)
-		n = admit(ids, dists, n, i+1, s1)
-		n = admit(ids, dists, n, i+2, s2)
-		n = admit(ids, dists, n, i+3, s3)
+		d[i], d[i+1], d[i+2], d[i+3] = s0, s1, s2, s3
 	}
 	for ; i < r; i++ {
-		n = admit(ids, dists, n, i, series.SqDist(x, s.Pivot(i)))
+		d[i] = series.SqDist(x, s.Pivot(i))
 	}
-	return ids[:n]
 }
 
 // admit offers pivot id at distance d to the m nearest pivots so far, held

@@ -1,10 +1,13 @@
 package pivot
 
 import (
+	"math"
 	"math/rand/v2"
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"climber/internal/series"
 )
 
 // mustSet builds a pivot set from 2-D points for geometric tests.
@@ -199,11 +202,68 @@ func TestDistanceTiesBreakByPivotID(t *testing.T) {
 	}
 }
 
+// kernels names the distance kernels rankSensitive and distances can run
+// here: the portable loop everywhere, the lane kernel where the machine has
+// it.
+func kernels() map[string]bool {
+	k := map[string]bool{"portable": false}
+	if series.HasLaneKernel {
+		k["lanes"] = true
+	}
+	return k
+}
+
+// tiedPivots returns r pivots of dimension dim in which about one in four
+// duplicates an earlier one and about half of the rest sit on the integer
+// grid {0, 1, 2}^dim: inputs whose distances tie exactly.
+func tiedPivots(rng *rand.Rand, r, dim int) [][]float64 {
+	pts := make([][]float64, r)
+	for i := range pts {
+		if i > 0 && rng.IntN(4) == 0 {
+			pts[i] = pts[rng.IntN(i)] // an exact duplicate: tied distances
+			continue
+		}
+		grid := rng.IntN(2) == 0 // integer coordinates tie with grid points
+		p := make([]float64, dim)
+		for j := range p {
+			if grid {
+				p[j] = float64(rng.IntN(3))
+			} else {
+				p[j] = rng.NormFloat64()
+			}
+		}
+		pts[i] = p
+	}
+	return pts
+}
+
+// tiedQuery returns a query for trial: a pivot itself (distance 0, tied
+// with its duplicates), a point of the integer grid (many equal distances),
+// or a random point.
+func tiedQuery(rng *rand.Rand, pts [][]float64, trial int) []float64 {
+	x := make([]float64, len(pts[0]))
+	switch trial % 3 {
+	case 0:
+		copy(x, pts[rng.IntN(len(pts))])
+	case 1:
+		for j := range x {
+			x[j] = float64(rng.IntN(3))
+		}
+	default:
+		for j := range x {
+			x[j] = rng.NormFloat64() * 2
+		}
+	}
+	return x
+}
+
 // RankSensitive must equal the brute-force definition, Permutation(x)[:m]:
 // sort every pivot by (distance, ID) and keep the first m. The cases cover
 // pivot counts that are not a multiple of rankLanes (so some pivots take
-// the scalar tail), prefixes from 1 to r, and duplicated pivots, whose
-// distances tie exactly.
+// the scalar tail), counts around the lane kernel's group of sixteen (so
+// some pivots take the portable loop after the kernel), prefixes from 1 to
+// r, and duplicated pivots, whose distances tie exactly. Every case runs
+// through each distance kernel.
 func TestRankSensitiveGroundTruth(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 43))
 	for _, c := range []struct{ r, m, dim int }{
@@ -212,50 +272,59 @@ func TestRankSensitiveGroundTruth(t *testing.T) {
 		{rankLanes, rankLanes, 4},
 		{rankLanes + 1, 3, 16},
 		{2*rankLanes + 3, 2*rankLanes + 3, 7},
+		{15, 10, 16},
+		{16, 16, 16},
+		{17, 10, 16},
+		{31, 10, 5},
+		{32, 32, 16},
+		{33, 10, 16},
 		{50, 8, 16},
 		{203, 10, 16},
 		{203, 40, 9},
 	} {
-		pts := make([][]float64, c.r)
-		for i := range pts {
-			if i > 0 && rng.IntN(4) == 0 {
-				pts[i] = pts[rng.IntN(i)] // an exact duplicate: tied distances
-				continue
-			}
-			grid := rng.IntN(2) == 0 // integer coordinates tie with grid points
-			p := make([]float64, c.dim)
-			for j := range p {
-				if grid {
-					p[j] = float64(rng.IntN(3))
-				} else {
-					p[j] = rng.NormFloat64()
-				}
-			}
-			pts[i] = p
-		}
+		pts := tiedPivots(rng, c.r, c.dim)
 		s, err := NewSet(pts, c.m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for trial := 0; trial < 200; trial++ {
-			x := make([]float64, c.dim)
-			switch trial % 3 {
-			case 0: // a pivot itself: distance 0, tied with its duplicates
-				copy(x, pts[rng.IntN(c.r)])
-			case 1: // the integer grid: many distances equal across pivots
-				for j := range x {
-					x[j] = float64(rng.IntN(3))
-				}
-			default:
-				for j := range x {
-					x[j] = rng.NormFloat64() * 2
+		for name, lanes := range kernels() {
+			for trial := 0; trial < 200; trial++ {
+				x := tiedQuery(rng, pts, trial)
+				got := s.rankSensitive(x, lanes)
+				want := s.Permutation(x)[:c.m]
+				if !got.Equal(want) {
+					t.Fatalf("%s: r=%d m=%d dim=%d trial %d: RankSensitive = %v, Permutation prefix = %v",
+						name, c.r, c.m, c.dim, trial, got, want)
 				}
 			}
-			got := s.RankSensitive(x)
-			want := s.Permutation(x)[:c.m]
-			if !got.Equal(want) {
-				t.Fatalf("r=%d m=%d dim=%d trial %d: RankSensitive = %v, Permutation prefix = %v",
-					c.r, c.m, c.dim, trial, got, want)
+		}
+	}
+}
+
+// The lane kernel and its portable twin produce the same distances, bit for
+// bit, and both equal series.SqDist's: on random pivot sets with duplicates
+// and integer-grid ties, for pivot counts on both sides of the group edge.
+func TestLaneKernelMatchesPortableTwin(t *testing.T) {
+	if !series.HasLaneKernel {
+		t.Skip("no lane kernel on this machine: the portable loop is the only one")
+	}
+	rng := rand.New(rand.NewPCG(47, 53))
+	for trial := 0; trial < 300; trial++ {
+		r, dim := 1+rng.IntN(80), 1+rng.IntN(24)
+		pts := tiedPivots(rng, r, dim)
+		s, err := NewSet(pts, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := tiedQuery(rng, pts, trial)
+		lanes, twin := make([]float64, r), make([]float64, r)
+		s.distances(x, lanes, true)
+		s.distances(x, twin, false)
+		for i := range lanes {
+			want := series.SqDist(x, s.Pivot(i))
+			if math.Float64bits(lanes[i]) != math.Float64bits(twin[i]) || math.Float64bits(twin[i]) != math.Float64bits(want) {
+				t.Fatalf("r=%d dim=%d pivot %d: lane kernel %v (%#x), portable %v (%#x), SqDist %v (%#x)",
+					r, dim, i, lanes[i], math.Float64bits(lanes[i]), twin[i], math.Float64bits(twin[i]), want, math.Float64bits(want))
 			}
 		}
 	}

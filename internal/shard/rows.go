@@ -43,8 +43,8 @@ func (r *Router) rows() []api.Row {
 		{Key: "traced_queries", Metric: "climber_router_traced_queries_total", Help: "Routed queries that ran with tracing attached (explain, sampled, or propagated).", MetricOnly: true},
 		{Key: "slow_log_entries", Metric: "climber_router_slow_log_entries_total", Help: "Routed requests recorded in the slow-query log (threshold or sampled).", MetricOnly: true},
 		{Key: "partitions_scanned", Metric: "climber_router_partitions_scanned_total", Help: "Partitions the shards scanned for routed answers.", MetricOnly: true},
-		{Key: "cache_hits", Metric: "climber_router_partition_cache_hits_total", Help: "Shard partition-cache hits inside routed answers.", MetricOnly: true},
-		{Key: "cache_misses", Metric: "climber_router_partition_cache_misses_total", Help: "Shard partition-cache misses inside routed answers.", MetricOnly: true},
+		{Key: "cache_hits", Metric: "climber_router_partition_cache_hits_total", Help: "Always 0: since every partition file stays mapped after its first open, shards no longer count file opens per query (each shard's climber_partition_cache_hits_total does).", MetricOnly: true},
+		{Key: "cache_misses", Metric: "climber_router_partition_cache_misses_total", Help: "Always 0: shards no longer count partition-file loads per query (each shard's climber_partition_cache_misses_total does).", MetricOnly: true},
 		{Key: "delta_scanned", Metric: "climber_router_delta_scanned_total", Help: "Delta records the shards scanned for routed answers.", MetricOnly: true},
 	}
 }
@@ -70,10 +70,9 @@ func (r *Router) identityMetrics(_ context.Context, w *strings.Builder) {
 }
 
 // shardMetrics renders the per-shard families: scatter health and errors,
-// and — polled from every reachable shard's /stats — partition-cache
-// residency gauges plus fleet totals, the router-level view of how much
-// memory the shards' zero-copy read paths hold resident (and how much of it
-// is reclaimable mapped pages). Unreachable shards are skipped; their absence
+// and — polled from every reachable shard's /stats — the bytes of partition
+// files each shard holds memory-mapped plus fleet totals, the router-level
+// view of the shards' resident read paths (reclaimable page cache). Unreachable shards are skipped; their absence
 // is visible through climber_router_shard_up.
 func (r *Router) shardMetrics(ctx context.Context, w *strings.Builder) {
 	family := func(name, help, kind string, value func(shard int) (int64, bool)) {
@@ -109,12 +108,12 @@ func (r *Router) shardMetrics(ctx context.Context, w *strings.Builder) {
 			mapped += byShard[i].Cache.MappedBytes
 		}
 	}
-	family("climber_router_shard_cache_resident_bytes", "Per-shard partition-cache resident bytes.", "gauge", func(i int) (int64, bool) {
+	family("climber_router_shard_cache_resident_bytes", "Per-shard bytes of partition files currently memory-mapped.", "gauge", func(i int) (int64, bool) {
 		return byShard[i].Cache.ResidentBytes, errs[i] == nil
 	})
-	family("climber_router_shard_cache_mapped_bytes", "Per-shard partition-cache memory-mapped bytes.", "gauge", func(i int) (int64, bool) {
+	family("climber_router_shard_cache_mapped_bytes", "Per-shard bytes of partition files currently memory-mapped; equal to climber_router_shard_cache_resident_bytes.", "gauge", func(i int) (int64, bool) {
 		return byShard[i].Cache.MappedBytes, errs[i] == nil
 	})
-	api.WriteSample(w, "climber_router_cache_resident_bytes", "Partition-cache resident bytes summed over reachable shards.", "gauge", resident)
-	api.WriteSample(w, "climber_router_cache_mapped_bytes", "Partition-cache mapped bytes summed over reachable shards.", "gauge", mapped)
+	api.WriteSample(w, "climber_router_cache_resident_bytes", "Bytes of partition files currently memory-mapped, summed over reachable shards.", "gauge", resident)
+	api.WriteSample(w, "climber_router_cache_mapped_bytes", "Memory-mapped partition-file bytes summed over reachable shards; equal to climber_router_cache_resident_bytes.", "gauge", mapped)
 }

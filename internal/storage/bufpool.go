@@ -8,8 +8,8 @@ import (
 )
 
 // The partition-buffer pool: whole partition files move through the process
-// as byte slices — LoadPartition reads one into a buffer, MergePartitions
-// builds its output in one — and a buffer whose partition has drained its
+// as byte slices — LoadPartition reads one into a buffer, a Layout builds
+// a file in one — and a buffer whose partition has drained its
 // last reference is handed to the next load instead of the garbage
 // collector. On the fallback load path that replaces allocating, zero-filling
 // and page-faulting a partition-sized slice per load with one read into

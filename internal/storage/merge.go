@@ -30,17 +30,19 @@ type mergeRef struct {
 
 // MergePartitions writes to dst the partition file of the records of the
 // partition files srcs plus incoming, and returns its record count and the
-// bytes written. It is the one writer of the partition format: a shuffle
-// writes each partition from incoming records alone, a drain merges into a
-// partition's tail, a fold merges base and tail into the base, and the
-// dataset interchange file is one cluster of incoming records. dst may be one
-// of srcs. Surviving records are copied verbatim from their file and each
-// incoming record is encoded once into place, in canonical order — clusters
-// ascending, records ascending by ID within a cluster — followed by every
-// record's summary and a trailing CRC32, so the bytes depend on the record
-// set alone, not on arrival order nor on how the records were split between
-// files. No records at all make an empty partition file, which opens like
-// any other. The source files and the output live in pooled buffers.
+// bytes written. A drain merges into a partition's tail with it, a fold
+// merges base and tail into the base, and the dataset interchange file is
+// one cluster of incoming records. dst may be one of srcs. The file is laid
+// out by Layout, the format's one writer: surviving records are copied
+// verbatim from their file and each incoming record is encoded once into
+// place, in canonical order — clusters ascending, records ascending by ID
+// within a cluster — followed by every record's summary and a trailing
+// CRC32, so the bytes depend on the record set alone, not on arrival order
+// nor on how the records were split between files; a build's shuffle
+// (cluster.Shuffle) writes the bytes MergePartitions would write of its
+// records with no srcs. No records at all make an empty partition file,
+// which opens like any other. The source files and the output live in
+// pooled buffers.
 //
 // Every record, old or incoming, has seriesLen readings, and every incoming
 // reading must be finite in float32: a record with one that is not is
@@ -123,54 +125,32 @@ func MergePartitions(dst string, seriesLen int, srcs []string, incoming []Incomi
 	if !slices.IsSortedFunc(refs, order) {
 		slices.SortFunc(refs, order)
 	}
-	nClusters := 0
+	var dir []ClusterInfo
 	for i, ref := range refs {
 		if i == 0 || ref.cluster != refs[i-1].cluster {
-			nClusters++
+			dir = append(dir, ClusterInfo{ID: ref.cluster})
 		}
+		dir[len(dir)-1].Count++
 	}
-
-	w := SummaryBytes(seriesLen)
-	out := getBuf(16 + 12*nClusters + (recBytes+w)*len(refs) + 4)
-	defer putBuf(out)
-	copy(out[0:4], partitionMagic)
-	binary.LittleEndian.PutUint32(out[4:8], partitionVersion)
-	binary.LittleEndian.PutUint32(out[8:12], uint32(seriesLen))
-	binary.LittleEndian.PutUint32(out[12:16], uint32(nClusters))
-	dir, rec := 16, 16+12*nClusters
-	for i := 0; i < len(refs); {
-		j := i + 1
-		for j < len(refs) && refs[j].cluster == refs[i].cluster {
-			j++
-		}
-		binary.LittleEndian.PutUint64(out[dir:], uint64(refs[i].cluster))
-		binary.LittleEndian.PutUint32(out[dir+8:], uint32(j-i))
-		dir += 12
-		i = j
-	}
-	// The summary section follows the records; each record's summary is
-	// computed from the bytes just placed, whatever file they came from.
-	// AppendRecord encodes an incoming record in place, at its empty slots.
-	sum := rec + recBytes*len(refs)
-	for _, ref := range refs {
+	// Surviving records are copied verbatim and their summaries computed
+	// from the bytes just placed, whatever file they came from; an incoming
+	// record is encoded in place.
+	l := NewLayout(seriesLen, dir)
+	defer l.Release()
+	for i, ref := range refs {
 		if ref.from >= 0 {
-			copy(out[rec:rec+recBytes], olds[ref.from].data[ref.src:])
-			summarize(out[sum:sum+w], out[rec+8:rec+recBytes], seriesLen)
-		} else {
-			r := incoming[ref.src]
-			if _, _, err := AppendRecord(out[rec:rec], out[sum:sum], r.ID, r.Values); err != nil {
-				return 0, 0, err
-			}
+			l.copyRecord(i, olds[ref.from].data[ref.src:ref.src+recBytes])
+			continue
 		}
-		rec += recBytes
-		sum += w
+		r := incoming[ref.src]
+		if err := l.Put(i, r.ID, r.Values); err != nil {
+			return 0, 0, err
+		}
 	}
-	binary.LittleEndian.PutUint32(out[sum:], crc32.ChecksumIEEE(out[:sum]))
-
-	if err := replaceFile(dst, out, beforeRename); err != nil {
+	if written, err = l.Commit(dst, beforeRename); err != nil {
 		return 0, 0, err
 	}
-	return len(refs), int64(len(out)), nil
+	return len(refs), written, nil
 }
 
 // replaceFile atomically replaces the file at path with data: one write into

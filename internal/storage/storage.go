@@ -23,10 +23,11 @@
 // record, and the next rewrite (a fold or a reindex) writes version 3. Every
 // reading a file stores is finite in float32: the writer refuses any other.
 //
-// Every file of series is a partition file written by MergePartitions: the
-// partitions of a build or reindex, the tails and folds of a drain, and the
-// dataset interchange file of the command-line tools (internal/dataset's
-// SaveFile), which is a one-cluster partition file.
+// Every file of series is a partition file laid out by Layout: the
+// partitions of a build or reindex (cluster.Shuffle), and, through
+// MergePartitions, the tails and folds of a drain and the dataset
+// interchange file of the command-line tools (internal/dataset's SaveFile),
+// which is a one-cluster partition file.
 package storage
 
 import (
@@ -51,8 +52,8 @@ func RecordBytes(seriesLen int) int { return 8 + 4*seriesLen }
 
 // AppendRecord appends one record to recs as a partition file stores it —
 // its ID, then its readings rounded to float32 — and its summary to sums.
-// It is the one encoder of the record layout, for partition files
-// (MergePartitions) and the in-memory delta (internal/ingest) alike. A
+// It is the one encoder of the record layout, for partition files (Layout)
+// and the in-memory delta (internal/ingest) alike. A
 // reading not finite in float32 is refused, recs and sums returned as they
 // came: it would rank as NaN or +Inf, and break the summary lower bound.
 func AppendRecord(recs, sums []byte, id int, values []float64) ([]byte, []byte, error) {

@@ -171,13 +171,17 @@ func Build(cl *cluster.Cluster, bs *cluster.BlockSet, cfg Config, name string) (
 
 	// Re-distribute the full dataset.
 	redistStart := time.Now()
-	parts, err := cl.Shuffle(bs, ix.NumPartitions, cluster.Dest{Root: cl.Dir(), Name: name}, func(id int, values []float64) (cluster.Route, error) {
+	routes, err := cl.Convert(bs, bs.Len(), func(values []float64) cluster.Route {
 		n, complete := ix.descendPAA(tr.Transform(values))
 		if complete && n.isLeaf() {
-			return cluster.Route{Partition: n.partitions[0], Cluster: storage.ClusterID(n.id)}, nil
+			return cluster.Route{Partition: n.partitions[0], Cluster: storage.ClusterID(n.id)}
 		}
-		return cluster.Route{Partition: ix.defaultPart, Cluster: -1}, nil
+		return cluster.Route{Partition: ix.defaultPart, Cluster: -1}
 	})
+	if err != nil {
+		return nil, fmt.Errorf("tardis: conversion: %w", err)
+	}
+	parts, err := cl.Shuffle(bs, ix.NumPartitions, cluster.Dest{Root: cl.Dir(), Name: name}, routes)
 	if err != nil {
 		return nil, fmt.Errorf("tardis: re-distribution: %w", err)
 	}
