@@ -8,8 +8,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"climber/internal/cluster"
 )
 
 // Every partition file a query touches is mapped once, at its first open,
@@ -184,9 +182,10 @@ func buildAndReopenFrom(t *testing.T, data [][]float64, extra ...Option) *DB {
 	return db
 }
 
-// A drain replaces partition files: queries must observe the appended
-// records, and only the files the drain wrote — the tails it created or
-// rewrote, the bases it folded — are mapped again.
+// A drain replaces partition files with new ones: queries must observe the
+// appended records, and only the files the drain wrote — the tails it
+// created or grew, the bases it folded — are mapped; the files it kept stay
+// mapped.
 func TestPartitionCacheInvalidatedByAppend(t *testing.T) {
 	data := smallData(1200)
 	db := buildAndReopenFrom(t, data, WithCompactionRecords(1<<20), WithCompactionAge(time.Hour))
@@ -264,14 +263,14 @@ func TestPartitionCacheInvalidatedByAppend(t *testing.T) {
 	parts := db.ix.Partitions()
 	for pid := range touched {
 		fs := []string{parts.Paths[pid]}
-		if _, tail := parts.Layout(pid); tail > 0 {
-			fs = append(fs, cluster.TailPath(fs[0]))
+		if tail, _ := parts.Tail(pid); tail != "" {
+			fs = append(fs, tail)
 		}
 		for _, f := range fs {
 			switch {
 			case wrote(f):
 				want++
-				if _, ok := before[f]; ok && warmed[pid] {
+				if warmed[pid] {
 					rewritten++
 				}
 			case !warmed[pid]:
@@ -282,7 +281,7 @@ func TestPartitionCacheInvalidatedByAppend(t *testing.T) {
 		}
 	}
 	if rewritten == 0 || kept == 0 {
-		t.Fatalf("test premise broken: of the files the queries open, the drain rewrote %d mapped ones and left %d", rewritten, kept)
+		t.Fatalf("test premise broken: of the files the queries open, the drain wrote %d of mapped partitions and left %d", rewritten, kept)
 	}
 	if got := db.CacheStats().PartitionsLoaded - loads; got != want {
 		t.Fatalf("after the drain the queries loaded %d files, want the %d it wrote or never mapped", got, want)

@@ -152,8 +152,8 @@ var CompactionBuckets = ingest.CompactionBuckets
 // "Partition mappings" above).
 type CacheStats struct {
 	// Hits counts partition-file opens that found the file mapped; Misses
-	// counts opens that loaded it: the first open of each file, the first
-	// after a compaction replaced it, and every open of a heap copy.
+	// counts opens that loaded it: the first open of each file (a drain's
+	// files are new files) and every open of a heap copy.
 	Hits, Misses int64
 	// Evictions is always 0: nothing is unmapped to make room. The field
 	// keeps its place in /stats.
@@ -477,8 +477,8 @@ func (db *DB) activeRoot() string {
 // callback resolves the active generation at each call, so compactions that
 // run after a reindex swap persist into the new generation's index file.
 func (db *DB) attachIngest(o options) (*ingest.Ingester, error) {
-	return ingest.Open(db.ix, walPath(db.dir), func() error {
-		return core.SaveIndex(db.ix, core.IndexPathIn(db.activeRoot()))
+	return ingest.Open(db.ix, walPath(db.dir), func(view *core.Generation) error {
+		return core.SaveSnapshot(view.Skel, view.Parts, core.IndexPathIn(db.activeRoot()))
 	}, o.ingest)
 }
 
@@ -570,7 +570,8 @@ func Open(dir string, opts ...Option) (*DB, error) {
 	// failed sweep costs only disk space.
 	_ = core.CleanStaleGenerations(dir, genNum)
 	// Likewise what a killed compaction left beside the partition files: a
-	// half-written rewrite, a tail the manifest never came to list.
+	// half-written file, files of a view whose manifest was never saved, and
+	// files of a replaced view whose removal never ran.
 	_ = core.SweepPartitionFiles(ix.Partitions())
 	ing, err := db.attachIngest(o)
 	if err != nil {
@@ -905,10 +906,10 @@ func (db *DB) Reindex(ctx context.Context) error {
 		if err := core.WriteManifestPointer(db.dir, next); err != nil {
 			return err
 		}
-		old := db.ix.SwapGeneration(newGen)
+		retired := db.ix.SwapGeneration(newGen)
 		db.genNum.Store(int64(next))
 		db.cleanupWG.Add(1)
-		go db.cleanupGeneration(old, oldRoot)
+		go db.cleanupGeneration(retired, oldRoot)
 		return nil
 	})
 	if err != nil {
@@ -921,24 +922,20 @@ func (db *DB) Reindex(ctx context.Context) error {
 	return nil
 }
 
-// cleanupGeneration deletes a swapped-out generation's files once its last
-// in-flight reader drains, and drops the mappings of its partition files.
-// Only the retired generation's own files are touched — a concurrent later
-// reindex may already be building the next generation alongside.
-func (db *DB) cleanupGeneration(old *core.Generation, oldRoot string) {
+// cleanupGeneration removes what is left of a swapped-out generation once
+// SwapGeneration has retired its files (after its last in-flight reader
+// drained): its skeleton and its directory. Only the retired generation's
+// own directory is touched — a concurrent later reindex may already be
+// building the next generation alongside.
+func (db *DB) cleanupGeneration(retired <-chan struct{}, oldRoot string) {
 	defer db.cleanupWG.Done()
-	<-old.Drained()
-	sep := string(filepath.Separator)
+	<-retired
 	if oldRoot == db.dir {
 		// Generation 0 lives interleaved with the database root: its
-		// skeleton at dir/index.clms and its partition files under
-		// dir/cluster/.
-		db.cl.InvalidatePartitionPrefix(core.StoreDir(db.dir) + sep)
+		// skeleton at dir/index.clms, its partition files under dir/cluster/.
 		os.Remove(indexPath(db.dir))
-		os.RemoveAll(core.StoreDir(db.dir))
-		return
+		oldRoot = core.StoreDir(db.dir)
 	}
-	db.cl.InvalidatePartitionPrefix(oldRoot + sep)
 	os.RemoveAll(oldRoot)
 }
 
@@ -996,26 +993,23 @@ func (db *DB) backupTo(destDir string) error {
 	if err := os.Mkdir(partDir, 0o755); err != nil {
 		return fmt.Errorf("climber: backup mkdir: %w", err)
 	}
-	parts := &cluster.PartitionSet{
-		SeriesLen: g.Parts.SeriesLen,
-		Paths:     make([]string, len(g.Parts.Paths)),
-		Counts:    make([]int, len(g.Parts.Paths)),
+	// The barrier folds every tail first; a read-only DB skips it, and its
+	// tails go along beside their bases, under the names the view gives them.
+	parts := g.Parts.Clone()
+	link := func(src string) (string, error) {
+		dst := filepath.Join(partDir, filepath.Base(src))
+		return dst, linkOrCopy(src, dst)
 	}
 	for pid, src := range g.Parts.Paths {
-		dst := filepath.Join(partDir, filepath.Base(src))
-		if err := linkOrCopy(src, dst); err != nil {
+		var err error
+		if parts.Paths[pid], err = link(src); err != nil {
 			return fmt.Errorf("climber: backup partition %d: %w", pid, err)
 		}
-		parts.Paths[pid] = dst
-		// The barrier folds every tail first; a read-only DB skips it, and
-		// its tails go along beside their bases.
-		base, tail := g.Parts.Layout(pid)
-		if tail > 0 {
-			if err := linkOrCopy(cluster.TailPath(src), cluster.TailPath(dst)); err != nil {
+		if tail, _ := g.Parts.Tail(pid); tail != "" {
+			if parts.TailPaths[pid], err = link(tail); err != nil {
 				return fmt.Errorf("climber: backup tail of partition %d: %w", pid, err)
 			}
 		}
-		parts.SetLayout(pid, base, tail)
 	}
 	// SaveSnapshot relativises the partition paths against destDir, so the
 	// backup opens wherever it is later moved or restored to.
@@ -1029,10 +1023,9 @@ func (db *DB) backupTo(destDir string) error {
 }
 
 // linkOrCopy hard-links src to dst, degrading to a full copy when the link
-// fails (cross-device backups). Partition files are immutable-once-written
-// (rewrites replace the file via rename, never modify it in place), so a
-// hard link shares the bytes safely: a later compaction unlinks the live
-// name and the backup keeps the old inode.
+// fails (cross-device backups). Partition files never change under their
+// name, so a hard link shares the bytes safely: a later compaction writes new
+// files, the retired name is unlinked, and the backup keeps the inode.
 func linkOrCopy(src, dst string) error {
 	if err := os.Link(src, dst); err == nil {
 		return nil

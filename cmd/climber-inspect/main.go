@@ -25,7 +25,6 @@ import (
 	"strings"
 
 	"climber"
-	"climber/internal/cluster"
 	"climber/internal/series"
 	"climber/internal/storage"
 )
@@ -112,15 +111,16 @@ func main() {
 			if pid < len(skel.PartitionEst) {
 				est = skel.PartitionEst[pid]
 			}
-			base, tail := parts.Layout(pid)
-			fmt.Printf("  beta%-4d records=%-8d estimated=%-8d path=%s\n", pid, base+tail, est, path)
+			tailPath, tail := parts.Tail(pid)
+			base := parts.Counts[pid] - tail
+			fmt.Printf("  beta%-4d records=%-8d estimated=%-8d path=%s\n", pid, parts.Counts[pid], est, path)
 			if tail > 0 {
 				var bytes int64
-				if info, err := os.Stat(cluster.TailPath(path)); err == nil {
+				if info, err := os.Stat(tailPath); err == nil {
 					bytes = info.Size()
 				}
-				fmt.Printf("           tail: records=%d bytes=%d, %.1f%% of the base's %d records\n",
-					tail, bytes, 100*float64(tail)/float64(max(base, 1)), base)
+				fmt.Printf("           tail: records=%d bytes=%d, %.1f%% of the base's %d records, path=%s\n",
+					tail, bytes, 100*float64(tail)/float64(max(base, 1)), base, tailPath)
 			}
 		}
 	}
@@ -128,8 +128,8 @@ func main() {
 	if *verify {
 		bad := 0
 		for pid, path := range parts.Paths {
-			_, tail := parts.Layout(pid)
-			if err := verifyPartition(path, tail > 0); err != nil {
+			tail, _ := parts.Tail(pid)
+			if err := verifyPartition(path, tail); err != nil {
 				fmt.Printf("  beta%-4d CORRUPT: %v\n", pid, err)
 				bad++
 			}
@@ -143,18 +143,19 @@ func main() {
 }
 
 // verifyPartition checks the checksum of a partition's base file and, when it
-// has a tail, of the tail too, and that no record ID is in both: a base is
-// only ever read beside a tail whose records it does not hold.
-func verifyPartition(base string, tailed bool) error {
+// has a tail (tailPath not empty), of the tail too, and that no record ID is
+// in both: a base is only ever read beside a tail whose records it does not
+// hold.
+func verifyPartition(base, tailPath string) error {
 	p, err := storage.OpenPartition(base)
 	if err != nil {
 		return err
 	}
 	defer p.Close()
-	if err := p.Verify(); err != nil || !tailed {
+	if err := p.Verify(); err != nil || tailPath == "" {
 		return err
 	}
-	tail, err := storage.OpenPartition(cluster.TailPath(base))
+	tail, err := storage.OpenPartition(tailPath)
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,6 @@ import (
 	"syscall"
 	"testing"
 
-	"climber/internal/cluster"
 	"climber/internal/core"
 )
 
@@ -372,9 +371,9 @@ func TestDrainCrashMatrix(t *testing.T) {
 				t.Fatalf("an interrupted rewrite survived the reopen:\n%s", tree)
 			}
 			parts := db.Index().Partitions()
-			for pid, p := range parts.Paths {
-				_, tail := parts.Layout(pid)
-				if _, err := os.Stat(cluster.TailPath(p)); (err == nil) != (tail > 0) {
+			for pid := range parts.Paths {
+				path, tail := parts.Tail(pid)
+				if _, err := os.Stat(path); (err == nil) != (tail > 0) {
 					t.Fatalf("partition %d: layout says %d tail records, tail file present: %v", pid, tail, err == nil)
 				}
 			}

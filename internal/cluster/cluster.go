@@ -19,18 +19,18 @@
 //     writes the final partition files from those routes (Figure 6, Step 4)
 //     under a Dest.
 //
-// The query side is OpenPartition: a refcounted handle on one partition, a
-// read-only memory mapping of its files (a heap copy where mapping fails).
-// Each file is mapped once, at its first open, and stays mapped in the
-// store's registry until a writer replaces it (InvalidatePartition), its
-// generation retires (InvalidatePartitionPrefix) or the store closes. A
-// partition that took appends is two files — the base the build wrote and a
-// tail (TailPath) that drains rewrite until it is folded into the base — and
-// the handle reads them as one: Count, Clusters and every scan cover the
-// base's records, then the tail's, through the same kernels, and a base is
-// only ever paired with its own tail however a concurrent drain replaces
-// them (see OpenPartition). Which records are where is the PartitionSet's
-// Layout; nothing above this package knows tails exist.
+// The query side is OpenPartition: a refcounted handle on one partition of a
+// view (a PartitionSet), a read-only memory mapping of its files (a heap copy
+// where mapping fails). A file never changes under its name: a drain writes
+// new files and a new view naming them (internal/core), and a file no view
+// names any more is retired (Retire) once the last reader of a view naming it
+// is gone. So each file is mapped once, at its first open, and stays mapped
+// in the store's registry until it is retired or the store closes. A
+// partition that took appends is two files — the base the build or a fold
+// wrote and a tail (TailPath) that drains replace until it is folded into
+// the base — and the handle reads them as one: Count, Clusters and every
+// scan cover the base's records, then the tail's, through the same kernels.
+// Nothing above this package reads tails on their own.
 //
 // The store creates a directory only when Shuffle is about to put a file in
 // it; cutting blocks, opening and reading never touch the filesystem's
@@ -71,8 +71,8 @@ type Stats struct {
 
 	// PartitionCacheHits counts file opens served by a registered mapping
 	// and PartitionCacheMisses the ones that loaded the file: the first open
-	// of a file, the first after a writer replaced it, and every open of a
-	// heap copy. PartitionCacheBytesSaved sums the file sizes of the hits.
+	// of a file and every open of a heap copy. PartitionCacheBytesSaved sums
+	// the file sizes of the hits.
 	PartitionCacheHits       atomic.Int64
 	PartitionCacheMisses     atomic.Int64
 	PartitionCacheBytesSaved atomic.Int64
@@ -89,12 +89,8 @@ type Cluster struct {
 	// mapped or unmapped under mu.
 	mu     sync.Mutex
 	mapped map[string]*storage.Partition // nil once the store is closed
-	// epoch counts invalidations. An open that missed maps its file without
-	// the lock and registers the mapping only if no invalidation landed
-	// since its lookup: the file it mapped may be the one a writer replaced.
-	epoch uint64
 	// beforeRegister, when set, runs between a miss's mapping and its
-	// registration: the seam that lets a test land an invalidation there.
+	// registration: the seam that lets a test land a second open there.
 	beforeRegister func(path string)
 }
 
@@ -120,13 +116,29 @@ func PartitionPath(root, name string, pid int) string {
 	return filepath.Join(root, fmt.Sprintf("%s-part%05d.clmp", name, pid))
 }
 
-// TailPath returns the file of the tail of the partition whose base file is
-// base: the small second file, in the partition format, that takes a
-// partition's appended records between folds into the base (see
-// PartitionSet.Tails).
+// TailPath returns the name of the first tail of the partition whose base
+// file is base — the small second file that takes a partition's appended
+// records between folds into the base — and of any tail of the legacy layout.
 //
 //climber:genpath
 func TailPath(base string) string { return base + ".tail" }
+
+// GrownTailPath returns the name of a tail of count records that replaces an
+// earlier tail of base: a tail only grows, so no other tail of base has it.
+//
+//climber:genpath
+func GrownTailPath(base string, count int) string { return fmt.Sprintf("%s.%d.tail", base, count) }
+
+// FoldedPath returns the name of the base a fold of base leaves holding count
+// records: base's name up to its first dot, then the count. A partition only
+// grows, so no other base of it has that name but a redone fold's.
+//
+//climber:genpath
+func FoldedPath(base string, count int) string {
+	dir, name := filepath.Split(base)
+	stem, _, _ := strings.Cut(name, ".")
+	return filepath.Join(dir, fmt.Sprintf("%s.%d.clmp", stem, count))
+}
 
 // MappedBytes returns the file bytes of the partition mappings the registry
 // holds. Their pages are the kernel's page cache: they count toward the
@@ -157,30 +169,14 @@ func (c *Cluster) Close() error {
 	return nil
 }
 
-// InvalidatePartition drops the registry's mapping of a partition file, if
-// it holds one. A writer that replaces a partition file must call it, after
-// the new file is in place, so later opens map the new contents; readers
-// holding the old mapping keep scanning it until they release it.
-func (c *Cluster) InvalidatePartition(path string) {
-	c.mu.Lock()
-	c.epoch++
-	p := c.mapped[path]
-	delete(c.mapped, path)
-	c.mu.Unlock()
-	if p != nil {
-		_ = p.Release()
-	}
-}
-
-// InvalidatePartitionPrefix drops every mapping whose file path starts with
-// prefix — the whole-directory form of InvalidatePartition, used when a
-// retired index generation's files are deleted after its last reader drains.
-func (c *Cluster) InvalidatePartitionPrefix(prefix string) {
+// Retire drops the registry's mapping of each of paths, if it holds one: the
+// files of views no reader holds any more, which nothing opens again. Readers
+// holding a mapping keep scanning it until they release it.
+func (c *Cluster) Retire(paths ...string) {
 	var dropped []*storage.Partition
 	c.mu.Lock()
-	c.epoch++
-	for path, p := range c.mapped {
-		if strings.HasPrefix(path, prefix) {
+	for _, path := range paths {
+		if p := c.mapped[path]; p != nil {
 			delete(c.mapped, path)
 			dropped = append(dropped, p)
 		}

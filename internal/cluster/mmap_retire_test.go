@@ -35,12 +35,10 @@ func clusterIDsOf(p *storage.Partition) []storage.ClusterID {
 	return ids
 }
 
-// TestRetireUnmapsOnlyAfterLastHandleDrains is the reindex-shaped unmap
-// ordering check: when a generation is retired, the swap path invalidates
-// every mapping under the old generation's directory while queries
-// pinned to that generation may still hold open handles. The invalidation
-// must not unmap under those readers — the mapping may only go away when the
-// last handle closes.
+// TestRetireUnmapsOnlyAfterLastHandleDrains is the unmap ordering check:
+// when a view's files are retired, handles opened on them may still be held
+// (here, two). The retirement must not unmap under those readers — the
+// mapping may only go away when the last handle closes.
 func TestRetireUnmapsOnlyAfterLastHandleDrains(t *testing.T) {
 	if !storage.MapSupported() {
 		t.Skip("mmap unsupported on this platform")
@@ -65,9 +63,9 @@ func TestRetireUnmapsOnlyAfterLastHandleDrains(t *testing.T) {
 		t.Fatal("the registry returned distinct partitions for one path")
 	}
 
-	// Retire the generation: drop every mapping under its root, exactly
-	// what the reindex swap does before deleting the directory.
-	c.InvalidatePartitionPrefix(c.dir)
+	// Retire the view: drop the mapping of every file it names, exactly
+	// what a swap does once no reader holds the view, before removing them.
+	c.Retire(ps.Files()...)
 	if got := c.MappedBytes(); got != 0 {
 		t.Fatalf("the registry still holds %d mapped bytes after retire", got)
 	}
@@ -105,7 +103,7 @@ func TestRetireUnmapsOnlyAfterLastHandleDrains(t *testing.T) {
 }
 
 // TestRetireDuringConcurrentScans runs the same ordering under -race with
-// scans in flight while the invalidation lands, over mappings and over the
+// scans in flight while retirements land, over mappings and over the
 // recycled heap buffers a failed mapping falls back to.
 func TestRetireDuringConcurrentScans(t *testing.T) {
 	for _, backing := range []string{"mmap", "heap"} {
@@ -165,105 +163,8 @@ func retireDuringScans(t *testing.T) {
 		case err := <-errs:
 			t.Fatal(err)
 		default:
-			c.InvalidatePartitionPrefix(c.dir)
+			c.Retire(ps.Files()...)
 		}
-	}
-}
-
-// An invalidation that lands between a miss's mapping and its registration
-// may be a writer's, and the file mapped the one it replaced: the mapping
-// serves that open alone and is never registered, so the next open maps the
-// file again and sees the new contents. After Close nothing is registered.
-func TestStaleMappingNotRegistered(t *testing.T) {
-	if !storage.MapSupported() {
-		t.Skip("mmap unsupported on this platform")
-	}
-	c := testCluster(t)
-	path := PartitionPath(c.Dir(), "stale", 0)
-	write := func(n int) {
-		t.Helper()
-		if _, _, err := storage.MergePartitions(path, 3, nil, tailRecords(0, n), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write(8)
-	ps := &PartitionSet{Paths: []string{path}, SeriesLen: 3, Counts: []int{8}}
-	c.beforeRegister = func(string) {
-		c.beforeRegister = nil
-		write(12)
-		c.InvalidatePartition(path)
-		ps.SetLayout(0, 12, 0)
-	}
-	old, err := c.OpenPartition(ps, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.Count() != 8 || !old.Mapped() {
-		t.Fatalf("first open: %d records, mapped %v; want the old 8, mapped", old.Count(), old.Mapped())
-	}
-	if got := c.MappedBytes(); got != 0 {
-		t.Fatalf("a mapping overtaken by an invalidation was registered: %d bytes", got)
-	}
-
-	fresh, err := c.OpenPartition(ps, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fresh.Count() != 12 || c.Stats.PartitionsLoaded.Load() != 2 {
-		t.Fatalf("second open: %d records after %d loads; want the new 12, mapped again", fresh.Count(), c.Stats.PartitionsLoaded.Load())
-	}
-	if got, want := c.MappedBytes(), fresh.SizeBytes(); got != want {
-		t.Fatalf("registry holds %d bytes, want the new file's %d", got, want)
-	}
-	again, err := c.OpenPartition(ps, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Partition != fresh.Partition || c.Stats.PartitionCacheHits.Load() != 1 {
-		t.Fatal("third open did not hit the registered mapping")
-	}
-	if got := c.Stats.PartitionsLoaded.Load(); got != 2 {
-		t.Fatalf("PartitionsLoaded = %d, want 2", got)
-	}
-
-	// The unregistered mapping is this handle's alone: it still reads, and
-	// its Close unmaps it.
-	if seen := countRecords(t, old); seen != 8 {
-		t.Fatalf("the old mapping streams %d records", seen)
-	}
-	if err := old.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if old.Partition.InMemory() {
-		t.Fatal("closing the only handle on an unregistered mapping left it mapped")
-	}
-
-	// Close drops the registry's reference; the handles keep theirs, and an
-	// open after Close maps for itself.
-	if err := c.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.MappedBytes(); got != 0 {
-		t.Fatalf("Close left %d bytes registered", got)
-	}
-	if seen := countRecords(t, fresh); seen != 12 {
-		t.Fatalf("a handle open across Close streams %d records", seen)
-	}
-	late, err := c.OpenPartition(ps, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if late.Partition == fresh.Partition || c.Stats.PartitionsLoaded.Load() != 3 || c.MappedBytes() != 0 {
-		t.Fatalf("open after Close: shared %v after %d loads, %d bytes registered",
-			late.Partition == fresh.Partition, c.Stats.PartitionsLoaded.Load(), c.MappedBytes())
-	}
-	for _, h := range []*PartitionHandle{fresh, again, late} {
-		if err := h.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if fresh.Partition.InMemory() || late.Partition.InMemory() {
-		t.Fatal("a mapping outlived its last handle after Close")
 	}
 }
 

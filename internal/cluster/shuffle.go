@@ -2,14 +2,10 @@ package cluster
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
-	"io/fs"
 	"os"
-	"runtime"
 	"slices"
 	"sync"
-	"time"
 
 	"climber/internal/storage"
 )
@@ -21,32 +17,29 @@ type Route struct {
 	Cluster   storage.ClusterID
 }
 
-// PartitionSet references the physical partition files produced by a
-// shuffle, indexed by partition ID. It is also a Source whose blocks are the
-// partition files, which is how a reindex reads a built index back.
+// PartitionSet is one view of the physical partition files, indexed by
+// partition ID. It is also a Source whose blocks are the partition files,
+// which is how a reindex reads a built index back.
 //
 // A partition is a base file (Paths) and, once records were appended to it,
-// at most one tail (TailPath of the base): a drain rewrites the small tail
-// and only now and then folds it into the base. Counts and Tails change
-// under a drain while queries read them, so a shared set is read through
-// Layout and Len and written through SetLayout; the fields themselves are
-// for the set's builder and for readers that exclude writers.
+// at most one tail (TailPaths): a drain writes the small tail and only now and
+// then folds it into the base. A file never changes under its name — a drain
+// writes new files under new names and a new set that lists them — so a set
+// is immutable once published and readers share it without a lock.
 type PartitionSet struct {
 	Paths     []string
 	SeriesLen int
 	// Counts holds the records per partition, base and tail together.
 	Counts []int
-	// Tails holds how many of Counts sit in each partition's tail file; nil
-	// until some partition has one.
-	Tails []int
-
-	mu sync.Mutex // guards Counts and Tails; no I/O under it
+	// Tails holds how many of Counts sit in each partition's tail file, and
+	// TailPaths names that file ("" for none); both may be nil when no
+	// partition has a tail.
+	Tails     []int
+	TailPaths []string
 }
 
 // Len returns the number of records across all partitions, per Counts.
 func (ps *PartitionSet) Len() int {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
 	total := 0
 	for _, c := range ps.Counts {
 		total += c
@@ -54,30 +47,34 @@ func (ps *PartitionSet) Len() int {
 	return total
 }
 
-// Layout returns how partition pid's records are split between its base
-// file and its tail (0: no tail).
-func (ps *PartitionSet) Layout(pid int) (base, tail int) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if ps.Tails != nil {
-		tail = ps.Tails[pid]
+// Tail returns partition pid's tail file and the records in it: "" and 0
+// when it has none.
+func (ps *PartitionSet) Tail(pid int) (path string, records int) {
+	if ps.Tails == nil {
+		return "", 0
 	}
-	return ps.Counts[pid] - tail, tail
+	return ps.TailPaths[pid], ps.Tails[pid]
 }
 
-// SetLayout records partition pid's split after its files changed. The
-// writer calls it once the new file is in place and its cache entry dropped:
-// OpenPartition trusts a layout to name files that exist.
-func (ps *PartitionSet) SetLayout(pid, base, tail int) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	if ps.Tails == nil && tail > 0 {
-		ps.Tails = make([]int, len(ps.Paths))
+// Clone returns a copy of the set that the caller may change, its tail
+// slices allocated even when ps has no tail: the start of the next view.
+func (ps *PartitionSet) Clone() *PartitionSet {
+	c := &PartitionSet{Paths: slices.Clone(ps.Paths), SeriesLen: ps.SeriesLen, Counts: slices.Clone(ps.Counts),
+		Tails: make([]int, len(ps.Paths)), TailPaths: make([]string, len(ps.Paths))}
+	copy(c.Tails, ps.Tails)
+	copy(c.TailPaths, ps.TailPaths)
+	return c
+}
+
+// Files returns every file the set names, bases then tails.
+func (ps *PartitionSet) Files() []string {
+	files := slices.Clone(ps.Paths)
+	for _, t := range ps.TailPaths {
+		if t != "" {
+			files = append(files, t)
+		}
 	}
-	if ps.Tails != nil {
-		ps.Tails[pid] = tail
-	}
-	ps.Counts[pid] = base + tail
+	return files
 }
 
 // Length returns the length of every series.
@@ -90,7 +87,7 @@ func (ps *PartitionSet) NumBlocks() int { return len(ps.Paths) }
 // set read as a build source has had its tails folded (core.FoldTails); one
 // that has not is refused rather than read short.
 func (ps *PartitionSet) ScanBlock(i int, fn func(id int, values []float64) error) error {
-	if _, tail := ps.Layout(i); tail > 0 {
+	if _, tail := ps.Tail(i); tail > 0 {
 		return fmt.Errorf("cluster: partition %d still has %d records in a tail", i, tail)
 	}
 	p, err := storage.OpenPartition(ps.Paths[i])
@@ -329,10 +326,9 @@ func layOut(seriesLen, numPartitions int, routes []Route) ([]*storage.Layout, []
 // scan cover the base's records and then the tail's. It holds one reference to
 // each file's partition, which is usually the store's registered mapping, and
 // Close returns them; the mappings stay registered for the next open. If a
-// writer replaced a file (or its generation retired) while the handle was
-// scanning, the handle's reference is what kept the old mapping alive, and
-// Close is where it is finally unmapped. A heap copy, where mapping failed,
-// belongs to the handle alone.
+// file was retired while the handle was scanning, the handle's reference is
+// what kept its mapping alive, and Close is where it is finally unmapped. A
+// heap copy, where mapping failed, belongs to the handle alone.
 //
 // The embedded Partition is the base file; its promoted methods other than
 // the ones redefined here (SeriesLen, Mapped, SizeBytes, Verify, …) speak of
@@ -444,72 +440,37 @@ func (h *PartitionHandle) ScanClusterRuns(id storage.ClusterID, fn func(recs, su
 	return h.tail.ScanClusterRuns(id, fn)
 }
 
-// openPatience bounds OpenPartition's retries. A retry waits out the few
-// instructions between a fold putting its base in place and recording the new
-// layout — longer when the machine is busy and the writer is not scheduled,
-// hence a time and not a count — so running out means the files and the
-// layout disagree for good.
-const openPatience = 5 * time.Second
-
-// OpenPartition opens one physical partition for reading and accounts for
-// the load in the store's statistics (the dominant query-time cost in the
+// OpenPartition opens partition id of the view ps for reading and accounts
+// for the load in the store's statistics (the dominant query-time cost in the
 // paper is "the number of partitions touched"). Each file is mapped at its
 // first open and served from the store's registry after that (see openFile),
-// so PartitionsLoaded grows with the files touched, not with the opens.
-//
-// A partition with a tail is two files that a drain replaces one at a time,
-// and the handle must show a pair that belonged together: the base with the
-// tail it had, never a folded base beside the tail it already absorbed, nor
-// an old base beside the tail of its successor. No lock spans the opens.
-// Instead the layout is read, both files are opened, and the pair is kept
-// only if the base holds the records the layout said and the layout still
-// says so — a fold is the one thing that changes a base, and it always
-// changes its record total. A tail that is gone was folded meanwhile.
-// Anything else is retried against the new layout.
+// so PartitionsLoaded grows with the files touched, not with the opens. The
+// view's files never change under their names, so the base and the tail it
+// names are read as they are; the caller holds the view, which keeps them
+// from being retired while it reads.
 func (c *Cluster) OpenPartition(ps *PartitionSet, id int) (*PartitionHandle, error) {
-	var deadline time.Time
-	for attempt := 0; ; attempt++ {
-		want, tailed := ps.Layout(id)
-		h := &PartitionHandle{}
-		var err error
-		if h.Partition, err = c.openFile(ps.Paths[id]); err != nil {
-			return nil, err
-		}
-		if tailed == 0 {
-			return h, nil
-		}
-		if h.tail, err = c.openFile(TailPath(ps.Paths[id])); err != nil && !errors.Is(err, fs.ErrNotExist) {
+	h := &PartitionHandle{}
+	var err error
+	if h.Partition, err = c.openFile(ps.Paths[id]); err != nil {
+		return nil, err
+	}
+	if tail, _ := ps.Tail(id); tail != "" {
+		if h.tail, err = c.openFile(tail); err != nil {
 			h.Close()
 			return nil, err
 		}
-		if now, _ := ps.Layout(id); err == nil && h.Partition.Count() == want && now == want {
-			return h, nil
-		}
-		h.Close()
-		switch {
-		case attempt == 0:
-			deadline = time.Now().Add(openPatience)
-		case time.Now().After(deadline):
-			return nil, fmt.Errorf("cluster: partition %d: base and tail did not agree with the recorded layout for %v", id, openPatience)
-		}
-		// Let the writer run: a yield at first, then the processor.
-		if attempt < 8 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(50 * time.Microsecond)
-		}
 	}
+	return h, nil
 }
 
 // openFile opens one partition file: the registered mapping of path
 // when there is one (a hit), else a fresh load (a miss) that is registered
 // when it is a mapping. The mapping is made without the registry lock, so two
 // first opens of a file may both map it; the second to register releases its
-// own and shares the first's. A mapping is not registered when an
-// invalidation landed after the lookup — it may show the file a writer just
-// replaced — nor after Close; it then serves this open alone. A heap copy
-// never is: unlike clean file pages, heap memory is not the kernel's to
-// reclaim.
+// own and shares the first's. After Close a mapping is not registered and
+// serves this open alone. A heap copy never is: unlike clean file pages, heap
+// memory is not the kernel's to reclaim. No open races a Retire of its file:
+// a file is retired only once no view that names it is held.
 func (c *Cluster) openFile(path string) (*storage.Partition, error) {
 	c.mu.Lock()
 	p := c.mapped[path]
@@ -517,7 +478,6 @@ func (c *Cluster) openFile(path string) (*storage.Partition, error) {
 		// The registry's reference keeps p alive until the lock drops.
 		p.Retain()
 	}
-	epoch := c.epoch
 	c.mu.Unlock()
 	if p != nil {
 		c.Stats.PartitionCacheHits.Add(1)
@@ -536,7 +496,7 @@ func (c *Cluster) openFile(path string) (*storage.Partition, error) {
 		c.beforeRegister(path)
 	}
 	c.mu.Lock()
-	if c.mapped == nil || c.epoch != epoch {
+	if c.mapped == nil {
 		c.mu.Unlock()
 		return p, nil
 	}

@@ -2,11 +2,8 @@ package cluster
 
 import (
 	"fmt"
-	"os"
 	"reflect"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"testing"
 
 	"climber/internal/storage"
@@ -117,8 +114,8 @@ func TestHandleReadsBaseAndTailAsOne(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			ps := &PartitionSet{Paths: []string{whole, split}, SeriesLen: 3, Counts: []int{len(base) + len(tail), len(base)}}
-			ps.SetLayout(1, len(base), len(tail))
+			ps := &PartitionSet{Paths: []string{whole, split}, SeriesLen: 3, Counts: []int{len(base) + len(tail), len(base) + len(tail)},
+				Tails: []int{0, len(tail)}, TailPaths: []string{"", TailPath(split)}}
 			if ps.Len() != 2*(len(base)+len(tail)) {
 				t.Fatalf("Len() = %d with a tail recorded", ps.Len())
 			}
@@ -179,115 +176,6 @@ func baseRecords() []storage.Incoming {
 	return out
 }
 
-// A handle must pair a base with its own tail while a writer replaces both:
-// tail rewrites between folds, each a rename of one file, the mapping
-// dropped, the layout recorded — the order core's drain keeps. Every record
-// the writer had landed before an open began must be in the handle exactly
-// once: never an old base without its tail, never a folded base beside the
-// tail it absorbed — over held mappings and over heap copies loaded per
-// open. Run under -race.
-func TestOpenPartitionPairsBaseWithItsTail(t *testing.T) {
-	for _, backing := range []string{"mmap", "heap"} {
-		t.Run(backing, func(t *testing.T) {
-			if backing == "mmap" && !storage.MapSupported() {
-				t.Skip("mmap unsupported on this platform")
-			}
-			if backing == "heap" {
-				defer storage.FailMappings()()
-			}
-			c := testCluster(t)
-			base := PartitionPath(c.Dir(), "hammer", 0)
-			tail := TailPath(base)
-			const built, perDrain, drains, foldEvery = 64, 3, 400, 7
-			if _, _, err := storage.MergePartitions(base, 3, nil, tailRecords(0, built), nil); err != nil {
-				t.Fatal(err)
-			}
-			ps := &PartitionSet{Paths: []string{base}, SeriesLen: 3, Counts: []int{built}}
-
-			// landed is the number of records (IDs 0..landed-1) the layout
-			// has been told about.
-			var landed atomic.Int64
-			landed.Store(built)
-			var stop atomic.Bool
-			var wg sync.WaitGroup
-			for r := 0; r < 4; r++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for !stop.Load() {
-						want := int(landed.Load())
-						h, err := c.OpenPartition(ps, 0)
-						if err != nil {
-							t.Error(err)
-							return
-						}
-						seen := make(map[int]int, h.Count())
-						for _, ci := range h.Clusters() {
-							err := h.ScanClusterRaw(ci.ID, func(id int, _ []byte) error {
-								seen[id]++
-								return nil
-							})
-							if err != nil {
-								t.Error(err)
-							}
-						}
-						n := h.Count()
-						h.Close()
-						if len(seen) != n {
-							t.Errorf("handle of %d records streams %d distinct IDs: a base beside a tail it already holds", n, len(seen))
-							return
-						}
-						for id := 0; id < want; id++ {
-							if seen[id] != 1 {
-								t.Errorf("record %d, landed before the open, was seen %d times among %d", id, seen[id], n)
-								return
-							}
-						}
-					}
-				}()
-			}
-
-			next, inTail := built, 0
-			for d := 1; d <= drains && !t.Failed(); d++ {
-				in := tailRecords(next, next+perDrain)
-				next += perDrain
-				if d%foldEvery != 0 {
-					var srcs []string
-					if inTail > 0 {
-						srcs = []string{tail}
-					}
-					if _, _, err := storage.MergePartitions(tail, 3, srcs, in, nil); err != nil {
-						t.Fatal(err)
-					}
-					inTail += perDrain
-					c.InvalidatePartition(tail)
-					ps.SetLayout(0, next-inTail, inTail)
-				} else {
-					srcs := []string{base}
-					if inTail > 0 {
-						srcs = append(srcs, tail)
-					}
-					if _, _, err := storage.MergePartitions(base, 3, srcs, in, nil); err != nil {
-						t.Fatal(err)
-					}
-					c.InvalidatePartition(base)
-					ps.SetLayout(0, next, 0)
-					if inTail > 0 {
-						if err := os.Remove(tail); err != nil {
-							t.Fatal(err)
-						}
-						c.InvalidatePartition(tail)
-					}
-					inTail = 0
-				}
-				landed.Store(int64(next))
-			}
-			stop.Store(true)
-			wg.Wait()
-		})
-	}
-}
-
 // A reindex reads partition files as a source, bases only, and is refused a
 // set whose tails were not folded first rather than handed a short read.
 func TestPartitionSourceRefusesTails(t *testing.T) {
@@ -302,7 +190,7 @@ func TestPartitionSourceRefusesTails(t *testing.T) {
 	if err := ps.ScanBlock(0, count); err != nil || n != 8 {
 		t.Fatalf("scan of a partition without a tail: %d records, %v", n, err)
 	}
-	ps.SetLayout(0, 8, 2)
+	ps.Counts, ps.Tails, ps.TailPaths = []int{10}, []int{2}, []string{TailPath(base)}
 	if err := ps.ScanBlock(0, count); err == nil {
 		t.Fatal("a partition with an unfolded tail was read as a build source")
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"os"
-	"sort"
 	"sync/atomic"
 
 	"climber/internal/cluster"
@@ -72,20 +71,19 @@ func (ix *Index) PersistedRecords() int {
 	return ix.Partitions().Len()
 }
 
-// TailStats reports the tails the current generation has on disk: how many
-// partitions have one, the records in them, and the files' sizes.
+// TailStats reports the tails the current view names: how many partitions
+// have one, the records in them, and the files' sizes.
 func (ix *Index) TailStats() (files, records int, bytes int64) {
 	g := ix.AcquireGeneration()
 	defer g.Release()
-	for pid, base := range g.Parts.Paths {
-		_, tail := g.Parts.Layout(pid)
-		if tail == 0 {
+	for pid := range g.Parts.Paths {
+		path, n := g.Parts.Tail(pid)
+		if n == 0 {
 			continue
 		}
 		files++
-		records += tail
-		// A tail folded since the layout was read is no longer there to size.
-		if info, err := os.Stat(cluster.TailPath(base)); err == nil {
+		records += n
+		if info, err := os.Stat(path); err == nil {
 			bytes += info.Size()
 		}
 	}
@@ -109,32 +107,35 @@ func (ix *Index) RouteNew(id int, values []float64) cluster.Route {
 // order of magnitude under rewriting B on every drain.
 const foldFraction = 8
 
-// DrainStats is what one WriteRouted or FoldTails call wrote: the bytes of
-// the tail files it rewrote, the bytes of the base files it folded into, and
-// the number of those folds.
+// DrainStats is what one Drain wrote: the bytes of the tail files, the bytes
+// of the base files it folded into, and the number of those folds.
 type DrainStats struct {
 	TailBytes int64
 	FoldBytes int64
 	Folds     int
 }
 
-// WriteRouted lands already-routed records in partition files, grouping by
-// destination so each affected partition sees one file written — its tail,
-// or on a fold its base — and reports what it wrote. Callers must serialise
-// WriteRouted calls: each is a read-modify-replace of partition files, and
-// two interleaved on one file lose records (climber.DB funnels every write
-// through its ingestion pipeline). That also keeps them serialised against
-// generation swaps, so the whole batch lands in one generation's files.
-// Queries running concurrently are safe — partition files are replaced
-// atomically and cluster.OpenPartition pairs a base only with its own tail.
-//
-// A failed call may have landed some of the records already, and a caller may
-// fail after a call that succeeded (the manifest save, the WAL reset) and keep
-// the records; either way it retries with the same IDs and the retry replaces
-// them where they lie, because every ID that has been through here folds.
-func (ix *Index) WriteRouted(recs []Routed) (st DrainStats, err error) {
-	g := ix.AcquireGeneration()
-	defer g.Release()
+// WriteRouted is Drain without a manifest to save: it publishes at once.
+func (ix *Index) WriteRouted(recs []Routed) (DrainStats, error) { return ix.Drain(recs, false, nil) }
+
+// FoldTails folds every tail into its base, so the base files alone hold
+// every persisted record — what a backup links and a reindex reads — and,
+// like WriteRouted, publishes without saving a manifest.
+func (ix *Index) FoldTails() (DrainStats, error) { return ix.Drain(nil, true, nil) }
+
+// Drain lands already-routed records — with foldAll, every tail too — in new
+// partition files, one per affected partition: its tail, or on a fold its
+// base. It builds the view naming them beside the current one, has save (when
+// set) make it durable, and publishes it (SwapGeneration). The current view's
+// files are never touched, so running queries are unaffected; on any error
+// the files written are removed and the current view stays. Callers must
+// serialise Drain with every other write path (climber.DB funnels every
+// write through its ingestion pipeline). A caller may fail after a Drain that
+// published (the WAL reset) and keep the records; its retry with the same IDs
+// replaces them where they lie, because every ID that has been through here
+// folds.
+func (ix *Index) Drain(recs []Routed, foldAll bool, save func(next *Generation) error) (st DrainStats, err error) {
+	cur := ix.gen.Load() // the writer's own: only it swaps
 	byPartition := make(map[int][]storage.Incoming)
 	maxID := -1
 	for _, r := range recs {
@@ -143,62 +144,54 @@ func (ix *Index) WriteRouted(recs []Routed) (st DrainStats, err error) {
 		maxID = max(maxID, r.ID)
 	}
 	defer raise(&ix.redrainBelow, int64(maxID+1))
-	pids := make([]int, 0, len(byPartition))
-	for pid := range byPartition {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
-	for _, pid := range pids {
-		if err := ix.appendToPartition(g, pid, byPartition[pid], false, &st); err != nil {
-			return st, err
+	parts := cur.Parts.Clone()
+	wrote := false
+	for pid := range parts.Paths {
+		if _, ok := byPartition[pid]; ok || foldAll && parts.Tails[pid] > 0 {
+			wrote = true
+			if err = ix.appendToPartition(parts, pid, byPartition[pid], foldAll, &st); err != nil {
+				break
+			}
 		}
 	}
-	return st, nil
-}
-
-// FoldTails folds every tail of the current generation into its base, so the
-// base files alone hold every persisted record: what a backup links and a
-// reindex reads. Callers serialise it with WriteRouted and save the manifest
-// afterwards (also after an error: the folds that did happen are recorded).
-func (ix *Index) FoldTails() (st DrainStats, err error) {
-	g := ix.AcquireGeneration()
-	defer g.Release()
-	for pid := range g.Parts.Paths {
-		if _, tail := g.Parts.Layout(pid); tail == 0 {
-			continue
+	next := NewGeneration(cur.Skel, parts)
+	next.SetDelta(cur.Delta())
+	if err == nil && wrote && save != nil {
+		if err = save(next); err != nil {
+			err = fmt.Errorf("core: save the manifest: %w", err)
 		}
-		if err := ix.appendToPartition(g, pid, nil, true, &st); err != nil {
-			return st, err
-		}
+	}
+	if err != nil {
+		ix.retire(next, cur) // never published: no reader holds it
+		return st, err
+	}
+	if wrote {
+		ix.SwapGeneration(next)
 	}
 	return st, nil
 }
 
-// appendToPartition lands recs in partition pid. Partition files are
-// immutable cluster-contiguous layouts, so an append is read-modify-replace
-// (storage.MergePartitions' byte-level merge) — of the partition's tail, a
-// small file in the partition format beside the base that is created on the
-// first drain, while the base stays as it is. Only when the tail would
-// outgrow 1/foldFraction of the base (or fold is set) is the base rewritten
-// instead: one merge of base, tail and recs into the base, after which the
-// tail is removed. The base after a fold is byte for byte the file that
-// merging every drain into it would have left. This is the one place a
-// partition file is rewritten.
-//
-// Each file is replaced whole by rename, its mapping dropped from the store's
-// registry, and only then is the new layout recorded, which is the order cluster.OpenPartition
-// relies on. A fold records the layout before removing the tail: from the
-// rename on the tail's records are in the base, and a reader must not pair
-// the two.
+// appendToPartition lands recs in partition pid of parts, a view under
+// construction. Partition files are immutable cluster-contiguous layouts, so
+// an append is a merge into a new file (storage.MergeStaged) — of the
+// partition's tail, a small file beside the base, while the base stays as it
+// is. Only when the tail would outgrow 1/foldFraction of the base (or fold is
+// set) is the base merged instead: one merge of base, tail and recs into a new
+// base that is byte for byte the file merging every drain into it would have
+// left. A new file is written at its partition's temporary name and renamed
+// to the name its record count gives it (cluster.TailPath for a base's first
+// tail, GrownTailPath after that, FoldedPath for a folded base), which no
+// earlier file of the partition had; a redone fold writes the bytes and the
+// name it wrote before.
 //
 // Merging is idempotent — a record whose ID reappears is replaced rather than
 // duplicated — but only within the files merged, so records that may already
-// be in the base (IDs below redrainBelow: replayed after a crash, or drained
-// before) go through a fold, never into the tail beside it.
-func (ix *Index) appendToPartition(g *Generation, pid int, recs []storage.Incoming, fold bool, st *DrainStats) error {
-	base := g.Parts.Paths[pid]
-	tail := cluster.TailPath(base)
-	nBase, nTail := g.Parts.Layout(pid)
+// be in the base (IDs below redrainBelow: replayed after a crash, or given to
+// Drain before) go through a fold, never into the tail beside it.
+func (ix *Index) appendToPartition(parts *cluster.PartitionSet, pid int, recs []storage.Incoming, fold bool, st *DrainStats) error {
+	base := parts.Paths[pid]
+	tail, nTail := parts.Tail(pid)
+	nBase := parts.Counts[pid] - nTail
 	redrain := ix.redrainBelow.Load()
 	for _, r := range recs {
 		fold = fold || int64(r.ID) < redrain
@@ -206,16 +199,18 @@ func (ix *Index) appendToPartition(g *Generation, pid int, recs []storage.Incomi
 	step := func(name string) { CrashStep(fmt.Sprintf("%s-%05d", name, pid)) }
 	if !fold && nTail+len(recs) <= nBase/foldFraction {
 		var srcs []string
+		name := func(int) string { return cluster.TailPath(base) }
 		if nTail > 0 {
 			srcs = []string{tail}
+			name = func(count int) string { return cluster.GrownTailPath(base, count) }
 		}
 		step("tail-write")
-		count, written, err := storage.MergePartitions(tail, g.Parts.SeriesLen, srcs, recs, func() { step("tail-rename") })
+		path, count, written, err := storage.MergeStaged(cluster.TailPath(base)+".tmp", name,
+			parts.SeriesLen, srcs, recs, func() { step("tail-rename") })
 		if err != nil {
-			return fmt.Errorf("core: rewrite tail of partition %d: %w", pid, err)
+			return fmt.Errorf("core: write tail of partition %d: %w", pid, err)
 		}
-		ix.Cl.InvalidatePartition(tail)
-		g.Parts.SetLayout(pid, nBase, count)
+		parts.Counts[pid], parts.Tails[pid], parts.TailPaths[pid] = nBase+count, count, path
 		st.TailBytes += written
 		return nil
 	}
@@ -224,24 +219,13 @@ func (ix *Index) appendToPartition(g *Generation, pid int, recs []storage.Incomi
 		srcs = append(srcs, tail)
 	}
 	step("fold-write")
-	count, written, err := storage.MergePartitions(base, g.Parts.SeriesLen, srcs, recs, func() { step("fold-rename") })
+	path, count, written, err := storage.MergeStaged(base+".tmp", func(count int) string { return cluster.FoldedPath(base, count) },
+		parts.SeriesLen, srcs, recs, func() { step("fold-rename") })
 	if err != nil {
-		return fmt.Errorf("core: rewrite partition %d: %w", pid, err)
+		return fmt.Errorf("core: fold partition %d: %w", pid, err)
 	}
-	// The store holds the replaced file mapped; drop the mapping so the
-	// next query maps the merged contents. In-flight queries keep scanning
-	// their immutable snapshot.
-	ix.Cl.InvalidatePartition(base)
-	g.Parts.SetLayout(pid, count, 0)
+	parts.Paths[pid], parts.Counts[pid], parts.Tails[pid], parts.TailPaths[pid] = path, count, 0, ""
 	st.FoldBytes += written
 	st.Folds++
-	if nTail > 0 {
-		step("tail-remove")
-		err := os.Remove(tail)
-		ix.Cl.InvalidatePartition(tail)
-		if err != nil {
-			return fmt.Errorf("core: remove folded tail of partition %d: %w", pid, err)
-		}
-	}
 	return nil
 }

@@ -37,18 +37,22 @@ type Index struct {
 	// gen is the current generation; never nil once the Index is built or
 	// opened.
 	gen atomic.Pointer[Generation]
+	// retired closes once every view swapped out so far is retired; nil
+	// before the first swap. Only the serialised SwapGeneration touches it.
+	retired <-chan struct{}
 
 	// nextID mints record IDs for appended series: a single atomic counter
 	// seeded from the partition counts at build/open time, so concurrent
 	// writers can never assign duplicate IDs.
 	nextID atomic.Int64
 	// redrainBelow is above every record ID that may already sit in a
-	// partition file without the file's layout saying so: IDs replayed from
-	// the WAL after a crash, IDs WriteRouted has been given before (the
-	// drain failed part-way, or its caller failed after it and kept the
-	// records). A drain carrying such an ID folds the partition it goes
-	// to, because only a merge with the base replaces the copy that may be
-	// in it.
+	// partition file without the manifest's counts saying so — IDs replayed
+	// from the WAL after a crash, where a layout written before names were
+	// never reused may hold them — or in a published view: IDs NextView has
+	// been given before, whose caller may have failed after publishing and
+	// kept the records. A drain carrying such an ID folds the partition it
+	// goes to, because only a merge with the base replaces the copy that may
+	// be in it.
 	redrainBelow atomic.Int64
 }
 

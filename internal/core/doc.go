@@ -29,13 +29,17 @@
 //     when a Budget is exhausted or a progressive snapshot sink says so —
 //     then widens within loaded partitions when the plan covers fewer
 //     than K records and ranks by true Euclidean distance.
-//   - RouteNew / WriteRouted (append.go): route new records through the
-//     existing skeleton and merge them into partition files by atomic
-//     replace — into each partition's small tail file, which is folded
-//     into the base when it reaches 1/foldFraction of it (appendToPartition
-//     is the one place a partition file is rewritten; FoldTails folds them
-//     all for backup and reindex); record IDs come from a single atomic
-//     counter (ReserveIDs) so concurrent writers never collide.
+//   - RouteNew / Drain (append.go): route new records through the existing
+//     skeleton and merge them into new partition files — each partition's
+//     small tail, folded into a new base when it reaches 1/foldFraction of
+//     it (appendToPartition is the one place a partition file is written
+//     after the build; FoldTails folds them all for backup and reindex) —
+//     then publish the view naming them; record IDs come from a single
+//     atomic counter (ReserveIDs) so concurrent writers never collide.
+//   - Generation (gen.go): one immutable view — skeleton, partition files,
+//     delta. No file changes under its name: a drain or a reindex builds the
+//     next view beside the current one, and SwapGeneration publishes it and
+//     retires the files only older views named, once no query holds one.
 //   - DeltaSource (delta.go): the seam through which the streaming
 //     ingestion layer (internal/ingest) makes acked-but-uncompacted
 //     records visible to every search: runs in the partition record

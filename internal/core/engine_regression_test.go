@@ -154,7 +154,7 @@ func TestEngineBitIdenticalAcrossBackends(t *testing.T) {
 			if heap {
 				defer storage.FailMappings()()
 			}
-			ix.Cl.InvalidatePartitionPrefix("") // start with nothing mapped
+			ix.Cl.Retire(ix.Partitions().Files()...) // start with nothing mapped
 			fallbacks := ix.Cl.Stats.MapFallbacks.Load()
 			var loads [2]int64
 			for pass := 0; pass < 2; pass++ { // first opens, then again

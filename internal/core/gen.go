@@ -66,21 +66,23 @@ func genName(n int) string { return fmt.Sprintf("gen-%04d", n) }
 //climber:genpath
 func manifestPath(dir string) string { return filepath.Join(dir, "MANIFEST") }
 
-// Generation is one immutable snapshot of the index: the skeleton, the
+// Generation is one immutable view of the index: the skeleton, the
 // partition files it references, and the delta of appends routed under that
-// skeleton. Queries acquire a generation for their whole lifetime, so a
-// reindex swap never changes what one query observes; the refcount tells the
-// swapper when the last reader of a replaced generation is gone and its
-// files may be deleted.
+// skeleton. Queries acquire a view for their whole lifetime, so neither a
+// drain nor a reindex changes what one query observes: both build the next
+// view beside the current one and publish it with SwapGeneration. The
+// refcount tells the swapper when the last reader of a replaced view is gone
+// and the files only it named may be deleted.
 type Generation struct {
-	// Skel and Parts are immutable after the generation is published
-	// (partition *contents* still grow through compaction, which rewrites
-	// files atomically; Paths and the skeleton never change).
+	// Skel and Parts are immutable: no file Parts names changes under its
+	// name, and a drain that lands records publishes a new view naming the
+	// files it wrote.
 	Skel  *Skeleton
 	Parts *cluster.PartitionSet
 
 	// delta is the in-memory index of appends routed under this
 	// generation's skeleton but not yet compacted into its partition files.
+	// The views a drain publishes share it with the view they replace.
 	deltaMu sync.RWMutex
 	delta   DeltaSource
 
@@ -102,17 +104,12 @@ func NewGeneration(skel *Skeleton, parts *cluster.PartitionSet) *Generation {
 }
 
 // Release drops one reference. When the last one goes — possible only after
-// SwapGeneration released the base reference — Drained is closed.
+// SwapGeneration released the base reference — drained is closed.
 func (g *Generation) Release() {
 	if g.refs.Add(-1) == 0 {
 		g.drainOnce.Do(func() { close(g.drained) })
 	}
 }
-
-// Drained is closed once the generation has been swapped out and its last
-// in-flight reader released it; from then on its files have no reader and
-// may be deleted.
-func (g *Generation) Drained() <-chan struct{} { return g.drained }
 
 // SetDelta installs (or, with nil, removes) the generation's delta source.
 func (g *Generation) SetDelta(d DeltaSource) {
@@ -144,21 +141,73 @@ func (ix *Index) AcquireGeneration() *Generation {
 	}
 }
 
-// SwapGeneration atomically publishes ng as the current generation and
-// releases the Index's base reference on the previous one, which is
-// returned so the caller can wait for Drained before deleting its files.
-// Callers must serialise SwapGeneration with every write path (climber.DB
-// runs it under the ingestion semaphore).
-func (ix *Index) SwapGeneration(ng *Generation) *Generation {
+// SwapGeneration atomically publishes ng, made durable by the caller, as the
+// current view and retires the view it replaces: once that view and every
+// view published before it are released, the files it names and ng does not
+// go (see retire) — at once when no query holds them, else on a goroutine of
+// their own; the returned channel closes then. Callers must serialise
+// SwapGeneration with every write path (climber.DB runs it under the
+// ingestion semaphore).
+func (ix *Index) SwapGeneration(ng *Generation) <-chan struct{} {
 	old := ix.gen.Swap(ng)
+	prev, done := ix.retired, make(chan struct{})
+	ix.retired = done
 	old.Release()
-	return old
+	retire := func() {
+		<-old.drained
+		if prev != nil {
+			<-prev
+		}
+		ix.retire(old, ng)
+		close(done)
+	}
+	if closed(old.drained) && (prev == nil || closed(prev)) {
+		retire()
+	} else {
+		go retire()
+	}
+	return done
+}
+
+// closed reports whether c is closed.
+func closed(c <-chan struct{}) bool {
+	select {
+	case <-c:
+		return true
+	default:
+		return false
+	}
+}
+
+// retire drops from the registry and removes the files of old, a view no
+// query holds, that cur does not name. A drain's removals are crash steps
+// (the drain crash matrix kills before each); a reindex's come after its
+// commit, when there is nothing left to recover.
+func (ix *Index) retire(old, cur *Generation) {
+	kept := make(map[string]bool)
+	for _, f := range cur.Parts.Files() {
+		kept[f] = true
+	}
+	for pid, base := range old.Parts.Paths {
+		tail, _ := old.Parts.Tail(pid)
+		for _, f := range [...]struct{ path, step string }{{base, "base-remove"}, {tail, "tail-remove"}} {
+			if f.path == "" || kept[f.path] {
+				continue
+			}
+			ix.Cl.Retire(f.path)
+			if old.Skel == cur.Skel {
+				CrashStep(fmt.Sprintf("%s-%05d", f.step, pid))
+			}
+			_ = os.Remove(f.path) // best effort: an open sweeps what is left
+		}
+	}
 }
 
 // Skeleton returns the current generation's skeleton.
 func (ix *Index) Skeleton() *Skeleton { return ix.gen.Load().Skel }
 
-// Partitions returns the current generation's partition set.
+// Partitions returns the current view's partition set, unpinned: a drain may
+// retire its files meanwhile, so a reader of them holds AcquireGeneration.
 func (ix *Index) Partitions() *cluster.PartitionSet { return ix.gen.Load().Parts }
 
 // crashHook, when set by a test, observes every durability step of the
@@ -287,22 +336,19 @@ func CleanStaleGenerations(dir string, activeNum int) error {
 }
 
 // SweepPartitionFiles removes from the directories of parts' partition files
-// what a killed drain can leave there and nothing references: the temporary
-// file of an interrupted rewrite (*.tmp) and any tail parts does not hold
-// live — written before a manifest save that never happened (its records are
-// still in the WAL), or already folded into its base. Like
-// CleanStaleGenerations it is best-effort: the first removal error is
-// returned, and a failure leaves only unreferenced files behind.
+// every partition file parts does not name — a base, a tail or the temporary
+// file of a write (*.clmp, *.tail, *.tmp) — which is what a killed drain
+// leaves there: files written for a view whose manifest was never saved (its
+// records are still in the WAL), and files of a replaced view whose removal
+// never ran. Like CleanStaleGenerations it is best-effort: the first removal
+// error is returned, and a failure leaves only unreferenced files behind.
 func SweepPartitionFiles(parts *cluster.PartitionSet) error {
 	live := make(map[string]bool)
 	dirs := make(map[string]bool)
-	for pid, p := range parts.Paths {
-		dirs[filepath.Dir(p)] = true
-		if _, tail := parts.Layout(pid); tail > 0 {
-			live[cluster.TailPath(p)] = true
-		}
+	for _, f := range parts.Files() {
+		live[f] = true
+		dirs[filepath.Dir(f)] = true
 	}
-	tailSuffix := cluster.TailPath("")
 	var firstErr error
 	for dir := range dirs {
 		entries, err := os.ReadDir(dir)
@@ -313,8 +359,10 @@ func SweepPartitionFiles(parts *cluster.PartitionSet) error {
 			continue
 		}
 		for _, ent := range entries {
-			path := filepath.Join(dir, ent.Name())
-			if ent.IsDir() || !(strings.HasSuffix(path, ".tmp") || strings.HasSuffix(path, tailSuffix) && !live[path]) {
+			name := ent.Name()
+			partFile := strings.HasSuffix(name, ".clmp") || strings.HasSuffix(name, ".tail") || strings.HasSuffix(name, ".tmp")
+			path := filepath.Join(dir, name)
+			if ent.IsDir() || !partFile || live[path] {
 				continue
 			}
 			if err := os.Remove(path); err != nil && firstErr == nil {

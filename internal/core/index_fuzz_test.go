@@ -27,7 +27,7 @@ func oversizedPivots(valid []byte) []byte {
 }
 
 // FuzzOpenIndex feeds OpenIndex arbitrary index files — skeleton, partition
-// manifest and the optional TAIL trailer — beside the partition files of a
+// manifest and the optional tail trailer — beside the partition files of a
 // real index with tails. Whatever the bytes, it returns an error or an index
 // whose manifest is coherent and whose skeleton survives its own encoding;
 // it never panics and never allocates what the file cannot back.
@@ -43,7 +43,7 @@ func FuzzOpenIndex(f *testing.F) {
 		f.Fatal(err)
 	}
 	if files, _, _ := ix.TailStats(); files == 0 {
-		f.Fatal("the seed index has no tails: the TAIL trailer would go unfuzzed")
+		f.Fatal("the seed index has no tails: the tail trailer would go unfuzzed")
 	}
 	if err := SaveIndex(ix, IndexPathIn(dir)); err != nil {
 		f.Fatal(err)
@@ -84,8 +84,8 @@ func FuzzOpenIndex(f *testing.F) {
 				parts.SeriesLen, skel.SeriesLen, len(parts.Counts), len(parts.Paths))
 		}
 		for pid, c := range parts.Counts {
-			if base, tail := parts.Layout(pid); c < 0 || base < 0 || tail < 0 {
-				t.Fatalf("partition %d: %d records, %d in the base, %d in the tail", pid, c, base, tail)
+			if _, tail := parts.Tail(pid); c < 0 || tail < 0 || tail > c {
+				t.Fatalf("partition %d: %d records, %d in the tail", pid, c, tail)
 			}
 		}
 		var enc, again bytes.Buffer

@@ -16,7 +16,6 @@ import (
 	"climber/internal/metric"
 	"climber/internal/paa"
 	"climber/internal/pivot"
-	"climber/internal/storage"
 	"climber/internal/trie"
 )
 
@@ -366,9 +365,10 @@ func SaveIndex(ix *Index, path string) error {
 // backup assembled from one) can be relocated or copied wholesale and still
 // open; paths elsewhere are stored as given.
 //
-// Per-partition tail counts follow the manifest only when some partition has
-// a tail, so an index that never drained into one — a fresh build, a reindex,
-// a backup taken by a writer, which folds first — has the bytes it always had.
+// Each tail's path and record count follow the manifest only when some
+// partition has a tail, so an index that never drained into one — a fresh
+// build, a reindex, a backup taken by a writer, which folds first — has the
+// bytes it always had.
 //
 // The write is atomic (temp file + fsync + rename): the manifest is the
 // WAL-replay baseline and the streaming compactor rewrites it on every
@@ -396,18 +396,24 @@ func SaveSnapshot(skel *Skeleton, parts *cluster.PartitionSet, path string) (err
 	bw := &binWriter{w: w}
 	bw.i(parts.SeriesLen)
 	bw.i(len(parts.Paths))
-	for i, p := range parts.Paths {
+	// putPath writes p, relative to root when it lies under it.
+	putPath := func(p string) {
 		if rel, err := filepath.Rel(root, p); err == nil && filepath.IsLocal(rel) {
 			p = rel
 		}
 		bw.i(len(p))
 		bw.raw([]byte(p))
+	}
+	for i, p := range parts.Paths {
+		putPath(p)
 		bw.i(parts.Counts[i])
 	}
 	if slices.ContainsFunc(parts.Tails, func(t int) bool { return t > 0 }) {
 		bw.raw([]byte(tailsMagic))
-		for _, t := range parts.Tails {
-			bw.i(t)
+		for pid := range parts.Paths {
+			tail, n := parts.Tail(pid)
+			putPath(tail)
+			bw.i(n)
 		}
 	}
 	if bw.err != nil {
@@ -430,43 +436,64 @@ func SaveSnapshot(skel *Skeleton, parts *cluster.PartitionSet, path string) (err
 	return nil
 }
 
-// tailsMagic opens the optional tail-count section of the manifest.
-const tailsMagic = "TAIL"
+// tailsMagic opens the optional tail section of the manifest: each
+// partition's tail path (empty for none), stored like a base path, and its
+// record count. legacyTailsMagic opens the one a manifest has that was
+// written while drains still rewrote files under their names: a record count
+// per partition, each tail at cluster.TailPath of its base.
+const (
+	tailsMagic       = "TLNM"
+	legacyTailsMagic = "TAIL"
+)
 
-// readTails reads the manifest's tail-count section, if r holds one, and
-// keeps the tails that are live. A tail is live only while its base file
-// holds exactly the records the manifest gives the base: a fold renames the
-// new base in before it removes the tail and before the manifest is saved, so
-// after a kill in that window the base's own record total has moved on and
-// the tail — whose records the base now holds — must not be read beside it.
-// The partition is then served from its base alone; its Counts entry stays
-// the manifest's (the baseline WAL replay skips below), and the replayed
-// records of the killed drain fold into the base on the next one.
-func readTails(br *binReader, parts *cluster.PartitionSet) error {
+// readTails reads the manifest's tail section into parts, if br holds one;
+// resolve turns a stored path into the file's. A legacy tail is live only
+// while its base holds exactly the records the manifest gives the base: a
+// fold there renamed its new base in before it removed the tail and the
+// manifest was saved, so after a kill in that window the base holds the
+// tail's records and the tail must not be read beside it. The partition is
+// then its base alone (its Counts entry, the WAL replay baseline, stays the
+// manifest's; the killed drain's replayed records fold into the base on the
+// next one), and a writer's open sweeps the tail. The base is read through
+// the store, whose mapping then serves the queries.
+func readTails(cl *cluster.Cluster, br *binReader, parts *cluster.PartitionSet, resolve func(string) string) error {
 	if br.r.Len() == 0 {
 		return nil
 	}
 	magic := make([]byte, len(tailsMagic))
-	if br.raw(magic); br.err != nil || string(magic) != tailsMagic {
+	br.raw(magic)
+	legacy := string(magic) == legacyTailsMagic
+	if br.err != nil || !legacy && string(magic) != tailsMagic {
 		return fmt.Errorf("core: corrupt manifest trailer")
 	}
-	parts.Tails = make([]int, len(parts.Paths))
-	for pid := range parts.Tails {
-		t := br.i()
-		if br.err != nil || t < 0 || t > parts.Counts[pid] {
-			return fmt.Errorf("core: corrupt tail count of partition %d", pid)
+	parts.Tails, parts.TailPaths = make([]int, len(parts.Paths)), make([]string, len(parts.Paths))
+	for pid, base := range parts.Paths {
+		var stored []byte
+		if !legacy {
+			stored = make([]byte, br.count("tail path byte", 1))
+			br.raw(stored)
 		}
-		if t == 0 {
-			continue
+		n := br.i()
+		if br.err != nil || n < 0 || n > parts.Counts[pid] || !legacy && (n == 0) != (len(stored) == 0) {
+			return fmt.Errorf("core: corrupt tail of partition %d", pid)
 		}
-		base, err := storage.OpenPartition(parts.Paths[pid])
-		if err != nil {
-			return err
+		tail := cluster.TailPath(base)
+		if !legacy {
+			tail = resolve(string(stored))
 		}
-		if base.Count() == parts.Counts[pid]-t {
-			parts.Tails[pid] = t
+		if n > 0 && legacy {
+			h, err := cl.OpenPartition(&cluster.PartitionSet{Paths: []string{base}}, 0)
+			if err != nil {
+				return err
+			}
+			if h.Count() != parts.Counts[pid]-n {
+				n = 0
+			}
+			h.Close()
 		}
-		base.Close()
+		if n > 0 {
+			parts.Tails[pid], parts.TailPaths[pid] = n, tail
+		}
 	}
 	return nil
 }
@@ -492,18 +519,19 @@ func OpenIndex(cl *cluster.Cluster, path string) (*Index, error) {
 		return nil, fmt.Errorf("core: manifest series length %d, skeleton %d", parts.SeriesLen, skel.SeriesLen)
 	}
 	n := br.count("partition", 16) // a path length and a record count each
-	root := filepath.Dir(path)
+	// Manifests written by SaveSnapshot carry generation-relative paths;
+	// resolve them against the manifest's own directory. Old absolute-path
+	// manifests pass through unchanged.
+	resolve := func(p string) string {
+		if !filepath.IsAbs(p) {
+			p = filepath.Join(filepath.Dir(path), p)
+		}
+		return p
+	}
 	for i := 0; i < n; i++ {
 		p := make([]byte, br.count("partition path byte", 1))
 		br.raw(p)
-		pp := string(p)
-		// Manifests written by SaveSnapshot carry generation-relative
-		// paths; resolve them against the manifest's own directory. Old
-		// absolute-path manifests pass through unchanged.
-		if !filepath.IsAbs(pp) {
-			pp = filepath.Join(root, pp)
-		}
-		parts.Paths = append(parts.Paths, pp)
+		parts.Paths = append(parts.Paths, resolve(string(p)))
 		parts.Counts = append(parts.Counts, br.i())
 		if br.err == nil && parts.Counts[i] < 0 {
 			return nil, fmt.Errorf("core: partition %d has %d records in the manifest", i, parts.Counts[i])
@@ -512,7 +540,7 @@ func OpenIndex(cl *cluster.Cluster, path string) (*Index, error) {
 	if br.err != nil {
 		return nil, fmt.Errorf("core: read manifest: %w", br.err)
 	}
-	if err := readTails(br, parts); err != nil {
+	if err := readTails(cl, br, parts, resolve); err != nil {
 		return nil, err
 	}
 	ix := &Index{Cl: cl}

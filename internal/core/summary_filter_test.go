@@ -47,7 +47,7 @@ func summaryIndex(t *testing.T, name string, delta bool) (*Index, [][]float64) {
 	}
 	tailed := 0
 	for pid := range ix.Partitions().Paths {
-		if _, tail := ix.Partitions().Layout(pid); tail > 0 {
+		if _, tail := ix.Partitions().Tail(pid); tail > 0 {
 			tailed++
 		}
 	}
@@ -195,12 +195,12 @@ func TestVersion2PartitionsAnswerUnfiltered(t *testing.T) {
 	want, _ := runSummaryQueries(t, ix, qs)
 
 	parts := ix.Partitions()
-	var tailed string
+	tailed := -1
 	for pid, path := range parts.Paths {
 		files := []string{path}
-		if _, tail := parts.Layout(pid); tail > 0 {
-			files = append(files, cluster.TailPath(path))
-			tailed = path
+		if tail, _ := parts.Tail(pid); tail != "" {
+			files = append(files, tail)
+			tailed = pid
 		}
 		for _, f := range files {
 			raw, err := os.ReadFile(f)
@@ -214,7 +214,7 @@ func TestVersion2PartitionsAnswerUnfiltered(t *testing.T) {
 			if err := os.WriteFile(f, v2, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			ix.Cl.InvalidatePartition(f) // a writer drops the old mapping
+			ix.Cl.Retire(f) // the file changed under its name: map it again
 		}
 	}
 	pruned := ix.Cl.Stats.ScanPrunedRecords.Load()
@@ -227,7 +227,7 @@ func TestVersion2PartitionsAnswerUnfiltered(t *testing.T) {
 	if _, err := ix.FoldTails(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(tailed)
+	raw, err := os.ReadFile(ix.Partitions().Paths[tailed])
 	if err != nil {
 		t.Fatal(err)
 	}

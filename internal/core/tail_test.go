@@ -1,8 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -29,12 +34,21 @@ func routeFresh(ix *Index, n int, seed uint64) []Routed {
 	return recs
 }
 
-// lookupAll opens every partition and looks every record up by ID, cluster by
-// cluster: how often each ID was met, and under which route.
+// lookupAll pins the current view, opens every partition of it and looks
+// every record up by ID, cluster by cluster: how often each ID was met, and
+// under which route.
 func lookupAll(t testing.TB, ix *Index) (seen map[int]int, routes map[int]cluster.Route) {
 	t.Helper()
+	g := ix.AcquireGeneration()
+	defer g.Release()
+	return lookupView(t, ix, g)
+}
+
+// lookupView is lookupAll over a view the caller holds.
+func lookupView(t testing.TB, ix *Index, g *Generation) (seen map[int]int, routes map[int]cluster.Route) {
+	t.Helper()
 	seen, routes = map[int]int{}, map[int]cluster.Route{}
-	parts := ix.Partitions()
+	parts := g.Parts
 	for pid := range parts.Paths {
 		h, err := ix.Cl.OpenPartition(parts, pid)
 		if err != nil {
@@ -56,13 +70,15 @@ func lookupAll(t testing.TB, ix *Index) (seen map[int]int, routes map[int]cluste
 	return seen, routes
 }
 
-// Searchers look every landed record up by ID, over every cluster of every
-// partition, while a writer drains without pause — tail rewrites, and folds
-// whenever a tail reaches an eighth of its base. A record whose drain had
-// returned before the lookup began must be found exactly once, and no record
-// twice: a partition is never its old base alone, never its folded base
-// beside the old tail — with partitions mapped once and held, and copied
-// into recycled heap buffers at every open. Run under -race.
+// Readers pin the current view and look every record up by ID, over every
+// cluster of every partition, while a writer drains 400 times without pause —
+// tail writes, a fold whenever a tail reaches an eighth of its base, and a
+// fold of every tail each seventh drain. A record whose drain had published
+// before the pin must be found exactly once in the pinned view, and no record
+// twice — with partitions mapped once and held, and copied into recycled heap
+// buffers at every open. No file name ever holds two contents: each file of
+// every published view is hashed, and a name hashed before must hash the
+// same. Run under -race.
 func TestDrainFoldHammer(t *testing.T) {
 	for _, backing := range []string{"mmap", "heap"} {
 		t.Run(backing, func(t *testing.T) {
@@ -77,13 +93,15 @@ func TestDrainFoldHammer(t *testing.T) {
 			landed.Store(int64(ds.Len()))
 			var stop atomic.Bool
 			var wg sync.WaitGroup
-			for r := 0; r < 3; r++ {
+			for r := 0; r < 4; r++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
 					for !stop.Load() && !t.Failed() {
 						want := int(landed.Load())
-						seen, _ := lookupAll(t, ix)
+						g := ix.AcquireGeneration()
+						seen, _ := lookupView(t, ix, g)
+						g.Release()
 						for id, n := range seen {
 							if n != 1 {
 								t.Errorf("record %d found %d times", id, n)
@@ -92,57 +110,164 @@ func TestDrainFoldHammer(t *testing.T) {
 						}
 						for id := 0; id < want; id++ {
 							if seen[id] != 1 {
-								t.Errorf("record %d, landed before the lookup, not found", id)
+								t.Errorf("record %d, landed before the pin, not found", id)
 								return
 							}
 						}
 					}
 				}()
 			}
+			// hashView hashes every file of the current view; a file hashed
+			// before is hashed again only if its name now leads to another
+			// inode, the one way a file of this code changes.
+			type hashed struct {
+				sum  [sha256.Size]byte
+				file os.FileInfo
+			}
+			contents := map[string]hashed{}
+			hashView := func() {
+				t.Helper()
+				for _, f := range ix.Partitions().Files() {
+					info, err := os.Stat(f)
+					if err != nil {
+						t.Fatal(err)
+					}
+					old, ok := contents[f]
+					if ok && os.SameFile(old.file, info) {
+						continue
+					}
+					b, err := os.ReadFile(f)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if sum := sha256.Sum256(b); ok && old.sum != sum {
+						t.Fatalf("%s holds a second content", filepath.Base(f))
+					}
+					contents[f] = hashed{sha256.Sum256(b), info}
+				}
+			}
+			hashView()
 			var total DrainStats
-			for d := 0; d < 120 && !t.Failed(); d++ {
-				recs := routeFresh(ix, 24, uint64(1000+d))
+			const drains, foldEvery = 400, 7
+			for d := 1; d <= drains && !t.Failed(); d++ {
+				recs := routeFresh(ix, 8, uint64(1000+d))
 				st, err := ix.WriteRouted(recs)
 				if err != nil {
 					t.Fatal(err)
 				}
-				total.TailBytes += st.TailBytes
-				total.FoldBytes += st.FoldBytes
-				total.Folds += st.Folds
 				landed.Store(int64(recs[len(recs)-1].ID + 1))
+				total.TailBytes += st.TailBytes
+				total.Folds += st.Folds
+				if d%foldEvery == 0 {
+					st, err := ix.FoldTails()
+					if err != nil {
+						t.Fatal(err)
+					}
+					total.Folds += st.Folds
+				}
+				hashView()
 			}
 			stop.Store(true)
 			wg.Wait()
+			<-ix.retired // every view swapped out is retired
 			if total.TailBytes == 0 || total.Folds == 0 {
 				t.Fatalf("the writer never did both: %+v", total)
 			}
-			if got, want := ix.PersistedRecords(), ds.Len()+120*24; got != want {
+			if got, want := ix.PersistedRecords(), ds.Len()+drains*8; got != want {
 				t.Fatalf("PersistedRecords = %d, want %d", got, want)
+			}
+			// Every retired file is gone: the directory holds the view.
+			ents, err := os.ReadDir(ix.Cl.Dir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := len(ents), len(ix.Partitions().Files()); got != want {
+				t.Fatalf("the store holds %d files, the view names %d", got, want)
 			}
 		})
 	}
 }
 
+// A file is removed only once every view that names it is released, in
+// publish order: views V1 → V2 → V3, a base named by V1 and V2 but not by V3
+// (V2 gave its partition a tail, V3 folded it), and V2 released before V1.
+// The base stays readable through V1 until V1 goes, and then it goes too.
+func TestRetireWaitsForEveryEarlierView(t *testing.T) {
+	ix, ds, _, _ := buildTestIndex(t, 1500, testConfig())
+	v1 := ix.AcquireGeneration()
+	recs := routeFresh(ix, 1, 3)
+	pid := recs[0].Route.Partition
+	if _, err := ix.WriteRouted(recs); err != nil {
+		t.Fatal(err)
+	}
+	v2 := ix.AcquireGeneration()
+	base := v2.Parts.Paths[pid]
+	if _, n := v2.Parts.Tail(pid); n != 1 || base != v1.Parts.Paths[pid] {
+		t.Fatalf("test premise broken: the drain left partition %d %d tail records, base %s", pid, n, base)
+	}
+	if st, err := ix.FoldTails(); err != nil || st.Folds != 1 {
+		t.Fatalf("fold of the one tail: %+v, %v", st, err)
+	}
+	retired := ix.retired // V3's publish: it retires V2
+	if ix.Partitions().Paths[pid] == base {
+		t.Fatal("test premise broken: the fold kept its base's name")
+	}
+
+	v2.Release()
+	for i := 0; i < 3; i++ {
+		runtime.Gosched()
+	}
+	select {
+	case <-retired:
+		t.Fatal("V2's files were retired while V1, which names one of them, was held")
+	default:
+	}
+	seen, _ := lookupView(t, ix, v1)
+	if len(seen) != ds.Len() {
+		t.Fatalf("V1 reads %d records after V2's release, want %d", len(seen), ds.Len())
+	}
+	v1.Release()
+	<-retired
+	if _, err := os.Stat(base); !os.IsNotExist(err) {
+		t.Fatalf("the base V1 and V2 named outlived both: %v", err)
+	}
+	seen, _ = lookupAll(t, ix)
+	if len(seen) != ds.Len()+1 {
+		t.Fatalf("V3 reads %d records, want %d", len(seen), ds.Len()+1)
+	}
+}
+
 // The manifest carries the tails across a reopen, a fold clears them, and a
-// manifest that lists none has no tail section: it is the file a build
-// writes.
+// manifest that lists none has no tail section: it ends with its last
+// partition, as the file a build writes does.
 func TestManifestTailsRoundTrip(t *testing.T) {
 	ix, ds, cl, _ := buildTestIndex(t, 1500, testConfig())
 	path := filepath.Join(t.TempDir(), "index.clms")
 	if err := SaveIndex(ix, path); err != nil {
 		t.Fatal(err)
 	}
+	// endsWithLast reports whether a manifest of parts ends with its last
+	// partition's entry, path (as SaveSnapshot stores it) and record count.
+	endsWithLast := func(manifest []byte, parts *cluster.PartitionSet) bool {
+		last := len(parts.Paths) - 1
+		stored := parts.Paths[last]
+		if rel, err := filepath.Rel(filepath.Dir(path), stored); err == nil && filepath.IsLocal(rel) {
+			stored = rel
+		}
+		return bytes.HasSuffix(manifest, binary.LittleEndian.AppendUint64([]byte(stored), uint64(parts.Counts[last])))
+	}
 	built, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || !endsWithLast(built, ix.Partitions()) {
+		t.Fatalf("a build's manifest does not end with its last partition (%v)", err)
 	}
 	if _, err := ix.WriteRouted(routeFresh(ix, 30, 5)); err != nil {
 		t.Fatal(err)
 	}
-	files, records, bytes := ix.TailStats()
-	if files == 0 || records == 0 || records > 30 || bytes < int64(records*storage.RecordBytes(64)) {
-		t.Fatalf("a drain of 30 records left %d tails of %d records, %d bytes", files, records, bytes)
+	files, records, size := ix.TailStats()
+	if files == 0 || records == 0 || records > 30 || size < int64(records*storage.RecordBytes(64)) {
+		t.Fatalf("a drain of 30 records left %d tails of %d records, %d bytes", files, records, size)
 	}
+	tailed := ix.Partitions()
 	if err := SaveIndex(ix, path); err != nil {
 		t.Fatal(err)
 	}
@@ -170,9 +295,9 @@ func TestManifestTailsRoundTrip(t *testing.T) {
 	if files, _, _ := ix.TailStats(); files != 0 {
 		t.Fatalf("%d tails after FoldTails", files)
 	}
-	for _, p := range ix.Partitions().Paths {
-		if _, err := os.Stat(cluster.TailPath(p)); !os.IsNotExist(err) {
-			t.Fatalf("tail of %s survived its fold: %v", p, err)
+	for _, p := range tailed.Files() {
+		if _, err := os.Stat(p); !os.IsNotExist(err) && !slices.Contains(ix.Partitions().Paths, p) {
+			t.Fatalf("%s survived its fold: %v", p, err)
 		}
 	}
 	if err := SaveIndex(ix, path); err != nil {
@@ -182,68 +307,48 @@ func TestManifestTailsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(folded) != len(built) {
-		t.Fatalf("manifest without tails is %d bytes, the build's was %d: a tail section was written for none", len(folded), len(built))
+	if !endsWithLast(folded, ix.Partitions()) {
+		t.Fatal("the manifest of an index without tails does not end with its last partition: a tail section was written for none")
 	}
 }
 
-// What a kill inside a drain leaves behind, and what open makes of it: a tail
-// whose base was already folded is not read beside it, a tail the manifest
-// never listed and a half-written rewrite are swept, a live tail stays.
+// What a kill inside a drain of the legacy layout leaves behind, and what
+// open makes of it: a tail whose base was already folded is not read beside
+// it, a live tail is, and the sweep removes that tail, a tail the manifest
+// never listed and a half-written rewrite, and nothing else. The directory,
+// testdata/legacy-tails, was written by the code that still rewrote files
+// under their names, with the TAIL trailer; testdata/legacy-tails.json names
+// its partitions.
 func TestOpenKeepsOnlyLiveTails(t *testing.T) {
-	ix, ds, cl, _ := buildTestIndex(t, 1500, testConfig())
-	path := filepath.Join(t.TempDir(), "index.clms")
-	if _, err := ix.WriteRouted(routeFresh(ix, 40, 6)); err != nil {
-		t.Fatal(err)
+	var fx struct{ Folded, Live, Unlisted, NumRecords int }
+	b, err := os.ReadFile(filepath.Join("..", "..", "testdata", "legacy-tails.json"))
+	if err == nil {
+		err = json.Unmarshal(b, &fx)
 	}
-	if err := SaveIndex(ix, path); err != nil {
-		t.Fatal(err)
-	}
-	parts := ix.Partitions()
-	var tailed []int
-	for pid, n := range parts.Tails {
-		if n > 0 {
-			tailed = append(tailed, pid)
-		}
-	}
-	untailed := slices.Index(parts.Tails, 0)
-	if len(tailed) < 2 || untailed < 0 {
-		t.Fatalf("need two tailed partitions and one without: tails %v", parts.Tails)
-	}
-	folded, live := tailed[0], tailed[1]
-
-	// Killed after the fold's rename, before the tail's removal and the
-	// manifest save: the base holds the tail's records, the tail is still
-	// there, the manifest still lists it.
-	base := parts.Paths[folded]
-	if _, _, err := storage.MergePartitions(base, parts.SeriesLen, []string{base, cluster.TailPath(base)}, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	// Killed after a first tail write, before the manifest save; and inside a
-	// rewrite.
-	unlisted := cluster.TailPath(parts.Paths[untailed])
-	if _, _, err := storage.MergePartitions(unlisted, parts.SeriesLen, nil, []storage.Incoming{{ID: 1 << 30, Values: make([]float64, parts.SeriesLen)}}, nil); err != nil {
-		t.Fatal(err)
-	}
-	tmp := parts.Paths[live] + ".tmp"
-	if err := os.WriteFile(tmp, []byte("half a partition"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	re, err := OpenIndex(cl, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := re.Partitions()
-	if got.Tails[folded] != 0 || got.Tails[live] != parts.Tails[live] || got.Tails[untailed] != 0 {
-		t.Fatalf("reopened tails %v from %v with partition %d folded", got.Tails, parts.Tails, folded)
+	dir := filepath.Join(t.TempDir(), "db")
+	if err := os.CopyFS(dir, os.DirFS(filepath.Join("..", "..", "testdata", "legacy-tails"))); err != nil {
+		t.Fatal(err)
 	}
-	if got.Counts[folded] != parts.Counts[folded] {
-		t.Fatalf("partition %d counts %d after reopen, manifest said %d", folded, got.Counts[folded], parts.Counts[folded])
+	cl := cluster.New(StoreDir(dir), 2)
+	defer cl.Close()
+	ix, err := OpenIndex(cl, IndexPathIn(dir))
+	if err != nil {
+		t.Fatal(err)
 	}
-	seen, _ := lookupAll(t, re)
-	if len(seen) != ds.Len()+40 {
-		t.Fatalf("%d distinct records after reopen, want %d", len(seen), ds.Len()+40)
+	got := ix.Partitions()
+	live, n := got.Tail(fx.Live)
+	if _, folded := got.Tail(fx.Folded); folded != 0 || n == 0 || live != cluster.TailPath(got.Paths[fx.Live]) {
+		t.Fatalf("reopened tails %v at %v: partition %d's was folded, %d's is live", got.Tails, got.TailPaths, fx.Folded, fx.Live)
+	}
+	if _, unlisted := got.Tail(fx.Unlisted); unlisted != 0 {
+		t.Fatalf("partition %d reads a tail the manifest never listed", fx.Unlisted)
+	}
+	seen, _ := lookupAll(t, ix)
+	if len(seen) != fx.NumRecords || ix.PersistedRecords() != fx.NumRecords {
+		t.Fatalf("%d distinct records, counts %d; want %d", len(seen), ix.PersistedRecords(), fx.NumRecords)
 	}
 	for id, n := range seen {
 		if n != 1 {
@@ -251,15 +356,25 @@ func TestOpenKeepsOnlyLiveTails(t *testing.T) {
 		}
 	}
 
+	folded := cluster.TailPath(got.Paths[fx.Folded])
+	unlisted := cluster.TailPath(got.Paths[fx.Unlisted])
+	tmp := got.Paths[fx.Live] + ".tmp"
+	for _, f := range []string{folded, unlisted, tmp} {
+		if _, err := os.Stat(f); err != nil {
+			t.Fatalf("test premise broken: %v", err)
+		}
+	}
 	if err := SweepPartitionFiles(got); err != nil {
 		t.Fatal(err)
 	}
-	for path, want := range map[string]bool{
-		cluster.TailPath(base): false, unlisted: false, tmp: false,
-		cluster.TailPath(parts.Paths[live]): true, base: true,
-	} {
-		if _, err := os.Stat(path); (err == nil) != want {
-			t.Errorf("after the sweep %s: present %v, want %v", filepath.Base(path), err == nil, want)
+	for _, f := range []string{folded, unlisted, tmp} {
+		if _, err := os.Stat(f); !os.IsNotExist(err) {
+			t.Errorf("after the sweep %s is still there: %v", filepath.Base(f), err)
+		}
+	}
+	for _, f := range got.Files() {
+		if _, err := os.Stat(f); err != nil {
+			t.Errorf("the sweep removed %s, which the manifest names: %v", filepath.Base(f), err)
 		}
 	}
 }

@@ -111,7 +111,7 @@ type Ingester struct {
 	// generation, while the background compactor and the stats paths read it
 	// locklessly — hence atomic.
 	delta atomic.Pointer[MemDelta]
-	save  func() error // persists the index manifest (partition counts)
+	save  func(view *core.Generation) error // persists a view's manifest
 	cfg   Config
 	// baseRecords is the partition-file record count at Open, before WAL
 	// replay. TotalRecords builds on it instead of re-summing live counts,
@@ -158,16 +158,17 @@ type Ingester struct {
 // Open attaches a streaming ingestion pipeline to ix: it opens (creating if
 // absent) the WAL at walPath, replays acked-but-uncompacted entries into a
 // fresh delta index, installs the delta on the index's search paths, and
-// starts the background compactor. save is called after each compaction
-// lands records in partition files, before the WAL is truncated — it must
-// persist the index manifest so the partition counts (and with them the ID
-// counter seeded at the next open) survive.
+// starts the background compactor. save is called with the view each
+// compaction or fold builds, before the view is published and the WAL
+// truncated — it must persist the view's manifest, so the partition files and
+// counts it names (and with them the ID counter seeded at the next open)
+// survive.
 //
 // Replay is idempotent across the crash window: entries whose ID precedes
 // the persisted record count were already compacted before the crash (IDs
 // are dense and sequential) and are skipped, so a kill between manifest
 // save and WAL truncation cannot duplicate records.
-func Open(ix *core.Index, walPath string, save func() error, cfg Config) (*Ingester, error) {
+func Open(ix *core.Index, walPath string, save func(view *core.Generation) error, cfg Config) (*Ingester, error) {
 	cfg = cfg.withDefaults()
 	wal, entries, err := OpenWAL(walPath, ix.Skeleton().SeriesLen)
 	if err != nil {
@@ -328,24 +329,10 @@ func (g *Ingester) Barrier(ctx context.Context, fn func() error) error {
 // CommitRebuild or AbortRebuild they accumulate in the WAL and the current
 // generation's delta.
 func (g *Ingester) BeginRebuild(ctx context.Context) error {
-	if err := g.lock(ctx); err != nil {
-		return err
-	}
-	defer g.unlock()
-	if g.closed {
-		return ErrClosed
-	}
-	if g.paused {
-		return ErrRebuildInProgress
-	}
-	if err := g.compactLocked(); err != nil {
-		return err
-	}
-	if err := g.foldLocked(); err != nil {
-		return err
-	}
-	g.paused = true
-	return nil
+	return g.Barrier(ctx, func() error {
+		g.paused = true
+		return nil
+	})
 }
 
 // CommitRebuild finishes an online reindex begun with BeginRebuild. Under
@@ -535,21 +522,13 @@ func (g *Ingester) written(st core.DrainStats) {
 	g.foldBytes.Add(st.FoldBytes)
 }
 
-// foldLocked folds every tail into its base and persists the manifest that
-// says so. Caller holds the write semaphore and has just drained the delta,
-// so the WAL is empty: a kill anywhere in here loses nothing, and the next
-// open sees, per partition, either the tail the old manifest lists or a base
-// whose record total shows the tail is already in it.
+// foldLocked folds every tail into its base and publishes the view that says
+// so (see core.Index.Drain). Caller holds the write semaphore and has just
+// drained the delta, so the WAL is empty: a kill anywhere in here loses
+// nothing, and the next open sees the view of the last manifest saved.
 func (g *Ingester) foldLocked() error {
-	st, err := g.ix.FoldTails()
+	st, err := g.ix.Drain(nil, true, g.save)
 	g.written(st)
-	if st.Folds > 0 {
-		// Also after a fold that failed part-way: the ones that happened
-		// are on disk.
-		if serr := g.save(); err == nil {
-			err = serr
-		}
-	}
 	if err != nil {
 		return fmt.Errorf("ingest: fold tails: %w", err)
 	}
@@ -561,23 +540,25 @@ func (g *Ingester) foldLocked() error {
 //
 // Ordering is what makes a crash at any point safe:
 //
-//  1. write the records into partition files — per partition its tail, or
-//     on a fold its base (atomic replace, that file's cache entry dropped) —
-//     a crash here leaves some records both on disk and in the WAL, but the
-//     manifest still carries the old counts, so replay's baseline skip
-//     cannot lose them, open keeps a tail only beside the base the manifest
-//     describes, and the next compaction folds the re-replayed records in
-//     place of the orphaned copies (same IDs, same destinations, same
-//     values);
-//  2. persist the manifest — from here the counts (and the ID counter they
-//     seed) include the compacted records;
-//  3. truncate the WAL — replay now has nothing to re-apply;
-//  4. drop the delta.
+//  1. write the records into new partition files — per partition a new
+//     tail, or on a fold a new base — and build the view that names them; a
+//     crash here leaves files no manifest names, which the next open
+//     sweeps, and the records in the WAL;
+//  2. persist the view's manifest (save) — from here the counts (and the ID
+//     counter they seed) include the compacted records, and replay skips
+//     them;
+//  3. publish the view: queries see the new files, and the files only
+//     earlier views named are removed once no query holds those views (a
+//     crash before that leaves them to the next open's sweep);
+//  4. truncate the WAL — replay now has nothing to re-apply;
+//  5. drop the delta.
 //
-// Searches running concurrently may transiently see a record in both the
-// delta and a partition file between steps 1 and 4; the search path
-// deduplicates results by ID, and the copies carry identical bytes (one
-// encoder wrote both), so they rank at identical distances.
+// Steps 1 to 3 are one core.Index.Drain.
+//
+// Searches running concurrently may see a record in both the delta and a
+// partition file between steps 3 and 5; the search path deduplicates
+// results by ID, and the copies carry identical bytes (one encoder wrote
+// both), so they rank at identical distances.
 func (g *Ingester) compactLocked() error {
 	if g.paused {
 		// An online reindex owns the compaction baseline right now; the
@@ -590,13 +571,10 @@ func (g *Ingester) compactLocked() error {
 		return nil
 	}
 	begin := time.Now()
-	st, err := g.ix.WriteRouted(recs)
+	st, err := g.ix.Drain(recs, false, g.save)
 	g.written(st)
 	if err != nil {
 		return fmt.Errorf("ingest: compact: %w", err)
-	}
-	if err := g.save(); err != nil {
-		return fmt.Errorf("ingest: persist manifest: %w", err)
 	}
 	core.CrashStep("wal-reset")
 	if err := g.wal.Reset(); err != nil {

@@ -49,8 +49,8 @@ func buildIndex(t *testing.T, n int) (*core.Index, string) {
 
 func openIngester(t *testing.T, ix *core.Index, dir string, cfg Config) *Ingester {
 	t.Helper()
-	g, err := Open(ix, filepath.Join(dir, "wal.clmw"), func() error {
-		return core.SaveIndex(ix, filepath.Join(dir, "index.clms"))
+	g, err := Open(ix, filepath.Join(dir, "wal.clmw"), func(view *core.Generation) error {
+		return core.SaveSnapshot(view.Skel, view.Parts, filepath.Join(dir, "index.clms"))
 	}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -344,11 +344,11 @@ func TestBackgroundCompactionFailureIsLogged(t *testing.T) {
 
 	ix, dir := buildIndex(t, 1200)
 	var failure atomic.Pointer[error]
-	g, err := Open(ix, filepath.Join(dir, "wal.clmw"), func() error {
+	g, err := Open(ix, filepath.Join(dir, "wal.clmw"), func(view *core.Generation) error {
 		if e := failure.Load(); e != nil {
 			return *e
 		}
-		return core.SaveIndex(ix, filepath.Join(dir, "index.clms"))
+		return core.SaveSnapshot(view.Skel, view.Parts, filepath.Join(dir, "index.clms"))
 	}, Config{CompactRecords: 2, CompactAge: time.Hour})
 	if err != nil {
 		t.Fatal(err)
@@ -402,11 +402,11 @@ func TestBackgroundCompactionFailureIsLogged(t *testing.T) {
 func TestRetriedDrainAfterFailedSaveStoresOnce(t *testing.T) {
 	ix, dir := buildIndex(t, 1200)
 	var failure atomic.Pointer[error]
-	g, err := Open(ix, filepath.Join(dir, "wal.clmw"), func() error {
+	g, err := Open(ix, filepath.Join(dir, "wal.clmw"), func(view *core.Generation) error {
 		if e := failure.Load(); e != nil {
 			return *e
 		}
-		return core.SaveIndex(ix, filepath.Join(dir, "index.clms"))
+		return core.SaveSnapshot(view.Skel, view.Parts, filepath.Join(dir, "index.clms"))
 	}, Config{CompactRecords: 1 << 20, CompactAge: time.Hour})
 	if err != nil {
 		t.Fatal(err)

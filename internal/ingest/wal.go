@@ -10,8 +10,9 @@
 // into the WAL and routed into the delta via the exact Skeleton.RouteRecord
 // navigation used at build time, searches merge delta hits with the same
 // partition/cluster pruning the on-disk plan used, and once size or age
-// thresholds trip the compactor lands the delta in partition files through
-// core.Index.WriteRouted, persists the manifest, and truncates the WAL.
+// thresholds trip the compactor lands the delta in new partition files,
+// persists the manifest of the view naming them and publishes it (one
+// core.Index.Drain), and truncates the WAL.
 //
 // A drain does not rewrite the index. Each partition it touches gets its
 // incoming records merged into the partition's tail — a small second file
@@ -20,9 +21,9 @@
 // is stored, and the bases stay mapped. The two rare admin
 // paths that need every record in the base files, Barrier (backup) and
 // BeginRebuild (reindex), fold every tail first. What a kill inside a drain
-// leaves is put right by the next open: core keeps a tail only beside the
-// base the manifest describes and sweeps the rest, and the replayed records
-// fold into whichever files already hold them (ARCHITECTURE.md, "Compact").
+// leaves is put right by the next open: core reads the files the last saved
+// manifest names and sweeps every other partition file, and replay skips the
+// records that manifest counts (ARCHITECTURE.md, "Compact").
 // A background drain that fails is retried on the next trigger, counted,
 // and logged.
 package ingest

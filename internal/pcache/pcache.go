@@ -14,9 +14,9 @@
 // just scanned — are served from memory until the byte budget evicts the
 // least recently used partition.
 //
-// The only mutation of a built index, a drain (core.Index.WriteRouted),
-// replaces partition files; callers must Invalidate the replaced path so the
-// next query reloads the fresh file.
+// A drain (core.Index.Drain) writes new partition files under new names and
+// never changes a file under its name; a caller that does must Invalidate
+// the path so the next Get reloads the fresh file.
 //
 // Resident partitions are reference counted (storage.Partition.Retain /
 // Release): the cache holds one reference per resident entry and every

@@ -92,12 +92,17 @@ func (l *Layout) copyRecord(i int, src []byte) {
 // beforeRename, when set, is called between the two. On any failure the
 // temporary file is removed and dst is untouched.
 func (l *Layout) Commit(dst string, beforeRename func()) (int64, error) {
+	return l.commit(dst+".tmp", dst, beforeRename)
+}
+
+// commit is Commit with the temporary file named by the caller.
+func (l *Layout) commit(tmp, dst string, beforeRename func()) (int64, error) {
 	if n := l.filled.Load(); n != int64(l.slots) {
 		return 0, fmt.Errorf("storage: %d of the %d records of %s were placed", n, l.slots, dst)
 	}
 	end := l.sums + l.sumBytes*l.slots
 	binary.LittleEndian.PutUint32(l.buf[end:], crc32.ChecksumIEEE(l.buf[:end]))
-	if err := replaceFile(dst, l.buf, beforeRename); err != nil {
+	if err := replaceFile(tmp, dst, l.buf, beforeRename); err != nil {
 		return 0, err
 	}
 	return int64(len(l.buf)), nil

@@ -54,10 +54,20 @@ type mergeRef struct {
 // The new file is written beside dst and renamed over it, so readers see
 // either file whole; beforeRename, when set, is called between the two (the
 // drain crash matrix kills there). On any failure the temporary file is
-// removed and dst is untouched. The caller invalidates mappings of dst.
+// removed and dst is untouched.
 func MergePartitions(dst string, seriesLen int, srcs []string, incoming []Incoming, beforeRename func()) (count int, written int64, err error) {
+	_, count, written, err = MergeStaged(dst+".tmp", func(int) string { return dst }, seriesLen, srcs, incoming, beforeRename)
+	return count, written, err
+}
+
+// MergeStaged is MergePartitions for a file whose name depends on what it
+// holds: the merged file is written at tmp and renamed to name(count), the
+// name its record count gives it, which is returned with the count. A drain
+// stages every file it writes of a partition at one temporary name and
+// never renames over a file a reader may be mapping.
+func MergeStaged(tmp string, name func(count int) string, seriesLen int, srcs []string, incoming []Incoming, beforeRename func()) (dst string, count int, written int64, err error) {
 	if seriesLen <= 0 {
-		return 0, 0, fmt.Errorf("storage: series length must be positive, got %d", seriesLen)
+		return "", 0, 0, fmt.Errorf("storage: series length must be positive, got %d", seriesLen)
 	}
 	olds := make([]*Partition, 0, len(srcs))
 	defer func() {
@@ -69,17 +79,17 @@ func MergePartitions(dst string, seriesLen int, srcs []string, incoming []Incomi
 	for _, src := range srcs {
 		old, err := LoadPartition(src)
 		if err != nil {
-			return 0, 0, err
+			return "", 0, 0, err
 		}
 		olds = append(olds, old)
 		if old.seriesLen != seriesLen {
-			return 0, 0, fmt.Errorf("storage: merge of series length %d into a partition of %d", old.seriesLen, seriesLen)
+			return "", 0, 0, fmt.Errorf("storage: merge of series length %d into a partition of %d", old.seriesLen, seriesLen)
 		}
 		total += old.total
 	}
 	for _, r := range incoming {
 		if len(r.Values) != seriesLen {
-			return 0, 0, fmt.Errorf("storage: record length %d, partition expects %d", len(r.Values), seriesLen)
+			return "", 0, 0, fmt.Errorf("storage: record length %d, partition expects %d", len(r.Values), seriesLen)
 		}
 	}
 	// Only records already in a file can be replaced; a write of incoming
@@ -144,20 +154,20 @@ func MergePartitions(dst string, seriesLen int, srcs []string, incoming []Incomi
 		}
 		r := incoming[ref.src]
 		if err := l.Put(i, r.ID, r.Values); err != nil {
-			return 0, 0, err
+			return "", 0, 0, err
 		}
 	}
-	if written, err = l.Commit(dst, beforeRename); err != nil {
-		return 0, 0, err
+	dst = name(len(refs))
+	if written, err = l.commit(tmp, dst, beforeRename); err != nil {
+		return "", 0, 0, err
 	}
-	return len(refs), written, nil
+	return dst, len(refs), written, nil
 }
 
 // replaceFile atomically replaces the file at path with data: one write into
-// path.tmp, then — after beforeRename, when set — a rename over path. A
+// tmp, then — after beforeRename, when set — a rename over path. A
 // temporary file this call created never outlives a failure.
-func replaceFile(path string, data []byte, beforeRename func()) error {
-	tmp := path + ".tmp"
+func replaceFile(tmp, path string, data []byte, beforeRename func()) error {
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o666)
 	if err != nil {
 		return fmt.Errorf("storage: create partition: %w", err)

@@ -364,7 +364,7 @@ func TestReplaceFileRemovesTempOnRenameFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := listDir(t, dir)
-	if err := replaceFile(target, []byte("partition bytes"), nil); err == nil {
+	if err := replaceFile(target+".tmp", target, []byte("partition bytes"), nil); err == nil {
 		t.Fatal("replace over a non-empty directory succeeded")
 	}
 	if after := listDir(t, dir); !reflect.DeepEqual(before, after) {
@@ -373,7 +373,7 @@ func TestReplaceFileRemovesTempOnRenameFailure(t *testing.T) {
 	if err := os.RemoveAll(target); err != nil {
 		t.Fatal(err)
 	}
-	if err := replaceFile(target, []byte("partition bytes"), nil); err != nil {
+	if err := replaceFile(target+".tmp", target, []byte("partition bytes"), nil); err != nil {
 		t.Fatalf("replace after the squatter left: %v", err)
 	}
 	if got := listDir(t, dir); len(got) != 2 {

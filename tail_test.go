@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
 	"climber/internal/cluster"
+	"climber/internal/core"
 	"climber/internal/storage"
 )
 
@@ -462,5 +466,125 @@ func TestReadOnlyOpenLeavesDrainDebris(t *testing.T) {
 	defer rw.Close()
 	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
 		t.Fatalf("a writer's open left the interrupted rewrite behind: %v", err)
+	}
+}
+
+// A directory written while drains still rewrote files under their names
+// opens read-only and writable and answers as that code answered: live tails
+// under the TAIL trailer, a partition whose fold was killed after its rename
+// (the base holds its tail's records, the manifest still lists the tail), a
+// tail no manifest lists and half a rewrite — testdata/legacy-tails, and in
+// testdata/legacy-tails.json the answers the code that wrote it gave. The
+// writable open sweeps the three files no view reads; the first drain and
+// fold afterwards write names of their own and leave no file the manifest
+// does not name.
+func TestLegacyTailLayoutOpens(t *testing.T) {
+	var fx struct {
+		Folded, Live, Unlisted, NumRecords int
+		Answers                            []struct {
+			Query   int
+			Variant string
+			Results []Result
+		}
+	}
+	b, err := os.ReadFile(filepath.Join("testdata", "legacy-tails.json"))
+	if err == nil {
+		err = json.Unmarshal(b, &fx)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "db")
+	copyTreeForTest(t, filepath.Join("testdata", "legacy-tails"), dir)
+	data := smallData(1000)
+	variants := map[string]Variant{}
+	for _, v := range reindexVariants {
+		variants[v.String()] = v
+	}
+	answers := func(db *DB, how string) {
+		t.Helper()
+		if n := db.Info().NumRecords; n != fx.NumRecords {
+			t.Fatalf("%s: NumRecords = %d, want %d", how, n, fx.NumRecords)
+		}
+		for _, a := range fx.Answers {
+			res, err := db.Search(data[a.Query], 10, WithVariant(variants[a.Variant]))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res, a.Results) {
+				t.Fatalf("%s: record %d under %s answers\n%+v\nwant\n%+v", how, a.Query, a.Variant, res, a.Results)
+			}
+		}
+	}
+
+	before := listTree(t, dir)
+	ro, err := Open(dir, WithReadOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	answers(ro, "read-only")
+	parts := ro.Index().Partitions()
+	debris := []string{cluster.TailPath(parts.Paths[fx.Folded]), cluster.TailPath(parts.Paths[fx.Unlisted]), parts.Paths[fx.Live] + ".tmp"}
+	ro.Close()
+	if after := listTree(t, dir); after != before {
+		t.Fatalf("a read-only open changed the directory:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+
+	db, err := Open(dir, ingestOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { db.Close() }()
+	answers(db, "writable")
+	for _, f := range debris {
+		if _, err := os.Stat(f); !os.IsNotExist(err) {
+			t.Fatalf("the writable open left %s: %v", filepath.Base(f), err)
+		}
+	}
+	// onlyTheView fails unless the store's directory holds exactly the files
+	// the current view names.
+	onlyTheView := func(when string) {
+		t.Helper()
+		ents, err := os.ReadDir(core.StoreDir(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		named := db.Index().Partitions().Files()
+		for _, e := range ents {
+			if !slices.Contains(named, filepath.Join(core.StoreDir(dir), e.Name())) {
+				t.Fatalf("%s: %s is in the store and in no view", when, e.Name())
+			}
+		}
+		if len(ents) != len(named) {
+			t.Fatalf("%s: the store holds %d files, the view names %d", when, len(ents), len(named))
+		}
+	}
+	onlyTheView("after the open")
+
+	if _, err := db.Append(data[fx.NumRecords:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	onlyTheView("after a drain")
+	if err := db.foldTailsForTest(); err != nil {
+		t.Fatal(err)
+	}
+	onlyTheView("after a fold")
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := Open(dir, WithReadOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	disk, _ := whereRecords(t, re)
+	if len(disk) != len(data) || re.Info().NumRecords != len(data) {
+		t.Fatalf("reopened after the fold: %d records, counts %d; want %d", len(disk), re.Info().NumRecords, len(data))
+	}
+	if tails := re.Index().Partitions().Tails; tails != nil {
+		t.Fatalf("tails %v outlived the fold of every tail", tails)
 	}
 }
