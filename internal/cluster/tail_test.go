@@ -2,8 +2,12 @@ package cluster
 
 import (
 	"fmt"
+	"os"
 	"reflect"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"climber/internal/storage"
@@ -174,6 +178,133 @@ func baseRecords() []storage.Incoming {
 		}
 	}
 	return out
+}
+
+// Readers open one partition of the current view and stream it while a
+// writer drains 400 times without pause: each drain writes a grown tail under
+// a new name, each seventh folds base and tail into a new base, and the view
+// that names the new files is published in one step. A handle must pair each
+// view's base with that view's tail — every record once, each record that
+// landed before the open among them — with files mapped once and held, and
+// copied into heap buffers at every open. A replaced file is retired and
+// removed only once no reader can hold a view that names it. Run under -race.
+func TestOpenPartitionPairsBaseWithItsTail(t *testing.T) {
+	for _, backing := range []string{"mmap", "heap"} {
+		t.Run(backing, func(t *testing.T) {
+			if backing == "mmap" && !storage.MapSupported() {
+				t.Skip("mmap unsupported on this platform")
+			}
+			if backing == "heap" {
+				defer storage.FailMappings()()
+			}
+			c := testCluster(t)
+			base := PartitionPath(c.Dir(), "hammer", 0)
+			const built, perDrain, drains, foldEvery = 64, 3, 400, 7
+			if _, _, err := storage.MergePartitions(base, 3, nil, tailRecords(0, built), nil); err != nil {
+				t.Fatal(err)
+			}
+			var view atomic.Pointer[PartitionSet]
+			view.Store(&PartitionSet{Paths: []string{base}, SeriesLen: 3, Counts: []int{built}})
+
+			// pins is held shared by a reader from loading the view until it
+			// closes its handle; the writer takes it alone once after each
+			// publish, after which no reader holds an earlier view.
+			var pins sync.RWMutex
+			var stop atomic.Bool
+			var wg sync.WaitGroup
+			for r := 0; r < 4; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for !stop.Load() {
+						pins.RLock()
+						ps := view.Load()
+						want := ps.Counts[0]
+						h, err := c.OpenPartition(ps, 0)
+						if err != nil {
+							pins.RUnlock()
+							t.Error(err)
+							return
+						}
+						seen := make(map[int]int, h.Count())
+						for _, ci := range h.Clusters() {
+							err := h.ScanClusterRaw(ci.ID, func(id int, _ []byte) error {
+								seen[id]++
+								return nil
+							})
+							if err != nil {
+								t.Error(err)
+							}
+						}
+						n := h.Count()
+						h.Close()
+						pins.RUnlock()
+						if len(seen) != n || n != want {
+							t.Errorf("handle of %d records streams %d distinct IDs, the view counts %d", n, len(seen), want)
+							return
+						}
+						for id := 0; id < want; id++ {
+							if seen[id] != 1 {
+								t.Errorf("record %d, landed before the open, was seen %d times among %d", id, seen[id], n)
+								return
+							}
+						}
+					}
+				}()
+			}
+
+			next := built
+			for d := 1; d <= drains && !t.Failed(); d++ {
+				in := tailRecords(next, next+perDrain)
+				next += perDrain
+				old := view.Load()
+				cur := old.Clone()
+				tail, inTail := old.Tail(0)
+				var srcs []string
+				if tail != "" {
+					srcs = []string{tail}
+				}
+				if d%foldEvery != 0 {
+					dst := TailPath(old.Paths[0])
+					if tail != "" {
+						dst = GrownTailPath(old.Paths[0], inTail+perDrain)
+					}
+					if _, _, err := storage.MergePartitions(dst, 3, srcs, in, nil); err != nil {
+						t.Fatal(err)
+					}
+					cur.Tails[0], cur.TailPaths[0] = inTail+perDrain, dst
+				} else {
+					dst := FoldedPath(old.Paths[0], next)
+					if _, _, err := storage.MergePartitions(dst, 3, append([]string{old.Paths[0]}, srcs...), in, nil); err != nil {
+						t.Fatal(err)
+					}
+					cur.Paths[0], cur.Tails[0], cur.TailPaths[0] = dst, 0, ""
+				}
+				cur.Counts[0] = next
+				view.Store(cur)
+				// Taken and let go at once: this waits out every reader of old.
+				pins.Lock()
+				pins.Unlock()
+				for _, f := range old.Files() {
+					if !slices.Contains(cur.Files(), f) {
+						c.Retire(f)
+						if err := os.Remove(f); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			stop.Store(true)
+			wg.Wait()
+			ents, err := os.ReadDir(c.Dir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := len(ents), len(view.Load().Files()); got != want {
+				t.Fatalf("the store holds %d files, the view names %d", got, want)
+			}
+		})
+	}
 }
 
 // A reindex reads partition files as a source, bases only, and is refused a
