@@ -436,8 +436,8 @@ type DB struct {
 	reindexing atomic.Bool
 	// cleanupWG tracks the deferred deletion of swapped-out generations
 	// (each waits for its generation's readers to drain). Tests join it;
-	// Close does not — an orphaned old generation is reclaimed by the next
-	// Open's stale-generation sweep.
+	// Close does not — a deletion still waiting then deletes nothing, and
+	// the next Open's stale-generation sweep reclaims the old generation.
 	cleanupWG sync.WaitGroup
 }
 
@@ -767,8 +767,10 @@ func (db *DB) IngestStats() IngestStats {
 // batch calls return ErrClosed. Close is idempotent and safe to call
 // concurrently with running queries — in-flight queries finish normally, on
 // the mappings they hold or on files mapped for them alone; they are not
-// interrupted (cancel their contexts for that). The on-disk database is
-// untouched and can be reopened with Open.
+// interrupted (cancel their contexts for that). Files a drain or a reindex
+// replaced while such a query held them stay on disk until the next writable
+// Open removes them: once Close returns, nothing touches the directory, and
+// it can be reopened with Open.
 func (db *DB) Close() error {
 	if db.closed.Swap(true) {
 		return nil
@@ -777,6 +779,7 @@ func (db *DB) Close() error {
 	if db.ing != nil {
 		err = db.ing.Close()
 	}
+	db.ix.Close()
 	if cerr := db.cl.Close(); err == nil {
 		err = cerr
 	}
@@ -930,13 +933,15 @@ func (db *DB) Reindex(ctx context.Context) error {
 func (db *DB) cleanupGeneration(retired <-chan struct{}, oldRoot string) {
 	defer db.cleanupWG.Done()
 	<-retired
-	if oldRoot == db.dir {
-		// Generation 0 lives interleaved with the database root: its
-		// skeleton at dir/index.clms, its partition files under dir/cluster/.
-		os.Remove(indexPath(db.dir))
-		oldRoot = core.StoreDir(db.dir)
-	}
-	os.RemoveAll(oldRoot)
+	db.ix.UnlessClosed(func() {
+		if oldRoot == db.dir {
+			// Generation 0 shares the database root: its skeleton is
+			// dir/index.clms, its partition files are under dir/cluster/.
+			os.Remove(indexPath(db.dir))
+			oldRoot = core.StoreDir(db.dir)
+		}
+		os.RemoveAll(oldRoot)
+	})
 }
 
 // Backup writes a self-contained snapshot of the database into destDir,

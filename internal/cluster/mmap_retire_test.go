@@ -206,6 +206,52 @@ func TestRacingFirstOpensShareOneMapping(t *testing.T) {
 	}
 }
 
+// Close drops the registry's reference and the handles keep theirs: a handle
+// held across Close still streams, and an open after Close maps the file for
+// itself, registers nothing, and unmaps it with its last handle.
+func TestOpenAfterCloseMapsForItself(t *testing.T) {
+	if !storage.MapSupported() {
+		t.Skip("mmap unsupported on this platform")
+	}
+	c, ps := buildPartitions(t, 60)
+	held, err := c.OpenPartition(ps, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.MappedBytes(); got != 0 {
+		t.Fatalf("Close left %d bytes registered", got)
+	}
+	if seen := countRecords(t, held); seen != held.Count() {
+		t.Fatalf("a handle held across Close streams %d of %d records", seen, held.Count())
+	}
+	loaded := c.Stats.PartitionsLoaded.Load()
+	late, err := c.OpenPartition(ps, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if late.Partition == held.Partition || !late.Mapped() || c.Stats.PartitionsLoaded.Load() != loaded+1 {
+		t.Fatalf("open after Close: shared %v, mapped %v, %d loads after %d",
+			late.Partition == held.Partition, late.Mapped(), c.Stats.PartitionsLoaded.Load(), loaded)
+	}
+	if got := c.MappedBytes(); got != 0 {
+		t.Fatalf("an open after Close registered %d bytes", got)
+	}
+	if seen := countRecords(t, late); seen != late.Count() {
+		t.Fatalf("the open after Close streams %d of %d records", seen, late.Count())
+	}
+	for _, h := range []*PartitionHandle{held, late} {
+		if err := h.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if held.Partition.InMemory() || late.Partition.InMemory() {
+		t.Fatal("a mapping outlived its last handle after Close")
+	}
+}
+
 // countRecords streams every record of h and returns how many it saw.
 func countRecords(t *testing.T, h *PartitionHandle) int {
 	t.Helper()

@@ -84,7 +84,7 @@ func (ps *PartitionSet) Length() int { return ps.SeriesLen }
 func (ps *PartitionSet) NumBlocks() int { return len(ps.Paths) }
 
 // ScanBlock streams every record of partition i's base file through fn. A
-// set read as a build source has had its tails folded (core.FoldTails); one
+// set read as a build source has had its tails folded (core.Index.Drain); one
 // that has not is refused rather than read short.
 func (ps *PartitionSet) ScanBlock(i int, fn func(id int, values []float64) error) error {
 	if _, tail := ps.Tail(i); tail > 0 {

@@ -11,7 +11,7 @@ import (
 
 // Routed is one new data series with its assigned ID and the destination the
 // skeleton routed it to: the unit of work of the ingestion drain
-// (internal/ingest), which lands records in partition files via WriteRouted.
+// (internal/ingest), which lands records in partition files via Drain.
 type Routed struct {
 	ID     int
 	Route  cluster.Route
@@ -33,10 +33,10 @@ func (ix *Index) ReserveIDs(n int) int {
 }
 
 // EnsureNextID raises the ID counter to at least min. WAL replay uses it so
-// IDs acked before a crash are never reissued after reopen. The replayed IDs
-// below min may already sit in partition files — a drain that was killed
-// before its manifest save — so the drain that carries them again folds
-// (see redrainBelow).
+// IDs acked before a crash are never reissued after reopen. In a layout
+// written before names were never reused, a drain killed before its manifest
+// save may have left the replayed IDs below min in partition files, so the
+// drain that carries them again folds (see redrainBelow).
 func (ix *Index) EnsureNextID(min int) {
 	raise(&ix.redrainBelow, int64(min))
 	raise(&ix.nextID, int64(min))
@@ -115,25 +115,17 @@ type DrainStats struct {
 	Folds     int
 }
 
-// WriteRouted is Drain without a manifest to save: it publishes at once.
-func (ix *Index) WriteRouted(recs []Routed) (DrainStats, error) { return ix.Drain(recs, false, nil) }
-
-// FoldTails folds every tail into its base, so the base files alone hold
-// every persisted record — what a backup links and a reindex reads — and,
-// like WriteRouted, publishes without saving a manifest.
-func (ix *Index) FoldTails() (DrainStats, error) { return ix.Drain(nil, true, nil) }
-
 // Drain lands already-routed records — with foldAll, every tail too — in new
 // partition files, one per affected partition: its tail, or on a fold its
-// base. It builds the view naming them beside the current one, has save (when
-// set) make it durable, and publishes it (SwapGeneration). The current view's
-// files are never touched, so running queries are unaffected; on any error
-// the files written are removed and the current view stays. Callers must
-// serialise Drain with every other write path (climber.DB funnels every
-// write through its ingestion pipeline). A caller may fail after a Drain that
-// published (the WAL reset) and keep the records; its retry with the same IDs
-// replaces them where they lie, because every ID that has been through here
-// folds.
+// base. It builds the view naming them beside the current one, has save make
+// that view's manifest durable, and only then publishes it (SwapGeneration).
+// The current view's files are never touched, so running queries are
+// unaffected; on any error the files written are removed and the current
+// view stays. Callers must serialise Drain with every other write path
+// (climber.DB funnels every write through its ingestion pipeline). A caller
+// may fail after a Drain that published (the WAL reset) and keep the records;
+// its retry with the same IDs replaces them where they lie, because a drain
+// folds every ID an earlier Drain published.
 func (ix *Index) Drain(recs []Routed, foldAll bool, save func(next *Generation) error) (st DrainStats, err error) {
 	cur := ix.gen.Load() // the writer's own: only it swaps
 	byPartition := make(map[int][]storage.Incoming)
@@ -143,7 +135,6 @@ func (ix *Index) Drain(recs []Routed, foldAll bool, save func(next *Generation) 
 			storage.Incoming{Cluster: r.Route.Cluster, ID: r.ID, Values: r.Values})
 		maxID = max(maxID, r.ID)
 	}
-	defer raise(&ix.redrainBelow, int64(maxID+1))
 	parts := cur.Parts.Clone()
 	wrote := false
 	for pid := range parts.Paths {
@@ -156,7 +147,7 @@ func (ix *Index) Drain(recs []Routed, foldAll bool, save func(next *Generation) 
 	}
 	next := NewGeneration(cur.Skel, parts)
 	next.SetDelta(cur.Delta())
-	if err == nil && wrote && save != nil {
+	if err == nil && wrote {
 		if err = save(next); err != nil {
 			err = fmt.Errorf("core: save the manifest: %w", err)
 		}
@@ -167,6 +158,7 @@ func (ix *Index) Drain(recs []Routed, foldAll bool, save func(next *Generation) 
 	}
 	if wrote {
 		ix.SwapGeneration(next)
+		raise(&ix.redrainBelow, int64(maxID+1))
 	}
 	return st, nil
 }

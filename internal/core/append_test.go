@@ -7,6 +7,21 @@ import (
 	"climber/internal/dataset"
 )
 
+// WriteRouted drains recs into new partition files and publishes the view
+// naming them, as an ingestion drain does. The indexes of this package's
+// tests have no manifest file, so the view's save records nothing.
+func (ix *Index) WriteRouted(recs []Routed) (DrainStats, error) {
+	return ix.Drain(recs, false, noManifest)
+}
+
+// FoldTails folds every tail into its base and publishes the view, as the
+// barrier before a backup or a reindex does; like WriteRouted it saves no
+// manifest.
+func (ix *Index) FoldTails() (DrainStats, error) { return ix.Drain(nil, true, noManifest) }
+
+// noManifest is the save of an index without a manifest file.
+func noManifest(*Generation) error { return nil }
+
 // drain lands recs the way an ingestion drain does: IDs reserved, each
 // record routed through the skeleton, all of them written to the partition
 // files in one WriteRouted.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand/v2"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -40,19 +41,21 @@ type Index struct {
 	// retired closes once every view swapped out so far is retired; nil
 	// before the first swap. Only the serialised SwapGeneration touches it.
 	retired <-chan struct{}
+	// retireMu holds Close off while retired files are removed; once closed
+	// is set, nothing is removed any more (see Close).
+	retireMu sync.Mutex
+	closed   bool
 
 	// nextID mints record IDs for appended series: a single atomic counter
 	// seeded from the partition counts at build/open time, so concurrent
 	// writers can never assign duplicate IDs.
 	nextID atomic.Int64
-	// redrainBelow is above every record ID that may already sit in a
-	// partition file without the manifest's counts saying so — IDs replayed
-	// from the WAL after a crash, where a layout written before names were
-	// never reused may hold them — or in a published view: IDs NextView has
-	// been given before, whose caller may have failed after publishing and
-	// kept the records. A drain carrying such an ID folds the partition it
-	// goes to, because only a merge with the base replaces the copy that may
-	// be in it.
+	// redrainBelow is above every record ID that may sit in a partition
+	// file the manifest's counts do not cover — replayed from the WAL over a
+	// layout written before names were never reused — or that an earlier
+	// Drain published, whose caller may have failed after it and kept the
+	// records. A drain carrying such an ID folds its partition: only a merge
+	// with the base replaces the copy that may be in it.
 	redrainBelow atomic.Int64
 }
 

@@ -33,13 +33,17 @@
 //     skeleton and merge them into new partition files — each partition's
 //     small tail, folded into a new base when it reaches 1/foldFraction of
 //     it (appendToPartition is the one place a partition file is written
-//     after the build; FoldTails folds them all for backup and reindex) —
-//     then publish the view naming them; record IDs come from a single
-//     atomic counter (ReserveIDs) so concurrent writers never collide.
+//     after the build; Drain with foldAll folds them all for backup and
+//     reindex) — then publish the view naming them; record IDs come from a
+//     single atomic counter (ReserveIDs) so concurrent writers never
+//     collide.
 //   - Generation (gen.go): one immutable view — skeleton, partition files,
 //     delta. No file changes under its name: a drain or a reindex builds the
 //     next view beside the current one, and SwapGeneration publishes it and
 //     retires the files only older views named, once no query holds one.
+//     A drain gives the view it published a fresh delta; older views keep
+//     the delta that holds what the new files hold. Close stops the
+//     retirements still waiting for a reader.
 //   - DeltaSource (delta.go): the seam through which the streaming
 //     ingestion layer (internal/ingest) makes acked-but-uncompacted
 //     records visible to every search: runs in the partition record

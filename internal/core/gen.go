@@ -145,7 +145,8 @@ func (ix *Index) AcquireGeneration() *Generation {
 // current view and retires the view it replaces: once that view and every
 // view published before it are released, the files it names and ng does not
 // go (see retire) — at once when no query holds them, else on a goroutine of
-// their own; the returned channel closes then. Callers must serialise
+// their own, unless the index was closed by then; the returned channel
+// closes then. Callers must serialise
 // SwapGeneration with every write path (climber.DB runs it under the
 // ingestion semaphore).
 func (ix *Index) SwapGeneration(ng *Generation) <-chan struct{} {
@@ -158,7 +159,7 @@ func (ix *Index) SwapGeneration(ng *Generation) <-chan struct{} {
 		if prev != nil {
 			<-prev
 		}
-		ix.retire(old, ng)
+		ix.UnlessClosed(func() { ix.retire(old, ng) })
 		close(done)
 	}
 	if closed(old.drained) && (prev == nil || closed(prev)) {
@@ -167,6 +168,22 @@ func (ix *Index) SwapGeneration(ng *Generation) <-chan struct{} {
 		go retire()
 	}
 	return done
+}
+
+// Close ends the removal of retired files once a removal under way is done:
+// a retirement still waiting for a reader removes nothing, and leaves its
+// files to the next writable open (SweepPartitionFiles,
+// CleanStaleGenerations).
+func (ix *Index) Close() { ix.UnlessClosed(func() { ix.closed = true }) }
+
+// UnlessClosed runs fn, a removal of retired files, unless the index is
+// closed, and holds Close off until fn returns.
+func (ix *Index) UnlessClosed(fn func()) {
+	ix.retireMu.Lock()
+	defer ix.retireMu.Unlock()
+	if !ix.closed {
+		fn()
+	}
 }
 
 // closed reports whether c is closed.

@@ -237,6 +237,37 @@ func TestRetireWaitsForEveryEarlierView(t *testing.T) {
 	}
 }
 
+// A retirement still waiting for a reader when the index closes removes
+// nothing: the replaced files stay for the next writable open's sweep, so no
+// removal reaches the directory after Close.
+func TestCloseLeavesPendingRetirements(t *testing.T) {
+	ix, _, _, _ := buildTestIndex(t, 1500, testConfig())
+	v1 := ix.AcquireGeneration()
+	if _, err := ix.WriteRouted(routeFresh(ix, 200, 4)); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := ix.FoldTails(); err != nil || st.Folds == 0 {
+		t.Fatalf("fold after the drain: %+v, %v", st, err)
+	}
+	var replaced []string
+	for _, f := range v1.Parts.Files() {
+		if !slices.Contains(ix.Partitions().Files(), f) {
+			replaced = append(replaced, f)
+		}
+	}
+	if len(replaced) == 0 {
+		t.Fatal("test premise broken: the fold replaced no file V1 names")
+	}
+	ix.Close()
+	v1.Release()
+	<-ix.retired
+	for _, f := range replaced {
+		if _, err := os.Stat(f); err != nil {
+			t.Fatalf("a retirement removed %s after Close: %v", filepath.Base(f), err)
+		}
+	}
+}
+
 // The manifest carries the tails across a reopen, a fold clears them, and a
 // manifest that lists none has no tail section: it ends with its last
 // partition, as the file a build writes does.

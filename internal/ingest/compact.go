@@ -283,19 +283,7 @@ func (g *Ingester) Append(ctx context.Context, data [][]float64) ([]int, error) 
 // manifest, and truncates the WAL. It returns once every previously acked
 // write is in its partition file (or with the error that stopped the
 // compaction, leaving WAL and delta intact for a retry).
-func (g *Ingester) Flush(ctx context.Context) error {
-	if err := g.lock(ctx); err != nil {
-		return err
-	}
-	defer g.unlock()
-	if g.closed {
-		return ErrClosed
-	}
-	if g.paused {
-		return ErrRebuildInProgress
-	}
-	return g.compactLocked()
-}
+func (g *Ingester) Flush(ctx context.Context) error { return g.exclusive(ctx, g.compactLocked) }
 
 // Barrier synchronously compacts the delta, folds every tail into its base,
 // and then runs fn while the write semaphore is still held: no append,
@@ -303,6 +291,24 @@ func (g *Ingester) Flush(ctx context.Context) error {
 // copy partition files at a moment when the base files hold every acked
 // record and nothing is rewriting them.
 func (g *Ingester) Barrier(ctx context.Context, fn func() error) error {
+	return g.exclusive(ctx, func() error {
+		if err := g.compactLocked(); err != nil {
+			return err
+		}
+		// The WAL is empty now: a kill in the fold loses nothing, and the
+		// next open sees the view of the last manifest saved.
+		st, err := g.ix.Drain(nil, true, g.save)
+		g.written(st)
+		if err != nil {
+			return fmt.Errorf("ingest: fold tails: %w", err)
+		}
+		return fn()
+	})
+}
+
+// exclusive runs fn under the write semaphore unless the pipeline is closed
+// or paused for a rebuild.
+func (g *Ingester) exclusive(ctx context.Context, fn func() error) error {
 	if err := g.lock(ctx); err != nil {
 		return err
 	}
@@ -312,12 +318,6 @@ func (g *Ingester) Barrier(ctx context.Context, fn func() error) error {
 	}
 	if g.paused {
 		return ErrRebuildInProgress
-	}
-	if err := g.compactLocked(); err != nil {
-		return err
-	}
-	if err := g.foldLocked(); err != nil {
-		return err
 	}
 	return fn()
 }
@@ -469,13 +469,7 @@ func (g *Ingester) TotalRecords() int {
 // on a timer that enforces the age threshold.
 func (g *Ingester) run() {
 	defer close(g.done)
-	poll := g.cfg.CompactAge / 4
-	if poll < 50*time.Millisecond {
-		poll = 50 * time.Millisecond
-	}
-	if poll > time.Second {
-		poll = time.Second
-	}
+	poll := min(max(g.cfg.CompactAge/4, 50*time.Millisecond), time.Second)
 	ticker := time.NewTicker(poll)
 	defer ticker.Stop()
 	for {
@@ -522,19 +516,6 @@ func (g *Ingester) written(st core.DrainStats) {
 	g.foldBytes.Add(st.FoldBytes)
 }
 
-// foldLocked folds every tail into its base and publishes the view that says
-// so (see core.Index.Drain). Caller holds the write semaphore and has just
-// drained the delta, so the WAL is empty: a kill anywhere in here loses
-// nothing, and the next open sees the view of the last manifest saved.
-func (g *Ingester) foldLocked() error {
-	st, err := g.ix.Drain(nil, true, g.save)
-	g.written(st)
-	if err != nil {
-		return fmt.Errorf("ingest: fold tails: %w", err)
-	}
-	return nil
-}
-
 // compactLocked drains the delta into partition files. Caller holds the
 // write semaphore.
 //
@@ -551,7 +532,9 @@ func (g *Ingester) foldLocked() error {
 //     earlier views named are removed once no query holds those views (a
 //     crash before that leaves them to the next open's sweep);
 //  4. truncate the WAL — replay now has nothing to re-apply;
-//  5. drop the delta.
+//  5. give the published view a fresh delta; earlier views keep the old
+//     one, so a query pinned before the publish still finds the drained
+//     records in it.
 //
 // Steps 1 to 3 are one core.Index.Drain.
 //
@@ -580,7 +563,12 @@ func (g *Ingester) compactLocked() error {
 	if err := g.wal.Reset(); err != nil {
 		return err
 	}
-	delta.Reset()
+	// The published view's files hold the records now, so it gets a fresh
+	// delta. Views published before it keep the old one: a query pinned to
+	// one of them reads files that lack the records, and finds them in it.
+	fresh := NewMemDelta()
+	g.ix.SetDelta(fresh)
+	g.delta.Store(fresh)
 	g.walBytes.Store(g.wal.Size())
 	g.compactions.Add(1)
 	g.compactedSeries.Add(int64(len(recs)))

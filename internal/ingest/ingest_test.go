@@ -6,6 +6,7 @@ import (
 	"errors"
 	"log/slog"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -102,6 +103,59 @@ func TestAppendVisibleBeforeCompaction(t *testing.T) {
 	}
 	if found < 9 { // one random WD tie-break miss allowed, as in build
 		t.Fatalf("found %d/10 appended records via the delta, want >= 9", found)
+	}
+}
+
+// A query pinned to a view before a drain publishes the next one still sees
+// the drained records: its view's files lack them, and its view's delta
+// keeps them after the compactor gives the published view a fresh one. Each
+// round flushes from inside a query, between its first plan step and its
+// delta merge, and the query must answer as the same query run just before.
+func TestQueryPinnedAcrossDrainSeesDrainedRecords(t *testing.T) {
+	ix, dir := buildIndex(t, 1500)
+	g := openIngester(t, ix, dir, Config{CompactRecords: 1 << 20, CompactAge: time.Hour})
+	defer g.Close()
+
+	opts := core.SearchOptions{K: 5, Variant: core.VariantAdaptive4X}
+	const rounds = 10
+	found := 0
+	for round, q := range freshSeries(rounds) {
+		ids, err := g.Append(context.Background(), [][]float64{q})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before, err := ix.Search(q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flushed := false
+		pinned, err := ix.Query(context.Background(), q, opts, func(s core.Snapshot) bool {
+			if !flushed && !s.Final {
+				flushed = true
+				if err := g.Flush(context.Background()); err != nil {
+					t.Error(err)
+				}
+			}
+			return true
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !flushed {
+			t.Fatalf("round %d: the query ended before its delta merge could be raced", round)
+		}
+		if !slices.Equal(pinned.Results, before.Results) {
+			t.Fatalf("round %d: the query pinned across the drain answered\n%v\nwant\n%v", round, pinned.Results, before.Results)
+		}
+		if len(pinned.Results) > 0 && pinned.Results[0].ID == ids[0] && pinned.Results[0].Dist < 1e-4 {
+			found++
+		}
+		if got := g.Stats().Compactions; got != int64(round+1) {
+			t.Fatalf("round %d: %d compactions", round, got)
+		}
+	}
+	if found < rounds-1 { // one random WD tie-break miss allowed, as in build
+		t.Fatalf("the pinned queries found %d/%d drained records, want >= %d", found, rounds, rounds-1)
 	}
 }
 
@@ -229,10 +283,10 @@ func TestCrashBetweenCompactAndTruncateIsIdempotent(t *testing.T) {
 	}
 	// Land the records in partitions + manifest, but "crash" before the
 	// WAL truncation by compacting through the index directly.
-	if _, err := ix.WriteRouted(snapshotOf(g)); err != nil {
-		t.Fatal(err)
+	save := func(next *core.Generation) error {
+		return core.SaveSnapshot(next.Skel, next.Parts, filepath.Join(dir, "index.clms"))
 	}
-	if err := core.SaveIndex(ix, filepath.Join(dir, "index.clms")); err != nil {
+	if _, err := ix.Drain(snapshotOf(g), false, save); err != nil {
 		t.Fatal(err)
 	}
 

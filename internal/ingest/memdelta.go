@@ -138,8 +138,8 @@ func (d *MemDelta) OldestAge() time.Duration {
 // Snapshot returns every resident record in ascending ID order, ready for
 // the compactor to land in partition files. The values are decoded from the
 // runs: the float32-rounded readings Append handed over, exactly. The delta
-// keeps serving reads unchanged; pair with Reset once the snapshot is
-// durable on disk.
+// keeps serving reads unchanged; once the snapshot is durable on disk the
+// compactor gives the view it published a fresh delta.
 func (d *MemDelta) Snapshot() []core.Routed {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -159,14 +159,4 @@ func (d *MemDelta) Snapshot() []core.Routed {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
-}
-
-// Reset drops every resident record. The compactor calls it after the
-// snapshot it drained is durable in partition files and the manifest is
-// persisted.
-func (d *MemDelta) Reset() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.byPartition = make(map[int]map[storage.ClusterID]deltaRun)
-	d.records = 0
 }

@@ -98,11 +98,6 @@ func TestMemDeltaHoldsPartitionRuns(t *testing.T) {
 	if got, want := d.Bytes(), int64(len(recs)*(storage.RecordBytes(64)+storage.SummaryBytes(64))); got != want {
 		t.Fatalf("Bytes = %d, want %d", got, want)
 	}
-
-	d.Reset()
-	if d.Len() != 0 || d.Bytes() != 0 || len(d.Snapshot()) != 0 {
-		t.Fatalf("after Reset: %d records, %d bytes", d.Len(), d.Bytes())
-	}
 }
 
 // Add refuses a record of another length than the delta holds and one with
