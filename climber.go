@@ -75,7 +75,7 @@
 // Every DB carries a streaming write path (internal/ingest): Append and
 // AppendContext route new series through the existing index layout, fsync
 // them into a write-ahead log under the database directory, and insert them
-// into an in-memory delta index that every search merges into its answer.
+// into an in-memory delta index that every search ranks with the partitions.
 // An acked append is therefore durable (a kill -9 later, Open replays the
 // WAL) and immediately searchable. A background compactor drains the delta
 // into the partition files once it grows past WithCompactionRecords records

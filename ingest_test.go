@@ -1,7 +1,7 @@
 package climber
 
 import (
-	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -111,13 +111,15 @@ func TestFlushDrainsDelta(t *testing.T) {
 
 // Appends and searches from many goroutines must be safe (run under -race)
 // and every acked record immediately findable — including while background
-// compactions overlap the search traffic.
+// compactions publish views under the search traffic. Every answer holds
+// distinct IDs in (distance, ID) order, and the search for a just-acked
+// series finds it first, at distance 0.
 func TestConcurrentAppendAndSearch(t *testing.T) {
 	dir := t.TempDir()
 	data := smallData(1000)
 	// Low thresholds so real compactions race the workload.
 	db, err := Build(dir, data, append(append([]Option{}, smallOpts()...),
-		WithCompactionRecords(24), WithCompactionAge(50*time.Millisecond))...)
+		WithCompactionRecords(8), WithCompactionAge(50*time.Millisecond))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,18 +142,21 @@ func TestConcurrentAppendAndSearch(t *testing.T) {
 			base := w * perWriter * batchSize
 			for b := 0; b < perWriter; b++ {
 				recs := fresh[base+b*batchSize : base+(b+1)*batchSize]
-				if _, err := db.Append(recs); err != nil {
+				ids, err := db.Append(recs)
+				if err != nil {
 					errCh <- err
 					return
 				}
 				// Each acked batch is immediately searchable.
 				res, err := db.Search(recs[0], 3)
+				if err == nil {
+					err = wellFormed(res)
+				}
+				if err == nil && (len(res) == 0 || res[0].ID != ids[0] || res[0].Dist != 0) {
+					err = fmt.Errorf("the search for just-acked record %d answers %+v", ids[0], res)
+				}
 				if err != nil {
 					errCh <- err
-					return
-				}
-				if len(res) == 0 {
-					errCh <- errors.New("search returned no results mid-ingest")
 					return
 				}
 			}
@@ -162,7 +167,11 @@ func TestConcurrentAppendAndSearch(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; i < searchesEach; i++ {
-				if _, err := db.Search(data[(r*131+i*7)%len(data)], 10); err != nil {
+				res, err := db.Search(data[(r*131+i*7)%len(data)], 10)
+				if err == nil {
+					err = wellFormed(res)
+				}
+				if err != nil {
 					errCh <- err
 					return
 				}
@@ -177,6 +186,9 @@ func TestConcurrentAppendAndSearch(t *testing.T) {
 		}
 	}
 
+	if db.IngestStats().Compactions == 0 {
+		t.Fatal("test premise broken: no drain published while the searches ran")
+	}
 	// Every ID was assigned exactly once: the final record count is exact.
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
@@ -187,7 +199,23 @@ func TestConcurrentAppendAndSearch(t *testing.T) {
 	}
 }
 
-// The delta merge reports its effort: DeltaScanned is populated while
+// wellFormed fails an answer that holds an ID twice or is not in (distance,
+// ID) order.
+func wellFormed(res []Result) error {
+	seen := map[int]bool{}
+	for i, r := range res {
+		if seen[r.ID] {
+			return fmt.Errorf("record %d answers twice: %+v", r.ID, res)
+		}
+		seen[r.ID] = true
+		if i > 0 && !res[i-1].Before(r) {
+			return fmt.Errorf("results %d and %d out of (distance, ID) order: %+v", i-1, i, res)
+		}
+	}
+	return nil
+}
+
+// The delta scan reports its effort: DeltaScanned is populated while
 // records sit in the delta and zero after compaction.
 func TestDeltaScannedStat(t *testing.T) {
 	db, err := Build(t.TempDir(), smallData(1000), ingestOpts()...)

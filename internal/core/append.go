@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"os"
-	"sync/atomic"
 
 	"climber/internal/cluster"
 	"climber/internal/storage"
@@ -33,20 +32,11 @@ func (ix *Index) ReserveIDs(n int) int {
 }
 
 // EnsureNextID raises the ID counter to at least min. WAL replay uses it so
-// IDs acked before a crash are never reissued after reopen. In a layout
-// written before names were never reused, a drain killed before its manifest
-// save may have left the replayed IDs below min in partition files, so the
-// drain that carries them again folds (see redrainBelow).
+// IDs acked before a crash are never reissued after reopen.
 func (ix *Index) EnsureNextID(min int) {
-	raise(&ix.redrainBelow, int64(min))
-	raise(&ix.nextID, int64(min))
-}
-
-// raise lifts a to at least v.
-func raise(a *atomic.Int64, v int64) {
 	for {
-		cur := a.Load()
-		if cur >= v || a.CompareAndSwap(cur, v) {
+		cur := ix.nextID.Load()
+		if cur >= int64(min) || ix.nextID.CompareAndSwap(cur, int64(min)) {
 			return
 		}
 	}
@@ -117,23 +107,21 @@ type DrainStats struct {
 
 // Drain lands already-routed records — with foldAll, every tail too — in new
 // partition files, one per affected partition: its tail, or on a fold its
-// base. It builds the view naming them beside the current one, has save make
-// that view's manifest durable, and only then publishes it (SwapGeneration).
-// The current view's files are never touched, so running queries are
+// base. It builds the view naming them beside the current one, with delta as
+// its delta (nil keeps the current view's), has save make that view's
+// manifest durable, and only then publishes it (SwapGeneration). A caller
+// draining records out of the current delta hands over a delta without them,
+// so the published view holds each record once: in its files or in its
+// delta. The current view's files are never touched, so running queries are
 // unaffected; on any error the files written are removed and the current
 // view stays. Callers must serialise Drain with every other write path
-// (climber.DB funnels every write through its ingestion pipeline). A caller
-// may fail after a Drain that published (the WAL reset) and keep the records;
-// its retry with the same IDs replaces them where they lie, because a drain
-// folds every ID an earlier Drain published.
-func (ix *Index) Drain(recs []Routed, foldAll bool, save func(next *Generation) error) (st DrainStats, err error) {
+// (climber.DB funnels every write through its ingestion pipeline).
+func (ix *Index) Drain(recs []Routed, foldAll bool, delta DeltaSource, save func(next *Generation) error) (st DrainStats, err error) {
 	cur := ix.gen.Load() // the writer's own: only it swaps
 	byPartition := make(map[int][]storage.Incoming)
-	maxID := -1
 	for _, r := range recs {
 		byPartition[r.Route.Partition] = append(byPartition[r.Route.Partition],
 			storage.Incoming{Cluster: r.Route.Cluster, ID: r.ID, Values: r.Values})
-		maxID = max(maxID, r.ID)
 	}
 	parts := cur.Parts.Clone()
 	wrote := false
@@ -146,7 +134,10 @@ func (ix *Index) Drain(recs []Routed, foldAll bool, save func(next *Generation) 
 		}
 	}
 	next := NewGeneration(cur.Skel, parts)
-	next.SetDelta(cur.Delta())
+	if delta == nil {
+		delta = cur.Delta()
+	}
+	next.SetDelta(delta)
 	if err == nil && wrote {
 		if err = save(next); err != nil {
 			err = fmt.Errorf("core: save the manifest: %w", err)
@@ -158,7 +149,6 @@ func (ix *Index) Drain(recs []Routed, foldAll bool, save func(next *Generation) 
 	}
 	if wrote {
 		ix.SwapGeneration(next)
-		raise(&ix.redrainBelow, int64(maxID+1))
 	}
 	return st, nil
 }
@@ -174,20 +164,14 @@ func (ix *Index) Drain(recs []Routed, foldAll bool, save func(next *Generation) 
 // to the name its record count gives it (cluster.TailPath for a base's first
 // tail, GrownTailPath after that, FoldedPath for a folded base), which no
 // earlier file of the partition had; a redone fold writes the bytes and the
-// name it wrote before.
-//
-// Merging is idempotent — a record whose ID reappears is replaced rather than
-// duplicated — but only within the files merged, so records that may already
-// be in the base (IDs below redrainBelow: replayed after a crash, or given to
-// Drain before) go through a fold, never into the tail beside it.
+// name it wrote before. Merging is idempotent within the files merged: a
+// record whose ID reappears is replaced rather than duplicated, which is what
+// lets a fold take in records a killed drain of the legacy layout already put
+// in the base (see ingest.Open).
 func (ix *Index) appendToPartition(parts *cluster.PartitionSet, pid int, recs []storage.Incoming, fold bool, st *DrainStats) error {
 	base := parts.Paths[pid]
 	tail, nTail := parts.Tail(pid)
 	nBase := parts.Counts[pid] - nTail
-	redrain := ix.redrainBelow.Load()
-	for _, r := range recs {
-		fold = fold || int64(r.ID) < redrain
-	}
 	step := func(name string) { CrashStep(fmt.Sprintf("%s-%05d", name, pid)) }
 	if !fold && nTail+len(recs) <= nBase/foldFraction {
 		var srcs []string

@@ -11,13 +11,13 @@ import (
 // naming them, as an ingestion drain does. The indexes of this package's
 // tests have no manifest file, so the view's save records nothing.
 func (ix *Index) WriteRouted(recs []Routed) (DrainStats, error) {
-	return ix.Drain(recs, false, noManifest)
+	return ix.Drain(recs, false, nil, noManifest)
 }
 
 // FoldTails folds every tail into its base and publishes the view, as the
 // barrier before a backup or a reindex does; like WriteRouted it saves no
 // manifest.
-func (ix *Index) FoldTails() (DrainStats, error) { return ix.Drain(nil, true, noManifest) }
+func (ix *Index) FoldTails() (DrainStats, error) { return ix.Drain(nil, true, nil, noManifest) }
 
 // noManifest is the save of an index without a manifest file.
 func noManifest(*Generation) error { return nil }

@@ -50,13 +50,11 @@ type Index struct {
 	// seeded from the partition counts at build/open time, so concurrent
 	// writers can never assign duplicate IDs.
 	nextID atomic.Int64
-	// redrainBelow is above every record ID that may sit in a partition
-	// file the manifest's counts do not cover — replayed from the WAL over a
-	// layout written before names were never reused — or that an earlier
-	// Drain published, whose caller may have failed after it and kept the
-	// records. A drain carrying such an ID folds its partition: only a merge
-	// with the base replaces the copy that may be in it.
-	redrainBelow atomic.Int64
+	// legacyTails is set when the manifest was opened with the legacy TAIL
+	// trailer, written while drains still rewrote files under their names:
+	// a drain killed there before its manifest save may have left records
+	// the WAL replays in partition files (see LegacyTails).
+	legacyTails bool
 }
 
 // NewIndex wraps an already-built skeleton and partition set as an Index

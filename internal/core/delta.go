@@ -2,33 +2,31 @@ package core
 
 import (
 	"context"
-	"sort"
 
-	"climber/internal/series"
+	"climber/internal/obs"
 	"climber/internal/storage"
 )
 
 // DeltaSource is the read interface of an in-memory delta index holding
 // records appended but not yet compacted into partition files (see
 // internal/ingest). Implementations must be safe for concurrent use with
-// inserts: every search merges delta hits into its answer while writers add
-// records.
+// inserts: every search ranks delta records while writers add them.
 type DeltaSource interface {
 	// ScanRuns streams the delta records routed to partition pid, one run
-	// per cluster in the layout of storage.Partition.ScanClusterRuns, whose
-	// lifetime rules both slices obey. clusters narrows the scan to the
-	// listed record clusters; nil means every cluster of the partition.
-	ScanRuns(pid int, clusters map[storage.ClusterID]struct{}, fn func(recs, sums []byte) error) error
+	// per cluster, with the cluster's ID, in the layout of
+	// storage.Partition.ScanClusterRuns, whose lifetime rules both slices
+	// obey.
+	ScanRuns(pid int, fn func(c storage.ClusterID, recs, sums []byte) error) error
 	// Len returns the number of records currently held.
 	Len() int
 }
 
-// SetDelta installs (or, with nil, removes) the delta index merged into
-// every search answer on the *current* generation. It is called when a
-// streaming ingestion pipeline attaches to the index; installing a new
-// source while queries run is safe. During an online reindex the new
-// generation gets its own re-routed delta before the swap, so this
-// convenience forwarder always targets the generation queries will see.
+// SetDelta installs (or, with nil, removes) the delta index of the
+// *current* generation. It is called when a streaming ingestion pipeline
+// attaches to the index; installing a new source while queries run is safe.
+// A drain hands the view it publishes its delta through Drain instead, and an
+// online reindex installs the re-routed delta on the new generation before
+// the swap.
 func (ix *Index) SetDelta(d DeltaSource) {
 	ix.gen.Load().SetDelta(d)
 }
@@ -38,69 +36,43 @@ func (ix *Index) Delta() DeltaSource {
 	return ix.gen.Load().Delta()
 }
 
-// scanDelta ranks the delta records the executed plan covers into a top-k
-// of their own, so acked-but-uncompacted writes are visible at once with
-// exactly the pruning the disk scan used: executed maps each scanned
-// partition to the clusters actually compared (nil = every cluster, a
-// widened partition), so a budget-truncated query merges delta hits for
-// exactly the coverage it achieved. The runs are in the partition file's
-// layout and the partition scan itself ranks them (stepScan.run), so a
-// record has the same distance in the delta as in the file a drain moves
-// it to. The top-k is nil when there is no delta record.
+// rankDelta ranks the delta runs of partition pid whose clusters f admits
+// into the query's one top-k — a step's delta records, right after its
+// partition clusters, so file and delta records rank together. The runs are
+// in the partition file's layout and the same scan ranks them, so a record
+// has the same distance in the delta as in the file a drain moves it to. No
+// view holds a record both in its files and in its delta (a drain publishes
+// the files it wrote with a fresh delta), so no record is ranked twice.
 //
-// The delta candidates deliberately do NOT share the disk scan's top-k
-// accumulator: a record can transiently exist both in the delta and in a
-// partition file while a compaction is landing, and pushing the duplicate
-// into one k-bounded heap would evict a genuine k-th neighbour; mergeResults
-// dedupes the two without shrinking the answer.
-//
-// The records are charged to RecordsScanned and DeltaScanned but to no
-// partition load; those skipped by their lower bound count as scanned, as
-// on disk, and in the pruned-records counter. pruned is their number.
-func (e *executor) scanDelta(ctx context.Context) (top *series.TopK, pruned int, err error) {
-	d := e.gen.Delta()
-	if d == nil || d.Len() == 0 {
-		return nil, 0, nil
+// It returns the records it ranked, charged to DeltaScanned here and with
+// the step's own to RecordsScanned, and the subset its summary filter
+// skipped; they charge no partition load. The scan, with its scratch, is
+// allocated once per query, by the first step that finds the delta
+// non-empty (scanStep calls rankDelta only then): the callback handed to the
+// DeltaSource escapes, and a step's own scan, which it does not capture,
+// stays off the heap. A step that ranked delta records gets a "delta" child
+// of its partition span with the two counts.
+func (e *executor) rankDelta(ctx context.Context, pid int, f clusterFilter, ssp *obs.Span) (scanned, pruned int, err error) {
+	if e.deltaScan == nil {
+		n := e.gen.Parts.SeriesLen
+		e.deltaScan = &stepScan{e: e, top: e.top, recBytes: storage.RecordBytes(n), sumBytes: storage.SummaryBytes(n)}
 	}
-	top = series.NewTopK(e.opts.K)
-	seriesLen := e.gen.Parts.SeriesLen
-	sc := &stepScan{e: e, top: top, recBytes: storage.RecordBytes(seriesLen), sumBytes: storage.SummaryBytes(seriesLen)}
-	run := func(recs, sums []byte) error { return sc.run(ctx, recs, sums) }
-	for pid, clusters := range e.executed {
-		if err = d.ScanRuns(pid, clusters, run); err != nil {
-			break
+	sc := e.deltaScan
+	scanned, pruned = sc.scanned, sc.pruned
+	var dsp *obs.Span
+	err = e.delta.ScanRuns(pid, func(c storage.ClusterID, recs, sums []byte) error {
+		if !f.wants(c) {
+			return nil
 		}
-	}
-	e.stats.RecordsScanned += sc.scanned
-	e.stats.DeltaScanned += sc.scanned
-	e.ix.Cl.Stats.ScanPrunedRecords.Add(int64(sc.pruned))
-	return top, sc.pruned, err
-}
-
-// mergeResults combines the disk scan's top-k with the delta's top-k,
-// deduplicating by ID and keeping the k closest. Any record in the true
-// top-k of the union is in the top-k of whichever population holds it, so
-// the merge is exact. A record transiently in both populations (appended,
-// not yet compacted) carries the same distance in both, so either copy may
-// stand for it. The sort below orders by (Dist, ID) — series.Result.Before,
-// the order both top-k accumulators kept — so a tie at the k-th distance
-// goes to the lower ID, as it does inside each population.
-func mergeResults(disk, delta []series.Result, k int) []series.Result {
-	all := make([]series.Result, 0, len(disk)+len(delta))
-	all = append(all, disk...)
-	all = append(all, delta...)
-	sort.Slice(all, func(i, j int) bool { return all[i].Before(all[j]) })
-	seen := make(map[int]struct{}, len(all))
-	out := all[:0]
-	for _, r := range all {
-		if _, ok := seen[r.ID]; ok {
-			continue
+		if dsp == nil {
+			dsp = ssp.StartChild("delta")
 		}
-		seen[r.ID] = struct{}{}
-		out = append(out, r)
-		if len(out) == k {
-			break
-		}
-	}
-	return out
+		return sc.run(ctx, recs, sums)
+	})
+	scanned, pruned = sc.scanned-scanned, sc.pruned-pruned
+	e.stats.DeltaScanned += scanned
+	dsp.SetAttr("records", int64(scanned))
+	dsp.SetAttr("pruned", int64(pruned))
+	dsp.End()
+	return scanned, pruned, err
 }

@@ -25,10 +25,12 @@
 //     SearchOptions.Prefix and the sink argument: the planner (plan.go)
 //     navigates the skeleton into a ranked list of per-partition
 //     PlanSteps; the executor (exec.go) runs the steps one at a time, in
-//     rank order, on the query's goroutine — stopping at a step boundary
-//     when a Budget is exhausted or a progressive snapshot sink says so —
-//     then widens within loaded partitions when the plan covers fewer
-//     than K records and ranks by true Euclidean distance.
+//     rank order, on the query's goroutine — each step ranking its
+//     partition's files and then the same clusters' delta runs into the
+//     query's one top-k, and the query stopping at a step boundary when a
+//     Budget is exhausted or a progressive snapshot sink says so — then
+//     widens within loaded partitions when the plan covers fewer than K
+//     partition records and ranks by true Euclidean distance.
 //   - RouteNew / Drain (append.go): route new records through the existing
 //     skeleton and merge them into new partition files — each partition's
 //     small tail, folded into a new base when it reaches 1/foldFraction of
@@ -41,13 +43,14 @@
 //     delta. No file changes under its name: a drain or a reindex builds the
 //     next view beside the current one, and SwapGeneration publishes it and
 //     retires the files only older views named, once no query holds one.
-//     A drain gives the view it published a fresh delta; older views keep
-//     the delta that holds what the new files hold. Close stops the
-//     retirements still waiting for a reader.
+//     A drain publishes its files with a fresh delta; older views keep the
+//     delta that holds what the new files hold, so no view holds a record
+//     twice. Close stops the retirements still waiting for a reader.
 //   - DeltaSource (delta.go): the seam through which the streaming
 //     ingestion layer (internal/ingest) makes acked-but-uncompacted
 //     records visible to every search: runs in the partition record
-//     layout, ranked by the partition scan with plan-identical pruning.
+//     layout, ranked in each plan step right after the same clusters of
+//     the partition's files, by the same scan.
 //
 // Layers above: the public climber.DB wraps an Index with the ingestion
 // pipeline; internal/server serves one DB over

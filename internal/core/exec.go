@@ -31,9 +31,11 @@ type Budget struct {
 	// mid-partition, so the overshoot is bounded by one step.
 	Deadline time.Time
 	// MinRecords is a recall proxy: the query stops once at least this
-	// many candidate records have been compared. More candidates compared
-	// means higher expected recall, so a caller can trade accuracy for
-	// latency without reasoning about partitions or time.
+	// many partition records have been compared (RecordsScanned minus
+	// DeltaScanned: the delta records a step ranks beside its partition's
+	// do not count). More candidates compared means higher expected recall,
+	// so a caller can trade accuracy for latency without reasoning about
+	// partitions or time.
 	MinRecords int
 }
 
@@ -64,19 +66,24 @@ func (b Budget) exhausted(partitions, records int) (string, bool) {
 	return "", false
 }
 
-// executor runs one ranked plan through its stages — planned steps, the
-// within-partition widening pass, and the delta merge — accumulating the
-// top-k and the query statistics. It is the pull-based half of the engine:
-// the planner decides *what* could be scanned; the executor decides, step
-// by step and under the budget, *how much* of it actually is.
+// executor runs one ranked plan through its stages — planned steps and the
+// within-partition widening pass, each step ranking its partition's files
+// and delta runs — accumulating the top-k and the query statistics. It is
+// the pull-based half of the engine: the planner decides *what* could be
+// scanned; the executor decides, step by step and under the budget, *how
+// much* of it actually is.
 type executor struct {
 	ix *Index
-	// gen is the generation the caller pinned for the query; partition
-	// opens and the delta merge go through it so a concurrent reindex swap
-	// cannot change what this query observes mid-plan.
-	gen  *Generation
-	plan []PlanStep
-	opts SearchOptions
+	// gen is the view the caller pinned for the query; partition opens and
+	// delta scans go through it so a concurrent drain or reindex swap cannot
+	// change what this query observes mid-plan. delta is its delta (nil
+	// without one), and deltaScan the scan its runs are ranked with, once a
+	// step has delta records to rank (rankDelta).
+	gen       *Generation
+	delta     DeltaSource
+	deltaScan *stepScan
+	plan      []PlanStep
+	opts      SearchOptions
 	// rank is the partition scan's kernel: a record's squared distance to
 	// q, read straight from its encoded bytes and early abandoning against
 	// bound (the current top-k admission threshold). It only reads rec and
@@ -91,19 +98,18 @@ type executor struct {
 	stats *QueryStats
 
 	// executed records what was actually scanned, partition → clusters
-	// (nil = every cluster): the coverage the widening and delta stages
-	// must respect so no record is ever compared twice and the delta merge
-	// prunes exactly like the disk scan did.
+	// (nil = every cluster): the coverage the widening stage must respect so
+	// no record is ever compared twice.
 	executed map[int]map[storage.ClusterID]struct{}
 	// sinkStopped is set the moment a progressive sink returns false; no
 	// further sink invocation may happen after it (the consumer may have
 	// torn down its receiving state).
 	sinkStopped bool
-	// results is the final merged answer (true distances, ascending),
-	// populated by the delta stage.
+	// results is the final answer (true distances, ascending), populated
+	// when the stages are done.
 	results []series.Result
 	// span is the query's active span (nil when untraced); the stage
-	// spans — scan, widen, delta, merge — open as its children.
+	// spans — scan, widen — open as its children.
 	span *obs.Span
 }
 
@@ -120,7 +126,7 @@ type executor struct {
 func newExecutor(ix *Index, g *Generation, plan []PlanStep, q []float64, opts SearchOptions, stats *QueryStats) *executor {
 	q32, n := series.ToFloat32(q), 4*len(q)
 	return &executor{
-		ix: ix, gen: g, plan: plan, opts: opts,
+		ix: ix, gen: g, delta: g.Delta(), plan: plan, opts: opts,
 		rank: func(rec []byte, bound float64) float64 {
 			return series.SqDistEarlyAbandon32Blocked(q32, rec[:n], bound)
 		},
@@ -151,11 +157,10 @@ func (e *executor) run(ctx context.Context, sink func(Snapshot) bool) error {
 	if err := e.widen(ctx, sink); err != nil {
 		return err
 	}
-	if err := e.mergeDelta(ctx); err != nil {
-		return err
-	}
+	final := e.snapshot(true)
+	e.results = final.Results
 	if sink != nil && !e.sinkStopped {
-		sink(e.snapshot(true))
+		sink(final)
 	}
 	return nil
 }
@@ -191,9 +196,11 @@ func (e *executor) scanPlanned(ctx context.Context, sink func(Snapshot) bool) er
 // additional loads — which is why a MaxPartitions-truncated query still
 // widens, while deadline/min-records/callback stops (whose point is to cap
 // work, not I/O) skip it. A fully scanned partition has nothing left, so a
-// plan of whole partitions (OD-Smallest) never widens.
+// plan of whole partitions (OD-Smallest) never widens. Whether the scanned
+// nodes held K records counts partition records only: delta records, ranked
+// beside them, do not stop a query from widening.
 func (e *executor) widen(ctx context.Context, sink func(Snapshot) bool) error {
-	if e.top.Len() >= e.opts.K || e.sinkStopped {
+	if e.stats.RecordsScanned-e.stats.DeltaScanned >= e.opts.K || e.sinkStopped {
 		return nil
 	}
 	switch e.stats.BudgetExhausted {
@@ -229,13 +236,14 @@ func (e *executor) widen(ctx context.Context, sink func(Snapshot) bool) error {
 // The budget is checked before every step but the first planned one: an
 // anytime answer always carries the most promising partition's candidates.
 // A widening run checks before its first step too, since the planned scan
-// already produced an answer. After each step the executed coverage, the
-// planned-step count and the sink's snapshot are brought up to date; a
-// widened step records its partition as fully scanned.
+// already produced an answer. MinRecords counts partition records only
+// (Budget). After each step the executed coverage, the planned-step count
+// and the sink's snapshot are brought up to date; a widened step records its
+// partition as fully scanned.
 func (e *executor) runSteps(ctx context.Context, steps []PlanStep, budget Budget, widening bool, sink func(Snapshot) bool, span *obs.Span) error {
 	for i, st := range steps {
 		if i > 0 || widening {
-			if reason, stop := budget.exhausted(e.stats.PartitionsScanned, e.stats.RecordsScanned); stop {
+			if reason, stop := budget.exhausted(e.stats.PartitionsScanned, e.stats.RecordsScanned-e.stats.DeltaScanned); stop {
 				e.markPartial(reason)
 				return nil
 			}
@@ -256,45 +264,13 @@ func (e *executor) runSteps(ctx context.Context, steps []PlanStep, budget Budget
 	return nil
 }
 
-// mergeDelta folds acked-but-uncompacted writes into the final answer and
-// finalises results (true distances, ascending). It runs even on partial
-// answers: delta records are resident by definition, so merging them costs
-// no I/O and only improves the snapshot.
-func (e *executor) mergeDelta(ctx context.Context) error {
-	dsp := e.span.StartChild("delta")
-	deltaTop, pruned, err := e.scanDelta(ctx)
-	dsp.SetAttr("records", int64(e.stats.DeltaScanned))
-	dsp.SetAttr("pruned", int64(pruned))
-	dsp.End()
-	if err != nil {
-		return err
-	}
-	msp := e.span.StartChild("merge")
-	defer msp.End()
+// snapshot captures the current answer, true distances ascending; the
+// final snapshot is exactly the query's result set. Every snapshot holds the
+// delta records of the steps run so far, ranked with their partitions.
+func (e *executor) snapshot(final bool) Snapshot {
 	results := e.top.Results()
-	if deltaTop != nil {
-		results = mergeResults(results, deltaTop.Results(), e.opts.K)
-	}
 	for i := range results {
 		results[i].Dist = math.Sqrt(results[i].Dist)
-	}
-	e.results = results
-	msp.SetAttr("results", int64(len(results)))
-	return nil
-}
-
-// snapshot captures the current answer. Non-final snapshots report the
-// disk-scan top-k (delta hits join at the final merge); the final snapshot
-// is exactly the query's result set.
-func (e *executor) snapshot(final bool) Snapshot {
-	var results []series.Result
-	if final {
-		results = e.results
-	} else {
-		results = e.top.Results()
-		for i := range results {
-			results[i].Dist = math.Sqrt(results[i].Dist)
-		}
 	}
 	return Snapshot{
 		Results:      results,
@@ -313,12 +289,14 @@ const cancelCheckStride = 256
 
 // scanStep scans one step, folding candidates into the query's top-k with
 // early-abandoning distances, each record checked first against its summary
-// lower bound (stepScan.run). A planned step scans its listed clusters
-// (nil = every cluster) and charges its partition load to the statistics. A
-// widening step scans every cluster its planned step did not compare
-// (widening must not compare a record twice) and charges no load, because
-// its partition is already resident. Which record wins a tie at the k-th
-// distance does not depend on the scan order: the accumulator orders by
+// lower bound (stepScan.run): the step's clusters in the partition's files,
+// then the same clusters' runs in the view's delta (rankDelta). A planned
+// step scans its listed clusters (nil = every cluster) and charges its
+// partition load to the statistics. A widening step scans every cluster its
+// planned step did not compare (widening must not compare a record twice),
+// delta-only clusters the files do not list included, and charges no load,
+// because its partition is already resident. Which record wins a tie at the
+// k-th distance does not depend on the scan order: the accumulator orders by
 // (distance, ID), and the scan offers it every record not above the bound.
 //
 // The scan is cancellable: it checks ctx before opening the partition, and
@@ -330,8 +308,8 @@ const cancelCheckStride = 256
 //
 // stage, when traced, receives one "partition" child span for the step,
 // carrying the partition ID, the bytes charged and the records pruned by
-// summary — the per-trace attribution of effort that aggregate QueryStats
-// cannot give.
+// summary, those of its "delta" child included — the per-trace attribution
+// of effort that aggregate QueryStats cannot give.
 func (e *executor) scanStep(ctx context.Context, st PlanStep, widening bool, stage *obs.Span) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -359,25 +337,41 @@ func (e *executor) scanStep(ctx context.Context, st PlanStep, widening bool, sta
 		ssp.SetAttr("bytes", bytes)
 	}
 	run := func(recs, sums []byte) error { return sc.run(ctx, recs, sums) }
-	// The directory lists clusters by ascending ID. A planned step keeps its
-	// own clusters; a widening step skips the ones its planned step
-	// compared, which executed still records until this step ends.
-	var done map[storage.ClusterID]struct{}
+	// A widening step skips the clusters its planned step compared, which
+	// executed still records until this step ends.
+	f := clusterFilter{planned: st.Clusters}
 	if widening {
-		done = e.executed[st.Partition]
+		f.done = e.executed[st.Partition]
 	}
 	for _, ci := range p.Clusters() {
-		if _, ok := done[ci.ID]; ok {
-			continue
-		}
-		if _, ok := st.Clusters[ci.ID]; st.Clusters != nil && !ok {
+		if !f.wants(ci.ID) {
 			continue
 		}
 		if err := p.ScanClusterRuns(ci.ID, run); err != nil {
 			return err
 		}
 	}
-	return nil
+	if e.delta == nil || e.delta.Len() == 0 {
+		return nil
+	}
+	scanned, pruned, err := e.rankDelta(ctx, st.Partition, f, ssp)
+	sc.scanned += scanned
+	sc.pruned += pruned
+	return err
+}
+
+// clusterFilter picks the clusters one step ranks, in the partition's files
+// and in the delta alike: a planned step its own (planned nil = every
+// cluster), a widening step every cluster its planned step did not compare
+// (done).
+type clusterFilter struct {
+	planned, done map[storage.ClusterID]struct{}
+}
+
+func (f clusterFilter) wants(c storage.ClusterID) bool {
+	_, compared := f.done[c]
+	_, listed := f.planned[c]
+	return !compared && (f.planned == nil || listed)
 }
 
 // stepScan is one step's scan: the top-k it ranks into, what it charges
@@ -406,8 +400,9 @@ func (sc *stepScan) bound() float64 {
 var summaryFilter = true
 
 // run ranks one run of records — recs holds them as the partition file
-// does, sums their summaries (nil in a version-2 file) — into the top-k, cancelCheckStride records at a time, checking ctx before each
-// stretch — the partition steps' and the delta's one cancellation stride.
+// does, sums their summaries (nil in a version-2 file) — into the top-k,
+// cancelCheckStride records at a time, checking ctx before each stretch —
+// the one cancellation stride of partition and delta runs alike.
 //
 // While the bound is finite, each stretch starts with a pass over its
 // summaries that computes every record's lower bound and keeps the records

@@ -174,3 +174,94 @@ func TestTiesIndependentOfScanMode(t *testing.T) {
 		t.Fatal("no query had a tie at the k-th distance; the fixture does not exercise ties")
 	}
 }
+
+// A delta ranked beside the partitions changes what a query finds, never the
+// partition effort it spends: with and without an installed delta every
+// query loads the same partitions, compares the same partition records
+// (RecordsScanned − DeltaScanned), runs the same steps and stops for the same
+// reason, because the widen decision and Budget.MinRecords count partition
+// records only. The delta crowds record 700's cluster, one of two in its
+// partition, with copies of it, more than K, so a step's delta records alone
+// fill the top-k there.
+func TestDeltaLeavesPartitionEffortAlone(t *testing.T) {
+	ix, ds, _, _ := buildTestIndex(t, 1500, testConfig())
+	recs := copiesOf(ix, ds.Get(700), 400)
+	qs := [][]float64{ds.Get(700), ds.Get(3)}
+	var opts []SearchOptions
+	for _, v := range []Variant{VariantKNN, VariantAdaptive2X, VariantAdaptive4X, VariantODSmallest} {
+		for _, k := range []int{10, 150, 300} {
+			opts = append(opts, SearchOptions{K: k, Variant: v}, SearchOptions{K: k, Variant: v, Budget: Budget{MinRecords: 120}})
+		}
+	}
+	answer := func() (out []QueryStats) {
+		for _, q := range qs {
+			for _, o := range opts {
+				res, err := ix.Search(q, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, res.Stats)
+			}
+		}
+		return out
+	}
+	without := answer()
+	ix.SetDelta(summaryDelta(t, recs))
+	with := answer()
+	crowded := 0
+	for i, got := range with {
+		want := without[i]
+		if o := opts[i%len(opts)]; o.Variant != VariantODSmallest && o.Budget.MinRecords == 0 &&
+			got.DeltaScanned >= o.K && want.RecordsScanned < o.K {
+			crowded++ // widened without the delta, and must still widen with it
+		}
+		got.RecordsScanned -= got.DeltaScanned
+		got.DeltaScanned = 0
+		if got != want {
+			t.Fatalf("query %d %+v: partition effort with the delta %+v, without %+v", i/len(opts), opts[i%len(opts)], got, want)
+		}
+	}
+	if crowded == 0 {
+		t.Fatal("test premise broken: no query ranked more than K delta records beside fewer than K partition records")
+	}
+}
+
+// A widening step ranks every delta cluster its planned step did not,
+// clusters the partition's file does not list included: a record routed to
+// a cluster no build record went to is found once its query widens, or
+// scans its partition whole.
+func TestWideningRanksDeltaOnlyClusters(t *testing.T) {
+	ix, ds, _, _ := buildTestIndex(t, 1500, testConfig())
+	rec := copiesOf(ix, ds.Get(700), 1)
+	rec[0].Route.Cluster = 1 << 30 // listed by no partition file
+	id := rec[0].ID
+	ix.SetDelta(summaryDelta(t, rec))
+	for _, v := range []Variant{VariantKNN, VariantODSmallest} {
+		res, err := ix.Search(ds.Get(700), SearchOptions{K: 150, Variant: v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for _, r := range res.Results {
+			found = found || r.ID == id && r.Dist == 0
+		}
+		if !found || res.Stats.DeltaScanned != 1 {
+			t.Fatalf("%v: the delta-only record %d found %v, %d delta records scanned", v, id, found, res.Stats.DeltaScanned)
+		}
+	}
+}
+
+// copiesOf routes n copies of series s, rounded to float32 as the index
+// stores them, under fresh IDs.
+func copiesOf(ix *Index, s []float64, n int) []Routed {
+	vals := make([]float64, len(s))
+	for j, v := range s {
+		vals[j] = float64(float32(v))
+	}
+	first := ix.ReserveIDs(n)
+	recs := make([]Routed, n)
+	for i := range recs {
+		recs[i] = Routed{ID: first + i, Route: ix.RouteNew(first+i, vals), Values: vals}
+	}
+	return recs
+}

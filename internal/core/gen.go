@@ -82,7 +82,8 @@ type Generation struct {
 
 	// delta is the in-memory index of appends routed under this
 	// generation's skeleton but not yet compacted into its partition files.
-	// The views a drain publishes share it with the view they replace.
+	// It holds no record its files hold: a drain publishes the files it wrote
+	// with a delta that lacks their records.
 	deltaMu sync.RWMutex
 	delta   DeltaSource
 
@@ -223,8 +224,10 @@ func (ix *Index) retire(old, cur *Generation) {
 // Skeleton returns the current generation's skeleton.
 func (ix *Index) Skeleton() *Skeleton { return ix.gen.Load().Skel }
 
-// Partitions returns the current view's partition set, unpinned: a drain may
-// retire its files meanwhile, so a reader of them holds AcquireGeneration.
+// Partitions returns the current view's partition set, unpinned, for its
+// metadata only (paths, counts, the series length): a drain may retire its
+// files meanwhile, so a reader of them, or of the view's delta, pins a view
+// with AcquireGeneration and reads both through it.
 func (ix *Index) Partitions() *cluster.PartitionSet { return ix.gen.Load().Parts }
 
 // crashHook, when set by a test, observes every durability step of the

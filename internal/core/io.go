@@ -446,25 +446,26 @@ const (
 	legacyTailsMagic = "TAIL"
 )
 
-// readTails reads the manifest's tail section into parts, if br holds one;
-// resolve turns a stored path into the file's. A legacy tail is live only
-// while its base holds exactly the records the manifest gives the base: a
-// fold there renamed its new base in before it removed the tail and the
-// manifest was saved, so after a kill in that window the base holds the
-// tail's records and the tail must not be read beside it. The partition is
-// then its base alone (its Counts entry, the WAL replay baseline, stays the
-// manifest's; the killed drain's replayed records fold into the base on the
-// next one), and a writer's open sweeps the tail. The base is read through
-// the store, whose mapping then serves the queries.
-func readTails(cl *cluster.Cluster, br *binReader, parts *cluster.PartitionSet, resolve func(string) string) error {
+// readTails reads the manifest's tail section into parts, if br holds one,
+// and reports whether it is the legacy one; resolve turns a stored path into
+// the file's. A legacy tail is live only while its base holds exactly the
+// records the manifest gives the base: a fold there renamed its new base in
+// before it removed the tail and the manifest was saved, so after a kill in
+// that window the base holds the tail's records and the tail must not be
+// read beside it. The partition is then its base alone (its Counts entry, the
+// WAL replay baseline, stays the manifest's; a writer's open folds the killed
+// drain's replayed records into the base, see LegacyTails), and a writer's
+// open sweeps the tail. The base is read through the store, whose mapping
+// then serves the queries.
+func readTails(cl *cluster.Cluster, br *binReader, parts *cluster.PartitionSet, resolve func(string) string) (legacy bool, err error) {
 	if br.r.Len() == 0 {
-		return nil
+		return false, nil
 	}
 	magic := make([]byte, len(tailsMagic))
 	br.raw(magic)
-	legacy := string(magic) == legacyTailsMagic
+	legacy = string(magic) == legacyTailsMagic
 	if br.err != nil || !legacy && string(magic) != tailsMagic {
-		return fmt.Errorf("core: corrupt manifest trailer")
+		return false, fmt.Errorf("core: corrupt manifest trailer")
 	}
 	parts.Tails, parts.TailPaths = make([]int, len(parts.Paths)), make([]string, len(parts.Paths))
 	for pid, base := range parts.Paths {
@@ -475,7 +476,7 @@ func readTails(cl *cluster.Cluster, br *binReader, parts *cluster.PartitionSet, 
 		}
 		n := br.i()
 		if br.err != nil || n < 0 || n > parts.Counts[pid] || !legacy && (n == 0) != (len(stored) == 0) {
-			return fmt.Errorf("core: corrupt tail of partition %d", pid)
+			return false, fmt.Errorf("core: corrupt tail of partition %d", pid)
 		}
 		tail := cluster.TailPath(base)
 		if !legacy {
@@ -484,7 +485,7 @@ func readTails(cl *cluster.Cluster, br *binReader, parts *cluster.PartitionSet, 
 		if n > 0 && legacy {
 			h, err := cl.OpenPartition(&cluster.PartitionSet{Paths: []string{base}}, 0)
 			if err != nil {
-				return err
+				return false, err
 			}
 			if h.Count() != parts.Counts[pid]-n {
 				n = 0
@@ -495,8 +496,15 @@ func readTails(cl *cluster.Cluster, br *binReader, parts *cluster.PartitionSet, 
 			parts.Tails[pid], parts.TailPaths[pid] = n, tail
 		}
 	}
-	return nil
+	return legacy, nil
 }
+
+// LegacyTails reports whether the index was opened from a manifest with the
+// legacy TAIL trailer. A drain of that layout killed before its manifest save
+// may have left records in partition files that the WAL replays too, so a
+// writer's open lands the replay with a fold of every partition it touches
+// (ingest.Open): the fold replaces a record already in the files.
+func (ix *Index) LegacyTails() bool { return ix.legacyTails }
 
 // OpenIndex loads index metadata saved by SaveIndex and attaches it to the
 // given cluster for partition I/O accounting. The file is small (the
@@ -540,10 +548,11 @@ func OpenIndex(cl *cluster.Cluster, path string) (*Index, error) {
 	if br.err != nil {
 		return nil, fmt.Errorf("core: read manifest: %w", br.err)
 	}
-	if err := readTails(cl, br, parts, resolve); err != nil {
+	legacy, err := readTails(cl, br, parts, resolve)
+	if err != nil {
 		return nil, err
 	}
-	ix := &Index{Cl: cl}
+	ix := &Index{Cl: cl, legacyTails: legacy}
 	ix.gen.Store(NewGeneration(skel, parts))
 	ix.initNextID()
 	return ix, nil

@@ -62,22 +62,16 @@ func legacySearchContext(ctx context.Context, ix *Index, q []float64, opts Searc
 	// onto the blocked early-abandon kernel, and the zero-copy read path
 	// moved disk scans onto the raw float32 kernel (the query rounded to
 	// storage precision once, records ranked straight from their encoded
-	// bytes). The delta merge still ranks decoded float64 records in both
-	// paths, so its kernel stays float64.
+	// bytes).
 	q32 := series.ToFloat32(q)
 	rawDist := func(rec []byte, bound float64) float64 {
 		return series.SqDistEarlyAbandon32Blocked(q32, rec, bound)
-	}
-	dist := func(values []float64, bound float64) float64 {
-		return series.SqDistEarlyAbandonBlocked(q, values, bound)
 	}
 	if err := legacyExecutePlanDist(ctx, ix, plan, nil, top, true, &stats, rawDist); err != nil {
 		return nil, err
 	}
 
-	widened := false
 	if opts.Variant != VariantODSmallest && top.Len() < opts.K {
-		widened = true
 		wplan := make(legacyPlan, len(plan))
 		for pid := range plan {
 			wplan[pid] = nil
@@ -87,15 +81,7 @@ func legacySearchContext(ctx context.Context, ix *Index, q []float64, opts Searc
 		}
 	}
 
-	deltaTop, err := legacyScanDelta(ctx, ix, plan, widened, opts.K, &stats, dist)
-	if err != nil {
-		return nil, err
-	}
-
 	results := top.Results()
-	if deltaTop != nil {
-		results = mergeResults(results, deltaTop.Results(), opts.K)
-	}
 	for i := range results {
 		results[i].Dist = math.Sqrt(results[i].Dist)
 	}
@@ -156,23 +142,17 @@ func legacySearchPrefixContext(ctx context.Context, ix *Index, q []float64, opts
 
 	top := series.NewTopK(opts.K)
 	prefixLen := len(q)
-	// Same lockstep kernel switches as legacySearchContext: the regression
-	// pin requires both paths to share one accumulation order, on disk (raw
-	// float32 over the record's first prefixLen readings) and in the delta
-	// (decoded float64).
+	// Same lockstep kernel switch as legacySearchContext: the regression
+	// pin requires both paths to share one accumulation order (raw float32
+	// over the record's first prefixLen readings).
 	q32 := series.ToFloat32(q)
 	rawDist := func(rec []byte, bound float64) float64 {
 		return series.SqDistEarlyAbandon32Blocked(q32, rec[:4*prefixLen], bound)
 	}
-	dist := func(values []float64, bound float64) float64 {
-		return series.SqDistEarlyAbandonBlocked(q, values[:prefixLen], bound)
-	}
 	if err := legacyExecutePlanDist(ctx, ix, plan, nil, top, true, &stats, rawDist); err != nil {
 		return nil, err
 	}
-	widened := false
 	if opts.Variant != VariantODSmallest && top.Len() < opts.K {
-		widened = true
 		wplan := make(legacyPlan, len(plan))
 		for pid := range plan {
 			wplan[pid] = nil
@@ -182,15 +162,7 @@ func legacySearchPrefixContext(ctx context.Context, ix *Index, q []float64, opts
 		}
 	}
 
-	deltaTop, err := legacyScanDelta(ctx, ix, plan, widened, opts.K, &stats, dist)
-	if err != nil {
-		return nil, err
-	}
-
 	results := top.Results()
-	if deltaTop != nil {
-		results = mergeResults(results, deltaTop.Results(), opts.K)
-	}
 	for i := range results {
 		results[i].Dist = math.Sqrt(results[i].Dist)
 	}
@@ -494,39 +466,4 @@ func legacyExecutePlanDist(ctx context.Context, ix *Index, plan, done legacyPlan
 	}
 	stats.RecordsScanned += int(recordsScanned.Load())
 	return err
-}
-
-func legacyScanDelta(ctx context.Context, ix *Index, plan legacyPlan, widened bool, k int, stats *QueryStats,
-	dist func(values []float64, bound float64) float64) (*series.TopK, error) {
-	d := ix.Delta()
-	if d == nil || d.Len() == 0 {
-		return nil, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	top := series.NewTopK(k)
-	scan := func(id int, values []float64) error {
-		stats.RecordsScanned++
-		stats.DeltaScanned++
-		bound := math.Inf(1)
-		if b, ok := top.Bound(); ok {
-			bound = b
-		}
-		if dd := dist(values, bound); dd < bound {
-			top.Push(id, dd)
-		}
-		return nil
-	}
-	for pid, clusters := range plan {
-		if widened {
-			clusters = nil
-		}
-		if err := d.(interface {
-			ScanPartition(int, map[storage.ClusterID]struct{}, func(int, []float64) error) error
-		}).ScanPartition(pid, clusters, scan); err != nil {
-			return nil, err
-		}
-	}
-	return top, nil
 }

@@ -270,3 +270,30 @@ func TestProgressivePrefixMatchesPlain(t *testing.T) {
 		assertSameResults(t, "progressive prefix", got.Results, want.Results)
 	}
 }
+
+// Every progressive snapshot holds the fresh writes of the steps run so far:
+// the first snapshot of a query for record 700, whose copy sits in the
+// delta, already ranks the copy at distance 0.
+func TestSnapshotsHoldFreshWrites(t *testing.T) {
+	ix, ds, _, _ := buildTestIndex(t, 1500, testConfig())
+	rec := copiesOf(ix, ds.Get(700), 1)
+	id := rec[0].ID
+	ix.SetDelta(summaryDelta(t, rec))
+	var first *Snapshot
+	_, err := ix.Query(context.Background(), ds.Get(700), SearchOptions{K: 10, Variant: VariantAdaptive4X}, func(s Snapshot) bool {
+		if first == nil {
+			first = &s
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, r := range first.Results {
+		found = found || r.ID == id && r.Dist == 0
+	}
+	if first.Final || !found || first.Stats.DeltaScanned != 1 {
+		t.Fatalf("first snapshot (final %v, %d delta records scanned) lacks the fresh write %d: %+v", first.Final, first.Stats.DeltaScanned, id, first.Results)
+	}
+}

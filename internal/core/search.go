@@ -151,8 +151,8 @@ type QueryStats struct {
 	TargetNodeSize, TargetPathLen int
 	// PartitionsScanned counts distinct partitions loaded.
 	PartitionsScanned int
-	// RecordsScanned counts raw series compared with ED, including delta
-	// records merged from the in-memory ingestion index.
+	// RecordsScanned counts raw series compared with ED, including the
+	// delta records each step ranks beside its partition's (DeltaScanned).
 	RecordsScanned int
 	// BytesLoaded approximates I/O as full-partition loads, the unit the
 	// paper's query-time model charges for.
@@ -194,11 +194,13 @@ type SearchResult struct {
 }
 
 // Snapshot is one progressive answer emitted to a Query sink: the best
-// top-k assembled after a plan step. Snapshots are monotonically
-// non-worsening — each one's result set is at least as large and its k-th
-// distance at least as small as the previous one's, because the underlying
-// accumulator only ever improves (the ProS observation: progressive kNN
-// answers converge toward the final result as more data is touched).
+// top-k assembled after a plan step, fresh writes included — each step ranks
+// its partition's delta records with its files'. Snapshots are
+// monotonically non-worsening — each one's result set is at least as large
+// and its k-th distance at least as small as the previous one's, because the
+// underlying accumulator only ever improves (the ProS observation:
+// progressive kNN answers converge toward the final result as more data is
+// touched).
 type Snapshot struct {
 	// Results are the current approximate nearest neighbours, true
 	// (non-squared) Euclidean distances, ascending.
@@ -207,7 +209,7 @@ type Snapshot struct {
 	// plan's total, so Step/StepsPlanned is the coverage fraction.
 	Step, StepsPlanned int
 	// Final marks the last snapshot: its Results are exactly the query's
-	// result set, including any delta-merged in-memory records.
+	// result set.
 	Final bool
 	// Stats is the effort accumulated so far.
 	Stats QueryStats
@@ -265,9 +267,9 @@ func (ix *Index) Query(ctx context.Context, q []float64, opts SearchOptions, sin
 	if opts.K <= 0 {
 		return nil, fmt.Errorf("core: K must be positive, got %d", opts.K)
 	}
-	// Pin the generation for the whole query: skeleton navigation, partition
-	// scans, and the delta merge all read one consistent snapshot even if an
-	// online reindex swaps the index mid-query.
+	// Pin the view for the whole query: skeleton navigation, partition scans
+	// and delta scans all read one consistent snapshot even if a drain or an
+	// online reindex publishes the next view mid-query.
 	g := ix.AcquireGeneration()
 	defer g.Release()
 	skel := g.Skel

@@ -91,12 +91,12 @@ func summaryDelta(t *testing.T, recs []Routed) *testDelta {
 	return d
 }
 
-func (d *testDelta) ScanRuns(pid int, clusters map[storage.ClusterID]struct{}, fn func(recs, sums []byte) error) error {
+func (d *testDelta) ScanRuns(pid int, fn func(c storage.ClusterID, recs, sums []byte) error) error {
 	for route, run := range d.runs {
-		if _, ok := clusters[route.Cluster]; route.Partition != pid || clusters != nil && !ok {
+		if route.Partition != pid {
 			continue
 		}
-		if err := fn(run[0], run[1]); err != nil {
+		if err := fn(route.Cluster, run[0], run[1]); err != nil {
 			return err
 		}
 	}
@@ -113,7 +113,7 @@ type answer struct {
 
 // runSummaryQueries answers every query under every variant, K ∈ {1, 50,
 // 200}, whole and as a prefix. It also returns the records the delta stage
-// skipped by their summaries, read from each query's "delta" span.
+// skipped by their summaries, read from the "delta" spans of its steps.
 func runSummaryQueries(t *testing.T, ix *Index, qs [][]float64) (out []answer, deltaPruned int64) {
 	t.Helper()
 	for qi, q := range qs {
@@ -130,8 +130,12 @@ func runSummaryQueries(t *testing.T, ix *Index, qs [][]float64) (out []answer, d
 						t.Fatal(err)
 					}
 					for _, stage := range tr.Root().Data().Children {
-						if stage.Name == "delta" {
-							deltaPruned += stage.Attrs["pruned"]
+						for _, step := range stage.Children {
+							for _, d := range step.Children {
+								if d.Name == "delta" {
+									deltaPruned += d.Attrs["pruned"]
+								}
+							}
 						}
 					}
 					out = append(out, answer{res, fmt.Sprintf("query %d %v K=%d prefix=%v", qi, v, k, prefix)})

@@ -410,9 +410,9 @@ func TestOpenKeepsOnlyLiveTails(t *testing.T) {
 	}
 }
 
-// A drain that fails part-way is retried with the same IDs, some of which
-// already sit in the files the first attempt did write — in a base, where it
-// folded. The retry must replace them, not put a second copy in a tail.
+// A drain that fails part-way, after it folded some partitions, removes every
+// file it wrote, so its retry with the same IDs stores each record once,
+// where its route says, and later drains write tails again.
 func TestRetriedDrainReplacesWhatLanded(t *testing.T) {
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("no /dev/full to fail a write with")

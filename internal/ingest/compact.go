@@ -167,7 +167,11 @@ type Ingester struct {
 // Replay is idempotent across the crash window: entries whose ID precedes
 // the persisted record count were already compacted before the crash (IDs
 // are dense and sequential) and are skipped, so a kill between manifest
-// save and WAL truncation cannot duplicate records.
+// save and WAL truncation cannot duplicate records. Over a manifest of the
+// legacy layout (core.Index.LegacyTails) a killed drain may also have put
+// replayed records in partition files; there Open lands the replay before it
+// returns, with a fold of every partition it touches, which replaces what is
+// already there, and saves the view's manifest in the current format.
 func Open(ix *core.Index, walPath string, save func(view *core.Generation) error, cfg Config) (*Ingester, error) {
 	cfg = cfg.withDefaults()
 	wal, entries, err := OpenWAL(walPath, ix.Skeleton().SeriesLen)
@@ -188,11 +192,19 @@ func Open(ix *core.Index, walPath string, save func(view *core.Generation) error
 		}
 		routed = append(routed, core.Routed{ID: e.ID, Route: ix.RouteNew(e.ID, e.Values), Values: e.Values})
 	}
-	if err := delta.Add(routed); err != nil {
-		return nil, errors.Join(err, wal.Close())
-	}
 	if maxID >= 0 {
 		ix.EnsureNextID(maxID + 1)
+	}
+	var st core.DrainStats
+	if ix.LegacyTails() && len(routed) > 0 {
+		if st, err = ix.Drain(routed, true, delta, save); err == nil {
+			err = wal.Reset()
+		}
+	} else {
+		err = delta.Add(routed)
+	}
+	if err != nil {
+		return nil, errors.Join(err, wal.Close())
 	}
 	ix.SetDelta(delta)
 
@@ -208,6 +220,7 @@ func Open(ix *core.Index, walPath string, save func(view *core.Generation) error
 		done:        make(chan struct{}),
 	}
 	g.delta.Store(delta)
+	g.written(st)
 	g.replayedSeries.Store(int64(len(routed)))
 	g.walBytes.Store(wal.Size())
 	go g.run()
@@ -297,7 +310,7 @@ func (g *Ingester) Barrier(ctx context.Context, fn func() error) error {
 		}
 		// The WAL is empty now: a kill in the fold loses nothing, and the
 		// next open sees the view of the last manifest saved.
-		st, err := g.ix.Drain(nil, true, g.save)
+		st, err := g.ix.Drain(nil, true, nil, g.save)
 		g.written(st)
 		if err != nil {
 			return fmt.Errorf("ingest: fold tails: %w", err)
@@ -522,26 +535,22 @@ func (g *Ingester) written(st core.DrainStats) {
 // Ordering is what makes a crash at any point safe:
 //
 //  1. write the records into new partition files — per partition a new
-//     tail, or on a fold a new base — and build the view that names them; a
-//     crash here leaves files no manifest names, which the next open
-//     sweeps, and the records in the WAL;
+//     tail, or on a fold a new base — and build the view that names them,
+//     with a fresh delta; a crash here leaves files no manifest names, which
+//     the next open sweeps, and the records in the WAL;
 //  2. persist the view's manifest (save) — from here the counts (and the ID
 //     counter they seed) include the compacted records, and replay skips
 //     them;
-//  3. publish the view: queries see the new files, and the files only
-//     earlier views named are removed once no query holds those views (a
-//     crash before that leaves them to the next open's sweep);
-//  4. truncate the WAL — replay now has nothing to re-apply;
-//  5. give the published view a fresh delta; earlier views keep the old
-//     one, so a query pinned before the publish still finds the drained
-//     records in it.
+//  3. publish the view: queries see the new files and the fresh delta in
+//     one swap, and the files only earlier views named are removed once no
+//     query holds those views (a crash before that leaves them to the next
+//     open's sweep); earlier views keep the old delta, so a query pinned
+//     before the publish still finds the drained records in it;
+//  4. truncate the WAL — replay now has nothing to re-apply.
 //
-// Steps 1 to 3 are one core.Index.Drain.
-//
-// Searches running concurrently may see a record in both the delta and a
-// partition file between steps 3 and 5; the search path deduplicates
-// results by ID, and the copies carry identical bytes (one encoder wrote
-// both), so they rank at identical distances.
+// Steps 1 to 3 are one core.Index.Drain. No view shows a record twice: the
+// published one holds the drained records in its files only, the earlier
+// ones in their delta only.
 func (g *Ingester) compactLocked() error {
 	if g.paused {
 		// An online reindex owns the compaction baseline right now; the
@@ -554,21 +563,17 @@ func (g *Ingester) compactLocked() error {
 		return nil
 	}
 	begin := time.Now()
-	st, err := g.ix.Drain(recs, false, g.save)
+	fresh := NewMemDelta()
+	st, err := g.ix.Drain(recs, false, fresh, g.save)
 	g.written(st)
 	if err != nil {
 		return fmt.Errorf("ingest: compact: %w", err)
 	}
+	g.delta.Store(fresh)
 	core.CrashStep("wal-reset")
 	if err := g.wal.Reset(); err != nil {
 		return err
 	}
-	// The published view's files hold the records now, so it gets a fresh
-	// delta. Views published before it keep the old one: a query pinned to
-	// one of them reads files that lack the records, and finds them in it.
-	fresh := NewMemDelta()
-	g.ix.SetDelta(fresh)
-	g.delta.Store(fresh)
 	g.walBytes.Store(g.wal.Size())
 	g.compactions.Add(1)
 	g.compactedSeries.Add(int64(len(recs)))

@@ -3,6 +3,7 @@ package ingest
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"log/slog"
 	"path/filepath"
@@ -16,6 +17,7 @@ import (
 	"climber/internal/cluster"
 	"climber/internal/core"
 	"climber/internal/dataset"
+	"climber/internal/storage"
 )
 
 func testConfig() core.Config {
@@ -159,6 +161,44 @@ func TestQueryPinnedAcrossDrainSeesDrainedRecords(t *testing.T) {
 	}
 }
 
+// The view a drain publishes holds each record once, in its files or in its
+// delta: at the WAL reset, right after the publish, the current view is
+// pinned and read whole, drain after drain, tails and folds alike.
+func TestPublishedViewNeverHoldsARecordTwice(t *testing.T) {
+	ix, dir := buildIndex(t, 1200)
+	g := openIngester(t, ix, dir, Config{CompactRecords: 1 << 20, CompactAge: time.Hour})
+	defer g.Close()
+	checked := 0
+	core.SetCrashStepHook(func(step string) {
+		if step != "wal-reset" {
+			return
+		}
+		view := ix.AcquireGeneration()
+		defer view.Release()
+		files, delta := viewRecords(t, ix, view)
+		for id := range delta {
+			if files[id] > 0 {
+				t.Fatalf("drain %d: record %d is in the published view's files and in its delta", checked, id)
+			}
+		}
+		checked++
+	})
+	defer core.SetCrashStepHook(nil)
+	ctx := context.Background()
+	series := freshSeries(200)
+	for i := 0; i < len(series); i += 40 {
+		if _, err := g.Append(ctx, series[i:i+40]); err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Flush(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := g.Stats(); checked != 5 || st.Folds == 0 || st.TailBytesWritten == 0 {
+		t.Fatalf("%d views checked, %d folds, %d tail bytes: want five drains that wrote tails and folds", checked, st.Folds, st.TailBytesWritten)
+	}
+}
+
 // Flush drains the delta into partition files, truncates the WAL, and
 // leaves every record still findable.
 func TestFlushCompacts(t *testing.T) {
@@ -286,7 +326,7 @@ func TestCrashBetweenCompactAndTruncateIsIdempotent(t *testing.T) {
 	save := func(next *core.Generation) error {
 		return core.SaveSnapshot(next.Skel, next.Parts, filepath.Join(dir, "index.clms"))
 	}
-	if _, err := ix.Drain(snapshotOf(g), false, save); err != nil {
+	if _, err := ix.Drain(snapshotOf(g), false, NewMemDelta(), save); err != nil {
 		t.Fatal(err)
 	}
 
@@ -308,37 +348,59 @@ func TestCrashBetweenCompactAndTruncateIsIdempotent(t *testing.T) {
 	requireStoredOnce(t, ix2, 1010)
 }
 
-// requireStoredOnce scans every partition, base and tail, and fails unless the
-// files hold exactly the IDs 0..want-1, each once, and the manifest counts
-// the same.
+// requireStoredOnce scans every partition, base and tail, of one pinned view
+// and fails unless its files hold exactly the IDs 0..want-1, each once, its
+// delta holds none of them, and its manifest counts the same.
 func requireStoredOnce(t *testing.T, ix *core.Index, want int) {
 	t.Helper()
-	seen := map[int]int{}
-	for pid := range ix.Partitions().Paths {
-		p, err := ix.Cl.OpenPartition(ix.Partitions(), pid)
+	view := ix.AcquireGeneration()
+	defer view.Release()
+	seen, delta := viewRecords(t, ix, view)
+	for id := 0; id < want; id++ {
+		if seen[id] != 1 || delta[id] {
+			t.Fatalf("record %d stored %d times, in the delta %v; want once, in the files only", id, seen[id], delta[id])
+		}
+	}
+	if len(seen) != want {
+		t.Fatalf("partition files hold %d distinct IDs, want %d", len(seen), want)
+	}
+	if got := view.Parts.Len(); got != want {
+		t.Fatalf("the manifest counts %d records, want %d", got, want)
+	}
+}
+
+// viewRecords reads a pinned view whole: how often each ID is in its
+// partition files, and which IDs its delta holds.
+func viewRecords(t *testing.T, ix *core.Index, view *core.Generation) (files map[int]int, delta map[int]bool) {
+	t.Helper()
+	files, delta = map[int]int{}, map[int]bool{}
+	recBytes := storage.RecordBytes(view.Parts.SeriesLen)
+	for pid := range view.Parts.Paths {
+		p, err := ix.Cl.OpenPartition(view.Parts, pid)
 		if err != nil {
 			t.Fatal(err)
 		}
 		err = p.ScanAll(func(id int, values []float64) error {
-			seen[id]++
+			files[id]++
 			return nil
 		})
 		p.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	for id := 0; id < want; id++ {
-		if seen[id] != 1 {
-			t.Fatalf("record %d stored %d times, want once", id, seen[id])
+		if d := view.Delta(); d != nil {
+			err := d.ScanRuns(pid, func(_ storage.ClusterID, recs, _ []byte) error {
+				for off := 0; off < len(recs); off += recBytes {
+					delta[int(binary.LittleEndian.Uint64(recs[off:]))] = true
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	if len(seen) != want {
-		t.Fatalf("partition files hold %d distinct IDs, want %d", len(seen), want)
-	}
-	if got := ix.PersistedRecords(); got != want {
-		t.Fatalf("the manifest counts %d records, want %d", got, want)
-	}
+	return files, delta
 }
 
 // snapshotOf exposes the delta snapshot for the crash-window test.

@@ -76,17 +76,13 @@ func (d *MemDelta) Add(recs []core.Routed) error {
 }
 
 // ScanRuns implements core.DeltaSource: it passes fn the run of every
-// cluster of partition pid, in no set order, narrowed to the listed
-// clusters (nil means all). Both slices are valid only during the callback:
-// the next Add may move them.
-func (d *MemDelta) ScanRuns(pid int, clusters map[storage.ClusterID]struct{}, fn func(recs, sums []byte) error) error {
+// cluster of partition pid, in no set order. Both slices are valid only
+// during the callback: the next Add may move them.
+func (d *MemDelta) ScanRuns(pid int, fn func(c storage.ClusterID, recs, sums []byte) error) error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	for cid, run := range d.byPartition[pid] {
-		if _, want := clusters[cid]; clusters != nil && !want {
-			continue
-		}
-		if err := fn(run.recs, run.sums); err != nil {
+		if err := fn(cid, run.recs, run.sums); err != nil {
 			return err
 		}
 	}
@@ -98,7 +94,10 @@ func (d *MemDelta) ScanRuns(pid int, clusters map[storage.ClusterID]struct{}, fn
 // record. The engine no longer calls it — a search ranks the runs
 // themselves (ScanRuns); it is the decoded view the benchmark harness times.
 func (d *MemDelta) ScanPartition(pid int, clusters map[storage.ClusterID]struct{}, fn func(id int, values []float64) error) error {
-	return d.ScanRuns(pid, clusters, func(recs, _ []byte) error {
+	return d.ScanRuns(pid, func(c storage.ClusterID, recs, _ []byte) error {
+		if _, want := clusters[c]; clusters != nil && !want {
+			return nil
+		}
 		for off := 0; off < len(recs); off += storage.RecordBytes(d.seriesLen) {
 			vals := make([]float64, d.seriesLen)
 			if err := fn(storage.DecodeRecord(recs[off:], vals), vals); err != nil {
@@ -138,8 +137,9 @@ func (d *MemDelta) OldestAge() time.Duration {
 // Snapshot returns every resident record in ascending ID order, ready for
 // the compactor to land in partition files. The values are decoded from the
 // runs: the float32-rounded readings Append handed over, exactly. The delta
-// keeps serving reads unchanged; once the snapshot is durable on disk the
-// compactor gives the view it published a fresh delta.
+// keeps serving reads unchanged: the compactor publishes the view holding
+// the snapshot's records in its files with a fresh delta, and the views
+// before it keep this one.
 func (d *MemDelta) Snapshot() []core.Routed {
 	d.mu.RLock()
 	defer d.mu.RUnlock()

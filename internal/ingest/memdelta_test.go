@@ -44,7 +44,7 @@ func TestMemDeltaHoldsPartitionRuns(t *testing.T) {
 	for pid, clusters := range map[int][]storage.ClusterID{2: {3, 9}, 5: {0}} {
 		// A run is known by its first record: each record is in one run.
 		got := map[cluster.Route]bool{}
-		err := d.ScanRuns(pid, nil, func(run, sums []byte) error {
+		err := d.ScanRuns(pid, func(_ storage.ClusterID, run, sums []byte) error {
 			r := recs[binary.LittleEndian.Uint64(run)-100].Route
 			if w := want[r]; got[r] || r.Partition != pid || !bytes.Equal(run, w[0]) || !bytes.Equal(sums, w[1]) {
 				t.Fatalf("partition %d: the run of %+v is not the encoder's bytes", pid, r)
@@ -60,8 +60,10 @@ func TestMemDeltaHoldsPartitionRuns(t *testing.T) {
 		}
 	}
 	only := 0
-	if err := d.ScanRuns(2, map[storage.ClusterID]struct{}{9: {}}, func(recs, _ []byte) error {
-		only += len(recs) / storage.RecordBytes(64)
+	if err := d.ScanRuns(2, func(c storage.ClusterID, recs, _ []byte) error {
+		if c == 9 {
+			only += len(recs) / storage.RecordBytes(64)
+		}
 		return nil
 	}); err != nil || only != 14 {
 		t.Fatalf("cluster 9 of partition 2 streams %d records (%v), want 14", only, err)

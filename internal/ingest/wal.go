@@ -8,11 +8,11 @@
 // A production service sees series arrive continuously, so this package
 // bolts a log-structured front onto the static layout: writes are fsynced
 // into the WAL and routed into the delta via the exact Skeleton.RouteRecord
-// navigation used at build time, searches merge delta hits with the same
-// partition/cluster pruning the on-disk plan used, and once size or age
+// navigation used at build time, each search step ranks the delta runs of
+// the clusters it scans in its partition's files, and once size or age
 // thresholds trip the compactor lands the delta in new partition files,
-// persists the manifest of the view naming them and publishes it (one
-// core.Index.Drain), and truncates the WAL.
+// persists the manifest of the view naming them and publishes it with a
+// fresh delta (one core.Index.Drain), and truncates the WAL.
 //
 // A drain does not rewrite the index. Each partition it touches gets its
 // incoming records merged into the partition's tail — a small second file

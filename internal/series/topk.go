@@ -89,9 +89,9 @@ func (t *TopK) Results() []Result {
 }
 
 // Before is the one total order over results: by distance, then by ID. The
-// top-k accumulator keeps its k first results in it, and every merge of
-// answers (the delta merge, the router's shard merge) sorts by it, so a tie
-// at the k-th distance is decided the same way at every layer.
+// top-k accumulator keeps its k first results in it, and the router's merge
+// of shard answers sorts by it, so a tie at the k-th distance is decided the
+// same way at every layer.
 func (r Result) Before(o Result) bool {
 	if r.Dist != o.Dist {
 		return r.Dist < o.Dist

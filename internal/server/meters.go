@@ -55,7 +55,7 @@ func (b *backend) Meters() api.Meters {
 		Stage:  api.Row{Metric: "climber_stage_latency_seconds", Help: "Per-pipeline-stage latency of traced queries."},
 		// The pipeline stages of one traced query, in execution order: the
 		// direct children of a query's root span (see internal/core).
-		Stages: []string{"plan", "scan", "widen", "delta", "merge"},
+		Stages: []string{"plan", "scan", "widen"},
 	}
 }
 

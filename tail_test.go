@@ -19,15 +19,16 @@ import (
 	"climber/internal/storage"
 )
 
-// whereRecords reads the whole database by exact scan: every record of every
-// partition (base and tail, through the partition handle) with the route it
-// lies at, and every record of the delta. A record is in both only while a
-// drain is landing it, or after a kill inside one.
+// whereRecords reads the whole database by exact scan of one pinned view:
+// every record of every partition (base and tail, through the partition
+// handle) with the route it lies at, and every record of the view's delta.
 func whereRecords(t *testing.T, db *DB) (disk map[int]cluster.Route, delta map[int]bool) {
 	t.Helper()
 	disk, delta = map[int]cluster.Route{}, map[int]bool{}
 	ix := db.Index()
-	parts := ix.Partitions()
+	view := ix.AcquireGeneration()
+	defer view.Release()
+	parts := view.Parts
 	for pid := range parts.Paths {
 		h, err := ix.Cl.OpenPartition(parts, pid)
 		if err != nil {
@@ -46,9 +47,9 @@ func whereRecords(t *testing.T, db *DB) (disk map[int]cluster.Route, delta map[i
 			}
 		}
 		h.Close()
-		if d := ix.Delta(); d != nil {
+		if d := view.Delta(); d != nil {
 			recBytes := storage.RecordBytes(parts.SeriesLen)
-			err := d.ScanRuns(pid, nil, func(recs, _ []byte) error {
+			err := d.ScanRuns(pid, func(_ storage.ClusterID, recs, _ []byte) error {
 				for off := 0; off < len(recs); off += recBytes {
 					delta[int(binary.LittleEndian.Uint64(recs[off:]))] = true
 				}
@@ -291,7 +292,7 @@ func TestDrainedTailsHoldTheDeltaRuns(t *testing.T) {
 	runs := map[run][2][]byte{}
 	tails := map[int]bool{}
 	for pid := range parts.Paths {
-		err := ix.Delta().ScanRuns(pid, nil, func(recs, sums []byte) error {
+		err := ix.Delta().ScanRuns(pid, func(_ storage.ClusterID, recs, sums []byte) error {
 			runs[run{pid, int(binary.LittleEndian.Uint64(recs))}] = [2][]byte{bytes.Clone(recs), bytes.Clone(sums)}
 			tails[pid] = true
 			return nil
@@ -586,5 +587,117 @@ func TestLegacyTailLayoutOpens(t *testing.T) {
 	}
 	if tails := re.Index().Partitions().Tails; tails != nil {
 		t.Fatalf("tails %v outlived the fold of every tail", tails)
+	}
+}
+
+// A drain of the legacy layout killed after its fold's rename leaves records
+// in partition files while the WAL still holds them: testdata/legacy-tails-wal
+// (tails rewritten in place with the new records, one base folded beside its
+// old tail, the records after it in the WAL only), and in
+// testdata/legacy-tails-wal.json the answers the code that wrote it gave.
+// A read-only open replays nothing and changes nothing. A writable open lands
+// the replay with a fold before it returns, so no record is in the files and
+// the delta both and no answer holds a record twice, and it leaves a manifest
+// in the current format.
+func TestLegacyTailLayoutReplaysOnce(t *testing.T) {
+	type answers struct {
+		NumRecords int
+		Answers    []struct {
+			Query   int
+			Variant string
+			Results []Result
+		}
+	}
+	var fx struct {
+		Acked              int
+		ReadOnly, Writable answers
+	}
+	b, err := os.ReadFile(filepath.Join("testdata", "legacy-tails-wal.json"))
+	if err == nil {
+		err = json.Unmarshal(b, &fx)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "db")
+	copyTreeForTest(t, filepath.Join("testdata", "legacy-tails-wal"), dir)
+	data := smallData(1000)
+	variants := map[string]Variant{}
+	for _, v := range reindexVariants {
+		variants[v.String()] = v
+	}
+	check := func(db *DB, how string, want answers) {
+		t.Helper()
+		if n := db.Info().NumRecords; n != want.NumRecords {
+			t.Fatalf("%s: NumRecords = %d, want %d", how, n, want.NumRecords)
+		}
+		for _, a := range want.Answers {
+			res, err := db.Search(data[a.Query], 10, WithVariant(variants[a.Variant]))
+			if err == nil {
+				err = wellFormed(res)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(res, a.Results) {
+				t.Fatalf("%s: record %d under %s answers\n%+v\nwant\n%+v", how, a.Query, a.Variant, res, a.Results)
+			}
+		}
+	}
+
+	before := listTree(t, dir)
+	ro, err := Open(dir, WithReadOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ro.Index().LegacyTails() {
+		t.Fatal("test premise broken: the fixture's manifest is not in the legacy layout")
+	}
+	check(ro, "read-only", fx.ReadOnly)
+	ro.Close()
+	if after := listTree(t, dir); after != before {
+		t.Fatalf("a read-only open changed the directory:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+
+	db, err := Open(dir, ingestOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { db.Close() }()
+	if fx.Writable.NumRecords != fx.Acked {
+		t.Fatalf("the fixture records %d records for the writable open, %d acked", fx.Writable.NumRecords, fx.Acked)
+	}
+	check(db, "writable", fx.Writable)
+	disk, delta := whereRecords(t, db)
+	for id := 0; id < fx.Acked; id++ {
+		if _, onDisk := disk[id]; !onDisk || delta[id] {
+			t.Fatalf("record %d on disk %v, in the delta %v; want on disk only", id, onDisk, delta[id])
+		}
+	}
+	if len(disk) != fx.Acked || db.Index().PersistedRecords() != fx.Acked {
+		t.Fatalf("%d records on disk, %d persisted; want %d", len(disk), db.Index().PersistedRecords(), fx.Acked)
+	}
+	re, err := Open(dir, WithReadOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if re.Index().LegacyTails() {
+		t.Fatal("the writable open left the manifest in the legacy layout")
+	}
+	check(re, "reopened", fx.Writable)
+	re.Close()
+	// The next drain's tails are named by a TLNM trailer.
+	if _, err := db.Append(data[fx.Acked:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	manifest, err := os.ReadFile(core.IndexPathIn(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files, _, _ := db.Index().TailStats(); files == 0 || !bytes.Contains(manifest, []byte("TLNM")) {
+		t.Fatalf("after a drain into %d tails the manifest has no TLNM trailer", files)
 	}
 }
