@@ -23,7 +23,9 @@
 // they became. JSON itself is read by a single-pass decoder
 // (fastdecode.go) that handles the canonical spelling and declines
 // everything else to encoding/json (DecodeJSON), which stays the
-// specification of the dialect and the source of every error text. Bodies
+// specification of the dialect and the source of every error text. It
+// converts each number in that same pass, exactly (float.go), and falls
+// back to strconv.ParseFloat only where that conversion declines. Bodies
 // are read into buffers recycled through one pool (Buffer, ReadBody,
 // ReadAll). ARCHITECTURE.md, "Wire contract", has the frame layout and the
 // upgrade order (shards before routers).

@@ -27,6 +27,11 @@ func FuzzDecodeDifferential(f *testing.F) {
 		`{"query":[1,2,3,4],"variant":"kn\u006e"}`, `{"query":[1,2,3,4],"k":1e1}`, `{"query":[1e999,2,3,4]}`,
 		`{"query":[1,2,3]}`, `{"query":[1,2,1e39,4]}`, `{"query":[1,2,3,4],"k":-7}`, `{"queries":[[1,2,3,4],[1,2]]}`,
 		`{"query":[]}`, `{}`, `null`, ``, "\x00\xff",
+		// Numbers at the edges of the decoder's own conversion.
+		`{"query":[9007199254740993,2.2250738585072011e-308,4.9e-324,1.7976931348623157e308]}`,
+		`{"query":[1.7976931348623159e308,-0,0e5,1E+22]}`,
+		`{"query":[1e23,1234567890123456789,12345678901234567890,0.000000000000000000000000000001234567890123456789]}`,
+		`{"series":[[9999999999999999999e-348,9007199254740991e347,-9007199254740993e-22,18446744073709551616]]}`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -560,6 +560,11 @@ func BenchmarkReadBody(b *testing.B) {
 	}
 }
 
+// reportPerNumber adds the mean cost of one of the body's numbers.
+func reportPerNumber(b *testing.B, numbers int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*numbers), "ns/number")
+}
+
 // BenchmarkDecodeSearch: a 256-point /search body, as the single-pass
 // decoder reads it, as encoding/json (the fallback and former only path)
 // reads it, and as a frame.
@@ -576,6 +581,7 @@ func BenchmarkDecodeSearch(b *testing.B) {
 		for b.Loop() {
 			sink, _ = DecodeSearchRequest(body, 256, 10000)
 		}
+		reportPerNumber(b, 256)
 	})
 	b.Run("encoding-json", func(b *testing.B) {
 		b.ReportAllocs()
@@ -583,6 +589,7 @@ func BenchmarkDecodeSearch(b *testing.B) {
 		for b.Loop() {
 			sink, _ = slowSearch(body, 256, 256, 10000, false)
 		}
+		reportPerNumber(b, 256)
 	})
 	b.Run("frame", func(b *testing.B) {
 		b.ReportAllocs()
@@ -590,6 +597,7 @@ func BenchmarkDecodeSearch(b *testing.B) {
 		for b.Loop() {
 			sink, _ = Frame.DecodeSearch(frame, 256, 10000)
 		}
+		reportPerNumber(b, 256)
 	})
 }
 
@@ -607,6 +615,7 @@ func BenchmarkDecodeAppend(b *testing.B) {
 		for b.Loop() {
 			sink, _ = DecodeAppendRequest(body, 256, 1024)
 		}
+		reportPerNumber(b, 8*256)
 	})
 	b.Run("encoding-json", func(b *testing.B) {
 		b.ReportAllocs()
@@ -614,6 +623,7 @@ func BenchmarkDecodeAppend(b *testing.B) {
 		for b.Loop() {
 			sink, _ = slowAppend(body, 256, 1024)
 		}
+		reportPerNumber(b, 8*256)
 	})
 	b.Run("frame", func(b *testing.B) {
 		b.ReportAllocs()
@@ -621,6 +631,7 @@ func BenchmarkDecodeAppend(b *testing.B) {
 		for b.Loop() {
 			sink, _ = Frame.DecodeAppend(frame, 256, 1024)
 		}
+		reportPerNumber(b, 8*256)
 	})
 }
 

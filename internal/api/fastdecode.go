@@ -11,9 +11,11 @@ import "strconv"
 // declined body is decoded again by encoding/json (DecodeJSON), which stays
 // the specification of the dialect and the source of every error text; the
 // fast path only ever has to agree with it on the bodies it accepts, and
-// FuzzDecodeDifferential holds it to that. Numbers go through the same
-// strconv.ParseFloat(…, 64) encoding/json calls, so every accepted value is
-// bit-identical.
+// FuzzDecodeDifferential holds it to that. Each number is converted in the
+// same pass that checks its grammar (Clinger's exact path, else
+// Eisel-Lemire; float.go), exactly, so every accepted value is
+// bit-identical to what encoding/json's strconv.ParseFloat(…, 64) returns;
+// a literal that conversion cannot prove goes to strconv.ParseFloat itself.
 
 // requestFields names the destinations of one request grammar; a nil
 // pointer marks a key the grammar does not have.
@@ -175,27 +177,20 @@ func (s *scanner) boolean() (bool, bool) {
 	return false, false
 }
 
-// digits steps over a run of decimal digits and returns how many.
-func (s *scanner) digits() int {
-	start := s.pos
-	for s.pos < len(s.data) && s.data[s.pos]-'0' <= 9 {
-		s.pos++
-	}
-	return s.pos - start
-}
-
 // intPart steps over the JSON integer grammar -?(0|[1-9][0-9]*) and returns
-// the count of digits, 0 when the text is not an integer part.
-func (s *scanner) intPart() int {
+// its digits as a number (wrapping past 19 of them), how many there are, 0
+// when the text is not an integer part, and the sign.
+func (s *scanner) intPart() (man uint64, n int, neg bool) {
 	if s.pos < len(s.data) && s.data[s.pos] == '-' {
+		neg = true
 		s.pos++
 	}
 	first := s.pos
-	n := s.digits()
-	if n > 1 && s.data[first] == '0' {
-		return 0 // leading zero
+	s.pos, man = digitRun(s.data, s.pos, 0)
+	if n = s.pos - first; n > 1 && s.data[first] == '0' {
+		return 0, 0, neg // leading zero
 	}
-	return n
+	return man, n, neg
 }
 
 // integer reads a JSON number that is a plain integer of at most 18 digits
@@ -204,13 +199,15 @@ func (s *scanner) intPart() int {
 // encoding/json, which refuses or range-checks them.
 func (s *scanner) integer() (int, bool) {
 	s.space()
-	start := s.pos
-	n := s.intPart()
+	man, n, neg := s.intPart()
 	if n == 0 || n > 18 {
 		return 0, false
 	}
-	v, err := strconv.ParseInt(string(s.data[start:s.pos]), 10, 64)
-	if err != nil || int64(int(v)) != v {
+	v := int64(man)
+	if neg {
+		v = -v
+	}
+	if int64(int(v)) != v {
 		return 0, false
 	}
 	return int(v), true
@@ -218,32 +215,84 @@ func (s *scanner) integer() (int, bool) {
 
 // number reads one JSON number — checking the JSON grammar itself, which is
 // narrower than what strconv accepts (no hex, no underscores, no "inf", no
-// leading '+' or '.') — and converts the literal exactly as encoding/json
-// does. A value out of float64's range declines.
+// leading '+' or '.') — and converts the digits that same pass collected
+// (decimal.float) to the float64 strconv.ParseFloat(…, 64), the call
+// encoding/json makes, would return. Only a literal the conversion declines
+// is handed to strconv itself. A value out of float64's range declines.
 func (s *scanner) number() (float64, bool) {
 	start := s.pos
-	if s.intPart() == 0 {
+	d, ok := s.decimal()
+	if !ok {
 		return 0, false
 	}
-	if s.pos < len(s.data) && s.data[s.pos] == '.' {
-		s.pos++
-		if s.digits() == 0 {
-			return 0, false
-		}
-	}
-	if s.pos < len(s.data) && (s.data[s.pos] == 'e' || s.data[s.pos] == 'E') {
-		s.pos++
-		if s.pos < len(s.data) && (s.data[s.pos] == '+' || s.data[s.pos] == '-') {
-			s.pos++
-		}
-		if s.digits() == 0 {
-			return 0, false
-		}
+	if v, ok := d.float(); ok {
+		return v, true
 	}
 	// The conversion does not escape and literals are short, so the string
 	// is built on the stack.
 	v, err := strconv.ParseFloat(string(s.data[start:s.pos]), 64)
 	return v, err == nil
+}
+
+// decimal steps over -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? and
+// returns its significand and power of ten, or false when the text there is
+// not a JSON number. Past 19 significant digits man wraps; digits says so.
+func (s *scanner) decimal() (decimal, bool) {
+	var d decimal
+	if d.man, d.digits, d.neg = s.intPart(); d.digits == 0 {
+		return d, false
+	}
+	if d.digits == 1 && d.man == 0 {
+		d.digits = 0 // the integer part "0" holds no significant digit
+	}
+	data, i := s.data, s.pos
+	if i < len(data) && data[i] == '.' {
+		i++
+		frac := i
+		if d.digits == 0 { // nor do the fraction's leading zeros
+			for i < len(data) && data[i] == '0' {
+				i++
+			}
+		}
+		sig := i
+		i, d.man = digitRun(data, i, d.man)
+		if i == frac {
+			return d, false
+		}
+		d.digits += i - sig
+		d.exp = frac - i
+	}
+	if i < len(data) && data[i]|0x20 == 'e' {
+		i++
+		neg := i < len(data) && data[i] == '-'
+		if i < len(data) && (neg || data[i] == '+') {
+			i++
+		}
+		first, e := i, 0
+		for ; i < len(data) && data[i]-'0' <= 9; i++ {
+			if e < 10000 { // saturates where strconv's does
+				e = e*10 + int(data[i]-'0')
+			}
+		}
+		if i == first {
+			return d, false
+		}
+		if neg {
+			e = -e
+		}
+		d.exp += e
+	}
+	s.pos = i
+	return d, true
+}
+
+// digitRun folds the run of decimal digits at data[i:] into man and returns
+// the index past the run.
+func digitRun(data []byte, i int, man uint64) (int, uint64) {
+	for ; i < len(data) && data[i]-'0' <= 9; i++ {
+		man = man*10 + uint64(data[i]-'0')
+	}
+	return i, man
 }
 
 // floats reads a non-empty array of numbers into a fresh slice.
