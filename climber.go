@@ -92,7 +92,6 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -427,18 +426,8 @@ type DB struct {
 	ing    *ingest.Ingester
 	closed atomic.Bool
 
-	// genNum is the active generation number (0 = the build-time layout at
-	// dir itself, N = dir/gen-NNNN). Written only under the ingestion
-	// semaphore (the swap is part of CommitRebuild's publish step); read
-	// anywhere.
-	genNum atomic.Int64
 	// reindexing serialises Reindex calls: one rebuild at a time.
 	reindexing atomic.Bool
-	// cleanupWG tracks the deferred deletion of swapped-out generations
-	// (each waits for its generation's readers to drain). Tests join it;
-	// Close does not — a deletion still waiting then deletes nothing, and
-	// the next Open's stale-generation sweep reclaims the old generation.
-	cleanupWG sync.WaitGroup
 }
 
 func buildOptions(opts []Option) options {
@@ -449,37 +438,20 @@ func buildOptions(opts []Option) options {
 	return o
 }
 
-// indexPath is the generation-0 skeleton/manifest location; later
-// generations live under gen-NNNN directories (see internal/core's
-// generation helpers and DB.activeRoot).
-//
-//climber:genpath
-func indexPath(dir string) string { return filepath.Join(dir, "index.clms") }
-
-// walPath is the write-ahead log location. The WAL lives at the database
-// root across generations: replay filters by record ID against the active
-// manifest's counts, so it never needs to move during a reindex.
-//
-//climber:genpath
+// walPath is the write-ahead log location. Replay filters by record ID
+// against the manifest's counts, so a reindex never moves it.
 func walPath(dir string) string { return filepath.Join(dir, "wal.clmw") }
 
-// activeRoot returns the directory holding the active generation's skeleton
-// and partition files.
-func (db *DB) activeRoot() string {
-	if n := db.genNum.Load(); n > 0 {
-		return core.GenDir(db.dir, int(n))
-	}
-	return db.dir
+// save persists view's manifest to dir/index.clms: the commit of every drain
+// and of every reindex.
+func (db *DB) save(view *core.Generation) error {
+	return core.SaveSnapshot(view.Skel, view.Parts, core.IndexPathIn(db.dir))
 }
 
 // attachIngest starts the streaming write path on a freshly built or opened
-// index: WAL replay, delta install, background compactor. The manifest-save
-// callback resolves the active generation at each call, so compactions that
-// run after a reindex swap persist into the new generation's index file.
+// index: WAL replay, delta install, background compactor.
 func (db *DB) attachIngest(o options) (*ingest.Ingester, error) {
-	return ingest.Open(db.ix, walPath(db.dir), func(view *core.Generation) error {
-		return core.SaveSnapshot(view.Skel, view.Parts, core.IndexPathIn(db.activeRoot()))
-	}, o.ingest)
+	return ingest.Open(db.ix, walPath(db.dir), db.save, o.ingest)
 }
 
 // Build constructs a CLIMBER database in dir over the given data series.
@@ -524,10 +496,10 @@ func BuildDataset(dir string, ds *series.Dataset, opts ...Option) (_ *DB, err er
 			}
 		}
 	}()
-	if err := core.SaveIndex(ix, indexPath(dir)); err != nil {
+	if err := core.SaveIndex(ix, core.IndexPathIn(dir)); err != nil {
 		return nil, err
 	}
-	written = append(written, indexPath(dir))
+	written = append(written, core.IndexPathIn(dir))
 	// A build defines a brand-new database; a WAL left in dir by a previous
 	// one must not replay its (differently-IDed, possibly differently-
 	// shaped) entries into the fresh index.
@@ -545,34 +517,41 @@ func BuildDataset(dir string, ds *series.Dataset, opts ...Option) (_ *DB, err er
 // never compacted (the process was killed) are restored from the write-ahead
 // log before Open returns: they are searchable immediately and the
 // background compactor lands them in partition files shortly after.
+//
+// A directory whose drain, on a layout written before drains wrote new
+// files, was killed after it rewrote a file the manifest names holds records
+// the manifest does not count; a read-only open of it is refused until one
+// writable open has landed their replay.
 func Open(dir string, opts ...Option) (*DB, error) {
 	o := buildOptions(opts)
-	// The MANIFEST pointer names the active generation; a database that has
-	// never been reindexed has no MANIFEST and stays on its build layout.
-	root, genNum, err := core.ActiveGeneration(dir)
+	// A directory reindexed before reindexes wrote into the store names its
+	// manifest with a MANIFEST pointer to a gen-NNNN directory.
+	root, _, err := core.ActiveGeneration(dir)
 	if err != nil {
 		return nil, err
 	}
 	cl := cluster.New(core.StoreDir(dir), o.cfg.Workers)
 	ix, err := core.OpenIndex(cl, core.IndexPathIn(root))
+	if err == nil && o.readOnly && ix.UncountedRecords() {
+		err = fmt.Errorf("climber: %s holds records a killed drain wrote that its manifest does not count; one writable open lands their replay", dir)
+	}
+	if err == nil && !o.readOnly && root != dir {
+		err = ix.UpgradeLayout(dir)
+	}
 	if err != nil {
 		cl.Close()
 		return nil, err
 	}
 	db := &DB{dir: dir, ix: ix, cl: cl}
-	db.genNum.Store(int64(genNum))
 	if o.readOnly {
 		return db, nil
 	}
-	// Sweep debris the pointer does not reference: half-built generations a
-	// crashed reindex left behind, or a superseded generation whose deferred
-	// deletion never ran. Best-effort — stale files are unreferenced, so a
-	// failed sweep costs only disk space.
-	_ = core.CleanStaleGenerations(dir, genNum)
-	// Likewise what a killed compaction left beside the partition files: a
-	// half-written file, files of a view whose manifest was never saved, and
-	// files of a replaced view whose removal never ran.
-	_ = core.SweepPartitionFiles(ix.Partitions())
+	// Sweep what the view does not name: a half-written file, files of a view
+	// whose manifest was never saved (a killed drain or reindex), files of a
+	// replaced view whose removal never ran, and what the old layout left.
+	// Best-effort — stale files are unreferenced, so a failed sweep costs
+	// only disk space.
+	_ = core.SweepPartitionFiles(dir, ix.Partitions())
 	ing, err := db.attachIngest(o)
 	if err != nil {
 		cl.Close()
@@ -769,7 +748,7 @@ func (db *DB) IngestStats() IngestStats {
 // the mappings they hold or on files mapped for them alone; they are not
 // interrupted (cancel their contexts for that). Files a drain or a reindex
 // replaced while such a query held them stay on disk until the next writable
-// Open removes them: once Close returns, nothing touches the directory, and
+// Open sweeps them: once Close returns, nothing touches the directory, and
 // it can be reopened with Open.
 func (db *DB) Close() error {
 	if db.closed.Swap(true) {
@@ -804,8 +783,10 @@ type Info struct {
 	NumPartitions int
 	SkeletonBytes int
 	NumRecords    int
-	// Generation is the active index generation: 0 until the first
-	// successful Reindex, then incremented by each one.
+	// Generation counts the successful Reindex calls the database has
+	// seen: 0 until the first, then incremented by each one. It is read from
+	// the names of the partition files (cluster.Generation), so it survives
+	// a reopen, a backup and a restore.
 	Generation int
 }
 
@@ -819,52 +800,54 @@ func (db *DB) Info() Info {
 		records = db.ing.TotalRecords()
 	}
 	skel := db.ix.Skeleton()
+	parts := db.ix.Partitions()
 	return Info{
 		SeriesLen:     skel.SeriesLen,
 		NumGroups:     skel.NumGroups(),
 		NumPartitions: skel.NumPartitions,
 		SkeletonBytes: skel.EncodedSize(),
 		NumRecords:    records,
-		Generation:    int(db.genNum.Load()),
+		Generation:    cluster.Generation(parts.Paths[0]),
 	}
 }
 
 // Reindex rebuilds the index online: a fresh sample is drawn from the live
 // dataset, a new skeleton (new pivots, new groups, new tries) is built from
-// it, every persisted record is re-routed into new partition files under a
-// versioned sibling directory (gen-NNNN), and the database atomically swaps
-// to the new generation by renaming its fsynced MANIFEST pointer. This is
-// the remedy for capacity drift: heavy append traffic grows partitions past
-// the capacity the original sample's skeleton planned for (the paper's
-// Section V soft-constraint), and a reindex restores the built-fresh layout
-// without taking the database offline.
+// it, every persisted record is re-routed into new partition files, written
+// into the store under names no current file has, and the database commits
+// to them the way a drain does: it saves its manifest, naming the new
+// skeleton and files. This is the remedy for capacity drift: heavy append
+// traffic grows partitions past the capacity the original sample's skeleton
+// planned for (the paper's Section V soft-constraint), and a reindex restores
+// the built-fresh layout without taking the database offline.
 //
 // Zero downtime, concretely:
 //
-//   - Searches run throughout. A query pins the generation current at its
-//     start and reads it to completion; the moment the swap commits, new
-//     queries see the new generation. The swapped-out generation's files are
-//     deleted only after its last in-flight reader finishes.
+//   - Searches run throughout. A query pins the view current at its start
+//     and reads it to completion; the moment the new view is published, new
+//     queries see it. The replaced view's files are deleted only after its
+//     last in-flight reader finishes.
 //   - Appends run throughout. Writes acked during the rebuild accumulate in
-//     the WAL and the old generation's delta; at commit, they are re-routed
-//     through the new skeleton into the new generation's delta — every
+//     the WAL and the old view's delta; at commit, they are re-routed
+//     through the new skeleton into the new view's delta — every
 //     acked-before-commit record is visible after, and remains durable.
 //   - Compactions pause during the rebuild (Flush returns
-//     ErrReindexInProgress) and resume against the new generation after.
+//     ErrReindexInProgress) and resume against the new view after.
 //
-// Crash safety: the MANIFEST rename is the single commit point. A kill at
-// any step before it reopens the old generation (the half-built gen-NNNN
-// directory is swept on the next Open); a kill at or after it reopens the
-// new one; WAL replay re-routes surviving entries against whichever
-// skeleton the manifest names. The kill-anywhere crash matrix in the tests
-// enumerates every fsync/rename step of the protocol and verifies exactly
-// this.
+// Crash safety: the rename of the saved manifest over dir/index.clms is the
+// single commit point, as for a drain. A kill at any step before it reopens
+// the old view (the next writable Open sweeps the new files); a kill after it
+// reopens the new one; WAL replay re-routes surviving entries against
+// whichever skeleton the manifest names. The kill-anywhere crash matrix in
+// the tests enumerates every fsync/rename step of the protocol and verifies
+// exactly this.
 //
 // Reindex runs synchronously (minutes on a large database — callers wanting
 // a background rebuild should run it on their own goroutine) and returns
 // ErrReindexInProgress if another reindex is already running, ErrReadOnly on
 // a read-only DB, and ctx's error if cancelled mid-rebuild (the database is
-// left on the old generation, unharmed).
+// left on the old view, unharmed, and the files the rebuild wrote are
+// removed).
 func (db *DB) Reindex(ctx context.Context) error {
 	if db.closed.Load() {
 		return ErrClosed
@@ -890,58 +873,52 @@ func (db *DB) Reindex(ctx context.Context) error {
 		return err
 	}
 
-	next := int(db.genNum.Load()) + 1
-	genRoot := core.GenDir(db.dir, next)
-	newGen, err := db.ix.RebuildGeneration(ctx, genRoot, "climber")
+	newGen, err := db.ix.RebuildGeneration(ctx, "climber")
 	if err != nil {
 		db.ing.AbortRebuild()
-		os.RemoveAll(genRoot)
 		return err
 	}
 
 	// Commit: under the write semaphore, re-route the records appended
-	// during the rebuild into the new generation's delta, point the MANIFEST
-	// at the new generation (the durable commit), and swap it in. A failure
-	// before the pointer rename resumes the old generation untouched.
-	oldRoot := db.activeRoot()
+	// during the rebuild into the new view's delta, save the manifest naming
+	// the new files (the durable commit; the directory sync makes its rename
+	// durable) and publish the view. SwapGeneration retires the old view's
+	// files once their readers are gone. A failure before the manifest's
+	// rename resumes the old view untouched, and the new files go: the next
+	// reindex writes the same names. After the rename the files stay, since
+	// the manifest on disk may name them. A cancel that came after the
+	// rebuild's last scan still stops the commit.
+	saved := false
 	err = db.ing.CommitRebuild(newGen.Skel.RouteRecord, func(nd *ingest.MemDelta) error {
-		newGen.SetDelta(nd)
-		if err := core.WriteManifestPointer(db.dir, next); err != nil {
+		if err := ctx.Err(); err != nil {
 			return err
 		}
-		retired := db.ix.SwapGeneration(newGen)
-		db.genNum.Store(int64(next))
-		db.cleanupWG.Add(1)
-		go db.cleanupGeneration(retired, oldRoot)
+		newGen.SetDelta(nd)
+		if err := db.save(newGen); err != nil {
+			return err
+		}
+		saved = true
+		core.CrashStep("root-dir-sync")
+		if err := storage.SyncPath(db.dir); err != nil {
+			return err
+		}
+		db.ix.SwapGeneration(newGen)
 		return nil
 	})
 	if err != nil {
-		os.RemoveAll(genRoot)
+		if !saved {
+			files := newGen.Parts.Files()
+			db.cl.Retire(files...)
+			for _, f := range files {
+				_ = os.Remove(f) // best effort; an open sweeps what is left
+			}
+		}
 		if errors.Is(err, ingest.ErrClosed) {
 			return ErrClosed
 		}
 		return err
 	}
 	return nil
-}
-
-// cleanupGeneration removes what is left of a swapped-out generation once
-// SwapGeneration has retired its files (after its last in-flight reader
-// drained): its skeleton and its directory. Only the retired generation's
-// own directory is touched — a concurrent later reindex may already be
-// building the next generation alongside.
-func (db *DB) cleanupGeneration(retired <-chan struct{}, oldRoot string) {
-	defer db.cleanupWG.Done()
-	<-retired
-	db.ix.UnlessClosed(func() {
-		if oldRoot == db.dir {
-			// Generation 0 shares the database root: its skeleton is
-			// dir/index.clms, its partition files are under dir/cluster/.
-			os.Remove(indexPath(db.dir))
-			oldRoot = core.StoreDir(db.dir)
-		}
-		os.RemoveAll(oldRoot)
-	})
 }
 
 // Backup writes a self-contained snapshot of the database into destDir,

@@ -1,6 +1,6 @@
 // Command climber-vet is the repository's invariant multichecker: it runs
 // every analyzer under internal/analysis — ctxflow, lockio, syncack,
-// ctxleak, tracespan, doccomment, genswap, mmapsafe — over the
+// ctxleak, tracespan, doccomment, mmapsafe — over the
 // given package patterns, plus
 // the repository-level markdown link gate, and exits non-zero on any
 // finding. CI runs it in the lint job; locally:
@@ -24,7 +24,6 @@ import (
 	"climber/internal/analysis/ctxflow"
 	"climber/internal/analysis/ctxleak"
 	"climber/internal/analysis/docs"
-	"climber/internal/analysis/genswap"
 	"climber/internal/analysis/lockio"
 	"climber/internal/analysis/mmapsafe"
 	"climber/internal/analysis/syncack"
@@ -40,7 +39,6 @@ func analyzers() []*vet.Analyzer {
 		ctxleak.Analyzer,
 		tracespan.Analyzer,
 		docs.Analyzer,
-		genswap.Analyzer,
 		mmapsafe.Analyzer,
 	}
 }

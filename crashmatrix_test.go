@@ -4,10 +4,12 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -22,13 +24,14 @@ import (
 // fsync, each rename — the core.SetCrashStepHook instrumentation points),
 // hard-kills a child process at each one, reopens the directory, and
 // requires the recovered database to be EXACTLY the old generation or
-// EXACTLY the new one — same SHA-256 over skeleton + MANIFEST + every
-// partition file, same search results — never a mix.
+// EXACTLY the new one — same SHA-256 over skeleton + every partition file,
+// same search results, and a store holding exactly the files the manifest
+// names — never a mix.
 //
-// The commit point is the MANIFEST rename: the hook fires before its step's
-// operation, so a kill at or before "manifest-rename" must recover old, and
-// a kill at "root-dir-sync" or "commit-done" (the rename already applied)
-// must recover new.
+// The commit point is the rename of dir/index.clms, as for a drain: the hook
+// fires before its step's operation, so a kill at or before "index-rename"
+// must recover old, and a kill at any later step (the rename already
+// applied) must recover new.
 func TestReindexCrashMatrix(t *testing.T) {
 	if os.Getenv("CLIMBER_CRASH_DIR") != "" {
 		t.Skip("crash child process")
@@ -82,7 +85,6 @@ func TestReindexCrashMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec.waitCleanupForTest()
 	if err := rec.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +98,7 @@ func TestReindexCrashMatrix(t *testing.T) {
 		}
 		seen[s] = true
 	}
-	for _, required := range []string{"gen-dirs", "index-rename", "manifest-rename", "commit-done"} {
+	for _, required := range []string{"gen-dirs", "index-rename", "root-dir-sync"} {
 		if !seen[required] {
 			t.Fatalf("protocol step %q missing from recording: %v", required, steps)
 		}
@@ -112,7 +114,8 @@ func TestReindexCrashMatrix(t *testing.T) {
 	}
 
 	// The matrix: one hard-killed child per step, strict old/new expectation.
-	for _, step := range steps {
+	commit := slices.Index(steps, "index-rename")
+	for i, step := range steps {
 		t.Run(step, func(t *testing.T) {
 			dir := filepath.Join(t.TempDir(), "crash")
 			copyTreeForTest(t, baseDir, dir)
@@ -135,8 +138,8 @@ func TestReindexCrashMatrix(t *testing.T) {
 
 			got := recoverFingerprint(t, dir, queries)
 			want, wantName := goldenOld, "old"
-			if step == "root-dir-sync" || step == "commit-done" {
-				// The MANIFEST rename has been applied when these fire.
+			if i > commit {
+				// The manifest's rename has been applied when these fire.
 				want, wantName = goldenNew, "new"
 			}
 			if got != want {
@@ -181,13 +184,13 @@ func TestReindexCrashChild(t *testing.T) {
 	t.Logf("reindex finished without hitting step %q: err=%v", step, err)
 }
 
-// recoverFingerprint reopens dir (running crash recovery: manifest pointer
-// resolution, stale-generation sweep, WAL replay), verifies it serves
-// queries, and returns a fingerprint of the recovered state: the search
-// results for every variant plus a SHA-256 over the active generation's
-// skeleton, MANIFEST, and every partition file, keyed by repo-relative
-// path. Two directories with the same fingerprint hold the same logical
-// AND physical database.
+// recoverFingerprint reopens dir (running crash recovery: the sweep of what
+// the manifest does not name, WAL replay), verifies it serves queries and
+// that the store holds exactly the files the manifest names, and returns a
+// fingerprint of the recovered state: the search results for every variant
+// plus a SHA-256 over the skeleton and every partition file, keyed by
+// repo-relative path. Two directories with the same fingerprint hold the same
+// logical AND physical database.
 func recoverFingerprint(t *testing.T, dir string, queries [][]float64) string {
 	t.Helper()
 	db, err := Open(dir, ingestOpts()...)
@@ -207,14 +210,11 @@ func recoverFingerprint(t *testing.T, dir string, queries [][]float64) string {
 		}
 	}
 	parts := append([]string(nil), db.Index().Partitions().Paths...)
+	storeOnlyNamed(t, dir, db.Index().Partitions().Files())
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	root, _, err := core.ActiveGeneration(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	h := sha256.New()
 	addFile := func(label, path string) {
 		b, err := os.ReadFile(path)
@@ -224,14 +224,7 @@ func recoverFingerprint(t *testing.T, dir string, queries [][]float64) string {
 		fmt.Fprintf(h, "%s %d\n", label, len(b))
 		h.Write(b)
 	}
-	if b, err := os.ReadFile(filepath.Join(dir, "MANIFEST")); err == nil {
-		fmt.Fprintf(h, "MANIFEST %q\n", b)
-	} else if os.IsNotExist(err) {
-		fmt.Fprintf(h, "MANIFEST absent\n")
-	} else {
-		t.Fatal(err)
-	}
-	addFile("skeleton", core.IndexPathIn(root))
+	addFile("skeleton", core.IndexPathIn(dir))
 	rels := make([]string, len(parts))
 	for i, p := range parts {
 		rel, err := filepath.Rel(dir, p)
@@ -246,6 +239,30 @@ func recoverFingerprint(t *testing.T, dir string, queries [][]float64) string {
 	}
 	fmt.Fprintf(&sb, "sha256=%s\n", hex.EncodeToString(h.Sum(nil)))
 	return sb.String()
+}
+
+// storeOnlyNamed fails unless the store directory of dir holds exactly the
+// files named.
+func storeOnlyNamed(t *testing.T, dir string, named []string) {
+	t.Helper()
+	ents, err := os.ReadDir(core.StoreDir(dir))
+	if err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	var held []string
+	for _, e := range ents {
+		held = append(held, filepath.Join(core.StoreDir(dir), e.Name()))
+	}
+	var inStore []string
+	for _, f := range named {
+		if filepath.Dir(f) == core.StoreDir(dir) {
+			inStore = append(inStore, f)
+		}
+	}
+	slices.Sort(inStore)
+	if !slices.Equal(held, inStore) {
+		t.Fatalf("the store of %s holds\n%s\nthe manifest names there\n%s", dir, strings.Join(held, "\n"), strings.Join(inStore, "\n"))
+	}
 }
 
 // drainCrashAppend is the batch whose drain the matrix kills; records
@@ -455,4 +472,164 @@ func treeFingerprint(t *testing.T, dir string) string {
 		fmt.Fprintf(&sb, "%s %d %x\n", rel, len(b), sha256.Sum256(b))
 	}
 	return sb.String()
+}
+
+// TestUpgradeCrashMatrix kills the writable open of testdata/legacy-gen at
+// every step of its move to the one-store layout (core.UpgradeLayout: the
+// save of dir/index.clms, the MANIFEST removal, the directory sync) and
+// requires the next writable open to answer as the code that wrote the
+// fixture did, on the one-store layout.
+func TestUpgradeCrashMatrix(t *testing.T) {
+	if os.Getenv("CLIMBER_CRASH_DIR") != "" {
+		t.Skip("crash child process")
+	}
+	if testing.Short() {
+		t.Skip("spawns one child process per upgrade step")
+	}
+	fx := readLegacyGen(t)
+	recDir := filepath.Join(t.TempDir(), "rec")
+	copyTreeForTest(t, filepath.Join("testdata", "legacy-gen"), recDir)
+	var steps []string
+	core.SetCrashStepHook(func(step string) { steps = append(steps, step) })
+	rec, err := Open(recDir, ingestOpts()...)
+	core.SetCrashStepHook(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"index-write", "index-fsync", "index-rename", "manifest-remove", "root-dir-sync"}
+	if !slices.Equal(steps, want) {
+		t.Fatalf("the upgrade's steps are %v, want %v", steps, want)
+	}
+	for _, step := range steps {
+		t.Run(step, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "crash")
+			copyTreeForTest(t, filepath.Join("testdata", "legacy-gen"), dir)
+			cmd := exec.Command(os.Args[0], "-test.run", "TestUpgradeCrashChild$", "-test.v")
+			cmd.Env = append(os.Environ(), "CLIMBER_CRASH_DIR="+dir, "CLIMBER_CRASH_STEP="+step)
+			out, err := cmd.CombinedOutput()
+			ee, ok := err.(*exec.ExitError)
+			if !ok {
+				t.Fatalf("child did not die (err %v); step %q was never reached:\n%s", err, step, out)
+			}
+			if ws, ok := ee.Sys().(syscall.WaitStatus); !ok || !ws.Signaled() || ws.Signal() != syscall.SIGKILL {
+				t.Fatalf("child died of %v, want SIGKILL (it must not clean up):\n%s", err, out)
+			}
+			db, err := Open(dir, ingestOpts()...)
+			if err != nil {
+				t.Fatalf("recovery open: %v", err)
+			}
+			defer db.Close()
+			answersAs(t, db, "recovered", fx.Writable)
+			onlyOneStore(t, dir, db.Index().Partitions().Files())
+		})
+	}
+}
+
+// TestUpgradeCrashChild is TestUpgradeCrashMatrix's victim: it opens the
+// directory named by CLIMBER_CRASH_DIR for writing with a hook that SIGKILLs
+// the process immediately before CLIMBER_CRASH_STEP.
+func TestUpgradeCrashChild(t *testing.T) {
+	dir := os.Getenv("CLIMBER_CRASH_DIR")
+	step := os.Getenv("CLIMBER_CRASH_STEP")
+	if dir == "" || step == "" {
+		t.Skip("not a crash child")
+	}
+	core.SetCrashStepHook(func(s string) {
+		if s == step {
+			_ = syscall.Kill(os.Getpid(), syscall.SIGKILL)
+			select {}
+		}
+	})
+	db, err := Open(dir, ingestOpts()...)
+	t.Logf("open finished without hitting step %q: err=%v", step, err)
+	if err == nil {
+		db.Close()
+	}
+}
+
+// An upgrade keeps a legacy manifest's format: testdata/legacy-tails-wal, a
+// killed drain of the layout before names were never reused, moved under
+// gen-0001 with a MANIFEST naming it, is killed right after the upgrade
+// removed the pointer. The next writable open still lands the WAL's replay
+// with a fold, as the code that wrote the fixture answered, and no record is
+// read twice.
+func TestUpgradeKeepsLegacyReplay(t *testing.T) {
+	if os.Getenv("CLIMBER_CRASH_DIR") != "" {
+		t.Skip("crash child process")
+	}
+	if testing.Short() {
+		t.Skip("spawns a child process")
+	}
+	var fx struct {
+		Acked    int
+		Writable struct {
+			NumRecords int
+			Answers    []struct {
+				Query   int
+				Variant string
+				Results []Result
+			}
+		}
+	}
+	b, err := os.ReadFile(filepath.Join("testdata", "legacy-tails-wal.json"))
+	if err == nil {
+		err = json.Unmarshal(b, &fx)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "db")
+	copyTreeForTest(t, filepath.Join("testdata", "legacy-tails-wal"), filepath.Join(dir, "gen-0001"))
+	if err := os.Rename(filepath.Join(dir, "gen-0001", "wal.clmw"), walPath(dir)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), []byte("gen-0001\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	cmd := exec.Command(os.Args[0], "-test.run", "TestUpgradeCrashChild$", "-test.v")
+	cmd.Env = append(os.Environ(), "CLIMBER_CRASH_DIR="+dir, "CLIMBER_CRASH_STEP=root-dir-sync")
+	out, err := cmd.CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || !ee.Sys().(syscall.WaitStatus).Signaled() {
+		t.Fatalf("child was not killed at root-dir-sync (err %v):\n%s", err, out)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "MANIFEST")); !os.IsNotExist(err) {
+		t.Fatalf("test premise broken: the pointer survived the upgrade (%v)", err)
+	}
+	if ro, err := Open(dir, WithReadOnly()); err == nil {
+		ro.Close()
+		t.Fatal("a read-only open of the upgraded directory, its replay not landed, was not refused")
+	}
+
+	db, err := Open(dir, ingestOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if n := db.Info().NumRecords; n != fx.Writable.NumRecords {
+		t.Fatalf("NumRecords = %d, want %d", n, fx.Writable.NumRecords)
+	}
+	data := smallData(1000)
+	variants := map[string]Variant{}
+	for _, v := range reindexVariants {
+		variants[v.String()] = v
+	}
+	for _, a := range fx.Writable.Answers {
+		res, err := db.Search(data[a.Query], 10, WithVariant(variants[a.Variant]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res, a.Results) {
+			t.Fatalf("record %d under %s answers\n%+v\nwant\n%+v", a.Query, a.Variant, res, a.Results)
+		}
+	}
+	disk, delta := whereRecords(t, db) // fails on a record twice on disk
+	for id := 0; id < fx.Acked; id++ {
+		if _, onDisk := disk[id]; !onDisk || delta[id] {
+			t.Fatalf("record %d on disk %v, in the delta %v; want on disk only", id, onDisk, delta[id])
+		}
+	}
 }

@@ -8,11 +8,6 @@ import "context"
 // real process death would. The DB must not be used afterwards.
 func (db *DB) abandonForTest() { db.ing.Abandon() }
 
-// waitCleanupForTest joins the deferred generation-cleanup goroutines a
-// reindex spawns, so tests can assert the retired generation's files are
-// gone without racing the drain.
-func (db *DB) waitCleanupForTest() { db.cleanupWG.Wait() }
-
 // foldTailsForTest drains the delta and folds every partition tail into its
 // base — what Backup and Reindex do first — so a test can start from, or
 // compare, base files that hold every record.

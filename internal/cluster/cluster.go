@@ -45,6 +45,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -108,32 +109,53 @@ func New(dir string, workers int) *Cluster {
 // partition files.
 func (c *Cluster) Dir() string { return c.dir }
 
-// PartitionPath returns the file of partition pid under root: the store's
-// own directory for the build-time shuffle, a gen-NNNN root for reindex.
-//
-//climber:genpath
+// PartitionPath returns the file of partition pid under root, the store's
+// directory.
 func PartitionPath(root, name string, pid int) string {
 	return filepath.Join(root, fmt.Sprintf("%s-part%05d.clmp", name, pid))
+}
+
+// GenerationName returns the name under which reindex n writes its partition
+// files: name with the count in it, so each reindex writes files no earlier
+// view names.
+func GenerationName(name string, n int) string { return fmt.Sprintf("%s-g%d", name, n) }
+
+// Generation returns the number of reindexes behind the partition file at
+// path, the inverse of PartitionPath under a GenerationName: the n of a
+// "-gn-" in the file's stem, else the n of a gen-NNNN directory holding it
+// (where reindexes wrote their files before they wrote into the store), else
+// 0. A fold keeps the stem (FoldedPath), so every base of a view gives the
+// same answer.
+func Generation(path string) int {
+	dir, file := filepath.Split(path)
+	stem, _, _ := strings.Cut(file, ".")
+	if i := strings.LastIndex(stem, "-part"); i >= 0 {
+		stem = stem[:i]
+	}
+	if i := strings.LastIndex(stem, "-g"); i >= 0 {
+		if n, err := strconv.Atoi(stem[i+2:]); err == nil && n > 0 && stem[i+2:] == strconv.Itoa(n) {
+			return n
+		}
+	}
+	parent := filepath.Base(dir)
+	if n, err := strconv.Atoi(strings.TrimPrefix(parent, "gen-")); err == nil && n > 0 && parent == fmt.Sprintf("gen-%04d", n) {
+		return n
+	}
+	return 0
 }
 
 // TailPath returns the name of the first tail of the partition whose base
 // file is base — the small second file that takes a partition's appended
 // records between folds into the base — and of any tail of the legacy layout.
-//
-//climber:genpath
 func TailPath(base string) string { return base + ".tail" }
 
 // GrownTailPath returns the name of a tail of count records that replaces an
 // earlier tail of base: a tail only grows, so no other tail of base has it.
-//
-//climber:genpath
 func GrownTailPath(base string, count int) string { return fmt.Sprintf("%s.%d.tail", base, count) }
 
 // FoldedPath returns the name of the base a fold of base leaves holding count
 // records: base's name up to its first dot, then the count. A partition only
 // grows, so no other base of it has that name but a redone fold's.
-//
-//climber:genpath
 func FoldedPath(base string, count int) string {
 	dir, name := filepath.Split(base)
 	stem, _, _ := strings.Cut(name, ".")

@@ -85,7 +85,7 @@ func TestNewCreatesNothing(t *testing.T) {
 	if ents, err := os.ReadDir(parent); err != nil || len(ents) != 0 {
 		t.Fatalf("New, Blocks and ScanBlocks left %v on disk (err = %v)", ents, err)
 	}
-	_, err := c.Shuffle(bs, 1, Dest{Root: dir, Name: "rw"}, make([]Route, bs.Len()))
+	_, err := c.Shuffle(bs, 1, Dest{Name: "rw"}, make([]Route, bs.Len()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestShuffle(t *testing.T) {
 	ds := dataset.RandomWalk(16, 90, 2)
 	bs := Blocks(ds, 25)
 	// Route by id modulo 3 partitions, cluster = id modulo 2.
-	ps, err := c.Shuffle(bs, 3, Dest{Root: c.dir, Name: "rw"}, routesOf(bs, func(id int) Route {
+	ps, err := c.Shuffle(bs, 3, Dest{Name: "rw"}, routesOf(bs, func(id int) Route {
 		return Route{Partition: id % 3, Cluster: storage.ClusterID(id % 2)}
 	}))
 	if err != nil {
@@ -240,7 +240,7 @@ func TestShuffle(t *testing.T) {
 func TestShuffleWritesEmptyPartitions(t *testing.T) {
 	c := testCluster(t)
 	bs := Blocks(dataset.RandomWalk(16, 40, 2), 25)
-	ps, err := c.Shuffle(bs, 3, Dest{Root: c.dir, Name: "rw"}, routesOf(bs, func(id int) Route {
+	ps, err := c.Shuffle(bs, 3, Dest{Name: "rw"}, routesOf(bs, func(id int) Route {
 		return Route{Partition: 2 * (id % 2)}
 	}))
 	if err != nil {
@@ -268,16 +268,16 @@ func TestShuffleWritesEmptyPartitions(t *testing.T) {
 }
 
 // A PartitionSet is a Source too — how a reindex reads an index back: a
-// shuffle of the partition files into a second root moves every record with
-// its float32 readings intact (the scan of a partition file reuses its values
-// slice, so this is also the shuffle keeping a copy), and with Dest.Sync it
-// announces each durability step (the writes are pooled, so partition steps
-// come in any order).
+// shuffle of the partition files into files of a second name, beside them,
+// moves every record with its float32 readings intact (the scan of a
+// partition file reuses its values slice, so this is also the shuffle keeping
+// a copy), and with Dest.Sync it announces each durability step (the writes
+// are pooled, so partition steps come in any order).
 func TestShuffleFromPartitionsDurable(t *testing.T) {
 	c := testCluster(t)
 	ds := dataset.RandomWalk(16, 90, 2)
 	bs := Blocks(ds, 25)
-	first, err := c.Shuffle(bs, 3, Dest{Root: c.dir, Name: "rw"}, routesOf(bs, func(id int) Route {
+	first, err := c.Shuffle(bs, 3, Dest{Name: "rw"}, routesOf(bs, func(id int) Route {
 		return Route{Partition: id % 3, Cluster: storage.ClusterID(id % 2)}
 	}))
 	if err != nil {
@@ -289,8 +289,7 @@ func TestShuffleFromPartitionsDurable(t *testing.T) {
 
 	var mu sync.Mutex
 	var steps []string
-	root := filepath.Join(t.TempDir(), "gen")
-	second, err := c.Shuffle(first, 2, Dest{Root: root, Name: "rw", Sync: true, Step: func(step string) {
+	second, err := c.Shuffle(first, 2, Dest{Name: "rw-g1", Sync: true, Step: func(step string) {
 		mu.Lock()
 		steps = append(steps, step)
 		mu.Unlock()
@@ -355,7 +354,7 @@ func TestShuffleCleansUpOnFlushFailure(t *testing.T) {
 	bs := Blocks(ds, 25)
 	breakFlushTarget(t, c.dir, PartitionPath(c.dir, "shuf", 1))
 
-	_, err := c.Shuffle(bs, 3, Dest{Root: c.dir, Name: "shuf"}, routesOf(bs, func(id int) Route {
+	_, err := c.Shuffle(bs, 3, Dest{Name: "shuf"}, routesOf(bs, func(id int) Route {
 		return Route{Partition: id % 3, Cluster: storage.ClusterID(id % 2)}
 	}))
 	if err == nil {
@@ -417,7 +416,7 @@ func TestShuffleRejectsBadPartition(t *testing.T) {
 	c := testCluster(t)
 	ds := dataset.RandomWalk(16, 10, 2)
 	bs := Blocks(ds, 5)
-	_, err := c.Shuffle(bs, 2, Dest{Root: c.dir, Name: "rw"}, routesOf(bs, func(id int) Route {
+	_, err := c.Shuffle(bs, 2, Dest{Name: "rw"}, routesOf(bs, func(id int) Route {
 		return Route{Partition: 7}
 	}))
 	if err == nil {
@@ -442,5 +441,27 @@ func TestWorkers(t *testing.T) {
 	}
 	if c := New(t.TempDir(), 0); c.workers != runtime.GOMAXPROCS(0) {
 		t.Fatalf("workers = %d for New(dir, 0), want every core (%d)", c.workers, runtime.GOMAXPROCS(0))
+	}
+}
+
+// Generation reads back the reindex count GenerationName puts in a stem,
+// through a fold's and a tail's name, and the one of a gen-NNNN directory of
+// the layout before reindexes wrote into the store.
+func TestGenerationIsThePathsCount(t *testing.T) {
+	base := PartitionPath("/db/cluster", GenerationName("climber", 12), 3)
+	for path, want := range map[string]int{
+		PartitionPath("/db/cluster", "climber", 3): 0,
+		base:                                      12,
+		FoldedPath(base, 208):                     12,
+		GrownTailPath(FoldedPath(base, 208), 9):   12,
+		"/db/gen-0002/climber-part00001.clmp":     2,
+		"/db/gen-0002/climber-part00001.40.clmp":  2,
+		"/db/gen-2/climber-part00001.clmp":        0,
+		"/db/gen-0002/climber-g+3-part00001.clmp": 2,
+		"/db/cluster/my-gadget-part00001.clmp":    0,
+	} {
+		if got := Generation(path); got != want {
+			t.Errorf("Generation(%s) = %d, want %d", path, got, want)
+		}
 	}
 }

@@ -16,7 +16,7 @@ func buildPartitions(t *testing.T, n int) (*Cluster, *PartitionSet) {
 	c := testCluster(t)
 	ds := dataset.RandomWalk(32, n, 11)
 	bs := Blocks(ds, n/3+1)
-	ps, err := c.Shuffle(bs, 2, Dest{Root: c.Dir(), Name: "rw"}, routesOf(bs, func(id int) Route {
+	ps, err := c.Shuffle(bs, 2, Dest{Name: "rw"}, routesOf(bs, func(id int) Route {
 		return Route{Partition: id % 2, Cluster: storage.ClusterID(id % 3)}
 	}))
 	if err != nil {

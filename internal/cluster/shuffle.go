@@ -98,14 +98,13 @@ func (ps *PartitionSet) ScanBlock(i int, fn func(id int, values []float64) error
 	return p.ScanAll(fn)
 }
 
-// Dest is where a shuffle puts its partition files: Name-partNNNNN.clmp under
-// Root, which is created when missing.
+// Dest names the partition files a shuffle writes into the store's
+// directory, Name-partNNNNN.clmp, which is created when missing.
 type Dest struct {
-	Root string
 	Name string
 	// Sync makes the output durable before Shuffle returns: every partition
-	// file is fsynced, then Root. Step, when set, is told the name of each
-	// durability step (the directory creation, each partition file, the
+	// file is fsynced, then the directory. Step, when set, is told the name of
+	// each durability step (the directory creation, each partition file, the
 	// directory fsync) just before it runs — the reindex crash matrix. The
 	// flush is pooled, so Step is called from several goroutines at once.
 	Sync bool
@@ -211,7 +210,7 @@ func (c *Cluster) Shuffle(src Source, numPartitions int, dst Dest, routes []Rout
 		return nil, err
 	}
 	dst.step("gen-dirs")
-	if err := os.MkdirAll(dst.Root, 0o755); err != nil {
+	if err := os.MkdirAll(c.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cluster: create partition dir: %w", err)
 	}
 
@@ -220,7 +219,7 @@ func (c *Cluster) Shuffle(src Source, numPartitions int, dst Dest, routes []Rout
 	sem := make(chan struct{}, c.workers)
 	var wg sync.WaitGroup
 	for i, l := range layouts {
-		path := PartitionPath(dst.Root, dst.Name, i)
+		path := PartitionPath(c.dir, dst.Name, i)
 		ps.Paths[i] = path
 		ps.Counts[i] = l.Len()
 		wg.Add(1)
@@ -248,7 +247,7 @@ func (c *Cluster) Shuffle(src Source, numPartitions int, dst Dest, routes []Rout
 		// The partition files must be findable, not only durable, before
 		// anything that references them is written.
 		dst.step("gen-dir-sync")
-		err = storage.SyncPath(dst.Root)
+		err = storage.SyncPath(c.dir)
 	}
 	if err != nil {
 		// A failed shuffle must not leave partial output behind: remove

@@ -63,7 +63,7 @@ func TestShuffleMatchesMerge(t *testing.T) {
 	ds := dataset.RandomWalk(seriesLen, n, 13)
 	routes := gappyRoutes(n)
 	src := sparseSource{Blocks(ds, 37), func(id int) bool { return routes[id] == Unrouted }}
-	ps, err := c.Shuffle(src, 5, Dest{Root: c.Dir(), Name: "shuf"}, routes)
+	ps, err := c.Shuffle(src, 5, Dest{Name: "shuf"}, routes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestShuffleRefusesNonFiniteFirstByPartition(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		root := filepath.Join(t.TempDir(), "gen")
 		c := New(root, 4)
-		_, err := c.Shuffle(src, 5, Dest{Root: root, Name: "shuf"}, routes)
+		_, err := c.Shuffle(src, 5, Dest{Name: "shuf"}, routes)
 		if err == nil || err.Error() != want.Error() {
 			t.Fatalf("trial %d: shuffle error %v, want %v", trial, err, want)
 		}
@@ -169,10 +169,10 @@ func TestShuffleRejectsUnroutedRecord(t *testing.T) {
 	bs := Blocks(dataset.RandomWalk(8, 20, 2), 5)
 	routes := make([]Route, bs.Len())
 	routes[13] = Unrouted
-	if _, err := c.Shuffle(bs, 1, Dest{Root: c.Dir(), Name: "rw"}, routes); err == nil || !strings.Contains(err.Error(), "record 13") {
+	if _, err := c.Shuffle(bs, 1, Dest{Name: "rw"}, routes); err == nil || !strings.Contains(err.Error(), "record 13") {
 		t.Fatalf("shuffle of a record without a route: %v", err)
 	}
-	if _, err := c.Shuffle(bs, 1, Dest{Root: c.Dir(), Name: "rw"}, routes[:10]); err == nil {
+	if _, err := c.Shuffle(bs, 1, Dest{Name: "rw"}, routes[:10]); err == nil {
 		t.Fatal("shuffle of records past the routes succeeded")
 	}
 }

@@ -53,8 +53,9 @@ type Index struct {
 	// legacyTails is set when the manifest was opened with the legacy TAIL
 	// trailer, written while drains still rewrote files under their names:
 	// a drain killed there before its manifest save may have left records
-	// the WAL replays in partition files (see LegacyTails).
-	legacyTails bool
+	// the WAL replays in partition files (see LegacyTails); uncounted is set
+	// when a file the view reads holds such records (UncountedRecords).
+	legacyTails, uncounted bool
 }
 
 // NewIndex wraps an already-built skeleton and partition set as an Index
@@ -79,7 +80,7 @@ func Build(cl *cluster.Cluster, bs *cluster.BlockSet, cfg Config, name string) (
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x2545f4914f6cdd1d))
 	in := buildInput{src: bs, idBound: bs.Len(), sampleBlocks: cl.SampleBlocks(bs, cfg.SampleRate, rng)}
 	//lint:ignore ctxflow a build is an offline root: it runs to completion, there is no caller deadline to thread
-	g, stats, err := construct(context.Background(), cl, in, cfg, cluster.Dest{Root: cl.Dir(), Name: name})
+	g, stats, err := construct(context.Background(), cl, in, cfg, cluster.Dest{Name: name})
 	if err != nil {
 		return nil, err
 	}

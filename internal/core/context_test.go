@@ -5,7 +5,11 @@ import (
 	"errors"
 	"math"
 	"os"
+	"path/filepath"
+	"slices"
 	"testing"
+
+	"climber/internal/cluster"
 )
 
 func TestSearchContextPreCancelled(t *testing.T) {
@@ -120,16 +124,53 @@ func TestSearchBatchContextCancel(t *testing.T) {
 }
 
 // A rebuild whose context is cancelled stops at the next block of its scan
-// and writes nothing: the generation directory is not even created.
+// and writes nothing, and one whose flush fails removes what it wrote: the
+// store lists the index's files only. The next rebuild writes the same
+// names, the -g1- stem, and succeeds.
 func TestRebuildGenerationCancelled(t *testing.T) {
-	ix, _, _, _ := buildTestIndex(t, 1500, testConfig())
+	ix, _, cl, _ := buildTestIndex(t, 1500, testConfig())
+	listing := func() []string {
+		t.Helper()
+		ents, err := os.ReadDir(cl.Dir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, e := range ents {
+			names = append(names, e.Name())
+		}
+		return names
+	}
+	before := listing()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	genRoot := GenDir(t.TempDir(), 1)
-	if _, err := ix.RebuildGeneration(ctx, genRoot, "test"); !errors.Is(err, context.Canceled) {
+	if _, err := ix.RebuildGeneration(ctx, "test"); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled rebuild returned %v, want context.Canceled", err)
 	}
-	if _, err := os.Stat(genRoot); !os.IsNotExist(err) {
-		t.Fatalf("cancelled rebuild left %s behind (stat err = %v)", genRoot, err)
+	if after := listing(); !slices.Equal(after, before) {
+		t.Fatalf("cancelled rebuild changed the store from %v to %v", before, after)
+	}
+
+	// A directory squatted on partition 1's file fails its flush.
+	squat := cluster.PartitionPath(cl.Dir(), cluster.GenerationName("test", 1), 1)
+	if err := os.Mkdir(squat, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ix.RebuildGeneration(context.Background(), "test"); err == nil {
+		t.Fatal("rebuild over a squatted partition path succeeded")
+	}
+	// The failed flush removes every path it wrote to, the squat included.
+	if after := listing(); !slices.Equal(after, before) {
+		t.Fatalf("failed rebuild changed the store from %v to %v", before, after)
+	}
+
+	g, err := ix.RebuildGeneration(context.Background(), "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range g.Parts.Paths {
+		if filepath.Dir(p) != cl.Dir() || cluster.Generation(p) != 1 {
+			t.Fatalf("rebuilt partition %s is not a generation-1 file of the store", p)
+		}
 	}
 }

@@ -19,7 +19,8 @@
 //     construct is the one implementation, reading a cluster.Source: Build
 //     runs it over a dataset in memory cut into blocks, and
 //     RebuildGeneration (reindex.go) over the partition files of the
-//     generation it replaces, into a fsynced gen-NNNN directory.
+//     generation it replaces, into fsynced files of the same store named
+//     for the reindex count (cluster.GenerationName).
 //   - Query / QueryBatch (search.go, batch.go) — full-length, prefix and
 //     progressive queries are one entry point, told apart by
 //     SearchOptions.Prefix and the sink argument: the planner (plan.go)
@@ -41,8 +42,9 @@
 //     collide.
 //   - Generation (gen.go): one immutable view — skeleton, partition files,
 //     delta. No file changes under its name: a drain or a reindex builds the
-//     next view beside the current one, and SwapGeneration publishes it and
-//     retires the files only older views named, once no query holds one.
+//     next view beside the current one, the caller commits it by saving
+//     dir/index.clms, and SwapGeneration publishes it and retires the files
+//     only older views named, once no query holds one.
 //     A drain publishes its files with a fresh delta; older views keep the
 //     delta that holds what the new files hold, so no view holds a record
 //     twice. Close stops the retirements still waiting for a reader.

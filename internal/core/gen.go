@@ -14,56 +14,46 @@ import (
 	"climber/internal/storage"
 )
 
-// This file is the generation subsystem behind online reindex: a database
-// directory holds one *active generation* — a skeleton file plus partition
-// files — named by a tiny fsynced MANIFEST pointer file. Reindex builds a
-// complete new generation in a sibling gen-NNNN directory and commits it by
-// atomically renaming the MANIFEST; readers that were mid-query keep a
-// refcounted handle on the old generation until they finish, exactly like
-// readers of a path-copying persistent data structure keep the old version.
+// This file is the generation subsystem: a database directory holds one
+// manifest, dir/index.clms, naming the current view's skeleton and partition
+// files, and every change of view commits by saving it (tmp + fsync +
+// rename). A drain writes the files it changes beside the current ones; a
+// reindex writes a whole new set, named for the reindex count
+// (cluster.GenerationName). Both build the next view beside the current one,
+// save its manifest and publish it with SwapGeneration; readers that were
+// mid-query keep a refcounted handle on the old view until they finish,
+// exactly like readers of a path-copying persistent data structure keep the
+// old version, and the files only old views name go once the last such
+// reader is done (retire).
 //
 // On-disk layout:
 //
-//	dir/MANIFEST          names the active generation ("gen-0007"); absent
-//	                      for a database still on its build-time layout
-//	                      (generation 0: index.clms + cluster/ files)
-//	dir/index.clms        generation 0 skeleton + partition manifest
-//	dir/cluster/          generation 0 partition files
-//	dir/gen-NNNN/         generation N root: its own index.clms and
-//	                      partition files, side by side
-//	dir/wal.clmw          the write-ahead log, shared across generations
+//	dir/index.clms        the skeleton and the partition manifest
+//	dir/cluster/          the partition files of every view (StoreDir)
+//	dir/wal.clmw          the write-ahead log
 //
-// The partition manifest inside index.clms stores paths relative to the
-// generation root (see SaveSnapshot), so a generation directory — and a
-// backup hard-linked from one — is relocatable as a unit. Readers take
-// partition paths only from that manifest, which is why directories written
-// by earlier layouts (partitions under node00/, node01/, ...) keep opening.
+// The partition manifest stores paths relative to dir (see SaveSnapshot),
+// so a database directory, and a backup, is relocatable as a unit. Readers
+// take partition paths only from that manifest, which is why directories
+// written by earlier layouts keep opening: partitions under node00/,
+// node01/, ..., and the layout where each reindex wrote a gen-NNNN directory
+// with its own index.clms and a MANIFEST file named the current one. A
+// read-only open follows such a pointer; a writable open moves its manifest
+// to dir/index.clms once (UpgradeLayout).
 
-// IndexPathIn returns the skeleton/manifest file path of the generation
-// rooted at genRoot. Generation 0's root is the database directory itself.
-//
-//climber:genpath
-func IndexPathIn(genRoot string) string { return filepath.Join(genRoot, "index.clms") }
+// IndexPathIn returns the skeleton/manifest file path of the database (or
+// old-layout generation directory) at root.
+func IndexPathIn(root string) string { return filepath.Join(root, "index.clms") }
 
-// GenDir returns the root directory of generation n under the database
-// directory. n must be positive; generation 0 is the database directory.
-//
-//climber:genpath
-func GenDir(dir string, n int) string { return filepath.Join(dir, genName(n)) }
-
-// StoreDir returns the directory holding generation 0's partition files: one
-// flat directory beside dir/index.clms, so a retired generation 0 is removed
-// as a unit without touching the WAL, the MANIFEST or its gen-NNNN siblings.
+// StoreDir returns the directory holding the partition files: one flat
+// directory beside dir/index.clms, into which builds, drains and reindexes
+// all write.
 func StoreDir(dir string) string { return filepath.Join(dir, "cluster") }
 
-// genName formats a generation directory name.
-//
-//climber:genpath
+// genName formats an old-layout generation directory name.
 func genName(n int) string { return fmt.Sprintf("gen-%04d", n) }
 
-// manifestPath returns the MANIFEST pointer file path.
-//
-//climber:genpath
+// manifestPath returns the old layout's MANIFEST pointer file path.
 func manifestPath(dir string) string { return filepath.Join(dir, "MANIFEST") }
 
 // Generation is one immutable view of the index: the skeleton, the
@@ -146,11 +136,10 @@ func (ix *Index) AcquireGeneration() *Generation {
 // current view and retires the view it replaces: once that view and every
 // view published before it are released, the files it names and ng does not
 // go (see retire) — at once when no query holds them, else on a goroutine of
-// their own, unless the index was closed by then; the returned channel
-// closes then. Callers must serialise
+// their own, unless the index was closed by then. Callers must serialise
 // SwapGeneration with every write path (climber.DB runs it under the
 // ingestion semaphore).
-func (ix *Index) SwapGeneration(ng *Generation) <-chan struct{} {
+func (ix *Index) SwapGeneration(ng *Generation) {
 	old := ix.gen.Swap(ng)
 	prev, done := ix.retired, make(chan struct{})
 	ix.retired = done
@@ -168,13 +157,11 @@ func (ix *Index) SwapGeneration(ng *Generation) <-chan struct{} {
 	} else {
 		go retire()
 	}
-	return done
 }
 
 // Close ends the removal of retired files once a removal under way is done:
 // a retirement still waiting for a reader removes nothing, and leaves its
-// files to the next writable open (SweepPartitionFiles,
-// CleanStaleGenerations).
+// files to the next writable open (SweepPartitionFiles).
 func (ix *Index) Close() { ix.UnlessClosed(func() { ix.closed = true }) }
 
 // UnlessClosed runs fn, a removal of retired files, unless the index is
@@ -231,7 +218,7 @@ func (ix *Index) Skeleton() *Skeleton { return ix.gen.Load().Skel }
 func (ix *Index) Partitions() *cluster.PartitionSet { return ix.gen.Load().Parts }
 
 // crashHook, when set by a test, observes every durability step of the
-// generation-swap protocol (partition writes, fsyncs, the MANIFEST rename)
+// generation-swap protocol (partition writes, fsyncs, the manifest rename)
 // immediately *before* the step executes. The kill-anywhere crash matrix
 // sets a hook that SIGKILLs the process at an enumerated step and asserts
 // that reopening observes a fully-old or fully-new generation, never a mix.
@@ -258,48 +245,9 @@ func CrashStep(step string) {
 	}
 }
 
-// WriteManifestPointer atomically points dir's MANIFEST at the named
-// generation directory — the commit point of a reindex. The write is
-// tmp + fsync + rename + parent-dir fsync: a crash strictly before the
-// rename leaves the previous pointer (or none), a crash at or after it
-// leaves the new one; no interleaving exposes a torn pointer.
-func WriteManifestPointer(dir string, num int) error {
-	name := genName(num)
-	mp := manifestPath(dir)
-	tmp := mp + ".tmp"
-	CrashStep("manifest-write")
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("core: create manifest: %w", err)
-	}
-	if _, err := f.WriteString(name + "\n"); err != nil {
-		f.Close()
-		return fmt.Errorf("core: write manifest: %w", err)
-	}
-	CrashStep("manifest-fsync")
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("core: sync manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("core: close manifest: %w", err)
-	}
-	CrashStep("manifest-rename")
-	if err := os.Rename(tmp, mp); err != nil {
-		return fmt.Errorf("core: commit manifest: %w", err)
-	}
-	CrashStep("root-dir-sync")
-	if err := storage.SyncPath(dir); err != nil {
-		return err
-	}
-	CrashStep("commit-done")
-	return nil
-}
-
-// ActiveGeneration resolves dir's active generation from its MANIFEST
-// pointer: the generation root directory and number. A database without a
-// MANIFEST is on its build-time layout — generation 0, rooted at dir
-// itself.
+// ActiveGeneration resolves the manifest directory of dir: the gen-NNNN
+// directory and number an old-layout MANIFEST pointer names, else dir itself
+// and 0.
 func ActiveGeneration(dir string) (root string, num int, err error) {
 	b, err := os.ReadFile(manifestPath(dir))
 	if errors.Is(err, fs.ErrNotExist) {
@@ -313,81 +261,81 @@ func ActiveGeneration(dir string) (root string, num int, err error) {
 	if _, serr := fmt.Sscanf(name, "gen-%d", &n); serr != nil || n <= 0 || name != genName(n) {
 		return "", 0, fmt.Errorf("core: corrupt manifest pointer %q", name)
 	}
-	return GenDir(dir, n), n, nil
+	return filepath.Join(dir, name), n, nil
 }
 
-// CleanStaleGenerations removes generation remains that the active pointer
-// does not reference: gen-NNNN directories other than the active one (debris
-// of a reindex that crashed mid-build or mid-cleanup) and, when a gen-NNNN
-// generation is active, the superseded generation-0 files (index.clms and
-// the StoreDir tree). It is best-effort — the first removal error is
-// returned, but a failure leaves only unreferenced files behind.
-func CleanStaleGenerations(dir string, activeNum int) error {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return fmt.Errorf("core: scan for stale generations: %w", err)
+// UpgradeLayout moves the manifest of dir, a directory on the old layout
+// whose MANIFEST pointer named the gen-NNNN directory ix was opened from, to
+// dir/index.clms: it saves the view there — the paths of its files, relative
+// to dir, resolve where they lie — in the format it was read in, so a legacy
+// view's replay is still landed by a fold (LegacyTails); then it removes the
+// pointer and syncs dir. A kill before the removal leaves the pointer, and
+// the next writable open upgrades again; what else the old layout left is
+// the sweep's (SweepPartitionFiles).
+func (ix *Index) UpgradeLayout(dir string) error {
+	g := ix.AcquireGeneration()
+	defer g.Release()
+	if err := saveSnapshot(g.Skel, g.Parts, IndexPathIn(dir), ix.legacyTails); err != nil {
+		return err
 	}
-	var firstErr error
-	keep := func(e error) {
-		if firstErr == nil && e != nil {
-			firstErr = e
-		}
+	CrashStep("manifest-remove")
+	if err := os.Remove(manifestPath(dir)); err != nil {
+		return fmt.Errorf("core: remove manifest pointer: %w", err)
 	}
-	for _, ent := range entries {
-		if !ent.IsDir() || !strings.HasPrefix(ent.Name(), "gen-") {
-			continue
-		}
-		var n int
-		if _, serr := fmt.Sscanf(ent.Name(), "gen-%d", &n); serr != nil || ent.Name() != genName(n) {
-			continue // not ours
-		}
-		if n == activeNum {
-			continue
-		}
-		keep(os.RemoveAll(filepath.Join(dir, ent.Name())))
-	}
-	if activeNum > 0 {
-		if err := os.Remove(IndexPathIn(dir)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			keep(err)
-		}
-		keep(os.RemoveAll(StoreDir(dir)))
-	}
-	return firstErr
+	CrashStep("root-dir-sync")
+	return storage.SyncPath(dir)
 }
 
-// SweepPartitionFiles removes from the directories of parts' partition files
-// every partition file parts does not name — a base, a tail or the temporary
-// file of a write (*.clmp, *.tail, *.tmp) — which is what a killed drain
-// leaves there: files written for a view whose manifest was never saved (its
-// records are still in the WAL), and files of a replaced view whose removal
-// never ran. Like CleanStaleGenerations it is best-effort: the first removal
-// error is returned, and a failure leaves only unreferenced files behind.
-func SweepPartitionFiles(parts *cluster.PartitionSet) error {
+// SweepPartitionFiles removes what a writable open of dir must not find
+// there, in the store directory, the directories of parts' files and the
+// gen-NNNN directories of the old layout: every partition file parts does not
+// name — a base, a tail or the temporary file of a write (*.clmp, *.tail,
+// *.tmp) — and an old generation's index.clms; then each gen-NNNN directory
+// left empty. That is what a killed drain or reindex leaves (files written
+// for a view whose manifest was never saved, files of a replaced view whose
+// removal never ran) and what the old layout leaves after UpgradeLayout. It
+// is best-effort: the first removal error is returned, and a failure leaves
+// only unreferenced files behind.
+func SweepPartitionFiles(dir string, parts *cluster.PartitionSet) error {
 	live := make(map[string]bool)
-	dirs := make(map[string]bool)
+	dirs := map[string]bool{StoreDir(dir): false}
 	for _, f := range parts.Files() {
 		live[f] = true
-		dirs[filepath.Dir(f)] = true
+		dirs[filepath.Dir(f)] = false
 	}
 	var firstErr error
-	for dir := range dirs {
-		entries, err := os.ReadDir(dir)
+	keep := func(err error) {
+		if firstErr == nil && err != nil {
+			firstErr = err
+		}
+	}
+	top, err := os.ReadDir(dir)
+	keep(err)
+	for _, ent := range top {
+		if ent.IsDir() && strings.HasPrefix(ent.Name(), "gen-") {
+			dirs[filepath.Join(dir, ent.Name())] = true
+		}
+	}
+	for d, oldGen := range dirs {
+		entries, err := os.ReadDir(d)
 		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("core: scan for stale partition files: %w", err)
+			if !errors.Is(err, fs.ErrNotExist) {
+				keep(fmt.Errorf("core: scan for stale partition files: %w", err))
 			}
 			continue
 		}
 		for _, ent := range entries {
 			name := ent.Name()
-			partFile := strings.HasSuffix(name, ".clmp") || strings.HasSuffix(name, ".tail") || strings.HasSuffix(name, ".tmp")
-			path := filepath.Join(dir, name)
-			if ent.IsDir() || !partFile || live[path] {
+			stale := strings.HasSuffix(name, ".clmp") || strings.HasSuffix(name, ".tail") || strings.HasSuffix(name, ".tmp") ||
+				oldGen && name == "index.clms"
+			path := filepath.Join(d, name)
+			if ent.IsDir() || !stale || live[path] {
 				continue
 			}
-			if err := os.Remove(path); err != nil && firstErr == nil {
-				firstErr = err
-			}
+			keep(os.Remove(path))
+		}
+		if oldGen {
+			_ = os.Remove(d) // only an empty directory goes
 		}
 	}
 	return firstErr

@@ -119,7 +119,7 @@ func FuzzManifestPointer(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if name := strings.TrimSpace(string(data)); num <= 0 || name != genName(num) || root != GenDir(dir, num) {
+		if name := strings.TrimSpace(string(data)); num <= 0 || name != genName(num) || root != filepath.Join(dir, name) {
 			t.Fatalf("pointer %q resolved to generation %d at %s", data, num, root)
 		}
 		if filepath.Dir(root) != dir {

@@ -361,9 +361,9 @@ func SaveIndex(ix *Index, path string) error {
 
 // SaveSnapshot persists a skeleton plus a partition manifest to one file —
 // the serialised form of a generation. Partition paths under the file's own
-// directory are stored relative to it, so a generation directory (and a
-// backup assembled from one) can be relocated or copied wholesale and still
-// open; paths elsewhere are stored as given.
+// directory are stored relative to it, so a database directory (and a backup)
+// can be relocated or copied wholesale and still open; paths elsewhere are
+// stored as given.
 //
 // Each tail's path and record count follow the manifest only when some
 // partition has a tail, so an index that never drained into one — a fresh
@@ -374,7 +374,13 @@ func SaveIndex(ix *Index, path string) error {
 // WAL-replay baseline and the streaming compactor rewrites it on every
 // compaction, so a kill mid-save must leave either the old or the new
 // manifest, never a truncated one that would make the database unopenable.
-func SaveSnapshot(skel *Skeleton, parts *cluster.PartitionSet, path string) (err error) {
+func SaveSnapshot(skel *Skeleton, parts *cluster.PartitionSet, path string) error {
+	return saveSnapshot(skel, parts, path, false)
+}
+
+// saveSnapshot is SaveSnapshot, with the legacy tail section when legacy is
+// set: a view read from a manifest that had it keeps it (UpgradeLayout).
+func saveSnapshot(skel *Skeleton, parts *cluster.PartitionSet, path string, legacy bool) (err error) {
 	root := filepath.Dir(path)
 	tmp := path + ".tmp"
 	CrashStep("index-write")
@@ -408,7 +414,14 @@ func SaveSnapshot(skel *Skeleton, parts *cluster.PartitionSet, path string) (err
 		putPath(p)
 		bw.i(parts.Counts[i])
 	}
-	if slices.ContainsFunc(parts.Tails, func(t int) bool { return t > 0 }) {
+	switch {
+	case legacy:
+		bw.raw([]byte(legacyTailsMagic))
+		for pid := range parts.Paths {
+			_, n := parts.Tail(pid)
+			bw.i(n)
+		}
+	case slices.ContainsFunc(parts.Tails, func(t int) bool { return t > 0 }):
 		bw.raw([]byte(tailsMagic))
 		for pid := range parts.Paths {
 			tail, n := parts.Tail(pid)
@@ -455,17 +468,20 @@ const (
 // read beside it. The partition is then its base alone (its Counts entry, the
 // WAL replay baseline, stays the manifest's; a writer's open folds the killed
 // drain's replayed records into the base, see LegacyTails), and a writer's
-// open sweeps the tail. The base is read through the store, whose mapping
-// then serves the queries.
-func readTails(cl *cluster.Cluster, br *binReader, parts *cluster.PartitionSet, resolve func(string) string) (legacy bool, err error) {
+// open sweeps the tail. Of a legacy manifest it also reports uncounted: a
+// file the view reads, a base or a live tail, holds more records than the
+// manifest gives it — a drain killed after it rewrote the file, whose records
+// the WAL still holds. Each file is read through the store, whose mapping then
+// serves the queries.
+func readTails(cl *cluster.Cluster, br *binReader, parts *cluster.PartitionSet, resolve func(string) string) (legacy, uncounted bool, err error) {
 	if br.r.Len() == 0 {
-		return false, nil
+		return false, false, nil
 	}
 	magic := make([]byte, len(tailsMagic))
 	br.raw(magic)
 	legacy = string(magic) == legacyTailsMagic
 	if br.err != nil || !legacy && string(magic) != tailsMagic {
-		return false, fmt.Errorf("core: corrupt manifest trailer")
+		return false, false, fmt.Errorf("core: corrupt manifest trailer")
 	}
 	parts.Tails, parts.TailPaths = make([]int, len(parts.Paths)), make([]string, len(parts.Paths))
 	for pid, base := range parts.Paths {
@@ -476,27 +492,44 @@ func readTails(cl *cluster.Cluster, br *binReader, parts *cluster.PartitionSet, 
 		}
 		n := br.i()
 		if br.err != nil || n < 0 || n > parts.Counts[pid] || !legacy && (n == 0) != (len(stored) == 0) {
-			return false, fmt.Errorf("core: corrupt tail of partition %d", pid)
+			return false, false, fmt.Errorf("core: corrupt tail of partition %d", pid)
 		}
 		tail := cluster.TailPath(base)
 		if !legacy {
 			tail = resolve(string(stored))
 		}
-		if n > 0 && legacy {
-			h, err := cl.OpenPartition(&cluster.PartitionSet{Paths: []string{base}}, 0)
+		if legacy {
+			held, err := recordsIn(cl, base)
 			if err != nil {
-				return false, err
+				return false, false, err
 			}
-			if h.Count() != parts.Counts[pid]-n {
+			if held != parts.Counts[pid]-n {
 				n = 0
 			}
-			h.Close()
+			if n > 0 {
+				inTail, err := recordsIn(cl, tail)
+				if err != nil {
+					return false, false, err
+				}
+				held += inTail
+			}
+			uncounted = uncounted || held > parts.Counts[pid]
 		}
 		if n > 0 {
 			parts.Tails[pid], parts.TailPaths[pid] = n, tail
 		}
 	}
-	return legacy, nil
+	return legacy, uncounted, nil
+}
+
+// recordsIn returns the number of records the partition file at path holds.
+func recordsIn(cl *cluster.Cluster, path string) (int, error) {
+	h, err := cl.OpenPartition(&cluster.PartitionSet{Paths: []string{path}}, 0)
+	if err != nil {
+		return 0, err
+	}
+	defer h.Close()
+	return h.Count(), nil
 }
 
 // LegacyTails reports whether the index was opened from a manifest with the
@@ -505,6 +538,12 @@ func readTails(cl *cluster.Cluster, br *binReader, parts *cluster.PartitionSet, 
 // writer's open lands the replay with a fold of every partition it touches
 // (ingest.Open): the fold replaces a record already in the files.
 func (ix *Index) LegacyTails() bool { return ix.legacyTails }
+
+// UncountedRecords reports whether the index was opened from a legacy
+// manifest and a file its view reads holds more records than the manifest
+// gives it (see readTails): a drain of that layout was killed after it
+// rewrote the file. Only a writer's open lands the replay that counts them.
+func (ix *Index) UncountedRecords() bool { return ix.uncounted }
 
 // OpenIndex loads index metadata saved by SaveIndex and attaches it to the
 // given cluster for partition I/O accounting. The file is small (the
@@ -527,8 +566,8 @@ func OpenIndex(cl *cluster.Cluster, path string) (*Index, error) {
 		return nil, fmt.Errorf("core: manifest series length %d, skeleton %d", parts.SeriesLen, skel.SeriesLen)
 	}
 	n := br.count("partition", 16) // a path length and a record count each
-	// Manifests written by SaveSnapshot carry generation-relative paths;
-	// resolve them against the manifest's own directory. Old absolute-path
+	// Manifests written by SaveSnapshot carry paths relative to their own
+	// directory; resolve them against it. Old absolute-path
 	// manifests pass through unchanged.
 	resolve := func(p string) string {
 		if !filepath.IsAbs(p) {
@@ -548,11 +587,11 @@ func OpenIndex(cl *cluster.Cluster, path string) (*Index, error) {
 	if br.err != nil {
 		return nil, fmt.Errorf("core: read manifest: %w", br.err)
 	}
-	legacy, err := readTails(cl, br, parts, resolve)
+	legacy, uncounted, err := readTails(cl, br, parts, resolve)
 	if err != nil {
 		return nil, err
 	}
-	ix := &Index{Cl: cl, legacyTails: legacy}
+	ix := &Index{Cl: cl, legacyTails: legacy, uncounted: uncounted}
 	ix.gen.Store(NewGeneration(skel, parts))
 	ix.initNextID()
 	return ix, nil

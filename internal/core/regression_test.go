@@ -90,7 +90,7 @@ func buildDegenerateIndex(t *testing.T) (*Index, *testDataset) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parts, err := cl.Shuffle(bs, skel.NumPartitions, cluster.Dest{Root: cl.Dir(), Name: "degenerate"}, routes)
+	parts, err := cl.Shuffle(bs, skel.NumPartitions, cluster.Dest{Name: "degenerate"}, routes)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,16 +6,18 @@ import (
 	"math/rand/v2"
 
 	"climber/internal/cluster"
-	"climber/internal/storage"
 )
 
 // RebuildGeneration builds a fresh generation of the index — new sample, new
 // pivots, new skeleton, new partition files — from the records currently
-// persisted in the acquired generation's partition files, writing everything
-// under genRoot (a gen-NNNN directory that must not yet exist). It is the
-// build half of an online reindex: the caller (climber.DB.Reindex) is
-// responsible for quiescing the compactor first, committing the MANIFEST
-// pointer afterwards, and swapping the returned generation in.
+// persisted in the acquired generation's partition files. It writes the files
+// into the store's directory under cluster.GenerationName(name, n), n one
+// more than the current view's cluster.Generation, so they are files no
+// current view names. It is the build half of an online reindex: the caller
+// (climber.DB.Reindex) is responsible for quiescing the compactor first, and
+// afterwards for saving the manifest that names the new files (the commit)
+// and publishing the returned generation with SwapGeneration — or, when it
+// does not commit, for retiring and removing the files.
 //
 // The rebuild is CLIMBER construction (paper Figure 6) — construct, the same
 // pipeline Build runs — with two differences in its input and output:
@@ -27,14 +29,15 @@ import (
 //     makes the rebuild a deterministic function of the logical record set
 //     (the crash-matrix test relies on rebuilding the same input twice giving
 //     bit-identical files);
-//   - every written file is fsynced (and the directories containing them), so
-//     when the caller's MANIFEST rename commits, the generation it names is
+//   - every written file is fsynced, and the directory holding them, so
+//     when the caller's manifest save commits, the files it names are
 //     durable. The enumerated CrashStep hooks mark each durability boundary.
 //
 // The new generation starts with no delta; the caller re-routes any
 // uncompacted records into one before the swap. Records land in the new
-// files exactly as persisted, preserving IDs.
-func (ix *Index) RebuildGeneration(ctx context.Context, genRoot, name string) (*Generation, error) {
+// files exactly as persisted, preserving IDs. A failed rebuild leaves no
+// file behind.
+func (ix *Index) RebuildGeneration(ctx context.Context, name string) (*Generation, error) {
 	old := ix.AcquireGeneration()
 	defer old.Release()
 	cfg := old.Skel.Cfg
@@ -49,18 +52,9 @@ func (ix *Index) RebuildGeneration(ctx context.Context, genRoot, name string) (*
 			return rng.Float64() < cfg.SampleRate
 		},
 	}
-	g, stats, err := construct(ctx, ix.Cl, in, cfg,
-		cluster.Dest{Root: genRoot, Name: name, Sync: true, Step: CrashStep})
+	name = cluster.GenerationName(name, cluster.Generation(old.Parts.Paths[0])+1)
+	g, stats, err := construct(ctx, ix.Cl, in, cfg, cluster.Dest{Name: name, Sync: true, Step: CrashStep})
 	if err != nil {
-		return nil, err
-	}
-	// The partition files are durable and findable; now the skeleton that
-	// references them, before the MANIFEST that references it (the caller's
-	// rename).
-	if err := SaveSnapshot(g.Skel, g.Parts, IndexPathIn(genRoot)); err != nil {
-		return nil, err
-	}
-	if err := storage.SyncPath(genRoot); err != nil {
 		return nil, err
 	}
 	ix.Stats = stats

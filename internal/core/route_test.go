@@ -51,7 +51,7 @@ func BenchmarkShuffle(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := cl.Shuffle(bs, skel.NumPartitions, cluster.Dest{Root: cl.Dir(), Name: "bench"}, routes); err != nil {
+		if _, err := cl.Shuffle(bs, skel.NumPartitions, cluster.Dest{Name: "bench"}, routes); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -395,7 +395,7 @@ func TestOpenKeepsOnlyLiveTails(t *testing.T) {
 			t.Fatalf("test premise broken: %v", err)
 		}
 	}
-	if err := SweepPartitionFiles(got); err != nil {
+	if err := SweepPartitionFiles(dir, got); err != nil {
 		t.Fatal(err)
 	}
 	for _, f := range []string{folded, unlisted, tmp} {

@@ -159,7 +159,7 @@ func Build(cl *cluster.Cluster, bs *cluster.BlockSet, cfg Config, name string) (
 	if err != nil {
 		return nil, fmt.Errorf("dpisax: conversion: %w", err)
 	}
-	parts, err := cl.Shuffle(bs, numParts, cluster.Dest{Root: cl.Dir(), Name: name}, routes)
+	parts, err := cl.Shuffle(bs, numParts, cluster.Dest{Name: name}, routes)
 	if err != nil {
 		return nil, fmt.Errorf("dpisax: re-distribution: %w", err)
 	}

@@ -353,7 +353,7 @@ func (g *Ingester) BeginRebuild(ctx context.Context) error {
 // the swap — it re-routes every record acked during the rebuild through the
 // new generation's skeleton (route, a pure function of the values) into a
 // fresh delta, then calls publish, which must install that delta on the new
-// generation, commit the MANIFEST pointer, and swap the generation in. On
+// generation, commit it by saving the manifest, and swap it in. On
 // success the pipeline's live delta becomes the re-routed one and
 // compactions resume against the new generation; on error the old
 // generation stays current and compactions resume against it, with the WAL

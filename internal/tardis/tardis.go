@@ -181,7 +181,7 @@ func Build(cl *cluster.Cluster, bs *cluster.BlockSet, cfg Config, name string) (
 	if err != nil {
 		return nil, fmt.Errorf("tardis: conversion: %w", err)
 	}
-	parts, err := cl.Shuffle(bs, ix.NumPartitions, cluster.Dest{Root: cl.Dir(), Name: name}, routes)
+	parts, err := cl.Shuffle(bs, ix.NumPartitions, cluster.Dest{Name: name}, routes)
 	if err != nil {
 		return nil, fmt.Errorf("tardis: re-distribution: %w", err)
 	}

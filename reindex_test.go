@@ -5,11 +5,18 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
+	"time"
 
+	"climber/internal/cluster"
 	"climber/internal/core"
 	"climber/internal/storage"
 )
@@ -20,8 +27,9 @@ var reindexVariants = []Variant{KNN, Adaptive2X, Adaptive4X, ODSmallest}
 
 // TestReindexRoundTrip is the tentpole's happy path: a reindex on a live
 // database must preserve every record (built and appended), bump the
-// generation, move the physical layout under gen-0001, survive a reopen
-// from the MANIFEST pointer, and keep accepting appends afterwards.
+// generation, write new partition files under the -g1- stem into the store,
+// survive a reopen from dir/index.clms, and keep accepting appends
+// afterwards.
 func TestReindexRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	data := smallData(1200)
@@ -36,6 +44,7 @@ func TestReindexRoundTrip(t *testing.T) {
 	if g := db.Info().Generation; g != 0 {
 		t.Fatalf("fresh database reports generation %d, want 0", g)
 	}
+	oldFiles := db.Index().Partitions().Files()
 
 	if err := db.Reindex(context.Background()); err != nil {
 		t.Fatal(err)
@@ -46,10 +55,9 @@ func TestReindexRoundTrip(t *testing.T) {
 	if n := db.Info().NumRecords; n != 1240 {
 		t.Fatalf("NumRecords = %d after reindex, want 1240", n)
 	}
-	genRoot := filepath.Join(dir, "gen-0001")
 	for _, p := range db.Index().Partitions().Paths {
-		if rel, err := filepath.Rel(genRoot, p); err != nil || !filepath.IsLocal(rel) {
-			t.Fatalf("partition %s not under %s after reindex", p, genRoot)
+		if filepath.Dir(p) != core.StoreDir(dir) || !strings.HasPrefix(filepath.Base(p), "climber-g1-part") {
+			t.Fatalf("partition %s is not a -g1- file of the store %s after reindex", p, core.StoreDir(dir))
 		}
 	}
 
@@ -74,13 +82,12 @@ func TestReindexRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The retired generation's files are deleted once no reader holds them.
-	db.waitCleanupForTest()
-	if _, err := os.Stat(filepath.Join(dir, "index.clms")); !os.IsNotExist(err) {
-		t.Fatalf("old generation skeleton still present after cleanup: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "cluster")); !os.IsNotExist(err) {
-		t.Fatalf("old generation partition tree still present after cleanup: %v", err)
+	// The replaced view's files are deleted at the swap, since no reader
+	// holds them.
+	for _, p := range oldFiles {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Fatalf("old generation file %s still present after the swap: %v", p, err)
+		}
 	}
 
 	// Appends keep working against the new generation.
@@ -96,7 +103,7 @@ func TestReindexRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen resolves the MANIFEST pointer and replays the post-reindex WAL.
+	// Reopen reads dir/index.clms and replays the post-reindex WAL.
 	re, err := Open(dir, ingestOpts()...)
 	if err != nil {
 		t.Fatal(err)
@@ -153,13 +160,12 @@ func TestCompactorRetargetsNewGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The compaction must have landed in gen-0001's files...
+	// The compaction must have landed in the reindex's -g1- files...
 	newParts := db.Index().Partitions()
 	total := 0
-	genRoot := filepath.Join(dir, "gen-0001")
 	for pid, p := range newParts.Paths {
-		if rel, err := filepath.Rel(genRoot, p); err != nil || !filepath.IsLocal(rel) {
-			t.Fatalf("post-swap compaction target %s outside %s", p, genRoot)
+		if filepath.Dir(p) != core.StoreDir(dir) || !strings.HasPrefix(filepath.Base(p), "climber-g1-part") {
+			t.Fatalf("post-swap compaction target %s is not a -g1- file of the store", p)
 		}
 		total += newParts.Counts[pid]
 	}
@@ -178,12 +184,16 @@ func TestCompactorRetargetsNewGeneration(t *testing.T) {
 		}
 	}
 
-	// Dropping the last reference releases the files.
+	// Dropping the last reference releases the files, on the goroutine the
+	// swap left waiting for it.
 	g0.Release()
-	db.waitCleanupForTest()
 	for _, p := range oldPaths {
-		if _, err := os.Stat(p); !os.IsNotExist(err) {
-			t.Fatalf("old generation file %s survived release: %v", p, err)
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			if _, err := os.Stat(p); os.IsNotExist(err) {
+				break
+			} else if time.Now().After(deadline) {
+				t.Fatalf("old generation file %s survived release: %v", p, err)
+			}
 		}
 	}
 	res, err := db.Search(extra[3], 3)
@@ -350,8 +360,9 @@ func TestReindexReadOnlyAndClosed(t *testing.T) {
 }
 
 // TestRepeatedReindex runs three consecutive rebuilds: each must advance the
-// generation, relocate the layout, and preserve the record set — the stale-
-// generation sweep at the next Open must not be needed for correctness.
+// generation, write new files, and preserve the record set, and the store
+// must hold the last view's files and nothing else — the sweep at the next
+// Open must not be needed for that.
 func TestRepeatedReindex(t *testing.T) {
 	dir := t.TempDir()
 	data := smallData(900)
@@ -378,26 +389,20 @@ func TestRepeatedReindex(t *testing.T) {
 			t.Fatalf("round %d: self query lost: %+v", round, res)
 		}
 	}
-	db.waitCleanupForTest()
-	// Only the live generation directory remains.
-	for _, stale := range []string{"gen-0001", "gen-0002"} {
-		if _, err := os.Stat(filepath.Join(dir, stale)); !os.IsNotExist(err) {
-			t.Fatalf("stale %s survived its cleanup: %v", stale, err)
+	// No file of rounds 0-2 remains: the store lists the view's files only.
+	named := db.Index().Partitions().Files()
+	for _, p := range named {
+		if !strings.HasPrefix(filepath.Base(p), "climber-g3-part") {
+			t.Fatalf("round 3 view names %s", p)
 		}
 	}
-	root, num, err := core.ActiveGeneration(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if num != 3 || root != filepath.Join(dir, "gen-0003") {
-		t.Fatalf("MANIFEST resolves to (%s, %d), want gen-0003", root, num)
-	}
+	storeOnlyNamed(t, dir, named)
 }
 
 // reindexArtifacts builds a fixed database at the given worker count (the
 // store's pool and the skeleton loops both), appends a batch, flushes it into
 // the partition files, reindexes, and returns a name -> SHA-256 map of what
-// the reindex wrote: the skeleton encoding, the generation's index file
+// the reindex wrote: the skeleton encoding, the index file it saved
 // (partition paths in it are relative, so it is comparable across
 // directories) and every partition file.
 func reindexArtifacts(t *testing.T, workers int) map[string]string {
@@ -434,7 +439,7 @@ func reindexArtifacts(t *testing.T, workers int) map[string]string {
 		t.Fatal(err)
 	}
 	out["skeleton"] = hash(buf.Bytes())
-	out["index.clms"] = hashFile(core.IndexPathIn(db.activeRoot()))
+	out["index.clms"] = hashFile(core.IndexPathIn(db.dir))
 	for _, p := range db.Index().Partitions().Paths {
 		raw, err := os.ReadFile(p)
 		if err != nil {
@@ -444,8 +449,11 @@ func reindexArtifacts(t *testing.T, workers int) map[string]string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out["partition/"+filepath.Base(p)] = hash(v2)
-		out["summarized/"+filepath.Base(p)] = hash(raw)
+		// Keyed by the name the build gives the partition: climber-g1-part00003.clmp
+		// is climber-part00003.clmp.
+		asBuilt := strings.Replace(filepath.Base(p), "-g1-", "-", 1)
+		out["partition/"+asBuilt] = hash(v2)
+		out["summarized/"+asBuilt] = hash(raw)
 	}
 	return out
 }
@@ -457,9 +465,11 @@ func reindexArtifacts(t *testing.T, workers int) map[string]string {
 // the "partition/" hashes are of each file's version-2 form
 // (storage.WithoutSummaries) — unchanged, so the summary section moved no
 // record byte — and the "summarized/" ones, recorded when the section was
-// added, are of the whole files.
+// added, are of the whole files. The "index.clms" hash was recorded again when
+// a reindex began to write its files into the store under the -g1- stem,
+// because the paths the manifest stores changed; its skeleton did not.
 var goldenReindexArtifacts = map[string]string{
-	"index.clms":                        "081f2aca3efdbb805a397848a428b4de55acfca171529136a397f43e609cb995",
+	"index.clms":                        "6c06ce8a3e968ffbc2417b0c80bfe3b37a488e77500eecd8c69a43c94dd3a17a",
 	"partition/climber-part00000.clmp":  "e950447dfa366cee1158fa4e9ed63ad57b3f43c3a49b701a09f71b0d8f5fc664",
 	"partition/climber-part00001.clmp":  "0f2ea4dfd3672807ea707b99c39bffeaffb636b72d51f859202735573306eb65",
 	"partition/climber-part00002.clmp":  "3207a2dd379acf94368c20d10f9d670982cfccd34b4af4442f1dbb0101ca1f8b",
@@ -502,5 +512,194 @@ func TestReindexBitIdentical(t *testing.T) {
 				t.Errorf("workers=%d: artefact %s = %s, golden %s", workers, name, got[name], h)
 			}
 		}
+	}
+}
+
+// legacyGen is testdata/legacy-gen.json: what the code that wrote
+// testdata/legacy-gen answered on its read-only and on its writable open.
+// The directory is the layout where each reindex wrote a gen-NNNN directory:
+// a build of Built records and two reindexes, so MANIFEST names gen-0002,
+// the records up to Acked drained into tails under gen-0002, and gen-0001
+// left whole by a cleanup that never ran.
+type legacyGen struct {
+	Built, Acked       int
+	ReadOnly, Writable legacyGenOpen
+}
+
+type legacyGenOpen struct {
+	Info    Info
+	Answers []struct {
+		Query   int
+		Variant string
+		Results []Result
+	}
+}
+
+func readLegacyGen(t *testing.T) legacyGen {
+	t.Helper()
+	var fx legacyGen
+	b, err := os.ReadFile(filepath.Join("testdata", "legacy-gen.json"))
+	if err == nil {
+		err = json.Unmarshal(b, &fx)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fx
+}
+
+// answersAs fails unless db reports want's Info and gives its answers.
+func answersAs(t *testing.T, db *DB, how string, want legacyGenOpen) {
+	t.Helper()
+	if info := db.Info(); info != want.Info {
+		t.Fatalf("%s: Info = %+v, want %+v", how, info, want.Info)
+	}
+	data := smallData(want.Info.NumRecords)
+	variants := map[string]Variant{}
+	for _, v := range reindexVariants {
+		variants[v.String()] = v
+	}
+	for _, a := range want.Answers {
+		res, err := db.Search(data[a.Query], 10, WithVariant(variants[a.Variant]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(res, a.Results) {
+			t.Fatalf("%s: record %d under %s answers\n%+v\nwant\n%+v", how, a.Query, a.Variant, res, a.Results)
+		}
+	}
+}
+
+// onlyOneStore fails unless dir holds index.clms, wal.clmw and the files the
+// manifest names, and no gen-NNNN directory holds a file.
+func onlyOneStore(t *testing.T, dir string, named []string) {
+	t.Helper()
+	if _, err := os.Stat(filepath.Join(dir, "MANIFEST")); !os.IsNotExist(err) {
+		t.Fatalf("MANIFEST is still there (%v)", err)
+	}
+	want := append([]string{core.IndexPathIn(dir), walPath(dir)}, named...)
+	err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && !slices.Contains(want, p) {
+			err = fmt.Errorf("%s is in the directory and the manifest does not name it", p)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A directory on the layout where each reindex wrote a gen-NNNN directory
+// opens as the code that wrote it answered: read-only without a change, and
+// writable with its manifest moved to dir/index.clms and the MANIFEST
+// pointer, the other generation and the generation's own index.clms gone.
+// The next reindex writes into the store, so after it and a reopen the
+// directory is the one-store layout.
+func TestLegacyGenerationLayoutOpens(t *testing.T) {
+	fx := readLegacyGen(t)
+	dir := filepath.Join(t.TempDir(), "db")
+	copyTreeForTest(t, filepath.Join("testdata", "legacy-gen"), dir)
+
+	before := treeFingerprint(t, dir)
+	ro, err := Open(dir, WithReadOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	answersAs(t, ro, "read-only", fx.ReadOnly)
+	ro.Close()
+	if after := treeFingerprint(t, dir); after != before {
+		t.Fatalf("a read-only open changed the directory:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+
+	db, err := Open(dir, ingestOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	answersAs(t, db, "writable", fx.Writable)
+	if fx.Writable.Info.Generation != 2 {
+		t.Fatalf("the fixture records generation %d, want 2", fx.Writable.Info.Generation)
+	}
+	onlyOneStore(t, dir, db.Index().Partitions().Files())
+
+	// A reindex killed mid-flush leaves its files in the store, a directory
+	// that holds no file of this view: the next writable open sweeps them.
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(core.StoreDir(dir), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	killed := cluster.PartitionPath(core.StoreDir(dir), cluster.GenerationName("climber", 3), 0)
+	for _, f := range []string{killed, killed + ".tmp"} {
+		if err := os.WriteFile(f, []byte("debris"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if db, err = Open(dir, ingestOpts()...); err != nil {
+		t.Fatal(err)
+	}
+	onlyOneStore(t, dir, db.Index().Partitions().Files())
+	if err := db.Reindex(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(dir, ingestOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if info := re.Info(); info.Generation != 3 || info.NumRecords != fx.Acked {
+		t.Fatalf("after a reindex and a reopen: generation %d, %d records; want 3 and %d", info.Generation, info.NumRecords, fx.Acked)
+	}
+	onlyOneStore(t, dir, re.Index().Partitions().Files())
+	for _, p := range re.Index().Partitions().Files() {
+		if filepath.Dir(p) != core.StoreDir(dir) {
+			t.Fatalf("after a reindex the manifest names %s, outside the store", p)
+		}
+	}
+}
+
+// A reindex cancelled mid-rebuild, after its shuffle wrote the new files,
+// leaves the store listing the view's files only, and the next reindex,
+// which writes the same names, runs to completion.
+func TestReindexCancelledLeavesNothing(t *testing.T) {
+	dir := t.TempDir()
+	data := smallData(900)
+	db, err := Build(dir, data, ingestOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	core.SetCrashStepHook(func(step string) {
+		if step == "gen-dir-sync" {
+			cancel()
+		}
+	})
+	err = db.Reindex(ctx)
+	core.SetCrashStepHook(nil)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("reindex cancelled mid-rebuild returned %v, want context.Canceled", err)
+	}
+	storeOnlyNamed(t, dir, db.Index().Partitions().Files())
+	if g := db.Info().Generation; g != 0 {
+		t.Fatalf("generation %d after a cancelled reindex, want 0", g)
+	}
+	if err := db.Reindex(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	storeOnlyNamed(t, dir, db.Index().Partitions().Files())
+	if info := db.Info(); info.Generation != 1 || info.NumRecords != len(data) {
+		t.Fatalf("after the completed reindex: generation %d, %d records; want 1 and %d", info.Generation, info.NumRecords, len(data))
+	}
+	res, err := db.Search(data[123], 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) == 0 || res[0].ID != 123 || res[0].Dist > 1e-4 {
+		t.Fatalf("self query after the reindex: %+v", res)
 	}
 }

@@ -121,7 +121,7 @@ func TestBuildLeavesOnlyIndexWALAndPartitions(t *testing.T) {
 func TestBuildFailureLeavesNoFiles(t *testing.T) {
 	for name, squat := range map[string]func(dir string) string{
 		"shuffle":    func(dir string) string { return cluster.PartitionPath(core.StoreDir(dir), "climber", 1) },
-		"save-index": indexPath,
+		"save-index": core.IndexPathIn,
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -217,16 +217,16 @@ func TestFailedIndexSaveLeavesNoTempFile(t *testing.T) {
 		t.Skip("no /dev/full to fail a write with")
 	}
 	before = listTree(t, dir)
-	if err := os.Symlink("/dev/full", indexPath(dir)+".tmp"); err != nil {
+	if err := os.Symlink("/dev/full", core.IndexPathIn(dir)+".tmp"); err != nil {
 		t.Fatal(err)
 	}
-	if err := core.SaveSnapshot(skel, parts, indexPath(dir)); err == nil {
+	if err := core.SaveSnapshot(skel, parts, core.IndexPathIn(dir)); err == nil {
 		t.Fatal("index save into a full device succeeded")
 	}
 	if after := listTree(t, dir); after != before {
 		t.Fatalf("failed index save changed the directory:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
-	if err := core.SaveSnapshot(skel, parts, indexPath(dir)); err != nil {
+	if err := core.SaveSnapshot(skel, parts, core.IndexPathIn(dir)); err != nil {
 		t.Fatalf("index save after the failure: %v", err)
 	}
 }
@@ -328,7 +328,7 @@ func foldedAsBuilt(tree string) string {
 }
 
 // Opening read-only must not write: not on a built directory, not on a
-// reindexed one (whose generation-0 tree reindex deleted), not on a restored
+// reindexed one (whose build-time files the reindex deleted), not on a restored
 // backup — the recursive listing is unchanged, and the open works with every
 // write permission bit cleared.
 func TestOpenReadOnlyWritesNothing(t *testing.T) {
@@ -345,7 +345,6 @@ func TestOpenReadOnlyWritesNothing(t *testing.T) {
 	if err := db.Reindex(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	db.waitCleanupForTest()
 	backup := filepath.Join(t.TempDir(), "backup")
 	if err := db.Backup(context.Background(), backup); err != nil {
 		t.Fatal(err)
@@ -480,10 +479,17 @@ func TestOldNodeLayoutStillWorks(t *testing.T) {
 		if err := db.Reindex(context.Background()); err != nil {
 			t.Fatal(err)
 		}
-		db.waitCleanupForTest()
 	}
-	if _, err := os.Stat(core.StoreDir(old)); !os.IsNotExist(err) {
-		t.Fatalf("old-layout generation-0 tree still present after reindex: %v", err)
+	// The reindex wrote into the store and retired every old-layout file.
+	named := oldDB.Index().Partitions().Files()
+	err = filepath.WalkDir(core.StoreDir(old), func(p string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && !slices.Contains(named, p) {
+			err = fmt.Errorf("%s is in the store and in no view", p)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatalf("after the reindex of the old layout: %v", err)
 	}
 	want = searchFingerprint(t, flatDB, queries)
 	if got := searchFingerprint(t, oldDB, queries); got != want {
