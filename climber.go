@@ -442,14 +442,15 @@ func buildOptions(opts []Option) options {
 // against the manifest's counts, so a reindex never moves it.
 func walPath(dir string) string { return filepath.Join(dir, "wal.clmw") }
 
-// save persists view's manifest to dir/index.clms: the commit of every drain
-// and of every reindex.
+// save persists view's manifest to dir/index.clms: the manifest save of
+// core.Index.Publish, which commits every drain and every reindex.
 func (db *DB) save(view *core.Generation) error {
 	return core.SaveSnapshot(view.Skel, view.Parts, core.IndexPathIn(db.dir))
 }
 
 // attachIngest starts the streaming write path on a freshly built or opened
-// index: WAL replay, delta install, background compactor.
+// index: WAL replay, a view published with the replayed delta, background
+// compactor.
 func (db *DB) attachIngest(o options) (*ingest.Ingester, error) {
 	return ingest.Open(db.ix, walPath(db.dir), db.save, o.ingest)
 }
@@ -815,8 +816,9 @@ func (db *DB) Info() Info {
 // dataset, a new skeleton (new pivots, new groups, new tries) is built from
 // it, every persisted record is re-routed into new partition files, written
 // into the store under names no current file has, and the database commits
-// to them the way a drain does: it saves its manifest, naming the new
-// skeleton and files. This is the remedy for capacity drift: heavy append
+// to them through the drain's own commit (core.Index.Publish): it saves its
+// manifest, naming the new skeleton and files, fsyncs its directory and
+// publishes the view. This is the remedy for capacity drift: heavy append
 // traffic grows partitions past the capacity the original sample's skeleton
 // planned for (the paper's Section V soft-constraint), and a reindex restores
 // the built-fresh layout without taking the database offline.
@@ -829,8 +831,9 @@ func (db *DB) Info() Info {
 //     last in-flight reader finishes.
 //   - Appends run throughout. Writes acked during the rebuild accumulate in
 //     the WAL and the old view's delta; at commit, they are re-routed
-//     through the new skeleton into the new view's delta — every
-//     acked-before-commit record is visible after, and remains durable.
+//     through the new skeleton into the delta the new view is built with —
+//     every acked-before-commit record is visible after, and remains
+//     durable, and a query pinned to the old view still finds it there.
 //   - Compactions pause during the rebuild (Flush returns
 //     ErrReindexInProgress) and resume against the new view after.
 //
@@ -880,39 +883,14 @@ func (db *DB) Reindex(ctx context.Context) error {
 	}
 
 	// Commit: under the write semaphore, re-route the records appended
-	// during the rebuild into the new view's delta, save the manifest naming
-	// the new files (the durable commit; the directory sync makes its rename
-	// durable) and publish the view. SwapGeneration retires the old view's
-	// files once their readers are gone. A failure before the manifest's
-	// rename resumes the old view untouched, and the new files go: the next
-	// reindex writes the same names. After the rename the files stay, since
-	// the manifest on disk may name them. A cancel that came after the
-	// rebuild's last scan still stops the commit.
-	saved := false
-	err = db.ing.CommitRebuild(newGen.Skel.RouteRecord, func(nd *ingest.MemDelta) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		newGen.SetDelta(nd)
-		if err := db.save(newGen); err != nil {
-			return err
-		}
-		saved = true
-		core.CrashStep("root-dir-sync")
-		if err := storage.SyncPath(db.dir); err != nil {
-			return err
-		}
-		db.ix.SwapGeneration(newGen)
-		return nil
-	})
-	if err != nil {
-		if !saved {
-			files := newGen.Parts.Files()
-			db.cl.Retire(files...)
-			for _, f := range files {
-				_ = os.Remove(f) // best effort; an open sweeps what is left
-			}
-		}
+	// during the rebuild into the new view's delta and commit the view
+	// (core.Index.Publish: manifest save, directory fsync, swap); the old
+	// view's files go once their readers are gone. A failure before the
+	// manifest's rename, a cancel that came after the rebuild's last scan
+	// included, resumes the old view untouched and removes the new files: the
+	// next reindex writes the same names. After the rename the files stay,
+	// since the manifest on disk may name them.
+	if err := db.ing.CommitRebuild(ctx, newGen); err != nil {
 		if errors.Is(err, ingest.ErrClosed) {
 			return ErrClosed
 		}

@@ -1,6 +1,6 @@
 // Command climber-vet is the repository's invariant multichecker: it runs
 // every analyzer under internal/analysis — ctxflow, lockio, syncack,
-// ctxleak, tracespan, doccomment, mmapsafe — over the
+// ctxleak, doccomment, mmapsafe — over the
 // given package patterns, plus
 // the repository-level markdown link gate, and exits non-zero on any
 // finding. CI runs it in the lint job; locally:
@@ -27,7 +27,6 @@ import (
 	"climber/internal/analysis/lockio"
 	"climber/internal/analysis/mmapsafe"
 	"climber/internal/analysis/syncack"
-	"climber/internal/analysis/tracespan"
 	"climber/internal/analysis/vet"
 )
 
@@ -37,7 +36,6 @@ func analyzers() []*vet.Analyzer {
 		lockio.Analyzer,
 		syncack.Analyzer,
 		ctxleak.Analyzer,
-		tracespan.Analyzer,
 		docs.Analyzer,
 		mmapsafe.Analyzer,
 	}

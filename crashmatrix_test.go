@@ -357,7 +357,7 @@ func TestDrainCrashMatrix(t *testing.T) {
 		kinds[strings.TrimRight(s, "-0123456789")] = true
 	}
 	for _, required := range []string{"tail-write", "tail-rename", "fold-write", "fold-rename", "tail-remove",
-		"index-write", "index-fsync", "index-rename", "wal-reset"} {
+		"index-write", "index-fsync", "index-rename", "root-dir-sync", "wal-reset"} {
 		if !kinds[required] {
 			t.Fatalf("the recorded drain has no %q step: %v", required, steps)
 		}

@@ -7,9 +7,7 @@
 //
 // (several quoted regexps if several diagnostics land on the line), and a
 // clean fixture carries none. Fixtures live in the analyzer package's
-// testdata/src/<path>/ directory, GOPATH-style, so fixture packages can
-// import one another (the tracespan fixtures import a stand-in of
-// internal/obs that way).
+// testdata/src/<path>/ directory, GOPATH-style.
 package analysistest
 
 import (

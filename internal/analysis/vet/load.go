@@ -106,23 +106,18 @@ func Load(dir string, patterns []string) ([]*Package, error) {
 }
 
 // LoadTestdata loads the named packages from a GOPATH-style testdata tree
-// (root/src/<path>/*.go), the layout x/tools analysistest uses. Imports
-// between testdata packages resolve within the tree; all other imports
-// resolve through `go list -export` as in Load.
+// (root/src/<path>/*.go), the layout x/tools analysistest uses. Their
+// imports resolve through `go list -export` as in Load.
 func LoadTestdata(root string, paths []string) ([]*Package, error) {
-	// Collect the external (non-testdata) imports of the whole closure
-	// first so one `go list` call materialises every export file needed.
+	// Collect every package's imports first so one `go list` call
+	// materialises every export file needed.
 	external := make(map[string]bool)
 	srcs := make(map[string][]string) // testdata path -> files
-	var gather func(path string) error
-	gather = func(path string) error {
-		if _, done := srcs[path]; done {
-			return nil
-		}
+	for _, path := range paths {
 		dir := filepath.Join(root, "src", filepath.FromSlash(path))
 		entries, err := os.ReadDir(dir)
 		if err != nil {
-			return fmt.Errorf("testdata package %s: %w", path, err)
+			return nil, fmt.Errorf("testdata package %s: %w", path, err)
 		}
 		var files []string
 		for _, e := range entries {
@@ -131,31 +126,18 @@ func LoadTestdata(root string, paths []string) ([]*Package, error) {
 			}
 		}
 		if len(files) == 0 {
-			return fmt.Errorf("testdata package %s: no Go files in %s", path, dir)
+			return nil, fmt.Errorf("testdata package %s: no Go files in %s", path, dir)
 		}
 		sort.Strings(files)
 		srcs[path] = files
 		for _, f := range files {
 			syntax, err := parser.ParseFile(token.NewFileSet(), f, nil, parser.ImportsOnly)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			for _, spec := range syntax.Imports {
-				ip := strings.Trim(spec.Path.Value, `"`)
-				if isTestdataPkg(root, ip) {
-					if err := gather(ip); err != nil {
-						return err
-					}
-				} else {
-					external[ip] = true
-				}
+				external[strings.Trim(spec.Path.Value, `"`)] = true
 			}
-		}
-		return nil
-	}
-	for _, p := range paths {
-		if err := gather(p); err != nil {
-			return nil, err
 		}
 	}
 
@@ -187,35 +169,10 @@ func LoadTestdata(root string, paths []string) ([]*Package, error) {
 	}
 
 	fset := token.NewFileSet()
-	checked := make(map[string]*Package)
-	base := exportImporter(fset, exports)
-	var load func(path string) (*Package, error)
-	imp := importerFunc(func(path string) (*types.Package, error) {
-		if isTestdataPkg(root, path) {
-			pkg, err := load(path)
-			if err != nil {
-				return nil, err
-			}
-			return pkg.Pkg, nil
-		}
-		return base.Import(path)
-	})
-	load = func(path string) (*Package, error) {
-		if pkg, ok := checked[path]; ok {
-			return pkg, nil
-		}
-		dir := filepath.Join(root, "src", filepath.FromSlash(path))
-		pkg, err := checkPackage(fset, path, dir, srcs[path], imp)
-		if err != nil {
-			return nil, err
-		}
-		checked[path] = pkg
-		return pkg, nil
-	}
-
+	imp := exportImporter(fset, exports)
 	pkgs := make([]*Package, 0, len(paths))
 	for _, p := range paths {
-		pkg, err := load(p)
+		pkg, err := checkPackage(fset, p, filepath.Join(root, "src", filepath.FromSlash(p)), srcs[p], imp)
 		if err != nil {
 			return nil, err
 		}
@@ -268,19 +225,6 @@ func exportImporter(fset *token.FileSet, exports map[string]string) types.Import
 		return os.Open(file)
 	}
 	return importer.ForCompiler(fset, "gc", lookup)
-}
-
-// importerFunc adapts a function to types.Importer.
-type importerFunc func(path string) (*types.Package, error)
-
-// Import implements types.Importer.
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// isTestdataPkg reports whether the import path resolves inside the
-// testdata tree.
-func isTestdataPkg(root, path string) bool {
-	fi, err := os.Stat(filepath.Join(root, "src", filepath.FromSlash(path)))
-	return err == nil && fi.IsDir()
 }
 
 func absFiles(dir string, names []string) []string {

@@ -470,7 +470,9 @@ func (s *Service) instrument(endpoint, counter string, lat *Histogram, h observe
 // forwards the id and sampled bit in the traceparent header of each
 // sub-request). run gets the (possibly traced) context and returns the
 // query's wire stats for the slow log (their zero shape when it failed).
-// traced returns the span tree for an explain answer, nil otherwise.
+// Once the query is done, the spans its trace left open are added to the
+// unended_spans counter, which reads 0 unless a path skips an End. traced
+// returns the span tree for an explain answer, nil otherwise.
 func (s *Service) traced(ctx context.Context, qo *queryObs, name string, explain bool, run func(ctx context.Context) (stats any, err error)) (*obs.SpanData, error) {
 	var tr *obs.Trace // nil when tracing is off, which every span call tolerates
 	if explain || qo.sampled {
@@ -485,6 +487,7 @@ func (s *Service) traced(ctx context.Context, qo *queryObs, name string, explain
 		return nil, err
 	}
 	tr.Root().End()
+	s.m.Counters.Add("unended_spans", tr.Unended())
 	qo.trace = tr.Root().Data()
 	qo.stages = tr.Root().StageNanos()
 	if !explain {

@@ -108,14 +108,15 @@ type DrainStats struct {
 // Drain lands already-routed records — with foldAll, every tail too — in new
 // partition files, one per affected partition: its tail, or on a fold its
 // base. It builds the view naming them beside the current one, with delta as
-// its delta (nil keeps the current view's), has save make that view's
-// manifest durable, and only then publishes it (SwapGeneration). A caller
-// draining records out of the current delta hands over a delta without them,
-// so the published view holds each record once: in its files or in its
-// delta. The current view's files are never touched, so running queries are
-// unaffected; on any error the files written are removed and the current
-// view stays. Callers must serialise Drain with every other write path
-// (climber.DB funnels every write through its ingestion pipeline).
+// its delta, and commits it with Publish (save, directory fsync, swap). A
+// caller draining records out of the current delta hands over a delta
+// without them, so the published view holds each record once: in its files
+// or in its delta; one that only folds hands over the current delta. The
+// current view's files are never touched, so running queries are
+// unaffected; an error before the manifest's rename removes the files
+// written and the current view stays. Callers must serialise Drain with
+// every other write path (climber.DB funnels every write through its
+// ingestion pipeline).
 func (ix *Index) Drain(recs []Routed, foldAll bool, delta DeltaSource, save func(next *Generation) error) (st DrainStats, err error) {
 	cur := ix.gen.Load() // the writer's own: only it swaps
 	byPartition := make(map[int][]storage.Incoming)
@@ -133,24 +134,14 @@ func (ix *Index) Drain(recs []Routed, foldAll bool, delta DeltaSource, save func
 			}
 		}
 	}
-	next := NewGeneration(cur.Skel, parts)
-	if delta == nil {
-		delta = cur.Delta()
-	}
-	next.SetDelta(delta)
-	if err == nil && wrote {
-		if err = save(next); err != nil {
-			err = fmt.Errorf("core: save the manifest: %w", err)
-		}
-	}
-	if err != nil {
+	next := NewGeneration(cur.Skel, parts, delta)
+	switch {
+	case err != nil:
 		ix.retire(next, cur) // never published: no reader holds it
-		return st, err
+	case wrote:
+		err = ix.Publish(next, save)
 	}
-	if wrote {
-		ix.SwapGeneration(next)
-	}
-	return st, nil
+	return st, err
 }
 
 // appendToPartition lands recs in partition pid of parts, a view under

@@ -64,7 +64,7 @@ type Index struct {
 // themselves.
 func NewIndex(cl *cluster.Cluster, skel *Skeleton, parts *cluster.PartitionSet) *Index {
 	ix := &Index{Cl: cl}
-	ix.gen.Store(NewGeneration(skel, parts))
+	ix.gen.Store(NewGeneration(skel, parts, nil))
 	ix.initNextID()
 	return ix
 }
@@ -172,7 +172,7 @@ func construct(ctx context.Context, cl *cluster.Cluster, in buildInput, cfg Conf
 	if err != nil {
 		return nil, BuildStats{}, fmt.Errorf("core: re-distribution: %w", err)
 	}
-	return NewGeneration(skel, parts), BuildStats{
+	return NewGeneration(skel, parts, nil), BuildStats{
 		SampleRecords:  sample.Len(),
 		Skeleton:       skeletonTime,
 		Conversion:     convTime,

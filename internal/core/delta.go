@@ -21,20 +21,8 @@ type DeltaSource interface {
 	Len() int
 }
 
-// SetDelta installs (or, with nil, removes) the delta index of the
-// *current* generation. It is called when a streaming ingestion pipeline
-// attaches to the index; installing a new source while queries run is safe.
-// A drain hands the view it publishes its delta through Drain instead, and an
-// online reindex installs the re-routed delta on the new generation before
-// the swap.
-func (ix *Index) SetDelta(d DeltaSource) {
-	ix.gen.Load().SetDelta(d)
-}
-
 // Delta returns the current generation's delta source, or nil.
-func (ix *Index) Delta() DeltaSource {
-	return ix.gen.Load().Delta()
-}
+func (ix *Index) Delta() DeltaSource { return ix.gen.Load().delta }
 
 // rankDelta ranks the delta runs of partition pid whose clusters f admits
 // into the query's one top-k — a step's delta records, right after its

@@ -41,10 +41,11 @@
 //     single atomic counter (ReserveIDs) so concurrent writers never
 //     collide.
 //   - Generation (gen.go): one immutable view — skeleton, partition files,
-//     delta. No file changes under its name: a drain or a reindex builds the
-//     next view beside the current one, the caller commits it by saving
-//     dir/index.clms, and SwapGeneration publishes it and retires the files
-//     only older views named, once no query holds one.
+//     delta, all fixed by NewGeneration. No file changes under its name: a
+//     drain or a reindex builds the next view beside the current one and
+//     commits it with Publish, which saves dir/index.clms, fsyncs dir, and
+//     has SwapGeneration publish it and retire the files only older views
+//     named, once no query holds one.
 //     A drain publishes its files with a fresh delta; older views keep the
 //     delta that holds what the new files hold, so no view holds a record
 //     twice. Close stops the retirements still waiting for a reader.
@@ -52,7 +53,9 @@
 //     ingestion layer (internal/ingest) makes acked-but-uncompacted
 //     records visible to every search: runs in the partition record
 //     layout, ranked in each plan step right after the same clusters of
-//     the partition's files, by the same scan.
+//     the partition's files, by the same scan. The ingestion layer hands
+//     each view it publishes its delta and appends into the current
+//     view's.
 //
 // Layers above: the public climber.DB wraps an Index with the ingestion
 // pipeline; internal/server serves one DB over

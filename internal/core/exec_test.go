@@ -206,7 +206,7 @@ func TestDeltaLeavesPartitionEffortAlone(t *testing.T) {
 		return out
 	}
 	without := answer()
-	ix.SetDelta(summaryDelta(t, recs))
+	withDelta(ix, summaryDelta(t, recs))
 	with := answer()
 	crowded := 0
 	for i, got := range with {
@@ -235,7 +235,7 @@ func TestWideningRanksDeltaOnlyClusters(t *testing.T) {
 	rec := copiesOf(ix, ds.Get(700), 1)
 	rec[0].Route.Cluster = 1 << 30 // listed by no partition file
 	id := rec[0].ID
-	ix.SetDelta(summaryDelta(t, rec))
+	withDelta(ix, summaryDelta(t, rec))
 	for _, v := range []Variant{VariantKNN, VariantODSmallest} {
 		res, err := ix.Search(ds.Get(700), SearchOptions{K: 150, Variant: v})
 		if err != nil {

@@ -19,8 +19,9 @@ import (
 // files, and every change of view commits by saving it (tmp + fsync +
 // rename). A drain writes the files it changes beside the current ones; a
 // reindex writes a whole new set, named for the reindex count
-// (cluster.GenerationName). Both build the next view beside the current one,
-// save its manifest and publish it with SwapGeneration; readers that were
+// (cluster.GenerationName). Both build the next view beside the current one
+// and commit it with Publish — save its manifest, fsync dir, SwapGeneration —
+// so a crash reopens either view whole; readers that were
 // mid-query keep a refcounted handle on the old view until they finish,
 // exactly like readers of a path-copying persistent data structure keep the
 // old version, and the files only old views name go once the last such
@@ -71,11 +72,11 @@ type Generation struct {
 	Parts *cluster.PartitionSet
 
 	// delta is the in-memory index of appends routed under this
-	// generation's skeleton but not yet compacted into its partition files.
-	// It holds no record its files hold: a drain publishes the files it wrote
-	// with a delta that lacks their records.
-	deltaMu sync.RWMutex
-	delta   DeltaSource
+	// generation's skeleton but not yet compacted into its partition files,
+	// or nil. It is fixed with the view: records are added into it, but a
+	// drain publishes the files it wrote with another delta, one that lacks
+	// their records, so it holds no record its files hold.
+	delta DeltaSource
 
 	// refs counts live handles: one base reference held by the Index while
 	// the generation is current, plus one per in-flight query. drained
@@ -86,10 +87,10 @@ type Generation struct {
 	drained   chan struct{}
 }
 
-// NewGeneration wraps a skeleton and partition set as a generation holding
-// its base reference.
-func NewGeneration(skel *Skeleton, parts *cluster.PartitionSet) *Generation {
-	g := &Generation{Skel: skel, Parts: parts, drained: make(chan struct{})}
+// NewGeneration wraps a skeleton, a partition set and a delta (nil for
+// none) as a generation holding its base reference.
+func NewGeneration(skel *Skeleton, parts *cluster.PartitionSet, delta DeltaSource) *Generation {
+	g := &Generation{Skel: skel, Parts: parts, delta: delta, drained: make(chan struct{})}
 	g.refs.Store(1)
 	return g
 }
@@ -102,20 +103,8 @@ func (g *Generation) Release() {
 	}
 }
 
-// SetDelta installs (or, with nil, removes) the generation's delta source.
-func (g *Generation) SetDelta(d DeltaSource) {
-	g.deltaMu.Lock()
-	g.delta = d
-	g.deltaMu.Unlock()
-}
-
 // Delta returns the generation's delta source, or nil.
-func (g *Generation) Delta() DeltaSource {
-	g.deltaMu.RLock()
-	d := g.delta
-	g.deltaMu.RUnlock()
-	return d
-}
+func (g *Generation) Delta() DeltaSource { return g.delta }
 
 // AcquireGeneration returns the current generation with a reference held;
 // the caller must Release it. The load-increment-recheck loop makes the
@@ -157,6 +146,29 @@ func (ix *Index) SwapGeneration(ng *Generation) {
 	} else {
 		go retire()
 	}
+}
+
+// Publish commits next, a view whose new files are written and durable, as
+// the current one: save makes its manifest durable (saveSnapshot: tmp, fsync,
+// rename over dir/index.clms), the database directory — the store
+// directory's parent — is fsynced so the rename is too, and SwapGeneration
+// publishes the view. It is the one commit of every view change that writes
+// files: drains, folds, the legacy replay (Drain) and reindexes. A failure
+// before the rename, an error from save, retires and removes the files only
+// next names, as no reader ever held it; a failure after it keeps them, as
+// the manifest on disk may name them, and leaves the current view published.
+// Callers serialise Publish like SwapGeneration.
+func (ix *Index) Publish(next *Generation, save func(next *Generation) error) error {
+	if err := save(next); err != nil {
+		ix.retire(next, ix.gen.Load())
+		return fmt.Errorf("core: save the manifest: %w", err)
+	}
+	CrashStep("root-dir-sync")
+	if err := storage.SyncPath(filepath.Dir(ix.Cl.Dir())); err != nil {
+		return err
+	}
+	ix.SwapGeneration(next)
+	return nil
 }
 
 // Close ends the removal of retired files once a removal under way is done:

@@ -592,7 +592,7 @@ func OpenIndex(cl *cluster.Cluster, path string) (*Index, error) {
 		return nil, err
 	}
 	ix := &Index{Cl: cl, legacyTails: legacy, uncounted: uncounted}
-	ix.gen.Store(NewGeneration(skel, parts))
+	ix.gen.Store(NewGeneration(skel, parts, nil))
 	ix.initNextID()
 	return ix, nil
 }

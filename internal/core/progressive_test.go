@@ -278,7 +278,7 @@ func TestSnapshotsHoldFreshWrites(t *testing.T) {
 	ix, ds, _, _ := buildTestIndex(t, 1500, testConfig())
 	rec := copiesOf(ix, ds.Get(700), 1)
 	id := rec[0].ID
-	ix.SetDelta(summaryDelta(t, rec))
+	withDelta(ix, summaryDelta(t, rec))
 	var first *Snapshot
 	_, err := ix.Query(context.Background(), ds.Get(700), SearchOptions{K: 10, Variant: VariantAdaptive4X}, func(s Snapshot) bool {
 		if first == nil {

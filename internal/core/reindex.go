@@ -15,9 +15,8 @@ import (
 // more than the current view's cluster.Generation, so they are files no
 // current view names. It is the build half of an online reindex: the caller
 // (climber.DB.Reindex) is responsible for quiescing the compactor first, and
-// afterwards for saving the manifest that names the new files (the commit)
-// and publishing the returned generation with SwapGeneration — or, when it
-// does not commit, for retiring and removing the files.
+// afterwards for committing a view of the returned generation's skeleton and
+// files with Publish, whose failure before the commit removes the files.
 //
 // The rebuild is CLIMBER construction (paper Figure 6) — construct, the same
 // pipeline Build runs — with two differences in its input and output:
@@ -33,8 +32,8 @@ import (
 //     when the caller's manifest save commits, the files it names are
 //     durable. The enumerated CrashStep hooks mark each durability boundary.
 //
-// The new generation starts with no delta; the caller re-routes any
-// uncompacted records into one before the swap. Records land in the new
+// The returned generation has no delta: the view the caller commits carries
+// the uncompacted records, re-routed under the new skeleton. Records land in the new
 // files exactly as persisted, preserving IDs. A failed rebuild leaves no
 // file behind.
 func (ix *Index) RebuildGeneration(ctx context.Context, name string) (*Generation, error) {

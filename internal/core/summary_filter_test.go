@@ -59,7 +59,7 @@ func summaryIndex(t *testing.T, name string, delta bool) (*Index, [][]float64) {
 		qs = append(qs, all.Get(i))
 	}
 	if delta {
-		ix.SetDelta(summaryDelta(t, routed(3070)))
+		withDelta(ix, summaryDelta(t, routed(3070)))
 		for i := 3070; i < 3130; i += 20 {
 			qs = append(qs, all.Get(i))
 		}
@@ -89,6 +89,12 @@ func summaryDelta(t *testing.T, recs []Routed) *testDelta {
 		}
 	}
 	return d
+}
+
+// withDelta publishes the current view again with d as its delta, as the
+// ingestion pipeline's open publishes its view with the replayed delta.
+func withDelta(ix *Index, d DeltaSource) {
+	ix.SwapGeneration(NewGeneration(ix.Skeleton(), ix.Partitions(), d))
 }
 
 func (d *testDelta) ScanRuns(pid int, fn func(c storage.ClusterID, recs, sums []byte) error) error {

@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"climber/internal/cluster"
 	"climber/internal/core"
 	"climber/internal/series"
 )
@@ -102,27 +101,25 @@ var CompactionBuckets = [...]float64{0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 
 // Ingester is the streaming write path of one index: WAL + delta + background
 // compactor. Create it with Open; it serialises every mutation internally,
 // so any number of goroutines may Append concurrently — with each other and
-// with searches.
+// with searches. Its live delta is the current view's (see delta): every view
+// the index publishes after Open, it publishes, each with the *MemDelta that
+// is live from then on.
 type Ingester struct {
-	ix  *core.Index
-	wal *WAL
-	// delta is the live uncompacted-records index. It is a pointer swap
-	// target: CommitRebuild replaces it with the re-routed delta of the new
-	// generation, while the background compactor and the stats paths read it
-	// locklessly — hence atomic.
-	delta atomic.Pointer[MemDelta]
-	save  func(view *core.Generation) error // persists a view's manifest
-	cfg   Config
+	ix   *core.Index
+	wal  *WAL
+	save func(view *core.Generation) error // persists a view's manifest
+	cfg  Config
 	// baseRecords is the partition-file record count at Open, before WAL
 	// replay. TotalRecords builds on it instead of re-summing live counts,
 	// so compactions in flight (or half-failed) can never skew the total.
 	baseRecords int64
 
-	// sem is a one-slot semaphore serialising appends, compactions, and
-	// close; lock selects it against ctx.Done() so a caller whose request
-	// was cancelled stops waiting behind a long compaction instead of
-	// pinning its admission slot. Searches never take it — they read the
-	// delta under its own RWMutex. closed is guarded by sem.
+	// sem is a one-slot semaphore serialising appends, compactions, the
+	// views they and CommitRebuild publish, and close; lock selects it
+	// against ctx.Done() so a caller whose request was cancelled stops
+	// waiting behind a long compaction instead of pinning its admission
+	// slot. Searches never take it — they read the delta under its own
+	// RWMutex. closed is guarded by sem.
 	sem    chan struct{}
 	closed bool
 	// paused suspends compactions while an online reindex is building its
@@ -157,12 +154,13 @@ type Ingester struct {
 
 // Open attaches a streaming ingestion pipeline to ix: it opens (creating if
 // absent) the WAL at walPath, replays acked-but-uncompacted entries into a
-// fresh delta index, installs the delta on the index's search paths, and
-// starts the background compactor. save is called with the view each
-// compaction or fold builds, before the view is published and the WAL
-// truncated — it must persist the view's manifest, so the partition files and
-// counts it names (and with them the ID counter seeded at the next open)
-// survive.
+// fresh delta index, publishes the current view again with that delta, and
+// starts the background compactor. From then on only the pipeline publishes
+// views. save is called with the view each compaction, fold or reindex
+// builds, before the view is published and the WAL truncated (see
+// core.Index.Publish) — it must persist the view's manifest, so the partition
+// files and counts it names (and with them the ID counter seeded at the next
+// open) survive.
 //
 // Replay is idempotent across the crash window: entries whose ID precedes
 // the persisted record count were already compacted before the crash (IDs
@@ -200,13 +198,12 @@ func Open(ix *core.Index, walPath string, save func(view *core.Generation) error
 		if st, err = ix.Drain(routed, true, delta, save); err == nil {
 			err = wal.Reset()
 		}
-	} else {
-		err = delta.Add(routed)
+	} else if err = delta.Add(routed); err == nil {
+		ix.SwapGeneration(core.NewGeneration(ix.Skeleton(), ix.Partitions(), delta))
 	}
 	if err != nil {
 		return nil, errors.Join(err, wal.Close())
 	}
-	ix.SetDelta(delta)
 
 	g := &Ingester{
 		ix:          ix,
@@ -219,7 +216,6 @@ func Open(ix *core.Index, walPath string, save func(view *core.Generation) error
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
-	g.delta.Store(delta)
 	g.written(st)
 	g.replayedSeries.Store(int64(len(routed)))
 	g.walBytes.Store(wal.Size())
@@ -277,13 +273,14 @@ func (g *Ingester) Append(ctx context.Context, data [][]float64) ([]int, error) 
 		g.ix.UnreserveIDs(first, len(data))
 		return nil, err
 	}
-	if err := g.delta.Load().Add(routed); err != nil {
+	delta := g.delta()
+	if err := delta.Add(routed); err != nil {
 		return nil, err // cannot happen: every series passed the checks above
 	}
 	g.walBytes.Store(g.wal.Size())
 	g.appendCalls.Add(1)
 	g.appendedSeries.Add(int64(len(data)))
-	if g.delta.Load().Len() >= g.cfg.CompactRecords {
+	if delta.Len() >= g.cfg.CompactRecords {
 		select {
 		case g.kick <- struct{}{}:
 		default:
@@ -310,7 +307,7 @@ func (g *Ingester) Barrier(ctx context.Context, fn func() error) error {
 		}
 		// The WAL is empty now: a kill in the fold loses nothing, and the
 		// next open sees the view of the last manifest saved.
-		st, err := g.ix.Drain(nil, true, nil, g.save)
+		st, err := g.ix.Drain(nil, true, g.delta(), g.save)
 		g.written(st)
 		if err != nil {
 			return fmt.Errorf("ingest: fold tails: %w", err)
@@ -350,35 +347,33 @@ func (g *Ingester) BeginRebuild(ctx context.Context) error {
 
 // CommitRebuild finishes an online reindex begun with BeginRebuild. Under
 // the write semaphore — so no append can slip between the delta snapshot and
-// the swap — it re-routes every record acked during the rebuild through the
-// new generation's skeleton (route, a pure function of the values) into a
-// fresh delta, then calls publish, which must install that delta on the new
-// generation, commit it by saving the manifest, and swap it in. On
-// success the pipeline's live delta becomes the re-routed one and
-// compactions resume against the new generation; on error the old
-// generation stays current and compactions resume against it, with the WAL
-// and old delta untouched — the failed rebuild is simply discarded.
-func (g *Ingester) CommitRebuild(route func(values []float64) cluster.Route, publish func(nd *MemDelta) error) error {
+// the publish — it re-routes every record acked during the rebuild through
+// rebuilt's skeleton into a fresh delta and commits the view of rebuilt's
+// skeleton and files with that delta (core.Index.Publish), which becomes the
+// pipeline's live one; compactions resume against it. A cancelled ctx, a
+// closed pipeline or a failed save fails the commit alike: Publish removes
+// rebuilt's files, the old view stays current with the WAL and its delta
+// untouched, and compactions resume against it.
+func (g *Ingester) CommitRebuild(ctx context.Context, rebuilt *core.Generation) error {
 	g.lockBlocking()
 	defer g.unlock()
-	defer func() { g.paused = false }()
-	if g.closed {
-		return ErrClosed
-	}
-	recs := g.delta.Load().Snapshot()
+	g.paused = false
+	recs := g.delta().Snapshot()
 	rerouted := make([]core.Routed, len(recs))
 	for i, r := range recs {
-		rerouted[i] = core.Routed{ID: r.ID, Route: route(r.Values), Values: r.Values}
+		rerouted[i] = core.Routed{ID: r.ID, Route: rebuilt.Skel.RouteRecord(r.Values), Values: r.Values}
 	}
 	nd := NewMemDelta()
-	if err := nd.Add(rerouted); err != nil {
-		return err
-	}
-	if err := publish(nd); err != nil {
-		return err
-	}
-	g.delta.Store(nd)
-	return nil
+	added := nd.Add(rerouted) // cannot fail: every record passed Append's checks
+	return g.ix.Publish(core.NewGeneration(rebuilt.Skel, rebuilt.Parts, nd), func(next *core.Generation) error {
+		if g.closed {
+			return ErrClosed
+		}
+		if err := errors.Join(added, ctx.Err()); err != nil {
+			return err
+		}
+		return g.save(next)
+	})
 }
 
 // AbortRebuild resumes compactions after a failed rebuild, leaving the
@@ -446,6 +441,7 @@ func (g *Ingester) unlock()       { <-g.sem }
 
 // Stats snapshots the pipeline's counters.
 func (g *Ingester) Stats() Stats {
+	delta := g.delta()
 	s := Stats{
 		AppendCalls:         g.appendCalls.Load(),
 		AppendedSeries:      g.appendedSeries.Load(),
@@ -453,8 +449,8 @@ func (g *Ingester) Stats() Stats {
 		WALBytes:            g.walBytes.Load(),
 		Compactions:         g.compactions.Load(),
 		CompactedSeries:     g.compactedSeries.Load(),
-		DeltaRecords:        g.delta.Load().Len(),
-		DeltaBytes:          g.delta.Load().Bytes(),
+		DeltaRecords:        delta.Len(),
+		DeltaBytes:          delta.Bytes(),
 		CompactErrors:       g.compactErrors.Load(),
 		CompactBytesWritten: g.compactBytes.Load(),
 		CompactSeconds:      float64(g.compactNanos.Load()) / 1e9,
@@ -491,7 +487,7 @@ func (g *Ingester) run() {
 			return
 		case <-g.kick:
 		case <-ticker.C:
-			if d := g.delta.Load(); d.Len() < g.cfg.CompactRecords && d.OldestAge() < g.cfg.CompactAge {
+			if d := g.delta(); d.Len() < g.cfg.CompactRecords && d.OldestAge() < g.cfg.CompactAge {
 				continue
 			}
 		}
@@ -557,19 +553,16 @@ func (g *Ingester) compactLocked() error {
 		// background compactor simply tries again after the swap.
 		return nil
 	}
-	delta := g.delta.Load()
-	recs := delta.Snapshot()
+	recs := g.delta().Snapshot()
 	if len(recs) == 0 {
 		return nil
 	}
 	begin := time.Now()
-	fresh := NewMemDelta()
-	st, err := g.ix.Drain(recs, false, fresh, g.save)
+	st, err := g.ix.Drain(recs, false, NewMemDelta(), g.save)
 	g.written(st)
 	if err != nil {
 		return fmt.Errorf("ingest: compact: %w", err)
 	}
-	g.delta.Store(fresh)
 	core.CrashStep("wal-reset")
 	if err := g.wal.Reset(); err != nil {
 		return err
@@ -585,6 +578,12 @@ func (g *Ingester) compactLocked() error {
 	g.compactDur[sort.SearchFloat64s(CompactionBuckets[:], took.Seconds())].Add(1)
 	return nil
 }
+
+// delta returns the pipeline's live delta, the current view's. The view
+// cannot change under a holder of the write semaphore, since only the
+// pipeline publishes views and only under it; a reader without it (Stats,
+// the compactor's age check) gets the delta of a view current a moment ago.
+func (g *Ingester) delta() *MemDelta { return g.ix.Delta().(*MemDelta) }
 
 // roundF32 copies values through float32, the precision every durable tier
 // (WAL, partition files) stores.

@@ -404,7 +404,7 @@ func viewRecords(t *testing.T, ix *core.Index, view *core.Generation) (files map
 }
 
 // snapshotOf exposes the delta snapshot for the crash-window test.
-func snapshotOf(g *Ingester) []core.Routed { return g.delta.Load().Snapshot() }
+func snapshotOf(g *Ingester) []core.Routed { return g.delta().Snapshot() }
 
 func TestAppendValidation(t *testing.T) {
 	ix, dir := buildIndex(t, 1000)

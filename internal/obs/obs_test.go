@@ -139,6 +139,32 @@ func TestGraftedChild(t *testing.T) {
 	}
 }
 
+// Unended counts every span opened and not ended, at any depth and the root
+// included, and never a grafted subtree, which another process ended.
+func TestUnendedCountsSpansLeftOpen(t *testing.T) {
+	var nilTrace *Trace
+	if nilTrace.Unended() != 0 {
+		t.Fatal("nil trace reports unended spans")
+	}
+	tr := NewTrace("search", "")
+	scan := tr.Root().StartChild("scan")
+	part := scan.StartChild("partition")
+	scan.StartChild("partition").End()
+	scan.AddChildData(&SpanData{Name: "query"})
+	if got := tr.Unended(); got != 3 {
+		t.Fatalf("root, scan and one partition open: Unended = %d, want 3", got)
+	}
+	part.End()
+	tr.Root().End()
+	if got := tr.Unended(); got != 1 {
+		t.Fatalf("scan left open: Unended = %d, want 1", got)
+	}
+	scan.End()
+	if got := tr.Unended(); got != 0 {
+		t.Fatalf("every span ended: Unended = %d, want 0", got)
+	}
+}
+
 func TestStageNanos(t *testing.T) {
 	tr := NewTrace("q", "")
 	a := tr.Root().StartChild("scan")

@@ -20,6 +20,7 @@ var frontKeys = []string{
 	"append_series", "appends", "backups", "bad_requests", "batch_queries", "batches",
 	"canceled", "errors", "flushes", "framed_requests", "in_flight", "prefix_searches",
 	"queued", "reindexes", "rejected", "searches", "slow_log_entries", "traced_queries",
+	"unended_spans",
 }
 
 // routerOptOuts are the front's rows a router leaves undeclared: it sends

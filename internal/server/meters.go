@@ -38,6 +38,7 @@ var (
 		{Key: "in_flight", Metric: "climber_inflight_queries", Help: "Queries currently holding an admission slot.", Gauge: true},
 		{Key: "queued", Metric: "climber_queued_requests", Help: "Requests currently waiting for an admission slot.", Gauge: true},
 		{Key: "traced_queries", Metric: "climber_traced_queries_total", Help: "Queries that ran with tracing attached (explain, sampled, or propagated).", MetricOnly: true},
+		{Key: "unended_spans", Metric: "climber_unended_spans_total", Help: "Spans traced queries opened and did not end; anything but 0 is a code path that skips a span's End.", MetricOnly: true},
 		{Key: "slow_log_entries", Metric: "climber_slow_log_entries_total", Help: "Requests recorded in the slow-query log (threshold or sampled).", MetricOnly: true},
 	}
 )

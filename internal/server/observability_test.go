@@ -25,6 +25,16 @@ func findChild(d *obs.SpanData, name string) *obs.SpanData {
 	return nil
 }
 
+// requireSpansEnded fails the test unless the server behind h ended each
+// span its traced queries opened: its unended-spans counter reads 0.
+func requireSpansEnded(t *testing.T, h http.Handler) {
+	t.Helper()
+	body := getPath(t, h, "/metrics").Body.String()
+	if !strings.Contains(body, "\nclimber_unended_spans_total 0\n") {
+		t.Fatalf("traced queries left spans open, or the counter is missing:\n%s", grepLines(body, "climber_unended_spans_total"))
+	}
+}
+
 // TestExplainSearch checks the explain contract on /search: the response
 // carries the planner's ranked plan under the "" key plus the query's
 // span tree, and a request without the flag carries neither.
@@ -88,6 +98,7 @@ func TestExplainSearch(t *testing.T) {
 	if plain.Explain != nil || plain.Trace != nil {
 		t.Fatal("explanation attached without the explain flag")
 	}
+	requireSpansEnded(t, h)
 }
 
 // zeroTimings strips every timing from a span tree in place, leaving the
@@ -146,6 +157,7 @@ func TestExplainBatchByteStable(t *testing.T) {
 			t.Fatalf("explain trace not byte-stable across runs:\nrun 0: %s\nrun %d: %s", first, run, raw)
 		}
 	}
+	requireSpansEnded(t, h)
 }
 
 // TestSlowLogEndpoint checks that requests crossing the threshold land in

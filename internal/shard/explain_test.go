@@ -4,6 +4,7 @@ import (
 	"climber/internal/api"
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 
 	"climber/internal/obs"
@@ -21,6 +22,23 @@ func childrenNamed(d *obs.SpanData, name string) []*obs.SpanData {
 		}
 	}
 	return out
+}
+
+// requireSpansEnded fails the test unless the router at routerURL and every
+// shard server of f ended each span their traced queries opened: each one's
+// unended-spans counter reads 0.
+func requireSpansEnded(t *testing.T, f *fixture, routerURL string) {
+	t.Helper()
+	want := map[string]string{routerURL: "climber_router_unended_spans_total"}
+	for _, s := range f.servers {
+		want[s.URL] = "climber_unended_spans_total"
+	}
+	for base, metric := range want {
+		_, body := getBody(t, base+"/metrics")
+		if !strings.Contains(string(body), "\n"+metric+" 0\n") {
+			t.Fatalf("%s: traced queries left spans open, or %s is missing:\n%s", base, metric, body)
+		}
+	}
 }
 
 // TestRouterExplainNestedSpans is the observability acceptance check: an
@@ -112,6 +130,7 @@ func TestRouterExplainNestedSpans(t *testing.T) {
 	if plain.Explain != nil || plain.Trace != nil {
 		t.Fatal("explanation attached without the explain flag")
 	}
+	requireSpansEnded(t, f, ts.URL)
 }
 
 // TestRouterExplainBatch checks the batch path: the router's span tree
@@ -146,4 +165,5 @@ func TestRouterExplainBatch(t *testing.T) {
 			t.Fatalf("nested shard batch has %d query spans, want %d", got, len(queries))
 		}
 	}
+	requireSpansEnded(t, f, ts.URL)
 }

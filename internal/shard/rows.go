@@ -41,6 +41,7 @@ func (r *Router) rows() []api.Row {
 		{Key: "in_flight", Metric: "climber_router_inflight_requests", Help: "Requests currently holding an admission slot.", Gauge: true},
 		{Key: "queued", Metric: "climber_router_queued_requests", Help: "Requests currently waiting for an admission slot.", Gauge: true},
 		{Key: "traced_queries", Metric: "climber_router_traced_queries_total", Help: "Routed queries that ran with tracing attached (explain, sampled, or propagated).", MetricOnly: true},
+		{Key: "unended_spans", Metric: "climber_router_unended_spans_total", Help: "Spans traced routed queries opened in the router and did not end; anything but 0 is a code path that skips a span's End.", MetricOnly: true},
 		{Key: "slow_log_entries", Metric: "climber_router_slow_log_entries_total", Help: "Routed requests recorded in the slow-query log (threshold or sampled).", MetricOnly: true},
 		{Key: "partitions_scanned", Metric: "climber_router_partitions_scanned_total", Help: "Partitions the shards scanned for routed answers.", MetricOnly: true},
 		{Key: "cache_hits", Metric: "climber_router_partition_cache_hits_total", Help: "Always 0: since every partition file stays mapped after its first open, shards no longer count file opens per query (each shard's climber_partition_cache_hits_total does).", MetricOnly: true},

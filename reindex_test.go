@@ -703,3 +703,84 @@ func TestReindexCancelledLeavesNothing(t *testing.T) {
 		t.Fatalf("self query after the reindex: %+v", res)
 	}
 }
+
+// A view pinned across a reindex commit stays whole: a record appended
+// during the rebuild is answered, by a query pinned to the old view before
+// the commit and finishing after it, from the old view's delta, and by a
+// query after the commit from the new view's delta, re-routed under the new
+// skeleton.
+func TestViewPinnedAcrossReindexCommitStaysWhole(t *testing.T) {
+	dir := t.TempDir()
+	data := smallData(901)
+	db, err := Build(dir, data[:900], ingestOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	q := data[900]
+	opts := core.SearchOptions{K: 5, Variant: core.VariantAdaptive4X}
+
+	// The rebuild appends q once its files are written, and waits until a
+	// query has pinned the old view before it goes on to the commit.
+	appended, pinned := make(chan int, 1), make(chan struct{})
+	core.SetCrashStepHook(func(step string) {
+		if step != "gen-dir-sync" {
+			return
+		}
+		ids, err := db.Append([][]float64{q})
+		if err != nil {
+			t.Error(err)
+			ids = []int{-1}
+		}
+		appended <- ids[0]
+		<-pinned
+	})
+	defer core.SetCrashStepHook(nil)
+	reindexed := make(chan error, 1)
+	go func() { reindexed <- db.Reindex(context.Background()) }()
+	id := <-appended
+
+	before, err := db.Index().Search(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waited := false
+	got, err := db.Index().Query(context.Background(), q, opts, func(s core.Snapshot) bool {
+		if !waited && !s.Final {
+			waited = true
+			close(pinned)
+			if err := <-reindexed; err != nil {
+				t.Error(err)
+			}
+		}
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !waited {
+		t.Fatal("the query ended before the reindex could commit under it")
+	}
+	if g := db.Info().Generation; g != 1 {
+		t.Fatalf("generation %d after the reindex, want 1", g)
+	}
+	if !slices.Equal(got.Results, before.Results) {
+		t.Fatalf("the query pinned across the commit answered\n%v\nwant\n%v", got.Results, before.Results)
+	}
+	for name, res := range map[string]*core.SearchResult{"pinned": got, "old view": before} {
+		if len(res.Results) == 0 || res.Results[0].ID != id || res.Results[0].Dist > 1e-4 || res.Stats.DeltaScanned == 0 {
+			t.Fatalf("%s query: %+v, want record %d at distance 0 from the delta", name, res, id)
+		}
+	}
+
+	after, err := db.Index().Search(q, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after.Results) == 0 || after.Results[0].ID != id || after.Results[0].Dist > 1e-4 || after.Stats.DeltaScanned == 0 {
+		t.Fatalf("query after the commit: %+v, want record %d at distance 0 from the new view's delta", after, id)
+	}
+	if n := db.Index().Delta().Len(); n != 1 {
+		t.Fatalf("the new view's delta holds %d records, want the 1 appended during the rebuild", n)
+	}
+}
