@@ -10,7 +10,8 @@
 // leaf-depth histogram, and the distribution of actual partition sizes —
 // the numbers that explain a database's query behaviour (deep tries mean
 // long signature prefixes; a skewed partition distribution means uneven
-// scan costs). -partitions lists each partition's record count and, where
+// scan costs) — and each partition file's format version and summary width
+// (the bytes per record its scans' lower bound reads). -partitions lists each partition's record count and, where
 // appended records sit in a tail file beside the base, the tail's records,
 // bytes and share of the base; -verify checks every base's and tail's
 // checksum and that no record is in both files of a partition.
@@ -35,7 +36,7 @@ func main() {
 
 	var (
 		dir        = flag.String("dir", "", "database directory (required)")
-		stats      = flag.Bool("stats", false, "print skeleton shape statistics: node counts, depth histogram, partition size distribution")
+		stats      = flag.Bool("stats", false, "print skeleton shape statistics: node counts, depth histogram, partition size distribution, each partition file's format version and summary width")
 		groups     = flag.Bool("groups", false, "list every group with its centroid and trie shape")
 		partitions = flag.Bool("partitions", false, "list per-partition record counts")
 		verify     = flag.Bool("verify", false, "checksum every partition file, base and tail, and check that no record is in both")
@@ -80,6 +81,9 @@ func main() {
 
 	if *stats {
 		printStats(db)
+		if err := printFileVersions(db); err != nil {
+			log.Fatal(err)
+		}
 	}
 
 	if *groups {
@@ -244,6 +248,33 @@ func printStats(db *climber.DB) {
 		}
 		fmt.Printf("    [%6d, %6d) %6d %s\n", 1<<exp, 1<<(exp+1), n, bar(n, maxB))
 	}
+}
+
+// printFileVersions lists every partition file of the view, base and tail,
+// with its format version and summary width: version 4 stores one summary
+// byte per 8 readings, version 3 one per 16, version 2 none. An older file
+// keeps its version until a drain, fold or reindex rewrites it.
+func printFileVersions(db *climber.DB) error {
+	parts := db.Index().Partitions()
+	fmt.Println("  partition files (format version, summary bytes per record):")
+	perVersion := map[int]int{}
+	for pid, path := range parts.Paths {
+		files := []string{path}
+		if tail, _ := parts.Tail(pid); tail != "" {
+			files = append(files, tail)
+		}
+		for _, f := range files {
+			p, err := storage.OpenPartition(f)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("    v%d summary=%-4d %s\n", p.Version(), p.SummaryWidth(), f)
+			perVersion[p.Version()]++
+			p.Close()
+		}
+	}
+	fmt.Printf("    files by version: v4=%d v3=%d v2=%d\n", perVersion[4], perVersion[3], perVersion[2])
+	return nil
 }
 
 // bar renders a proportional histogram bar, widest at 40 chars.

@@ -259,7 +259,9 @@ func TestFrontRefusals(t *testing.T) {
 }
 
 // TestClientGone: a client that hangs up mid-query cancels the context the
-// backend runs under, and the request is recorded as the 499 it is.
+// backend runs under, and the request is recorded as the 499 it is. The
+// front notes the slow-log entry after the handler has released its slot,
+// so the test reads the log only once the handler has returned.
 func TestClientGone(t *testing.T) {
 	b := newStub()
 	started := make(chan struct{})
@@ -268,7 +270,17 @@ func TestClientGone(t *testing.T) {
 		<-ctx.Done()
 		return ctx.Err()
 	}
-	svc, ts := serve(t, b, ServeConfig{SlowSample: 1})
+	svc := NewService(b, ServeConfig{SlowSample: 1})
+	h := svc.Handler()
+	returned := make(chan struct{}, 1)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		h.ServeHTTP(w, r)
+		select {
+		case returned <- struct{}{}:
+		default:
+		}
+	}))
+	t.Cleanup(ts.Close)
 	ctx, cancel := context.WithCancel(context.Background())
 	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/search/batch", strings.NewReader(`{"queries":[[1,2,3,4]]}`))
 	done := make(chan error, 1)
@@ -280,6 +292,11 @@ func TestClientGone(t *testing.T) {
 	cancel()
 	if err := <-done; err == nil {
 		t.Fatal("client request unexpectedly succeeded")
+	}
+	select {
+	case <-returned:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the handler of the abandoned request never returned")
 	}
 	drained(t, svc, b)
 	if n := b.c.Load("canceled"); n != 1 {

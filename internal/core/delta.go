@@ -42,8 +42,7 @@ func (ix *Index) Delta() DeltaSource { return ix.gen.Load().delta }
 // of its partition span with the two counts.
 func (e *executor) rankDelta(ctx context.Context, pid int, f clusterFilter, ssp *obs.Span) (scanned, pruned int, err error) {
 	if e.deltaScan == nil {
-		n := e.gen.Parts.SeriesLen
-		e.deltaScan = &stepScan{e: e, top: e.top, recBytes: storage.RecordBytes(n), sumBytes: storage.SummaryBytes(n)}
+		e.deltaScan = &stepScan{e: e, top: e.top, recBytes: storage.RecordBytes(e.gen.Parts.SeriesLen)}
 	}
 	sc := e.deltaScan
 	scanned, pruned = sc.scanned, sc.pruned

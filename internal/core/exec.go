@@ -90,12 +90,17 @@ type executor struct {
 	// never retains it, which is what lets the scan hand it zero-copy
 	// subslices of a mapped file.
 	rank func(rec []byte, bound float64) float64
-	// lb is the query's summary lower bound (nil when the query covers no
-	// whole summary segment): a record whose bound exceeds the top-k
-	// threshold is skipped without a distance (stepScan.run).
-	lb    *storage.LowerBound
-	top   *series.TopK
-	stats *QueryStats
+	// q32 is the query rounded to the storage precision, and bounds its
+	// summary lower bounds, one per summary width the scanned runs store
+	// (version-4 files and the delta share one, version-3 files have their
+	// own), each built when a run of its width is first filtered: a record
+	// whose bound exceeds the top-k threshold is skipped without a distance
+	// (stepScan.run). A nil bound is a width at which the query covers no
+	// whole summary segment.
+	q32    []float32
+	bounds []widthBound
+	top    *series.TopK
+	stats  *QueryStats
 
 	// executed records what was actually scanned, partition → clusters
 	// (nil = every cluster): the coverage the widening stage must respect so
@@ -111,6 +116,27 @@ type executor struct {
 	// span is the query's active span (nil when untraced); the stage
 	// spans — scan, widen — open as its children.
 	span *obs.Span
+	// boundsBuf backs bounds: a view holds at most two summary widths.
+	boundsBuf [2]widthBound
+}
+
+// widthBound is the query's summary lower bound for summaries w bytes wide.
+type widthBound struct {
+	w  int
+	lb *storage.LowerBound
+}
+
+// lowerBound returns the query's summary lower bound for summaries w bytes
+// wide, building it the first time a run of that width is filtered.
+func (e *executor) lowerBound(w int) *storage.LowerBound {
+	for _, b := range e.bounds {
+		if b.w == w {
+			return b.lb
+		}
+	}
+	lb := storage.NewLowerBound(e.q32, e.gen.Parts.SeriesLen, w)
+	e.bounds = append(e.bounds, widthBound{w, lb})
+	return lb
 }
 
 // newExecutor prepares the execution of plan for query q. The scan loop
@@ -121,20 +147,22 @@ type executor struct {
 // form by the raw kernel; the query is rounded to the storage precision
 // once, here. Records carry the full indexed length; the kernel reads their
 // first len(q) readings (4 bytes each), which is all of them unless this is
-// a prefix query. The summary lower bound is built from the same
+// a prefix query. The summary lower bounds are built from the same
 // float32-rounded query, because that is what the kernel subtracts.
 func newExecutor(ix *Index, g *Generation, plan []PlanStep, q []float64, opts SearchOptions, stats *QueryStats) *executor {
 	q32, n := series.ToFloat32(q), 4*len(q)
-	return &executor{
+	e := &executor{
 		ix: ix, gen: g, delta: g.Delta(), plan: plan, opts: opts,
 		rank: func(rec []byte, bound float64) float64 {
 			return series.SqDistEarlyAbandon32Blocked(q32, rec[:n], bound)
 		},
-		lb:       storage.NewLowerBound(q32, g.Parts.SeriesLen),
+		q32:      q32,
 		top:      series.NewTopK(opts.K),
 		stats:    stats,
 		executed: make(map[int]map[storage.ClusterID]struct{}, len(plan)),
 	}
+	e.bounds = e.boundsBuf[:0]
+	return e
 }
 
 // markPartial flags the answer as budget-truncated; the first reason wins.
@@ -149,7 +177,11 @@ func (e *executor) markPartial(reason string) {
 // non-worsening snapshot after each executed step (and a final one);
 // returning false from it stops the query early with a partial answer.
 func (e *executor) run(ctx context.Context, sink func(Snapshot) bool) error {
-	defer e.lb.Release() // every scan has returned by then
+	defer func() {
+		for _, b := range e.bounds {
+			b.lb.Release() // every scan has returned by then
+		}
+	}()
 	e.span = obs.SpanFromContext(ctx)
 	if err := e.scanPlanned(ctx, sink); err != nil {
 		return err
@@ -324,7 +356,7 @@ func (e *executor) scanStep(ctx context.Context, st PlanStep, widening bool, sta
 	defer p.Close()
 	// The step's records ranked and pruned are charged once when the step
 	// ends, cancelled or not.
-	sc := &stepScan{e: e, top: e.top, recBytes: storage.RecordBytes(p.SeriesLen()), sumBytes: storage.SummaryBytes(p.SeriesLen())}
+	sc := &stepScan{e: e, top: e.top, recBytes: storage.RecordBytes(p.SeriesLen())}
 	defer func() {
 		e.stats.RecordsScanned += sc.scanned
 		e.ix.Cl.Stats.ScanPrunedRecords.Add(int64(sc.pruned))
@@ -379,12 +411,12 @@ func (f clusterFilter) wants(c storage.ClusterID) bool {
 // alone — and the scratch of its summary pass, allocated once per step
 // rather than once per cluster.
 type stepScan struct {
-	e                  *executor
-	top                *series.TopK
-	scanned, pruned    int
-	recBytes, sumBytes int
-	lbs                [cancelCheckStride]float64
-	kept               [cancelCheckStride]int32
+	e               *executor
+	top             *series.TopK
+	scanned, pruned int
+	recBytes        int
+	lbs             [cancelCheckStride]float64
+	kept            [cancelCheckStride]int32
 }
 
 // bound is the top-k's admission threshold: +Inf until it holds k records.
@@ -402,10 +434,13 @@ var summaryFilter = true
 // run ranks one run of records — recs holds them as the partition file
 // does, sums their summaries (nil in a version-2 file) — into the top-k,
 // cancelCheckStride records at a time, checking ctx before each stretch —
-// the one cancellation stride of partition and delta runs alike.
+// the one cancellation stride of partition and delta runs alike. The run's
+// summary width is its own, len(sums) per record: the file it comes from
+// may be of version 4 or of version 3.
 //
 // While the bound is finite, each stretch starts with a pass over its
-// summaries that computes every record's lower bound and keeps the records
+// summaries, with the query's lower bound at the run's width, that
+// computes every record's lower bound and keeps the records
 // whose bound is not above the top-k bound; the table stays in cache for it,
 // where a check per record interleaved with the distances would have it
 // evicted by the records' bytes. A record whose lower bound is above the
@@ -422,8 +457,12 @@ var summaryFilter = true
 // the hardware prefetcher sees no stream to follow. A prefetch is a hint
 // that reads nothing, so it changes no distance, order or answer.
 func (sc *stepScan) run(ctx context.Context, recs, sums []byte) error {
-	e, recBytes, w := sc.e, sc.recBytes, sc.sumBytes
+	e, recBytes := sc.e, sc.recBytes
 	n := len(recs) / recBytes
+	w := 0
+	if n > 0 {
+		w = len(sums) / n
+	}
 	for lo := 0; lo < n; lo += cancelCheckStride {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -431,10 +470,14 @@ func (sc *stepScan) run(ctx context.Context, recs, sums []byte) error {
 		m := min(cancelCheckStride, n-lo)
 		sc.scanned += m
 		stretch := stretchIndexes[:m]
-		filter := e.lb != nil && sums != nil && summaryFilter && !math.IsInf(sc.bound(), 1)
+		var lower *storage.LowerBound
+		if w > 0 && summaryFilter && !math.IsInf(sc.bound(), 1) {
+			lower = e.lowerBound(w)
+		}
+		filter := lower != nil
 		if filter {
 			lbs := sc.lbs[:m]
-			e.lb.Bounds(lbs, sums[lo*w:(lo+m)*w])
+			lower.Bounds(lbs, sums[lo*w:(lo+m)*w])
 			bound, k := sc.bound(), 0
 			for j, lb := range lbs {
 				// Branch free: whether a record is kept is data, not a

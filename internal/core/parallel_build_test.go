@@ -69,15 +69,16 @@ func buildArtifacts(t *testing.T, baseDir string, capacity, workers int) map[str
 }
 
 // hashPartition returns the SHA-256 of a partition file and of its
-// version-2 form (storage.WithoutSummaries): the file without its summary
-// section, which holds every record byte and nothing else that is new.
+// version-2 form (storage.Reformat to version 2): the file without its
+// summary section, which holds every record byte and nothing else that is
+// new.
 func hashPartition(t *testing.T, path string) (whole, records string) {
 	t.Helper()
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := storage.WithoutSummaries(raw)
+	v2, err := storage.Reformat(raw, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,15 +97,16 @@ func hashPartition(t *testing.T, path string) (whole, records string) {
 // internal trie node, now land where their own query looks.
 //
 // Since partition format version 3 the "partition/" hashes are of each
-// file's version-2 form (storage.WithoutSummaries): they are unchanged, which
-// proves the summary section moved no record byte. The "summarized/" hashes
-// are of the whole version-3 files, recorded when the section was added.
+// file's version-2 form (storage.Reformat to version 2): they are unchanged,
+// which proves the summary section moved no record byte. The "summarized/"
+// hashes are of the whole files, recorded again when format version 4
+// doubled the summary bytes per record, which was their only change.
 var goldenArtifacts = map[string]map[string]string{
 	"default-capacity": {
 		"partition/det-part00000.clmp":  "dca37eaa17cf1b90cfb2b58aebc51e6ef74134fe849faac8ab5aba585f29f64c",
 		"partition/det-part00001.clmp":  "03aa6ee1032962dce0e71e5c88b7dd2caf6ac86a04aa9a38d6612b4a24c97a95",
-		"summarized/det-part00000.clmp": "4f3c3593eb9813bdf3b06fe22388526d40ffca7ae7d4c6e29f92db91f469aa52",
-		"summarized/det-part00001.clmp": "6db4c9c65fb88331c985fb375e1ff30163f2e8100893058820260e6cbd25720c",
+		"summarized/det-part00000.clmp": "9f7fb4703f7746895302625736b42dd9deac18859a8021c35106551b812d14ac",
+		"summarized/det-part00001.clmp": "5a771277d9ce67d2f5d007472028373ab57ecec33695bae513be448f3fb66278",
 		"skeleton":                      "a65dc898bc1024d30899f474934be0f1c9fe60ad287520395c75009ad76969fa",
 	},
 	"fine-capacity": {
@@ -127,25 +129,25 @@ var goldenArtifacts = map[string]map[string]string{
 		"partition/det-part00016.clmp":  "1e86f3afd1f35a588c76241e7d8019e829274c65e1db02eef1a2abd364d18d69",
 		"partition/det-part00017.clmp":  "4b388749e5d04aa2a76483b4ceddf888712ddf926e49f8e0239b0bc5ad0d0fbc",
 		"partition/det-part00018.clmp":  "9557fd52d4ba4abf3ec923c712665dd8f65ffe1f9a54b609f07e7200f9552263",
-		"summarized/det-part00000.clmp": "c06af83b97abfd77c6062024047943f2a67371c86f3b0329567780458d3387bb",
-		"summarized/det-part00001.clmp": "d2ca7103773b1aede3b0f253e77fcbf97ecf1c6ba214469e9b00d4734a260947",
-		"summarized/det-part00002.clmp": "660c2c0033f02ce6402c0eef7d145b5c98249b96351e4eea7908f949b6c6a08a",
-		"summarized/det-part00003.clmp": "bdcdc393d2d2f63d7aa017278336a176a60575c71863b4340ab5ecd1bec509a9",
-		"summarized/det-part00004.clmp": "8d8afa3e87e8727da91f272a0b8f65b86a46312c07431209820c3459074b5cba",
-		"summarized/det-part00005.clmp": "6dd16bbfcf3a1e70f0f5c460c0b9070e448d873abad965ed320a2cc3d2748805",
-		"summarized/det-part00006.clmp": "c2dafcfb1fcf91f8f549bf48b0639aab9ff560e7fee5a4baffd6713eca28dde7",
-		"summarized/det-part00007.clmp": "ccac898792a313a769f4b7da35bdde5adebb4e64dd9015a09f29aeae297a1899",
-		"summarized/det-part00008.clmp": "1dc68a5dfa3abefee268e069890e43886ee483896b829a810cd621ad0f61d9cc",
-		"summarized/det-part00009.clmp": "cb277e0062fdd47bc2a80f958fb2f66230d100bd47b7f9e10d2b376b70cec8ff",
-		"summarized/det-part00010.clmp": "ca2a5bf3d58b4e68d502bef09023373a9c1eb6089e3545c8b7e8c34ab1df8336",
-		"summarized/det-part00011.clmp": "8e2f75a1b9e0807c998668fb740d0a4a4a18d75eb7dfec60d81174667e5f5b80",
-		"summarized/det-part00012.clmp": "47d078bf6af19349f83221e541e81daddbb17e49135eeed840337fcc56ab2132",
-		"summarized/det-part00013.clmp": "78a5eb6fbf69a76f8df3d7e55309230cfc599f714112393bebdfd2ece84d8c64",
-		"summarized/det-part00014.clmp": "f0b3174290020f11167bd9c424380eead337b400b996d56749fdadf33951797c",
-		"summarized/det-part00015.clmp": "dd7f325eadfe386bf82d03fd6124c0837ae7709fa03bd12f8d6e9333d180d326",
-		"summarized/det-part00016.clmp": "e8e82d68eac0a529e8062aabfcdf32577a239cbd00acdecb4b5c9c2590374113",
-		"summarized/det-part00017.clmp": "3d38d0aec6b1de6764190b891d2c2db3c92b87de27e5a3fcfef24457c5f608f2",
-		"summarized/det-part00018.clmp": "cbfe34564e9929eeedb12ad60b3075a94544ac553914942598f9e40d782a999b",
+		"summarized/det-part00000.clmp": "74522a16242e3ec1742a240f3c9a792a09fe1e4b6fb8639129200e4379b4edf2",
+		"summarized/det-part00001.clmp": "12fd094b722131e5cdbd28217c9004f1c14fb2bd3368099bf61b8f2380b99d04",
+		"summarized/det-part00002.clmp": "0d3d05e55e9ea53f8b098165fdb2df5655d6613655b45fb8ffe6c3b97e17984e",
+		"summarized/det-part00003.clmp": "07b2d8141372ace64e7353b1ab0d21ceea4f0658e8532a9d492783222e90f756",
+		"summarized/det-part00004.clmp": "a64322211c1af3dd626ef871f2d8441a83c5bfe71a80f5e2a4d6ffebc4ca652b",
+		"summarized/det-part00005.clmp": "e8e311d2649c5b3bb08462da9650fd45b6d9260235d4761202c9e0146db36d20",
+		"summarized/det-part00006.clmp": "3408f713c8b36619ad3d73875a588492e11ce290cda08219feda7b8ad74e9fb9",
+		"summarized/det-part00007.clmp": "912cfbb0b9a2dc9e3cf9b466fc4bbdf28f1729d8a51af8d780109eb6c3aebc5c",
+		"summarized/det-part00008.clmp": "2996b3e18e985e7865534962e7e784b0853d60223dc0f8fd9b5857ac7fa8993c",
+		"summarized/det-part00009.clmp": "6ad72ac49df8f7b369d90d0e23f2aa606c01d854a166a85f84502e56673d95ff",
+		"summarized/det-part00010.clmp": "2ba46eb1f180c9a860f9e899d07b10648445241f2f7f10e4313eb01b0d482ee8",
+		"summarized/det-part00011.clmp": "382cbc4acc0b88c6c57d9942b473314cdca392efd2dcbcc65d7825a8e2b07203",
+		"summarized/det-part00012.clmp": "776715cbca51471beaf8425bc2defa06419ce1487da7f16651ff09f079675799",
+		"summarized/det-part00013.clmp": "2906b99c24829a1f9ae3b4ea8998a6a7aa84f2b38052381080060f651dd60b89",
+		"summarized/det-part00014.clmp": "1cb18cf34ccba6312eccdf98a2a13ac2039f16538ba5a4527c45400e07e75bb9",
+		"summarized/det-part00015.clmp": "faf57d8ed5c8c06f11d3c9347408de0456f545b257e688247a9b6fe258536ce3",
+		"summarized/det-part00016.clmp": "a1738884736fd507e6973a834bb0784ba2d305966e8670d5aafea51375003b92",
+		"summarized/det-part00017.clmp": "ed1b7b9f834a018a45e40ef06126aae46b3b69ac30c96b3e89e220abdf77c401",
+		"summarized/det-part00018.clmp": "250f38c7403dd5177eaf628173e2a893d0aba08311eeadb4b3edae5842e5e5ea",
 		"skeleton":                      "0e40f8af8f9cd4e48cff3f244a61634aa7a9eabfb90adbb778dfb16d47972122",
 	},
 }

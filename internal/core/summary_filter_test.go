@@ -170,63 +170,94 @@ func assertSameAnswers(t *testing.T, what string, got, want []answer) {
 // statistics — on random-walk, EEG, SIFT-like and DNA data, under all four
 // variants, for K of 1, 50 and 200, whole and prefix queries, over partitions
 // with live tails and a live delta, whose runs the delta stage ranks with the
-// same scan. The filter must also have skipped records on each dataset, in
+// same scan. It holds at both summary widths: the files as written (version
+// 4) and with every base rewritten in version 3, beside version-4 tails and
+// delta runs. The filter must also have skipped records on each dataset, in
 // the partitions and in the delta, or the comparison proves nothing.
 func TestSummaryFilterBitIdentical(t *testing.T) {
 	for _, name := range dataset.Names() {
 		t.Run(name, func(t *testing.T) {
-			ix, qs := summaryIndex(t, name, true)
-			defer func() { summaryFilter = true }()
-			summaryFilter = false
-			want, unfiltered := runSummaryQueries(t, ix, qs)
-			summaryFilter = true
-			pruned := ix.Cl.Stats.ScanPrunedRecords.Load()
-			got, deltaPruned := runSummaryQueries(t, ix, qs)
-			assertSameAnswers(t, name, got, want)
-			if unfiltered != 0 {
-				t.Fatalf("%s: the delta stage skipped %d records with the filter off", name, unfiltered)
-			}
-			if deltaPruned == 0 {
-				t.Fatalf("%s: the filter skipped no delta record", name)
-			}
-			if ix.Cl.Stats.ScanPrunedRecords.Load()-pruned == deltaPruned {
-				t.Fatalf("%s: the filter skipped no partition record", name)
+			for _, version := range []int{4, 3} {
+				t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+					ix, qs := summaryIndex(t, name, true)
+					rewriteFiles(t, ix, version, false)
+					defer func() { summaryFilter = true }()
+					summaryFilter = false
+					want, unfiltered := runSummaryQueries(t, ix, qs)
+					summaryFilter = true
+					pruned := ix.Cl.Stats.ScanPrunedRecords.Load()
+					got, deltaPruned := runSummaryQueries(t, ix, qs)
+					assertSameAnswers(t, name, got, want)
+					if unfiltered != 0 {
+						t.Fatalf("%s: the delta stage skipped %d records with the filter off", name, unfiltered)
+					}
+					if deltaPruned == 0 {
+						t.Fatalf("%s: the filter skipped no delta record", name)
+					}
+					if ix.Cl.Stats.ScanPrunedRecords.Load()-pruned == deltaPruned {
+						t.Fatalf("%s: the filter skipped no partition record", name)
+					}
+				})
 			}
 		})
 	}
 }
 
+// rewriteFiles rewrites every partition base of ix's view in the given
+// format version (storage.Reformat), and every tail too when tails is set,
+// and unregisters each file's mapping, since it changed under its name. It
+// returns the files rewritten and a partition with a tail, or -1.
+func rewriteFiles(t *testing.T, ix *Index, version int, tails bool) (files []string, tailed int) {
+	t.Helper()
+	parts := ix.Partitions()
+	tailed = -1
+	for pid, path := range parts.Paths {
+		files = append(files, path)
+		if tail, _ := parts.Tail(pid); tail != "" {
+			tailed = pid
+			if tails {
+				files = append(files, tail)
+			}
+		}
+	}
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := storage.Reformat(raw, version)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(f, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ix.Cl.Retire(f) // the file changed under its name: map it again
+	}
+	return files, tailed
+}
+
+// fileVersion opens the partition file at path and returns its format
+// version and summary width.
+func fileVersion(t *testing.T, path string) (version, width int) {
+	t.Helper()
+	p, err := storage.OpenPartition(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	return p.Version(), p.SummaryWidth()
+}
+
 // TestVersion2PartitionsAnswerUnfiltered rewrites every partition file of an
 // index, tails included, in the summary-less version-2 format: the files
-// open, answer exactly as the version-3 files did, and skip nothing. A fold
-// then writes its base back in version 3.
+// open, answer exactly as the version-4 files did, and skip nothing. A fold
+// then writes its base back in version 4.
 func TestVersion2PartitionsAnswerUnfiltered(t *testing.T) {
 	ix, qs := summaryIndex(t, "randomwalk", false)
 	want, _ := runSummaryQueries(t, ix, qs)
 
-	parts := ix.Partitions()
-	tailed := -1
-	for pid, path := range parts.Paths {
-		files := []string{path}
-		if tail, _ := parts.Tail(pid); tail != "" {
-			files = append(files, tail)
-			tailed = pid
-		}
-		for _, f := range files {
-			raw, err := os.ReadFile(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			v2, err := storage.WithoutSummaries(raw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(f, v2, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			ix.Cl.Retire(f) // the file changed under its name: map it again
-		}
-	}
+	_, tailed := rewriteFiles(t, ix, 2, true)
 	pruned := ix.Cl.Stats.ScanPrunedRecords.Load()
 	got, _ := runSummaryQueries(t, ix, qs)
 	assertSameAnswers(t, "version 2", got, want)
@@ -237,11 +268,51 @@ func TestVersion2PartitionsAnswerUnfiltered(t *testing.T) {
 	if _, err := ix.FoldTails(); err != nil {
 		t.Fatal(err)
 	}
-	raw, err := os.ReadFile(ix.Partitions().Paths[tailed])
-	if err != nil {
+	if v, _ := fileVersion(t, ix.Partitions().Paths[tailed]); v != 4 {
+		t.Fatalf("a folded base is of version %d, want 4", v)
+	}
+}
+
+// TestVersion3PartitionsAnswerFiltered rewrites every partition base of an
+// index in version 3, one summary byte per 16 readings, beside its
+// version-4 tail and a version-4 delta: the view answers bit for bit as the
+// version-4 files did, under every variant, whole and prefix queries, and
+// its scans filter the version-3 files at their own width — they skip
+// records, and fewer than the version-4 files did, since a segment twice as
+// long bounds less. A fold then writes a base back in version 4.
+func TestVersion3PartitionsAnswerFiltered(t *testing.T) {
+	ix, qs := summaryIndex(t, "randomwalk", true)
+	pruned := ix.Cl.Stats.ScanPrunedRecords.Load()
+	want, wantDelta := runSummaryQueries(t, ix, qs)
+	pruned4 := ix.Cl.Stats.ScanPrunedRecords.Load() - pruned - wantDelta
+
+	bases, tailed := rewriteFiles(t, ix, 3, false)
+	n := ix.Partitions().SeriesLen
+	for _, f := range bases {
+		if v, w := fileVersion(t, f); v != 3 || w != max(1, n/16) {
+			t.Fatalf("%s: version %d of width %d, want 3 of width %d", f, v, w, max(1, n/16))
+		}
+	}
+	if tailed < 0 {
+		t.Fatal("no partition with a tail")
+	}
+	tail, _ := ix.Partitions().Tail(tailed)
+	if v, w := fileVersion(t, tail); v != 4 || w != storage.SummaryBytes(n) {
+		t.Fatalf("tail %s: version %d of width %d, want 4 of width %d", tail, v, w, storage.SummaryBytes(n))
+	}
+	pruned = ix.Cl.Stats.ScanPrunedRecords.Load()
+	got, gotDelta := runSummaryQueries(t, ix, qs)
+	pruned3 := ix.Cl.Stats.ScanPrunedRecords.Load() - pruned - gotDelta
+	assertSameAnswers(t, "version 3", got, want)
+	t.Logf("records skipped: version-3 files %d, version-4 files %d", pruned3, pruned4)
+	if pruned3 == 0 || pruned3 >= pruned4 {
+		t.Fatalf("version-3 files skipped %d records, version-4 files %d: want some, and fewer", pruned3, pruned4)
+	}
+
+	if _, err := ix.FoldTails(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := storage.WithoutSummaries(raw); err != nil {
-		t.Fatalf("a folded base is not version 3: %v", err)
+	if v, _ := fileVersion(t, ix.Partitions().Paths[tailed]); v != 4 {
+		t.Fatalf("a folded base is of version %d, want 4", v)
 	}
 }

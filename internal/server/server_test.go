@@ -597,7 +597,8 @@ func TestAppendEndpoint(t *testing.T) {
 		t.Fatalf("ingest stats after flush: %+v", stats.Ingest)
 	}
 	// The one compaction was timed and its rewritten bytes counted, and the
-	// merge took its two partition buffers from the pool.
+	// partition buffers counted on the pool: a merge maps its sources and
+	// takes one buffer for each file it writes, the build one per partition.
 	var timed int64
 	for _, n := range stats.Ingest.CompactDurations {
 		timed += n

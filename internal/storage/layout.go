@@ -9,7 +9,7 @@ import (
 
 // Layout is one partition file assembled in memory, the one writer of the
 // format: NewLayout lays out the header and the directory in a pooled buffer
-// and reserves a slot for every record, Put and copyRecord fill the slots,
+// and reserves a slot for every record, Put and copyRecords fill the slots,
 // and Commit adds the CRC32 and puts the file in place. Slot i is the i-th
 // record in file order: the directory's clusters in the order given, each
 // cluster's Count records in a row. A writer that puts records in canonical
@@ -77,13 +77,25 @@ func (l *Layout) Put(i, id int, values []float64) error {
 	return nil
 }
 
-// copyRecord puts an encoded record, copied verbatim from a partition file,
-// into slot i and computes its summary from the copied bytes.
-func (l *Layout) copyRecord(i int, src []byte) {
-	rec, sum := l.slot(i)
-	copy(rec, src)
-	summarize(sum, rec[8:], l.seriesLen)
-	l.filled.Add(1)
+// copyRecords puts encoded records, copied verbatim in a row from a
+// partition file, into the slots from i on, and their summaries: sums, the
+// source's summary bytes of the same records, copied when they are of the
+// layout's width, and otherwise (a file of another version) computed from
+// the copied bytes.
+func (l *Layout) copyRecords(i int, recs, sums []byte) {
+	n := len(recs) / l.recBytes
+	r, s := l.recs+i*l.recBytes, l.sums+i*l.sumBytes
+	copy(l.buf[r:r+len(recs)], recs)
+	dst := l.buf[s : s+n*l.sumBytes]
+	if len(sums) == len(dst) {
+		copy(dst, sums)
+	} else {
+		for j := range n {
+			rec := l.buf[r+j*l.recBytes : r+(j+1)*l.recBytes]
+			summarize(dst[j*l.sumBytes:(j+1)*l.sumBytes], rec[8:], l.seriesLen)
+		}
+	}
+	l.filled.Add(int64(n))
 }
 
 // Commit writes the laid-out file to dst with its trailing CRC32 and returns

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
 	"io/fs"
 	"math"
@@ -282,12 +283,15 @@ func TestMergeCanonicalisesUnsortedFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "p.clmp")
 	raw := writeFile(t, path, seriesLen, recs)
-	// Swap cluster 1's two records and re-seal the checksum.
+	// Swap cluster 1's two records, and their one-byte summaries, and
+	// re-seal the checksum.
 	rb := RecordBytes(seriesLen)
 	first := 16 + 12*2
 	a := append([]byte(nil), raw[first:first+rb]...)
 	copy(raw[first:], raw[first+rb:first+2*rb])
 	copy(raw[first+rb:], a)
+	sums := first + 3*rb
+	raw[sums], raw[sums+1] = raw[sums+1], raw[sums]
 	binary.LittleEndian.PutUint32(raw[len(raw)-4:], crc32.ChecksumIEEE(raw[:len(raw)-4]))
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
@@ -304,6 +308,49 @@ func TestMergeCanonicalisesUnsortedFile(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("merge of an unsorted file is not the canonical file")
+	}
+}
+
+// Sources of every version fold into the file the writer writes: a
+// version-4 source's summaries are copied, a version-3 or version-2 one's
+// computed afresh at the version-4 width.
+func TestMergeOlderVersionsIntoVersion4(t *testing.T) {
+	const seriesLen = 48
+	rng := rand.New(rand.NewPCG(4, 9))
+	var all []Incoming
+	for i := range 90 {
+		vals := make([]float64, seriesLen)
+		for j := range vals {
+			vals[j] = rng.NormFloat64()
+		}
+		all = append(all, Incoming{Cluster: ClusterID(i % 4), ID: i, Values: vals})
+	}
+	dir := t.TempDir()
+	want := writeFile(t, filepath.Join(dir, "want.clmp"), seriesLen, all)
+	for _, versions := range [][2]int{{4, 4}, {3, 4}, {4, 3}, {3, 3}, {2, 3}, {4, 2}} {
+		var srcs []string
+		for k, v := range versions {
+			path := filepath.Join(dir, fmt.Sprintf("src%d.clmp", k))
+			raw, err := Reformat(writeFile(t, path, seriesLen, all[k*30:(k+1)*30]), v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			srcs = append(srcs, path)
+		}
+		out := filepath.Join(dir, "out.clmp")
+		if _, _, err := MergePartitions(out, seriesLen, srcs, all[60:], nil); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("sources of versions %v merge to another file than the writer's", versions)
+		}
 	}
 }
 

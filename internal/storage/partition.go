@@ -53,12 +53,15 @@ type Partition struct {
 	seriesLen int
 	total     int
 	dir       []ClusterInfo // sorted by ID
-	// sumOff is the byte offset of the summary section, 0 in a version-2
-	// file, which has none; sums is that section inside data when the
-	// partition is resident.
-	sumOff int64
-	sums   []byte
-	refs   atomic.Int64 // outstanding references; resources freed at zero
+	// version is the file's format version and sumW its summary bytes per
+	// record (summaryWidth: 0 in a version-2 file). sumOff is the byte
+	// offset of the summary section, 0 when the file has none; sums is that
+	// section inside data when the partition is resident.
+	version uint32
+	sumW    int
+	sumOff  int64
+	sums    []byte
+	refs    atomic.Int64 // outstanding references; resources freed at zero
 }
 
 // OpenPartition opens a partition file and reads its directory; record data
@@ -160,7 +163,7 @@ func MapPartition(path string) (*Partition, error) {
 func (p *Partition) setResident(data []byte, mapped bool) {
 	p.data, p.mapped = data, mapped
 	if p.sumOff > 0 {
-		p.sums = data[p.sumOff : p.sumOff+int64(p.total*SummaryBytes(p.seriesLen))]
+		p.sums = data[p.sumOff : p.sumOff+int64(p.total*p.sumW)]
 	}
 }
 
@@ -187,13 +190,14 @@ func newPartition(r io.ReaderAt, size int64, path string) (*Partition, error) {
 		return nil, fmt.Errorf("storage: bad partition magic %q in %s", hdr[0:4], path)
 	}
 	version := binary.LittleEndian.Uint32(hdr[4:8])
-	if version != partitionVersion && version != partitionVersionNoSummaries {
+	if !knownVersion(version) {
 		return nil, fmt.Errorf("storage: unsupported partition version %d", version)
 	}
 	p := &Partition{
 		r:         r,
 		size:      size,
 		seriesLen: int(binary.LittleEndian.Uint32(hdr[8:12])),
+		version:   version,
 	}
 	if p.seriesLen <= 0 {
 		return nil, fmt.Errorf("storage: partition series length %d in %s", p.seriesLen, path)
@@ -222,10 +226,10 @@ func newPartition(r io.ReaderAt, size int64, path string) (*Partition, error) {
 		offset += int64(cnt) * recBytes
 		p.total += cnt
 	}
-	if version == partitionVersion {
+	if p.sumW = summaryWidth(version, p.seriesLen); p.sumW > 0 {
 		// The summary section must fit before the checksum, as the
 		// records must fit in the file.
-		if n := int64(p.total) * int64(SummaryBytes(p.seriesLen)); n > size-4-offset {
+		if n := int64(p.total) * int64(p.sumW); n > size-4-offset {
 			return nil, fmt.Errorf("storage: summary section of %d bytes overruns %s (%d bytes)", n, path, size)
 		}
 		p.sumOff = offset
@@ -312,6 +316,14 @@ func (p *Partition) MemBytes() int64 {
 	}
 	return mem
 }
+
+// Version returns the file's format version: 4, or 3 or 2 for a file an
+// older writer wrote.
+func (p *Partition) Version() int { return int(p.version) }
+
+// SummaryWidth returns the summary bytes the file stores per record: one per
+// 8 readings in version 4, one per 16 in version 3, none in version 2.
+func (p *Partition) SummaryWidth() int { return p.sumW }
 
 // SeriesLen returns the length of the stored series.
 func (p *Partition) SeriesLen() int { return p.seriesLen }
@@ -445,7 +457,7 @@ func (p *Partition) ScanClustersRaw(ids []ClusterID, fn func(id int, rec []byte)
 // consecutive records, with their summaries: recs holds whole records as the
 // file stores them (RecordBytes each — the uint64 ID, then the float32
 // readings the series.SqDist32* kernels take) and sums their summary bytes
-// (SummaryBytes each, same order), or is nil in a version-2 file. A resident
+// (SummaryWidth each, same order), or is nil in a version-2 file. A resident
 // partition passes the whole cluster as one run of its own bytes; a
 // file-backed one reads runs of up to 256 records into scratch reused between
 // runs. Both slices obey the lifetime rules of ScanClusterRaw: valid only
@@ -459,7 +471,7 @@ func (p *Partition) scanClusterRuns(id ClusterID, sb *scanBuf, fn func(recs, sum
 	if !ok || ci.Count == 0 {
 		return nil
 	}
-	recBytes, w := RecordBytes(p.seriesLen), SummaryBytes(p.seriesLen)
+	recBytes, w := RecordBytes(p.seriesLen), p.sumW
 	if p.data != nil {
 		var sums []byte
 		if p.sums != nil {
@@ -520,7 +532,7 @@ func (p *Partition) Verify() error {
 	if p.sumOff == 0 {
 		return nil
 	}
-	recBytes, w := RecordBytes(p.seriesLen), SummaryBytes(p.seriesLen)
+	recBytes, w := RecordBytes(p.seriesLen), p.sumW
 	want := make([]byte, w)
 	sb := &scanBuf{}
 	for _, ci := range p.dir {

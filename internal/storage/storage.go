@@ -16,12 +16,16 @@
 // single trie-node cluster is a seek plus one sequential read.
 //
 // Version 3 added the summary section: one byte per 16 readings of every
-// record, the 8-bit iSAX symbol of the segment's mean (summary.go), 1/64 of
-// the value bytes. A query checks a record's summaries before computing its
-// distance (LowerBound). Version-2 files, which end their records with the
-// CRC32, still open; they have no summaries, so their scans rank every
-// record, and the next rewrite (a fold or a reindex) writes version 3. Every
-// reading a file stores is finite in float32: the writer refuses any other.
+// record, the 8-bit iSAX symbol of the segment's mean (summary.go). Version
+// 4, the one every writer writes, halves the segments: one byte per 8
+// readings, 1/32 of the value bytes, so the lower bound skips more records.
+// A query checks a record's summaries before computing its distance
+// (LowerBound), at the width its file stores. Files of version 3, and of
+// version 2, which end their records with the CRC32 and have no summaries
+// (their scans rank every record), still open and are read as they are; the
+// next rewrite of one (a drain's tail, a fold or a reindex) writes version 4.
+// Every reading a file stores is finite in float32: the writer refuses any
+// other.
 //
 // Every file of series is a partition file laid out by Layout: the
 // partitions of a build or reindex (cluster.Shuffle), and, through
@@ -40,9 +44,11 @@ import (
 
 const (
 	partitionMagic = "CLMP"
-	// partitionVersion 3 added the record summaries; version 2 introduced
-	// the trailing CRC32 checksum and is still read.
-	partitionVersion            = 3
+	// partitionVersion 4 stores one summary byte per 8 readings; version 3
+	// stored one per 16, and version 2, which introduced the trailing CRC32
+	// checksum, none. Files of all three are read.
+	partitionVersion            = 4
+	partitionVersion3           = 3
 	partitionVersionNoSummaries = 2
 )
 

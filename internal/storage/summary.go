@@ -9,18 +9,23 @@ import (
 	"climber/internal/sax"
 )
 
-// Record summaries. A version-3 partition file carries, after its records,
-// one summary byte per 16 readings of every record, in file order: byte s is
+// Record summaries. A version-4 partition file carries, after its records,
+// one summary byte per 8 readings of every record, in file order: byte s is
 // the 8-bit iSAX symbol of the mean of the record's readings in segment s,
 // where a record of L readings has w = SummaryBytes(L) segments and segment s
 // covers readings [s·L/w, (s+1)·L/w). The symbol is that of the exact mean
 // of the stored float32 readings — the stripe of the breakpoints that holds
 // it — so a query can bound a record's distance from below without reading
 // the record (LowerBound), the summary check of the parallel iSAX indexes.
+// A version-3 file holds the same summaries over segments twice as long, one
+// byte per 16 readings; everything here is a function of the width w, the
+// summary bytes per record, so it reads both.
 
 const (
-	// summaryReadings is the number of readings one summary byte stands for.
-	summaryReadings = 16
+	// summaryReadings is the number of readings one summary byte stands for
+	// in a version-4 file; version3Readings in a version-3 file.
+	summaryReadings  = 8
+	version3Readings = 16
 	// summaryBits is the iSAX cardinality of a summary byte: 2^8 stripes.
 	summaryBits = 8
 	// summarySlack scales every lower bound down by 2^-20 relative. The
@@ -35,9 +40,28 @@ const (
 )
 
 // SummaryBytes returns the number of summary bytes one record of seriesLen
-// readings carries in a version-3 partition file: one per 16 readings, and
-// at least one. It is 1/64 of the record's value bytes.
-func SummaryBytes(seriesLen int) int { return max(1, seriesLen/summaryReadings) }
+// readings carries in the partition files written now (version 4): one per
+// 8 readings, and at least one. It is 1/32 of the record's value bytes.
+func SummaryBytes(seriesLen int) int { return summaryWidth(partitionVersion, seriesLen) }
+
+// knownVersion reports whether version is a partition format version this
+// package reads and writes: 4, 3 or 2.
+func knownVersion(version uint32) bool {
+	return version == partitionVersion || version == partitionVersion3 || version == partitionVersionNoSummaries
+}
+
+// summaryWidth returns the summary bytes per record of seriesLen readings in
+// a partition file of the given version: one per 8 readings in version 4,
+// one per 16 in version 3 (at least one in both), none in version 2.
+func summaryWidth(version uint32, seriesLen int) int {
+	switch version {
+	case partitionVersion:
+		return max(1, seriesLen/summaryReadings)
+	case partitionVersion3:
+		return max(1, seriesLen/version3Readings)
+	}
+	return 0
+}
 
 // segment returns the reading range [lo, hi) of summary segment s of w over
 // a record of seriesLen readings.
@@ -193,12 +217,13 @@ type LowerBound struct {
 }
 
 // NewLowerBound builds the lower bound of the float32 query q against
-// records of seriesLen readings; q may be a prefix (len(q) < seriesLen), in
-// which case only the segments wholly inside it count. It returns nil when no
-// segment does. Any finite query gives a valid bound; a reading that is not
-// finite makes its segment contribute nothing.
-func NewLowerBound(q []float32, seriesLen int) *LowerBound {
-	w := SummaryBytes(seriesLen)
+// records of seriesLen readings whose summaries are w bytes each (the width
+// of their file's version, SummaryBytes for the files written now); q may be
+// a prefix (len(q) < seriesLen), in which case only the segments wholly
+// inside it count. It returns nil when no segment does. Any finite query
+// gives a valid bound; a reading that is not finite makes its segment
+// contribute nothing.
+func NewLowerBound(q []float32, seriesLen, w int) *LowerBound {
 	segs := 0
 	for segs < w {
 		if _, hi := segment(segs, w, seriesLen); hi > len(q) {
@@ -259,7 +284,7 @@ func (b *LowerBound) Release() {
 }
 
 // Bounds writes to dst[i] the lower bound of record i of sums, the summary
-// bytes of len(dst) consecutive records (SummaryBytes per record, as a
+// bytes of len(dst) consecutive records (the bound's width per record, as a
 // partition file stores them).
 func (b *LowerBound) Bounds(dst []float64, sums []byte) {
 	table, w := b.table, b.w

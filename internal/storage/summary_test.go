@@ -9,6 +9,7 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -133,42 +134,53 @@ func FuzzSummaryLowerBound(f *testing.F) {
 			q[i], x[i] = finite(qb[4*i:]), finite(xb[4*i:])
 		}
 		vals := float32Bytes(x)
-		sums := make([]byte, SummaryBytes(n))
-		summarize(sums, vals, n)
-		for s := range sums {
-			lo, hi := segment(s, len(sums), n)
-			if want := exactSymbol(vals[4*lo : 4*hi]); sums[s] != want {
-				t.Fatalf("segment %d: summary %d, exact mean's symbol %d", s, sums[s], want)
-			}
-		}
 		m := n
 		if int(prefix) < n {
 			m = int(prefix) + 1
 		}
-		lb := NewLowerBound(q[:m], n)
-		if lb == nil {
-			return
-		}
-		var got [1]float64
-		lb.Bounds(got[:], sums)
-		if d := series.SqDist32Blocked(q[:m], vals[:4*m]); !(got[0] <= d) {
-			t.Fatalf("lower bound %v above the kernel distance %v (n=%d, prefix %d)", got[0], d, n, m)
+		d := series.SqDist32Blocked(q[:m], vals[:4*m])
+		for _, version := range []uint32{partitionVersion, partitionVersion3} {
+			sums := make([]byte, summaryWidth(version, n))
+			summarize(sums, vals, n)
+			for s := range sums {
+				lo, hi := segment(s, len(sums), n)
+				if want := exactSymbol(vals[4*lo : 4*hi]); sums[s] != want {
+					t.Fatalf("version %d: segment %d: summary %d, exact mean's symbol %d", version, s, sums[s], want)
+				}
+			}
+			lb := NewLowerBound(q[:m], n, len(sums))
+			if lb == nil {
+				continue
+			}
+			var got [1]float64
+			lb.Bounds(got[:], sums)
+			lb.Release()
+			if !(got[0] <= d) {
+				t.Fatalf("version %d: lower bound %v above the kernel distance %v (n=%d, prefix %d)", version, got[0], d, n, m)
+			}
 		}
 	})
 }
 
-// TestLowerBoundPrefixSegments checks which segments a prefix query uses:
-// only those wholly inside it.
+// TestLowerBoundPrefixSegments checks which segments a prefix query uses,
+// at the width of either summarised version: only those wholly inside it.
 func TestLowerBoundPrefixSegments(t *testing.T) {
 	q := make([]float32, 100)
-	for _, c := range []struct{ prefix, segs int }{{100, 6}, {99, 5}, {33, 2}, {32, 1}, {16, 1}, {15, 0}} {
-		lb := NewLowerBound(q[:c.prefix], 100) // segments start at 0, 16, 33, 50, 66, 83
+	for _, c := range []struct{ version, prefix, segs int }{
+		// Version 4: 12 segments, starting at 0, 8, 16, 25, 33, 41, 50, 58,
+		// 66, 75, 83, 91.
+		{4, 100, 12}, {4, 99, 11}, {4, 33, 4}, {4, 32, 3}, {4, 16, 2}, {4, 15, 1}, {4, 8, 1}, {4, 7, 0},
+		// Version 3: 6 segments, starting at 0, 16, 33, 50, 66, 83.
+		{3, 100, 6}, {3, 99, 5}, {3, 33, 2}, {3, 32, 1}, {3, 16, 1}, {3, 15, 0},
+	} {
+		w := summaryWidth(uint32(c.version), 100)
+		lb := NewLowerBound(q[:c.prefix], 100, w)
 		got := 0
 		if lb != nil {
 			got = len(lb.table)
 		}
 		if got != c.segs {
-			t.Errorf("prefix %d of 100: %d segments, want %d", c.prefix, got, c.segs)
+			t.Errorf("version %d (%d segments): prefix %d of 100: %d segments, want %d", c.version, w, c.prefix, got, c.segs)
 		}
 	}
 }
@@ -257,7 +269,7 @@ func TestVersion2FileReadsWithoutSummaries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := WithoutSummaries(raw)
+	v2, err := Reformat(raw, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,8 +306,80 @@ func TestVersion2FileReadsWithoutSummaries(t *testing.T) {
 		}
 		p.Close()
 	}
-	if _, err := WithoutSummaries(v2); err == nil {
-		t.Fatal("a version-2 file was stripped again")
+	if back, err := Reformat(v2, partitionVersion); err != nil || !bytes.Equal(back, raw) {
+		t.Fatalf("the version-4 form of the version-2 file is not the file written (%v)", err)
+	}
+}
+
+// TestVersion3FileReadsAtItsWidth opens the version-3 form of a file: one
+// summary byte per 16 readings, half the version-4 width, in every run; a
+// clean Verify that recomputes them at that width, and one that names the
+// record whose version-3 summary was flipped. Its version-4 form is the file
+// written.
+func TestVersion3FileReadsAtItsWidth(t *testing.T) {
+	const seriesLen = 40
+	path, want := buildPartition(t, seriesLen, 50)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v3, err := Reformat(raw, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w := summaryWidth(partitionVersion3, seriesLen); w != 2 || SummaryBytes(seriesLen) != 5 {
+		t.Fatalf("widths %d (version 3) and %d (version 4), want 2 and 5", w, SummaryBytes(seriesLen))
+	}
+	if got := len(raw) - len(v3); got != 50*3 {
+		t.Fatalf("version-3 form is %d bytes shorter, want %d", got, 50*3)
+	}
+	old := tempPath(t, "v3.clmp")
+	if err := os.WriteFile(old, v3, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for backing, open := range map[string]func(string) (*Partition, error){"open": OpenPartition, "load": LoadPartition} {
+		p, err := open(old)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Version() != 3 || p.SummaryWidth() != 2 {
+			t.Fatalf("%s: version %d, width %d, want 3 and 2", backing, p.Version(), p.SummaryWidth())
+		}
+		if err := p.Verify(); err != nil {
+			t.Fatalf("%s: %v", backing, err)
+		}
+		decoded, _ := collectScans(t, p)
+		if !reflect.DeepEqual(decoded, want) {
+			t.Fatalf("%s: the version-3 file reads different records", backing)
+		}
+		for _, ci := range p.Clusters() {
+			if err := p.ScanClusterRuns(ci.ID, func(recs, sums []byte) error {
+				if len(sums) != 2*len(recs)/RecordBytes(seriesLen) {
+					t.Fatalf("%s: a version-3 run of %d records carries %d summary bytes", backing, len(recs)/RecordBytes(seriesLen), len(sums))
+				}
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.Close()
+	}
+	if back, err := Reformat(v3, partitionVersion); err != nil || !bytes.Equal(back, raw) {
+		t.Fatalf("the version-4 form of the version-3 file is not the file written (%v)", err)
+	}
+	// The first record's second summary byte, flipped under a good CRC.
+	v3[len(v3)-4-50*2+1] ^= 0x40
+	rewriteCRC(v3)
+	if err := os.WriteFile(old, v3, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, err := OpenPartition(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if err := p.Verify(); err == nil || !strings.Contains(err.Error(), "stored summary") {
+		t.Fatalf("Verify = %v, want a summary mismatch", err)
 	}
 }
 
@@ -338,7 +422,7 @@ func BenchmarkSummaryBounds(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer p.Close()
-	lb := NewLowerBound(series.ToFloat32(walk()), seriesLen)
+	lb := NewLowerBound(series.ToFloat32(walk()), seriesLen, SummaryBytes(seriesLen))
 	dst := make([]float64, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -445,7 +445,7 @@ func reindexArtifacts(t *testing.T, workers int) map[string]string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v2, err := storage.WithoutSummaries(raw)
+		v2, err := storage.Reformat(raw, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -463,9 +463,10 @@ func reindexArtifacts(t *testing.T, workers int) map[string]string {
 // construction pipeline. They are the proof that making reindex a caller of
 // the one pipeline changed no stored byte. Since partition format version 3
 // the "partition/" hashes are of each file's version-2 form
-// (storage.WithoutSummaries) — unchanged, so the summary section moved no
-// record byte — and the "summarized/" ones, recorded when the section was
-// added, are of the whole files. The "index.clms" hash was recorded again when
+// (storage.Reformat to version 2) — unchanged, so the summary section moved
+// no record byte — and the "summarized/" ones, recorded again when format
+// version 4 doubled the summary bytes per record, are of the whole files.
+// The "index.clms" hash was recorded again when
 // a reindex began to write its files into the store under the -g1- stem,
 // because the paths the manifest stores changed; its skeleton did not.
 var goldenReindexArtifacts = map[string]string{
@@ -480,16 +481,16 @@ var goldenReindexArtifacts = map[string]string{
 	"partition/climber-part00007.clmp":  "253f89db6aaf54bd0105dc5370f8b9f7c5301fcba3d5704cff577ea39d488942",
 	"partition/climber-part00008.clmp":  "9f54596d1e64ce318f098502dae43771cad91a654017f225ffce1128c63cd11a",
 	"partition/climber-part00009.clmp":  "ab386ee6453d9e4c17992a331f2d909c6c331d3426b8874e7a8344be2ebf096d",
-	"summarized/climber-part00000.clmp": "c06af83b97abfd77c6062024047943f2a67371c86f3b0329567780458d3387bb",
-	"summarized/climber-part00001.clmp": "d32aa4363a06b52b56ce03627c89f6a77c53abb9e8863f35ea9b6f6b42a72d85",
-	"summarized/climber-part00002.clmp": "7dea5cef7926e5333366fa09b6320a2e249e6b139377f3f6a5c69e4042f7d177",
-	"summarized/climber-part00003.clmp": "0333a91480a4be67e45ef0e40e1f5502637363a0f6dd7ddbb4386d8f953c93ad",
-	"summarized/climber-part00004.clmp": "fca4cacfdf5d989b3bb56749e65f748dfda06461157d8c3350daec110bc123e1",
-	"summarized/climber-part00005.clmp": "41009981b07c2ba10a99563892f1863191e77455132720ceacd77924012b3ed5",
-	"summarized/climber-part00006.clmp": "1d9fd8184442ec4d5925523c15e49d09d9de982ab160a90fc3203fab7497afee",
-	"summarized/climber-part00007.clmp": "36b3b99a2ad38e99d6ba16c9b3c4c0b0f4827a86eaa6bb5f9fe537f6a4ec3fcb",
-	"summarized/climber-part00008.clmp": "043cfb66b88b394c7f791279a735d2ade5b3613be395a1e9b5ab4e24ed411941",
-	"summarized/climber-part00009.clmp": "6e92f1a20b83fb536e5c6e3f8fbbfde60a60843e8aa3aca9749b1a07d3aa7dec",
+	"summarized/climber-part00000.clmp": "74522a16242e3ec1742a240f3c9a792a09fe1e4b6fb8639129200e4379b4edf2",
+	"summarized/climber-part00001.clmp": "cedad73bd2ef63f39bac88fe6dee8beb1f0296e35505fe040a2135a4ecab8c67",
+	"summarized/climber-part00002.clmp": "790057ab00af4c8b0f1ae25270b732d0d9b1893d06787d4385d0110ea97678fc",
+	"summarized/climber-part00003.clmp": "025bb59a19429caf3683db929f9988310eb7921c028451df071439178faf1c42",
+	"summarized/climber-part00004.clmp": "0eec0f655b05bd8810758e0c5029f7e509c4b4e8f80c350a6bd7883e61a0aa7b",
+	"summarized/climber-part00005.clmp": "8de21e9d1eabd52aaa7b20c7767f16568d0e9fdf213a365010ebf77ff7d40629",
+	"summarized/climber-part00006.clmp": "4518e8285ebea58b5fbbc2e12d50f381dca189f56d4860db8eb9aeffa93b6fde",
+	"summarized/climber-part00007.clmp": "0c7894dfe698f116709415ae4b69d8319ac79d33b4e8a9e772661fe3c0d4bef2",
+	"summarized/climber-part00008.clmp": "e4831a3839feb03de5054a7a4eb3506e4835f5c1220653b0a17c7a87697e60f0",
+	"summarized/climber-part00009.clmp": "66153feed5494e84f601466e7df8121628202ced1f13aa3a3dbac7a549a433e6",
 	"skeleton":                          "5907d1a2295b2d123662adf3ca23dabca78185101b780529ff9284a2e7692914",
 }
 
