@@ -1,9 +1,7 @@
 // Command climber-vet is the repository's invariant multichecker: it runs
-// every analyzer under internal/analysis — ctxflow, lockio, syncack,
-// ctxleak, doccomment, mmapsafe — over the
-// given package patterns, plus
-// the repository-level markdown link gate, and exits non-zero on any
-// finding. CI runs it in the lint job; locally:
+// every analyzer under internal/analysis — lockio, syncack, doccomment —
+// over the given package patterns, plus the repository-level markdown link
+// gate, and exits non-zero on any finding. CI runs it in the lint job; locally:
 //
 //	go run ./cmd/climber-vet ./...
 //
@@ -21,23 +19,17 @@ import (
 	"os/exec"
 	"strings"
 
-	"climber/internal/analysis/ctxflow"
-	"climber/internal/analysis/ctxleak"
 	"climber/internal/analysis/docs"
 	"climber/internal/analysis/lockio"
-	"climber/internal/analysis/mmapsafe"
 	"climber/internal/analysis/syncack"
 	"climber/internal/analysis/vet"
 )
 
 func analyzers() []*vet.Analyzer {
 	return []*vet.Analyzer{
-		ctxflow.Analyzer,
 		lockio.Analyzer,
 		syncack.Analyzer,
-		ctxleak.Analyzer,
 		docs.Analyzer,
-		mmapsafe.Analyzer,
 	}
 }
 

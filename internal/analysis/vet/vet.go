@@ -4,22 +4,22 @@
 // a package loader that type-checks the module offline via the export data
 // `go list -export` materialises in the build cache.
 //
-// The framework exists because the repository's invariants — fsync before
-// ack, no I/O under a mutex, contexts threaded end to end — were each
-// enforced only by review until a PR broke one. The analyzers under
-// internal/analysis/... encode them as machine-checked properties;
-// cmd/climber-vet is the multichecker that runs the whole suite, and CI
-// fails on any finding.
+// The framework exists because two of the repository's invariants — fsync
+// before ack, no I/O under a mutex — show in no test: a killed process
+// keeps the page cache, and I/O under a mutex shows only as latency. The
+// analyzers under internal/analysis/... encode them, with the doc-comment
+// rule; cmd/climber-vet is the multichecker that runs the suite, and CI
+// fails on any finding. Invariants a test can observe are tests instead
+// (ARCHITECTURE.md, "Invariants").
 //
 // Two comment directives tie the source to the analyzers:
 //
 //	//lint:ignore <analyzer> <reason>
 //	    suppresses that analyzer's diagnostics on the same or the next
 //	    line — the explicit, reviewable escape hatch for allowlisted sites.
-//	//climber:<marker>
-//	    in a function's doc comment, marks the function for an analyzer:
-//	    //climber:ack (syncack: every successful return must be dominated
-//	    by a Sync), for instance.
+//	//climber:ack
+//	    in a function's doc comment, marks an ack path for syncack: every
+//	    successful return must be dominated by a Sync.
 package vet
 
 import (
@@ -183,22 +183,6 @@ func HasMarker(decl *ast.FuncDecl, marker string) bool {
 		}
 	}
 	return false
-}
-
-// IsContextType reports whether t is context.Context.
-func IsContextType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
-}
-
-// HasContextParam reports whether the signature's first parameter is a
-// context.Context.
-func HasContextParam(sig *types.Signature) bool {
-	return sig.Params().Len() > 0 && IsContextType(sig.Params().At(0).Type())
 }
 
 // NamedType unwraps pointers and aliases and returns the named type behind

@@ -9,6 +9,10 @@ import (
 	"climber/internal/obs"
 )
 
+// batchSink, when a test sets it, gives query i of a batch a progressive
+// sink; QueryBatch runs every query plain otherwise.
+var batchSink func(i int) func(Snapshot) bool
+
 // QueryBatch answers many kNN queries concurrently, mirroring the paper's
 // distributed query evaluation (Section VI): the skeleton is shared
 // read-only across workers and each query independently loads the
@@ -48,8 +52,12 @@ func (ix *Index) QueryBatch(ctx context.Context, queries [][]float64, opts Searc
 					qsp.SetAttr("query", int64(i))
 					qctx = obs.ContextWithSpan(ctx, qsp)
 				}
+				var sink func(Snapshot) bool
+				if batchSink != nil {
+					sink = batchSink(i)
+				}
 				var res *SearchResult
-				if res, errs[i] = ix.Query(qctx, queries[i], opts, nil); errs[i] == nil {
+				if res, errs[i] = ix.Query(qctx, queries[i], opts, sink); errs[i] == nil {
 					out[i] = *res
 				}
 				qsp.End()

@@ -79,7 +79,8 @@ func Build(cl *cluster.Cluster, bs *cluster.BlockSet, cfg Config, name string) (
 	}
 	rng := rand.New(rand.NewPCG(cfg.Seed, 0x2545f4914f6cdd1d))
 	in := buildInput{src: bs, idBound: bs.Len(), sampleBlocks: cl.SampleBlocks(bs, cfg.SampleRate, rng)}
-	//lint:ignore ctxflow a build is an offline root: it runs to completion, there is no caller deadline to thread
+	// A build is an offline root: it runs to completion, there is no caller
+	// deadline to thread.
 	g, stats, err := construct(context.Background(), cl, in, cfg, cluster.Dest{Name: name})
 	if err != nil {
 		return nil, err

@@ -6,8 +6,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
+	"time"
 
 	"climber/internal/cluster"
 )
@@ -109,6 +112,11 @@ func TestCancelMidScanStopsPlan(t *testing.T) {
 	}
 }
 
+// A batch stops when its context is cancelled, before it starts or while
+// its queries run: mid-flight, the progressive sink of the third query
+// cancels, with one worker, so the queries after it wait on a worker that has
+// run a query already. Either way the error wraps context.Canceled, and no
+// worker of the batch is left once it returns.
 func TestSearchBatchContextCancel(t *testing.T) {
 	cfg := testConfig()
 	ix, ds, _, _ := buildTestIndex(t, 1000, cfg)
@@ -116,10 +124,50 @@ func TestSearchBatchContextCancel(t *testing.T) {
 	for i := range queries {
 		queries[i] = ds.Get(i * 50)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := ix.QueryBatch(ctx, queries, SearchOptions{K: 10}, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled batch returned %v, want an error wrapping context.Canceled", err)
+	for _, when := range []string{"before", "mid-flight"} {
+		t.Run(when, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			workers := 4
+			if when == "before" {
+				cancel()
+			} else {
+				workers = 1
+				batchSink = func(i int) func(Snapshot) bool {
+					if i != 2 {
+						return nil
+					}
+					return func(Snapshot) bool { cancel(); return true }
+				}
+				defer func() { batchSink = nil }()
+			}
+			if _, err := ix.QueryBatch(ctx, queries, SearchOptions{K: 10}, workers); !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled batch returned %v, want an error wrapping context.Canceled", err)
+			}
+			if n := waitGoroutines("(*Index).QueryBatch", 5*time.Second); n > 0 {
+				t.Fatalf("%d workers of the batch are left after it returned", n)
+			}
+		})
+	}
+}
+
+// waitGoroutines waits up to timeout for no goroutine's stack to name fn, and
+// returns how many still do.
+func waitGoroutines(fn string, timeout time.Duration) int {
+	end := time.Now().Add(timeout)
+	for {
+		buf := make([]byte, 1<<20)
+		buf = buf[:runtime.Stack(buf, true)]
+		n := 0
+		for _, g := range strings.Split(string(buf), "\n\n") {
+			if strings.Contains(g, fn) {
+				n++
+			}
+		}
+		if n == 0 || time.Now().After(end) {
+			return n
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

@@ -5,9 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -234,6 +236,75 @@ func TestRetireWaitsForEveryEarlierView(t *testing.T) {
 	seen, _ = lookupAll(t, ix)
 	if len(seen) != ds.Len()+1 {
 		t.Fatalf("V3 reads %d records, want %d", len(seen), ds.Len()+1)
+	}
+}
+
+// No query reads a partition after its release. A query opens the
+// partitions of its plan; drains and folds then replace each of their files,
+// and the view that named them is retired, which releases them: a mapping is
+// unmapped, a heap copy's buffer goes back to the pool. Race builds poison
+// both (storage's poisonReleased), so a second query that read a record
+// slice kept from the first would fault or rank NaN. It must answer its own
+// record first, at distance 0, with finite distances. Run under -race, on
+// both backings.
+func TestNoQueryReadsARetiredPartition(t *testing.T) {
+	for _, backing := range []string{"mmap", "heap"} {
+		t.Run(backing, func(t *testing.T) {
+			if backing == "mmap" && !storage.MapSupported() {
+				t.Skip("mmap unsupported on this platform")
+			}
+			ix, ds, _, _ := buildTestIndex(t, 1500, testConfig())
+			if backing == "heap" {
+				defer storage.FailMappings()()
+			}
+			query := func(id int) *SearchResult {
+				t.Helper()
+				defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("query of record %d faulted: %v", id, r)
+					}
+				}()
+				res, err := ix.Search(ds.Get(id), SearchOptions{K: 10, Variant: VariantAdaptive4X, Explain: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if top := res.Results[0]; top.ID != id || top.Dist != 0 {
+					t.Fatalf("query of record %d answered %+v first", id, top)
+				}
+				for _, r := range res.Results {
+					if math.IsNaN(r.Dist) || math.IsInf(r.Dist, 0) {
+						t.Fatalf("query of record %d ranked %+v", id, r)
+					}
+				}
+				return res
+			}
+			read := map[int]string{}
+			for _, pid := range query(7).Explain.Partitions {
+				read[pid] = ix.Partitions().Paths[pid]
+			}
+			replaced := func() bool {
+				for pid, path := range read {
+					if ix.Partitions().Paths[pid] == path {
+						return false
+					}
+				}
+				return true
+			}
+			for seed := uint64(1); !replaced(); seed++ {
+				if seed > 20 {
+					t.Fatal("20 drains and folds left a file the first query read")
+				}
+				if _, err := ix.WriteRouted(routeFresh(ix, 200, seed)); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := ix.FoldTails(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			<-ix.retired
+			query(8)
+		})
 	}
 }
 

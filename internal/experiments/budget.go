@@ -117,7 +117,8 @@ func BudgetExperiment(s Scale, workDir string, out io.Writer) error {
 		recall        float64
 	}
 	var snaps []snapRow
-	//lint:ignore ctxflow offline benchmark harness: experiments run to completion, there is no caller deadline to thread
+	// An offline benchmark harness: experiments run to completion, there is
+	// no caller deadline to thread.
 	_, err = ix.Query(context.Background(), q, core.SearchOptions{K: s.K, Variant: core.VariantODSmallest},
 		func(sn core.Snapshot) bool {
 			snaps = append(snaps, snapRow{sn.Step, sn.StepsPlanned, series.Recall(sn.Results, exact[0])})

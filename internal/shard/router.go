@@ -107,8 +107,8 @@ func NewRouter(t *Topology, cfg Config) *Router {
 		healthDone: make(chan struct{}),
 	}
 	// The prober outlives any request, so its root cannot come from a
-	// caller.
-	//lint:ignore ctxflow the health prober is a background root owned by the Router; Close cancels it
+	// caller: it is a background root owned by the Router, and Close
+	// cancels it.
 	r.probeCtx, r.probeCancel = context.WithCancel(context.Background())
 	r.maxReply = api.MaxReplyBytes(r.cfg.MaxK, r.cfg.MaxBatch, r.cfg.MaxBodyBytes)
 	r.shardErrs = make([]atomic.Int64, len(t.Shards))

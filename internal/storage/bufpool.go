@@ -92,8 +92,16 @@ func getBuf(n int) []byte {
 }
 
 // putBuf parks b on the idle list for a later getBuf. The caller must hold
-// the only reference to b.
+// the only reference to b. A race build fills it with 0xFF bytes first
+// (poisonReleased).
 func putBuf(b []byte) {
+	if poisonReleased && cap(b) > 0 {
+		b = b[:cap(b)]
+		b[0] = 0xFF
+		for n := 1; n < len(b); n *= 2 {
+			copy(b[n:], b[:n])
+		}
+	}
 	bufPool.mu.Lock()
 	if len(bufPool.idle) == maxIdleBuffers {
 		bufPool.idleBytes -= int64(cap(bufPool.idle[0]))

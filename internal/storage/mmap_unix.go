@@ -43,7 +43,12 @@ func mapFile(path string) ([]byte, error) {
 	return data, nil
 }
 
-// unmapFile releases a mapping produced by mapFile.
+// unmapFile releases a mapping produced by mapFile. A race build keeps the
+// pages reserved with no access instead (poisonReleased), so a read through
+// a slice kept past the release faults.
 func unmapFile(data []byte) error {
+	if poisonReleased {
+		return syscall.Mprotect(data, syscall.PROT_NONE)
+	}
 	return syscall.Munmap(data)
 }

@@ -421,8 +421,8 @@ func (p *Partition) ScanAll(fn func(id int, values []float64) error) error {
 // Either way rec is valid only during the callback and only while the caller
 // holds its partition reference — afterwards the bytes may be unmapped, or
 // hold another partition's records: it must not be stored, appended, or
-// otherwise retained (the mmapsafe vet analyzer enforces this — scan helpers
-// that consume rec in place are marked //climber:mmapscan).
+// otherwise retained. Race builds poison released memory (poisonReleased),
+// so a kept slice faults or reads NaN there.
 func (p *Partition) ScanClusterRaw(id ClusterID, fn func(id int, rec []byte) error) error {
 	return p.scanClusterRaw(id, &scanBuf{}, fn)
 }
