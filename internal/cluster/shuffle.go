@@ -413,15 +413,6 @@ func (h *PartitionHandle) ScanAll(fn func(id int, values []float64) error) error
 	return h.tail.ScanAll(fn)
 }
 
-// ScanClusterRaw streams one cluster's records through fn in their encoded
-// form, under the lifetime rules of storage.Partition.ScanClusterRaw.
-func (h *PartitionHandle) ScanClusterRaw(id storage.ClusterID, fn func(id int, rec []byte) error) error {
-	if err := h.Partition.ScanClusterRaw(id, fn); err != nil || h.tail == nil {
-		return err
-	}
-	return h.tail.ScanClusterRaw(id, fn)
-}
-
 // ScanClustersRaw streams each listed cluster through fn in encoded form.
 func (h *PartitionHandle) ScanClustersRaw(ids []storage.ClusterID, fn func(id int, rec []byte) error) error {
 	if err := h.Partition.ScanClustersRaw(ids, fn); err != nil || h.tail == nil {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"reflect"
@@ -56,6 +57,18 @@ func dump(t *testing.T, h *PartitionHandle) map[string]any {
 			return nil
 		}
 	}
+	// rawRuns reads what raw does from a cluster's runs: each record's ID
+	// is its first 8 bytes, its readings the rest.
+	recBytes := storage.RecordBytes(h.SeriesLen())
+	rawRuns := func(into *[]rec) func(recs, sums []byte) error {
+		return func(recs, _ []byte) error {
+			for off := 0; off < len(recs); off += recBytes {
+				r := recs[off : off+recBytes]
+				*into = append(*into, rec{int(binary.LittleEndian.Uint64(r)), fmt.Sprint(r[8:])})
+			}
+			return nil
+		}
+	}
 	var all, byCluster, listed, rawByCluster, rawListed []rec
 	if err := h.ScanAll(decoded(&all)); err != nil {
 		t.Fatal(err)
@@ -68,7 +81,7 @@ func dump(t *testing.T, h *PartitionHandle) map[string]any {
 		if got := len(byCluster) - before; got != counts[id] {
 			t.Fatalf("cluster %d streams %d records, its directory entry says %d", id, got, counts[id])
 		}
-		if err := h.ScanClusterRaw(id, raw(&rawByCluster)); err != nil {
+		if err := h.ScanClusterRuns(id, rawRuns(&rawByCluster)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,9 +240,12 @@ func TestOpenPartitionPairsBaseWithItsTail(t *testing.T) {
 							return
 						}
 						seen := make(map[int]int, h.Count())
+						recBytes := storage.RecordBytes(h.SeriesLen())
 						for _, ci := range h.Clusters() {
-							err := h.ScanClusterRaw(ci.ID, func(id int, _ []byte) error {
-								seen[id]++
+							err := h.ScanClusterRuns(ci.ID, func(recs, _ []byte) error {
+								for off := 0; off < len(recs); off += recBytes {
+									seen[int(binary.LittleEndian.Uint64(recs[off:]))]++
+								}
 								return nil
 							})
 							if err != nil {

@@ -11,6 +11,7 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"sort"
 	"sync"
@@ -391,6 +392,16 @@ func legacyExecutePlanDist(ctx context.Context, ix *Index, plan, done legacyPlan
 			return err
 		}
 		defer p.Close()
+		recBytes := storage.RecordBytes(p.SeriesLen())
+		run := func(recs, _ []byte) error {
+			for off := 0; off < len(recs); off += recBytes {
+				rec := recs[off : off+recBytes]
+				if err := scan(int(binary.LittleEndian.Uint64(rec)), rec[8:]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
 		mu.Lock()
 		if countLoads {
 			stats.PartitionsScanned++
@@ -412,7 +423,7 @@ func legacyExecutePlanDist(ctx context.Context, ix *Index, plan, done legacyPlan
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				if err := p.ScanClusterRaw(ci.ID, scan); err != nil {
+				if err := p.ScanClusterRuns(ci.ID, run); err != nil {
 					return err
 				}
 			}
@@ -432,7 +443,7 @@ func legacyExecutePlanDist(ctx context.Context, ix *Index, plan, done legacyPlan
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := p.ScanClusterRaw(id, scan); err != nil {
+			if err := p.ScanClusterRuns(id, run); err != nil {
 				return err
 			}
 		}

@@ -57,10 +57,14 @@ func lookupView(t testing.TB, ix *Index, g *Generation) (seen map[int]int, route
 			t.Error(err)
 			return
 		}
+		recBytes := storage.RecordBytes(h.SeriesLen())
 		for _, ci := range h.Clusters() {
-			err := h.ScanClusterRaw(ci.ID, func(id int, _ []byte) error {
-				seen[id]++
-				routes[id] = cluster.Route{Partition: pid, Cluster: ci.ID}
+			err := h.ScanClusterRuns(ci.ID, func(recs, _ []byte) error {
+				for off := 0; off < len(recs); off += recBytes {
+					id := int(binary.LittleEndian.Uint64(recs[off:]))
+					seen[id]++
+					routes[id] = cluster.Route{Partition: pid, Cluster: ci.ID}
+				}
 				return nil
 			})
 			if err != nil {

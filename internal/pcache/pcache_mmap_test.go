@@ -120,7 +120,8 @@ func TestConcurrentRawScanDuringInvalidate(t *testing.T) {
 		t.Skip("platform cannot map partitions")
 	}
 	dir := t.TempDir()
-	path, _ := writePartition(t, dir, "p0.clmp", 60)
+	const records = 60
+	path, _ := writePartition(t, dir, "p0.clmp", records)
 	c := New(1<<20, Counters{})
 	mapLoader := func() (*storage.Partition, error) { return storage.MapPartition(path) }
 
@@ -138,12 +139,17 @@ func TestConcurrentRawScanDuringInvalidate(t *testing.T) {
 					errs <- err
 					return
 				}
-				n := 0
-				err = p.ScanClusterRaw(0, func(id int, rec []byte) error {
-					if len(rec) != 4*p.SeriesLen() {
-						return fmt.Errorf("record %d: %d value bytes, want %d", id, len(rec), 4*p.SeriesLen())
+				n, recBytes := 0, storage.RecordBytes(p.SeriesLen())
+				err = p.ScanClusterRuns(0, func(recs, _ []byte) error {
+					if len(recs)%recBytes != 0 {
+						return fmt.Errorf("a run of %d bytes is not whole records of %d", len(recs), recBytes)
 					}
-					n++
+					for off := 0; off < len(recs); off += recBytes {
+						if id := binary.LittleEndian.Uint64(recs[off:]); id >= records {
+							return fmt.Errorf("record ID %d, but only %d were written", id, records)
+						}
+						n++
+					}
 					return nil
 				})
 				if err == nil && n == 0 {
@@ -219,15 +225,18 @@ func TestConcurrentRawScanDuringEvictionHeap(t *testing.T) {
 					return
 				}
 				marker := math.Float32bits(float32(part + 1))
-				n := 0
-				err = p.ScanClusterRaw(0, func(id int, rec []byte) error {
-					for off := 0; off < len(rec); off += 4 {
-						if got := binary.LittleEndian.Uint32(rec[off:]); got != marker {
-							return fmt.Errorf("partition %d record %d reads %v, want its marker %d",
-								part, id, math.Float32frombits(got), part+1)
+				n, recBytes := 0, storage.RecordBytes(p.SeriesLen())
+				err = p.ScanClusterRuns(0, func(recs, _ []byte) error {
+					for ; len(recs) >= recBytes; recs = recs[recBytes:] {
+						id := binary.LittleEndian.Uint64(recs)
+						for off := 8; off < recBytes; off += 4 {
+							if got := binary.LittleEndian.Uint32(recs[off:]); got != marker {
+								return fmt.Errorf("partition %d record %d reads %v, want its marker %d",
+									part, id, math.Float32frombits(got), part+1)
+							}
 						}
+						n++
 					}
-					n++
 					return nil
 				})
 				if err == nil && n != records {

@@ -412,24 +412,14 @@ func (p *Partition) ScanAll(fn func(id int, values []float64) error) error {
 	return nil
 }
 
-// ScanClusterRaw streams one cluster's records through fn in their encoded
-// form: rec is the record's raw value bytes — 4*SeriesLen() little-endian
-// float32 readings, the operand of the series.SqDist32* kernels — with the
-// record ID already decoded. On a resident partition rec aliases the
-// partition's bytes directly (zero copy, zero allocation per record); on a
-// file-backed partition it aliases a scratch buffer reused between records.
-// Either way rec is valid only during the callback and only while the caller
-// holds its partition reference — afterwards the bytes may be unmapped, or
-// hold another partition's records: it must not be stored, appended, or
-// otherwise retained. Race builds poison released memory (poisonReleased),
-// so a kept slice faults or reads NaN there.
-func (p *Partition) ScanClusterRaw(id ClusterID, fn func(id int, rec []byte) error) error {
-	return p.scanClusterRaw(id, &scanBuf{}, fn)
-}
-
-func (p *Partition) scanClusterRaw(id ClusterID, sb *scanBuf, fn func(id int, rec []byte) error) error {
-	recBytes := RecordBytes(p.seriesLen)
-	return p.scanClusterRuns(id, sb, func(recs, _ []byte) error {
+// ScanClustersRaw streams each listed cluster's records through fn in their
+// encoded form, skipping IDs not present in this partition: rec is the
+// record's raw value bytes — 4*SeriesLen() little-endian float32 readings —
+// with the record ID already decoded. It obeys the lifetime rules of
+// ScanClusterRuns.
+func (p *Partition) ScanClustersRaw(ids []ClusterID, fn func(id int, rec []byte) error) error {
+	sb, recBytes := &scanBuf{}, RecordBytes(p.seriesLen)
+	run := func(recs, _ []byte) error {
 		for off := 0; off < len(recs); off += recBytes {
 			rec := recs[off : off+recBytes]
 			if err := fn(int(binary.LittleEndian.Uint64(rec)), rec[8:]); err != nil {
@@ -437,16 +427,9 @@ func (p *Partition) scanClusterRaw(id ClusterID, sb *scanBuf, fn func(id int, re
 			}
 		}
 		return nil
-	})
-}
-
-// ScanClustersRaw streams each listed cluster through fn in encoded form,
-// skipping IDs not present in this partition. The rec slice obeys the same
-// callback-scoped lifetime as ScanClusterRaw.
-func (p *Partition) ScanClustersRaw(ids []ClusterID, fn func(id int, rec []byte) error) error {
-	sb := &scanBuf{}
+	}
 	for _, id := range ids {
-		if err := p.scanClusterRaw(id, sb, fn); err != nil {
+		if err := p.scanClusterRuns(id, sb, run); err != nil {
 			return err
 		}
 	}
@@ -460,8 +443,12 @@ func (p *Partition) ScanClustersRaw(ids []ClusterID, fn func(id int, rec []byte)
 // (SummaryWidth each, same order), or is nil in a version-2 file. A resident
 // partition passes the whole cluster as one run of its own bytes; a
 // file-backed one reads runs of up to 256 records into scratch reused between
-// runs. Both slices obey the lifetime rules of ScanClusterRaw: valid only
-// during the callback, never to be retained.
+// runs, with no allocation per record either way. Both slices are valid only
+// during the callback and only while the caller holds its partition
+// reference — afterwards the bytes may be unmapped, or hold another
+// partition's records: they must not be stored, appended, or otherwise
+// retained. Race builds poison released memory (poisonReleased), so a kept
+// slice faults or reads NaN there.
 func (p *Partition) ScanClusterRuns(id ClusterID, fn func(recs, sums []byte) error) error {
 	return p.scanClusterRuns(id, &scanBuf{}, fn)
 }

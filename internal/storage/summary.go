@@ -286,9 +286,28 @@ func (b *LowerBound) Release() {
 // Bounds writes to dst[i] the lower bound of record i of sums, the summary
 // bytes of len(dst) consecutive records (the bound's width per record, as a
 // partition file stores them).
+//
+// Every record sums its segments eight at a time, each block of eight as a
+// tree, and the blocks left to right. A whole-record table of the two widths
+// the files store for 128 and 256 readings (16 and 32 segments) takes a body
+// unrolled for that width: the table and the record become fixed-size arrays
+// once, so each lookup is one byte load and one add at a constant offset,
+// where the loop over blocks spends more instructions rebuilding each
+// block's address than loading from it. The unrolled bodies keep the loop's
+// order of additions, so they give the same bound bit for bit
+// (TestBoundsKernelsMatchLoop): a scan's answers and its pruned records do
+// not depend on which body ran.
 func (b *LowerBound) Bounds(dst []float64, sums []byte) {
 	table, w := b.table, b.w
 	segs := len(table)
+	switch {
+	case segs == 32 && w == 32:
+		bounds32(dst, sums, (*[32][256]float64)(table))
+		return
+	case segs == 16 && w == 16:
+		bounds16(dst, sums, (*[16][256]float64)(table))
+		return
+	}
 	for i := range dst {
 		rec := sums[i*w:][:segs]
 		// Eight segments at a time, summed as a tree: the lookups of one
@@ -305,5 +324,35 @@ func (b *LowerBound) Bounds(dst []float64, sums []byte) {
 			x += table[s][rec[s]]
 		}
 		dst[i] = x
+	}
+}
+
+// bounds32 is Bounds over a whole-record table of 32 segments: four blocks,
+// added as ((b0+b1)+b2)+b3, the loop's order.
+func bounds32(dst []float64, sums []byte, t *[32][256]float64) {
+	for i := range dst {
+		r := (*[32]byte)(sums[32*i:])
+		b0 := ((t[0][r[0]] + t[1][r[1]]) + (t[2][r[2]] + t[3][r[3]])) +
+			((t[4][r[4]] + t[5][r[5]]) + (t[6][r[6]] + t[7][r[7]]))
+		b1 := ((t[8][r[8]] + t[9][r[9]]) + (t[10][r[10]] + t[11][r[11]])) +
+			((t[12][r[12]] + t[13][r[13]]) + (t[14][r[14]] + t[15][r[15]]))
+		b2 := ((t[16][r[16]] + t[17][r[17]]) + (t[18][r[18]] + t[19][r[19]])) +
+			((t[20][r[20]] + t[21][r[21]]) + (t[22][r[22]] + t[23][r[23]]))
+		b3 := ((t[24][r[24]] + t[25][r[25]]) + (t[26][r[26]] + t[27][r[27]])) +
+			((t[28][r[28]] + t[29][r[29]]) + (t[30][r[30]] + t[31][r[31]]))
+		dst[i] = ((b0 + b1) + b2) + b3
+	}
+}
+
+// bounds16 is Bounds over a whole-record table of 16 segments: two blocks,
+// added as b0+b1, the loop's order.
+func bounds16(dst []float64, sums []byte, t *[16][256]float64) {
+	for i := range dst {
+		r := (*[16]byte)(sums[16*i:])
+		b0 := ((t[0][r[0]] + t[1][r[1]]) + (t[2][r[2]] + t[3][r[3]])) +
+			((t[4][r[4]] + t[5][r[5]]) + (t[6][r[6]] + t[7][r[7]]))
+		b1 := ((t[8][r[8]] + t[9][r[9]]) + (t[10][r[10]] + t[11][r[11]])) +
+			((t[12][r[12]] + t[13][r[13]]) + (t[14][r[14]] + t[15][r[15]]))
+		dst[i] = b0 + b1
 	}
 }

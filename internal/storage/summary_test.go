@@ -116,6 +116,18 @@ func FuzzSummaryLowerBound(f *testing.F) {
 	x[0], x[1], x[2] = 1e30, 1<<46-1<<23, -1e30
 	f.Add(float32Bytes(q), float32Bytes(x), uint8(255))
 	f.Add(float32Bytes(make([]float32, 40)), float32Bytes(make([]float32, 40)), uint8(255))
+	// Records of 128 and 256 readings reach the bodies Bounds unrolls for 16
+	// and 32 segments; a 255-reading prefix of 256 readings takes the loop.
+	wave := func(n int, f, a float64) []float32 {
+		out := make([]float32, n)
+		for i := range out {
+			out[i] = float32(a * math.Sin(f*float64(i)))
+		}
+		return out
+	}
+	f.Add(float32Bytes(wave(128, 0.1, 2)), float32Bytes(wave(128, 0.13, -1.5)), uint8(255))
+	f.Add(float32Bytes(wave(256, 0.05, 1)), float32Bytes(wave(256, 0.07, 3)), uint8(255))
+	f.Add(float32Bytes(wave(256, 0.05, 1)), float32Bytes(wave(256, 0.07, 3)), uint8(254))
 
 	f.Fuzz(func(t *testing.T, qb, xb []byte, prefix uint8) {
 		n := min(len(qb), len(xb)) / 4
@@ -182,6 +194,55 @@ func TestLowerBoundPrefixSegments(t *testing.T) {
 		if got != c.segs {
 			t.Errorf("version %d (%d segments): prefix %d of 100: %d segments, want %d", c.version, w, c.prefix, got, c.segs)
 		}
+	}
+}
+
+// TestBoundsKernelsMatchLoop holds every body of Bounds, bit for bit, to
+// the order of additions its doc fixes: each block of eight segments summed
+// as a tree, then the blocks, and any segments past the last whole block,
+// added left to right. Real query tables meet random summary bytes at the
+// widths with an unrolled body (32 segments, v4 at 256 readings; 16, v4 at
+// 128 and v3 at 256) and at tables that take the loop (prefixes of either
+// width, and 12 segments, v4 at 100 readings), over stretches of 1, 7, 255
+// and 256 records.
+func TestBoundsKernelsMatchLoop(t *testing.T) {
+	rng := rand.New(rand.NewPCG(11, 13))
+	for _, c := range []struct{ seriesLen, w, prefix int }{
+		{256, 32, 256}, {128, 16, 128}, {256, 16, 256},
+		{256, 32, 255}, {256, 32, 64}, {256, 16, 200}, {128, 16, 100}, {100, 12, 100}, {100, 12, 60},
+	} {
+		lb := NewLowerBound(series.ToFloat32(zWalk(rng, c.seriesLen))[:c.prefix], c.seriesLen, c.w)
+		segs := len(lb.table)
+		for _, n := range []int{1, 7, 255, 256} {
+			// One record before the stretch: the bodies index from its start.
+			buf := make([]byte, (n+1)*c.w)
+			for i := range buf {
+				buf[i] = byte(rng.Uint32())
+			}
+			sums := buf[c.w:]
+			dst := make([]float64, n)
+			lb.Bounds(dst, sums)
+			for i, got := range dst {
+				rec := sums[i*c.w:]
+				var want float64
+				s := 0
+				for ; s+8 <= segs; s += 8 {
+					var v [8]float64
+					for j := range v {
+						v[j] = lb.table[s+j][rec[s+j]]
+					}
+					want += ((v[0] + v[1]) + (v[2] + v[3])) + ((v[4] + v[5]) + (v[6] + v[7]))
+				}
+				for ; s < segs; s++ {
+					want += lb.table[s][rec[s]]
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%d readings, width %d, prefix %d (%d segments), stretch of %d: record %d bound %v, the documented order gives %v",
+						c.seriesLen, c.w, c.prefix, segs, n, i, got, want)
+				}
+			}
+		}
+		lb.Release()
 	}
 }
 
@@ -383,58 +444,76 @@ func TestVersion3FileReadsAtItsWidth(t *testing.T) {
 	}
 }
 
+// zWalk returns a z-normalised random walk of n readings.
+func zWalk(rng *rand.Rand, n int) []float64 {
+	v, x := make([]float64, n), 0.0
+	for i := range v {
+		x += rng.NormFloat64()
+		v[i] = x
+	}
+	var mean, sq float64
+	for _, x := range v {
+		mean += x
+	}
+	mean /= float64(n)
+	for _, x := range v {
+		sq += (x - mean) * (x - mean)
+	}
+	sd := math.Sqrt(sq / float64(n))
+	for i := range v {
+		v[i] = (v[i] - mean) / sd
+	}
+	return v
+}
+
 // BenchmarkSummaryBounds times the filter's own work over a real partition:
-// the lower-bound pass over every record's summary, per record considered,
-// for a 256-reading random-walk query against 256-reading records.
+// the lower-bound pass over every record's summary, per record considered
+// and per table lookup, for a random-walk query against random-walk records
+// of the same length in a version-4 file. w32 (256 readings) and w16 (128
+// readings) take the bodies Bounds unrolls for their width; prefix64 (the
+// first 64 readings of a 256-reading query, 8 of 32 segments) takes the
+// loop.
 func BenchmarkSummaryBounds(b *testing.B) {
-	const seriesLen, n = 256, 4096
-	rng := rand.New(rand.NewPCG(3, 5))
-	walk := func() []float64 {
-		v, x := make([]float64, seriesLen), 0.0
-		for i := range v {
-			x += rng.NormFloat64()
-			v[i] = x
-		}
-		var mean, sq float64
-		for _, x := range v {
-			mean += x
-		}
-		mean /= seriesLen
-		for _, x := range v {
-			sq += (x - mean) * (x - mean)
-		}
-		sd := math.Sqrt(sq / seriesLen)
-		for i := range v {
-			v[i] = (v[i] - mean) / sd
-		}
-		return v
-	}
-	recs := make([]Incoming, n)
-	for i := range recs {
-		recs[i] = Incoming{Cluster: 1, ID: i, Values: walk()}
-	}
-	path := filepath.Join(b.TempDir(), "bench.clmp")
-	if _, _, err := MergePartitions(path, seriesLen, nil, recs, nil); err != nil {
-		b.Fatal(err)
-	}
-	p, err := LoadPartition(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer p.Close()
-	lb := NewLowerBound(series.ToFloat32(walk()), seriesLen, SummaryBytes(seriesLen))
-	dst := make([]float64, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := p.ScanClusterRuns(1, func(_, sums []byte) error {
-			w := SummaryBytes(seriesLen)
-			for lo := 0; lo < n; lo += len(dst) {
-				lb.Bounds(dst, sums[lo*w:(lo+len(dst))*w])
+	const n = 4096
+	for _, c := range []struct {
+		name              string
+		seriesLen, prefix int
+	}{
+		{"w32", 256, 256}, {"w16", 128, 128}, {"prefix64", 256, 64},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			rng := rand.New(rand.NewPCG(3, 5))
+			recs := make([]Incoming, n)
+			for i := range recs {
+				recs[i] = Incoming{Cluster: 1, ID: i, Values: zWalk(rng, c.seriesLen)}
 			}
-			return nil
-		}); err != nil {
-			b.Fatal(err)
-		}
+			path := filepath.Join(b.TempDir(), "bench.clmp")
+			if _, _, err := MergePartitions(path, c.seriesLen, nil, recs, nil); err != nil {
+				b.Fatal(err)
+			}
+			p, err := LoadPartition(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer p.Close()
+			w := SummaryBytes(c.seriesLen)
+			lb := NewLowerBound(series.ToFloat32(zWalk(rng, c.seriesLen))[:c.prefix], c.seriesLen, w)
+			defer lb.Release()
+			dst := make([]float64, 256)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := p.ScanClusterRuns(1, func(_, sums []byte) error {
+					for lo := 0; lo < n; lo += len(dst) {
+						lb.Bounds(dst, sums[lo*w:(lo+len(dst))*w])
+					}
+					return nil
+				}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			perRecord := float64(b.Elapsed().Nanoseconds()) / float64(b.N*n)
+			b.ReportMetric(perRecord, "ns/record")
+			b.ReportMetric(perRecord/float64(len(lb.table)), "ns/lookup")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/record")
 }
